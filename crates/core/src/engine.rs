@@ -64,20 +64,21 @@ pub struct PreparedLeaf {
 }
 
 /// Prefix-root matches prepared by the shared join stage
-/// ([`SharedJoinIndex`](crate::SharedJoinIndex)) for one engine on one edge:
-/// the canonical prefix table's new root joins, already rebased onto this
-/// engine's numbering, window-filtered against its `tW`, and
-/// boundary-filtered against its subscription point.
+/// ([`SharedJoinIndex`](crate::SharedJoinIndex)) for one **partial-depth**
+/// subscriber on one edge: the canonical prefix table's new root rows that
+/// pass this engine's `tW` and subscription boundary, materialized in this
+/// engine's numbering. (A subscriber whose prefix spans its whole tree never
+/// sees a feed — its matches go from the table straight to the sink.)
 #[derive(Debug, Clone)]
 pub struct PrefixFeed {
     /// Number of leading leaves (selectivity ranks `0..depth`) the shared
-    /// prefix covers. The engine skips those leaves entirely — their
-    /// searches, inserts and joins ran once registry-wide — and consumes
-    /// `matches` as inserts at its internal node covering them (or directly
-    /// as complete matches when the prefix spans the whole tree).
+    /// prefix covers, `2 <= depth < leaves`. The engine skips those leaves
+    /// entirely — their searches, inserts and joins ran once registry-wide
+    /// — and consumes `matches` as inserts at its internal node covering
+    /// them.
     pub depth: usize,
-    /// The rebased prefix-root matches this edge created (possibly empty —
-    /// the engine must still skip the prefix leaves).
+    /// The prefix-root matches this edge created (possibly empty — the
+    /// engine must still skip the prefix leaves).
     pub matches: Vec<SubgraphMatch>,
     /// `true` when the prefix table has other live subscribers, i.e. this
     /// engine's prefix work was genuinely deduplicated this edge.
@@ -372,63 +373,31 @@ impl ContinuousQueryEngine {
         complete
     }
 
-    /// Like [`ContinuousQueryEngine::process_edge`], but the per-leaf
-    /// anchored searches have already been performed by the shared
-    /// leaf-search stage: `prepared[rank]` carries the rebased matches for
-    /// every leaf whose gate ([`ContinuousQueryEngine::leaf_accepts`])
-    /// passed, and `None` for gated-off leaves. The engine still performs
-    /// all per-engine work itself — lazy enablement probes, the recursive
-    /// hash join, windowing — in exactly the order the standalone path
-    /// would, so the reported match multiset is identical.
+    /// The shared pipeline's entry point. Like
+    /// [`ContinuousQueryEngine::process_edge`], except that:
     ///
-    /// `prepared` is a caller-owned buffer (the registry reuses one across
-    /// the whole fan-out instead of allocating per engine per edge); the
-    /// engine consumes its entries in place and leaves the drained buffer
-    /// behind.
+    /// * with `prepared`, the per-leaf anchored searches have already been
+    ///   performed by the shared leaf-search stage: `prepared[rank]` carries
+    ///   the rebased matches for every leaf whose gate
+    ///   ([`ContinuousQueryEngine::leaf_accepts`]) passed, and `None` for
+    ///   gated-off leaves. The engine still performs all per-engine work
+    ///   itself — lazy enablement probes, the recursive hash join,
+    ///   windowing — in exactly the order the standalone path would, so the
+    ///   reported match multiset is identical. The buffer is caller-owned
+    ///   (the registry reuses one across the whole fan-out); the engine
+    ///   consumes its entries in place;
+    /// * with `prefix`, the leading `prefix.depth` leaves **and their
+    ///   internal hash joins** are delegated to the shared join stage: the
+    ///   engine skips those leaves, seeds its own join continuation with
+    ///   the feed's matches (inserted at the internal node covering the
+    ///   prefix, so lazy enablement of the next leaf fires exactly as a
+    ///   private insert would — enablement "moves to emit time"), and runs
+    ///   the suffix leaves as usual. The feed is drained, not consumed, so
+    ///   the caller can hand its buffer back to the shared stage's pool;
+    /// * complete matches are appended to the caller-owned `complete`
+    ///   buffer (cleared first), one buffer for the whole stream.
     ///
-    /// Falls back to the standalone path for the VF2 baseline (which has no
-    /// leaves to share).
-    pub fn process_edge_prepared(
-        &mut self,
-        graph: &DynamicGraph,
-        edge: &EdgeData,
-        prepared: &mut Vec<Option<LeafFanout>>,
-    ) -> Vec<SubgraphMatch> {
-        let mut complete = Vec::new();
-        self.process_edge_inner(graph, edge, Some(prepared), None, &mut complete);
-        complete
-    }
-
-    /// The full shared pipeline: like
-    /// [`ContinuousQueryEngine::process_edge_prepared`], with the leading
-    /// `prefix.depth` leaves **and their internal hash joins** additionally
-    /// delegated to the shared join stage. The engine skips those leaves,
-    /// seeds its own join continuation with the rebased prefix-root matches
-    /// in `prefix` (inserted at the internal node covering the prefix, so
-    /// lazy enablement of the next leaf fires exactly as a private insert
-    /// would — enablement "moves to emit time"), and runs the suffix leaves
-    /// as usual. When the prefix spans every leaf, the feed's matches *are*
-    /// the complete matches.
-    pub fn process_edge_shared(
-        &mut self,
-        graph: &DynamicGraph,
-        edge: &EdgeData,
-        prepared: Option<&mut Vec<Option<LeafFanout>>>,
-        prefix: Option<&mut PrefixFeed>,
-    ) -> Vec<SubgraphMatch> {
-        let mut complete = Vec::new();
-        self.process_edge_inner(graph, edge, prepared, prefix, &mut complete);
-        complete
-    }
-
-    /// Allocation-free variant of
-    /// [`ContinuousQueryEngine::process_edge_shared`]: complete matches are
-    /// appended to the caller-owned `complete` buffer (cleared first), so a
-    /// registry processing a fan-out of engines reuses one buffer for the
-    /// whole stream instead of allocating a fresh `Vec` per engine per edge.
-    /// The prefix feed is likewise borrowed, not consumed — the engine
-    /// *drains* its matches, so the caller can hand the emission buffer
-    /// back to the shared join stage's pool.
+    /// The VF2 baseline ignores both (it has no leaves to share).
     pub fn process_edge_shared_into(
         &mut self,
         graph: &DynamicGraph,
@@ -438,6 +407,20 @@ impl ContinuousQueryEngine {
         complete: &mut Vec<SubgraphMatch>,
     ) {
         self.process_edge_inner(graph, edge, prepared, prefix, complete);
+    }
+
+    /// Books one dispatched edge whose matches the shared join stage
+    /// delivered to the sink directly (the prefix table spans this query's
+    /// whole tree, so there was nothing left for the engine to do): the
+    /// counters move exactly as if the engine had consumed the same
+    /// `delivered` emissions as a feed and reported them itself.
+    pub fn record_shared_delivery(&mut self, delivered: u64, shared: bool) {
+        self.profile.edges_processed += 1;
+        self.profile.shared_join_emissions += delivered;
+        if shared {
+            self.profile.join_stages_shared += 1;
+        }
+        self.profile.complete_matches += delivered;
     }
 
     fn process_edge_inner(
@@ -484,24 +467,12 @@ impl ContinuousQueryEngine {
                 let start_rank = match prefix {
                     Some(feed) => {
                         debug_assert!(
-                            feed.depth >= 2 && feed.depth <= tree.num_leaves(),
-                            "a shared prefix covers 2..=k leaves"
+                            feed.depth >= 2 && feed.depth < tree.num_leaves(),
+                            "a feed covers a strict prefix of 2..k leaves"
                         );
                         self.profile.shared_join_emissions += feed.matches.len() as u64;
                         if feed.shared {
                             self.profile.join_stages_shared += 1;
-                        }
-                        if feed.depth == tree.num_leaves() {
-                            // The prefix is the whole tree: the feed's
-                            // matches are the complete matches (the shared
-                            // stage pre-filtered them against this engine's
-                            // window and subscription boundary).
-                            for m in feed.matches.drain(..) {
-                                debug_assert!(window.is_none_or(|tw| m.within_window(tw)));
-                                complete.push(m);
-                            }
-                            self.profile.complete_matches += complete.len() as u64;
-                            return;
                         }
                         // Seed the join continuation: each emission is an
                         // insert at the internal node covering the prefix

@@ -112,7 +112,8 @@ pub use processor::StreamProcessor;
 pub use profile::ProfileCounters;
 pub use registry::{retention_for_windows, QueryId, QueryRegistry, StrategySpec};
 pub use sharedjoin::{
-    tree_chain, JoinSubscription, SharedJoinIndex, SharedJoinStats, TrieNodeInfo, MIN_PREFIX_DEPTH,
+    tree_chain, JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats, TrieNodeInfo,
+    MIN_PREFIX_DEPTH,
 };
 pub use sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
 pub use sink::{CollectSink, CountSink, FnSink, MatchSink};

@@ -12,7 +12,7 @@
 //! | `stream.matches_total`    | counter   | matches | emit |
 //! | `stage.ingest_ns`         | counter   | ns | vertex/edge insert + statistics |
 //! | `stage.dispatch_ns`       | counter   | ns | edge-type dispatch lookup |
-//! | `stage.shared_join_ns`    | counter   | ns | shared prefix-table advance + fan-out |
+//! | `stage.shared_join_ns`    | counter   | ns | shared prefix-table advance + feed building |
 //! | `stage.shared_leaf_ns`    | counter   | ns | shared anchored leaf searches |
 //! | `stage.private_engine_ns` | counter   | ns | per-engine SJ-Tree / VF2 work |
 //! | `stage.emit_ns`           | counter   | ns | match delivery to the sink |
@@ -22,6 +22,25 @@
 //!
 //! Every handle is an `Arc`-backed atomic, so cloning the bundle into the
 //! runtime's worker replicas aggregates all shards into one set of series.
+//!
+//! # Span boundaries
+//!
+//! The registry's stage spans are laps of one clock: each boundary is a
+//! single clock read that closes one span and opens the next, so the spans
+//! of an edge tile its dispatch without gaps.
+//!
+//! * `shared_join_ns` is the join work proper: the once-per-edge
+//!   `advance_edge` over the prefix tables (leaf searches, row inserts,
+//!   hash joins, rows written to the tables' pending buffers), plus — per
+//!   partial-depth subscriber — building the feed its engine continues
+//!   from.
+//! * `emit_ns` is delivery: for a full-depth subscriber of a prefix table
+//!   the whole direct path — window/boundary filter on the row, the one
+//!   row → `SubgraphMatch` materialization, the sink callback; for an
+//!   engine that ran, draining its complete matches into the sink.
+//! * `stream.matches_total` and `match.latency_ns` are recorded once per
+//!   delivering query per edge, after its burst: one clock read, the
+//!   burst's match count, every match of the burst at that latency.
 
 use sp_metrics::{Counter, Histogram, MetricsRegistry};
 
@@ -43,7 +62,8 @@ pub struct PipelineMetrics {
     pub ingest_ns: Counter,
     /// Nanoseconds in the edge-type dispatch lookup (`stage.dispatch_ns`).
     pub dispatch_ns: Counter,
-    /// Nanoseconds advancing shared prefix tables (`stage.shared_join_ns`).
+    /// Nanoseconds advancing shared prefix tables and building
+    /// partial-depth feeds (`stage.shared_join_ns`).
     pub shared_join_ns: Counter,
     /// Nanoseconds in shared anchored leaf searches
     /// (`stage.shared_leaf_ns`).
@@ -51,7 +71,8 @@ pub struct PipelineMetrics {
     /// Nanoseconds in private engine work — SJ-Tree joins, lazy searches,
     /// VF2 (`stage.private_engine_ns`).
     pub private_engine_ns: Counter,
-    /// Nanoseconds delivering matches to the sink (`stage.emit_ns`).
+    /// Nanoseconds delivering matches to the sink, direct row → match
+    /// delivery included (`stage.emit_ns`).
     pub emit_ns: Counter,
     /// Nanoseconds in amortized expiry/purge passes (`stage.purge_ns`).
     pub purge_ns: Counter,

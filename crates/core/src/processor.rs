@@ -25,7 +25,7 @@ use sp_graph::{monotonic_nanos, DynamicGraph, EdgeEvent, Schema, VertexId};
 use sp_iso::SubgraphMatch;
 use sp_query::QueryGraph;
 use sp_selectivity::{DriftConfig, SelectivityEstimator};
-use sp_sjtree::SjTree;
+use sp_sjtree::{SjTree, UNBOUND};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -219,15 +219,16 @@ impl StreamProcessor {
         self.registry.shared_join_stats()
     }
 
-    /// Switches every partial-match store — each engine's and each shared
-    /// prefix table's — between the **interned** representation (on by
-    /// default: a stored match is a fixed-width arena row addressed by a
-    /// copyable id, so storing/joining spilled-width matches is
-    /// allocation-free) and the materialized representation (buckets hold
-    /// `SubgraphMatch` values). Live state converts in place, so the toggle
-    /// is safe at any point in the stream. The reported match multiset is
-    /// identical either way — the toggle exists for allocation accounting
-    /// and equivalence testing.
+    /// Switches every engine's private partial-match store between the
+    /// **interned** representation (on by default: a stored match is a
+    /// fixed-width arena row addressed by a copyable id, so storing/joining
+    /// spilled-width matches is allocation-free) and the materialized
+    /// representation (buckets hold `SubgraphMatch` values). Live state
+    /// converts in place, so the toggle is safe at any point in the stream.
+    /// Shared prefix tables are not affected — they are always interned,
+    /// their emissions being rows. The reported match multiset is identical
+    /// either way — the toggle exists for allocation accounting and
+    /// equivalence testing.
     pub fn with_match_interning(mut self, enabled: bool) -> Self {
         self.registry.set_match_interning(enabled);
         self
@@ -397,13 +398,28 @@ impl StreamProcessor {
         self.graph.set_window(window);
     }
 
+    /// Whether an event can be ingested: vertex id `u64::MAX` is the
+    /// interned match rows' unbound-slot sentinel, so an event naming it is
+    /// rejected at the door. The one rule behind
+    /// [`StreamProcessor::process_into`] and the parallel runtime's facade.
+    pub fn accepts(event: &EdgeEvent) -> bool {
+        event.src != UNBOUND && event.dst != UNBOUND
+    }
+
     /// Ingests one stream event, pushing every complete match it creates
     /// into `sink`. Returns the number of matches reported.
     ///
-    /// A vertex-type conflict (the vertex already exists with a different
-    /// concrete type) keeps the original type and is recorded in
+    /// An event [`StreamProcessor::accepts`] refuses is dropped before it
+    /// touches the graph and counted in
+    /// [`ProfileCounters::rejected_events`]. A vertex-type conflict (the
+    /// vertex already exists with a different concrete type) keeps the
+    /// original type and is recorded in
     /// [`ProfileCounters::vertex_type_conflicts`].
     pub fn process_into<S: MatchSink + ?Sized>(&mut self, event: &EdgeEvent, sink: &mut S) -> u64 {
+        if !Self::accepts(event) {
+            self.stream.rejected_events += 1;
+            return 0;
+        }
         self.stream.edges_processed += 1;
         // The single metrics branch of the hot path: with metrics off,
         // `started` stays `None` and no clock is ever read. The arrival
@@ -451,22 +467,14 @@ impl StreamProcessor {
             m.ingest_ns.add(t0.elapsed().as_nanos() as u64);
         }
 
-        let found = match (&self.metrics, started) {
-            (Some(pm), Some((arrival_ns, _))) => self.registry.process_edge_timed(
-                &self.graph,
-                &edge,
-                |q, m| {
-                    pm.matches.inc();
-                    pm.match_latency_ns
-                        .record(monotonic_nanos().saturating_sub(arrival_ns));
-                    sink.on_match(q, m)
-                },
-                pm,
-            ),
-            _ => self
-                .registry
-                .process_edge(&self.graph, &edge, |q, m| sink.on_match(q, m)),
-        };
+        let telemetry = self
+            .metrics
+            .as_ref()
+            .zip(started)
+            .map(|(pm, (arrival_ns, _))| (pm, arrival_ns));
+        let found =
+            self.registry
+                .process_edge(&self.graph, &edge, |q, m| sink.on_match(q, m), telemetry);
         self.total_matches += found;
 
         self.since_purge += 1;
@@ -680,7 +688,8 @@ impl StreamProcessor {
     /// Aggregated profiling counters: the engines' counters summed, with
     /// `edges_processed` reporting events *ingested by the processor* (each
     /// engine's own `edges_processed` counts only the edges dispatched to
-    /// it) and `vertex_type_conflicts` from the ingestion path.
+    /// it) and `vertex_type_conflicts` / `rejected_events` from the
+    /// ingestion path.
     pub fn profile(&self) -> ProfileCounters {
         let mut total = ProfileCounters::new();
         for (_, engine) in self.registry.iter() {
@@ -688,6 +697,7 @@ impl StreamProcessor {
         }
         total.edges_processed = self.stream.edges_processed;
         total.vertex_type_conflicts = self.stream.vertex_type_conflicts;
+        total.rejected_events = self.stream.rejected_events;
         total
     }
 
@@ -922,6 +932,50 @@ mod tests {
         proc.process(&EdgeEvent::homogeneous(1, 3, person, tcp, Timestamp(2)));
         assert_eq!(proc.profile().vertex_type_conflicts, 1);
         assert_eq!(proc.graph().vertex_type(VertexId(1)), Some(ip));
+    }
+
+    #[test]
+    fn events_naming_the_unbound_sentinel_are_rejected_and_counted() {
+        let (schema, _) = simple_setup(Strategy::Single, None);
+        let ip = schema.vertex_type("ip").unwrap();
+        let tcp = schema.edge_type("tcp").unwrap();
+        let esp = schema.edge_type("esp").unwrap();
+        let clean = [
+            EdgeEvent::homogeneous(1, 2, ip, esp, Timestamp(1)),
+            EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2)),
+            EdgeEvent::homogeneous(2, 4, ip, tcp, Timestamp(3)),
+        ];
+        // The hostile events would complete the pattern through vertex
+        // `u64::MAX` if they were ingested.
+        let mut hostile = clean.to_vec();
+        hostile.insert(
+            1,
+            EdgeEvent::homogeneous(2, u64::MAX, ip, tcp, Timestamp(2)),
+        );
+        hostile.insert(
+            0,
+            EdgeEvent::homogeneous(u64::MAX, 2, ip, esp, Timestamp(0)),
+        );
+        let run = |events: &[EdgeEvent]| {
+            let (_, mut proc) = simple_setup(Strategy::Single, None);
+            let mut got: Vec<String> = events
+                .iter()
+                .flat_map(|ev| proc.process(ev))
+                .map(|(q, m)| format!("{q}:{:?}", m.vertex_pairs().collect::<Vec<_>>()))
+                .collect();
+            got.sort();
+            (got, proc.profile())
+        };
+        let (expected, clean_profile) = run(&clean);
+        let (got, profile) = run(&hostile);
+        assert_eq!(expected.len(), 2);
+        assert_eq!(got, expected);
+        assert_eq!(profile.rejected_events, 2);
+        assert_eq!(
+            profile.edges_processed, 3,
+            "rejected events are not ingested"
+        );
+        assert_eq!(clean_profile.rejected_events, 0);
     }
 
     #[test]

@@ -25,6 +25,10 @@ pub struct ProfileCounters {
     /// original type is kept). Only the stream-level counters track this;
     /// engines never see the conflict.
     pub vertex_type_conflicts: u64,
+    /// Number of stream events rejected before ingest because they name
+    /// vertex id `u64::MAX`, which the interned match rows reserve as the
+    /// unbound-slot sentinel. Stream-level only, like the conflicts.
+    pub rejected_events: u64,
     /// Number of leaf-level subgraph-isomorphism invocations.
     pub iso_searches: u64,
     /// Number of leaf matches found by those searches.
@@ -110,6 +114,7 @@ impl ProfileCounters {
     pub fn merge(&mut self, other: &ProfileCounters) {
         self.edges_processed += other.edges_processed;
         self.vertex_type_conflicts += other.vertex_type_conflicts;
+        self.rejected_events += other.rejected_events;
         self.iso_searches += other.iso_searches;
         self.leaf_matches += other.leaf_matches;
         self.retroactive_searches += other.retroactive_searches;

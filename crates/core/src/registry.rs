@@ -14,11 +14,12 @@
 
 use crate::engine::{ContinuousQueryEngine, LeafFanout};
 use crate::metrics::PipelineMetrics;
-use crate::sharedjoin::{JoinSubscription, SharedJoinIndex, SharedJoinStats};
+use crate::sharedjoin::{JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats};
 use crate::sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
 use crate::strategy::Strategy;
-use sp_graph::{DynamicGraph, EdgeData, EdgeType};
+use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeType};
 use sp_iso::SubgraphMatch;
+use sp_metrics::Counter;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Instant;
@@ -83,21 +84,22 @@ pub struct QueryRegistry {
     /// *reset* (not reconstructed) per edge so its map table, match buffers
     /// and search scratch keep their capacity across the stream.
     cache: EdgeSearchCache,
-    /// Reusable buffer for each engine's complete matches; drained into
-    /// `emit` per engine.
+    /// Reusable buffer for the complete matches of an engine that ran
+    /// (full-depth shared-join subscribers bypass it); drained into `emit`
+    /// per engine.
     complete: Vec<SubgraphMatch>,
     /// Whether the per-edge hot path reuses warmed-up scratch capacity
     /// (default). Disabling releases every engine's scratch and the edge
     /// cache after each edge — the algorithm is identical, only the
     /// allocator traffic differs (the equivalence tests run both).
     scratch_reuse: bool,
-    /// Whether partial-match stores — every engine's and every shared
-    /// prefix table's — intern matches as fixed-width arena rows (default)
-    /// or keep materialized buckets. The registry is authoritative:
+    /// Whether the engines' private partial-match stores intern matches as
+    /// fixed-width arena rows (default) or keep materialized buckets (shared
+    /// prefix tables are always interned). The registry is authoritative:
     /// registration applies the flag to the incoming engine, and toggling
-    /// converts all live state in place. Match output is identical either
-    /// way (the equivalence tests run both); only allocator traffic and
-    /// store memory differ.
+    /// converts all live engine state in place. Match output is identical
+    /// either way (the equivalence tests run both); only allocator traffic
+    /// and store memory differ.
     match_interning: bool,
     /// The next subscription boundary: one past the id of the last
     /// processed edge. A query registered now is entitled to matches
@@ -164,22 +166,21 @@ impl QueryRegistry {
         self.scratch_reuse
     }
 
-    /// Switches every partial-match store the registry reaches — each
-    /// engine's and each shared prefix table's — between the interned
-    /// (fixed-width arena row, default) and materialized representations,
-    /// converting live state in place; engines registered later adopt the
-    /// flag at registration. Reported matches are identical either way —
-    /// this knob exists for allocation accounting and the equivalence
-    /// tests.
+    /// Switches every engine's private partial-match store between the
+    /// interned (fixed-width arena row, default) and materialized
+    /// representations, converting live state in place; engines registered
+    /// later adopt the flag at registration. Shared prefix tables are
+    /// always interned — their emissions are rows. Reported matches are
+    /// identical either way — this knob exists for allocation accounting
+    /// and the equivalence tests.
     pub fn set_match_interning(&mut self, enabled: bool) {
         self.match_interning = enabled;
         for engine in self.engines.values_mut() {
             engine.set_match_interning(enabled);
         }
-        self.join.set_match_interning(enabled);
     }
 
-    /// Whether partial matches are stored as interned arena rows.
+    /// Whether engines store partial matches as interned arena rows.
     pub fn match_interning_enabled(&self) -> bool {
         self.match_interning
     }
@@ -408,42 +409,27 @@ impl QueryRegistry {
     ///
     /// With sharing enabled this is the three-stage pipeline: the shared
     /// **join** stage advances each live canonical prefix table once for
-    /// the edge and fans the rebased prefix-root matches into each
-    /// subscriber; the shared **leaf** stage runs each distinct canonical
-    /// leaf search once and fans the rebased matches into each subscriber's
-    /// private join stage; engines that cannot share (VF2 baseline,
-    /// oversized leaves) and the sharing-off path run their private
-    /// searches instead.
+    /// the edge; a subscriber whose prefix spans its whole tree then has its
+    /// matches built from the table's emission rows straight into `emit`
+    /// (no engine involved), any other subscriber gets them as the feed of
+    /// its join continuation; the shared **leaf** stage runs each distinct
+    /// canonical leaf search once and fans the rebased matches into each
+    /// subscriber's private join stage; engines that cannot share (VF2
+    /// baseline, oversized leaves) and the sharing-off path run their
+    /// private searches instead. Matches are reported candidate by
+    /// candidate in dispatch order, each candidate's in emission order.
+    ///
+    /// `metrics` is the telemetry bundle plus the event's arrival stamp
+    /// (`monotonic_nanos` scale): with it, the same code additionally
+    /// records the per-stage spans (see [`PipelineMetrics`] for the span
+    /// boundaries) and, once per delivering candidate, the burst's match
+    /// count and detection latency. With `None` no clock is read.
     pub fn process_edge(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        emit: impl FnMut(QueryId, SubgraphMatch),
-    ) -> u64 {
-        self.process_edge_inner(graph, edge, emit, None)
-    }
-
-    /// [`QueryRegistry::process_edge`] with per-stage timing spans recorded
-    /// into `metrics` (`stage.dispatch_ns`, `stage.shared_join_ns`,
-    /// `stage.shared_leaf_ns`, `stage.private_engine_ns`, `stage.emit_ns`).
-    /// The processor routes here when metrics are attached; the untimed path
-    /// reads no clock at all.
-    pub fn process_edge_timed(
-        &mut self,
-        graph: &DynamicGraph,
-        edge: &EdgeData,
-        emit: impl FnMut(QueryId, SubgraphMatch),
-        metrics: &PipelineMetrics,
-    ) -> u64 {
-        self.process_edge_inner(graph, edge, emit, Some(metrics))
-    }
-
-    fn process_edge_inner(
-        &mut self,
-        graph: &DynamicGraph,
-        edge: &EdgeData,
         mut emit: impl FnMut(QueryId, SubgraphMatch),
-        metrics: Option<&PipelineMetrics>,
+        metrics: Option<(&PipelineMetrics, u64)>,
     ) -> u64 {
         // Edge ids are monotone in arrival order; one past the newest edge
         // is the boundary recorded for queries registered from now on.
@@ -460,11 +446,9 @@ impl QueryRegistry {
             scratch_reuse,
             ..
         } = self;
-        let span = metrics.map(|_| Instant::now());
+        let mut clock = StageClock::start(metrics.map(|(m, _)| m));
         let ids = dispatch.get(&edge.edge_type);
-        if let (Some(m), Some(t)) = (metrics, span) {
-            m.dispatch_ns.add(t.elapsed().as_nanos() as u64);
-        }
+        clock.charge(|m| &m.dispatch_ns);
         let Some(ids) = ids else {
             return 0;
         };
@@ -477,53 +461,52 @@ impl QueryRegistry {
         // one search-and-join pass per table, not per subscriber. Runs
         // independently of the leaf-stage toggle: a subscribed query's
         // prefix state lives here.
-        let span = metrics.map(|_| Instant::now());
         join.advance_edge(graph, edge);
-        if let (Some(m), Some(t)) = (metrics, span) {
-            m.shared_join_ns.add(t.elapsed().as_nanos() as u64);
-        }
+        clock.charge(|m| &m.shared_join_ns);
         for &id in ids {
             let engine = engines
                 .get_mut(&id)
                 .expect("dispatch index only references live queries");
-            // The per-subscriber fan-out of the shared prefix tables is
-            // stage-0 work too, so its span joins `shared_join_ns`.
-            let span = metrics.map(|_| Instant::now());
-            let mut feed = join.feed_for(id, edge);
-            if let (Some(m), Some(t)) = (metrics, span) {
-                m.shared_join_ns.add(t.elapsed().as_nanos() as u64);
-            }
-            let span = metrics.map(|_| Instant::now());
-            let prepared = *sharing && shared.prepare_into(id, engine, graph, edge, cache, fanout);
-            if let (Some(m), Some(t)) = (metrics, span) {
-                m.shared_leaf_ns.add(t.elapsed().as_nanos() as u64);
-            }
-            let span = metrics.map(|_| Instant::now());
-            match (prepared, feed.as_mut()) {
-                (true, feed) => {
-                    engine.process_edge_shared_into(graph, edge, Some(fanout), feed, complete)
+            let found = match join.deliver(id, edge, |m| emit(id, m)) {
+                JoinDelivery::Complete { delivered, shared } => {
+                    // Filter + materialize + sink call: delivery, not join.
+                    engine.record_shared_delivery(delivered, shared);
+                    delivered
                 }
-                (false, Some(feed)) => {
-                    engine.process_edge_shared_into(graph, edge, None, Some(feed), complete)
+                JoinDelivery::Engine(mut feed) => {
+                    // Building a feed is stage-0 fan-out work.
+                    clock.charge(|m| &m.shared_join_ns);
+                    let prepared =
+                        *sharing && shared.prepare_into(id, engine, graph, edge, cache, fanout);
+                    clock.charge(|m| &m.shared_leaf_ns);
+                    engine.process_edge_shared_into(
+                        graph,
+                        edge,
+                        prepared.then_some(&mut *fanout),
+                        feed.as_mut(),
+                        complete,
+                    );
+                    if let Some(feed) = feed {
+                        // The engine drained the feed; its buffer goes back
+                        // to the shared join stage's pool.
+                        join.recycle_feed(feed);
+                    }
+                    clock.charge(|m| &m.private_engine_ns);
+                    let found = complete.len() as u64;
+                    for m in complete.drain(..) {
+                        emit(id, m);
+                    }
+                    found
                 }
-                (false, None) => engine.process_edge_shared_into(graph, edge, None, None, complete),
             };
-            if let Some(feed) = feed {
-                // The engine drained the feed; its emission buffer goes
-                // back to the shared join stage's pool.
-                join.recycle_feed(feed);
+            clock.charge(|m| &m.emit_ns);
+            if let Some((m, arrival_ns)) = metrics.filter(|_| found > 0) {
+                // One clock read for the whole burst.
+                m.matches.add(found);
+                m.match_latency_ns
+                    .record_n(monotonic_nanos().saturating_sub(arrival_ns), found);
             }
-            if let (Some(m), Some(t)) = (metrics, span) {
-                m.private_engine_ns.add(t.elapsed().as_nanos() as u64);
-            }
-            let span = metrics.map(|_| Instant::now());
-            for m in complete.drain(..) {
-                reported += 1;
-                emit(id, m);
-            }
-            if let (Some(m), Some(t)) = (metrics, span) {
-                m.emit_ns.add(t.elapsed().as_nanos() as u64);
-            }
+            reported += found;
         }
         fanout.clear();
         if !*scratch_reuse {
@@ -586,6 +569,26 @@ impl QueryRegistry {
     pub fn purge(&mut self, graph: &DynamicGraph) -> usize {
         let engines: usize = self.engines.values_mut().map(|e| e.purge(graph)).sum();
         engines + self.join.purge(graph)
+    }
+}
+
+/// Lap timer behind the per-stage spans of [`QueryRegistry::process_edge`]:
+/// each [`StageClock::charge`] books the time since the previous one to a
+/// stage counter with a single clock read, so consecutive spans tile the
+/// edge's wall time without gaps. Without metrics it never reads the clock.
+struct StageClock<'a>(Option<(&'a PipelineMetrics, Instant)>);
+
+impl<'a> StageClock<'a> {
+    fn start(metrics: Option<&'a PipelineMetrics>) -> Self {
+        Self(metrics.map(|m| (m, Instant::now())))
+    }
+
+    fn charge(&mut self, stage: impl FnOnce(&'a PipelineMetrics) -> &'a Counter) {
+        if let Some((metrics, since)) = &mut self.0 {
+            let now = Instant::now();
+            stage(metrics).add((now - *since).as_nanos() as u64);
+            *since = now;
+        }
     }
 }
 

@@ -16,14 +16,32 @@
 //! * per streaming edge, each live prefix table advances **once**: the
 //!   prefix leaves are searched, the discovered matches inserted, and the
 //!   recursive hash join run against the one shared table set. New
-//!   prefix-root matches are *emitted*: rebased onto every subscriber via
-//!   [`SubgraphMatch::remapped`] and consumed by the subscriber's engine as
-//!   inserts at its own prefix-covering node
-//!   ([`ContinuousQueryEngine::process_edge_shared`]) — or directly as
-//!   complete matches when the prefix spans the whole tree;
+//!   prefix-root matches are *emitted* — as rows, see below — and
+//!   delivered per subscriber: straight to the sink as complete matches
+//!   when the prefix spans the subscriber's whole tree, else as inserts at
+//!   its engine's own prefix-covering node
+//!   ([`ContinuousQueryEngine::process_edge_shared_into`]);
 //! * tables are **refcounted**: the last unsubscriber (deregistration or a
 //!   drift-driven re-subscription) drops the table; a late subscriber to an
 //!   existing table sees no pre-registration matches (see *Boundaries*).
+//!
+//! # Emissions are rows; rebased at the sink
+//!
+//! Inside this stage a match is only ever a fixed-width row of `u64` slots
+//! in the table's canonical numbering ([`RowLayout`]): the tables are
+//! always-interned [`MatchStore`]s, a root join is written from its two
+//! operand rows straight into the table's flat `pending` buffer
+//! ([`MatchStore::insert_emit_rows`]), and a trie child adopts its parent's
+//! pending rows slot for slot ([`MatchStore::insert_row_emit_rows`]). The
+//! copy-on-emit boundary sits at delivery ([`SharedJoinIndex::deliver`]):
+//! per subscriber, the window filter reads the row's two timestamp words,
+//! the boundary filter reads its edge slots, and each admitted row is
+//! materialized **once** — one [`SubgraphMatch`] built in the subscriber's
+//! own numbering through a slot order precomputed at subscription time
+//! (canonical slots sorted by the subscriber's ids, so construction is
+//! plain appends). For a full-depth subscriber that match is handed to the
+//! sink callback on the spot: no feed, no engine call, no buffer between
+//! the table and the sink.
 //!
 //! # Trie of prefix tables
 //!
@@ -56,7 +74,7 @@
 //! joins only against the *loosest* subscriber window (the same
 //! [`retention_for_windows`](crate::retention_for_windows) rule the shared
 //! graph uses), and each subscriber's own `tW` is applied when emissions
-//! are rebased. A match over-window for one subscriber but inside another's
+//! are delivered. A match over-window for one subscriber but inside another's
 //! is thus delivered exactly where the private path would have delivered
 //! it; stored partials an individual engine would have pruned early are
 //! kept (they are still needed by the loosest subscriber) and die at the
@@ -68,8 +86,9 @@
 //! The shared table is evaluated eagerly (no lazy gating inside the
 //! prefix): gating is a per-engine work-saving device, and with multiple
 //! subscribers the one shared evaluation replaces *all* of their prefix
-//! work. Lazy subscribers keep their gating for the suffix leaves — each
-//! emission inserted at the subscriber's prefix node trips the ordinary
+//! work. Lazy partial-depth subscribers keep their gating for the suffix
+//! leaves — each emission inserted at the subscriber's prefix node trips
+//! the ordinary
 //! `ENABLE-SEARCH-SIBLING` machinery (retroactive probe included), so the
 //! next leaf's search is enabled exactly when a private insert would have
 //! enabled it. Eager and lazy execution of the same tree report identical
@@ -103,10 +122,10 @@
 
 use crate::engine::{ContinuousQueryEngine, PrefixFeed};
 use crate::registry::{retention_for_windows, QueryId};
-use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType};
+use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
 use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryGraph, QueryVertexId};
-use sp_sjtree::{MatchStore, SjTree};
+use sp_sjtree::{MatchStore, RowLayout, SjTree};
 use std::collections::{BTreeMap, HashMap};
 
 /// A shared prefix must contain at least one internal join node, i.e. cover
@@ -132,15 +151,37 @@ pub fn tree_chain(tree: &SjTree) -> Option<PrefixSignature> {
 #[derive(Debug, Clone)]
 struct JoinSub {
     id: QueryId,
-    /// Canonical union vertex → subscriber query vertex.
-    vmap: Vec<QueryVertexId>,
-    /// Canonical union edge → subscriber query edge.
-    emap: Vec<QueryEdgeId>,
-    /// The subscriber's own `tW`, applied to emissions at rebase time.
+    /// `(subscriber query edge, canonical row slot)`, sorted by the
+    /// subscriber's id: walking it builds the subscriber's edge bindings in
+    /// ascending key order, so rebasing an emission is straight array
+    /// writes (no search, no intermediate canonical match).
+    edge_order: Vec<(QueryEdgeId, usize)>,
+    /// Likewise `(subscriber query vertex, canonical row slot)`.
+    vertex_order: Vec<(QueryVertexId, usize)>,
+    /// The subscriber's own `tW`, applied to emissions at delivery time.
     window: Option<u64>,
     /// First edge id whose dispatch the subscriber is entitled to see
     /// (`0` for queries registered before any edge was processed).
     boundary: u64,
+    /// The prefix spans the subscriber's whole tree, so every admitted
+    /// emission *is* one of its complete matches and goes straight to the
+    /// sink; otherwise emissions seed the engine's join continuation.
+    full_depth: bool,
+}
+
+impl JoinSub {
+    /// Builds the subscriber-numbered match of one canonical emission row —
+    /// the single materialization of a delivered match.
+    fn materialize(&self, row: &[u64], layout: RowLayout) -> SubgraphMatch {
+        SubgraphMatch::from_sorted_bindings(
+            self.edge_order.iter().map(|&(q, s)| (q, EdgeId(row[s]))),
+            self.vertex_order
+                .iter()
+                .map(|&(q, s)| (q, VertexId(row[s]))),
+            Timestamp(layout.earliest(row)),
+            Timestamp(layout.latest(row)),
+        )
+    }
 }
 
 /// One refcounted canonical prefix table.
@@ -152,7 +193,10 @@ struct PrefixEntry {
     /// Left-deep canonical tree over the prefix leaves; its root is the
     /// prefix-covering node whose matches are emitted.
     tree: SjTree,
+    /// Always interned: emissions leave it as rows, never as matches.
     store: MatchStore,
+    /// Slot schema of the rows in `store` and `pending`.
+    layout: RowLayout,
     /// Distinct edge types across the prefix (entry dispatch pre-filter).
     edge_types: Vec<EdgeType>,
     /// Distinct edge types per leaf rank (per-leaf search pre-filter).
@@ -171,8 +215,9 @@ struct PrefixEntry {
     /// Stream position the table's contents are complete from; subscribing
     /// with an earlier boundary triggers a replay.
     populated_since: u64,
-    /// Prefix-root matches created by the current edge (canonical ids).
-    pending: Vec<SubgraphMatch>,
+    /// Prefix-root matches created by the current edge: canonical rows,
+    /// `layout.stride()` words each, back to back.
+    pending: Vec<u64>,
     /// Edge the `pending` buffer belongs to.
     advanced_for: Option<EdgeId>,
     /// Trie parent: the deepest materialized strict prefix of `sig`.
@@ -205,13 +250,15 @@ impl PrefixEntry {
         let leaf_edges: Vec<Vec<QueryEdgeId>> =
             leaves.iter().map(|leaf| leaf.edges().collect()).collect();
         let tree = SjTree::from_leaves(query.clone(), leaves);
-        let store = MatchStore::new(&tree);
+        let store = MatchStore::new_interned(&tree);
+        let layout = store.row_layout().expect("interned stores have a layout");
         PrefixEntry {
             edge_types: sig.edge_types(),
             sig,
             query,
             tree,
             store,
+            layout,
             per_leaf_types,
             leaf_edges,
             window,
@@ -233,7 +280,7 @@ impl PrefixEntry {
     /// The internal tree node at which the parent's emissions are inserted:
     /// the join node covering exactly the parent's leaves `0..parent_depth`.
     /// Canonical ids line up across the two trees by prefix-closure, so the
-    /// parent's root matches need no remapping.
+    /// parent's rows are adopted slot for slot.
     fn consume_node(&self) -> sp_sjtree::NodeId {
         debug_assert!(self.parent.is_some());
         self.tree
@@ -264,15 +311,17 @@ impl PrefixEntry {
     }
 
     /// Runs the prefix's per-edge work against the shared table, leaving the
-    /// new prefix-root matches in `pending`: first consumes `parent_feed` —
-    /// the trie parent's emissions for this same edge — as inserts at the
-    /// consume node, then runs the leaf searches for this node's own ranks
-    /// (`parent_depth..`). Returns `(searches run, matches inserted)`.
+    /// new prefix-root rows in `pending`: first consumes `parent_feed` — the
+    /// trie parent's emission rows for this same edge, in `parent_layout` —
+    /// as inserts at the consume node, then runs the leaf searches for this
+    /// node's own ranks (`parent_depth..`). Returns `(searches run, matches
+    /// inserted)`.
     fn advance(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        parent_feed: &[SubgraphMatch],
+        parent_feed: &[u64],
+        parent_layout: RowLayout,
         scratch: &mut SearchScratch,
         found: &mut Vec<SubgraphMatch>,
     ) -> (u64, u64) {
@@ -282,11 +331,12 @@ impl PrefixEntry {
         let mut searches = 0u64;
         if !parent_feed.is_empty() {
             let consume = self.consume_node();
-            for m in parent_feed {
-                self.store.insert(
+            for row in parent_feed.chunks_exact(parent_layout.stride()) {
+                self.store.insert_row_emit_rows(
                     &self.tree,
                     consume,
-                    m.clone(),
+                    row,
+                    parent_layout,
                     self.window,
                     &mut self.pending,
                 );
@@ -314,7 +364,7 @@ impl PrefixEntry {
             searches += 1;
             for m in found.drain(..) {
                 self.store
-                    .insert(&self.tree, leaf, m, self.window, &mut self.pending);
+                    .insert_emit_rows(&self.tree, leaf, m, self.window, &mut self.pending);
             }
         }
         (searches, self.store.lifetime_inserted() - inserted_before)
@@ -357,29 +407,41 @@ impl PrefixEntry {
                 );
                 for m in found.drain(..) {
                     self.store
-                        .insert(&self.tree, leaf, m, self.window, &mut discard);
+                        .insert_emit_rows(&self.tree, leaf, m, self.window, &mut discard);
                 }
             }
             discard.clear();
         }
     }
 
-    /// The boundary value of a prefix-root match: the smallest, over the
+    /// The boundary value of a prefix-root row: the smallest, over the
     /// prefix leaves, of the newest edge id bound within the leaf. A
     /// subscriber sees the match iff this is at or past its subscription
     /// boundary (see the module docs).
-    fn dep_of(&self, m: &SubgraphMatch) -> u64 {
+    fn dep_of(&self, row: &[u64]) -> u64 {
         self.leaf_edges
             .iter()
             .map(|edges| {
                 edges
                     .iter()
-                    .map(|&e| m.data_edge(e).expect("root match binds every edge").0)
+                    .map(|&e| row[e.0])
                     .max()
                     .expect("leaves are non-empty")
             })
             .min()
             .expect("prefixes have at least two leaves")
+    }
+
+    /// Whether `sub` is entitled to the emission `row`: inside its own
+    /// window (two timestamp words) and at or past its boundary (edge
+    /// slots).
+    fn admits(&self, sub: &JoinSub, row: &[u64]) -> bool {
+        sub.window.is_none_or(|tw| {
+            self.layout
+                .latest(row)
+                .saturating_sub(self.layout.earliest(row))
+                < tw
+        }) && (sub.boundary == 0 || self.dep_of(row) >= sub.boundary)
     }
 }
 
@@ -480,6 +542,24 @@ pub enum JoinSubscription {
     },
 }
 
+/// What [`SharedJoinIndex::deliver`] did for one dispatched query.
+#[derive(Debug)]
+pub enum JoinDelivery {
+    /// Full-depth subscriber: `delivered` complete matches went straight to
+    /// the sink; no engine work remains for this edge.
+    Complete {
+        /// Matches handed to the sink.
+        delivered: u64,
+        /// Whether the table has other live subscribers, i.e. the work was
+        /// genuinely deduplicated this edge.
+        shared: bool,
+    },
+    /// The query's engine runs: seeded with the feed of a partial-depth
+    /// subscription, or (`None`, not subscribed) on its leaf-stage or
+    /// private path.
+    Engine(Option<PrefixFeed>),
+}
+
 /// The registry-wide index of canonical prefix tables and their
 /// subscribers. See the module docs for the semantics.
 #[derive(Debug, Clone)]
@@ -499,10 +579,6 @@ pub struct SharedJoinIndex {
     /// Whether nesting prefixes form a trie (default) or stay independent
     /// flat tables under the PR 5 greedy policy.
     trie: bool,
-    /// Whether prefix tables store their partial matches as interned arena
-    /// rows (default) or materialized `SubgraphMatch` buckets; mirrors the
-    /// engines' own setting so the registry toggles both in lockstep.
-    interning: bool,
     searches_run: u64,
     inserts_run: u64,
     searches_saved: u64,
@@ -515,10 +591,9 @@ pub struct SharedJoinIndex {
     /// — one warm scratch serves every table on every edge.
     scratch: SearchScratch,
     found: Vec<SubgraphMatch>,
-    /// Recycled emission buffers for [`SharedJoinIndex::feed_for`]: a feed's
-    /// rebased matches live in a pooled `Vec` handed back through
-    /// [`SharedJoinIndex::recycle_feed`] once the engine drained it, so the
-    /// steady-state per-delivered-match path allocates nothing.
+    /// Recycled buffers for the feeds [`SharedJoinIndex::deliver`] builds
+    /// for partial-depth subscribers, handed back through
+    /// [`SharedJoinIndex::recycle_feed`] once the engine drained them.
     feed_pool: Vec<Vec<SubgraphMatch>>,
 }
 
@@ -532,7 +607,6 @@ impl Default for SharedJoinIndex {
             subs: BTreeMap::new(),
             chains: BTreeMap::new(),
             trie: true,
-            interning: true,
             searches_run: 0,
             inserts_run: 0,
             searches_saved: 0,
@@ -565,22 +639,6 @@ impl SharedJoinIndex {
     /// Whether nesting prefixes share storage through the trie.
     pub fn trie_enabled(&self) -> bool {
         self.trie
-    }
-
-    /// Switches every live prefix table (and all future ones) between the
-    /// interned and materialized match representations, converting live
-    /// state in place — stored matches, keys and bucket order survive, so
-    /// the toggle is safe mid-stream.
-    pub fn set_match_interning(&mut self, enabled: bool) {
-        self.interning = enabled;
-        for entry in self.entries.iter_mut().flatten() {
-            entry.store.set_interning(&entry.tree, enabled);
-        }
-    }
-
-    /// Whether prefix tables intern their partial matches.
-    pub fn match_interning(&self) -> bool {
-        self.interning
     }
 
     /// Total partial matches ever stored across every live prefix table
@@ -866,15 +924,29 @@ impl SharedJoinIndex {
         graph: &DynamicGraph,
     ) {
         let entry = self.entries[idx].as_mut().expect("live entry");
-        let vertices = entry.sig.num_vertices();
-        let edges = entry.sig.num_edges();
+        let RowLayout { edges, vertices } = entry.layout;
         debug_assert!(vertices <= mapping.vertices.len() && edges <= mapping.edges.len());
+        let mut edge_order: Vec<(QueryEdgeId, usize)> = mapping.edges[..edges]
+            .iter()
+            .enumerate()
+            .map(|(slot, &q)| (q, slot))
+            .collect();
+        edge_order.sort_unstable();
+        let mut vertex_order: Vec<(QueryVertexId, usize)> = mapping.vertices[..vertices]
+            .iter()
+            .enumerate()
+            .map(|(slot, &q)| (q, edges + slot))
+            .collect();
+        vertex_order.sort_unstable();
         entry.subs.push(JoinSub {
             id,
-            vmap: mapping.vertices[..vertices].to_vec(),
-            emap: mapping.edges[..edges].to_vec(),
+            edge_order,
+            vertex_order,
             window,
             boundary,
+            // Every leaf owns at least one edge, so the prefix covers the
+            // subscriber's whole chain iff it covers all its edges.
+            full_depth: mapping.edges.len() == edges,
         });
         self.subs.insert(id, idx);
         self.refresh_structure();
@@ -1088,29 +1160,31 @@ impl SharedJoinIndex {
             let parent_pending = parent.and_then(|p| {
                 let pe = self.entries[p].as_mut().expect("trie parent is live");
                 (pe.advanced_for == Some(edge.id) && !pe.pending.is_empty())
-                    .then(|| std::mem::take(&mut pe.pending))
+                    .then(|| (std::mem::take(&mut pe.pending), pe.layout))
             });
-            let feed: &[SubgraphMatch] = parent_pending.as_deref().unwrap_or(&[]);
-            let (searches, inserts, saved, pending) = {
-                let entry = self.entries[idx]
-                    .as_mut()
-                    .expect("dispatched entry is live");
-                let (searches, inserts) =
-                    entry.advance(graph, edge, feed, &mut self.scratch, &mut self.found);
-                (
-                    searches,
-                    inserts,
-                    entry.subtree_subs.saturating_sub(1) as u64,
-                    entry.pending.len() as u64,
-                )
+            let entry = self.entries[idx]
+                .as_mut()
+                .expect("dispatched entry is live");
+            let (feed, feed_layout) = match &parent_pending {
+                Some((rows, layout)) => (rows.as_slice(), *layout),
+                None => (&[][..], entry.layout),
             };
+            let (searches, inserts) = entry.advance(
+                graph,
+                edge,
+                feed,
+                feed_layout,
+                &mut self.scratch,
+                &mut self.found,
+            );
+            let saved = entry.subtree_subs.saturating_sub(1) as u64;
             self.searches_run += searches;
             self.inserts_run += inserts;
             self.searches_saved += searches * saved;
             self.inserts_saved += inserts * saved;
-            self.emissions += pending;
-            self.parent_feeds += feed.len() as u64;
-            if let (Some(p), Some(buf)) = (parent, parent_pending) {
+            self.emissions += (entry.pending.len() / entry.layout.stride()) as u64;
+            self.parent_feeds += (feed.len() / feed_layout.stride()) as u64;
+            if let (Some(p), Some((buf, _))) = (parent, parent_pending) {
                 self.entries[p]
                     .as_mut()
                     .expect("trie parent is live")
@@ -1119,15 +1193,22 @@ impl SharedJoinIndex {
         }
     }
 
-    /// Builds the per-subscriber feed for one engine on the current edge:
-    /// the table's pending emissions filtered by the subscriber's window
-    /// and boundary and rebased onto its numbering. Returns `None` for
-    /// unsubscribed queries (the caller falls back to the leaf-stage or
-    /// private path). Subscribed queries always get a feed — possibly with
-    /// no matches — because their engines must skip the prefix leaves
-    /// either way.
-    pub fn feed_for(&mut self, id: QueryId, edge: &EdgeData) -> Option<PrefixFeed> {
-        let &idx = self.subs.get(&id)?;
+    /// Delivers the current edge's emissions of `id`'s table to `id`: each
+    /// pending row the subscriber's window and boundary admit (both read
+    /// off the row) is materialized **once**, in the subscriber's own
+    /// numbering. A full-depth subscriber's matches are complete and go
+    /// straight into `sink`; a partial-depth subscriber gets them as the
+    /// feed that seeds its engine's join continuation — possibly empty,
+    /// because the engine must skip the prefix leaves either way.
+    pub fn deliver(
+        &mut self,
+        id: QueryId,
+        edge: &EdgeData,
+        mut sink: impl FnMut(SubgraphMatch),
+    ) -> JoinDelivery {
+        let Some(&idx) = self.subs.get(&id) else {
+            return JoinDelivery::Engine(None);
+        };
         let entry = self.entries[idx]
             .as_ref()
             .expect("subscribed entry is live");
@@ -1136,33 +1217,40 @@ impl SharedJoinIndex {
             .iter()
             .find(|s| s.id == id)
             .expect("subscription is listed on its entry");
+        let rows: &[u64] = if entry.advanced_for == Some(edge.id) {
+            &entry.pending
+        } else {
+            &[]
+        };
+        let admitted = rows
+            .chunks_exact(entry.layout.stride())
+            .filter(|row| entry.admits(sub, row))
+            .map(|row| sub.materialize(row, entry.layout));
+        let shared = entry.subtree_subs > 1;
+        if sub.full_depth {
+            let mut delivered = 0;
+            for m in admitted {
+                delivered += 1;
+                sink(m);
+            }
+            self.deliveries += delivered;
+            return JoinDelivery::Complete { delivered, shared };
+        }
         let mut matches = self.feed_pool.pop().unwrap_or_default();
         debug_assert!(matches.is_empty());
-        if entry.advanced_for == Some(edge.id) {
-            for m in &entry.pending {
-                if let Some(tw) = sub.window {
-                    if !m.within_window(tw) {
-                        continue;
-                    }
-                }
-                if sub.boundary > 0 && entry.dep_of(m) < sub.boundary {
-                    continue;
-                }
-                matches.push(m.remapped(&sub.vmap, &sub.emap));
-            }
-        }
+        matches.extend(admitted);
         self.deliveries += matches.len() as u64;
-        Some(PrefixFeed {
+        JoinDelivery::Engine(Some(PrefixFeed {
             depth: entry.depth(),
             matches,
-            shared: entry.subtree_subs > 1,
-        })
+            shared,
+        }))
     }
 
-    /// Hands a drained feed's emission buffer back to the pool, so the next
-    /// [`SharedJoinIndex::feed_for`] reuses its capacity instead of
-    /// allocating. The registry calls this right after the subscriber's
-    /// engine consumed the feed.
+    /// Hands a drained feed's buffer back to the pool, so the next
+    /// partial-depth [`SharedJoinIndex::deliver`] reuses its capacity
+    /// instead of allocating. The registry calls this right after the
+    /// subscriber's engine consumed the feed.
     pub fn recycle_feed(&mut self, feed: PrefixFeed) {
         let mut buf = feed.matches;
         buf.clear();
@@ -1206,10 +1294,7 @@ impl SharedJoinIndex {
     }
 
     fn create_entry(&mut self, sig: PrefixSignature, now: u64) -> usize {
-        let mut entry = PrefixEntry::new(sig.clone(), None, now);
-        // Fresh tables adopt the index-wide representation (the store is
-        // still empty, so this is a constant-time rewrap).
-        entry.store.set_interning(&entry.tree, self.interning);
+        let entry = PrefixEntry::new(sig.clone(), None, now);
         let idx = match self.free.pop() {
             Some(slot) => {
                 self.entries[slot] = Some(entry);
@@ -1529,6 +1614,67 @@ mod tests {
             .iter()
             .all(|n| n.parent_depth.is_none() && n.children == 0));
         assert_eq!(index.stats().parent_feeds, 0);
+    }
+
+    #[test]
+    fn deliver_goes_direct_for_full_depth_and_feeds_partial_depth() {
+        let mut schema = Schema::new();
+        let vt = schema.intern_vertex_type("v");
+        let mut g = DynamicGraph::new(schema);
+        let v: Vec<_> = (0..3).map(|_| g.add_vertex(vt)).collect();
+        let mut index = SharedJoinIndex::new();
+        let pair = [chain_engine(&[1, 2], None), chain_engine(&[1, 2], Some(5))];
+        let deep = chain_engine(&[1, 2, 3], None);
+        index.subscribe(QueryId(0), &pair[0], 0, 0, &g);
+        index.subscribe(QueryId(1), &pair[1], 0, 0, &g);
+        index.attach_partner(QueryId(0), &pair[0], 0, &g);
+        index.subscribe(QueryId(2), &deep, 0, 0, &g);
+        assert_eq!(index.subscription_depth(QueryId(2)), Some(2));
+
+        // 0 -1-> 1 at t=0, then 1 -2-> 2 at t=9: one [1,2] completion,
+        // outside query 1's window of 5.
+        let mut last = None;
+        for (src, dst, ty, ts) in [(0, 1, 1, 0), (1, 2, 2, 9)] {
+            let id = g.add_edge(v[src], v[dst], EdgeType(ty), Timestamp(ts));
+            let edge = *g.edge(id).unwrap();
+            index.advance_edge(&g, &edge);
+            last = Some(edge);
+        }
+        let edge = last.unwrap();
+        let mut sunk = Vec::new();
+        let direct = index.deliver(QueryId(0), &edge, |m| sunk.push(m));
+        assert!(matches!(
+            direct,
+            JoinDelivery::Complete {
+                delivered: 1,
+                shared: true
+            }
+        ));
+        assert_eq!(sunk.len(), 1);
+        assert_eq!(sunk[0].num_edges(), 2);
+        assert_eq!(sunk[0].time_span(), (Timestamp(0), Timestamp(9)));
+        // The narrow twin's window filter runs on the row: nothing reaches
+        // its sink, yet it is still a (complete, empty) direct delivery.
+        let narrow = index.deliver(QueryId(1), &edge, |_| panic!("over-window match"));
+        assert!(matches!(
+            narrow,
+            JoinDelivery::Complete { delivered: 0, .. }
+        ));
+        // The 3-leaf query rides the same table at partial depth: same row,
+        // materialized into a feed for its engine, never into the sink.
+        match index.deliver(QueryId(2), &edge, |_| panic!("partial-depth match")) {
+            JoinDelivery::Engine(Some(feed)) => {
+                assert_eq!((feed.depth, feed.matches.len(), feed.shared), (2, 1, true));
+                index.recycle_feed(feed);
+            }
+            other => panic!("expected a feed, got {other:?}"),
+        }
+        assert!(matches!(
+            index.deliver(QueryId(9), &edge, |_| ()),
+            JoinDelivery::Engine(None)
+        ));
+        let stats = index.stats();
+        assert_eq!((stats.emissions, stats.deliveries), (1, 2));
     }
 
     #[test]

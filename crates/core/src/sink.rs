@@ -7,11 +7,21 @@
 //!
 //! The sink is the **copy-on-emit boundary** of the interned match
 //! representation: partial matches live as fixed-width arena rows inside
-//! their `MatchStore`s, and only a completion crossing into `on_match` is
-//! materialized into the caller-visible [`SubgraphMatch`] form (one decode
-//! per reported match, at the root join). Everything a sink receives is an
-//! owned, self-contained match — no arena ids or store lifetimes leak past
-//! this trait.
+//! their `MatchStore`s, and a completion is materialized into the
+//! caller-visible [`SubgraphMatch`] form exactly once, on its way into
+//! `on_match`:
+//!
+//! * a query evaluated wholly by a shared prefix table (its prefix spans
+//!   its whole SJ-Tree) has each match built from the table's emission row
+//!   — in the query's own numbering, after the query's window and boundary
+//!   filters ran on the row — and passed to `on_match` directly, with no
+//!   intermediate match, feed or buffer ([`crate::SharedJoinIndex::deliver`]);
+//! * a query whose root join runs in its own engine has the match built
+//!   from the two operand rows of that join (`MatchStore::insert`), then
+//!   drained from the registry's per-engine buffer into `on_match`.
+//!
+//! Everything a sink receives is an owned, self-contained match — no arena
+//! ids or store lifetimes leak past this trait.
 
 use crate::registry::QueryId;
 use sp_iso::SubgraphMatch;

@@ -1,14 +1,17 @@
 //! Micro-benchmarks of the individual components on the hot path: anchored
 //! subgraph isomorphism around one edge, the SJ-Tree hash-join insert, the
-//! greedy decomposition, and the dataset generators themselves.
+//! shared join stage's row → delivered-match fan-out, the greedy
+//! decomposition, and the dataset generators themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind, ZipfSampler};
+use sp_graph::{EdgeEvent, Schema, Timestamp};
 use sp_iso::find_matches_containing_edge;
-use sp_query::QuerySubgraph;
+use sp_query::{QueryGraph, QuerySubgraph};
 use sp_sjtree::{decompose, MatchStore, PrimitivePolicy};
+use streampattern::{CountSink, Strategy, StreamProcessor};
 
 fn anchored_search(c: &mut Criterion) {
     let dataset = NetflowConfig {
@@ -116,6 +119,56 @@ fn sjtree_operations(c: &mut Criterion) {
     group.finish();
 }
 
+/// The match-storm delivery path in isolation: two full-depth subscribers
+/// (two windows) on one `[tcp, esp]` prefix table, every edge through one
+/// hub vertex, so each esp edge joins ~100 live tcp rows and every emitted
+/// row is filtered and materialized once per subscriber, straight into the
+/// sink. Elements are stream edges; each delivers ~75 matches.
+fn shared_join_fanout(c: &mut Criterion) {
+    let mut schema = Schema::new();
+    let ip = schema.intern_vertex_type("ip");
+    let tcp = schema.intern_edge_type("tcp");
+    let esp = schema.intern_edge_type("esp");
+    let mut proc = StreamProcessor::new(schema)
+        .with_statistics(false)
+        .with_purge_interval(256);
+    for window in [200, 100] {
+        let mut q = QueryGraph::new("exfil");
+        let (a, b, c) = (q.add_any_vertex(), q.add_any_vertex(), q.add_any_vertex());
+        q.add_edge(a, b, tcp);
+        q.add_edge(b, c, esp);
+        proc.register(q, Strategy::Single, Some(window)).unwrap();
+    }
+    assert_eq!(proc.shared_join_stats().tables, 1);
+
+    const HUB: u64 = 0;
+    const SLICE: u64 = 512;
+    let mut sink = CountSink::new();
+    let mut tick = 0u64;
+    let mut feed = |edges: u64| {
+        for _ in 0..edges {
+            let spoke = 1 + (tick / 2) % 96;
+            let event = if tick.is_multiple_of(2) {
+                EdgeEvent::homogeneous(spoke, HUB, ip, tcp, Timestamp(tick))
+            } else {
+                EdgeEvent::homogeneous(HUB, spoke, ip, esp, Timestamp(tick))
+            };
+            proc.process_into(&event, &mut sink);
+            tick += 1;
+        }
+        sink.matches
+    };
+    feed(4_096); // past the first purges: buffers and buckets are warm
+
+    let mut group = c.benchmark_group("shared_join");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(1500));
+    group.throughput(Throughput::Elements(SLICE));
+    group.bench_function("shared_join_fanout", |b| b.iter(|| feed(SLICE)));
+    group.finish();
+}
+
 fn generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
     group.sample_size(10);
@@ -149,5 +202,11 @@ fn generators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, anchored_search, sjtree_operations, generators);
+criterion_group!(
+    benches,
+    anchored_search,
+    sjtree_operations,
+    shared_join_fanout,
+    generators
+);
 criterion_main!(benches);

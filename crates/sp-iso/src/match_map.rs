@@ -133,14 +133,23 @@ macro_rules! small_sorted_map {
             /// existing key, skipping the binary search. The decode path of
             /// the interned match representation produces bindings in
             /// ascending slot (= key) order, so materializing a stored row
-            /// is a plain append per slot.
+            /// is one inline array write per slot; only the append that
+            /// outgrows the inline capacity takes the spilling path.
             fn push(&mut self, key: $k, value: $v) {
                 debug_assert!(
                     self.as_slice().last().is_none_or(|&(k, _)| k < key),
                     "push requires strictly ascending keys"
                 );
-                let len = self.len();
-                self.insert_at(len, (key, value));
+                match self {
+                    $name::Inline(n, entries) if (*n as usize) < MATCH_INLINE_BINDINGS => {
+                        entries[*n as usize] = (key, value);
+                        *n += 1;
+                    }
+                    _ => {
+                        let len = self.len();
+                        self.insert_at(len, (key, value));
+                    }
+                }
             }
 
             /// Resets to empty, dropping any spilled storage (inline storage
@@ -726,6 +735,25 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn from_sorted_bindings_equals_bind_built_matches_across_the_spill() {
+        for n in [1, MATCH_INLINE_BINDINGS, MATCH_INLINE_BINDINGS + 1] {
+            let mut bound = SubgraphMatch::new();
+            for i in 0..n {
+                assert!(bound.bind_vertex(qv(i), dv(100 + i as u64)));
+                assert!(bound.bind_edge(qe(i), de(200 + i as u64), Timestamp(i as u64)));
+            }
+            let appended = SubgraphMatch::from_sorted_bindings(
+                (0..n).map(|i| (qe(i), de(200 + i as u64))),
+                (0..n).map(|i| (qv(i), dv(100 + i as u64))),
+                Timestamp(0),
+                Timestamp(n as u64 - 1),
+            );
+            assert_eq!(appended, bound, "{n} bindings");
+            assert_eq!(appended.bindings_inline(), n <= MATCH_INLINE_BINDINGS);
+        }
     }
 
     #[test]

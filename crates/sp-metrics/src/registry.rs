@@ -96,6 +96,13 @@ impl Histogram {
         self.0.record(value);
     }
 
+    /// Record `n` occurrences of one value (see
+    /// [`LogHistogram::record_n`]).
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        self.0.record_n(value, n);
+    }
+
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.0.count()

@@ -31,8 +31,8 @@
 //!    canonical union graph with the same leaf partition, so the canonical
 //!    SJ-Tree built over it performs exactly the join work either owner's
 //!    prefix would, and every canonical match rebases onto each owner via
-//!    its [`CanonicalMapping`] (`SubgraphMatch::remapped` in `sp-iso`) to
-//!    the byte-identical match the owner's own prefix would have produced.
+//!    its [`CanonicalMapping`] to the byte-identical match the owner's own
+//!    prefix would have produced.
 //! 2. **Determinism**: the per-leaf canonicalization and the fresh-vertex
 //!    numbering are deterministic given the owner query, so re-registering
 //!    the same query always yields the same signature. (Leaf automorphisms

@@ -42,8 +42,9 @@ pub struct RuntimeConfig {
     /// pre-registered queries are unaffected: a match can only use edges
     /// whose types occur in its query.
     pub ingest_filter: bool,
-    /// Whether each worker's partial-match stores intern matches as
-    /// fixed-width arena rows (default) or keep materialized buckets —
+    /// Whether each worker's engines intern their private partial-match
+    /// stores as fixed-width arena rows (default) or keep materialized
+    /// buckets (shared prefix tables are always interned) —
     /// applied to the worker's `StreamProcessor` replica at spawn, mirroring
     /// the sequential processor's `with_match_interning`. Note the metering
     /// line: interning covers *storage and joining*; matches crossing the

@@ -18,7 +18,7 @@ use streampattern::{
     canonicalize_subgraph, choose_strategy, leaf_structure, retention_for_windows, tree_chain,
     AdaptiveStats, CollectSink, ContinuousQueryEngine, CountSink, EngineError, LeafSignature,
     MatchSink, PipelineMetrics, PrefixSignature, ProfileCounters, QueryDriftState, QueryId,
-    Strategy, StrategySpec, MIN_PREFIX_DEPTH, RELATIVE_SELECTIVITY_THRESHOLD,
+    Strategy, StrategySpec, StreamProcessor, MIN_PREFIX_DEPTH, RELATIVE_SELECTIVITY_THRESHOLD,
 };
 
 /// How long a control wait sleeps on the aggregation channel before
@@ -172,6 +172,8 @@ pub struct ParallelStreamProcessor {
     next_id: u64,
     retention: Option<u64>,
     events_ingested: u64,
+    /// Events refused at ingest ([`StreamProcessor::accepts`]).
+    rejected_events: u64,
     matches_received: u64,
     total_matches: u64,
     buffered: VecDeque<(QueryId, SubgraphMatch)>,
@@ -230,6 +232,7 @@ impl ParallelStreamProcessor {
             next_id: 0,
             retention: None,
             events_ingested: 0,
+            rejected_events: 0,
             matches_received: 0,
             total_matches: 0,
             buffered: VecDeque::new(),
@@ -561,6 +564,12 @@ impl ParallelStreamProcessor {
         let mut delivered = self.flush_buffered(sink);
         let mut batch: Vec<EdgeEvent> = Vec::with_capacity(self.config.batch_size);
         for ev in events {
+            if !StreamProcessor::accepts(ev) {
+                // Dropped here, before the batch: every replica's edge ids
+                // stay aligned with the facade's event count.
+                self.rejected_events += 1;
+                continue;
+            }
             if self.config.collect_statistics {
                 self.estimator.observe_edge(&EdgeData {
                     id: EdgeId(self.events_ingested),
@@ -652,7 +661,8 @@ impl ParallelStreamProcessor {
     /// Aggregated profiling counters across all shards (drains the pipeline
     /// first): every query's engine counters merged via
     /// [`ProfileCounters::merge`], with `edges_processed` reporting events
-    /// ingested by the runtime and `vertex_type_conflicts` taken from the
+    /// ingested by the runtime, `rejected_events` the events the facade
+    /// refused before batching, and `vertex_type_conflicts` taken from the
     /// replica that saw the most (replicas are identical unless ingest
     /// filtering is on).
     pub fn profile(&mut self) -> ProfileCounters {
@@ -824,6 +834,7 @@ impl ParallelStreamProcessor {
         }
         total.edges_processed = self.events_ingested;
         total.vertex_type_conflicts = conflicts;
+        total.rejected_events = self.rejected_events;
         total
     }
 

@@ -315,6 +315,46 @@ fn profile_merges_worker_counters() {
 }
 
 #[test]
+fn facade_rejects_events_naming_the_unbound_sentinel() {
+    let schema = cyber_schema();
+    let ip = schema.vertex_type("ip").unwrap();
+    let tcp = schema.edge_type("tcp").unwrap();
+    let clean = synth_stream(&schema, 600);
+    let expected = sequential_matches(&clean);
+    // Salt the stream with events through vertex `u64::MAX`; dropped at the
+    // facade, they must shift neither the matches nor the replicas' edge
+    // ids (the multiset encodes data edge ids).
+    let mut hostile = Vec::new();
+    for (i, ev) in clean.iter().enumerate() {
+        if i % 100 == 7 {
+            hostile.push(EdgeEvent::homogeneous(
+                ev.src,
+                u64::MAX,
+                ip,
+                tcp,
+                ev.timestamp,
+            ));
+            hostile.push(EdgeEvent::homogeneous(
+                u64::MAX,
+                ev.dst,
+                ip,
+                tcp,
+                ev.timestamp,
+            ));
+        }
+        hostile.push(*ev);
+    }
+    assert_eq!(parallel_matches(&hostile, 2, 64), expected);
+    assert_eq!(sequential_matches(&hostile), expected);
+
+    let mut runtime = ParallelStreamProcessor::new(schema.clone(), RuntimeConfig::with_workers(2));
+    runtime.process_all(hostile.iter());
+    let profile = runtime.profile();
+    assert_eq!(profile.rejected_events, 12);
+    assert_eq!(profile.edges_processed, 600);
+}
+
+#[test]
 fn shutdown_drains_and_reports() {
     let schema = cyber_schema();
     let events = synth_stream(&schema, 500);

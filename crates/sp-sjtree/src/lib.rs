@@ -33,5 +33,5 @@ mod tree;
 pub use cost::CostModel;
 pub use decompose::{decompose, expected_selectivity, DecompositionError, PrimitivePolicy};
 pub use node::{NodeId, SjTreeNode};
-pub use store::{InsertTrace, MatchStore, StoreStats};
+pub use store::{InsertTrace, MatchStore, RowLayout, StoreStats, UNBOUND};
 pub use tree::SjTree;

@@ -24,12 +24,16 @@
 //!   in a store-owned [`RowArena`]: one slot per query edge (slot index =
 //!   `QueryEdgeId.0`), one per query vertex (`ew + QueryVertexId.0`), plus
 //!   two timestamp words. Buckets hold copyable `u32` row ids; joins read
-//!   and write slots at fixed offsets; matches are materialized back into
-//!   [`SubgraphMatch`] form only when a join reaches the root
-//!   (*copy-on-emit*). Matches that spill the inline binding maps (> 8
-//!   bindings) heap-allocate on every clone in the materialized backing —
-//!   the interned backing stores them with **zero** steady-state
-//!   allocations, because expired rows recycle through the arena free list.
+//!   and write slots at fixed offsets. A join that reaches the root is
+//!   reported, never stored, so it never enters the arena: it is built from
+//!   its two operand rows straight into the caller's target — a
+//!   [`SubgraphMatch`] for a private engine (*copy-on-emit*, [`MatchStore::insert`]),
+//!   or a raw [`RowLayout`] row for a shared prefix table, whose consumers
+//!   materialize it once, at the sink ([`MatchStore::insert_emit_rows`]).
+//!   Matches that spill the inline binding maps (> 8 bindings)
+//!   heap-allocate on every clone in the materialized backing — the
+//!   interned backing stores them with **zero** steady-state allocations,
+//!   because expired rows recycle through the arena free list.
 //!
 //! Both backings run the identical Algorithm-2 flow (same keys, same
 //! per-bucket sort order, same window filter), which the multiset
@@ -39,7 +43,7 @@ use crate::node::NodeId;
 use crate::tree::SjTree;
 use sp_graph::{DynamicGraph, EdgeId, Timestamp, VertexId};
 use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
-use sp_query::QueryVertexId;
+use sp_query::{QueryEdgeId, QueryVertexId};
 use std::collections::HashMap;
 
 /// Hash table of materialized matches for one SJ-Tree node, keyed by the
@@ -64,10 +68,44 @@ type RowTable = HashMap<JoinKey, Vec<u32>>;
 /// window's worth of peak memory forever.
 const SPARE_BUCKETS_CAP: usize = 1024;
 
-/// Slot value marking an unbound query edge/vertex in an interned row. Data
-/// ids are dense indices assigned by the graph, so `u64::MAX` can never be a
-/// real binding (debug-asserted on encode).
-const UNBOUND: u64 = u64::MAX;
+/// Slot value marking an unbound query edge/vertex in an interned row. Edge
+/// ids are dense indices assigned by the graph and can never reach it;
+/// vertex ids come from the stream, so the processors reject an event naming
+/// vertex `u64::MAX` before it is ingested.
+pub const UNBOUND: u64 = u64::MAX;
+
+/// The slot schema of one fixed-width interned row: where the edge, vertex
+/// and timestamp words of a row emitted by
+/// [`MatchStore::insert_emit_rows`] sit.
+///
+/// ```text
+/// [ edge slots 0..edges ][ vertex slots edges..edges+vertices ][ earliest ][ latest ]
+///   slot i = QueryEdgeId(i)   slot edges+j = QueryVertexId(j)
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowLayout {
+    /// Edge-slot count = the query's edge count.
+    pub edges: usize,
+    /// Vertex-slot count = the query's vertex count.
+    pub vertices: usize,
+}
+
+impl RowLayout {
+    /// Words per row: the binding slots plus two timestamp words.
+    pub fn stride(self) -> usize {
+        self.edges + self.vertices + 2
+    }
+
+    /// Earliest edge timestamp of a row.
+    pub fn earliest(self, row: &[u64]) -> u64 {
+        row[self.edges + self.vertices]
+    }
+
+    /// Latest edge timestamp of a row.
+    pub fn latest(self, row: &[u64]) -> u64 {
+        row[self.edges + self.vertices + 1]
+    }
+}
 
 /// Moves an emptied bucket into the free list, dropping it instead when the
 /// pool is full or the bucket never grew.
@@ -141,6 +179,34 @@ impl RowArena {
         row as usize * self.stride
     }
 
+    fn row(&self, row: u32) -> &[u64] {
+        let b = self.base(row);
+        &self.data[b..b + self.stride]
+    }
+
+    fn layout(&self) -> RowLayout {
+        RowLayout {
+            edges: self.ew,
+            vertices: self.vw,
+        }
+    }
+
+    /// Copies a row of a *prefix* of this arena's query (same canonical
+    /// numbering, fewer slots) into a fresh row, slot for slot: the extra
+    /// slots stay [`UNBOUND`].
+    fn adopt(&mut self, src: &[u64], from: RowLayout) -> u32 {
+        debug_assert!(from.edges <= self.ew && from.vertices <= self.vw);
+        debug_assert_eq!(src.len(), from.stride());
+        let row = self.alloc();
+        let b = self.base(row);
+        self.data[b..b + from.edges].copy_from_slice(&src[..from.edges]);
+        self.data[b + self.ew..b + self.ew + from.vertices]
+            .copy_from_slice(&src[from.edges..from.edges + from.vertices]);
+        self.data[b + self.ew + self.vw] = from.earliest(src);
+        self.data[b + self.ew + self.vw + 1] = from.latest(src);
+        row
+    }
+
     /// Encodes a materialized match into a fresh row.
     fn encode(&mut self, m: &SubgraphMatch) -> u32 {
         let row = self.alloc();
@@ -159,23 +225,38 @@ impl RowArena {
         row
     }
 
-    /// Materializes a row back into caller-visible [`SubgraphMatch`] form —
-    /// the copy-on-emit boundary. Slots are scanned in ascending index (=
-    /// ascending query-id) order, so the binding maps are built by plain
-    /// appends.
-    fn decode(&self, row: u32) -> SubgraphMatch {
-        let b = self.base(row);
+    /// Materializes binding slots back into caller-visible [`SubgraphMatch`]
+    /// form — the copy-on-emit boundary. `edges` / `vertices` yield the edge
+    /// and vertex slots of a row (or of the union of two rows) in ascending
+    /// index (= ascending query-id) order, so the binding maps are built by
+    /// plain appends.
+    fn decode_slots(
+        edges: impl Iterator<Item = u64>,
+        vertices: impl Iterator<Item = u64>,
+        earliest: u64,
+        latest: u64,
+    ) -> SubgraphMatch {
         SubgraphMatch::from_sorted_bindings(
-            (0..self.ew).filter_map(|i| {
-                let v = self.data[b + i];
-                (v != UNBOUND).then_some((sp_query::QueryEdgeId(i), EdgeId(v)))
-            }),
-            (0..self.vw).filter_map(|i| {
-                let v = self.data[b + self.ew + i];
-                (v != UNBOUND).then_some((QueryVertexId(i), VertexId(v)))
-            }),
-            Timestamp(self.data[b + self.ew + self.vw]),
-            Timestamp(self.data[b + self.ew + self.vw + 1]),
+            edges
+                .enumerate()
+                .filter_map(|(i, v)| (v != UNBOUND).then_some((QueryEdgeId(i), EdgeId(v)))),
+            vertices
+                .enumerate()
+                .filter_map(|(i, v)| (v != UNBOUND).then_some((QueryVertexId(i), VertexId(v)))),
+            Timestamp(earliest),
+            Timestamp(latest),
+        )
+    }
+
+    /// Materializes one stored row.
+    fn decode(&self, row: u32) -> SubgraphMatch {
+        let (ew, slots) = (self.ew, self.ew + self.vw);
+        let r = self.row(row);
+        Self::decode_slots(
+            r[..ew].iter().copied(),
+            r[ew..slots].iter().copied(),
+            r[slots],
+            r[slots + 1],
         )
     }
 
@@ -230,10 +311,10 @@ impl RowArena {
         self.data[ab..ab + self.stride].cmp(&self.data[bb..bb + self.stride])
     }
 
-    /// Joins two rows if they are compatible, writing the union into a fresh
-    /// row — the interned mirror of [`SubgraphMatch::compatible_with`] +
-    /// [`SubgraphMatch::join`], plus the window filter (applied *before*
-    /// allocating, so rejected joins cost no row traffic):
+    /// Whether two rows join, and the joined time span `(earliest, latest)`
+    /// if so — the interned mirror of [`SubgraphMatch::compatible_with`]
+    /// plus the window filter (applied *before* anything is written, so
+    /// rejected joins cost no row traffic):
     ///
     /// * vertex slots bound by both rows must agree;
     /// * the union binding must stay injective (no data vertex at two
@@ -242,64 +323,98 @@ impl RowArena {
     ///   partitions query edges) and no data edge may be reused;
     /// * `earliest`/`latest` are the union interval, and with a window `tw`
     ///   the joined span must stay `< tw`.
-    fn join_rows(&mut self, a: u32, b: u32, window: Option<u64>) -> Option<u32> {
-        let (ew, vw) = (self.ew, self.vw);
-        let (ab, bb) = (self.base(a), self.base(b));
-        for i in 0..vw {
-            let (av, bv) = (self.data[ab + ew + i], self.data[bb + ew + i]);
+    fn joinable(&self, a: u32, b: u32, window: Option<u64>) -> Option<(u64, u64)> {
+        let (ew, slots) = (self.ew, self.ew + self.vw);
+        let (ra, rb) = (self.row(a), self.row(b));
+        // The window first: it is two compares, and under a match storm
+        // more than half of a hub vertex's sibling rows fail it.
+        let earliest = ra[slots].min(rb[slots]);
+        let latest = ra[slots + 1].max(rb[slots + 1]);
+        if window.is_some_and(|tw| latest.saturating_sub(earliest) >= tw) {
+            return None;
+        }
+        let (ea, va) = ra[..slots].split_at(ew);
+        let (eb, vb) = rb[..slots].split_at(ew);
+        for (i, (&av, &bv)) in va.iter().zip(vb).enumerate() {
             if av != UNBOUND && bv != UNBOUND && av != bv {
                 return None;
             }
             let ui = if av != UNBOUND { av } else { bv };
-            if ui == UNBOUND {
-                continue;
-            }
-            for j in 0..i {
-                let (aj, bj) = (self.data[ab + ew + j], self.data[bb + ew + j]);
-                let uj = if aj != UNBOUND { aj } else { bj };
-                if uj == ui {
-                    return None;
-                }
-            }
-        }
-        for i in 0..ew {
-            let ae = self.data[ab + i];
-            if ae == UNBOUND {
-                continue;
-            }
-            if self.data[bb + i] != UNBOUND {
-                return None;
-            }
-            for j in 0..ew {
-                if self.data[bb + j] == ae {
-                    return None;
-                }
-            }
-        }
-        let earliest = self.data[ab + ew + vw].min(self.data[bb + ew + vw]);
-        let latest = self.data[ab + ew + vw + 1].max(self.data[bb + ew + vw + 1]);
-        if let Some(tw) = window {
-            if latest.saturating_sub(earliest) >= tw {
+            if ui != UNBOUND
+                && va[..i]
+                    .iter()
+                    .zip(&vb[..i])
+                    .any(|(&aj, &bj)| ui == if aj != UNBOUND { aj } else { bj })
+            {
                 return None;
             }
         }
+        for (&ae, &be) in ea.iter().zip(eb) {
+            if ae != UNBOUND && (be != UNBOUND || eb.contains(&ae)) {
+                return None;
+            }
+        }
+        Some((earliest, latest))
+    }
+
+    /// Joins two rows into a fresh row (the interned mirror of
+    /// [`SubgraphMatch::join`]), for joins that are stored one level up.
+    fn join_rows(&mut self, a: u32, b: u32, window: Option<u64>) -> Option<u32> {
+        let (earliest, latest) = self.joinable(a, b, window)?;
         let out = self.alloc();
-        // `alloc` may grow `data`; the row *offsets* stay valid, so re-index
+        // `alloc` may grow `data`; the row *offsets* stay valid, so index
         // rather than holding slices across it.
         let (ab, bb, ob) = (self.base(a), self.base(b), self.base(out));
-        for i in 0..ew + vw {
+        let slots = self.ew + self.vw;
+        for i in 0..slots {
             let av = self.data[ab + i];
             self.data[ob + i] = if av != UNBOUND { av } else { self.data[bb + i] };
         }
-        self.data[ob + ew + vw] = earliest;
-        self.data[ob + ew + vw + 1] = latest;
+        self.data[ob + slots] = earliest;
+        self.data[ob + slots + 1] = latest;
         Some(out)
     }
 
-    /// `earliest` of a row slice (for the purge paths, which walk raw rows).
-    fn slice_earliest(row: &[u64], ew: usize, vw: usize) -> u64 {
-        row[ew + vw]
+    /// Reports the join of two rows into `emit` if they are compatible —
+    /// the root-level join, which is never stored: the union is read
+    /// straight out of the two operand rows, with no arena row in between.
+    fn emit_join(&self, a: u32, b: u32, window: Option<u64>, emit: &mut Emit<'_>) {
+        let Some((earliest, latest)) = self.joinable(a, b, window) else {
+            return;
+        };
+        let (ew, slots) = (self.ew, self.ew + self.vw);
+        let (ra, rb) = (self.row(a), self.row(b));
+        match emit {
+            Emit::Matches(out) => out.push(Self::decode_slots(
+                union_slots(&ra[..ew], &rb[..ew]),
+                union_slots(&ra[ew..slots], &rb[ew..slots]),
+                earliest,
+                latest,
+            )),
+            Emit::Rows(out) => {
+                out.extend(union_slots(&ra[..slots], &rb[..slots]));
+                out.extend([earliest, latest]);
+            }
+        }
     }
+}
+
+/// The binding slots of the union of two (sub)rows that
+/// [`RowArena::joinable`] accepted, so bound slots never clash.
+fn union_slots<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+    a.iter()
+        .zip(b)
+        .map(|(&av, &bv)| if av != UNBOUND { av } else { bv })
+}
+
+/// Where the joins that reach the root of an interned store are reported.
+enum Emit<'a> {
+    /// Materialized, one [`SubgraphMatch`] per join (a private engine's
+    /// complete matches).
+    Matches(&'a mut Vec<SubgraphMatch>),
+    /// Appended as raw rows, [`RowLayout::stride`] words per join (a shared
+    /// prefix table's emissions).
+    Rows(&'a mut Vec<u64>),
 }
 
 /// The storage backing of a [`MatchStore`]; see the module docs for the
@@ -592,11 +707,102 @@ impl MatchStore {
                     node,
                     row,
                     window,
-                    complete,
+                    &mut Emit::Matches(complete),
                     trace,
                 );
             }
         }
+    }
+
+    /// The row schema of an interned store (`None` for the materialized
+    /// backing): the layout of the rows [`MatchStore::insert_emit_rows`]
+    /// reports.
+    pub fn row_layout(&self) -> Option<RowLayout> {
+        match &self.backing {
+            Backing::Materialized { .. } => None,
+            Backing::Interned { arena, .. } => Some(arena.layout()),
+        }
+    }
+
+    /// [`MatchStore::insert`] for a store whose root joins are consumed as
+    /// rows: every join that reaches the root is appended to `rows` as
+    /// [`RowLayout::stride`] raw words instead of being materialized. The
+    /// shared join stage runs its prefix tables through this, so a
+    /// prefix-root match is a `SubgraphMatch` only once, at the sink.
+    ///
+    /// # Panics
+    /// Panics when the store is not interned.
+    pub fn insert_emit_rows(
+        &mut self,
+        tree: &SjTree,
+        node: NodeId,
+        m: SubgraphMatch,
+        window: Option<u64>,
+        rows: &mut Vec<u64>,
+    ) {
+        self.insert_row_with(tree, node, window, rows, |arena| arena.encode(&m));
+    }
+
+    /// Like [`MatchStore::insert_emit_rows`], for a match that already is a
+    /// row — of a store over a *prefix* of this store's query (`from` is
+    /// that store's layout; canonical ids line up by prefix-closure). The
+    /// row is copied slot for slot; nothing is materialized. This is how a
+    /// trie child of the shared join stage consumes its parent's emissions.
+    ///
+    /// # Panics
+    /// Panics when the store is not interned.
+    pub fn insert_row_emit_rows(
+        &mut self,
+        tree: &SjTree,
+        node: NodeId,
+        src: &[u64],
+        from: RowLayout,
+        window: Option<u64>,
+        rows: &mut Vec<u64>,
+    ) {
+        self.insert_row_with(tree, node, window, rows, |arena| arena.adopt(src, from));
+    }
+
+    fn insert_row_with(
+        &mut self,
+        tree: &SjTree,
+        node: NodeId,
+        window: Option<u64>,
+        rows: &mut Vec<u64>,
+        make_row: impl FnOnce(&mut RowArena) -> u32,
+    ) {
+        let Backing::Interned {
+            arena,
+            tables,
+            spare,
+        } = &mut self.backing
+        else {
+            panic!("row emission requires the interned backing");
+        };
+        let row = make_row(arena);
+        if node == tree.root() {
+            // A single-node tree: the inserted match is the emission.
+            let (words, layout) = (arena.row(row), arena.layout());
+            if window
+                .is_none_or(|tw| layout.latest(words).saturating_sub(layout.earliest(words)) < tw)
+            {
+                rows.extend_from_slice(words);
+            }
+            arena.release(row);
+            return;
+        }
+        insert_rows(
+            arena,
+            tables,
+            spare,
+            &mut self.inserted,
+            tree,
+            node,
+            row,
+            window,
+            &mut Emit::Rows(rows),
+            None,
+        );
     }
 
     /// Number of partial matches currently stored at a node.
@@ -663,9 +869,9 @@ impl MatchStore {
         // probes the graph per matched edge.
         self.retain_matches(
             |m| cutoff.is_none_or(|c| m.earliest().0 >= c) && m.is_live(graph),
-            |row, ew, vw| {
-                cutoff.is_none_or(|c| RowArena::slice_earliest(row, ew, vw) >= c)
-                    && row[..ew]
+            |row, layout| {
+                cutoff.is_none_or(|c| layout.earliest(row) >= c)
+                    && row[..layout.edges]
                         .iter()
                         .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
             },
@@ -681,7 +887,7 @@ impl MatchStore {
         let cutoff = latest.0.saturating_sub(window);
         self.retain_matches(
             |m| m.earliest().0 >= cutoff,
-            |row, ew, vw| RowArena::slice_earliest(row, ew, vw) >= cutoff,
+            |row, layout| layout.earliest(row) >= cutoff,
         )
     }
 
@@ -690,8 +896,8 @@ impl MatchStore {
     pub fn purge_dead(&mut self, graph: &DynamicGraph) -> usize {
         self.retain_matches(
             |m| m.is_live(graph),
-            |row, ew, _vw| {
-                row[..ew]
+            |row, layout| {
+                row[..layout.edges]
                     .iter()
                     .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
             },
@@ -700,7 +906,7 @@ impl MatchStore {
 
     /// One walk over every bucket keeping only matches that satisfy the
     /// backing-appropriate predicate (`keep_m` sees a materialized match,
-    /// `keep_row` a raw row slice plus the edge/vertex widths); the single
+    /// `keep_row` a raw row slice plus its layout); the single
     /// implementation behind every purge flavour. `retain` preserves
     /// relative order, so the sorted-bucket invariant survives. Removed
     /// interned rows go back to the arena free list. Returns the number of
@@ -708,7 +914,7 @@ impl MatchStore {
     fn retain_matches(
         &mut self,
         keep_m: impl Fn(&SubgraphMatch) -> bool,
-        keep_row: impl Fn(&[u64], usize, usize) -> bool,
+        keep_row: impl Fn(&[u64], RowLayout) -> bool,
     ) -> usize {
         let mut removed = 0;
         match &mut self.backing {
@@ -739,20 +945,14 @@ impl MatchStore {
             } => {
                 // Split the arena so the predicate can read `data` while
                 // removed rows push onto `free`.
-                let RowArena {
-                    ew,
-                    vw,
-                    stride,
-                    data,
-                    free,
-                } = arena;
-                let (ew, vw, stride) = (*ew, *vw, *stride);
+                let (layout, stride) = (arena.layout(), arena.stride);
+                let RowArena { data, free, .. } = arena;
                 for table in tables {
                     for bucket in table.values_mut() {
                         let before = bucket.len();
                         bucket.retain(|&r| {
                             let b = r as usize * stride;
-                            if keep_row(&data[b..b + stride], ew, vw) {
+                            if keep_row(&data[b..b + stride], layout) {
                                 true
                             } else {
                                 free.push(r);
@@ -936,10 +1136,11 @@ fn insert_mat(
 
 /// The recursive update over the interned backing: identical control flow
 /// to [`insert_mat`], but every probe, key projection, dedup comparison and
-/// join works on fixed-width arena rows addressed by copyable ids. A joined
-/// row that reaches the root is decoded into `complete` and its row freed —
-/// the copy-on-emit boundary; everything below the root moves **zero**
-/// match bytes through the allocator, spilled or not.
+/// join works on fixed-width arena rows addressed by copyable ids. A join
+/// that reaches the root goes straight from its two operand rows into
+/// `emit` ([`RowArena::emit_join`]) — the copy-on-emit boundary; everything
+/// below the root moves **zero** match bytes through the allocator, spilled
+/// or not.
 #[allow(clippy::too_many_arguments)]
 fn insert_rows(
     arena: &mut RowArena,
@@ -950,7 +1151,7 @@ fn insert_rows(
     node: NodeId,
     row: u32,
     window: Option<u64>,
-    complete: &mut Vec<SubgraphMatch>,
+    emit: &mut Emit<'_>,
     mut trace: Option<&mut InsertTrace>,
 ) {
     let parent = tree.parent(node).expect("non-root node has a parent");
@@ -974,12 +1175,19 @@ fn insert_rows(
     };
 
     // Sibling probe: failed joins (incompatible or out-of-window) are
-    // rejected before any row is allocated, so only *stored or emitted*
-    // joins ever touch the arena.
-    let mut joined = spare.pop().unwrap_or_default();
+    // rejected before any row is allocated, so only *stored* joins ever
+    // touch the arena; root joins are reported in place.
+    let at_root = parent == tree.root();
+    let mut joined = if at_root {
+        Vec::new()
+    } else {
+        spare.pop().unwrap_or_default()
+    };
     if let Some(bucket) = tables[sibling.0].get(&key) {
         for &other in bucket {
-            if let Some(j) = arena.join_rows(row, other, window) {
+            if at_root {
+                arena.emit_join(row, other, window, emit);
+            } else if let Some(j) = arena.join_rows(row, other, window) {
                 joined.push(j);
             }
         }
@@ -998,23 +1206,18 @@ fn insert_rows(
     bucket.insert(insert_at, row);
 
     for j in joined.drain(..) {
-        if parent == tree.root() {
-            complete.push(arena.decode(j));
-            arena.release(j);
-        } else {
-            insert_rows(
-                arena,
-                tables,
-                spare,
-                inserted,
-                tree,
-                parent,
-                j,
-                window,
-                complete,
-                trace.as_deref_mut(),
-            );
-        }
+        insert_rows(
+            arena,
+            tables,
+            spare,
+            inserted,
+            tree,
+            parent,
+            j,
+            window,
+            emit,
+            trace.as_deref_mut(),
+        );
     }
     recycle(spare, joined);
 }
@@ -1734,6 +1937,147 @@ mod tests {
         assert_eq!(complete[0].num_vertices(), LEN + 1);
         assert_eq!(complete[0].num_edges(), LEN);
         assert!(!complete[0].bindings_inline(), "this width must spill");
+    }
+
+    /// Reads an emitted row back through its layout (every slot bound).
+    fn row_to_match(row: &[u64], layout: RowLayout) -> SubgraphMatch {
+        SubgraphMatch::from_sorted_bindings(
+            (0..layout.edges).map(|i| (QueryEdgeId(i), EdgeId(row[i]))),
+            (0..layout.vertices).map(|i| (QueryVertexId(i), VertexId(row[layout.edges + i]))),
+            Timestamp(layout.earliest(row)),
+            Timestamp(layout.latest(row)),
+        )
+    }
+
+    #[test]
+    fn row_emission_reports_the_root_joins_of_the_match_path() {
+        let tree = two_leaf_tree();
+        let mut inserts = Vec::new();
+        for i in 0..12u64 {
+            inserts.push((1usize, leaf1_match(11, 100 + i, 1_000 + i, 2 + i)));
+        }
+        inserts.push((0, leaf0_match(10, 11, 5, 1)));
+        inserts.push((0, leaf0_match(10, 11, 5, 1))); // duplicate
+        inserts.push((0, leaf0_match(100, 11, 6, 4))); // injectivity clash with (11, 100)
+        inserts.push((1, leaf1_match(11, 200, 2_000, 3)));
+        for window in [None, Some(8)] {
+            let mut as_matches = MatchStore::new_interned(&tree);
+            let mut as_rows = MatchStore::new_interned(&tree);
+            let layout = as_rows.row_layout().unwrap();
+            assert_eq!((layout.edges, layout.vertices, layout.stride()), (2, 3, 7));
+            let (mut complete, mut rows) = (Vec::new(), Vec::new());
+            for (rank, m) in &inserts {
+                let node = tree.leaf(*rank);
+                as_matches.insert(&tree, node, m.clone(), window, &mut complete);
+                as_rows.insert_emit_rows(&tree, node, m.clone(), window, &mut rows);
+            }
+            let decoded: Vec<SubgraphMatch> = rows
+                .chunks_exact(layout.stride())
+                .map(|row| row_to_match(row, layout))
+                .collect();
+            // Same joins, same emission order.
+            assert_eq!(decoded, complete);
+            assert!(!complete.is_empty());
+            assert_eq!(as_rows.lifetime_inserted(), as_matches.lifetime_inserted());
+        }
+        assert!(MatchStore::new(&tree).row_layout().is_none());
+    }
+
+    #[test]
+    fn prefix_rows_are_adopted_slot_for_slot() {
+        // Parent: the 2-leaf prefix of a 3-edge path; child: the full path.
+        // The parent's emitted rows enter the child at the join node
+        // covering leaves 0..=1 and must behave exactly like the joined
+        // matches themselves.
+        let parent_tree = two_leaf_tree();
+        let mut q = QueryGraph::new("p3");
+        let v: Vec<_> = (0..4).map(|_| q.add_any_vertex()).collect();
+        for i in 0..3 {
+            q.add_edge(v[i], v[i + 1], EdgeType(i as u32));
+        }
+        let leaves = (0..3)
+            .map(|i| QuerySubgraph::from_edges(&q, [QueryEdgeId(i)]))
+            .collect();
+        let child_tree = SjTree::from_leaves(q, leaves);
+        let consume = child_tree.parent(child_tree.leaf(1)).unwrap();
+        let leaf2 = |c: u64, d: u64, e: u64, ts: u64| {
+            let mut m = SubgraphMatch::new();
+            m.bind_vertex(QueryVertexId(2), VertexId(c));
+            m.bind_vertex(QueryVertexId(3), VertexId(d));
+            m.bind_edge(QueryEdgeId(2), EdgeId(e), Timestamp(ts));
+            m
+        };
+
+        let mut parent = MatchStore::new_interned(&parent_tree);
+        let from = parent.row_layout().unwrap();
+        let mut parent_rows = Vec::new();
+        let mut parent_matches = Vec::new();
+        let mut reference_parent = MatchStore::new_interned(&parent_tree);
+        for (rank, m) in [
+            (0, leaf0_match(10, 11, 100, 1)),
+            (1, leaf1_match(11, 12, 101, 2)),
+            (1, leaf1_match(11, 13, 102, 3)),
+        ] {
+            let node = parent_tree.leaf(rank);
+            parent.insert_emit_rows(&parent_tree, node, m.clone(), None, &mut parent_rows);
+            reference_parent.insert(&parent_tree, node, m, None, &mut parent_matches);
+        }
+        assert_eq!(parent_matches.len(), 2);
+
+        let mut child = MatchStore::new_interned(&child_tree);
+        let mut reference = MatchStore::new_interned(&child_tree);
+        let (mut rows, mut complete) = (Vec::new(), Vec::new());
+        // A suffix match that arrived first, then the parent's emissions
+        // (fed twice: the second round must dedup), then another suffix.
+        child.insert_emit_rows(
+            &child_tree,
+            child_tree.leaf(2),
+            leaf2(12, 14, 200, 4),
+            None,
+            &mut rows,
+        );
+        reference.insert(
+            &child_tree,
+            child_tree.leaf(2),
+            leaf2(12, 14, 200, 4),
+            None,
+            &mut complete,
+        );
+        for _ in 0..2 {
+            for row in parent_rows.chunks_exact(from.stride()) {
+                child.insert_row_emit_rows(&child_tree, consume, row, from, None, &mut rows);
+            }
+            for m in &parent_matches {
+                reference.insert(&child_tree, consume, m.clone(), None, &mut complete);
+            }
+        }
+        child.insert_emit_rows(
+            &child_tree,
+            child_tree.leaf(2),
+            leaf2(13, 15, 201, 5),
+            None,
+            &mut rows,
+        );
+        reference.insert(
+            &child_tree,
+            child_tree.leaf(2),
+            leaf2(13, 15, 201, 5),
+            None,
+            &mut complete,
+        );
+
+        let layout = child.row_layout().unwrap();
+        let decoded: Vec<SubgraphMatch> = rows
+            .chunks_exact(layout.stride())
+            .map(|row| row_to_match(row, layout))
+            .collect();
+        assert_eq!(decoded, complete);
+        assert_eq!(complete.len(), 2);
+        assert_eq!(child.live_matches(consume), 2);
+        assert_eq!(
+            multiset(child.collect_matches_at(consume)),
+            multiset(reference.collect_matches_at(consume))
+        );
     }
 
     #[test]

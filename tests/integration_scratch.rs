@@ -14,6 +14,19 @@ use streampattern::{
     FnSink, QueryId, Schema, Strategy, StrategySpec, StreamProcessor, SubgraphMatch,
 };
 
+/// The allocation counters of `--features count-allocs` are process-global,
+/// so a test running on another thread of this binary would be billed to
+/// whichever slice is being metered. Every test here holds this lock for
+/// its whole body.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding the lock poisons it; the `()` inside
+    // cannot be left inconsistent, so later tests just take it.
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Worker counts under test: `RUNTIME_WORKERS` (e.g. `2` or `1,2,4`) or the
 /// default sweep, mirroring `integration_parallel.rs`.
 fn worker_counts() -> Vec<usize> {
@@ -69,6 +82,7 @@ where
 
 #[test]
 fn scratch_reuse_is_semantics_preserving_across_strategies() {
+    let _serial = serial();
     let dataset = NetflowConfig {
         num_hosts: 300,
         num_edges: 2_500,
@@ -149,6 +163,7 @@ fn scratch_reuse_is_semantics_preserving_across_strategies() {
 
 #[test]
 fn scratch_reuse_matches_parallel_runtime_across_worker_counts() {
+    let _serial = serial();
     let dataset = NetflowConfig {
         num_hosts: 300,
         num_edges: 2_500,
@@ -234,6 +249,7 @@ mod alloc_regression {
 
     #[test]
     fn gated_steady_state_is_allocation_free() {
+        let _serial = serial();
         let schema = cyber_schema();
         let ip = schema.vertex_type("ip").unwrap();
         let tcp = schema.edge_type("tcp").unwrap();
@@ -299,12 +315,14 @@ mod alloc_regression {
 
     /// The shared-join delivery path is allocation-light even when every
     /// edge cycle reports matches through the trie: prefix-root emissions
-    /// ride the recycled feed-buffer pool, rebases stay inline
-    /// (`MATCH_INLINE_BINDINGS`), and store buckets recycle through the
-    /// purge — so a match-heavy nested-prefix stream settles near zero
-    /// allocations per edge after warmup.
+    /// are rows in a reused per-table buffer (adopted slot for slot by the
+    /// trie child), each delivered match is built inline
+    /// (`MATCH_INLINE_BINDINGS`) straight into the sink, and store buckets
+    /// recycle through the purge — so a match-heavy nested-prefix stream
+    /// settles near zero allocations per edge after warmup.
     #[test]
     fn shared_join_match_delivery_is_allocation_light() {
+        let _serial = serial();
         let schema = cyber_schema();
         let ip = schema.vertex_type("ip").unwrap();
         let tcp = schema.edge_type("tcp").unwrap();
@@ -389,6 +407,84 @@ mod alloc_regression {
         );
     }
 
+    /// The storm regime in miniature: two full-depth subscribers (two
+    /// windows) on one `[tcp, esp]` table, every edge through one hub
+    /// vertex, so each esp edge completes against every live tcp edge.
+    /// Matches go row → `SubgraphMatch` → sink with no buffer in between,
+    /// so once the table's row buffer and buckets reach their high-water
+    /// mark a delivered inline-width match must cost no allocation at all.
+    #[test]
+    fn direct_delivery_storm_allocates_nothing_per_delivered_match() {
+        let _serial = serial();
+        let schema = cyber_schema();
+        let ip = schema.vertex_type("ip").unwrap();
+        let tcp = schema.edge_type("tcp").unwrap();
+        let esp = schema.edge_type("esp").unwrap();
+        let exfil = |name: &str| {
+            let mut q = sp_query::QueryGraph::new(name);
+            let a = q.add_any_vertex();
+            let b = q.add_any_vertex();
+            let c = q.add_any_vertex();
+            q.add_edge(a, b, tcp);
+            q.add_edge(b, c, esp);
+            q
+        };
+        let mut proc = StreamProcessor::new(schema.clone())
+            .with_statistics(false)
+            .with_purge_interval(256);
+        let ids = [
+            proc.register(exfil("wide"), Strategy::Single, Some(200))
+                .unwrap(),
+            proc.register(exfil("narrow"), Strategy::Single, Some(100))
+                .unwrap(),
+        ];
+        assert_eq!(proc.shared_join_stats().tables, 1);
+        for id in ids {
+            assert_eq!(
+                proc.registry().shared_joins().subscription_depth(id),
+                Some(2)
+            );
+        }
+
+        // One edge per tick: even ticks spoke → hub over tcp, odd ticks
+        // hub → spoke over esp, spokes from a rotating pool.
+        const HUB: u64 = 0;
+        let event = |t: u64| {
+            let spoke = 1 + (t / 2) % 96;
+            if t.is_multiple_of(2) {
+                EdgeEvent::homogeneous(spoke, HUB, ip, tcp, Timestamp(t))
+            } else {
+                EdgeEvent::homogeneous(HUB, spoke, ip, esp, Timestamp(t))
+            }
+        };
+        let mut sink = streampattern::CountSink::new();
+        for t in 0..6_000 {
+            proc.process_into(&event(t), &mut sink);
+        }
+        let warm_matches = sink.matches;
+
+        let (a0, _) = sp_metrics::alloc_counts();
+        for t in 6_000..9_000 {
+            proc.process_into(&event(t), &mut sink);
+        }
+        let (a1, _) = sp_metrics::alloc_counts();
+        let delivered = sink.matches - warm_matches;
+        assert!(
+            delivered > 100_000,
+            "not a storm: {delivered} matches over 3000 edges"
+        );
+        let allocs_per_match = (a1 - a0) as f64 / delivered as f64;
+        println!(
+            "direct-delivery storm: {} allocations for {delivered} delivered matches \
+             ({allocs_per_match:.5} allocs/match)",
+            a1 - a0
+        );
+        assert!(
+            allocs_per_match < 0.01,
+            "direct delivery allocates per match: {allocs_per_match:.5} allocs/match"
+        );
+    }
+
     /// The interned-row contract on the spill regime: storing a partial
     /// match wider than `MATCH_INLINE_BINDINGS` must not touch the
     /// allocator in steady state. A 9-edge chain over nine distinct
@@ -406,6 +502,7 @@ mod alloc_regression {
     /// allocate strictly more.
     #[test]
     fn interned_wide_pattern_storage_is_allocation_free_per_stored_match() {
+        let _serial = serial();
         // Nine *distinct* protocols so each stream edge matches exactly one
         // leaf shape — the stored-match population is then dominated by the
         // deep (spilled) internal partials the test is about, not by
@@ -494,6 +591,7 @@ mod alloc_regression {
 
     #[test]
     fn scratch_reuse_reduces_allocations_on_a_match_heavy_stream() {
+        let _serial = serial();
         let dataset = NetflowConfig {
             num_hosts: 300,
             num_edges: 6_000,

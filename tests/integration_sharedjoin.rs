@@ -10,7 +10,7 @@
 //! subscriber to an existing prefix sees no pre-registration matches, and a
 //! re-decomposition landing mid-window keeps live partials completing.
 
-use sp_datasets::NetflowConfig;
+use sp_datasets::{soc_chain_rule, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
@@ -675,3 +675,360 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
     assert_eq!(per_slot(&trie, 2), 15);
     assert_eq!(per_slot(&trie, 3), 15);
 }
+
+// ---- row-native delivery: rebasing, windows, boundaries, spill ------------
+
+/// The chain `protos[0] → protos[1] → …` numbered *against* the grain:
+/// vertices are created from the chain's tail to its head and edges are
+/// added last hop first, so the query's own ids are a non-identity
+/// permutation of any head-to-tail canonical numbering.
+fn permuted_chain(schema: &Schema, name: &str, protos: &[&str]) -> QueryGraph {
+    let n = protos.len();
+    let mut q = QueryGraph::new(name);
+    let ids: Vec<_> = (0..=n).map(|_| q.add_any_vertex()).collect();
+    let at = |pos: usize| ids[n - pos];
+    for hop in (0..n).rev() {
+        q.add_edge(at(hop), at(hop + 1), schema.edge_type(protos[hop]).unwrap());
+    }
+    q
+}
+
+/// Everything a subscriber-side rebase could get wrong: which data edge
+/// plays which query edge, which data vertex which query vertex, and the
+/// time span.
+fn full_fingerprint(m: &SubgraphMatch) -> String {
+    format!(
+        "{:?} {:?} {:?}",
+        m.edge_pairs().collect::<Vec<_>>(),
+        m.vertex_pairs().collect::<Vec<_>>(),
+        m.time_span()
+    )
+}
+
+type Rule = (QueryGraph, Option<u64>);
+
+/// Sorted `(rule slot, full fingerprint)` multiset of `rules` on one
+/// processor built by `configure`.
+fn shared_run(
+    schema: &Schema,
+    rules: &[Rule],
+    events: &[EdgeEvent],
+    configure: impl Fn(StreamProcessor) -> StreamProcessor,
+) -> (Vec<(usize, String)>, StreamProcessor, Vec<QueryId>) {
+    let mut proc = configure(StreamProcessor::new(schema.clone()));
+    let ids: Vec<QueryId> = rules
+        .iter()
+        .map(|(q, w)| proc.register(q.clone(), Strategy::Single, *w).unwrap())
+        .collect();
+    let mut out = Vec::new();
+    {
+        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
+            out.push((
+                ids.iter().position(|&i| i == q).unwrap(),
+                full_fingerprint(&m),
+            ));
+        });
+        for ev in events {
+            proc.process_into(ev, &mut sink);
+        }
+    }
+    out.sort();
+    (out, proc, ids)
+}
+
+/// The oracle: one independent single-query processor per rule, every
+/// sharing stage off.
+fn independent_run(
+    schema: &Schema,
+    rules: &[Rule],
+    events: &[EdgeEvent],
+    configure: impl Fn(StreamProcessor) -> StreamProcessor,
+) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (slot, (q, w)) in rules.iter().enumerate() {
+        let mut proc = configure(StreamProcessor::new(schema.clone()))
+            .with_sharing(false)
+            .with_join_sharing(false);
+        proc.register(q.clone(), Strategy::Single, *w).unwrap();
+        let mut sink = FnSink(|_q: QueryId, m: SubgraphMatch| {
+            out.push((slot, full_fingerprint(&m)));
+        });
+        for ev in events {
+            proc.process_into(ev, &mut sink);
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Three nested chains, each registered head-to-tail under one window and
+/// against the grain under another: three prefix tables in a 3-level trie,
+/// each with one identity-mapped and one permuted full-depth subscriber.
+fn nested_permuted_pack(schema: &Schema) -> Vec<Rule> {
+    const CHAIN: [&str; 4] = ["IPv6", "ICMP", "UDP", "TCP"];
+    let mut rules = Vec::new();
+    for depth in 2..=4 {
+        rules.push((
+            soc_chain_rule(schema, &format!("straight-{depth}"), &CHAIN[..depth]),
+            Some(400),
+        ));
+        rules.push((
+            permuted_chain(schema, &format!("permuted-{depth}"), &CHAIN[..depth]),
+            Some(150),
+        ));
+    }
+    rules
+}
+
+fn nested_dataset() -> sp_datasets::Dataset {
+    NetflowConfig {
+        num_hosts: 120,
+        num_edges: 4_000,
+        ..NetflowConfig::tiny()
+    }
+    .generate()
+}
+
+#[test]
+fn permuted_full_depth_subscribers_match_independent_processors() {
+    let dataset = nested_dataset();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    let rules = nested_permuted_pack(&schema);
+    let configure = |p: StreamProcessor| p.with_estimator(estimator.clone()).with_statistics(false);
+
+    let expected = independent_run(&schema, &rules, dataset.events(), configure);
+    for slot in 0..rules.len() {
+        assert!(
+            expected.iter().any(|(s, _)| *s == slot),
+            "rule {slot} never matched: the stream does not exercise its delivery"
+        );
+    }
+    // The two windows must actually disagree on each table.
+    for pair in 0..3 {
+        let count = |slot| expected.iter().filter(|(s, _)| *s == slot).count();
+        assert!(count(2 * pair) > count(2 * pair + 1));
+    }
+
+    let (trie, proc, ids) = shared_run(&schema, &rules, dataset.events(), configure);
+    assert_eq!(trie, expected, "trie delivery diverged from the oracle");
+    let stats = proc.shared_join_stats();
+    assert_eq!((stats.tables, stats.subscriptions), (3, 6));
+    assert_eq!(stats.max_depth, 4, "chains must nest three levels deep");
+    assert!(stats.parent_feeds > 0, "no parent row reached a trie child");
+    for &id in &ids {
+        let engine = proc.engine_for(id).unwrap();
+        assert_eq!(
+            proc.registry().shared_joins().subscription_depth(id),
+            Some(engine.tree().unwrap().num_leaves()),
+            "every rule subscribes at full depth"
+        );
+        assert_eq!(
+            engine.store_stats().unwrap().total_inserted_per_node,
+            vec![0; engine.tree().unwrap().num_nodes()],
+            "a full-depth subscriber's engine stores nothing"
+        );
+    }
+
+    let (flat, flat_proc, _) = shared_run(&schema, &rules, dataset.events(), |p| {
+        configure(p).with_join_trie(false)
+    });
+    assert_eq!(flat, expected, "flat delivery diverged from the oracle");
+    assert_eq!(flat_proc.shared_join_stats().parent_feeds, 0);
+
+    for workers in worker_counts() {
+        let mut runtime = ParallelStreamProcessor::new(
+            schema.clone(),
+            RuntimeConfig::with_workers(workers).statistics(false),
+        )
+        .with_estimator(estimator.clone());
+        let ids: Vec<QueryId> = rules
+            .iter()
+            .map(|(q, w)| runtime.register(q.clone(), Strategy::Single, *w).unwrap())
+            .collect();
+        let mut got = Vec::new();
+        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
+            got.push((
+                ids.iter().position(|&i| i == q).unwrap(),
+                full_fingerprint(&m),
+            ));
+        });
+        runtime.process_all_into(dataset.events().iter(), &mut sink);
+        got.sort();
+        assert_eq!(got, expected, "multiset diverged at {workers} workers");
+    }
+}
+
+#[test]
+fn late_permuted_subscriber_is_boundary_filtered_on_the_row() {
+    let dataset = nested_dataset();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    let events = dataset.events();
+    let half = events.len() / 2;
+    let chain = ["ICMP", "UDP", "TCP"];
+    let late_rule = (permuted_chain(&schema, "late", &chain), Some(300));
+    let early_rules = [
+        (soc_chain_rule(&schema, "early-a", &chain), Some(300)),
+        (permuted_chain(&schema, "early-b", &chain), None),
+    ];
+    let fresh = || {
+        StreamProcessor::new(schema.clone())
+            .with_estimator(estimator.clone())
+            .with_statistics(false)
+    };
+
+    let mut proc = fresh();
+    let mut ids: Vec<QueryId> = early_rules
+        .iter()
+        .map(|(q, w)| proc.register(q.clone(), Strategy::Single, *w).unwrap())
+        .collect();
+    let mut got = Vec::new();
+    for (i, ev) in events.iter().enumerate() {
+        if i == half {
+            let (q, w) = &late_rule;
+            ids.push(proc.register(q.clone(), Strategy::Single, *w).unwrap());
+            assert_eq!(
+                proc.shared_join_stats().tables,
+                1,
+                "the late rule joins the live table"
+            );
+        }
+        for (q, m) in proc.process(ev) {
+            got.push((
+                ids.iter().position(|&x| x == q).unwrap(),
+                full_fingerprint(&m),
+            ));
+        }
+    }
+    got.sort();
+
+    // Oracle: each rule alone, registered at the same stream position.
+    let mut expected = Vec::new();
+    let all_rules = early_rules.iter().chain(std::iter::once(&late_rule));
+    for (slot, (q, w)) in all_rules.enumerate() {
+        let mut solo = fresh().with_sharing(false).with_join_sharing(false);
+        let register_at = if slot == 2 { half } else { 0 };
+        for (i, ev) in events.iter().enumerate() {
+            if i == register_at {
+                solo.register(q.clone(), Strategy::Single, *w).unwrap();
+            }
+            for (_, m) in solo.process(ev) {
+                expected.push((slot, full_fingerprint(&m)));
+            }
+        }
+    }
+    expected.sort();
+    assert_eq!(got, expected);
+    let late = |set: &[(usize, String)]| set.iter().filter(|(s, _)| *s == 2).count();
+    assert!(late(&got) > 0, "the late subscriber was never delivered to");
+    assert!(
+        late(&got) < got.iter().filter(|(s, _)| *s == 0).count(),
+        "the boundary must withhold pre-registration matches"
+    );
+}
+
+#[test]
+fn spilled_wide_chain_is_delivered_from_rows_under_two_windows() {
+    let dataset = NetflowConfig::tiny().generate();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len());
+    let wide = sp_datasets::wide_soc_rules(&schema, 1).remove(0);
+    let protos: Vec<_> = wide.edges().map(|e| e.edge_type).collect();
+    assert_eq!(
+        protos.len(),
+        9,
+        "9 edge + 10 vertex bindings: past the inline cap"
+    );
+    let ip = schema.vertex_type("ip").unwrap();
+
+    // Forty hand-laid instances of the chain on disjoint host runs, one hop
+    // per tick; odd instances arrive last hop first. Every fourth instance
+    // is stretched to 10 ticks per hop, which only the wide window admits.
+    let mut events = Vec::new();
+    let mut tick = 0u64;
+    for inst in 0..40u64 {
+        let base = 10_000 + 20 * inst;
+        let stride = if inst % 4 == 3 { 10 } else { 1 };
+        let hops: Vec<usize> = if inst % 2 == 1 {
+            (0..9).rev().collect()
+        } else {
+            (0..9).collect()
+        };
+        for hop in hops {
+            tick += stride;
+            events.push(EdgeEvent::homogeneous(
+                base + hop as u64,
+                base + hop as u64 + 1,
+                ip,
+                protos[hop],
+                Timestamp(tick),
+            ));
+        }
+    }
+    let rules = vec![(wide.clone(), Some(1_000)), (wide, Some(50))];
+    let configure = |p: StreamProcessor| p.with_estimator(estimator.clone()).with_statistics(false);
+    let expected = independent_run(&schema, &rules, &events, configure);
+    let count = |slot| expected.iter().filter(|(s, _)| *s == slot).count();
+    assert_eq!((count(0), count(1)), (40, 30));
+
+    let (got, proc, ids) = shared_run(&schema, &rules, &events, configure);
+    assert_eq!(got, expected);
+    assert_eq!(proc.shared_join_stats().tables, 1);
+    assert_eq!(
+        proc.registry().shared_joins().subscription_depth(ids[0]),
+        Some(9)
+    );
+}
+
+/// The direct path must not move a single counter: the numbers below were
+/// read off the parent commit (feed → engine → `complete` → sink) on the
+/// same stream.
+#[test]
+fn direct_delivery_leaves_every_counter_where_the_feed_path_put_it() {
+    let dataset = nested_dataset();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    let rules = nested_permuted_pack(&schema);
+    let (_, proc, ids) = shared_run(&schema, &rules, dataset.events(), |p| {
+        p.with_estimator(estimator.clone()).with_statistics(false)
+    });
+    let stats = proc.shared_join_stats();
+    let per_query: Vec<(u64, u64, u64, u64)> = ids
+        .iter()
+        .map(|&id| {
+            let p = proc.profile_for(id).unwrap();
+            (
+                p.edges_processed,
+                p.shared_join_emissions,
+                p.join_stages_shared,
+                p.complete_matches,
+            )
+        })
+        .collect();
+    assert_eq!(
+        (
+            stats.emissions,
+            stats.deliveries,
+            stats.parent_feeds,
+            stats.inserts_run
+        ),
+        PINNED_STATS
+    );
+    assert_eq!(per_query, PINNED_PROFILES);
+}
+
+/// `(emissions, deliveries, parent_feeds, inserts_run)` at the parent commit.
+const PINNED_STATS: (u64, u64, u64, u64) = (4814, 5202, 1030, 4796);
+
+/// Per rule of [`nested_permuted_pack`]: `(edges_processed,
+/// shared_join_emissions, join_stages_shared, complete_matches)` at the
+/// parent commit.
+const PINNED_PROFILES: [(u64, u64, u64, u64); 6] = [
+    (481, 206, 481, 206),
+    (481, 81, 481, 81),
+    (1664, 824, 1664, 824),
+    (1664, 137, 1664, 137),
+    (3766, 3784, 3766, 3784),
+    (3766, 170, 3766, 170),
+];
