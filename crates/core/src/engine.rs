@@ -89,10 +89,9 @@ pub struct PrefixFeed {
 /// engine so every processed edge reuses the capacity the previous edges
 /// grew: the anchored-search scratch, the search-result staging buffer, the
 /// join worklist, the insert trace, and the (rare-path) enablement
-/// propagation buffers. Dropping the scratch
-/// ([`ContinuousQueryEngine::release_scratch`]) changes nothing but
-/// allocator traffic — every buffer is fully drained or cleared between
-/// edges.
+/// propagation buffers. The scratch lives as long as the engine and is
+/// semantically invisible — every buffer is fully drained or cleared
+/// between edges.
 #[derive(Debug, Clone, Default)]
 struct EngineScratch {
     /// Working state of the anchored subgraph-isomorphism searches.
@@ -179,10 +178,6 @@ pub struct ContinuousQueryEngine {
     strategy: Strategy,
     window: Option<u64>,
     backend: Backend,
-    /// Whether the match store interns partial matches as fixed-width arena
-    /// rows (the default) or keeps materialized `SubgraphMatch` buckets.
-    /// Carried on the engine so a rebuild reconstructs the same backing.
-    match_interning: bool,
     profile: ProfileCounters,
     /// Reusable hot-path buffers; semantically invisible (always drained
     /// between edges), kept so steady-state processing is allocation-free.
@@ -206,7 +201,7 @@ impl ContinuousQueryEngine {
         let backend = match strategy.policy() {
             Some(policy) => {
                 let tree = decompose(&query, policy, estimator)?;
-                Self::backend_from_tree(tree, strategy.is_lazy(), true)?
+                Self::backend_from_tree(tree, strategy.is_lazy())?
             }
             None => {
                 if !query.is_connected() {
@@ -224,7 +219,6 @@ impl ContinuousQueryEngine {
             strategy,
             window,
             backend,
-            match_interning: true,
             profile: ProfileCounters::new(),
             scratch: EngineScratch::default(),
         })
@@ -242,34 +236,25 @@ impl ContinuousQueryEngine {
             (false, true) => Strategy::Path,
             (false, false) => Strategy::Single,
         };
-        let backend = Self::backend_from_tree(tree, lazy, true)?;
+        let backend = Self::backend_from_tree(tree, lazy)?;
         Ok(Self {
             query,
             strategy,
             window,
             backend,
-            match_interning: true,
             profile: ProfileCounters::new(),
             scratch: EngineScratch::default(),
         })
     }
 
-    fn backend_from_tree(
-        tree: SjTree,
-        lazy: bool,
-        interning: bool,
-    ) -> Result<Backend, EngineError> {
+    fn backend_from_tree(tree: SjTree, lazy: bool) -> Result<Backend, EngineError> {
         if tree.num_leaves() > MAX_LEAVES {
             return Err(EngineError::TooManyLeaves {
                 leaves: tree.num_leaves(),
                 max: MAX_LEAVES,
             });
         }
-        let store = if interning {
-            MatchStore::new_interned(&tree)
-        } else {
-            MatchStore::new(&tree)
-        };
+        let store = MatchStore::new(&tree);
         Ok(Backend::SjTree {
             tree,
             store,
@@ -278,29 +263,10 @@ impl ContinuousQueryEngine {
         })
     }
 
-    /// Switches the partial-match store between the interned (arena-row) and
-    /// materialized representations **in place**, converting any live state —
-    /// stored matches, join keys and per-bucket order all survive, so this is
-    /// safe mid-stream. The flag also governs the store a future
-    /// [`ContinuousQueryEngine::rebuild`] constructs. No-op for the VF2
-    /// baseline (which stores no partial matches) and when already in the
-    /// requested representation.
-    pub fn set_match_interning(&mut self, enabled: bool) {
-        self.match_interning = enabled;
-        if let Backend::SjTree { tree, store, .. } = &mut self.backend {
-            store.set_interning(tree, enabled);
-        }
-    }
-
-    /// Whether partial matches are stored as interned arena rows.
-    pub fn match_interning(&self) -> bool {
-        self.match_interning
-    }
-
     /// Total partial matches ever stored by this engine's match store (0 for
-    /// the VF2 baseline). The soak harness aggregates this across engines,
-    /// shared-prefix tables and workers as the denominator of
-    /// `alloc.allocs_per_match`.
+    /// the VF2 baseline). Summed across engines, shared-prefix tables and
+    /// workers this is the denominator of the allocs-per-stored-match
+    /// ceilings in `tests/integration_scratch.rs`.
     pub fn stored_matches(&self) -> u64 {
         match &self.backend {
             Backend::SjTree { store, .. } => store.lifetime_inserted(),
@@ -773,7 +739,7 @@ impl ContinuousQueryEngine {
         if strategy.policy().is_none() || !same_query(&self.query, tree.query()) {
             return Err(EngineError::RebuildMismatch);
         }
-        self.backend = Self::backend_from_tree(tree, strategy.is_lazy(), self.match_interning)?;
+        self.backend = Self::backend_from_tree(tree, strategy.is_lazy())?;
         self.strategy = strategy;
         // Replay the retained graph. Only edges whose type occurs in the
         // query can contribute leaf matches or enablements; the rest would
@@ -813,18 +779,6 @@ impl ContinuousQueryEngine {
             bitmap.clear();
         }
         self.profile = ProfileCounters::new();
-    }
-
-    /// Releases the engine-owned search scratch (frontier/result buffers,
-    /// binding work area, join worklist) and the match store's recycled
-    /// bucket pool, returning their retained capacity to the allocator.
-    /// Purely a memory/perf knob — never changes reported matches. The next
-    /// processed edge re-warms the buffers from empty.
-    pub fn release_scratch(&mut self) {
-        self.scratch = EngineScratch::default();
-        if let Backend::SjTree { store, .. } = &mut self.backend {
-            store.release_spare();
-        }
     }
 }
 

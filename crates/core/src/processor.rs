@@ -171,17 +171,6 @@ impl StreamProcessor {
         self.registry.shared_leaf_stats()
     }
 
-    /// Enables or disables scratch reuse on the per-edge hot path (on by
-    /// default): with reuse on, the anchored-search buffers, join worklists
-    /// and the shared-stage edge cache keep their warmed-up capacity across
-    /// edges; with it off every buffer is released after each edge. The
-    /// reported match multiset is identical either way — the toggle exists
-    /// for allocation accounting and equivalence testing.
-    pub fn with_scratch_reuse(mut self, enabled: bool) -> Self {
-        self.registry.set_scratch_reuse(enabled);
-        self
-    }
-
     /// Enables or disables shared-**join** evaluation for queries
     /// registered afterwards (on by default): with it on, queries whose
     /// decompositions begin with the same canonical leaf sequence share one
@@ -199,44 +188,15 @@ impl StreamProcessor {
         self
     }
 
-    /// Switches the shared join stage between the **trie** policy (on by
-    /// default: nesting prefixes link parent→child, a child consumes its
-    /// parent's emissions instead of re-running the parent's leaf searches,
-    /// and the shared partials are stored exactly once) and the flat PR 5
-    /// policy of independent per-prefix tables. The reported match multiset
-    /// is identical either way; the toggle exists for the `sharedjoin`
-    /// benchmark's trie-vs-flat comparison and the equivalence tests. Like
-    /// [`StreamProcessor::with_join_sharing`], a registration-time
-    /// property — flip it before registering.
-    pub fn with_join_trie(mut self, enabled: bool) -> Self {
-        self.registry.set_join_trie(enabled);
-        self
-    }
-
     /// Snapshot of the shared join stage: live prefix tables, current
     /// subscriptions, and how much join-stage work sharing eliminated.
     pub fn shared_join_stats(&self) -> crate::SharedJoinStats {
         self.registry.shared_join_stats()
     }
 
-    /// Switches every engine's private partial-match store between the
-    /// **interned** representation (on by default: a stored match is a
-    /// fixed-width arena row addressed by a copyable id, so storing/joining
-    /// spilled-width matches is allocation-free) and the materialized
-    /// representation (buckets hold `SubgraphMatch` values). Live state
-    /// converts in place, so the toggle is safe at any point in the stream.
-    /// Shared prefix tables are not affected — they are always interned,
-    /// their emissions being rows. The reported match multiset is identical
-    /// either way — the toggle exists for allocation accounting and
-    /// equivalence testing.
-    pub fn with_match_interning(mut self, enabled: bool) -> Self {
-        self.registry.set_match_interning(enabled);
-        self
-    }
-
     /// Total partial matches ever stored across every engine and shared
-    /// prefix table — the denominator of the soak's
-    /// `alloc.allocs_per_match`.
+    /// prefix table — the denominator of the allocs-per-stored-match
+    /// ceilings in `tests/integration_scratch.rs`.
     pub fn stored_matches(&self) -> u64 {
         self.registry.stored_matches()
     }

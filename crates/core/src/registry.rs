@@ -88,19 +88,6 @@ pub struct QueryRegistry {
     /// (full-depth shared-join subscribers bypass it); drained into `emit`
     /// per engine.
     complete: Vec<SubgraphMatch>,
-    /// Whether the per-edge hot path reuses warmed-up scratch capacity
-    /// (default). Disabling releases every engine's scratch and the edge
-    /// cache after each edge — the algorithm is identical, only the
-    /// allocator traffic differs (the equivalence tests run both).
-    scratch_reuse: bool,
-    /// Whether the engines' private partial-match stores intern matches as
-    /// fixed-width arena rows (default) or keep materialized buckets (shared
-    /// prefix tables are always interned). The registry is authoritative:
-    /// registration applies the flag to the incoming engine, and toggling
-    /// converts all live engine state in place. Match output is identical
-    /// either way (the equivalence tests run both); only allocator traffic
-    /// and store memory differ.
-    match_interning: bool,
     /// The next subscription boundary: one past the id of the last
     /// processed edge. A query registered now is entitled to matches
     /// anchored at edge ids `>= boundary` (see the shared-join module docs).
@@ -123,8 +110,6 @@ impl Default for QueryRegistry {
             fanout: Vec::new(),
             cache: EdgeSearchCache::new(),
             complete: Vec::new(),
-            scratch_reuse: true,
-            match_interning: true,
             boundary: 0,
             origins: HashMap::new(),
             next_id: 0,
@@ -152,42 +137,9 @@ impl QueryRegistry {
         self.sharing
     }
 
-    /// Enables or disables scratch reuse on the per-edge hot path (enabled
-    /// by default). With reuse off, every engine's search scratch and the
-    /// registry's edge cache are released after each edge, so each edge
-    /// starts allocation-cold. Match output is identical either way — this
-    /// knob exists for allocation accounting and the equivalence tests.
-    pub fn set_scratch_reuse(&mut self, enabled: bool) {
-        self.scratch_reuse = enabled;
-    }
-
-    /// Whether the per-edge hot path retains warmed-up scratch capacity.
-    pub fn scratch_reuse_enabled(&self) -> bool {
-        self.scratch_reuse
-    }
-
-    /// Switches every engine's private partial-match store between the
-    /// interned (fixed-width arena row, default) and materialized
-    /// representations, converting live state in place; engines registered
-    /// later adopt the flag at registration. Shared prefix tables are
-    /// always interned — their emissions are rows. Reported matches are
-    /// identical either way — this knob exists for allocation accounting
-    /// and the equivalence tests.
-    pub fn set_match_interning(&mut self, enabled: bool) {
-        self.match_interning = enabled;
-        for engine in self.engines.values_mut() {
-            engine.set_match_interning(enabled);
-        }
-    }
-
-    /// Whether engines store partial matches as interned arena rows.
-    pub fn match_interning_enabled(&self) -> bool {
-        self.match_interning
-    }
-
     /// Total partial matches ever stored across every live engine and
-    /// shared prefix table — the denominator of the soak's
-    /// `alloc.allocs_per_match`.
+    /// shared prefix table — the denominator of the allocs-per-stored-match
+    /// ceilings in `tests/integration_scratch.rs`.
     pub fn stored_matches(&self) -> u64 {
         self.engines
             .values()
@@ -222,19 +174,6 @@ impl QueryRegistry {
         self.join_sharing
     }
 
-    /// Switches the shared join stage between the trie policy (default:
-    /// nesting prefixes link parent→child and share storage) and the flat
-    /// PR 5 policy (independent tables) for *future* subscriptions. Like
-    /// [`QueryRegistry::set_join_sharing`], a registration-time property.
-    pub fn set_join_trie(&mut self, enabled: bool) {
-        self.join.set_trie(enabled);
-    }
-
-    /// Whether the shared join stage links nesting prefixes into a trie.
-    pub fn join_trie_enabled(&self) -> bool {
-        self.join.trie_enabled()
-    }
-
     /// Snapshot of the shared join stage bookkeeping (live tables,
     /// subscriptions, work run vs saved).
     pub fn shared_join_stats(&self) -> SharedJoinStats {
@@ -256,10 +195,7 @@ impl QueryRegistry {
     /// registry does not own); callers with a graph at hand — the
     /// [`StreamProcessor`](crate::StreamProcessor) — use
     /// [`QueryRegistry::register_shared`].
-    pub fn register(&mut self, mut engine: ContinuousQueryEngine) -> QueryId {
-        // The registry's representation choice is authoritative; an engine
-        // built elsewhere converts (usually a no-op — both default on).
-        engine.set_match_interning(self.match_interning);
+    pub fn register(&mut self, engine: ContinuousQueryEngine) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         for edge_type in query_edge_types(&engine) {
@@ -443,7 +379,6 @@ impl QueryRegistry {
             fanout,
             cache,
             complete,
-            scratch_reuse,
             ..
         } = self;
         let mut clock = StageClock::start(metrics.map(|(m, _)| m));
@@ -509,18 +444,6 @@ impl QueryRegistry {
             reported += found;
         }
         fanout.clear();
-        if !*scratch_reuse {
-            // Allocation-cold mode: hand every warmed buffer back after the
-            // edge, so the next edge starts from scratch. Output-identical —
-            // used by the equivalence tests and for memory accounting.
-            cache.release();
-            for &id in ids {
-                engines
-                    .get_mut(&id)
-                    .expect("dispatch index only references live queries")
-                    .release_scratch();
-            }
-        }
         reported
     }
 

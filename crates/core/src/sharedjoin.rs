@@ -29,7 +29,7 @@
 //!
 //! Inside this stage a match is only ever a fixed-width row of `u64` slots
 //! in the table's canonical numbering ([`RowLayout`]): the tables are
-//! always-interned [`MatchStore`]s, a root join is written from its two
+//! [`MatchStore`]s, a root join is written from its two
 //! operand rows straight into the table's flat `pending` buffer
 //! ([`MatchStore::insert_emit_rows`]), and a trie child adopts its parent's
 //! pending rows slot for slot ([`MatchStore::insert_row_emit_rows`]). The
@@ -64,9 +64,7 @@
 //! above a current trie root), the trie edge is **split**: the extension
 //! re-points onto the new node (its consume stage is already populated —
 //! no replay needed on its side) and the new node is back-filled by
-//! retained-window replay before it feeds anyone. The flat PR 5 policy
-//! remains available behind [`SharedJoinIndex::set_trie`] as a comparison
-//! baseline for the benchmarks and equivalence tests.
+//! retained-window replay before it feeds anyone.
 //!
 //! # Windows move to emit time
 //!
@@ -193,7 +191,7 @@ struct PrefixEntry {
     /// Left-deep canonical tree over the prefix leaves; its root is the
     /// prefix-covering node whose matches are emitted.
     tree: SjTree,
-    /// Always interned: emissions leave it as rows, never as matches.
+    /// Emissions leave it as rows, never as matches.
     store: MatchStore,
     /// Slot schema of the rows in `store` and `pending`.
     layout: RowLayout,
@@ -221,7 +219,7 @@ struct PrefixEntry {
     /// Edge the `pending` buffer belongs to.
     advanced_for: Option<EdgeId>,
     /// Trie parent: the deepest materialized strict prefix of `sig`.
-    /// `None` for trie roots and for every entry under the flat policy.
+    /// `None` for trie roots.
     parent: Option<usize>,
     /// `self.entries[parent].depth()`, or `0` without a parent. Leaf ranks
     /// `0..parent_depth` are covered by consuming the parent's emissions,
@@ -250,8 +248,8 @@ impl PrefixEntry {
         let leaf_edges: Vec<Vec<QueryEdgeId>> =
             leaves.iter().map(|leaf| leaf.edges().collect()).collect();
         let tree = SjTree::from_leaves(query.clone(), leaves);
-        let store = MatchStore::new_interned(&tree);
-        let layout = store.row_layout().expect("interned stores have a layout");
+        let store = MatchStore::new(&tree);
+        let layout = store.row_layout();
         PrefixEntry {
             edge_types: sig.edge_types(),
             sig,
@@ -477,12 +475,10 @@ pub struct SharedJoinStats {
     /// Table back-fills (late-partner migrations, re-subscriptions and
     /// trie-edge splits).
     pub replays: u64,
-    /// Deepest live trie node (equals the deepest flat table when no
-    /// prefixes nest; 0 with no tables).
+    /// Deepest live trie node (0 with no tables).
     pub max_depth: usize,
     /// Parent-node emissions consumed by child trie nodes in place of
-    /// re-running the parent's leaf searches and joins (always 0 under the
-    /// flat policy).
+    /// re-running the parent's leaf searches and joins.
     pub parent_feeds: u64,
 }
 
@@ -501,8 +497,7 @@ impl SharedJoinStats {
 }
 
 /// One live node of the prefix-table trie, as reported by
-/// [`SharedJoinIndex::trie_nodes`] for tests and benchmarks. Under the flat
-/// policy every node reads as a parentless, childless trie root.
+/// [`SharedJoinIndex::trie_nodes`] for tests and benchmarks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrieNodeInfo {
     /// Leaves the node's canonical prefix covers.
@@ -562,7 +557,7 @@ pub enum JoinDelivery {
 
 /// The registry-wide index of canonical prefix tables and their
 /// subscribers. See the module docs for the semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SharedJoinIndex {
     entries: Vec<Option<PrefixEntry>>,
     by_sig: HashMap<PrefixSignature, usize>,
@@ -576,9 +571,6 @@ pub struct SharedJoinIndex {
     /// Full canonical chains of every join-capable registered query
     /// (subscribed or not), for partner matching.
     chains: BTreeMap<QueryId, PrefixSignature>,
-    /// Whether nesting prefixes form a trie (default) or stay independent
-    /// flat tables under the PR 5 greedy policy.
-    trie: bool,
     searches_run: u64,
     inserts_run: u64,
     searches_saved: u64,
@@ -597,54 +589,16 @@ pub struct SharedJoinIndex {
     feed_pool: Vec<Vec<SubgraphMatch>>,
 }
 
-impl Default for SharedJoinIndex {
-    fn default() -> Self {
-        SharedJoinIndex {
-            entries: Vec::new(),
-            by_sig: HashMap::new(),
-            free: Vec::new(),
-            by_type: HashMap::new(),
-            subs: BTreeMap::new(),
-            chains: BTreeMap::new(),
-            trie: true,
-            searches_run: 0,
-            inserts_run: 0,
-            searches_saved: 0,
-            inserts_saved: 0,
-            emissions: 0,
-            deliveries: 0,
-            replays: 0,
-            parent_feeds: 0,
-            scratch: SearchScratch::default(),
-            found: Vec::new(),
-            feed_pool: Vec::new(),
-        }
-    }
-}
-
 impl SharedJoinIndex {
-    /// Creates an empty index (trie policy enabled).
+    /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Switches between the trie policy (default) and the flat PR 5 policy
-    /// for *future* subscriptions. Like
-    /// [`set_join_sharing`](crate::QueryRegistry::set_join_sharing) this is
-    /// a registration-time property: existing nodes keep their links.
-    pub fn set_trie(&mut self, enabled: bool) {
-        self.trie = enabled;
-    }
-
-    /// Whether nesting prefixes share storage through the trie.
-    pub fn trie_enabled(&self) -> bool {
-        self.trie
-    }
-
     /// Total partial matches ever stored across every live prefix table
     /// (tables dropped when their last subscriber left no longer count) —
-    /// the shared-join share of the soak's `alloc.allocs_per_match`
-    /// denominator.
+    /// the shared-join share of
+    /// [`QueryRegistry::stored_matches`](crate::QueryRegistry::stored_matches).
     pub fn lifetime_stored(&self) -> u64 {
         self.entries
             .iter()
@@ -754,17 +708,14 @@ impl SharedJoinIndex {
     /// position; `graph` is the retained data graph, needed when an
     /// existing table must be back-filled for an early boundary.
     ///
-    /// Policy (greedy, deterministic). Under the **trie** (default): the
-    /// target depth is the deeper of the deepest materialized node on the
-    /// chain's path and the deepest prefix shared with any other registered
-    /// chain not already covered that deep for its owner; the node at that
-    /// depth is attached to or created (linking it into the trie, splitting
-    /// an existing trie edge and back-filling by replay when needed), and
-    /// every query whose chain runs through the node but is covered more
-    /// shallowly — private *or* subscribed — is reported for migration.
-    /// Under the **flat** PR 5 policy: attach to the deepest existing
-    /// table, else create a table at the deepest prefix shared with a
-    /// currently *private* partner, else stay private.
+    /// Policy (greedy, deterministic): the target depth is the deeper of
+    /// the deepest materialized node on the chain's path and the deepest
+    /// prefix shared with any other registered chain not already covered
+    /// that deep for its owner; the node at that depth is attached to or
+    /// created (linking it into the trie, splitting an existing trie edge
+    /// and back-filling by replay when needed), and every query whose chain
+    /// runs through the node but is covered more shallowly — private *or*
+    /// subscribed — is reported for migration.
     pub fn subscribe(
         &mut self,
         id: QueryId,
@@ -777,65 +728,6 @@ impl SharedJoinIndex {
             return JoinSubscription::Private;
         };
         self.chains.insert(id, chain.clone());
-        if self.trie {
-            return self.subscribe_trie(id, &chain, &mapping, engine, boundary, now, graph);
-        }
-        // Deepest existing table first: attaching is free (no replay unless
-        // this subscriber's boundary predates the table's coverage).
-        let existing_depth = (MIN_PREFIX_DEPTH..=chain.depth())
-            .rev()
-            .find(|&d| self.by_sig.contains_key(&chain.truncated(d)));
-        // Deepest private partner: creating a deeper table beats attaching
-        // to a shallower existing one.
-        let mut partner_depth = 0usize;
-        for (&other, other_chain) in &self.chains {
-            if other == id || self.subs.contains_key(&other) {
-                continue;
-            }
-            partner_depth = partner_depth.max(chain.common_depth(other_chain));
-        }
-        if partner_depth >= MIN_PREFIX_DEPTH && partner_depth > existing_depth.unwrap_or(0) {
-            let sig = chain.truncated(partner_depth);
-            let migrations: Vec<QueryId> = self
-                .chains
-                .iter()
-                .filter(|&(&other, oc)| {
-                    other != id
-                        && !self.subs.contains_key(&other)
-                        && oc.common_depth(&sig) == partner_depth
-                })
-                .map(|(&other, _)| other)
-                .collect();
-            let idx = self.create_entry(sig, now);
-            self.attach_at(idx, id, &mapping, engine.window(), boundary, graph);
-            return JoinSubscription::Shared {
-                depth: partner_depth,
-                migrations,
-            };
-        }
-        if let Some(depth) = existing_depth {
-            let idx = self.by_sig[&chain.truncated(depth)];
-            self.attach_at(idx, id, &mapping, engine.window(), boundary, graph);
-            return JoinSubscription::Shared {
-                depth,
-                migrations: Vec::new(),
-            };
-        }
-        JoinSubscription::Private
-    }
-
-    /// The trie subscription policy (see [`SharedJoinIndex::subscribe`]).
-    #[allow(clippy::too_many_arguments)]
-    fn subscribe_trie(
-        &mut self,
-        id: QueryId,
-        chain: &PrefixSignature,
-        mapping: &sp_query::CanonicalMapping,
-        engine: &ContinuousQueryEngine,
-        boundary: u64,
-        now: u64,
-        graph: &DynamicGraph,
-    ) -> JoinSubscription {
         // Deepest materialized node on the chain's path.
         let existing_depth = (MIN_PREFIX_DEPTH..=chain.depth())
             .rev()
@@ -843,8 +735,7 @@ impl SharedJoinIndex {
             .unwrap_or(0);
         // Deepest prefix shared with another registered chain whose owner
         // is not already covered that deep — subscribed-but-shallower
-        // partners count (they re-point onto the deeper node), unlike the
-        // flat policy's private-only rule.
+        // partners count (they re-point onto the deeper node).
         let mut partner_depth = 0usize;
         for (&other, other_chain) in &self.chains {
             if other == id {
@@ -874,7 +765,7 @@ impl SharedJoinIndex {
             Some(&idx) => idx,
             None => self.create_node(sig, now, graph),
         };
-        self.attach_at(idx, id, mapping, engine.window(), boundary, graph);
+        self.attach_at(idx, id, &mapping, engine.window(), boundary, graph);
         JoinSubscription::Shared {
             depth: target,
             migrations,
@@ -883,9 +774,9 @@ impl SharedJoinIndex {
 
     /// Attaches a migrating query to the deepest existing table matching
     /// its recorded chain — the migration half of a
-    /// [`JoinSubscription::Shared`] outcome. The query may be private (the
-    /// flat policy's only case) or already subscribed at a shallower node
-    /// (the trie re-point case: its old subscription is detached first).
+    /// [`JoinSubscription::Shared`] outcome. The query may be private or
+    /// already subscribed at a shallower node (the re-point case: its old
+    /// subscription is detached first).
     /// Returns the table depth, or `None` when no table matches (e.g. the
     /// partner was deregistered in between).
     pub fn attach_partner(
@@ -1478,7 +1369,6 @@ mod tests {
     fn nested_chain_forms_a_trie_child() {
         let g = graph();
         let mut index = SharedJoinIndex::new();
-        assert!(index.trie_enabled());
         let a = chain_engine(&[1, 2], None);
         let b = chain_engine(&[1, 2], None);
         index.subscribe(QueryId(0), &a, 0, 0, &g);
@@ -1588,32 +1478,6 @@ mod tests {
         index.unsubscribe(QueryId(2));
         index.unsubscribe(QueryId(3));
         assert_eq!(index.stats().tables, 0);
-    }
-
-    #[test]
-    fn flat_mode_keeps_nested_tables_independent() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        index.set_trie(false);
-        assert!(!index.trie_enabled());
-        let a = chain_engine(&[1, 2, 3], None);
-        let b = chain_engine(&[1, 2, 3], None);
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
-        let c = chain_engine(&[1, 2], None);
-        let d = chain_engine(&[1, 2], None);
-        index.subscribe(QueryId(2), &c, 0, 0, &g);
-        index.subscribe(QueryId(3), &d, 0, 0, &g);
-        index.attach_partner(QueryId(2), &c, 0, &g);
-        // Two tables whose signatures nest, yet no trie links: each runs
-        // (and stores) its prefix independently under the PR 5 policy.
-        let nodes = index.trie_nodes();
-        assert_eq!(nodes.len(), 2);
-        assert!(nodes
-            .iter()
-            .all(|n| n.parent_depth.is_none() && n.children == 0));
-        assert_eq!(index.stats().parent_feeds, 0);
     }
 
     #[test]

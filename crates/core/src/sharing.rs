@@ -159,12 +159,6 @@ impl EdgeSearchCache {
             }
         }
     }
-
-    /// Drops all retained capacity (memo table, spare pool, search scratch),
-    /// returning the memory to the allocator.
-    pub fn release(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// The registry-wide index of canonical leaf shapes and their subscribers.

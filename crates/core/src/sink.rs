@@ -5,11 +5,10 @@
 //! allocated vector, so high-throughput consumers (benchmarks, counters,
 //! alert pipelines) can consume matches without per-event allocation.
 //!
-//! The sink is the **copy-on-emit boundary** of the interned match
-//! representation: partial matches live as fixed-width arena rows inside
-//! their `MatchStore`s, and a completion is materialized into the
-//! caller-visible [`SubgraphMatch`] form exactly once, on its way into
-//! `on_match`:
+//! The sink is the **copy-on-emit boundary**: partial matches only ever
+//! live as fixed-width arena rows inside their `MatchStore`s, and a
+//! completion is materialized into the caller-visible [`SubgraphMatch`]
+//! form exactly once, on its way into `on_match`:
 //!
 //! * a query evaluated wholly by a shared prefix table (its prefix spans
 //!   its whole SJ-Tree) has each match built from the table's emission row

@@ -14,16 +14,13 @@
 //! experiments that have them so the perf trajectory accumulates across
 //! runs: the `sharing` measurements go to the given path (e.g.
 //! `BENCH_sharing.json`), the `sharedjoin` measurements to
-//! `BENCH_sharedjoin.json`, the `drift` measurements to
-//! `BENCH_adaptive.json` and the `soak` measurements to `BENCH_soak.json`
-//! next to it; with no `--experiment` selected it implies running the
-//! sharing/sharedjoin/drift trio (`soak` runs only when asked for, being a
-//! sustained-load run).
+//! `BENCH_sharedjoin.json` and the `drift` measurements to
+//! `BENCH_adaptive.json` next to it; with no `--experiment` selected it
+//! implies running the sharing/sharedjoin/drift trio.
 
 use sp_bench::experiments::{
-    drift_measurements, render_drift, render_sharedjoin, render_sharing, render_soak,
-    run_experiment_with, sharedjoin_measurements, sharing_measurements, soak_measurements,
-    ALL_EXPERIMENTS, DEFAULT_PARALLEL_WORKERS,
+    drift_measurements, render_drift, render_sharedjoin, render_sharing, run_experiment_with,
+    sharedjoin_measurements, sharing_measurements, ALL_EXPERIMENTS, DEFAULT_PARALLEL_WORKERS,
 };
 use sp_bench::Scale;
 use std::io::Write as _;
@@ -106,7 +103,7 @@ fn parse_args() -> Result<Args, String> {
     } else if json.is_some()
         && !experiments
             .iter()
-            .any(|e| e == "sharing" || e == "sharedjoin" || e == "drift" || e == "soak")
+            .any(|e| e == "sharing" || e == "sharedjoin" || e == "drift")
     {
         // `--json` only has data to write when a structured experiment runs;
         // silently producing no file would be confusing, so run them too.
@@ -165,14 +162,6 @@ fn main() {
             std::fs::write(&path, data).expect("write sharedjoin json");
             eprintln!("[reproduce] wrote {}", path.display());
             Some(render_sharedjoin(&measurements))
-        } else if id == "soak" && args.json.is_some() {
-            let measurements = soak_measurements(args.scale, &args.workers);
-            let given = std::path::Path::new(args.json.as_deref().expect("checked above"));
-            let path = given.with_file_name("BENCH_soak.json");
-            let data = serde_json::to_string_pretty(&measurements).expect("serialize soak");
-            std::fs::write(&path, data).expect("write soak json");
-            eprintln!("[reproduce] wrote {}", path.display());
-            Some(render_soak(&measurements))
         } else if id == "drift" && args.json.is_some() {
             let measurements = drift_measurements(args.scale);
             let given = std::path::Path::new(args.json.as_deref().expect("checked above"));

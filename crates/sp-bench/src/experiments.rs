@@ -7,18 +7,17 @@ use crate::report::{
     render_per_query_profiles,
 };
 use crate::runner::{
-    query_expected_selectivity, query_relative_selectivity, run_drift, run_group,
-    run_metrics_overhead, run_multi_query, run_parallel, run_query, run_sharedjoin, run_sharing,
-    run_soak, sample_by_expected_selectivity, DriftMeasurement, Scale, SharedJoinMeasurement,
-    SharingMeasurement, SoakReport,
+    query_relative_selectivity, run_drift, run_group, run_multi_query, run_parallel, run_query,
+    run_sharedjoin, run_sharing, sample_by_expected_selectivity, DriftMeasurement, Scale,
+    SharedJoinMeasurement, SharingMeasurement,
 };
 use sp_datasets::{
-    soc_chain_rule, wide_soc_rules, Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig,
-    NytimesConfig, QueryGenerator, QueryKind,
+    soc_chain_rule, Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig,
+    QueryGenerator, QueryKind,
 };
 use sp_graph::Schema;
 use sp_query::QueryGraph;
-use sp_selectivity::{DriftConfig, SelectivityEstimator, TwoEdgePathCounter};
+use sp_selectivity::{DriftConfig, TwoEdgePathCounter};
 use sp_sjtree::{decompose, CostModel, PrimitivePolicy};
 use streampattern::{choose_strategy, Strategy, StrategySpec, RELATIVE_SELECTIVITY_THRESHOLD};
 
@@ -635,11 +634,10 @@ pub fn sharedjoin_rule_pack(schema: &Schema, n: usize) -> Vec<(QueryGraph, Optio
 /// appears under two windows. Registration order is shallow-first, so the
 /// shallow pair materializes a depth-2 trie node and the deep pair then
 /// creates its depth-3 child — two 2-node tries (`[TCP,ESP]→[TCP,ESP,TCP]`
-/// and `[ICMP,TCP]→[ICMP,TCP,UDP]`). Under the flat index the same four
-/// signatures get four *independent* tables, each re-running the shared
-/// prefix's leaf searches and storing its partials again; the trie-vs-flat
-/// columns of the `sharedjoin` experiment measure exactly that delta.
-/// Returns the first `n` rules (≤ 8).
+/// and `[ICMP,TCP]→[ICMP,TCP,UDP]`): each deep node consumes its parent's
+/// emissions (the `fed` column of the `sharedjoin` experiment) instead of
+/// re-running the shared prefix's leaf searches and storing its partials
+/// again. Returns the first `n` rules (≤ 8).
 pub fn sharedjoin_nested_rule_pack(schema: &Schema, n: usize) -> Vec<(QueryGraph, Option<u64>)> {
     let t = |name: &str| schema.edge_type(name).expect("netflow protocol interned");
     let chain = |name: &str, protos: &[&str]| {
@@ -669,9 +667,9 @@ pub fn sharedjoin_nested_rule_pack(schema: &Schema, n: usize) -> Vec<(QueryGraph
 /// past the inline capacity of 8) appearing under two windows AND as the
 /// proper prefix of a 9-edge extension that itself appears under two
 /// windows, mirroring [`sharedjoin_nested_rule_pack`]'s trie shape but in
-/// the spilled-match regime, so the trie-vs-flat assertions in the bench
-/// smoke exercise the interned row path on rows wider than any inline
-/// match. Returns the first `n` rules (≤ 8).
+/// the spilled-match regime, so the assertions in the bench smoke exercise
+/// the row path on rows wider than any inline match. Returns the first `n`
+/// rules (≤ 8).
 pub fn sharedjoin_wide_rule_pack(schema: &Schema, n: usize) -> Vec<(QueryGraph, Option<u64>)> {
     let lateral = ["TCP", "ESP", "TCP", "GRE", "TCP", "ESP", "TCP", "GRE"];
     let lateral_ext = [
@@ -740,12 +738,12 @@ pub fn sharedjoin_measurements(scale: Scale) -> Vec<SharedJoinMeasurement> {
             ));
         }
     }
-    // The nested-prefix packs are where the trie earns its keep over the
-    // flat index: the bench smoke fails outright if the trie does not
-    // strictly reduce both join-stage inserts and leaf searches there. The
-    // wide pack repeats the check in the spilled-match regime (>8 bindings
-    // per stored partial), so a regression in the interned wide-row path
-    // fails CI the same way a trie regression does.
+    // The nested-prefix packs are where the trie nests: the bench smoke
+    // fails outright if no depth-3 child forms and consumes its parent's
+    // emissions there, or if the stage does not strictly reduce join-stage
+    // inserts. The wide pack repeats the check in the spilled-match regime
+    // (>8 bindings per stored partial), so a regression in the wide-row
+    // path fails CI the same way a trie regression does.
     for (pack_name, pack) in [
         ("nested", sharedjoin_nested_rule_pack(&dataset.schema, 8)),
         ("wide", sharedjoin_wide_rule_pack(&dataset.schema, 8)),
@@ -753,20 +751,20 @@ pub fn sharedjoin_measurements(scale: Scale) -> Vec<SharedJoinMeasurement> {
         for strategy in [Strategy::Single, Strategy::SingleLazy] {
             let m = run_sharedjoin(dataset, &estimator, &pack, strategy, scale.stream_edges());
             assert!(
-                m.sharedjoin_join_inserts < m.flat_join_inserts,
-                "{} ({pack_name} pack): trie join index must strictly reduce join-stage \
-                 inserts vs flat ({} >= {})",
+                m.trie_max_depth >= 3 && m.parent_feeds > 0,
+                "{} ({pack_name} pack): no trie child consumed parent emissions \
+                 (max depth {}, fed {})",
                 m.strategy,
-                m.sharedjoin_join_inserts,
-                m.flat_join_inserts,
+                m.trie_max_depth,
+                m.parent_feeds,
             );
             assert!(
-                m.sharedjoin_searches < m.flat_searches,
-                "{} ({pack_name} pack): trie join index must strictly reduce leaf \
-                 searches vs flat ({} >= {})",
+                m.sharedjoin_join_inserts < m.leafonly_join_inserts,
+                "{} ({pack_name} pack): shared join stage must strictly reduce \
+                 join-stage inserts vs leaf-only ({} >= {})",
                 m.strategy,
-                m.sharedjoin_searches,
-                m.flat_searches,
+                m.sharedjoin_join_inserts,
+                m.leafonly_join_inserts,
             );
             out.push(m);
         }
@@ -787,34 +785,30 @@ pub fn render_sharedjoin(measurements: &[SharedJoinMeasurement]) -> String {
         rows.push(vec![
             m.queries.to_string(),
             m.strategy.clone(),
-            format!("{} (d{})", m.trie_nodes, m.trie_max_depth),
+            format!("{} (d{})", m.tables, m.trie_max_depth),
             m.join_subscriptions.to_string(),
             m.leafonly_join_inserts.to_string(),
-            m.flat_join_inserts.to_string(),
             m.sharedjoin_join_inserts.to_string(),
             format!("{:.1}%", 100.0 * m.insert_reduction()),
-            format!("{:.1}%", 100.0 * m.trie_insert_reduction()),
-            format!("{:.1}%", 100.0 * m.trie_search_reduction()),
+            m.leafonly_searches.to_string(),
+            m.sharedjoin_searches.to_string(),
             m.parent_feeds.to_string(),
             fmt_seconds(m.leafonly_elapsed.as_secs_f64()),
-            fmt_seconds(m.flat_elapsed.as_secs_f64()),
             fmt_seconds(m.sharedjoin_elapsed.as_secs_f64()),
             fmt_ratio(m.speedup()),
             m.matches.to_string(),
         ]);
     }
     format!(
-        "## Shared join stage — trie-structured prefix tables vs flat vs leaf-only\n\n\
+        "## Shared join stage — trie-structured prefix tables vs leaf-only\n\n\
          Overlapping windowed netflow rules: identical chains under different windows\n\
          share one canonical prefix table (window filtering at emit time), and rules\n\
          extending a shared chain nest as *child trie nodes* that consume the parent\n\
          node's root emissions instead of re-running its leaf searches and joins\n\
-         (`fed` counts those consumed emissions). The flat arm is the PR 5 index —\n\
-         one independent table per distinct signature — so `trie vs flat` is the\n\
-         marginal benefit of nesting. Match multisets are asserted identical across\n\
-         all arms; `inserts` counts every partial-match insert actually performed in\n\
-         the join stage (per-engine tables plus each shared node once), `searches`\n\
-         every leaf search physically run.\n\n{}",
+         (`fed` counts those consumed emissions). Match multisets are asserted\n\
+         identical between the arms; `inserts` counts every partial-match insert\n\
+         actually performed in the join stage (per-engine tables plus each shared\n\
+         node once), `searches` every leaf search physically run.\n\n{}",
         markdown_table(
             &[
                 "queries",
@@ -822,14 +816,12 @@ pub fn render_sharedjoin(measurements: &[SharedJoinMeasurement]) -> String {
                 "trie nodes",
                 "subscribed",
                 "inserts (leaf-only)",
-                "inserts (flat)",
                 "inserts (trie)",
                 "insert reduction",
-                "trie vs flat",
-                "searches: trie vs flat",
+                "searches (leaf-only)",
+                "searches (trie)",
                 "fed",
                 "leaf-only",
-                "flat",
                 "trie",
                 "speedup",
                 "matches",
@@ -1167,162 +1159,6 @@ pub fn costmodel(scale: Scale) -> String {
     )
 }
 
-/// The soak workload: the full 12-rule netflow pack, the two wide 9-edge
-/// spill-regime rules, plus generated 2- and 3-step path queries,
-/// most-selective-first, growing the registry far past the hand-written
-/// rules (58 queries at [`Scale::Large`]) so the soak run measures
-/// sustained *multi-query* throughput — including the spilled-match regime
-/// the interned row representation targets — not a boutique rule pack.
-pub fn soak_query_pack(
-    dataset: &Dataset,
-    estimator: &SelectivityEstimator,
-    scale: Scale,
-) -> Vec<QueryGraph> {
-    let mut pack = netflow_rule_pack(&dataset.schema, 12);
-    pack.extend(wide_soc_rules(&dataset.schema, 2));
-    let extra = match scale {
-        Scale::Small => 4,
-        Scale::Medium => 24,
-        Scale::Large => 44,
-    };
-    let mut generator =
-        QueryGenerator::new(dataset.schema.clone(), dataset.valid_triples.clone(), 77);
-    let mut pool = generator.generate_valid_batch(QueryKind::Path { length: 2 }, extra, estimator);
-    pool.extend(generator.generate_valid_batch(QueryKind::Path { length: 3 }, extra, estimator));
-    // Most selective first: the generated tail adds registry pressure and
-    // dispatch fan-out without letting one promiscuous pattern drown the
-    // stream in matches.
-    pool.sort_by(|a, b| {
-        query_expected_selectivity(a, estimator)
-            .partial_cmp(&query_expected_selectivity(b, estimator))
-            .expect("selectivities are finite")
-    });
-    pack.extend(pool.into_iter().take(extra));
-    pack
-}
-
-/// Soak measurements for the worker sweep, plus the sequential
-/// instrumentation-overhead probe. Serialized to `BENCH_soak.json` by the
-/// `reproduce` binary's `--json` flag.
-pub fn soak_measurements(scale: Scale, workers: &[usize]) -> SoakReport {
-    let dataset = &datasets(scale)[0];
-    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
-    let window = Some((scale.stream_edges() / 10).max(100) as u64);
-    let queries = soak_query_pack(dataset, &estimator, scale);
-    let runs = workers
-        .iter()
-        .map(|&w| {
-            run_soak(
-                dataset,
-                &estimator,
-                &queries,
-                Strategy::SingleLazy,
-                scale.stream_edges(),
-                window,
-                w,
-                10,
-            )
-        })
-        .collect();
-    let overhead = run_metrics_overhead(
-        dataset,
-        &estimator,
-        &netflow_rule_pack(&dataset.schema, 12),
-        Strategy::SingleLazy,
-        scale.stream_edges(),
-        window,
-    );
-    SoakReport { runs, overhead }
-}
-
-/// Sustained-throughput soak under live telemetry — the netflow firehose
-/// against the full soak query pack at each worker count, with per-interval
-/// edges/sec, detection-latency percentiles and the per-stage time split
-/// read off the metrics registry. Match multisets are asserted identical to
-/// metrics-off runs.
-pub fn soak(scale: Scale, workers: &[usize]) -> String {
-    render_soak(&soak_measurements(scale, workers))
-}
-
-/// Renders the `soak` experiment section from precomputed measurements.
-pub fn render_soak(report: &SoakReport) -> String {
-    let fmt_ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut rows = Vec::new();
-    for m in &report.runs {
-        rows.push(vec![
-            m.workers.to_string(),
-            m.queries.to_string(),
-            m.edges.to_string(),
-            format!("{:.0}", m.steady_eps),
-            format!("{:.0}", m.overall_eps),
-            fmt_ms(m.latency_p50_ns),
-            fmt_ms(m.latency_p99_ns),
-            fmt_ms(m.sojourn_p99_ns),
-            m.backpressure_stalls.to_string(),
-            format!("{:.1}%", 100.0 * m.metrics_overhead),
-            if m.allocs_per_edge < 0.0 {
-                "n/a".to_owned()
-            } else {
-                format!("{:.2}", m.allocs_per_edge)
-            },
-            if m.allocs_per_match < 0.0 {
-                "n/a".to_owned()
-            } else {
-                format!("{:.3}", m.allocs_per_match)
-            },
-            m.matches.to_string(),
-        ]);
-    }
-    let main = markdown_table(
-        &[
-            "workers",
-            "queries",
-            "edges",
-            "steady edges/s",
-            "overall edges/s",
-            "p50 latency (ms)",
-            "p99 latency (ms)",
-            "p99 sojourn (ms)",
-            "stalls",
-            "metrics cost",
-            "allocs/edge",
-            "allocs/match",
-            "matches",
-        ],
-        &rows,
-    );
-    let mut split_rows = Vec::new();
-    if let Some(first) = report.runs.first() {
-        let total: u64 = first.stage_split_ns.iter().map(|(_, ns)| ns).sum();
-        for (name, ns) in &first.stage_split_ns {
-            split_rows.push(vec![
-                name.clone(),
-                format!("{:.3}s", *ns as f64 / 1e9),
-                format!("{:.1}%", 100.0 * *ns as f64 / (total.max(1)) as f64),
-            ]);
-        }
-    }
-    let split = markdown_table(&["stage", "cpu time", "share"], &split_rows);
-    format!(
-        "## Soak — sustained throughput under live telemetry\n\n\
-         Netflow firehose against the soak query pack (12 SOC rules + 2 wide 9-edge\n\
-         spill-regime rules + generated path queries), processed in 10 drained\n\
-         intervals per worker count with a live\n\
-         metrics registry. Match multisets are asserted identical to metrics-off runs;\n\
-         `metrics cost` is the throughput the live registry consumed, and the stage\n\
-         split (first run, summed over worker replicas) reproduces the §6.4 claim that\n\
-         subgraph isomorphism dominates the per-edge budget.\n\n{main}\n\n\
-         ### Per-stage time split\n\n{split}\n\n\
-         Sequential instrumentation-overhead probe ({oq} queries, {oe} edges):\n\
-         metrics off {off:.0} edges/s vs on {on:.0} edges/s — overhead {ov:.2}%.\n",
-        oq = report.overhead.queries,
-        oe = report.overhead.edges,
-        off = report.overhead.off_eps,
-        on = report.overhead.on_eps,
-        ov = 100.0 * report.overhead.overhead,
-    )
-}
-
 /// Every experiment id accepted by the `reproduce` binary.
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "table1",
@@ -1344,7 +1180,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "sharedjoin",
     "parallel",
     "drift",
-    "soak",
 ];
 
 /// Runs one experiment by id with the default options, returning its
@@ -1376,7 +1211,6 @@ pub fn run_experiment_with(id: &str, scale: Scale, workers: &[usize]) -> Option<
         "sharedjoin" => sharedjoin(scale),
         "parallel" => parallel(scale, workers),
         "drift" => drift(scale),
-        "soak" => soak(scale, workers),
         _ => return None,
     };
     Some(section)
@@ -1404,7 +1238,6 @@ mod tests {
                         "sharedjoin",
                         "parallel",
                         "drift",
-                        "soak",
                     ]
                     .contains(id)
             );
@@ -1551,14 +1384,12 @@ mod tests {
     }
 
     #[test]
-    fn trie_beats_flat_on_the_nested_prefix_pack() {
-        // The acceptance bar for the trie restructure: on the nested-prefix
-        // pack (every 2-step chain is also the prefix of a registered
-        // 3-step pair), the trie must strictly reduce BOTH join-stage
-        // inserts and physically-run leaf searches versus the flat PR 5
-        // index, while actually forming depth-3 children that consume
-        // parent emissions. Multiset equality across all three arms is
-        // asserted inside run_sharedjoin.
+    fn nested_prefix_pack_forms_trie_children_that_consume_parent_emissions() {
+        // On the nested-prefix pack (every 2-step chain is also the prefix
+        // of a registered 3-step pair) the stage must actually form depth-3
+        // children that consume parent emissions, and strictly reduce
+        // join-stage inserts versus leaf-only sharing. Multiset equality
+        // between the arms is asserted inside run_sharedjoin.
         let d = &datasets(Scale::Small)[0];
         let est = d.estimator_from_prefix(d.len() / 4);
         let pack = sharedjoin_nested_rule_pack(&d.schema, 8);
@@ -1574,16 +1405,10 @@ mod tests {
                 "{strategy:?}: child nodes consumed no parent emissions"
             );
             assert!(
-                m.sharedjoin_join_inserts < m.flat_join_inserts,
-                "{strategy:?}: trie inserts {} not < flat inserts {}",
+                m.sharedjoin_join_inserts < m.leafonly_join_inserts,
+                "{strategy:?}: trie inserts {} not < leaf-only inserts {}",
                 m.sharedjoin_join_inserts,
-                m.flat_join_inserts,
-            );
-            assert!(
-                m.sharedjoin_searches < m.flat_searches,
-                "{strategy:?}: trie searches {} not < flat searches {}",
-                m.sharedjoin_searches,
-                m.flat_searches,
+                m.leafonly_join_inserts,
             );
         }
     }

@@ -16,7 +16,13 @@
 //! | `costmodel`| Appendix A — analytic cost model vs measurement | [`experiments::costmodel`] |
 //! | `multiquery` | Multi-query scaling: shared graph + edge-type dispatch vs N independent processors | [`experiments::multiquery`] |
 //! | `sharing`  | Shared-leaf evaluation: one leaf search per shape per edge vs per-engine searches | [`experiments::sharing`] |
-//! | `soak`     | Sustained-throughput soak under live telemetry: per-interval edges/s, latency percentiles, stage split | [`experiments::soak`] |
+//! | `sharedjoin` | Shared join stage: trie of canonical prefix tables vs leaf-only sharing | [`experiments::sharedjoin`] |
+//! | `parallel` | Threaded runtime vs the sequential processor across worker counts | [`experiments::parallel`] |
+//! | `drift`    | Drift-adaptive re-decomposition vs a frozen plan vs a post-shift oracle | [`experiments::drift`] |
+//!
+//! The repository's end-to-end benchmark (throughput, CPU, memory, latency
+//! and the per-layer trace) is the separate `benchmark/` package; see
+//! `benchmark/README.md`.
 //!
 //! The `reproduce` binary drives these functions and renders markdown tables
 //! (the basis of `EXPERIMENTS.md`); the Criterion benches under `benches/`
@@ -30,6 +36,6 @@ pub mod report;
 pub mod runner;
 
 pub use runner::{
-    MetricsOverhead, MultiQueryMeasurement, QueryGroupResult, RunMeasurement, Scale,
-    SharedJoinMeasurement, SharingMeasurement, SoakInterval, SoakMeasurement, SoakReport,
+    MultiQueryMeasurement, QueryGroupResult, RunMeasurement, Scale, SharedJoinMeasurement,
+    SharingMeasurement,
 };

@@ -430,11 +430,10 @@ pub fn run_sharing(
 }
 
 /// One measured shared-join run: the same rule pack executed on one
-/// shared-graph [`StreamProcessor`] three times — leaf-only sharing (the
-/// PR 3 architecture), the flat join index (PR 5: one canonical table per
-/// distinct prefix signature, nested prefixes independent), and the trie
-/// join index (nested prefixes share storage, parent emissions feed child
-/// nodes) — with identical match multisets asserted across all arms.
+/// shared-graph [`StreamProcessor`] twice — leaf-only sharing (the PR 3
+/// architecture) and the shared join stage (a trie of canonical prefix
+/// tables: nested prefixes share storage, parent emissions feed child
+/// nodes) — with identical match multisets asserted between the arms.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SharedJoinMeasurement {
     /// Number of registered queries.
@@ -446,10 +445,7 @@ pub struct SharedJoinMeasurement {
     /// Wall-clock time with leaf-only sharing.
     #[serde(with = "serde_duration")]
     pub leafonly_elapsed: Duration,
-    /// Wall-clock time with the flat (PR 5) shared join index.
-    #[serde(with = "serde_duration")]
-    pub flat_elapsed: Duration,
-    /// Wall-clock time with the trie-structured shared join index.
+    /// Wall-clock time with the shared join stage.
     #[serde(with = "serde_duration")]
     pub sharedjoin_elapsed: Duration,
     /// Matches found (asserted identical between the two arms).
@@ -461,19 +457,16 @@ pub struct SharedJoinMeasurement {
     /// Join-stage partial-match inserts of the leaf-only arm (every
     /// engine's own tables).
     pub leafonly_join_inserts: u64,
-    /// Join-stage inserts of the flat arm (engines' remaining private
-    /// tables plus one canonical table per distinct prefix signature).
-    pub flat_join_inserts: u64,
-    /// Join-stage inserts of the trie arm (engines' remaining private
-    /// tables plus each trie node once; a nested prefix's partials live
-    /// only in its deepest covering node).
+    /// Join-stage inserts of the shared-join arm (engines' remaining
+    /// private tables plus each trie node once; a nested prefix's partials
+    /// live only in its deepest covering node).
     pub sharedjoin_join_inserts: u64,
-    /// Total leaf searches the flat arm physically ran (engines' private
-    /// leaf searches plus the shared stage's prefix leaf searches).
-    pub flat_searches: u64,
-    /// Total leaf searches the trie arm physically ran, accounted the same
-    /// way — a child trie node consumes its parent's emissions instead of
-    /// re-running the parent's leaf searches.
+    /// Total leaf searches the leaf-only arm physically ran.
+    pub leafonly_searches: u64,
+    /// Total leaf searches the shared-join arm physically ran (engines'
+    /// private leaf searches plus the shared stage's prefix leaf searches —
+    /// a child trie node consumes its parent's emissions instead of
+    /// re-running the parent's leaf searches).
     pub sharedjoin_searches: u64,
     /// Prefix leaf searches the shared stage executed.
     pub prefix_searches_run: u64,
@@ -485,21 +478,17 @@ pub struct SharedJoinMeasurement {
     pub prefix_inserts_saved: u64,
     /// Prefix-root matches emitted by the shared tables.
     pub emissions: u64,
-    /// Live trie nodes at end of run (equals `tables`; named for the
-    /// trie-vs-flat comparison in the report).
-    pub trie_nodes: usize,
-    /// Deepest live trie node (> the flat arm's deepest table exactly when
-    /// nesting prefixes folded into one trie path).
+    /// Deepest live trie node (≥ 3 exactly when nesting prefixes folded
+    /// into one trie path).
     pub trie_max_depth: usize,
     /// Parent-node emissions child trie nodes consumed in place of
-    /// re-running the parent's leaf searches and joins (0 in the flat arm
-    /// by construction).
+    /// re-running the parent's leaf searches and joins.
     pub parent_feeds: u64,
 }
 
 impl SharedJoinMeasurement {
-    /// Fraction of the leaf-only arm's join-stage inserts the trie-shared
-    /// join stage eliminated.
+    /// Fraction of the leaf-only arm's join-stage inserts the shared join
+    /// stage eliminated.
     pub fn insert_reduction(&self) -> f64 {
         if self.leafonly_join_inserts == 0 {
             0.0
@@ -508,38 +497,16 @@ impl SharedJoinMeasurement {
         }
     }
 
-    /// Fraction of the *flat* index's join-stage inserts the trie
-    /// eliminated — the marginal benefit of nesting prefixes sharing
-    /// storage, over and above PR 5's signature-level sharing.
-    pub fn trie_insert_reduction(&self) -> f64 {
-        if self.flat_join_inserts == 0 {
-            0.0
-        } else {
-            1.0 - self.sharedjoin_join_inserts as f64 / self.flat_join_inserts as f64
-        }
-    }
-
-    /// Fraction of the flat index's physically-run leaf searches the trie
-    /// eliminated (child nodes consume parent emissions instead of
-    /// re-searching the shared prefix ranks).
-    pub fn trie_search_reduction(&self) -> f64 {
-        if self.flat_searches == 0 {
-            0.0
-        } else {
-            1.0 - self.sharedjoin_searches as f64 / self.flat_searches as f64
-        }
-    }
-
-    /// Speedup of the trie-shared arm over the leaf-only arm.
+    /// Speedup of the shared-join arm over the leaf-only arm.
     pub fn speedup(&self) -> f64 {
         self.leafonly_elapsed.as_secs_f64() / self.sharedjoin_elapsed.as_secs_f64().max(1e-12)
     }
 }
 
-/// Runs `rules` (query, window) over the first `limit` events three times
-/// on a shared-graph [`StreamProcessor`] — leaf-only sharing, the flat
-/// join index, and the trie join index — asserting identical match
-/// multisets and reporting all timings plus the join-stage work deltas.
+/// Runs `rules` (query, window) over the first `limit` events twice on a
+/// shared-graph [`StreamProcessor`] — leaf-only sharing and the shared join
+/// stage — asserting identical match multisets and reporting both timings
+/// plus the join-stage work deltas.
 pub fn run_sharedjoin(
     dataset: &Dataset,
     estimator: &SelectivityEstimator,
@@ -555,12 +522,11 @@ pub fn run_sharedjoin(
         searches: u64,
         stats: streampattern::SharedJoinStats,
     }
-    let run = |join_sharing: bool, trie: bool| -> Arm {
+    let run = |join_sharing: bool| -> Arm {
         let mut proc = StreamProcessor::new(dataset.schema.clone())
             .with_estimator(estimator.clone())
             .with_statistics(false)
-            .with_join_sharing(join_sharing)
-            .with_join_trie(trie);
+            .with_join_sharing(join_sharing);
         for (query, window) in rules {
             proc.register(query.clone(), strategy, *window)
                 .expect("query decomposes");
@@ -600,47 +566,31 @@ pub fn run_sharedjoin(
     // Interleave two passes per arm and keep the faster one, so allocator /
     // page-cache warm-up does not systematically favor whichever arm runs
     // last (the counter-based statistics are identical across passes).
-    let leafonly_first = run(false, true);
-    let flat_first = run(true, false);
-    let trie_first = run(true, true);
-    let leafonly_second = run(false, true);
-    let flat_second = run(true, false);
-    let trie_second = run(true, true);
+    let leafonly_first = run(false);
+    let trie_first = run(true);
+    let leafonly_second = run(false);
+    let trie_second = run(true);
     assert_eq!(
         trie_first.matches, leafonly_first.matches,
-        "the trie join stage changed the match multiset"
-    );
-    assert_eq!(
-        flat_first.matches, leafonly_first.matches,
-        "the flat join stage changed the match multiset"
-    );
-    assert!(
-        trie_first.join_inserts <= flat_first.join_inserts,
-        "the trie join index performed MORE join-stage inserts than the flat index \
-         ({} > {})",
-        trie_first.join_inserts,
-        flat_first.join_inserts,
+        "the shared join stage changed the match multiset"
     );
     SharedJoinMeasurement {
         queries: rules.len(),
         edges: events.len(),
         strategy: strategy.label().to_owned(),
         leafonly_elapsed: leafonly_first.elapsed.min(leafonly_second.elapsed),
-        flat_elapsed: flat_first.elapsed.min(flat_second.elapsed),
         sharedjoin_elapsed: trie_first.elapsed.min(trie_second.elapsed),
         matches: trie_first.matches.len() as u64,
         tables: trie_first.stats.tables,
         join_subscriptions: trie_first.stats.subscriptions,
         leafonly_join_inserts: leafonly_first.join_inserts,
-        flat_join_inserts: flat_first.join_inserts,
         sharedjoin_join_inserts: trie_first.join_inserts,
-        flat_searches: flat_first.searches,
+        leafonly_searches: leafonly_first.searches,
         sharedjoin_searches: trie_first.searches,
         prefix_searches_run: trie_first.stats.searches_run,
         prefix_searches_saved: trie_first.stats.searches_saved,
         prefix_inserts_saved: trie_first.stats.inserts_saved,
         emissions: trie_first.stats.emissions,
-        trie_nodes: trie_first.stats.tables,
         trie_max_depth: trie_first.stats.max_depth,
         parent_feeds: trie_first.stats.parent_feeds,
     }
@@ -972,329 +922,6 @@ pub fn run_parallel(
         matches: par_matches,
         backpressure_events,
         per_query,
-    }
-}
-
-/// One soak interval: a fixed-size slice of the stream, timed end to end
-/// (including the pipeline drain at the slice boundary).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SoakInterval {
-    /// Interval index, starting at 0.
-    pub index: usize,
-    /// Stream edges processed in this interval.
-    pub edges: usize,
-    /// Wall-clock time of the interval.
-    #[serde(with = "serde_duration")]
-    pub elapsed: Duration,
-    /// Interval throughput in stream edges per second.
-    pub eps: f64,
-    /// Matches delivered during this interval.
-    pub matches: u64,
-}
-
-/// One sustained-throughput soak run of the parallel runtime under a live
-/// [`MetricsRegistry`](sp_metrics::MetricsRegistry): the stream is processed
-/// in fixed-size intervals (each ending on a full pipeline drain, so the
-/// per-interval throughput is honest), and the per-stage counters plus the
-/// detection-latency histogram are read off the registry at the end. A
-/// second, metrics-off pass over the same stream asserts the match multiset
-/// is unchanged and prices the instrumentation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SoakMeasurement {
-    /// Worker threads.
-    pub workers: usize,
-    /// Registered queries.
-    pub queries: usize,
-    /// Total stream edges processed.
-    pub edges: usize,
-    /// Per-interval throughput time series.
-    pub intervals: Vec<SoakInterval>,
-    /// Total wall-clock time of the metered pass.
-    #[serde(with = "serde_duration")]
-    pub total_elapsed: Duration,
-    /// Whole-run throughput of the metered pass (edges/s).
-    pub overall_eps: f64,
-    /// Steady-state throughput: the median interval eps (robust to the cold
-    /// first interval and to drain jitter).
-    pub steady_eps: f64,
-    /// Matches found (asserted identical to the metrics-off pass).
-    pub matches: u64,
-    /// Detection latency (event arrival at the facade → match emission on a
-    /// worker), in nanoseconds, from the `match.latency_ns` histogram.
-    pub latency_p50_ns: u64,
-    /// 90th percentile detection latency.
-    pub latency_p90_ns: u64,
-    /// 99th percentile detection latency.
-    pub latency_p99_ns: u64,
-    /// 99.9th percentile detection latency.
-    pub latency_p999_ns: u64,
-    /// 99th percentile batch channel sojourn (`runtime.batch_sojourn_ns`).
-    pub sojourn_p99_ns: u64,
-    /// Ingest-loop stalls on full worker channels
-    /// (`runtime.backpressure_stalls_total`).
-    pub backpressure_stalls: u64,
-    /// Cumulative per-stage nanoseconds across all worker replicas, in
-    /// pipeline order (`stage.*` counters).
-    pub stage_split_ns: Vec<(String, u64)>,
-    /// Steady-state heap allocations per stream edge, metered by a third,
-    /// metrics-off pass with the counting global allocator (`count-allocs`
-    /// feature): the first half of the stream warms every scratch buffer,
-    /// the second half is differenced. `-1` when the feature is off.
-    pub allocs_per_edge: f64,
-    /// Steady-state heap bytes requested per stream edge over the same
-    /// metering slice. `-1` when the `count-allocs` feature is off.
-    pub bytes_per_edge: f64,
-    /// Steady-state heap allocations per **stored partial match** over the
-    /// same metering slice: the allocation delta divided by the growth of
-    /// the lifetime-inserted counters across every worker replica's match
-    /// stores (engines plus shared prefix tables). With interned match
-    /// storage this stays near zero even when matches spill the inline
-    /// binding width — each stored match is a fixed-width arena row, and
-    /// steady-state rows recycle through the arena free list. `-1` when the
-    /// `count-allocs` feature is off.
-    pub allocs_per_match: f64,
-    /// Whole-run throughput of the metrics-off pass over the same stream,
-    /// same interval structure (edges/s).
-    pub metrics_off_eps: f64,
-    /// Fractional throughput cost of live metrics:
-    /// `1 − overall_eps / metrics_off_eps`. Negative values are noise.
-    pub metrics_overhead: f64,
-}
-
-/// The full soak artifact serialized to `BENCH_soak.json`: one
-/// [`SoakMeasurement`] per worker count plus the sequential-processor
-/// instrumentation-overhead probe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SoakReport {
-    /// One soak run per worker count, in sweep order.
-    pub runs: Vec<SoakMeasurement>,
-    /// Metrics-on vs metrics-off throughput on the `sharing` workload.
-    pub overhead: MetricsOverhead,
-}
-
-/// Metrics-off overhead probe on the sequential processor: the `sharing`
-/// workload run with the instrumentation compiled in but disabled, against
-/// the same run with a live registry attached. With metrics off the hot path
-/// pays exactly one `Option` branch per edge, so `off` here is the honest
-/// stand-in for the pre-instrumentation baseline the <2 % budget is written
-/// against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MetricsOverhead {
-    /// Registered queries.
-    pub queries: usize,
-    /// Stream edges processed per pass.
-    pub edges: usize,
-    /// Throughput with metrics disabled (edges/s, best of two interleaved
-    /// passes).
-    pub off_eps: f64,
-    /// Throughput with a live registry attached (edges/s, best of two
-    /// interleaved passes).
-    pub on_eps: f64,
-    /// `1 − on_eps / off_eps`; negative values are noise.
-    pub overhead: f64,
-}
-
-/// Runs the `sharing`-shaped workload on the sequential [`StreamProcessor`]
-/// twice per arm (interleaved, keeping the faster pass) — metrics off versus
-/// a live [`MetricsRegistry`](sp_metrics::MetricsRegistry) — asserting equal
-/// match counts and reporting the throughput delta.
-pub fn run_metrics_overhead(
-    dataset: &Dataset,
-    estimator: &SelectivityEstimator,
-    queries: &[QueryGraph],
-    strategy: Strategy,
-    limit: usize,
-    window: Option<u64>,
-) -> MetricsOverhead {
-    let events = &dataset.events()[..limit.min(dataset.len())];
-    let run = |metered: bool| -> (Duration, u64) {
-        let mut proc = StreamProcessor::new(dataset.schema.clone())
-            .with_estimator(estimator.clone())
-            .with_statistics(false);
-        if metered {
-            let registry = sp_metrics::MetricsRegistry::new();
-            proc = proc.with_metrics(streampattern::PipelineMetrics::register(&registry));
-        }
-        for query in queries {
-            proc.register(query.clone(), strategy, window)
-                .expect("query decomposes");
-        }
-        let start = Instant::now();
-        let matches = proc.process_all(events.iter());
-        (start.elapsed(), matches)
-    };
-    let (off_a, off_matches) = run(false);
-    let (on_a, on_matches) = run(true);
-    let (off_b, _) = run(false);
-    let (on_b, _) = run(true);
-    assert_eq!(off_matches, on_matches, "metrics changed the match count");
-    let off_eps = events.len() as f64 / off_a.min(off_b).as_secs_f64().max(1e-12);
-    let on_eps = events.len() as f64 / on_a.min(on_b).as_secs_f64().max(1e-12);
-    MetricsOverhead {
-        queries: queries.len(),
-        edges: events.len(),
-        off_eps,
-        on_eps,
-        overhead: 1.0 - on_eps / off_eps.max(1e-12),
-    }
-}
-
-/// Runs `queries` over the first `limit` events on the parallel runtime with
-/// `workers` threads and a live metrics registry, in `num_intervals` drained
-/// slices, then re-runs the same stream metrics-off and asserts the match
-/// multiset is identical. See [`SoakMeasurement`] for what is reported.
-#[allow(clippy::too_many_arguments)]
-pub fn run_soak(
-    dataset: &Dataset,
-    estimator: &SelectivityEstimator,
-    queries: &[QueryGraph],
-    strategy: Strategy,
-    limit: usize,
-    window: Option<u64>,
-    workers: usize,
-    num_intervals: usize,
-) -> SoakMeasurement {
-    let events = &dataset.events()[..limit.min(dataset.len())];
-    let num_intervals = num_intervals.clamp(1, events.len().max(1));
-    let chunk = events.len().div_ceil(num_intervals).max(1);
-
-    let build = |registry: Option<&sp_metrics::MetricsRegistry>| {
-        let config = sp_runtime::RuntimeConfig::with_workers(workers).statistics(false);
-        let mut par = sp_runtime::ParallelStreamProcessor::new(dataset.schema.clone(), config)
-            .with_estimator(estimator.clone());
-        if let Some(registry) = registry {
-            par.enable_metrics(registry);
-        }
-        for query in queries {
-            par.register(query.clone(), strategy, window)
-                .expect("query decomposes");
-        }
-        par
-    };
-    // Both arms run the identical interval structure (process_all_into
-    // drains the pipeline at each slice boundary), so the off arm prices
-    // exactly the instrumentation, not a different barrier pattern.
-    let run =
-        |par: &mut sp_runtime::ParallelStreamProcessor| -> (Vec<SoakInterval>, Vec<(streampattern::QueryId, String)>) {
-            let mut intervals = Vec::with_capacity(num_intervals);
-            let mut found: Vec<(streampattern::QueryId, String)> = Vec::new();
-            for (index, slice) in events.chunks(chunk).enumerate() {
-                let mut matches = 0u64;
-                let mut sink = streampattern::FnSink(|q, m: streampattern::SubgraphMatch| {
-                    matches += 1;
-                    found.push((q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
-                });
-                let start = Instant::now();
-                par.process_all_into(slice.iter(), &mut sink);
-                let elapsed = start.elapsed();
-                intervals.push(SoakInterval {
-                    index,
-                    edges: slice.len(),
-                    elapsed,
-                    eps: slice.len() as f64 / elapsed.as_secs_f64().max(1e-12),
-                    matches,
-                });
-            }
-            found.sort();
-            (intervals, found)
-        };
-
-    let registry = sp_metrics::MetricsRegistry::new();
-    let mut metered = build(Some(&registry));
-    let (intervals, metered_matches) = run(&mut metered);
-    let stats = metered.stats();
-    drop(metered.shutdown());
-    let snapshot = registry.snapshot();
-
-    let mut plain = build(None);
-    let (plain_intervals, plain_matches) = run(&mut plain);
-    drop(plain.shutdown());
-    assert_eq!(
-        metered_matches, plain_matches,
-        "live metrics changed the match multiset at {workers} workers"
-    );
-
-    // Allocation metering (count-allocs builds): a dedicated metrics-off
-    // pass with a counting sink — the collecting sinks above format every
-    // match into a `String`, which would drown the hot path's allocator
-    // traffic in reporting noise. The first half of the stream warms the
-    // scratch buffers and channels; only the second half is differenced.
-    #[cfg(feature = "count-allocs")]
-    let (allocs_per_edge, bytes_per_edge, allocs_per_match) = {
-        let mut par = build(None);
-        let warm = events.len() / 2;
-        let mut sink = streampattern::CountSink::new();
-        par.process_all_into(events[..warm].iter(), &mut sink);
-        // The stored-match snapshots bracket the alloc counters from the
-        // *outside* (s0 before a0, s1 after a1): collecting worker reports
-        // allocates, and that reporting traffic must not land in the metered
-        // window.
-        let s0 = par.stored_matches();
-        let (a0, b0) = sp_metrics::alloc_counts();
-        par.process_all_into(events[warm..].iter(), &mut sink);
-        let (a1, b1) = sp_metrics::alloc_counts();
-        let s1 = par.stored_matches();
-        drop(par.shutdown());
-        let metered_edges = (events.len() - warm).max(1) as f64;
-        (
-            (a1 - a0) as f64 / metered_edges,
-            (b1 - b0) as f64 / metered_edges,
-            (a1 - a0) as f64 / (s1 - s0).max(1) as f64,
-        )
-    };
-    #[cfg(not(feature = "count-allocs"))]
-    let (allocs_per_edge, bytes_per_edge, allocs_per_match) = (-1.0, -1.0, -1.0);
-
-    let total_elapsed: Duration = intervals.iter().map(|i| i.elapsed).sum();
-    let plain_elapsed: Duration = plain_intervals.iter().map(|i| i.elapsed).sum();
-    let overall_eps = events.len() as f64 / total_elapsed.as_secs_f64().max(1e-12);
-    let metrics_off_eps = events.len() as f64 / plain_elapsed.as_secs_f64().max(1e-12);
-    let steady_eps = {
-        let mut eps: Vec<f64> = intervals.iter().map(|i| i.eps).collect();
-        eps.sort_by(|a, b| a.partial_cmp(b).expect("eps is finite"));
-        eps[eps.len() / 2]
-    };
-    let latency = snapshot
-        .histogram("match.latency_ns")
-        .map(|h| h.percentiles())
-        .unwrap_or_default();
-    let sojourn = snapshot
-        .histogram("runtime.batch_sojourn_ns")
-        .map(|h| h.percentiles())
-        .unwrap_or_default();
-    let stage_split_ns = [
-        "stage.ingest_ns",
-        "stage.dispatch_ns",
-        "stage.shared_join_ns",
-        "stage.shared_leaf_ns",
-        "stage.private_engine_ns",
-        "stage.emit_ns",
-        "stage.purge_ns",
-    ]
-    .iter()
-    .map(|&name| (name.to_owned(), snapshot.counter(name).unwrap_or(0)))
-    .collect();
-    SoakMeasurement {
-        workers,
-        queries: queries.len(),
-        edges: events.len(),
-        intervals,
-        total_elapsed,
-        overall_eps,
-        steady_eps,
-        matches: metered_matches.len() as u64,
-        latency_p50_ns: latency.p50,
-        latency_p90_ns: latency.p90,
-        latency_p99_ns: latency.p99,
-        latency_p999_ns: latency.p999,
-        sojourn_p99_ns: sojourn.p99,
-        backpressure_stalls: stats.backpressure_events,
-        stage_split_ns,
-        allocs_per_edge,
-        bytes_per_edge,
-        allocs_per_match,
-        metrics_off_eps,
-        metrics_overhead: 1.0 - overall_eps / metrics_off_eps.max(1e-12),
     }
 }
 

@@ -50,9 +50,9 @@ pub fn soc_chain_rule(schema: &Schema, name: &str, protocols: &[&str]) -> QueryG
 /// full matches carry 9 edge bindings plus 10 vertex bindings — far past
 /// `SubgraphMatch`'s inline capacity of 8, so every stored partial from
 /// depth 4 onward spills. These rules exist to keep the spilled-match
-/// regime exercised by the soak and sharedjoin packs; the rare inner
-/// protocols (ESP/GRE) damp the per-step fan-out so partial-match counts
-/// stay bounded. Returns the first `n` rules (≤ 2).
+/// regime exercised by the sharedjoin pack and the allocation ceilings;
+/// the rare inner protocols (ESP/GRE) damp the per-step fan-out so
+/// partial-match counts stay bounded. Returns the first `n` rules (≤ 2).
 pub fn wide_soc_rules(schema: &Schema, n: usize) -> Vec<QueryGraph> {
     let rules = [
         soc_chain_rule(
@@ -464,8 +464,7 @@ mod tests {
             assert_eq!(q.num_vertices(), 10);
             assert!(q.is_connected());
             // 9 edge bindings + 10 vertex bindings = 19 > the inline
-            // capacity of 8 — a full match must spill to the heap under the
-            // materialized representation.
+            // capacity of 8 — a full `SubgraphMatch` must spill to the heap.
             assert!(q.num_edges() + q.num_vertices() > 8);
         }
     }

@@ -65,12 +65,6 @@ impl SearchScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Drops all retained capacity, returning the scratch to its freshly
-    /// constructed state (the `scratch reuse off` measurement arm).
-    pub fn release(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// Finds every match of `subgraph` (a connected subgraph of `query`) in the
@@ -570,15 +564,14 @@ mod tests {
         }
         assert!(!fresh.is_empty());
         assert_eq!(reused, fresh);
-        // Releasing the scratch drops capacity but not correctness.
-        scratch.release();
-        let mut after_release = Vec::new();
+        // A warm scratch and a cold one agree.
+        let (mut warm, mut cold) = (Vec::new(), Vec::new());
         let e = *g.edges_between(v[0], v[1]).next().unwrap();
-        find_matches_containing_edge_into(&g, &q, &whole, &e, &mut scratch, &mut after_release);
-        assert_eq!(
-            after_release,
-            find_matches_containing_edge(&g, &q, &whole, &e)
-        );
+        find_matches_containing_edge_into(&g, &q, &whole, &e, &mut scratch, &mut warm);
+        let mut fresh_scratch = SearchScratch::new();
+        find_matches_containing_edge_into(&g, &q, &whole, &e, &mut fresh_scratch, &mut cold);
+        assert_eq!(warm, cold);
+        assert_eq!(warm, find_matches_containing_edge(&g, &q, &whole, &e));
     }
 
     #[test]

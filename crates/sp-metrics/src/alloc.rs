@@ -8,9 +8,9 @@
 //! crate keeps its `forbid(unsafe_code)` guarantee.
 //!
 //! The counters are process totals. Callers meter a region by differencing
-//! [`alloc_counts`] snapshots around it — the soak benchmark does exactly
-//! that across its steady-state measurement slice to derive the
-//! `alloc.allocs_per_edge` / `alloc.bytes_per_edge` metrics. Readings are
+//! [`alloc_counts`] snapshots around it — `tests/integration_scratch.rs`
+//! does exactly that across a steady-state slice of the stream to derive
+//! its allocs-per-edge and allocs-per-stored-match ceilings. Readings are
 //! only meaningful on single-threaded regions or when concurrent activity
 //! is accounted for by the caller.
 #![allow(unsafe_code)]

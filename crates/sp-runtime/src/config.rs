@@ -42,16 +42,6 @@ pub struct RuntimeConfig {
     /// pre-registered queries are unaffected: a match can only use edges
     /// whose types occur in its query.
     pub ingest_filter: bool,
-    /// Whether each worker's engines intern their private partial-match
-    /// stores as fixed-width arena rows (default) or keep materialized
-    /// buckets (shared prefix tables are always interned) —
-    /// applied to the worker's `StreamProcessor` replica at spawn, mirroring
-    /// the sequential processor's `with_match_interning`. Note the metering
-    /// line: interning covers *storage and joining*; matches crossing the
-    /// aggregation channel to the facade are always materialized
-    /// `SubgraphMatch` values (the copy-on-emit boundary), so channel
-    /// payloads are representation-independent.
-    pub match_interning: bool,
     /// Drift-adaptive re-decomposition (`None` = off). When set, the facade
     /// checks every registered query's drift detector against the
     /// ingest-path statistics every `check_interval` edges and, on a
@@ -74,7 +64,6 @@ impl Default for RuntimeConfig {
             purge_interval: 4096,
             collect_statistics: true,
             ingest_filter: false,
-            match_interning: true,
             adaptive: None,
         }
     }
@@ -126,13 +115,6 @@ impl RuntimeConfig {
     /// [`RuntimeConfig::ingest_filter`] for the trade-off).
     pub fn ingest_filtering(mut self, enabled: bool) -> Self {
         self.ingest_filter = enabled;
-        self
-    }
-
-    /// Enables or disables interned match storage in every worker replica
-    /// (see [`RuntimeConfig::match_interning`]).
-    pub fn match_interning(mut self, enabled: bool) -> Self {
-        self.match_interning = enabled;
         self
     }
 

@@ -110,8 +110,7 @@ pub struct WorkerReport {
     /// Edges currently live in the shard's graph replica.
     pub graph_edges_live: usize,
     /// Total partial matches ever stored by this replica's match stores
-    /// (engines plus shared prefix tables) — this worker's share of the
-    /// soak's `alloc.allocs_per_match` denominator.
+    /// (engines plus shared prefix tables).
     pub stored_matches: u64,
 }
 
@@ -129,8 +128,7 @@ pub(crate) fn worker_loop(
     // stream prefix a sequential processor would have seen.
     let mut proc = StreamProcessor::new(schema)
         .with_statistics(false)
-        .with_purge_interval(config.purge_interval)
-        .with_match_interning(config.match_interning);
+        .with_purge_interval(config.purge_interval);
     let mut to_global: HashMap<QueryId, QueryId> = HashMap::new();
     let mut to_local: HashMap<QueryId, QueryId> = HashMap::new();
     let mut retention_override: Option<Option<u64>> = None;

@@ -12,32 +12,21 @@
 //! level up. A join that reaches the root is a complete match of the query
 //! and is returned to the caller instead of being stored.
 //!
-//! # Two storage backings
+//! # Storage representation
 //!
-//! A store runs in one of two representations:
-//!
-//! * **Materialized** — buckets hold [`SubgraphMatch`] values directly. For
-//!   queries whose matches fit the inline binding maps this is already
-//!   allocation-free, and it is the representation callers observe at the
-//!   emit boundary.
-//! * **Interned** — every stored match is a fixed-width row of `u64` slots
-//!   in a store-owned [`RowArena`]: one slot per query edge (slot index =
-//!   `QueryEdgeId.0`), one per query vertex (`ew + QueryVertexId.0`), plus
-//!   two timestamp words. Buckets hold copyable `u32` row ids; joins read
-//!   and write slots at fixed offsets. A join that reaches the root is
-//!   reported, never stored, so it never enters the arena: it is built from
-//!   its two operand rows straight into the caller's target — a
-//!   [`SubgraphMatch`] for a private engine (*copy-on-emit*, [`MatchStore::insert`]),
-//!   or a raw [`RowLayout`] row for a shared prefix table, whose consumers
-//!   materialize it once, at the sink ([`MatchStore::insert_emit_rows`]).
-//!   Matches that spill the inline binding maps (> 8 bindings)
-//!   heap-allocate on every clone in the materialized backing — the
-//!   interned backing stores them with **zero** steady-state allocations,
-//!   because expired rows recycle through the arena free list.
-//!
-//! Both backings run the identical Algorithm-2 flow (same keys, same
-//! per-bucket sort order, same window filter), which the multiset
-//! equivalence suites pin down.
+//! Every stored match is a fixed-width row of `u64` slots in a store-owned
+//! [`RowArena`]: one slot per query edge (slot index = `QueryEdgeId.0`), one
+//! per query vertex (`ew + QueryVertexId.0`), plus two timestamp words.
+//! Buckets hold copyable `u32` row ids; joins read and write slots at fixed
+//! offsets. A join that reaches the root is reported, never stored, so it
+//! never enters the arena: it is built from its two operand rows straight
+//! into the caller's target — a [`SubgraphMatch`] for a private engine
+//! (*copy-on-emit*, [`MatchStore::insert`]), or a raw [`RowLayout`] row for a
+//! shared prefix table, whose consumers materialize it once, at the sink
+//! ([`MatchStore::insert_emit_rows`]). Matches of any width — including ones
+//! that would spill a `SubgraphMatch`'s inline binding maps (> 8 bindings) —
+//! are stored with **zero** steady-state allocations, because expired rows
+//! recycle through the arena free list.
 
 use crate::node::NodeId;
 use crate::tree::SjTree;
@@ -46,20 +35,15 @@ use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
 use sp_query::{QueryEdgeId, QueryVertexId};
 use std::collections::HashMap;
 
-/// Hash table of materialized matches for one SJ-Tree node, keyed by the
+/// Hash table of the matches stored at one SJ-Tree node, keyed by the
 /// projection of each match onto the parent's cut vertices. Keys are
 /// interned [`JoinKey`]s — cut sets of up to three vertices (every tree the
 /// built-in decompositions produce) are stored inline, so computing the key
-/// per insert does not heap-allocate. Every bucket is kept **sorted** (by
-/// `SubgraphMatch`'s derived ordering) so duplicate detection on insert is a
-/// binary search instead of a linear scan — on a high-fan-in cut vertex a
-/// single bucket can hold thousands of partial matches, and the old
-/// `bucket.contains(&m)` scan made every insert `O(n)`.
-type MatTable = HashMap<JoinKey, Vec<SubgraphMatch>>;
-
-/// Hash table of interned matches for one node: buckets hold arena row ids,
-/// sorted by the rows' full-slot lexicographic order (which coincides with
-/// the materialized ordering inside a bucket — see [`RowArena::cmp_rows`]).
+/// per insert does not heap-allocate. Buckets hold arena row ids and are
+/// kept **sorted** by the rows' full-slot lexicographic order
+/// ([`RowArena::cmp_rows`]), so duplicate detection on insert is a binary
+/// search instead of a linear scan — on a high-fan-in cut vertex a single
+/// bucket can hold thousands of partial matches.
 type RowTable = HashMap<JoinKey, Vec<u32>>;
 
 /// Upper bound on recycled bucket vectors kept in a store's free list. A
@@ -68,13 +52,13 @@ type RowTable = HashMap<JoinKey, Vec<u32>>;
 /// window's worth of peak memory forever.
 const SPARE_BUCKETS_CAP: usize = 1024;
 
-/// Slot value marking an unbound query edge/vertex in an interned row. Edge
+/// Slot value marking an unbound query edge/vertex in a stored row. Edge
 /// ids are dense indices assigned by the graph and can never reach it;
 /// vertex ids come from the stream, so the processors reject an event naming
 /// vertex `u64::MAX` before it is ingested.
 pub const UNBOUND: u64 = u64::MAX;
 
-/// The slot schema of one fixed-width interned row: where the edge, vertex
+/// The slot schema of one fixed-width stored row: where the edge, vertex
 /// and timestamp words of a row emitted by
 /// [`MatchStore::insert_emit_rows`] sit.
 ///
@@ -109,14 +93,14 @@ impl RowLayout {
 
 /// Moves an emptied bucket into the free list, dropping it instead when the
 /// pool is full or the bucket never grew.
-fn recycle<T>(spare: &mut Vec<Vec<T>>, mut bucket: Vec<T>) {
+fn recycle(spare: &mut Vec<Vec<u32>>, mut bucket: Vec<u32>) {
     if spare.len() < SPARE_BUCKETS_CAP && bucket.capacity() > 0 {
         bucket.clear();
         spare.push(bucket);
     }
 }
 
-/// The slab behind an interned [`MatchStore`]: every stored match is one
+/// The slab behind a [`MatchStore`]: every stored match is one
 /// fixed-width row of `stride` consecutive `u64` words in `data`.
 ///
 /// Row layout (slot schema), derived from the query's canonical numbering:
@@ -207,7 +191,7 @@ impl RowArena {
         row
     }
 
-    /// Encodes a materialized match into a fresh row.
+    /// Encodes a [`SubgraphMatch`] into a fresh row.
     fn encode(&mut self, m: &SubgraphMatch) -> u32 {
         let row = self.alloc();
         let b = self.base(row);
@@ -303,17 +287,15 @@ impl RowArena {
     /// exactly the same slot set (all matches at node `n` are matches of
     /// `subgraph(n)`), so unbound slots compare equal and the order reduces
     /// to data bindings in ascending query-id order followed by the time
-    /// span — exactly `SubgraphMatch`'s derived ordering restricted to a
-    /// bucket. Dedup and sorted-insert therefore behave identically in both
-    /// backings.
+    /// span.
     fn cmp_rows(&self, a: u32, b: u32) -> std::cmp::Ordering {
         let (ab, bb) = (self.base(a), self.base(b));
         self.data[ab..ab + self.stride].cmp(&self.data[bb..bb + self.stride])
     }
 
     /// Whether two rows join, and the joined time span `(earliest, latest)`
-    /// if so — the interned mirror of [`SubgraphMatch::compatible_with`]
-    /// plus the window filter (applied *before* anything is written, so
+    /// if so — the row form of [`SubgraphMatch::compatible_with`] plus the
+    /// window filter (applied *before* anything is written, so
     /// rejected joins cost no row traffic):
     ///
     /// * vertex slots bound by both rows must agree;
@@ -357,7 +339,7 @@ impl RowArena {
         Some((earliest, latest))
     }
 
-    /// Joins two rows into a fresh row (the interned mirror of
+    /// Joins two rows into a fresh row (the row form of
     /// [`SubgraphMatch::join`]), for joins that are stored one level up.
     fn join_rows(&mut self, a: u32, b: u32, window: Option<u64>) -> Option<u32> {
         let (earliest, latest) = self.joinable(a, b, window)?;
@@ -407,7 +389,7 @@ fn union_slots<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a
         .map(|(&av, &bv)| if av != UNBOUND { av } else { bv })
 }
 
-/// Where the joins that reach the root of an interned store are reported.
+/// Where the joins that reach the root of a store are reported.
 enum Emit<'a> {
     /// Materialized, one [`SubgraphMatch`] per join (a private engine's
     /// complete matches).
@@ -415,25 +397,6 @@ enum Emit<'a> {
     /// Appended as raw rows, [`RowLayout::stride`] words per join (a shared
     /// prefix table's emissions).
     Rows(&'a mut Vec<u64>),
-}
-
-/// The storage backing of a [`MatchStore`]; see the module docs for the
-/// trade-off. Both variants share the `inserted` lifetime counters on the
-/// store itself, so conversion preserves every externally visible counter.
-#[derive(Debug, Clone)]
-enum Backing {
-    Materialized {
-        tables: Vec<MatTable>,
-        /// Free list of emptied bucket vectors (capacity preserved),
-        /// refilled by the purge/clear paths and drained by inserts at
-        /// previously unseen join keys.
-        spare: Vec<Vec<SubgraphMatch>>,
-    },
-    Interned {
-        arena: RowArena,
-        tables: Vec<RowTable>,
-        spare: Vec<Vec<u32>>,
-    },
 }
 
 /// The flat, allocation-free record of one recursive insert: which nodes
@@ -506,117 +469,44 @@ pub struct StoreStats {
 
 /// Runtime partial-match storage for one SJ-Tree.
 ///
-/// Bucket memory is arena-style in both backings: materialized matches small
-/// enough for the inline representation live directly in the bucket vector —
-/// dropping a match is a plain `Vec` truncation — while the interned backing
-/// stores *every* match (spilled or not) as a fixed-width arena row
-/// addressed by a copyable id. Bucket vectors emptied by window expiry are
-/// recycled through a bounded free list (`spare`) instead of being freed, so
-/// the next insert at a fresh join key reuses their capacity.
+/// Every stored match (spilled or not) is a fixed-width arena row addressed
+/// by a copyable id. Bucket vectors emptied by window expiry are recycled
+/// through a bounded free list (`spare`) instead of being freed, so the next
+/// insert at a fresh join key reuses their capacity.
 #[derive(Debug, Clone)]
 pub struct MatchStore {
-    backing: Backing,
+    arena: RowArena,
+    tables: Vec<RowTable>,
+    /// Free list of emptied bucket vectors (capacity preserved), refilled by
+    /// the purge/clear paths and drained by inserts at previously unseen
+    /// join keys.
+    spare: Vec<Vec<u32>>,
     inserted: Vec<u64>,
 }
 
 impl MatchStore {
-    /// Creates an empty **materialized** store shaped for the given tree.
+    /// Creates an empty store shaped for the given tree: the row schema is
+    /// one slot per query edge and vertex of `tree.query()`.
     pub fn new(tree: &SjTree) -> Self {
-        Self {
-            backing: Backing::Materialized {
-                tables: vec![MatTable::new(); tree.num_nodes()],
-                spare: Vec::new(),
-            },
-            inserted: vec![0; tree.num_nodes()],
-        }
-    }
-
-    /// Creates an empty **interned** store shaped for the given tree: the
-    /// row schema is one slot per query edge and vertex of `tree.query()`.
-    pub fn new_interned(tree: &SjTree) -> Self {
         let q = tree.query();
         Self {
-            backing: Backing::Interned {
-                arena: RowArena::new(q.num_edges(), q.num_vertices()),
-                tables: vec![RowTable::new(); tree.num_nodes()],
-                spare: Vec::new(),
-            },
+            arena: RowArena::new(q.num_edges(), q.num_vertices()),
+            tables: vec![RowTable::new(); tree.num_nodes()],
+            spare: Vec::new(),
             inserted: vec![0; tree.num_nodes()],
         }
     }
 
-    /// `true` when matches are stored as interned arena rows.
-    pub fn is_interned(&self) -> bool {
-        matches!(self.backing, Backing::Interned { .. })
-    }
-
-    /// Converts the store between backings **in place**, preserving every
-    /// stored match, every join key and the per-bucket order (row order and
-    /// match order coincide inside a bucket — `RowArena::cmp_rows`), so a
-    /// live engine can switch representations mid-stream without replay.
-    /// The lifetime-inserted counters are untouched. A no-op when the store
-    /// is already in the requested backing.
-    pub fn set_interning(&mut self, tree: &SjTree, enabled: bool) {
-        if enabled == self.is_interned() {
-            return;
-        }
-        if enabled {
-            let Backing::Materialized { tables, .. } = &mut self.backing else {
-                unreachable!("checked above");
-            };
-            let q = tree.query();
-            let mut arena = RowArena::new(q.num_edges(), q.num_vertices());
-            let new_tables: Vec<RowTable> = tables
-                .iter_mut()
-                .map(|t| {
-                    t.drain()
-                        .map(|(k, bucket)| (k, bucket.iter().map(|m| arena.encode(m)).collect()))
-                        .collect()
-                })
-                .collect();
-            self.backing = Backing::Interned {
-                arena,
-                tables: new_tables,
-                spare: Vec::new(),
-            };
-        } else {
-            let Backing::Interned { arena, tables, .. } = &mut self.backing else {
-                unreachable!("checked above");
-            };
-            let new_tables: Vec<MatTable> = tables
-                .iter_mut()
-                .map(|t| {
-                    t.drain()
-                        .map(|(k, bucket)| (k, bucket.iter().map(|&r| arena.decode(r)).collect()))
-                        .collect()
-                })
-                .collect();
-            self.backing = Backing::Materialized {
-                tables: new_tables,
-                spare: Vec::new(),
-            };
-        }
+    /// Alias of [`MatchStore::new`], kept for callers written when a second
+    /// representation existed.
+    #[doc(hidden)]
+    pub fn new_interned(tree: &SjTree) -> Self {
+        Self::new(tree)
     }
 
     /// Number of recycled bucket vectors currently in the free list.
     pub fn spare_buckets(&self) -> usize {
-        match &self.backing {
-            Backing::Materialized { spare, .. } => spare.len(),
-            Backing::Interned { spare, .. } => spare.len(),
-        }
-    }
-
-    /// Drops the recycled-bucket free list (the `scratch reuse off`
-    /// measurement arm; steady-state operation never calls this). In the
-    /// interned backing the arena's row free list is dropped too.
-    pub fn release_spare(&mut self) {
-        match &mut self.backing {
-            Backing::Materialized { spare, .. } => *spare = Vec::new(),
-            Backing::Interned { spare, arena, .. } => {
-                *spare = Vec::new();
-                arena.free = Vec::new();
-            }
-        }
+        self.spare.len()
     }
 
     /// Inserts a match of `node`'s subgraph, performing the recursive hash
@@ -660,9 +550,8 @@ impl MatchStore {
     }
 
     /// The entry point behind both insert flavours: handles the single-node
-    /// (root) case, then dispatches to the backing-specific recursion. In
-    /// the interned backing the match is encoded into the arena exactly
-    /// once, here; every recursive step above works on row ids.
+    /// (root) case, then encodes the match into the arena exactly once;
+    /// every recursive step above works on row ids.
     fn insert_inner(
         &mut self,
         tree: &SjTree,
@@ -680,48 +569,14 @@ impl MatchStore {
             }
             return;
         }
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => insert_mat(
-                tables,
-                spare,
-                &mut self.inserted,
-                tree,
-                node,
-                m,
-                window,
-                complete,
-                trace,
-            ),
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                let row = arena.encode(&m);
-                insert_rows(
-                    arena,
-                    tables,
-                    spare,
-                    &mut self.inserted,
-                    tree,
-                    node,
-                    row,
-                    window,
-                    &mut Emit::Matches(complete),
-                    trace,
-                );
-            }
-        }
+        let row = self.arena.encode(&m);
+        self.insert_rows(tree, node, row, window, &mut Emit::Matches(complete), trace);
     }
 
-    /// The row schema of an interned store (`None` for the materialized
-    /// backing): the layout of the rows [`MatchStore::insert_emit_rows`]
-    /// reports.
-    pub fn row_layout(&self) -> Option<RowLayout> {
-        match &self.backing {
-            Backing::Materialized { .. } => None,
-            Backing::Interned { arena, .. } => Some(arena.layout()),
-        }
+    /// The row schema of this store: the layout of the rows
+    /// [`MatchStore::insert_emit_rows`] reports.
+    pub fn row_layout(&self) -> RowLayout {
+        self.arena.layout()
     }
 
     /// [`MatchStore::insert`] for a store whose root joins are consumed as
@@ -729,9 +584,6 @@ impl MatchStore {
     /// [`RowLayout::stride`] raw words instead of being materialized. The
     /// shared join stage runs its prefix tables through this, so a
     /// prefix-root match is a `SubgraphMatch` only once, at the sink.
-    ///
-    /// # Panics
-    /// Panics when the store is not interned.
     pub fn insert_emit_rows(
         &mut self,
         tree: &SjTree,
@@ -740,7 +592,8 @@ impl MatchStore {
         window: Option<u64>,
         rows: &mut Vec<u64>,
     ) {
-        self.insert_row_with(tree, node, window, rows, |arena| arena.encode(&m));
+        let row = self.arena.encode(&m);
+        self.insert_arena_row(tree, node, row, window, rows);
     }
 
     /// Like [`MatchStore::insert_emit_rows`], for a match that already is a
@@ -748,9 +601,6 @@ impl MatchStore {
     /// that store's layout; canonical ids line up by prefix-closure). The
     /// row is copied slot for slot; nothing is materialized. This is how a
     /// trie child of the shared join stage consumes its parent's emissions.
-    ///
-    /// # Panics
-    /// Panics when the store is not interned.
     pub fn insert_row_emit_rows(
         &mut self,
         tree: &SjTree,
@@ -760,57 +610,126 @@ impl MatchStore {
         window: Option<u64>,
         rows: &mut Vec<u64>,
     ) {
-        self.insert_row_with(tree, node, window, rows, |arena| arena.adopt(src, from));
+        let row = self.arena.adopt(src, from);
+        self.insert_arena_row(tree, node, row, window, rows);
     }
 
-    fn insert_row_with(
+    /// The shared tail of the row-emitting inserts: `row` is already in the
+    /// arena.
+    fn insert_arena_row(
         &mut self,
         tree: &SjTree,
         node: NodeId,
+        row: u32,
         window: Option<u64>,
         rows: &mut Vec<u64>,
-        make_row: impl FnOnce(&mut RowArena) -> u32,
     ) {
-        let Backing::Interned {
-            arena,
-            tables,
-            spare,
-        } = &mut self.backing
-        else {
-            panic!("row emission requires the interned backing");
-        };
-        let row = make_row(arena);
         if node == tree.root() {
             // A single-node tree: the inserted match is the emission.
-            let (words, layout) = (arena.row(row), arena.layout());
+            let (words, layout) = (self.arena.row(row), self.arena.layout());
             if window
                 .is_none_or(|tw| layout.latest(words).saturating_sub(layout.earliest(words)) < tw)
             {
                 rows.extend_from_slice(words);
             }
-            arena.release(row);
+            self.arena.release(row);
             return;
         }
-        insert_rows(
-            arena,
-            tables,
-            spare,
-            &mut self.inserted,
-            tree,
-            node,
-            row,
-            window,
-            &mut Emit::Rows(rows),
-            None,
-        );
+        self.insert_rows(tree, node, row, window, &mut Emit::Rows(rows), None);
+    }
+
+    /// The recursive update (Algorithm 2): every probe, key projection,
+    /// dedup comparison and join works on fixed-width arena rows addressed
+    /// by copyable ids. A join that reaches the root goes straight from its
+    /// two operand rows into `emit` ([`RowArena::emit_join`]) — the
+    /// copy-on-emit boundary; everything below the root moves **zero** match
+    /// bytes through the allocator, spilled or not. The trace is optional so
+    /// the untraced path (single-edge strategies and the shared join stage's
+    /// per-edge feed, i.e. the steady-state hot path) never materialises
+    /// one.
+    fn insert_rows(
+        &mut self,
+        tree: &SjTree,
+        node: NodeId,
+        row: u32,
+        window: Option<u64>,
+        emit: &mut Emit<'_>,
+        mut trace: Option<&mut InsertTrace>,
+    ) {
+        let parent = tree.parent(node).expect("non-root node has a parent");
+        let sibling = tree.sibling(node).expect("non-root node has a sibling");
+        let cut = &tree.node(parent).cut_vertices;
+        let Some(key) = self.arena.project_key(row, cut) else {
+            // The match does not bind all cut vertices; this cannot happen
+            // for leaf matches produced by the anchored matcher (leaves bind
+            // every vertex of their subgraph), so treat it as a no-op.
+            self.arena.release(row);
+            return;
+        };
+
+        // Deduplicate: buckets are sorted, so membership is O(log n). The
+        // failed search also yields the position that keeps the bucket
+        // sorted when the row is stored below. A miss on the key itself
+        // claims a recycled bucket vector from the free list up front.
+        let (insert_at, recycled) = match self.tables[node.0].get(&key) {
+            Some(bucket) => match bucket.binary_search_by(|&r| self.arena.cmp_rows(r, row)) {
+                Ok(_) => {
+                    // Duplicate: the row never entered a table, recycle it.
+                    self.arena.release(row);
+                    return;
+                }
+                Err(pos) => (pos, None),
+            },
+            None => (0, Some(self.spare.pop().unwrap_or_default())),
+        };
+
+        // Probe the sibling's table with the same key and join (lines 4-7
+        // of Algorithm 2). Failed joins (incompatible or out-of-window) are
+        // rejected before any row is allocated, so only *stored* joins ever
+        // touch the arena; root joins are reported in place. The
+        // accumulator comes from the recycled-bucket free list: a freshly
+        // collected vector here would put one heap allocation on every
+        // joining insert.
+        let at_root = parent == tree.root();
+        let mut joined = if at_root {
+            Vec::new()
+        } else {
+            self.spare.pop().unwrap_or_default()
+        };
+        if let Some(bucket) = self.tables[sibling.0].get(&key) {
+            for &other in bucket {
+                if at_root {
+                    self.arena.emit_join(row, other, window, emit);
+                } else if let Some(j) = self.arena.join_rows(row, other, window) {
+                    joined.push(j);
+                }
+            }
+        }
+
+        // Store the new row at this node (line 12), preserving the sorted
+        // bucket invariant.
+        let bucket = match recycled {
+            Some(fresh) => self.tables[node.0].entry(key).or_insert(fresh),
+            None => self.tables[node.0]
+                .get_mut(&key)
+                .expect("bucket existed at the dedup probe above"),
+        };
+        self.inserted[node.0] += 1;
+        if let Some(t) = trace.as_deref_mut() {
+            t.record(node, self.arena.row_vertices(row));
+        }
+        bucket.insert(insert_at, row);
+
+        // Push successful joins up the tree (lines 8-11).
+        for j in joined.drain(..) {
+            self.insert_rows(tree, parent, j, window, emit, trace.as_deref_mut());
+        }
+        recycle(&mut self.spare, joined);
     }
 
     /// Number of partial matches currently stored at a node.
     pub fn live_matches(&self, node: NodeId) -> usize {
-        match &self.backing {
-            Backing::Materialized { tables, .. } => tables[node.0].values().map(Vec::len).sum(),
-            Backing::Interned { tables, .. } => tables[node.0].values().map(Vec::len).sum(),
-        }
+        self.tables[node.0].values().map(Vec::len).sum()
     }
 
     /// Total matches ever inserted at a node.
@@ -820,187 +739,81 @@ impl MatchStore {
 
     /// Total matches ever inserted across all nodes (the per-edge delta of
     /// this is what the shared join stage reports as deduplicated insert
-    /// work, and the denominator of the soak's `alloc.allocs_per_match`).
+    /// work, and the denominator of the allocs-per-stored-match ceilings in
+    /// `tests/integration_scratch.rs`).
     pub fn lifetime_inserted(&self) -> u64 {
         self.inserted.iter().sum()
     }
 
-    /// Iterates over the matches stored at a node.
-    ///
-    /// Only available on the materialized backing (the interned rows have no
-    /// `SubgraphMatch` to borrow); use
-    /// [`MatchStore::collect_matches_at`] for a backing-agnostic snapshot.
-    ///
-    /// # Panics
-    /// Panics when the store is interned.
-    pub fn matches_at(&self, node: NodeId) -> impl Iterator<Item = &SubgraphMatch> + '_ {
-        let Backing::Materialized { tables, .. } = &self.backing else {
-            panic!("matches_at requires the materialized backing");
-        };
-        tables[node.0].values().flat_map(|v| v.iter())
-    }
-
     /// Decoded copies of the matches stored at a node, in bucket-iteration
-    /// order. Works for both backings (test/diagnostic helper — it
-    /// materializes every match).
-    pub fn collect_matches_at(&self, node: NodeId) -> Vec<SubgraphMatch> {
-        match &self.backing {
-            Backing::Materialized { tables, .. } => {
-                tables[node.0].values().flatten().cloned().collect()
-            }
-            Backing::Interned { arena, tables, .. } => tables[node.0]
-                .values()
-                .flatten()
-                .map(|&r| arena.decode(r))
-                .collect(),
-        }
+    /// order (test/diagnostic helper — it materializes every match).
+    pub fn decoded_at(&self, node: NodeId) -> Vec<SubgraphMatch> {
+        self.tables[node.0]
+            .values()
+            .flatten()
+            .map(|&r| self.arena.decode(r))
+            .collect()
     }
 
     /// Single-pass maintenance: removes every stored partial match that is
     /// dead (references an edge expired out of the data graph) **or**, when
     /// `window` is `Some(tw)`, expired (its earliest edge is older than
-    /// `latest - tw`, so any future join already spans the window). Walks
-    /// every bucket exactly once — the engine's periodic purge used to call
-    /// [`MatchStore::purge_dead`] and [`MatchStore::purge_expired`] back to
-    /// back, touching every bucket twice. Returns the number removed.
+    /// `latest - tw`, so by the time any future edge — with timestamp ≥
+    /// `latest` — could join it, the join already spans the window). Walks
+    /// every bucket exactly once; `retain` preserves relative order, so the
+    /// sorted-bucket invariant survives. Removed rows go back to the arena
+    /// free list. Returns the number removed.
     pub fn purge(&mut self, graph: &DynamicGraph, latest: Timestamp, window: Option<u64>) -> usize {
         let cutoff = window.map(|tw| latest.0.saturating_sub(tw));
-        // The expiry check runs first — it is a field read, while liveness
-        // probes the graph per matched edge.
-        self.retain_matches(
-            |m| cutoff.is_none_or(|c| m.earliest().0 >= c) && m.is_live(graph),
-            |row, layout| {
-                cutoff.is_none_or(|c| layout.earliest(row) >= c)
-                    && row[..layout.edges]
-                        .iter()
-                        .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
-            },
-        )
-    }
-
-    /// Removes every stored partial match that can no longer participate in a
-    /// windowed complete match: a partial match whose earliest edge is older
-    /// than `latest - window` already spans at least the window by the time
-    /// any future edge (with timestamp ≥ `latest`) could join it.
-    /// Returns the number of matches removed.
-    pub fn purge_expired(&mut self, latest: Timestamp, window: u64) -> usize {
-        let cutoff = latest.0.saturating_sub(window);
-        self.retain_matches(
-            |m| m.earliest().0 >= cutoff,
-            |row, layout| layout.earliest(row) >= cutoff,
-        )
-    }
-
-    /// Removes every stored partial match that references an edge that has
-    /// been expired out of the data graph. Returns the number removed.
-    pub fn purge_dead(&mut self, graph: &DynamicGraph) -> usize {
-        self.retain_matches(
-            |m| m.is_live(graph),
-            |row, layout| {
-                row[..layout.edges]
-                    .iter()
-                    .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
-            },
-        )
-    }
-
-    /// One walk over every bucket keeping only matches that satisfy the
-    /// backing-appropriate predicate (`keep_m` sees a materialized match,
-    /// `keep_row` a raw row slice plus its layout); the single
-    /// implementation behind every purge flavour. `retain` preserves
-    /// relative order, so the sorted-bucket invariant survives. Removed
-    /// interned rows go back to the arena free list. Returns the number of
-    /// matches removed.
-    fn retain_matches(
-        &mut self,
-        keep_m: impl Fn(&SubgraphMatch) -> bool,
-        keep_row: impl Fn(&[u64], RowLayout) -> bool,
-    ) -> usize {
+        // Split the arena so the predicate can read `data` while removed
+        // rows push onto `free`.
+        let (layout, stride) = (self.arena.layout(), self.arena.stride);
+        let RowArena { data, free, .. } = &mut self.arena;
         let mut removed = 0;
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => {
-                for table in tables {
-                    for bucket in table.values_mut() {
-                        let before = bucket.len();
-                        bucket.retain(&keep_m);
-                        removed += before - bucket.len();
+        for table in &mut self.tables {
+            for bucket in table.values_mut() {
+                let before = bucket.len();
+                bucket.retain(|&r| {
+                    let row = &data[r as usize * stride..][..stride];
+                    // The expiry check runs first — it is a field read,
+                    // while liveness probes the graph per matched edge.
+                    let keep = cutoff.is_none_or(|c| layout.earliest(row) >= c)
+                        && row[..layout.edges]
+                            .iter()
+                            .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)));
+                    if !keep {
+                        free.push(r);
                     }
-                    // Emptied buckets leave the table but their capacity
-                    // goes to the free list — window expiry returns memory
-                    // to the store, not the allocator.
-                    table.retain(|_, bucket| {
-                        if bucket.is_empty() {
-                            recycle(spare, std::mem::take(bucket));
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
+                    keep
+                });
+                removed += before - bucket.len();
             }
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                // Split the arena so the predicate can read `data` while
-                // removed rows push onto `free`.
-                let (layout, stride) = (arena.layout(), arena.stride);
-                let RowArena { data, free, .. } = arena;
-                for table in tables {
-                    for bucket in table.values_mut() {
-                        let before = bucket.len();
-                        bucket.retain(|&r| {
-                            let b = r as usize * stride;
-                            if keep_row(&data[b..b + stride], layout) {
-                                true
-                            } else {
-                                free.push(r);
-                                false
-                            }
-                        });
-                        removed += before - bucket.len();
-                    }
-                    table.retain(|_, bucket| {
-                        if bucket.is_empty() {
-                            recycle(spare, std::mem::take(bucket));
-                            false
-                        } else {
-                            true
-                        }
-                    });
+            // Emptied buckets leave the table but their capacity goes to
+            // the free list — window expiry returns memory to the store,
+            // not the allocator.
+            table.retain(|_, bucket| {
+                if bucket.is_empty() {
+                    recycle(&mut self.spare, std::mem::take(bucket));
+                    false
+                } else {
+                    true
                 }
-            }
+            });
         }
         removed
     }
 
-    /// Clears every table, recycling every bucket vector (and, interned,
-    /// resetting the whole arena — no live rows remain, so the slab restarts
-    /// empty with its capacity preserved).
+    /// Clears every table, recycling every bucket vector and resetting the
+    /// whole arena — no live rows remain, so the slab restarts empty with
+    /// its capacity preserved.
     pub fn clear(&mut self) {
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => {
-                for table in tables {
-                    for (_, bucket) in table.drain() {
-                        recycle(spare, bucket);
-                    }
-                }
-            }
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                for table in tables {
-                    for (_, bucket) in table.drain() {
-                        recycle(spare, bucket);
-                    }
-                }
-                arena.data.clear();
-                arena.free.clear();
+        for table in &mut self.tables {
+            for (_, bucket) in table.drain() {
+                recycle(&mut self.spare, bucket);
             }
         }
+        self.arena.data.clear();
+        self.arena.free.clear();
     }
 
     /// Clears the table of one node, leaving its lifetime-inserted counter
@@ -1010,24 +823,11 @@ impl MatchStore {
     /// table is repopulated by replaying the retained graph) and would
     /// otherwise linger until window expiry.
     pub fn clear_node(&mut self, node: NodeId) {
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => {
-                for (_, bucket) in tables[node.0].drain() {
-                    recycle(spare, bucket);
-                }
+        for (_, bucket) in self.tables[node.0].drain() {
+            for &r in &bucket {
+                self.arena.release(r);
             }
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                for (_, bucket) in tables[node.0].drain() {
-                    for &r in &bucket {
-                        arena.release(r);
-                    }
-                    recycle(spare, bucket);
-                }
-            }
+            recycle(&mut self.spare, bucket);
         }
     }
 
@@ -1044,188 +844,10 @@ impl MatchStore {
     }
 }
 
-/// The recursive update over the materialized backing. The trace is
-/// optional so the untraced path (single-edge strategies and the shared
-/// join stage's per-edge feed, i.e. the steady-state hot path) never
-/// materialises a trace. Join results are accumulated into a vector drawn
-/// from the bucket free list and recycled afterwards, so a warm store
-/// performs the whole recursive update without touching the allocator (for
-/// inline-width matches).
-#[allow(clippy::too_many_arguments)]
-fn insert_mat(
-    tables: &mut [MatTable],
-    spare: &mut Vec<Vec<SubgraphMatch>>,
-    inserted: &mut [u64],
-    tree: &SjTree,
-    node: NodeId,
-    m: SubgraphMatch,
-    window: Option<u64>,
-    complete: &mut Vec<SubgraphMatch>,
-    mut trace: Option<&mut InsertTrace>,
-) {
-    let parent = tree.parent(node).expect("non-root node has a parent");
-    let sibling = tree.sibling(node).expect("non-root node has a sibling");
-    let cut = &tree.node(parent).cut_vertices;
-    let Some(key) = m.project_key(cut) else {
-        // The match does not bind all cut vertices; this cannot happen
-        // for leaf matches produced by the anchored matcher (leaves bind
-        // every vertex of their subgraph), so treat it as a no-op.
-        return;
-    };
-
-    // Deduplicate: buckets are sorted, so membership is O(log n). The
-    // failed search also yields the position that keeps the bucket
-    // sorted when the match is stored below. A miss on the key itself
-    // claims a recycled bucket vector from the free list up front.
-    let (insert_at, recycled) = match tables[node.0].get(&key) {
-        Some(bucket) => match bucket.binary_search(&m) {
-            Ok(_) => return,
-            Err(pos) => (pos, None),
-        },
-        None => (0, Some(spare.pop().unwrap_or_default())),
-    };
-
-    // Probe the sibling's table with the same key and join (lines 4-7 of
-    // Algorithm 2). The accumulator comes from the recycled-bucket free
-    // list: a freshly collected vector here would put one heap
-    // allocation on every joining insert.
-    let mut joined = spare.pop().unwrap_or_default();
-    if let Some(bucket) = tables[sibling.0].get(&key) {
-        joined.extend(
-            bucket
-                .iter()
-                .filter_map(|ms| m.join(ms))
-                .filter(|j| window.is_none_or(|tw| j.within_window(tw))),
-        );
-    }
-
-    // Store the new match at this node (line 12), preserving the sorted
-    // bucket invariant.
-    let bucket = match recycled {
-        Some(fresh) => tables[node.0].entry(key).or_insert(fresh),
-        None => tables[node.0]
-            .get_mut(&key)
-            .expect("bucket existed at the dedup probe above"),
-    };
-    inserted[node.0] += 1;
-    if let Some(t) = trace.as_deref_mut() {
-        t.record(node, m.vertex_pairs().map(|(_, dv)| dv));
-    }
-    bucket.insert(insert_at, m);
-
-    // Push successful joins up the tree (lines 8-11).
-    for msup in joined.drain(..) {
-        if parent == tree.root() {
-            complete.push(msup);
-        } else {
-            insert_mat(
-                tables,
-                spare,
-                inserted,
-                tree,
-                parent,
-                msup,
-                window,
-                complete,
-                trace.as_deref_mut(),
-            );
-        }
-    }
-    recycle(spare, joined);
-}
-
-/// The recursive update over the interned backing: identical control flow
-/// to [`insert_mat`], but every probe, key projection, dedup comparison and
-/// join works on fixed-width arena rows addressed by copyable ids. A join
-/// that reaches the root goes straight from its two operand rows into
-/// `emit` ([`RowArena::emit_join`]) — the copy-on-emit boundary; everything
-/// below the root moves **zero** match bytes through the allocator, spilled
-/// or not.
-#[allow(clippy::too_many_arguments)]
-fn insert_rows(
-    arena: &mut RowArena,
-    tables: &mut [RowTable],
-    spare: &mut Vec<Vec<u32>>,
-    inserted: &mut [u64],
-    tree: &SjTree,
-    node: NodeId,
-    row: u32,
-    window: Option<u64>,
-    emit: &mut Emit<'_>,
-    mut trace: Option<&mut InsertTrace>,
-) {
-    let parent = tree.parent(node).expect("non-root node has a parent");
-    let sibling = tree.sibling(node).expect("non-root node has a sibling");
-    let cut = &tree.node(parent).cut_vertices;
-    let Some(key) = arena.project_key(row, cut) else {
-        arena.release(row);
-        return;
-    };
-
-    let (insert_at, recycled) = match tables[node.0].get(&key) {
-        Some(bucket) => match bucket.binary_search_by(|&r| arena.cmp_rows(r, row)) {
-            Ok(_) => {
-                // Duplicate: the row never entered a table, recycle it.
-                arena.release(row);
-                return;
-            }
-            Err(pos) => (pos, None),
-        },
-        None => (0, Some(spare.pop().unwrap_or_default())),
-    };
-
-    // Sibling probe: failed joins (incompatible or out-of-window) are
-    // rejected before any row is allocated, so only *stored* joins ever
-    // touch the arena; root joins are reported in place.
-    let at_root = parent == tree.root();
-    let mut joined = if at_root {
-        Vec::new()
-    } else {
-        spare.pop().unwrap_or_default()
-    };
-    if let Some(bucket) = tables[sibling.0].get(&key) {
-        for &other in bucket {
-            if at_root {
-                arena.emit_join(row, other, window, emit);
-            } else if let Some(j) = arena.join_rows(row, other, window) {
-                joined.push(j);
-            }
-        }
-    }
-
-    let bucket = match recycled {
-        Some(fresh) => tables[node.0].entry(key).or_insert(fresh),
-        None => tables[node.0]
-            .get_mut(&key)
-            .expect("bucket existed at the dedup probe above"),
-    };
-    inserted[node.0] += 1;
-    if let Some(t) = trace.as_deref_mut() {
-        t.record(node, arena.row_vertices(row));
-    }
-    bucket.insert(insert_at, row);
-
-    for j in joined.drain(..) {
-        insert_rows(
-            arena,
-            tables,
-            spare,
-            inserted,
-            tree,
-            parent,
-            j,
-            window,
-            emit,
-            trace.as_deref_mut(),
-        );
-    }
-    recycle(spare, joined);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_graph::{EdgeId, EdgeType, VertexId};
+    use sp_graph::{EdgeId, EdgeType, Schema, VertexId};
     use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph, QueryVertexId};
 
     /// Query: v0 -t0-> v1 -t1-> v2, decomposed into two single-edge leaves
@@ -1258,6 +880,44 @@ mod tests {
         assert!(m.bind_vertex(QueryVertexId(2), VertexId(c)));
         assert!(m.bind_edge(QueryEdgeId(1), EdgeId(e), Timestamp(ts)));
         m
+    }
+
+    /// Query: v0 -t0-> v1 -t1-> v2 -t2-> v3, three single-edge leaves; the
+    /// internal node joins leaves 0 and 1.
+    fn three_leaf_tree() -> SjTree {
+        let mut q = QueryGraph::new("p3");
+        let v: Vec<_> = (0..4).map(|_| q.add_any_vertex()).collect();
+        for i in 0..3 {
+            q.add_edge(v[i], v[i + 1], EdgeType(i as u32));
+        }
+        let leaves = (0..3)
+            .map(|i| QuerySubgraph::from_edges(&q, [QueryEdgeId(i)]))
+            .collect();
+        SjTree::from_leaves(q, leaves)
+    }
+
+    /// A leaf-2 match of [`three_leaf_tree`] binding v2->c, v3->d via data
+    /// edge e.
+    fn leaf2_match(c: u64, d: u64, e: u64, ts: u64) -> SubgraphMatch {
+        let mut m = SubgraphMatch::new();
+        assert!(m.bind_vertex(QueryVertexId(2), VertexId(c)));
+        assert!(m.bind_vertex(QueryVertexId(3), VertexId(d)));
+        assert!(m.bind_edge(QueryEdgeId(2), EdgeId(e), Timestamp(ts)));
+        m
+    }
+
+    /// An unwindowed graph holding `n` live edges with ids `0..n`, so that
+    /// matches built over those ids pass `purge`'s liveness probe.
+    fn graph_with_edges(n: u64) -> DynamicGraph {
+        let mut schema = Schema::new();
+        let vt = schema.intern_vertex_type("v");
+        let t0 = schema.intern_edge_type("t0");
+        let mut g = DynamicGraph::new(schema);
+        let (a, b) = (g.add_vertex(vt), g.add_vertex(vt));
+        for _ in 0..n {
+            g.add_edge(a, b, t0, Timestamp(0));
+        }
+        g
     }
 
     #[test]
@@ -1450,25 +1110,13 @@ mod tests {
 
     #[test]
     fn three_leaf_tree_joins_recursively() {
-        // Query: v0 -t0-> v1 -t1-> v2 -t2-> v3, three single-edge leaves.
-        let mut q = QueryGraph::new("p3");
-        let v: Vec<_> = (0..4).map(|_| q.add_any_vertex()).collect();
-        q.add_edge(v[0], v[1], EdgeType(0));
-        q.add_edge(v[1], v[2], EdgeType(1));
-        q.add_edge(v[2], v[3], EdgeType(2));
-        let leaves = (0..3)
-            .map(|i| QuerySubgraph::from_edges(&q, [QueryEdgeId(i)]))
-            .collect();
-        let tree = SjTree::from_leaves(q, leaves);
+        let tree = three_leaf_tree();
         let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
 
         let m0 = leaf0_match(10, 11, 100, 1);
         let m1 = leaf1_match(11, 12, 101, 2);
-        let mut m2 = SubgraphMatch::new();
-        m2.bind_vertex(QueryVertexId(2), VertexId(12));
-        m2.bind_vertex(QueryVertexId(3), VertexId(13));
-        m2.bind_edge(QueryEdgeId(2), EdgeId(102), Timestamp(3));
+        let m2 = leaf2_match(12, 13, 102, 3);
 
         store.insert(&tree, tree.leaf(0), m0, None, &mut complete);
         store.insert(&tree, tree.leaf(1), m1, None, &mut complete);
@@ -1501,14 +1149,14 @@ mod tests {
             &mut complete,
         );
         assert_eq!(store.stats().total_live_matches, 2);
-        let removed = store.purge_expired(Timestamp(100), 50);
+        // Both matches are live in the graph; only the window expires one.
+        let removed = store.purge(&graph_with_edges(102), Timestamp(100), Some(50));
         assert_eq!(removed, 1);
         assert_eq!(store.stats().total_live_matches, 1);
     }
 
     #[test]
     fn purge_dead_drops_matches_with_expired_edges() {
-        use sp_graph::Schema;
         let mut schema = Schema::new();
         let vt = schema.intern_vertex_type("v");
         let t0 = schema.intern_edge_type("t0");
@@ -1524,17 +1172,16 @@ mod tests {
         m.bind_vertex(QueryVertexId(1), b);
         m.bind_edge(QueryEdgeId(0), e_old, Timestamp(1));
         store.insert(&tree, tree.leaf(0), m, None, &mut complete);
-        assert_eq!(store.purge_dead(&g), 0);
+        assert_eq!(store.purge(&g, Timestamp(1), None), 0);
         // Slide the window far forward; the old edge disappears.
         g.add_edge(a, b, t0, Timestamp(1000));
         g.expire();
-        assert_eq!(store.purge_dead(&g), 1);
+        assert_eq!(store.purge(&g, Timestamp(1000), None), 1);
         assert_eq!(store.stats().total_live_matches, 0);
     }
 
     #[test]
     fn single_pass_purge_matches_the_two_pass_result() {
-        use sp_graph::Schema;
         let mut schema = Schema::new();
         let vt = schema.intern_vertex_type("v");
         let t0 = schema.intern_edge_type("t0");
@@ -1564,7 +1211,10 @@ mod tests {
         let mut single = build(&edges);
         let mut double = build(&edges);
         let removed_single = single.purge(&g, Timestamp(100), Some(60));
-        let removed_double = double.purge_dead(&g) + double.purge_expired(Timestamp(100), 60);
+        // Two passes: liveness only (no window), then expiry against a
+        // graph in which every remaining match is live.
+        let removed_double = double.purge(&g, Timestamp(100), None)
+            + double.purge(&graph_with_edges(1_000), Timestamp(100), Some(60));
         assert_eq!(removed_single, removed_double);
         assert_eq!(removed_single, 2);
         assert_eq!(single.stats().total_live_matches, 1);
@@ -1612,10 +1262,7 @@ mod tests {
         }
         assert_eq!(store.live_matches(tree.leaf(1)), FAN as usize);
         assert_eq!(store.total_inserted(tree.leaf(1)), FAN);
-        // Micro-assert for the join-stage allocation satellite: every stored
-        // partial match of this workload-sized query fits the inline binding
-        // maps, so the per-insert move above never heap-allocated.
-        assert!(store.matches_at(tree.leaf(1)).all(|m| m.bindings_inline()));
+        assert_eq!(store.decoded_at(tree.leaf(1)).len(), FAN as usize);
         // Joining against the fan still produces every combination once.
         store.insert(
             &tree,
@@ -1645,7 +1292,7 @@ mod tests {
         }
         assert_eq!(store.spare_buckets(), 0);
         // Expire everything: all eight buckets empty out and are recycled.
-        let removed = store.purge_expired(Timestamp(1_000), 10);
+        let removed = store.purge(&graph_with_edges(500), Timestamp(1_000), Some(10));
         assert_eq!(removed, 8);
         assert_eq!(store.spare_buckets(), 8);
         // New inserts at fresh keys draw from the free list instead of the
@@ -1661,11 +1308,9 @@ mod tests {
         }
         assert_eq!(store.spare_buckets(), 5);
         assert_eq!(store.stats().total_live_matches, 3);
-        // `clear` recycles too; `release_spare` drops the pool.
+        // `clear` recycles too.
         store.clear();
         assert_eq!(store.spare_buckets(), 8);
-        store.release_spare();
-        assert_eq!(store.spare_buckets(), 0);
     }
 
     #[test]
@@ -1688,10 +1333,10 @@ mod tests {
         assert_eq!(store.stats().total_live_matches, 0);
         // The inserted counters survive a clear (they are lifetime totals).
         assert_eq!(store.total_inserted(tree.leaf(0)), 1);
-        assert_eq!(store.matches_at(tree.leaf(0)).count(), 0);
+        assert!(store.decoded_at(tree.leaf(0)).is_empty());
     }
 
-    // ---- interned backing ------------------------------------------------
+    // ---- against the brute-force oracle ----------------------------------
 
     /// Sorted multiset view of a match list for order-insensitive equality.
     fn multiset(mut ms: Vec<SubgraphMatch>) -> Vec<SubgraphMatch> {
@@ -1699,78 +1344,183 @@ mod tests {
         ms
     }
 
-    /// Drives the same insert sequence through a materialized and an
-    /// interned store, asserting identical complete-match multisets, live
-    /// counts and inserted counters at every step.
-    fn assert_equivalent(tree: &SjTree, window: Option<u64>, inserts: &[(usize, SubgraphMatch)]) {
-        let mut mat = MatchStore::new(tree);
-        let mut int = MatchStore::new_interned(tree);
-        let mut mat_complete = Vec::new();
-        let mut int_complete = Vec::new();
-        for (rank, m) in inserts {
-            let node = tree.leaf(*rank);
-            mat.insert(tree, node, m.clone(), window, &mut mat_complete);
-            int.insert(tree, node, m.clone(), window, &mut int_complete);
+    /// Test-only reference for Algorithm 2 that shares no control flow with
+    /// `insert_rows`. By Properties 2–3 a node holds the distinct in-window
+    /// joins of its children's matches (plus whatever was inserted at it
+    /// directly), so the expected state is a bottom-up fold of *all* inserts
+    /// with materialized `SubgraphMatch::join` + `within_window`, blind to
+    /// arrival order, join keys, buckets and rows. Fills `per_node` with
+    /// each node's sorted matches: distinct below the root, and at the root
+    /// (whose joins are reported, never stored or deduplicated) the multiset
+    /// of complete matches.
+    fn oracle_fold(
+        tree: &SjTree,
+        node: NodeId,
+        window: Option<u64>,
+        inserts: &[(NodeId, SubgraphMatch)],
+        per_node: &mut [Vec<SubgraphMatch>],
+    ) {
+        let in_window = |m: &SubgraphMatch| window.is_none_or(|tw| m.within_window(tw));
+        let mut ms: Vec<SubgraphMatch> = inserts
+            .iter()
+            .filter(|(n, _)| *n == node)
+            .map(|(_, m)| m.clone())
+            .collect();
+        let n = tree.node(node);
+        if let (Some(l), Some(r)) = (n.left, n.right) {
+            oracle_fold(tree, l, window, inserts, per_node);
+            oracle_fold(tree, r, window, inserts, per_node);
+            for a in &per_node[l.0] {
+                ms.extend(
+                    per_node[r.0]
+                        .iter()
+                        .filter_map(|b| a.join(b))
+                        .filter(in_window),
+                );
+            }
         }
-        assert_eq!(
-            multiset(mat_complete),
-            multiset(int_complete),
-            "complete-match multisets diverged"
-        );
-        for n in 0..tree.num_nodes() {
-            let node = NodeId(n);
-            assert_eq!(mat.live_matches(node), int.live_matches(node));
-            assert_eq!(mat.total_inserted(node), int.total_inserted(node));
-            assert_eq!(
-                multiset(mat.collect_matches_at(node)),
-                multiset(int.collect_matches_at(node)),
-                "stored matches diverged at node {n}"
-            );
+        ms.sort();
+        if node != tree.root() {
+            ms.dedup();
         }
+        per_node[node.0] = ms;
     }
 
+    /// Drives the insert sequence through a store and asserts the
+    /// complete-match multiset, the stored matches and the live / inserted
+    /// counters of every node against [`oracle_fold`]. Returns the number
+    /// of complete matches, so callers can rule out a vacuous comparison.
+    fn assert_matches_oracle(
+        tree: &SjTree,
+        window: Option<u64>,
+        inserts: &[(NodeId, SubgraphMatch)],
+    ) -> usize {
+        let mut store = MatchStore::new(tree);
+        let mut complete = Vec::new();
+        for (node, m) in inserts {
+            store.insert(tree, *node, m.clone(), window, &mut complete);
+        }
+        let mut expected = vec![Vec::new(); tree.num_nodes()];
+        oracle_fold(tree, tree.root(), window, inserts, &mut expected);
+        let reported = complete.len();
+        assert_eq!(
+            multiset(complete),
+            expected[tree.root().0],
+            "complete-match multisets diverged"
+        );
+        for n in (0..tree.num_nodes()).filter(|&n| NodeId(n) != tree.root()) {
+            let node = NodeId(n);
+            assert_eq!(
+                multiset(store.decoded_at(node)),
+                expected[n],
+                "stored matches diverged at node {n}"
+            );
+            assert_eq!(store.live_matches(node), expected[n].len());
+            assert_eq!(store.total_inserted(node), expected[n].len() as u64);
+        }
+        reported
+    }
+
+    /// The store's rows against the oracle's materialized
+    /// `SubgraphMatch::join` fold.
     #[test]
     fn interned_store_matches_materialized_on_joins_and_duplicates() {
         let tree = two_leaf_tree();
+        let (l0, l1) = (tree.leaf(0), tree.leaf(1));
         let mut inserts = Vec::new();
         // Fan-in, duplicates, a non-joining key and both arrival orders.
         for i in 0..20u64 {
-            inserts.push((1usize, leaf1_match(11, 100 + i, 1_000 + i, 2 + i)));
+            inserts.push((l1, leaf1_match(11, 100 + i, 1_000 + i, 2 + i)));
         }
-        inserts.push((1, leaf1_match(11, 100, 1_000, 2))); // duplicate
-        inserts.push((0, leaf0_match(10, 11, 5, 1)));
-        inserts.push((0, leaf0_match(10, 11, 5, 1))); // duplicate
-        inserts.push((0, leaf0_match(40, 41, 6, 1))); // never joins
-        inserts.push((1, leaf1_match(11, 200, 2_000, 3))); // late sibling
-        assert_equivalent(&tree, None, &inserts);
-        assert_equivalent(&tree, Some(10), &inserts);
+        inserts.push((l1, leaf1_match(11, 100, 1_000, 2))); // duplicate
+        inserts.push((l0, leaf0_match(10, 11, 5, 1)));
+        inserts.push((l0, leaf0_match(10, 11, 5, 1))); // duplicate
+        inserts.push((l0, leaf0_match(40, 41, 6, 1))); // never joins
+        inserts.push((l0, leaf0_match(100, 11, 7, 4))); // injectivity clash with (11, 100)
+        inserts.push((l0, leaf0_match(12, 11, 1_003, 3))); // reuses a data edge of leaf 1
+        inserts.push((l1, leaf1_match(11, 200, 2_000, 3))); // late sibling
+
+        // 21 distinct leaf-1 matches × the three leaf-0 matches on their
+        // key, minus the injectivity and the edge-reuse clash; the window
+        // drops more.
+        let unwindowed = assert_matches_oracle(&tree, None, &inserts);
+        let windowed = assert_matches_oracle(&tree, Some(10), &inserts);
+        assert_eq!(unwindowed, 21 * 3 - 2);
+        assert!(0 < windowed && windowed < unwindowed);
+    }
+
+    /// A three-leaf chain: the internal node's stored joins (dedup, window,
+    /// injectivity across levels) and the root's reports, in several
+    /// arrival orders.
+    #[test]
+    fn store_matches_oracle_on_a_three_leaf_tree_in_any_arrival_order() {
+        let tree = three_leaf_tree();
+        let mut inserts = Vec::new();
+        for i in 0..4u64 {
+            inserts.push((tree.leaf(0), leaf0_match(50 + i, 11, 100 + i, i)));
+            inserts.push((tree.leaf(1), leaf1_match(11, 20 + i, 200 + i, 3 + i)));
+            inserts.push((tree.leaf(2), leaf2_match(20 + i, 30 + i, 300 + i, 6 + i)));
+            // Closes a cycle back onto leaf 0's source: injectivity must
+            // reject it two levels up.
+            inserts.push((tree.leaf(2), leaf2_match(20 + i, 50 + i, 400 + i, 7)));
+        }
+        inserts.push((tree.leaf(1), leaf1_match(11, 20, 200, 3))); // duplicate
+        let mut counts = Vec::new();
+        for window in [None, Some(6), Some(5)] {
+            let in_order = assert_matches_oracle(&tree, window, &inserts);
+            let mut reversed = inserts.clone();
+            reversed.reverse();
+            assert_eq!(assert_matches_oracle(&tree, window, &reversed), in_order);
+            // Leaf by leaf, last leaf first.
+            let mut by_leaf = inserts.clone();
+            by_leaf.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
+            assert_eq!(assert_matches_oracle(&tree, window, &by_leaf), in_order);
+            counts.push(in_order);
+        }
+        // 4 × 4 chains plus the 4 × 3 cycle-free closures; tighter windows
+        // report strictly fewer, but never nothing.
+        assert_eq!(counts[0], 16 + 12);
+        assert!(counts[0] > counts[1] && counts[1] > counts[2] && counts[2] > 0);
     }
 
     #[test]
     fn interned_store_handles_single_node_trees() {
-        let mut q = QueryGraph::new("one");
-        let a = q.add_any_vertex();
-        let b = q.add_any_vertex();
-        q.add_edge(a, b, EdgeType(0));
+        // The row-emitting entry point on a single-node tree: the inserted
+        // match is the emission, subject to the window, and nothing is
+        // stored.
+        let mut q = QueryGraph::new("wedge");
+        let v: Vec<_> = (0..3).map(|_| q.add_any_vertex()).collect();
+        q.add_edge(v[0], v[1], EdgeType(0));
+        q.add_edge(v[1], v[2], EdgeType(1));
         let tree =
             SjTree::from_leaves(q.clone(), vec![QuerySubgraph::from_edges(&q, q.edge_ids())]);
-        let mut store = MatchStore::new_interned(&tree);
-        let mut complete = Vec::new();
-        store.insert(
-            &tree,
-            tree.root(),
-            leaf0_match(1, 2, 3, 0),
-            None,
-            &mut complete,
-        );
-        assert_eq!(complete.len(), 1);
-        assert_eq!(store.stats().total_live_matches, 0);
+        let wedge = |ts1: u64| {
+            leaf0_match(1, 2, 7, 0)
+                .join(&leaf1_match(2, 3, 8, ts1))
+                .unwrap()
+        };
+        for window in [None, Some(50)] {
+            let mut store = MatchStore::new(&tree);
+            let layout = store.row_layout();
+            let (mut complete, mut rows) = (Vec::new(), Vec::new());
+            for m in [wedge(10), wedge(90)] {
+                store.insert(&tree, tree.root(), m.clone(), window, &mut complete);
+                store.insert_emit_rows(&tree, tree.root(), m, window, &mut rows);
+            }
+            let decoded: Vec<SubgraphMatch> = rows
+                .chunks_exact(layout.stride())
+                .map(|row| row_to_match(row, layout))
+                .collect();
+            assert_eq!(decoded, complete);
+            assert_eq!(complete.len(), if window.is_some() { 1 } else { 2 });
+            assert_eq!(store.stats().total_live_matches, 0);
+        }
     }
 
     #[test]
     fn interned_purge_recycles_rows_and_buckets() {
         let tree = two_leaf_tree();
-        let mut store = MatchStore::new_interned(&tree);
+        let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
         for i in 0..8u64 {
             store.insert(
@@ -1782,15 +1532,12 @@ mod tests {
             );
         }
         assert_eq!(store.spare_buckets(), 0);
-        let removed = store.purge_expired(Timestamp(1_000), 10);
+        let removed = store.purge(&graph_with_edges(500), Timestamp(1_000), Some(10));
         assert_eq!(removed, 8);
         assert_eq!(store.spare_buckets(), 8);
         // Freed rows are reused: eight more inserts and the arena has not
         // grown past its 8-row high-water mark.
-        let Backing::Interned { arena, .. } = &store.backing else {
-            panic!("interned store");
-        };
-        let words_before = arena.data.len();
+        let words_before = store.arena.data.len();
         for i in 0..8u64 {
             store.insert(
                 &tree,
@@ -1800,107 +1547,45 @@ mod tests {
                 &mut complete,
             );
         }
-        let Backing::Interned { arena, .. } = &store.backing else {
-            panic!("interned store");
-        };
-        assert_eq!(arena.data.len(), words_before);
+        assert_eq!(store.arena.data.len(), words_before);
         assert_eq!(store.stats().total_live_matches, 8);
     }
 
     #[test]
     fn interned_purge_dead_probes_the_graph() {
-        use sp_graph::Schema;
+        // A stored join row binds two edge slots and leaves the third
+        // unbound: the liveness probe must visit every bound slot (one dead
+        // edge of two kills the row) and skip the unbound one.
         let mut schema = Schema::new();
         let vt = schema.intern_vertex_type("v");
         let t0 = schema.intern_edge_type("t0");
-        let mut g = DynamicGraph::with_window(schema, 10);
-        let a = g.add_vertex(vt);
-        let b = g.add_vertex(vt);
-        let e_old = g.add_edge(a, b, t0, Timestamp(1));
-        let tree = two_leaf_tree();
-        let mut store = MatchStore::new_interned(&tree);
-        let mut complete = Vec::new();
-        let mut m = SubgraphMatch::new();
-        m.bind_vertex(QueryVertexId(0), a);
-        m.bind_vertex(QueryVertexId(1), b);
-        m.bind_edge(QueryEdgeId(0), e_old, Timestamp(1));
-        store.insert(&tree, tree.leaf(0), m, None, &mut complete);
-        assert_eq!(store.purge_dead(&g), 0);
-        g.add_edge(a, b, t0, Timestamp(1000));
-        g.expire();
-        assert_eq!(store.purge_dead(&g), 1);
-        assert_eq!(store.stats().total_live_matches, 0);
-    }
+        let mut g = DynamicGraph::new(schema);
+        let vs: Vec<_> = (0..3).map(|_| g.add_vertex(vt)).collect();
+        let e0 = g.add_edge(vs[0], vs[1], t0, Timestamp(1));
+        let e1 = g.add_edge(vs[1], vs[2], t0, Timestamp(2));
 
-    #[test]
-    fn set_interning_round_trips_live_state() {
-        let tree = two_leaf_tree();
+        let tree = three_leaf_tree();
+        let internal = tree.parent(tree.leaf(0)).unwrap();
         let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
-        for i in 0..6u64 {
-            store.insert(
-                &tree,
-                tree.leaf(1),
-                leaf1_match(11, 100 + i, 1_000 + i, 2),
-                None,
-                &mut complete,
-            );
-        }
-        store.insert(
-            &tree,
-            tree.leaf(0),
-            leaf0_match(10, 11, 5, 1),
-            None,
-            &mut complete,
-        );
-        assert_eq!(complete.len(), 6);
-        let before: Vec<Vec<SubgraphMatch>> = (0..tree.num_nodes())
-            .map(|n| multiset(store.collect_matches_at(NodeId(n))))
-            .collect();
-        let inserted_before = store.lifetime_inserted();
-
-        // Materialized -> interned: state survives and joining continues.
-        store.set_interning(&tree, true);
-        assert!(store.is_interned());
-        assert_eq!(store.lifetime_inserted(), inserted_before);
-        for (n, expected) in before.iter().enumerate() {
-            assert_eq!(&multiset(store.collect_matches_at(NodeId(n))), expected);
-        }
-        let mut complete2 = Vec::new();
-        store.insert(
-            &tree,
-            tree.leaf(1),
-            leaf1_match(11, 200, 9_000, 2),
-            None,
-            &mut complete2,
-        );
-        assert_eq!(complete2.len(), 1, "joins keep working after conversion");
-        // Duplicates are still rejected against the converted buckets.
-        store.insert(
-            &tree,
-            tree.leaf(1),
-            leaf1_match(11, 200, 9_000, 2),
-            None,
-            &mut complete2,
-        );
-        assert_eq!(complete2.len(), 1);
-
-        // Interned -> materialized: round-trip restores everything.
-        store.set_interning(&tree, false);
-        assert!(!store.is_interned());
-        assert_eq!(
-            store.live_matches(tree.leaf(1)),
-            7,
-            "6 originals + 1 post-conversion insert"
-        );
-        assert!(store.matches_at(tree.leaf(1)).all(|m| m.bindings_inline()));
+        let m0 = leaf0_match(vs[0].0, vs[1].0, e0.0, 1);
+        let m1 = leaf1_match(vs[1].0, vs[2].0, e1.0, 2);
+        store.insert(&tree, tree.leaf(0), m0, None, &mut complete);
+        store.insert(&tree, tree.leaf(1), m1, None, &mut complete);
+        assert_eq!(store.live_matches(internal), 1);
+        assert_eq!(store.purge(&g, Timestamp(2), None), 0);
+        g.remove_edge(e0).unwrap();
+        // Leaf 0's row and the join row die; leaf 1's row survives.
+        assert_eq!(store.purge(&g, Timestamp(2), None), 2);
+        assert_eq!(store.live_matches(internal), 0);
+        assert_eq!(store.live_matches(tree.leaf(1)), 1);
     }
 
     #[test]
     fn interned_rows_handle_spilled_width_queries() {
         // A 9-edge path: 10 vertex bindings — past MATCH_INLINE_BINDINGS, so
-        // the materialized representation heap-allocates per clone while the
-        // interned rows stay fixed-width. Semantics must be identical.
+        // a `SubgraphMatch` of it spills to the heap while the stored rows
+        // stay fixed-width. Semantics must match the oracle's.
         const LEN: usize = 9;
         let mut q = QueryGraph::new("wide");
         let v: Vec<_> = (0..=LEN).map(|_| q.add_any_vertex()).collect();
@@ -1923,15 +1608,23 @@ mod tests {
             );
             m
         };
-        let inserts: Vec<(usize, SubgraphMatch)> =
-            (0..LEN).map(|i| (i, edge_match(i, 500))).collect();
-        assert_equivalent(&tree, None, &inserts);
+        let inserts: Vec<(NodeId, SubgraphMatch)> = (0..LEN)
+            .map(|i| (tree.leaf(i), edge_match(i, 500)))
+            .collect();
+        // Timestamps 0..LEN span LEN - 1: a window of LEN admits the match,
+        // LEN - 1 does not.
+        assert_eq!(assert_matches_oracle(&tree, None, &inserts), 1);
+        assert_eq!(assert_matches_oracle(&tree, Some(LEN as u64), &inserts), 1);
+        assert_eq!(
+            assert_matches_oracle(&tree, Some(LEN as u64 - 1), &inserts),
+            0
+        );
 
-        // And explicitly: the interned store emits the full 10-vertex match.
-        let mut store = MatchStore::new_interned(&tree);
+        // And explicitly: the store emits the full 10-vertex match.
+        let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
-        for (rank, m) in &inserts {
-            store.insert(&tree, tree.leaf(*rank), m.clone(), None, &mut complete);
+        for (node, m) in &inserts {
+            store.insert(&tree, *node, m.clone(), None, &mut complete);
         }
         assert_eq!(complete.len(), 1);
         assert_eq!(complete[0].num_vertices(), LEN + 1);
@@ -1961,9 +1654,9 @@ mod tests {
         inserts.push((0, leaf0_match(100, 11, 6, 4))); // injectivity clash with (11, 100)
         inserts.push((1, leaf1_match(11, 200, 2_000, 3)));
         for window in [None, Some(8)] {
-            let mut as_matches = MatchStore::new_interned(&tree);
-            let mut as_rows = MatchStore::new_interned(&tree);
-            let layout = as_rows.row_layout().unwrap();
+            let mut as_matches = MatchStore::new(&tree);
+            let mut as_rows = MatchStore::new(&tree);
+            let layout = as_rows.row_layout();
             assert_eq!((layout.edges, layout.vertices, layout.stride()), (2, 3, 7));
             let (mut complete, mut rows) = (Vec::new(), Vec::new());
             for (rank, m) in &inserts {
@@ -1980,7 +1673,6 @@ mod tests {
             assert!(!complete.is_empty());
             assert_eq!(as_rows.lifetime_inserted(), as_matches.lifetime_inserted());
         }
-        assert!(MatchStore::new(&tree).row_layout().is_none());
     }
 
     #[test]
@@ -1990,29 +1682,14 @@ mod tests {
         // covering leaves 0..=1 and must behave exactly like the joined
         // matches themselves.
         let parent_tree = two_leaf_tree();
-        let mut q = QueryGraph::new("p3");
-        let v: Vec<_> = (0..4).map(|_| q.add_any_vertex()).collect();
-        for i in 0..3 {
-            q.add_edge(v[i], v[i + 1], EdgeType(i as u32));
-        }
-        let leaves = (0..3)
-            .map(|i| QuerySubgraph::from_edges(&q, [QueryEdgeId(i)]))
-            .collect();
-        let child_tree = SjTree::from_leaves(q, leaves);
+        let child_tree = three_leaf_tree();
         let consume = child_tree.parent(child_tree.leaf(1)).unwrap();
-        let leaf2 = |c: u64, d: u64, e: u64, ts: u64| {
-            let mut m = SubgraphMatch::new();
-            m.bind_vertex(QueryVertexId(2), VertexId(c));
-            m.bind_vertex(QueryVertexId(3), VertexId(d));
-            m.bind_edge(QueryEdgeId(2), EdgeId(e), Timestamp(ts));
-            m
-        };
 
-        let mut parent = MatchStore::new_interned(&parent_tree);
-        let from = parent.row_layout().unwrap();
+        let mut parent = MatchStore::new(&parent_tree);
+        let from = parent.row_layout();
         let mut parent_rows = Vec::new();
         let mut parent_matches = Vec::new();
-        let mut reference_parent = MatchStore::new_interned(&parent_tree);
+        let mut reference_parent = MatchStore::new(&parent_tree);
         for (rank, m) in [
             (0, leaf0_match(10, 11, 100, 1)),
             (1, leaf1_match(11, 12, 101, 2)),
@@ -2024,22 +1701,22 @@ mod tests {
         }
         assert_eq!(parent_matches.len(), 2);
 
-        let mut child = MatchStore::new_interned(&child_tree);
-        let mut reference = MatchStore::new_interned(&child_tree);
+        let mut child = MatchStore::new(&child_tree);
+        let mut reference = MatchStore::new(&child_tree);
         let (mut rows, mut complete) = (Vec::new(), Vec::new());
         // A suffix match that arrived first, then the parent's emissions
         // (fed twice: the second round must dedup), then another suffix.
         child.insert_emit_rows(
             &child_tree,
             child_tree.leaf(2),
-            leaf2(12, 14, 200, 4),
+            leaf2_match(12, 14, 200, 4),
             None,
             &mut rows,
         );
         reference.insert(
             &child_tree,
             child_tree.leaf(2),
-            leaf2(12, 14, 200, 4),
+            leaf2_match(12, 14, 200, 4),
             None,
             &mut complete,
         );
@@ -2054,19 +1731,19 @@ mod tests {
         child.insert_emit_rows(
             &child_tree,
             child_tree.leaf(2),
-            leaf2(13, 15, 201, 5),
+            leaf2_match(13, 15, 201, 5),
             None,
             &mut rows,
         );
         reference.insert(
             &child_tree,
             child_tree.leaf(2),
-            leaf2(13, 15, 201, 5),
+            leaf2_match(13, 15, 201, 5),
             None,
             &mut complete,
         );
 
-        let layout = child.row_layout().unwrap();
+        let layout = child.row_layout();
         let decoded: Vec<SubgraphMatch> = rows
             .chunks_exact(layout.stride())
             .map(|row| row_to_match(row, layout))
@@ -2075,49 +1752,43 @@ mod tests {
         assert_eq!(complete.len(), 2);
         assert_eq!(child.live_matches(consume), 2);
         assert_eq!(
-            multiset(child.collect_matches_at(consume)),
-            multiset(reference.collect_matches_at(consume))
+            multiset(child.decoded_at(consume)),
+            multiset(reference.decoded_at(consume))
         );
     }
 
     #[test]
     fn insert_trace_records_nodes_and_vertices() {
         let tree = two_leaf_tree();
-        for interned in [false, true] {
-            let mut store = if interned {
-                MatchStore::new_interned(&tree)
-            } else {
-                MatchStore::new(&tree)
-            };
-            let mut complete = Vec::new();
-            let mut trace = InsertTrace::new();
-            store.insert_traced(
-                &tree,
-                tree.leaf(0),
-                leaf0_match(10, 11, 100, 1),
-                None,
-                &mut complete,
-                &mut trace,
-            );
-            assert_eq!(trace.len(), 1);
-            assert_eq!(trace.node(0), tree.leaf(0));
-            assert_eq!(trace.vertices(0), &[VertexId(10), VertexId(11)]);
-            trace.clear();
-            assert!(trace.is_empty());
-            // The joining insert stores at the leaf; the root join is
-            // emitted, not stored, so it is not traced.
-            store.insert_traced(
-                &tree,
-                tree.leaf(1),
-                leaf1_match(11, 12, 101, 2),
-                None,
-                &mut complete,
-                &mut trace,
-            );
-            assert_eq!(trace.len(), 1);
-            assert_eq!(trace.node(0), tree.leaf(1));
-            assert_eq!(trace.vertices(0), &[VertexId(11), VertexId(12)]);
-            assert_eq!(complete.len(), 1);
-        }
+        let mut store = MatchStore::new(&tree);
+        let mut complete = Vec::new();
+        let mut trace = InsertTrace::new();
+        store.insert_traced(
+            &tree,
+            tree.leaf(0),
+            leaf0_match(10, 11, 100, 1),
+            None,
+            &mut complete,
+            &mut trace,
+        );
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.node(0), tree.leaf(0));
+        assert_eq!(trace.vertices(0), &[VertexId(10), VertexId(11)]);
+        trace.clear();
+        assert!(trace.is_empty());
+        // The joining insert stores at the leaf; the root join is
+        // emitted, not stored, so it is not traced.
+        store.insert_traced(
+            &tree,
+            tree.leaf(1),
+            leaf1_match(11, 12, 101, 2),
+            None,
+            &mut complete,
+            &mut trace,
+        );
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.node(0), tree.leaf(1));
+        assert_eq!(trace.vertices(0), &[VertexId(11), VertexId(12)]);
+        assert_eq!(complete.len(), 1);
     }
 }

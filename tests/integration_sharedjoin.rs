@@ -95,13 +95,12 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
         StrategySpec::Auto,
     ];
     for spec in specs {
-        let run = |leaf_sharing: bool, join_sharing: bool, trie: bool| {
+        let run = |leaf_sharing: bool, join_sharing: bool| {
             let mut proc = StreamProcessor::new(schema.clone())
                 .with_estimator(estimator.clone())
                 .with_statistics(false)
                 .with_sharing(leaf_sharing)
-                .with_join_sharing(join_sharing)
-                .with_join_trie(trie);
+                .with_join_sharing(join_sharing);
             let ids: Vec<QueryId> = rules
                 .iter()
                 .map(|(q, w)| proc.register(q.clone(), spec, *w).unwrap())
@@ -117,14 +116,9 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
             });
             (multiset, proc.shared_join_stats(), ids, proc)
         };
-        let (full, join_stats, ids, proc) = run(true, true, true);
-        let (flat, flat_stats, _, flat_proc) = run(true, true, false);
-        let (leaf_only, leaf_only_stats, _, _) = run(true, false, true);
-        let (unshared, _, _, _) = run(false, false, true);
-        assert_eq!(
-            full, flat,
-            "trie vs flat join tables changed the multiset under {spec:?}"
-        );
+        let (full, join_stats, ids, proc) = run(true, true);
+        let (leaf_only, leaf_only_stats, _, leaf_only_proc) = run(true, false);
+        let (unshared, _, _, _) = run(false, false);
         assert_eq!(
             full, leaf_only,
             "join sharing changed the multiset under {spec:?}"
@@ -137,10 +131,6 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
         assert_eq!(
             leaf_only_stats.tables, 0,
             "join sharing off must not create tables"
-        );
-        assert_eq!(
-            flat_stats.parent_feeds, 0,
-            "flat tables must not feed each other"
         );
         // Under the 1-edge decompositions every 2-edge rule is join-capable
         // and the identical exfil/exfil-wide chains must coalesce into one
@@ -164,8 +154,7 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
             assert!(join_stats.deliveries > 0);
             // The bounce pair's depth-3 node nests under the exfil pair's
             // depth-2 node and consumes its emissions instead of re-running
-            // the shared leaves — and doing strictly less physical join
-            // work than the flat layout on the same stream.
+            // the shared leaves.
             assert!(
                 join_stats.max_depth >= 3,
                 "no nested trie node under {spec:?}: {join_stats:?}"
@@ -174,11 +163,10 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
                 join_stats.parent_feeds > 0,
                 "the trie never fed a child under {spec:?}: {join_stats:?}"
             );
-            // Total physical join-stage work (every engine's private
-            // tables plus the shared stage, each insert/search counted
-            // once): nesting under the trie must cost strictly less than
-            // the flat layout, where each deep subscriber re-runs its
-            // suffix privately.
+            // Total physical join-stage inserts (every engine's private
+            // tables plus the shared stage, each insert counted once): the
+            // shared stage must cost strictly less than leaf-only sharing,
+            // where every engine stores its own prefix partials.
             let engine_inserts = |p: &StreamProcessor| -> u64 {
                 p.query_ids()
                     .iter()
@@ -188,16 +176,11 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
                     .sum()
             };
             let trie_inserts = engine_inserts(&proc) + join_stats.inserts_run;
-            let flat_inserts = engine_inserts(&flat_proc) + flat_stats.inserts_run;
+            let leaf_only_inserts = engine_inserts(&leaf_only_proc);
             assert!(
-                trie_inserts < flat_inserts,
-                "trie did not reduce join-stage inserts under {spec:?}: {trie_inserts} vs flat {flat_inserts}"
-            );
-            let trie_searches = proc.profile().iso_searches + join_stats.searches_run;
-            let flat_searches = flat_proc.profile().iso_searches + flat_stats.searches_run;
-            assert!(
-                trie_searches < flat_searches,
-                "trie did not reduce leaf searches under {spec:?}: {trie_searches} vs flat {flat_searches}"
+                trie_inserts < leaf_only_inserts,
+                "shared join stage did not reduce join-stage inserts under {spec:?}: \
+                 {trie_inserts} vs leaf-only {leaf_only_inserts}"
             );
             // Per-engine accounting: the identical-chain queries consumed
             // their matches from the shared stage.
@@ -566,7 +549,7 @@ fn nested_prefix_partials_are_stored_exactly_once() {
 /// flight*: the depth-3 node keeps its live consume-slot and suffix
 /// partials across the re-parenting (its parent-owned stages drop, the new
 /// parent back-fills by replay), and the full scripted timeline reports the
-/// same match multiset as the flat layout and as no join sharing at all.
+/// same match multiset as no join sharing at all.
 #[test]
 fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
     let schema = cyber_schema();
@@ -577,11 +560,10 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
     // Scripted timeline: the deep pair registers first, half the pairs
     // stream (live partials), the shallow pair registers mid-stream, the
     // remaining pairs and all completions follow.
-    let run = |join_sharing: bool, trie: bool| {
+    let run = |join_sharing: bool| {
         let mut proc = StreamProcessor::new(schema.clone())
             .with_statistics(false)
-            .with_join_sharing(join_sharing)
-            .with_join_trie(trie);
+            .with_join_sharing(join_sharing);
         let mut out: Vec<(usize, String)> = Vec::new();
         let mut ids: Vec<QueryId> = Vec::new();
         let mut collect = |ids: &[QueryId], matches: Vec<(QueryId, SubgraphMatch)>| {
@@ -619,7 +601,7 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
             proc.register(two_hop(&schema, "n2"), Strategy::SingleLazy, None)
                 .unwrap(),
         );
-        if join_sharing && trie {
+        if join_sharing {
             // The second shallow registration must have split the trie
             // edge: the depth-3 node now hangs off the fresh depth-2 node,
             // which was back-filled from the retained graph.
@@ -660,10 +642,8 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
         out
     };
 
-    let trie = run(true, true);
-    let flat = run(true, false);
-    let unshared = run(false, false);
-    assert_eq!(trie, flat, "split/re-point diverged from flat tables");
+    let trie = run(true);
+    let unshared = run(false);
     assert_eq!(trie, unshared, "split/re-point diverged from no sharing");
     // Every deep query completes all 30 chains (partials from before the
     // split included); the late shallow pair sees only the pairs completed
@@ -829,12 +809,6 @@ fn permuted_full_depth_subscribers_match_independent_processors() {
             "a full-depth subscriber's engine stores nothing"
         );
     }
-
-    let (flat, flat_proc, _) = shared_run(&schema, &rules, dataset.events(), |p| {
-        configure(p).with_join_trie(false)
-    });
-    assert_eq!(flat, expected, "flat delivery diverged from the oracle");
-    assert_eq!(flat_proc.shared_join_stats().parent_feeds, 0);
 
     for workers in worker_counts() {
         let mut runtime = ParallelStreamProcessor::new(
