@@ -4,8 +4,7 @@
 //! A query's SJ-Tree is built from the stream statistics at registration
 //! time; on a drifting stream those statistics go stale and the engine keeps
 //! searching a now-common leaf first. This module provides the plumbing the
-//! [`StreamProcessor`](crate::StreamProcessor) and the parallel runtime
-//! facade share to close the loop:
+//! [`ControlPlane`](crate::ControlPlane) closes the loop with:
 //!
 //! 1. a moving [`SelectivityEstimator`] ([`StatsMode::Decayed`]) keeps the
 //!    statistics tracking the recent stream;
@@ -22,12 +21,12 @@
 
 use crate::error::EngineError;
 use crate::registry::StrategySpec;
-use crate::strategy::{choose_strategy, Strategy, RELATIVE_SELECTIVITY_THRESHOLD};
+use crate::strategy::{choose_plan, Strategy, RELATIVE_SELECTIVITY_THRESHOLD};
 use sp_query::{Primitive, QueryEdgeId, QueryGraph};
 use sp_selectivity::{DriftConfig, DriftDetector, SelectivityEstimator};
 use sp_sjtree::{decompose, PrimitivePolicy, SjTree};
 
-/// Cumulative adaptivity counters of one processor (sequential or facade).
+/// Cumulative adaptivity counters of one [`ControlPlane`](crate::ControlPlane).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Per-query drift checks evaluated.
@@ -51,15 +50,16 @@ pub fn plan_query(
     spec: StrategySpec,
     estimator: &SelectivityEstimator,
 ) -> Result<(Strategy, SjTree), EngineError> {
-    let strategy = match spec {
-        StrategySpec::Fixed(s) => s,
-        StrategySpec::Auto => {
-            choose_strategy(query, estimator, RELATIVE_SELECTIVITY_THRESHOLD)?.strategy
+    match spec {
+        StrategySpec::Fixed(strategy) => {
+            let policy = strategy.policy().ok_or(EngineError::RebuildMismatch)?;
+            Ok((strategy, decompose(query, policy, estimator)?))
         }
-    };
-    let policy = strategy.policy().ok_or(EngineError::RebuildMismatch)?;
-    let tree = decompose(query, policy, estimator)?;
-    Ok((strategy, tree))
+        StrategySpec::Auto => {
+            let (choice, tree) = choose_plan(query, estimator, RELATIVE_SELECTIVITY_THRESHOLD)?;
+            Ok((choice.strategy, tree))
+        }
+    }
 }
 
 /// The order-sensitive leaf structure of a tree: each leaf's (sorted) query
@@ -167,41 +167,23 @@ fn leaf_primitives(
     }
 }
 
-/// Per-query drift bookkeeping: the registration spec (so `Auto` stays
-/// auto across re-plans) plus a [`DriftDetector`] baselined on the active
-/// plan. Owned by the sequential processor per registered query, and by the
-/// parallel runtime facade per shard-assigned query.
+/// Per-query drift bookkeeping: a [`DriftDetector`] baselined on the active
+/// plan. Owned by the [`ControlPlane`](crate::ControlPlane), one per
+/// registered query with an SJ-Tree.
 #[derive(Debug, Clone)]
-pub struct QueryDriftState {
-    spec: StrategySpec,
+pub(crate) struct QueryDriftState {
     detector: DriftDetector,
 }
 
 impl QueryDriftState {
     /// Creates the state for a freshly (re)planned query and baselines the
     /// detector on the current statistics.
-    pub fn new(
-        config: DriftConfig,
-        query: &QueryGraph,
-        spec: StrategySpec,
-        estimator: &SelectivityEstimator,
-    ) -> Self {
+    pub fn new(config: DriftConfig, query: &QueryGraph, estimator: &SelectivityEstimator) -> Self {
         let mut state = Self {
-            spec,
             detector: DriftDetector::new(config),
         };
         state.rebase(query, estimator);
         state
-    }
-
-    /// The strategy spec the query was registered with.
-    pub fn spec(&self) -> StrategySpec {
-        self.spec
-    }
-
-    /// The wrapped detector (stats for reporting).
-    pub fn detector(&self) -> &DriftDetector {
-        &self.detector
     }
 
     /// Re-baselines the detector against the current statistics: the
@@ -216,9 +198,10 @@ impl QueryDriftState {
             .rebase(estimator, tracked, tk, t1, RELATIVE_SELECTIVITY_THRESHOLD);
     }
 
-    /// One drift check against the active plan. Returns the replacement
-    /// `(strategy, tree)` when the detector confirms movement **and** the
-    /// authoritative re-plan is *materially* better: the strategy changed,
+    /// One drift check against the active plan of a query registered under
+    /// `spec`. Returns the replacement `(strategy, tree)` when the detector
+    /// confirms movement **and** the authoritative re-plan
+    /// ([`plan_query`]) is *materially* better: the strategy changed,
     /// or the new leaf order beats the active one by
     /// [`REDECOMPOSITION_GAIN`] on the [`plan_cost`] proxy (an engine
     /// rebuild replays the retained window, so marginal reorders are not
@@ -229,6 +212,7 @@ impl QueryDriftState {
     pub fn check_plan(
         &mut self,
         query: &QueryGraph,
+        spec: StrategySpec,
         current_strategy: Strategy,
         current_leaves: &[Vec<QueryEdgeId>],
         estimator: &SelectivityEstimator,
@@ -239,7 +223,7 @@ impl QueryDriftState {
             return None;
         }
         *drifted = true;
-        let plan = plan_query(query, self.spec, estimator).ok()?;
+        let plan = plan_query(query, spec, estimator).ok()?;
         if plan.0 == current_strategy {
             let new_leaves = leaf_structure(&plan.1);
             if new_leaves == current_leaves {
@@ -357,20 +341,20 @@ mod tests {
             confirm_checks: 1,
         };
         let spec = StrategySpec::Fixed(Strategy::SingleLazy);
-        let mut state = QueryDriftState::new(cfg, &q, spec, &est);
+        let mut state = QueryDriftState::new(cfg, &q, &est);
         let (strategy, tree) = plan_query(&q, spec, &est).unwrap();
         let leaves = leaf_structure(&tree);
 
         // Same statistics: no drift, no plan.
         let mut drifted = false;
         assert!(state
-            .check_plan(&q, strategy, &leaves, &est, &mut drifted)
+            .check_plan(&q, spec, strategy, &leaves, &est, &mut drifted)
             .is_none());
         assert!(!drifted);
 
         // Inverted mix: drift fires and the re-plan flips the leaf order.
         let inverted = estimator_with_mix(a, 10, b, 90);
-        let plan = state.check_plan(&q, strategy, &leaves, &inverted, &mut drifted);
+        let plan = state.check_plan(&q, spec, strategy, &leaves, &inverted, &mut drifted);
         assert!(drifted);
         let (new_strategy, new_tree) = plan.expect("plan must change");
         assert_eq!(new_strategy, strategy);
@@ -379,7 +363,7 @@ mod tests {
         // The detector re-baselined: the inverted mix is the new normal.
         let new_leaves = leaf_structure(&new_tree);
         assert!(state
-            .check_plan(&q, new_strategy, &new_leaves, &inverted, &mut drifted)
+            .check_plan(&q, spec, new_strategy, &new_leaves, &inverted, &mut drifted)
             .is_none());
         assert!(!drifted);
     }

@@ -198,53 +198,70 @@ impl ContinuousQueryEngine {
         estimator: &SelectivityEstimator,
         window: Option<u64>,
     ) -> Result<Self, EngineError> {
-        let backend = match strategy.policy() {
-            Some(policy) => {
-                let tree = decompose(&query, policy, estimator)?;
-                Self::backend_from_tree(tree, strategy.is_lazy())?
+        let Some(policy) = strategy.policy() else {
+            if !query.is_connected() {
+                return Err(EngineError::DisconnectedQuery);
             }
-            None => {
-                if !query.is_connected() {
-                    return Err(EngineError::DisconnectedQuery);
-                }
-                let whole = QuerySubgraph::from_edges(&query, query.edge_ids());
-                Backend::Vf2 {
-                    matcher: Vf2Matcher::new(query.clone()),
-                    whole,
-                }
-            }
+            let whole = QuerySubgraph::from_edges(&query, query.edge_ids());
+            let matcher = Vf2Matcher::new(query.clone());
+            let backend = Backend::Vf2 { matcher, whole };
+            return Ok(Self::with_backend(query, strategy, window, backend));
         };
-        Ok(Self {
+        Self::from_plan(strategy, decompose(&query, policy, estimator)?, window)
+    }
+
+    /// Builds an engine from an already planned `(strategy, tree)` pair —
+    /// what [`plan_query`](crate::plan_query) returns. The strategy is taken
+    /// as given (unlike [`ContinuousQueryEngine::from_tree`], which infers
+    /// it from the leaf sizes and would relabel a `PathLazy` plan whose
+    /// leaves all came out as single edges).
+    ///
+    /// # Errors
+    /// [`EngineError::RebuildMismatch`] for [`Strategy::Vf2Baseline`], which
+    /// has no SJ-Tree; [`EngineError::TooManyLeaves`] when the tree exceeds
+    /// the lazy bitmap capacity.
+    pub fn from_plan(
+        strategy: Strategy,
+        tree: SjTree,
+        window: Option<u64>,
+    ) -> Result<Self, EngineError> {
+        if strategy.policy().is_none() {
+            return Err(EngineError::RebuildMismatch);
+        }
+        let query = tree.query().clone();
+        let backend = Self::backend_from_tree(tree, strategy.is_lazy())?;
+        Ok(Self::with_backend(query, strategy, window, backend))
+    }
+
+    fn with_backend(
+        query: QueryGraph,
+        strategy: Strategy,
+        window: Option<u64>,
+        backend: Backend,
+    ) -> Self {
+        Self {
             query,
             strategy,
             window,
             backend,
             profile: ProfileCounters::new(),
             scratch: EngineScratch::default(),
-        })
+        }
     }
 
     /// Builds an engine from a pre-built SJ-Tree (used for custom or
     /// ablation decompositions, and to replay a decomposition persisted with
     /// [`SjTree::save`]). `lazy` selects between the track-everything and the
-    /// Lazy Search execution of the same tree.
+    /// Lazy Search execution of the same tree; the strategy label is
+    /// inferred from `lazy` and the leaf sizes.
     pub fn from_tree(tree: SjTree, lazy: bool, window: Option<u64>) -> Result<Self, EngineError> {
-        let query = tree.query().clone();
         let strategy = match (lazy, tree.leaf_subgraphs().any(|s| s.num_edges() > 1)) {
             (true, true) => Strategy::PathLazy,
             (true, false) => Strategy::SingleLazy,
             (false, true) => Strategy::Path,
             (false, false) => Strategy::Single,
         };
-        let backend = Self::backend_from_tree(tree, lazy)?;
-        Ok(Self {
-            query,
-            strategy,
-            window,
-            backend,
-            profile: ProfileCounters::new(),
-            scratch: EngineScratch::default(),
-        })
+        Self::from_plan(strategy, tree, window)
     }
 
     fn backend_from_tree(tree: SjTree, lazy: bool) -> Result<Backend, EngineError> {
@@ -686,8 +703,7 @@ impl ContinuousQueryEngine {
         // separate passes walked the whole store twice per maintenance tick).
         let removed = store.purge(graph, graph.latest_timestamp(), self.window);
         self.profile.partial_matches_purged += removed as u64;
-        let stats = store.stats();
-        self.profile.note_partial_matches(stats.total_live_matches);
+        self.profile.note_partial_matches(store.live_rows());
         // The bitmap only grows; shrink it to the live vertex set during the
         // (infrequent) purge.
         if bitmap.num_tracked_vertices() > 2 * graph.num_vertices() {
@@ -768,17 +784,6 @@ impl ContinuousQueryEngine {
             .note_partial_matches(replay.peak_partial_matches);
         self.profile.redecompositions += 1;
         Ok(())
-    }
-
-    /// Resets all runtime state (partial matches, lazy bitmap, profile) while
-    /// keeping the decomposition, so the same engine can replay another
-    /// stream.
-    pub fn reset(&mut self) {
-        if let Backend::SjTree { store, bitmap, .. } = &mut self.backend {
-            store.clear();
-            bitmap.clear();
-        }
-        self.profile = ProfileCounters::new();
     }
 }
 
@@ -947,21 +952,6 @@ mod tests {
             ContinuousQueryEngine::new(q, Strategy::Vf2Baseline, &est, None),
             Err(EngineError::DisconnectedQuery)
         ));
-    }
-
-    #[test]
-    fn reset_clears_runtime_state() {
-        let (schema, est) = fixture();
-        let q = two_hop_query(&schema);
-        let mut engine = ContinuousQueryEngine::new(q, Strategy::SingleLazy, &est, None).unwrap();
-        let stream = vec![(1u64, 2u64, "esp", 1u64), (2, 3, "tcp", 2)];
-        assert_eq!(run_stream(&schema, &mut engine, &stream), 1);
-        assert!(engine.profile().edges_processed > 0);
-        engine.reset();
-        assert_eq!(engine.profile().edges_processed, 0);
-        assert_eq!(engine.store_stats().unwrap().total_live_matches, 0);
-        // Replaying the stream after the reset finds the match again.
-        assert_eq!(run_stream(&schema, &mut engine, &stream), 1);
     }
 
     /// Builds a tree over `q` whose leaves are the query's single edges in

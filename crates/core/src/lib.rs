@@ -6,10 +6,16 @@
 //! substrates — the dynamic graph store (`sp-graph`), the query model
 //! (`sp-query`), the matchers (`sp-iso`), the stream statistics
 //! (`sp-selectivity`) and the SJ-Tree (`sp-sjtree`) — into a continuous
-//! **multi-query** engine: one [`StreamProcessor`] owns one shared
-//! [`DynamicGraph`] plus a [`QueryRegistry`] of continuous queries, and an
-//! edge-type dispatch index hands each incoming edge only to the queries
-//! whose pattern can use it.
+//! **multi-query** engine in two halves. The [`ControlPlane`] owns the
+//! stream statistics and every decision the paper derives from them: it
+//! numbers queries, plans them (strategy and decomposition), keeps the graph
+//! retention window and re-plans when the statistics drift. The data half, a
+//! [`Shard`], owns one shared [`DynamicGraph`] plus a [`QueryRegistry`] of
+//! continuous queries, and an edge-type dispatch index hands each incoming
+//! edge only to the queries whose pattern can use it. A [`StreamProcessor`]
+//! is one control plane driving one shard on the caller's thread; the
+//! `sp-runtime` crate puts the same control plane in front of N shards on
+//! worker threads.
 //!
 //! ## Quick start
 //!
@@ -89,6 +95,7 @@
 #![warn(missing_docs)]
 
 mod adaptive;
+mod control;
 mod engine;
 mod error;
 mod lazy;
@@ -96,31 +103,29 @@ mod metrics;
 mod processor;
 mod profile;
 mod registry;
+mod shard;
 mod sharedjoin;
 mod sharing;
 mod sink;
 mod strategy;
 
-pub use adaptive::{
-    leaf_structure, plan_cost, plan_query, AdaptiveStats, QueryDriftState, REDECOMPOSITION_GAIN,
-};
+pub use adaptive::{leaf_structure, plan_cost, plan_query, AdaptiveStats, REDECOMPOSITION_GAIN};
+pub use control::ControlPlane;
 pub use engine::{ContinuousQueryEngine, LeafFanout, PrefixFeed, PreparedLeaf};
 pub use error::EngineError;
 pub use lazy::{LazyBitmap, MAX_LEAVES};
 pub use metrics::PipelineMetrics;
 pub use processor::StreamProcessor;
 pub use profile::ProfileCounters;
-pub use registry::{retention_for_windows, QueryId, QueryRegistry, StrategySpec};
+pub use registry::{QueryId, QueryRegistry, StrategySpec};
+pub use shard::Shard;
 pub use sharedjoin::{
     tree_chain, JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats, TrieNodeInfo,
     MIN_PREFIX_DEPTH,
 };
 pub use sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
 pub use sink::{CollectSink, CountSink, FnSink, MatchSink};
-pub use strategy::{
-    choose_strategy, choose_strategy_with_sharing, Strategy, StrategyChoice,
-    RELATIVE_SELECTIVITY_THRESHOLD,
-};
+pub use strategy::{choose_strategy, Strategy, StrategyChoice, RELATIVE_SELECTIVITY_THRESHOLD};
 
 // Re-export the building blocks so that downstream users only need one
 // dependency for common tasks.

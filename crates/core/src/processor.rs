@@ -2,79 +2,41 @@
 //!
 //! [`StreamProcessor`] is the "query processing" half of the paper's
 //! experimental setup (Section 6.1), generalized to the multi-query
-//! deployment the system paper (StreamWorks) describes: it owns **one**
-//! [`DynamicGraph`] shared by every registered query, streams
-//! [`EdgeEvent`]s into it exactly once, and dispatches each new edge through
-//! the [`QueryRegistry`]'s edge-type index so that only the engines whose
-//! pattern can use the edge are invoked. Windowing is per query: the graph
-//! retains edges for the *largest* registered window while each engine
-//! filters and purges with its own `tW`.
+//! deployment the system paper (StreamWorks) describes. It is the sequential
+//! front end over the two halves of the engine: a
+//! [`ControlPlane`] that plans, numbers and re-plans queries from the stream
+//! statistics, and one [`Shard`] — **one** [`DynamicGraph`] shared by every
+//! registered query, into which [`EdgeEvent`]s stream exactly once and are
+//! dispatched through the [`QueryRegistry`]'s edge-type index so that only
+//! the engines whose pattern can use the edge are invoked — applied inline.
+//! Windowing is per query: the graph retains edges for the *largest*
+//! registered window while each engine filters and purges with its own `tW`.
 //!
 //! Matches are pushed into a [`MatchSink`]; [`StreamProcessor::process`] is
 //! the convenience wrapper that collects them into a vector.
 
-use crate::adaptive::{leaf_structure, AdaptiveStats, QueryDriftState};
+use crate::adaptive::AdaptiveStats;
+use crate::control::ControlPlane;
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
 use crate::metrics::PipelineMetrics;
 use crate::profile::ProfileCounters;
 use crate::registry::{QueryId, QueryRegistry, StrategySpec};
+use crate::shard::Shard;
 use crate::sink::{CollectSink, CountSink, MatchSink};
-use crate::strategy::{choose_strategy_with_sharing, Strategy, RELATIVE_SELECTIVITY_THRESHOLD};
-use sp_graph::{monotonic_nanos, DynamicGraph, EdgeEvent, Schema, VertexId};
+use crate::strategy::Strategy;
+use sp_graph::{DynamicGraph, EdgeEvent, Schema};
 use sp_iso::SubgraphMatch;
 use sp_query::QueryGraph;
 use sp_selectivity::{DriftConfig, SelectivityEstimator};
-use sp_sjtree::{SjTree, UNBOUND};
-use std::collections::HashMap;
-use std::time::Instant;
+use sp_sjtree::SjTree;
 
-/// Default number of edges between partial-match purges.
-const DEFAULT_PURGE_INTERVAL: u64 = 4096;
-
-/// The processor's drift-adaptivity state: per-query detectors plus the
-/// shared check cadence.
-#[derive(Debug, Clone)]
-struct AdaptiveRuntime {
-    config: DriftConfig,
-    since_check: u64,
-    per_query: HashMap<QueryId, QueryDriftState>,
-    stats: AdaptiveStats,
-}
-
-impl AdaptiveRuntime {
-    fn new(config: DriftConfig) -> Self {
-        Self {
-            config,
-            since_check: 0,
-            per_query: HashMap::new(),
-            stats: AdaptiveStats::default(),
-        }
-    }
-}
-
-/// Owns the shared [`DynamicGraph`] and the [`QueryRegistry`] and feeds the
-/// stream through both.
+/// A [`ControlPlane`] and the one [`Shard`] it drives, on the caller's
+/// thread.
 #[derive(Debug, Clone)]
 pub struct StreamProcessor {
-    graph: DynamicGraph,
-    registry: QueryRegistry,
-    estimator: SelectivityEstimator,
-    collect_statistics: bool,
-    purge_interval: u64,
-    since_purge: u64,
-    total_matches: u64,
-    adaptive: Option<AdaptiveRuntime>,
-    /// The strategy spec each live query was registered with, kept so that
-    /// adaptivity enabled *after* registration still re-runs the strategy
-    /// selection for `Auto` queries (the registry only stores the resolved
-    /// engine).
-    specs: HashMap<QueryId, StrategySpec>,
-    /// Processor-level counters: events ingested and vertex-type conflicts.
-    stream: ProfileCounters,
-    /// Telemetry handles; `None` (the default) keeps the hot path at a
-    /// single branch with no clock reads.
-    metrics: Option<PipelineMetrics>,
+    control: ControlPlane,
+    shard: Shard,
 }
 
 impl StreamProcessor {
@@ -84,17 +46,8 @@ impl StreamProcessor {
     /// processed edges only grow the graph.
     pub fn new(schema: Schema) -> Self {
         Self {
-            graph: DynamicGraph::new(schema),
-            registry: QueryRegistry::new(),
-            estimator: SelectivityEstimator::new(),
-            collect_statistics: true,
-            purge_interval: DEFAULT_PURGE_INTERVAL,
-            since_purge: 0,
-            total_matches: 0,
-            adaptive: None,
-            specs: HashMap::new(),
-            stream: ProfileCounters::new(),
-            metrics: None,
+            control: ControlPlane::new(),
+            shard: Shard::new(schema),
         }
     }
 
@@ -111,7 +64,7 @@ impl StreamProcessor {
     /// (the purge is an amortized maintenance pass; correctness of reported
     /// matches does not depend on it).
     pub fn with_purge_interval(mut self, interval: u64) -> Self {
-        self.purge_interval = interval.max(1);
+        self.shard.set_purge_interval(interval);
         self
     }
 
@@ -120,7 +73,7 @@ impl StreamProcessor {
     /// disable them to reproduce the paper's measurement methodology, where
     /// statistics come from a stream prefix only.
     pub fn with_statistics(mut self, enabled: bool) -> Self {
-        self.collect_statistics = enabled;
+        self.control.set_statistics(enabled);
         self
     }
 
@@ -128,7 +81,7 @@ impl StreamProcessor {
     /// `Dataset::estimator_from_prefix`. Subsequent edges keep updating the
     /// estimator unless statistics collection is disabled.
     pub fn with_estimator(mut self, estimator: SelectivityEstimator) -> Self {
-        self.estimator = estimator;
+        self.control.set_estimator(estimator);
         self
     }
 
@@ -138,19 +91,8 @@ impl StreamProcessor {
     /// [`PipelineMetrics`] for the metric catalogue. With metrics off the
     /// hot path pays one branch and reads no clock.
     pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
-        self.metrics = Some(metrics);
+        self.shard.set_metrics(Some(metrics));
         self
-    }
-
-    /// Attaches or detaches telemetry on a live processor (the runtime
-    /// workers receive their handles over a control message after spawn).
-    pub fn set_metrics(&mut self, metrics: Option<PipelineMetrics>) {
-        self.metrics = metrics;
-    }
-
-    /// The attached telemetry bundle, if any.
-    pub fn metrics(&self) -> Option<&PipelineMetrics> {
-        self.metrics.as_ref()
     }
 
     /// Enables or disables shared-leaf evaluation (on by default): with
@@ -161,14 +103,14 @@ impl StreamProcessor {
     /// toggle exists for measurement (the `sharing` benchmark) and
     /// equivalence testing.
     pub fn with_sharing(mut self, enabled: bool) -> Self {
-        self.registry.set_sharing(enabled);
+        self.shard.registry_mut().set_sharing(enabled);
         self
     }
 
     /// Snapshot of the shared-leaf index: distinct leaf shapes, current
     /// subscriptions, and how many anchored searches sharing eliminated.
     pub fn shared_leaf_stats(&self) -> crate::SharedLeafStats {
-        self.registry.shared_leaf_stats()
+        self.registry().shared_leaf_stats()
     }
 
     /// Enables or disables shared-**join** evaluation for queries
@@ -184,21 +126,21 @@ impl StreamProcessor {
     /// subscriptions are decided at registration time — flip the toggle
     /// before registering.
     pub fn with_join_sharing(mut self, enabled: bool) -> Self {
-        self.registry.set_join_sharing(enabled);
+        self.shard.registry_mut().set_join_sharing(enabled);
         self
     }
 
     /// Snapshot of the shared join stage: live prefix tables, current
     /// subscriptions, and how much join-stage work sharing eliminated.
     pub fn shared_join_stats(&self) -> crate::SharedJoinStats {
-        self.registry.shared_join_stats()
+        self.registry().shared_join_stats()
     }
 
     /// Total partial matches ever stored across every engine and shared
     /// prefix table — the denominator of the allocs-per-stored-match
     /// ceilings in `tests/integration_scratch.rs`.
     pub fn stored_matches(&self) -> u64 {
-        self.registry.stored_matches()
+        self.registry().stored_matches()
     }
 
     /// Enables drift-adaptive re-decomposition (off by default): every
@@ -210,7 +152,8 @@ impl StreamProcessor {
     /// retained graph, so no partial state is lost) and its leaf shapes are
     /// re-subscribed in the shared-leaf index. `Auto`-registered queries
     /// re-run the strategy selection; `Fixed` queries keep their strategy
-    /// but may re-order leaves.
+    /// but may re-order leaves — whichever order registration and this call
+    /// happened in.
     ///
     /// Adaptivity is semantics-preserving: the reported match multiset is
     /// identical with it on or off. It only pays off when the statistics
@@ -219,35 +162,13 @@ impl StreamProcessor {
     /// [`StreamProcessor::with_estimator`]) and leave statistics collection
     /// enabled.
     pub fn with_adaptive(mut self, config: DriftConfig) -> Self {
-        let mut adaptive = AdaptiveRuntime::new(config);
-        // Backfill detectors for queries registered before the call, with
-        // their original specs: a query registered `Auto` stays auto no
-        // matter which order registration and `with_adaptive` happened in.
-        for (id, engine) in self.registry.iter() {
-            if engine.tree().is_some() {
-                let spec = self
-                    .specs
-                    .get(&id)
-                    .copied()
-                    .unwrap_or(StrategySpec::Fixed(engine.strategy()));
-                adaptive.per_query.insert(
-                    id,
-                    QueryDriftState::new(config, engine.query(), spec, &self.estimator),
-                );
-            }
-        }
-        self.adaptive = Some(adaptive);
+        self.control.set_adaptive(config);
         self
-    }
-
-    /// Whether drift-adaptive re-decomposition is enabled.
-    pub fn adaptive_enabled(&self) -> bool {
-        self.adaptive.is_some()
     }
 
     /// Cumulative adaptivity counters (zeroes when adaptivity is off).
     pub fn adaptive_stats(&self) -> AdaptiveStats {
-        self.adaptive.as_ref().map(|a| a.stats).unwrap_or_default()
+        self.control.adaptive_stats()
     }
 
     /// Registers a continuous query: decomposes it under the given strategy
@@ -262,31 +183,8 @@ impl StreamProcessor {
         spec: impl Into<StrategySpec>,
         window: Option<u64>,
     ) -> Result<QueryId, EngineError> {
-        let spec = spec.into();
-        let strategy = match spec {
-            StrategySpec::Fixed(s) => s,
-            StrategySpec::Auto => {
-                // Sharing-aware selection: the choice also reports how much
-                // of the new query's leaf work the registry already pays for
-                // (the rule itself is unchanged — equivalence with the
-                // runtime facade's Auto path depends on that).
-                let shared = self.registry.shared_leaves();
-                choose_strategy_with_sharing(
-                    &query,
-                    &self.estimator,
-                    RELATIVE_SELECTIVITY_THRESHOLD,
-                    |sig| shared.contains(sig),
-                )?
-                .strategy
-            }
-        };
-        let engine = ContinuousQueryEngine::new(query, strategy, &self.estimator, window)?;
-        let id = self.register_engine(engine);
-        // `register_engine` records a `Fixed` spec; keep `Auto` queries auto
-        // so drift checks re-run the strategy selection for them.
-        if spec == StrategySpec::Auto {
-            self.record_registration(id, StrategySpec::Auto);
-        }
+        let (id, engine) = self.control.plan(query, spec.into(), window)?;
+        self.install(id, engine);
         Ok(id)
     }
 
@@ -295,32 +193,14 @@ impl StreamProcessor {
     /// `Fixed` registration: drift may re-order its leaves but never change
     /// the strategy.
     pub fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
-        let strategy = engine.strategy();
-        let id = self.registry.register_shared(engine, &self.graph);
-        self.graph.set_window(self.registry.graph_retention());
-        self.record_registration(id, StrategySpec::Fixed(strategy));
+        let id = self.control.adopt(&engine);
+        self.install(id, engine);
         id
     }
 
-    /// Records a (re)registration's spec and, when adaptivity is on, seeds
-    /// the query's drift detector against the current statistics.
-    fn record_registration(&mut self, id: QueryId, spec: StrategySpec) {
-        self.specs.insert(id, spec);
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            if let Some(engine) = self.registry.engine(id) {
-                if engine.tree().is_some() {
-                    adaptive.per_query.insert(
-                        id,
-                        QueryDriftState::new(
-                            adaptive.config,
-                            engine.query(),
-                            spec,
-                            &self.estimator,
-                        ),
-                    );
-                }
-            }
-        }
+    fn install(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
+        self.shard.register(id, engine);
+        self.shard.set_retention(self.control.retention());
     }
 
     /// Deregisters a query mid-stream, returning its engine (and runtime
@@ -332,134 +212,26 @@ impl StreamProcessor {
     /// idle processor does not accumulate edges forever; the next
     /// registration recomputes it.
     pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
-        let engine = self.registry.deregister(id)?;
-        if !self.registry.is_empty() {
-            self.graph.set_window(self.registry.graph_retention());
-        }
-        self.specs.remove(&id);
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            adaptive.per_query.remove(&id);
-        }
+        let engine = self.shard.deregister(id)?;
+        self.control.forget(id);
+        self.shard.set_retention(self.control.retention());
         Some(engine)
     }
 
-    /// Overrides the shared graph's retention window, bypassing the
-    /// per-registry recomputation that [`StreamProcessor::register`] and
-    /// [`StreamProcessor::deregister`] perform.
-    ///
-    /// This is the hook the parallel runtime (`sp-runtime`) uses to keep
-    /// every worker's graph replica retaining edges for the *global* maximum
-    /// window across all shards, so that a query registered mid-stream on
-    /// any shard still finds the history it is entitled to. Callers that
-    /// use the override are responsible for re-applying it after
-    /// registering or deregistering queries (both recompute the window from
-    /// the local registry).
-    pub fn set_graph_retention(&mut self, window: Option<u64>) {
-        self.graph.set_window(window);
-    }
-
-    /// Whether an event can be ingested: vertex id `u64::MAX` is the
-    /// interned match rows' unbound-slot sentinel, so an event naming it is
-    /// rejected at the door. The one rule behind
-    /// [`StreamProcessor::process_into`] and the parallel runtime's facade.
-    pub fn accepts(event: &EdgeEvent) -> bool {
-        event.src != UNBOUND && event.dst != UNBOUND
-    }
-
     /// Ingests one stream event, pushing every complete match it creates
-    /// into `sink`. Returns the number of matches reported.
-    ///
-    /// An event [`StreamProcessor::accepts`] refuses is dropped before it
-    /// touches the graph and counted in
-    /// [`ProfileCounters::rejected_events`]. A vertex-type conflict (the
-    /// vertex already exists with a different concrete type) keeps the
-    /// original type and is recorded in
-    /// [`ProfileCounters::vertex_type_conflicts`].
+    /// into `sink` ([`Shard::process_into`], with the accepted edge feeding
+    /// the control plane's statistics). Returns the number of matches
+    /// reported.
     pub fn process_into<S: MatchSink + ?Sized>(&mut self, event: &EdgeEvent, sink: &mut S) -> u64 {
-        if !Self::accepts(event) {
-            self.stream.rejected_events += 1;
-            return 0;
-        }
-        self.stream.edges_processed += 1;
-        // The single metrics branch of the hot path: with metrics off,
-        // `started` stays `None` and no clock is ever read. The arrival
-        // instant prefers the stamp the runtime facade put on the event (the
-        // moment it left the producer) over "now", so detection latency
-        // includes batching and queueing delay.
-        let started = self.metrics.as_ref().map(|m| {
-            m.edges.inc();
-            let arrival = if event.arrival_ns != 0 {
-                event.arrival_ns
-            } else {
-                monotonic_nanos()
-            };
-            (arrival, Instant::now())
-        });
-        let src = match self
-            .graph
-            .ensure_vertex(VertexId(event.src), event.src_type)
-        {
-            Ok(v) => v,
-            Err(_) => {
-                self.stream.vertex_type_conflicts += 1;
-                VertexId(event.src)
-            }
-        };
-        let dst = match self
-            .graph
-            .ensure_vertex(VertexId(event.dst), event.dst_type)
-        {
-            Ok(v) => v,
-            Err(_) => {
-                self.stream.vertex_type_conflicts += 1;
-                VertexId(event.dst)
-            }
-        };
-        let edge_id = self
-            .graph
-            .add_edge(src, dst, event.edge_type, event.timestamp);
-        let edge = *self.graph.edge(edge_id).expect("edge was just inserted");
-
-        if self.collect_statistics {
-            self.estimator.observe_edge(&edge);
-        }
-        if let (Some(m), Some((_, t0))) = (&self.metrics, started) {
-            m.ingest_ns.add(t0.elapsed().as_nanos() as u64);
-        }
-
-        let telemetry = self
-            .metrics
-            .as_ref()
-            .zip(started)
-            .map(|(pm, (arrival_ns, _))| (pm, arrival_ns));
-        let found =
-            self.registry
-                .process_edge(&self.graph, &edge, |q, m| sink.on_match(q, m), telemetry);
-        self.total_matches += found;
-
-        self.since_purge += 1;
-        if self.since_purge >= self.purge_interval {
-            let span = self.metrics.as_ref().map(|_| Instant::now());
-            self.graph.expire();
-            self.registry.purge(&self.graph);
-            self.since_purge = 0;
-            if let (Some(m), Some(t)) = (&self.metrics, span) {
-                m.purge_ns.add(t.elapsed().as_nanos() as u64);
-            }
-        }
-        if let (Some(m), Some((_, t0))) = (&self.metrics, started) {
-            m.edge_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-
+        let control = &mut self.control;
+        let found = self
+            .shard
+            .process_into(event, sink, |edge| control.observe(edge));
         // Drift cadence: re-decomposition is semantics-preserving, so the
         // check point only affects *when* work is saved, never what matches
         // are reported.
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            adaptive.since_check += 1;
-            if adaptive.since_check >= adaptive.config.check_interval {
-                adaptive.since_check = 0;
-                self.run_drift_checks();
-            }
+        if self.control.drift_due() {
+            self.run_drift_checks();
         }
         found
     }
@@ -470,79 +242,32 @@ impl StreamProcessor {
     /// are rebuilt in place. Returns the number of engines rebuilt. A no-op
     /// when adaptivity is off.
     pub fn run_drift_checks(&mut self) -> usize {
-        // Take the adaptive state out so the per-query loop can borrow the
-        // registry, graph and estimator freely.
-        let Some(mut adaptive) = self.adaptive.take() else {
-            return 0;
-        };
-        let ids: Vec<QueryId> = self.registry.query_ids().collect();
-        let mut rebuilt = 0;
-        for id in ids {
-            let Some(state) = adaptive.per_query.get_mut(&id) else {
-                continue;
-            };
-            let Some(engine) = self.registry.engine(id) else {
-                continue;
-            };
-            let Some(tree) = engine.tree() else {
-                continue;
-            };
-            adaptive.stats.checks += 1;
-            let current_strategy = engine.strategy();
-            let current_leaves = leaf_structure(tree);
-            let query = engine.query().clone();
-            let mut drifted = false;
-            let plan = state.check_plan(
-                &query,
-                current_strategy,
-                &current_leaves,
-                &self.estimator,
-                &mut drifted,
-            );
-            if drifted {
-                adaptive.stats.drifts_detected += 1;
-            }
-            let Some((strategy, tree)) = plan else {
-                continue;
-            };
-            let engine = self.registry.engine_mut(id).expect("engine exists");
-            if engine.rebuild(strategy, tree, &self.graph).is_ok() {
-                self.registry.resubscribe(id, &self.graph);
-                adaptive.stats.redecompositions += 1;
-                rebuilt += 1;
-            }
+        let plans = self.control.check_drift();
+        let rebuilt = plans.len();
+        for (id, strategy, tree) in plans {
+            self.shard
+                .redecompose(id, strategy, tree)
+                .expect("the control plane re-planned a query this shard runs");
         }
-        self.adaptive = Some(adaptive);
         rebuilt
     }
 
     /// Swaps one query's decomposition for an externally supplied plan:
     /// rebuilds the engine via [`ContinuousQueryEngine::rebuild`] (replaying
     /// the retained graph, preserving the reported match multiset) and
-    /// re-subscribes its leaf shapes in the shared-leaf index. This is the
-    /// entry point the parallel runtime's `Redecompose` control message
-    /// lands on, and a deterministic lever for tests and tooling; the
-    /// drift-driven path ([`StreamProcessor::run_drift_checks`]) computes
-    /// the plan itself.
+    /// re-subscribes its leaf shapes in the shared-leaf index. A
+    /// deterministic lever for tests and tooling; the drift-driven path
+    /// ([`StreamProcessor::run_drift_checks`]) computes the plan itself.
     pub fn redecompose(
         &mut self,
         id: QueryId,
         strategy: Strategy,
         tree: SjTree,
     ) -> Result<(), EngineError> {
-        let engine = self
-            .registry
-            .engine_mut(id)
-            .ok_or(EngineError::UnknownQuery)?;
-        engine.rebuild(strategy, tree, &self.graph)?;
-        self.registry.resubscribe(id, &self.graph);
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            if let Some(state) = adaptive.per_query.get_mut(&id) {
-                let engine = self.registry.engine(id).expect("engine exists");
-                state.rebase(engine.query(), &self.estimator);
-            }
-            adaptive.stats.redecompositions += 1;
-        }
+        self.shard.redecompose(id, strategy, tree)?;
+        let tree = self.shard.registry().engine(id).and_then(|e| e.tree());
+        self.control
+            .replanned(id, strategy, tree.expect("rebuilt onto an SJ-Tree"));
         Ok(())
     }
 
@@ -555,9 +280,7 @@ impl StreamProcessor {
     }
 
     /// Ingests a batch of stream events into one sink, returning the number
-    /// of matches reported. This is the batch loop both the sequential
-    /// driver ([`StreamProcessor::process_all`]) and the parallel runtime's
-    /// workers route through: one registry-owned edge cache and one warm
+    /// of matches reported: one registry-owned edge cache and one warm
     /// per-engine scratch serve every edge of the batch.
     pub fn process_batch_into<'a, S, I>(&mut self, events: I, sink: &mut S) -> u64
     where
@@ -584,37 +307,27 @@ impl StreamProcessor {
 
     /// The shared data graph in its current state.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.shard.graph()
     }
 
     /// The query registry.
     pub fn registry(&self) -> &QueryRegistry {
-        &self.registry
-    }
-
-    /// Mutable access to the query registry.
-    pub fn registry_mut(&mut self) -> &mut QueryRegistry {
-        &mut self.registry
+        self.shard.registry()
     }
 
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
-        self.registry.len()
+        self.registry().len()
     }
 
     /// Ids of the registered queries, in registration order.
     pub fn query_ids(&self) -> Vec<QueryId> {
-        self.registry.query_ids().collect()
+        self.registry().query_ids().collect()
     }
 
     /// The engine of a registered query.
     pub fn engine_for(&self, id: QueryId) -> Option<&ContinuousQueryEngine> {
-        self.registry.engine(id)
-    }
-
-    /// Mutable access to the engine of a registered query.
-    pub fn engine_for_mut(&mut self, id: QueryId) -> Option<&mut ContinuousQueryEngine> {
-        self.registry.engine_mut(id)
+        self.registry().engine(id)
     }
 
     /// Single-query convenience: the one registered engine.
@@ -624,98 +337,44 @@ impl StreamProcessor {
     /// use [`StreamProcessor::engine_for`].
     pub fn engine(&self) -> &ContinuousQueryEngine {
         assert_eq!(
-            self.registry.len(),
+            self.num_queries(),
             1,
             "StreamProcessor::engine() requires exactly one registered query"
         );
-        self.registry.iter().next().expect("one query").1
+        self.registry().iter().next().expect("one query").1
     }
 
-    /// Single-query convenience: mutable access to the one registered
-    /// engine.
-    ///
-    /// # Panics
-    /// Panics unless exactly one query is registered.
-    pub fn engine_mut(&mut self) -> &mut ContinuousQueryEngine {
-        assert_eq!(
-            self.registry.len(),
-            1,
-            "StreamProcessor::engine_mut() requires exactly one registered query"
-        );
-        self.registry.iter_mut().next().expect("one query").1
-    }
-
-    /// Aggregated profiling counters: the engines' counters summed, with
-    /// `edges_processed` reporting events *ingested by the processor* (each
-    /// engine's own `edges_processed` counts only the edges dispatched to
-    /// it) and `vertex_type_conflicts` / `rejected_events` from the
-    /// ingestion path.
+    /// Aggregated profiling counters ([`Shard::profile`]): the engines'
+    /// counters summed, with `edges_processed` reporting events *ingested by
+    /// the processor* and `vertex_type_conflicts` / `rejected_events` from
+    /// the ingestion path.
     pub fn profile(&self) -> ProfileCounters {
-        let mut total = ProfileCounters::new();
-        for (_, engine) in self.registry.iter() {
-            total.merge(engine.profile());
-        }
-        total.edges_processed = self.stream.edges_processed;
-        total.vertex_type_conflicts = self.stream.vertex_type_conflicts;
-        total.rejected_events = self.stream.rejected_events;
-        total
+        self.shard.profile()
     }
 
     /// Profiling counters of one query's engine.
     pub fn profile_for(&self, id: QueryId) -> Option<&ProfileCounters> {
-        self.registry.engine(id).map(|e| e.profile())
+        self.engine_for(id).map(|e| e.profile())
     }
 
     /// The stream statistics collected so far.
     pub fn estimator(&self) -> &SelectivityEstimator {
-        &self.estimator
+        self.control.estimator()
     }
 
     /// Total matches found since construction, across all queries.
     pub fn total_matches(&self) -> u64 {
-        self.total_matches
-    }
-
-    /// Resets all runtime state — every engine's partial matches and
-    /// counters, the processor's counters, and the data graph — while
-    /// keeping the registered queries and their decompositions, so the same
-    /// processor can replay another stream. Stream statistics are cleared
-    /// only when live collection is enabled; an estimator seeded through
-    /// [`StreamProcessor::with_estimator`] with collection disabled is
-    /// external input and survives the reset.
-    pub fn reset(&mut self) {
-        let schema = self.graph.schema().clone();
-        let window = self.registry.graph_retention();
-        self.graph = DynamicGraph::new(schema);
-        self.graph.set_window(window);
-        for (_, engine) in self.registry.iter_mut() {
-            engine.reset();
-        }
-        self.registry.reset_shared_state();
-        if self.collect_statistics {
-            let mode = self.estimator.mode();
-            self.estimator = SelectivityEstimator::new().with_mode(mode);
-        }
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            adaptive.since_check = 0;
-            for (id, state) in adaptive.per_query.iter_mut() {
-                if let Some(engine) = self.registry.engine(*id) {
-                    state.rebase(engine.query(), &self.estimator);
-                }
-            }
-        }
-        self.since_purge = 0;
-        self.total_matches = 0;
-        self.stream = ProfileCounters::new();
+        self.shard.total_matches()
     }
 }
 
-// The parallel runtime moves engines and whole processors across worker
+// The parallel runtime moves engines and whole shards across worker
 // threads; pin the `Send` guarantee at compile time so a future field (an
 // `Rc`, a raw pointer) cannot silently take it away.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StreamProcessor>();
+    assert_send::<Shard>();
     assert_send::<PipelineMetrics>();
     assert_send::<ContinuousQueryEngine>();
     assert_send::<QueryRegistry>();
@@ -729,7 +388,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::strategy::Strategy;
-    use sp_graph::{Schema, Timestamp};
+    use sp_graph::{Schema, Timestamp, VertexId};
     use sp_query::QueryGraph;
     use sp_selectivity::SelectivityEstimator;
 
@@ -843,19 +502,6 @@ mod tests {
         // of edges stay live.
         assert!(proc.graph().num_edges() <= 3);
         assert!(proc.graph().total_edges_seen() == 20);
-    }
-
-    #[test]
-    fn reset_clears_processor_state_between_runs() {
-        let (schema, mut proc) = simple_setup(Strategy::PathLazy, None);
-        let ip = schema.vertex_type("ip").unwrap();
-        let esp = schema.edge_type("esp").unwrap();
-        proc.process(&EdgeEvent::homogeneous(1, 2, ip, esp, Timestamp(1)));
-        assert_eq!(proc.profile().edges_processed, 1);
-        proc.reset();
-        assert_eq!(proc.profile().edges_processed, 0);
-        assert_eq!(proc.graph().num_edges(), 0);
-        assert_eq!(proc.engine().strategy(), Strategy::PathLazy);
     }
 
     #[test]
@@ -1029,18 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn set_graph_retention_overrides_registry_window() {
-        let (_, mut proc) = simple_setup(Strategy::SingleLazy, Some(10));
-        assert_eq!(proc.graph().window(), Some(10));
-        // The runtime facade widens retention beyond the local registry's
-        // maximum (e.g. another shard holds a wider query).
-        proc.set_graph_retention(Some(500));
-        assert_eq!(proc.graph().window(), Some(500));
-        proc.set_graph_retention(None);
-        assert_eq!(proc.graph().window(), None);
-    }
-
-    #[test]
     fn deregistering_the_last_query_keeps_graph_retention() {
         let (schema, mut proc) = simple_setup(Strategy::SingleLazy, Some(100));
         let ip = schema.vertex_type("ip").unwrap();
@@ -1062,29 +696,6 @@ mod tests {
             ));
         }
         assert!(proc.graph().num_edges() < 50);
-    }
-
-    #[test]
-    fn reset_preserves_an_externally_seeded_estimator() {
-        let mut schema = Schema::new();
-        let ip = schema.intern_vertex_type("ip");
-        let tcp = schema.intern_edge_type("tcp");
-        let mut seed = SelectivityEstimator::new();
-        seed.observe_edge(&sp_graph::EdgeData {
-            id: sp_graph::EdgeId(0),
-            src: VertexId(1),
-            dst: VertexId(2),
-            edge_type: tcp,
-            timestamp: Timestamp(1),
-        });
-        let mut proc = StreamProcessor::new(schema)
-            .with_estimator(seed)
-            .with_statistics(false);
-        proc.process(&EdgeEvent::homogeneous(1, 2, ip, tcp, Timestamp(1)));
-        proc.reset();
-        // With live collection disabled the estimator is external input and
-        // must survive the reset.
-        assert_eq!(proc.estimator().num_edges_observed(), 1);
     }
 
     #[test]
@@ -1124,7 +735,6 @@ mod tests {
                 min_observations: 32,
                 confirm_checks: 1,
             });
-        assert!(proc.adaptive_enabled());
         // Phase 1: esp is rare.
         for i in 0..180u64 {
             let t = if i % 10 == 0 { esp } else { tcp };

@@ -24,8 +24,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Instant;
 
-/// Stable identifier of a registered continuous query. Ids are never reused,
-/// even after the query is deregistered.
+/// Stable identifier of a registered continuous query. Ids are handed out by
+/// the [`ControlPlane`](crate::ControlPlane) and never reused, even after
+/// the query is deregistered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
 
@@ -95,7 +96,6 @@ pub struct QueryRegistry {
     /// Each live query's original registration boundary, preserved across
     /// drift-driven re-subscriptions.
     origins: HashMap<QueryId, u64>,
-    next_id: u64,
 }
 
 impl Default for QueryRegistry {
@@ -112,7 +112,6 @@ impl Default for QueryRegistry {
             complete: Vec::new(),
             boundary: 0,
             origins: HashMap::new(),
-            next_id: 0,
         }
     }
 }
@@ -154,12 +153,6 @@ impl QueryRegistry {
         self.shared.stats()
     }
 
-    /// Read access to the shared-leaf index (residency queries for
-    /// sharing-aware cost estimates).
-    pub fn shared_leaves(&self) -> &SharedLeafIndex {
-        &self.shared
-    }
-
     /// Enables or disables shared-join subscription for *future*
     /// registrations (enabled by default). Queries already subscribed to a
     /// prefix table keep running through it — their prefix state lives in
@@ -186,18 +179,20 @@ impl QueryRegistry {
         &self.join
     }
 
-    /// Registers an engine, indexing it under every edge type its query
-    /// uses and subscribing its leaves to the shared-leaf index. Returns the
-    /// new query's id.
+    /// Registers an engine under `id` (handed out by the
+    /// [`ControlPlane`](crate::ControlPlane)): indexes it under every edge
+    /// type its query uses, subscribes its leaves to the shared-leaf index
+    /// and, when join sharing is enabled, subscribes it to the shared join
+    /// stage — its decomposition's canonical prefix chain is matched against
+    /// the live tables and the other registered chains, possibly creating a
+    /// new refcounted table and migrating previously private partners onto
+    /// it (see [`crate::SharedJoinIndex`]). `graph` is the data graph the
+    /// registry runs against, needed to back-fill tables for subscribers
+    /// entitled to retained history.
     ///
-    /// This path never enables shared-**join** evaluation (subscribing a
-    /// prefix table may need to back-fill it from the data graph, which the
-    /// registry does not own); callers with a graph at hand — the
-    /// [`StreamProcessor`](crate::StreamProcessor) — use
-    /// [`QueryRegistry::register_shared`].
-    pub fn register(&mut self, engine: ContinuousQueryEngine) -> QueryId {
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
+    /// # Panics
+    /// Panics when `id` is already registered (ids are never reused).
+    pub fn register(&mut self, id: QueryId, engine: ContinuousQueryEngine, graph: &DynamicGraph) {
         for edge_type in query_edge_types(&engine) {
             let slot = self.dispatch.entry(edge_type).or_default();
             if !slot.contains(&id) {
@@ -206,28 +201,11 @@ impl QueryRegistry {
         }
         self.shared.subscribe(id, &engine);
         self.origins.insert(id, self.boundary);
-        self.engines.insert(id, engine);
-        id
-    }
-
-    /// Like [`QueryRegistry::register`], additionally subscribing the query
-    /// to the shared join stage when enabled: its decomposition's canonical
-    /// prefix chain is matched against the live tables and the other
-    /// registered chains, possibly creating a new refcounted table and
-    /// migrating previously private partners onto it (see
-    /// [`crate::SharedJoinIndex`]). `graph` is the shared data graph,
-    /// needed to back-fill tables for subscribers entitled to retained
-    /// history.
-    pub fn register_shared(
-        &mut self,
-        engine: ContinuousQueryEngine,
-        graph: &DynamicGraph,
-    ) -> QueryId {
-        let id = self.register(engine);
+        let previous = self.engines.insert(id, engine);
+        assert!(previous.is_none(), "query id {id} registered twice");
         if self.sharing && self.join_sharing {
             self.subscribe_join(id, graph);
         }
-        id
     }
 
     /// Runs the shared-join subscription policy for one query (newly
@@ -311,11 +289,6 @@ impl QueryRegistry {
         self.engines.iter().map(|(&id, e)| (id, e))
     }
 
-    /// Iterates mutably over `(id, engine)` pairs in registration order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (QueryId, &mut ContinuousQueryEngine)> + '_ {
-        self.engines.iter_mut().map(|(&id, e)| (id, e))
-    }
-
     /// Ids of all registered queries, in registration order.
     pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
         self.engines.keys().copied()
@@ -328,15 +301,6 @@ impl QueryRegistry {
             .get(&edge_type)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// The graph retention window implied by the registered queries (see
-    /// [`retention_for_windows`]): the maximum `tW` across engines, or
-    /// `None` (retain everything) when any engine is unwindowed or the
-    /// registry is empty. Individual engines still purge and filter with
-    /// their own, possibly smaller, window.
-    pub fn graph_retention(&self) -> Option<u64> {
-        retention_for_windows(self.engines.values().map(|e| e.window()))
     }
 
     /// Dispatches one new edge (already inserted into `graph`) to every
@@ -472,20 +436,6 @@ impl QueryRegistry {
         ok
     }
 
-    /// Clears all shared-stage runtime state (prefix-table contents,
-    /// subscription boundaries, the stream-position counter) while keeping
-    /// the registered queries and their subscriptions, so the registry can
-    /// replay another stream from scratch. The processor's
-    /// [`reset`](crate::StreamProcessor::reset) calls this alongside
-    /// resetting every engine.
-    pub fn reset_shared_state(&mut self) {
-        self.boundary = 0;
-        for origin in self.origins.values_mut() {
-            *origin = 0;
-        }
-        self.join.reset();
-    }
-
     /// Runs every engine's and every shared prefix table's purge pass
     /// against the current graph. Returns the total number of partial
     /// matches dropped.
@@ -517,11 +467,10 @@ impl<'a> StageClock<'a> {
 
 /// The graph retention window implied by a set of per-query windows: the
 /// maximum `tW`, or `None` (retain everything) when any window is `None` or
-/// the set is empty. This is the single encoding of the retention rule,
-/// shared by [`QueryRegistry::graph_retention`] and the parallel runtime's
-/// global-retention broadcast — the sequential-equivalence guarantee depends
-/// on both sides computing it identically.
-pub fn retention_for_windows<I>(windows: I) -> Option<u64>
+/// the set is empty. This is the single encoding of the retention rule: the
+/// [`ControlPlane`](crate::ControlPlane) applies it to the registered
+/// queries, the shared join stage to a prefix table's subscribers.
+pub(crate) fn retention_for_windows<I>(windows: I) -> Option<u64>
 where
     I: IntoIterator<Item = Option<u64>>,
 {
@@ -554,6 +503,8 @@ fn query_edge_types(engine: &ContinuousQueryEngine) -> Vec<EdgeType> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ControlPlane;
+    use sp_graph::Schema;
     use sp_query::QueryGraph;
     use sp_selectivity::SelectivityEstimator;
 
@@ -569,51 +520,64 @@ mod tests {
         ContinuousQueryEngine::new(q, Strategy::SingleLazy, &est, window).unwrap()
     }
 
+    /// A registry on an empty graph, with ids handed out the way the
+    /// processors do it.
+    struct Fixture {
+        control: ControlPlane,
+        graph: DynamicGraph,
+        reg: QueryRegistry,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Self {
+                control: ControlPlane::new(),
+                graph: DynamicGraph::new(Schema::new()),
+                reg: QueryRegistry::new(),
+            }
+        }
+
+        fn register(&mut self, types: &[EdgeType]) -> QueryId {
+            let engine = engine_for(types, None);
+            let id = self.control.adopt(&engine);
+            self.reg.register(id, engine, &self.graph);
+            id
+        }
+    }
+
     #[test]
     fn dispatch_index_tracks_registered_edge_types() {
-        let mut reg = QueryRegistry::new();
-        let a = reg.register(engine_for(&[EdgeType(0), EdgeType(1)], None));
-        let b = reg.register(engine_for(&[EdgeType(1), EdgeType(2)], None));
-        assert_eq!(reg.candidates(EdgeType(0)), &[a]);
-        assert_eq!(reg.candidates(EdgeType(1)), &[a, b]);
-        assert_eq!(reg.candidates(EdgeType(2)), &[b]);
-        assert!(reg.candidates(EdgeType(9)).is_empty());
-        assert_eq!(reg.len(), 2);
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(0), EdgeType(1)]);
+        let b = f.register(&[EdgeType(1), EdgeType(2)]);
+        assert_eq!(f.reg.candidates(EdgeType(0)), &[a]);
+        assert_eq!(f.reg.candidates(EdgeType(1)), &[a, b]);
+        assert_eq!(f.reg.candidates(EdgeType(2)), &[b]);
+        assert!(f.reg.candidates(EdgeType(9)).is_empty());
+        assert_eq!(f.reg.len(), 2);
     }
 
     #[test]
     fn deregister_removes_dispatch_entries() {
-        let mut reg = QueryRegistry::new();
-        let a = reg.register(engine_for(&[EdgeType(0), EdgeType(1)], None));
-        let b = reg.register(engine_for(&[EdgeType(1)], None));
-        assert!(reg.deregister(a).is_some());
-        assert!(reg.candidates(EdgeType(0)).is_empty());
-        assert_eq!(reg.candidates(EdgeType(1)), &[b]);
-        assert!(reg.deregister(a).is_none(), "double deregister");
-        assert_eq!(reg.len(), 1);
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(0), EdgeType(1)]);
+        let b = f.register(&[EdgeType(1)]);
+        assert!(f.reg.deregister(a).is_some());
+        assert!(f.reg.candidates(EdgeType(0)).is_empty());
+        assert_eq!(f.reg.candidates(EdgeType(1)), &[b]);
+        assert!(f.reg.deregister(a).is_none(), "double deregister");
+        assert_eq!(f.reg.len(), 1);
     }
 
     #[test]
     fn ids_are_never_reused() {
-        let mut reg = QueryRegistry::new();
-        let a = reg.register(engine_for(&[EdgeType(0)], None));
-        reg.deregister(a);
-        let b = reg.register(engine_for(&[EdgeType(0)], None));
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(0)]);
+        f.reg.deregister(a);
+        f.control.forget(a);
+        let b = f.register(&[EdgeType(0)]);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn graph_retention_is_max_window() {
-        let mut reg = QueryRegistry::new();
-        assert_eq!(reg.graph_retention(), None);
-        reg.register(engine_for(&[EdgeType(0)], Some(10)));
-        assert_eq!(reg.graph_retention(), Some(10));
-        let wide = reg.register(engine_for(&[EdgeType(1)], Some(500)));
-        assert_eq!(reg.graph_retention(), Some(500));
-        reg.register(engine_for(&[EdgeType(2)], None));
-        assert_eq!(reg.graph_retention(), None);
-        reg.deregister(wide);
-        assert_eq!(reg.graph_retention(), None);
+        assert_eq!(f.reg.candidates(EdgeType(0)), &[b]);
     }
 
     #[test]
@@ -626,8 +590,8 @@ mod tests {
 
     #[test]
     fn duplicate_edge_types_in_one_query_index_once() {
-        let mut reg = QueryRegistry::new();
-        let a = reg.register(engine_for(&[EdgeType(3), EdgeType(3)], None));
-        assert_eq!(reg.candidates(EdgeType(3)), &[a]);
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(3), EdgeType(3)]);
+        assert_eq!(f.reg.candidates(EdgeType(3)), &[a]);
     }
 }

@@ -69,9 +69,9 @@
 //! # Windows move to emit time
 //!
 //! Subscribers with different `tW` share one table: the table itself prunes
-//! joins only against the *loosest* subscriber window (the same
-//! [`retention_for_windows`](crate::retention_for_windows) rule the shared
-//! graph uses), and each subscriber's own `tW` is applied when emissions
+//! joins only against the *loosest* subscriber window (the same rule the
+//! [`ControlPlane`](crate::ControlPlane) derives the graph's retention
+//! from), and each subscriber's own `tW` is applied when emissions
 //! are delivered. A match over-window for one subscriber but inside another's
 //! is thus delivered exactly where the private path would have delivered
 //! it; stored partials an individual engine would have pruned early are
@@ -619,12 +619,6 @@ impl SharedJoinIndex {
         self.entries[idx].as_ref().map(PrefixEntry::depth)
     }
 
-    /// Whether a canonical prefix is currently materialized as a table
-    /// (the residency predicate behind sharing-aware cost estimates).
-    pub fn contains(&self, sig: &PrefixSignature) -> bool {
-        self.by_sig.contains_key(sig)
-    }
-
     /// The recorded full chain of a registered query, if it is
     /// join-capable.
     pub fn chain_of(&self, id: QueryId) -> Option<&PrefixSignature> {
@@ -1157,31 +1151,6 @@ impl SharedJoinIndex {
             .flatten()
             .map(|e| e.store.purge(graph, latest, e.window))
             .sum()
-    }
-
-    /// Clears all runtime state — table contents, pending emissions,
-    /// boundaries and cumulative counters — while keeping the tables and
-    /// subscriptions themselves, so the same registry can replay another
-    /// stream from scratch (every subscriber behaves as registered at
-    /// stream start). Mirrors `ContinuousQueryEngine::reset`.
-    pub fn reset(&mut self) {
-        for entry in self.entries.iter_mut().flatten() {
-            entry.store.clear();
-            entry.pending.clear();
-            entry.advanced_for = None;
-            entry.populated_since = 0;
-            for sub in &mut entry.subs {
-                sub.boundary = 0;
-            }
-        }
-        self.searches_run = 0;
-        self.inserts_run = 0;
-        self.searches_saved = 0;
-        self.inserts_saved = 0;
-        self.emissions = 0;
-        self.deliveries = 0;
-        self.replays = 0;
-        self.parent_feeds = 0;
     }
 
     fn create_entry(&mut self, sig: PrefixSignature, now: u64) -> usize {

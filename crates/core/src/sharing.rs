@@ -255,12 +255,6 @@ impl SharedLeafIndex {
         self.subs.contains_key(&id)
     }
 
-    /// Whether a canonical leaf shape is currently resident in the index
-    /// (the residency predicate behind sharing-aware cost estimates).
-    pub fn contains(&self, sig: &LeafSignature) -> bool {
-        self.by_sig.contains_key(sig)
-    }
-
     /// The subscribers of a canonical leaf shape, as `(query, leaf node)`
     /// pairs in subscription order. Borrows the entry-owned list — no
     /// allocation per call (the old implementation assembled a fresh `Vec`
@@ -508,6 +502,5 @@ mod tests {
         assert_eq!(subs.len(), 2);
         assert_eq!(subs[0].0, QueryId(7));
         assert_eq!(subs[1].0, QueryId(9));
-        assert!(index.contains(&sig));
     }
 }

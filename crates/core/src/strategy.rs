@@ -8,9 +8,9 @@
 //! below 0.001, and SingleLazy be employed for queries above 0.001".
 
 use serde::{Deserialize, Serialize};
-use sp_query::{canonicalize_subgraph, LeafSignature, QueryGraph};
+use sp_query::QueryGraph;
 use sp_selectivity::SelectivityEstimator;
-use sp_sjtree::{decompose, expected_selectivity, DecompositionError, PrimitivePolicy};
+use sp_sjtree::{decompose, expected_selectivity, DecompositionError, PrimitivePolicy, SjTree};
 use std::fmt;
 
 /// The Relative Selectivity threshold below which the 2-edge ("PathLazy")
@@ -96,12 +96,6 @@ pub struct StrategyChoice {
     pub expected_path: f64,
     /// Expected Selectivity of the 1-edge decomposition.
     pub expected_single: f64,
-    /// Expected fraction of the chosen decomposition's leaf searches that
-    /// shared-leaf evaluation will eliminate, given the registry state the
-    /// caller described (see
-    /// [`SelectivityEstimator::estimate_sharing_benefit`]). 0 when chosen
-    /// without registry context ([`choose_strategy`]).
-    pub sharing_benefit: f64,
 }
 
 /// Chooses between `SingleLazy` and `PathLazy` for a query using the
@@ -113,52 +107,35 @@ pub fn choose_strategy(
     estimator: &SelectivityEstimator,
     threshold: f64,
 ) -> Result<StrategyChoice, DecompositionError> {
-    choose_strategy_with_sharing(query, estimator, threshold, |_| false)
+    choose_plan(query, estimator, threshold).map(|(choice, _)| choice)
 }
 
-/// Like [`choose_strategy`], additionally reporting the expected leaf-search
-/// savings of shared-leaf evaluation: `is_resident(sig)` tells the selector
-/// which canonical leaf shapes some registered query already subscribes to
-/// (e.g. [`SharedLeafIndex::contains`](crate::SharedLeafIndex::contains)).
-/// `Auto` registration on [`StreamProcessor`](crate::StreamProcessor) uses
-/// this to report how much of the new query's work the registry already
-/// pays for.
-pub fn choose_strategy_with_sharing<F>(
+/// [`choose_strategy`], keeping the chosen decomposition: the rule has to
+/// build both trees to compare them, so the planner
+/// ([`plan_query`](crate::plan_query)) takes the winner instead of
+/// decomposing a third time.
+pub(crate) fn choose_plan(
     query: &QueryGraph,
     estimator: &SelectivityEstimator,
     threshold: f64,
-    is_resident: F,
-) -> Result<StrategyChoice, DecompositionError>
-where
-    F: Fn(&LeafSignature) -> bool,
-{
+) -> Result<(StrategyChoice, SjTree), DecompositionError> {
     let single = decompose(query, PrimitivePolicy::SingleEdge, estimator)?;
     let path = decompose(query, PrimitivePolicy::TwoEdgePath, estimator)?;
     let s_single = expected_selectivity(&single, estimator);
     let s_path = expected_selectivity(&path, estimator);
     let xi = s_path.relative_to(&s_single);
-    let strategy = if xi < threshold {
-        Strategy::PathLazy
+    let (strategy, tree) = if xi < threshold {
+        (Strategy::PathLazy, path)
     } else {
-        Strategy::SingleLazy
+        (Strategy::SingleLazy, single)
     };
-    let chosen_tree = if strategy == Strategy::PathLazy {
-        &path
-    } else {
-        &single
-    };
-    let leaves: Vec<LeafSignature> = chosen_tree
-        .leaf_subgraphs()
-        .filter_map(|sg| canonicalize_subgraph(query, sg).map(|(sig, _)| sig))
-        .collect();
-    let sharing_benefit = estimator.estimate_sharing_benefit(leaves.iter(), is_resident);
-    Ok(StrategyChoice {
+    let choice = StrategyChoice {
         strategy,
         relative_selectivity: xi,
         expected_path: s_path.expected,
         expected_single: s_single.expected,
-        sharing_benefit,
-    })
+    };
+    Ok((choice, tree))
 }
 
 #[cfg(test)]

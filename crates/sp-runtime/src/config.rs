@@ -24,8 +24,8 @@ pub struct RuntimeConfig {
     /// workers, which in turn blocks ingest — memory stays bounded end to
     /// end.
     pub match_capacity: usize,
-    /// Edges between partial-match purges in each worker's processor
-    /// (mirrors `StreamProcessor`'s purge interval).
+    /// Edges between partial-match purges in each worker's shard (the
+    /// sequential `StreamProcessor::with_purge_interval`).
     pub purge_interval: u64,
     /// Maintain live stream statistics on the ingest path (feeds
     /// `StrategySpec::Auto` registration, exactly like the sequential
@@ -42,13 +42,14 @@ pub struct RuntimeConfig {
     /// pre-registered queries are unaffected: a match can only use edges
     /// whose types occur in its query.
     pub ingest_filter: bool,
-    /// Drift-adaptive re-decomposition (`None` = off). When set, the facade
-    /// checks every registered query's drift detector against the
-    /// ingest-path statistics every `check_interval` edges and, on a
-    /// confirmed plan change, broadcasts a `Redecompose` control message
-    /// down the owning worker's FIFO channel — the swap lands at a
-    /// deterministic point between batches and replays the worker's
-    /// retained graph, so the reported match multiset is unchanged.
+    /// Drift-adaptive re-decomposition (`None` = off). When set, the
+    /// facade's control plane checks every registered query's drift
+    /// detector against the ingest-path statistics every `check_interval`
+    /// edges (at the next batch boundary) and, on a confirmed plan change,
+    /// the facade sends a `Redecompose` control message down the owning
+    /// worker's FIFO channel — the swap lands at a deterministic point
+    /// between batches and replays the worker's retained graph, so the
+    /// reported match multiset is unchanged.
     /// Requires `collect_statistics`; with statistics off the detectors
     /// never see movement.
     pub adaptive: Option<DriftConfig>,

@@ -1,15 +1,19 @@
 //! # sp-runtime — parallel sharded multi-query runtime
 //!
-//! The sequential [`StreamProcessor`](streampattern::StreamProcessor)
-//! dispatches every edge on one core. This crate scales the same multi-query
-//! semantics across threads, the way the paper's deployment story
-//! (StreamWorks) frames production rates: **query-parallel scale-out**.
+//! The sequential [`StreamProcessor`](streampattern::StreamProcessor) is one
+//! [`ControlPlane`](streampattern::ControlPlane) driving one
+//! [`Shard`](streampattern::Shard) — graph, engines, dispatch — on one core.
+//! This crate puts the *same* control plane in front of N shards on worker
+//! threads, the way the paper's deployment story (StreamWorks) frames
+//! production rates: **query-parallel scale-out**. Planning, query ids,
+//! retention and drift re-planning are therefore not re-implemented here;
+//! what this crate adds is shard placement and the channels.
 //!
 //! ```text
 //!              caller thread = ingest: batch + broadcast
-//!  events ──► [e,e,e,…] ──┬──► bounded ch ──► worker 0: graph replica ──┐
-//!   (stats → estimator)   ├──► bounded ch ──► worker 1: shard of       ─┤──► MPSC
-//!                         └──► bounded ch ──► worker N: registry       ─┘  aggregation
+//!  events ──► [e,e,e,…] ──┬──► bounded ch ──► worker 0: one Shard      ──┐
+//!  (stats → ControlPlane) ├──► bounded ch ──► worker 1: (graph replica ─┤──► MPSC
+//!                         └──► bounded ch ──► worker N:  + engines)    ─┘  aggregation
 //!                                                                          (QueryId, match)
 //! ```
 //!

@@ -1,12 +1,12 @@
-//! The parallel facade: mirrors the sequential [`StreamProcessor`] API on
-//! top of N sharded worker threads.
+//! The parallel front end: one [`ControlPlane`] — the same one the sequential
+//! [`StreamProcessor`] drives — plus shard placement, in front of N worker
+//! threads that each run one [`Shard`](streampattern::Shard).
 
 use crate::config::RuntimeConfig;
 use crate::worker::{worker_loop, DrainAck, MatchBatch, WorkerMsg, WorkerReport};
 use sp_graph::{monotonic_nanos, EdgeData, EdgeEvent, EdgeId, Schema, VertexId};
 use sp_iso::SubgraphMatch;
 use sp_metrics::{Counter, Gauge, MetricsRegistry};
-use sp_query::QueryEdgeId;
 use sp_query::QueryGraph;
 use sp_selectivity::SelectivityEstimator;
 use std::collections::{HashMap, VecDeque};
@@ -15,10 +15,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streampattern::{
-    canonicalize_subgraph, choose_strategy, leaf_structure, retention_for_windows, tree_chain,
-    AdaptiveStats, CollectSink, ContinuousQueryEngine, CountSink, EngineError, LeafSignature,
-    MatchSink, PipelineMetrics, PrefixSignature, ProfileCounters, QueryDriftState, QueryId,
-    Strategy, StrategySpec, StreamProcessor, MIN_PREFIX_DEPTH, RELATIVE_SELECTIVITY_THRESHOLD,
+    canonicalize_subgraph, tree_chain, AdaptiveStats, CollectSink, ContinuousQueryEngine,
+    ControlPlane, CountSink, EngineError, LeafSignature, MatchSink, PipelineMetrics,
+    PrefixSignature, ProfileCounters, QueryId, Shard, SjTree, StrategySpec, MIN_PREFIX_DEPTH,
 };
 
 /// How long a control wait sleeps on the aggregation channel before
@@ -89,26 +88,6 @@ struct RuntimeMetrics {
     queue_depth: Vec<Gauge>,
 }
 
-/// One query's drift bookkeeping on the facade: the detector plus the
-/// facade's mirror of the plan currently live on the owning worker (the
-/// engine itself is on the worker thread, so the facade tracks strategy and
-/// leaf structure to compare re-plans against).
-struct FacadeQueryDrift {
-    state: QueryDriftState,
-    query: QueryGraph,
-    strategy: Strategy,
-    leaves: Vec<Vec<QueryEdgeId>>,
-}
-
-/// Facade-level adaptivity: per-query drift states plus the shared check
-/// cadence over ingested edges.
-struct FacadeAdaptive {
-    config: streampattern::DriftConfig,
-    last_check_at: u64,
-    per_query: HashMap<QueryId, FacadeQueryDrift>,
-    stats: AdaptiveStats,
-}
-
 #[derive(Debug, Clone)]
 struct ShardAssignment {
     worker: usize,
@@ -123,22 +102,26 @@ struct ShardAssignment {
 
 /// A parallel, sharded multi-query stream processor.
 ///
-/// `ParallelStreamProcessor` mirrors the sequential
+/// `ParallelStreamProcessor` offers the sequential
 /// [`StreamProcessor`](streampattern::StreamProcessor) API —
 /// [`register`](Self::register) / [`deregister`](Self::deregister) /
-/// [`process_all`](Self::process_all) / [`profile`](Self::profile) — but
-/// executes the registered queries on `N` worker threads:
+/// [`process_all`](Self::process_all) / [`profile`](Self::profile) — and
+/// makes every planning decision through the same [`ControlPlane`], so query
+/// ids, strategies, retention and drift re-plans are the sequential ones by
+/// construction. What differs is where the queries execute — on `N` worker
+/// threads:
 ///
 /// * every query is assigned to one worker shard, chosen greedily by the
 ///   selectivity-based cost estimate
 ///   ([`SelectivityEstimator::estimate_query_cost`]) so shards stay
 ///   balanced;
-/// * the calling thread is the ingest thread: it batches events and
-///   broadcasts each batch over a bounded channel per worker, blocking when
-///   a worker falls behind (backpressure);
-/// * each worker owns a full windowed graph replica plus its shard of the
-///   registry, and its local edge-type dispatch index skips engines exactly
-///   as the sequential processor would;
+/// * the calling thread is the ingest thread: it feeds the control plane's
+///   statistics, batches events and broadcasts each batch over a bounded
+///   channel per worker, blocking when a worker falls behind
+///   (backpressure);
+/// * each worker owns one [`Shard`](streampattern::Shard) — a full windowed
+///   graph replica plus its slice of the engines — whose edge-type dispatch
+///   index skips engines exactly as the sequential processor's would;
 /// * complete matches flow back through one bounded MPSC aggregation
 ///   channel, tagged `(QueryId, SubgraphMatch)`; per-worker emission order
 ///   is preserved, interleaving across workers is arbitrary.
@@ -150,11 +133,10 @@ struct ShardAssignment {
 /// workers.
 pub struct ParallelStreamProcessor {
     config: RuntimeConfig,
-    estimator: SelectivityEstimator,
+    control: ControlPlane,
     workers: Vec<WorkerHandle>,
     match_rx: Receiver<MatchBatch>,
     assignments: HashMap<QueryId, ShardAssignment>,
-    windows: HashMap<QueryId, Option<u64>>,
     shard_costs: Vec<f64>,
     /// Per-shard refcounts of resident canonical leaf shapes, mirroring what
     /// each worker's `SharedLeafIndex` holds; drives sharing-aware
@@ -168,17 +150,29 @@ pub struct ParallelStreamProcessor {
     /// prefix of its own chain (the worker registry will share — or nest
     /// under — the join tables along that path).
     shard_chains: Vec<HashMap<PrefixSignature, usize>>,
-    adaptive: Option<FacadeAdaptive>,
-    next_id: u64,
-    retention: Option<u64>,
     events_ingested: u64,
-    /// Events refused at ingest ([`StreamProcessor::accepts`]).
+    /// Events refused at ingest ([`Shard::accepts`]).
     rejected_events: u64,
     matches_received: u64,
     total_matches: u64,
     buffered: VecDeque<(QueryId, SubgraphMatch)>,
     stats: RuntimeStats,
     metrics: Option<RuntimeMetrics>,
+}
+
+/// The canonical leaf shapes of a decomposition, in leaf order.
+fn leaf_signatures(tree: &SjTree) -> Vec<LeafSignature> {
+    tree.leaf_subgraphs()
+        .filter_map(|sg| canonicalize_subgraph(tree.query(), sg).map(|(sig, _)| sig))
+        .collect()
+}
+
+/// Every trie-path node of a chain: its prefix truncations from
+/// [`MIN_PREFIX_DEPTH`] up to the full depth.
+fn chain_paths(chain: Option<&PrefixSignature>) -> impl Iterator<Item = PrefixSignature> + '_ {
+    chain
+        .into_iter()
+        .flat_map(|c| (MIN_PREFIX_DEPTH..=c.depth()).map(|d| c.truncated(d)))
 }
 
 impl ParallelStreamProcessor {
@@ -209,28 +203,20 @@ impl ParallelStreamProcessor {
                 join: Some(join),
             });
         }
-        let shard_costs = vec![0.0; config.workers];
-        let shard_sigs = vec![HashMap::new(); config.workers];
-        let shard_chains = vec![HashMap::new(); config.workers];
-        let adaptive = config.adaptive.map(|cfg| FacadeAdaptive {
-            config: cfg,
-            last_check_at: 0,
-            per_query: HashMap::new(),
-            stats: AdaptiveStats::default(),
-        });
+        let mut control = ControlPlane::new();
+        control.set_statistics(config.collect_statistics);
+        if let Some(drift) = config.adaptive {
+            control.set_adaptive(drift);
+        }
         Self {
             config,
-            estimator: SelectivityEstimator::new(),
+            control,
             workers,
             match_rx,
             assignments: HashMap::new(),
-            windows: HashMap::new(),
-            shard_costs,
-            shard_sigs,
-            shard_chains,
-            adaptive,
-            next_id: 0,
-            retention: None,
+            shard_costs: vec![0.0; config.workers],
+            shard_sigs: vec![HashMap::new(); config.workers],
+            shard_chains: vec![HashMap::new(); config.workers],
             events_ingested: 0,
             rejected_events: 0,
             matches_received: 0,
@@ -291,7 +277,7 @@ impl ParallelStreamProcessor {
     /// estimator unless statistics collection is disabled in the
     /// [`RuntimeConfig`].
     pub fn with_estimator(mut self, estimator: SelectivityEstimator) -> Self {
-        self.estimator = estimator;
+        self.control.set_estimator(estimator);
         self
     }
 
@@ -312,7 +298,7 @@ impl ParallelStreamProcessor {
 
     /// The stream statistics collected so far on the ingest path.
     pub fn estimator(&self) -> &SelectivityEstimator {
-        &self.estimator
+        self.control.estimator()
     }
 
     /// Number of registered queries.
@@ -356,50 +342,51 @@ impl ParallelStreamProcessor {
         self.shard_chains.get(worker).map(HashMap::len).unwrap_or(0)
     }
 
-    /// Refcounts every trie-path node of `chain` on `worker` — the
-    /// registration half of the facade's shared-join mirror.
-    fn add_chain_paths(&mut self, worker: usize, chain: &PrefixSignature) {
-        for d in MIN_PREFIX_DEPTH..=chain.depth() {
-            *self.shard_chains[worker]
-                .entry(chain.truncated(d))
-                .or_insert(0) += 1;
+    /// Books a decomposition's canonical leaf shapes and every trie-path
+    /// node of its chain as resident on `worker` — what the worker's shared
+    /// stages will hold once the plan runs there.
+    fn occupy(&mut self, worker: usize, sigs: &[LeafSignature], chain: Option<&PrefixSignature>) {
+        for sig in sigs {
+            *self.shard_sigs[worker].entry(sig.clone()).or_insert(0) += 1;
+        }
+        for path in chain_paths(chain) {
+            *self.shard_chains[worker].entry(path).or_insert(0) += 1;
         }
     }
 
-    /// Releases every trie-path node of `chain` on `worker`, dropping nodes
-    /// whose refcount reaches zero.
-    fn remove_chain_paths(&mut self, worker: usize, chain: &PrefixSignature) {
-        for d in MIN_PREFIX_DEPTH..=chain.depth() {
-            let sig = chain.truncated(d);
-            if let Some(count) = self.shard_chains[worker].get_mut(&sig) {
+    /// Releases what [`occupy`](Self::occupy) booked, dropping shapes and
+    /// trie-path nodes whose refcount reaches zero.
+    fn vacate(&mut self, worker: usize, sigs: &[LeafSignature], chain: Option<&PrefixSignature>) {
+        fn release<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, usize>, key: &K) {
+            if let Some(count) = counts.get_mut(key) {
                 *count -= 1;
                 if *count == 0 {
-                    self.shard_chains[worker].remove(&sig);
+                    counts.remove(key);
                 }
             }
         }
+        for sig in sigs {
+            release(&mut self.shard_sigs[worker], sig);
+        }
+        for path in chain_paths(chain) {
+            release(&mut self.shard_chains[worker], &path);
+        }
     }
 
-    /// Registers a continuous query, mirroring
-    /// [`StreamProcessor::register`](streampattern::StreamProcessor::register):
-    /// the strategy is fixed or chosen by the Relative Selectivity rule
-    /// against the ingest-path statistics, and the query is assigned to the
-    /// least-loaded shard by estimated cost.
+    /// Registers a continuous query, exactly as
+    /// [`StreamProcessor::register`](streampattern::StreamProcessor::register)
+    /// does — planned by the control plane against the ingest-path
+    /// statistics — and places it on a shard
+    /// ([`register_engine`](Self::register_engine) describes the placement).
     pub fn register(
         &mut self,
         query: QueryGraph,
         spec: impl Into<StrategySpec>,
         window: Option<u64>,
     ) -> Result<QueryId, EngineError> {
-        let spec = spec.into();
-        let strategy = match spec {
-            StrategySpec::Fixed(s) => s,
-            StrategySpec::Auto => {
-                choose_strategy(&query, &self.estimator, RELATIVE_SELECTIVITY_THRESHOLD)?.strategy
-            }
-        };
-        let engine = ContinuousQueryEngine::new(query, strategy, &self.estimator, window)?;
-        Ok(self.register_engine_with_spec(engine, spec))
+        let (id, engine) = self.control.plan(query, spec.into(), window)?;
+        self.place(id, engine);
+        Ok(id)
     }
 
     /// Registers a pre-built engine (custom decompositions, replayed trees)
@@ -411,33 +398,23 @@ impl ParallelStreamProcessor {
     /// the plain least-loaded assignment.
     ///
     /// Under adaptivity ([`crate::RuntimeConfig::adaptive`]) the engine's
-    /// current strategy is treated as a `Fixed` registration, mirroring the
-    /// sequential processor: drift may re-order its leaves but never change
-    /// the strategy.
+    /// current strategy is treated as a `Fixed` registration: drift may
+    /// re-order its leaves but never change the strategy.
     pub fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
-        let spec = StrategySpec::Fixed(engine.strategy());
-        self.register_engine_with_spec(engine, spec)
+        let id = self.control.adopt(&engine);
+        self.place(id, engine);
+        id
     }
 
-    fn register_engine_with_spec(
-        &mut self,
-        engine: ContinuousQueryEngine,
-        spec: StrategySpec,
-    ) -> QueryId {
+    /// Shard placement: picks the worker, books the shard statistics, ships
+    /// the engine and the (possibly widened) retention window.
+    fn place(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
+        let estimator = self.control.estimator();
         // Cost floor keeps a shard from absorbing unbounded many "free"
         // queries: even a never-dispatched query costs registry space.
-        let base_cost = self.estimator.estimate_query_cost(engine.query()).max(1e-6);
-        let sigs: Vec<LeafSignature> = engine
-            .tree()
-            .map(|tree| {
-                tree.leaf_subgraphs()
-                    .filter_map(|sg| canonicalize_subgraph(tree.query(), sg).map(|(sig, _)| sig))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let base_cost = estimator.estimate_query_cost(engine.query()).max(1e-6);
+        let sigs = engine.tree().map(leaf_signatures).unwrap_or_default();
         let chain = engine.tree().and_then(tree_chain);
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
         let mut worker = 0;
         let mut cost = base_cost;
         let mut best_total = f64::INFINITY;
@@ -456,7 +433,7 @@ impl ParallelStreamProcessor {
                         .collect()
                 })
                 .unwrap_or_default();
-            let benefit = self.estimator.estimate_sharing_benefit_with_prefixes(
+            let benefit = estimator.estimate_sharing_benefit_with_prefixes(
                 sigs.iter(),
                 |sig| self.shard_sigs[w].contains_key(sig),
                 resident_depths.iter().copied(),
@@ -470,13 +447,7 @@ impl ParallelStreamProcessor {
             }
         }
         self.shard_costs[worker] += cost;
-        for sig in &sigs {
-            *self.shard_sigs[worker].entry(sig.clone()).or_insert(0) += 1;
-        }
-        if let Some(chain) = chain.clone() {
-            self.add_chain_paths(worker, &chain);
-        }
-        self.windows.insert(id, engine.window());
+        self.occupy(worker, &sigs, chain.as_ref());
         self.assignments.insert(
             id,
             ShardAssignment {
@@ -486,33 +457,14 @@ impl ParallelStreamProcessor {
                 chain,
             },
         );
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            if let Some(tree) = engine.tree() {
-                adaptive.per_query.insert(
-                    id,
-                    FacadeQueryDrift {
-                        state: QueryDriftState::new(
-                            adaptive.config,
-                            engine.query(),
-                            spec,
-                            &self.estimator,
-                        ),
-                        query: engine.query().clone(),
-                        strategy: engine.strategy(),
-                        leaves: leaf_structure(tree),
-                    },
-                );
-            }
-        }
         self.send_to_worker(
             worker,
             WorkerMsg::Register {
-                global: id,
+                id,
                 engine: Box::new(engine),
             },
         );
         self.broadcast_retention();
-        id
     }
 
     /// Deregisters a query, returning its engine with runtime state intact.
@@ -520,35 +472,20 @@ impl ParallelStreamProcessor {
     /// this call, so no in-flight event is lost or double-processed.
     pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
         let assignment = self.assignments.remove(&id)?;
-        self.windows.remove(&id);
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            adaptive.per_query.remove(&id);
-        }
-        self.shard_costs[assignment.worker] =
-            (self.shard_costs[assignment.worker] - assignment.cost).max(0.0);
-        for sig in &assignment.sigs {
-            if let Some(count) = self.shard_sigs[assignment.worker].get_mut(sig) {
-                *count -= 1;
-                if *count == 0 {
-                    self.shard_sigs[assignment.worker].remove(sig);
-                }
-            }
-        }
-        if let Some(chain) = assignment.chain.clone() {
-            self.remove_chain_paths(assignment.worker, &chain);
-        }
+        self.control.forget(id);
+        let worker = assignment.worker;
+        self.shard_costs[worker] = (self.shard_costs[worker] - assignment.cost).max(0.0);
+        self.vacate(worker, &assignment.sigs, assignment.chain.as_ref());
         let (reply_tx, reply_rx) = channel();
         self.send_to_worker(
-            assignment.worker,
+            worker,
             WorkerMsg::Deregister {
-                global: id,
+                id,
                 reply: reply_tx,
             },
         );
         let engine = self.recv_reply(&reply_rx).map(|boxed| *boxed);
-        if !self.assignments.is_empty() {
-            self.broadcast_retention();
-        }
+        self.broadcast_retention();
         engine
     }
 
@@ -564,21 +501,19 @@ impl ParallelStreamProcessor {
         let mut delivered = self.flush_buffered(sink);
         let mut batch: Vec<EdgeEvent> = Vec::with_capacity(self.config.batch_size);
         for ev in events {
-            if !StreamProcessor::accepts(ev) {
+            if !Shard::accepts(ev) {
                 // Dropped here, before the batch: every replica's edge ids
                 // stay aligned with the facade's event count.
                 self.rejected_events += 1;
                 continue;
             }
-            if self.config.collect_statistics {
-                self.estimator.observe_edge(&EdgeData {
-                    id: EdgeId(self.events_ingested),
-                    src: VertexId(ev.src),
-                    dst: VertexId(ev.dst),
-                    edge_type: ev.edge_type,
-                    timestamp: ev.timestamp,
-                });
-            }
+            self.control.observe(&EdgeData {
+                id: EdgeId(self.events_ingested),
+                src: VertexId(ev.src),
+                dst: VertexId(ev.dst),
+                edge_type: ev.edge_type,
+                timestamp: ev.timestamp,
+            });
             self.events_ingested += 1;
             // With metrics attached the ingest instant rides on the event so
             // workers can measure detection latency from arrival, not from
@@ -592,18 +527,18 @@ impl ParallelStreamProcessor {
                 self.broadcast(std::mem::take(&mut batch));
                 batch = Vec::with_capacity(self.config.batch_size);
                 delivered += self.flush_buffered(sink);
-                self.maybe_check_drift();
+                self.check_drift_if_due();
             }
         }
         if !batch.is_empty() {
             self.broadcast(batch);
-            self.maybe_check_drift();
+            self.check_drift_if_due();
         }
         delivered + self.drain_into(sink)
     }
 
     /// Ingests a whole stream and returns the total number of matches found,
-    /// mirroring [`StreamProcessor::process_all`](streampattern::StreamProcessor::process_all).
+    /// like [`StreamProcessor::process_all`](streampattern::StreamProcessor::process_all).
     pub fn process_all<'a, I>(&mut self, events: I) -> u64
     where
         I: IntoIterator<Item = &'a EdgeEvent>,
@@ -614,9 +549,9 @@ impl ParallelStreamProcessor {
     }
 
     /// Ingests one event and returns the matches it created. This drains the
-    /// whole pipeline (a full barrier) per event — it mirrors
-    /// [`StreamProcessor::process`](streampattern::StreamProcessor::process)
-    /// for convenience and tests, but high-throughput callers should use
+    /// whole pipeline (a full barrier) per event — the counterpart of
+    /// [`StreamProcessor::process`](streampattern::StreamProcessor::process),
+    /// for convenience and tests; high-throughput callers should use
     /// [`process_all_into`](Self::process_all_into).
     pub fn process(&mut self, event: &EdgeEvent) -> Vec<(QueryId, SubgraphMatch)> {
         let mut sink = CollectSink::new();
@@ -696,124 +631,55 @@ impl ParallelStreamProcessor {
     /// global maximum across registered queries; `None` retains
     /// everything).
     pub fn graph_retention(&self) -> Option<u64> {
-        self.retention
+        self.control.retention()
     }
 
     /// Cumulative drift-adaptivity counters (zeroes when
     /// [`crate::RuntimeConfig::adaptive`] is off).
     pub fn adaptive_stats(&self) -> AdaptiveStats {
-        self.adaptive.as_ref().map(|a| a.stats).unwrap_or_default()
+        self.control.adaptive_stats()
     }
 
-    /// Runs the drift checks at batch-boundary cadence: once
-    /// `check_interval` edges have been ingested since the last check, every
-    /// registered query's detector is evaluated against the ingest-path
-    /// statistics.
-    fn maybe_check_drift(&mut self) {
-        let due = match self.adaptive.as_mut() {
-            Some(adaptive)
-                if self.events_ingested - adaptive.last_check_at
-                    >= adaptive.config.check_interval =>
-            {
-                adaptive.last_check_at = self.events_ingested;
-                true
-            }
-            _ => false,
-        };
-        if due {
+    /// The runtime's drift cadence: at a batch boundary, once
+    /// `check_interval` edges have been ingested since the last check.
+    fn check_drift_if_due(&mut self) {
+        if self.control.drift_due() {
             self.run_drift_checks();
         }
     }
 
-    /// One drift check over every registered query: confirmed plan changes
-    /// are shipped to the owning worker as a `Redecompose` control message
-    /// (FIFO with the edge batches, so the swap point is deterministic) and
-    /// the facade's plan mirror plus sharing-aware shard statistics are
-    /// updated. Returns the number of re-decompositions issued. A no-op
-    /// when adaptivity is off.
+    /// One drift check over every registered query
+    /// ([`ControlPlane::check_drift`]): each confirmed plan change is
+    /// shipped to the owning worker as a `Redecompose` control message (FIFO
+    /// with the edge batches, so the swap point is deterministic) and the
+    /// shard's resident shapes move with it. Returns the number of
+    /// re-decompositions issued. A no-op when adaptivity is off.
     pub fn run_drift_checks(&mut self) -> usize {
-        let Some(mut adaptive) = self.adaptive.take() else {
-            return 0;
-        };
-        let mut issued = 0;
-        let ids: Vec<QueryId> = {
-            let mut ids: Vec<QueryId> = adaptive.per_query.keys().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        for id in ids {
-            let fqd = adaptive.per_query.get_mut(&id).expect("id from keys");
-            adaptive.stats.checks += 1;
-            let mut drifted = false;
-            let plan = fqd.state.check_plan(
-                &fqd.query,
-                fqd.strategy,
-                &fqd.leaves,
-                &self.estimator,
-                &mut drifted,
-            );
-            if drifted {
-                adaptive.stats.drifts_detected += 1;
-            }
-            let Some((strategy, tree)) = plan else {
-                continue;
-            };
-            // Plans the worker's engine could not be rebuilt onto (the
-            // lazy-bitmap leaf cap) are dropped here, mirroring the
-            // sequential processor's skip; the worker tolerates a failing
-            // rebuild too, but there is no point shipping one.
-            if tree.num_leaves() > streampattern::MAX_LEAVES {
-                continue;
-            }
-            let Some(assignment) = self.assignments.get_mut(&id) else {
-                continue;
-            };
-            // Refresh the shard's resident-shape refcounts: the old leaves
-            // unsubscribe on the worker, the new ones subscribe.
-            let worker = assignment.worker;
-            let new_sigs: Vec<LeafSignature> = tree
-                .leaf_subgraphs()
-                .filter_map(|sg| canonicalize_subgraph(tree.query(), sg).map(|(sig, _)| sig))
-                .collect();
-            for sig in &assignment.sigs {
-                if let Some(count) = self.shard_sigs[worker].get_mut(sig) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.shard_sigs[worker].remove(sig);
-                    }
-                }
-            }
-            for sig in &new_sigs {
-                *self.shard_sigs[worker].entry(sig.clone()).or_insert(0) += 1;
-            }
-            assignment.sigs = new_sigs;
-            // Trie-path refcounts move with the re-decomposition exactly
-            // like the leaf-shape refcounts: the worker's shared join index
-            // will drop/recreate trie nodes on its `resubscribe`, and the
-            // facade's mirror must follow for future assignments to stay
-            // accurate.
-            let new_chain = tree_chain(&tree);
-            let old_chain = std::mem::replace(&mut assignment.chain, new_chain.clone());
-            if let Some(chain) = old_chain {
-                self.remove_chain_paths(worker, &chain);
-            }
-            if let Some(chain) = new_chain {
-                self.add_chain_paths(worker, &chain);
-            }
-            fqd.strategy = strategy;
-            fqd.leaves = leaf_structure(&tree);
-            adaptive.stats.redecompositions += 1;
-            issued += 1;
+        let plans = self.control.check_drift();
+        let issued = plans.len();
+        for (id, strategy, tree) in plans {
+            let mut placed = self
+                .assignments
+                .remove(&id)
+                .expect("the control plane re-plans placed queries only");
+            let worker = placed.worker;
+            // The old leaves and trie paths unsubscribe on the worker's
+            // `resubscribe`, the new ones subscribe; placement statistics
+            // follow so future assignments stay accurate.
+            self.vacate(worker, &placed.sigs, placed.chain.as_ref());
+            placed.sigs = leaf_signatures(&tree);
+            placed.chain = tree_chain(&tree);
+            self.occupy(worker, &placed.sigs, placed.chain.as_ref());
+            self.assignments.insert(id, placed);
             self.send_to_worker(
                 worker,
                 WorkerMsg::Redecompose {
-                    global: id,
+                    id,
                     strategy,
                     tree: Box::new(tree),
                 },
             );
         }
-        self.adaptive = Some(adaptive);
         issued
     }
 
@@ -1010,16 +876,11 @@ impl ParallelStreamProcessor {
         delivered
     }
 
-    /// Recomputes the global retention window with the same rule as the
-    /// sequential processor ([`retention_for_windows`]) and broadcasts it to
-    /// every replica. Only called with at least one registered query —
-    /// `deregister` skips the recompute when the last query leaves, which
-    /// mirrors the sequential "keep the current retention on empty"
-    /// behaviour.
+    /// Ships the control plane's retention window to every replica, so a
+    /// query registered mid-stream on any shard still finds the history it
+    /// is entitled to.
     fn broadcast_retention(&mut self) {
-        debug_assert!(!self.windows.is_empty());
-        let retention = retention_for_windows(self.windows.values().copied());
-        self.retention = retention;
+        let retention = self.control.retention();
         for w in 0..self.workers.len() {
             self.send_to_worker(w, WorkerMsg::SetRetention(retention));
         }

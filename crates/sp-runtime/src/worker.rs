@@ -1,6 +1,8 @@
-//! The worker side of the runtime: one thread per shard, each owning a full
-//! [`StreamProcessor`] replica (its own windowed `DynamicGraph` plus the
-//! shard's slice of the query registry).
+//! The worker side of the runtime: one thread per shard, each owning one
+//! [`Shard`] — its own windowed `DynamicGraph` replica plus its slice of the
+//! engines — and nothing that plans: no statistics, no strategy choice, no
+//! retention rule, no id allocation. Those live on the facade's
+//! `ControlPlane`; a worker does what the control messages say.
 //!
 //! A worker is a small actor: it drains one bounded input channel in FIFO
 //! order, so control messages (register, deregister, drain, report) are
@@ -13,12 +15,10 @@ use crate::config::RuntimeConfig;
 use sp_graph::{monotonic_nanos, EdgeEvent, Schema};
 use sp_iso::SubgraphMatch;
 use sp_metrics::{Gauge, Histogram};
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use streampattern::{
-    ContinuousQueryEngine, FnSink, PipelineMetrics, ProfileCounters, QueryId, SjTree, Strategy,
-    StreamProcessor,
+    ContinuousQueryEngine, PipelineMetrics, ProfileCounters, QueryId, Shard, SjTree, Strategy,
 };
 
 /// One aggregation-channel message: the originating worker index and the
@@ -38,7 +38,7 @@ pub(crate) enum WorkerMsg {
         sent_ns: u64,
     },
     /// Attach telemetry handles: the shared pipeline bundle for this
-    /// worker's processor replica, plus this worker's queue-depth gauge and
+    /// worker's shard, plus this worker's queue-depth gauge and
     /// the shared batch-sojourn histogram. Rides the FIFO channel, so
     /// batches sent before it stay unmetered and batches after it are fully
     /// metered.
@@ -47,17 +47,17 @@ pub(crate) enum WorkerMsg {
         queue_depth: Gauge,
         sojourn: Histogram,
     },
-    /// Register an engine under the facade's global query id.
+    /// Run an engine under the id the facade's control plane allocated.
     Register {
-        global: QueryId,
+        id: QueryId,
         engine: Box<ContinuousQueryEngine>,
     },
     /// Deregister a query, replying with its engine (runtime state intact).
     Deregister {
-        global: QueryId,
+        id: QueryId,
         reply: Sender<Option<Box<ContinuousQueryEngine>>>,
     },
-    /// Apply the facade's global graph-retention window to the replica.
+    /// Retain edges for the control plane's global window.
     SetRetention(Option<u64>),
     /// Swap a query's decomposition for the facade-planned replacement
     /// (drift-adaptive re-decomposition). Riding the FIFO channel, the swap
@@ -67,8 +67,8 @@ pub(crate) enum WorkerMsg {
     /// engine by replaying its retained graph replica, preserving the
     /// match multiset.
     Redecompose {
-        /// The facade's global query id.
-        global: QueryId,
+        /// The query to rebuild.
+        id: QueryId,
         /// The (possibly re-chosen) strategy of the new plan.
         strategy: Strategy,
         /// The SJ-Tree decomposition computed from the facade's statistics.
@@ -97,8 +97,7 @@ pub(crate) struct DrainAck {
 pub struct WorkerReport {
     /// Worker (shard) index.
     pub worker: usize,
-    /// Profiling counters per query hosted on this shard, tagged with the
-    /// facade's global ids and sorted by id.
+    /// Profiling counters per query hosted on this shard, sorted by id.
     pub per_query: Vec<(QueryId, ProfileCounters)>,
     /// Events this replica ingested into its graph. Equals the facade's
     /// event count unless ingest filtering is enabled.
@@ -123,15 +122,8 @@ pub(crate) fn worker_loop(
     rx: Receiver<WorkerMsg>,
     match_tx: SyncSender<MatchBatch>,
 ) {
-    // Statistics stay off in workers: the facade maintains the single
-    // estimator on the ingest path, so `Auto` registrations see exactly the
-    // stream prefix a sequential processor would have seen.
-    let mut proc = StreamProcessor::new(schema)
-        .with_statistics(false)
-        .with_purge_interval(config.purge_interval);
-    let mut to_global: HashMap<QueryId, QueryId> = HashMap::new();
-    let mut to_local: HashMap<QueryId, QueryId> = HashMap::new();
-    let mut retention_override: Option<Option<u64>> = None;
+    let mut shard = Shard::new(schema);
+    shard.set_purge_interval(config.purge_interval);
     let mut emitted: u64 = 0;
     // Telemetry handles, attached via `WorkerMsg::Metrics`; `None` keeps the
     // loop clock-free.
@@ -146,30 +138,16 @@ pub(crate) fn worker_loop(
                     }
                     queue_depth.sub(1);
                 }
+                // One warm edge cache and one per-engine scratch serve every
+                // event of the batch. Statistics are the facade's business:
+                // nothing observes the edges here.
                 let mut out: Vec<(QueryId, SubgraphMatch)> = Vec::new();
-                {
-                    let mut sink = FnSink(|local: QueryId, m: SubgraphMatch| {
-                        let global = to_global
-                            .get(&local)
-                            .copied()
-                            .expect("match from an unmapped local query");
-                        out.push((global, m));
-                    });
-                    if config.ingest_filter {
-                        // The candidate pre-filter reads the registry between
-                        // events, so this path stays per-event.
-                        for ev in events.iter() {
-                            if proc.registry().candidates(ev.edge_type).is_empty() {
-                                continue;
-                            }
-                            proc.process_into(ev, &mut sink);
-                        }
-                    } else {
-                        // Default path: the whole batch runs through the
-                        // processor's batch loop — one warm edge cache and
-                        // one per-engine scratch serve every event.
-                        proc.process_batch_into(events.iter(), &mut sink);
+                for ev in events.iter() {
+                    if config.ingest_filter && shard.registry().candidates(ev.edge_type).is_empty()
+                    {
+                        continue;
                     }
+                    shard.process_into(ev, &mut out, |_| {});
                 }
                 emitted += out.len() as u64;
                 if !out.is_empty() {
@@ -186,64 +164,35 @@ pub(crate) fn worker_loop(
                 queue_depth,
                 sojourn,
             } => {
-                proc.set_metrics(Some(pipeline));
+                shard.set_metrics(Some(pipeline));
                 telemetry = Some((queue_depth, sojourn));
             }
-            WorkerMsg::Register { global, engine } => {
-                let local = proc.register_engine(*engine);
-                to_global.insert(local, global);
-                to_local.insert(global, local);
-                if let Some(window) = retention_override {
-                    proc.set_graph_retention(window);
-                }
+            WorkerMsg::Register { id, engine } => shard.register(id, *engine),
+            WorkerMsg::Deregister { id, reply } => {
+                let _ = reply.send(shard.deregister(id).map(Box::new));
             }
-            WorkerMsg::Deregister { global, reply } => {
-                let engine = to_local.remove(&global).and_then(|local| {
-                    to_global.remove(&local);
-                    proc.deregister(local)
-                });
-                if let Some(window) = retention_override {
-                    proc.set_graph_retention(window);
-                }
-                let _ = reply.send(engine.map(Box::new));
-            }
-            WorkerMsg::SetRetention(window) => {
-                retention_override = Some(window);
-                proc.set_graph_retention(window);
-            }
-            WorkerMsg::Redecompose {
-                global,
-                strategy,
-                tree,
-            } => {
-                // A deregistration racing ahead of the facade's drift check
-                // cannot happen (control messages are FIFO per worker), but
-                // an unknown id is still tolerated as a no-op. A failing
-                // rebuild (e.g. a hand-built tree beyond the lazy-bitmap
-                // cap that slipped past the facade's guard) keeps the old
-                // plan rather than poisoning the worker thread — mirroring
-                // the sequential processor, which skips such plans too.
-                if let Some(&local) = to_local.get(&global) {
-                    let _ = proc.redecompose(local, strategy, *tree);
-                }
+            WorkerMsg::SetRetention(window) => shard.set_retention(window),
+            WorkerMsg::Redecompose { id, strategy, tree } => {
+                // The control plane only ships plans an engine can be
+                // rebuilt onto, for queries it placed here; should one fail
+                // anyway, the old plan stays in force rather than poisoning
+                // the worker thread.
+                let _ = shard.redecompose(id, strategy, *tree);
             }
             WorkerMsg::Report { reply } => {
-                let mut per_query: Vec<(QueryId, ProfileCounters)> = to_local
-                    .iter()
-                    .filter_map(|(&global, &local)| {
-                        proc.profile_for(local).map(|p| (global, p.clone()))
-                    })
-                    .collect();
-                per_query.sort_by_key(|&(id, _)| id);
-                let stream = proc.profile();
+                let stream = shard.profile();
+                let registry = shard.registry();
                 let _ = reply.send(WorkerReport {
                     worker: idx,
-                    per_query,
+                    per_query: registry
+                        .iter()
+                        .map(|(id, engine)| (id, engine.profile().clone()))
+                        .collect(),
                     edges_ingested: stream.edges_processed,
                     vertex_type_conflicts: stream.vertex_type_conflicts,
                     matches_found: emitted,
-                    graph_edges_live: proc.graph().num_edges(),
-                    stored_matches: proc.stored_matches(),
+                    graph_edges_live: shard.graph().num_edges(),
+                    stored_matches: registry.stored_matches(),
                 });
             }
             WorkerMsg::Drain { reply } => {
@@ -253,5 +202,77 @@ pub(crate) fn worker_loop(
             }
             WorkerMsg::Shutdown => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sp_graph::Timestamp;
+    use sp_query::QueryGraph;
+    use std::sync::mpsc::{channel, sync_channel};
+    use streampattern::SelectivityEstimator;
+
+    /// A worker holds no id of its own: whatever id the control plane
+    /// registered an engine under is the id on its matches, in its report
+    /// and the one that deregisters it — even when it is the worker's first
+    /// engine and the id is nowhere near 0.
+    #[test]
+    fn matches_carry_the_id_the_engine_was_registered_under() {
+        let mut schema = Schema::new();
+        let ip = schema.intern_vertex_type("ip");
+        let tcp = schema.intern_edge_type("tcp");
+        let mut q = QueryGraph::new("tcp");
+        let a = q.add_any_vertex();
+        let b = q.add_any_vertex();
+        q.add_edge(a, b, tcp);
+        let engine =
+            ContinuousQueryEngine::new(q, Strategy::Single, &SelectivityEstimator::new(), None)
+                .unwrap();
+
+        let (tx, rx) = sync_channel(8);
+        let (match_tx, match_rx) = sync_channel(8);
+        let config = RuntimeConfig::with_workers(1);
+        let worker = std::thread::spawn(move || worker_loop(3, schema, config, rx, match_tx));
+        let id = QueryId(41);
+        tx.send(WorkerMsg::Register {
+            id,
+            engine: Box::new(engine),
+        })
+        .unwrap();
+        let events = vec![
+            EdgeEvent::homogeneous(1, 2, ip, tcp, Timestamp(1)),
+            EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2)),
+        ];
+        tx.send(WorkerMsg::Batch {
+            events: Arc::new(events),
+            sent_ns: 0,
+        })
+        .unwrap();
+        let (worker_idx, matches) = match_rx.recv().unwrap();
+        assert_eq!(worker_idx, 3);
+        assert_eq!(matches.len(), 2);
+        assert!(matches.iter().all(|&(q, _)| q == id));
+
+        let (reply, report) = channel();
+        tx.send(WorkerMsg::Report { reply }).unwrap();
+        let report = report.recv().unwrap();
+        assert_eq!(report.per_query.len(), 1);
+        assert_eq!(report.per_query[0].0, id);
+        assert_eq!(report.per_query[0].1.complete_matches, 2);
+        assert_eq!(report.matches_found, 2);
+
+        let (reply, removed) = channel();
+        tx.send(WorkerMsg::Deregister {
+            id: QueryId(0),
+            reply,
+        })
+        .unwrap();
+        assert!(removed.recv().unwrap().is_none(), "no engine runs as Q0");
+        let (reply, removed) = channel();
+        tx.send(WorkerMsg::Deregister { id, reply }).unwrap();
+        assert!(removed.recv().unwrap().is_some());
+        tx.send(WorkerMsg::Shutdown).unwrap();
+        worker.join().unwrap();
     }
 }

@@ -280,88 +280,33 @@ impl SelectivityEstimator {
         dispatch_probability * query.num_edges() as f64
     }
 
-    /// Expected fraction of a query's leaf searches that shared-leaf
-    /// evaluation would eliminate, given the query's canonical leaf shapes
-    /// and a residency predicate (`is_resident(sig)` = "some already
-    /// registered query subscribes to this shape here").
+    /// Expected fraction of a query's leaf-search **and join** work that the
+    /// shared stages would eliminate, given the query's canonical leaf
+    /// shapes in selectivity-rank order, a residency predicate
+    /// (`is_resident(sig)` = "some already registered query subscribes to
+    /// this shape here") and `shared_prefix_depths`, the depth of **every**
+    /// resident shared prefix of the query's chain.
     ///
-    /// Each leaf is weighted by its *search rate* — the probability that an
-    /// incoming edge triggers the leaf's anchored search, i.e. the summed
-    /// selectivity of the leaf's distinct edge types (capped at 1) — so a
+    /// Weights: a leaf's weight is its *search rate* — the probability that
+    /// an incoming edge triggers the leaf's anchored search, i.e. the summed
+    /// selectivity of the leaf's distinct edge types (capped at 1), so a
     /// resident leaf over hot types counts for more than one over rare
-    /// types. Returns a value in `[0, 1]`; 0 for an empty leaf set. On an
-    /// empty estimator every type reports selectivity 1, degrading to the
-    /// plain fraction of resident leaves — still a usable ordering.
-    pub fn estimate_sharing_benefit<'a, I, F>(&self, leaves: I, is_resident: F) -> f64
-    where
-        I: IntoIterator<Item = &'a LeafSignature>,
-        F: Fn(&LeafSignature) -> bool,
-    {
-        let mut total = 0.0;
-        let mut covered = 0.0;
-        for sig in leaves {
-            let rate: f64 = sig
-                .edge_types()
-                .iter()
-                .map(|&t| self.selectivity(&Primitive::SingleEdge(t)))
-                .sum::<f64>()
-                .min(1.0);
-            total += rate;
-            if is_resident(sig) {
-                covered += rate;
-            }
-        }
-        if total == 0.0 {
-            0.0
-        } else {
-            covered / total
-        }
-    }
-
-    /// Like [`SelectivityEstimator::estimate_sharing_benefit`], additionally
-    /// counting the **internal join nodes** of a shared decomposition
-    /// prefix. With a shared join stage, the first `shared_join_depth`
-    /// leaves of a query's decomposition run once registry-wide — their
-    /// anchored searches *and* the hash joins combining them — so they
-    /// count as covered regardless of leaf residency, and each internal
-    /// node of the shared prefix contributes its own weight to the covered
-    /// pool.
-    ///
-    /// Weights: a leaf's weight is its search rate (as in the leaf-only
-    /// estimate); the internal node joining leaves `0..=r` is weighted by
-    /// the *rarest* leaf rate among them — the selectivity bound on how
-    /// often that join produces (and therefore costs) anything, mirroring
-    /// the cost model's "frequency of an internal node is bounded by its
-    /// most selective child". Returns a value in `[0, 1]`; with
-    /// `shared_join_depth < 2` no join node is shared and the estimate is
-    /// the leaf-only fraction over the larger (leaf + join) pool.
-    pub fn estimate_sharing_benefit_with_prefix<'a, I, F>(
-        &self,
-        leaves: I,
-        is_resident: F,
-        shared_join_depth: usize,
-    ) -> f64
-    where
-        I: IntoIterator<Item = &'a LeafSignature>,
-        F: Fn(&LeafSignature) -> bool,
-    {
-        self.estimate_sharing_benefit_with_prefixes(
-            leaves,
-            is_resident,
-            std::iter::once(shared_join_depth),
-        )
-    }
-
-    /// The trie-aware form of
-    /// [`SelectivityEstimator::estimate_sharing_benefit_with_prefix`]:
-    /// `shared_prefix_depths` lists the depth of **every** resident shared
-    /// prefix of the query's chain. Nesting prefixes of one chain share
-    /// storage in the join trie — a resident `[A,B]` node is the parent of a
-    /// resident `[A,B,C]` node, not an independent copy — so the covered
-    /// work is the **union** of the per-prefix coverage: each leaf and each
-    /// internal join node counts once, at the deepest prefix covering it.
-    /// Summing the singular estimate per prefix instead double-counts every
-    /// node the shallower prefixes cover.
+    /// types; the internal node joining leaves `0..=r` is weighted by the
+    /// *rarest* leaf rate among them — the selectivity bound on how often
+    /// that join produces (and therefore costs) anything, mirroring the cost
+    /// model's "frequency of an internal node is bounded by its most
+    /// selective child". The first `d` leaves of a depth-`d` shared prefix
+    /// and the joins combining them run once registry-wide, so they count
+    /// as covered regardless of leaf residency. Nesting prefixes of one
+    /// chain share storage in the join trie — a resident `[A,B]` node is the
+    /// parent of a resident `[A,B,C]` node, not an independent copy — so the
+    /// covered work is the **union** of the per-prefix coverage: each leaf
+    /// and each internal join node counts once, at the deepest prefix
+    /// covering it. Returns a value in `[0, 1]`; 0 for an empty leaf set;
+    /// with no prefix of depth ≥ 2 no join node is shared and the estimate
+    /// is the resident-leaf fraction of the (leaf + join) pool. On an empty
+    /// estimator every type reports selectivity 1, degrading to plain
+    /// counting — still a usable ordering.
     pub fn estimate_sharing_benefit_with_prefixes<'a, I, F, D>(
         &self,
         leaves: I,
@@ -576,16 +521,23 @@ mod tests {
         let cold = sig_for(udp); // selectivity 0.1
         let leaves = [hot.clone(), cold.clone()];
 
-        assert_eq!(est.estimate_sharing_benefit(leaves.iter(), |_| false), 0.0);
-        assert!((est.estimate_sharing_benefit(leaves.iter(), |_| true) - 1.0).abs() < 1e-12);
-        // Only the hot leaf resident: benefit is its share of the search
-        // rate, 0.9 / (0.9 + 0.1).
-        let b = est.estimate_sharing_benefit(leaves.iter(), |s| *s == hot);
-        assert!((b - 0.9).abs() < 1e-12, "benefit = {b}");
-        let b = est.estimate_sharing_benefit(leaves.iter(), |s| *s == cold);
-        assert!((b - 0.1).abs() < 1e-12, "benefit = {b}");
+        // No shared prefix: the pool is both leaves plus their join (bounded
+        // by the rarest leaf), 0.9 + 0.1 + 0.1; only resident leaves count.
+        let benefit = |is_resident: &dyn Fn(&LeafSignature) -> bool| {
+            est.estimate_sharing_benefit_with_prefixes(leaves.iter(), is_resident, [])
+        };
+        assert_eq!(benefit(&|_| false), 0.0);
+        assert!((benefit(&|_| true) - 1.0 / 1.1).abs() < 1e-12);
+        // Only the hot leaf resident: its share of the search rate.
+        let b = benefit(&|s| *s == hot);
+        assert!((b - 0.9 / 1.1).abs() < 1e-12, "benefit = {b}");
+        let b = benefit(&|s| *s == cold);
+        assert!((b - 0.1 / 1.1).abs() < 1e-12, "benefit = {b}");
         // Empty leaf sets report no benefit.
-        assert_eq!(est.estimate_sharing_benefit([].iter(), |_| true), 0.0);
+        assert_eq!(
+            est.estimate_sharing_benefit_with_prefixes([].iter(), |_| true, []),
+            0.0
+        );
     }
 
     #[test]
@@ -610,16 +562,17 @@ mod tests {
         let leaves = [cold.clone(), hot.clone()];
         // No shared prefix, nothing resident: zero.
         assert_eq!(
-            est.estimate_sharing_benefit_with_prefix(leaves.iter(), |_| false, 0),
+            est.estimate_sharing_benefit_with_prefixes(leaves.iter(), |_| false, [0]),
             0.0
         );
         // A depth-2 shared prefix covers both leaves AND the join: full
         // benefit.
-        let full = est.estimate_sharing_benefit_with_prefix(leaves.iter(), |_| false, 2);
+        let full = est.estimate_sharing_benefit_with_prefixes(leaves.iter(), |_| false, [2]);
         assert!((full - 1.0).abs() < 1e-12, "full = {full}");
         // Leaf-only residency of the hot leaf covers 0.9 of the 1.1 pool —
         // strictly less than prefix sharing, which also takes the join.
-        let leaf_only = est.estimate_sharing_benefit_with_prefix(leaves.iter(), |s| *s == hot, 0);
+        let leaf_only =
+            est.estimate_sharing_benefit_with_prefixes(leaves.iter(), |s| *s == hot, [0]);
         assert!(
             (leaf_only - 0.9 / 1.1).abs() < 1e-12,
             "leaf_only = {leaf_only}"
@@ -630,14 +583,14 @@ mod tests {
         let leaves3 = [cold.clone(), hot.clone(), cold.clone()];
         // pool = (0.1 + 0.9 + 0.1) + (0.1 + 0.1) = 1.3; covered = 0.1 +
         // 0.9 + 0.1 (first join) = 1.1.
-        let partial = est.estimate_sharing_benefit_with_prefix(leaves3.iter(), |_| false, 2);
+        let partial = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [2]);
         assert!((partial - 1.1 / 1.3).abs() < 1e-12, "partial = {partial}");
         // Residency of the remaining suffix leaf adds its rate on top.
         let with_suffix =
-            est.estimate_sharing_benefit_with_prefix(leaves3.iter(), |s| *s == cold, 2);
+            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |s| *s == cold, [2]);
         assert!((with_suffix - 1.2 / 1.3).abs() < 1e-12);
         assert_eq!(
-            est.estimate_sharing_benefit_with_prefix([].iter(), |_| true, 2),
+            est.estimate_sharing_benefit_with_prefixes([].iter(), |_| true, [2]),
             0.0
         );
     }
@@ -670,8 +623,8 @@ mod tests {
         assert_eq!(nested, deep_only);
         // The naive per-prefix sum double-counts everything the depth-2
         // node covers (1.1 of the 1.3 pool) — the union stays a fraction.
-        let shallow = est.estimate_sharing_benefit_with_prefix(leaves3.iter(), |_| false, 2);
-        let deep = est.estimate_sharing_benefit_with_prefix(leaves3.iter(), |_| false, 3);
+        let shallow = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [2]);
+        let deep = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [3]);
         assert!(nested < shallow + deep, "union beats the double-count");
         assert!(shallow + deep > 1.0, "the naive sum overflows the pool");
         // Depth order is irrelevant, and the singular form is the
@@ -686,7 +639,7 @@ mod tests {
         );
         assert_eq!(
             est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, []),
-            est.estimate_sharing_benefit_with_prefix(leaves3.iter(), |_| false, 0)
+            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [0])
         );
     }
 

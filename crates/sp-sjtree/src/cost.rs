@@ -128,42 +128,6 @@ impl CostModel {
         self.node_frequency[node.0]
     }
 
-    /// Per-edge work after shared-leaf evaluation eliminates
-    /// `sharing_benefit` (∈ `[0, 1]`, e.g. from
-    /// `SelectivityEstimator::estimate_sharing_benefit`) of this query's
-    /// leaf searches: only the search share shrinks — the per-query hash
-    /// join always runs.
-    pub fn work_per_edge_with_sharing(&self, sharing_benefit: f64) -> f64 {
-        let benefit = sharing_benefit.clamp(0.0, 1.0);
-        self.work_per_edge - self.leaf_search_work * benefit
-    }
-
-    /// This query's *marginal* per-edge work when the registry already
-    /// maintains its depth-`shared_depth` prefix in a shared join table:
-    /// the prefix's leaf searches **and** the prefix's internal hash joins
-    /// (`join_work[..shared_depth-1]`) run once registry-wide, so they drop
-    /// out entirely; the remaining (suffix) leaf searches are additionally
-    /// discounted by `suffix_leaf_benefit` — the shared-*leaf* elimination
-    /// estimate restricted to the suffix leaves. `shared_depth` of 0 or 1
-    /// means no shared prefix (a prefix needs at least one internal node)
-    /// and reduces to [`CostModel::work_per_edge_with_sharing`] over the
-    /// full leaf set.
-    pub fn work_per_edge_with_shared_prefix(
-        &self,
-        suffix_leaf_benefit: f64,
-        shared_depth: usize,
-    ) -> f64 {
-        let benefit = suffix_leaf_benefit.clamp(0.0, 1.0);
-        if shared_depth < 2 {
-            return self.work_per_edge_with_sharing(benefit);
-        }
-        let d = shared_depth.min(self.leaf_search_cost.len());
-        let prefix_search: f64 = self.leaf_search_cost[..d].iter().sum();
-        let prefix_join: f64 = self.join_work[..d - 1].iter().sum();
-        let suffix_search: f64 = self.leaf_search_cost[d..].iter().sum();
-        (self.work_per_edge - prefix_search - prefix_join - suffix_search * benefit).max(0.0)
-    }
-
     /// Observation 3 of Section 5: decomposing a subgraph `g_k` further is
     /// worthwhile when some sub-subgraph `g` has
     /// `frequency(g) > frequency(g_k) / d̄^{|V(g_k)|}` — i.e. the larger
@@ -259,14 +223,6 @@ mod tests {
         assert!(model.work_per_edge >= 2.0);
         assert!(model.work_per_edge < 5.0);
         assert!((model.leaf_search_work - 2.0).abs() < 1e-9);
-        // Full sharing strips exactly the search share; the join remains.
-        let shared = model.work_per_edge_with_sharing(1.0);
-        assert!((shared - (model.work_per_edge - 2.0)).abs() < 1e-9);
-        assert!(shared > 0.0);
-        // Half sharing sits in between, and the benefit is clamped.
-        assert!(model.work_per_edge_with_sharing(0.5) < model.work_per_edge);
-        assert_eq!(model.work_per_edge_with_sharing(7.0), shared);
-        assert_eq!(model.work_per_edge_with_sharing(-1.0), model.work_per_edge);
     }
 
     #[test]
@@ -286,26 +242,13 @@ mod tests {
         assert_eq!(model.leaf_search_cost.len(), 3);
         assert_eq!(model.join_work.len(), 2);
         assert!((model.leaf_search_cost.iter().sum::<f64>() - model.leaf_search_work).abs() < 1e-9);
-        // depth < 2 degrades to the leaf-only formula.
-        assert_eq!(
-            model.work_per_edge_with_shared_prefix(0.0, 0),
-            model.work_per_edge_with_sharing(0.0)
-        );
-        // A depth-2 prefix removes its two leaf searches and one join.
-        let expected = model.work_per_edge
-            - model.leaf_search_cost[..2].iter().sum::<f64>()
-            - model.join_work[0];
-        assert!((model.work_per_edge_with_shared_prefix(0.0, 2) - expected).abs() < 1e-9);
-        // Deeper sharing is monotonically cheaper, and a fully shared tree
-        // leaves only the residual (zero leaf, zero join) work.
-        assert!(
-            model.work_per_edge_with_shared_prefix(0.0, 3)
-                <= model.work_per_edge_with_shared_prefix(0.0, 2)
-        );
-        assert!(model.work_per_edge_with_shared_prefix(1.0, 3) >= 0.0);
-        // Suffix leaf benefit only discounts the leaves outside the prefix.
-        let with_suffix = model.work_per_edge_with_shared_prefix(1.0, 2);
-        assert!((with_suffix - (expected - model.leaf_search_cost[2])).abs() < 1e-9);
+        // The per-leaf and per-join breakdown accounts for the whole
+        // estimate, so a consumer that knows a depth-2 prefix is shared can
+        // strip exactly that prefix's two searches and one join.
+        let total = model.leaf_search_work + model.join_work.iter().sum::<f64>();
+        assert!((model.work_per_edge - total).abs() < 1e-9);
+        let prefix = model.leaf_search_cost[..2].iter().sum::<f64>() + model.join_work[0];
+        assert!(prefix > 0.0 && prefix < model.work_per_edge);
     }
 
     #[test]

@@ -159,6 +159,13 @@ impl RowArena {
         self.free.push(row);
     }
 
+    /// Rows allocated and not on the free list. Between store operations
+    /// every such row sits in exactly one bucket, so this is the store's
+    /// live partial-match count without walking a table.
+    fn live(&self) -> usize {
+        self.data.len() / self.stride - self.free.len()
+    }
+
     fn base(&self, row: u32) -> usize {
         row as usize * self.stride
     }
@@ -732,6 +739,12 @@ impl MatchStore {
         self.tables[node.0].values().map(Vec::len).sum()
     }
 
+    /// Number of partial matches currently stored across all nodes — equal
+    /// to [`StoreStats::total_live_matches`], in O(1).
+    pub fn live_rows(&self) -> usize {
+        self.arena.live()
+    }
+
     /// Total matches ever inserted at a node.
     pub fn total_inserted(&self, node: NodeId) -> u64 {
         self.inserted[node.0]
@@ -852,6 +865,14 @@ mod tests {
 
     /// Query: v0 -t0-> v1 -t1-> v2, decomposed into two single-edge leaves
     /// (leaf 0 = edge 0, leaf 1 = edge 1).
+    /// The live partial-match count, read both ways: the O(1) arena count
+    /// must agree with the walk over every bucket wherever a test looks.
+    fn live(store: &MatchStore) -> usize {
+        let walked = store.stats().total_live_matches;
+        assert_eq!(store.live_rows(), walked);
+        walked
+    }
+
     fn two_leaf_tree() -> SjTree {
         let mut q = QueryGraph::new("p2");
         let v: Vec<_> = (0..3).map(|_| q.add_any_vertex()).collect();
@@ -1105,7 +1126,7 @@ mod tests {
             &mut complete,
         );
         assert_eq!(complete.len(), 1);
-        assert_eq!(store.stats().total_live_matches, 0);
+        assert_eq!(live(&store), 0);
     }
 
     #[test]
@@ -1127,6 +1148,11 @@ mod tests {
         store.insert(&tree, tree.leaf(2), m2, None, &mut complete);
         assert_eq!(complete.len(), 1);
         assert_eq!(complete[0].num_edges(), 3);
+        // Three leaf rows plus the stored join; clearing one node's table
+        // releases exactly its rows.
+        assert_eq!(live(&store), 4);
+        store.clear_node(tree.leaf(0));
+        assert_eq!(live(&store), 3);
     }
 
     #[test]
@@ -1148,11 +1174,11 @@ mod tests {
             None,
             &mut complete,
         );
-        assert_eq!(store.stats().total_live_matches, 2);
+        assert_eq!(live(&store), 2);
         // Both matches are live in the graph; only the window expires one.
         let removed = store.purge(&graph_with_edges(102), Timestamp(100), Some(50));
         assert_eq!(removed, 1);
-        assert_eq!(store.stats().total_live_matches, 1);
+        assert_eq!(live(&store), 1);
     }
 
     #[test]
@@ -1177,7 +1203,7 @@ mod tests {
         g.add_edge(a, b, t0, Timestamp(1000));
         g.expire();
         assert_eq!(store.purge(&g, Timestamp(1000), None), 1);
-        assert_eq!(store.stats().total_live_matches, 0);
+        assert_eq!(live(&store), 0);
     }
 
     #[test]
@@ -1217,11 +1243,8 @@ mod tests {
             + double.purge(&graph_with_edges(1_000), Timestamp(100), Some(60));
         assert_eq!(removed_single, removed_double);
         assert_eq!(removed_single, 2);
-        assert_eq!(single.stats().total_live_matches, 1);
-        assert_eq!(
-            single.stats().total_live_matches,
-            double.stats().total_live_matches
-        );
+        assert_eq!(live(&single), 1);
+        assert_eq!(live(&single), live(&double));
         // Without a window only the two dead matches go (edge 777 never
         // existed in the graph, so it is dead as well as expired).
         let mut unwindowed = build(&edges);
@@ -1307,7 +1330,7 @@ mod tests {
             );
         }
         assert_eq!(store.spare_buckets(), 5);
-        assert_eq!(store.stats().total_live_matches, 3);
+        assert_eq!(live(&store), 3);
         // `clear` recycles too.
         store.clear();
         assert_eq!(store.spare_buckets(), 8);
@@ -1330,7 +1353,7 @@ mod tests {
         assert_eq!(stats.live_matches_per_node[tree.leaf(0).0], 1);
         assert_eq!(stats.total_inserted_per_node[tree.leaf(0).0], 1);
         store.clear();
-        assert_eq!(store.stats().total_live_matches, 0);
+        assert_eq!(live(&store), 0);
         // The inserted counters survive a clear (they are lifetime totals).
         assert_eq!(store.total_inserted(tree.leaf(0)), 1);
         assert!(store.decoded_at(tree.leaf(0)).is_empty());
@@ -1418,6 +1441,10 @@ mod tests {
             assert_eq!(store.live_matches(node), expected[n].len());
             assert_eq!(store.total_inserted(node), expected[n].len() as u64);
         }
+        assert_eq!(
+            live(&store),
+            expected.iter().map(Vec::len).sum::<usize>() - expected[tree.root().0].len()
+        );
         reported
     }
 
@@ -1513,7 +1540,7 @@ mod tests {
                 .collect();
             assert_eq!(decoded, complete);
             assert_eq!(complete.len(), if window.is_some() { 1 } else { 2 });
-            assert_eq!(store.stats().total_live_matches, 0);
+            assert_eq!(live(&store), 0);
         }
     }
 
@@ -1548,7 +1575,7 @@ mod tests {
             );
         }
         assert_eq!(store.arena.data.len(), words_before);
-        assert_eq!(store.stats().total_live_matches, 8);
+        assert_eq!(live(&store), 8);
     }
 
     #[test]

@@ -282,3 +282,229 @@ fn redecomposition_lands_mid_window_with_live_partial_matches() {
     let engine = ContinuousQueryEngine::new(q, Strategy::SingleLazy, &est, Some(500)).unwrap();
     assert_eq!(engine.profile().redecompositions, 0);
 }
+
+/// One step of the schedule-parity script.
+enum Step {
+    /// Register pack query `.0` under the given spec and window.
+    Register(usize, StrategySpec, Option<u64>),
+    /// Deregister the query the `.0`-th `Register` step created.
+    Deregister(usize),
+    /// An explicit `run_drift_checks`.
+    Drift,
+    /// Feed this range of the stream.
+    Feed(std::ops::Range<usize>),
+}
+
+/// The two front ends behind the calls the script makes.
+enum FrontEnd {
+    Seq(Box<StreamProcessor>),
+    Par(Box<ParallelStreamProcessor>),
+}
+
+impl FrontEnd {
+    fn register(&mut self, q: QueryGraph, spec: StrategySpec, window: Option<u64>) -> QueryId {
+        match self {
+            FrontEnd::Seq(p) => p.register(q, spec, window),
+            FrontEnd::Par(p) => p.register(q, spec, window),
+        }
+        .unwrap()
+    }
+
+    fn deregister(&mut self, id: QueryId) -> ContinuousQueryEngine {
+        match self {
+            FrontEnd::Seq(p) => p.deregister(id),
+            FrontEnd::Par(p) => p.deregister(id),
+        }
+        .expect("scripted ids are live")
+    }
+
+    fn run_drift_checks(&mut self) -> usize {
+        match self {
+            FrontEnd::Seq(p) => p.run_drift_checks(),
+            FrontEnd::Par(p) => p.run_drift_checks(),
+        }
+    }
+
+    fn feed(&mut self, events: &[EdgeEvent], sink: &mut Vec<(QueryId, SubgraphMatch)>) {
+        match self {
+            FrontEnd::Seq(p) => p.process_batch_into(events, sink),
+            FrontEnd::Par(p) => p.process_all_into(events, sink),
+        };
+    }
+
+    fn retention(&self) -> Option<u64> {
+        match self {
+            FrontEnd::Seq(p) => p.graph().window(),
+            FrontEnd::Par(p) => p.graph_retention(),
+        }
+    }
+
+    fn adaptive_stats(&self) -> streampattern::AdaptiveStats {
+        match self {
+            FrontEnd::Seq(p) => p.adaptive_stats(),
+            FrontEnd::Par(p) => p.adaptive_stats(),
+        }
+    }
+}
+
+/// Everything the script lets an observer see.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// The id each `Register` step returned.
+    ids: Vec<QueryId>,
+    /// The graph retention after every step.
+    retention: Vec<Option<u64>>,
+    /// What each `Drift` step reported.
+    rebuilt: Vec<usize>,
+    stats: streampattern::AdaptiveStats,
+    /// `(id, strategy, leaf structure)` of every query still registered at
+    /// the end of the script.
+    plans: Vec<(QueryId, Strategy, Vec<Vec<streampattern::QueryEdgeId>>)>,
+    /// The sorted `(id, match fingerprint)` multiset.
+    matches: Vec<(QueryId, String)>,
+}
+
+fn run_script(mut front: FrontEnd, dataset: &Dataset, script: &[Step]) -> Observed {
+    let pack = drift_rule_pack(&dataset.schema, 5);
+    let mut live: Vec<Option<QueryId>> = Vec::new();
+    let mut sink: Vec<(QueryId, SubgraphMatch)> = Vec::new();
+    let mut seen = Observed {
+        ids: Vec::new(),
+        retention: Vec::new(),
+        rebuilt: Vec::new(),
+        stats: Default::default(),
+        plans: Vec::new(),
+        matches: Vec::new(),
+    };
+    for step in script {
+        match step {
+            Step::Register(q, spec, window) => {
+                let id = front.register(pack[*q].clone(), *spec, *window);
+                seen.ids.push(id);
+                live.push(Some(id));
+            }
+            Step::Deregister(slot) => {
+                front.deregister(live[*slot].take().expect("deregistered once"));
+            }
+            Step::Drift => seen.rebuilt.push(front.run_drift_checks()),
+            Step::Feed(range) => front.feed(&dataset.events()[range.clone()], &mut sink),
+        }
+        seen.retention.push(front.retention());
+    }
+    seen.stats = front.adaptive_stats();
+    for id in live.into_iter().flatten() {
+        let engine = front.deregister(id);
+        let leaves = engine.tree().map(streampattern::leaf_structure);
+        seen.plans
+            .push((id, engine.strategy(), leaves.unwrap_or_default()));
+    }
+    if let FrontEnd::Par(runtime) = front {
+        sink.extend(runtime.shutdown().pending_matches);
+    }
+    seen.matches = sink
+        .into_iter()
+        .map(|(q, m)| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())))
+        .collect();
+    seen.matches.sort();
+    seen
+}
+
+#[test]
+fn scripted_schedule_is_identical_on_both_front_ends() {
+    // Both front ends make every control decision through one
+    // `ControlPlane`: the same script of registrations (fixed and auto),
+    // deregistrations, explicit drift checks and feeds must produce the same
+    // ids, the same retention after every step, the same adaptivity
+    // counters, the same final plans and the same matches under the same
+    // ids — sequentially and on 1, 2 and 4 workers.
+    let dataset = drift_dataset();
+    let lazy = StrategySpec::Fixed(Strategy::SingleLazy);
+    let path_lazy = StrategySpec::Fixed(Strategy::PathLazy);
+    let scripts = [
+        // Mixed windows, including none. No two of these rules share a
+        // decomposition prefix: while the graph retains more than a rule's
+        // own window, what a prefix sharer reports still depends on which
+        // rules it is co-located with (ROADMAP, "Exactness first").
+        vec![
+            Step::Register(0, lazy, Some(240)),
+            Step::Register(1, StrategySpec::Auto, Some(120)),
+            Step::Feed(0..600),
+            Step::Register(2, StrategySpec::Auto, None),
+            Step::Drift,
+            Step::Feed(600..1_100),
+            Step::Deregister(2),
+            Step::Register(4, path_lazy, Some(400)),
+            Step::Feed(1_100..1_500),
+            Step::Drift,
+            Step::Feed(1_500..1_800),
+            Step::Deregister(0),
+            Step::Register(1, StrategySpec::Fixed(Strategy::Path), Some(60)),
+            Step::Drift,
+            Step::Feed(1_800..2_399),
+            Step::Register(0, StrategySpec::Auto, Some(240)),
+            Step::Drift,
+        ],
+        // One window, with the prefix sharers (rules 0 and 3) joining and
+        // leaving a shared join table mid-stream.
+        vec![
+            Step::Register(0, lazy, Some(240)),
+            Step::Register(1, StrategySpec::Auto, Some(240)),
+            Step::Feed(0..600),
+            Step::Register(3, StrategySpec::Auto, Some(240)),
+            Step::Drift,
+            Step::Feed(600..1_100),
+            Step::Deregister(1),
+            Step::Register(4, path_lazy, Some(240)),
+            Step::Feed(1_100..1_500),
+            Step::Drift,
+            Step::Feed(1_500..1_800),
+            Step::Deregister(0),
+            Step::Drift,
+            Step::Feed(1_800..2_399),
+            Step::Register(0, StrategySpec::Auto, Some(240)),
+            Step::Drift,
+        ],
+    ];
+    // Only the scripted checks fire.
+    let drift = DriftConfig {
+        check_interval: u64::MAX,
+        ..drift_config()
+    };
+    for (n, script) in scripts.iter().enumerate() {
+        // A purge every 64 edges, so the retention window actually bites.
+        let sequential = StreamProcessor::new(dataset.schema.clone())
+            .with_estimator(seeded_estimator(&dataset, 500))
+            .with_adaptive(drift)
+            .with_purge_interval(64);
+        let expected = run_script(FrontEnd::Seq(Box::new(sequential)), &dataset, script);
+        let registrations = expected.ids.len() as u64;
+        assert_eq!(
+            expected.ids,
+            (0..registrations).map(QueryId).collect::<Vec<_>>()
+        );
+        if n == 0 {
+            assert!(expected.retention.contains(&None) && expected.retention.contains(&Some(400)));
+        }
+        assert!(
+            expected.stats.redecompositions >= 1,
+            "script {n} never re-planned: {:?}",
+            expected.stats
+        );
+        assert!(!expected.matches.is_empty());
+
+        for workers in worker_counts() {
+            let runtime = ParallelStreamProcessor::new(
+                dataset.schema.clone(),
+                RuntimeConfig::with_workers(workers)
+                    .adaptive(drift)
+                    .purge_interval(64),
+            )
+            .with_estimator(seeded_estimator(&dataset, 500));
+            let got = run_script(FrontEnd::Par(Box::new(runtime)), &dataset, script);
+            assert_eq!(
+                got, expected,
+                "front ends diverged on script {n} at {workers} workers"
+            );
+        }
+    }
+}

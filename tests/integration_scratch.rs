@@ -273,7 +273,7 @@ mod alloc_regression {
             let (base, span, t) = if region_b {
                 (100, 40, esp)
             } else {
-                (0, 40, if j % 4 == 0 { tcp } else { esp })
+                (0, 40, if j.is_multiple_of(4) { tcp } else { esp })
             };
             let src = base + j % span;
             let dst = base + (j + 1) % span;
