@@ -707,15 +707,7 @@ impl ContinuousQueryEngine {
         // The bitmap only grows; shrink it to the live vertex set during the
         // (infrequent) purge.
         if bitmap.num_tracked_vertices() > 2 * graph.num_vertices() {
-            let mut fresh = LazyBitmap::new();
-            for (v, _) in graph.vertices() {
-                for rank in 1..MAX_LEAVES.min(64) {
-                    if bitmap.is_enabled(v, rank) {
-                        fresh.enable(v, rank);
-                    }
-                }
-            }
-            *bitmap = fresh;
+            bitmap.retain(|v| graph.contains_vertex(v));
         }
         removed
     }

@@ -9,8 +9,7 @@
 //! row is a 64-bit mask, which bounds supported SJ-Trees to 64 leaves — far
 //! above the query sizes the paper evaluates (≤ 15 edges).
 
-use sp_graph::VertexId;
-use std::collections::HashMap;
+use sp_graph::{FastMap, VertexId};
 
 /// Maximum number of SJ-Tree leaves the bitmap supports.
 pub const MAX_LEAVES: usize = 64;
@@ -18,7 +17,7 @@ pub const MAX_LEAVES: usize = 64;
 /// Sparse per-vertex bitmap of enabled leaf searches.
 #[derive(Debug, Clone, Default)]
 pub struct LazyBitmap {
-    rows: HashMap<VertexId, u64>,
+    rows: FastMap<VertexId, u64>,
 }
 
 impl LazyBitmap {
@@ -51,9 +50,12 @@ impl LazyBitmap {
             .is_some_and(|row| row & (1u64 << rank) != 0)
     }
 
-    /// Drops the row of a vertex (called when the vertex leaves the window).
-    pub fn forget(&mut self, v: VertexId) {
-        self.rows.remove(&v);
+    /// Keeps only the rows of the vertices `keep` accepts, in one pass over
+    /// the rows, and gives the freed table space back. The engine's purge
+    /// compacts the bitmap to the live vertex set with it.
+    pub fn retain(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
+        self.rows.retain(|&v, _| keep(v));
+        self.rows.shrink_to_fit();
     }
 
     /// Number of vertices with at least one enabled bit.
@@ -95,14 +97,17 @@ mod tests {
     }
 
     #[test]
-    fn forget_clears_a_vertex_row() {
+    fn retain_drops_whole_rows_and_keeps_the_others_bit_for_bit() {
         let mut b = LazyBitmap::new();
         b.enable(VertexId(5), 1);
         b.enable(VertexId(5), 3);
-        assert_eq!(b.num_enabled(), 2);
-        b.forget(VertexId(5));
-        assert!(!b.is_enabled(VertexId(5), 1));
-        assert_eq!(b.num_tracked_vertices(), 0);
+        b.enable(VertexId(6), 2);
+        b.enable(VertexId(6), MAX_LEAVES - 1);
+        assert_eq!(b.num_enabled(), 4);
+        b.retain(|v| v != VertexId(5));
+        assert!(!b.is_enabled(VertexId(5), 1) && !b.is_enabled(VertexId(5), 3));
+        assert!(b.is_enabled(VertexId(6), 2) && b.is_enabled(VertexId(6), MAX_LEAVES - 1));
+        assert_eq!((b.num_tracked_vertices(), b.num_enabled()), (1, 2));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::metrics::PipelineMetrics;
 use crate::sharedjoin::{JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats};
 use crate::sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
 use crate::strategy::Strategy;
-use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeType};
+use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeType, FastMap};
 use sp_iso::SubgraphMatch;
 use sp_metrics::Counter;
 use std::collections::{BTreeMap, HashMap};
@@ -61,7 +61,7 @@ pub struct QueryRegistry {
     /// reporting) in registration order.
     engines: BTreeMap<QueryId, ContinuousQueryEngine>,
     /// Edge type → queries whose pattern contains an edge of that type.
-    dispatch: HashMap<EdgeType, Vec<QueryId>>,
+    dispatch: FastMap<EdgeType, Vec<QueryId>>,
     /// Canonical leaf shape → subscribers; deduplicates the anchored leaf
     /// searches across queries (see [`crate::SharedLeafIndex`]).
     shared: SharedLeafIndex,
@@ -102,7 +102,7 @@ impl Default for QueryRegistry {
     fn default() -> Self {
         Self {
             engines: BTreeMap::new(),
-            dispatch: HashMap::new(),
+            dispatch: FastMap::default(),
             shared: SharedLeafIndex::new(),
             join: SharedJoinIndex::new(),
             sharing: true,

@@ -120,7 +120,7 @@
 
 use crate::engine::{ContinuousQueryEngine, PrefixFeed};
 use crate::registry::{retention_for_windows, QueryId};
-use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, Timestamp, VertexId};
+use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
 use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryGraph, QueryVertexId};
 use sp_sjtree::{MatchStore, RowLayout, SjTree};
@@ -565,7 +565,7 @@ pub struct SharedJoinIndex {
     /// Edge type → entries whose prefix contains it (entry dispatch), each
     /// list kept sorted shallow-first so a trie parent always advances
     /// before any of its children on the same edge.
-    by_type: HashMap<EdgeType, Vec<usize>>,
+    by_type: FastMap<EdgeType, Vec<usize>>,
     /// Query → entry index, for subscribed queries.
     subs: BTreeMap<QueryId, usize>,
     /// Full canonical chains of every join-capable registered query

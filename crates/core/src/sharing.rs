@@ -34,7 +34,7 @@
 
 use crate::engine::{ContinuousQueryEngine, LeafFanout, PreparedLeaf};
 use crate::registry::QueryId;
-use sp_graph::{DynamicGraph, EdgeData, EdgeType};
+use sp_graph::{DynamicGraph, EdgeData, EdgeType, FastMap};
 use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
 use sp_query::{canonicalize_subgraph, CanonicalMapping, LeafSignature, QueryGraph, QuerySubgraph};
 use sp_sjtree::NodeId;
@@ -121,7 +121,7 @@ impl SharedLeafStats {
 /// shared stage stops allocating once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeSearchCache {
-    searches: HashMap<usize, CachedSearch>,
+    searches: FastMap<usize, CachedSearch>,
     /// Recycled match buffers, handed back out to fresh cache entries.
     spare: Vec<Vec<SubgraphMatch>>,
     /// Reusable anchored-search frontier/binding buffers.

@@ -7,10 +7,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind, ZipfSampler};
-use sp_graph::{EdgeEvent, Schema, Timestamp};
-use sp_iso::find_matches_containing_edge;
-use sp_query::{QueryGraph, QuerySubgraph};
-use sp_sjtree::{decompose, MatchStore, PrimitivePolicy};
+use sp_graph::{DynamicGraph, EdgeEvent, FastState, Schema, Timestamp, VertexId};
+use sp_iso::{find_matches_containing_edge, JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
+use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph, QueryVertexId};
+use sp_sjtree::{decompose, MatchStore, PrimitivePolicy, SjTree};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use streampattern::{CountSink, Strategy, StreamProcessor};
 
 fn anchored_search(c: &mut Criterion) {
@@ -116,7 +118,103 @@ fn sjtree_operations(c: &mut Criterion) {
             complete.len()
         })
     });
+    hub_bucket(&mut group);
+    join_key_hash(&mut group);
     group.finish();
+}
+
+/// One hot join key: every tick a `spoke → hub` edge (leaf 0) and a
+/// `hub → spoke` edge (leaf 1) arrive in time order and join under a window
+/// of `HUB_WINDOW` ticks, while the purge — one per iteration, as the
+/// production purge cadence lags the window — keeps three windows of rows.
+/// So each insert probes a sibling bucket of 768–1024 rows of which 256 are
+/// inside the window; the other two thirds can only fail the window test.
+fn hub_bucket(group: &mut criterion::BenchmarkGroup<'_>) {
+    const HUB_WINDOW: u64 = 256;
+    const SPOKES: u64 = 64;
+    let mut schema = Schema::new();
+    let ip = schema.intern_vertex_type("ip");
+    let (t0, t1) = (schema.intern_edge_type("t0"), schema.intern_edge_type("t1"));
+    let mut q = QueryGraph::new("hub");
+    let (a, b, c) = (q.add_any_vertex(), q.add_any_vertex(), q.add_any_vertex());
+    q.add_edge(a, b, t0);
+    q.add_edge(b, c, t1);
+    let leaves = (0..2)
+        .map(|i| QuerySubgraph::from_edges(&q, [QueryEdgeId(i)]))
+        .collect();
+    let tree = SjTree::from_leaves(q, leaves);
+
+    let mut graph = DynamicGraph::with_window(schema, 3 * HUB_WINDOW);
+    let hub = graph.add_vertex(ip);
+    let spokes: Vec<VertexId> = (0..2 * SPOKES).map(|_| graph.add_vertex(ip)).collect();
+    let mut store = MatchStore::new(&tree);
+    let mut rows = Vec::new();
+    let mut tick = 0u64;
+    let mut one_window = |store: &mut MatchStore| {
+        rows.clear();
+        for _ in 0..HUB_WINDOW {
+            // Sources and sinks are disjoint spoke sets, so every in-window
+            // pair joins.
+            let (src, dst) = (
+                spokes[(tick % SPOKES) as usize],
+                spokes[(SPOKES + tick % SPOKES) as usize],
+            );
+            let ts = Timestamp(tick);
+            let sides = [
+                (0, src, hub, graph.add_edge(src, hub, t0, ts)),
+                (1, hub, dst, graph.add_edge(hub, dst, t1, ts)),
+            ];
+            for (leaf, from, to, edge) in sides {
+                let mut m = SubgraphMatch::new();
+                m.bind_vertex(QueryVertexId(leaf), from);
+                m.bind_vertex(QueryVertexId(leaf + 1), to);
+                m.bind_edge(QueryEdgeId(leaf), edge, ts);
+                store.insert_emit_rows(&tree, tree.leaf(leaf), m, Some(HUB_WINDOW), &mut rows);
+            }
+            tick += 1;
+        }
+        graph.expire();
+        store.purge(&graph, Timestamp(tick), Some(3 * HUB_WINDOW));
+        rows.len()
+    };
+    for _ in 0..3 {
+        one_window(&mut store);
+    }
+    let resident = store.live_matches(tree.leaf(0)) as u64;
+    println!(
+        "bench sjtree/matchstore_hub_bucket: a probe's sibling bucket holds {resident}..{} rows, \
+         {HUB_WINDOW} of them inside the window",
+        resident + HUB_WINDOW
+    );
+    group.throughput(Throughput::Elements(2 * HUB_WINDOW));
+    group.bench_function("matchstore_hub_bucket_512_inserts", |b| {
+        b.iter(|| one_window(&mut store))
+    });
+}
+
+/// Hashing the store's key — three times per insert — under the hasher the
+/// row tables use and under `std`'s default, which they used before.
+fn join_key_hash(group: &mut criterion::BenchmarkGroup<'_>) {
+    const KEYS: u64 = 4_096;
+    let keys: Vec<JoinKey> = (0..KEYS)
+        .map(|i| {
+            let mut ids = [VertexId(0); JOIN_KEY_INLINE];
+            ids[0] = VertexId(i * 7919);
+            JoinKey::Inline(1, ids)
+        })
+        .collect();
+    fn hash_all(state: &impl BuildHasher, keys: &[JoinKey]) -> u64 {
+        keys.iter().fold(0, |acc, k| acc ^ state.hash_one(k))
+    }
+    group.throughput(Throughput::Elements(KEYS));
+    let fast = FastState::default();
+    group.bench_function("joinkey_hash_4096_fast", |b| {
+        b.iter(|| hash_all(&fast, &keys))
+    });
+    let sip = RandomState::new();
+    group.bench_function("joinkey_hash_4096_siphash", |b| {
+        b.iter(|| hash_all(&sip, &keys))
+    });
 }
 
 /// The match-storm delivery path in isolation: two full-depth subscribers

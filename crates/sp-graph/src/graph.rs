@@ -13,6 +13,7 @@
 //!   matches.
 
 use crate::error::GraphError;
+use crate::hash::FastMap;
 use crate::ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 use crate::schema::Schema;
 use crate::window::ExpiryQueue;
@@ -107,8 +108,8 @@ pub struct DegreeStats {
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     schema: Schema,
-    vertices: HashMap<VertexId, VertexData>,
-    edges: HashMap<EdgeId, EdgeData>,
+    vertices: FastMap<VertexId, VertexData>,
+    edges: FastMap<EdgeId, EdgeData>,
     names: HashMap<String, VertexId>,
     expiry: ExpiryQueue,
     window: Option<u64>,
@@ -124,8 +125,8 @@ impl DynamicGraph {
     pub fn new(schema: Schema) -> Self {
         Self {
             schema,
-            vertices: HashMap::new(),
-            edges: HashMap::new(),
+            vertices: FastMap::default(),
+            edges: FastMap::default(),
             names: HashMap::new(),
             expiry: ExpiryQueue::new(),
             window: None,

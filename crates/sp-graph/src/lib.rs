@@ -38,6 +38,7 @@ mod clock;
 mod error;
 mod event;
 mod graph;
+mod hash;
 mod ids;
 mod schema;
 mod window;
@@ -46,6 +47,7 @@ pub use clock::monotonic_nanos;
 pub use error::GraphError;
 pub use event::EdgeEvent;
 pub use graph::{DegreeStats, DynamicGraph, EdgeData, IncidentEdge, VertexData};
+pub use hash::{FastHasher, FastMap, FastState};
 pub use ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 pub use schema::Schema;
 pub use window::ExpiryQueue;

@@ -683,6 +683,45 @@ mod tests {
     }
 
     #[test]
+    fn equal_join_keys_hash_equal_under_the_store_hasher() {
+        use std::hash::BuildHasher;
+        // Two different matches that agree on the cut: the hash-join probe
+        // relies on their keys landing in the same bucket.
+        let (mut m1, mut m2) = (SubgraphMatch::new(), SubgraphMatch::new());
+        for i in 0..5usize {
+            assert!(m1.bind_vertex(qv(i), dv(10 + i as u64)));
+            assert!(m2.bind_vertex(qv(i), dv(10 + i as u64)));
+        }
+        assert!(m1.bind_vertex(qv(5), dv(77)));
+        assert!(m2.bind_vertex(qv(5), dv(78)));
+        let state = sp_graph::FastState::default();
+        for cut in [
+            vec![],
+            vec![qv(1)],
+            vec![qv(3), qv(0)],
+            vec![qv(0), qv(1), qv(2), qv(3), qv(4)],
+        ] {
+            let (k1, k2) = (m1.project_key(&cut).unwrap(), m2.project_key(&cut).unwrap());
+            assert_eq!(
+                matches!(k1, JoinKey::Inline(..)),
+                cut.len() <= JOIN_KEY_INLINE
+            );
+            assert_eq!(k1, k2);
+            assert_eq!(state.hash_one(&k1), state.hash_one(&k2));
+            // A cut that reaches the vertex they disagree on separates them.
+            let mut wider = cut.clone();
+            wider.push(qv(5));
+            let (w1, w2) = (
+                m1.project_key(&wider).unwrap(),
+                m2.project_key(&wider).unwrap(),
+            );
+            assert_ne!(w1, w2);
+            assert_ne!(state.hash_one(&w1), state.hash_one(&w2));
+            assert_ne!(state.hash_one(&w1), state.hash_one(&k1));
+        }
+    }
+
+    #[test]
     fn empty_match_properties() {
         let m = SubgraphMatch::new();
         assert!(m.is_empty());

@@ -9,7 +9,7 @@
 //! dataset analysis use.
 
 use serde::{Deserialize, Serialize};
-use sp_graph::{Direction, DynamicGraph, EdgeData, EdgeType, VertexId};
+use sp_graph::{Direction, DynamicGraph, EdgeData, EdgeType, FastMap, VertexId};
 use sp_query::{DirectedEdgeType, TwoEdgePathSignature};
 use std::collections::HashMap;
 
@@ -21,7 +21,7 @@ pub struct TwoEdgePathCounter {
     /// Per-vertex counter of incident directed edge types, used only by the
     /// incremental update path (`Cv` in Algorithm 5).
     #[serde(skip)]
-    per_vertex: HashMap<VertexId, HashMap<DirectedEdgeType, u64>>,
+    per_vertex: FastMap<VertexId, FastMap<DirectedEdgeType, u64>>,
 }
 
 impl TwoEdgePathCounter {
@@ -42,7 +42,7 @@ impl TwoEdgePathCounter {
         let mut counter = Self::new();
         for (v, _) in graph.vertices() {
             // Cv: count of each directed edge type incident to v.
-            let mut cv: HashMap<DirectedEdgeType, u64> = HashMap::new();
+            let mut cv: FastMap<DirectedEdgeType, u64> = FastMap::default();
             for inc in graph.incident_edges(v) {
                 *cv.entry(DirectedEdgeType::new(inc.edge_type, inc.direction))
                     .or_insert(0) += 1;

@@ -27,24 +27,48 @@
 //! that would spill a `SubgraphMatch`'s inline binding maps (> 8 bindings) —
 //! are stored with **zero** steady-state allocations, because expired rows
 //! recycle through the arena free list.
+//!
+//! # Bucket order and the probe range
+//!
+//! A bucket — the rows of one node under one join key — is kept sorted by
+//! `(earliest, full row)`: time order first, the row's slots as the
+//! tie-break. Three things read that order:
+//!
+//! * **insert and dedup** — a stream delivers matches in time order, so the
+//!   new row usually sorts after the bucket's last one: one comparison, then
+//!   an append. Otherwise (a lazy strategy's retroactive search, a replay)
+//!   its place is a binary search. Either way a duplicate — same bindings,
+//!   hence same timestamps — compares `Equal` to a stored row and is
+//!   dropped, so the dedup is exact.
+//! * **the sibling probe** — with a window `tw`, a sibling row whose
+//!   `earliest` is `<= latest(new) - tw` cannot join the new row: the joined
+//!   span would be `>= tw`. Those rows are a prefix of the bucket, found by
+//!   `partition_point`; the probe starts behind it, and every row from there
+//!   on still passes through the full [`RowArena::joinable`] check. While
+//!   `latest(new) < tw` nothing is that old and the probe starts at 0. On a
+//!   hub vertex whose bucket outlives the window between two purges, the
+//!   skipped prefix is most of the bucket.
+//! * **purge** — `retain` keeps relative order, so the expired rows go and
+//!   the order stays.
+//!
+//! Joins are therefore reported in time order of the sibling row, not in
+//! lexicographic order of its bindings; which joins are reported does not
+//! depend on the order.
 
 use crate::node::NodeId;
 use crate::tree::SjTree;
-use sp_graph::{DynamicGraph, EdgeId, Timestamp, VertexId};
+use sp_graph::{DynamicGraph, EdgeId, FastMap, Timestamp, VertexId};
 use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
 use sp_query::{QueryEdgeId, QueryVertexId};
-use std::collections::HashMap;
 
 /// Hash table of the matches stored at one SJ-Tree node, keyed by the
 /// projection of each match onto the parent's cut vertices. Keys are
 /// interned [`JoinKey`]s — cut sets of up to three vertices (every tree the
 /// built-in decompositions produce) are stored inline, so computing the key
-/// per insert does not heap-allocate. Buckets hold arena row ids and are
-/// kept **sorted** by the rows' full-slot lexicographic order
-/// ([`RowArena::cmp_rows`]), so duplicate detection on insert is a binary
-/// search instead of a linear scan — on a high-fan-in cut vertex a single
-/// bucket can hold thousands of partial matches.
-type RowTable = HashMap<JoinKey, Vec<u32>>;
+/// per insert does not heap-allocate, and hashed by the seeded word hasher
+/// of [`FastMap`] (an insert hashes its key three times). Buckets hold arena
+/// row ids in **time order** — see the module docs.
+type RowTable = FastMap<JoinKey, Vec<u32>>;
 
 /// Upper bound on recycled bucket vectors kept in a store's free list. A
 /// purge can empty thousands of buckets at once; retaining a bounded pool
@@ -290,14 +314,26 @@ impl RowArena {
         }
     }
 
-    /// Full-row lexicographic comparison. Inside one bucket every row binds
-    /// exactly the same slot set (all matches at node `n` are matches of
-    /// `subgraph(n)`), so unbound slots compare equal and the order reduces
-    /// to data bindings in ascending query-id order followed by the time
-    /// span.
+    /// Earliest edge timestamp of a stored row.
+    fn earliest(&self, row: u32) -> u64 {
+        self.layout().earliest(self.row(row))
+    }
+
+    /// Latest edge timestamp of a stored row.
+    fn latest(&self, row: u32) -> u64 {
+        self.layout().latest(self.row(row))
+    }
+
+    /// The bucket order: by `earliest`, ties broken by the full row. Inside
+    /// one bucket every row binds exactly the same slot set (all matches at
+    /// node `n` are matches of `subgraph(n)`), so unbound slots compare
+    /// equal and two rows compare `Equal` only when they are the same match
+    /// — a duplicate has equal timestamps, so ordering by time first loses
+    /// nothing of the dedup.
     fn cmp_rows(&self, a: u32, b: u32) -> std::cmp::Ordering {
-        let (ab, bb) = (self.base(a), self.base(b));
-        self.data[ab..ab + self.stride].cmp(&self.data[bb..bb + self.stride])
+        self.earliest(a)
+            .cmp(&self.earliest(b))
+            .then_with(|| self.row(a).cmp(self.row(b)))
     }
 
     /// Whether two rows join, and the joined time span `(earliest, latest)`
@@ -498,7 +534,7 @@ impl MatchStore {
         let q = tree.query();
         Self {
             arena: RowArena::new(q.num_edges(), q.num_vertices()),
-            tables: vec![RowTable::new(); tree.num_nodes()],
+            tables: vec![RowTable::default(); tree.num_nodes()],
             spare: Vec::new(),
             inserted: vec![0; tree.num_nodes()],
         }
@@ -674,19 +710,29 @@ impl MatchStore {
             return;
         };
 
-        // Deduplicate: buckets are sorted, so membership is O(log n). The
-        // failed search also yields the position that keeps the bucket
-        // sorted when the row is stored below. A miss on the key itself
-        // claims a recycled bucket vector from the free list up front.
+        // Deduplicate and find the position that keeps the bucket in time
+        // order when the row is stored below. A stream delivers matches in
+        // time order, so the row usually sorts after the bucket's last and
+        // is appended; otherwise membership is a binary search. A miss on
+        // the key itself claims a recycled bucket vector from the free list
+        // up front.
         let (insert_at, recycled) = match self.tables[node.0].get(&key) {
-            Some(bucket) => match bucket.binary_search_by(|&r| self.arena.cmp_rows(r, row)) {
-                Ok(_) => {
-                    // Duplicate: the row never entered a table, recycle it.
-                    self.arena.release(row);
-                    return;
+            Some(bucket) => {
+                let found = match bucket.last() {
+                    Some(&last) if self.arena.cmp_rows(last, row).is_ge() => {
+                        bucket.binary_search_by(|&r| self.arena.cmp_rows(r, row))
+                    }
+                    _ => Err(bucket.len()),
+                };
+                match found {
+                    Ok(_) => {
+                        // Duplicate: the row never entered a table, recycle it.
+                        self.arena.release(row);
+                        return;
+                    }
+                    Err(pos) => (pos, None),
                 }
-                Err(pos) => (pos, None),
-            },
+            }
             None => (0, Some(self.spare.pop().unwrap_or_default())),
         };
 
@@ -704,7 +750,18 @@ impl MatchStore {
             self.spare.pop().unwrap_or_default()
         };
         if let Some(bucket) = self.tables[sibling.0].get(&key) {
-            for &other in bucket {
+            // A sibling row whose `earliest` is at or before `latest(row) -
+            // tw` spans the window with `row` whatever else it binds, and
+            // those rows are a prefix of the time-ordered bucket: skip it.
+            // Every row after it still goes through `joinable` unchanged.
+            // Before the stream's first `tw` ticks nothing can be that old
+            // (`checked_sub`; a saturating one would skip rows at time 0).
+            let in_range = window
+                .and_then(|tw| self.arena.latest(row).checked_sub(tw))
+                .map_or(0, |oldest| {
+                    bucket.partition_point(|&r| self.arena.earliest(r) <= oldest)
+                });
+            for &other in &bucket[in_range..] {
                 if at_root {
                     self.arena.emit_join(row, other, window, emit);
                 } else if let Some(j) = self.arena.join_rows(row, other, window) {
@@ -713,8 +770,8 @@ impl MatchStore {
             }
         }
 
-        // Store the new row at this node (line 12), preserving the sorted
-        // bucket invariant.
+        // Store the new row at this node (line 12), preserving the bucket
+        // order.
         let bucket = match recycled {
             Some(fresh) => self.tables[node.0].entry(key).or_insert(fresh),
             None => self.tables[node.0]
@@ -774,8 +831,8 @@ impl MatchStore {
     /// `latest - tw`, so by the time any future edge — with timestamp ≥
     /// `latest` — could join it, the join already spans the window). Walks
     /// every bucket exactly once; `retain` preserves relative order, so the
-    /// sorted-bucket invariant survives. Removed rows go back to the arena
-    /// free list. Returns the number removed.
+    /// bucket order survives. Removed rows go back to the arena free list.
+    /// Returns the number removed.
     pub fn purge(&mut self, graph: &DynamicGraph, latest: Timestamp, window: Option<u64>) -> usize {
         let cutoff = window.map(|tw| latest.0.saturating_sub(tw));
         // Split the arena so the predicate can read `data` while removed
@@ -863,8 +920,6 @@ mod tests {
     use sp_graph::{EdgeId, EdgeType, Schema, VertexId};
     use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph, QueryVertexId};
 
-    /// Query: v0 -t0-> v1 -t1-> v2, decomposed into two single-edge leaves
-    /// (leaf 0 = edge 0, leaf 1 = edge 1).
     /// The live partial-match count, read both ways: the O(1) arena count
     /// must agree with the walk over every bucket wherever a test looks.
     fn live(store: &MatchStore) -> usize {
@@ -873,6 +928,37 @@ mod tests {
         walked
     }
 
+    /// The bucket invariant, read off the raw rows (not through
+    /// `cmp_rows`): every bucket is strictly ascending by `(earliest, full
+    /// row)` — time-ordered, and free of duplicates.
+    fn assert_buckets_time_ordered(store: &MatchStore) {
+        let layout = store.row_layout();
+        for bucket in store.tables.iter().flat_map(|t| t.values()) {
+            let keys: Vec<(u64, &[u64])> = bucket
+                .iter()
+                .map(|&r| (layout.earliest(store.arena.row(r)), store.arena.row(r)))
+                .collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "bucket out of (earliest, row) order or holding a duplicate: {keys:?}"
+            );
+        }
+    }
+
+    /// Deterministic Fisher–Yates shuffle (64-bit LCG), one order per seed.
+    fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
+        let mut state = seed;
+        for i in (1..items.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            items.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        items
+    }
+
+    /// Query: v0 -t0-> v1 -t1-> v2, decomposed into two single-edge leaves
+    /// (leaf 0 = edge 0, leaf 1 = edge 1).
     fn two_leaf_tree() -> SjTree {
         let mut q = QueryGraph::new("p2");
         let v: Vec<_> = (0..3).map(|_| q.add_any_vertex()).collect();
@@ -1422,6 +1508,7 @@ mod tests {
         let mut complete = Vec::new();
         for (node, m) in inserts {
             store.insert(tree, *node, m.clone(), window, &mut complete);
+            assert_buckets_time_ordered(&store);
         }
         let mut expected = vec![Vec::new(); tree.num_nodes()];
         oracle_fold(tree, tree.root(), window, inserts, &mut expected);
@@ -1508,6 +1595,96 @@ mod tests {
         // report strictly fewer, but never nothing.
         assert_eq!(counts[0], 16 + 12);
         assert!(counts[0] > counts[1] && counts[1] > counts[2] && counts[2] > 0);
+    }
+
+    /// The time-ordered probe against the oracle: one hub (`v1 = 11`) seen
+    /// for five windows, so most rows of a probed sibling bucket are out of
+    /// range; equal timestamps inside a bucket, duplicates, rows older than
+    /// one window (`t < tw`, where the probe range must start at 0) and
+    /// arrival orders with no relation to time.
+    #[test]
+    fn windowed_store_matches_oracle_under_shuffled_out_of_order_arrival() {
+        let tree = three_leaf_tree();
+        let mut inserts = Vec::new();
+        for t in 0..40u64 {
+            inserts.push((tree.leaf(0), leaf0_match(100 + t, 11, 1_000 + t, t)));
+            inserts.push((tree.leaf(1), leaf1_match(11, 20 + t % 4, 2_000 + t, t)));
+            inserts.push((tree.leaf(2), leaf2_match(20 + t % 4, 300 + t, 3_000 + t, t)));
+            if t % 3 == 0 {
+                // A second row of the hub bucket at an equal timestamp, and
+                // a duplicate of the first.
+                inserts.push((tree.leaf(0), leaf0_match(200 + t, 11, 4_000 + t, t)));
+                inserts.push((tree.leaf(0), leaf0_match(100 + t, 11, 1_000 + t, t)));
+            }
+        }
+        let unwindowed = assert_matches_oracle(&tree, None, &inserts);
+        for tw in [8, 1] {
+            let in_order = assert_matches_oracle(&tree, Some(tw), &inserts);
+            assert!(0 < in_order && in_order * 4 < unwindowed);
+            let mut reversed = inserts.clone();
+            reversed.reverse();
+            assert_eq!(assert_matches_oracle(&tree, Some(tw), &reversed), in_order);
+            for seed in 1..=6 {
+                let order = shuffled(inserts.clone(), seed);
+                assert_eq!(assert_matches_oracle(&tree, Some(tw), &order), in_order);
+            }
+        }
+    }
+
+    /// Purge on shuffled, duplicate-laden buckets: exactly the rows a
+    /// brute-force filter removes go (the expired prefix *and* the dead rows
+    /// scattered behind it), the order invariant survives, and so does the
+    /// dedup — before and after.
+    #[test]
+    fn purge_keeps_buckets_time_ordered_and_dedup_exact() {
+        let tree = two_leaf_tree();
+        let mut store = MatchStore::new(&tree);
+        let mut complete = Vec::new();
+        // Edge ids 0..60 are live in the graph, 60..90 are dead.
+        let graph = graph_with_edges(60);
+        let rows: Vec<SubgraphMatch> = (0..90u64)
+            .map(|i| leaf1_match(11 + i % 2, 100 + i, (i * 37) % 90, i / 3))
+            .collect();
+        let mut arrivals = rows.clone();
+        arrivals.extend(rows.iter().step_by(4).cloned());
+        for m in shuffled(arrivals, 7) {
+            store.insert(&tree, tree.leaf(1), m, Some(10), &mut complete);
+            assert_buckets_time_ordered(&store);
+        }
+        assert_eq!(live(&store), rows.len());
+
+        let survives = |m: &SubgraphMatch, cutoff: u64| {
+            m.time_span().0 .0 >= cutoff && m.edge_pairs().all(|(_, e)| e.0 < 60)
+        };
+        for (latest, tw) in [(15, 10), (22, 10), (22, 4)] {
+            let before = store.decoded_at(tree.leaf(1));
+            let removed = store.purge(&graph, Timestamp(latest), Some(tw));
+            assert_buckets_time_ordered(&store);
+            let expected: Vec<_> = before
+                .into_iter()
+                .filter(|m| survives(m, latest - tw))
+                .collect();
+            assert!(removed > 0 && !expected.is_empty());
+            assert_eq!(multiset(store.decoded_at(tree.leaf(1))), multiset(expected));
+        }
+        // Every survivor is still found by the dedup, in any arrival order;
+        // a fresh row at an old timestamp still sorts into place.
+        let kept = live(&store);
+        for m in shuffled(rows, 3) {
+            if survives(&m, 18) {
+                store.insert(&tree, tree.leaf(1), m, Some(10), &mut complete);
+            }
+        }
+        assert_eq!(live(&store), kept);
+        store.insert(
+            &tree,
+            tree.leaf(1),
+            leaf1_match(11, 999, 0, 19),
+            Some(10),
+            &mut complete,
+        );
+        assert_eq!(live(&store), kept + 1);
+        assert_buckets_time_ordered(&store);
     }
 
     #[test]
