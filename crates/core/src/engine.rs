@@ -22,14 +22,15 @@ use crate::profile::ProfileCounters;
 use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeData, EdgeType, VertexId};
 use sp_iso::{
-    find_matches_around_vertex_into, find_matches_containing_edge_into, SearchScratch,
+    find_matches_around_vertex_with, find_matches_containing_edge_with, SearchScratch,
     SubgraphMatch, Vf2Matcher,
 };
 use sp_query::QueryGraph;
 use sp_query::QuerySubgraph;
 use sp_selectivity::SelectivityEstimator;
-use sp_sjtree::{decompose, InsertTrace, MatchStore, NodeId, SjTree, StoreStats};
+use sp_sjtree::{decompose, InsertTrace, MatchStore, NodeId, RowId, RowLayout, SjTree, StoreStats};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The shared leaf-search stage's verdict for one gate-passing leaf of one
@@ -41,7 +42,7 @@ pub enum LeafFanout {
     Prepared(PreparedLeaf),
     /// This engine is the leaf shape's only subscriber, so there is nothing
     /// to share: the engine runs its own anchored search, exactly as the
-    /// standalone path would — no canonicalized search, no rebase clone.
+    /// standalone path would — no canonicalized search, no rebase.
     SearchLocally,
 }
 
@@ -51,8 +52,9 @@ pub enum LeafFanout {
 /// engine's vertex/edge numbering.
 #[derive(Debug, Clone)]
 pub struct PreparedLeaf {
-    /// The rebased matches the anchored search found (possibly empty).
-    pub matches: Vec<SubgraphMatch>,
+    /// Where the rebased matches the anchored search found sit in
+    /// [`PreparedFanout::rows`], as a word range (possibly empty).
+    pub rows: Range<usize>,
     /// Wall time of the underlying shared search, charged to exactly one of
     /// its consumers (`None` for all others, and for leaves whose edge types
     /// cannot contain the streaming edge).
@@ -63,10 +65,25 @@ pub struct PreparedLeaf {
     pub shared: bool,
 }
 
+/// The shared leaf-search stage's fan-out for one engine on one edge
+/// ([`SharedLeafIndex::prepare_into`](crate::SharedLeafIndex::prepare_into)):
+/// one verdict per leaf rank, and the matches of every
+/// [`LeafFanout::Prepared`] leaf as rows of the engine's own
+/// [`ContinuousQueryEngine::row_layout`] in one flat buffer. Registry-owned
+/// and reused across engines and edges, so fanning a shared search out
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PreparedFanout {
+    /// `leaves[rank]`: `None` for gated-off (or prefix-covered) leaves.
+    pub leaves: Vec<Option<LeafFanout>>,
+    /// The prepared leaves' matches, [`RowLayout::stride`] words each.
+    pub rows: Vec<u64>,
+}
+
 /// Prefix-root matches prepared by the shared join stage
 /// ([`SharedJoinIndex`](crate::SharedJoinIndex)) for one **partial-depth**
 /// subscriber on one edge: the canonical prefix table's new root rows that
-/// pass this engine's `tW` and subscription boundary, materialized in this
+/// pass this engine's `tW` and subscription boundary, rebased into this
 /// engine's numbering. (A subscriber whose prefix spans its whole tree never
 /// sees a feed — its matches go from the table straight to the sink.)
 #[derive(Debug, Clone)]
@@ -74,12 +91,14 @@ pub struct PrefixFeed {
     /// Number of leading leaves (selectivity ranks `0..depth`) the shared
     /// prefix covers, `2 <= depth < leaves`. The engine skips those leaves
     /// entirely — their searches, inserts and joins ran once registry-wide
-    /// — and consumes `matches` as inserts at its internal node covering
+    /// — and consumes `rows` as inserts at its internal node covering
     /// them.
     pub depth: usize,
-    /// The prefix-root matches this edge created (possibly empty — the
-    /// engine must still skip the prefix leaves).
-    pub matches: Vec<SubgraphMatch>,
+    /// The prefix-root matches this edge created, as rows of the engine's
+    /// own [`ContinuousQueryEngine::row_layout`] with the suffix slots
+    /// unbound (possibly empty — the engine must still skip the prefix
+    /// leaves).
+    pub rows: Vec<u64>,
     /// `true` when the prefix table has other live subscribers, i.e. this
     /// engine's prefix work was genuinely deduplicated this edge.
     pub shared: bool,
@@ -87,24 +106,21 @@ pub struct PrefixFeed {
 
 /// Reusable per-engine buffers for the per-edge hot path. Owned by the
 /// engine so every processed edge reuses the capacity the previous edges
-/// grew: the anchored-search scratch, the search-result staging buffer, the
-/// join worklist, the insert trace, and the (rare-path) enablement
-/// propagation buffers. The scratch lives as long as the engine and is
-/// semantically invisible — every buffer is fully drained or cleared
-/// between edges.
+/// grew: the anchored-search scratch, the join worklist, the insert trace,
+/// and the (rare-path) enablement propagation buffers. The scratch lives as
+/// long as the engine and is semantically invisible — every buffer is fully
+/// drained or cleared between edges.
 #[derive(Debug, Clone, Default)]
 struct EngineScratch {
     /// Working state of the anchored subgraph-isomorphism searches.
     search: SearchScratch,
-    /// Results of the most recent anchored search, drained into `worklist`.
-    found: Vec<SubgraphMatch>,
-    /// Pending `(tree node, match)` insertions; always empty between edges.
-    worklist: VecDeque<(NodeId, SubgraphMatch)>,
-    /// Newly stored matches of one `insert_traced` call (Lazy Search
-    /// enablement), as a flat node/vertex record — the enablement loop only
-    /// needs each new match's bound data vertices, so the trace never clones
-    /// a match (which would heap-allocate for spilled widths). Cleared per
-    /// worklist item.
+    /// Pending `(tree node, row)` insertions: a found match is encoded into
+    /// the store's arena the moment the search visits it, so the queue moves
+    /// 16-byte handles. Always empty between edges.
+    worklist: VecDeque<(NodeId, RowId)>,
+    /// Newly stored matches of one traced insert (Lazy Search enablement),
+    /// as a flat node/vertex record — the enablement loop only needs each
+    /// new match's bound data vertices. Cleared per worklist item.
     trace: InsertTrace,
     /// Edge types of a multi-edge leaf (enablement propagation).
     leaf_types: Vec<EdgeType>,
@@ -115,9 +131,9 @@ struct EngineScratch {
 /// Enables search for a leaf around `v`. On a fresh 0→1 transition, performs
 /// the retroactive neighborhood probe the paper mandates ("whenever we enable
 /// the search on a node in the data graph, we also perform a subgraph search
-/// around the node", Section 4), leaving its results in `found` (cleared
-/// first), and returns `true`; returns `false` when the bit was already set
-/// (the probe already ran when it was set — `found` is untouched).
+/// around the node", Section 4), queueing every match it finds as an insert
+/// at `leaf`, and returns `true`; returns `false` when the bit was already
+/// set (the probe already ran when it was set).
 #[allow(clippy::too_many_arguments)]
 fn enable_with_probe(
     bitmap: &mut LazyBitmap,
@@ -125,20 +141,23 @@ fn enable_with_probe(
     query: &QueryGraph,
     subgraph: &QuerySubgraph,
     v: VertexId,
-    rank: usize,
+    (leaf, rank): (NodeId, usize),
     profile: &mut ProfileCounters,
     search: &mut SearchScratch,
-    found: &mut Vec<SubgraphMatch>,
+    store: &mut MatchStore,
+    worklist: &mut VecDeque<(NodeId, RowId)>,
 ) -> bool {
     if !bitmap.enable(v, rank) {
         return false;
     }
     let t = Instant::now();
-    found.clear();
-    find_matches_around_vertex_into(graph, query, subgraph, v, search, found);
+    let queued = worklist.len();
+    find_matches_around_vertex_with(graph, query, subgraph, v, search, |m| {
+        worklist.push_back((leaf, store.encode(m)));
+    });
     profile.iso_time += t.elapsed();
     profile.retroactive_searches += 1;
-    profile.leaf_matches += found.len() as u64;
+    profile.leaf_matches += (worklist.len() - queued) as u64;
     true
 }
 
@@ -347,49 +366,22 @@ impl ContinuousQueryEngine {
         }
     }
 
-    /// Processes one new edge that has already been inserted into `graph`.
-    /// Returns the complete query matches created by this edge, i.e.
-    /// `M(G^{k+1}) − M(G^k)` of the problem statement.
-    pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> Vec<SubgraphMatch> {
-        let mut complete = Vec::new();
-        self.process_edge_inner(graph, edge, None, None, &mut complete);
-        complete
+    /// The layout of the rows this engine reports its complete matches as:
+    /// one slot per edge and vertex of [`ContinuousQueryEngine::query`], in
+    /// the query's own numbering.
+    pub fn row_layout(&self) -> RowLayout {
+        RowLayout::of(&self.query)
     }
 
-    /// The shared pipeline's entry point. Like
-    /// [`ContinuousQueryEngine::process_edge`], except that:
-    ///
-    /// * with `prepared`, the per-leaf anchored searches have already been
-    ///   performed by the shared leaf-search stage: `prepared[rank]` carries
-    ///   the rebased matches for every leaf whose gate
-    ///   ([`ContinuousQueryEngine::leaf_accepts`]) passed, and `None` for
-    ///   gated-off leaves. The engine still performs all per-engine work
-    ///   itself — lazy enablement probes, the recursive hash join,
-    ///   windowing — in exactly the order the standalone path would, so the
-    ///   reported match multiset is identical. The buffer is caller-owned
-    ///   (the registry reuses one across the whole fan-out); the engine
-    ///   consumes its entries in place;
-    /// * with `prefix`, the leading `prefix.depth` leaves **and their
-    ///   internal hash joins** are delegated to the shared join stage: the
-    ///   engine skips those leaves, seeds its own join continuation with
-    ///   the feed's matches (inserted at the internal node covering the
-    ///   prefix, so lazy enablement of the next leaf fires exactly as a
-    ///   private insert would — enablement "moves to emit time"), and runs
-    ///   the suffix leaves as usual. The feed is drained, not consumed, so
-    ///   the caller can hand its buffer back to the shared stage's pool;
-    /// * complete matches are appended to the caller-owned `complete`
-    ///   buffer (cleared first), one buffer for the whole stream.
-    ///
-    /// The VF2 baseline ignores both (it has no leaves to share).
-    pub fn process_edge_shared_into(
-        &mut self,
-        graph: &DynamicGraph,
-        edge: &EdgeData,
-        prepared: Option<&mut Vec<Option<LeafFanout>>>,
-        prefix: Option<&mut PrefixFeed>,
-        complete: &mut Vec<SubgraphMatch>,
-    ) {
-        self.process_edge_inner(graph, edge, prepared, prefix, complete);
+    /// Processes one new edge that has already been inserted into `graph`.
+    /// Returns the complete query matches created by this edge, i.e.
+    /// `M(G^{k+1}) − M(G^k)` of the problem statement — the materializing
+    /// adapter over [`ContinuousQueryEngine::process_edge_shared_into`] for
+    /// single-engine callers.
+    pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> Vec<SubgraphMatch> {
+        let mut complete = Vec::new();
+        self.process_edge_shared_into(graph, edge, None, None, &mut complete);
+        self.row_layout().materialize_all(&complete).collect()
     }
 
     /// Books one dispatched edge whose matches the shared join stage
@@ -406,17 +398,42 @@ impl ContinuousQueryEngine {
         self.profile.complete_matches += delivered;
     }
 
-    fn process_edge_inner(
+    /// The per-edge entry point. Complete matches are appended to the
+    /// caller-owned `complete` buffer (cleared first) as rows of
+    /// [`ContinuousQueryEngine::row_layout`]; whoever delivers them builds
+    /// each `SubgraphMatch` once, at the sink. Inside the engine a match is
+    /// a row from the moment its anchored search finds it.
+    ///
+    /// * with `prepared`, the per-leaf anchored searches have already been
+    ///   performed by the shared leaf-search stage: `prepared.leaves[rank]`
+    ///   names the rebased result rows for every leaf whose gate
+    ///   ([`ContinuousQueryEngine::leaf_accepts`]) passed, and is `None` for
+    ///   gated-off leaves. The engine still performs all per-engine work
+    ///   itself — lazy enablement probes, the recursive hash join,
+    ///   windowing — in exactly the order the standalone path would, so the
+    ///   reported match multiset is identical. The buffer is caller-owned
+    ///   (the registry reuses one across the whole fan-out);
+    /// * with `prefix`, the leading `prefix.depth` leaves **and their
+    ///   internal hash joins** are delegated to the shared join stage: the
+    ///   engine skips those leaves, seeds its own join continuation with
+    ///   the feed's rows (inserted at the internal node covering the
+    ///   prefix, so lazy enablement of the next leaf fires exactly as a
+    ///   private insert would — enablement "moves to emit time"), and runs
+    ///   the suffix leaves as usual.
+    ///
+    /// The VF2 baseline ignores both (it has no leaves to share).
+    pub fn process_edge_shared_into(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        mut supplied: Option<&mut Vec<Option<LeafFanout>>>,
-        prefix: Option<&mut PrefixFeed>,
-        complete: &mut Vec<SubgraphMatch>,
+        prepared: Option<&PreparedFanout>,
+        prefix: Option<&PrefixFeed>,
+        complete: &mut Vec<u64>,
     ) {
         complete.clear();
         self.profile.edges_processed += 1;
         let window = self.window;
+        let layout = self.row_layout();
         match &mut self.backend {
             Backend::Vf2 { matcher, whole } => {
                 let t0 = Instant::now();
@@ -428,7 +445,7 @@ impl ContinuousQueryEngine {
                 debug_assert_eq!(whole.num_edges(), self.query.num_edges());
                 for m in all {
                     if m.uses_data_edge(edge.id) && window.is_none_or(|tw| m.within_window(tw)) {
-                        complete.push(m);
+                        layout.write(&m, layout.push_unbound(complete));
                     }
                 }
             }
@@ -439,11 +456,12 @@ impl ContinuousQueryEngine {
                 bitmap,
             } => {
                 let lazy = *lazy;
-                // Work items: (tree node, match of that node's subgraph) —
-                // leaf matches from the per-edge searches, plus prefix-root
-                // matches the shared join stage delivered. The queue lives in
-                // the engine-owned scratch so its capacity persists across
-                // edges; it is always drained before this function returns.
+                // Work items: (tree node, arena row of a match of that
+                // node's subgraph) — leaf matches from the per-edge
+                // searches, plus prefix-root rows the shared join stage
+                // delivered. The queue lives in the engine-owned scratch so
+                // its capacity persists across edges; it is always drained
+                // before this function returns.
                 let worklist = &mut self.scratch.worklist;
                 debug_assert!(worklist.is_empty());
 
@@ -453,7 +471,8 @@ impl ContinuousQueryEngine {
                             feed.depth >= 2 && feed.depth < tree.num_leaves(),
                             "a feed covers a strict prefix of 2..k leaves"
                         );
-                        self.profile.shared_join_emissions += feed.matches.len() as u64;
+                        self.profile.shared_join_emissions +=
+                            (feed.rows.len() / layout.stride()) as u64;
                         if feed.shared {
                             self.profile.join_stages_shared += 1;
                         }
@@ -464,8 +483,8 @@ impl ContinuousQueryEngine {
                         let prefix_node = tree
                             .parent(tree.leaf(feed.depth - 1))
                             .expect("a strict prefix has a parent join node");
-                        for m in feed.matches.drain(..) {
-                            worklist.push_back((prefix_node, m));
+                        for row in feed.rows.chunks_exact(layout.stride()) {
+                            worklist.push_back((prefix_node, store.adopt(row, layout)));
                         }
                         feed.depth
                     }
@@ -480,9 +499,9 @@ impl ContinuousQueryEngine {
                         && !bitmap.is_enabled(edge.src, rank)
                         && !bitmap.is_enabled(edge.dst, rank)
                     {
-                        debug_assert!(supplied
-                            .as_ref()
-                            .is_none_or(|p| p.get(rank).is_none_or(Option::is_none)));
+                        debug_assert!(
+                            prepared.is_none_or(|p| p.leaves.get(rank).is_none_or(Option::is_none))
+                        );
                         self.profile.searches_skipped += 1;
                         continue;
                     }
@@ -502,21 +521,18 @@ impl ContinuousQueryEngine {
                             .any(|qe| self.query.edge(qe).edge_type == edge.edge_type);
                         if type_occurs {
                             for v in [edge.src, edge.dst] {
-                                if enable_with_probe(
+                                enable_with_probe(
                                     bitmap,
                                     graph,
                                     &self.query,
                                     subgraph,
                                     v,
-                                    rank,
+                                    (leaf, rank),
                                     &mut self.profile,
                                     &mut self.scratch.search,
-                                    &mut self.scratch.found,
-                                ) {
-                                    for fm in self.scratch.found.drain(..) {
-                                        worklist.push_back((leaf, fm));
-                                    }
-                                }
+                                    store,
+                                    worklist,
+                                );
                             }
                         }
                     }
@@ -527,45 +543,41 @@ impl ContinuousQueryEngine {
                     // profiles keep their meaning; `leaf_searches_shared` and
                     // the absent `iso_time` record that sharing made one
                     // free.
-                    let slot = supplied
-                        .as_mut()
-                        .map(|prepared| prepared.get_mut(rank).and_then(Option::take));
+                    let queued = worklist.len();
+                    let slot = prepared
+                        .and_then(|p| Some((p.leaves.get(rank)?.as_ref()?, p.rows.as_slice())));
                     match slot {
-                        // Standalone path, or the shared stage delegated the
-                        // search back (single-subscriber shape): run the
-                        // anchored search here, straight into the reusable
-                        // scratch buffers (no per-search allocation once their
-                        // capacity has warmed up).
-                        None | Some(Some(LeafFanout::SearchLocally)) | Some(None) => {
-                            let t0 = Instant::now();
-                            self.scratch.found.clear();
-                            find_matches_containing_edge_into(
-                                graph,
-                                &self.query,
-                                subgraph,
-                                edge,
-                                &mut self.scratch.search,
-                                &mut self.scratch.found,
-                            );
-                            self.profile.iso_time += t0.elapsed();
-                            self.profile.leaf_matches += self.scratch.found.len() as u64;
-                            for m in self.scratch.found.drain(..) {
-                                worklist.push_back((leaf, m));
-                            }
-                        }
-                        Some(Some(LeafFanout::Prepared(leaf_prep))) => {
+                        Some((LeafFanout::Prepared(leaf_prep), rows)) => {
                             if let Some(elapsed) = leaf_prep.charged {
                                 self.profile.iso_time += elapsed;
                             }
                             if leaf_prep.shared {
                                 self.profile.leaf_searches_shared += 1;
                             }
-                            self.profile.leaf_matches += leaf_prep.matches.len() as u64;
-                            for m in leaf_prep.matches {
-                                worklist.push_back((leaf, m));
+                            let rows = &rows[leaf_prep.rows.clone()];
+                            for row in rows.chunks_exact(layout.stride()) {
+                                worklist.push_back((leaf, store.adopt(row, layout)));
                             }
                         }
+                        // Standalone path, or the shared stage delegated the
+                        // search back (single-subscriber shape): run the
+                        // anchored search here; each match it visits goes
+                        // from the search's working binding straight into an
+                        // arena row.
+                        Some((LeafFanout::SearchLocally, _)) | None => {
+                            let t0 = Instant::now();
+                            find_matches_containing_edge_with(
+                                graph,
+                                &self.query,
+                                subgraph,
+                                edge,
+                                &mut self.scratch.search,
+                                |m| worklist.push_back((leaf, store.encode(m))),
+                            );
+                            self.profile.iso_time += t0.elapsed();
+                        }
                     }
+                    self.profile.leaf_matches += (worklist.len() - queued) as u64;
                     self.profile.iso_searches += 1;
                 }
 
@@ -573,16 +585,13 @@ impl ContinuousQueryEngine {
                 // created match (leaf or internal) may enable the next leaf's
                 // search on its vertices and trigger a retroactive probe for
                 // that leaf, which can in turn produce more work items.
-                while let Some((leaf, m)) = worklist.pop_front() {
+                while let Some((node, row)) = worklist.pop_front() {
                     let trace = &mut self.scratch.trace;
                     trace.clear();
                     let t0 = Instant::now();
-                    store.insert_traced(tree, leaf, m, window, complete, trace);
+                    store.insert_row(tree, node, row, window, complete, lazy.then_some(trace));
                     self.profile.update_time += t0.elapsed();
 
-                    if !lazy {
-                        continue;
-                    }
                     for item in 0..self.scratch.trace.len() {
                         let node = self.scratch.trace.node(item);
                         let Some(next_leaf) = tree.next_leaf_to_enable(node) else {
@@ -604,15 +613,13 @@ impl ContinuousQueryEngine {
                                 &self.query,
                                 next_subgraph,
                                 dv,
-                                next_rank,
+                                (next_leaf, next_rank),
                                 &mut self.profile,
                                 &mut self.scratch.search,
-                                &mut self.scratch.found,
+                                store,
+                                worklist,
                             ) {
                                 continue;
-                            }
-                            for fm in self.scratch.found.drain(..) {
-                                worklist.push_back((next_leaf, fm));
                             }
                             // Multi-edge leaves: partially present matches
                             // around this vertex will complete with edges that
@@ -636,22 +643,18 @@ impl ContinuousQueryEngine {
                                         .map(|inc| inc.neighbor),
                                 );
                                 for ni in 0..self.scratch.neighbors.len() {
-                                    let n = self.scratch.neighbors[ni];
-                                    if enable_with_probe(
+                                    enable_with_probe(
                                         bitmap,
                                         graph,
                                         &self.query,
                                         next_subgraph,
-                                        n,
-                                        next_rank,
+                                        self.scratch.neighbors[ni],
+                                        (next_leaf, next_rank),
                                         &mut self.profile,
                                         &mut self.scratch.search,
-                                        &mut self.scratch.found,
-                                    ) {
-                                        for fm in self.scratch.found.drain(..) {
-                                            worklist.push_back((next_leaf, fm));
-                                        }
-                                    }
+                                        store,
+                                        worklist,
+                                    );
                                 }
                             }
                         }
@@ -659,7 +662,7 @@ impl ContinuousQueryEngine {
                 }
             }
         }
-        self.profile.complete_matches += complete.len() as u64;
+        self.profile.complete_matches += (complete.len() / layout.stride()) as u64;
     }
 
     /// Drops this engine's own partial-match tables for the nodes a shared
@@ -766,7 +769,7 @@ impl ContinuousQueryEngine {
         let live = std::mem::take(&mut self.profile);
         let mut discard = Vec::new();
         for e in &edges {
-            self.process_edge_inner(graph, e, None, None, &mut discard);
+            self.process_edge_shared_into(graph, e, None, None, &mut discard);
         }
         let replay = std::mem::replace(&mut self.profile, live);
         self.profile.replay_searches +=

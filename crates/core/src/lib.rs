@@ -111,7 +111,7 @@ mod strategy;
 
 pub use adaptive::{leaf_structure, plan_cost, plan_query, AdaptiveStats, REDECOMPOSITION_GAIN};
 pub use control::ControlPlane;
-pub use engine::{ContinuousQueryEngine, LeafFanout, PrefixFeed, PreparedLeaf};
+pub use engine::{ContinuousQueryEngine, LeafFanout, PrefixFeed, PreparedFanout, PreparedLeaf};
 pub use error::EngineError;
 pub use lazy::{LazyBitmap, MAX_LEAVES};
 pub use metrics::PipelineMetrics;
@@ -120,11 +120,11 @@ pub use profile::ProfileCounters;
 pub use registry::{QueryId, QueryRegistry, StrategySpec};
 pub use shard::Shard;
 pub use sharedjoin::{
-    tree_chain, JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats, TrieNodeInfo,
-    MIN_PREFIX_DEPTH,
+    tree_chain, JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats, SharedRow,
+    TrieNodeInfo, MIN_PREFIX_DEPTH,
 };
 pub use sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
-pub use sink::{CollectSink, CountSink, FnSink, MatchSink};
+pub use sink::{CollectSink, CountSink, FnSink, MatchSink, Materialize, RowSink};
 pub use strategy::{choose_strategy, Strategy, StrategyChoice, RELATIVE_SELECTIVITY_THRESHOLD};
 
 // Re-export the building blocks so that downstream users only need one
@@ -138,4 +138,4 @@ pub use sp_query::{
     QueryGraph, QueryVertexId,
 };
 pub use sp_selectivity::{DriftConfig, DriftDetector, DriftStats, SelectivityEstimator, StatsMode};
-pub use sp_sjtree::{PrimitivePolicy, SjTree};
+pub use sp_sjtree::{PrimitivePolicy, RowLayout, SjTree};

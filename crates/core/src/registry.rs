@@ -12,13 +12,13 @@
 //! search, and the VF2 baseline only reports embeddings that use the new
 //! edge.
 
-use crate::engine::{ContinuousQueryEngine, LeafFanout};
+use crate::engine::{ContinuousQueryEngine, PreparedFanout};
 use crate::metrics::PipelineMetrics;
 use crate::sharedjoin::{JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats};
 use crate::sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
+use crate::sink::RowSink;
 use crate::strategy::Strategy;
 use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeType, FastMap};
-use sp_iso::SubgraphMatch;
 use sp_metrics::Counter;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -78,17 +78,17 @@ pub struct QueryRegistry {
     /// in the shared table, so subscriptions are never toggled mid-stream.
     join_sharing: bool,
     /// Reusable fan-out buffer for the shared leaf-search stage: one
-    /// allocation serves every candidate engine of every edge instead of a
-    /// fresh vector per engine per edge.
-    fanout: Vec<Option<LeafFanout>>,
+    /// verdict list and one flat row buffer serve every candidate engine of
+    /// every edge instead of fresh vectors per engine per edge.
+    fanout: PreparedFanout,
     /// Registry-owned per-edge memo for the shared leaf-search stage,
-    /// *reset* (not reconstructed) per edge so its map table, match buffers
+    /// *reset* (not reconstructed) per edge so its map table, row buffer
     /// and search scratch keep their capacity across the stream.
     cache: EdgeSearchCache,
-    /// Reusable buffer for the complete matches of an engine that ran
-    /// (full-depth shared-join subscribers bypass it); drained into `emit`
-    /// per engine.
-    complete: Vec<SubgraphMatch>,
+    /// Reusable flat buffer for the complete matches of an engine that ran
+    /// (full-depth shared-join subscribers bypass it), as rows of that
+    /// engine's layout; handed to the sink as one burst per engine.
+    complete: Vec<u64>,
     /// The next subscription boundary: one past the id of the last
     /// processed edge. A query registered now is entitled to matches
     /// anchored at edge ids `>= boundary` (see the shared-join module docs).
@@ -107,7 +107,7 @@ impl Default for QueryRegistry {
             join: SharedJoinIndex::new(),
             sharing: true,
             join_sharing: true,
-            fanout: Vec::new(),
+            fanout: PreparedFanout::default(),
             cache: EdgeSearchCache::new(),
             complete: Vec::new(),
             boundary: 0,
@@ -304,20 +304,22 @@ impl QueryRegistry {
     }
 
     /// Dispatches one new edge (already inserted into `graph`) to every
-    /// candidate engine and forwards the complete matches to `emit`. Returns
-    /// the number of matches reported.
+    /// candidate engine and forwards the complete matches to `sink`, as
+    /// rows. Returns the number of matches reported.
     ///
     /// With sharing enabled this is the three-stage pipeline: the shared
     /// **join** stage advances each live canonical prefix table once for
     /// the edge; a subscriber whose prefix spans its whole tree then has its
-    /// matches built from the table's emission rows straight into `emit`
+    /// matches handed from the table's emission rows straight to `sink`
     /// (no engine involved), any other subscriber gets them as the feed of
     /// its join continuation; the shared **leaf** stage runs each distinct
-    /// canonical leaf search once and fans the rebased matches into each
+    /// canonical leaf search once and fans the rebased rows into each
     /// subscriber's private join stage; engines that cannot share (VF2
     /// baseline, oversized leaves) and the sharing-off path run their
-    /// private searches instead. Matches are reported candidate by
-    /// candidate in dispatch order, each candidate's in emission order.
+    /// private searches instead. An engine that runs reports its root joins
+    /// into one registry-owned flat buffer, passed to `sink` as one burst.
+    /// Matches are reported candidate by candidate in dispatch order, each
+    /// candidate's in emission order.
     ///
     /// `metrics` is the telemetry bundle plus the event's arrival stamp
     /// (`monotonic_nanos` scale): with it, the same code additionally
@@ -328,7 +330,7 @@ impl QueryRegistry {
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        mut emit: impl FnMut(QueryId, SubgraphMatch),
+        sink: &mut (impl RowSink + ?Sized),
         metrics: Option<(&PipelineMetrics, u64)>,
     ) -> u64 {
         // Edge ids are monotone in arrival order; one past the newest edge
@@ -353,8 +355,8 @@ impl QueryRegistry {
         };
         let mut reported = 0;
         // Reset the registry-owned per-edge memo in place: the map table,
-        // the recycled match buffers and the anchored-search scratch keep
-        // their capacity from previous edges.
+        // the row buffer and the anchored-search scratch keep their
+        // capacity from previous edges.
         cache.begin_edge();
         // Stage 0: advance every shared prefix table this edge can touch —
         // one search-and-join pass per table, not per subscriber. Runs
@@ -366,13 +368,13 @@ impl QueryRegistry {
             let engine = engines
                 .get_mut(&id)
                 .expect("dispatch index only references live queries");
-            let found = match join.deliver(id, edge, |m| emit(id, m)) {
+            let found = match join.deliver(id, edge, sink) {
                 JoinDelivery::Complete { delivered, shared } => {
                     // Filter + materialize + sink call: delivery, not join.
                     engine.record_shared_delivery(delivered, shared);
                     delivered
                 }
-                JoinDelivery::Engine(mut feed) => {
+                JoinDelivery::Engine(feed) => {
                     // Building a feed is stage-0 fan-out work.
                     clock.charge(|m| &m.shared_join_ns);
                     let prepared =
@@ -381,21 +383,21 @@ impl QueryRegistry {
                     engine.process_edge_shared_into(
                         graph,
                         edge,
-                        prepared.then_some(&mut *fanout),
-                        feed.as_mut(),
+                        prepared.then_some(&*fanout),
+                        feed.as_ref(),
                         complete,
                     );
                     if let Some(feed) = feed {
-                        // The engine drained the feed; its buffer goes back
+                        // The engine consumed the feed; its buffer goes back
                         // to the shared join stage's pool.
                         join.recycle_feed(feed);
                     }
                     clock.charge(|m| &m.private_engine_ns);
-                    let found = complete.len() as u64;
-                    for m in complete.drain(..) {
-                        emit(id, m);
+                    let layout = engine.row_layout();
+                    if !complete.is_empty() {
+                        sink.on_rows(id, layout, complete);
                     }
-                    found
+                    (complete.len() / layout.stride()) as u64
                 }
             };
             clock.charge(|m| &m.emit_ns);
@@ -407,7 +409,6 @@ impl QueryRegistry {
             }
             reported += found;
         }
-        fanout.clear();
         reported
     }
 

@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::metrics::PipelineMetrics;
 use crate::profile::ProfileCounters;
 use crate::registry::{QueryId, QueryRegistry};
-use crate::sink::MatchSink;
+use crate::sink::{MatchSink, Materialize, RowSink};
 use crate::strategy::Strategy;
 use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, Schema, VertexId};
 use sp_sjtree::{SjTree, UNBOUND};
@@ -113,14 +113,27 @@ impl Shard {
 
     /// Whether an event can be ingested: vertex id `u64::MAX` is the
     /// interned match rows' unbound-slot sentinel, so an event naming it is
-    /// rejected at the door. The one rule behind [`Shard::process_into`] and
+    /// rejected at the door. The one rule behind [`Shard::process_rows_into`] and
     /// the parallel runtime's facade, which filters before it batches.
     pub fn accepts(event: &EdgeEvent) -> bool {
         event.src != UNBOUND && event.dst != UNBOUND
     }
 
     /// Ingests one stream event, pushing every complete match it creates
-    /// into `sink`. Returns the number of matches reported.
+    /// into `sink` — [`Shard::process_rows_into`] with each match
+    /// materialized on its way into [`MatchSink::on_match`]. Returns the
+    /// number of matches reported.
+    pub fn process_into<S: MatchSink + ?Sized>(
+        &mut self,
+        event: &EdgeEvent,
+        sink: &mut S,
+        observe: impl FnOnce(&EdgeData),
+    ) -> u64 {
+        self.process_rows_into(event, &mut Materialize(sink), observe)
+    }
+
+    /// Ingests one stream event, handing every complete match it creates to
+    /// `sink` as a row. Returns the number of matches reported.
     ///
     /// An event [`Shard::accepts`] refuses is dropped before it touches the
     /// graph and counted in [`ProfileCounters::rejected_events`]. A
@@ -132,7 +145,7 @@ impl Shard {
     /// inside the ingest span: the sequential front end feeds its control
     /// plane's statistics there; a runtime worker, whose statistics live on
     /// the facade, passes a no-op.
-    pub fn process_into<S: MatchSink + ?Sized>(
+    pub fn process_rows_into<S: RowSink + ?Sized>(
         &mut self,
         event: &EdgeEvent,
         sink: &mut S,
@@ -191,9 +204,9 @@ impl Shard {
             .as_ref()
             .zip(started)
             .map(|(pm, (arrival_ns, _))| (pm, arrival_ns));
-        let found =
-            self.registry
-                .process_edge(&self.graph, &edge, |q, m| sink.on_match(q, m), telemetry);
+        let found = self
+            .registry
+            .process_edge(&self.graph, &edge, sink, telemetry);
         self.total_matches += found;
 
         self.since_purge += 1;

@@ -29,19 +29,22 @@
 //!
 //! Inside this stage a match is only ever a fixed-width row of `u64` slots
 //! in the table's canonical numbering ([`RowLayout`]): the tables are
-//! [`MatchStore`]s, a root join is written from its two
+//! [`MatchStore`]s, a leaf match goes from the anchored search's working
+//! binding straight into an arena row, a root join is written from its two
 //! operand rows straight into the table's flat `pending` buffer
-//! ([`MatchStore::insert_emit_rows`]), and a trie child adopts its parent's
-//! pending rows slot for slot ([`MatchStore::insert_row_emit_rows`]). The
-//! copy-on-emit boundary sits at delivery ([`SharedJoinIndex::deliver`]):
-//! per subscriber, the window filter reads the row's two timestamp words,
-//! the boundary filter reads its edge slots, and each admitted row is
-//! materialized **once** — one [`SubgraphMatch`] built in the subscriber's
-//! own numbering through a slot order precomputed at subscription time
-//! (canonical slots sorted by the subscriber's ids, so construction is
-//! plain appends). For a full-depth subscriber that match is handed to the
-//! sink callback on the spot: no feed, no engine call, no buffer between
-//! the table and the sink.
+//! ([`MatchStore::insert_row`]), and a trie child adopts its parent's
+//! pending rows slot for slot ([`MatchStore::adopt`]). The copy-on-emit
+//! boundary sits at delivery ([`SharedJoinIndex::deliver`]): per
+//! subscriber, the window filter reads the row's two timestamp words, the
+//! boundary filter reads its edge slots, and each admitted row leaves in
+//! the subscriber's own numbering through a slot order precomputed at
+//! subscription time. For a full-depth subscriber it is handed to the
+//! [`RowSink`] on the spot as a [`SharedRow`], which a materializing sink
+//! turns into the one [`SubgraphMatch`] of that match (canonical slots
+//! sorted by the subscriber's ids, so construction is one pass per binding
+//! map) — no feed, no engine call, no buffer between the table and the
+//! sink. For a partial-depth subscriber it is rebased into a row of the
+//! subscriber engine's layout and seeds that engine's join continuation.
 //!
 //! # Trie of prefix tables
 //!
@@ -120,8 +123,9 @@
 
 use crate::engine::{ContinuousQueryEngine, PrefixFeed};
 use crate::registry::{retention_for_windows, QueryId};
+use crate::sink::RowSink;
 use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap, Timestamp, VertexId};
-use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
+use sp_iso::{find_matches_containing_edge_with, SearchScratch, SubgraphMatch};
 use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryGraph, QueryVertexId};
 use sp_sjtree::{MatchStore, RowLayout, SjTree};
 use std::collections::{BTreeMap, HashMap};
@@ -156,6 +160,8 @@ struct JoinSub {
     edge_order: Vec<(QueryEdgeId, usize)>,
     /// Likewise `(subscriber query vertex, canonical row slot)`.
     vertex_order: Vec<(QueryVertexId, usize)>,
+    /// Layout of rows in the subscriber's own numbering (its engine's).
+    target: RowLayout,
     /// The subscriber's own `tW`, applied to emissions at delivery time.
     window: Option<u64>,
     /// First edge id whose dispatch the subscriber is entitled to see
@@ -167,18 +173,48 @@ struct JoinSub {
     full_depth: bool,
 }
 
-impl JoinSub {
-    /// Builds the subscriber-numbered match of one canonical emission row —
-    /// the single materialization of a delivered match.
-    fn materialize(&self, row: &[u64], layout: RowLayout) -> SubgraphMatch {
+/// One complete match on its way out of a shared prefix table: an admitted
+/// emission row, still in the table's canonical numbering, together with
+/// the receiving subscriber's slot order. What a [`RowSink`] gets for a
+/// full-depth subscriber; it picks the form it needs.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedRow<'a> {
+    row: &'a [u64],
+    layout: RowLayout,
+    sub: &'a JoinSub,
+}
+
+impl SharedRow<'_> {
+    /// Builds the subscriber-numbered match — the single materialization of
+    /// a delivered match, inlined into the frame that hands it to the sink.
+    #[inline]
+    pub fn materialize(&self) -> SubgraphMatch {
+        let (row, sub) = (self.row, self.sub);
         SubgraphMatch::from_sorted_bindings(
-            self.edge_order.iter().map(|&(q, s)| (q, EdgeId(row[s]))),
-            self.vertex_order
-                .iter()
-                .map(|&(q, s)| (q, VertexId(row[s]))),
-            Timestamp(layout.earliest(row)),
-            Timestamp(layout.latest(row)),
+            sub.edge_order.iter().map(|&(q, s)| (q, EdgeId(row[s]))),
+            sub.vertex_order.iter().map(|&(q, s)| (q, VertexId(row[s]))),
+            Timestamp(self.layout.earliest(row)),
+            Timestamp(self.layout.latest(row)),
         )
+    }
+
+    /// The layout of the rows [`SharedRow::rebase_into`] appends: the
+    /// subscriber's own numbering.
+    pub fn target_layout(&self) -> RowLayout {
+        self.sub.target
+    }
+
+    /// Appends the match to `out` as one row in the subscriber's own
+    /// numbering (slots the prefix does not cover stay unbound).
+    pub fn rebase_into(&self, out: &mut Vec<u64>) {
+        let (row, sub) = (self.row, self.sub);
+        sub.target.fill(
+            sub.target.push_unbound(out),
+            sub.edge_order.iter().map(|&(q, s)| (q, row[s])),
+            sub.vertex_order.iter().map(|&(q, s)| (q, row[s])),
+            self.layout.earliest(row),
+            self.layout.latest(row),
+        );
     }
 }
 
@@ -321,7 +357,6 @@ impl PrefixEntry {
         parent_feed: &[u64],
         parent_layout: RowLayout,
         scratch: &mut SearchScratch,
-        found: &mut Vec<SubgraphMatch>,
     ) -> (u64, u64) {
         self.pending.clear();
         self.advanced_for = Some(edge.id);
@@ -330,42 +365,49 @@ impl PrefixEntry {
         if !parent_feed.is_empty() {
             let consume = self.consume_node();
             for row in parent_feed.chunks_exact(parent_layout.stride()) {
-                self.store.insert_row_emit_rows(
+                let row = self.store.adopt(row, parent_layout);
+                self.store.insert_row(
                     &self.tree,
                     consume,
                     row,
-                    parent_layout,
                     self.window,
                     &mut self.pending,
+                    None,
                 );
             }
         }
-        for (rank, &leaf) in self
-            .tree
-            .leaves()
-            .iter()
-            .enumerate()
-            .skip(self.parent_depth)
-        {
-            if !self.per_leaf_types[rank].contains(&edge.edge_type) {
-                continue;
-            }
-            found.clear();
-            find_matches_containing_edge_into(
-                graph,
-                &self.query,
-                self.tree.subgraph(leaf),
-                edge,
-                scratch,
-                found,
-            );
-            searches += 1;
-            for m in found.drain(..) {
-                self.store
-                    .insert_emit_rows(&self.tree, leaf, m, self.window, &mut self.pending);
+        for rank in self.parent_depth..self.tree.num_leaves() {
+            if self.per_leaf_types[rank].contains(&edge.edge_type) {
+                self.search_and_insert(graph, edge, self.tree.leaf(rank), scratch);
+                searches += 1;
             }
         }
         (searches, self.store.lifetime_inserted() - inserted_before)
+    }
+
+    /// One anchored leaf search of the table's canonical query around
+    /// `edge`: every match it visits goes from the search's working binding
+    /// into an arena row and through the recursive join, root joins landing
+    /// in `pending`.
+    fn search_and_insert(
+        &mut self,
+        graph: &DynamicGraph,
+        edge: &EdgeData,
+        leaf: sp_sjtree::NodeId,
+        scratch: &mut SearchScratch,
+    ) {
+        let PrefixEntry {
+            query,
+            tree,
+            store,
+            window,
+            pending,
+            ..
+        } = self;
+        find_matches_containing_edge_with(graph, query, tree.subgraph(leaf), edge, scratch, |m| {
+            let row = store.encode(m);
+            store.insert_row(tree, leaf, row, *window, pending, None);
+        });
     }
 
     /// Rebuilds the table from the retained graph, in the deterministic
@@ -380,35 +422,21 @@ impl PrefixEntry {
     /// ([`PrefixEntry::clear_parent_stages`]).
     fn replay(&mut self, graph: &DynamicGraph) {
         self.store.clear();
+        self.advanced_for = None;
         let mut edges: Vec<EdgeData> = graph
             .edges()
             .filter(|e| self.edge_types.binary_search(&e.edge_type).is_ok())
             .copied()
             .collect();
         edges.sort_unstable_by_key(|e| (e.timestamp, e.id));
-        let mut discard = Vec::new();
         let mut scratch = SearchScratch::default();
-        let mut found = Vec::new();
         for edge in &edges {
-            for (rank, &leaf) in self.tree.leaves().iter().enumerate() {
-                if !self.per_leaf_types[rank].contains(&edge.edge_type) {
-                    continue;
-                }
-                found.clear();
-                find_matches_containing_edge_into(
-                    graph,
-                    &self.query,
-                    self.tree.subgraph(leaf),
-                    edge,
-                    &mut scratch,
-                    &mut found,
-                );
-                for m in found.drain(..) {
-                    self.store
-                        .insert_emit_rows(&self.tree, leaf, m, self.window, &mut discard);
+            for rank in 0..self.tree.num_leaves() {
+                if self.per_leaf_types[rank].contains(&edge.edge_type) {
+                    self.search_and_insert(graph, edge, self.tree.leaf(rank), &mut scratch);
                 }
             }
-            discard.clear();
+            self.pending.clear();
         }
     }
 
@@ -579,14 +607,14 @@ pub struct SharedJoinIndex {
     deliveries: u64,
     replays: u64,
     parent_feeds: u64,
-    /// Reusable anchored-search buffers for [`SharedJoinIndex::advance_edge`]
-    /// — one warm scratch serves every table on every edge.
+    /// Reusable anchored-search working binding for
+    /// [`SharedJoinIndex::advance_edge`] — one serves every table on every
+    /// edge.
     scratch: SearchScratch,
-    found: Vec<SubgraphMatch>,
-    /// Recycled buffers for the feeds [`SharedJoinIndex::deliver`] builds
-    /// for partial-depth subscribers, handed back through
-    /// [`SharedJoinIndex::recycle_feed`] once the engine drained them.
-    feed_pool: Vec<Vec<SubgraphMatch>>,
+    /// Recycled row buffers for the feeds [`SharedJoinIndex::deliver`]
+    /// builds for partial-depth subscribers, handed back through
+    /// [`SharedJoinIndex::recycle_feed`] once the engine consumed them.
+    feed_pool: Vec<Vec<u64>>,
 }
 
 impl SharedJoinIndex {
@@ -759,7 +787,7 @@ impl SharedJoinIndex {
             Some(&idx) => idx,
             None => self.create_node(sig, now, graph),
         };
-        self.attach_at(idx, id, &mapping, engine.window(), boundary, graph);
+        self.attach_at(idx, id, &mapping, engine, boundary, graph);
         JoinSubscription::Shared {
             depth: target,
             migrations,
@@ -790,7 +818,7 @@ impl SharedJoinIndex {
         }
         self.detach(id);
         let (_, mapping) = Self::engine_chain(engine).expect("chain canonicalized before");
-        self.attach_at(idx, id, &mapping, engine.window(), boundary, graph);
+        self.attach_at(idx, id, &mapping, engine, boundary, graph);
         Some(depth)
     }
 
@@ -804,7 +832,7 @@ impl SharedJoinIndex {
         idx: usize,
         id: QueryId,
         mapping: &sp_query::CanonicalMapping,
-        window: Option<u64>,
+        engine: &ContinuousQueryEngine,
         boundary: u64,
         graph: &DynamicGraph,
     ) {
@@ -827,7 +855,8 @@ impl SharedJoinIndex {
             id,
             edge_order,
             vertex_order,
-            window,
+            target: engine.row_layout(),
+            window: engine.window(),
             boundary,
             // Every leaf owns at least one edge, so the prefix covers the
             // subscriber's whole chain iff it covers all its edges.
@@ -1054,14 +1083,8 @@ impl SharedJoinIndex {
                 Some((rows, layout)) => (rows.as_slice(), *layout),
                 None => (&[][..], entry.layout),
             };
-            let (searches, inserts) = entry.advance(
-                graph,
-                edge,
-                feed,
-                feed_layout,
-                &mut self.scratch,
-                &mut self.found,
-            );
+            let (searches, inserts) =
+                entry.advance(graph, edge, feed, feed_layout, &mut self.scratch);
             let saved = entry.subtree_subs.saturating_sub(1) as u64;
             self.searches_run += searches;
             self.inserts_run += inserts;
@@ -1080,16 +1103,16 @@ impl SharedJoinIndex {
 
     /// Delivers the current edge's emissions of `id`'s table to `id`: each
     /// pending row the subscriber's window and boundary admit (both read
-    /// off the row) is materialized **once**, in the subscriber's own
-    /// numbering. A full-depth subscriber's matches are complete and go
-    /// straight into `sink`; a partial-depth subscriber gets them as the
-    /// feed that seeds its engine's join continuation — possibly empty,
-    /// because the engine must skip the prefix leaves either way.
+    /// off the row) leaves in the subscriber's own numbering. A full-depth
+    /// subscriber's matches are complete and go straight into `sink`
+    /// ([`RowSink::on_shared_row`]); a partial-depth subscriber gets them
+    /// as the feed that seeds its engine's join continuation — possibly
+    /// empty, because the engine must skip the prefix leaves either way.
     pub fn deliver(
         &mut self,
         id: QueryId,
         edge: &EdgeData,
-        mut sink: impl FnMut(SubgraphMatch),
+        sink: &mut (impl RowSink + ?Sized),
     ) -> JoinDelivery {
         let Some(&idx) = self.subs.get(&id) else {
             return JoinDelivery::Engine(None);
@@ -1107,37 +1130,40 @@ impl SharedJoinIndex {
         } else {
             &[]
         };
+        let layout = entry.layout;
         let admitted = rows
-            .chunks_exact(entry.layout.stride())
+            .chunks_exact(layout.stride())
             .filter(|row| entry.admits(sub, row))
-            .map(|row| sub.materialize(row, entry.layout));
+            .map(|row| SharedRow { row, layout, sub });
         let shared = entry.subtree_subs > 1;
         if sub.full_depth {
             let mut delivered = 0;
-            for m in admitted {
+            for row in admitted {
                 delivered += 1;
-                sink(m);
+                sink.on_shared_row(id, row);
             }
             self.deliveries += delivered;
             return JoinDelivery::Complete { delivered, shared };
         }
-        let mut matches = self.feed_pool.pop().unwrap_or_default();
-        debug_assert!(matches.is_empty());
-        matches.extend(admitted);
-        self.deliveries += matches.len() as u64;
+        let mut feed = self.feed_pool.pop().unwrap_or_default();
+        debug_assert!(feed.is_empty());
+        for row in admitted {
+            row.rebase_into(&mut feed);
+        }
+        self.deliveries += (feed.len() / sub.target.stride()) as u64;
         JoinDelivery::Engine(Some(PrefixFeed {
             depth: entry.depth(),
-            matches,
+            rows: feed,
             shared,
         }))
     }
 
-    /// Hands a drained feed's buffer back to the pool, so the next
+    /// Hands a consumed feed's buffer back to the pool, so the next
     /// partial-depth [`SharedJoinIndex::deliver`] reuses its capacity
     /// instead of allocating. The registry calls this right after the
     /// subscriber's engine consumed the feed.
     pub fn recycle_feed(&mut self, feed: PrefixFeed) {
-        let mut buf = feed.matches;
+        let mut buf = feed.rows;
         buf.clear();
         self.feed_pool.push(buf);
     }
@@ -1176,6 +1202,7 @@ impl SharedJoinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{FnSink, Materialize};
     use crate::strategy::Strategy;
     use sp_graph::Schema;
     use sp_selectivity::SelectivityEstimator;
@@ -1474,8 +1501,8 @@ mod tests {
             last = Some(edge);
         }
         let edge = last.unwrap();
-        let mut sunk = Vec::new();
-        let direct = index.deliver(QueryId(0), &edge, |m| sunk.push(m));
+        let mut sunk: Vec<(QueryId, SubgraphMatch)> = Vec::new();
+        let direct = index.deliver(QueryId(0), &edge, &mut Materialize(&mut sunk));
         assert!(matches!(
             direct,
             JoinDelivery::Complete {
@@ -1484,26 +1511,35 @@ mod tests {
             }
         ));
         assert_eq!(sunk.len(), 1);
-        assert_eq!(sunk[0].num_edges(), 2);
-        assert_eq!(sunk[0].time_span(), (Timestamp(0), Timestamp(9)));
+        assert_eq!(sunk[0].0, QueryId(0));
+        assert_eq!(sunk[0].1.num_edges(), 2);
+        assert_eq!(sunk[0].1.time_span(), (Timestamp(0), Timestamp(9)));
         // The narrow twin's window filter runs on the row: nothing reaches
         // its sink, yet it is still a (complete, empty) direct delivery.
-        let narrow = index.deliver(QueryId(1), &edge, |_| panic!("over-window match"));
+        let mut over_window = FnSink(|_, _| panic!("over-window match"));
+        let narrow = index.deliver(QueryId(1), &edge, &mut Materialize(&mut over_window));
         assert!(matches!(
             narrow,
             JoinDelivery::Complete { delivered: 0, .. }
         ));
         // The 3-leaf query rides the same table at partial depth: same row,
-        // materialized into a feed for its engine, never into the sink.
-        match index.deliver(QueryId(2), &edge, |_| panic!("partial-depth match")) {
+        // rebased into a feed row of its engine's layout (third edge and
+        // fourth vertex unbound), never into the sink.
+        let mut partial = FnSink(|_, _| panic!("partial-depth match"));
+        match index.deliver(QueryId(2), &edge, &mut Materialize(&mut partial)) {
             JoinDelivery::Engine(Some(feed)) => {
-                assert_eq!((feed.depth, feed.matches.len(), feed.shared), (2, 1, true));
+                let layout = deep.row_layout();
+                assert_eq!((feed.depth, feed.shared), (2, true));
+                assert_eq!(feed.rows.len(), layout.stride());
+                let prefix = layout.materialize(&feed.rows);
+                assert_eq!((prefix.num_edges(), prefix.num_vertices()), (2, 3));
+                assert_eq!(prefix.time_span(), sunk[0].1.time_span());
                 index.recycle_feed(feed);
             }
             other => panic!("expected a feed, got {other:?}"),
         }
         assert!(matches!(
-            index.deliver(QueryId(9), &edge, |_| ()),
+            index.deliver(QueryId(9), &edge, &mut Materialize(&mut partial)),
             JoinDelivery::Engine(None)
         ));
         let stats = index.stats();

@@ -18,28 +18,30 @@
 //!   [`prepare_into`](SharedLeafIndex::prepare_into) each candidate engine
 //!   (one reused fan-out buffer for the whole dispatch list): the anchored
 //!   search for each distinct signature runs **once** (memoized in an
-//!   [`EdgeSearchCache`] for the duration of the edge) and its matches are
-//!   rebased onto every subscriber via [`SubgraphMatch::remapped`];
+//!   [`EdgeSearchCache`] for the duration of the edge, its matches kept as
+//!   canonical rows) and each subscriber gets them by slot permutation into
+//!   rows of its own numbering — no `SubgraphMatch` is built on the way;
 //! * lazy engines keep their enable/disable gating by *filtering the
 //!   fan-out* — the index consults
 //!   [`ContinuousQueryEngine::leaf_accepts`] before rebasing, and a
 //!   signature none of whose gate-passing subscribers need it is never
 //!   searched at all.
 //!
-//! Sharing is semantics-preserving: the engine consumes prepared matches in
+//! Sharing is semantics-preserving: the engine consumes prepared rows in
 //! exactly the order its own search would have produced work items, so the
 //! reported match multiset is byte-identical to the per-engine path (the
 //! equivalence tests assert this with sharing on, off, and against
 //! independent processors).
 
-use crate::engine::{ContinuousQueryEngine, LeafFanout, PreparedLeaf};
+use crate::engine::{ContinuousQueryEngine, LeafFanout, PreparedFanout, PreparedLeaf};
 use crate::registry::QueryId;
 use sp_graph::{DynamicGraph, EdgeData, EdgeType, FastMap};
-use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
+use sp_iso::{find_matches_containing_edge_with, SearchScratch};
 use sp_query::{canonicalize_subgraph, CanonicalMapping, LeafSignature, QueryGraph, QuerySubgraph};
-use sp_sjtree::NodeId;
+use sp_sjtree::{NodeId, RowLayout};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// One interned canonical leaf shape: the materialized canonical query (what
@@ -51,6 +53,9 @@ struct SigEntry {
     query: QueryGraph,
     /// Subgraph view covering all of `query`.
     subgraph: QuerySubgraph,
+    /// Layout of the canonical rows the shared search's results are kept
+    /// as.
+    layout: RowLayout,
     /// Distinct edge types in the leaf — the cheap "can this edge possibly
     /// match?" pre-filter.
     edge_types: Vec<EdgeType>,
@@ -111,30 +116,28 @@ impl SharedLeafStats {
     }
 }
 
-/// Per-edge memo of shared search executions: signature index → matches (in
-/// canonical numbering) and the search's wall time.
+/// Per-edge memo of shared search executions: signature index → the
+/// search's matches (rows in the shape's canonical numbering) and its wall
+/// time.
 ///
 /// The cache is scoped to one edge *logically* but owned by the registry
-/// *physically*: [`EdgeSearchCache::begin_edge`] resets the memo while
-/// keeping the map's capacity, recycling each entry's match buffer into a
-/// spare pool, and retaining the anchored-search scratch — so the per-edge
+/// *physically*: every search of an edge appends its rows to one flat
+/// buffer, and [`EdgeSearchCache::begin_edge`] resets memo and buffer while
+/// keeping their capacity and the anchored-search scratch — so the per-edge
 /// shared stage stops allocating once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeSearchCache {
     searches: FastMap<usize, CachedSearch>,
-    /// Recycled match buffers, handed back out to fresh cache entries.
-    spare: Vec<Vec<SubgraphMatch>>,
-    /// Reusable anchored-search frontier/binding buffers.
+    /// The canonical result rows of every search run for this edge, back to
+    /// back; each [`CachedSearch`] names its word range.
+    rows: Vec<u64>,
+    /// Reusable anchored-search working binding.
     scratch: SearchScratch,
 }
 
-/// Cap on pooled spare buffers — enough for every distinct signature a
-/// realistic edge fans out to, without hoarding after a burst.
-const SPARE_SEARCH_BUFFERS_CAP: usize = 256;
-
 #[derive(Debug, Clone)]
 struct CachedSearch {
-    matches: Vec<SubgraphMatch>,
+    rows: Range<usize>,
     elapsed: Duration,
     /// Set once the first consumer has been charged the search time.
     consumed: bool,
@@ -146,18 +149,10 @@ impl EdgeSearchCache {
         Self::default()
     }
 
-    /// Resets the memo for a new edge, keeping warmed-up capacity: the memo
-    /// map keeps its table, each entry's match buffer moves to the spare
-    /// pool, and the search scratch is retained as-is.
+    /// Resets the memo for a new edge, keeping warmed-up capacity.
     pub fn begin_edge(&mut self) {
-        let spare = &mut self.spare;
-        for (_, cs) in self.searches.drain() {
-            let mut buf = cs.matches;
-            if spare.len() < SPARE_SEARCH_BUFFERS_CAP && buf.capacity() > 0 {
-                buf.clear();
-                spare.push(buf);
-            }
-        }
+        self.searches.clear();
+        self.rows.clear();
     }
 }
 
@@ -280,22 +275,22 @@ impl SharedLeafIndex {
     }
 
     /// Builds the prepared fan-out for one candidate engine on one edge
-    /// into `out` (cleared first): `out[rank]` is `None` for gate-filtered
-    /// leaves, a rebased shared-search result for shapes with multiple
-    /// subscribers, and [`LeafFanout::SearchLocally`] for single-subscriber
-    /// shapes (nothing to share — the engine searches its own numbering,
-    /// paying neither the canonical search nor the rebase). Returns whether
-    /// the query is subscribed; `false` leaves `out` empty and the caller
-    /// falls back to the engine's private path.
+    /// into `out` (cleared first): `out.leaves[rank]` is `None` for
+    /// gate-filtered leaves, a rebased shared-search result for shapes with
+    /// multiple subscribers, and [`LeafFanout::SearchLocally`] for
+    /// single-subscriber shapes (nothing to share — the engine searches its
+    /// own numbering, paying neither the canonical search nor the rebase).
+    /// Returns whether the query is subscribed; `false` leaves `out` empty
+    /// and the caller falls back to the engine's private path.
     ///
     /// The first consumer of a signature this edge triggers the actual
     /// anchored search (and is charged its wall time); every further
     /// consumer is served from `cache` and counted as an eliminated search.
-    /// `out` is caller-owned so the registry can drive the whole per-edge
-    /// fan-out through **one** reused buffer instead of allocating a fresh
-    /// vector per candidate engine — the batching half of the cheap-leaf
-    /// wall-clock work, alongside the interned
-    /// [`JoinKey`](sp_iso::JoinKey)s in the match store.
+    /// Either way the subscriber's copy of a result is one slot permutation
+    /// per match, from the cache's canonical row into a row of the engine's
+    /// own layout in `out.rows`. `out` is caller-owned so the registry can
+    /// drive the whole per-edge fan-out through **one** reused buffer — in
+    /// the steady state neither the search nor the fan-out allocates.
     pub fn prepare_into(
         &mut self,
         id: QueryId,
@@ -303,9 +298,10 @@ impl SharedLeafIndex {
         graph: &DynamicGraph,
         edge: &EdgeData,
         cache: &mut EdgeSearchCache,
-        out: &mut Vec<Option<LeafFanout>>,
+        out: &mut PreparedFanout,
     ) -> bool {
-        out.clear();
+        out.leaves.clear();
+        out.rows.clear();
         let SharedLeafIndex {
             entries,
             subs,
@@ -317,17 +313,22 @@ impl SharedLeafIndex {
         let Some(subs) = subs.get(&id) else {
             return false;
         };
-        out.reserve(subs.len());
+        let target = engine.row_layout();
+        out.leaves.reserve(subs.len());
         for sub in subs {
             // Ranks below a shared-join prefix are absent from the
             // subscription list (`subscribe_from`); leave their fan-out
             // slots empty — the engine skips them entirely.
-            while out.len() < sub.rank {
-                out.push(None);
+            while out.leaves.len() < sub.rank {
+                out.leaves.push(None);
             }
-            debug_assert_eq!(sub.rank, out.len(), "subscriptions are in rank order");
+            debug_assert_eq!(
+                sub.rank,
+                out.leaves.len(),
+                "subscriptions are in rank order"
+            );
             if !engine.leaf_accepts(sub.rank, edge) {
-                out.push(None);
+                out.leaves.push(None);
                 continue;
             }
             let entry = entries[sub.sig]
@@ -337,8 +338,8 @@ impl SharedLeafIndex {
                 // The edge's type does not occur in the leaf: the anchored
                 // search would trivially find nothing. Feed the engine an
                 // empty result without touching the cache or the stats.
-                out.push(Some(LeafFanout::Prepared(PreparedLeaf {
-                    matches: Vec::new(),
+                out.leaves.push(Some(LeafFanout::Prepared(PreparedLeaf {
+                    rows: 0..0,
                     charged: None,
                     shared: false,
                 })));
@@ -348,29 +349,27 @@ impl SharedLeafIndex {
                 // No other query (or leaf) can reuse this search: skip the
                 // canonical indirection entirely.
                 *searches_delegated += 1;
-                out.push(Some(LeafFanout::SearchLocally));
+                out.leaves.push(Some(LeafFanout::SearchLocally));
                 continue;
             }
             let cached = match cache.searches.entry(sub.sig) {
                 Entry::Occupied(o) => o.into_mut(),
                 Entry::Vacant(v) => {
                     let t0 = Instant::now();
-                    // Reuse a recycled buffer and the cache-owned scratch:
-                    // in the steady state (buffers warmed, no matches) the
-                    // shared search allocates nothing.
-                    let mut matches = cache.spare.pop().unwrap_or_default();
-                    find_matches_containing_edge_into(
+                    let (rows, layout) = (&mut cache.rows, entry.layout);
+                    let start = rows.len();
+                    find_matches_containing_edge_with(
                         graph,
                         &entry.query,
                         &entry.subgraph,
                         edge,
                         &mut cache.scratch,
-                        &mut matches,
+                        |m| layout.write(m, layout.push_unbound(rows)),
                     );
                     let elapsed = t0.elapsed();
                     *searches_run += 1;
                     v.insert(CachedSearch {
-                        matches,
+                        rows: start..rows.len(),
                         elapsed,
                         consumed: false,
                     })
@@ -380,19 +379,29 @@ impl SharedLeafIndex {
             if shared {
                 *searches_shared += 1;
             }
-            let charged = if cached.consumed {
-                None
-            } else {
-                Some(cached.elapsed)
-            };
+            let charged = (!cached.consumed).then_some(cached.elapsed);
             cached.consumed = true;
-            let matches = cached
-                .matches
-                .iter()
-                .map(|m| m.remapped(&sub.mapping.vertices, &sub.mapping.edges))
-                .collect();
-            out.push(Some(LeafFanout::Prepared(PreparedLeaf {
-                matches,
+            // A leaf binds every canonical slot, so the permutation reads
+            // each one: canonical edge `c` is the subscriber's
+            // `mapping.edges[c]`, likewise for vertices.
+            let from = entry.layout;
+            let start = out.rows.len();
+            for canon in cache.rows[cached.rows.clone()].chunks_exact(from.stride()) {
+                let (edges, vertices) = canon.split_at(from.edges);
+                target.fill(
+                    target.push_unbound(&mut out.rows),
+                    sub.mapping.edges.iter().copied().zip(edges.iter().copied()),
+                    sub.mapping
+                        .vertices
+                        .iter()
+                        .copied()
+                        .zip(vertices.iter().copied()),
+                    from.earliest(canon),
+                    from.latest(canon),
+                );
+            }
+            out.leaves.push(Some(LeafFanout::Prepared(PreparedLeaf {
+                rows: start..out.rows.len(),
                 charged,
                 shared,
             })));
@@ -411,6 +420,7 @@ impl SharedLeafIndex {
         let entry = SigEntry {
             edge_types: sig.edge_types(),
             signature: sig.clone(),
+            layout: RowLayout::of(&query),
             query,
             subgraph,
             subs: vec![(id, node)],

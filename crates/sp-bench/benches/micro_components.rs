@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the individual components on the hot path: anchored
 //! subgraph isomorphism around one edge, the SJ-Tree hash-join insert, the
-//! shared join stage's row → delivered-match fan-out, the greedy
+//! shared join stage's row → delivered-match fan-out, the row → `on_match`
+//! materialization, the shared leaf stage's fan-out, the greedy
 //! decomposition, and the dataset generators themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -10,10 +11,12 @@ use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind, ZipfSampler};
 use sp_graph::{DynamicGraph, EdgeEvent, FastState, Schema, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge, JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph, QueryVertexId};
-use sp_sjtree::{decompose, MatchStore, PrimitivePolicy, SjTree};
+use sp_sjtree::{decompose, MatchStore, PrimitivePolicy, RowLayout, SjTree};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
-use streampattern::{CountSink, Strategy, StreamProcessor};
+use streampattern::{
+    CountSink, MatchSink, Materialize, QueryId, RowSink, Strategy, StreamProcessor,
+};
 
 fn anchored_search(c: &mut Criterion) {
     let dataset = NetflowConfig {
@@ -169,7 +172,9 @@ fn hub_bucket(group: &mut criterion::BenchmarkGroup<'_>) {
                 m.bind_vertex(QueryVertexId(leaf), from);
                 m.bind_vertex(QueryVertexId(leaf + 1), to);
                 m.bind_edge(QueryEdgeId(leaf), edge, ts);
-                store.insert_emit_rows(&tree, tree.leaf(leaf), m, Some(HUB_WINDOW), &mut rows);
+                let row = store.encode(&m);
+                let window = Some(HUB_WINDOW);
+                store.insert_row(&tree, tree.leaf(leaf), row, window, &mut rows, None);
             }
             tick += 1;
         }
@@ -267,6 +272,102 @@ fn shared_join_fanout(c: &mut Criterion) {
     group.finish();
 }
 
+/// The copy-on-emit boundary in isolation: a burst of complete-match rows
+/// (an `n`-edge chain: `n` edge and `n + 1` vertex bindings) is handed to a
+/// sink that reads every edge binding it is given. 3 and 5 edges stay
+/// inline; 9 edges spill both binding maps. Divide by 4096 for ns/match.
+fn row_to_on_match(c: &mut Criterion) {
+    /// Folds every edge binding into one word, so no part of the
+    /// materialized match is dead to the optimizer.
+    struct DigestSink(u64);
+    impl MatchSink for DigestSink {
+        fn on_match(&mut self, query: QueryId, m: SubgraphMatch) {
+            for (qe, de) in m.edge_pairs() {
+                self.0 = self.0.rotate_left(5) ^ de.0 ^ qe.0 as u64 ^ query.0;
+            }
+        }
+    }
+    const ROWS: u64 = 4_096;
+    let mut group = c.benchmark_group("sink");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(1500));
+    group.throughput(Throughput::Elements(ROWS));
+    for edges in [3usize, 5, 9] {
+        let layout = RowLayout {
+            edges,
+            vertices: edges + 1,
+        };
+        let mut rows = Vec::new();
+        for r in 0..ROWS {
+            let row = layout.push_unbound(&mut rows);
+            for (slot, word) in row.iter_mut().enumerate() {
+                *word = r * 31 + slot as u64;
+            }
+        }
+        group.bench_function(format!("row_to_on_match_4096_rows_{edges}_edges"), |b| {
+            b.iter(|| {
+                let mut sink = DigestSink(0);
+                Materialize(&mut sink).on_rows(QueryId(7), layout, &rows);
+                sink.0
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The shared leaf stage's fan-out in isolation: four eager rules share
+/// their first leaf shape (a `tcp` edge) and nothing else, so every `tcp`
+/// edge of the ring stream runs one shared anchored search whose single
+/// match is fanned out to four private engines, each storing it. Elements
+/// are stream edges; each fans out four matches.
+fn shared_leaf_fanout(c: &mut Criterion) {
+    let mut schema = Schema::new();
+    let ip = schema.intern_vertex_type("ip");
+    let tcp = schema.intern_edge_type("tcp");
+    let seconds: Vec<_> = (0..4)
+        .map(|i| schema.intern_edge_type(&format!("p{i}")))
+        .collect();
+    let mut proc = StreamProcessor::new(schema)
+        .with_statistics(false)
+        .with_purge_interval(256);
+    for second in seconds {
+        let mut q = QueryGraph::new("tcp-then");
+        let (a, b, c) = (q.add_any_vertex(), q.add_any_vertex(), q.add_any_vertex());
+        q.add_edge(a, b, tcp);
+        q.add_edge(b, c, second);
+        proc.register(q, Strategy::Single, Some(150)).unwrap();
+    }
+    assert_eq!(proc.shared_leaf_stats().distinct_leaves, 5);
+
+    const HOSTS: u64 = 64;
+    const SLICE: u64 = 512;
+    let mut sink = CountSink::new();
+    let mut tick = 0u64;
+    let mut feed = |edges: u64| {
+        for _ in 0..edges {
+            let (src, dst) = (tick % HOSTS, (tick + 1) % HOSTS);
+            proc.process_into(
+                &EdgeEvent::homogeneous(src, dst, ip, tcp, Timestamp(tick)),
+                &mut sink,
+            );
+            tick += 1;
+        }
+        proc.shared_leaf_stats().searches_shared
+    };
+    feed(4_096); // past the first purges: buffers and buckets are warm
+
+    let mut group = c.benchmark_group("shared_leaf");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(1500));
+    group.throughput(Throughput::Elements(SLICE));
+    group.bench_function("shared_leaf_fanout_512_edges_4_subscribers", |b| {
+        b.iter(|| feed(SLICE))
+    });
+    group.finish();
+}
+
 fn generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
     group.sample_size(10);
@@ -305,6 +406,8 @@ criterion_group!(
     anchored_search,
     sjtree_operations,
     shared_join_fanout,
+    row_to_on_match,
+    shared_leaf_fanout,
     generators
 );
 criterion_main!(benches);

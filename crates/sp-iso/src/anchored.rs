@@ -38,30 +38,26 @@ pub fn edge_compatible(
 /// Reusable per-search state, owned by a long-lived pipeline stage (a query
 /// engine, the shared-leaf index, the shared-join stage) rather than the
 /// call: the steady-state per-edge path runs thousands of anchored searches
-/// per second, and allocating a working match and result buffers per search
-/// was the dominant allocator traffic of the hot path.
+/// per second, and building a fresh 288-byte working match per search was
+/// pure copying.
 ///
-/// The `_into` search variants thread a scratch through the whole
-/// backtracking extension; the working binding map is extended **in place
-/// with undo** (bind → recurse → unbind + time-span restore) instead of
-/// cloning the partial match once per candidate. Only completed matches are
-/// cloned, into the caller's output buffer — a memcpy for every built-in
-/// workload query (inline binding maps).
+/// The scratch holds the one [`SubgraphMatch`] an anchored search works on.
+/// The searches borrow it in place and extend it **with undo** (bind →
+/// recurse → unbind + time-span restore), so no partial match is ever
+/// cloned; a completed match is *visited* right there
+/// ([`find_matches_containing_edge_with`]) — the pipeline encodes it into a
+/// fixed-width row at that point and never copies the binding itself. Only
+/// the `_into` adapters clone, once per completed match, into the caller's
+/// vector.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
-    /// The working partial match, mutated in place during extension. Reused
-    /// across seeds and searches: spilled binding storage (queries past the
-    /// inline cap) keeps its capacity.
+    /// The working match, mutated in place during extension and reset at
+    /// the start of every seed.
     work: SubgraphMatch,
-    /// Reusable result buffer for callers that drain search results
-    /// immediately instead of keeping them (e.g. the lazy retroactive
-    /// probe). The `_into` variants never touch it.
-    pub buf: Vec<SubgraphMatch>,
 }
 
 impl SearchScratch {
-    /// An empty scratch. Capacity grows with use and persists across
-    /// searches.
+    /// An empty scratch.
     pub fn new() -> Self {
         Self::default()
     }
@@ -77,7 +73,7 @@ impl SearchScratch {
 /// Convenience wrapper over
 /// [`find_matches_containing_edge_into`] that allocates a fresh scratch and
 /// result vector; hot-path callers hold a [`SearchScratch`] and call the
-/// `_into` variant instead.
+/// `_with` variant instead.
 pub fn find_matches_containing_edge(
     graph: &DynamicGraph,
     query: &QueryGraph,
@@ -97,9 +93,9 @@ pub fn find_matches_containing_edge(
     results
 }
 
-/// Allocation-free variant of [`find_matches_containing_edge`]: appends every
-/// match to `results`, reusing the scratch's working state. `results` is not
-/// cleared — callers own its lifecycle (and its capacity).
+/// Collecting adapter over [`find_matches_containing_edge_with`]: clones
+/// every match into `results`. `results` is not cleared — callers own its
+/// lifecycle (and its capacity).
 pub fn find_matches_containing_edge_into(
     graph: &DynamicGraph,
     query: &QueryGraph,
@@ -108,7 +104,23 @@ pub fn find_matches_containing_edge_into(
     scratch: &mut SearchScratch,
     results: &mut Vec<SubgraphMatch>,
 ) {
-    let mut m = std::mem::take(&mut scratch.work);
+    let collect = |m: &SubgraphMatch| results.push(m.clone());
+    find_matches_containing_edge_with(graph, query, subgraph, data_edge, scratch, collect);
+}
+
+/// The visiting form of [`find_matches_containing_edge`]: `visit` is called
+/// once per match, with the scratch's working match in its completed state.
+/// Nothing is cloned and nothing is allocated; a visitor that needs the match
+/// past the call copies out what it needs (the pipeline writes a row).
+pub fn find_matches_containing_edge_with(
+    graph: &DynamicGraph,
+    query: &QueryGraph,
+    subgraph: &QuerySubgraph,
+    data_edge: &EdgeData,
+    scratch: &mut SearchScratch,
+    mut visit: impl FnMut(&SubgraphMatch),
+) {
+    let m = &mut scratch.work;
     for qe in subgraph.edges() {
         if !edge_compatible(graph, query, qe, data_edge) {
             continue;
@@ -124,10 +136,8 @@ pub fn find_matches_containing_edge_into(
         if !m.bind_edge(qe, data_edge.id, data_edge.timestamp) {
             continue;
         }
-        extend(graph, query, subgraph, &mut m, results);
+        extend(graph, query, subgraph, m, &mut visit);
     }
-    m.clear();
-    scratch.work = m;
 }
 
 /// Finds every match of `subgraph` in which `data_vertex` is bound to one of
@@ -155,9 +165,9 @@ pub fn find_matches_around_vertex(
     results
 }
 
-/// Allocation-free variant of [`find_matches_around_vertex`]: appends every
-/// match to `results`, reusing the scratch's working state. `results` is not
-/// cleared — callers own its lifecycle (and its capacity).
+/// Collecting adapter over [`find_matches_around_vertex_with`]: clones
+/// every match into `results`. `results` is not cleared — callers own its
+/// lifecycle (and its capacity).
 pub fn find_matches_around_vertex_into(
     graph: &DynamicGraph,
     query: &QueryGraph,
@@ -166,10 +176,24 @@ pub fn find_matches_around_vertex_into(
     scratch: &mut SearchScratch,
     results: &mut Vec<SubgraphMatch>,
 ) {
+    let collect = |m: &SubgraphMatch| results.push(m.clone());
+    find_matches_around_vertex_with(graph, query, subgraph, data_vertex, scratch, collect);
+}
+
+/// The visiting form of [`find_matches_around_vertex`]; see
+/// [`find_matches_containing_edge_with`].
+pub fn find_matches_around_vertex_with(
+    graph: &DynamicGraph,
+    query: &QueryGraph,
+    subgraph: &QuerySubgraph,
+    data_vertex: VertexId,
+    scratch: &mut SearchScratch,
+    mut visit: impl FnMut(&SubgraphMatch),
+) {
     let Some(vt) = graph.vertex_type(data_vertex) else {
         return;
     };
-    let mut m = std::mem::take(&mut scratch.work);
+    let m = &mut scratch.work;
     for qv in subgraph.vertices() {
         if !query.vertex(qv).vertex_type.accepts(vt) {
             continue;
@@ -178,10 +202,8 @@ pub fn find_matches_around_vertex_into(
         if !m.bind_vertex(qv, data_vertex) {
             continue;
         }
-        extend(graph, query, subgraph, &mut m, results);
+        extend(graph, query, subgraph, m, &mut visit);
     }
-    m.clear();
-    scratch.work = m;
 }
 
 /// Backtracking extension: repeatedly picks an unmatched query edge with at
@@ -190,18 +212,18 @@ pub fn find_matches_around_vertex_into(
 ///
 /// The working match is extended speculatively in place: every candidate
 /// bind is undone (unbind + time-span restore) after the recursive call, so
-/// no partial match is ever cloned — only completed matches are, into
-/// `results`.
+/// no partial match is ever cloned, and a completed one is handed to
+/// `visit` where it stands.
 fn extend(
     graph: &DynamicGraph,
     query: &QueryGraph,
     subgraph: &QuerySubgraph,
     m: &mut SubgraphMatch,
-    results: &mut Vec<SubgraphMatch>,
+    visit: &mut impl FnMut(&SubgraphMatch),
 ) {
     // Complete when every subgraph edge is bound.
     if m.num_edges() == subgraph.num_edges() {
-        results.push(m.clone());
+        visit(m);
         return;
     }
 
@@ -238,7 +260,7 @@ fn extend(
                 }
                 let span = m.time_span();
                 if m.bind_edge(qe, e.id, e.timestamp) {
-                    extend(graph, query, subgraph, m, results);
+                    extend(graph, query, subgraph, m, visit);
                     m.unbind_edge(qe);
                 }
                 m.restore_time_span(span);
@@ -257,11 +279,11 @@ fn extend(
             let anchor = m.data_vertex(bound_qv).expect("bound");
             if outgoing {
                 for e in graph.out_edges(anchor) {
-                    try_one_bound(graph, query, subgraph, m, results, qe, free_qv, e, true);
+                    try_one_bound(graph, query, subgraph, m, visit, qe, free_qv, e, true);
                 }
             } else {
                 for e in graph.in_edges(anchor) {
-                    try_one_bound(graph, query, subgraph, m, results, qe, free_qv, e, false);
+                    try_one_bound(graph, query, subgraph, m, visit, qe, free_qv, e, false);
                 }
             }
         }
@@ -284,7 +306,7 @@ fn extend(
                 if let Some(src_new) = m.bind_vertex_tracked(q.src, e.src) {
                     if let Some(dst_new) = m.bind_vertex_tracked(q.dst, e.dst) {
                         if m.bind_edge(qe, e.id, e.timestamp) {
-                            extend(graph, query, subgraph, m, results);
+                            extend(graph, query, subgraph, m, visit);
                             m.unbind_edge(qe);
                         }
                         if dst_new {
@@ -310,7 +332,7 @@ fn try_one_bound(
     query: &QueryGraph,
     subgraph: &QuerySubgraph,
     m: &mut SubgraphMatch,
-    results: &mut Vec<SubgraphMatch>,
+    visit: &mut impl FnMut(&SubgraphMatch),
     qe: QueryEdgeId,
     free_qv: sp_query::QueryVertexId,
     e: &EdgeData,
@@ -332,7 +354,7 @@ fn try_one_bound(
     // inserts (and is undone unconditionally below).
     if m.bind_vertex(free_qv, free_data) {
         if m.bind_edge(qe, e.id, e.timestamp) {
-            extend(graph, query, subgraph, m, results);
+            extend(graph, query, subgraph, m, visit);
             m.unbind_edge(qe);
         }
         m.unbind_vertex(free_qv);

@@ -27,8 +27,9 @@ mod match_map;
 pub mod vf2;
 
 pub use anchored::{
-    find_matches_around_vertex, find_matches_around_vertex_into, find_matches_containing_edge,
-    find_matches_containing_edge_into, SearchScratch,
+    find_matches_around_vertex, find_matches_around_vertex_into, find_matches_around_vertex_with,
+    find_matches_containing_edge, find_matches_containing_edge_into,
+    find_matches_containing_edge_with, SearchScratch,
 };
 pub use match_map::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE, MATCH_INLINE_BINDINGS};
 pub use vf2::Vf2Matcher;

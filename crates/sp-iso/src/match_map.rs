@@ -12,18 +12,20 @@ pub const JOIN_KEY_INLINE: usize = 3;
 /// Maximum number of vertex (and edge) bindings a [`SubgraphMatch`] stores
 /// inline, without a heap allocation. Eight covers every query the built-in
 /// workloads register (up to a 7-edge / 8-vertex pattern); larger hand-built
-/// queries spill to a `Vec` transparently.
+/// queries spill to a `Vec` transparently. The price is the value's size —
+/// two inline maps make a `SubgraphMatch` 288 bytes — which is why the
+/// pipeline moves fixed-width rows and builds this type only at the sink
+/// ([`SubgraphMatch::from_sorted_bindings`]) and inside the anchored
+/// search's working binding.
 pub const MATCH_INLINE_BINDINGS: usize = 8;
 
 /// Generates a sorted small-vec map: entries of up to
-/// [`MATCH_INLINE_BINDINGS`] pairs live inline in the enum (clone is a
-/// memcpy — no allocation), larger maps spill to a `Vec`. The representation
-/// is canonical by length (inline iff it fits), so the derived `Eq`/`Ord`
-/// are consistent; unused inline slots are kept zeroed so the derived
-/// comparisons never read garbage. Iteration order is ascending by key,
-/// matching the `BTreeMap` these maps replaced — the SJ-Tree join stage
-/// clones one `SubgraphMatch` per stored partial match, which made the two
-/// `BTreeMap`s the hottest allocation of the hash-join update path.
+/// [`MATCH_INLINE_BINDINGS`] pairs live inline in the enum (no allocation),
+/// larger maps spill to a `Vec`. The representation is canonical by length
+/// (inline iff it fits), so the derived `Eq`/`Ord` are consistent; unused
+/// inline slots are kept zeroed so the derived comparisons never read
+/// garbage. Iteration order is ascending by key, matching the `BTreeMap`
+/// these maps replaced.
 macro_rules! small_sorted_map {
     ($name:ident, $k:ty, $v:ty, $zero:expr) => {
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -129,33 +131,49 @@ macro_rules! small_sorted_map {
                 true
             }
 
-            /// Appends an entry whose key is strictly greater than every
-            /// existing key, skipping the binary search. The decode path of
-            /// the interned match representation produces bindings in
-            /// ascending slot (= key) order, so materializing a stored row
-            /// is one inline array write per slot; only the append that
+            /// Builds the map in one pass from entries given in strictly
+            /// ascending key order: the entries fill a local array that is
+            /// moved into `Inline` once, so nothing is written twice. The
+            /// decode path of the interned match representation yields
+            /// bindings in ascending slot (= key) order, which is what makes
+            /// materializing a stored row this cheap; only the entry that
             /// outgrows the inline capacity takes the spilling path.
-            fn push(&mut self, key: $k, value: $v) {
-                debug_assert!(
-                    self.as_slice().last().is_none_or(|&(k, _)| k < key),
-                    "push requires strictly ascending keys"
-                );
-                match self {
-                    $name::Inline(n, entries) if (*n as usize) < MATCH_INLINE_BINDINGS => {
-                        entries[*n as usize] = (key, value);
-                        *n += 1;
+            #[inline]
+            fn from_sorted(entries: impl IntoIterator<Item = ($k, $v)>) -> Self {
+                let mut inline = [$zero; MATCH_INLINE_BINDINGS];
+                let mut n = 0usize;
+                let mut entries = entries.into_iter();
+                for entry in entries.by_ref() {
+                    debug_assert!(
+                        n == 0 || inline[n - 1].0 < entry.0,
+                        "from_sorted requires strictly ascending keys"
+                    );
+                    if n == MATCH_INLINE_BINDINGS {
+                        let mut spilled = inline.to_vec();
+                        spilled.push(entry);
+                        spilled.extend(entries);
+                        debug_assert!(
+                            spilled.windows(2).all(|w| w[0].0 < w[1].0),
+                            "from_sorted requires strictly ascending keys"
+                        );
+                        return $name::Spilled(spilled);
                     }
-                    _ => {
-                        let len = self.len();
-                        self.insert_at(len, (key, value));
-                    }
+                    inline[n] = entry;
+                    n += 1;
                 }
+                $name::Inline(n as u8, inline)
             }
 
-            /// Resets to empty, dropping any spilled storage (inline storage
-            /// is simply re-zeroed).
+            /// Resets to empty in place: an inline map re-zeroes only the
+            /// slots it used, a spilled one drops its storage.
             fn clear(&mut self) {
-                *self = $name::new();
+                match self {
+                    $name::Inline(n, entries) => {
+                        entries[..*n as usize].fill($zero);
+                        *n = 0;
+                    }
+                    $name::Spilled(_) => *self = $name::new(),
+                }
             }
 
             fn is_inline(&self) -> bool {
@@ -203,12 +221,14 @@ pub enum JoinKey {
 /// mapping a query edge to a data edge. The vertex binding is kept alongside
 /// because every consistency check (injectivity, join compatibility, join-key
 /// projection) is expressed on vertices. Bindings are stored in inline
-/// small-vec maps ([`MATCH_INLINE_BINDINGS`] entries each), so cloning a
-/// match — which the SJ-Tree join stage does once per stored partial match —
-/// does not allocate for any built-in workload query.
+/// small-vec maps ([`MATCH_INLINE_BINDINGS`] entries each), so building or
+/// cloning a match does not allocate for any built-in workload query. This
+/// is the caller-visible form of a match — what a sink receives — and the
+/// anchored search's working binding; stored and in-flight matches are
+/// fixed-width rows (`sp-sjtree`'s `RowLayout`).
 /// The derived ordering (edge binding, then vertex binding, then time span)
-/// has no semantic meaning; it exists so match stores can keep buckets
-/// sorted and deduplicate in `O(log n)` instead of scanning.
+/// has no semantic meaning; it exists so match collections can be sorted,
+/// compared as multisets and deduplicated.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SubgraphMatch {
     edge_map: EdgeBindings,
@@ -238,25 +258,24 @@ impl SubgraphMatch {
     /// ascending key order (the order [`SubgraphMatch::edge_pairs`] /
     /// [`SubgraphMatch::vertex_pairs`] iterate), plus the precomputed time
     /// interval. This is the decode half of the interned (fixed-width row)
-    /// match representation: the row stores bindings in ascending query-id
-    /// slot order, so materialization appends each binding in `O(1)` with no
+    /// match representation — the one place a row becomes a
+    /// `SubgraphMatch`: the row stores bindings in ascending query-id slot
+    /// order, so each binding map is filled in one pass and the value is
+    /// constructed once, in the caller's frame (`#[inline]`), with no
     /// searching and no re-derivation of the interval.
+    #[inline]
     pub fn from_sorted_bindings(
         edges: impl IntoIterator<Item = (QueryEdgeId, EdgeId)>,
         vertices: impl IntoIterator<Item = (QueryVertexId, VertexId)>,
         earliest: Timestamp,
         latest: Timestamp,
     ) -> Self {
-        let mut out = Self::new();
-        for (qe, de) in edges {
-            out.edge_map.push(qe, de);
+        Self {
+            edge_map: EdgeBindings::from_sorted(edges),
+            vertex_map: VertexBindings::from_sorted(vertices),
+            earliest,
+            latest,
         }
-        for (qv, dv) in vertices {
-            out.vertex_map.push(qv, dv);
-        }
-        out.earliest = earliest;
-        out.latest = latest;
-        out
     }
 
     /// `true` while both binding maps still fit their inline storage —
@@ -399,8 +418,8 @@ impl SubgraphMatch {
         self.latest = span.1;
     }
 
-    /// Resets to an empty match so the allocation (if any) can be reused for
-    /// another search seed.
+    /// Resets to the empty match in place — the anchored searches do this
+    /// once per seed, so inline maps re-zero only the slots they used.
     pub fn clear(&mut self) {
         self.edge_map.clear();
         self.vertex_map.clear();
@@ -509,32 +528,6 @@ impl SubgraphMatch {
     /// (edges may have been expired by the sliding window).
     pub fn is_live(&self, graph: &DynamicGraph) -> bool {
         self.edge_map.values().all(|e| graph.contains_edge(e))
-    }
-
-    /// Rebases a match found against a *canonical* leaf (query vertices
-    /// `0..n`, query edges `0..m`) onto another query's numbering:
-    /// `vertex_map[c]` / `edge_map[c]` name the target ids for canonical
-    /// vertex/edge `c`. Data bindings and the time interval are preserved
-    /// byte for byte, so the result is exactly the match an anchored search
-    /// against the target query's own leaf would have produced.
-    ///
-    /// # Panics
-    /// Panics when the match binds a canonical id outside the mappings.
-    pub fn remapped(
-        &self,
-        vertex_map: &[QueryVertexId],
-        edge_map: &[QueryEdgeId],
-    ) -> SubgraphMatch {
-        let mut out = SubgraphMatch::new();
-        for (qv, dv) in self.vertex_map.iter() {
-            out.vertex_map.insert(vertex_map[qv.0], dv);
-        }
-        for (qe, de) in self.edge_map.iter() {
-            out.edge_map.insert(edge_map[qe.0], de);
-        }
-        out.earliest = self.earliest;
-        out.latest = self.latest;
-        out
     }
 }
 
@@ -730,24 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn remapped_rebases_ids_and_keeps_data_bindings() {
-        let mut canon = SubgraphMatch::new();
-        canon.bind_vertex(qv(0), dv(10));
-        canon.bind_vertex(qv(1), dv(11));
-        canon.bind_edge(qe(0), de(100), Timestamp(7));
-        // Canonical vertex 0 -> query vertex 4, 1 -> 2; edge 0 -> query edge 3.
-        let m = canon.remapped(&[qv(4), qv(2)], &[qe(3)]);
-        assert_eq!(m.data_vertex(qv(4)), Some(dv(10)));
-        assert_eq!(m.data_vertex(qv(2)), Some(dv(11)));
-        assert_eq!(m.data_vertex(qv(0)), None);
-        assert_eq!(m.data_edge(qe(3)), Some(de(100)));
-        assert_eq!(m.earliest(), Timestamp(7));
-        assert_eq!(m.latest(), Timestamp(7));
-        assert_eq!(m.num_edges(), 1);
-        assert_eq!(m.num_vertices(), 2);
-    }
-
-    #[test]
     fn inline_bindings_spill_transparently_past_the_cap() {
         let mut m = SubgraphMatch::new();
         // Fill exactly to the inline capacity: still allocation-free.
@@ -778,20 +753,62 @@ mod tests {
 
     #[test]
     fn from_sorted_bindings_equals_bind_built_matches_across_the_spill() {
-        for n in [1, MATCH_INLINE_BINDINGS, MATCH_INLINE_BINDINGS + 1] {
-            let mut bound = SubgraphMatch::new();
-            for i in 0..n {
-                assert!(bound.bind_vertex(qv(i), dv(100 + i as u64)));
-                assert!(bound.bind_edge(qe(i), de(200 + i as u64), Timestamp(i as u64)));
+        // Edge and vertex counts vary independently, so each map crosses the
+        // 8/9 spill boundary on its own.
+        for ne in 0..=20usize {
+            for nv in [0, 1, 7, 8, 9, 20, ne] {
+                let mut bound = SubgraphMatch::new();
+                for i in 0..nv {
+                    assert!(bound.bind_vertex(qv(i), dv(100 + i as u64)));
+                }
+                for i in 0..ne {
+                    assert!(bound.bind_edge(qe(i), de(200 + i as u64), Timestamp(i as u64)));
+                }
+                let (earliest, latest) = bound.time_span();
+                let built = SubgraphMatch::from_sorted_bindings(
+                    (0..ne).map(|i| (qe(i), de(200 + i as u64))),
+                    (0..nv).map(|i| (qv(i), dv(100 + i as u64))),
+                    earliest,
+                    latest,
+                );
+                assert_eq!(built, bound, "{ne} edges, {nv} vertices");
+                assert_eq!(built.cmp(&bound), std::cmp::Ordering::Equal);
+                assert_eq!(
+                    built.bindings_inline(),
+                    ne <= MATCH_INLINE_BINDINGS && nv <= MATCH_INLINE_BINDINGS
+                );
+                // Canonical by length, unused inline slots zeroed: the
+                // derived comparisons read every slot.
+                match &built.edge_map {
+                    EdgeBindings::Inline(n, entries) => {
+                        assert_eq!(*n as usize, ne);
+                        assert!(entries[ne..].iter().all(|&e| e == (qe(0), de(0))));
+                    }
+                    EdgeBindings::Spilled(v) => {
+                        assert!(ne > MATCH_INLINE_BINDINGS && v.len() == ne);
+                    }
+                }
+                match &built.vertex_map {
+                    VertexBindings::Inline(n, entries) => {
+                        assert_eq!(*n as usize, nv);
+                        assert!(entries[nv..].iter().all(|&e| e == (qv(0), dv(0))));
+                    }
+                    VertexBindings::Spilled(v) => {
+                        assert!(nv > MATCH_INLINE_BINDINGS && v.len() == nv);
+                    }
+                }
+                // One binding fewer is a different, smaller match.
+                if ne > 0 {
+                    let shorter = SubgraphMatch::from_sorted_bindings(
+                        (0..ne - 1).map(|i| (qe(i), de(200 + i as u64))),
+                        (0..nv).map(|i| (qv(i), dv(100 + i as u64))),
+                        earliest,
+                        latest,
+                    );
+                    assert_ne!(shorter, built);
+                    assert_eq!(shorter.num_edges(), ne - 1);
+                }
             }
-            let appended = SubgraphMatch::from_sorted_bindings(
-                (0..n).map(|i| (qe(i), de(200 + i as u64))),
-                (0..n).map(|i| (qv(i), dv(100 + i as u64))),
-                Timestamp(0),
-                Timestamp(n as u64 - 1),
-            );
-            assert_eq!(appended, bound, "{n} bindings");
-            assert_eq!(appended.bindings_inline(), n <= MATCH_INLINE_BINDINGS);
         }
     }
 

@@ -13,7 +13,7 @@
 //! [`canonicalize_subgraph`] also returns the [`CanonicalMapping`] from the
 //! canonical numbering back to the original query's ids, so a match found
 //! against the canonical leaf can be *rebased* onto any subscriber's
-//! numbering (`SubgraphMatch::remapped` in `sp-iso`). This is the foundation
+//! numbering (a slot permutation of its row). This is the foundation
 //! of shared-leaf evaluation: run one anchored search per distinct canonical
 //! leaf per streaming edge, then fan the results out to every query that
 //! subscribes to that leaf shape.

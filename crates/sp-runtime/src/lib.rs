@@ -14,7 +14,7 @@
 //!  events ──► [e,e,e,…] ──┬──► bounded ch ──► worker 0: one Shard      ──┐
 //!  (stats → ControlPlane) ├──► bounded ch ──► worker 1: (graph replica ─┤──► MPSC
 //!                         └──► bounded ch ──► worker N:  + engines)    ─┘  aggregation
-//!                                                                          (QueryId, match)
+//!                                                                          (row batches)
 //! ```
 //!
 //! * Queries are assigned to shards greedily by estimated cost
@@ -25,6 +25,9 @@
 //!   aggregation channel and blocks the workers. Memory stays bounded end
 //!   to end, and the backpressure is observable via
 //!   [`RuntimeStats::backpressure_events`].
+//! * Complete matches cross the aggregation channel as fixed-width rows
+//!   in each query's own numbering; the facade builds each `SubgraphMatch`
+//!   once, on the calling thread, on its way into the caller's sink.
 //! * Control messages (register / deregister / drain / report) share the
 //!   per-worker FIFO channels with the edge batches, so a query registered
 //!   mid-stream sees exactly the stream suffix a sequential processor would

@@ -3,14 +3,16 @@
 //! threads that each run one [`Shard`](streampattern::Shard).
 
 use crate::config::RuntimeConfig;
-use crate::worker::{worker_loop, DrainAck, MatchBatch, WorkerMsg, WorkerReport};
+use crate::worker::{worker_loop, FromWorker, RowBatch, WorkerMsg, WorkerOutput, WorkerReport};
 use sp_graph::{monotonic_nanos, EdgeData, EdgeEvent, EdgeId, Schema, VertexId};
 use sp_iso::SubgraphMatch;
 use sp_metrics::{Counter, Gauge, MetricsRegistry};
 use sp_query::QueryGraph;
 use sp_selectivity::SelectivityEstimator;
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -20,10 +22,16 @@ use streampattern::{
     PrefixSignature, ProfileCounters, QueryId, Shard, SjTree, StrategySpec, MIN_PREFIX_DEPTH,
 };
 
-/// How long a control wait sleeps on the aggregation channel before
-/// re-checking its reply channel. Small enough to stay responsive, large
-/// enough not to spin.
+/// How long a wait for a `Deregister` / `Report` reply, or for room in a
+/// full worker channel, sleeps before it drains the aggregation channel
+/// again. Small enough to stay responsive, large enough not to spin. (The
+/// drain barrier does not poll: its acknowledgements arrive on the
+/// aggregation channel itself.)
 const CONTROL_POLL: Duration = Duration::from_micros(50);
+
+/// How long the drain barrier waits on the aggregation channel before it
+/// checks that every worker thread is still running.
+const LIVENESS_POLL: Duration = Duration::from_millis(100);
 
 /// How much of a query's estimated cost is forgiven on a shard that already
 /// hosts (some of) its canonical leaf shapes: each worker's registry runs
@@ -61,7 +69,7 @@ pub struct RuntimeReport {
     pub total_matches: u64,
     /// Matches that were drained but never handed to a caller's sink (e.g.
     /// matches produced right before shutdown with no intervening
-    /// `process_all_into`).
+    /// `process_all_into`), materialized for this report.
     pub pending_matches: Vec<(QueryId, SubgraphMatch)>,
 }
 
@@ -123,8 +131,10 @@ struct ShardAssignment {
 ///   graph replica plus its slice of the engines — whose edge-type dispatch
 ///   index skips engines exactly as the sequential processor's would;
 /// * complete matches flow back through one bounded MPSC aggregation
-///   channel, tagged `(QueryId, SubgraphMatch)`; per-worker emission order
-///   is preserved, interleaving across workers is arbitrary.
+///   channel as fixed-width rows in each query's own numbering, one batch
+///   per input batch; per-worker emission order is preserved, interleaving
+///   across workers is arbitrary. A match becomes a `SubgraphMatch` once,
+///   here on the calling thread, on its way into the caller's sink.
 ///
 /// Because control messages share the per-worker FIFO channels with the
 /// edge batches, a query registered between two `process_all` calls
@@ -135,7 +145,7 @@ pub struct ParallelStreamProcessor {
     config: RuntimeConfig,
     control: ControlPlane,
     workers: Vec<WorkerHandle>,
-    match_rx: Receiver<MatchBatch>,
+    match_rx: Receiver<FromWorker>,
     assignments: HashMap<QueryId, ShardAssignment>,
     shard_costs: Vec<f64>,
     /// Per-shard refcounts of resident canonical leaf shapes, mirroring what
@@ -153,9 +163,12 @@ pub struct ParallelStreamProcessor {
     events_ingested: u64,
     /// Events refused at ingest ([`Shard::accepts`]).
     rejected_events: u64,
-    matches_received: u64,
     total_matches: u64,
-    buffered: VecDeque<(QueryId, SubgraphMatch)>,
+    /// Match batches received and not yet delivered to a sink.
+    buffered: VecDeque<RowBatch>,
+    /// `Drain` barriers sent whose [`WorkerOutput::Drained`] has not come
+    /// back on the aggregation channel yet.
+    drains_pending: usize,
     stats: RuntimeStats,
     metrics: Option<RuntimeMetrics>,
 }
@@ -188,7 +201,7 @@ impl ParallelStreamProcessor {
             purge_interval: config.purge_interval.max(1),
             ..config
         };
-        let (match_tx, match_rx) = sync_channel::<MatchBatch>(config.match_capacity);
+        let (match_tx, match_rx) = sync_channel::<FromWorker>(config.match_capacity);
         let mut workers = Vec::with_capacity(config.workers);
         for idx in 0..config.workers {
             let (tx, rx) = sync_channel::<WorkerMsg>(config.channel_capacity);
@@ -219,9 +232,9 @@ impl ParallelStreamProcessor {
             shard_chains: vec![HashMap::new(); config.workers],
             events_ingested: 0,
             rejected_events: 0,
-            matches_received: 0,
             total_matches: 0,
             buffered: VecDeque::new(),
+            drains_pending: 0,
             stats: RuntimeStats::default(),
             metrics: None,
         }
@@ -570,20 +583,41 @@ impl ParallelStreamProcessor {
     /// Barrier variant that buffers the drained matches internally (they are
     /// delivered to the next sink-taking call, or via
     /// [`take_pending_matches`](Self::take_pending_matches)).
+    ///
+    /// Every worker answers the barrier on the aggregation channel, behind
+    /// the match batches it sent before it, so this blocks on that one
+    /// channel until each worker's marker has arrived — by then all their
+    /// matches have, too.
     pub fn drain(&mut self) {
-        let target = self.drain_barrier();
-        while self.matches_received < target {
-            match self.match_rx.recv() {
-                Ok(batch) => self.buffer_match_batch(batch),
+        for w in 0..self.workers.len() {
+            self.drains_pending += 1;
+            self.send_to_worker(w, WorkerMsg::Drain);
+        }
+        while self.drains_pending > 0 {
+            match self.match_rx.recv_timeout(LIVENESS_POLL) {
+                Ok(output) => self.receive(output),
+                // A worker that died with the barrier in its queue will
+                // never answer it; the others keep the channel open.
+                Err(RecvTimeoutError::Timeout) if self.workers_alive() => {}
                 Err(_) => panic!("a worker thread terminated unexpectedly"),
             }
         }
     }
 
+    fn workers_alive(&self) -> bool {
+        self.workers
+            .iter()
+            .all(|w| w.join.as_ref().is_some_and(|j| !j.is_finished()))
+    }
+
     /// Matches drained during control operations (register, deregister,
-    /// profile, drain) that no sink has consumed yet.
+    /// profile, drain) that no sink has consumed yet, materialized.
     pub fn take_pending_matches(&mut self) -> Vec<(QueryId, SubgraphMatch)> {
-        self.buffered.drain(..).collect()
+        let mut pending = Vec::new();
+        for batch in self.buffered.drain(..) {
+            batch.deliver(&mut pending);
+        }
+        pending
     }
 
     /// Total matches found since construction, across all queries. Drains
@@ -731,7 +765,7 @@ impl ParallelStreamProcessor {
             workers,
             stats: self.stats,
             total_matches: self.total_matches,
-            pending_matches: self.buffered.drain(..).collect(),
+            pending_matches: self.take_pending_matches(),
         }
     }
 
@@ -805,31 +839,14 @@ impl ParallelStreamProcessor {
         loop {
             match rx.recv_timeout(CONTROL_POLL) {
                 Ok(v) => return v,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
                     self.drain_pending_matches();
                 }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Disconnected) => {
                     panic!("a worker thread terminated unexpectedly")
                 }
             }
         }
-    }
-
-    /// Sends the drain barrier to every worker and returns the cumulative
-    /// match target to wait for.
-    fn drain_barrier(&mut self) -> u64 {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in 0..self.workers.len() {
-            let (tx, rx) = channel();
-            self.send_to_worker(w, WorkerMsg::Drain { reply: tx });
-            replies.push(rx);
-        }
-        let mut target = 0;
-        for rx in replies {
-            let DrainAck { matches_emitted } = self.recv_reply(&rx);
-            target += matches_emitted;
-        }
-        target
     }
 
     fn report_worker(&mut self, worker: usize) -> WorkerReport {
@@ -838,19 +855,25 @@ impl ParallelStreamProcessor {
         self.recv_reply(&rx)
     }
 
-    fn buffer_match_batch(&mut self, (_, matches): MatchBatch) {
-        self.stats.match_batches_received += 1;
-        self.matches_received += matches.len() as u64;
-        self.total_matches += matches.len() as u64;
-        self.buffered.extend(matches);
+    /// Books one aggregation-channel message: a match batch is queued for
+    /// the next sink, a barrier marker retires one pending drain.
+    fn receive(&mut self, (_, output): FromWorker) {
+        match output {
+            WorkerOutput::Matches(batch) => {
+                self.stats.match_batches_received += 1;
+                self.total_matches += batch.matches();
+                self.buffered.push_back(batch);
+            }
+            WorkerOutput::Drained => self.drains_pending -= 1,
+        }
     }
 
     /// Non-blocking drain of everything currently in the aggregation
     /// channel. Returns the number of batches drained.
     fn drain_pending_matches(&mut self) -> u64 {
         let mut drained = 0;
-        while let Ok(batch) = self.match_rx.try_recv() {
-            self.buffer_match_batch(batch);
+        while let Ok(output) = self.match_rx.try_recv() {
+            self.receive(output);
             drained += 1;
         }
         drained
@@ -861,17 +884,17 @@ impl ParallelStreamProcessor {
     /// disconnected channel because it also runs during `Drop`, where the
     /// workers may already be gone.
     fn drain_one_match_batch(&mut self) {
-        if let Ok(batch) = self.match_rx.recv_timeout(CONTROL_POLL) {
-            self.buffer_match_batch(batch);
+        if let Ok(output) = self.match_rx.recv_timeout(CONTROL_POLL) {
+            self.receive(output);
         }
     }
 
     fn flush_buffered<S: MatchSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
         self.drain_pending_matches();
         let mut delivered = 0;
-        while let Some((q, m)) = self.buffered.pop_front() {
-            sink.on_match(q, m);
-            delivered += 1;
+        while let Some(batch) = self.buffered.pop_front() {
+            batch.deliver(sink);
+            delivered += batch.matches();
         }
         delivered
     }

@@ -13,19 +13,95 @@
 
 use crate::config::RuntimeConfig;
 use sp_graph::{monotonic_nanos, EdgeEvent, Schema};
-use sp_iso::SubgraphMatch;
 use sp_metrics::{Gauge, Histogram};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use streampattern::{
-    ContinuousQueryEngine, PipelineMetrics, ProfileCounters, QueryId, Shard, SjTree, Strategy,
+    ContinuousQueryEngine, MatchSink, PipelineMetrics, ProfileCounters, QueryId, RowLayout,
+    RowSink, Shard, SharedRow, SjTree, Strategy,
 };
 
-/// One aggregation-channel message: the originating worker index and the
-/// `(query, match)` pairs produced by one input batch, in report order.
-/// Matches from one worker always arrive in the order that worker produced
-/// them; interleaving across workers is arbitrary.
-pub(crate) type MatchBatch = (usize, Vec<(QueryId, SubgraphMatch)>);
+/// The complete matches of one input batch, as fixed-width rows in each
+/// query's own numbering: this is the worker's sink, and what crosses the
+/// aggregation channel. Consecutive matches of one query form a *burst*
+/// under one `(query, layout, count)` header, so a match costs its row
+/// (edges + vertices + 2 words) on the wire, not a 288-byte `SubgraphMatch`;
+/// the facade builds that value once, in the caller's thread, on the way
+/// into the caller's sink ([`RowBatch::deliver`]).
+#[derive(Debug, Default)]
+pub(crate) struct RowBatch {
+    /// One header per burst, in report order.
+    bursts: Vec<(QueryId, RowLayout, u32)>,
+    /// The bursts' rows, back to back.
+    rows: Vec<u64>,
+}
+
+impl RowBatch {
+    /// Extends the current burst by `count` rows if it has this header,
+    /// else opens a new one.
+    fn burst(&mut self, query: QueryId, layout: RowLayout, count: u32) {
+        match self.bursts.last_mut() {
+            Some((q, l, n)) if *q == query && *l == layout => *n += count,
+            _ => self.bursts.push((query, layout, count)),
+        }
+    }
+
+    /// Number of matches in the batch.
+    pub(crate) fn matches(&self) -> u64 {
+        self.bursts.iter().map(|&(_, _, n)| u64::from(n)).sum()
+    }
+
+    /// Moves the collected matches out, leaving an empty batch sized like
+    /// the one that left — the next input batch fills it without regrowth.
+    fn take(&mut self) -> RowBatch {
+        let sized_alike = RowBatch {
+            bursts: Vec::with_capacity(self.bursts.len()),
+            rows: Vec::with_capacity(self.rows.len()),
+        };
+        std::mem::replace(self, sized_alike)
+    }
+
+    /// Materializes every match, in report order, into `sink` — the one
+    /// place a match that crossed the channel becomes a `SubgraphMatch`.
+    pub(crate) fn deliver<S: MatchSink + ?Sized>(&self, sink: &mut S) {
+        let mut rows = self.rows.as_slice();
+        for &(query, layout, count) in &self.bursts {
+            let (burst, rest) = rows.split_at(count as usize * layout.stride());
+            for m in layout.materialize_all(burst) {
+                sink.on_match(query, m);
+            }
+            rows = rest;
+        }
+    }
+}
+
+impl RowSink for RowBatch {
+    fn on_rows(&mut self, query: QueryId, layout: RowLayout, rows: &[u64]) {
+        self.burst(query, layout, (rows.len() / layout.stride()) as u32);
+        self.rows.extend_from_slice(rows);
+    }
+
+    fn on_shared_row(&mut self, query: QueryId, row: SharedRow<'_>) {
+        self.burst(query, row.target_layout(), 1);
+        row.rebase_into(&mut self.rows);
+    }
+}
+
+/// What a worker puts on the aggregation channel.
+pub(crate) enum WorkerOutput {
+    /// The matches of one input batch, in report order. Matches from one
+    /// worker always arrive in the order that worker produced them;
+    /// interleaving across workers is arbitrary.
+    Matches(RowBatch),
+    /// The answer to [`WorkerMsg::Drain`]. The channel is FIFO per worker,
+    /// so once this arrives every match batch the worker sent before it has
+    /// arrived too.
+    Drained,
+}
+
+/// One aggregation-channel message: the originating worker index and its
+/// output.
+pub(crate) type FromWorker = (usize, WorkerOutput);
 
 /// Messages a worker accepts on its input channel.
 pub(crate) enum WorkerMsg {
@@ -76,19 +152,12 @@ pub(crate) enum WorkerMsg {
     },
     /// Reply with a snapshot of this worker's counters.
     Report { reply: Sender<WorkerReport> },
-    /// Barrier: every batch sent before this message has been fully
-    /// processed and its matches pushed into the aggregation channel. The
-    /// ack carries the cumulative number of matches emitted by this worker.
-    Drain { reply: Sender<DrainAck> },
+    /// Barrier: the worker answers [`WorkerOutput::Drained`] on the
+    /// aggregation channel once every batch sent before this message has
+    /// been fully processed and its matches pushed into that channel.
+    Drain,
     /// Terminate the worker loop.
     Shutdown,
-}
-
-/// Acknowledgement of a [`WorkerMsg::Drain`] barrier.
-pub(crate) struct DrainAck {
-    /// Cumulative matches this worker has pushed into the aggregation
-    /// channel since it started.
-    pub matches_emitted: u64,
 }
 
 /// Snapshot of one worker's state, used for profile aggregation and for the
@@ -120,11 +189,13 @@ pub(crate) fn worker_loop(
     schema: Schema,
     config: RuntimeConfig,
     rx: Receiver<WorkerMsg>,
-    match_tx: SyncSender<MatchBatch>,
+    match_tx: SyncSender<FromWorker>,
 ) {
     let mut shard = Shard::new(schema);
     shard.set_purge_interval(config.purge_interval);
     let mut emitted: u64 = 0;
+    // The shard's sink, refilled per input batch.
+    let mut out = RowBatch::default();
     // Telemetry handles, attached via `WorkerMsg::Metrics`; `None` keeps the
     // loop clock-free.
     let mut telemetry: Option<(Gauge, Histogram)> = None;
@@ -141,20 +212,19 @@ pub(crate) fn worker_loop(
                 // One warm edge cache and one per-engine scratch serve every
                 // event of the batch. Statistics are the facade's business:
                 // nothing observes the edges here.
-                let mut out: Vec<(QueryId, SubgraphMatch)> = Vec::new();
                 for ev in events.iter() {
                     if config.ingest_filter && shard.registry().candidates(ev.edge_type).is_empty()
                     {
                         continue;
                     }
-                    shard.process_into(ev, &mut out, |_| {});
+                    emitted += shard.process_rows_into(ev, &mut out, |_| {});
                 }
-                emitted += out.len() as u64;
-                if !out.is_empty() {
+                if !out.bursts.is_empty() {
                     // A full aggregation channel blocks here, which in turn
                     // fills this worker's input channel and stalls ingest:
                     // backpressure reaches the producer with bounded memory.
-                    if match_tx.send((idx, out)).is_err() {
+                    let batch = WorkerOutput::Matches(out.take());
+                    if match_tx.send((idx, batch)).is_err() {
                         return; // facade dropped the receiver: shut down
                     }
                 }
@@ -195,10 +265,10 @@ pub(crate) fn worker_loop(
                     stored_matches: registry.stored_matches(),
                 });
             }
-            WorkerMsg::Drain { reply } => {
-                let _ = reply.send(DrainAck {
-                    matches_emitted: emitted,
-                });
+            WorkerMsg::Drain => {
+                if match_tx.send((idx, WorkerOutput::Drained)).is_err() {
+                    return; // facade dropped the receiver: shut down
+                }
             }
             WorkerMsg::Shutdown => return,
         }
@@ -249,10 +319,21 @@ mod tests {
             sent_ns: 0,
         })
         .unwrap();
-        let (worker_idx, matches) = match_rx.recv().unwrap();
+        let (worker_idx, WorkerOutput::Matches(batch)) = match_rx.recv().unwrap() else {
+            panic!("the first output is the batch's matches");
+        };
         assert_eq!(worker_idx, 3);
+        assert_eq!(batch.matches(), 2);
+        let mut matches = Vec::new();
+        batch.deliver(&mut matches);
         assert_eq!(matches.len(), 2);
         assert!(matches.iter().all(|&(q, _)| q == id));
+        // The barrier is answered on the same channel, behind the matches.
+        tx.send(WorkerMsg::Drain).unwrap();
+        assert!(matches!(
+            match_rx.recv().unwrap(),
+            (3, WorkerOutput::Drained)
+        ));
 
         let (reply, report) = channel();
         tx.send(WorkerMsg::Report { reply }).unwrap();

@@ -14,9 +14,9 @@
 //! 2. **Partial-match tracking** — every node owns a hash table of matches of
 //!    its subgraph, keyed by the projection of the match onto the parent's
 //!    *cut subgraph* (Properties 3–4), so that combining partial matches is a
-//!    hash join. [`MatchStore`] owns those tables and
-//!    [`MatchStore::insert`] implements the recursive `UPDATE-SJ-TREE`
-//!    procedure of Algorithm 2.
+//!    hash join. [`MatchStore`] owns those tables — every match in them a
+//!    fixed-width row ([`RowLayout`]) — and [`MatchStore::insert_row`]
+//!    implements the recursive `UPDATE-SJ-TREE` procedure of Algorithm 2.
 //!
 //! The analytic space/time cost model of Appendix A is provided by
 //! [`cost::CostModel`] and backs the ablation experiments.
@@ -33,5 +33,5 @@ mod tree;
 pub use cost::CostModel;
 pub use decompose::{decompose, expected_selectivity, DecompositionError, PrimitivePolicy};
 pub use node::{NodeId, SjTreeNode};
-pub use store::{InsertTrace, MatchStore, RowLayout, StoreStats, UNBOUND};
+pub use store::{InsertTrace, MatchStore, RowId, RowLayout, StoreStats, UNBOUND};
 pub use tree::SjTree;

@@ -16,17 +16,21 @@
 //!
 //! Every stored match is a fixed-width row of `u64` slots in a store-owned
 //! [`RowArena`]: one slot per query edge (slot index = `QueryEdgeId.0`), one
-//! per query vertex (`ew + QueryVertexId.0`), plus two timestamp words.
-//! Buckets hold copyable `u32` row ids; joins read and write slots at fixed
-//! offsets. A join that reaches the root is reported, never stored, so it
-//! never enters the arena: it is built from its two operand rows straight
-//! into the caller's target — a [`SubgraphMatch`] for a private engine
-//! (*copy-on-emit*, [`MatchStore::insert`]), or a raw [`RowLayout`] row for a
-//! shared prefix table, whose consumers materialize it once, at the sink
-//! ([`MatchStore::insert_emit_rows`]). Matches of any width — including ones
-//! that would spill a `SubgraphMatch`'s inline binding maps (> 8 bindings) —
-//! are stored with **zero** steady-state allocations, because expired rows
-//! recycle through the arena free list.
+//! per query vertex (`ew + QueryVertexId.0`), plus two timestamp words
+//! ([`RowLayout`]). Buckets hold copyable `u32` row ids; joins read and write
+//! slots at fixed offsets. A match enters the arena once — encoded from the
+//! anchored search's working binding ([`MatchStore::encode`]) or copied from
+//! another store's row ([`MatchStore::adopt`]) — and is inserted by id
+//! ([`MatchStore::insert_row`]). A join that reaches the root is reported,
+//! never stored, so it never enters the arena: the union of its two operand
+//! rows is appended to the caller's flat row buffer, and whoever delivers it
+//! builds the caller-visible [`SubgraphMatch`] exactly once, at the sink
+//! ([`RowLayout::materialize`]). Matches of any width — including ones that
+//! would spill a `SubgraphMatch`'s inline binding maps (> 8 bindings) — are
+//! stored with **zero** steady-state allocations, because expired rows
+//! recycle through the arena free list. [`MatchStore::insert`] is the
+//! `SubgraphMatch`-in, `SubgraphMatch`-out adapter over the same path, for
+//! tests and layer benchmarks.
 //!
 //! # Bucket order and the probe range
 //!
@@ -59,7 +63,7 @@ use crate::node::NodeId;
 use crate::tree::SjTree;
 use sp_graph::{DynamicGraph, EdgeId, FastMap, Timestamp, VertexId};
 use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
-use sp_query::{QueryEdgeId, QueryVertexId};
+use sp_query::{QueryEdgeId, QueryGraph, QueryVertexId};
 
 /// Hash table of the matches stored at one SJ-Tree node, keyed by the
 /// projection of each match onto the parent's cut vertices. Keys are
@@ -82,14 +86,16 @@ const SPARE_BUCKETS_CAP: usize = 1024;
 /// vertex `u64::MAX` before it is ingested.
 pub const UNBOUND: u64 = u64::MAX;
 
-/// The slot schema of one fixed-width stored row: where the edge, vertex
-/// and timestamp words of a row emitted by
-/// [`MatchStore::insert_emit_rows`] sit.
+/// The slot schema of one fixed-width match row: where the edge, vertex and
+/// timestamp words sit. Rows of this shape are what a [`MatchStore`] stores
+/// and reports, and what the pipeline moves between its stages.
 ///
 /// ```text
 /// [ edge slots 0..edges ][ vertex slots edges..edges+vertices ][ earliest ][ latest ]
 ///   slot i = QueryEdgeId(i)   slot edges+j = QueryVertexId(j)
 /// ```
+///
+/// Unbound slots hold [`UNBOUND`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowLayout {
     /// Edge-slot count = the query's edge count.
@@ -99,6 +105,14 @@ pub struct RowLayout {
 }
 
 impl RowLayout {
+    /// The layout of rows in `query`'s own numbering.
+    pub fn of(query: &QueryGraph) -> Self {
+        Self {
+            edges: query.num_edges(),
+            vertices: query.num_vertices(),
+        }
+    }
+
     /// Words per row: the binding slots plus two timestamp words.
     pub fn stride(self) -> usize {
         self.edges + self.vertices + 2
@@ -113,7 +127,88 @@ impl RowLayout {
     pub fn latest(self, row: &[u64]) -> u64 {
         row[self.edges + self.vertices + 1]
     }
+
+    /// Appends one row with every word [`UNBOUND`] to a flat row buffer and
+    /// returns it, for the caller to fill in.
+    pub fn push_unbound(self, out: &mut Vec<u64>) -> &mut [u64] {
+        let start = out.len();
+        out.resize(start + self.stride(), UNBOUND);
+        &mut out[start..]
+    }
+
+    /// Fills `row`, whose binding slots the caller has already set to
+    /// [`UNBOUND`], with the given `(query id, data id)` bindings and time
+    /// span. This is how a row changes numbering: the bindings of a row in
+    /// one query's ids, named by another's.
+    pub fn fill(
+        self,
+        row: &mut [u64],
+        edges: impl IntoIterator<Item = (QueryEdgeId, u64)>,
+        vertices: impl IntoIterator<Item = (QueryVertexId, u64)>,
+        earliest: u64,
+        latest: u64,
+    ) {
+        for (qe, de) in edges {
+            debug_assert!(qe.0 < self.edges && de != UNBOUND);
+            row[qe.0] = de;
+        }
+        for (qv, dv) in vertices {
+            debug_assert!(qv.0 < self.vertices && dv != UNBOUND);
+            row[self.edges + qv.0] = dv;
+        }
+        row[self.edges + self.vertices] = earliest;
+        row[self.edges + self.vertices + 1] = latest;
+    }
+
+    /// [`RowLayout::fill`] from a match's bindings and time span.
+    pub fn write(self, m: &SubgraphMatch, row: &mut [u64]) {
+        let (earliest, latest) = m.time_span();
+        self.fill(
+            row,
+            m.edge_pairs().map(|(q, d)| (q, d.0)),
+            m.vertex_pairs().map(|(q, d)| (q, d.0)),
+            earliest.0,
+            latest.0,
+        );
+    }
+
+    /// Builds the caller-visible [`SubgraphMatch`] of a row — the
+    /// copy-on-emit boundary. Slots are read in ascending index (= ascending
+    /// query-id) order, so each binding map is filled in one pass
+    /// ([`SubgraphMatch::from_sorted_bindings`]); inlined, so the value is
+    /// constructed in the frame that hands it to the sink.
+    #[inline]
+    pub fn materialize(self, row: &[u64]) -> SubgraphMatch {
+        let (edges, vertices) = row[..self.edges + self.vertices].split_at(self.edges);
+        SubgraphMatch::from_sorted_bindings(
+            edges
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &v)| (v != UNBOUND).then_some((QueryEdgeId(i), EdgeId(v)))),
+            vertices
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &v)| (v != UNBOUND).then_some((QueryVertexId(i), VertexId(v)))),
+            Timestamp(self.earliest(row)),
+            Timestamp(self.latest(row)),
+        )
+    }
 }
+
+impl RowLayout {
+    /// [`RowLayout::materialize`] over a flat buffer of back-to-back rows.
+    #[inline]
+    pub fn materialize_all(self, rows: &[u64]) -> impl Iterator<Item = SubgraphMatch> + '_ {
+        rows.chunks_exact(self.stride())
+            .map(move |row| self.materialize(row))
+    }
+}
+
+/// Handle of one row a [`MatchStore`] holds for its caller between
+/// [`MatchStore::encode`] / [`MatchStore::adopt`] and
+/// [`MatchStore::insert_row`]. Only the store that minted it can use it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowId(u32);
 
 /// Moves an emptied bucket into the free list, dropping it instead when the
 /// pool is full or the bucket never grew.
@@ -226,53 +321,8 @@ impl RowArena {
     fn encode(&mut self, m: &SubgraphMatch) -> u32 {
         let row = self.alloc();
         let b = self.base(row);
-        for (qe, de) in m.edge_pairs() {
-            debug_assert!(qe.0 < self.ew && de.0 != UNBOUND);
-            self.data[b + qe.0] = de.0;
-        }
-        for (qv, dv) in m.vertex_pairs() {
-            debug_assert!(qv.0 < self.vw && dv.0 != UNBOUND);
-            self.data[b + self.ew + qv.0] = dv.0;
-        }
-        let (earliest, latest) = m.time_span();
-        self.data[b + self.ew + self.vw] = earliest.0;
-        self.data[b + self.ew + self.vw + 1] = latest.0;
+        self.layout().write(m, &mut self.data[b..b + self.stride]);
         row
-    }
-
-    /// Materializes binding slots back into caller-visible [`SubgraphMatch`]
-    /// form — the copy-on-emit boundary. `edges` / `vertices` yield the edge
-    /// and vertex slots of a row (or of the union of two rows) in ascending
-    /// index (= ascending query-id) order, so the binding maps are built by
-    /// plain appends.
-    fn decode_slots(
-        edges: impl Iterator<Item = u64>,
-        vertices: impl Iterator<Item = u64>,
-        earliest: u64,
-        latest: u64,
-    ) -> SubgraphMatch {
-        SubgraphMatch::from_sorted_bindings(
-            edges
-                .enumerate()
-                .filter_map(|(i, v)| (v != UNBOUND).then_some((QueryEdgeId(i), EdgeId(v)))),
-            vertices
-                .enumerate()
-                .filter_map(|(i, v)| (v != UNBOUND).then_some((QueryVertexId(i), VertexId(v)))),
-            Timestamp(earliest),
-            Timestamp(latest),
-        )
-    }
-
-    /// Materializes one stored row.
-    fn decode(&self, row: u32) -> SubgraphMatch {
-        let (ew, slots) = (self.ew, self.ew + self.vw);
-        let r = self.row(row);
-        Self::decode_slots(
-            r[..ew].iter().copied(),
-            r[ew..slots].iter().copied(),
-            r[slots],
-            r[slots + 1],
-        )
     }
 
     /// The bound data vertices of a row in ascending query-vertex order —
@@ -400,46 +450,23 @@ impl RowArena {
         Some(out)
     }
 
-    /// Reports the join of two rows into `emit` if they are compatible —
-    /// the root-level join, which is never stored: the union is read
+    /// Reports the join of two rows into `reported` if they are compatible
+    /// — the root-level join, which is never stored: the union is read
     /// straight out of the two operand rows, with no arena row in between.
-    fn emit_join(&self, a: u32, b: u32, window: Option<u64>, emit: &mut Emit<'_>) {
+    fn report_join(&self, a: u32, b: u32, window: Option<u64>, reported: &mut Vec<u64>) {
         let Some((earliest, latest)) = self.joinable(a, b, window) else {
             return;
         };
-        let (ew, slots) = (self.ew, self.ew + self.vw);
-        let (ra, rb) = (self.row(a), self.row(b));
-        match emit {
-            Emit::Matches(out) => out.push(Self::decode_slots(
-                union_slots(&ra[..ew], &rb[..ew]),
-                union_slots(&ra[ew..slots], &rb[ew..slots]),
-                earliest,
-                latest,
-            )),
-            Emit::Rows(out) => {
-                out.extend(union_slots(&ra[..slots], &rb[..slots]));
-                out.extend([earliest, latest]);
-            }
-        }
+        let slots = self.ew + self.vw;
+        let (ra, rb) = (&self.row(a)[..slots], &self.row(b)[..slots]);
+        // `joinable` accepted the pair, so bound slots never clash.
+        reported.extend(
+            ra.iter()
+                .zip(rb)
+                .map(|(&av, &bv)| if av != UNBOUND { av } else { bv }),
+        );
+        reported.extend([earliest, latest]);
     }
-}
-
-/// The binding slots of the union of two (sub)rows that
-/// [`RowArena::joinable`] accepted, so bound slots never clash.
-fn union_slots<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
-    a.iter()
-        .zip(b)
-        .map(|(&av, &bv)| if av != UNBOUND { av } else { bv })
-}
-
-/// Where the joins that reach the root of a store are reported.
-enum Emit<'a> {
-    /// Materialized, one [`SubgraphMatch`] per join (a private engine's
-    /// complete matches).
-    Matches(&'a mut Vec<SubgraphMatch>),
-    /// Appended as raw rows, [`RowLayout::stride`] words per join (a shared
-    /// prefix table's emissions).
-    Rows(&'a mut Vec<u64>),
 }
 
 /// The flat, allocation-free record of one recursive insert: which nodes
@@ -525,18 +552,22 @@ pub struct MatchStore {
     /// join keys.
     spare: Vec<Vec<u32>>,
     inserted: Vec<u64>,
+    /// Row buffer of the [`MatchStore::insert`] adapter, kept for its
+    /// capacity; empty between calls.
+    reported: Vec<u64>,
 }
 
 impl MatchStore {
     /// Creates an empty store shaped for the given tree: the row schema is
     /// one slot per query edge and vertex of `tree.query()`.
     pub fn new(tree: &SjTree) -> Self {
-        let q = tree.query();
+        let layout = RowLayout::of(tree.query());
         Self {
-            arena: RowArena::new(q.num_edges(), q.num_vertices()),
+            arena: RowArena::new(layout.edges, layout.vertices),
             tables: vec![RowTable::default(); tree.num_nodes()],
             spare: Vec::new(),
             inserted: vec![0; tree.num_nodes()],
+            reported: Vec::new(),
         }
     }
 
@@ -552,9 +583,33 @@ impl MatchStore {
         self.spare.len()
     }
 
-    /// Inserts a match of `node`'s subgraph, performing the recursive hash
-    /// join of Algorithm 2. Complete matches (joins that reach the root) are
-    /// appended to `complete`.
+    /// The row schema of this store: the layout of the rows it stores and
+    /// of the root joins [`MatchStore::insert_row`] reports.
+    pub fn row_layout(&self) -> RowLayout {
+        self.arena.layout()
+    }
+
+    /// Copies a match into a fresh arena row, to be handed to
+    /// [`MatchStore::insert_row`]. The anchored searches visit their working
+    /// binding in place; this is where a found match leaves it.
+    pub fn encode(&mut self, m: &SubgraphMatch) -> RowId {
+        RowId(self.arena.encode(m))
+    }
+
+    /// Copies a row of layout `from` — this store's own, or that of a store
+    /// over a *prefix* of this store's query (canonical ids line up by
+    /// prefix-closure) — slot for slot into a fresh arena row, to be handed
+    /// to [`MatchStore::insert_row`]. Nothing is materialized. This is how a
+    /// trie child of the shared join stage consumes its parent's emissions,
+    /// and how an engine consumes rows the shared stages rebased for it.
+    pub fn adopt(&mut self, src: &[u64], from: RowLayout) -> RowId {
+        RowId(self.arena.adopt(src, from))
+    }
+
+    /// Inserts a row of `node`'s subgraph, performing the recursive hash
+    /// join of Algorithm 2. Every join that reaches the root is appended to
+    /// `reported` as [`RowLayout::stride`] raw words (on a single-node tree
+    /// the inserted row itself is the report).
     ///
     /// `window`: when `Some(tw)`, joined matches whose edge timestamps span
     /// an interval ≥ `tw` are discarded (the problem statement requires
@@ -563,6 +618,41 @@ impl MatchStore {
     /// Duplicate inserts (the same match already present at the node) are
     /// ignored; the lazy strategy's retroactive searches can legitimately
     /// rediscover a match that the per-edge search already found.
+    ///
+    /// With `trace`, every newly stored match (node + bound data vertices)
+    /// is additionally recorded — the inserted row and every intermediate
+    /// join. The Lazy Search engine uses the trace to decide which vertices
+    /// to enable the next leaf's search on (`ENABLE-SEARCH-SIBLING`,
+    /// Algorithm 3). The trace is **appended to**, not cleared.
+    pub fn insert_row(
+        &mut self,
+        tree: &SjTree,
+        node: NodeId,
+        row: RowId,
+        window: Option<u64>,
+        reported: &mut Vec<u64>,
+        trace: Option<&mut InsertTrace>,
+    ) {
+        let row = row.0;
+        if node == tree.root() {
+            // A single-node tree: the leaf *is* the query. The window
+            // constraint still applies (τ(g) < tW).
+            let (words, layout) = (self.arena.row(row), self.arena.layout());
+            if window
+                .is_none_or(|tw| layout.latest(words).saturating_sub(layout.earliest(words)) < tw)
+            {
+                reported.extend_from_slice(words);
+            }
+            self.arena.release(row);
+            return;
+        }
+        self.insert_rows(tree, node, row, window, reported, trace);
+    }
+
+    /// [`MatchStore::insert_row`] for callers that hold and want
+    /// [`SubgraphMatch`]es (unit tests, the layer benchmark): encodes `m`,
+    /// inserts it, and materializes every reported root join into
+    /// `complete`.
     pub fn insert(
         &mut self,
         tree: &SjTree,
@@ -571,132 +661,29 @@ impl MatchStore {
         window: Option<u64>,
         complete: &mut Vec<SubgraphMatch>,
     ) {
-        self.insert_inner(tree, node, m, window, complete, None);
-    }
-
-    /// Like [`MatchStore::insert`], but additionally records every newly
-    /// stored match (node + bound data vertices) in `trace` — the inserted
-    /// leaf match and every intermediate join. The Lazy Search engine uses
-    /// the trace to decide which vertices to enable the next leaf's search
-    /// on (`ENABLE-SEARCH-SIBLING`, Algorithm 3). The trace is **appended
-    /// to**, not cleared.
-    pub fn insert_traced(
-        &mut self,
-        tree: &SjTree,
-        node: NodeId,
-        m: SubgraphMatch,
-        window: Option<u64>,
-        complete: &mut Vec<SubgraphMatch>,
-        trace: &mut InsertTrace,
-    ) {
-        self.insert_inner(tree, node, m, window, complete, Some(trace));
-    }
-
-    /// The entry point behind both insert flavours: handles the single-node
-    /// (root) case, then encodes the match into the arena exactly once;
-    /// every recursive step above works on row ids.
-    fn insert_inner(
-        &mut self,
-        tree: &SjTree,
-        node: NodeId,
-        m: SubgraphMatch,
-        window: Option<u64>,
-        complete: &mut Vec<SubgraphMatch>,
-        trace: Option<&mut InsertTrace>,
-    ) {
-        // A single-node tree: the leaf *is* the query. The window constraint
-        // still applies (τ(g) < tW).
-        if node == tree.root() {
-            if window.is_none_or(|tw| m.within_window(tw)) {
-                complete.push(m);
-            }
-            return;
-        }
-        let row = self.arena.encode(&m);
-        self.insert_rows(tree, node, row, window, &mut Emit::Matches(complete), trace);
-    }
-
-    /// The row schema of this store: the layout of the rows
-    /// [`MatchStore::insert_emit_rows`] reports.
-    pub fn row_layout(&self) -> RowLayout {
-        self.arena.layout()
-    }
-
-    /// [`MatchStore::insert`] for a store whose root joins are consumed as
-    /// rows: every join that reaches the root is appended to `rows` as
-    /// [`RowLayout::stride`] raw words instead of being materialized. The
-    /// shared join stage runs its prefix tables through this, so a
-    /// prefix-root match is a `SubgraphMatch` only once, at the sink.
-    pub fn insert_emit_rows(
-        &mut self,
-        tree: &SjTree,
-        node: NodeId,
-        m: SubgraphMatch,
-        window: Option<u64>,
-        rows: &mut Vec<u64>,
-    ) {
-        let row = self.arena.encode(&m);
-        self.insert_arena_row(tree, node, row, window, rows);
-    }
-
-    /// Like [`MatchStore::insert_emit_rows`], for a match that already is a
-    /// row — of a store over a *prefix* of this store's query (`from` is
-    /// that store's layout; canonical ids line up by prefix-closure). The
-    /// row is copied slot for slot; nothing is materialized. This is how a
-    /// trie child of the shared join stage consumes its parent's emissions.
-    pub fn insert_row_emit_rows(
-        &mut self,
-        tree: &SjTree,
-        node: NodeId,
-        src: &[u64],
-        from: RowLayout,
-        window: Option<u64>,
-        rows: &mut Vec<u64>,
-    ) {
-        let row = self.arena.adopt(src, from);
-        self.insert_arena_row(tree, node, row, window, rows);
-    }
-
-    /// The shared tail of the row-emitting inserts: `row` is already in the
-    /// arena.
-    fn insert_arena_row(
-        &mut self,
-        tree: &SjTree,
-        node: NodeId,
-        row: u32,
-        window: Option<u64>,
-        rows: &mut Vec<u64>,
-    ) {
-        if node == tree.root() {
-            // A single-node tree: the inserted match is the emission.
-            let (words, layout) = (self.arena.row(row), self.arena.layout());
-            if window
-                .is_none_or(|tw| layout.latest(words).saturating_sub(layout.earliest(words)) < tw)
-            {
-                rows.extend_from_slice(words);
-            }
-            self.arena.release(row);
-            return;
-        }
-        self.insert_rows(tree, node, row, window, &mut Emit::Rows(rows), None);
+        let mut reported = std::mem::take(&mut self.reported);
+        let row = self.encode(&m);
+        self.insert_row(tree, node, row, window, &mut reported, None);
+        complete.extend(self.row_layout().materialize_all(&reported));
+        reported.clear();
+        self.reported = reported;
     }
 
     /// The recursive update (Algorithm 2): every probe, key projection,
     /// dedup comparison and join works on fixed-width arena rows addressed
     /// by copyable ids. A join that reaches the root goes straight from its
-    /// two operand rows into `emit` ([`RowArena::emit_join`]) — the
-    /// copy-on-emit boundary; everything below the root moves **zero** match
-    /// bytes through the allocator, spilled or not. The trace is optional so
-    /// the untraced path (single-edge strategies and the shared join stage's
-    /// per-edge feed, i.e. the steady-state hot path) never materialises
-    /// one.
+    /// two operand rows into `reported` ([`RowArena::report_join`]);
+    /// everything below the root moves **zero** match bytes through the
+    /// allocator, spilled or not. The trace is optional so the untraced path
+    /// (eager strategies and the shared join stage's per-edge feed, i.e. the
+    /// steady-state hot path) never records one.
     fn insert_rows(
         &mut self,
         tree: &SjTree,
         node: NodeId,
         row: u32,
         window: Option<u64>,
-        emit: &mut Emit<'_>,
+        reported: &mut Vec<u64>,
         mut trace: Option<&mut InsertTrace>,
     ) {
         let parent = tree.parent(node).expect("non-root node has a parent");
@@ -763,7 +750,7 @@ impl MatchStore {
                 });
             for &other in &bucket[in_range..] {
                 if at_root {
-                    self.arena.emit_join(row, other, window, emit);
+                    self.arena.report_join(row, other, window, reported);
                 } else if let Some(j) = self.arena.join_rows(row, other, window) {
                     joined.push(j);
                 }
@@ -786,7 +773,7 @@ impl MatchStore {
 
         // Push successful joins up the tree (lines 8-11).
         for j in joined.drain(..) {
-            self.insert_rows(tree, parent, j, window, emit, trace.as_deref_mut());
+            self.insert_rows(tree, parent, j, window, reported, trace.as_deref_mut());
         }
         recycle(&mut self.spare, joined);
     }
@@ -821,7 +808,7 @@ impl MatchStore {
         self.tables[node.0]
             .values()
             .flatten()
-            .map(|&r| self.arena.decode(r))
+            .map(|&r| self.arena.layout().materialize(self.arena.row(r)))
             .collect()
     }
 
@@ -926,6 +913,25 @@ mod tests {
         let walked = store.stats().total_live_matches;
         assert_eq!(store.live_rows(), walked);
         walked
+    }
+
+    /// The production entry: encode the match into the arena, insert it by
+    /// row id, collect the reported root joins as raw rows.
+    fn insert_reporting_rows(
+        store: &mut MatchStore,
+        tree: &SjTree,
+        node: NodeId,
+        m: &SubgraphMatch,
+        window: Option<u64>,
+        rows: &mut Vec<u64>,
+    ) {
+        let row = store.encode(m);
+        store.insert_row(tree, node, row, window, rows, None);
+    }
+
+    /// Materializes a flat buffer of reported rows.
+    fn materialized(rows: &[u64], layout: RowLayout) -> Vec<SubgraphMatch> {
+        layout.materialize_all(rows).collect()
     }
 
     /// The bucket invariant, read off the raw rows (not through
@@ -1504,15 +1510,27 @@ mod tests {
         window: Option<u64>,
         inserts: &[(NodeId, SubgraphMatch)],
     ) -> usize {
+        // The adapter (`insert`) and the row-reporting entry the pipeline
+        // uses run side by side, each on its own store.
         let mut store = MatchStore::new(tree);
-        let mut complete = Vec::new();
+        let mut by_row = MatchStore::new(tree);
+        let (mut complete, mut rows) = (Vec::new(), Vec::new());
         for (node, m) in inserts {
             store.insert(tree, *node, m.clone(), window, &mut complete);
+            insert_reporting_rows(&mut by_row, tree, *node, m, window, &mut rows);
             assert_buckets_time_ordered(&store);
+            assert_buckets_time_ordered(&by_row);
         }
         let mut expected = vec![Vec::new(); tree.num_nodes()];
         oracle_fold(tree, tree.root(), window, inserts, &mut expected);
         let reported = complete.len();
+        assert_eq!(
+            multiset(materialized(&rows, by_row.row_layout())),
+            expected[tree.root().0],
+            "reported rows diverged from the oracle"
+        );
+        assert_eq!(live(&by_row), live(&store));
+        assert_eq!(by_row.lifetime_inserted(), store.lifetime_inserted());
         assert_eq!(
             multiset(complete),
             expected[tree.root().0],
@@ -1709,13 +1727,9 @@ mod tests {
             let (mut complete, mut rows) = (Vec::new(), Vec::new());
             for m in [wedge(10), wedge(90)] {
                 store.insert(&tree, tree.root(), m.clone(), window, &mut complete);
-                store.insert_emit_rows(&tree, tree.root(), m, window, &mut rows);
+                insert_reporting_rows(&mut store, &tree, tree.root(), &m, window, &mut rows);
             }
-            let decoded: Vec<SubgraphMatch> = rows
-                .chunks_exact(layout.stride())
-                .map(|row| row_to_match(row, layout))
-                .collect();
-            assert_eq!(decoded, complete);
+            assert_eq!(materialized(&rows, layout), complete);
             assert_eq!(complete.len(), if window.is_some() { 1 } else { 2 });
             assert_eq!(live(&store), 0);
         }
@@ -1836,16 +1850,6 @@ mod tests {
         assert!(!complete[0].bindings_inline(), "this width must spill");
     }
 
-    /// Reads an emitted row back through its layout (every slot bound).
-    fn row_to_match(row: &[u64], layout: RowLayout) -> SubgraphMatch {
-        SubgraphMatch::from_sorted_bindings(
-            (0..layout.edges).map(|i| (QueryEdgeId(i), EdgeId(row[i]))),
-            (0..layout.vertices).map(|i| (QueryVertexId(i), VertexId(row[layout.edges + i]))),
-            Timestamp(layout.earliest(row)),
-            Timestamp(layout.latest(row)),
-        )
-    }
-
     #[test]
     fn row_emission_reports_the_root_joins_of_the_match_path() {
         let tree = two_leaf_tree();
@@ -1866,14 +1870,10 @@ mod tests {
             for (rank, m) in &inserts {
                 let node = tree.leaf(*rank);
                 as_matches.insert(&tree, node, m.clone(), window, &mut complete);
-                as_rows.insert_emit_rows(&tree, node, m.clone(), window, &mut rows);
+                insert_reporting_rows(&mut as_rows, &tree, node, m, window, &mut rows);
             }
-            let decoded: Vec<SubgraphMatch> = rows
-                .chunks_exact(layout.stride())
-                .map(|row| row_to_match(row, layout))
-                .collect();
             // Same joins, same emission order.
-            assert_eq!(decoded, complete);
+            assert_eq!(materialized(&rows, layout), complete);
             assert!(!complete.is_empty());
             assert_eq!(as_rows.lifetime_inserted(), as_matches.lifetime_inserted());
         }
@@ -1900,7 +1900,7 @@ mod tests {
             (1, leaf1_match(11, 13, 102, 3)),
         ] {
             let node = parent_tree.leaf(rank);
-            parent.insert_emit_rows(&parent_tree, node, m.clone(), None, &mut parent_rows);
+            insert_reporting_rows(&mut parent, &parent_tree, node, &m, None, &mut parent_rows);
             reference_parent.insert(&parent_tree, node, m, None, &mut parent_matches);
         }
         assert_eq!(parent_matches.len(), 2);
@@ -1910,10 +1910,11 @@ mod tests {
         let (mut rows, mut complete) = (Vec::new(), Vec::new());
         // A suffix match that arrived first, then the parent's emissions
         // (fed twice: the second round must dedup), then another suffix.
-        child.insert_emit_rows(
+        insert_reporting_rows(
+            &mut child,
             &child_tree,
             child_tree.leaf(2),
-            leaf2_match(12, 14, 200, 4),
+            &leaf2_match(12, 14, 200, 4),
             None,
             &mut rows,
         );
@@ -1926,16 +1927,18 @@ mod tests {
         );
         for _ in 0..2 {
             for row in parent_rows.chunks_exact(from.stride()) {
-                child.insert_row_emit_rows(&child_tree, consume, row, from, None, &mut rows);
+                let adopted = child.adopt(row, from);
+                child.insert_row(&child_tree, consume, adopted, None, &mut rows, None);
             }
             for m in &parent_matches {
                 reference.insert(&child_tree, consume, m.clone(), None, &mut complete);
             }
         }
-        child.insert_emit_rows(
+        insert_reporting_rows(
+            &mut child,
             &child_tree,
             child_tree.leaf(2),
-            leaf2_match(13, 15, 201, 5),
+            &leaf2_match(13, 15, 201, 5),
             None,
             &mut rows,
         );
@@ -1947,12 +1950,7 @@ mod tests {
             &mut complete,
         );
 
-        let layout = child.row_layout();
-        let decoded: Vec<SubgraphMatch> = rows
-            .chunks_exact(layout.stride())
-            .map(|row| row_to_match(row, layout))
-            .collect();
-        assert_eq!(decoded, complete);
+        assert_eq!(materialized(&rows, child.row_layout()), complete);
         assert_eq!(complete.len(), 2);
         assert_eq!(child.live_matches(consume), 2);
         assert_eq!(
@@ -1965,15 +1963,16 @@ mod tests {
     fn insert_trace_records_nodes_and_vertices() {
         let tree = two_leaf_tree();
         let mut store = MatchStore::new(&tree);
-        let mut complete = Vec::new();
+        let mut reported = Vec::new();
         let mut trace = InsertTrace::new();
-        store.insert_traced(
+        let row = store.encode(&leaf0_match(10, 11, 100, 1));
+        store.insert_row(
             &tree,
             tree.leaf(0),
-            leaf0_match(10, 11, 100, 1),
+            row,
             None,
-            &mut complete,
-            &mut trace,
+            &mut reported,
+            Some(&mut trace),
         );
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.node(0), tree.leaf(0));
@@ -1981,18 +1980,19 @@ mod tests {
         trace.clear();
         assert!(trace.is_empty());
         // The joining insert stores at the leaf; the root join is
-        // emitted, not stored, so it is not traced.
-        store.insert_traced(
+        // reported, not stored, so it is not traced.
+        let row = store.encode(&leaf1_match(11, 12, 101, 2));
+        store.insert_row(
             &tree,
             tree.leaf(1),
-            leaf1_match(11, 12, 101, 2),
+            row,
             None,
-            &mut complete,
-            &mut trace,
+            &mut reported,
+            Some(&mut trace),
         );
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.node(0), tree.leaf(1));
         assert_eq!(trace.vertices(0), &[VertexId(11), VertexId(12)]);
-        assert_eq!(complete.len(), 1);
+        assert_eq!(reported.len(), store.row_layout().stride());
     }
 }

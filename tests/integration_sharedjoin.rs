@@ -955,6 +955,158 @@ fn spilled_wide_chain_is_delivered_from_rows_under_two_windows() {
     );
 }
 
+/// Sorted `(rule slot, full fingerprint)` multiset of `rules` on the
+/// parallel runtime: every match crosses the worker channel as a row and is
+/// materialized on the facade.
+fn runtime_run(
+    schema: &Schema,
+    rules: &[Rule],
+    events: &[EdgeEvent],
+    workers: usize,
+    estimator: &streampattern::SelectivityEstimator,
+) -> Vec<(usize, String)> {
+    let mut runtime = ParallelStreamProcessor::new(
+        schema.clone(),
+        RuntimeConfig::with_workers(workers).statistics(false),
+    )
+    .with_estimator(estimator.clone());
+    let ids: Vec<QueryId> = rules
+        .iter()
+        .map(|(q, w)| runtime.register(q.clone(), Strategy::Single, *w).unwrap())
+        .collect();
+    let mut out = Vec::new();
+    let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
+        out.push((
+            ids.iter().position(|&i| i == q).unwrap(),
+            full_fingerprint(&m),
+        ));
+    });
+    // Two calls, so the second starts with whatever the first left behind.
+    let (head, tail) = events.split_at(events.len() / 2);
+    runtime.process_all_into(head.iter(), &mut sink);
+    runtime.process_all_into(tail.iter(), &mut sink);
+    out.sort();
+    out
+}
+
+/// Rows end to end: a partial-depth subscriber gets its prefix as feed rows
+/// rebased into its own (permuted) numbering, a chain past the inline cap
+/// is stored, fed, shipped and finally materialized at spilled width — and
+/// independent processors, the shared sequential pipeline and the runtime
+/// at every worker count report the same `(rule, bindings, span)` multiset.
+#[test]
+fn feed_rows_and_channel_rows_agree_with_independent_processors() {
+    // (i) Nested chains: the 4-chain is alone at its depth, so it rides the
+    // depth-3 table (a trie child of the depth-2 one) as a partial-depth
+    // subscriber, beside the permuted 3-chain's full-depth subscription.
+    let dataset = nested_dataset();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    const CHAIN: [&str; 4] = ["IPv6", "ICMP", "UDP", "TCP"];
+    let rules = vec![
+        (
+            soc_chain_rule(&schema, "straight-2", &CHAIN[..2]),
+            Some(400),
+        ),
+        (
+            permuted_chain(&schema, "permuted-2", &CHAIN[..2]),
+            Some(150),
+        ),
+        (
+            permuted_chain(&schema, "permuted-3", &CHAIN[..3]),
+            Some(300),
+        ),
+        (soc_chain_rule(&schema, "straight-4", &CHAIN), Some(400)),
+    ];
+    let configure = |p: StreamProcessor| p.with_estimator(estimator.clone()).with_statistics(false);
+    let expected = independent_run(&schema, &rules, dataset.events(), configure);
+    for slot in 0..rules.len() {
+        assert!(
+            expected.iter().any(|(s, _)| *s == slot),
+            "rule {slot} never matched"
+        );
+    }
+    let (got, proc, ids) = shared_run(&schema, &rules, dataset.events(), configure);
+    assert_eq!(got, expected);
+    let depth = |id| proc.registry().shared_joins().subscription_depth(id);
+    assert_eq!(
+        (depth(ids[0]), depth(ids[1]), depth(ids[2]), depth(ids[3])),
+        (Some(2), Some(2), Some(3), Some(3)),
+        "three full-depth subscribers and the 4-chain at partial depth"
+    );
+    for workers in worker_counts() {
+        assert_eq!(
+            runtime_run(&schema, &rules, dataset.events(), workers, &estimator),
+            expected,
+            "nested pack diverged at {workers} workers"
+        );
+    }
+
+    // (ii) Spilled width: two 8-edge chains (9 vertex bindings) share a
+    // table at full depth, the 9-edge chain extending them (19 bindings)
+    // consumes that table's rows as its feed.
+    let dataset = NetflowConfig::tiny().generate();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len());
+    const WIDE: [&str; 9] = [
+        "TCP", "ESP", "TCP", "GRE", "TCP", "ESP", "TCP", "GRE", "TCP",
+    ];
+    let protos: Vec<_> = WIDE.iter().map(|p| schema.edge_type(p).unwrap()).collect();
+    let ip = schema.vertex_type("ip").unwrap();
+    let mut events = Vec::new();
+    let mut tick = 0u64;
+    for inst in 0..40u64 {
+        let base = 10_000 + 20 * inst;
+        let stride = if inst % 4 == 3 { 10 } else { 1 };
+        let hops: Vec<usize> = if inst % 2 == 1 {
+            (0..9).rev().collect()
+        } else {
+            (0..9).collect()
+        };
+        for hop in hops {
+            tick += stride;
+            events.push(EdgeEvent::homogeneous(
+                base + hop as u64,
+                base + hop as u64 + 1,
+                ip,
+                protos[hop],
+                Timestamp(tick),
+            ));
+        }
+    }
+    let rules = vec![
+        (soc_chain_rule(&schema, "wide-8", &WIDE[..8]), Some(1_000)),
+        (
+            soc_chain_rule(&schema, "wide-8-narrow", &WIDE[..8]),
+            Some(50),
+        ),
+        (soc_chain_rule(&schema, "wide-9", &WIDE), Some(1_000)),
+    ];
+    let configure = |p: StreamProcessor| p.with_estimator(estimator.clone()).with_statistics(false);
+    let expected = independent_run(&schema, &rules, &events, configure);
+    let count = |slot| expected.iter().filter(|(s, _)| *s == slot).count();
+    assert_eq!((count(0), count(1), count(2)), (40, 30, 40));
+    let (got, proc, ids) = shared_run(&schema, &rules, &events, configure);
+    assert_eq!(got, expected);
+    let joins = proc.registry().shared_joins();
+    assert_eq!(joins.subscription_depth(ids[0]), Some(8));
+    let fed = joins
+        .subscription_depth(ids[2])
+        .expect("the 9-chain shares a prefix with the 8-chains");
+    assert!(
+        (2..9).contains(&fed),
+        "the 9-chain is a partial-depth subscriber, not depth {fed}"
+    );
+    assert!(proc.profile_for(ids[2]).unwrap().shared_join_emissions > 0);
+    for workers in worker_counts() {
+        assert_eq!(
+            runtime_run(&schema, &rules, &events, workers, &estimator),
+            expected,
+            "wide pack diverged at {workers} workers"
+        );
+    }
+}
+
 /// The direct path must not move a single counter: the numbers below were
 /// read off the parent commit (feed → engine → `complete` → sink) on the
 /// same stream.
