@@ -11,7 +11,11 @@
 //!   Lazy Search enabled, leaves other than the most selective one are only
 //!   searched around vertices whose bitmap bit is set, and enabling a bit
 //!   triggers a retroactive neighborhood search so that the result does not
-//!   depend on the arrival order of the query's components (Algorithm 3);
+//!   depend on the arrival order of the query's components (Algorithm 3).
+//!   That loop over the leaves is the only one in the pipeline: under a
+//!   registry, sharing is a memo lookup *inside* it — a [`LeafSource`] the
+//!   loop pulls each leaf's (or a shared prefix's) rows from once the leaf
+//!   has passed the loop's own type filter and gate;
 //! * or runs the non-incremental baseline — a full VF2 enumeration of the
 //!   query over the current graph, filtered to embeddings that use the new
 //!   edge (Section 6's comparison baseline).
@@ -30,78 +34,90 @@ use sp_query::QuerySubgraph;
 use sp_selectivity::SelectivityEstimator;
 use sp_sjtree::{decompose, InsertTrace, MatchStore, NodeId, RowId, RowLayout, SjTree, StoreStats};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// The shared leaf-search stage's verdict for one gate-passing leaf of one
-/// engine on one edge.
-#[derive(Debug, Clone)]
-pub enum LeafFanout {
-    /// The anchored search ran (or was memoized) centrally; here are its
-    /// results, already rebased onto this engine's numbering.
-    Prepared(PreparedLeaf),
-    /// This engine is the leaf shape's only subscriber, so there is nothing
-    /// to share: the engine runs its own anchored search, exactly as the
-    /// standalone path would — no canonicalized search, no rebase.
-    SearchLocally,
+/// What a [`LeafSource`] did for one leaf the engine's per-edge loop asked
+/// it about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// Nothing to share — the engine runs the anchored search itself, in its
+    /// own numbering.
+    Declined,
+    /// The source ran the (canonical) search on this engine's behalf and
+    /// queued its matches; the search's wall time is charged to this engine.
+    Searched(Duration),
+    /// The source queued the matches of a search another subscriber of the
+    /// same leaf shape already triggered for this edge: this engine's own
+    /// search was eliminated by sharing.
+    Shared,
 }
 
-/// Leaf matches prepared by the shared leaf-search stage
-/// ([`SharedLeafIndex`](crate::SharedLeafIndex)) for one gate-passing leaf of
-/// one engine: the anchored-search results, already rebased onto this
-/// engine's vertex/edge numbering.
-#[derive(Debug, Clone)]
-pub struct PreparedLeaf {
-    /// Where the rebased matches the anchored search found sit in
-    /// [`PreparedFanout::rows`], as a word range (possibly empty).
-    pub rows: Range<usize>,
-    /// Wall time of the underlying shared search, charged to exactly one of
-    /// its consumers (`None` for all others, and for leaves whose edge types
-    /// cannot contain the streaming edge).
-    pub charged: Option<Duration>,
-    /// `true` when the search had already run for another subscriber of the
-    /// same canonical leaf this edge — i.e. this engine's own search was
-    /// eliminated by sharing.
-    pub shared: bool,
+/// Where the engine's per-edge leaf loop
+/// ([`ContinuousQueryEngine::process_edge_into`]) gets rows it need not
+/// compute itself. The loop stays the only one: it drops leaves the edge's
+/// type cannot match, evaluates the Lazy Search gate, and only then *pulls* —
+/// per surviving leaf — from the source, which either answers
+/// [`Served::Declined`] or writes the leaf's matches straight into the
+/// engine's arena (`store`), in the engine's own numbering, handing each new
+/// row to `queue`. The registry's source serves multi-subscriber leaf shapes
+/// from its per-edge search memo and a partial-depth shared-join
+/// subscriber's prefix rows from its prefix table; [`SearchLocally`] is the
+/// source of an engine run on its own.
+pub trait LeafSource {
+    /// Number of leading leaves (selectivity ranks `0..depth`) a shared
+    /// prefix table evaluates on the engine's behalf — searches, inserts and
+    /// internal joins: `0` for none, else `2 <= depth < leaves`. The engine
+    /// skips those leaves and pulls [`LeafSource::prefix_rows`] instead.
+    fn prefix_depth(&self) -> usize {
+        0
+    }
+
+    /// Writes the prefix-root matches this edge created (those the engine's
+    /// window and subscription boundary admit; the suffix slots stay
+    /// unbound) into `store` and queues them. Returns whether the table has
+    /// other live subscribers, i.e. the prefix work was genuinely
+    /// deduplicated. Only called when [`LeafSource::prefix_depth`] is
+    /// non-zero.
+    fn prefix_rows(&mut self, _store: &mut MatchStore, _queue: impl FnMut(RowId)) -> bool {
+        false
+    }
+
+    /// Serves the leaf of selectivity rank `rank`, which the edge's type and
+    /// the Lazy Search gate both let through.
+    fn leaf_rows(
+        &mut self,
+        _rank: usize,
+        _graph: &DynamicGraph,
+        _edge: &EdgeData,
+        _store: &mut MatchStore,
+        _queue: impl FnMut(RowId),
+    ) -> Served {
+        Served::Declined
+    }
 }
 
-/// The shared leaf-search stage's fan-out for one engine on one edge
-/// ([`SharedLeafIndex::prepare_into`](crate::SharedLeafIndex::prepare_into)):
-/// one verdict per leaf rank, and the matches of every
-/// [`LeafFanout::Prepared`] leaf as rows of the engine's own
-/// [`ContinuousQueryEngine::row_layout`] in one flat buffer. Registry-owned
-/// and reused across engines and edges, so fanning a shared search out
-/// allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct PreparedFanout {
-    /// `leaves[rank]`: `None` for gated-off (or prefix-covered) leaves.
-    pub leaves: Vec<Option<LeafFanout>>,
-    /// The prepared leaves' matches, [`RowLayout::stride`] words each.
-    pub rows: Vec<u64>,
-}
+/// The [`LeafSource`] with nothing to share — the trait's defaults: every
+/// leaf is searched by the engine itself. What
+/// [`ContinuousQueryEngine::process_edge`] and the rebuild replay run with.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SearchLocally;
 
-/// Prefix-root matches prepared by the shared join stage
-/// ([`SharedJoinIndex`](crate::SharedJoinIndex)) for one **partial-depth**
-/// subscriber on one edge: the canonical prefix table's new root rows that
-/// pass this engine's `tW` and subscription boundary, rebased into this
-/// engine's numbering. (A subscriber whose prefix spans its whole tree never
-/// sees a feed — its matches go from the table straight to the sink.)
-#[derive(Debug, Clone)]
-pub struct PrefixFeed {
-    /// Number of leading leaves (selectivity ranks `0..depth`) the shared
-    /// prefix covers, `2 <= depth < leaves`. The engine skips those leaves
-    /// entirely — their searches, inserts and joins ran once registry-wide
-    /// — and consumes `rows` as inserts at its internal node covering
-    /// them.
-    pub depth: usize,
-    /// The prefix-root matches this edge created, as rows of the engine's
-    /// own [`ContinuousQueryEngine::row_layout`] with the suffix slots
-    /// unbound (possibly empty — the engine must still skip the prefix
-    /// leaves).
-    pub rows: Vec<u64>,
-    /// `true` when the prefix table has other live subscribers, i.e. this
-    /// engine's prefix work was genuinely deduplicated this edge.
-    pub shared: bool,
+impl LeafSource for SearchLocally {}
+
+/// The retained edges of the given (ascending) types in `(timestamp, id)`
+/// order: the deterministic replay order of
+/// [`ContinuousQueryEngine::rebuild`] and of the shared join stage's table
+/// back-fill. Edges of other types can neither produce a leaf match nor
+/// enable a lazy search, exactly as the dispatch index assumes on a live
+/// stream.
+pub(crate) fn retained_edges(graph: &DynamicGraph, types: &[EdgeType]) -> Vec<EdgeData> {
+    let mut edges: Vec<EdgeData> = graph
+        .edges()
+        .filter(|e| types.binary_search(&e.edge_type).is_ok())
+        .copied()
+        .collect();
+    edges.sort_unstable_by_key(|e| (e.timestamp, e.id));
+    edges
 }
 
 /// Reusable per-engine buffers for the per-edge hot path. Owned by the
@@ -122,8 +138,6 @@ struct EngineScratch {
     /// as a flat node/vertex record — the enablement loop only needs each
     /// new match's bound data vertices. Cleared per worklist item.
     trace: InsertTrace,
-    /// Edge types of a multi-edge leaf (enablement propagation).
-    leaf_types: Vec<EdgeType>,
     /// One-hop neighbors to propagate enablement to.
     neighbors: Vec<VertexId>,
 }
@@ -176,6 +190,9 @@ fn same_query(a: &QueryGraph, b: &QueryGraph) -> bool {
 }
 
 /// Execution backend: either the SJ-Tree machinery or the VF2 baseline.
+/// There is one per registered query and the (larger) SJ-Tree variant is the
+/// one on the per-edge path, so it is not boxed.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum Backend {
     SjTree {
@@ -186,7 +203,6 @@ enum Backend {
     },
     Vf2 {
         matcher: Vf2Matcher,
-        whole: QuerySubgraph,
     },
 }
 
@@ -221,9 +237,8 @@ impl ContinuousQueryEngine {
             if !query.is_connected() {
                 return Err(EngineError::DisconnectedQuery);
             }
-            let whole = QuerySubgraph::from_edges(&query, query.edge_ids());
             let matcher = Vf2Matcher::new(query.clone());
-            let backend = Backend::Vf2 { matcher, whole };
+            let backend = Backend::Vf2 { matcher };
             return Ok(Self::with_backend(query, strategy, window, backend));
         };
         Self::from_plan(strategy, decompose(&query, policy, estimator)?, window)
@@ -346,26 +361,6 @@ impl ContinuousQueryEngine {
         }
     }
 
-    /// Whether this engine's leaf of the given selectivity rank would be
-    /// searched for `edge` — the Lazy Search gate. Eager strategies and the
-    /// most selective leaf (rank 0) always search; a lazy leaf of higher rank
-    /// searches only when its bitmap bit is set on one of the edge's
-    /// endpoints. The shared leaf-search stage uses this (pure) check to
-    /// decide the fan-out *before* running the shared search, so lazy
-    /// engines keep their gating by filtering the fan-out rather than by
-    /// re-searching.
-    pub fn leaf_accepts(&self, rank: usize, edge: &EdgeData) -> bool {
-        match &self.backend {
-            Backend::SjTree { lazy, bitmap, .. } => {
-                !*lazy
-                    || rank == 0
-                    || bitmap.is_enabled(edge.src, rank)
-                    || bitmap.is_enabled(edge.dst, rank)
-            }
-            Backend::Vf2 { .. } => true,
-        }
-    }
-
     /// The layout of the rows this engine reports its complete matches as:
     /// one slot per edge and vertex of [`ContinuousQueryEngine::query`], in
     /// the query's own numbering.
@@ -376,11 +371,11 @@ impl ContinuousQueryEngine {
     /// Processes one new edge that has already been inserted into `graph`.
     /// Returns the complete query matches created by this edge, i.e.
     /// `M(G^{k+1}) − M(G^k)` of the problem statement — the materializing
-    /// adapter over [`ContinuousQueryEngine::process_edge_shared_into`] for
+    /// adapter over [`ContinuousQueryEngine::process_edge_into`] for
     /// single-engine callers.
     pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> Vec<SubgraphMatch> {
         let mut complete = Vec::new();
-        self.process_edge_shared_into(graph, edge, None, None, &mut complete);
+        self.process_edge_into(graph, edge, &mut SearchLocally, &mut complete);
         self.row_layout().materialize_all(&complete).collect()
     }
 
@@ -398,36 +393,34 @@ impl ContinuousQueryEngine {
         self.profile.complete_matches += delivered;
     }
 
-    /// The per-edge entry point. Complete matches are appended to the
-    /// caller-owned `complete` buffer (cleared first) as rows of
-    /// [`ContinuousQueryEngine::row_layout`]; whoever delivers them builds
-    /// each `SubgraphMatch` once, at the sink. Inside the engine a match is
-    /// a row from the moment its anchored search finds it.
+    /// The per-edge entry point, and the only loop over an SJ-Tree's leaves.
+    /// Complete matches are appended to the caller-owned `complete` buffer
+    /// (cleared first) as rows of [`ContinuousQueryEngine::row_layout`];
+    /// whoever delivers them builds each `SubgraphMatch` once, at the sink.
+    /// Inside the engine a match is a row from the moment its anchored
+    /// search finds it.
     ///
-    /// * with `prepared`, the per-leaf anchored searches have already been
-    ///   performed by the shared leaf-search stage: `prepared.leaves[rank]`
-    ///   names the rebased result rows for every leaf whose gate
-    ///   ([`ContinuousQueryEngine::leaf_accepts`]) passed, and is `None` for
-    ///   gated-off leaves. The engine still performs all per-engine work
-    ///   itself — lazy enablement probes, the recursive hash join,
-    ///   windowing — in exactly the order the standalone path would, so the
-    ///   reported match multiset is identical. The buffer is caller-owned
-    ///   (the registry reuses one across the whole fan-out);
-    /// * with `prefix`, the leading `prefix.depth` leaves **and their
-    ///   internal hash joins** are delegated to the shared join stage: the
-    ///   engine skips those leaves, seeds its own join continuation with
-    ///   the feed's rows (inserted at the internal node covering the
-    ///   prefix, so lazy enablement of the next leaf fires exactly as a
-    ///   private insert would — enablement "moves to emit time"), and runs
-    ///   the suffix leaves as usual.
+    /// Per leaf, in selectivity order, the engine (1) drops the leaf —
+    /// uncounted — when the edge's type is not among the leaf's edge types,
+    /// (2) evaluates the Lazy Search gate, and (3) asks `source` for the
+    /// leaf's rows ([`LeafSource::leaf_rows`]), running the anchored search
+    /// itself when the source answers [`Served::Declined`]. When the
+    /// source covers a prefix ([`LeafSource::prefix_depth`]), the leading
+    /// leaves **and their internal hash joins** are the shared join stage's:
+    /// the engine skips them and seeds its join continuation with the
+    /// prefix-root rows it pulls, inserted at the internal node covering the
+    /// prefix, so lazy enablement of the next leaf fires exactly as a private
+    /// insert would (enablement "moves to emit time"). Whatever the source,
+    /// the engine performs all per-engine work itself — lazy enablement
+    /// probes, the recursive hash join, windowing — in the same order, so the
+    /// reported match multiset does not depend on it.
     ///
-    /// The VF2 baseline ignores both (it has no leaves to share).
-    pub fn process_edge_shared_into(
+    /// The VF2 baseline ignores the source (it has no leaves to share).
+    pub fn process_edge_into(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        prepared: Option<&PreparedFanout>,
-        prefix: Option<&PrefixFeed>,
+        source: &mut impl LeafSource,
         complete: &mut Vec<u64>,
     ) {
         complete.clear();
@@ -435,14 +428,13 @@ impl ContinuousQueryEngine {
         let window = self.window;
         let layout = self.row_layout();
         match &mut self.backend {
-            Backend::Vf2 { matcher, whole } => {
+            Backend::Vf2 { matcher } => {
                 let t0 = Instant::now();
                 // The baseline re-runs full-graph subgraph isomorphism on
                 // every edge and keeps the embeddings that use the new edge.
                 let all = matcher.find_all(graph);
                 self.profile.iso_time += t0.elapsed();
                 self.profile.iso_searches += 1;
-                debug_assert_eq!(whole.num_edges(), self.query.num_edges());
                 for m in all {
                     if m.uses_data_edge(edge.id) && window.is_none_or(|tw| m.within_window(tw)) {
                         layout.write(&m, layout.push_unbound(complete));
@@ -458,50 +450,41 @@ impl ContinuousQueryEngine {
                 let lazy = *lazy;
                 // Work items: (tree node, arena row of a match of that
                 // node's subgraph) — leaf matches from the per-edge
-                // searches, plus prefix-root rows the shared join stage
-                // delivered. The queue lives in the engine-owned scratch so
+                // searches, plus prefix-root rows pulled from the shared
+                // join stage. The queue lives in the engine-owned scratch so
                 // its capacity persists across edges; it is always drained
                 // before this function returns.
                 let worklist = &mut self.scratch.worklist;
                 debug_assert!(worklist.is_empty());
 
-                let start_rank = match prefix {
-                    Some(feed) => {
-                        debug_assert!(
-                            feed.depth >= 2 && feed.depth < tree.num_leaves(),
-                            "a feed covers a strict prefix of 2..k leaves"
-                        );
-                        self.profile.shared_join_emissions +=
-                            (feed.rows.len() / layout.stride()) as u64;
-                        if feed.shared {
-                            self.profile.join_stages_shared += 1;
-                        }
-                        // Seed the join continuation: each emission is an
-                        // insert at the internal node covering the prefix
-                        // leaves, exactly where the private path would have
-                        // created it.
-                        let prefix_node = tree
-                            .parent(tree.leaf(feed.depth - 1))
-                            .expect("a strict prefix has a parent join node");
-                        for row in feed.rows.chunks_exact(layout.stride()) {
-                            worklist.push_back((prefix_node, store.adopt(row, layout)));
-                        }
-                        feed.depth
+                let start_rank = source.prefix_depth();
+                if start_rank > 0 {
+                    debug_assert!(
+                        start_rank >= 2 && start_rank < tree.num_leaves(),
+                        "a shared prefix the engine continues covers 2..k leaves"
+                    );
+                    // Seed the join continuation: each emission is an insert
+                    // at the internal node covering the prefix leaves,
+                    // exactly where the private path would have created it.
+                    let prefix_node = tree.prefix_root(start_rank);
+                    if source.prefix_rows(store, |row| worklist.push_back((prefix_node, row))) {
+                        self.profile.join_stages_shared += 1;
                     }
-                    None => 0,
-                };
+                    self.profile.shared_join_emissions += worklist.len() as u64;
+                }
 
                 for (rank, &leaf) in tree.leaves().iter().enumerate().skip(start_rank) {
-                    // The Lazy Search gate; `leaf_accepts` is this same
-                    // condition, exposed to the shared leaf-search stage.
+                    // An edge whose type the leaf does not contain is part
+                    // of none of its matches: no gate, no search, no count.
+                    if !tree.leaf_edge_types(rank).contains(&edge.edge_type) {
+                        continue;
+                    }
+                    // The Lazy Search gate.
                     if lazy
                         && rank > 0
                         && !bitmap.is_enabled(edge.src, rank)
                         && !bitmap.is_enabled(edge.dst, rank)
                     {
-                        debug_assert!(
-                            prepared.is_none_or(|p| p.leaves.get(rank).is_none_or(Option::is_none))
-                        );
                         self.profile.searches_skipped += 1;
                         continue;
                     }
@@ -510,61 +493,42 @@ impl ContinuousQueryEngine {
                         // Multi-edge leaves need enablement propagation: the
                         // leaf match that will eventually join via an enabled
                         // vertex may contain edges that do not touch that
-                        // vertex themselves. If the arriving edge could be
-                        // part of such a match (its type occurs in the leaf),
+                        // vertex themselves. The arriving edge could be part
+                        // of such a match (its type occurs in the leaf), so
                         // enable the leaf's search on both endpoints — with
                         // the retroactive probe every fresh enablement gets —
-                        // so the remaining edges of the match are searched
+                        // and the remaining edges of the match are searched
                         // when they arrive.
-                        let type_occurs = subgraph
-                            .edges()
-                            .any(|qe| self.query.edge(qe).edge_type == edge.edge_type);
-                        if type_occurs {
-                            for v in [edge.src, edge.dst] {
-                                enable_with_probe(
-                                    bitmap,
-                                    graph,
-                                    &self.query,
-                                    subgraph,
-                                    v,
-                                    (leaf, rank),
-                                    &mut self.profile,
-                                    &mut self.scratch.search,
-                                    store,
-                                    worklist,
-                                );
-                            }
+                        for v in [edge.src, edge.dst] {
+                            enable_with_probe(
+                                bitmap,
+                                graph,
+                                &self.query,
+                                subgraph,
+                                v,
+                                (leaf, rank),
+                                &mut self.profile,
+                                &mut self.scratch.search,
+                                store,
+                                worklist,
+                            );
                         }
                     }
                     // The per-edge anchored search (the LeafMatcher stage):
-                    // either run it here, or consume the result the shared
-                    // stage prepared. `iso_searches` counts the searches this
-                    // query *logically* performed either way, so per-query
+                    // pull its result from the source, or run it here.
+                    // `iso_searches` counts the searches this query
+                    // *logically* performed either way, so per-query
                     // profiles keep their meaning; `leaf_searches_shared` and
                     // the absent `iso_time` record that sharing made one
                     // free.
                     let queued = worklist.len();
-                    let slot = prepared
-                        .and_then(|p| Some((p.leaves.get(rank)?.as_ref()?, p.rows.as_slice())));
-                    match slot {
-                        Some((LeafFanout::Prepared(leaf_prep), rows)) => {
-                            if let Some(elapsed) = leaf_prep.charged {
-                                self.profile.iso_time += elapsed;
-                            }
-                            if leaf_prep.shared {
-                                self.profile.leaf_searches_shared += 1;
-                            }
-                            let rows = &rows[leaf_prep.rows.clone()];
-                            for row in rows.chunks_exact(layout.stride()) {
-                                worklist.push_back((leaf, store.adopt(row, layout)));
-                            }
-                        }
-                        // Standalone path, or the shared stage delegated the
-                        // search back (single-subscriber shape): run the
-                        // anchored search here; each match it visits goes
-                        // from the search's working binding straight into an
-                        // arena row.
-                        Some((LeafFanout::SearchLocally, _)) | None => {
+                    let pull = |row| worklist.push_back((leaf, row));
+                    match source.leaf_rows(rank, graph, edge, store, pull) {
+                        Served::Searched(elapsed) => self.profile.iso_time += elapsed,
+                        Served::Shared => self.profile.leaf_searches_shared += 1,
+                        // Each match the search visits goes from its working
+                        // binding straight into an arena row.
+                        Served::Declined => {
                             let t0 = Instant::now();
                             find_matches_containing_edge_with(
                                 graph,
@@ -627,13 +591,7 @@ impl ContinuousQueryEngine {
                             // along edges whose type occurs in the leaf so the
                             // completing edge is searched when it arrives.
                             if next_subgraph.num_edges() > 1 {
-                                let leaf_types = &mut self.scratch.leaf_types;
-                                leaf_types.clear();
-                                leaf_types.extend(
-                                    next_subgraph
-                                        .edges()
-                                        .map(|qe| self.query.edge(qe).edge_type),
-                                );
+                                let leaf_types = tree.leaf_edge_types(next_rank);
                                 let neighbors = &mut self.scratch.neighbors;
                                 neighbors.clear();
                                 neighbors.extend(
@@ -666,26 +624,12 @@ impl ContinuousQueryEngine {
     }
 
     /// Drops this engine's own partial-match tables for the nodes a shared
-    /// join prefix of `depth` leaves now covers: the prefix leaves and every
-    /// internal node *strictly below* the prefix root. The prefix root's own
-    /// table is kept — it accumulates the rebased emissions and is what the
-    /// suffix leaves join against. Called when a live query migrates onto a
-    /// newly created shared prefix table (whose contents are reconstructed
-    /// by replaying the retained graph), so the redundant private state does
-    /// not linger until window expiry. No-op for the VF2 baseline.
+    /// join prefix of `depth` leaves now covers
+    /// ([`MatchStore::clear_below_prefix`]). Called when a live query
+    /// migrates onto a shared prefix table. No-op for the VF2 baseline.
     pub fn clear_prefix_state(&mut self, depth: usize) {
-        let Backend::SjTree { tree, store, .. } = &mut self.backend else {
-            return;
-        };
-        let depth = depth.min(tree.num_leaves());
-        for rank in 0..depth {
-            store.clear_node(tree.leaf(rank));
-        }
-        // Internal node covering leaves 0..=j is parent(leaf(j)); keep the
-        // prefix root (j = depth-1).
-        for j in 1..depth.saturating_sub(1) {
-            let node = tree.parent(tree.leaf(j)).expect("non-root leaf");
-            store.clear_node(node);
+        if let Backend::SjTree { tree, store, .. } = &mut self.backend {
+            store.clear_below_prefix(tree, depth.min(tree.num_leaves()));
         }
     }
 
@@ -693,13 +637,7 @@ impl ContinuousQueryEngine {
     /// match and lazy-bitmap rows for vertices that have left the graph.
     /// Returns the number of partial matches removed.
     pub fn purge(&mut self, graph: &DynamicGraph) -> usize {
-        let Backend::SjTree {
-            store,
-            bitmap,
-            tree: _,
-            ..
-        } = &mut self.backend
-        else {
+        let Backend::SjTree { store, bitmap, .. } = &mut self.backend else {
             return 0;
         };
         // Dead-edge and window expiry in one pass over every bucket (the two
@@ -750,26 +688,15 @@ impl ContinuousQueryEngine {
         if strategy.policy().is_none() || !same_query(&self.query, tree.query()) {
             return Err(EngineError::RebuildMismatch);
         }
+        let edges = retained_edges(graph, tree.edge_types());
         self.backend = Self::backend_from_tree(tree, strategy.is_lazy())?;
         self.strategy = strategy;
-        // Replay the retained graph. Only edges whose type occurs in the
-        // query can contribute leaf matches or enablements; the rest would
-        // be filtered by the dispatch index on a live stream too.
-        let mut types: Vec<_> = self.query.edges().map(|e| e.edge_type).collect();
-        types.sort_unstable();
-        types.dedup();
-        let mut edges: Vec<EdgeData> = graph
-            .edges()
-            .filter(|e| types.binary_search(&e.edge_type).is_ok())
-            .copied()
-            .collect();
-        edges.sort_unstable_by_key(|e| (e.timestamp, e.id));
         // Swap the live profile out so the replay's work lands on a scratch
         // profile, then fold it into the dedicated replay counters.
         let live = std::mem::take(&mut self.profile);
         let mut discard = Vec::new();
         for e in &edges {
-            self.process_edge_shared_into(graph, e, None, None, &mut discard);
+            self.process_edge_into(graph, e, &mut SearchLocally, &mut discard);
         }
         let replay = std::mem::replace(&mut self.profile, live);
         self.profile.replay_searches +=

@@ -111,7 +111,7 @@ mod strategy;
 
 pub use adaptive::{leaf_structure, plan_cost, plan_query, AdaptiveStats, REDECOMPOSITION_GAIN};
 pub use control::ControlPlane;
-pub use engine::{ContinuousQueryEngine, LeafFanout, PrefixFeed, PreparedFanout, PreparedLeaf};
+pub use engine::{ContinuousQueryEngine, LeafSource, SearchLocally, Served};
 pub use error::EngineError;
 pub use lazy::{LazyBitmap, MAX_LEAVES};
 pub use metrics::PipelineMetrics;
@@ -120,8 +120,8 @@ pub use profile::ProfileCounters;
 pub use registry::{QueryId, QueryRegistry, StrategySpec};
 pub use shard::Shard;
 pub use sharedjoin::{
-    tree_chain, JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats, SharedRow,
-    TrieNodeInfo, MIN_PREFIX_DEPTH,
+    tree_chain, JoinDelivery, JoinSubscription, PrefixRows, SharedJoinIndex, SharedJoinStats,
+    SharedRow, TrieNodeInfo, MIN_PREFIX_DEPTH,
 };
 pub use sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
 pub use sink::{CollectSink, CountSink, FnSink, MatchSink, Materialize, RowSink};

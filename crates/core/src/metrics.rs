@@ -12,8 +12,8 @@
 //! | `stream.matches_total`    | counter   | matches | emit |
 //! | `stage.ingest_ns`         | counter   | ns | vertex/edge insert + statistics |
 //! | `stage.dispatch_ns`       | counter   | ns | edge-type dispatch lookup |
-//! | `stage.shared_join_ns`    | counter   | ns | shared prefix-table advance + feed building |
-//! | `stage.shared_leaf_ns`    | counter   | ns | shared anchored leaf searches |
+//! | `stage.shared_join_ns`    | counter   | ns | shared prefix-table advance + prefix-row pulls |
+//! | `stage.shared_leaf_ns`    | counter   | ns | shared anchored leaf searches + their fan-out |
 //! | `stage.private_engine_ns` | counter   | ns | per-engine SJ-Tree / VF2 work |
 //! | `stage.emit_ns`           | counter   | ns | match delivery to the sink |
 //! | `stage.purge_ns`          | counter   | ns | amortized expiry / purge passes |
@@ -25,15 +25,25 @@
 //!
 //! # Span boundaries
 //!
-//! The registry's stage spans are laps of one clock: each boundary is a
-//! single clock read that closes one span and opens the next, so the spans
-//! of an edge tile its dispatch without gaps.
+//! The registry's stage spans are laps of one clock ([`StageClock`]): each
+//! boundary is a single clock read that closes one span and opens the next,
+//! so the spans of an edge tile its dispatch without gaps. A stage that did
+//! no work for an edge takes no lap (and so books nothing).
 //!
 //! * `shared_join_ns` is the join work proper: the once-per-edge
 //!   `advance_edge` over the prefix tables (leaf searches, row inserts,
-//!   hash joins, rows written to the tables' pending buffers), plus — per
-//!   partial-depth subscriber — building the feed its engine continues
-//!   from.
+//!   hash joins, rows written to the tables' pending buffers) — one lap,
+//!   taken only when some table holds the edge's type — plus, per
+//!   partial-depth subscriber, one lap closing the pull of its prefix-root
+//!   rows into its engine (filter + slot permutation into the arena). A
+//!   candidate without a join subscription takes none.
+//! * `shared_leaf_ns` is charged from inside the registry's leaf source,
+//!   two clock reads per *served* shared leaf: the canonical search (or memo
+//!   hit) plus the slot permutation of its rows into the pulling engine's
+//!   arena. Leaves handed back to their engine (single-subscriber shapes)
+//!   read no clock and are `private_engine_ns`, like the rest of the
+//!   engine's leaf loop around the pulls: type filter, Lazy Search gate,
+//!   own searches, inserts and joins.
 //! * `emit_ns` is delivery: for a full-depth subscriber of a prefix table
 //!   the whole direct path — window/boundary filter on the row, the one
 //!   row → `SubgraphMatch` materialization, the sink callback; for an
@@ -43,6 +53,7 @@
 //!   burst's match count, every match of the burst at that latency.
 
 use sp_metrics::{Counter, Histogram, MetricsRegistry};
+use std::time::Instant;
 
 /// The instrumentation bundle threaded through
 /// [`StreamProcessor`](crate::StreamProcessor) and
@@ -62,10 +73,10 @@ pub struct PipelineMetrics {
     pub ingest_ns: Counter,
     /// Nanoseconds in the edge-type dispatch lookup (`stage.dispatch_ns`).
     pub dispatch_ns: Counter,
-    /// Nanoseconds advancing shared prefix tables and building
-    /// partial-depth feeds (`stage.shared_join_ns`).
+    /// Nanoseconds advancing shared prefix tables and pulling their rows
+    /// into partial-depth subscribers' engines (`stage.shared_join_ns`).
     pub shared_join_ns: Counter,
-    /// Nanoseconds in shared anchored leaf searches
+    /// Nanoseconds in shared anchored leaf searches and their fan-out
     /// (`stage.shared_leaf_ns`).
     pub shared_leaf_ns: Counter,
     /// Nanoseconds in private engine work — SJ-Tree joins, lazy searches,
@@ -120,6 +131,27 @@ impl PipelineMetrics {
             ("emit", self.emit_ns.get()),
             ("purge", self.purge_ns.get()),
         ]
+    }
+}
+
+/// Lap timer behind the per-stage spans of
+/// [`QueryRegistry::process_edge`](crate::QueryRegistry::process_edge): each
+/// [`StageClock::charge`] books the time since the previous one to a stage
+/// counter with a single clock read, so consecutive spans tile the edge's
+/// wall time without gaps. Without metrics it never reads the clock.
+pub(crate) struct StageClock<'a>(Option<(&'a PipelineMetrics, Instant)>);
+
+impl<'a> StageClock<'a> {
+    pub(crate) fn start(metrics: Option<&'a PipelineMetrics>) -> Self {
+        Self(metrics.map(|m| (m, Instant::now())))
+    }
+
+    pub(crate) fn charge(&mut self, stage: impl FnOnce(&'a PipelineMetrics) -> &'a Counter) {
+        if let Some((metrics, since)) = &mut self.0 {
+            let now = Instant::now();
+            stage(metrics).add((now - *since).as_nanos() as u64);
+            *since = now;
+        }
     }
 }
 

@@ -29,14 +29,27 @@ pub struct ProfileCounters {
     /// vertex id `u64::MAX`, which the interned match rows reserve as the
     /// unbound-slot sentinel. Stream-level only, like the conflicts.
     pub rejected_events: u64,
-    /// Number of leaf-level subgraph-isomorphism invocations.
+    /// Number of leaf-level subgraph-isomorphism invocations: leaves that
+    /// *reached a search* for a dispatched edge — run by the engine, run by
+    /// the shared leaf stage on its behalf, or served from that stage's
+    /// per-edge memo ([`ProfileCounters::leaf_searches_shared`] says how many
+    /// were the last kind). A leaf whose edge types do not include the
+    /// edge's type is dropped before the Lazy Search gate and counted
+    /// nowhere. (Until PR 24 such leaves were counted here, or in
+    /// [`ProfileCounters::searches_skipped`] when gated off: on a typed pack
+    /// like `lsbench_calm` that was 71 % of this counter. With every query
+    /// on the shared leaf stage and no shared-join table live, this equals
+    /// `SharedLeafStats::{searches_run + searches_shared +
+    /// searches_delegated}`.)
     pub iso_searches: u64,
     /// Number of leaf matches found by those searches.
     pub leaf_matches: u64,
     /// Number of retroactive (vertex-anchored) searches triggered by enabling
     /// a lazy leaf.
     pub retroactive_searches: u64,
-    /// Number of searches skipped because the lazy bitmap had them disabled.
+    /// Number of searches skipped because the lazy bitmap had them disabled:
+    /// gate-refused leaves whose edge types include the edge's type, i.e.
+    /// searches that could have found something.
     pub searches_skipped: u64,
     /// Number of leaf searches this query did **not** have to run because a
     /// structurally identical leaf had already been searched for this edge

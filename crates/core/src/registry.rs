@@ -12,17 +12,15 @@
 //! search, and the VF2 baseline only reports embeddings that use the new
 //! edge.
 
-use crate::engine::{ContinuousQueryEngine, PreparedFanout};
-use crate::metrics::PipelineMetrics;
+use crate::engine::ContinuousQueryEngine;
+use crate::metrics::{PipelineMetrics, StageClock};
 use crate::sharedjoin::{JoinDelivery, JoinSubscription, SharedJoinIndex, SharedJoinStats};
-use crate::sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
+use crate::sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats, SharedSource};
 use crate::sink::RowSink;
 use crate::strategy::Strategy;
 use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeType, FastMap};
-use sp_metrics::Counter;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::time::Instant;
 
 /// Stable identifier of a registered continuous query. Ids are handed out by
 /// the [`ControlPlane`](crate::ControlPlane) and never reused, even after
@@ -77,10 +75,6 @@ pub struct QueryRegistry {
     /// registration-time property: a subscribed query's prefix state lives
     /// in the shared table, so subscriptions are never toggled mid-stream.
     join_sharing: bool,
-    /// Reusable fan-out buffer for the shared leaf-search stage: one
-    /// verdict list and one flat row buffer serve every candidate engine of
-    /// every edge instead of fresh vectors per engine per edge.
-    fanout: PreparedFanout,
     /// Registry-owned per-edge memo for the shared leaf-search stage,
     /// *reset* (not reconstructed) per edge so its map table, row buffer
     /// and search scratch keep their capacity across the stream.
@@ -107,7 +101,6 @@ impl Default for QueryRegistry {
             join: SharedJoinIndex::new(),
             sharing: true,
             join_sharing: true,
-            fanout: PreparedFanout::default(),
             cache: EdgeSearchCache::new(),
             complete: Vec::new(),
             boundary: 0,
@@ -129,11 +122,6 @@ impl QueryRegistry {
     /// can be toggled back on at any time.
     pub fn set_sharing(&mut self, enabled: bool) {
         self.sharing = enabled;
-    }
-
-    /// Whether shared-leaf evaluation is active.
-    pub fn sharing_enabled(&self) -> bool {
-        self.sharing
     }
 
     /// Total partial matches ever stored across every live engine and
@@ -162,11 +150,6 @@ impl QueryRegistry {
         self.join_sharing = enabled;
     }
 
-    /// Whether new registrations may share their join stage.
-    pub fn join_sharing_enabled(&self) -> bool {
-        self.join_sharing
-    }
-
     /// Snapshot of the shared join stage bookkeeping (live tables,
     /// subscriptions, work run vs saved).
     pub fn shared_join_stats(&self) -> SharedJoinStats {
@@ -193,13 +176,13 @@ impl QueryRegistry {
     /// # Panics
     /// Panics when `id` is already registered (ids are never reused).
     pub fn register(&mut self, id: QueryId, engine: ContinuousQueryEngine, graph: &DynamicGraph) {
-        for edge_type in query_edge_types(&engine) {
-            let slot = self.dispatch.entry(edge_type).or_default();
+        for edge in engine.query().edges() {
+            let slot = self.dispatch.entry(edge.edge_type).or_default();
             if !slot.contains(&id) {
                 slot.push(id);
             }
         }
-        self.shared.subscribe(id, &engine);
+        self.shared.subscribe(id, &engine, 0);
         self.origins.insert(id, self.boundary);
         let previous = self.engines.insert(id, engine);
         assert!(previous.is_none(), "query id {id} registered twice");
@@ -245,7 +228,7 @@ impl QueryRegistry {
         let engine = self.engines.get_mut(&id).expect("subscribed engine exists");
         engine.clear_prefix_state(depth);
         self.shared.unsubscribe(id);
-        self.shared.subscribe_from(id, engine, depth);
+        self.shared.subscribe(id, engine, depth);
     }
 
     /// Removes a query, returning its engine (with all its runtime state) or
@@ -307,19 +290,22 @@ impl QueryRegistry {
     /// candidate engine and forwards the complete matches to `sink`, as
     /// rows. Returns the number of matches reported.
     ///
-    /// With sharing enabled this is the three-stage pipeline: the shared
-    /// **join** stage advances each live canonical prefix table once for
-    /// the edge; a subscriber whose prefix spans its whole tree then has its
-    /// matches handed from the table's emission rows straight to `sink`
-    /// (no engine involved), any other subscriber gets them as the feed of
-    /// its join continuation; the shared **leaf** stage runs each distinct
-    /// canonical leaf search once and fans the rebased rows into each
-    /// subscriber's private join stage; engines that cannot share (VF2
-    /// baseline, oversized leaves) and the sharing-off path run their
-    /// private searches instead. An engine that runs reports its root joins
-    /// into one registry-owned flat buffer, passed to `sink` as one burst.
-    /// Matches are reported candidate by candidate in dispatch order, each
-    /// candidate's in emission order.
+    /// The shared **join** stage first advances each live canonical prefix
+    /// table once for the edge. Then every candidate is served in dispatch
+    /// order: a subscriber whose prefix spans its whole tree has its matches
+    /// handed from the table's emission rows straight to `sink` (no engine
+    /// involved); any other candidate's engine runs its one leaf loop
+    /// ([`ContinuousQueryEngine::process_edge_into`]), pulling — per leaf
+    /// that survives the loop's type filter and Lazy Search gate — from the
+    /// registry's [`LeafSource`](crate::LeafSource): a partial-depth
+    /// subscriber's prefix-root rows from its table, the rows of a
+    /// multi-subscriber leaf shape from the edge's search memo (each
+    /// distinct canonical search runs once), and "search it yourself" for
+    /// everything else (single-subscriber shapes, the VF2 baseline,
+    /// oversized leaves, sharing switched off). An engine that
+    /// runs reports its root joins into one registry-owned flat buffer,
+    /// passed to `sink` as one burst. Each candidate's matches arrive in
+    /// emission order.
     ///
     /// `metrics` is the telemetry bundle plus the event's arrival stamp
     /// (`monotonic_nanos` scale): with it, the same code additionally
@@ -342,7 +328,6 @@ impl QueryRegistry {
             shared,
             join,
             sharing,
-            fanout,
             cache,
             complete,
             ..
@@ -358,12 +343,13 @@ impl QueryRegistry {
         // the row buffer and the anchored-search scratch keep their
         // capacity from previous edges.
         cache.begin_edge();
-        // Stage 0: advance every shared prefix table this edge can touch —
-        // one search-and-join pass per table, not per subscriber. Runs
+        // Advance every shared prefix table this edge can touch — one
+        // search-and-join pass per table, not per subscriber. Runs
         // independently of the leaf-stage toggle: a subscribed query's
-        // prefix state lives here.
-        join.advance_edge(graph, edge);
-        clock.charge(|m| &m.shared_join_ns);
+        // prefix state lives here. No table of the edge's type, no span.
+        if join.advance_edge(graph, edge) {
+            clock.charge(|m| &m.shared_join_ns);
+        }
         for &id in ids {
             let engine = engines
                 .get_mut(&id)
@@ -374,24 +360,15 @@ impl QueryRegistry {
                     engine.record_shared_delivery(delivered, shared);
                     delivered
                 }
-                JoinDelivery::Engine(feed) => {
-                    // Building a feed is stage-0 fan-out work.
-                    clock.charge(|m| &m.shared_join_ns);
-                    let prepared =
-                        *sharing && shared.prepare_into(id, engine, graph, edge, cache, fanout);
-                    clock.charge(|m| &m.shared_leaf_ns);
-                    engine.process_edge_shared_into(
-                        graph,
-                        edge,
-                        prepared.then_some(&*fanout),
-                        feed.as_ref(),
-                        complete,
-                    );
-                    if let Some(feed) = feed {
-                        // The engine consumed the feed; its buffer goes back
-                        // to the shared join stage's pool.
-                        join.recycle_feed(feed);
-                    }
+                JoinDelivery::Engine(prefix) => {
+                    let mut source = SharedSource {
+                        id,
+                        leaves: sharing.then_some(&mut *shared),
+                        cache: &mut *cache,
+                        prefix,
+                        clock: &mut clock,
+                    };
+                    engine.process_edge_into(graph, edge, &mut source, complete);
                     clock.charge(|m| &m.private_engine_ns);
                     let layout = engine.row_layout();
                     if !complete.is_empty() {
@@ -430,7 +407,7 @@ impl QueryRegistry {
         };
         self.shared.unsubscribe(id);
         self.join.unsubscribe(id);
-        let ok = self.shared.subscribe(id, engine);
+        let ok = self.shared.subscribe(id, engine, 0);
         if self.sharing && self.join_sharing {
             self.subscribe_join(id, graph);
         }
@@ -443,26 +420,6 @@ impl QueryRegistry {
     pub fn purge(&mut self, graph: &DynamicGraph) -> usize {
         let engines: usize = self.engines.values_mut().map(|e| e.purge(graph)).sum();
         engines + self.join.purge(graph)
-    }
-}
-
-/// Lap timer behind the per-stage spans of [`QueryRegistry::process_edge`]:
-/// each [`StageClock::charge`] books the time since the previous one to a
-/// stage counter with a single clock read, so consecutive spans tile the
-/// edge's wall time without gaps. Without metrics it never reads the clock.
-struct StageClock<'a>(Option<(&'a PipelineMetrics, Instant)>);
-
-impl<'a> StageClock<'a> {
-    fn start(metrics: Option<&'a PipelineMetrics>) -> Self {
-        Self(metrics.map(|m| (m, Instant::now())))
-    }
-
-    fn charge(&mut self, stage: impl FnOnce(&'a PipelineMetrics) -> &'a Counter) {
-        if let Some((metrics, since)) = &mut self.0 {
-            let now = Instant::now();
-            stage(metrics).add((now - *since).as_nanos() as u64);
-            *since = now;
-        }
     }
 }
 
@@ -491,14 +448,6 @@ where
     } else {
         None
     }
-}
-
-/// Distinct edge types used by an engine's query.
-fn query_edge_types(engine: &ContinuousQueryEngine) -> Vec<EdgeType> {
-    let mut types: Vec<EdgeType> = engine.query().edges().map(|e| e.edge_type).collect();
-    types.sort_unstable();
-    types.dedup();
-    types
 }
 
 #[cfg(test)]

@@ -160,15 +160,17 @@ impl Shard {
         // `started` stays `None` and no clock is ever read. The arrival
         // instant prefers the stamp the runtime facade put on the event (the
         // moment it left the producer) over "now", so detection latency
-        // includes batching and queueing delay.
+        // includes batching and queueing delay. The ingest span opens first,
+        // so the stamp's own clock read falls inside it.
         let started = self.metrics.as_ref().map(|m| {
+            let t0 = Instant::now();
             m.edges.inc();
             let arrival = if event.arrival_ns != 0 {
                 event.arrival_ns
             } else {
                 monotonic_nanos()
             };
-            (arrival, Instant::now())
+            (arrival, t0)
         });
         let src = match self
             .graph

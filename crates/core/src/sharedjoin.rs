@@ -18,9 +18,9 @@
 //!   recursive hash join run against the one shared table set. New
 //!   prefix-root matches are *emitted* — as rows, see below — and
 //!   delivered per subscriber: straight to the sink as complete matches
-//!   when the prefix spans the subscriber's whole tree, else as inserts at
-//!   its engine's own prefix-covering node
-//!   ([`ContinuousQueryEngine::process_edge_shared_into`]);
+//!   when the prefix spans the subscriber's whole tree, else pulled by the
+//!   subscriber's engine as inserts at its own prefix-covering node
+//!   ([`ContinuousQueryEngine::process_edge_into`]);
 //! * tables are **refcounted**: the last unsubscriber (deregistration or a
 //!   drift-driven re-subscription) drops the table; a late subscriber to an
 //!   existing table sees no pre-registration matches (see *Boundaries*).
@@ -42,9 +42,11 @@
 //! [`RowSink`] on the spot as a [`SharedRow`], which a materializing sink
 //! turns into the one [`SubgraphMatch`] of that match (canonical slots
 //! sorted by the subscriber's ids, so construction is one pass per binding
-//! map) — no feed, no engine call, no buffer between the table and the
-//! sink. For a partial-depth subscriber it is rebased into a row of the
-//! subscriber engine's layout and seeds that engine's join continuation.
+//! map) — no engine call, no buffer between the table and the sink. For a
+//! partial-depth subscriber the engine's leaf loop pulls it
+//! ([`PrefixRows`]): one slot permutation from the table's pending buffer
+//! straight into a row of the engine's arena, where it seeds the engine's
+//! join continuation.
 //!
 //! # Trie of prefix tables
 //!
@@ -121,13 +123,13 @@
 //! (every one of them was already reported) and replayed matches carry
 //! their original edge ids, so boundary filtering keeps working unchanged.
 
-use crate::engine::{ContinuousQueryEngine, PrefixFeed};
+use crate::engine::{retained_edges, ContinuousQueryEngine};
 use crate::registry::{retention_for_windows, QueryId};
 use crate::sink::RowSink;
 use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch, SubgraphMatch};
-use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryGraph, QueryVertexId};
-use sp_sjtree::{MatchStore, RowLayout, SjTree};
+use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryVertexId};
+use sp_sjtree::{MatchStore, RowId, RowLayout, SjTree};
 use std::collections::{BTreeMap, HashMap};
 
 /// A shared prefix must contain at least one internal join node, i.e. cover
@@ -142,11 +144,19 @@ pub const MIN_PREFIX_DEPTH: usize = 2;
 /// runtime's prefix-aware shard assignment mirrors worker-registry
 /// residency through it, so both sides must always agree.
 pub fn tree_chain(tree: &SjTree) -> Option<PrefixSignature> {
+    chain_and_mapping(tree).map(|(sig, _)| sig)
+}
+
+/// [`tree_chain`] together with the full-chain union→owner mapping. The
+/// mapping is computed once per subscription and *sliced* per attachment
+/// depth (prefix-closure: the depth-`d` prefix's union ids are exactly the
+/// first ids of the full chain), so attaching never re-canonicalizes.
+fn chain_and_mapping(tree: &SjTree) -> Option<(PrefixSignature, sp_query::CanonicalMapping)> {
     if tree.num_leaves() < MIN_PREFIX_DEPTH {
         return None;
     }
     let leaves: Vec<_> = tree.leaf_subgraphs().cloned().collect();
-    prefix_chain(tree.query(), leaves.iter()).map(|(sig, _)| sig)
+    prefix_chain(tree.query(), leaves.iter())
 }
 
 /// One query's subscription to a prefix table.
@@ -204,6 +214,19 @@ impl SharedRow<'_> {
         self.sub.target
     }
 
+    /// Writes the match into a fresh row of `store` — the subscriber
+    /// engine's — in the subscriber's own numbering (slots the prefix does
+    /// not cover stay unbound).
+    fn encode_into(&self, store: &mut MatchStore) -> RowId {
+        let (row, sub) = (self.row, self.sub);
+        store.encode_bindings(
+            sub.edge_order.iter().map(|&(q, s)| (q, row[s])),
+            sub.vertex_order.iter().map(|&(q, s)| (q, row[s])),
+            self.layout.earliest(row),
+            self.layout.latest(row),
+        )
+    }
+
     /// Appends the match to `out` as one row in the subscriber's own
     /// numbering (slots the prefix does not cover stay unbound).
     pub fn rebase_into(&self, out: &mut Vec<u64>) {
@@ -222,19 +245,14 @@ impl SharedRow<'_> {
 #[derive(Debug, Clone)]
 struct PrefixEntry {
     sig: PrefixSignature,
-    /// Canonical union query the anchored searches run against.
-    query: QueryGraph,
-    /// Left-deep canonical tree over the prefix leaves; its root is the
+    /// Left-deep canonical tree over the prefix leaves (the anchored
+    /// searches run against its union query); its root is the
     /// prefix-covering node whose matches are emitted.
     tree: SjTree,
     /// Emissions leave it as rows, never as matches.
     store: MatchStore,
     /// Slot schema of the rows in `store` and `pending`.
     layout: RowLayout,
-    /// Distinct edge types across the prefix (entry dispatch pre-filter).
-    edge_types: Vec<EdgeType>,
-    /// Distinct edge types per leaf rank (per-leaf search pre-filter).
-    per_leaf_types: Vec<Vec<EdgeType>>,
     /// Canonical edge ids per leaf rank, for the boundary (`dep`) filter.
     leaf_edges: Vec<Vec<QueryEdgeId>>,
     /// Loosest window across the node's **subtree** (own subscribers plus
@@ -272,28 +290,16 @@ struct PrefixEntry {
 impl PrefixEntry {
     fn new(sig: PrefixSignature, window: Option<u64>, populated_since: u64) -> Self {
         let (query, leaves) = sig.instantiate("shared-prefix");
-        let per_leaf_types: Vec<Vec<EdgeType>> = leaves
-            .iter()
-            .map(|leaf| {
-                let mut t: Vec<EdgeType> = leaf.edges().map(|e| query.edge(e).edge_type).collect();
-                t.sort_unstable();
-                t.dedup();
-                t
-            })
-            .collect();
         let leaf_edges: Vec<Vec<QueryEdgeId>> =
             leaves.iter().map(|leaf| leaf.edges().collect()).collect();
-        let tree = SjTree::from_leaves(query.clone(), leaves);
+        let tree = SjTree::from_leaves(query, leaves);
         let store = MatchStore::new(&tree);
         let layout = store.row_layout();
         PrefixEntry {
-            edge_types: sig.edge_types(),
             sig,
-            query,
             tree,
             store,
             layout,
-            per_leaf_types,
             leaf_edges,
             window,
             subs: Vec::new(),
@@ -309,39 +315,6 @@ impl PrefixEntry {
 
     fn depth(&self) -> usize {
         self.sig.depth()
-    }
-
-    /// The internal tree node at which the parent's emissions are inserted:
-    /// the join node covering exactly the parent's leaves `0..parent_depth`.
-    /// Canonical ids line up across the two trees by prefix-closure, so the
-    /// parent's rows are adopted slot for slot.
-    fn consume_node(&self) -> sp_sjtree::NodeId {
-        debug_assert!(self.parent.is_some());
-        self.tree
-            .parent(self.tree.leaf(self.parent_depth - 1))
-            .expect("a strict prefix has a covering join node")
-    }
-
-    /// Drops the stages the trie parent owns on this node's behalf: leaf
-    /// ranks `0..parent_depth` and the internal join nodes strictly below
-    /// the consume node (the consume node itself and everything above stay
-    /// — that is this node's own suffix state). Mirrors
-    /// `ContinuousQueryEngine::clear_prefix_state`.
-    fn clear_parent_stages(&mut self) {
-        if self.parent.is_none() {
-            return;
-        }
-        let d = self.parent_depth;
-        for rank in 0..d {
-            self.store.clear_node(self.tree.leaf(rank));
-        }
-        for j in 1..d.saturating_sub(1) {
-            let node = self
-                .tree
-                .parent(self.tree.leaf(j))
-                .expect("non-root leaves have join parents");
-            self.store.clear_node(node);
-        }
     }
 
     /// Runs the prefix's per-edge work against the shared table, leaving the
@@ -363,7 +336,10 @@ impl PrefixEntry {
         let inserted_before = self.store.lifetime_inserted();
         let mut searches = 0u64;
         if !parent_feed.is_empty() {
-            let consume = self.consume_node();
+            // The join node covering exactly the parent's leaves. Canonical
+            // ids line up across the two trees by prefix-closure, so the
+            // parent's rows are adopted slot for slot.
+            let consume = self.tree.prefix_root(self.parent_depth);
             for row in parent_feed.chunks_exact(parent_layout.stride()) {
                 let row = self.store.adopt(row, parent_layout);
                 self.store.insert_row(
@@ -377,7 +353,7 @@ impl PrefixEntry {
             }
         }
         for rank in self.parent_depth..self.tree.num_leaves() {
-            if self.per_leaf_types[rank].contains(&edge.edge_type) {
+            if self.tree.leaf_edge_types(rank).contains(&edge.edge_type) {
                 self.search_and_insert(graph, edge, self.tree.leaf(rank), scratch);
                 searches += 1;
             }
@@ -397,21 +373,22 @@ impl PrefixEntry {
         scratch: &mut SearchScratch,
     ) {
         let PrefixEntry {
-            query,
             tree,
             store,
             window,
             pending,
             ..
         } = self;
-        find_matches_containing_edge_with(graph, query, tree.subgraph(leaf), edge, scratch, |m| {
+        let (query, subgraph) = (tree.query(), tree.subgraph(leaf));
+        find_matches_containing_edge_with(graph, query, subgraph, edge, scratch, |m| {
             let row = store.encode(m);
             store.insert_row(tree, leaf, row, *window, pending, None);
         });
     }
 
     /// Rebuilds the table from the retained graph, in the deterministic
-    /// `(timestamp, id)` order `ContinuousQueryEngine::rebuild` uses.
+    /// `(timestamp, id)` order `ContinuousQueryEngine::rebuild` uses
+    /// ([`retained_edges`]).
     /// Emissions are discarded: every prefix-root match reconstructed here
     /// lies entirely in the retained (pre-subscription) graph, so whoever
     /// was subscribed when its last edge arrived already consumed it.
@@ -419,21 +396,14 @@ impl PrefixEntry {
     /// The replay always runs **all** ranks — a node with a trie parent
     /// needs the lower stages live while the joins propagate upward — and
     /// the caller clears the parent-owned stages afterwards
-    /// ([`PrefixEntry::clear_parent_stages`]).
-    fn replay(&mut self, graph: &DynamicGraph) {
+    /// ([`MatchStore::clear_below_prefix`]).
+    fn replay(&mut self, graph: &DynamicGraph, scratch: &mut SearchScratch) {
         self.store.clear();
         self.advanced_for = None;
-        let mut edges: Vec<EdgeData> = graph
-            .edges()
-            .filter(|e| self.edge_types.binary_search(&e.edge_type).is_ok())
-            .copied()
-            .collect();
-        edges.sort_unstable_by_key(|e| (e.timestamp, e.id));
-        let mut scratch = SearchScratch::default();
-        for edge in &edges {
+        for edge in &retained_edges(graph, self.tree.edge_types()) {
             for rank in 0..self.tree.num_leaves() {
-                if self.per_leaf_types[rank].contains(&edge.edge_type) {
-                    self.search_and_insert(graph, edge, self.tree.leaf(rank), &mut scratch);
+                if self.tree.leaf_edge_types(rank).contains(&edge.edge_type) {
+                    self.search_and_insert(graph, edge, self.tree.leaf(rank), scratch);
                 }
             }
             self.pending.clear();
@@ -565,9 +535,51 @@ pub enum JoinSubscription {
     },
 }
 
+/// The current edge's emissions of the prefix table a **partial-depth**
+/// subscriber rides, on their way into that subscriber's engine: a borrowed
+/// view the engine's leaf loop pulls through its
+/// [`LeafSource`](crate::LeafSource) — nothing is built until then. (A
+/// subscriber whose prefix spans its whole tree never sees one — its matches
+/// go from the table straight to the sink.)
+#[derive(Debug)]
+pub struct PrefixRows<'a> {
+    entry: &'a PrefixEntry,
+    sub: &'a JoinSub,
+    /// The table's pending rows for this edge (empty when it did not
+    /// advance).
+    rows: &'a [u64],
+    /// The index's delivery counter.
+    deliveries: &'a mut u64,
+}
+
+impl PrefixRows<'_> {
+    /// Number of leading leaves (selectivity ranks `0..depth`) the table
+    /// covers, `2 <= depth < leaves`.
+    pub fn depth(&self) -> usize {
+        self.entry.depth()
+    }
+
+    /// Writes every pending row the subscriber's window and boundary admit
+    /// into `store` — one slot permutation from the table's canonical row
+    /// into a row of the subscriber engine's arena, suffix slots unbound —
+    /// and hands it to `queue`. Returns whether the table has other live
+    /// subscribers, i.e. the prefix work was genuinely deduplicated this
+    /// edge.
+    pub fn encode_into(&mut self, store: &mut MatchStore, mut queue: impl FnMut(RowId)) -> bool {
+        let (entry, sub, layout) = (self.entry, self.sub, self.entry.layout);
+        for row in self.rows.chunks_exact(layout.stride()) {
+            if entry.admits(sub, row) {
+                *self.deliveries += 1;
+                queue(SharedRow { row, layout, sub }.encode_into(store));
+            }
+        }
+        entry.subtree_subs > 1
+    }
+}
+
 /// What [`SharedJoinIndex::deliver`] did for one dispatched query.
 #[derive(Debug)]
-pub enum JoinDelivery {
+pub enum JoinDelivery<'a> {
     /// Full-depth subscriber: `delivered` complete matches went straight to
     /// the sink; no engine work remains for this edge.
     Complete {
@@ -577,10 +589,10 @@ pub enum JoinDelivery {
         /// genuinely deduplicated this edge.
         shared: bool,
     },
-    /// The query's engine runs: seeded with the feed of a partial-depth
-    /// subscription, or (`None`, not subscribed) on its leaf-stage or
-    /// private path.
-    Engine(Option<PrefixFeed>),
+    /// The query's engine runs: pulling the prefix-root rows of its
+    /// partial-depth subscription, or (`None`, not subscribed) every leaf
+    /// from rank 0.
+    Engine(Option<PrefixRows<'a>>),
 }
 
 /// The registry-wide index of canonical prefix tables and their
@@ -608,13 +620,9 @@ pub struct SharedJoinIndex {
     replays: u64,
     parent_feeds: u64,
     /// Reusable anchored-search working binding for
-    /// [`SharedJoinIndex::advance_edge`] — one serves every table on every
-    /// edge.
+    /// [`SharedJoinIndex::advance_edge`] and the table back-fills — one
+    /// serves every table on every edge.
     scratch: SearchScratch,
-    /// Recycled row buffers for the feeds [`SharedJoinIndex::deliver`]
-    /// builds for partial-depth subscribers, handed back through
-    /// [`SharedJoinIndex::recycle_feed`] once the engine consumed them.
-    feed_pool: Vec<Vec<u64>>,
 }
 
 impl SharedJoinIndex {
@@ -645,12 +653,6 @@ impl SharedJoinIndex {
     pub fn subscription_depth(&self, id: QueryId) -> Option<usize> {
         let &idx = self.subs.get(&id)?;
         self.entries[idx].as_ref().map(PrefixEntry::depth)
-    }
-
-    /// The recorded full chain of a registered query, if it is
-    /// join-capable.
-    pub fn chain_of(&self, id: QueryId) -> Option<&PrefixSignature> {
-        self.chains.get(&id)
     }
 
     /// Current and cumulative bookkeeping.
@@ -688,12 +690,8 @@ impl SharedJoinIndex {
                 for &leaf in e.tree.leaves() {
                     live_by_node.push(e.store.live_matches(leaf));
                 }
-                for j in 1..k {
-                    let node = e
-                        .tree
-                        .parent(e.tree.leaf(j))
-                        .expect("non-root leaves have join parents");
-                    live_by_node.push(e.store.live_matches(node));
+                for depth in 2..=k {
+                    live_by_node.push(e.store.live_matches(e.tree.prefix_root(depth)));
                 }
                 TrieNodeInfo {
                     depth: e.depth(),
@@ -704,23 +702,6 @@ impl SharedJoinIndex {
                 }
             })
             .collect()
-    }
-
-    /// Computes the canonical chain of an engine's decomposition together
-    /// with the full-chain union→owner mapping: `None` for the VF2 baseline
-    /// and trees [`tree_chain`] rejects. The mapping is computed once here
-    /// and *sliced* per attachment depth (prefix-closure: the depth-`d`
-    /// prefix's union ids are exactly the first ids of the full chain), so
-    /// attaching never re-canonicalizes.
-    fn engine_chain(
-        engine: &ContinuousQueryEngine,
-    ) -> Option<(PrefixSignature, sp_query::CanonicalMapping)> {
-        let tree = engine.tree()?;
-        if tree.num_leaves() < MIN_PREFIX_DEPTH {
-            return None;
-        }
-        let leaves: Vec<_> = tree.leaf_subgraphs().cloned().collect();
-        prefix_chain(tree.query(), leaves.iter())
     }
 
     /// Registers a query with the shared join stage. `boundary` is the
@@ -746,7 +727,8 @@ impl SharedJoinIndex {
         now: u64,
         graph: &DynamicGraph,
     ) -> JoinSubscription {
-        let Some((chain, mapping)) = Self::engine_chain(engine) else {
+        // `None` for the VF2 baseline and trees `tree_chain` rejects.
+        let Some((chain, mapping)) = engine.tree().and_then(chain_and_mapping) else {
             return JoinSubscription::Private;
         };
         self.chains.insert(id, chain.clone());
@@ -817,7 +799,10 @@ impl SharedJoinIndex {
             return Some(depth);
         }
         self.detach(id);
-        let (_, mapping) = Self::engine_chain(engine).expect("chain canonicalized before");
+        let (_, mapping) = engine
+            .tree()
+            .and_then(chain_and_mapping)
+            .expect("chain canonicalized before");
         self.attach_at(idx, id, &mapping, engine, boundary, graph);
         Some(depth)
     }
@@ -880,8 +865,12 @@ impl SharedJoinIndex {
         while let Some(i) = cur {
             let entry = self.entries[i].as_mut().expect("live entry");
             if boundary < entry.populated_since {
-                entry.replay(graph);
-                entry.clear_parent_stages();
+                entry.replay(graph, &mut self.scratch);
+                // The stages a trie parent owns on this node's behalf were
+                // only needed while the replayed joins propagated upward.
+                entry
+                    .store
+                    .clear_below_prefix(&entry.tree, entry.parent_depth);
                 entry.populated_since = boundary;
                 self.replays += 1;
             }
@@ -964,7 +953,7 @@ impl SharedJoinIndex {
             let e = self.entries[i].as_mut().expect("checked above");
             e.parent = Some(idx);
             e.parent_depth = depth;
-            e.clear_parent_stages();
+            e.store.clear_below_prefix(&e.tree, depth);
             self.entries[idx]
                 .as_mut()
                 .expect("just created")
@@ -1059,9 +1048,11 @@ impl SharedJoinIndex {
     /// superset of its parent's, so whenever a child is dispatched its
     /// parent has already advanced for this edge and the child consumes the
     /// parent's fresh emissions instead of re-running the parent's ranks.
-    pub fn advance_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) {
+    /// Returns whether any node was dispatched (`false`: no table holds the
+    /// edge's type, so the stage did no work).
+    pub fn advance_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> bool {
         let Some(ids) = self.by_type.get(&edge.edge_type) else {
-            return;
+            return false;
         };
         for &idx in ids {
             // Detach the parent's pending buffer for the duration of the
@@ -1099,21 +1090,23 @@ impl SharedJoinIndex {
                     .pending = buf;
             }
         }
+        true
     }
 
-    /// Delivers the current edge's emissions of `id`'s table to `id`: each
-    /// pending row the subscriber's window and boundary admit (both read
-    /// off the row) leaves in the subscriber's own numbering. A full-depth
-    /// subscriber's matches are complete and go straight into `sink`
-    /// ([`RowSink::on_shared_row`]); a partial-depth subscriber gets them
-    /// as the feed that seeds its engine's join continuation — possibly
-    /// empty, because the engine must skip the prefix leaves either way.
+    /// Delivers the current edge's emissions of `id`'s table to `id`. A
+    /// full-depth subscriber's matches are complete: each pending row its
+    /// window and boundary admit (both read off the row) goes straight into
+    /// `sink`, in the subscriber's own numbering
+    /// ([`RowSink::on_shared_row`]). A partial-depth subscriber gets the
+    /// pending rows as a [`PrefixRows`] view for its engine to pull —
+    /// possibly empty, because the engine must skip the prefix leaves either
+    /// way.
     pub fn deliver(
         &mut self,
         id: QueryId,
         edge: &EdgeData,
         sink: &mut (impl RowSink + ?Sized),
-    ) -> JoinDelivery {
+    ) -> JoinDelivery<'_> {
         let Some(&idx) = self.subs.get(&id) else {
             return JoinDelivery::Engine(None);
         };
@@ -1130,42 +1123,27 @@ impl SharedJoinIndex {
         } else {
             &[]
         };
+        if !sub.full_depth {
+            return JoinDelivery::Engine(Some(PrefixRows {
+                entry,
+                sub,
+                rows,
+                deliveries: &mut self.deliveries,
+            }));
+        }
         let layout = entry.layout;
-        let admitted = rows
-            .chunks_exact(layout.stride())
-            .filter(|row| entry.admits(sub, row))
-            .map(|row| SharedRow { row, layout, sub });
-        let shared = entry.subtree_subs > 1;
-        if sub.full_depth {
-            let mut delivered = 0;
-            for row in admitted {
+        let mut delivered = 0;
+        for row in rows.chunks_exact(layout.stride()) {
+            if entry.admits(sub, row) {
                 delivered += 1;
-                sink.on_shared_row(id, row);
+                sink.on_shared_row(id, SharedRow { row, layout, sub });
             }
-            self.deliveries += delivered;
-            return JoinDelivery::Complete { delivered, shared };
         }
-        let mut feed = self.feed_pool.pop().unwrap_or_default();
-        debug_assert!(feed.is_empty());
-        for row in admitted {
-            row.rebase_into(&mut feed);
+        self.deliveries += delivered;
+        JoinDelivery::Complete {
+            delivered,
+            shared: entry.subtree_subs > 1,
         }
-        self.deliveries += (feed.len() / sub.target.stride()) as u64;
-        JoinDelivery::Engine(Some(PrefixFeed {
-            depth: entry.depth(),
-            rows: feed,
-            shared,
-        }))
-    }
-
-    /// Hands a consumed feed's buffer back to the pool, so the next
-    /// partial-depth [`SharedJoinIndex::deliver`] reuses its capacity
-    /// instead of allocating. The registry calls this right after the
-    /// subscriber's engine consumed the feed.
-    pub fn recycle_feed(&mut self, feed: PrefixFeed) {
-        let mut buf = feed.rows;
-        buf.clear();
-        self.feed_pool.push(buf);
     }
 
     /// Purges every table against the current graph (dead edges and the
@@ -1191,7 +1169,8 @@ impl SharedJoinIndex {
                 self.entries.len() - 1
             }
         };
-        for &t in &self.entries[idx].as_ref().expect("just created").edge_types {
+        let entry = self.entries[idx].as_ref().expect("just created");
+        for &t in entry.tree.edge_types() {
             self.by_type.entry(t).or_default().push(idx);
         }
         self.by_sig.insert(sig, idx);
@@ -1205,6 +1184,7 @@ mod tests {
     use crate::sink::{FnSink, Materialize};
     use crate::strategy::Strategy;
     use sp_graph::Schema;
+    use sp_query::QueryGraph;
     use sp_selectivity::SelectivityEstimator;
 
     fn chain_engine(types: &[u32], window: Option<u64>) -> ContinuousQueryEngine {
@@ -1341,7 +1321,7 @@ mod tests {
             index.subscribe(QueryId(0), &one, 0, 0, &g),
             JoinSubscription::Private
         );
-        assert!(index.chain_of(QueryId(0)).is_none());
+        assert!(!index.chains.contains_key(&QueryId(0)));
         let mut q = QueryGraph::new("vf2");
         let a = q.add_any_vertex();
         let b = q.add_any_vertex();
@@ -1523,20 +1503,23 @@ mod tests {
             JoinDelivery::Complete { delivered: 0, .. }
         ));
         // The 3-leaf query rides the same table at partial depth: same row,
-        // rebased into a feed row of its engine's layout (third edge and
-        // fourth vertex unbound), never into the sink.
+        // pulled into a row of its engine's arena (third edge and fourth
+        // vertex unbound) at its prefix-covering node, never into the sink.
         let mut partial = FnSink(|_, _| panic!("partial-depth match"));
         match index.deliver(QueryId(2), &edge, &mut Materialize(&mut partial)) {
-            JoinDelivery::Engine(Some(feed)) => {
-                let layout = deep.row_layout();
-                assert_eq!((feed.depth, feed.shared), (2, true));
-                assert_eq!(feed.rows.len(), layout.stride());
-                let prefix = layout.materialize(&feed.rows);
+            JoinDelivery::Engine(Some(mut rows)) => {
+                let tree = deep.tree().unwrap();
+                let (mut store, mut pulled) = (MatchStore::new(tree), Vec::new());
+                assert_eq!(rows.depth(), 2);
+                assert!(rows.encode_into(&mut store, |row| pulled.push(row)));
+                assert_eq!(pulled.len(), 1);
+                let node = tree.prefix_root(2);
+                store.insert_row(tree, node, pulled[0], None, &mut Vec::new(), None);
+                let prefix = &store.decoded_at(node)[0];
                 assert_eq!((prefix.num_edges(), prefix.num_vertices()), (2, 3));
                 assert_eq!(prefix.time_span(), sunk[0].1.time_span());
-                index.recycle_feed(feed);
             }
-            other => panic!("expected a feed, got {other:?}"),
+            other => panic!("expected prefix rows, got {other:?}"),
         }
         assert!(matches!(
             index.deliver(QueryId(9), &edge, &mut Materialize(&mut partial)),

@@ -14,35 +14,38 @@
 //!   [`LeafSignature`] (vertex numbering normalized; vertex types, edge
 //!   types and direction preserved) and the query subscribes to that shape,
 //!   keeping the [`CanonicalMapping`] back to its own numbering;
-//! * per edge, the registry asks the index to
-//!   [`prepare_into`](SharedLeafIndex::prepare_into) each candidate engine
-//!   (one reused fan-out buffer for the whole dispatch list): the anchored
-//!   search for each distinct signature runs **once** (memoized in an
+//! * per edge, every candidate engine runs its one leaf loop
+//!   ([`ContinuousQueryEngine::process_edge_into`]) and *pulls* each leaf
+//!   that survives its own type filter and Lazy Search gate from the
+//!   registry's [`SharedSource`]: the anchored search for each distinct
+//!   signature runs **once** — on first pull, memoized in an
 //!   [`EdgeSearchCache`] for the duration of the edge, its matches kept as
-//!   canonical rows) and each subscriber gets them by slot permutation into
-//!   rows of its own numbering — no `SubgraphMatch` is built on the way;
-//! * lazy engines keep their enable/disable gating by *filtering the
-//!   fan-out* — the index consults
-//!   [`ContinuousQueryEngine::leaf_accepts`] before rebasing, and a
-//!   signature none of whose gate-passing subscribers need it is never
-//!   searched at all.
+//!   canonical rows — and each subscriber gets them by slot permutation
+//!   straight into rows of its own arena — no `SubgraphMatch` and no buffer
+//!   on the way;
+//! * lazy engines keep their enable/disable gating because the gate sits in
+//!   front of the pull: a signature none of whose gate-passing subscribers
+//!   need it is never searched at all, and a shape with a single subscriber
+//!   is handed back to its engine ([`Served::Declined`]).
 //!
-//! Sharing is semantics-preserving: the engine consumes prepared rows in
+//! Sharing is semantics-preserving: the engine queues pulled rows in
 //! exactly the order its own search would have produced work items, so the
 //! reported match multiset is byte-identical to the per-engine path (the
 //! equivalence tests assert this with sharing on, off, and against
 //! independent processors).
 
-use crate::engine::{ContinuousQueryEngine, LeafFanout, PreparedFanout, PreparedLeaf};
+use crate::engine::{ContinuousQueryEngine, LeafSource, Served};
+use crate::metrics::StageClock;
 use crate::registry::QueryId;
-use sp_graph::{DynamicGraph, EdgeData, EdgeType, FastMap};
+use crate::sharedjoin::PrefixRows;
+use sp_graph::{DynamicGraph, EdgeData, FastMap};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch};
 use sp_query::{canonicalize_subgraph, CanonicalMapping, LeafSignature, QueryGraph, QuerySubgraph};
-use sp_sjtree::{NodeId, RowLayout};
+use sp_sjtree::{MatchStore, NodeId, RowId, RowLayout};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One interned canonical leaf shape: the materialized canonical query (what
 /// the anchored matcher runs against) plus subscriber bookkeeping.
@@ -56,9 +59,6 @@ struct SigEntry {
     /// Layout of the canonical rows the shared search's results are kept
     /// as.
     layout: RowLayout,
-    /// Distinct edge types in the leaf — the cheap "can this edge possibly
-    /// match?" pre-filter.
-    edge_types: Vec<EdgeType>,
     /// The `(query, leaf node)` subscriptions currently pointing here, in
     /// subscription order. Owned by the entry so
     /// [`SharedLeafIndex::subscribers`] can hand out a slice instead of
@@ -70,8 +70,7 @@ struct SigEntry {
 /// to translate canonical matches back into the query's own numbering.
 #[derive(Debug, Clone)]
 struct LeafSub {
-    /// Selectivity rank of the leaf in its engine (also its index in the
-    /// prepared fan-out).
+    /// Selectivity rank of the leaf in its engine.
     rank: usize,
     /// The SJ-Tree node of the leaf (introspection only; the engine resolves
     /// ranks itself).
@@ -117,8 +116,7 @@ impl SharedLeafStats {
 }
 
 /// Per-edge memo of shared search executions: signature index → the
-/// search's matches (rows in the shape's canonical numbering) and its wall
-/// time.
+/// search's matches (rows in the shape's canonical numbering).
 ///
 /// The cache is scoped to one edge *logically* but owned by the registry
 /// *physically*: every search of an edge appends its rows to one flat
@@ -127,20 +125,14 @@ impl SharedLeafStats {
 /// shared stage stops allocating once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeSearchCache {
-    searches: FastMap<usize, CachedSearch>,
+    /// Where each search run for this edge left its rows in `rows`, as a
+    /// word range.
+    searches: FastMap<usize, Range<usize>>,
     /// The canonical result rows of every search run for this edge, back to
-    /// back; each [`CachedSearch`] names its word range.
+    /// back.
     rows: Vec<u64>,
     /// Reusable anchored-search working binding.
     scratch: SearchScratch,
-}
-
-#[derive(Debug, Clone)]
-struct CachedSearch {
-    rows: Range<usize>,
-    elapsed: Duration,
-    /// Set once the first consumer has been charged the search time.
-    consumed: bool,
 }
 
 impl EdgeSearchCache {
@@ -176,22 +168,18 @@ impl SharedLeafIndex {
         Self::default()
     }
 
-    /// Subscribes a query's engine: canonicalizes every SJ-Tree leaf and
-    /// interns the shapes. Returns `false` — leaving the engine on its
-    /// private search path — for the VF2 baseline or when a (hand-built)
-    /// leaf exceeds the canonicalization size cap.
-    pub fn subscribe(&mut self, id: QueryId, engine: &ContinuousQueryEngine) -> bool {
-        self.subscribe_from(id, engine, 0)
-    }
-
-    /// Like [`SharedLeafIndex::subscribe`], but only subscribes the leaves
-    /// of rank `start_rank` and above. The shared **join** stage uses this
-    /// for queries whose leading leaves are already evaluated inside a
-    /// shared prefix table: the prefix leaves must not be interned here, or
-    /// the leaf stage would run (and count) searches the join stage already
-    /// performed. A `start_rank` at or past the leaf count still subscribes
-    /// (with no shapes), keeping the query on the prepared fan-out path.
-    pub fn subscribe_from(
+    /// Subscribes a query's engine: canonicalizes every SJ-Tree leaf of rank
+    /// `start_rank` and above and interns the shapes. Returns `false` —
+    /// leaving the engine on its private search path — for the VF2 baseline
+    /// or when a (hand-built) leaf exceeds the canonicalization size cap.
+    ///
+    /// A non-zero `start_rank` is for queries whose leading leaves are
+    /// already evaluated inside a shared prefix table of the shared **join**
+    /// stage: the prefix leaves must not be interned here, or the leaf stage
+    /// would run (and count) searches the join stage already performed. A
+    /// `start_rank` at or past the leaf count still subscribes (with no
+    /// shapes).
+    pub fn subscribe(
         &mut self,
         id: QueryId,
         engine: &ContinuousQueryEngine,
@@ -274,141 +262,6 @@ impl SharedLeafIndex {
         }
     }
 
-    /// Builds the prepared fan-out for one candidate engine on one edge
-    /// into `out` (cleared first): `out.leaves[rank]` is `None` for
-    /// gate-filtered leaves, a rebased shared-search result for shapes with
-    /// multiple subscribers, and [`LeafFanout::SearchLocally`] for
-    /// single-subscriber shapes (nothing to share — the engine searches its
-    /// own numbering, paying neither the canonical search nor the rebase).
-    /// Returns whether the query is subscribed; `false` leaves `out` empty
-    /// and the caller falls back to the engine's private path.
-    ///
-    /// The first consumer of a signature this edge triggers the actual
-    /// anchored search (and is charged its wall time); every further
-    /// consumer is served from `cache` and counted as an eliminated search.
-    /// Either way the subscriber's copy of a result is one slot permutation
-    /// per match, from the cache's canonical row into a row of the engine's
-    /// own layout in `out.rows`. `out` is caller-owned so the registry can
-    /// drive the whole per-edge fan-out through **one** reused buffer — in
-    /// the steady state neither the search nor the fan-out allocates.
-    pub fn prepare_into(
-        &mut self,
-        id: QueryId,
-        engine: &ContinuousQueryEngine,
-        graph: &DynamicGraph,
-        edge: &EdgeData,
-        cache: &mut EdgeSearchCache,
-        out: &mut PreparedFanout,
-    ) -> bool {
-        out.leaves.clear();
-        out.rows.clear();
-        let SharedLeafIndex {
-            entries,
-            subs,
-            searches_run,
-            searches_shared,
-            searches_delegated,
-            ..
-        } = self;
-        let Some(subs) = subs.get(&id) else {
-            return false;
-        };
-        let target = engine.row_layout();
-        out.leaves.reserve(subs.len());
-        for sub in subs {
-            // Ranks below a shared-join prefix are absent from the
-            // subscription list (`subscribe_from`); leave their fan-out
-            // slots empty — the engine skips them entirely.
-            while out.leaves.len() < sub.rank {
-                out.leaves.push(None);
-            }
-            debug_assert_eq!(
-                sub.rank,
-                out.leaves.len(),
-                "subscriptions are in rank order"
-            );
-            if !engine.leaf_accepts(sub.rank, edge) {
-                out.leaves.push(None);
-                continue;
-            }
-            let entry = entries[sub.sig]
-                .as_ref()
-                .expect("subscription references a live entry");
-            if !entry.edge_types.contains(&edge.edge_type) {
-                // The edge's type does not occur in the leaf: the anchored
-                // search would trivially find nothing. Feed the engine an
-                // empty result without touching the cache or the stats.
-                out.leaves.push(Some(LeafFanout::Prepared(PreparedLeaf {
-                    rows: 0..0,
-                    charged: None,
-                    shared: false,
-                })));
-                continue;
-            }
-            if entry.subs.len() == 1 {
-                // No other query (or leaf) can reuse this search: skip the
-                // canonical indirection entirely.
-                *searches_delegated += 1;
-                out.leaves.push(Some(LeafFanout::SearchLocally));
-                continue;
-            }
-            let cached = match cache.searches.entry(sub.sig) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => {
-                    let t0 = Instant::now();
-                    let (rows, layout) = (&mut cache.rows, entry.layout);
-                    let start = rows.len();
-                    find_matches_containing_edge_with(
-                        graph,
-                        &entry.query,
-                        &entry.subgraph,
-                        edge,
-                        &mut cache.scratch,
-                        |m| layout.write(m, layout.push_unbound(rows)),
-                    );
-                    let elapsed = t0.elapsed();
-                    *searches_run += 1;
-                    v.insert(CachedSearch {
-                        rows: start..rows.len(),
-                        elapsed,
-                        consumed: false,
-                    })
-                }
-            };
-            let shared = cached.consumed;
-            if shared {
-                *searches_shared += 1;
-            }
-            let charged = (!cached.consumed).then_some(cached.elapsed);
-            cached.consumed = true;
-            // A leaf binds every canonical slot, so the permutation reads
-            // each one: canonical edge `c` is the subscriber's
-            // `mapping.edges[c]`, likewise for vertices.
-            let from = entry.layout;
-            let start = out.rows.len();
-            for canon in cache.rows[cached.rows.clone()].chunks_exact(from.stride()) {
-                let (edges, vertices) = canon.split_at(from.edges);
-                target.fill(
-                    target.push_unbound(&mut out.rows),
-                    sub.mapping.edges.iter().copied().zip(edges.iter().copied()),
-                    sub.mapping
-                        .vertices
-                        .iter()
-                        .copied()
-                        .zip(vertices.iter().copied()),
-                    from.earliest(canon),
-                    from.latest(canon),
-                );
-            }
-            out.leaves.push(Some(LeafFanout::Prepared(PreparedLeaf {
-                rows: start..out.rows.len(),
-                charged,
-                shared,
-            })));
-        }
-        true
-    }
-
     /// Interns a signature, materializing the canonical query on first use.
     fn intern(&mut self, sig: LeafSignature, id: QueryId, node: NodeId) -> usize {
         if let Some(&idx) = self.by_sig.get(&sig) {
@@ -418,7 +271,6 @@ impl SharedLeafIndex {
         }
         let (query, subgraph) = sig.instantiate("shared-leaf");
         let entry = SigEntry {
-            edge_types: sig.edge_types(),
             signature: sig.clone(),
             layout: RowLayout::of(&query),
             query,
@@ -437,6 +289,139 @@ impl SharedLeafIndex {
         };
         self.by_sig.insert(sig, idx);
         idx
+    }
+}
+
+/// The registry's [`LeafSource`] for one candidate engine on one edge: leaf
+/// shapes with several subscribers come from the per-edge search memo, a
+/// partial-depth shared-join subscriber's prefix-root rows from its prefix
+/// table; everything else the engine searches itself. Either way a served
+/// row is written once, by slot permutation from the shared stage's
+/// canonical row straight into the engine's arena.
+///
+/// The stage spans are charged from in here: a served leaf takes two laps of
+/// the registry's clock (what ran since the last boundary is the engine's;
+/// the canonical search or memo lookup plus the permutation is
+/// `shared_leaf_ns`), a pulled prefix one (`shared_join_ns`). A leaf handed
+/// back to the engine reads no clock.
+pub(crate) struct SharedSource<'a, 'm> {
+    /// The query the engine answers.
+    pub id: QueryId,
+    /// The shared-leaf index, or `None` while leaf sharing is switched off.
+    pub leaves: Option<&'a mut SharedLeafIndex>,
+    /// The registry's per-edge search memo.
+    pub cache: &'a mut EdgeSearchCache,
+    /// The current edge's emissions of the prefix table the query rides at
+    /// partial depth, if it does.
+    pub prefix: Option<PrefixRows<'a>>,
+    /// The registry's stage clock.
+    pub clock: &'a mut StageClock<'m>,
+}
+
+impl LeafSource for SharedSource<'_, '_> {
+    fn prefix_depth(&self) -> usize {
+        self.prefix.as_ref().map_or(0, PrefixRows::depth)
+    }
+
+    fn prefix_rows(&mut self, store: &mut MatchStore, queue: impl FnMut(RowId)) -> bool {
+        let prefix = self.prefix.as_mut().expect("only pulled with a prefix");
+        let shared = prefix.encode_into(store, queue);
+        self.clock.charge(|m| &m.shared_join_ns);
+        shared
+    }
+
+    /// The first consumer of a signature this edge triggers the actual
+    /// anchored search (and is charged its wall time); every further
+    /// consumer is served from the memo and counted as an eliminated search.
+    /// A shape with a single subscriber is delegated back — nothing to
+    /// share, so the engine searches its own numbering, paying neither the
+    /// canonical search nor the permutation.
+    fn leaf_rows(
+        &mut self,
+        rank: usize,
+        graph: &DynamicGraph,
+        edge: &EdgeData,
+        store: &mut MatchStore,
+        mut queue: impl FnMut(RowId),
+    ) -> Served {
+        let Some(SharedLeafIndex {
+            entries,
+            subs,
+            searches_run,
+            searches_shared,
+            searches_delegated,
+            ..
+        }) = self.leaves.as_deref_mut()
+        else {
+            return Served::Declined;
+        };
+        // Subscriptions are in rank order from the first leaf past any
+        // shared-join prefix.
+        let Some(sub) = subs
+            .get(&self.id)
+            .and_then(|subs| subs.get(rank.checked_sub(subs.first()?.rank)?))
+        else {
+            return Served::Declined;
+        };
+        debug_assert_eq!(sub.rank, rank, "subscriptions are in rank order");
+        let entry = entries[sub.sig]
+            .as_ref()
+            .expect("subscription references a live entry");
+        if entry.subs.len() == 1 {
+            *searches_delegated += 1;
+            return Served::Declined;
+        }
+        self.clock.charge(|m| &m.private_engine_ns);
+        let EdgeSearchCache {
+            searches,
+            rows,
+            scratch,
+        } = &mut *self.cache;
+        let (found, served) = match searches.entry(sub.sig) {
+            Entry::Occupied(memo) => {
+                *searches_shared += 1;
+                (memo.get().clone(), Served::Shared)
+            }
+            Entry::Vacant(memo) => {
+                let t0 = Instant::now();
+                let (start, layout) = (rows.len(), entry.layout);
+                find_matches_containing_edge_with(
+                    graph,
+                    &entry.query,
+                    &entry.subgraph,
+                    edge,
+                    scratch,
+                    |m| layout.write(m, layout.push_unbound(rows)),
+                );
+                let elapsed = t0.elapsed();
+                *searches_run += 1;
+                (
+                    memo.insert(start..rows.len()).clone(),
+                    Served::Searched(elapsed),
+                )
+            }
+        };
+        // A leaf binds every canonical slot, so the permutation reads each
+        // one: canonical edge `c` is the subscriber's `mapping.edges[c]`,
+        // likewise for vertices.
+        let from = entry.layout;
+        for canon in rows[found].chunks_exact(from.stride()) {
+            let (edges, vertices) = canon.split_at(from.edges);
+            queue(
+                store.encode_bindings(
+                    sub.mapping.edges.iter().copied().zip(edges.iter().copied()),
+                    sub.mapping
+                        .vertices
+                        .iter()
+                        .copied()
+                        .zip(vertices.iter().copied()),
+                    from.earliest(canon),
+                    from.latest(canon),
+                ),
+            );
+        }
+        self.clock.charge(|m| &m.shared_leaf_ns);
+        served
     }
 }
 
@@ -462,10 +447,10 @@ mod tests {
     fn identical_leaves_intern_once_and_drop_with_the_last_subscriber() {
         let mut index = SharedLeafIndex::new();
         // Two queries over the same two edge types share both leaf shapes.
-        assert!(index.subscribe(QueryId(0), &engine_for(&[1, 2])));
-        assert!(index.subscribe(QueryId(1), &engine_for(&[1, 2])));
+        assert!(index.subscribe(QueryId(0), &engine_for(&[1, 2]), 0));
+        assert!(index.subscribe(QueryId(1), &engine_for(&[1, 2]), 0));
         // A third query shares one type and brings one new shape.
-        assert!(index.subscribe(QueryId(2), &engine_for(&[2, 9])));
+        assert!(index.subscribe(QueryId(2), &engine_for(&[2, 9]), 0));
         let stats = index.stats();
         assert_eq!(stats.distinct_leaves, 3);
         assert_eq!(stats.total_subscriptions, 6);
@@ -495,7 +480,7 @@ mod tests {
         )
         .unwrap();
         let mut index = SharedLeafIndex::new();
-        assert!(!index.subscribe(QueryId(0), &engine));
+        assert!(!index.subscribe(QueryId(0), &engine, 0));
         assert!(!index.is_subscribed(QueryId(0)));
     }
 
@@ -504,8 +489,8 @@ mod tests {
         let mut index = SharedLeafIndex::new();
         let e0 = engine_for(&[4]);
         let e1 = engine_for(&[4]);
-        index.subscribe(QueryId(7), &e0);
-        index.subscribe(QueryId(9), &e1);
+        index.subscribe(QueryId(7), &e0, 0);
+        index.subscribe(QueryId(9), &e1, 0);
         let tree = e0.tree().unwrap();
         let (sig, _) = canonicalize_subgraph(tree.query(), tree.subgraph(tree.leaf(0))).unwrap();
         let subs = index.subscribers(&sig);

@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the individual components on the hot path: anchored
 //! subgraph isomorphism around one edge, the SJ-Tree hash-join insert, the
 //! shared join stage's row → delivered-match fan-out, the row → `on_match`
-//! materialization, the shared leaf stage's fan-out, the greedy
-//! decomposition, and the dataset generators themselves.
+//! materialization, the shared leaf stage's fan-out, the registry's dispatch
+//! of an edge that matches (almost) nothing, the greedy decomposition, and
+//! the dataset generators themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind, ZipfSampler};
+use sp_datasets::{LsbenchConfig, NetflowConfig, QueryGenerator, QueryKind, ZipfSampler};
 use sp_graph::{DynamicGraph, EdgeEvent, FastState, Schema, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge, JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph, QueryVertexId};
@@ -15,7 +16,8 @@ use sp_sjtree::{decompose, MatchStore, PrimitivePolicy, RowLayout, SjTree};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use streampattern::{
-    CountSink, MatchSink, Materialize, QueryId, RowSink, Strategy, StreamProcessor,
+    ContinuousQueryEngine, CountSink, MatchSink, Materialize, QueryId, QueryRegistry, RowSink,
+    SharedRow, Strategy, StreamProcessor,
 };
 
 fn anchored_search(c: &mut Criterion) {
@@ -368,6 +370,95 @@ fn shared_leaf_fanout(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-candidate cost of dispatch where almost nothing matches — the
+/// `lsbench_calm` regime in miniature: 48 typed path/tree queries (the
+/// benchmark's four kinds, alternating `PathLazy` / `SingleLazy`) over an
+/// LSBench stream, no shared-join table live, a sink that only counts rows.
+/// Each edge is ingested and handed to [`QueryRegistry::process_edge`]; the
+/// time inside those calls alone is printed per call, next to the iteration
+/// time (which includes the graph ingest).
+fn registry_dispatch(c: &mut Criterion) {
+    struct CountRows(u64);
+    impl RowSink for CountRows {
+        fn on_rows(&mut self, _: QueryId, layout: RowLayout, rows: &[u64]) {
+            self.0 += (rows.len() / layout.stride()) as u64;
+        }
+        fn on_shared_row(&mut self, _: QueryId, _: SharedRow<'_>) {
+            self.0 += 1;
+        }
+    }
+    const WINDOW: u64 = 5_000;
+    const SLICE: usize = 4_096;
+    let dataset = LsbenchConfig {
+        num_persons: 5_000,
+        num_edges: 6 * SLICE,
+        seed: 77,
+        ..LsbenchConfig::default()
+    }
+    .generate();
+    let estimator = dataset.estimator_from_prefix(dataset.len());
+    let mut generator =
+        QueryGenerator::new(dataset.schema.clone(), dataset.valid_triples.clone(), 77);
+    let mut graph = DynamicGraph::with_window(dataset.schema.clone(), WINDOW);
+    let mut registry = QueryRegistry::new();
+    for kind in [
+        QueryKind::Path { length: 3 },
+        QueryKind::NaryTree { vertices: 4 },
+        QueryKind::NaryTree { vertices: 5 },
+        QueryKind::Path { length: 4 },
+    ] {
+        for query in generator.generate_valid_batch(kind, 12, &estimator) {
+            let id = registry.len() as u64;
+            let strategy = [Strategy::PathLazy, Strategy::SingleLazy][id as usize % 2];
+            let engine =
+                ContinuousQueryEngine::new(query, strategy, &estimator, Some(WINDOW)).unwrap();
+            registry.register(QueryId(id), engine, &graph);
+        }
+    }
+    assert_eq!(registry.len(), 48);
+    assert_eq!(registry.shared_join_stats().tables, 0, "no join tables");
+
+    let mut events = dataset.events().iter().cycle();
+    let mut sink = CountRows(0);
+    // (calls, time inside them)
+    let mut timed = (0u64, std::time::Duration::ZERO);
+    let mut feed = |timed: &mut (u64, std::time::Duration)| {
+        for event in events.by_ref().take(SLICE) {
+            let src = graph.ensure_vertex(VertexId(event.src), event.src_type);
+            let dst = graph.ensure_vertex(VertexId(event.dst), event.dst_type);
+            let (src, dst) = (src.unwrap(), dst.unwrap());
+            let id = graph.add_edge(src, dst, event.edge_type, event.timestamp);
+            let edge = *graph.edge(id).unwrap();
+            let t0 = std::time::Instant::now();
+            registry.process_edge(&graph, &edge, &mut sink, None);
+            timed.1 += t0.elapsed();
+            timed.0 += 1;
+        }
+        graph.expire();
+        registry.purge(&graph);
+        sink.0
+    };
+    feed(&mut (0, std::time::Duration::ZERO)); // bitmaps, arenas and buffers are warm
+
+    let mut group = c.benchmark_group("registry");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(1500));
+    group.throughput(Throughput::Elements(SLICE as u64));
+    group.bench_function("calm_like_dispatch", |b| b.iter(|| feed(&mut timed)));
+    group.finish();
+    let leaf = registry.shared_leaf_stats();
+    println!(
+        "bench registry/calm_like_dispatch: {:.0} ns per process_edge over {} edges \
+         ({} searches run, {} shared, {} delegated)",
+        timed.1.as_nanos() as f64 / timed.0 as f64,
+        timed.0,
+        leaf.searches_run,
+        leaf.searches_shared,
+        leaf.searches_delegated
+    );
+}
+
 fn generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
     group.sample_size(10);
@@ -408,6 +499,7 @@ criterion_group!(
     shared_join_fanout,
     row_to_on_match,
     shared_leaf_fanout,
+    registry_dispatch,
     generators
 );
 criterion_main!(benches);

@@ -151,12 +151,6 @@ impl DynamicGraph {
         &self.schema
     }
 
-    /// Mutable access to the schema (used by loaders that discover new types
-    /// mid-stream).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
-    }
-
     /// Sets or clears the sliding window width.
     pub fn set_window(&mut self, window: Option<u64>) {
         self.window = window;

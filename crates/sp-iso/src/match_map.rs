@@ -1,7 +1,7 @@
 //! The match representation shared by the matchers, the SJ-Tree and the
 //! engine.
 
-use sp_graph::{DynamicGraph, EdgeId, Timestamp, VertexId};
+use sp_graph::{EdgeId, Timestamp, VertexId};
 use sp_query::{QueryEdgeId, QueryVertexId};
 
 /// Maximum number of cut vertices a [`JoinKey`] stores without a heap
@@ -522,12 +522,6 @@ impl SubgraphMatch {
         } else {
             self.project_vertices(vertices).map(JoinKey::Spilled)
         }
-    }
-
-    /// Checks that every matched data edge still exists in the graph
-    /// (edges may have been expired by the sliding window).
-    pub fn is_live(&self, graph: &DynamicGraph) -> bool {
-        self.edge_map.values().all(|e| graph.contains_edge(e))
     }
 }
 

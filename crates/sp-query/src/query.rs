@@ -91,11 +91,6 @@ impl QueryGraph {
         &self.name
     }
 
-    /// Renames the query.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Adds a vertex with the given type constraint and returns its id.
     pub fn add_vertex(&mut self, vertex_type: VertexType) -> QueryVertexId {
         let id = QueryVertexId(self.vertices.len());

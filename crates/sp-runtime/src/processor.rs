@@ -299,11 +299,6 @@ impl ParallelStreamProcessor {
         &self.config
     }
 
-    /// Number of worker shards.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Runtime counters (batches, backpressure events).
     pub fn stats(&self) -> RuntimeStats {
         self.stats

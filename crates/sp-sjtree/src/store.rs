@@ -317,11 +317,12 @@ impl RowArena {
         row
     }
 
-    /// Encodes a [`SubgraphMatch`] into a fresh row.
-    fn encode(&mut self, m: &SubgraphMatch) -> u32 {
+    /// Claims a fresh row and lets `write` fill it in (binding slots start
+    /// out [`UNBOUND`]).
+    fn alloc_with(&mut self, write: impl FnOnce(RowLayout, &mut [u64])) -> u32 {
         let row = self.alloc();
         let b = self.base(row);
-        self.layout().write(m, &mut self.data[b..b + self.stride]);
+        write(self.layout(), &mut self.data[b..b + self.stride]);
         row
     }
 
@@ -593,15 +594,32 @@ impl MatchStore {
     /// [`MatchStore::insert_row`]. The anchored searches visit their working
     /// binding in place; this is where a found match leaves it.
     pub fn encode(&mut self, m: &SubgraphMatch) -> RowId {
-        RowId(self.arena.encode(m))
+        RowId(self.arena.alloc_with(|layout, row| layout.write(m, row)))
+    }
+
+    /// Writes a match given as `(query id, data id)` bindings plus its time
+    /// span into a fresh arena row, to be handed to
+    /// [`MatchStore::insert_row`] — [`RowLayout::fill`] straight into the
+    /// arena. This is how a row of a shared stage's canonical numbering
+    /// arrives in this store's: one slot permutation, no copy in between.
+    pub fn encode_bindings(
+        &mut self,
+        edges: impl IntoIterator<Item = (QueryEdgeId, u64)>,
+        vertices: impl IntoIterator<Item = (QueryVertexId, u64)>,
+        earliest: u64,
+        latest: u64,
+    ) -> RowId {
+        RowId(
+            self.arena
+                .alloc_with(|layout, row| layout.fill(row, edges, vertices, earliest, latest)),
+        )
     }
 
     /// Copies a row of layout `from` — this store's own, or that of a store
     /// over a *prefix* of this store's query (canonical ids line up by
     /// prefix-closure) — slot for slot into a fresh arena row, to be handed
     /// to [`MatchStore::insert_row`]. Nothing is materialized. This is how a
-    /// trie child of the shared join stage consumes its parent's emissions,
-    /// and how an engine consumes rows the shared stages rebased for it.
+    /// trie child of the shared join stage consumes its parent's emissions.
     pub fn adopt(&mut self, src: &[u64], from: RowLayout) -> RowId {
         RowId(self.arena.adopt(src, from))
     }
@@ -873,13 +891,27 @@ impl MatchStore {
         self.arena.free.clear();
     }
 
+    /// Drops the tables a shared prefix of `depth` leading leaves makes
+    /// redundant: the prefix leaves and every internal node *strictly below*
+    /// the prefix root ([`SjTree::prefix_root`]). The prefix root's own table
+    /// stays — it takes the rows the shared stage delivers and is what the
+    /// remaining leaves join against. Lifetime-inserted counters are left
+    /// intact. Used when a live query (or a trie node of the shared join
+    /// stage) migrates onto a shared table whose contents are rebuilt by
+    /// replaying the retained graph, so the covered state does not linger
+    /// until window expiry. A `depth` of 0 clears nothing.
+    pub fn clear_below_prefix(&mut self, tree: &SjTree, depth: usize) {
+        for rank in 0..depth {
+            self.clear_node(tree.leaf(rank));
+        }
+        for below in 2..depth {
+            self.clear_node(tree.prefix_root(below));
+        }
+    }
+
     /// Clears the table of one node, leaving its lifetime-inserted counter
-    /// intact. The shared join stage uses this when a query's prefix state
-    /// migrates into a registry-owned canonical table: the engine's own
-    /// tables for the prefix-covered nodes become redundant (the canonical
-    /// table is repopulated by replaying the retained graph) and would
-    /// otherwise linger until window expiry.
-    pub fn clear_node(&mut self, node: NodeId) {
+    /// intact.
+    fn clear_node(&mut self, node: NodeId) {
         for (_, bucket) in self.tables[node.0].drain() {
             for &r in &bucket {
                 self.arena.release(r);
@@ -1245,6 +1277,37 @@ mod tests {
         assert_eq!(live(&store), 4);
         store.clear_node(tree.leaf(0));
         assert_eq!(live(&store), 3);
+        // A depth-2 prefix makes its two leaves redundant and keeps its root
+        // (the stored join); at depth 3 that join sits below the prefix root.
+        store.clear_below_prefix(&tree, 0);
+        assert_eq!(live(&store), 3);
+        store.clear_below_prefix(&tree, 2);
+        assert_eq!((live(&store), store.live_matches(internal)), (2, 1));
+        store.clear_below_prefix(&tree, 3);
+        assert_eq!(live(&store), 0);
+    }
+
+    #[test]
+    fn encode_bindings_writes_the_row_encode_would() {
+        let tree = two_leaf_tree();
+        let m = leaf0_match(10, 11, 100, 7);
+        let mut reported = Vec::new();
+        for from_bindings in [false, true] {
+            let mut store = MatchStore::new(&tree);
+            let row = if from_bindings {
+                store.encode_bindings(
+                    m.edge_pairs().map(|(q, d)| (q, d.0)),
+                    m.vertex_pairs().map(|(q, d)| (q, d.0)),
+                    7,
+                    7,
+                )
+            } else {
+                store.encode(&m)
+            };
+            store.insert_row(&tree, tree.leaf(0), row, None, &mut reported, None);
+            assert_eq!(store.decoded_at(tree.leaf(0)), vec![m.clone()]);
+        }
+        assert!(reported.is_empty());
     }
 
     #[test]

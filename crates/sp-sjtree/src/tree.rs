@@ -2,7 +2,7 @@
 
 use crate::node::{NodeId, SjTreeNode};
 use serde::{Deserialize, Serialize};
-use sp_graph::Schema;
+use sp_graph::{EdgeType, Schema};
 use sp_query::{QueryGraph, QuerySubgraph};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -20,6 +20,20 @@ pub struct SjTree {
     nodes: Vec<SjTreeNode>,
     leaves: Vec<NodeId>,
     root: NodeId,
+    /// Distinct edge types of each leaf, ascending, by selectivity rank.
+    /// Derived from the leaves (never persisted).
+    #[serde(skip)]
+    leaf_edge_types: Vec<Vec<EdgeType>>,
+    /// Distinct edge types of the whole query, ascending. Derived likewise.
+    #[serde(skip)]
+    edge_types: Vec<EdgeType>,
+}
+
+fn sorted_distinct(types: impl Iterator<Item = EdgeType>) -> Vec<EdgeType> {
+    let mut types: Vec<EdgeType> = types.collect();
+    types.sort_unstable();
+    types.dedup();
+    types
 }
 
 impl SjTree {
@@ -101,7 +115,20 @@ impl SjTree {
             nodes,
             leaves: leaf_ids,
             root: current,
+            leaf_edge_types: Vec::new(),
+            edge_types: Vec::new(),
         }
+        .with_edge_types()
+    }
+
+    /// Fills in the per-leaf and whole-tree edge-type lists.
+    fn with_edge_types(mut self) -> Self {
+        self.leaf_edge_types = self
+            .leaf_subgraphs()
+            .map(|leaf| sorted_distinct(leaf.edges().map(|e| self.query.edge(e).edge_type)))
+            .collect();
+        self.edge_types = sorted_distinct(self.leaf_edge_types.iter().flatten().copied());
+        self
     }
 
     /// The query graph this tree decomposes.
@@ -147,6 +174,26 @@ impl SjTree {
     /// The query subgraph of a node.
     pub fn subgraph(&self, id: NodeId) -> &QuerySubgraph {
         &self.nodes[id.0].subgraph
+    }
+
+    /// The distinct edge types of the leaf with the given selectivity rank,
+    /// ascending: an edge of any other type can be part of no match of that
+    /// leaf, so no search anchored at it need run.
+    pub fn leaf_edge_types(&self, rank: usize) -> &[EdgeType] {
+        &self.leaf_edge_types[rank]
+    }
+
+    /// The distinct edge types of the whole query, ascending.
+    pub fn edge_types(&self) -> &[EdgeType] {
+        &self.edge_types
+    }
+
+    /// The internal node covering exactly the leading leaves `0..depth`
+    /// (`depth >= 2`): the root of the left-deep sub-tree a shared prefix of
+    /// that depth evaluates.
+    pub fn prefix_root(&self, depth: usize) -> NodeId {
+        self.parent(self.leaf(depth - 1))
+            .expect("a prefix of two or more leaves has a covering join node")
     }
 
     /// Parent of a node (`None` for the root).
@@ -237,7 +284,7 @@ impl SjTree {
 
     /// Deserializes a tree from JSON.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
+        serde_json::from_str(json).map(Self::with_edge_types)
     }
 
     /// Writes the tree to a file as JSON.
@@ -258,7 +305,6 @@ impl SjTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_graph::EdgeType;
     use sp_query::QueryEdgeId;
 
     /// 4-edge path query decomposed into single edges.
@@ -345,6 +391,34 @@ mod tests {
         assert_eq!(t.next_leaf_to_enable(n1), Some(t.leaf(2)));
         // The root covers everything; nothing left to enable.
         assert_eq!(t.next_leaf_to_enable(t.root()), None);
+    }
+
+    #[test]
+    fn edge_type_lists_and_prefix_roots_follow_the_leaves() {
+        // Two 2-edge leaves over types (0, 1) and (1, 1): per-leaf lists are
+        // sorted and distinct, the tree list is their union.
+        let mut q = QueryGraph::new("wedges");
+        let v: Vec<_> = (0..5).map(|_| q.add_any_vertex()).collect();
+        for (i, t) in [1u32, 0, 1, 1].into_iter().enumerate() {
+            q.add_edge(v[i], v[i + 1], EdgeType(t));
+        }
+        let leaves = [[0, 1], [2, 3]]
+            .map(|es| QuerySubgraph::from_edges(&q, es.map(QueryEdgeId)))
+            .to_vec();
+        let t = SjTree::from_leaves(q, leaves);
+        assert_eq!(t.leaf_edge_types(0), &[EdgeType(0), EdgeType(1)]);
+        assert_eq!(t.leaf_edge_types(1), &[EdgeType(1)]);
+        assert_eq!(t.edge_types(), &[EdgeType(0), EdgeType(1)]);
+        // The lists are derived, not persisted: a reloaded tree has them too.
+        let back = SjTree::from_json(&t.to_json().unwrap()).unwrap();
+        assert_eq!(back.leaf_edge_types(0), t.leaf_edge_types(0));
+        assert_eq!(back.edge_types(), t.edge_types());
+
+        let (q, leaves) = path4_single_leaves();
+        let t = SjTree::from_leaves(q, leaves);
+        assert_eq!(t.prefix_root(2), t.parent(t.leaf(0)).unwrap());
+        assert_eq!(t.prefix_root(3), t.parent(t.leaf(2)).unwrap());
+        assert_eq!(t.prefix_root(4), t.root());
     }
 
     #[test]

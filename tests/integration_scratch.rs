@@ -542,18 +542,20 @@ mod alloc_regression {
         );
     }
 
-    /// Four eager rules share their first leaf shape (a `tcp` edge) and
-    /// nothing else, so every `tcp` edge runs one shared anchored search
-    /// whose (non-empty) result is fanned out to four engines. The result
-    /// is kept as a canonical row in the edge cache's flat buffer and each
-    /// subscriber's copy is a slot permutation into the registry's fan-out
-    /// buffer, adopted by the engine's arena — no `SubgraphMatch`, no
-    /// per-fan-out vector.
+    /// Both pulls of the engines' leaf loop, with non-empty results. Four
+    /// eager rules share their first leaf shape (a `tcp` edge) and nothing
+    /// else, so every `tcp` edge runs one shared anchored search whose result
+    /// — kept as a canonical row in the edge cache's flat buffer — each of
+    /// the four engines pulls by slot permutation straight into its own
+    /// arena. Two more rules share the `[tcp, tcp]` join prefix of their
+    /// three-leaf trees, so every edge also has both engines pull the prefix
+    /// table's new rows out of its pending buffer, the same way. No
+    /// `SubgraphMatch`, no per-pull vector, no buffer in between.
     #[test]
     fn shared_leaf_fanout_allocates_nothing_per_fanned_out_match() {
         let _serial = serial();
         let mut schema = cyber_schema();
-        let seconds: Vec<sp_graph::EdgeType> = (0..4)
+        let seconds: Vec<sp_graph::EdgeType> = (0..6)
             .map(|i| schema.intern_edge_type(&format!("p{i}")))
             .collect();
         let ip = schema.vertex_type("ip").unwrap();
@@ -561,19 +563,39 @@ mod alloc_regression {
         let mut proc = StreamProcessor::new(schema.clone())
             .with_statistics(false)
             .with_purge_interval(256);
-        let ids: Vec<QueryId> = seconds
+        let chain = |types: &[sp_graph::EdgeType]| {
+            let mut q = sp_query::QueryGraph::new("tcp-then");
+            let mut prev = q.add_any_vertex();
+            for &t in types {
+                let next = q.add_any_vertex();
+                q.add_edge(prev, next, t);
+                prev = next;
+            }
+            q
+        };
+        let leaf_sharers: Vec<QueryId> = seconds[..4]
             .iter()
             .map(|&second| {
-                let mut q = sp_query::QueryGraph::new("tcp-then");
-                let a = q.add_any_vertex();
-                let b = q.add_any_vertex();
-                let c = q.add_any_vertex();
-                q.add_edge(a, b, tcp);
-                q.add_edge(b, c, second);
-                proc.register(q, Strategy::Single, Some(150)).unwrap()
+                proc.register(chain(&[tcp, second]), Strategy::Single, Some(150))
+                    .unwrap()
             })
             .collect();
         assert_eq!(proc.shared_join_stats().tables, 0, "no common prefix");
+        let prefix_sharers: Vec<QueryId> = seconds[4..]
+            .iter()
+            .map(|&third| {
+                proc.register(chain(&[tcp, tcp, third]), Strategy::Single, Some(150))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(proc.shared_join_stats().tables, 1);
+        for &id in &prefix_sharers {
+            assert_eq!(
+                proc.registry().shared_joins().subscription_depth(id),
+                Some(2),
+                "partial depth: the engine runs and pulls its prefix rows"
+            );
+        }
 
         // A 64-host ring of tcp edges, one per tick: every join key recurs
         // inside the window, so buckets and arena rows recycle.
@@ -587,29 +609,38 @@ mod alloc_regression {
             }
         };
         run(&mut proc, 0..8_000);
-        let fanned_out = |proc: &StreamProcessor| -> u64 {
-            ids.iter()
-                .map(|&id| proc.profile_for(id).unwrap().leaf_matches)
-                .sum()
+        let pulled = |proc: &StreamProcessor| -> (u64, u64) {
+            let sum = |ids: &[QueryId], read: fn(&streampattern::ProfileCounters) -> u64| {
+                ids.iter()
+                    .map(|&id| read(proc.profile_for(id).unwrap()))
+                    .sum::<u64>()
+            };
+            (
+                sum(&leaf_sharers, |p| p.leaf_matches),
+                sum(&prefix_sharers, |p| p.shared_join_emissions),
+            )
         };
-        let (f0, leaf0) = (fanned_out(&proc), proc.shared_leaf_stats());
+        let ((fanned0, fed0), leaf0) = (pulled(&proc), proc.shared_leaf_stats());
         let (a0, _) = sp_metrics::alloc_counts();
         run(&mut proc, 8_000..12_000);
         let (a1, _) = sp_metrics::alloc_counts();
-        let (fanned, leaf1) = (fanned_out(&proc) - f0, proc.shared_leaf_stats());
+        let ((fanned1, fed1), leaf1) = (pulled(&proc), proc.shared_leaf_stats());
+        let (fanned, fed) = (fanned1 - fanned0, fed1 - fed0);
         assert_eq!(leaf1.searches_run - leaf0.searches_run, 4_000);
         assert_eq!(leaf1.searches_shared - leaf0.searches_shared, 3 * 4_000);
-        assert_eq!(fanned, 4 * 4_000, "one match per subscriber per edge");
-        let allocs_per_match = (a1 - a0) as f64 / fanned as f64;
+        assert_eq!(fanned, 4 * 4_000, "one match per leaf sharer per edge");
+        assert!(fed >= 2 * 4_000, "a prefix row per prefix sharer per edge");
+        let allocs_per_match = (a1 - a0) as f64 / (fanned + fed) as f64;
         println!(
-            "shared-leaf fan-out: {} allocations for {fanned} fanned-out matches \
+            "shared-leaf fan-out: {} allocations for {fanned} fanned-out and {fed} fed matches \
              ({allocs_per_match:.5} allocs/match)",
             a1 - a0
         );
         // What is left is the graph's own per-edge churn (0.03 allocs/edge,
-        // four matches an edge); one vector per fan-out would read 1.0.
+        // fourteen pulled matches an edge: 0.00214 measured, ceiling 1.5×);
+        // one vector per pull would read 0.43.
         assert!(
-            allocs_per_match < 0.02,
+            allocs_per_match < 0.0033,
             "shared-leaf fan-out allocates per match: {allocs_per_match:.5} allocs/match"
         );
     }
