@@ -640,8 +640,8 @@ impl ContinuousQueryEngine {
         let Backend::SjTree { store, bitmap, .. } = &mut self.backend else {
             return 0;
         };
-        // Dead-edge and window expiry in one pass over every bucket (the two
-        // separate passes walked the whole store twice per maintenance tick).
+        // Window expiry drops a prefix of each bucket; an unwindowed engine
+        // drops the rows that reference an edge the graph no longer holds.
         let removed = store.purge(graph, graph.latest_timestamp(), self.window);
         self.profile.partial_matches_purged += removed as u64;
         self.profile.note_partial_matches(store.live_rows());

@@ -16,7 +16,7 @@
 //! | `stage.shared_leaf_ns`    | counter   | ns | shared anchored leaf searches + their fan-out |
 //! | `stage.private_engine_ns` | counter   | ns | per-engine SJ-Tree / VF2 work |
 //! | `stage.emit_ns`           | counter   | ns | match delivery to the sink |
-//! | `stage.purge_ns`          | counter   | ns | amortized expiry / purge passes |
+//! | `stage.purge_ns`          | counter   | ns | amortized purge pass: graph expiry + store/table purges + bitmap compaction |
 //! | `pipeline.edge_ns`        | histogram | ns | whole per-edge pipeline |
 //! | `match.latency_ns`        | histogram | ns | event arrival → match emission |
 //!
@@ -85,7 +85,9 @@ pub struct PipelineMetrics {
     /// Nanoseconds delivering matches to the sink, direct row → match
     /// delivery included (`stage.emit_ns`).
     pub emit_ns: Counter,
-    /// Nanoseconds in amortized expiry/purge passes (`stage.purge_ns`).
+    /// Nanoseconds in the amortized purge pass: graph expiry, the engines'
+    /// and shared tables' partial-match purges, lazy-bitmap compaction
+    /// (`stage.purge_ns`).
     pub purge_ns: Counter,
     /// Per-edge wall time through the whole pipeline (`pipeline.edge_ns`).
     pub edge_ns: Histogram,

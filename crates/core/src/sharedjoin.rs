@@ -1156,8 +1156,9 @@ impl SharedJoinIndex {
         }
     }
 
-    /// Purges every table against the current graph (dead edges and the
-    /// table-level window). Returns the number of partial matches removed.
+    /// Purges every table by its table-level window ([`MatchStore::purge`];
+    /// an unwindowed table drops rows with dead edges). Returns the number
+    /// of partial matches removed.
     pub fn purge(&mut self, graph: &DynamicGraph) -> usize {
         let latest = graph.latest_timestamp();
         self.entries

@@ -2,8 +2,8 @@
 //! subgraph isomorphism around one edge, the SJ-Tree hash-join insert, the
 //! shared join stage's row → delivered-match fan-out, the row → `on_match`
 //! materialization, the shared leaf stage's fan-out, the registry's dispatch
-//! of an edge that matches (almost) nothing, the greedy decomposition, and
-//! the dataset generators themselves.
+//! of an edge that matches (almost) nothing, the graph's ingest and window
+//! expiry, the greedy decomposition, and the dataset generators themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -459,6 +459,71 @@ fn registry_dispatch(c: &mut Criterion) {
     );
 }
 
+/// Graph maintenance in isolation, the `lsbench_calm` regime in miniature:
+/// slices of 4 096 edges, each ingested (two `ensure_vertex` and an
+/// `add_edge`) and then expired out of an 8 192-tick window, as the shard's
+/// purge cadence does. One edge in sixteen leaves one of eight hubs, whose
+/// adjacency spills past the inline slots; every other endpoint is created
+/// by its edge and dropped with it. The `late` case delays one edge in eight
+/// by up to half a window, so those take the expiry queue's heap side (and
+/// leave sooner: that case holds fewer live edges). Prints ns per edge,
+/// ingest and expiry together.
+fn graph_ingest_expire(c: &mut Criterion) {
+    const SLICE: u64 = 4_096;
+    const WINDOW: u64 = 2 * SLICE;
+    const HUBS: u64 = 8;
+    let mut group = c.benchmark_group("graph");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(1500));
+    group.throughput(Throughput::Elements(SLICE));
+    for (name, late) in [
+        ("ingest_expire_4096_in_order", false),
+        ("ingest_expire_4096_late", true),
+    ] {
+        let mut schema = Schema::new();
+        let ip = schema.intern_vertex_type("ip");
+        let tcp = schema.intern_edge_type("tcp");
+        let mut graph = DynamicGraph::with_window(schema, WINDOW);
+        let mut tick = 0u64;
+        // (edges, time spent on them)
+        let mut timed = (0u64, std::time::Duration::ZERO);
+        let mut slice = |timed: &mut (u64, std::time::Duration)| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..SLICE {
+                let ts = if late && tick % 8 == 3 {
+                    tick.saturating_sub(tick * 7_919 % (WINDOW / 2))
+                } else {
+                    tick
+                };
+                let src = if tick.is_multiple_of(16) {
+                    tick / 16 % HUBS
+                } else {
+                    HUBS + 2 * tick
+                };
+                let (src, dst) = (VertexId(src), VertexId(HUBS + 2 * tick + 1));
+                graph.ensure_vertex(src, ip).unwrap();
+                graph.ensure_vertex(dst, ip).unwrap();
+                graph.add_edge(src, dst, tcp, Timestamp(ts));
+                tick += 1;
+            }
+            let expired = graph.expire();
+            timed.0 += SLICE;
+            timed.1 += t0.elapsed();
+            expired
+        };
+        for _ in 0..3 {
+            slice(&mut (0, std::time::Duration::ZERO)); // the window is full
+        }
+        group.bench_function(name, |b| b.iter(|| slice(&mut timed)));
+        println!(
+            "bench graph/{name}: {:.1} ns per edge (ingest + expire)",
+            timed.1.as_nanos() as f64 / timed.0 as f64
+        );
+    }
+    group.finish();
+}
+
 fn generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
     group.sample_size(10);
@@ -500,6 +565,7 @@ criterion_group!(
     row_to_on_match,
     shared_leaf_fanout,
     registry_dispatch,
+    graph_ingest_expire,
     generators
 );
 criterion_main!(benches);

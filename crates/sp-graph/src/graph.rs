@@ -8,9 +8,13 @@
 //! * iteration over the edges incident to a single vertex must be cheap
 //!   (the anchored isomorphism routines only ever look at local
 //!   neighborhoods);
-//! * expiring edges that fall out of the time window must be cheap and must
-//!   report what was removed so that the engine can drop stale partial
-//!   matches.
+//! * expiring edges that fall out of the time window must be cheap: an edge
+//!   that arrived in timestamp order leaves from the front of a FIFO
+//!   ([`ExpiryQueue`]), and a vertex with at most two edges per direction
+//!   keeps its adjacency inline, so a short-lived vertex costs no heap
+//!   allocation to create or to drop. Expiry reports only how many edges
+//!   went: the engine's partial-match stores expire by their own windows,
+//!   which the graph's retention covers.
 
 use crate::error::GraphError;
 use crate::hash::FastMap;
@@ -19,6 +23,7 @@ use crate::schema::Schema;
 use crate::window::ExpiryQueue;
 use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Payload of a single directed, typed, timestamped edge.
@@ -55,18 +60,101 @@ impl EdgeData {
     }
 }
 
+/// Edge ids one direction of a vertex keeps without a heap allocation.
+const INLINE_EDGES: usize = 2;
+
+/// Filler of an unused inline slot. Edge ids are dense indices assigned by
+/// the graph and never reach it.
+const NO_EDGE: EdgeId = EdgeId(u64::MAX);
+
+/// The edge ids of one direction of a vertex's adjacency, in `Vec` order:
+/// appended at the back, removed by `swap_remove`. Up to [`INLINE_EDGES`]
+/// ids live inline (filled slots first, [`NO_EDGE`] behind them); the
+/// next one moves the list to the heap, where it stays until the vertex
+/// goes. Either way the list is the size of a bare `Vec`.
+#[derive(Debug, Clone)]
+enum EdgeList {
+    Inline([EdgeId; INLINE_EDGES]),
+    Spilled(Vec<EdgeId>),
+}
+
+impl Default for EdgeList {
+    fn default() -> Self {
+        EdgeList::Inline([NO_EDGE; INLINE_EDGES])
+    }
+}
+
+impl EdgeList {
+    fn as_slice(&self) -> &[EdgeId] {
+        match self {
+            EdgeList::Inline(ids) => {
+                let len = ids.iter().take_while(|&&e| e != NO_EDGE).count();
+                &ids[..len]
+            }
+            EdgeList::Spilled(ids) => ids,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn push(&mut self, id: EdgeId) {
+        match self {
+            EdgeList::Inline(ids) => match ids.iter().position(|&e| e == NO_EDGE) {
+                Some(free) => ids[free] = id,
+                None => {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_EDGES);
+                    spilled.extend_from_slice(ids);
+                    spilled.push(id);
+                    *self = EdgeList::Spilled(spilled);
+                }
+            },
+            EdgeList::Spilled(ids) => ids.push(id),
+        }
+    }
+
+    /// Removes `id` if present, moving the last id into its place.
+    fn swap_remove(&mut self, id: EdgeId) {
+        let ids = self.as_slice();
+        let Some(pos) = ids.iter().position(|&e| e == id) else {
+            return;
+        };
+        let last = ids.len() - 1;
+        match self {
+            EdgeList::Inline(ids) => {
+                ids[pos] = ids[last];
+                ids[last] = NO_EDGE;
+            }
+            EdgeList::Spilled(ids) => {
+                ids.swap_remove(pos);
+            }
+        }
+    }
+}
+
 /// Per-vertex adjacency record.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VertexData {
     /// Interned vertex type.
     pub vertex_type: VertexType,
     /// Ids of edges whose source is this vertex.
-    pub out_edges: Vec<EdgeId>,
+    out_edges: EdgeList,
     /// Ids of edges whose destination is this vertex.
-    pub in_edges: Vec<EdgeId>,
+    in_edges: EdgeList,
 }
 
 impl VertexData {
+    /// Ids of the edges whose source is this vertex.
+    pub fn out_edges(&self) -> &[EdgeId] {
+        self.out_edges.as_slice()
+    }
+
+    /// Ids of the edges whose destination is this vertex.
+    pub fn in_edges(&self) -> &[EdgeId] {
+        self.in_edges.as_slice()
+    }
+
     /// Total degree (in + out) counting multi-edges.
     pub fn degree(&self) -> usize {
         self.out_edges.len() + self.in_edges.len()
@@ -297,21 +385,19 @@ impl DynamicGraph {
     }
 
     /// Slides the window forward to the newest edge seen so far, removing all
-    /// edges older than `latest - window`. Returns the removed edges.
+    /// edges older than `latest - window`, oldest first. Returns how many
+    /// edges were removed.
     ///
     /// Vertices whose last incident edge is removed are also removed
     /// (mirroring `REMOVE-SUBGRAPH`'s "disconnected vertex" rule).
-    pub fn expire(&mut self) -> Vec<EdgeData> {
+    pub fn expire(&mut self) -> usize {
         let Some(w) = self.window else {
-            return Vec::new();
+            return 0;
         };
         let cutoff = Timestamp(self.latest_ts.0.saturating_sub(w));
-        let expired = self.expiry.expire_older_than(cutoff);
-        let mut removed = Vec::with_capacity(expired.len());
-        for (edge_id, _) in expired {
-            if let Some(data) = self.detach_edge(edge_id) {
-                removed.push(data);
-            }
+        let mut removed = 0;
+        while let Some((edge_id, _)) = self.expiry.pop_older_than(cutoff) {
+            removed += usize::from(self.detach_edge(edge_id).is_some());
         }
         removed
     }
@@ -321,21 +407,16 @@ impl DynamicGraph {
     fn detach_edge(&mut self, edge_id: EdgeId) -> Option<EdgeData> {
         let data = self.edges.remove(&edge_id)?;
         for (vertex, incoming) in [(data.src, false), (data.dst, true)] {
-            let remove_vertex = if let Some(vd) = self.vertices.get_mut(&vertex) {
-                let list = if incoming {
-                    &mut vd.in_edges
+            if let Entry::Occupied(mut slot) = self.vertices.entry(vertex) {
+                let vd = slot.get_mut();
+                if incoming {
+                    vd.in_edges.swap_remove(edge_id);
                 } else {
-                    &mut vd.out_edges
-                };
-                if let Some(pos) = list.iter().position(|&e| e == edge_id) {
-                    list.swap_remove(pos);
+                    vd.out_edges.swap_remove(edge_id);
                 }
-                vd.degree() == 0
-            } else {
-                false
-            };
-            if remove_vertex {
-                self.vertices.remove(&vertex);
+                if vd.degree() == 0 {
+                    slot.remove();
+                }
             }
         }
         Some(data)
@@ -417,13 +498,16 @@ impl DynamicGraph {
     pub fn out_degree(&self, v: VertexId) -> usize {
         self.vertices
             .get(&v)
-            .map(|d| d.out_edges.len())
+            .map(|d| d.out_edges().len())
             .unwrap_or(0)
     }
 
     /// In-degree of a vertex.
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.vertices.get(&v).map(|d| d.in_edges.len()).unwrap_or(0)
+        self.vertices
+            .get(&v)
+            .map(|d| d.in_edges().len())
+            .unwrap_or(0)
     }
 
     /// Iterates over every edge incident to `v` (both directions), yielding
@@ -431,8 +515,8 @@ impl DynamicGraph {
     /// edge relative to `v`.
     pub fn incident_edges(&self, v: VertexId) -> impl Iterator<Item = IncidentEdge> + '_ {
         let data = self.vertices.get(&v);
-        let out = data.map(|d| d.out_edges.as_slice()).unwrap_or(&[]);
-        let inc = data.map(|d| d.in_edges.as_slice()).unwrap_or(&[]);
+        let out = data.map(VertexData::out_edges).unwrap_or(&[]);
+        let inc = data.map(VertexData::in_edges).unwrap_or(&[]);
         let out_iter = out.iter().filter_map(move |id| {
             self.edges.get(id).map(|e| IncidentEdge {
                 edge: e.id,
@@ -458,7 +542,7 @@ impl DynamicGraph {
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = &EdgeData> + '_ {
         self.vertices
             .get(&v)
-            .map(|d| d.out_edges.as_slice())
+            .map(VertexData::out_edges)
             .unwrap_or(&[])
             .iter()
             .filter_map(move |id| self.edges.get(id))
@@ -468,7 +552,7 @@ impl DynamicGraph {
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = &EdgeData> + '_ {
         self.vertices
             .get(&v)
-            .map(|d| d.in_edges.as_slice())
+            .map(VertexData::in_edges)
             .unwrap_or(&[])
             .iter()
             .filter_map(move |id| self.edges.get(id))
@@ -585,11 +669,11 @@ mod tests {
         let a = g.add_vertex(ip);
         let b = g.add_vertex(ip);
         let c = g.add_vertex(ip);
-        g.add_edge(a, b, tcp, Timestamp(1));
-        g.add_edge(b, c, tcp, Timestamp(20));
-        let removed = g.expire();
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].src, a);
+        let old = g.add_edge(a, b, tcp, Timestamp(1));
+        let new = g.add_edge(b, c, tcp, Timestamp(20));
+        assert_eq!(g.expire(), 1);
+        assert!(!g.contains_edge(old));
+        assert!(g.contains_edge(new));
         assert_eq!(g.num_edges(), 1);
         // a became isolated and is dropped; b and c stay.
         assert!(!g.contains_vertex(a));
@@ -605,8 +689,38 @@ mod tests {
         let b = g.add_vertex(ip);
         g.add_edge(a, b, tcp, Timestamp(1));
         g.add_edge(a, b, tcp, Timestamp(1_000_000));
-        assert!(g.expire().is_empty());
+        assert_eq!(g.expire(), 0);
         assert_eq!(g.num_edges(), 2);
+        assert!(g.contains_vertex(a) && g.contains_vertex(b));
+    }
+
+    #[test]
+    fn adjacency_keeps_vec_order_inline_and_spilled() {
+        let (s, ip, tcp, _) = schema();
+        let mut g = DynamicGraph::new(s);
+        let (a, b, c) = (g.add_vertex(ip), g.add_vertex(ip), g.add_vertex(ip));
+        let out = |g: &DynamicGraph, v| g.out_edges(v).map(|e| e.id).collect::<Vec<_>>();
+        // A plain `Vec` with push / swap_remove is the reference at every
+        // step: up to two edges (inline), four (spilled), back down to one
+        // and up again.
+        let mut reference = Vec::new();
+        for t in 0..4 {
+            reference.push(g.add_edge(a, b, tcp, Timestamp(t)));
+            assert_eq!(out(&g, a), reference);
+        }
+        for pos in [1, 0, 1] {
+            g.remove_edge(reference.swap_remove(pos)).unwrap();
+            assert_eq!(out(&g, a), reference);
+        }
+        reference.push(g.add_edge(a, b, tcp, Timestamp(9)));
+        assert_eq!(out(&g, a), reference);
+        assert_eq!((g.degree(a), g.in_degree(b)), (2, 2));
+        // An inline list: removing the first of two moves the second up.
+        let first = g.add_edge(c, b, tcp, Timestamp(10));
+        let second = g.add_edge(c, b, tcp, Timestamp(11));
+        g.remove_edge(first).unwrap();
+        assert_eq!(out(&g, c), vec![second]);
+        assert_eq!(g.in_degree(b), 3);
     }
 
     #[test]

@@ -8,21 +8,33 @@
 //!
 //! Streaming edges are *mostly* ordered by timestamp but real traces contain
 //! small reorderings, so the queue orders by `(timestamp, edge id)` rather
-//! than assuming monotone arrival. It is a Vec-backed min-heap, not an
-//! ordered map: a B-tree splits and frees nodes as the window boundary
-//! rolls through it, putting an allocation on the ingest path every few
-//! edges, while the heap's backing storage is reused once warmed up — the
-//! steady-state `add_edge` path allocates nothing.
+//! than assuming monotone arrival. It has two sides:
+//!
+//! * an edge whose `(timestamp, id)` is at or past the newest entry of the
+//!   in-order side is appended to it — a FIFO ring, so an in-order edge
+//!   costs one append at ingest and one pop at expiry;
+//! * an edge that arrives late (behind that entry) goes to a Vec-backed
+//!   min-heap.
+//!
+//! Expiry, removal and [`ExpiryQueue::oldest`] merge the two sides, so edges
+//! leave in exactly the global `(timestamp, id)` order a single heap would
+//! give. Neither side is an ordered map: a B-tree splits and frees nodes as
+//! the window boundary rolls through it, while both sides here reuse their
+//! backing storage once warmed up — the steady-state `add_edge` path
+//! allocates nothing.
 
 use crate::ids::{EdgeId, Timestamp};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Tracks live edges in timestamp order and computes which edges expire when
 /// the window slides forward.
 #[derive(Debug, Clone, Default)]
 pub struct ExpiryQueue {
-    live: BinaryHeap<Reverse<(Timestamp, EdgeId)>>,
+    /// Edges in ascending `(timestamp, id)` order, appended at the back.
+    in_order: VecDeque<(Timestamp, EdgeId)>,
+    /// Edges that arrived behind the back of `in_order`.
+    late: BinaryHeap<Reverse<(Timestamp, EdgeId)>>,
 }
 
 impl ExpiryQueue {
@@ -33,45 +45,69 @@ impl ExpiryQueue {
 
     /// Registers a new live edge.
     pub fn push(&mut self, edge: EdgeId, ts: Timestamp) {
-        self.live.push(Reverse((ts, edge)));
+        let entry = (ts, edge);
+        if self.in_order.back().is_none_or(|&back| entry >= back) {
+            self.in_order.push_back(entry);
+        } else {
+            self.late.push(Reverse(entry));
+        }
     }
 
     /// Removes an edge that is being deleted for a reason other than expiry
     /// (the explicit-deletion path — O(n), never on the streaming path).
     pub fn remove(&mut self, edge: EdgeId, ts: Timestamp) -> bool {
-        let before = self.live.len();
-        self.live.retain(|&Reverse(entry)| entry != (ts, edge));
-        before != self.live.len()
+        if let Ok(pos) = self.in_order.binary_search(&(ts, edge)) {
+            self.in_order.remove(pos);
+            return true;
+        }
+        let before = self.late.len();
+        self.late.retain(|&Reverse(entry)| entry != (ts, edge));
+        before != self.late.len()
+    }
+
+    /// The oldest entry of either side, and whether it is the late side's.
+    fn peek(&self) -> Option<((Timestamp, EdgeId), bool)> {
+        match (self.in_order.front(), self.late.peek()) {
+            (Some(&first), Some(&Reverse(late))) if late < first => Some((late, true)),
+            (Some(&first), _) => Some((first, false)),
+            (None, Some(&Reverse(late))) => Some((late, true)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pops the oldest edge if it is strictly older than `cutoff`.
+    pub fn pop_older_than(&mut self, cutoff: Timestamp) -> Option<(EdgeId, Timestamp)> {
+        let ((ts, edge), late) = self.peek()?;
+        if ts >= cutoff {
+            return None;
+        }
+        if late {
+            self.late.pop();
+        } else {
+            self.in_order.pop_front();
+        }
+        Some((edge, ts))
     }
 
     /// Pops every edge strictly older than `cutoff` and returns them in
     /// timestamp order.
     pub fn expire_older_than(&mut self, cutoff: Timestamp) -> Vec<(EdgeId, Timestamp)> {
-        let mut expired = Vec::new();
-        while let Some(&Reverse((ts, edge))) = self.live.peek() {
-            if ts < cutoff {
-                self.live.pop();
-                expired.push((edge, ts));
-            } else {
-                break;
-            }
-        }
-        expired
+        std::iter::from_fn(|| self.pop_older_than(cutoff)).collect()
     }
 
     /// Number of live (non-expired) edges tracked.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.in_order.len() + self.late.len()
     }
 
     /// Returns `true` when no live edges are tracked.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
     /// Timestamp of the oldest live edge, if any.
     pub fn oldest(&self) -> Option<Timestamp> {
-        self.live.peek().map(|&Reverse((ts, _))| ts)
+        self.peek().map(|((ts, _), _)| ts)
     }
 }
 
@@ -128,5 +164,25 @@ mod tests {
         assert_eq!(q.len(), 2);
         let expired = q.expire_older_than(Timestamp(11));
         assert_eq!(expired.len(), 2);
+    }
+
+    /// Both sides in use: the merged expiry order is the global
+    /// `(timestamp, id)` order, and removal finds an edge on either side.
+    #[test]
+    fn in_order_and_late_sides_merge_in_timestamp_order() {
+        let mut q = ExpiryQueue::new();
+        // In order: 10, 20, 20, 40. Late (behind the back, 40): 15, 5, 20.
+        for (id, ts) in [(1, 10), (3, 20), (4, 20), (6, 40), (5, 15), (7, 5), (2, 20)] {
+            q.push(EdgeId(id), Timestamp(ts));
+        }
+        assert_eq!(q.oldest(), Some(Timestamp(5)));
+        assert!(q.remove(EdgeId(5), Timestamp(15)), "late side");
+        assert!(q.remove(EdgeId(4), Timestamp(20)), "in-order side");
+        assert!(!q.remove(EdgeId(4), Timestamp(20)));
+        assert_eq!(
+            q.expire_older_than(Timestamp(40)),
+            [(7, 5), (1, 10), (2, 20), (3, 20)].map(|(id, ts)| (EdgeId(id), Timestamp(ts)))
+        );
+        assert_eq!((q.len(), q.oldest()), (1, Some(Timestamp(40))));
     }
 }

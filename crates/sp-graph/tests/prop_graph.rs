@@ -7,7 +7,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sp_graph::{DynamicGraph, EdgeType, Schema, Timestamp, VertexType};
+use sp_graph::{DynamicGraph, EdgeId, EdgeType, Schema, Timestamp, VertexId, VertexType};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A compact description of a random edge stream.
 #[derive(Debug, Clone)]
@@ -99,6 +100,192 @@ fn window_invariant_holds() {
             }
         }
     });
+}
+
+/// How often the window oracle's streams reached the cases it exists for.
+#[derive(Debug, Default)]
+struct Coverage {
+    late_edges: usize,
+    equal_timestamps: usize,
+    removed_in_order: usize,
+    removed_late: usize,
+    shrunk_after_spill: usize,
+    expired: usize,
+}
+
+/// Per-vertex reference adjacency: the `Vec`s a push / `swap_remove` list
+/// holds, and the longest each has been since the vertex appeared.
+#[derive(Debug, Default)]
+struct RefVertex {
+    out: Vec<EdgeId>,
+    inc: Vec<EdgeId>,
+    longest: usize,
+}
+
+/// The reference model of one windowed graph: every edge ever added, the
+/// explicitly removed ones, those gone either way, per-vertex adjacency and
+/// the expiry queue's in-order side (appended when `(ts, id)` is at or past
+/// its back).
+#[derive(Debug, Default)]
+struct WindowOracle {
+    added: Vec<(EdgeId, u64, u64, u64)>, // (id, src, dst, ts)
+    removed: HashSet<EdgeId>,
+    gone: HashSet<EdgeId>,
+    latest: u64,
+    vertices: HashMap<u64, RefVertex>,
+    in_order: VecDeque<(u64, EdgeId)>,
+}
+
+impl WindowOracle {
+    fn add(&mut self, id: EdgeId, src: u64, dst: u64, ts: u64, cov: &mut Coverage) {
+        if self.added.last().is_some_and(|e| e.3 == ts) {
+            cov.equal_timestamps += 1;
+        }
+        if ts < self.latest {
+            cov.late_edges += 1;
+        }
+        self.added.push((id, src, dst, ts));
+        self.latest = self.latest.max(ts);
+        let out = self.vertices.entry(src).or_default();
+        out.out.push(id);
+        out.longest = out.longest.max(out.out.len());
+        let inc = self.vertices.entry(dst).or_default();
+        inc.inc.push(id);
+        inc.longest = inc.longest.max(inc.inc.len());
+        if self.in_order.back().is_none_or(|&back| (ts, id) >= back) {
+            self.in_order.push_back((ts, id));
+        }
+    }
+
+    /// Detaches one edge the way the graph does: `swap_remove` from both
+    /// endpoint lists, dropping an endpoint left with no edge.
+    fn detach(&mut self, id: EdgeId, src: u64, dst: u64) {
+        for (v, incoming) in [(src, false), (dst, true)] {
+            let rv = self.vertices.get_mut(&v).expect("endpoint is live");
+            let list = if incoming { &mut rv.inc } else { &mut rv.out };
+            let pos = list.iter().position(|&e| e == id).expect("edge listed");
+            list.swap_remove(pos);
+            if rv.out.is_empty() && rv.inc.is_empty() {
+                self.vertices.remove(&v);
+            }
+        }
+    }
+}
+
+/// The converse of [`window_invariant_holds`], on streams with late and
+/// equal timestamps, explicit removals on both sides of the expiry queue,
+/// hub vertices whose adjacency spills past the inline slots and shrinks
+/// back, and `expire` at a random cadence: after every `expire`, the live
+/// edge set is *exactly* `{e : ts >= latest - w}` of the edges added and
+/// not removed, the live vertices are exactly their endpoints, and every
+/// adjacency list holds what a `Vec` with push / `swap_remove` would, with
+/// expired edges detached in `(timestamp, id)` order.
+#[test]
+fn expire_leaves_exactly_the_window_and_keeps_adjacency_order() {
+    let mut cov = Coverage::default();
+    for seed in 0..150u64 {
+        let mut rng = SmallRng::seed_from_u64(0x0A11CE ^ seed);
+        let w = rng.gen_range(1u64..120);
+        let cadence = rng.gen_range(1u32..40);
+        let mut schema = Schema::new();
+        let vt = schema.intern_vertex_type("v");
+        let et = schema.intern_edge_type("t");
+        let mut g = DynamicGraph::with_window(schema, w);
+        let mut oracle = WindowOracle::default();
+        let mut clock = 0u64;
+        for _ in 0..rng.gen_range(50usize..400) {
+            if rng.gen_bool(0.08) && !oracle.added.is_empty() {
+                let &(id, src, dst, ts) = &oracle.added[rng.gen_range(0..oracle.added.len())];
+                if oracle.gone.insert(id) {
+                    match oracle.in_order.iter().position(|&e| e == (ts, id)) {
+                        Some(pos) => {
+                            oracle.in_order.remove(pos);
+                            cov.removed_in_order += 1;
+                        }
+                        None => cov.removed_late += 1,
+                    }
+                    assert_eq!(g.remove_edge(id).unwrap().id, id, "seed {seed}");
+                    oracle.removed.insert(id);
+                    oracle.detach(id, src, dst);
+                }
+            } else {
+                // Vertex 0 is a hub; the rest churn. A zero step repeats a
+                // timestamp; a late edge lands up to two windows back.
+                let pick = |rng: &mut SmallRng| {
+                    if rng.gen_bool(0.3) {
+                        0
+                    } else {
+                        rng.gen_range(1u64..12)
+                    }
+                };
+                let (src, dst) = (pick(&mut rng), pick(&mut rng));
+                clock += rng.gen_range(0u64..3);
+                let ts = if rng.gen_bool(0.2) {
+                    clock.saturating_sub(rng.gen_range(1..=2 * w))
+                } else {
+                    clock
+                };
+                g.ensure_vertex(VertexId(src), vt).unwrap();
+                g.ensure_vertex(VertexId(dst), vt).unwrap();
+                let id = g.add_edge(VertexId(src), VertexId(dst), et, Timestamp(ts));
+                oracle.add(id, src, dst, ts, &mut cov);
+            }
+            if rng.gen_range(0..cadence) != 0 {
+                continue;
+            }
+
+            let cutoff = oracle.latest.saturating_sub(w);
+            let mut expiring: Vec<_> = oracle
+                .added
+                .iter()
+                .filter(|e| !oracle.gone.contains(&e.0) && e.3 < cutoff)
+                .map(|&(id, src, dst, ts)| (ts, id, src, dst))
+                .collect();
+            expiring.sort();
+            assert_eq!(g.expire(), expiring.len(), "seed {seed}");
+            cov.expired += expiring.len();
+            for &(_, id, src, dst) in &expiring {
+                oracle.gone.insert(id);
+                oracle.detach(id, src, dst);
+            }
+            while oracle.in_order.front().is_some_and(|&(ts, _)| ts < cutoff) {
+                oracle.in_order.pop_front();
+            }
+
+            let mut expected: Vec<EdgeId> = oracle
+                .added
+                .iter()
+                .filter(|e| !oracle.removed.contains(&e.0) && e.3 >= cutoff)
+                .map(|e| e.0)
+                .collect();
+            let mut live: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
+            expected.sort();
+            live.sort();
+            assert_eq!(live, expected, "seed {seed}: live edges != window");
+            let mut vertices: Vec<u64> = g.vertices().map(|(v, _)| v.0).collect();
+            let mut endpoints: Vec<u64> = oracle.vertices.keys().copied().collect();
+            vertices.sort();
+            endpoints.sort();
+            assert_eq!(vertices, endpoints, "seed {seed}: live vertices");
+            for (&v, rv) in &oracle.vertices {
+                let data = g.vertex(VertexId(v)).expect("live vertex");
+                assert_eq!(data.out_edges(), rv.out.as_slice(), "seed {seed}: out({v})");
+                assert_eq!(data.in_edges(), rv.inc.as_slice(), "seed {seed}: in({v})");
+                if rv.longest > 2 && rv.out.len().max(rv.inc.len()) <= 2 {
+                    cov.shrunk_after_spill += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        cov.late_edges > 0
+            && cov.equal_timestamps > 0
+            && cov.removed_in_order > 0
+            && cov.removed_late > 0
+            && cov.shrunk_after_spill > 0
+            && cov.expired > 0,
+        "the streams missed a case: {cov:?}"
+    );
 }
 
 /// No isolated vertices survive window expiry.

@@ -52,8 +52,8 @@
 //!   `latest(new) < tw` nothing is that old and the probe starts at 0. On a
 //!   hub vertex whose bucket outlives the window between two purges, the
 //!   skipped prefix is most of the bucket.
-//! * **purge** — `retain` keeps relative order, so the expired rows go and
-//!   the order stays.
+//! * **purge** — the window-expired rows are a prefix too, found by
+//!   `partition_point` and drained from the front; the order stays.
 //!
 //! Joins are therefore reported in time order of the sibling row, not in
 //! lexicographic order of its bindings; which joins are reported does not
@@ -830,43 +830,61 @@ impl MatchStore {
             .collect()
     }
 
-    /// Single-pass maintenance: removes every stored partial match that is
-    /// dead (references an edge expired out of the data graph) **or**, when
-    /// `window` is `Some(tw)`, expired (its earliest edge is older than
-    /// `latest - tw`, so by the time any future edge — with timestamp ≥
-    /// `latest` — could join it, the join already spans the window). Walks
-    /// every bucket exactly once; `retain` preserves relative order, so the
-    /// bucket order survives. Removed rows go back to the arena free list.
-    /// Returns the number removed.
+    /// Single-pass maintenance. With `window = Some(tw)`, removes every
+    /// stored partial match that is expired: its earliest edge is older
+    /// than `latest - tw`, so by the time any future edge — with timestamp
+    /// ≥ `latest` — could join it, the join already spans the window. Those
+    /// rows are the time-ordered prefix of each bucket, so each bucket
+    /// loses a prefix and keeps its order.
+    ///
+    /// A windowed store does not probe the graph: while the graph retains
+    /// at least every store's window (the control plane's retention rule,
+    /// and `graph` has slid to `latest`), no row inside its window can
+    /// reference an expired edge. Debug builds assert that over every
+    /// survivor. Without a window, every row that is dead — references an
+    /// edge no longer in `graph` — is removed instead (`retain`, which
+    /// keeps relative order).
+    ///
+    /// Removed rows go back to the arena free list, emptied buckets to the
+    /// bucket free list. Returns the number removed.
     pub fn purge(&mut self, graph: &DynamicGraph, latest: Timestamp, window: Option<u64>) -> usize {
-        let cutoff = window.map(|tw| latest.0.saturating_sub(tw));
-        // Split the arena so the predicate can read `data` while removed
+        // Split the arena so the predicates can read `data` while removed
         // rows push onto `free`.
         let (layout, stride) = (self.arena.layout(), self.arena.stride);
         let RowArena { data, free, .. } = &mut self.arena;
+        let cutoff = window.map(|tw| latest.0.saturating_sub(tw));
+        let row = |r: u32| &data[r as usize * stride..][..stride];
+        let live = |r: u32| {
+            row(r)[..layout.edges]
+                .iter()
+                .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
+        };
         let mut removed = 0;
         for table in &mut self.tables {
-            for bucket in table.values_mut() {
-                let before = bucket.len();
-                bucket.retain(|&r| {
-                    let row = &data[r as usize * stride..][..stride];
-                    // The expiry check runs first — it is a field read,
-                    // while liveness probes the graph per matched edge.
-                    let keep = cutoff.is_none_or(|c| layout.earliest(row) >= c)
-                        && row[..layout.edges]
-                            .iter()
-                            .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)));
-                    if !keep {
-                        free.push(r);
-                    }
-                    keep
-                });
-                removed += before - bucket.len();
-            }
-            // Emptied buckets leave the table but their capacity goes to
-            // the free list — window expiry returns memory to the store,
-            // not the allocator.
             table.retain(|_, bucket| {
+                let before = bucket.len();
+                match cutoff {
+                    Some(cutoff) => {
+                        let expired = bucket.partition_point(|&r| layout.earliest(row(r)) < cutoff);
+                        free.extend(bucket.drain(..expired));
+                        debug_assert!(
+                            bucket.iter().all(|&r| live(r)),
+                            "a row inside its window references an expired edge: \
+                             the graph must retain at least every store's window"
+                        );
+                    }
+                    None => bucket.retain(|&r| {
+                        let keep = live(r);
+                        if !keep {
+                            free.push(r);
+                        }
+                        keep
+                    }),
+                }
+                removed += before - bucket.len();
+                // An emptied bucket leaves the table but its capacity goes
+                // to the free list — window expiry returns memory to the
+                // store, not the allocator.
                 if bucket.is_empty() {
                     recycle(&mut self.spare, std::mem::take(bucket));
                     false
@@ -1713,9 +1731,10 @@ mod tests {
     }
 
     /// Purge on shuffled, duplicate-laden buckets: exactly the rows a
-    /// brute-force filter removes go (the expired prefix *and* the dead rows
-    /// scattered behind it), the order invariant survives, and so does the
-    /// dedup — before and after.
+    /// brute-force filter removes go — the dead rows scattered through the
+    /// buckets in an unwindowed purge, then the expired prefix in windowed
+    /// ones — the order invariant survives, and so does the dedup — before
+    /// and after.
     #[test]
     fn purge_keeps_buckets_time_ordered_and_dedup_exact() {
         let tree = two_leaf_tree();
@@ -1737,6 +1756,15 @@ mod tests {
         let survives = |m: &SubgraphMatch, cutoff: u64| {
             m.time_span().0 .0 >= cutoff && m.edge_pairs().all(|(_, e)| e.0 < 60)
         };
+        // A windowed purge does not probe the graph, so the dead rows go
+        // first, in an unwindowed one.
+        let before = store.decoded_at(tree.leaf(1));
+        let removed = store.purge(&graph, Timestamp(22), None);
+        assert_buckets_time_ordered(&store);
+        let expected: Vec<_> = before.into_iter().filter(|m| survives(m, 0)).collect();
+        assert_eq!(removed, rows.len() - expected.len());
+        assert!(removed > 0);
+        assert_eq!(multiset(store.decoded_at(tree.leaf(1))), multiset(expected));
         for (latest, tw) in [(15, 10), (22, 10), (22, 4)] {
             let before = store.decoded_at(tree.leaf(1));
             let removed = store.purge(&graph, Timestamp(latest), Some(tw));
@@ -1766,6 +1794,21 @@ mod tests {
         );
         assert_eq!(live(&store), kept + 1);
         assert_buckets_time_ordered(&store);
+    }
+
+    /// A windowed purge trusts the graph to retain its window and asserts
+    /// it in debug builds: a survivor whose edge the graph no longer holds
+    /// means retention fell short of the store's window.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "references an expired edge")]
+    fn windowed_purge_asserts_every_survivor_is_live() {
+        let tree = two_leaf_tree();
+        let mut store = MatchStore::new(&tree);
+        let m = leaf0_match(10, 11, 5, 90);
+        store.insert(&tree, tree.leaf(0), m, Some(50), &mut Vec::new());
+        // Edge 5 is not in the graph; the row (earliest 90) is in window.
+        store.purge(&graph_with_edges(5), Timestamp(100), Some(50));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 use sp_datasets::NetflowConfig;
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
+use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
-    ContinuousQueryEngine, Schema, SelectivityEstimator, Strategy, StreamProcessor,
+    ContinuousQueryEngine, QueryId, Schema, SelectivityEstimator, Strategy, StreamProcessor,
+    SubgraphMatch,
 };
 
 fn two_hop_query(schema: &Schema) -> QueryGraph {
@@ -137,6 +139,181 @@ fn partial_matches_are_purged_with_the_window() {
         Timestamp(5_000 * 10 + 1),
     ));
     assert_eq!(found.len(), 1);
+}
+
+/// A `from → … → to` chain query over the given edge types.
+fn chain(schema: &Schema, name: &str, types: &[&str]) -> QueryGraph {
+    let mut q = QueryGraph::new(name);
+    let mut prev = q.add_any_vertex();
+    for t in types {
+        let next = q.add_any_vertex();
+        q.add_edge(prev, next, schema.edge_type(t).unwrap());
+        prev = next;
+    }
+    q
+}
+
+/// The windowed purge's premise, end to end. A windowed store drops the
+/// expired prefix of each bucket without probing the graph, which is sound
+/// only while no row inside its own window references an edge the graph
+/// has expired. Every purge pass asserts exactly that over its survivors
+/// in debug builds (the test profile), so this stream runs the assertion on
+/// every pass of both front ends — the sequential processor and the
+/// 2-worker runtime — under:
+///
+/// * mixed windows, 2 000 and 8 000 ticks, eager and lazy strategies, and
+///   two prefix sharers on one shared join table (eager: what a lazy
+///   prefix sharer reports under mixed windows still depends on the rules
+///   it runs beside, so the front ends could not be compared);
+/// * the wide queries deregistered mid-stream, so retention shrinks from
+///   8 000 to 2 000 under live narrow stores, then re-registered;
+/// * timestamps in equal pairs, with every ninth edge up to 3 000 ticks
+///   late.
+#[test]
+fn no_row_inside_its_window_references_an_expired_edge() {
+    let dataset = NetflowConfig {
+        num_hosts: 500,
+        num_edges: 16_000,
+        ..NetflowConfig::tiny()
+    }
+    .generate();
+    let schema = &dataset.schema;
+    let events: Vec<EdgeEvent> = dataset
+        .events()
+        .iter()
+        .enumerate()
+        .map(|(i, ev)| {
+            let i = i as u64;
+            let paired = i - i % 2;
+            let ts = if i % 9 == 4 {
+                paired.saturating_sub(i * 37 % 3_000)
+            } else {
+                paired
+            };
+            EdgeEvent {
+                timestamp: Timestamp(ts),
+                ..*ev
+            }
+        })
+        .collect();
+    let narrow = [
+        (
+            chain(schema, "icmp-gre", &["ICMP", "GRE"]),
+            Strategy::SingleLazy,
+        ),
+        (
+            chain(schema, "ipv6-icmp", &["IPv6", "ICMP"]),
+            Strategy::Single,
+        ),
+    ];
+    let wide = [
+        (
+            chain(schema, "udp-gre-esp", &["UDP", "GRE", "ESP"]),
+            Strategy::Path,
+        ),
+        (
+            chain(schema, "udp-gre-esp-icmp", &["UDP", "GRE", "ESP", "ICMP"]),
+            Strategy::Single,
+        ),
+        (
+            chain(schema, "gre-ipv6", &["GRE", "IPv6"]),
+            Strategy::SingleLazy,
+        ),
+    ];
+    let thirds = [0, events.len() / 3, 2 * events.len() / 3, events.len()];
+
+    let sequential = StreamProcessor::new(schema.clone())
+        .with_statistics(false)
+        .with_purge_interval(256);
+    let runtime = ParallelStreamProcessor::new(
+        schema.clone(),
+        RuntimeConfig::with_workers(2)
+            .statistics(false)
+            .purge_interval(256),
+    );
+    let mut outcomes = Vec::new();
+    for mut front in [
+        Front::Seq(Box::new(sequential)),
+        Front::Par(Box::new(runtime)),
+    ] {
+        let mut matches = Vec::new();
+        for (q, s) in &narrow {
+            front.register(q.clone(), *s, Some(2_000));
+        }
+        let wide_ids: Vec<_> = wide
+            .iter()
+            .map(|(q, s)| front.register(q.clone(), *s, Some(8_000)))
+            .collect();
+        assert_eq!(front.retention(), Some(8_000));
+        front.feed(&events[thirds[0]..thirds[1]], &mut matches);
+        for id in wide_ids {
+            front.deregister(id);
+        }
+        assert_eq!(front.retention(), Some(2_000), "retention shrinks");
+        front.feed(&events[thirds[1]..thirds[2]], &mut matches);
+        for (q, s) in &wide {
+            front.register(q.clone(), *s, Some(8_000));
+        }
+        front.feed(&events[thirds[2]..thirds[3]], &mut matches);
+        let purged = front.partial_matches_purged();
+        assert!(
+            purged > 1_000,
+            "the purge passes removed only {purged} rows"
+        );
+        assert!(!matches.is_empty());
+        matches.sort();
+        outcomes.push(matches);
+    }
+    assert_eq!(outcomes[0], outcomes[1], "front ends disagree");
+}
+
+/// The two front ends behind the calls
+/// [`no_row_inside_its_window_references_an_expired_edge`] makes.
+enum Front {
+    Seq(Box<StreamProcessor>),
+    Par(Box<ParallelStreamProcessor>),
+}
+
+impl Front {
+    fn register(&mut self, q: QueryGraph, strategy: Strategy, window: Option<u64>) -> QueryId {
+        match self {
+            Front::Seq(p) => p.register(q, strategy, window),
+            Front::Par(p) => p.register(q, strategy, window),
+        }
+        .unwrap()
+    }
+
+    fn deregister(&mut self, id: QueryId) {
+        let engine = match self {
+            Front::Seq(p) => p.deregister(id),
+            Front::Par(p) => p.deregister(id),
+        };
+        assert!(engine.is_some());
+    }
+
+    fn feed(&mut self, events: &[EdgeEvent], sink: &mut Vec<(QueryId, SubgraphMatch)>) {
+        match self {
+            Front::Seq(p) => p.process_batch_into(events, sink),
+            Front::Par(p) => p.process_all_into(events, sink),
+        };
+    }
+
+    fn retention(&self) -> Option<u64> {
+        match self {
+            Front::Seq(p) => p.graph().window(),
+            Front::Par(p) => p.graph_retention(),
+        }
+    }
+
+    /// Rows the live engines' purge passes removed (deregistered engines'
+    /// counts leave with them).
+    fn partial_matches_purged(&mut self) -> u64 {
+        match self {
+            Front::Seq(p) => p.profile(),
+            Front::Par(p) => p.profile(),
+        }
+        .partial_matches_purged
+    }
 }
 
 #[test]
