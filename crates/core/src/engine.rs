@@ -26,11 +26,10 @@ use crate::profile::ProfileCounters;
 use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeData, EdgeType, VertexId};
 use sp_iso::{
-    find_matches_around_vertex_with, find_matches_containing_edge_with, SearchScratch,
-    SubgraphMatch, Vf2Matcher,
+    find_matches_around_vertex, find_matches_around_vertex_with, find_matches_containing_edge,
+    find_matches_containing_edge_with, SearchScratch, SubgraphMatch, Vf2Matcher,
 };
 use sp_query::QueryGraph;
-use sp_query::QuerySubgraph;
 use sp_selectivity::SelectivityEstimator;
 use sp_sjtree::{decompose, InsertTrace, MatchStore, NodeId, RowId, RowLayout, SjTree, StoreStats};
 use std::collections::VecDeque;
@@ -55,7 +54,8 @@ pub enum Served {
 /// Where the engine's per-edge leaf loop
 /// ([`ContinuousQueryEngine::process_edge_into`]) gets rows it need not
 /// compute itself. The loop stays the only one: it drops leaves the edge's
-/// type cannot match, evaluates the Lazy Search gate, and only then *pulls* —
+/// type cannot match, evaluates the Lazy Search gate, refuses searches the
+/// endpoints' type signatures prove empty, and only then *pulls* —
 /// per surviving leaf — from the source, which either answers
 /// [`Served::Declined`] or writes the leaf's matches straight into the
 /// engine's arena (`store`), in the engine's own numbering, handing each new
@@ -82,8 +82,9 @@ pub trait LeafSource {
         false
     }
 
-    /// Serves the leaf of selectivity rank `rank`, which the edge's type and
-    /// the Lazy Search gate both let through.
+    /// Serves the leaf of selectivity rank `rank`, which the edge's type,
+    /// the Lazy Search gate and the endpoints' type signatures all let
+    /// through.
     fn leaf_rows(
         &mut self,
         _rank: usize,
@@ -147,13 +148,13 @@ struct EngineScratch {
 /// the search on a node in the data graph, we also perform a subgraph search
 /// around the node", Section 4), queueing every match it finds as an insert
 /// at `leaf`, and returns `true`; returns `false` when the bit was already
-/// set (the probe already ran when it was set).
+/// set (the probe already ran when it was set). A probe `v`'s type signature
+/// proves empty is refused instead — the bit is set all the same.
 #[allow(clippy::too_many_arguments)]
 fn enable_with_probe(
     bitmap: &mut LazyBitmap,
     graph: &DynamicGraph,
-    query: &QueryGraph,
-    subgraph: &QuerySubgraph,
+    tree: &SjTree,
     v: VertexId,
     (leaf, rank): (NodeId, usize),
     profile: &mut ProfileCounters,
@@ -163,6 +164,15 @@ fn enable_with_probe(
 ) -> bool {
     if !bitmap.enable(v, rank) {
         return false;
+    }
+    let (query, subgraph) = (tree.query(), tree.subgraph(leaf));
+    if !tree.leaf_type_needs(rank).admits_vertex(graph, v) {
+        debug_assert!(
+            find_matches_around_vertex(graph, query, subgraph, v).is_empty(),
+            "a refused retroactive probe would have found a match"
+        );
+        profile.searches_rejected += 1;
+        return true;
     }
     let t = Instant::now();
     let queued = worklist.len();
@@ -402,7 +412,10 @@ impl ContinuousQueryEngine {
     ///
     /// Per leaf, in selectivity order, the engine (1) drops the leaf —
     /// uncounted — when the edge's type is not among the leaf's edge types,
-    /// (2) evaluates the Lazy Search gate, and (3) asks `source` for the
+    /// (2) evaluates the Lazy Search gate, (3) refuses the search —
+    /// counted in [`ProfileCounters::searches_rejected`] — when the
+    /// endpoints' type signatures prove it empty
+    /// ([`SjTree::leaf_type_needs`]), and (4) asks `source` for the
     /// leaf's rows ([`LeafSource::leaf_rows`]), running the anchored search
     /// itself when the source answers [`Served::Declined`]. When the
     /// source covers a prefix ([`LeafSource::prefix_depth`]), the leading
@@ -503,8 +516,7 @@ impl ContinuousQueryEngine {
                             enable_with_probe(
                                 bitmap,
                                 graph,
-                                &self.query,
-                                subgraph,
+                                tree,
                                 v,
                                 (leaf, rank),
                                 &mut self.profile,
@@ -513,6 +525,17 @@ impl ContinuousQueryEngine {
                                 worklist,
                             );
                         }
+                    }
+                    // A search the endpoints' type signatures prove empty is
+                    // refused before any clock read or pull.
+                    if !tree.leaf_type_needs(rank).admits_edge(graph, edge) {
+                        debug_assert!(
+                            find_matches_containing_edge(graph, &self.query, subgraph, edge)
+                                .is_empty(),
+                            "a refused leaf search would have found a match"
+                        );
+                        self.profile.searches_rejected += 1;
+                        continue;
                     }
                     // The per-edge anchored search (the LeafMatcher stage):
                     // pull its result from the source, or run it here.
@@ -574,8 +597,7 @@ impl ContinuousQueryEngine {
                             if !enable_with_probe(
                                 bitmap,
                                 graph,
-                                &self.query,
-                                next_subgraph,
+                                tree,
                                 dv,
                                 (next_leaf, next_rank),
                                 &mut self.profile,
@@ -604,8 +626,7 @@ impl ContinuousQueryEngine {
                                     enable_with_probe(
                                         bitmap,
                                         graph,
-                                        &self.query,
-                                        next_subgraph,
+                                        tree,
                                         self.scratch.neighbors[ni],
                                         (next_leaf, next_rank),
                                         &mut self.profile,
@@ -699,8 +720,10 @@ impl ContinuousQueryEngine {
             self.process_edge_into(graph, e, &mut SearchLocally, &mut discard);
         }
         let replay = std::mem::replace(&mut self.profile, live);
-        self.profile.replay_searches +=
-            replay.iso_searches + replay.retroactive_searches + replay.replay_searches;
+        self.profile.replay_searches += replay.iso_searches
+            + replay.retroactive_searches
+            + replay.searches_rejected
+            + replay.replay_searches;
         self.profile.replay_time += replay.iso_time + replay.update_time + replay.replay_time;
         self.profile
             .note_partial_matches(replay.peak_partial_matches);
@@ -881,7 +904,7 @@ mod tests {
     fn tree_with_leaf_order(q: &QueryGraph, order: &[usize]) -> sp_sjtree::SjTree {
         let leaves = order
             .iter()
-            .map(|&i| QuerySubgraph::from_edges(q, [sp_query::QueryEdgeId(i)]))
+            .map(|&i| sp_query::QuerySubgraph::from_edges(q, [sp_query::QueryEdgeId(i)]))
             .collect();
         sp_sjtree::SjTree::from_leaves(q.clone(), leaves)
     }

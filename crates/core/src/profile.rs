@@ -35,7 +35,9 @@ pub struct ProfileCounters {
     /// per-edge memo ([`ProfileCounters::leaf_searches_shared`] says how many
     /// were the last kind). A leaf whose edge types do not include the
     /// edge's type is dropped before the Lazy Search gate and counted
-    /// nowhere. (Until PR 24 such leaves were counted here, or in
+    /// nowhere; one the endpoints' type signatures refuse counts in
+    /// [`ProfileCounters::searches_rejected`] instead. (Before the engine
+    /// had one leaf loop, type-mismatched leaves were counted here, or in
     /// [`ProfileCounters::searches_skipped`] when gated off: on a typed pack
     /// like `lsbench_calm` that was 71 % of this counter. With every query
     /// on the shared leaf stage and no shared-join table live, this equals
@@ -44,9 +46,19 @@ pub struct ProfileCounters {
     pub iso_searches: u64,
     /// Number of leaf matches found by those searches.
     pub leaf_matches: u64,
-    /// Number of retroactive (vertex-anchored) searches triggered by enabling
-    /// a lazy leaf.
+    /// Number of retroactive (vertex-anchored) searches run on enabling a
+    /// lazy leaf; refused ones count in
+    /// [`ProfileCounters::searches_rejected`].
     pub retroactive_searches: u64,
+    /// Searches refused in O(1) because they provably find nothing: a leaf
+    /// search (type filter and Lazy Search gate passed) or a retroactive
+    /// probe whose anchor's sticky type signature lacks an edge type every
+    /// way of anchoring the leaf needs (`sp_iso::TypeNeeds`). Such a search
+    /// neither runs nor reaches the shared leaf stage, so
+    /// `iso_searches + retroactive_searches + searches_rejected` is what
+    /// those two counters read before the refusal existed: the searches the
+    /// plan demanded.
+    pub searches_rejected: u64,
     /// Number of searches skipped because the lazy bitmap had them disabled:
     /// gate-refused leaves whose edge types include the edge's type, i.e.
     /// searches that could have found something.
@@ -72,8 +84,9 @@ pub struct ProfileCounters {
     /// SJ-Tree by drift-triggered re-decomposition
     /// (`ContinuousQueryEngine::rebuild`).
     pub redecompositions: u64,
-    /// Anchored + retroactive searches performed while replaying the
-    /// retained graph during re-decompositions. Kept separate from
+    /// Anchored + retroactive searches the replay of the retained graph
+    /// demanded during re-decompositions, refused ones included. Kept
+    /// separate from
     /// [`ProfileCounters::iso_searches`] /
     /// [`ProfileCounters::retroactive_searches`] so the steady-state stream
     /// cost of a plan and the one-off cost of switching plans stay
@@ -130,6 +143,7 @@ impl ProfileCounters {
         self.iso_searches += other.iso_searches;
         self.leaf_matches += other.leaf_matches;
         self.retroactive_searches += other.retroactive_searches;
+        self.searches_rejected += other.searches_rejected;
         self.searches_skipped += other.searches_skipped;
         self.leaf_searches_shared += other.leaf_searches_shared;
         self.shared_join_emissions += other.shared_join_emissions;

@@ -376,7 +376,9 @@ fn shared_leaf_fanout(c: &mut Criterion) {
 /// LSBench stream, no shared-join table live, a sink that only counts rows.
 /// Each edge is ingested and handed to [`QueryRegistry::process_edge`]; the
 /// time inside those calls alone is printed per call, next to the iteration
-/// time (which includes the graph ingest).
+/// time (which includes the graph ingest), with the shared leaf stage's
+/// search counts and the leaf searches and retroactive probes the engines'
+/// type signatures refused.
 fn registry_dispatch(c: &mut Criterion) {
     struct CountRows(u64);
     impl RowSink for CountRows {
@@ -448,14 +450,19 @@ fn registry_dispatch(c: &mut Criterion) {
     group.bench_function("calm_like_dispatch", |b| b.iter(|| feed(&mut timed)));
     group.finish();
     let leaf = registry.shared_leaf_stats();
+    let refused: u64 = registry
+        .iter()
+        .map(|(_, engine)| engine.profile().searches_rejected)
+        .sum();
     println!(
         "bench registry/calm_like_dispatch: {:.0} ns per process_edge over {} edges \
-         ({} searches run, {} shared, {} delegated)",
+         ({} searches run, {} shared, {} delegated, {} refused)",
         timed.1.as_nanos() as f64 / timed.0 as f64,
         timed.0,
         leaf.searches_run,
         leaf.searches_shared,
-        leaf.searches_delegated
+        leaf.searches_delegated,
+        refused
     );
 }
 

@@ -360,14 +360,19 @@ pub fn partial_match_inserts(proc: &StreamProcessor) -> u64 {
 }
 
 /// A processor's leaf work so far, as `(leaf searches, leaf matches)`: the
-/// engines' anchored and retroactive searches and the leaf matches they
-/// found, plus the prefix leaf searches the shared join stage ran on its
-/// subscribers' behalf and the leaf matches those found. Re-decomposition
-/// replays are not included ([`ProfileCounters::replay_searches`]).
+/// anchored and retroactive searches the engines' plans demanded — run, or
+/// refused by the type signatures ([`ProfileCounters::searches_rejected`])
+/// — and the leaf matches they found, plus the prefix leaf searches the
+/// shared join stage ran on its subscribers' behalf and the leaf matches
+/// those found. Re-decomposition replays are not included
+/// ([`ProfileCounters::replay_searches`]).
 pub fn leaf_work(proc: &StreamProcessor) -> (u64, u64) {
     let (profile, join) = (proc.profile(), proc.shared_join_stats());
     (
-        profile.iso_searches + profile.retroactive_searches + join.searches_run,
+        profile.iso_searches
+            + profile.retroactive_searches
+            + profile.searches_rejected
+            + join.searches_run,
         profile.leaf_matches + join.leaf_matches,
     )
 }

@@ -14,7 +14,10 @@
 //!   keeps its adjacency inline, so a short-lived vertex costs no heap
 //!   allocation to create or to drop. Expiry reports only how many edges
 //!   went: the engine's partial-match stores expire by their own windows,
-//!   which the graph's retention covers.
+//!   which the graph's retention covers;
+//! * a search that cannot match must be cheap to rule out: every vertex
+//!   keeps a [`TypeSignature`] of the edge types it has had, by direction,
+//!   which insertion sets and nothing clears while the vertex lives.
 
 use crate::error::GraphError;
 use crate::hash::FastMap;
@@ -133,11 +136,43 @@ impl EdgeList {
     }
 }
 
+/// A vertex's sticky type signature: bit `t % 64` of `out_types`
+/// (`in_types`) is set by every edge of type `t` that leaves (enters) the
+/// vertex, and no bit is cleared while the vertex lives; a re-created vertex
+/// starts at zero. A **clear** bit therefore proves the vertex has no live
+/// edge of that type in that direction, which lets an anchored search that
+/// needs such an edge be refused without running. A set bit proves nothing:
+/// the edge may have expired, or another type may share the bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeSignature {
+    /// Types of the edges leaving the vertex, one bit per `type % 64`.
+    pub out_types: u64,
+    /// Types of the edges entering the vertex, likewise.
+    pub in_types: u64,
+}
+
+impl TypeSignature {
+    /// The mask bit of edge type `t`.
+    pub fn bit(t: EdgeType) -> u64 {
+        1 << (t.0 % 64)
+    }
+
+    /// Whether every bit of `need` is set here, direction by direction.
+    pub fn covers(self, need: TypeSignature) -> bool {
+        self.out_types & need.out_types == need.out_types
+            && self.in_types & need.in_types == need.in_types
+    }
+}
+
 /// Per-vertex adjacency record.
 #[derive(Debug, Clone, Default)]
 pub struct VertexData {
     /// Interned vertex type.
     pub vertex_type: VertexType,
+    /// Every edge type the vertex has had since it was created, by
+    /// direction. Set by [`DynamicGraph::add_edge`], left alone by expiry
+    /// and removal.
+    signature: TypeSignature,
     /// Ids of edges whose source is this vertex.
     out_edges: EdgeList,
     /// Ids of edges whose destination is this vertex.
@@ -145,6 +180,11 @@ pub struct VertexData {
 }
 
 impl VertexData {
+    /// The vertex's sticky type signature (see [`TypeSignature`]).
+    pub fn type_signature(&self) -> TypeSignature {
+        self.signature
+    }
+
     /// Ids of the edges whose source is this vertex.
     pub fn out_edges(&self) -> &[EdgeId] {
         self.out_edges.as_slice()
@@ -339,16 +379,19 @@ impl DynamicGraph {
             timestamp,
         };
         self.edges.insert(id, data);
-        self.vertices
+        let bit = TypeSignature::bit(edge_type);
+        let source = self
+            .vertices
             .get_mut(&src)
-            .expect("source vertex must exist")
-            .out_edges
-            .push(id);
-        self.vertices
+            .expect("source vertex must exist");
+        source.out_edges.push(id);
+        source.signature.out_types |= bit;
+        let target = self
+            .vertices
             .get_mut(&dst)
-            .expect("destination vertex must exist")
-            .in_edges
-            .push(id);
+            .expect("destination vertex must exist");
+        target.in_edges.push(id);
+        target.signature.in_types |= bit;
         self.expiry.push(id, timestamp);
         if timestamp > self.latest_ts {
             self.latest_ts = timestamp;
@@ -447,6 +490,15 @@ impl DynamicGraph {
     /// Returns the type of a vertex.
     pub fn vertex_type(&self, id: VertexId) -> Option<VertexType> {
         self.vertices.get(&id).map(|v| v.vertex_type)
+    }
+
+    /// The sticky type signature of a vertex; all bits clear for an unknown
+    /// vertex, which has no edge at all.
+    pub fn type_signature(&self, id: VertexId) -> TypeSignature {
+        self.vertices
+            .get(&id)
+            .map(VertexData::type_signature)
+            .unwrap_or_default()
     }
 
     /// Returns `true` if the vertex is present.

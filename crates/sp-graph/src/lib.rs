@@ -46,7 +46,7 @@ mod window;
 pub use clock::monotonic_nanos;
 pub use error::GraphError;
 pub use event::EdgeEvent;
-pub use graph::{DegreeStats, DynamicGraph, EdgeData, IncidentEdge, VertexData};
+pub use graph::{DegreeStats, DynamicGraph, EdgeData, IncidentEdge, TypeSignature, VertexData};
 pub use hash::{FastHasher, FastMap, FastState};
 pub use ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 pub use schema::Schema;

@@ -7,7 +7,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sp_graph::{DynamicGraph, EdgeId, EdgeType, Schema, Timestamp, VertexId, VertexType};
+use sp_graph::{
+    DynamicGraph, EdgeId, EdgeType, Schema, Timestamp, TypeSignature, VertexId, VertexType,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A compact description of a random edge stream.
@@ -285,6 +287,93 @@ fn expire_leaves_exactly_the_window_and_keeps_adjacency_order() {
             && cov.shrunk_after_spill > 0
             && cov.expired > 0,
         "the streams missed a case: {cov:?}"
+    );
+}
+
+/// The sticky type signature: bit `t % 64` of a vertex's out (in) mask is
+/// set by exactly the edges of type `t` added out of (into) it since the
+/// vertex was last created, so a clear bit proves it has no live edge of
+/// that type in that direction — through late edges, explicit removals,
+/// expiry, types 64 apart that share a bit, and vertices that die and come
+/// back with an empty signature.
+#[test]
+fn clear_signature_bit_means_no_live_edge_of_that_type() {
+    let (mut late, mut removed, mut expired, mut recreated) = (0, 0, 0, 0);
+    for seed in 0..100u64 {
+        let mut rng = SmallRng::seed_from_u64(0x5161 ^ seed);
+        let w = rng.gen_range(1u64..60);
+        let mut schema = Schema::new();
+        let vt = schema.intern_vertex_type("v");
+        let mut g = DynamicGraph::with_window(schema, w);
+        // Per live vertex, the (out, in) masks its edges since creation set.
+        let mut expected: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut dead: HashSet<u64> = HashSet::new();
+        let mut added: Vec<EdgeId> = Vec::new();
+        let mut clock = 0u64;
+        for _ in 0..rng.gen_range(50usize..300) {
+            match rng.gen_range(0u32..10) {
+                0 if !added.is_empty() => {
+                    removed +=
+                        usize::from(g.remove_edge(added[rng.gen_range(0..added.len())]).is_ok());
+                }
+                1 => expired += g.expire(),
+                _ => {
+                    let (src, dst) = (rng.gen_range(0u64..10), rng.gen_range(0u64..10));
+                    let t = [0u32, 1, 2, 64, 66][rng.gen_range(0usize..5)];
+                    clock += rng.gen_range(0u64..3);
+                    let ts = if rng.gen_bool(0.2) {
+                        late += 1;
+                        clock.saturating_sub(rng.gen_range(1..=w))
+                    } else {
+                        clock
+                    };
+                    for v in [src, dst] {
+                        recreated += usize::from(dead.remove(&v));
+                        g.ensure_vertex(VertexId(v), vt).unwrap();
+                    }
+                    added.push(g.add_edge(
+                        VertexId(src),
+                        VertexId(dst),
+                        EdgeType(t),
+                        Timestamp(ts),
+                    ));
+                    let bit = 1u64 << (t % 64);
+                    expected.entry(src).or_default().0 |= bit;
+                    expected.entry(dst).or_default().1 |= bit;
+                }
+            }
+            expected.retain(|&v, _| {
+                let live = g.contains_vertex(VertexId(v));
+                if !live {
+                    dead.insert(v);
+                }
+                live
+            });
+            for (&v, &(out_types, in_types)) in &expected {
+                let sig = g.type_signature(VertexId(v));
+                assert_eq!(
+                    (sig.out_types, sig.in_types),
+                    (out_types, in_types),
+                    "seed {seed}: vertex {v}"
+                );
+            }
+            for &v in &dead {
+                assert_eq!(g.type_signature(VertexId(v)), TypeSignature::default());
+            }
+            for e in g.edges() {
+                let bit = TypeSignature::bit(e.edge_type);
+                assert!(
+                    g.type_signature(e.src).out_types & bit != 0
+                        && g.type_signature(e.dst).in_types & bit != 0,
+                    "seed {seed}: live {e:?} behind a clear bit"
+                );
+            }
+        }
+    }
+    assert!(
+        late > 0 && removed > 0 && expired > 0 && recreated > 0,
+        "the streams missed a case: late {late}, removed {removed}, \
+         expired {expired}, recreated {recreated}"
     );
 }
 

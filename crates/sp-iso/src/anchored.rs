@@ -9,8 +9,74 @@
 //! as analysed in Appendix A.
 
 use crate::match_map::SubgraphMatch;
-use sp_graph::{DynamicGraph, EdgeData, VertexId};
+use sp_graph::{DynamicGraph, EdgeData, EdgeType, TypeSignature, VertexId};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
+
+/// The edge types a match of one subgraph needs around each data vertex it
+/// binds: for every query vertex, the `(out, in)` type masks of its incident
+/// subgraph edges, as a [`TypeSignature`]. A data vertex whose sticky
+/// signature ([`DynamicGraph::type_signature`]) does not cover a query
+/// vertex's needs lacks some edge that vertex's match must bind, so the
+/// anchored searches can be refused in O(1) — before any binding — whenever
+/// no way of anchoring them passes this test. A refused search is one that
+/// provably finds nothing; an admitted one may still find nothing.
+#[derive(Debug, Clone)]
+pub struct TypeNeeds {
+    /// Per edge of the subgraph: its type and the needs of its source and
+    /// target. Every subgraph vertex is an endpoint of a subgraph edge, so
+    /// these are also the needs of every vertex.
+    edges: Vec<(EdgeType, TypeSignature, TypeSignature)>,
+}
+
+impl TypeNeeds {
+    /// Derives the needs of `subgraph` (a subgraph of `query`).
+    pub fn of(query: &QueryGraph, subgraph: &QuerySubgraph) -> Self {
+        let need = |qv| {
+            let mut need = TypeSignature::default();
+            for qe in subgraph.edges() {
+                let e = query.edge(qe);
+                let bit = TypeSignature::bit(e.edge_type);
+                if e.src == qv {
+                    need.out_types |= bit;
+                }
+                if e.dst == qv {
+                    need.in_types |= bit;
+                }
+            }
+            need
+        };
+        Self {
+            edges: subgraph
+                .edges()
+                .map(|qe| {
+                    let e = query.edge(qe);
+                    (e.edge_type, need(e.src), need(e.dst))
+                })
+                .collect(),
+        }
+    }
+
+    /// Whether [`find_matches_containing_edge_with`] may find a match for
+    /// `data_edge`: some subgraph edge of its type has both endpoint needs
+    /// covered by the data edge's endpoints. `false` proves it finds none.
+    pub fn admits_edge(&self, graph: &DynamicGraph, data_edge: &EdgeData) -> bool {
+        let src = graph.type_signature(data_edge.src);
+        let dst = graph.type_signature(data_edge.dst);
+        self.edges
+            .iter()
+            .any(|&(t, s, d)| t == data_edge.edge_type && src.covers(s) && dst.covers(d))
+    }
+
+    /// Whether [`find_matches_around_vertex_with`] may find a match around
+    /// `data_vertex`: some subgraph vertex's needs are covered by its
+    /// signature. `false` proves it finds none.
+    pub fn admits_vertex(&self, graph: &DynamicGraph, data_vertex: VertexId) -> bool {
+        let sig = graph.type_signature(data_vertex);
+        self.edges
+            .iter()
+            .any(|&(_, s, d)| sig.covers(s) || sig.covers(d))
+    }
+}
 
 /// Returns `true` when `data_edge` can be bound to query edge `qe`:
 /// edge types are equal and both endpoint vertex types are acceptable.
@@ -594,6 +660,80 @@ mod tests {
         find_matches_containing_edge_into(&g, &q, &whole, &e, &mut fresh_scratch, &mut cold);
         assert_eq!(warm, cold);
         assert_eq!(warm, find_matches_containing_edge(&g, &q, &whole, &e));
+    }
+
+    /// Refusal is sound: over seeded graphs and connected leaves of one to
+    /// three edges — in and out wedges, paths, self-loops, repeated types,
+    /// and types 64 apart that share a signature bit — a search
+    /// [`TypeNeeds`] refuses finds nothing, anchored at an edge or at a
+    /// vertex (live or gone).
+    #[test]
+    fn refused_searches_find_nothing() {
+        const TYPES: [u32; 4] = [0, 1, 64, 65];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = move |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let (mut refused_edges, mut refused_vertices, mut found) = (0, 0, 0);
+        for case in 0..200 {
+            let mut schema = Schema::new();
+            let vt = schema.intern_vertex_type("v");
+            let mut g = DynamicGraph::new(schema);
+            let vs: Vec<_> = (0..8).map(|_| g.add_vertex(vt)).collect();
+            let ids: Vec<_> = (0..20)
+                .map(|ts| {
+                    let (s, d) = (vs[draw(8)], vs[draw(8)]);
+                    g.add_edge(s, d, EdgeType(TYPES[draw(4)]), Timestamp(ts))
+                })
+                .collect();
+            // A removed edge leaves its bits set, and a vertex it isolates
+            // goes: signatures over-approximate what is live.
+            for _ in 0..4 {
+                let _ = g.remove_edge(ids[draw(ids.len())]);
+            }
+
+            let mut q = QueryGraph::new("leaf");
+            let mut qvs = vec![q.add_any_vertex()];
+            for _ in 0..=draw(3) {
+                let from = qvs[draw(qvs.len())];
+                let to = match draw(3) {
+                    0 => from,
+                    1 => qvs[draw(qvs.len())],
+                    _ => {
+                        qvs.push(q.add_any_vertex());
+                        qvs[qvs.len() - 1]
+                    }
+                };
+                let (src, dst) = if draw(2) == 0 { (from, to) } else { (to, from) };
+                q.add_edge(src, dst, EdgeType(TYPES[draw(4)]));
+            }
+            let leaf = QuerySubgraph::from_edges(&q, q.edge_ids());
+            let needs = TypeNeeds::of(&q, &leaf);
+
+            for e in g.edges() {
+                let matches = find_matches_containing_edge(&g, &q, &leaf, e);
+                found += matches.len();
+                if !needs.admits_edge(&g, e) {
+                    assert!(matches.is_empty(), "case {case}: refused {e:?} matches");
+                    refused_edges += 1;
+                }
+            }
+            for &v in &vs {
+                let matches = find_matches_around_vertex(&g, &q, &leaf, v);
+                found += matches.len();
+                if !needs.admits_vertex(&g, v) {
+                    assert!(matches.is_empty(), "case {case}: refused {v:?} matches");
+                    refused_vertices += 1;
+                }
+            }
+        }
+        assert!(
+            refused_edges > 0 && refused_vertices > 0 && found > 0,
+            "refused {refused_edges} edge / {refused_vertices} vertex searches, found {found}"
+        );
     }
 
     #[test]

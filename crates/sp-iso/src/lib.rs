@@ -11,7 +11,8 @@
 //! * [`anchored`] — local search: find every match of a small connected query
 //!   subgraph that *contains a given data edge* or *touches a given data
 //!   vertex*. This is the `SUBGRAPH-ISO(Gd, gqsub, es)` routine invoked for
-//!   every incoming edge in Algorithms 1 and 3.
+//!   every incoming edge in Algorithms 1 and 3. [`TypeNeeds`] refuses, in
+//!   O(1), the searches whose anchor lacks an edge type the subgraph needs.
 //! * [`vf2`] — full-graph enumeration used by the non-incremental baseline
 //!   ("perform subgraph isomorphism for the query graph using VF2 on every
 //!   new edge", Section 6).
@@ -29,7 +30,7 @@ pub mod vf2;
 pub use anchored::{
     find_matches_around_vertex, find_matches_around_vertex_into, find_matches_around_vertex_with,
     find_matches_containing_edge, find_matches_containing_edge_into,
-    find_matches_containing_edge_with, SearchScratch,
+    find_matches_containing_edge_with, SearchScratch, TypeNeeds,
 };
 pub use match_map::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE, MATCH_INLINE_BINDINGS};
 pub use vf2::Vf2Matcher;

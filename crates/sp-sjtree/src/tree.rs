@@ -3,6 +3,7 @@
 use crate::node::{NodeId, SjTreeNode};
 use serde::{Deserialize, Serialize};
 use sp_graph::{EdgeType, Schema};
+use sp_iso::TypeNeeds;
 use sp_query::{QueryGraph, QuerySubgraph};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -24,6 +25,10 @@ pub struct SjTree {
     /// Derived from the leaves (never persisted).
     #[serde(skip)]
     leaf_edge_types: Vec<Vec<EdgeType>>,
+    /// The per-vertex type needs of each leaf, by selectivity rank. Derived
+    /// likewise.
+    #[serde(skip)]
+    leaf_type_needs: Vec<TypeNeeds>,
     /// Distinct edge types of the whole query, ascending. Derived likewise.
     #[serde(skip)]
     edge_types: Vec<EdgeType>,
@@ -116,16 +121,22 @@ impl SjTree {
             leaves: leaf_ids,
             root: current,
             leaf_edge_types: Vec::new(),
+            leaf_type_needs: Vec::new(),
             edge_types: Vec::new(),
         }
         .with_edge_types()
     }
 
-    /// Fills in the per-leaf and whole-tree edge-type lists.
+    /// Fills in the per-leaf and whole-tree edge-type lists and the
+    /// per-leaf type needs.
     fn with_edge_types(mut self) -> Self {
         self.leaf_edge_types = self
             .leaf_subgraphs()
             .map(|leaf| sorted_distinct(leaf.edges().map(|e| self.query.edge(e).edge_type)))
+            .collect();
+        self.leaf_type_needs = self
+            .leaf_subgraphs()
+            .map(|leaf| TypeNeeds::of(&self.query, leaf))
             .collect();
         self.edge_types = sorted_distinct(self.leaf_edge_types.iter().flatten().copied());
         self
@@ -181,6 +192,12 @@ impl SjTree {
     /// leaf, so no search anchored at it need run.
     pub fn leaf_edge_types(&self, rank: usize) -> &[EdgeType] {
         &self.leaf_edge_types[rank]
+    }
+
+    /// The type needs of the leaf with the given selectivity rank: what
+    /// refuses, in O(1), the leaf's anchored searches that cannot match.
+    pub fn leaf_type_needs(&self, rank: usize) -> &TypeNeeds {
+        &self.leaf_type_needs[rank]
     }
 
     /// The distinct edge types of the whole query, ascending.

@@ -300,6 +300,8 @@ fn late_subscriber_to_an_existing_leaf_sees_only_post_registration_matches() {
 /// * rank 3 (`B`, any → host) is a shape only `focus` has: handed back to it;
 /// * rank 4 (`B` out of a host; with `wedge`, the 2-edge leaf `B, C`) is
 ///   gated off under Lazy Search — nothing has enabled it around the edge;
+///   without it, the wedge is refused by the type signatures: the edge's
+///   target has no outgoing `C` edge yet;
 /// * the remaining leaves (`C`, `A`) do not contain the edge's type.
 struct LoopPack {
     schema: Schema,
@@ -409,11 +411,12 @@ fn loop_pack(wedge: bool, lazy: bool) -> LoopPack {
 
 #[test]
 fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
-    for (wedge, lazy, label) in [
-        (false, false, Strategy::Single),
-        (false, true, Strategy::SingleLazy),
-        (true, false, Strategy::Path),
-        (true, true, Strategy::PathLazy),
+    // (.., retroactive probes demanded around the probed edge, refused)
+    for (wedge, lazy, label, probes, probes_refused) in [
+        (false, false, Strategy::Single, 0, 0),
+        (false, true, Strategy::SingleLazy, 10, 3),
+        (true, false, Strategy::Path, 0, 0),
+        (true, true, Strategy::PathLazy, 11, 4),
     ] {
         let LoopPack {
             schema,
@@ -465,21 +468,33 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
             "{label}: rank 2 served from the memo"
         );
         let gated = u64::from(lazy);
+        let rejected = u64::from(wedge && !lazy);
         assert_eq!(
             p1.searches_skipped - p0.searches_skipped,
             gated,
             "{label}: rank 4 gated off iff lazy"
         );
+        // Under Lazy Search the rows this edge inserts enable later leaves
+        // around their vertices: each fresh enablement's probe is run, or
+        // refused when the vertex lacks an edge type the leaf needs there.
+        assert_eq!(
+            (
+                p1.searches_rejected - p0.searches_rejected,
+                p1.retroactive_searches - p0.retroactive_searches,
+            ),
+            (rejected + probes_refused, probes - probes_refused),
+            "{label}: an open rank-4 wedge and the probes of `B`-less vertices are refused"
+        );
         // Ranks 2, 3 and 4 contain the edge's type; the leaves behind them
         // do not and move no counter.
         assert_eq!(
             p1.iso_searches - p0.iso_searches,
-            3 - gated,
+            3 - gated - rejected,
             "{label}: only leaves of the edge's type reach a search"
         );
         assert_eq!(
             l1.searches_delegated - l0.searches_delegated,
-            2 - gated,
+            2 - gated - rejected,
             "{label}: single-subscriber shapes are handed back"
         );
         assert_eq!(
