@@ -43,7 +43,8 @@ pub enum Served {
     /// own numbering.
     Declined,
     /// The source ran the (canonical) search on this engine's behalf and
-    /// queued its matches; the search's wall time is charged to this engine.
+    /// queued its matches; the search's wall time is charged to this engine
+    /// (zero when the source is not [`LeafSource::timed`]).
     Searched(Duration),
     /// The source queued the matches of a search another subscriber of the
     /// same leaf shape already triggered for this edge: this engine's own
@@ -64,6 +65,14 @@ pub enum Served {
 /// subscriber's prefix rows from its prefix table; [`SearchLocally`] is the
 /// source of an engine run on its own.
 pub trait LeafSource {
+    /// Whether the engine times its searches and inserts into
+    /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`] for
+    /// this edge: asked once per edge. The registry's source answers whether
+    /// metrics are attached, so an un-metered pipeline reads no clock.
+    fn timed(&self) -> bool {
+        false
+    }
+
     /// Number of leading leaves (selectivity ranks `0..depth`) a shared
     /// prefix table evaluates on the engine's behalf — searches, inserts and
     /// internal joins: `0` for none, else `2 <= depth < leaves`. The engine
@@ -98,7 +107,7 @@ pub trait LeafSource {
 }
 
 /// The [`LeafSource`] with nothing to share — the trait's defaults: every
-/// leaf is searched by the engine itself. What
+/// leaf is searched by the engine itself, untimed. What
 /// [`ContinuousQueryEngine::process_edge`] and the rebuild replay run with.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchLocally;
@@ -149,7 +158,8 @@ struct EngineScratch {
 /// around the node", Section 4), queueing every match it finds as an insert
 /// at `leaf`, and returns `true`; returns `false` when the bit was already
 /// set (the probe already ran when it was set). A probe `v`'s type signature
-/// proves empty is refused instead — the bit is set all the same.
+/// proves empty is refused instead — the bit is set all the same. `timed`
+/// charges the probe's wall time to [`ProfileCounters::iso_time`].
 #[allow(clippy::too_many_arguments)]
 fn enable_with_probe(
     bitmap: &mut LazyBitmap,
@@ -158,6 +168,7 @@ fn enable_with_probe(
     v: VertexId,
     (leaf, rank): (NodeId, usize),
     profile: &mut ProfileCounters,
+    timed: bool,
     search: &mut SearchScratch,
     store: &mut MatchStore,
     worklist: &mut VecDeque<(NodeId, RowId)>,
@@ -174,15 +185,22 @@ fn enable_with_probe(
         profile.searches_rejected += 1;
         return true;
     }
-    let t = Instant::now();
+    let t = timed.then(Instant::now);
     let queued = worklist.len();
     find_matches_around_vertex_with(graph, query, subgraph, v, search, |m| {
         worklist.push_back((leaf, store.encode(m)));
     });
-    profile.iso_time += t.elapsed();
+    add_elapsed(&mut profile.iso_time, t);
     profile.retroactive_searches += 1;
     profile.leaf_matches += (worklist.len() - queued) as u64;
     true
+}
+
+/// Adds the wall time since `since` to `total`, if the clock was started.
+fn add_elapsed(total: &mut Duration, since: Option<Instant>) {
+    if let Some(t) = since {
+        *total += t.elapsed();
+    }
 }
 
 /// Structural equality of two query graphs (same vertices with the same
@@ -428,7 +446,12 @@ impl ContinuousQueryEngine {
     /// probes, the recursive hash join, windowing — in the same order, so the
     /// reported match multiset does not depend on it.
     ///
-    /// The VF2 baseline ignores the source (it has no leaves to share).
+    /// Searches, probes and inserts are timed into
+    /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`] only
+    /// when `source` is [`LeafSource::timed`]; otherwise no clock is read.
+    ///
+    /// The VF2 baseline ignores the source (it has no leaves to share)
+    /// except for asking whether to time its search.
     pub fn process_edge_into(
         &mut self,
         graph: &DynamicGraph,
@@ -440,13 +463,15 @@ impl ContinuousQueryEngine {
         self.profile.edges_processed += 1;
         let window = self.window;
         let layout = self.row_layout();
+        // The §6.4 timers run only when the source says so (metrics on).
+        let timed = source.timed();
         match &mut self.backend {
             Backend::Vf2 { matcher } => {
-                let t0 = Instant::now();
+                let t0 = timed.then(Instant::now);
                 // The baseline re-runs full-graph subgraph isomorphism on
                 // every edge and keeps the embeddings that use the new edge.
                 let all = matcher.find_all(graph);
-                self.profile.iso_time += t0.elapsed();
+                add_elapsed(&mut self.profile.iso_time, t0);
                 self.profile.iso_searches += 1;
                 for m in all {
                     if m.uses_data_edge(edge.id) && window.is_none_or(|tw| m.within_window(tw)) {
@@ -520,6 +545,7 @@ impl ContinuousQueryEngine {
                                 v,
                                 (leaf, rank),
                                 &mut self.profile,
+                                timed,
                                 &mut self.scratch.search,
                                 store,
                                 worklist,
@@ -552,7 +578,7 @@ impl ContinuousQueryEngine {
                         // Each match the search visits goes from its working
                         // binding straight into an arena row.
                         Served::Declined => {
-                            let t0 = Instant::now();
+                            let t0 = timed.then(Instant::now);
                             find_matches_containing_edge_with(
                                 graph,
                                 &self.query,
@@ -561,7 +587,7 @@ impl ContinuousQueryEngine {
                                 &mut self.scratch.search,
                                 |m| worklist.push_back((leaf, store.encode(m))),
                             );
-                            self.profile.iso_time += t0.elapsed();
+                            add_elapsed(&mut self.profile.iso_time, t0);
                         }
                     }
                     self.profile.leaf_matches += (worklist.len() - queued) as u64;
@@ -575,9 +601,9 @@ impl ContinuousQueryEngine {
                 while let Some((node, row)) = worklist.pop_front() {
                     let trace = &mut self.scratch.trace;
                     trace.clear();
-                    let t0 = Instant::now();
+                    let t0 = timed.then(Instant::now);
                     store.insert_row(tree, node, row, window, complete, lazy.then_some(trace));
-                    self.profile.update_time += t0.elapsed();
+                    add_elapsed(&mut self.profile.update_time, t0);
 
                     for item in 0..self.scratch.trace.len() {
                         let node = self.scratch.trace.node(item);
@@ -601,6 +627,7 @@ impl ContinuousQueryEngine {
                                 dv,
                                 (next_leaf, next_rank),
                                 &mut self.profile,
+                                timed,
                                 &mut self.scratch.search,
                                 store,
                                 worklist,
@@ -630,6 +657,7 @@ impl ContinuousQueryEngine {
                                         self.scratch.neighbors[ni],
                                         (next_leaf, next_rank),
                                         &mut self.profile,
+                                        timed,
                                         &mut self.scratch.search,
                                         store,
                                         worklist,
@@ -693,7 +721,10 @@ impl ContinuousQueryEngine {
     /// [`ProfileCounters::replay_time`] counters — the ordinary per-stream
     /// counters keep describing the live stream only, so steady-state plan
     /// cost and one-off switching cost stay individually visible — and
-    /// [`ProfileCounters::redecompositions`] is incremented.
+    /// [`ProfileCounters::redecompositions`] is incremented. The replay
+    /// itself runs untimed ([`SearchLocally`]); `replay_time` is one clock
+    /// pair around the whole replay, read whether or not metrics are
+    /// attached, since a rebuild is a rare control-plane operation.
     ///
     /// # Errors
     /// [`EngineError::RebuildMismatch`] when `strategy` has no SJ-Tree (the
@@ -716,15 +747,17 @@ impl ContinuousQueryEngine {
         // profile, then fold it into the dedicated replay counters.
         let live = std::mem::take(&mut self.profile);
         let mut discard = Vec::new();
+        let started = Instant::now();
         for e in &edges {
             self.process_edge_into(graph, e, &mut SearchLocally, &mut discard);
         }
+        let replay_time = started.elapsed();
         let replay = std::mem::replace(&mut self.profile, live);
         self.profile.replay_searches += replay.iso_searches
             + replay.retroactive_searches
             + replay.searches_rejected
             + replay.replay_searches;
-        self.profile.replay_time += replay.iso_time + replay.update_time + replay.replay_time;
+        self.profile.replay_time += replay_time;
         self.profile
             .note_partial_matches(replay.peak_partial_matches);
         self.profile.redecompositions += 1;
@@ -935,6 +968,8 @@ mod tests {
             .rebuild(Strategy::SingleLazy, flipped, &graph)
             .unwrap();
         assert_eq!(engine.profile().redecompositions, 1);
+        // The replay is timed as a whole, with or without metrics.
+        assert!(engine.profile().replay_time > Duration::ZERO);
         // Under the flipped lazy plan the esp leaf is rank 1 and gated off
         // until a tcp match enables it — the replayed store may legitimately
         // be empty; what matters is the continuation below.
@@ -946,6 +981,13 @@ mod tests {
         let e = graph.add_edge(b, c, tcp, Timestamp(20));
         let data = *graph.edge(e).unwrap();
         assert_eq!(engine.process_edge(&graph, &data).len(), 1);
+        // A standalone engine searches through `SearchLocally`, which is
+        // untimed: the live stream's searches, probes and inserts read no
+        // clock.
+        let live = engine.profile();
+        assert!(live.iso_searches > 0 && live.retroactive_searches > 0);
+        assert_eq!(live.iso_time, Duration::ZERO);
+        assert_eq!(live.update_time, Duration::ZERO);
     }
 
     #[test]

@@ -23,6 +23,14 @@
 //! Every handle is an `Arc`-backed atomic, so cloning the bundle into the
 //! runtime's worker replicas aggregates all shards into one set of series.
 //!
+//! Attaching the bundle is the one switch for every clock read on the
+//! per-edge path. It also turns on the engines' own end-of-run split,
+//! [`ProfileCounters`](crate::ProfileCounters)`::{iso_time, update_time}`:
+//! with metrics on, every anchored search, retroactive probe and worklist
+//! insert an engine runs, and every canonical search the shared leaf stage
+//! runs for it, is bracketed by a clock pair; with metrics off none is,
+//! both fields read zero, and the per-edge path reads no clock at all.
+//!
 //! # Span boundaries
 //!
 //! The registry's stage spans are laps of one clock ([`StageClock`]): each
@@ -61,7 +69,9 @@ use std::time::Instant;
 ///
 /// Attach with
 /// [`StreamProcessor::with_metrics`](crate::StreamProcessor::with_metrics);
-/// when absent, the hot path pays a single branch.
+/// when absent, the hot path pays a single branch and reads no clock —
+/// the engines' [`ProfileCounters`](crate::ProfileCounters) timers
+/// included.
 #[derive(Debug, Clone)]
 pub struct PipelineMetrics {
     /// Events ingested (`stream.edges_total`).
@@ -146,6 +156,12 @@ pub(crate) struct StageClock<'a>(Option<(&'a PipelineMetrics, Instant)>);
 impl<'a> StageClock<'a> {
     pub(crate) fn start(metrics: Option<&'a PipelineMetrics>) -> Self {
         Self(metrics.map(|m| (m, Instant::now())))
+    }
+
+    /// Whether metrics are attached: the one switch for every clock read on
+    /// the per-edge path, the engine's §6.4 timers included.
+    pub(crate) fn is_on(&self) -> bool {
+        self.0.is_some()
     }
 
     pub(crate) fn charge(&mut self, stage: impl FnOnce(&'a PipelineMetrics) -> &'a Counter) {

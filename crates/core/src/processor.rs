@@ -88,8 +88,12 @@ impl StreamProcessor {
     /// Attaches telemetry (off by default): every processed edge records
     /// per-stage timing spans and every reported match records its
     /// detection latency into the bundle's histograms — see
-    /// [`PipelineMetrics`] for the metric catalogue. With metrics off the
-    /// hot path pays one branch and reads no clock.
+    /// [`PipelineMetrics`] for the metric catalogue — and the engines time
+    /// their searches and inserts into [`ProfileCounters::iso_time`] /
+    /// [`ProfileCounters::update_time`] (the §6.4 split). With metrics off
+    /// the hot path pays one branch per edge and reads no clock, the
+    /// engines' included: those two timers read zero, every count is the
+    /// same.
     pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
         self.shard.set_metrics(Some(metrics));
         self
@@ -409,6 +413,7 @@ mod tests {
     #[test]
     fn metrics_record_stages_and_latency_without_changing_matches() {
         use sp_metrics::MetricsRegistry;
+        use std::time::Duration;
 
         let events: Vec<EdgeEvent> = {
             let (schema, _) = simple_setup(Strategy::SingleLazy, None);
@@ -438,15 +443,29 @@ mod tests {
                 }
             }
             got.sort();
-            got
+            (got, proc.profile())
         };
 
         let reg = MetricsRegistry::new();
-        let with = run(Some(&reg));
-        let without = run(None);
-        // Telemetry is observation only: identical match multiset.
+        let (with, on) = run(Some(&reg));
+        let (without, off) = run(None);
+        // Telemetry is observation only: identical match multiset and
+        // identical counts.
         assert_eq!(with, without);
         assert!(!with.is_empty(), "test stream should produce matches");
+        let counts = |p: &ProfileCounters| ProfileCounters {
+            iso_time: Duration::ZERO,
+            update_time: Duration::ZERO,
+            replay_time: Duration::ZERO,
+            ..p.clone()
+        };
+        assert_eq!(format!("{:?}", counts(&on)), format!("{:?}", counts(&off)));
+        // Metrics are the one switch for the engines' §6.4 timers: off,
+        // not a single clock read lands in them; on, both ran.
+        assert_eq!(off.iso_time, Duration::ZERO);
+        assert_eq!(off.update_time, Duration::ZERO);
+        assert!(on.iso_time > Duration::ZERO, "{on:?}");
+        assert!(on.update_time > Duration::ZERO, "{on:?}");
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter("stream.edges_total"), Some(200));

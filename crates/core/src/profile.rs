@@ -3,7 +3,8 @@
 //! Section 6.4 of the paper profiles "the time spent in performing subgraph
 //! isomorphism and the time spent in updating the SJ-Tree" and finds the
 //! former to dominate (≥ 95%). [`ProfileCounters`] exposes the same split so
-//! that the `profile` experiment can reproduce the claim.
+//! that the `profile` experiment can reproduce the claim. The two timers run
+//! only while `PipelineMetrics` are attached; the counts are kept always.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -92,17 +93,27 @@ pub struct ProfileCounters {
     /// cost of a plan and the one-off cost of switching plans stay
     /// individually visible (the `drift` benchmark reports both).
     pub replay_searches: u64,
-    /// Wall time spent inside re-decomposition replays (isomorphism and
-    /// store updates), likewise kept out of
+    /// Wall time of the re-decomposition replays: one clock pair around each
+    /// whole replay (isomorphism, store updates and the loop around them),
+    /// read whether or not metrics are attached — a rebuild is a rare
+    /// control-plane operation. Kept out of
     /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`].
     #[serde(with = "duration_nanos")]
     pub replay_time: Duration,
     /// Number of partial matches purged (window expiry).
     pub partial_matches_purged: u64,
-    /// Wall time spent inside subgraph isomorphism.
+    /// Wall time spent inside subgraph isomorphism: the engine's anchored
+    /// searches and retroactive probes, the shared leaf stage's canonical
+    /// searches run on its behalf, or the VF2 baseline's enumeration.
+    /// Measured only while `PipelineMetrics` are attached
+    /// (`StreamProcessor::with_metrics`, `enable_metrics` on the runtime);
+    /// reads zero otherwise, and always for an engine driven on its own
+    /// through `ContinuousQueryEngine::process_edge`.
     #[serde(with = "duration_nanos")]
     pub iso_time: Duration,
     /// Wall time spent updating the SJ-Tree (hash probes, joins, inserts).
+    /// Measured only while metrics are attached, like
+    /// [`ProfileCounters::iso_time`]; reads zero otherwise.
     #[serde(with = "duration_nanos")]
     pub update_time: Duration,
     /// Peak number of partial matches stored at any point.
@@ -115,8 +126,10 @@ impl ProfileCounters {
         Self::default()
     }
 
-    /// Fraction of the measured time spent in subgraph isomorphism
-    /// (`NaN`-free: returns 0 when nothing was measured).
+    /// Fraction of the measured time spent in subgraph isomorphism, the
+    /// paper's §6.4 split: `iso_time / (iso_time + update_time)`. Both are
+    /// measured only with metrics attached, so an un-metered run returns 0
+    /// (`NaN`-free: 0 whenever nothing was measured).
     pub fn iso_time_fraction(&self) -> f64 {
         let total = self.iso_time.as_secs_f64() + self.update_time.as_secs_f64();
         if total == 0.0 {

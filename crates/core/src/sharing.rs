@@ -43,7 +43,7 @@ use sp_sjtree::{MatchStore, NodeId, RowId, RowLayout};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One interned canonical leaf shape: the materialized canonical query (what
 /// the anchored matcher runs against) plus subscriber bookkeeping.
@@ -311,6 +311,10 @@ pub(crate) struct SharedSource<'a, 'm> {
 }
 
 impl LeafSource for SharedSource<'_, '_> {
+    fn timed(&self) -> bool {
+        self.clock.is_on()
+    }
+
     fn prefix_depth(&self) -> usize {
         self.prefix.as_ref().map_or(0, PrefixRows::depth)
     }
@@ -323,7 +327,8 @@ impl LeafSource for SharedSource<'_, '_> {
     }
 
     /// The first consumer of a signature this edge triggers the actual
-    /// anchored search (and is charged its wall time); every further
+    /// anchored search (and is charged its wall time, measured only when
+    /// metrics are attached); every further
     /// consumer is served from the memo and counted as an eliminated search.
     /// A shape with a single subscriber is delegated back — nothing to
     /// share, so the engine searches its own numbering, paying neither the
@@ -372,7 +377,7 @@ impl LeafSource for SharedSource<'_, '_> {
                 (memo.get().clone(), Served::Shared)
             }
             Entry::Vacant(memo) => {
-                let t0 = Instant::now();
+                let t0 = self.clock.is_on().then(Instant::now);
                 let (start, layout) = (rows.len(), entry.layout);
                 find_matches_containing_edge_with(
                     graph,
@@ -382,7 +387,7 @@ impl LeafSource for SharedSource<'_, '_> {
                     scratch,
                     |m| layout.write(m, layout.push_unbound(rows)),
                 );
-                let elapsed = t0.elapsed();
+                let elapsed = t0.map_or(Duration::ZERO, |t| t.elapsed());
                 *searches_run += 1;
                 (
                     memo.insert(start..rows.len()).clone(),

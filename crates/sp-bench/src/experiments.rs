@@ -8,7 +8,7 @@ use crate::report::{
 };
 use crate::runner::{
     query_relative_selectivity, run_drift, run_group, run_multi_query, run_parallel, run_query,
-    sample_by_expected_selectivity, DriftMeasurement, Scale,
+    run_query_metered, sample_by_expected_selectivity, DriftMeasurement, Scale,
 };
 use sp_datasets::{
     Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig, QueryGenerator,
@@ -315,7 +315,8 @@ pub fn fig10(scale: Scale) -> String {
 }
 
 /// §6.4 profiling claim — fraction of time spent in subgraph isomorphism vs
-/// SJ-Tree maintenance.
+/// SJ-Tree maintenance. The only experiment that attaches metrics: the
+/// split's timers run only then.
 pub fn profile(scale: Scale) -> String {
     let dataset = &datasets(scale)[0];
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
@@ -326,7 +327,7 @@ pub fn profile(scale: Scale) -> String {
     let mut rows = Vec::new();
     for strategy in Strategy::SJ_TREE {
         for q in &queries {
-            let m = run_query(dataset, &estimator, q, strategy, scale.stream_edges(), None);
+            let m = run_query_metered(dataset, &estimator, q, strategy, scale.stream_edges(), None);
             rows.push(vec![
                 q.name().to_owned(),
                 strategy.label().to_owned(),

@@ -89,7 +89,8 @@ pub fn render_groups(groups: &[QueryGroupResult], strategies: &[&str]) -> String
 /// per query with its own engine counters, plus a `TOTAL` row aggregated
 /// with [`ProfileCounters::merge`]. Earlier reports only showed the global
 /// counters, hiding which query dominated; this is the per-query
-/// aggregation path.
+/// aggregation path. Counts only: the runs it renders carry no metrics, so
+/// their `iso_time` / `update_time` are zero.
 pub fn render_per_query_profiles(rows: &[(String, ProfileCounters)]) -> String {
     let mut total = ProfileCounters::new();
     let mut table_rows = Vec::with_capacity(rows.len() + 1);
@@ -107,7 +108,6 @@ pub fn render_per_query_profiles(rows: &[(String, ProfileCounters)]) -> String {
             "shared",
             "leaf matches",
             "complete",
-            "iso share",
         ],
         &table_rows,
     )
@@ -122,7 +122,6 @@ fn profile_row(name: &str, p: &ProfileCounters) -> Vec<String> {
         p.leaf_searches_shared.to_string(),
         p.leaf_matches.to_string(),
         p.complete_matches.to_string(),
-        format!("{:.1}%", 100.0 * p.iso_time_fraction()),
     ]
 }
 
@@ -204,8 +203,10 @@ mod tests {
         let table = render_per_query_profiles(&[("q0".into(), a), ("q1".into(), b)]);
         assert!(table.contains("| q0 |"));
         assert!(table.contains("| q1 |"));
-        // The TOTAL row is the merge of both queries' counters.
-        assert!(table.contains("| TOTAL | 15 | 5 |"));
+        // The TOTAL row is the merge of both queries' counters, and ends
+        // with the last count: no time column.
+        assert!(table.contains("| TOTAL | 15 | 5 | 0 | 0 | 0 | 3 |\n"));
+        assert!(!table.contains("iso share"));
     }
 
     #[test]

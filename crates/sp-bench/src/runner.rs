@@ -10,8 +10,9 @@ use sp_selectivity::{DriftConfig, SelectivityEstimator, StatsMode};
 use sp_sjtree::{decompose, expected_selectivity, PrimitivePolicy};
 use std::time::{Duration, Instant};
 use streampattern::{
-    ContinuousQueryEngine, DynamicGraph, EdgeEvent, ProfileCounters, Schema, Shard, Strategy,
-    StrategySpec, StreamProcessor, SubgraphMatch, VertexId, DEFAULT_PURGE_INTERVAL,
+    ContinuousQueryEngine, DynamicGraph, EdgeEvent, PipelineMetrics, ProfileCounters, Schema,
+    Shard, Strategy, StrategySpec, StreamProcessor, SubgraphMatch, VertexId,
+    DEFAULT_PURGE_INTERVAL,
 };
 
 /// Experiment scale: how many stream edges each measurement processes.
@@ -142,7 +143,9 @@ impl QueryGroupResult {
 }
 
 /// Runs one query under one strategy over the first `limit` events of the
-/// dataset and reports the measurement.
+/// dataset and reports the measurement. No metrics are attached, so the run
+/// reads no clock per edge and the profile's `iso_time` / `update_time` are
+/// zero; [`run_query_metered`] measures them.
 pub fn run_query(
     dataset: &Dataset,
     estimator: &SelectivityEstimator,
@@ -151,6 +154,33 @@ pub fn run_query(
     limit: usize,
     window: Option<u64>,
 ) -> RunMeasurement {
+    measure_query(dataset, estimator, query, strategy, limit, window, false)
+}
+
+/// [`run_query`] with [`PipelineMetrics`] attached, so the profile carries
+/// the §6.4 split between subgraph isomorphism (`iso_time`) and SJ-Tree
+/// update time (`update_time`). Its `elapsed` includes those clock reads:
+/// compare wall clocks with [`run_query`].
+pub fn run_query_metered(
+    dataset: &Dataset,
+    estimator: &SelectivityEstimator,
+    query: &QueryGraph,
+    strategy: Strategy,
+    limit: usize,
+    window: Option<u64>,
+) -> RunMeasurement {
+    measure_query(dataset, estimator, query, strategy, limit, window, true)
+}
+
+fn measure_query(
+    dataset: &Dataset,
+    estimator: &SelectivityEstimator,
+    query: &QueryGraph,
+    strategy: Strategy,
+    limit: usize,
+    window: Option<u64>,
+    metered: bool,
+) -> RunMeasurement {
     let engine = ContinuousQueryEngine::new(query.clone(), strategy, estimator, window)
         .expect("query decomposes");
     // Statistics collection stays off: the paper's methodology feeds the
@@ -158,6 +188,9 @@ pub fn run_query(
     // include statistics maintenance.
     let mut proc =
         StreamProcessor::with_engine(dataset.schema.clone(), engine).with_statistics(false);
+    if metered {
+        proc = proc.with_metrics(PipelineMetrics::detached());
+    }
     let events = &dataset.events()[..limit.min(dataset.len())];
     let start = Instant::now();
     let matches = proc.process_all(events.iter());

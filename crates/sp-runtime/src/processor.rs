@@ -250,7 +250,10 @@ impl ParallelStreamProcessor {
     /// minus ingest-filtered events). From this point on the facade also
     /// stamps every event's [`arrival_ns`](sp_graph::EdgeEvent::arrival_ns)
     /// at ingest, so `match.latency_ns` measures detection latency including
-    /// the channel queueing delay.
+    /// the channel queueing delay, and the workers' engines start timing
+    /// their searches and inserts into `ProfileCounters::{iso_time,
+    /// update_time}`. Without this call no worker reads a clock per edge and
+    /// those two timers read zero.
     ///
     /// Metrics attach via the FIFO worker channels: batches already in
     /// flight stay unmetered, everything sent afterwards is metered. Calling

@@ -21,7 +21,7 @@
 
 use sp_datasets::LsbenchConfig;
 use sp_query::QueryGraph;
-use streampattern::{choose_strategy, ContinuousQueryEngine, StreamProcessor};
+use streampattern::{choose_strategy, ContinuousQueryEngine, PipelineMetrics, StreamProcessor};
 
 fn main() {
     let dataset = LsbenchConfig {
@@ -65,7 +65,11 @@ fn main() {
         "decomposition:\n{}",
         engine.tree().expect("SJ-Tree strategy").describe(&schema)
     );
-    let mut proc = StreamProcessor::with_engine(schema.clone(), engine).with_statistics(false);
+    // Metrics switch on the engine's iso / update timers behind the
+    // "time in subgraph isomorphism" line below.
+    let mut proc = StreamProcessor::with_engine(schema.clone(), engine)
+        .with_statistics(false)
+        .with_metrics(PipelineMetrics::detached());
 
     let start = std::time::Instant::now();
     let mut alerts = 0u64;

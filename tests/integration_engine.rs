@@ -4,7 +4,7 @@
 use sp_datasets::{LsbenchConfig, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
-use streampattern::{ContinuousQueryEngine, Schema, Strategy, StreamProcessor};
+use streampattern::{ContinuousQueryEngine, PipelineMetrics, Schema, Strategy, StreamProcessor};
 
 /// Builds the Figure-1c exfiltration query over the netflow schema.
 fn exfiltration_query(schema: &Schema) -> QueryGraph {
@@ -125,7 +125,9 @@ fn profile_counters_reflect_the_workload() {
     let estimator = dataset.estimator_from_prefix(dataset.len());
     let query = exfiltration_query(&dataset.schema);
     let engine = ContinuousQueryEngine::new(query, Strategy::PathLazy, &estimator, None).unwrap();
-    let mut proc = StreamProcessor::with_engine(dataset.schema.clone(), engine);
+    // The iso / update timers run only with metrics attached.
+    let mut proc = StreamProcessor::with_engine(dataset.schema.clone(), engine)
+        .with_metrics(PipelineMetrics::detached());
     proc.process_all(dataset.events().iter());
     let p = proc.profile();
     assert_eq!(p.edges_processed, dataset.len() as u64);
