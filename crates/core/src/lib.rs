@@ -120,8 +120,8 @@ pub use profile::ProfileCounters;
 pub use registry::{QueryId, QueryRegistry, StrategySpec};
 pub use shard::{Shard, DEFAULT_PURGE_INTERVAL};
 pub use sharedjoin::{
-    tree_chain, JoinDelivery, JoinSubscription, PrefixRows, SharedJoinIndex, SharedJoinStats,
-    SharedRow, TrieNodeInfo, MIN_PREFIX_DEPTH,
+    JoinDelivery, JoinSubscription, PrefixRows, SharedJoinIndex, SharedJoinStats, SharedRow,
+    TrieNodeInfo, MIN_PREFIX_DEPTH,
 };
 pub use sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
 pub use sink::{CollectSink, CountSink, FnSink, MatchSink, Materialize, RowSink};

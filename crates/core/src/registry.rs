@@ -128,8 +128,8 @@ impl QueryRegistry {
         self.join.stats()
     }
 
-    /// Read access to the shared join index (residency queries for
-    /// sharing-aware cost estimates).
+    /// Read access to the shared join index (its trie nodes and each
+    /// query's subscription depth).
     pub fn shared_joins(&self) -> &SharedJoinIndex {
         &self.join
     }

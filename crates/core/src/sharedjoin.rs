@@ -137,20 +137,13 @@ use std::collections::{BTreeMap, HashMap};
 /// shared **leaf** stage already deduplicates.
 pub const MIN_PREFIX_DEPTH: usize = 2;
 
-/// The canonical chain of one SJ-Tree, as the shared join stage sees it:
-/// `None` for trees with nothing to join (fewer than [`MIN_PREFIX_DEPTH`]
-/// leaves) or whose leaves defeat canonicalization (oversized hand-built
-/// leaves). This is the **single** join-capability rule — the parallel
-/// runtime's prefix-aware shard assignment mirrors worker-registry
-/// residency through it, so both sides must always agree.
-pub fn tree_chain(tree: &SjTree) -> Option<PrefixSignature> {
-    chain_and_mapping(tree).map(|(sig, _)| sig)
-}
-
-/// [`tree_chain`] together with the full-chain union→owner mapping. The
-/// mapping is computed once per subscription and *sliced* per attachment
-/// depth (prefix-closure: the depth-`d` prefix's union ids are exactly the
-/// first ids of the full chain), so attaching never re-canonicalizes.
+/// The canonical chain of one SJ-Tree, as the shared join stage sees it,
+/// together with the full-chain union→owner mapping: `None` for trees with
+/// nothing to join (fewer than [`MIN_PREFIX_DEPTH`] leaves) or whose leaves
+/// defeat canonicalization (oversized hand-built leaves). The mapping is
+/// computed once per subscription and *sliced* per attachment depth
+/// (prefix-closure: the depth-`d` prefix's union ids are exactly the first
+/// ids of the full chain), so attaching never re-canonicalizes.
 fn chain_and_mapping(tree: &SjTree) -> Option<(PrefixSignature, sp_query::CanonicalMapping)> {
     if tree.num_leaves() < MIN_PREFIX_DEPTH {
         return None;
@@ -736,7 +729,7 @@ impl SharedJoinIndex {
         now: u64,
         graph: &DynamicGraph,
     ) -> JoinSubscription {
-        // `None` for the VF2 baseline and trees `tree_chain` rejects.
+        // `None` for the VF2 baseline and trees `chain_and_mapping` rejects.
         let Some((chain, mapping)) = engine.tree().and_then(chain_and_mapping) else {
             return JoinSubscription::Private;
         };

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for three of the paper's design choices:
 //!
 //! * **join order** — selectivity-ordered leaves (Theorem 1/2) vs the same
 //!   leaves in reverse (most frequent primitive first);

@@ -2,30 +2,24 @@
 //!
 //! ```text
 //! cargo run --release -p sp-bench --bin reproduce -- [--experiment <id>] \
-//!     [--scale small|medium|large] [--workers N[,N...]] [--output <file.md>] \
-//!     [--json <file.json>]
+//!     [--scale small|medium|large] [--output <file.md>] [--json <file.json>]
 //! ```
 //!
 //! Without `--experiment` every experiment is run in order and the combined
 //! markdown report is printed (and written to `--output` when given). The
 //! experiment ids are listed in `sp_bench::experiments::ALL_EXPERIMENTS`.
-//! `--workers` sets the worker-count sweep of the `parallel` experiment
-//! (default `1,2,4,8`). `--json` writes the structured measurements of the
-//! `drift` experiment to the given path (e.g. `BENCH_adaptive.json`) so the
-//! perf trajectory accumulates across runs; it adds `drift` to the
-//! experiments when it was not selected.
+//! `--json` writes the structured measurements of the `drift` experiment to
+//! the given path (e.g. `BENCH_adaptive.json`) so the perf trajectory
+//! accumulates across runs; it adds `drift` to the experiments when it was
+//! not selected.
 
-use sp_bench::experiments::{
-    drift_measurements, render_drift, run_experiment_with, ALL_EXPERIMENTS,
-    DEFAULT_PARALLEL_WORKERS,
-};
+use sp_bench::experiments::{drift_measurements, render_drift, run_experiment, ALL_EXPERIMENTS};
 use sp_bench::Scale;
 use std::io::Write as _;
 
 struct Args {
     experiments: Vec<String>,
     scale: Scale,
-    workers: Vec<usize>,
     output: Option<String>,
     json: Option<String>,
 }
@@ -33,7 +27,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut experiments = Vec::new();
     let mut scale = Scale::Small;
-    let mut workers = DEFAULT_PARALLEL_WORKERS.to_vec();
     let mut output = None;
     let mut json = None;
     let mut args = std::env::args().skip(1);
@@ -46,22 +39,6 @@ fn parse_args() -> Result<Args, String> {
             "--scale" | "-s" => {
                 let v = args.next().ok_or("--scale needs a value")?;
                 scale = Scale::parse(&v).ok_or(format!("unknown scale '{v}'"))?;
-            }
-            "--workers" | "-w" => {
-                let v = args.next().ok_or("--workers needs a value")?;
-                workers = v
-                    .split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or(format!("invalid worker count '{p}'"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if workers.is_empty() {
-                    return Err("--workers needs at least one count".into());
-                }
             }
             "--output" | "-o" => {
                 output = Some(args.next().ok_or("--output needs a value")?);
@@ -78,7 +55,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: reproduce [--experiment <id>]... [--scale small|medium|large] \
-                     [--workers N[,N...]] [--output file.md] [--json file.json]\n\
+                     [--output file.md] [--json file.json]\n\
                      experiments: {}",
                     ALL_EXPERIMENTS.join(", ")
                 );
@@ -102,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         experiments,
         scale,
-        workers,
         output,
         json,
     })
@@ -121,8 +97,9 @@ fn main() {
     report.push_str(&format!(
         "# StreamPattern — reproduced evaluation (scale: {:?})\n\n\
          Generated by `cargo run --release -p sp-bench --bin reproduce`.\n\
-         Synthetic datasets stand in for CAIDA / LSBench / NYTimes (see DESIGN.md);\n\
-         the comparison of interest is the *relative* behaviour of the strategies.\n\n",
+         Synthetic datasets stand in for CAIDA / LSBench / NYTimes (see the README's\n\
+         \"Reproduced experiments\" section); the comparison of interest is the\n\
+         *relative* behaviour of the strategies.\n\n",
         args.scale
     ));
 
@@ -138,7 +115,7 @@ fn main() {
             eprintln!("[reproduce] wrote {json_path}");
             Some(render_drift(&measurements))
         } else {
-            run_experiment_with(id, args.scale, &args.workers)
+            run_experiment(id, args.scale)
         };
         match section {
             Some(section) => {

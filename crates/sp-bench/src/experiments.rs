@@ -2,13 +2,10 @@
 //! returns a rendered markdown section (and, where useful, structured data)
 //! so the `reproduce` binary can assemble `EXPERIMENTS.md`.
 
-use crate::report::{
-    ascii_histogram, fmt_ratio, fmt_seconds, markdown_table, render_groups,
-    render_per_query_profiles,
-};
+use crate::report::{ascii_histogram, fmt_ratio, fmt_seconds, markdown_table, render_groups};
 use crate::runner::{
-    query_relative_selectivity, run_drift, run_group, run_multi_query, run_parallel, run_query,
-    run_query_metered, sample_by_expected_selectivity, DriftMeasurement, Scale,
+    query_relative_selectivity, run_drift, run_group, run_query, run_query_metered,
+    sample_by_expected_selectivity, DriftMeasurement, Scale,
 };
 use sp_datasets::{
     Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig, QueryGenerator,
@@ -428,63 +425,6 @@ pub fn strategy_selection(scale: Scale) -> String {
     )
 }
 
-/// Multi-query scaling — the StreamWorks deployment story: N continuous
-/// queries watching one stream. Compares one shared-graph processor with
-/// edge-type dispatch against N independent single-query processors (the
-/// pre-registry architecture: N graph copies, N ingest passes).
-pub fn multiquery(scale: Scale) -> String {
-    let dataset = &datasets(scale)[0];
-    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
-    let mut generator =
-        QueryGenerator::new(dataset.schema.clone(), dataset.valid_triples.clone(), 3301);
-    let pool = generator.generate_valid_batch(
-        QueryKind::Path { length: 3 },
-        scale.queries_per_group(),
-        &estimator,
-    );
-    let mut rows = Vec::new();
-    for n in [2usize, 4, 8] {
-        if pool.len() < n {
-            continue;
-        }
-        let queries = &pool[..n];
-        let m = run_multi_query(
-            dataset,
-            &estimator,
-            queries,
-            streampattern::Strategy::SingleLazy,
-            scale.stream_edges(),
-            None,
-        );
-        rows.push(vec![
-            n.to_string(),
-            m.edges.to_string(),
-            fmt_seconds(m.shared_elapsed.as_secs_f64()),
-            fmt_seconds(m.separate_elapsed.as_secs_f64()),
-            fmt_ratio(m.speedup()),
-            format!("{:.1}%", 100.0 * m.dispatch_savings()),
-            m.shared_matches.to_string(),
-        ]);
-    }
-    format!(
-        "## Multi-query scaling — shared graph + edge-type dispatch vs N independent processors\n\n\
-         Both executions report identical matches (asserted); `dispatch savings` is the\n\
-         fraction of engine invocations the edge-type index eliminated.\n\n{}",
-        markdown_table(
-            &[
-                "queries",
-                "edges",
-                "shared",
-                "separate",
-                "speedup",
-                "dispatch savings",
-                "matches",
-            ],
-            &rows
-        )
-    )
-}
-
 /// A SOC-style netflow rule pack with heavy leaf overlap: scan, beacon,
 /// exfiltration and tunnel variants that all decompose into a small pool of
 /// shared single-edge / wedge leaves (TCP appears in most rules, ICMP and
@@ -659,135 +599,6 @@ pub fn render_drift(measurements: &[DriftMeasurement]) -> String {
     )
 }
 
-/// Default worker counts swept by the `parallel` experiment (overridable via
-/// the `reproduce` binary's `--workers` flag).
-pub const DEFAULT_PARALLEL_WORKERS: &[usize] = &[1, 2, 4, 8];
-
-/// Parallel runtime scaling — the sharded `sp-runtime` processor vs the
-/// sequential shared-graph processor on the same multi-query workload, on
-/// netflow and lsbench. Each row is one worker count; both execution modes
-/// of the runtime are reported: full replication (every shard ingests every
-/// edge — strict sequential equivalence) and filtered ingest (shards skip
-/// edge types none of their queries use). Run under `--release`; debug
-/// builds exaggerate transport overhead.
-pub fn parallel(scale: Scale, workers_list: &[usize]) -> String {
-    let all = datasets(scale);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "## Parallel runtime — sharded workers vs the sequential StreamProcessor\n\n\
-         Both runs report identical match counts (asserted). `backpressure` counts\n\
-         ingest stalls on the bounded worker channels.\n\n\
-         Host parallelism: **{cores} core(s)**. Speedup > 1 requires at least as many\n\
-         physical cores as workers; on a smaller host this table measures the\n\
-         runtime's transport + replication overhead instead.\n\n",
-    );
-    let mut netflow_profiles = None;
-    for (di, dataset) in all.iter().take(2).enumerate() {
-        let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
-        let mut generator = QueryGenerator::new(
-            dataset.schema.clone(),
-            dataset.valid_triples.clone(),
-            7701 + di as u64,
-        );
-        let pool = generator.generate_valid_batch(
-            QueryKind::Path { length: 3 },
-            scale.queries_per_group(),
-            &estimator,
-        );
-        let n_queries = pool.len().min(8);
-        if n_queries < 2 {
-            out.push_str(&format!(
-                "### {} — skipped (only {n_queries} valid queries)\n\n",
-                dataset.name
-            ));
-            continue;
-        }
-        let queries = &pool[..n_queries];
-        // Continuous-monitoring window: patterns fire only when completed
-        // within the last tenth of the stream (timestamps are edge indices
-        // in the generators), which keeps the match volume realistic.
-        let window = Some((scale.stream_edges() / 10).max(100) as u64);
-        // One baseline per dataset: every sweep row compares against the
-        // same sequential measurement instead of a fresh (noisy) one.
-        let baseline = crate::runner::run_sequential_baseline(
-            dataset,
-            &estimator,
-            queries,
-            streampattern::Strategy::SingleLazy,
-            scale.stream_edges(),
-            window,
-        );
-        let mut rows = Vec::new();
-        for &workers in workers_list {
-            let full = run_parallel(
-                dataset,
-                &estimator,
-                queries,
-                streampattern::Strategy::SingleLazy,
-                scale.stream_edges(),
-                window,
-                workers,
-                false,
-                Some(baseline),
-            );
-            let filtered = run_parallel(
-                dataset,
-                &estimator,
-                queries,
-                streampattern::Strategy::SingleLazy,
-                scale.stream_edges(),
-                window,
-                workers,
-                true,
-                Some(baseline),
-            );
-            rows.push(vec![
-                workers.to_string(),
-                fmt_seconds(full.sequential_elapsed.as_secs_f64()),
-                fmt_seconds(full.parallel_elapsed.as_secs_f64()),
-                fmt_ratio(full.speedup()),
-                fmt_ratio(filtered.speedup()),
-                format!("{:.0}", full.throughput_eps()),
-                format!("{:.0}", filtered.throughput_eps()),
-                full.backpressure_events.to_string(),
-                full.matches.to_string(),
-            ]);
-            if dataset.name == "netflow" && workers == *workers_list.last().unwrap_or(&4) {
-                netflow_profiles = Some(full.per_query.clone());
-            }
-        }
-        out.push_str(&format!(
-            "### {} — {} queries, {} edges\n\n{}\n",
-            dataset.name,
-            n_queries,
-            scale.stream_edges(),
-            markdown_table(
-                &[
-                    "workers",
-                    "sequential",
-                    "parallel",
-                    "speedup",
-                    "speedup (filtered)",
-                    "edges/s",
-                    "edges/s (filtered)",
-                    "backpressure",
-                    "matches",
-                ],
-                &rows
-            )
-        ));
-    }
-    if let Some(profiles) = netflow_profiles {
-        out.push_str(&format!(
-            "### Per-query engine counters (netflow, widest sweep point)\n\n{}\n",
-            render_per_query_profiles(&profiles)
-        ));
-    }
-    out
-}
-
 /// Appendix A — analytic cost model vs measured runtime and memory.
 pub fn costmodel(scale: Scale) -> String {
     let dataset = &datasets(scale)[0];
@@ -864,20 +675,11 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "profile",
     "strategy",
     "costmodel",
-    "multiquery",
-    "parallel",
     "drift",
 ];
 
-/// Runs one experiment by id with the default options, returning its
-/// markdown section.
+/// Runs one experiment by id, returning its markdown section.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
-    run_experiment_with(id, scale, DEFAULT_PARALLEL_WORKERS)
-}
-
-/// Runs one experiment by id, with an explicit worker-count sweep for the
-/// `parallel` experiment (other experiments ignore it).
-pub fn run_experiment_with(id: &str, scale: Scale, workers: &[usize]) -> Option<String> {
     let section = match id {
         "table1" => table1(scale),
         "fig6a" => fig6(scale, "a"),
@@ -893,8 +695,6 @@ pub fn run_experiment_with(id: &str, scale: Scale, workers: &[usize]) -> Option<
         "profile" => profile(scale),
         "strategy" => strategy_selection(scale),
         "costmodel" => costmodel(scale),
-        "multiquery" => multiquery(scale),
-        "parallel" => parallel(scale, workers),
         "drift" => drift(scale),
         _ => return None,
     };
@@ -917,15 +717,7 @@ mod tests {
             assert!(
                 *id == "table1"
                     || id.starts_with("fig")
-                    || [
-                        "profile",
-                        "strategy",
-                        "costmodel",
-                        "multiquery",
-                        "parallel",
-                        "drift",
-                    ]
-                    .contains(id)
+                    || ["profile", "strategy", "costmodel", "drift"].contains(id)
             );
         }
         assert!(run_experiment("unknown", Scale::Small).is_none());

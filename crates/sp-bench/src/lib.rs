@@ -14,8 +14,6 @@
 //! | `profile`  | §6.4 — time split between isomorphism and SJ-Tree update | [`experiments::profile`] |
 //! | `strategy` | §6.5 — ξ-rule vs measured fastest strategy | [`experiments::strategy_selection`] |
 //! | `costmodel`| Appendix A — analytic cost model vs measurement | [`experiments::costmodel`] |
-//! | `multiquery` | Multi-query scaling: shared graph + edge-type dispatch vs N independent processors | [`experiments::multiquery`] |
-//! | `parallel` | Threaded runtime vs the sequential processor across worker counts | [`experiments::parallel`] |
 //! | `drift`    | Drift-adaptive re-decomposition vs a frozen plan vs a post-shift oracle | [`experiments::drift`] |
 //!
 //! The repository's end-to-end benchmark (throughput, CPU, memory, latency
@@ -35,4 +33,4 @@ pub mod experiments;
 pub mod report;
 pub mod runner;
 
-pub use runner::{MultiQueryMeasurement, QueryGroupResult, RunMeasurement, Scale};
+pub use runner::{QueryGroupResult, RunMeasurement, Scale};

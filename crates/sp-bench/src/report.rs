@@ -1,7 +1,6 @@
 //! Markdown rendering of experiment results.
 
 use crate::runner::QueryGroupResult;
-use streampattern::ProfileCounters;
 
 /// Renders a markdown table from a header and rows.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -85,46 +84,6 @@ pub fn render_groups(groups: &[QueryGroupResult], strategies: &[&str]) -> String
     markdown_table(&header, &rows)
 }
 
-/// Renders the per-query profiling breakdown of a multi-query run: one row
-/// per query with its own engine counters, plus a `TOTAL` row aggregated
-/// with [`ProfileCounters::merge`]. Earlier reports only showed the global
-/// counters, hiding which query dominated; this is the per-query
-/// aggregation path. Counts only: the runs it renders carry no metrics, so
-/// their `iso_time` / `update_time` are zero.
-pub fn render_per_query_profiles(rows: &[(String, ProfileCounters)]) -> String {
-    let mut total = ProfileCounters::new();
-    let mut table_rows = Vec::with_capacity(rows.len() + 1);
-    for (name, p) in rows {
-        total.merge(p);
-        table_rows.push(profile_row(name, p));
-    }
-    table_rows.push(profile_row("TOTAL", &total));
-    markdown_table(
-        &[
-            "query",
-            "edges seen",
-            "iso searches",
-            "skipped",
-            "shared",
-            "leaf matches",
-            "complete",
-        ],
-        &table_rows,
-    )
-}
-
-fn profile_row(name: &str, p: &ProfileCounters) -> Vec<String> {
-    vec![
-        name.to_owned(),
-        p.edges_processed.to_string(),
-        p.iso_searches.to_string(),
-        p.searches_skipped.to_string(),
-        p.leaf_searches_shared.to_string(),
-        p.leaf_matches.to_string(),
-        p.complete_matches.to_string(),
-    ]
-}
-
 /// Renders a log-scale histogram row for distribution figures: bucket counts
 /// as text so the skew is visible in a terminal.
 pub fn ascii_histogram(values: &[f64], buckets: usize) -> String {
@@ -188,25 +147,6 @@ mod tests {
         let table = render_groups(&[g], &["SingleLazy", "VF2"]);
         assert!(table.contains("path-3"));
         assert!(table.contains("100x"));
-    }
-
-    #[test]
-    fn per_query_profile_table_has_merged_total_row() {
-        let mut a = ProfileCounters::new();
-        a.edges_processed = 10;
-        a.iso_searches = 4;
-        a.complete_matches = 2;
-        let mut b = ProfileCounters::new();
-        b.edges_processed = 5;
-        b.iso_searches = 1;
-        b.complete_matches = 1;
-        let table = render_per_query_profiles(&[("q0".into(), a), ("q1".into(), b)]);
-        assert!(table.contains("| q0 |"));
-        assert!(table.contains("| q1 |"));
-        // The TOTAL row is the merge of both queries' counters, and ends
-        // with the last count: no time column.
-        assert!(table.contains("| TOTAL | 15 | 5 | 0 | 0 | 0 | 3 |\n"));
-        assert!(!table.contains("iso share"));
     }
 
     #[test]

@@ -212,120 +212,6 @@ fn measure_query(
     }
 }
 
-/// One measured multi-query run: the same query set executed once on a
-/// shared-graph [`StreamProcessor`] (one ingest pass, edge-type dispatch)
-/// and once as N independent single-query processors (N graph copies, N
-/// ingest passes — the pre-registry architecture).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MultiQueryMeasurement {
-    /// Number of queries executed.
-    pub queries: usize,
-    /// Number of stream edges processed (once for shared, per query for
-    /// separate).
-    pub edges: usize,
-    /// Wall-clock time of the shared multi-query processor.
-    #[serde(with = "serde_duration")]
-    pub shared_elapsed: Duration,
-    /// Wall-clock time of the N independent processors, summed.
-    #[serde(with = "serde_duration")]
-    pub separate_elapsed: Duration,
-    /// Matches found by the shared processor (all queries).
-    pub shared_matches: u64,
-    /// Matches found by the independent processors, summed.
-    pub separate_matches: u64,
-    /// Sum of per-engine `edges_processed` in the shared run — the edges
-    /// that actually reached an engine after edge-type dispatch.
-    pub dispatched_edges: u64,
-    /// `queries × edges`: the engine invocations the pre-registry
-    /// architecture performs.
-    pub undispatched_edges: u64,
-}
-
-impl MultiQueryMeasurement {
-    /// Speedup of the shared processor over the N independent processors.
-    pub fn speedup(&self) -> f64 {
-        self.shared_elapsed.as_secs_f64().max(1e-12).recip() * self.separate_elapsed.as_secs_f64()
-    }
-
-    /// Fraction of engine invocations the dispatch index eliminated.
-    pub fn dispatch_savings(&self) -> f64 {
-        if self.undispatched_edges == 0 {
-            0.0
-        } else {
-            1.0 - self.dispatched_edges as f64 / self.undispatched_edges as f64
-        }
-    }
-}
-
-/// Runs `queries` over the first `limit` events of the dataset twice — once
-/// sharing a single data graph through the registry, once as independent
-/// processors — and reports both measurements. The two executions must find
-/// the same matches; this is asserted.
-pub fn run_multi_query(
-    dataset: &Dataset,
-    estimator: &SelectivityEstimator,
-    queries: &[QueryGraph],
-    strategy: Strategy,
-    limit: usize,
-    window: Option<u64>,
-) -> MultiQueryMeasurement {
-    let events = &dataset.events()[..limit.min(dataset.len())];
-
-    // Shared: one graph, one ingest pass, dispatch through the registry.
-    // Both executions decompose against the same prefix statistics.
-    let mut shared = StreamProcessor::new(dataset.schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false);
-    for query in queries {
-        shared
-            .register(query.clone(), strategy, window)
-            .expect("query decomposes");
-    }
-    let start = Instant::now();
-    let shared_matches = shared.process_all(events.iter());
-    let shared_elapsed = start.elapsed();
-    let dispatched_edges: u64 = shared
-        .query_ids()
-        .iter()
-        .filter_map(|&id| shared.profile_for(id))
-        .map(|p| p.edges_processed)
-        .sum();
-
-    // Separate: the pre-registry architecture — every query pays a full
-    // graph copy and a full ingest pass. Engines are built outside the
-    // timed section, mirroring the shared arm where registration (and its
-    // SJ-Tree decomposition) happens before the timer starts.
-    let mut separate_procs: Vec<StreamProcessor> = queries
-        .iter()
-        .map(|query| {
-            let engine = ContinuousQueryEngine::new(query.clone(), strategy, estimator, window)
-                .expect("query decomposes");
-            StreamProcessor::with_engine(dataset.schema.clone(), engine).with_statistics(false)
-        })
-        .collect();
-    let mut separate_matches = 0u64;
-    let start = Instant::now();
-    for proc in &mut separate_procs {
-        separate_matches += proc.process_all(events.iter());
-    }
-    let separate_elapsed = start.elapsed();
-
-    assert_eq!(
-        shared_matches, separate_matches,
-        "shared and separate execution disagree"
-    );
-    MultiQueryMeasurement {
-        queries: queries.len(),
-        edges: events.len(),
-        shared_elapsed,
-        separate_elapsed,
-        shared_matches,
-        separate_matches,
-        dispatched_edges,
-        undispatched_edges: queries.len() as u64 * events.len() as u64,
-    }
-}
-
 /// The independent oracle for one query: runs `engine` alone on
 /// its own data graph, from stream position `from` on (earlier events only
 /// grow the graph, as for a query registered mid-stream), hands every match
@@ -607,138 +493,6 @@ pub fn run_drift(
     }
 }
 
-/// One measured run of the parallel runtime against the sequential
-/// [`StreamProcessor`] on the same multi-query workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParallelMeasurement {
-    /// Worker threads in the parallel run.
-    pub workers: usize,
-    /// Number of registered queries.
-    pub queries: usize,
-    /// Stream edges processed.
-    pub edges: usize,
-    /// Wall-clock time of the sequential shared-graph processor.
-    #[serde(with = "serde_duration")]
-    pub sequential_elapsed: Duration,
-    /// Wall-clock time of the parallel runtime (including ingest, transport
-    /// and the final drain).
-    #[serde(with = "serde_duration")]
-    pub parallel_elapsed: Duration,
-    /// Matches found (asserted identical between the two runs).
-    pub matches: u64,
-    /// Backpressure events recorded by the parallel ingest loop.
-    pub backpressure_events: u64,
-    /// Per-query engine counters from the parallel run, labelled with the
-    /// query name (aggregated across shards by the facade).
-    pub per_query: Vec<(String, ProfileCounters)>,
-}
-
-impl ParallelMeasurement {
-    /// Speedup of the parallel runtime over the sequential processor.
-    pub fn speedup(&self) -> f64 {
-        self.sequential_elapsed.as_secs_f64() / self.parallel_elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// Parallel throughput in stream edges per second.
-    pub fn throughput_eps(&self) -> f64 {
-        self.edges as f64 / self.parallel_elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// Sequential throughput in stream edges per second.
-    pub fn sequential_throughput_eps(&self) -> f64 {
-        self.edges as f64 / self.sequential_elapsed.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Runs `queries` over the first `limit` events on the sequential
-/// shared-graph [`StreamProcessor`] and returns `(elapsed, matches)` — the
-/// baseline a worker-count sweep measures [`run_parallel`] against once,
-/// instead of re-timing it for every sweep point.
-pub fn run_sequential_baseline(
-    dataset: &Dataset,
-    estimator: &SelectivityEstimator,
-    queries: &[QueryGraph],
-    strategy: Strategy,
-    limit: usize,
-    window: Option<u64>,
-) -> (Duration, u64) {
-    let events = &dataset.events()[..limit.min(dataset.len())];
-    let mut seq = StreamProcessor::new(dataset.schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false);
-    for query in queries {
-        seq.register(query.clone(), strategy, window)
-            .expect("query decomposes");
-    }
-    let start = Instant::now();
-    let matches = seq.process_all(events.iter());
-    (start.elapsed(), matches)
-}
-
-/// Runs `queries` over the first `limit` events on the sharded
-/// [`ParallelStreamProcessor`](sp_runtime::ParallelStreamProcessor) with
-/// `workers` threads and reports the measurement against a sequential
-/// baseline. `baseline` is the [`run_sequential_baseline`] result to
-/// compare (and assert match-count equality) against; pass `None` to
-/// measure it in place. `ingest_filter` enables shard-local graph filtering
-/// in the parallel arm (safe here: queries are registered before the stream
-/// starts).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel(
-    dataset: &Dataset,
-    estimator: &SelectivityEstimator,
-    queries: &[QueryGraph],
-    strategy: Strategy,
-    limit: usize,
-    window: Option<u64>,
-    workers: usize,
-    ingest_filter: bool,
-    baseline: Option<(Duration, u64)>,
-) -> ParallelMeasurement {
-    let events = &dataset.events()[..limit.min(dataset.len())];
-    let (sequential_elapsed, seq_matches) = baseline.unwrap_or_else(|| {
-        run_sequential_baseline(dataset, estimator, queries, strategy, limit, window)
-    });
-
-    // Parallel arm: same queries, same prefix statistics, N shards.
-    let config = sp_runtime::RuntimeConfig::with_workers(workers)
-        .statistics(false)
-        .ingest_filtering(ingest_filter);
-    let mut par = sp_runtime::ParallelStreamProcessor::new(dataset.schema.clone(), config)
-        .with_estimator(estimator.clone());
-    let mut ids = Vec::with_capacity(queries.len());
-    for query in queries {
-        ids.push(
-            par.register(query.clone(), strategy, window)
-                .expect("query decomposes"),
-        );
-    }
-    let start = Instant::now();
-    let par_matches = par.process_all(events.iter());
-    let parallel_elapsed = start.elapsed();
-
-    assert_eq!(
-        seq_matches, par_matches,
-        "sequential and parallel execution disagree at {workers} workers"
-    );
-    let per_query = ids
-        .iter()
-        .zip(queries)
-        .filter_map(|(&id, q)| par.profile_for(id).map(|p| (q.name().to_owned(), p)))
-        .collect();
-    let backpressure_events = par.stats().backpressure_events;
-    ParallelMeasurement {
-        workers,
-        queries: queries.len(),
-        edges: events.len(),
-        sequential_elapsed,
-        parallel_elapsed,
-        matches: par_matches,
-        backpressure_events,
-        per_query,
-    }
-}
-
 /// Expected Selectivity of a query under the 2-edge-path decomposition —
 /// the quantity the paper samples query groups by.
 pub fn query_expected_selectivity(query: &QueryGraph, estimator: &SelectivityEstimator) -> f64 {
@@ -894,52 +648,6 @@ mod tests {
         assert_eq!(result.per_strategy.len(), 2);
         assert!(result.mean_seconds("SingleLazy").unwrap() > 0.0);
         assert!(result.mean_seconds("VF2").is_none());
-    }
-
-    #[test]
-    fn multi_query_shared_and_separate_agree() {
-        let (d, est) = tiny();
-        let mut gen = QueryGenerator::new(d.schema.clone(), d.valid_triples.clone(), 21);
-        let queries = gen.generate_valid_batch(QueryKind::Path { length: 3 }, 4, &est);
-        assert!(queries.len() >= 2, "generator produced too few queries");
-        let m = run_multi_query(&d, &est, &queries, Strategy::SingleLazy, 1_000, None);
-        assert_eq!(m.queries, queries.len());
-        assert_eq!(m.edges, 1_000);
-        assert_eq!(m.shared_matches, m.separate_matches);
-        // The dispatch index can only reduce engine invocations.
-        assert!(m.dispatched_edges <= m.undispatched_edges);
-        assert!(m.dispatch_savings() >= 0.0);
-        assert!(m.speedup() > 0.0);
-    }
-
-    #[test]
-    fn parallel_runner_matches_sequential_and_times_both() {
-        let (d, est) = tiny();
-        let mut gen = QueryGenerator::new(d.schema.clone(), d.valid_triples.clone(), 31);
-        let queries = gen.generate_valid_batch(QueryKind::Path { length: 3 }, 4, &est);
-        assert!(queries.len() >= 2, "generator produced too few queries");
-        let m = run_parallel(
-            &d,
-            &est,
-            &queries,
-            Strategy::SingleLazy,
-            1_000,
-            None,
-            2,
-            false,
-            None,
-        );
-        assert_eq!(m.workers, 2);
-        assert_eq!(m.edges, 1_000);
-        assert!(m.parallel_elapsed > Duration::ZERO);
-        assert!(m.sequential_elapsed > Duration::ZERO);
-        assert!(m.speedup() > 0.0);
-        assert!(m.throughput_eps() > 0.0);
-        assert_eq!(m.per_query.len(), queries.len());
-        // Each query's engine saw only its dispatched edges.
-        for (_, p) in &m.per_query {
-            assert!(p.edges_processed <= 1_000);
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! properties the algorithms care about** — the edge-type skew, the degree
 //! distribution, the two-phase shift of the social stream and the 2-edge-path
 //! skew — so that every experiment of Section 6 can be re-run end to end
-//! (see DESIGN.md for the substitution rationale).
+//! (see the README's "Reproduced experiments" section).
 //!
 //! * [`netflow`] — CAIDA-like network traffic: "ip" vertices, 7 protocol edge
 //!   types (ICMP, TCP, UDP, IPv6, AH, ESP, GRE) with a heavy skew and

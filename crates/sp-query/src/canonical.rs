@@ -79,16 +79,6 @@ impl LeafSignature {
         self.edges.len()
     }
 
-    /// The distinct edge types occurring in the leaf, ascending. A streaming
-    /// edge whose type is not in this set can never produce a match of the
-    /// leaf, so the shared search can skip it outright.
-    pub fn edge_types(&self) -> Vec<EdgeType> {
-        let mut types: Vec<EdgeType> = self.edges.iter().map(|&(_, _, t)| t).collect();
-        types.sort_unstable();
-        types.dedup();
-        types
-    }
-
     /// Materializes the canonical leaf as a standalone query graph (plus the
     /// subgraph view covering all of it), suitable for the anchored matchers.
     /// Canonical vertex `c` becomes `QueryVertexId(c)` and the `i`-th
@@ -343,7 +333,6 @@ mod tests {
         // Canonicalizing the instantiation reproduces the signature.
         let again = canonicalize_subgraph(&canon_q, &canon_sub).unwrap().0;
         assert_eq!(again, sig);
-        assert_eq!(sig.edge_types(), vec![s, t]);
         assert_eq!(sig.num_vertices(), 3);
         assert_eq!(sig.num_edges(), 2);
     }

@@ -32,16 +32,6 @@ pub struct RuntimeConfig {
     /// processor's default). Disable for measurement parity with the paper's
     /// prefix-statistics methodology.
     pub collect_statistics: bool,
-    /// When `true`, a worker skips ingesting edges whose type is absent from
-    /// its local dispatch index entirely (they are not even added to the
-    /// shard's graph replica). This shards the graph as well as the engine
-    /// work and is substantially faster, but it assumes queries are
-    /// registered before the stream starts (late registrations will not see
-    /// skipped history) and that the stream has no vertex-type conflicts
-    /// (conflict resolution becomes shard-local). Match sets for
-    /// pre-registered queries are unaffected: a match can only use edges
-    /// whose types occur in its query.
-    pub ingest_filter: bool,
     /// Drift-adaptive re-decomposition (`None` = off). When set, the
     /// facade's control plane checks every registered query's drift
     /// detector against the ingest-path statistics every `check_interval`
@@ -64,7 +54,6 @@ impl Default for RuntimeConfig {
             match_capacity: 1024,
             purge_interval: 4096,
             collect_statistics: true,
-            ingest_filter: false,
             adaptive: None,
         }
     }
@@ -112,13 +101,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables or disables shard-local ingest filtering (see
-    /// [`RuntimeConfig::ingest_filter`] for the trade-off).
-    pub fn ingest_filtering(mut self, enabled: bool) -> Self {
-        self.ingest_filter = enabled;
-        self
-    }
-
     /// Enables drift-adaptive re-decomposition with the given detector
     /// configuration (see [`RuntimeConfig::adaptive`]).
     pub fn adaptive(mut self, config: DriftConfig) -> Self {
@@ -139,7 +121,6 @@ mod tests {
         assert!(c.channel_capacity >= 1);
         assert!(c.match_capacity >= 1);
         assert!(c.collect_statistics);
-        assert!(!c.ingest_filter);
     }
 
     #[test]

@@ -17,9 +17,14 @@
 //!                                                                          (row batches)
 //! ```
 //!
-//! * Queries are assigned to shards greedily by estimated cost
-//!   ([`SelectivityEstimator::estimate_query_cost`](sp_selectivity::SelectivityEstimator::estimate_query_cost)),
-//!   so shards balance by *work*, not by query count.
+//! * Each query goes to the least-loaded shard, where a shard's load is the
+//!   summed estimated cost
+//!   ([`SelectivityEstimator::estimate_query_cost`](sp_selectivity::SelectivityEstimator::estimate_query_cost))
+//!   of the queries it hosts, so shards balance by *work*, not by query
+//!   count.
+//! * Every worker ingests every accepted event into its own graph replica,
+//!   so a query registered mid-stream on any shard finds the history it is
+//!   entitled to.
 //! * Every channel is bounded: a worker that falls behind fills its input
 //!   channel and blocks the ingest loop; a slow match consumer fills the
 //!   aggregation channel and blocks the workers. Memory stays bounded end

@@ -17,9 +17,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streampattern::{
-    canonicalize_subgraph, tree_chain, AdaptiveStats, CollectSink, ContinuousQueryEngine,
-    ControlPlane, CountSink, EngineError, LeafSignature, MatchSink, PipelineMetrics,
-    PrefixSignature, ProfileCounters, QueryId, Shard, SjTree, StrategySpec, MIN_PREFIX_DEPTH,
+    AdaptiveStats, CollectSink, ContinuousQueryEngine, ControlPlane, CountSink, EngineError,
+    MatchSink, PipelineMetrics, ProfileCounters, QueryId, Shard, StrategySpec,
 };
 
 /// How long a wait for a `Deregister` / `Report` reply, or for room in a
@@ -32,13 +31,6 @@ const CONTROL_POLL: Duration = Duration::from_micros(50);
 /// How long the drain barrier waits on the aggregation channel before it
 /// checks that every worker thread is still running.
 const LIVENESS_POLL: Duration = Duration::from_millis(100);
-
-/// How much of a query's estimated cost is forgiven on a shard that already
-/// hosts (some of) its canonical leaf shapes: each worker's registry runs
-/// shared-leaf evaluation, so a co-located sharer pays only the join stage
-/// for the overlapping leaves. 1.0 would assume leaf search is the entire
-/// cost; 0.5 keeps the assignment balanced when the join stage dominates.
-const SHARING_COST_DISCOUNT: f64 = 0.5;
 
 /// Observable counters of the runtime itself (as opposed to the query
 /// engines' [`ProfileCounters`]).
@@ -96,16 +88,11 @@ struct RuntimeMetrics {
     queue_depth: Vec<Gauge>,
 }
 
-#[derive(Debug, Clone)]
+/// Where a query runs and the cost it added to that shard's load.
+#[derive(Debug, Clone, Copy)]
 struct ShardAssignment {
     worker: usize,
     cost: f64,
-    /// The query's canonical leaf shapes, kept to release the shard's
-    /// residency refcounts at deregistration.
-    sigs: Vec<LeafSignature>,
-    /// The query's canonical decomposition chain (`None` for VF2 /
-    /// single-leaf trees), kept to release the shard's prefix refcounts.
-    chain: Option<PrefixSignature>,
 }
 
 /// A parallel, sharded multi-query stream processor.
@@ -148,18 +135,6 @@ pub struct ParallelStreamProcessor {
     match_rx: Receiver<FromWorker>,
     assignments: HashMap<QueryId, ShardAssignment>,
     shard_costs: Vec<f64>,
-    /// Per-shard refcounts of resident canonical leaf shapes, mirroring what
-    /// each worker's `SharedLeafIndex` holds; drives sharing-aware
-    /// assignment.
-    shard_sigs: Vec<HashMap<LeafSignature, usize>>,
-    /// Per-shard refcounts of resident canonical chain **trie paths**: every
-    /// prefix truncation (depth [`MIN_PREFIX_DEPTH`]..=chain depth) of each
-    /// registered chain counts as one resident trie-path node, mirroring
-    /// the node set the worker's `SharedJoinIndex` trie can materialize. A
-    /// new query is discounted on shards whose resident paths cover a
-    /// prefix of its own chain (the worker registry will share — or nest
-    /// under — the join tables along that path).
-    shard_chains: Vec<HashMap<PrefixSignature, usize>>,
     events_ingested: u64,
     /// Events refused at ingest ([`Shard::accepts`]).
     rejected_events: u64,
@@ -171,21 +146,6 @@ pub struct ParallelStreamProcessor {
     drains_pending: usize,
     stats: RuntimeStats,
     metrics: Option<RuntimeMetrics>,
-}
-
-/// The canonical leaf shapes of a decomposition, in leaf order.
-fn leaf_signatures(tree: &SjTree) -> Vec<LeafSignature> {
-    tree.leaf_subgraphs()
-        .filter_map(|sg| canonicalize_subgraph(tree.query(), sg).map(|(sig, _)| sig))
-        .collect()
-}
-
-/// Every trie-path node of a chain: its prefix truncations from
-/// [`MIN_PREFIX_DEPTH`] up to the full depth.
-fn chain_paths(chain: Option<&PrefixSignature>) -> impl Iterator<Item = PrefixSignature> + '_ {
-    chain
-        .into_iter()
-        .flat_map(|c| (MIN_PREFIX_DEPTH..=c.depth()).map(|d| c.truncated(d)))
 }
 
 impl ParallelStreamProcessor {
@@ -228,8 +188,6 @@ impl ParallelStreamProcessor {
             match_rx,
             assignments: HashMap::new(),
             shard_costs: vec![0.0; config.workers],
-            shard_sigs: vec![HashMap::new(); config.workers],
-            shard_chains: vec![HashMap::new(); config.workers],
             events_ingested: 0,
             rejected_events: 0,
             total_matches: 0,
@@ -246,8 +204,8 @@ impl ParallelStreamProcessor {
     /// worker, `runtime.batch_sojourn_ns`) plus one shared
     /// [`PipelineMetrics`] bundle whose handles are shipped to every worker
     /// replica — the per-stage counters therefore aggregate over all shards,
-    /// and `stream.edges_total` counts **replica ingests** (events × workers,
-    /// minus ingest-filtered events). From this point on the facade also
+    /// and `stream.edges_total` counts **replica ingests** (events ×
+    /// workers). From this point on the facade also
     /// stamps every event's [`arrival_ns`](sp_graph::EdgeEvent::arrival_ns)
     /// at ingest, so `match.latency_ns` measures detection latency including
     /// the channel queueing delay, and the workers' engines start timing
@@ -330,58 +288,10 @@ impl ParallelStreamProcessor {
         self.assignments.get(&id).map(|a| a.worker)
     }
 
-    /// The current estimated cost load of every shard, in shard order.
+    /// The current estimated cost load of every shard, in shard order: the
+    /// summed placement costs of the queries each shard hosts.
     pub fn shard_costs(&self) -> &[f64] {
         &self.shard_costs
-    }
-
-    /// Number of distinct canonical leaf shapes resident on a shard (the
-    /// facade's mirror of the worker registry's shared-leaf index), used to
-    /// observe sharing-aware placement.
-    pub fn shard_resident_leaves(&self, worker: usize) -> usize {
-        self.shard_sigs.get(worker).map(HashMap::len).unwrap_or(0)
-    }
-
-    /// Number of distinct canonical chain trie-path nodes resident on a
-    /// shard — every prefix truncation of every registered chain counts
-    /// once (the facade's mirror of the node set the worker registry's
-    /// shared-join trie can materialize), used to observe
-    /// prefix-sharing-aware placement. A shard hosting only depth-2 chains
-    /// reports one node per distinct chain; a depth-3 chain contributes its
-    /// depth-2 and depth-3 paths.
-    pub fn shard_resident_chains(&self, worker: usize) -> usize {
-        self.shard_chains.get(worker).map(HashMap::len).unwrap_or(0)
-    }
-
-    /// Books a decomposition's canonical leaf shapes and every trie-path
-    /// node of its chain as resident on `worker` — what the worker's shared
-    /// stages will hold once the plan runs there.
-    fn occupy(&mut self, worker: usize, sigs: &[LeafSignature], chain: Option<&PrefixSignature>) {
-        for sig in sigs {
-            *self.shard_sigs[worker].entry(sig.clone()).or_insert(0) += 1;
-        }
-        for path in chain_paths(chain) {
-            *self.shard_chains[worker].entry(path).or_insert(0) += 1;
-        }
-    }
-
-    /// Releases what [`occupy`](Self::occupy) booked, dropping shapes and
-    /// trie-path nodes whose refcount reaches zero.
-    fn vacate(&mut self, worker: usize, sigs: &[LeafSignature], chain: Option<&PrefixSignature>) {
-        fn release<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, usize>, key: &K) {
-            if let Some(count) = counts.get_mut(key) {
-                *count -= 1;
-                if *count == 0 {
-                    counts.remove(key);
-                }
-            }
-        }
-        for sig in sigs {
-            release(&mut self.shard_sigs[worker], sig);
-        }
-        for path in chain_paths(chain) {
-            release(&mut self.shard_chains[worker], &path);
-        }
     }
 
     /// Registers a continuous query, exactly as
@@ -401,12 +311,11 @@ impl ParallelStreamProcessor {
     }
 
     /// Registers a pre-built engine (custom decompositions, replayed trees)
-    /// on the best shard by *sharing-aware* cost: the query's estimated cost
-    /// is discounted on shards that already host its canonical leaf shapes
-    /// (each worker's registry deduplicates leaf searches, so a co-located
-    /// sharer is cheaper there), and the query goes to the shard minimizing
-    /// `load + discounted cost`. With no overlap anywhere this reduces to
-    /// the plain least-loaded assignment.
+    /// on the least-loaded shard. A query's cost is
+    /// [`SelectivityEstimator::estimate_query_cost`] of its pattern against
+    /// the ingest-path statistics, floored at `1e-6`; a shard's load is the
+    /// summed cost of the queries it hosts ([`shard_costs`](Self::shard_costs)),
+    /// and ties go to the lowest shard index.
     ///
     /// Under adaptivity ([`crate::RuntimeConfig::adaptive`]) the engine's
     /// current strategy is treated as a `Fixed` registration: drift may
@@ -420,54 +329,19 @@ impl ParallelStreamProcessor {
     /// Shard placement: picks the worker, books the shard statistics, ships
     /// the engine and the (possibly widened) retention window.
     fn place(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
-        let estimator = self.control.estimator();
         // Cost floor keeps a shard from absorbing unbounded many "free"
         // queries: even a never-dispatched query costs registry space.
-        let base_cost = estimator.estimate_query_cost(engine.query()).max(1e-6);
-        let sigs = engine.tree().map(leaf_signatures).unwrap_or_default();
-        let chain = engine.tree().and_then(tree_chain);
-        let mut worker = 0;
-        let mut cost = base_cost;
-        let mut best_total = f64::INFINITY;
-        for (w, &load) in self.shard_costs.iter().enumerate() {
-            // A shard whose resident trie paths cover a prefix of this
-            // chain will share the join tables along that path, not just
-            // the leaf searches: the discount counts the covered prefix's
-            // internal join nodes on top of the resident leaves. Resident
-            // depths feed the trie-aware estimator as a set — nesting
-            // paths are one storage, never double-counted.
-            let resident_depths: Vec<usize> = chain
-                .as_ref()
-                .map(|c| {
-                    (MIN_PREFIX_DEPTH..=c.depth())
-                        .filter(|&d| self.shard_chains[w].contains_key(&c.truncated(d)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let benefit = estimator.estimate_sharing_benefit_with_prefixes(
-                sigs.iter(),
-                |sig| self.shard_sigs[w].contains_key(sig),
-                resident_depths.iter().copied(),
-            );
-            let discounted = base_cost * (1.0 - SHARING_COST_DISCOUNT * benefit);
-            let total = load + discounted;
-            if total < best_total {
-                best_total = total;
-                worker = w;
-                cost = discounted;
-            }
-        }
+        let cost = self
+            .control
+            .estimator()
+            .estimate_query_cost(engine.query())
+            .max(1e-6);
+        let worker = (0..self.shard_costs.len())
+            .min_by(|&a, &b| self.shard_costs[a].total_cmp(&self.shard_costs[b]))
+            .expect("the runtime has at least one worker");
         self.shard_costs[worker] += cost;
-        self.occupy(worker, &sigs, chain.as_ref());
-        self.assignments.insert(
-            id,
-            ShardAssignment {
-                worker,
-                cost,
-                sigs,
-                chain,
-            },
-        );
+        self.assignments
+            .insert(id, ShardAssignment { worker, cost });
         self.send_to_worker(
             worker,
             WorkerMsg::Register {
@@ -486,7 +360,6 @@ impl ParallelStreamProcessor {
         self.control.forget(id);
         let worker = assignment.worker;
         self.shard_costs[worker] = (self.shard_costs[worker] - assignment.cost).max(0.0);
-        self.vacate(worker, &assignment.sigs, assignment.chain.as_ref());
         let (reply_tx, reply_rx) = channel();
         self.send_to_worker(
             worker,
@@ -630,8 +503,7 @@ impl ParallelStreamProcessor {
     /// [`ProfileCounters::merge`], with `edges_processed` reporting events
     /// ingested by the runtime, `rejected_events` the events the facade
     /// refused before batching, and `vertex_type_conflicts` taken from the
-    /// replica that saw the most (replicas are identical unless ingest
-    /// filtering is on).
+    /// replica that saw the most (every replica ingests the same events).
     pub fn profile(&mut self) -> ProfileCounters {
         let reports = self.worker_reports();
         self.merge_reports(&reports)
@@ -683,26 +555,18 @@ impl ParallelStreamProcessor {
     /// One drift check over every registered query
     /// ([`ControlPlane::check_drift`]): each confirmed plan change is
     /// shipped to the owning worker as a `Redecompose` control message (FIFO
-    /// with the edge batches, so the swap point is deterministic) and the
-    /// shard's resident shapes move with it. Returns the number of
-    /// re-decompositions issued. A no-op when adaptivity is off.
+    /// with the edge batches, so the swap point is deterministic). The query
+    /// stays on its shard. Returns the number of re-decompositions issued. A
+    /// no-op when adaptivity is off.
     pub fn run_drift_checks(&mut self) -> usize {
         let plans = self.control.check_drift();
         let issued = plans.len();
         for (id, strategy, tree) in plans {
-            let mut placed = self
+            let worker = self
                 .assignments
-                .remove(&id)
-                .expect("the control plane re-plans placed queries only");
-            let worker = placed.worker;
-            // The old leaves and trie paths unsubscribe on the worker's
-            // `resubscribe`, the new ones subscribe; placement statistics
-            // follow so future assignments stay accurate.
-            self.vacate(worker, &placed.sigs, placed.chain.as_ref());
-            placed.sigs = leaf_signatures(&tree);
-            placed.chain = tree_chain(&tree);
-            self.occupy(worker, &placed.sigs, placed.chain.as_ref());
-            self.assignments.insert(id, placed);
+                .get(&id)
+                .expect("the control plane re-plans placed queries only")
+                .worker;
             self.send_to_worker(
                 worker,
                 WorkerMsg::Redecompose {

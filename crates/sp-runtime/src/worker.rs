@@ -160,16 +160,16 @@ pub(crate) enum WorkerMsg {
     Shutdown,
 }
 
-/// Snapshot of one worker's state, used for profile aggregation and for the
-/// per-shard tables in `sp-bench`.
+/// Snapshot of one worker's state, used for profile aggregation and
+/// per-worker reporting ([`RuntimeReport::workers`](crate::RuntimeReport::workers)).
 #[derive(Debug, Clone)]
 pub struct WorkerReport {
     /// Worker (shard) index.
     pub worker: usize,
     /// Profiling counters per query hosted on this shard, sorted by id.
     pub per_query: Vec<(QueryId, ProfileCounters)>,
-    /// Events this replica ingested into its graph. Equals the facade's
-    /// event count unless ingest filtering is enabled.
+    /// Events this replica ingested into its graph: every event the facade
+    /// accepted, so it equals the facade's event count.
     pub edges_ingested: u64,
     /// Vertex-type conflicts seen by this replica's ingestion path.
     pub vertex_type_conflicts: u64,
@@ -213,10 +213,6 @@ pub(crate) fn worker_loop(
                 // event of the batch. Statistics are the facade's business:
                 // nothing observes the edges here.
                 for ev in events.iter() {
-                    if config.ingest_filter && shard.registry().candidates(ev.edge_type).is_empty()
-                    {
-                        continue;
-                    }
                     emitted += shard.process_rows_into(ev, &mut out, |_| {});
                 }
                 if !out.bursts.is_empty() {

@@ -184,22 +184,41 @@ fn backpressure_engages_with_a_slow_sink_and_loses_nothing() {
 fn queries_spread_across_shards_by_cost() {
     let schema = cyber_schema();
     let mut runtime = ParallelStreamProcessor::new(schema.clone(), RuntimeConfig::with_workers(4));
-    let mut ids = Vec::new();
+    // Live statistics first, so the protocols' costs differ.
+    runtime.process_all(synth_stream(&schema, 600).iter());
+    let mut placed = Vec::new();
     for (q, s, w) in queries(&schema) {
-        ids.push(runtime.register(q, s, w).unwrap());
+        let cost = runtime.estimator().estimate_query_cost(&q).max(1e-6);
+        let before = runtime.shard_costs().to_vec();
+        let id = runtime.register(q, s, w).unwrap();
+        let shard = runtime.shard_of(id).unwrap();
+        // The query went to a least-loaded shard, and only that shard's
+        // load grew, by exactly the query's floored cost.
+        let least = before.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(before[shard], least, "{id} skipped a lighter shard");
+        let after = runtime.shard_costs();
+        for (w, (&b, &a)) in before.iter().zip(after).enumerate() {
+            let grew = if w == shard { cost } else { 0.0 };
+            assert!((a - b - grew).abs() < 1e-9, "shard {w}: {b} -> {a}");
+        }
+        placed.push((id, shard, cost));
     }
-    let shards: std::collections::BTreeSet<usize> =
-        ids.iter().filter_map(|&id| runtime.shard_of(id)).collect();
+    let shards: std::collections::BTreeSet<usize> = placed.iter().map(|&(_, w, _)| w).collect();
     assert!(
         shards.len() >= 3,
         "5 queries landed on only {} of 4 shards",
         shards.len()
     );
-    // Greedy assignment keeps the loads within one query-cost of each other:
-    // no shard is empty while another holds two queries of positive cost.
-    let costs = runtime.shard_costs();
-    assert_eq!(costs.len(), 4);
-    assert!(costs.iter().all(|&c| c >= 0.0));
+    let total = |rt: &ParallelStreamProcessor| rt.shard_costs().iter().sum::<f64>();
+    let registered: f64 = placed.iter().map(|&(_, _, c)| c).sum();
+    assert!((total(&runtime) - registered).abs() < 1e-9);
+
+    // Deregistering hands the query's cost back to its shard.
+    let (victim, shard, cost) = placed[4];
+    let before = runtime.shard_costs()[shard];
+    runtime.deregister(victim).unwrap();
+    assert!((before - cost - runtime.shard_costs()[shard]).abs() < 1e-9);
+    assert!((total(&runtime) - (registered - cost)).abs() < 1e-9);
 }
 
 #[test]
@@ -370,238 +389,10 @@ fn shutdown_drains_and_reports() {
     assert!(report.pending_matches.is_empty());
     let total_hosted: usize = report.workers.iter().map(|w| w.per_query.len()).sum();
     assert_eq!(total_hosted, 5);
-    // Every replica ingested the full stream (no ingest filtering).
+    // Every replica ingested the full stream.
     for w in &report.workers {
         assert_eq!(w.edges_ingested, 500);
     }
-}
-
-#[test]
-fn ingest_filter_keeps_match_counts_and_shrinks_replicas() {
-    let schema = cyber_schema();
-    let events = synth_stream(&schema, 1_500);
-    let expected = sequential_matches(&events).len() as u64;
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(4).ingest_filtering(true),
-    );
-    for (q, s, w) in queries(&schema) {
-        runtime.register(q, s, w).unwrap();
-    }
-    let found = runtime.process_all(events.iter());
-    assert_eq!(found, expected, "filtered ingest changed the match count");
-    let report = runtime.shutdown();
-    // At least one shard hosts no esp/icmp-heavy query and must have skipped
-    // part of the stream.
-    assert!(
-        report.workers.iter().any(|w| w.edges_ingested < 1_500),
-        "filter never skipped anything"
-    );
-}
-
-#[test]
-fn shard_assignment_co_locates_leaf_sharers() {
-    // Two edge types with equal selectivity (50/50 stream), so every two-hop
-    // query has the same estimated cost. Plain least-loaded assignment would
-    // alternate shards and split the sharers; the sharing discount must
-    // instead co-locate queries with identical canonical leaves.
-    let schema = cyber_schema();
-    let ip = schema.vertex_type("ip").unwrap();
-    let tcp = schema.edge_type("tcp").unwrap();
-    let dns = schema.edge_type("dns").unwrap();
-    let mut estimator = streampattern::SelectivityEstimator::new();
-    for i in 0..100u64 {
-        estimator.observe_edge(&sp_graph::EdgeData {
-            id: sp_graph::EdgeId(i),
-            src: sp_graph::VertexId(i),
-            dst: sp_graph::VertexId(i + 1_000),
-            edge_type: if i % 2 == 0 { tcp } else { dns },
-            timestamp: Timestamp(i),
-        });
-    }
-    let two_hop = |name: &str, t| {
-        let mut q = QueryGraph::new(name);
-        let a = q.add_any_vertex();
-        let b = q.add_any_vertex();
-        let c = q.add_any_vertex();
-        q.add_edge(a, b, t);
-        q.add_edge(b, c, t);
-        q
-    };
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(2).statistics(false),
-    )
-    .with_estimator(estimator);
-    let t1 = runtime
-        .register(two_hop("tcp-1", tcp), Strategy::SingleLazy, None)
-        .unwrap();
-    let d1 = runtime
-        .register(two_hop("dns-1", dns), Strategy::SingleLazy, None)
-        .unwrap();
-    let t2 = runtime
-        .register(two_hop("tcp-2", tcp), Strategy::SingleLazy, None)
-        .unwrap();
-    let d2 = runtime
-        .register(two_hop("dns-2", dns), Strategy::SingleLazy, None)
-        .unwrap();
-    assert_eq!(
-        runtime.shard_of(t1),
-        runtime.shard_of(t2),
-        "tcp sharers must co-locate"
-    );
-    assert_eq!(
-        runtime.shard_of(d1),
-        runtime.shard_of(d2),
-        "dns sharers must co-locate"
-    );
-    assert_ne!(runtime.shard_of(t1), runtime.shard_of(d1));
-    // Each shard hosts exactly one distinct leaf shape (shared twice).
-    assert_eq!(runtime.shard_resident_leaves(0), 1);
-    assert_eq!(runtime.shard_resident_leaves(1), 1);
-
-    // Deregistering the sharers releases the residency refcounts.
-    runtime.deregister(t1).unwrap();
-    runtime.deregister(t2).unwrap();
-    let tcp_shard = runtime.shard_of(d1).map(|w| 1 - w).unwrap();
-    assert_eq!(runtime.shard_resident_leaves(tcp_shard), 0);
-
-    // The co-located setup still answers correctly end to end.
-    let mut events = Vec::new();
-    for i in 0..40u64 {
-        events.push(EdgeEvent::homogeneous(i, i + 1, ip, dns, Timestamp(i)));
-    }
-    let found = runtime.process_all(events.iter());
-    // Each consecutive dns pair matches both registered dns queries.
-    assert_eq!(found, 2 * 39);
-}
-
-#[test]
-fn shard_assignment_co_locates_prefix_sharers() {
-    // Four queries over the SAME two leaf shapes (one tcp edge, one dns
-    // edge) but two different join-cut structures: a path (the dns edge
-    // hangs off the tcp edge's destination) and a fan-out (both edges leave
-    // the same source). Leaf-shape residency cannot tell the shards apart
-    // once both host the shapes — only the canonical *chain* (leaf sequence
-    // + glue) does, so co-locating path with path and fan with fan proves
-    // the prefix-aware discount is live.
-    let schema = cyber_schema();
-    let tcp = schema.edge_type("tcp").unwrap();
-    let dns = schema.edge_type("dns").unwrap();
-    let mut estimator = streampattern::SelectivityEstimator::new();
-    for i in 0..100u64 {
-        estimator.observe_edge(&sp_graph::EdgeData {
-            id: sp_graph::EdgeId(i),
-            src: sp_graph::VertexId(i),
-            dst: sp_graph::VertexId(i + 1_000),
-            edge_type: if i % 2 == 0 { tcp } else { dns },
-            timestamp: Timestamp(i),
-        });
-    }
-    let path = |name: &str| {
-        let mut q = QueryGraph::new(name);
-        let a = q.add_any_vertex();
-        let b = q.add_any_vertex();
-        let c = q.add_any_vertex();
-        q.add_edge(a, b, tcp);
-        q.add_edge(b, c, dns);
-        q
-    };
-    let fan = |name: &str| {
-        let mut q = QueryGraph::new(name);
-        let a = q.add_any_vertex();
-        let b = q.add_any_vertex();
-        let c = q.add_any_vertex();
-        q.add_edge(a, b, tcp);
-        q.add_edge(a, c, dns);
-        q
-    };
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(2).statistics(false),
-    )
-    .with_estimator(estimator);
-    let p1 = runtime
-        .register(path("path-1"), Strategy::SingleLazy, None)
-        .unwrap();
-    let f1 = runtime
-        .register(fan("fan-1"), Strategy::SingleLazy, None)
-        .unwrap();
-    let p2 = runtime
-        .register(path("path-2"), Strategy::SingleLazy, None)
-        .unwrap();
-    let f2 = runtime
-        .register(fan("fan-2"), Strategy::SingleLazy, None)
-        .unwrap();
-    assert_eq!(
-        runtime.shard_of(p1),
-        runtime.shard_of(p2),
-        "identical chains must co-locate"
-    );
-    assert_eq!(
-        runtime.shard_of(f1),
-        runtime.shard_of(f2),
-        "identical chains must co-locate"
-    );
-    assert_ne!(
-        runtime.shard_of(p1),
-        runtime.shard_of(f1),
-        "different glue, different shard"
-    );
-    // Each shard hosts exactly one distinct chain (refcounted twice), and
-    // deregistration releases the refcounts.
-    assert_eq!(runtime.shard_resident_chains(0), 1);
-    assert_eq!(runtime.shard_resident_chains(1), 1);
-    let path_shard = runtime.shard_of(p1).unwrap();
-    runtime.deregister(p1).unwrap();
-    assert_eq!(runtime.shard_resident_chains(path_shard), 1);
-    runtime.deregister(p2).unwrap();
-    assert_eq!(runtime.shard_resident_chains(path_shard), 0);
-    drop(runtime.shutdown());
-    let _ = (f1, f2);
-}
-
-/// The facade mirrors resident chains as *trie paths*: a depth-3 chain
-/// contributes both its depth-2 and depth-3 prefix nodes to the shard's
-/// resident set (the worker's shared-join trie can materialize either), and
-/// the refcounts release as a path when the queries leave.
-#[test]
-fn resident_chains_count_trie_paths() {
-    let schema = cyber_schema();
-    let tcp = schema.edge_type("tcp").unwrap();
-    let dns = schema.edge_type("dns").unwrap();
-    let path3 = |name: &str| {
-        let mut q = QueryGraph::new(name);
-        let a = q.add_any_vertex();
-        let b = q.add_any_vertex();
-        let c = q.add_any_vertex();
-        let d = q.add_any_vertex();
-        q.add_edge(a, b, tcp);
-        q.add_edge(b, c, dns);
-        q.add_edge(c, d, tcp);
-        q
-    };
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(1).statistics(false),
-    );
-    let a = runtime
-        .register(path3("deep-1"), Strategy::SingleLazy, None)
-        .unwrap();
-    assert_eq!(
-        runtime.shard_resident_chains(0),
-        2,
-        "a depth-3 chain is resident as its depth-2 and depth-3 paths"
-    );
-    let b = runtime
-        .register(path3("deep-2"), Strategy::SingleLazy, None)
-        .unwrap();
-    assert_eq!(runtime.shard_resident_chains(0), 2, "paths are refcounted");
-    runtime.deregister(a).unwrap();
-    assert_eq!(runtime.shard_resident_chains(0), 2);
-    runtime.deregister(b).unwrap();
-    assert_eq!(runtime.shard_resident_chains(0), 0);
-    drop(runtime.shutdown());
 }
 
 /// Regression: `RuntimeStats::backpressure_events` used to be the only

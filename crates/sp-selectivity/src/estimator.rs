@@ -5,7 +5,7 @@ use crate::histogram::EdgeTypeHistogram;
 use crate::paths::TwoEdgePathCounter;
 use serde::{Deserialize, Serialize};
 use sp_graph::{DynamicGraph, EdgeData};
-use sp_query::{LeafSignature, Primitive};
+use sp_query::Primitive;
 
 /// How the estimator weighs history when accumulating statistics.
 ///
@@ -279,85 +279,6 @@ impl SelectivityEstimator {
             .sum();
         dispatch_probability * query.num_edges() as f64
     }
-
-    /// Expected fraction of a query's leaf-search **and join** work that the
-    /// shared stages would eliminate, given the query's canonical leaf
-    /// shapes in selectivity-rank order, a residency predicate
-    /// (`is_resident(sig)` = "some already registered query subscribes to
-    /// this shape here") and `shared_prefix_depths`, the depth of **every**
-    /// resident shared prefix of the query's chain.
-    ///
-    /// Weights: a leaf's weight is its *search rate* — the probability that
-    /// an incoming edge triggers the leaf's anchored search, i.e. the summed
-    /// selectivity of the leaf's distinct edge types (capped at 1), so a
-    /// resident leaf over hot types counts for more than one over rare
-    /// types; the internal node joining leaves `0..=r` is weighted by the
-    /// *rarest* leaf rate among them — the selectivity bound on how often
-    /// that join produces (and therefore costs) anything, mirroring the cost
-    /// model's "frequency of an internal node is bounded by its most
-    /// selective child". The first `d` leaves of a depth-`d` shared prefix
-    /// and the joins combining them run once registry-wide, so they count
-    /// as covered regardless of leaf residency. Nesting prefixes of one
-    /// chain share storage in the join trie — a resident `[A,B]` node is the
-    /// parent of a resident `[A,B,C]` node, not an independent copy — so the
-    /// covered work is the **union** of the per-prefix coverage: each leaf
-    /// and each internal join node counts once, at the deepest prefix
-    /// covering it. Returns a value in `[0, 1]`; 0 for an empty leaf set;
-    /// with no prefix of depth ≥ 2 no join node is shared and the estimate
-    /// is the resident-leaf fraction of the (leaf + join) pool. On an empty
-    /// estimator every type reports selectivity 1, degrading to plain
-    /// counting — still a usable ordering.
-    pub fn estimate_sharing_benefit_with_prefixes<'a, I, F, D>(
-        &self,
-        leaves: I,
-        is_resident: F,
-        shared_prefix_depths: D,
-    ) -> f64
-    where
-        I: IntoIterator<Item = &'a LeafSignature>,
-        F: Fn(&LeafSignature) -> bool,
-        D: IntoIterator<Item = usize>,
-    {
-        let shared_join_depth = shared_prefix_depths.into_iter().max().unwrap_or(0);
-        let rates: Vec<(f64, bool)> = leaves
-            .into_iter()
-            .map(|sig| {
-                let rate: f64 = sig
-                    .edge_types()
-                    .iter()
-                    .map(|&t| self.selectivity(&Primitive::SingleEdge(t)))
-                    .sum::<f64>()
-                    .min(1.0);
-                (rate, is_resident(sig))
-            })
-            .collect();
-        if rates.is_empty() {
-            return 0.0;
-        }
-        let d = shared_join_depth.min(rates.len());
-        let mut total = 0.0;
-        let mut covered = 0.0;
-        let mut rarest = f64::INFINITY;
-        for (r, &(rate, resident)) in rates.iter().enumerate() {
-            total += rate;
-            if r < d || resident {
-                covered += rate;
-            }
-            rarest = rarest.min(rate);
-            if r >= 1 {
-                // Internal node joining leaves 0..=r.
-                total += rarest;
-                if r < d {
-                    covered += rarest;
-                }
-            }
-        }
-        if total == 0.0 {
-            0.0
-        } else {
-            covered / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -500,147 +421,6 @@ mod tests {
         // The empty estimator still yields a finite, positive ordering key.
         let empty = SelectivityEstimator::new();
         assert!(empty.estimate_query_cost(&q_hot) > 0.0);
-    }
-
-    #[test]
-    fn sharing_benefit_weights_leaves_by_search_rate() {
-        use sp_query::{canonicalize_subgraph, QuerySubgraph};
-        let g = sample_graph();
-        let est = SelectivityEstimator::from_graph(&g);
-        let tcp = g.schema().edge_type("tcp").unwrap();
-        let udp = g.schema().edge_type("udp").unwrap();
-        let sig_for = |t| {
-            let mut q = QueryGraph::new("leaf");
-            let a = q.add_any_vertex();
-            let b = q.add_any_vertex();
-            q.add_edge(a, b, t);
-            let sub = QuerySubgraph::from_edges(&q, q.edge_ids());
-            canonicalize_subgraph(&q, &sub).unwrap().0
-        };
-        let hot = sig_for(tcp); // selectivity 0.9
-        let cold = sig_for(udp); // selectivity 0.1
-        let leaves = [hot.clone(), cold.clone()];
-
-        // No shared prefix: the pool is both leaves plus their join (bounded
-        // by the rarest leaf), 0.9 + 0.1 + 0.1; only resident leaves count.
-        let benefit = |is_resident: &dyn Fn(&LeafSignature) -> bool| {
-            est.estimate_sharing_benefit_with_prefixes(leaves.iter(), is_resident, [])
-        };
-        assert_eq!(benefit(&|_| false), 0.0);
-        assert!((benefit(&|_| true) - 1.0 / 1.1).abs() < 1e-12);
-        // Only the hot leaf resident: its share of the search rate.
-        let b = benefit(&|s| *s == hot);
-        assert!((b - 0.9 / 1.1).abs() < 1e-12, "benefit = {b}");
-        let b = benefit(&|s| *s == cold);
-        assert!((b - 0.1 / 1.1).abs() < 1e-12, "benefit = {b}");
-        // Empty leaf sets report no benefit.
-        assert_eq!(
-            est.estimate_sharing_benefit_with_prefixes([].iter(), |_| true, []),
-            0.0
-        );
-    }
-
-    #[test]
-    fn prefix_benefit_counts_shared_internal_nodes() {
-        use sp_query::{canonicalize_subgraph, QuerySubgraph};
-        let g = sample_graph();
-        let est = SelectivityEstimator::from_graph(&g);
-        let tcp = g.schema().edge_type("tcp").unwrap(); // rate 0.9
-        let udp = g.schema().edge_type("udp").unwrap(); // rate 0.1
-        let sig_for = |t| {
-            let mut q = QueryGraph::new("leaf");
-            let a = q.add_any_vertex();
-            let b = q.add_any_vertex();
-            q.add_edge(a, b, t);
-            let sub = QuerySubgraph::from_edges(&q, q.edge_ids());
-            canonicalize_subgraph(&q, &sub).unwrap().0
-        };
-        let hot = sig_for(tcp);
-        let cold = sig_for(udp);
-        // Chain [cold, hot]: pool = 0.1 + 0.9 (leaves) + 0.1 (the join,
-        // bounded by the rarest leaf) = 1.1.
-        let leaves = [cold.clone(), hot.clone()];
-        // No shared prefix, nothing resident: zero.
-        assert_eq!(
-            est.estimate_sharing_benefit_with_prefixes(leaves.iter(), |_| false, [0]),
-            0.0
-        );
-        // A depth-2 shared prefix covers both leaves AND the join: full
-        // benefit.
-        let full = est.estimate_sharing_benefit_with_prefixes(leaves.iter(), |_| false, [2]);
-        assert!((full - 1.0).abs() < 1e-12, "full = {full}");
-        // Leaf-only residency of the hot leaf covers 0.9 of the 1.1 pool —
-        // strictly less than prefix sharing, which also takes the join.
-        let leaf_only =
-            est.estimate_sharing_benefit_with_prefixes(leaves.iter(), |s| *s == hot, [0]);
-        assert!(
-            (leaf_only - 0.9 / 1.1).abs() < 1e-12,
-            "leaf_only = {leaf_only}"
-        );
-        assert!(leaf_only < full);
-        // A 3-leaf chain with a depth-2 shared prefix: the second join
-        // (0..=2) stays uncovered.
-        let leaves3 = [cold.clone(), hot.clone(), cold.clone()];
-        // pool = (0.1 + 0.9 + 0.1) + (0.1 + 0.1) = 1.3; covered = 0.1 +
-        // 0.9 + 0.1 (first join) = 1.1.
-        let partial = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [2]);
-        assert!((partial - 1.1 / 1.3).abs() < 1e-12, "partial = {partial}");
-        // Residency of the remaining suffix leaf adds its rate on top.
-        let with_suffix =
-            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |s| *s == cold, [2]);
-        assert!((with_suffix - 1.2 / 1.3).abs() < 1e-12);
-        assert_eq!(
-            est.estimate_sharing_benefit_with_prefixes([].iter(), |_| true, [2]),
-            0.0
-        );
-    }
-
-    #[test]
-    fn nested_resident_prefixes_count_each_trie_node_once() {
-        use sp_query::{canonicalize_subgraph, QuerySubgraph};
-        let g = sample_graph();
-        let est = SelectivityEstimator::from_graph(&g);
-        let tcp = g.schema().edge_type("tcp").unwrap(); // rate 0.9
-        let udp = g.schema().edge_type("udp").unwrap(); // rate 0.1
-        let sig_for = |t| {
-            let mut q = QueryGraph::new("leaf");
-            let a = q.add_any_vertex();
-            let b = q.add_any_vertex();
-            q.add_edge(a, b, t);
-            let sub = QuerySubgraph::from_edges(&q, q.edge_ids());
-            canonicalize_subgraph(&q, &sub).unwrap().0
-        };
-        let hot = sig_for(tcp);
-        let cold = sig_for(udp);
-        // Chain [cold, hot, cold] with BOTH its depth-2 and depth-3
-        // prefixes resident (the trie nests them): pool = 1.3 as above, and
-        // the union of coverage is the full chain — benefit 1.0, identical
-        // to depth 3 alone. The shallower node adds nothing new.
-        let leaves3 = [cold.clone(), hot.clone(), cold.clone()];
-        let nested = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [2, 3]);
-        let deep_only = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [3]);
-        assert!((nested - 1.0).abs() < 1e-12, "nested = {nested}");
-        assert_eq!(nested, deep_only);
-        // The naive per-prefix sum double-counts everything the depth-2
-        // node covers (1.1 of the 1.3 pool) — the union stays a fraction.
-        let shallow = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [2]);
-        let deep = est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [3]);
-        assert!(nested < shallow + deep, "union beats the double-count");
-        assert!(shallow + deep > 1.0, "the naive sum overflows the pool");
-        // Depth order is irrelevant, and the singular form is the
-        // one-element special case.
-        assert_eq!(
-            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [3, 2]),
-            nested
-        );
-        assert_eq!(
-            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [2]),
-            shallow
-        );
-        assert_eq!(
-            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, []),
-            est.estimate_sharing_benefit_with_prefixes(leaves3.iter(), |_| false, [0])
-        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! adaptive processor must report exactly the match multiset of (a) the
 //! same processor with adaptivity off, and (b) independent fresh
 //! single-query processors — across every strategy and, for the parallel
-//! runtime, across worker counts (`RUNTIME_WORKERS` overrides the sweep,
-//! mirroring `integration_parallel.rs`).
+//! runtime, across 1, 2 and 4 workers.
 
 use sp_bench::experiments::drift_rule_pack;
 use sp_datasets::{Dataset, NetflowDriftConfig};
@@ -16,21 +15,8 @@ use streampattern::{
     StrategySpec, StreamProcessor, SubgraphMatch,
 };
 
-/// Worker counts under test: `RUNTIME_WORKERS` (e.g. `2` or `1,2,4`) or the
-/// default sweep.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RUNTIME_WORKERS") {
-        Ok(v) => v
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("bad RUNTIME_WORKERS entry '{p}'"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker counts under test.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn drift_dataset() -> Dataset {
     NetflowDriftConfig {
@@ -160,7 +146,7 @@ fn parallel_adaptive_equals_sequential_across_worker_counts() {
     ] {
         let (expected, _) = run_shared(&dataset, &pack, spec, window, false);
         assert!(!expected.is_empty());
-        for workers in worker_counts() {
+        for workers in WORKER_COUNTS {
             let mut runtime = ParallelStreamProcessor::new(
                 dataset.schema.clone(),
                 RuntimeConfig::with_workers(workers).adaptive(drift_config()),
@@ -492,7 +478,7 @@ fn scripted_schedule_is_identical_on_both_front_ends() {
         );
         assert!(!expected.matches.is_empty());
 
-        for workers in worker_counts() {
+        for workers in WORKER_COUNTS {
             let runtime = ParallelStreamProcessor::new(
                 dataset.schema.clone(),
                 RuntimeConfig::with_workers(workers)

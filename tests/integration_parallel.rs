@@ -1,30 +1,13 @@
 //! Cross-crate integration: the parallel runtime against generated dataset
 //! streams, asserting exact match-multiset equivalence with the sequential
-//! processor for every worker count.
-//!
-//! The worker counts default to `1, 2, 4`; CI overrides them through the
-//! `RUNTIME_WORKERS` environment variable (a single count or a
-//! comma-separated list).
+//! processor for 1, 2 and 4 workers.
 
 use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind};
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{FnSink, QueryId, Strategy, StreamProcessor, SubgraphMatch};
 
-/// Worker counts under test: `RUNTIME_WORKERS` (e.g. `2` or `1,2,4`) or the
-/// default sweep.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RUNTIME_WORKERS") {
-        Ok(v) => v
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("bad RUNTIME_WORKERS entry '{p}'"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker counts under test.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn netflow_multi_query_equivalence_across_worker_counts() {
@@ -58,7 +41,7 @@ fn netflow_multi_query_equivalence_across_worker_counts() {
     expected.sort();
     assert!(!expected.is_empty(), "workload produced no matches");
 
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let mut runtime = ParallelStreamProcessor::new(
             dataset.schema.clone(),
             RuntimeConfig::with_workers(workers).statistics(false),

@@ -31,21 +31,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Worker counts under test: `RUNTIME_WORKERS` (e.g. `2` or `1,2,4`) or the
-/// default sweep, mirroring `integration_parallel.rs`.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RUNTIME_WORKERS") {
-        Ok(v) => v
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("bad RUNTIME_WORKERS entry '{p}'"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker counts under test.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// An overlapping netflow rule pack (identical chains, a proper-prefix
 /// overlap, disjoint rules) so all three pipeline stages — shared join
@@ -170,7 +157,7 @@ fn sequential_pipeline_matches_parallel_runtime_across_worker_counts() {
         }
     });
 
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let mut runtime = ParallelStreamProcessor::new(
             schema.clone(),
             RuntimeConfig::with_workers(workers).statistics(false),

@@ -20,21 +20,8 @@ use streampattern::{
     Strategy, StrategySpec, StreamProcessor, SubgraphMatch,
 };
 
-/// Worker counts under test: `RUNTIME_WORKERS` (e.g. `2` or `1,2,4`) or the
-/// default sweep, mirroring `integration_parallel.rs`.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("RUNTIME_WORKERS") {
-        Ok(v) => v
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("bad RUNTIME_WORKERS entry '{p}'"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker counts under test.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// An overlapping netflow rule pack with identical chains (exfil vs
 /// exfil-wide — different windows, one table), *nesting* prefix overlaps
@@ -213,7 +200,7 @@ fn shared_join_matches_parallel_runtime_across_worker_counts() {
     });
     assert!(seq.shared_join_stats().searches_saved > 0);
 
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let mut runtime = ParallelStreamProcessor::new(
             schema.clone(),
             RuntimeConfig::with_workers(workers).statistics(false),
@@ -758,7 +745,7 @@ fn permuted_full_depth_subscribers_match_independent_processors() {
         );
     }
 
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let mut runtime = ParallelStreamProcessor::new(
             schema.clone(),
             RuntimeConfig::with_workers(workers).statistics(false),
@@ -974,7 +961,7 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
         (Some(2), Some(2), Some(3), Some(3)),
         "three full-depth subscribers and the 4-chain at partial depth"
     );
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         assert_eq!(
             runtime_run(&schema, &rules, dataset.events(), workers, &estimator),
             expected,
@@ -1038,7 +1025,7 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
         "the 9-chain is a partial-depth subscriber, not depth {fed}"
     );
     assert!(proc.profile_for(ids[2]).unwrap().shared_join_emissions > 0);
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         assert_eq!(
             runtime_run(&schema, &rules, &events, workers, &estimator),
             expected,
