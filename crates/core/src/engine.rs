@@ -808,11 +808,7 @@ mod tests {
         let mut total = 0;
         for &(s, d, ty, ts) in events {
             let et = schema.edge_type(ty).unwrap();
-            let ev = EdgeEvent::homogeneous(s, d, vt, et, Timestamp(ts));
-            let src = graph.ensure_vertex(VertexId(ev.src), ev.src_type).unwrap();
-            let dst = graph.ensure_vertex(VertexId(ev.dst), ev.dst_type).unwrap();
-            let e = graph.add_edge(src, dst, ev.edge_type, ev.timestamp);
-            let data = *graph.edge(e).unwrap();
+            let (data, _) = graph.ingest(&EdgeEvent::homogeneous(s, d, vt, et, Timestamp(ts)));
             total += engine.process_edge(&graph, &data).len();
         }
         total

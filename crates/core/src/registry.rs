@@ -75,12 +75,11 @@ pub struct QueryRegistry {
     /// (full-depth shared-join subscribers bypass it), as rows of that
     /// engine's layout; handed to the sink as one burst per engine.
     complete: Vec<u64>,
-    /// The next subscription boundary: one past the id of the last
-    /// processed edge. A query registered now is entitled to matches
-    /// anchored at edge ids `>= boundary` (see the shared-join module docs).
-    boundary: u64,
-    /// Each live query's original registration boundary, preserved across
-    /// drift-driven re-subscriptions.
+    /// Each live query's registration boundary — the graph's stream
+    /// position ([`DynamicGraph::total_edges_seen`]) when it registered: it
+    /// is entitled to matches anchored at edge ids `>=` it (see the
+    /// shared-join module docs). Preserved across drift-driven
+    /// re-subscriptions.
     origins: HashMap<QueryId, u64>,
 }
 
@@ -93,7 +92,6 @@ impl Default for QueryRegistry {
             join: SharedJoinIndex::new(),
             cache: EdgeSearchCache::new(),
             complete: Vec::new(),
-            boundary: 0,
             origins: HashMap::new(),
         }
     }
@@ -155,7 +153,7 @@ impl QueryRegistry {
             }
         }
         self.shared.subscribe(id, &engine, 0);
-        self.origins.insert(id, self.boundary);
+        self.origins.insert(id, graph.total_edges_seen());
         let previous = self.engines.insert(id, engine);
         assert!(previous.is_none(), "query id {id} registered twice");
         self.subscribe_join(id, graph);
@@ -169,10 +167,9 @@ impl QueryRegistry {
         let Some(engine) = self.engines.get(&id) else {
             return;
         };
-        let boundary = self.origins.get(&id).copied().unwrap_or(self.boundary);
-        let outcome = self
-            .join
-            .subscribe(id, engine, boundary, self.boundary, graph);
+        let now = graph.total_edges_seen();
+        let boundary = self.origins.get(&id).copied().unwrap_or(now);
+        let outcome = self.join.subscribe(id, engine, boundary, now, graph);
         let JoinSubscription::Shared { depth, migrations } = outcome else {
             return;
         };
@@ -181,7 +178,7 @@ impl QueryRegistry {
             let Some(partner_engine) = self.engines.get(&partner) else {
                 continue;
             };
-            let partner_boundary = self.origins.get(&partner).copied().unwrap_or(self.boundary);
+            let partner_boundary = self.origins.get(&partner).copied().unwrap_or(now);
             if let Some(partner_depth) =
                 self.join
                     .attach_partner(partner, partner_engine, partner_boundary, graph)
@@ -288,9 +285,6 @@ impl QueryRegistry {
         sink: &mut (impl RowSink + ?Sized),
         metrics: Option<(&PipelineMetrics, u64)>,
     ) -> u64 {
-        // Edge ids are monotone in arrival order; one past the newest edge
-        // is the boundary recorded for queries registered from now on.
-        self.boundary = self.boundary.max(edge.id.0 + 1);
         let QueryRegistry {
             engines,
             dispatch,

@@ -8,7 +8,7 @@ use crate::profile::ProfileCounters;
 use crate::registry::{QueryId, QueryRegistry};
 use crate::sink::{MatchSink, Materialize, RowSink};
 use crate::strategy::Strategy;
-use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, Schema, VertexId};
+use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, Schema};
 use sp_sjtree::{SjTree, UNBOUND};
 use std::time::Instant;
 
@@ -33,7 +33,8 @@ pub struct Shard {
     purge_interval: u64,
     since_purge: u64,
     total_matches: u64,
-    /// Events ingested, rejected, and vertex-type conflicts.
+    /// Events rejected, and vertex-type conflicts; the graph counts the
+    /// events ingested.
     stream: ProfileCounters,
     /// Telemetry handles; `None` (the default) keeps the hot path at a
     /// single branch with no clock reads.
@@ -155,7 +156,6 @@ impl Shard {
             self.stream.rejected_events += 1;
             return 0;
         }
-        self.stream.edges_processed += 1;
         // The single metrics branch of the hot path: with metrics off,
         // `started` stays `None` and no clock is ever read. The arrival
         // instant prefers the stamp the runtime facade put on the event (the
@@ -172,30 +172,8 @@ impl Shard {
             };
             (arrival, t0)
         });
-        let src = match self
-            .graph
-            .ensure_vertex(VertexId(event.src), event.src_type)
-        {
-            Ok(v) => v,
-            Err(_) => {
-                self.stream.vertex_type_conflicts += 1;
-                VertexId(event.src)
-            }
-        };
-        let dst = match self
-            .graph
-            .ensure_vertex(VertexId(event.dst), event.dst_type)
-        {
-            Ok(v) => v,
-            Err(_) => {
-                self.stream.vertex_type_conflicts += 1;
-                VertexId(event.dst)
-            }
-        };
-        let edge_id = self
-            .graph
-            .add_edge(src, dst, event.edge_type, event.timestamp);
-        let edge = *self.graph.edge(edge_id).expect("edge was just inserted");
+        let (edge, conflicts) = self.graph.ingest(event);
+        self.stream.vertex_type_conflicts += conflicts;
         observe(&edge);
         if let (Some(m), Some((_, t0))) = (&self.metrics, started) {
             m.ingest_ns.add(t0.elapsed().as_nanos() as u64);
@@ -239,16 +217,16 @@ impl Shard {
     }
 
     /// Aggregated profiling counters: the engines' counters summed, with
-    /// `edges_processed` reporting events *ingested by the shard* (each
-    /// engine's own `edges_processed` counts only the edges dispatched to
-    /// it) and `vertex_type_conflicts` / `rejected_events` from the
-    /// ingestion path.
+    /// `edges_processed` reporting events *ingested by the shard* — the
+    /// graph's [`DynamicGraph::total_edges_seen`]; each engine's own
+    /// `edges_processed` counts only the edges dispatched to it — and
+    /// `vertex_type_conflicts` / `rejected_events` from the ingestion path.
     pub fn profile(&self) -> ProfileCounters {
         let mut total = ProfileCounters::new();
         for (_, engine) in self.registry.iter() {
             total.merge(engine.profile());
         }
-        total.edges_processed = self.stream.edges_processed;
+        total.edges_processed = self.graph.total_edges_seen();
         total.vertex_type_conflicts = self.stream.vertex_type_conflicts;
         total.rejected_events = self.stream.rejected_events;
         total

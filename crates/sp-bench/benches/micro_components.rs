@@ -426,11 +426,7 @@ fn registry_dispatch(c: &mut Criterion) {
     let mut timed = (0u64, std::time::Duration::ZERO);
     let mut feed = |timed: &mut (u64, std::time::Duration)| {
         for event in events.by_ref().take(SLICE) {
-            let src = graph.ensure_vertex(VertexId(event.src), event.src_type);
-            let dst = graph.ensure_vertex(VertexId(event.dst), event.dst_type);
-            let (src, dst) = (src.unwrap(), dst.unwrap());
-            let id = graph.add_edge(src, dst, event.edge_type, event.timestamp);
-            let edge = *graph.edge(id).unwrap();
+            let (edge, _) = graph.ingest(event);
             let t0 = std::time::Instant::now();
             registry.process_edge(&graph, &edge, &mut sink, None);
             timed.1 += t0.elapsed();
@@ -467,11 +463,11 @@ fn registry_dispatch(c: &mut Criterion) {
 }
 
 /// Graph maintenance in isolation, the `lsbench_calm` regime in miniature:
-/// slices of 4 096 edges, each ingested (two `ensure_vertex` and an
-/// `add_edge`) and then expired out of an 8 192-tick window, as the shard's
-/// purge cadence does. One edge in sixteen leaves one of eight hubs, whose
-/// adjacency spills past the inline slots; every other endpoint is created
-/// by its edge and dropped with it. The `late` case delays one edge in eight
+/// slices of 4 096 edges, each ingested ([`DynamicGraph::ingest`]) and then
+/// expired out of an 8 192-tick window, as the shard's purge cadence does.
+/// One edge in sixteen leaves one of eight hubs, whose adjacency spills past
+/// the inline slots; every other endpoint is created by its edge and dropped
+/// with it. The `late` case delays one edge in eight
 /// by up to half a window, so those take the expiry queue's heap side (and
 /// leave sooner: that case holds fewer live edges). Prints ns per edge,
 /// ingest and expiry together.
@@ -508,10 +504,8 @@ fn graph_ingest_expire(c: &mut Criterion) {
                 } else {
                     HUBS + 2 * tick
                 };
-                let (src, dst) = (VertexId(src), VertexId(HUBS + 2 * tick + 1));
-                graph.ensure_vertex(src, ip).unwrap();
-                graph.ensure_vertex(dst, ip).unwrap();
-                graph.add_edge(src, dst, tcp, Timestamp(ts));
+                let dst = HUBS + 2 * tick + 1;
+                graph.ingest(&EdgeEvent::homogeneous(src, dst, ip, tcp, Timestamp(ts)));
                 tick += 1;
             }
             let expired = graph.expire();

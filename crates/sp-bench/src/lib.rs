@@ -23,8 +23,11 @@
 //! what the shared leaf and join stages save.
 //!
 //! The `reproduce` binary drives these functions and renders markdown tables
-//! (the basis of `EXPERIMENTS.md`); the Criterion benches under `benches/`
-//! cover the same code paths at a smaller scale for regression tracking.
+//! (the basis of `EXPERIMENTS.md`). The Criterion benches under `benches/`
+//! measure what no experiment reports: single components in isolation
+//! (`micro_components`), the paper's design choices switched off one at a
+//! time (`ablations`), and the speed of the Figure 7 path census
+//! (`fig7_path_stats`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
-//! Workload execution helpers shared by the experiments and the Criterion
-//! benches: run a query under a strategy over a stream, sweep a group of
-//! random queries, and sample queries by Expected Selectivity as the paper's
-//! methodology prescribes.
+//! Workload execution helpers shared by the experiments and the tests: run a
+//! query under a strategy over a stream, sweep a group of random queries,
+//! and sample queries by Expected Selectivity as the paper's methodology
+//! prescribes.
 
 use serde::{Deserialize, Serialize};
 use sp_datasets::Dataset;
@@ -11,8 +11,7 @@ use sp_sjtree::{decompose, expected_selectivity, PrimitivePolicy};
 use std::time::{Duration, Instant};
 use streampattern::{
     ContinuousQueryEngine, DynamicGraph, EdgeEvent, PipelineMetrics, ProfileCounters, Schema,
-    Shard, Strategy, StrategySpec, StreamProcessor, SubgraphMatch, VertexId,
-    DEFAULT_PURGE_INTERVAL,
+    Shard, Strategy, StrategySpec, StreamProcessor, SubgraphMatch, DEFAULT_PURGE_INTERVAL,
 };
 
 /// Experiment scale: how many stream edges each measurement processes.
@@ -238,12 +237,7 @@ pub fn run_alone(
         if !Shard::accepts(ev) {
             continue;
         }
-        // A vertex-type conflict keeps the first type, as the shard does.
-        let (src, dst) = (VertexId(ev.src), VertexId(ev.dst));
-        let _ = graph.ensure_vertex(src, ev.src_type);
-        let _ = graph.ensure_vertex(dst, ev.dst_type);
-        let id = graph.add_edge(src, dst, ev.edge_type, ev.timestamp);
-        let edge = *graph.edge(id).expect("edge was just inserted");
+        let (edge, _) = graph.ingest(ev);
         if i >= from
             && engine
                 .query()

@@ -83,17 +83,11 @@ impl Dataset {
 
     /// Materializes the whole stream into a [`DynamicGraph`] (used by tests
     /// and the Figure 7 analysis, which runs Algorithm 5 over a graph
-    /// snapshot).
+    /// snapshot). A vertex-type conflict keeps the first type.
     pub fn build_graph(&self) -> DynamicGraph {
         let mut g = DynamicGraph::new(self.schema.clone());
         for ev in &self.events {
-            let src = g
-                .ensure_vertex(VertexId(ev.src), ev.src_type)
-                .unwrap_or(VertexId(ev.src));
-            let dst = g
-                .ensure_vertex(VertexId(ev.dst), ev.dst_type)
-                .unwrap_or(VertexId(ev.dst));
-            g.add_edge(src, dst, ev.edge_type, ev.timestamp);
+            g.ingest(ev);
         }
         g
     }

@@ -6,8 +6,6 @@ use std::fmt;
 /// Errors produced by [`crate::DynamicGraph`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
-    /// A vertex id was referenced that is not present in the graph.
-    UnknownVertex(VertexId),
     /// An edge id was referenced that is not present (possibly expired).
     UnknownEdge(EdgeId),
     /// A vertex was inserted twice with conflicting types.
@@ -19,20 +17,11 @@ pub enum GraphError {
         /// The conflicting new type.
         requested: u32,
     },
-    /// An edge timestamp was older than the newest edge by more than the
-    /// configured window, so inserting it would immediately expire it.
-    StaleEdge {
-        /// Timestamp of the rejected edge.
-        timestamp: u64,
-        /// Lower bound of the current window.
-        window_start: u64,
-    },
 }
 
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::UnknownVertex(v) => write!(f, "unknown vertex {v}"),
             GraphError::UnknownEdge(e) => write!(f, "unknown edge {e}"),
             GraphError::VertexTypeConflict {
                 vertex,
@@ -41,13 +30,6 @@ impl fmt::Display for GraphError {
             } => write!(
                 f,
                 "vertex {vertex} already has type {existing}, cannot re-type as {requested}"
-            ),
-            GraphError::StaleEdge {
-                timestamp,
-                window_start,
-            } => write!(
-                f,
-                "edge timestamp {timestamp} is older than the window start {window_start}"
             ),
         }
     }
@@ -61,8 +43,6 @@ mod tests {
 
     #[test]
     fn error_display_is_human_readable() {
-        let e = GraphError::UnknownVertex(VertexId(7));
-        assert!(e.to_string().contains("v7"));
         let e = GraphError::UnknownEdge(EdgeId(3));
         assert!(e.to_string().contains("e3"));
         let e = GraphError::VertexTypeConflict {
@@ -70,11 +50,6 @@ mod tests {
             existing: 2,
             requested: 5,
         };
-        assert!(e.to_string().contains("already has type 2"));
-        let e = GraphError::StaleEdge {
-            timestamp: 1,
-            window_start: 10,
-        };
-        assert!(e.to_string().contains("older than the window start"));
+        assert!(e.to_string().contains("v1 already has type 2"));
     }
 }

@@ -20,6 +20,7 @@
 //!   which insertion sets and nothing clears while the vertex lives.
 
 use crate::error::GraphError;
+use crate::event::EdgeEvent;
 use crate::hash::FastMap;
 use crate::ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 use crate::schema::Schema;
@@ -238,11 +239,9 @@ pub struct DynamicGraph {
     schema: Schema,
     vertices: FastMap<VertexId, VertexData>,
     edges: FastMap<EdgeId, EdgeData>,
-    names: HashMap<String, VertexId>,
     expiry: ExpiryQueue,
     window: Option<u64>,
     next_vertex_id: u64,
-    next_edge_id: u64,
     latest_ts: Timestamp,
     total_edges_seen: u64,
 }
@@ -255,11 +254,9 @@ impl DynamicGraph {
             schema,
             vertices: FastMap::default(),
             edges: FastMap::default(),
-            names: HashMap::new(),
             expiry: ExpiryQueue::new(),
             window: None,
             next_vertex_id: 0,
-            next_edge_id: 0,
             latest_ts: Timestamp(0),
             total_edges_seen: 0,
         }
@@ -328,32 +325,23 @@ impl DynamicGraph {
         Ok(id)
     }
 
-    /// Looks up (or creates) a vertex by external name, e.g. an IP address or
-    /// a user id string.
-    pub fn ensure_vertex_named(&mut self, name: &str, vertex_type: VertexType) -> VertexId {
-        if let Some(&id) = self.names.get(name) {
-            // The vertex may have been dropped by window expiry while the
-            // name mapping was retained; re-materialize it under the same id
-            // so external names stay stable across the stream.
-            self.vertices.entry(id).or_insert_with(|| VertexData {
-                vertex_type,
-                ..VertexData::default()
-            });
-            return id;
-        }
-        let id = self.add_vertex(vertex_type);
-        self.names.insert(name.to_owned(), id);
-        id
-    }
-
-    /// Resolves a previously registered vertex name.
-    pub fn vertex_by_name(&self, name: &str) -> Option<VertexId> {
-        self.names.get(name).copied()
+    /// Ingests one stream event under its external vertex ids: ensures both
+    /// endpoints ([`DynamicGraph::ensure_vertex`]), adds the edge, and
+    /// returns the stored edge with the number of endpoints (0–2) whose
+    /// event type conflicted with the type already recorded for the vertex.
+    /// A conflicting endpoint keeps its recorded type; the edge is added
+    /// either way.
+    pub fn ingest(&mut self, event: &EdgeEvent) -> (EdgeData, u64) {
+        let (src, dst) = (VertexId(event.src), VertexId(event.dst));
+        let conflicts = u64::from(self.ensure_vertex(src, event.src_type).is_err())
+            + u64::from(self.ensure_vertex(dst, event.dst_type).is_err());
+        let edge = self.insert_edge(src, dst, event.edge_type, event.timestamp);
+        (edge, conflicts)
     }
 
     /// Inserts a new directed edge and returns its id. Both endpoints must
     /// already exist (see [`DynamicGraph::ensure_vertex`] /
-    /// [`DynamicGraph::ensure_vertex_named`] / [`DynamicGraph::add_vertex`]).
+    /// [`DynamicGraph::add_vertex`]).
     ///
     /// The edge is *not* checked against the window here; call
     /// [`DynamicGraph::expire`] to slide the window forward.
@@ -364,13 +352,24 @@ impl DynamicGraph {
         edge_type: EdgeType,
         timestamp: Timestamp,
     ) -> EdgeId {
+        self.insert_edge(src, dst, edge_type, timestamp).id
+    }
+
+    /// [`DynamicGraph::add_edge`], returning the stored edge. Edge ids are
+    /// the stream position: the `n`-th edge ever inserted gets id `n - 1`.
+    fn insert_edge(
+        &mut self,
+        src: VertexId,
+        dst: VertexId,
+        edge_type: EdgeType,
+        timestamp: Timestamp,
+    ) -> EdgeData {
         debug_assert!(self.vertices.contains_key(&src), "unknown source vertex");
         debug_assert!(
             self.vertices.contains_key(&dst),
             "unknown destination vertex"
         );
-        let id = EdgeId(self.next_edge_id);
-        self.next_edge_id += 1;
+        let id = EdgeId(self.total_edges_seen);
         let data = EdgeData {
             id,
             src,
@@ -397,34 +396,7 @@ impl DynamicGraph {
             self.latest_ts = timestamp;
         }
         self.total_edges_seen += 1;
-        id
-    }
-
-    /// Checked variant of [`DynamicGraph::add_edge`] that verifies both
-    /// endpoints exist and that the edge is not already outside the window.
-    pub fn try_add_edge(
-        &mut self,
-        src: VertexId,
-        dst: VertexId,
-        edge_type: EdgeType,
-        timestamp: Timestamp,
-    ) -> Result<EdgeId> {
-        if !self.vertices.contains_key(&src) {
-            return Err(GraphError::UnknownVertex(src));
-        }
-        if !self.vertices.contains_key(&dst) {
-            return Err(GraphError::UnknownVertex(dst));
-        }
-        if let Some(w) = self.window {
-            let start = self.latest_ts.0.saturating_sub(w);
-            if timestamp.0 < start {
-                return Err(GraphError::StaleEdge {
-                    timestamp: timestamp.0,
-                    window_start: start,
-                });
-            }
-        }
-        Ok(self.add_edge(src, dst, edge_type, timestamp))
+        data
     }
 
     /// Slides the window forward to the newest edge seen so far, removing all
@@ -521,7 +493,8 @@ impl DynamicGraph {
         self.edges.len()
     }
 
-    /// Total number of edges ever inserted (including expired ones).
+    /// Total number of edges ever inserted (including expired ones): the
+    /// stream position, and the id the next edge gets.
     pub fn total_edges_seen(&self) -> u64 {
         self.total_edges_seen
     }
@@ -776,24 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn try_add_edge_rejects_unknown_vertices_and_stale_edges() {
-        let (s, ip, tcp, _) = schema();
-        let mut g = DynamicGraph::with_window(s, 5);
-        let a = g.add_vertex(ip);
-        let b = g.add_vertex(ip);
-        assert!(matches!(
-            g.try_add_edge(VertexId(999), b, tcp, Timestamp(1)),
-            Err(GraphError::UnknownVertex(_))
-        ));
-        g.add_edge(a, b, tcp, Timestamp(100));
-        assert!(matches!(
-            g.try_add_edge(a, b, tcp, Timestamp(10)),
-            Err(GraphError::StaleEdge { .. })
-        ));
-        assert!(g.try_add_edge(a, b, tcp, Timestamp(99)).is_ok());
-    }
-
-    #[test]
     fn ensure_vertex_conflicting_type_is_an_error() {
         let mut s = Schema::new();
         let ip = s.intern_vertex_type("ip");
@@ -810,18 +765,29 @@ mod tests {
     }
 
     #[test]
-    fn named_vertices_are_deduplicated() {
-        let (s, ip, tcp, _) = schema();
+    fn ingest_counts_type_conflicts_and_keeps_the_recorded_type() {
+        let mut s = Schema::new();
+        let ip = s.intern_vertex_type("ip");
+        let person = s.intern_vertex_type("person");
+        let tcp = s.intern_edge_type("tcp");
         let mut g = DynamicGraph::new(s);
-        let a = g.ensure_vertex_named("10.0.0.1", ip);
-        let a2 = g.ensure_vertex_named("10.0.0.1", ip);
-        let b = g.ensure_vertex_named("10.0.0.2", ip);
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(g.vertex_by_name("10.0.0.1"), Some(a));
-        assert_eq!(g.vertex_by_name("10.0.0.9"), None);
-        g.add_edge(a, b, tcp, Timestamp(1));
-        assert_eq!(g.num_vertices(), 2);
+        let event = |src, dst, dst_type| EdgeEvent {
+            dst_type,
+            ..EdgeEvent::homogeneous(src, dst, ip, tcp, Timestamp(src))
+        };
+        let (first, conflicts) = g.ingest(&event(1, 2, ip));
+        assert_eq!(
+            (first.id, first.src, first.dst, conflicts),
+            (EdgeId(0), VertexId(1), VertexId(2), 0)
+        );
+        // Vertex 2 is an ip: a person event on it is counted, not applied,
+        // and the edge is stored anyway.
+        let (second, conflicts) = g.ingest(&event(3, 2, person));
+        assert_eq!((second.id, conflicts), (EdgeId(1), 1));
+        assert_eq!(g.edge(second.id), Some(&second));
+        assert_eq!(g.vertex_type(VertexId(2)), Some(ip));
+        assert_eq!(g.vertex_type(VertexId(3)), Some(ip));
+        assert_eq!(g.total_edges_seen(), 2);
     }
 
     #[test]

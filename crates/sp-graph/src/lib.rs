@@ -14,21 +14,27 @@
 //! * vertex and edge type names are interned through a [`Schema`] so that the
 //!   hot path only ever compares small integer ids.
 //!
-//! The central type is [`DynamicGraph`]. A typical interaction:
+//! The central type is [`DynamicGraph`]. Vertices carry the stream's own
+//! (external) ids; [`DynamicGraph::ingest`] is the one step from a stream
+//! [`EdgeEvent`] to a stored edge. A typical interaction:
 //!
 //! ```
-//! use sp_graph::{DynamicGraph, Schema, Timestamp};
+//! use sp_graph::{DynamicGraph, EdgeEvent, Schema, Timestamp, VertexId};
 //!
 //! let mut schema = Schema::new();
 //! let ip = schema.intern_vertex_type("ip");
 //! let tcp = schema.intern_edge_type("tcp");
 //!
 //! let mut g = DynamicGraph::new(schema);
-//! let a = g.ensure_vertex_named("10.0.0.1", ip);
-//! let b = g.ensure_vertex_named("10.0.0.2", ip);
+//! let a = g.ensure_vertex(VertexId(1), ip).unwrap();
+//! let b = g.ensure_vertex(VertexId(2), ip).unwrap();
 //! let e = g.add_edge(a, b, tcp, Timestamp(42));
 //! assert_eq!(g.edge(e).unwrap().edge_type, tcp);
-//! assert_eq!(g.num_edges(), 1);
+//!
+//! // The same, straight from the stream: endpoints are ensured on the way.
+//! let (edge, conflicts) = g.ingest(&EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(43)));
+//! assert_eq!((edge.src, edge.dst, conflicts), (b, VertexId(3), 0));
+//! assert_eq!(g.num_edges(), 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -50,8 +50,8 @@ fn build_graph(spec: &StreamSpec) -> DynamicGraph {
         None => DynamicGraph::new(schema),
     };
     for &(src, dst, et, ts) in &spec.edges {
-        let s = g.ensure_vertex_named(&format!("n{src}"), vt);
-        let d = g.ensure_vertex_named(&format!("n{dst}"), vt);
+        let s = g.ensure_vertex(VertexId(src), vt).unwrap();
+        let d = g.ensure_vertex(VertexId(dst), vt).unwrap();
         g.add_edge(s, d, EdgeType(et), Timestamp(ts));
         g.expire();
     }

@@ -113,8 +113,7 @@ pub fn edge_compatible(
 /// cloned; a completed match is *visited* right there
 /// ([`find_matches_containing_edge_with`]) — the pipeline encodes it into a
 /// fixed-width row at that point and never copies the binding itself. Only
-/// the `_into` adapters clone, once per completed match, into the caller's
-/// vector.
+/// the collecting adapters clone, once per completed match, into a vector.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     /// The working match, mutated in place during extension and reset at
@@ -212,38 +211,25 @@ pub fn find_matches_containing_edge_with(
 /// matches of that leaf that *already* exist around the vertex, which makes
 /// the algorithm robust to the arrival order of the query's components
 /// (Section 4, "Robustness with subgraph arrival order").
+///
+/// Convenience wrapper that collects into a fresh vector; the engine holds a
+/// [`SearchScratch`] and calls [`find_matches_around_vertex_with`].
 pub fn find_matches_around_vertex(
     graph: &DynamicGraph,
     query: &QueryGraph,
     subgraph: &QuerySubgraph,
     data_vertex: VertexId,
 ) -> Vec<SubgraphMatch> {
-    let mut scratch = SearchScratch::new();
     let mut results = Vec::new();
-    find_matches_around_vertex_into(
+    find_matches_around_vertex_with(
         graph,
         query,
         subgraph,
         data_vertex,
-        &mut scratch,
-        &mut results,
+        &mut SearchScratch::new(),
+        |m| results.push(m.clone()),
     );
     results
-}
-
-/// Collecting adapter over [`find_matches_around_vertex_with`]: clones
-/// every match into `results`. `results` is not cleared — callers own its
-/// lifecycle (and its capacity).
-pub fn find_matches_around_vertex_into(
-    graph: &DynamicGraph,
-    query: &QueryGraph,
-    subgraph: &QuerySubgraph,
-    data_vertex: VertexId,
-    scratch: &mut SearchScratch,
-    results: &mut Vec<SubgraphMatch>,
-) {
-    let collect = |m: &SubgraphMatch| results.push(m.clone());
-    find_matches_around_vertex_with(graph, query, subgraph, data_vertex, scratch, collect);
 }
 
 /// The visiting form of [`find_matches_around_vertex`]; see
@@ -647,7 +633,9 @@ mod tests {
             fresh.extend(find_matches_containing_edge(&g, &q, &single, e));
         }
         for &vx in &v {
-            find_matches_around_vertex_into(&g, &q, &whole, vx, &mut scratch, &mut reused);
+            find_matches_around_vertex_with(&g, &q, &whole, vx, &mut scratch, |m| {
+                reused.push(m.clone())
+            });
             fresh.extend(find_matches_around_vertex(&g, &q, &whole, vx));
         }
         assert!(!fresh.is_empty());

@@ -196,12 +196,13 @@ small_sorted_map!(
     (QueryEdgeId(0), EdgeId(0))
 );
 
-/// An interned hash-join key: the projection of a match onto a join node's
-/// cut vertices ([`SubgraphMatch::project_key`]).
+/// An interned hash-join key: the data vertices a stored match row binds to
+/// a join node's cut vertices, in cut order.
 ///
-/// The partial-match store computes one key per inserted match (Property 4's
-/// `GET-JOIN-KEY`), which made the `Vec<VertexId>` key the hottest
-/// allocation of the SJ-Tree update path. Keys of up to
+/// The partial-match store (`sp-sjtree`'s `MatchStore`, which reads the cut
+/// vertices off the row's fixed slots) computes one key per inserted match
+/// (Property 4's `GET-JOIN-KEY`), which made the `Vec<VertexId>` key the
+/// hottest allocation of the SJ-Tree update path. Keys of up to
 /// [`JOIN_KEY_INLINE`] vertices — all real cuts — are stored inline;
 /// longer keys spill to a `Vec`. Construction is canonical by length
 /// (inline iff it fits), so the derived `Eq`/`Hash` are consistent.
@@ -219,13 +220,13 @@ pub enum JoinKey {
 ///
 /// Following Definition 3.1.2 a match is "a set of edge pairs", each pair
 /// mapping a query edge to a data edge. The vertex binding is kept alongside
-/// because every consistency check (injectivity, join compatibility, join-key
-/// projection) is expressed on vertices. Bindings are stored in inline
-/// small-vec maps ([`MATCH_INLINE_BINDINGS`] entries each), so building or
-/// cloning a match does not allocate for any built-in workload query. This
-/// is the caller-visible form of a match — what a sink receives — and the
-/// anchored search's working binding; stored and in-flight matches are
-/// fixed-width rows (`sp-sjtree`'s `RowLayout`).
+/// because every consistency check (injectivity, join compatibility) is
+/// expressed on vertices. Bindings are stored in inline small-vec maps
+/// ([`MATCH_INLINE_BINDINGS`] entries each), so building or cloning a match
+/// does not allocate for any built-in workload query. This is the
+/// caller-visible form of a match — what a sink receives — and the anchored
+/// search's working binding; stored and in-flight matches are fixed-width
+/// rows (`sp-sjtree`'s `RowLayout`).
 /// The derived ordering (edge binding, then vertex binding, then time span)
 /// has no semantic meaning; it exists so match collections can be sorted,
 /// compared as multisets and deduplicated.
@@ -325,11 +326,6 @@ impl SubgraphMatch {
     /// Returns `true` if the given data edge is used by this match.
     pub fn uses_data_edge(&self, e: EdgeId) -> bool {
         self.edge_map.values().any(|d| d == e)
-    }
-
-    /// Returns `true` if the given data vertex is bound by this match.
-    pub fn uses_data_vertex(&self, v: VertexId) -> bool {
-        self.vertex_map.values().any(|d| d == v)
     }
 
     /// Earliest timestamp among the matched edges (`u64::MAX` if empty).
@@ -499,30 +495,6 @@ impl SubgraphMatch {
         out.latest = out.latest.max(other.latest);
         Some(out)
     }
-
-    /// Projects the match onto a set of query vertices, returning the bound
-    /// data vertices in the order given. Returns `None` when any of the
-    /// vertices is unbound. This is the `GET-JOIN-KEY` / projection operator
-    /// Π of Property 4 — the result is used as the hash-join key.
-    pub fn project_vertices(&self, vertices: &[QueryVertexId]) -> Option<Vec<VertexId>> {
-        vertices.iter().map(|&q| self.vertex_map.get(q)).collect()
-    }
-
-    /// Projects the match onto a set of query vertices as an interned
-    /// [`JoinKey`] — the allocation-free variant of
-    /// [`SubgraphMatch::project_vertices`] used by the partial-match store's
-    /// hash tables. Returns `None` when any vertex is unbound.
-    pub fn project_key(&self, vertices: &[QueryVertexId]) -> Option<JoinKey> {
-        if vertices.len() <= JOIN_KEY_INLINE {
-            let mut ids = [VertexId(0); JOIN_KEY_INLINE];
-            for (slot, &q) in ids.iter_mut().zip(vertices) {
-                *slot = self.vertex_map.get(q)?;
-            }
-            Some(JoinKey::Inline(vertices.len() as u8, ids))
-        } else {
-            self.project_vertices(vertices).map(JoinKey::Spilled)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -628,84 +600,6 @@ mod tests {
         let mut b = SubgraphMatch::new();
         b.bind_edge(qe(1), de(7), Timestamp(0));
         assert!(a.join(&b).is_none());
-    }
-
-    #[test]
-    fn projection_produces_join_keys() {
-        let mut m = SubgraphMatch::new();
-        m.bind_vertex(qv(0), dv(10));
-        m.bind_vertex(qv(2), dv(12));
-        assert_eq!(
-            m.project_vertices(&[qv(2), qv(0)]),
-            Some(vec![dv(12), dv(10)])
-        );
-        assert_eq!(m.project_vertices(&[qv(1)]), None);
-        assert_eq!(m.project_vertices(&[]), Some(vec![]));
-    }
-
-    #[test]
-    fn project_key_interns_small_cuts_inline_and_spills_large_ones() {
-        let mut m = SubgraphMatch::new();
-        for i in 0..5usize {
-            assert!(m.bind_vertex(qv(i), dv(10 + i as u64)));
-        }
-        // ≤ JOIN_KEY_INLINE cut vertices: inline, no heap key.
-        let small = m.project_key(&[qv(2), qv(0)]).unwrap();
-        assert_eq!(small, JoinKey::Inline(2, [dv(12), dv(10), VertexId(0)]));
-        // Same projection, same key — and a different projection differs.
-        assert_eq!(small, m.project_key(&[qv(2), qv(0)]).unwrap());
-        assert_ne!(small, m.project_key(&[qv(0), qv(2)]).unwrap());
-        // Oversized cuts spill to the Vec representation.
-        let large = m.project_key(&[qv(0), qv(1), qv(2), qv(3)]).unwrap();
-        assert_eq!(
-            large,
-            JoinKey::Spilled(vec![dv(10), dv(11), dv(12), dv(13)])
-        );
-        // Unbound vertices fail the projection, like project_vertices.
-        assert_eq!(m.project_key(&[qv(9)]), None);
-        assert_eq!(
-            m.project_key(&[]).unwrap(),
-            JoinKey::Inline(0, [VertexId(0); JOIN_KEY_INLINE])
-        );
-    }
-
-    #[test]
-    fn equal_join_keys_hash_equal_under_the_store_hasher() {
-        use std::hash::BuildHasher;
-        // Two different matches that agree on the cut: the hash-join probe
-        // relies on their keys landing in the same bucket.
-        let (mut m1, mut m2) = (SubgraphMatch::new(), SubgraphMatch::new());
-        for i in 0..5usize {
-            assert!(m1.bind_vertex(qv(i), dv(10 + i as u64)));
-            assert!(m2.bind_vertex(qv(i), dv(10 + i as u64)));
-        }
-        assert!(m1.bind_vertex(qv(5), dv(77)));
-        assert!(m2.bind_vertex(qv(5), dv(78)));
-        let state = sp_graph::FastState::default();
-        for cut in [
-            vec![],
-            vec![qv(1)],
-            vec![qv(3), qv(0)],
-            vec![qv(0), qv(1), qv(2), qv(3), qv(4)],
-        ] {
-            let (k1, k2) = (m1.project_key(&cut).unwrap(), m2.project_key(&cut).unwrap());
-            assert_eq!(
-                matches!(k1, JoinKey::Inline(..)),
-                cut.len() <= JOIN_KEY_INLINE
-            );
-            assert_eq!(k1, k2);
-            assert_eq!(state.hash_one(&k1), state.hash_one(&k2));
-            // A cut that reaches the vertex they disagree on separates them.
-            let mut wider = cut.clone();
-            wider.push(qv(5));
-            let (w1, w2) = (
-                m1.project_key(&wider).unwrap(),
-                m2.project_key(&wider).unwrap(),
-            );
-            assert_ne!(w1, w2);
-            assert_ne!(state.hash_one(&w1), state.hash_one(&w2));
-            assert_ne!(state.hash_one(&w1), state.hash_one(&k1));
-        }
     }
 
     #[test]
@@ -885,8 +779,6 @@ mod tests {
         let mut m = SubgraphMatch::new();
         m.bind_vertex(qv(0), dv(10));
         m.bind_edge(qe(0), de(5), Timestamp(1));
-        assert!(m.uses_data_vertex(dv(10)));
-        assert!(!m.uses_data_vertex(dv(11)));
         assert!(m.uses_data_edge(de(5)));
         assert!(!m.uses_data_edge(de(6)));
         assert_eq!(m.data_vertex(qv(0)), Some(dv(10)));

@@ -4,9 +4,9 @@
 //! approach that performs subgraph isomorphism for the query graph (using
 //! VF2) on every new edge in the dynamic graph" (Section 6). [`Vf2Matcher`]
 //! plays that role: it enumerates every embedding of the query graph in the
-//! current data graph, optionally restricted to embeddings that use a given
-//! data edge (so that the per-edge baseline reports only the *new* matches,
-//! like the incremental engine does).
+//! current data graph. The per-edge baseline keeps the embeddings that use
+//! the new edge, so it reports only the *new* matches, like the incremental
+//! engine does.
 //!
 //! The implementation follows the VF2 recipe of candidate-pair expansion with
 //! connectivity-driven candidate generation; it is deliberately selectivity
@@ -70,19 +70,6 @@ impl Vf2Matcher {
             }
         }
         out
-    }
-
-    /// Enumerates the embeddings that use `new_edge` — the per-edge work item
-    /// of the non-incremental baseline. The cost is the same whole-graph
-    /// exploration around the new edge that VF2 performs, but the result set
-    /// is limited to genuinely new matches so that output volume matches the
-    /// incremental strategies.
-    pub fn find_containing_edge(
-        &self,
-        graph: &DynamicGraph,
-        new_edge: &EdgeData,
-    ) -> Vec<SubgraphMatch> {
-        find_matches_containing_edge(graph, &self.query, &self.whole, new_edge)
     }
 
     /// Counts all embeddings without materializing them (used in tests and
@@ -167,8 +154,12 @@ mod tests {
         q.add_edge(u0, u1, t);
         let m = Vf2Matcher::new(q);
         assert_eq!(m.count_all(&g), 2);
-        let edge = *g.edge(e_cd).unwrap();
-        let around = m.find_containing_edge(&g, &edge);
+        // The per-edge baseline keeps the embeddings that use the new edge.
+        let around: Vec<_> = m
+            .find_all(&g)
+            .into_iter()
+            .filter(|x| x.uses_data_edge(e_cd))
+            .collect();
         assert_eq!(around.len(), 1);
         assert_eq!(around[0].data_vertex(QueryVertexId(0)), Some(c));
     }

@@ -106,24 +106,6 @@ impl PrefixSignature {
             .count()
     }
 
-    /// Whether this chain is a (non-strict) leading prefix of `other` — the
-    /// containment relation of the shared-join trie: a table for `self` can
-    /// feed a table for `other` exactly when this holds. Equivalent to
-    /// `self.common_depth(other) == self.depth()`.
-    pub fn is_prefix_of(&self, other: &PrefixSignature) -> bool {
-        self.depth() <= other.depth() && self.common_depth(other) == self.depth()
-    }
-
-    /// The last chain step — the trie-edge key distinguishing this prefix
-    /// from its immediate parent `self.truncated(self.depth() - 1)`.
-    ///
-    /// # Panics
-    /// Never: signatures are non-empty by construction ([`prefix_chain`]
-    /// rejects empty leaf sets).
-    pub fn last_step(&self) -> &ChainStep {
-        self.steps.last().expect("signatures are non-empty")
-    }
-
     /// Distinct edge types occurring anywhere in the prefix, ascending. A
     /// streaming edge whose type is not in this set cannot extend any
     /// partial match of the prefix.
@@ -339,27 +321,6 @@ mod tests {
         assert_eq!(full.truncated(2), two);
         assert_eq!(full.truncated(3), full);
         assert_eq!(full.common_depth(&two), 2);
-    }
-
-    #[test]
-    fn prefix_containment_orders_the_trie() {
-        let (q, leaves) = chain_query(&[2, 5, 9]);
-        let (full, _) = prefix_chain(&q, leaves.iter()).unwrap();
-        let two = full.truncated(2);
-        assert!(two.is_prefix_of(&full));
-        assert!(!full.is_prefix_of(&two), "containment is antisymmetric");
-        assert!(full.is_prefix_of(&full), "containment is reflexive");
-        // A chain diverging at the last step is no prefix, even at equal
-        // depth prefixes.
-        let (q2, l2) = chain_query(&[2, 5, 7]);
-        let (other, _) = prefix_chain(&q2, l2.iter()).unwrap();
-        assert!(!other.is_prefix_of(&full) && !full.is_prefix_of(&other));
-        assert!(two.is_prefix_of(&other), "shared depth-2 prefix");
-        // The last step is the trie-edge key: it distinguishes the child
-        // from its parent and matches direct construction.
-        assert_eq!(full.last_step(), &full.steps()[2]);
-        assert_ne!(full.last_step(), other.last_step());
-        assert_eq!(two.last_step(), &full.steps()[1]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! These signatures double as hash keys in the selectivity histograms of
 //! `sp-selectivity`.
 
-use crate::query::{QueryEdgeId, QueryGraph, QueryVertexId};
+use crate::query::{QueryEdge, QueryEdgeId, QueryGraph};
 use serde::{Deserialize, Serialize};
 use sp_graph::{Direction, EdgeType, Schema, VertexType};
 use std::fmt;
@@ -205,35 +205,6 @@ impl fmt::Display for Primitive {
     }
 }
 
-/// Computes the [`TwoEdgePathSignature`] of two query edges if they share a
-/// vertex, along with the shared (center) vertex. Returns `None` when the
-/// edges do not form a wedge.
-pub(crate) fn wedge_signature(
-    query: &QueryGraph,
-    a: QueryEdgeId,
-    b: QueryEdgeId,
-) -> Option<(TwoEdgePathSignature, QueryVertexId)> {
-    let ea = query.edge(a);
-    let eb = query.edge(b);
-    if a == b {
-        return None;
-    }
-    // Find a shared vertex; prefer any.
-    let shared = [ea.src, ea.dst].into_iter().find(|&v| eb.touches(v))?;
-    let dir = |e: &crate::query::QueryEdge| {
-        if e.src == shared {
-            Direction::Outgoing
-        } else {
-            Direction::Incoming
-        }
-    };
-    let sig = TwoEdgePathSignature::new(
-        DirectedEdgeType::new(ea.edge_type, dir(ea)),
-        DirectedEdgeType::new(eb.edge_type, dir(eb)),
-    );
-    Some((sig, shared))
-}
-
 impl QueryGraph {
     /// Signature (histogram key) of a single query edge.
     pub fn edge_primitive(&self, e: QueryEdgeId) -> Primitive {
@@ -241,14 +212,27 @@ impl QueryGraph {
     }
 
     /// Signature of the wedge formed by two query edges, if they share a
+    /// vertex; each edge's direction is read relative to the shared (center)
     /// vertex.
     pub fn wedge_primitive(&self, a: QueryEdgeId, b: QueryEdgeId) -> Option<Primitive> {
-        wedge_signature(self, a, b).map(|(sig, _)| Primitive::TwoEdgePath(sig))
-    }
-
-    /// The center vertex of the wedge formed by two query edges, if any.
-    pub fn wedge_center(&self, a: QueryEdgeId, b: QueryEdgeId) -> Option<QueryVertexId> {
-        wedge_signature(self, a, b).map(|(_, c)| c)
+        let ea = self.edge(a);
+        let eb = self.edge(b);
+        if a == b {
+            return None;
+        }
+        // Find a shared vertex; prefer any.
+        let shared = [ea.src, ea.dst].into_iter().find(|&v| eb.touches(v))?;
+        let dir = |e: &QueryEdge| {
+            if e.src == shared {
+                Direction::Outgoing
+            } else {
+                Direction::Incoming
+            }
+        };
+        Some(Primitive::TwoEdgePath(TwoEdgePathSignature::new(
+            DirectedEdgeType::new(ea.edge_type, dir(ea)),
+            DirectedEdgeType::new(eb.edge_type, dir(eb)),
+        )))
     }
 }
 
@@ -300,7 +284,6 @@ mod tests {
         let e1 = q.add_edge(b, c, EdgeType(1));
         let e2 = q.add_edge(c, d, EdgeType(2));
         assert!(q.wedge_primitive(e0, e1).is_some());
-        assert_eq!(q.wedge_center(e0, e1), Some(b));
         assert!(q.wedge_primitive(e0, e2).is_none());
         assert!(q.wedge_primitive(e0, e0).is_none());
     }

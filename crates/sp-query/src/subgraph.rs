@@ -100,11 +100,6 @@ impl QuerySubgraph {
             .collect()
     }
 
-    /// Returns `true` if the two subgraphs share no edges.
-    pub fn is_edge_disjoint(&self, other: &QuerySubgraph) -> bool {
-        self.edges.intersection(&other.edges).next().is_none()
-    }
-
     /// Returns `true` when the subgraph is connected within `query`
     /// (ignoring edge direction). Empty subgraphs count as connected.
     pub fn is_connected(&self, query: &QueryGraph) -> bool {
@@ -188,9 +183,6 @@ mod tests {
         let a = QuerySubgraph::from_edges(&q, [QueryEdgeId(0), QueryEdgeId(1)]);
         let b = QuerySubgraph::from_edges(&q, [QueryEdgeId(2), QueryEdgeId(3)]);
         assert_eq!(a.cut_vertices(&b), vec![QueryVertexId(2)]);
-        assert!(a.is_edge_disjoint(&b));
-        let c = QuerySubgraph::from_edges(&q, [QueryEdgeId(1)]);
-        assert!(!a.is_edge_disjoint(&c));
     }
 
     #[test]

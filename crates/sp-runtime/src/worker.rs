@@ -246,7 +246,6 @@ pub(crate) fn worker_loop(
                 let _ = shard.redecompose(id, strategy, *tree);
             }
             WorkerMsg::Report { reply } => {
-                let stream = shard.profile();
                 let registry = shard.registry();
                 let _ = reply.send(WorkerReport {
                     worker: idx,
@@ -254,8 +253,8 @@ pub(crate) fn worker_loop(
                         .iter()
                         .map(|(id, engine)| (id, engine.profile().clone()))
                         .collect(),
-                    edges_ingested: stream.edges_processed,
-                    vertex_type_conflicts: stream.vertex_type_conflicts,
+                    edges_ingested: shard.graph().total_edges_seen(),
+                    vertex_type_conflicts: shard.profile().vertex_type_conflicts,
                     matches_found: emitted,
                     graph_edges_live: shard.graph().num_edges(),
                     stored_matches: registry.stored_matches(),

@@ -121,17 +121,16 @@ impl SelectivityEstimator {
     ///
     /// # Count provenance
     ///
-    /// The estimator does **not** distinguish counts that came from a
-    /// snapshot ([`SelectivityEstimator::from_graph`]) from counts observed
-    /// incrementally: calling `observe_edge` for edges that were already in
-    /// the snapshot double-counts them, and the 2-edge path counters then
-    /// also disagree with the true wedge census (the snapshot does not seed
-    /// the per-vertex incidence state the incremental update pairs new edges
-    /// against). Callers that need exact statistics for the current graph
-    /// should use [`SelectivityEstimator::rebuild_from_graph`] (or a fresh
-    /// [`SelectivityEstimator::from_graph`]) instead of mixing the two
-    /// sources; the decayed mode tolerates the mixture by design, since old
-    /// weight — wherever it came from — halves away.
+    /// A snapshot ([`SelectivityEstimator::from_graph`]) seeds the counts
+    /// *and* the per-vertex incidence state the incremental update pairs new
+    /// edges against, so observing only the edges that arrive after the
+    /// snapshot continues the exact census. The estimator does **not**
+    /// record which edges it has seen: observing an edge that was already in
+    /// the snapshot counts it, and every wedge it closes, twice. Callers that
+    /// need exact statistics of a graph build a fresh
+    /// [`SelectivityEstimator::from_graph`]; the decayed mode tolerates a
+    /// double count by design, since old weight — wherever it came from —
+    /// halves away.
     pub fn observe_edge(&mut self, edge: &EdgeData) {
         self.edges.observe(edge.edge_type);
         self.paths.observe_edge(edge);
@@ -144,33 +143,6 @@ impl SelectivityEstimator {
                 self.paths.halve();
             }
         }
-    }
-
-    /// Clears every count (and the decay phase) while keeping the configured
-    /// [`StatsMode`]. This is the escape hatch from the mixed-provenance
-    /// trap documented on [`SelectivityEstimator::observe_edge`]: reset, then
-    /// re-observe from a single source.
-    pub fn reset(&mut self) {
-        self.edges = EdgeTypeHistogram::new();
-        self.paths = TwoEdgePathCounter::new();
-        self.since_decay = 0;
-        self.lifetime_observed = 0;
-    }
-
-    /// Replaces the accumulated counts with exact statistics of the given
-    /// graph snapshot (its live — e.g. retained-window — edges), keeping the
-    /// configured [`StatsMode`]. The decayed mode uses this to re-anchor the
-    /// statistics on the retained graph instead of blending snapshot and
-    /// incremental counts of unknown provenance.
-    pub fn rebuild_from_graph(&mut self, graph: &DynamicGraph) {
-        self.reset();
-        let mut edges = EdgeTypeHistogram::new();
-        for e in graph.edges() {
-            edges.observe(e.edge_type);
-        }
-        self.lifetime_observed = edges.total();
-        self.edges = edges;
-        self.paths = TwoEdgePathCounter::from_graph(graph);
     }
 
     /// Read access to the single-edge histogram.
@@ -466,34 +438,6 @@ mod tests {
         }
         assert_eq!(est.num_edges_observed(), 100);
         assert_eq!(est.mode(), StatsMode::Cumulative);
-    }
-
-    #[test]
-    fn reset_clears_counts_but_keeps_mode() {
-        let g = sample_graph();
-        let mut est = SelectivityEstimator::new().with_mode(StatsMode::Decayed(7));
-        for e in g.edges() {
-            est.observe_edge(e);
-        }
-        assert!(est.num_edges_observed() > 0);
-        est.reset();
-        assert_eq!(est.num_edges_observed(), 0);
-        assert_eq!(est.path_counter().total(), 0);
-        assert_eq!(est.mode(), StatsMode::Decayed(7));
-    }
-
-    #[test]
-    fn rebuild_from_graph_matches_a_fresh_snapshot() {
-        let g = sample_graph();
-        let mut est = SelectivityEstimator::new();
-        // Pollute with arbitrary incremental counts first.
-        for e in g.edges().take(20) {
-            est.observe_edge(e);
-        }
-        est.rebuild_from_graph(&g);
-        let fresh = SelectivityEstimator::from_graph(&g);
-        assert_eq!(est.num_edges_observed(), fresh.num_edges_observed());
-        assert_eq!(est.path_counter().total(), fresh.path_counter().total());
     }
 
     #[test]

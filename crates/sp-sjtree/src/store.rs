@@ -337,9 +337,9 @@ impl RowArena {
     }
 
     /// Projects a row onto the parent's cut vertices as an interned
-    /// [`JoinKey`], reading each cut vertex from its fixed slot offset.
-    /// Returns `None` when any cut vertex is unbound (mirrors
-    /// [`SubgraphMatch::project_key`]).
+    /// [`JoinKey`] — Property 4's `GET-JOIN-KEY` — reading each cut vertex
+    /// from its fixed slot offset, in cut order. Returns `None` when any cut
+    /// vertex is unbound.
     fn project_key(&self, row: u32, cut: &[QueryVertexId]) -> Option<JoinKey> {
         let b = self.base(row) + self.ew;
         if cut.len() <= JOIN_KEY_INLINE {
@@ -1081,6 +1081,83 @@ mod tests {
             g.add_edge(a, b, t0, Timestamp(0));
         }
         g
+    }
+
+    /// A fresh row of a 2-edge / 6-vertex arena binding query edge 0 and
+    /// query vertex `i` to data vertex `vertices[i]`; the other slots stay
+    /// unbound.
+    fn vertex_row(arena: &mut RowArena, vertices: &[u64]) -> u32 {
+        let mut m = SubgraphMatch::new();
+        assert!(m.bind_edge(QueryEdgeId(0), EdgeId(1), Timestamp(1)));
+        for (i, &v) in vertices.iter().enumerate() {
+            assert!(m.bind_vertex(QueryVertexId(i), VertexId(v)));
+        }
+        arena.alloc_with(|layout, row| layout.write(&m, row))
+    }
+
+    fn cut(vertices: &[usize]) -> Vec<QueryVertexId> {
+        vertices.iter().map(|&i| QueryVertexId(i)).collect()
+    }
+
+    #[test]
+    fn project_key_interns_small_cuts_inline_and_spills_large_ones() {
+        let mut arena = RowArena::new(2, 6);
+        let row = vertex_row(&mut arena, &[10, 11, 12, 13, 14]);
+        let key = |vertices: &[usize]| arena.project_key(row, &cut(vertices));
+        // ≤ JOIN_KEY_INLINE cut vertices: inline, in cut order, no heap key.
+        let small = key(&[2, 0]).unwrap();
+        assert_eq!(
+            small,
+            JoinKey::Inline(2, [VertexId(12), VertexId(10), VertexId(0)])
+        );
+        // Same projection, same key — and a different order differs.
+        assert_eq!(Some(small.clone()), key(&[2, 0]));
+        assert_ne!(Some(small), key(&[0, 2]));
+        // Oversized cuts spill to the Vec representation.
+        assert_eq!(
+            key(&[0, 1, 2, 3]),
+            Some(JoinKey::Spilled(
+                [10, 11, 12, 13].into_iter().map(VertexId).collect()
+            ))
+        );
+        // An unbound cut vertex (slot 5) fails the projection on both
+        // branches.
+        assert_eq!(key(&[5]), None);
+        assert_eq!(key(&[0, 1, 2, 5]), None);
+        assert_eq!(
+            key(&[]),
+            Some(JoinKey::Inline(0, [VertexId(0); JOIN_KEY_INLINE]))
+        );
+    }
+
+    #[test]
+    fn equal_join_keys_hash_equal_under_the_store_hasher() {
+        use std::hash::BuildHasher;
+        // Two different rows that agree on the cut: the hash-join probe
+        // relies on their keys landing in the same bucket.
+        let mut arena = RowArena::new(2, 6);
+        let r1 = vertex_row(&mut arena, &[10, 11, 12, 13, 14, 77]);
+        let r2 = vertex_row(&mut arena, &[10, 11, 12, 13, 14, 78]);
+        let state = sp_graph::FastState::default();
+        for vertices in [vec![], vec![1], vec![3, 0], vec![0, 1, 2, 3, 4]] {
+            let narrow = cut(&vertices);
+            let k1 = arena.project_key(r1, &narrow).unwrap();
+            let k2 = arena.project_key(r2, &narrow).unwrap();
+            assert_eq!(
+                matches!(k1, JoinKey::Inline(..)),
+                narrow.len() <= JOIN_KEY_INLINE
+            );
+            assert_eq!(k1, k2);
+            assert_eq!(state.hash_one(&k1), state.hash_one(&k2));
+            // A cut that reaches the vertex they disagree on separates them.
+            let mut wider = narrow.clone();
+            wider.push(QueryVertexId(5));
+            let w1 = arena.project_key(r1, &wider).unwrap();
+            let w2 = arena.project_key(r2, &wider).unwrap();
+            assert_ne!(w1, w2);
+            assert_ne!(state.hash_one(&w1), state.hash_one(&w2));
+            assert_ne!(state.hash_one(&w1), state.hash_one(&k1));
+        }
     }
 
     #[test]
