@@ -156,7 +156,8 @@ impl ControlPlane {
     ///
     /// # Errors
     /// A decomposition error for empty queries,
-    /// [`EngineError::DisconnectedQuery`] for a disconnected VF2 query,
+    /// [`EngineError::DisconnectedQuery`] for a disconnected query under the
+    /// VF2 baseline or a lazy strategy (which `Auto` always picks),
     /// [`EngineError::TooManyLeaves`] past the lazy bitmap capacity. A
     /// failed plan consumes no id.
     pub fn plan(

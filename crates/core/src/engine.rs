@@ -278,10 +278,17 @@ impl ContinuousQueryEngine {
     /// it from the leaf sizes and would relabel a `PathLazy` plan whose
     /// leaves all came out as single edges).
     ///
+    /// A lazy strategy needs connected prefixes: each leaf of rank `k ≥ 1`
+    /// must share a query vertex with leaves `0..k`, since the Lazy Search
+    /// gate enables it only at the vertices of their matches. Eager trees
+    /// may order their leaves freely. [`decompose`] builds connected
+    /// prefixes for every connected query.
+    ///
     /// # Errors
     /// [`EngineError::RebuildMismatch`] for [`Strategy::Vf2Baseline`], which
     /// has no SJ-Tree; [`EngineError::TooManyLeaves`] when the tree exceeds
-    /// the lazy bitmap capacity.
+    /// the lazy bitmap capacity; [`EngineError::DisconnectedQuery`] for a
+    /// lazy strategy on a tree whose prefixes do not join up.
     pub fn from_plan(
         strategy: Strategy,
         tree: SjTree,
@@ -311,11 +318,16 @@ impl ContinuousQueryEngine {
         }
     }
 
-    /// Builds an engine from a pre-built SJ-Tree (used for custom or
-    /// ablation decompositions, and to replay a decomposition persisted with
+    /// Builds an engine from a pre-built SJ-Tree (used for custom
+    /// decompositions, and to replay a decomposition persisted with
     /// [`SjTree::save`]). `lazy` selects between the track-everything and the
     /// Lazy Search execution of the same tree; the strategy label is
     /// inferred from `lazy` and the leaf sizes.
+    ///
+    /// # Errors
+    /// As [`ContinuousQueryEngine::from_plan`]: with `lazy`, each leaf of
+    /// rank `k ≥ 1` must share a query vertex with leaves `0..k`, or the
+    /// tree is refused with [`EngineError::DisconnectedQuery`].
     pub fn from_tree(tree: SjTree, lazy: bool, window: Option<u64>) -> Result<Self, EngineError> {
         let strategy = match (lazy, tree.leaf_subgraphs().any(|s| s.num_edges() > 1)) {
             (true, true) => Strategy::PathLazy,
@@ -332,6 +344,17 @@ impl ContinuousQueryEngine {
                 leaves: tree.num_leaves(),
                 max: MAX_LEAVES,
             });
+        }
+        // The Lazy Search gate enables leaf k+1 only at the vertices of new
+        // matches of leaves 0..k; a leaf sharing no vertex with them would
+        // be gated off wherever it matches.
+        if lazy
+            && tree
+                .nodes()
+                .iter()
+                .any(|node| !node.is_leaf() && node.cut_vertices.is_empty())
+        {
+            return Err(EngineError::DisconnectedQuery);
         }
         let store = MatchStore::new(&tree);
         Ok(Backend::SjTree {
@@ -730,7 +753,8 @@ impl ContinuousQueryEngine {
     /// [`EngineError::RebuildMismatch`] when `strategy` has no SJ-Tree (the
     /// VF2 baseline) or `tree` does not decompose this engine's query;
     /// [`EngineError::TooManyLeaves`] when the tree exceeds the lazy bitmap
-    /// capacity.
+    /// capacity; [`EngineError::DisconnectedQuery`] for a lazy strategy on a
+    /// tree whose prefixes do not join up.
     pub fn rebuild(
         &mut self,
         strategy: Strategy,

@@ -15,7 +15,11 @@ pub enum EngineError {
         /// Maximum supported.
         max: usize,
     },
-    /// The query graph must be connected for the VF2 baseline.
+    /// The query graph, or the join order, is not connected where the
+    /// strategy needs it: the VF2 baseline needs a connected query, and a
+    /// lazy strategy needs every leaf of rank `k ≥ 1` to share a query
+    /// vertex with leaves `0..k` (so a disconnected query is refused under
+    /// every lazy strategy).
     DisconnectedQuery,
     /// A re-decomposition was requested with a strategy that has no SJ-Tree
     /// (the VF2 baseline) or with a tree that does not decompose the

@@ -11,10 +11,11 @@ use sp_datasets::{
     Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig, QueryGenerator,
     QueryKind,
 };
-use sp_graph::Schema;
+use sp_graph::{DynamicGraph, EdgeData, Schema};
 use sp_query::QueryGraph;
 use sp_selectivity::{DriftConfig, TwoEdgePathCounter};
 use sp_sjtree::{decompose, CostModel, PrimitivePolicy};
+use std::time::Instant;
 use streampattern::{choose_strategy, Strategy, StrategySpec, RELATIVE_SELECTIVITY_THRESHOLD};
 
 /// Generates the three datasets at the requested scale.
@@ -98,14 +99,25 @@ pub fn fig6(scale: Scale, which: &str) -> String {
     )
 }
 
-/// Figure 7 — 2-edge path distribution of the LSBench-like stream.
+/// Figure 7 — 2-edge path distribution of the LSBench-like stream, and what
+/// the census costs: one batch pass of Algorithm 5 over the whole graph, and
+/// the incremental `observe_edge` per edge of the stream, in stream order.
 pub fn fig7(scale: Scale) -> String {
     let all = datasets(scale);
     let mut out = String::from("## Figure 7 — 2-edge path (wedge) distribution\n\n");
     let mut rows = Vec::new();
     for d in &all {
-        let graph = d.build_graph();
+        let mut graph = DynamicGraph::new(d.schema.clone());
+        let edges: Vec<EdgeData> = d.events().iter().map(|ev| graph.ingest(ev).0).collect();
+        let started = Instant::now();
         let paths = TwoEdgePathCounter::from_graph(&graph);
+        let batch = started.elapsed();
+        let mut incremental = TwoEdgePathCounter::new();
+        let started = Instant::now();
+        for edge in &edges {
+            incremental.observe_edge(edge);
+        }
+        let per_edge = started.elapsed().as_secs_f64() / edges.len().max(1) as f64;
         let desc = paths.descending();
         let top = desc.first().map(|&(_, c)| c).unwrap_or(0);
         let median = desc.get(desc.len() / 2).map(|&(_, c)| c).unwrap_or(0);
@@ -116,6 +128,8 @@ pub fn fig7(scale: Scale) -> String {
             top.to_string(),
             median.to_string(),
             fmt_ratio(top as f64 / median.max(1) as f64),
+            fmt_seconds(batch.as_secs_f64()),
+            fmt_seconds(per_edge),
         ]);
         if d.name == "lsbench" {
             let logs: Vec<f64> = desc.iter().map(|&(_, c)| (c as f64).log10()).collect();
@@ -134,6 +148,8 @@ pub fn fig7(scale: Scale) -> String {
             "top count",
             "median count",
             "top/median skew",
+            "Algorithm 5 pass",
+            "observe_edge per edge",
         ],
         &rows,
     ));
@@ -737,6 +753,26 @@ mod tests {
         assert!(t.contains("1-edge decomposition"));
         assert!(t.contains("2-edge decomposition"));
         assert!(t.contains("ESP"));
+    }
+
+    #[test]
+    fn fig7_reports_what_the_census_costs() {
+        let t = fig7(Scale::Small);
+        assert!(t.contains("| Algorithm 5 pass | observe_edge per edge |"));
+        for name in ["netflow", "lsbench", "nytimes"] {
+            let row = t
+                .lines()
+                .find(|l| l.starts_with(&format!("| {name} |")))
+                .unwrap_or_else(|| panic!("no {name} row in\n{t}"));
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            // `| a | … | y | z |` splits into ["", a, …, y, z, ""].
+            for cell in &cells[cells.len() - 3..cells.len() - 1] {
+                assert!(
+                    ["µs", "ms", " s"].iter().any(|unit| cell.ends_with(unit)),
+                    "{name}: `{cell}` is not a time"
+                );
+            }
+        }
     }
 
     #[test]

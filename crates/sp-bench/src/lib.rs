@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `table1`   | Table 1 — dataset summary | [`experiments::table1`] |
 //! | `fig6a/b/c` | Figure 6 — edge-type distribution over time | [`experiments::fig6`] |
-//! | `fig7`     | Figure 7 — 2-edge-path distribution | [`experiments::fig7`] |
+//! | `fig7`     | Figure 7 — 2-edge-path distribution and its census cost | [`experiments::fig7`] |
 //! | `fig8`     | Figure 8 — 1- vs 2-edge decomposition of a path query | [`experiments::fig8`] |
 //! | `fig9a-d`  | Figure 9 — runtime per strategy vs query size | [`experiments::fig9`] |
 //! | `fig10`    | Figure 10 — Relative Selectivity distribution | [`experiments::fig10`] |
@@ -23,11 +23,26 @@
 //! what the shared leaf and join stages save.
 //!
 //! The `reproduce` binary drives these functions and renders markdown tables
-//! (the basis of `EXPERIMENTS.md`). The Criterion benches under `benches/`
-//! measure what no experiment reports: single components in isolation
-//! (`micro_components`), the paper's design choices switched off one at a
-//! time (`ablations`), and the speed of the Figure 7 path census
-//! (`fig7_path_stats`).
+//! (the basis of `EXPERIMENTS.md`). Component costs come from the
+//! benchmark's per-layer trace:
+//!
+//! * anchored search: `iso.search_ns_per_call`;
+//! * `MatchStore` insert and purge: `sjtree.insert_ns_per_row`,
+//!   `sjtree.purge_ms_per_pass`;
+//! * graph ingest and expiry: `graph.ingest_ns_per_edge`,
+//!   `graph.expire_ns_per_edge`;
+//! * dispatch, shared leaf and join fan-out, and emit:
+//!   `core.dispatch_share`, `core.shared_leaf_share`,
+//!   `core.shared_join_share`, `core.emit_share`;
+//! * decomposition: `core.register_ms_p50`;
+//! * stream statistics: `selectivity.observe_ns_per_edge`;
+//! * stream generation: `datasets.generate_s`.
+//!
+//! The paper's design choices are checked here and in the tests: lazy vs
+//! eager search is `fig9a`–`fig9d`; the Figure 7 census cost (one Algorithm 5
+//! pass and the incremental `observe_edge` per edge) is two columns of
+//! `fig7`; that the selectivity join order stores fewer partial matches than
+//! its reverse is `tests/integration_strategies.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -82,8 +82,8 @@ impl Dataset {
     }
 
     /// Materializes the whole stream into a [`DynamicGraph`] (used by tests
-    /// and the Figure 7 analysis, which runs Algorithm 5 over a graph
-    /// snapshot). A vertex-type conflict keeps the first type.
+    /// and by analyses of a graph snapshot, such as its degree statistics).
+    /// A vertex-type conflict keeps the first type.
     pub fn build_graph(&self) -> DynamicGraph {
         let mut g = DynamicGraph::new(self.schema.clone());
         for ev in &self.events {

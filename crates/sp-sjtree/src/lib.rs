@@ -19,7 +19,7 @@
 //!    implements the recursive `UPDATE-SJ-TREE` procedure of Algorithm 2.
 //!
 //! The analytic space/time cost model of Appendix A is provided by
-//! [`cost::CostModel`] and backs the ablation experiments.
+//! [`cost::CostModel`] and backs the `costmodel` experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

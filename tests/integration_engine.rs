@@ -3,8 +3,12 @@
 
 use sp_datasets::{LsbenchConfig, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
-use sp_query::QueryGraph;
-use streampattern::{ContinuousQueryEngine, PipelineMetrics, Schema, Strategy, StreamProcessor};
+use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
+use std::time::Duration;
+use streampattern::{
+    ContinuousQueryEngine, EngineError, PipelineMetrics, ProfileCounters, Schema, SjTree, Strategy,
+    StreamProcessor,
+};
 
 /// Builds the Figure-1c exfiltration query over the netflow schema.
 fn exfiltration_query(schema: &Schema) -> QueryGraph {
@@ -124,23 +128,81 @@ fn profile_counters_reflect_the_workload() {
     let dataset = NetflowConfig::tiny().generate();
     let estimator = dataset.estimator_from_prefix(dataset.len());
     let query = exfiltration_query(&dataset.schema);
-    let engine = ContinuousQueryEngine::new(query, Strategy::PathLazy, &estimator, None).unwrap();
-    // The iso / update timers run only with metrics attached.
-    let mut proc = StreamProcessor::with_engine(dataset.schema.clone(), engine)
-        .with_metrics(PipelineMetrics::detached());
-    proc.process_all(dataset.events().iter());
-    let p = proc.profile();
-    assert_eq!(p.edges_processed, dataset.len() as u64);
-    assert!(p.iso_searches > 0);
-    assert!(p.iso_searches <= p.edges_processed * 3);
+    // Each timer keeps its minimum over five identical runs: preemption only
+    // ever adds wall time, so the minima are the least disturbed split.
+    let mut fastest = ProfileCounters::new();
+    fastest.iso_time = Duration::MAX;
+    fastest.update_time = Duration::MAX;
+    for _ in 0..5 {
+        let engine =
+            ContinuousQueryEngine::new(query.clone(), Strategy::PathLazy, &estimator, None)
+                .unwrap();
+        // The iso / update timers run only with metrics attached.
+        let mut proc = StreamProcessor::with_engine(dataset.schema.clone(), engine)
+            .with_metrics(PipelineMetrics::detached());
+        proc.process_all(dataset.events().iter());
+        let p = proc.profile();
+        assert_eq!(p.edges_processed, dataset.len() as u64);
+        assert!(p.iso_searches > 0);
+        assert!(p.iso_searches <= p.edges_processed * 3);
+        fastest.iso_time = fastest.iso_time.min(p.iso_time);
+        fastest.update_time = fastest.update_time.min(p.update_time);
+    }
     // Subgraph isomorphism dominates the processing time (Section 6.4 claims
     // ≥95% on the paper's workloads). Wall-clock splits are noisy on a tiny
     // test stream and a loaded machine, so only require a meaningful share
     // here; the `profile` experiment measures the real split.
     assert!(
-        p.iso_time_fraction() > 0.2,
+        fastest.iso_time_fraction() > 0.2,
         "iso fraction = {}",
-        p.iso_time_fraction()
+        fastest.iso_time_fraction()
+    );
+}
+
+#[test]
+fn lazy_trees_need_leaves_that_join_up() {
+    let mut schema = Schema::new();
+    let ip = schema.intern_vertex_type("ip");
+    let [t1, t2, t3] = ["t1", "t2", "t3"].map(|t| schema.intern_edge_type(t));
+    let stream = [
+        EdgeEvent::homogeneous(1, 2, ip, t1, Timestamp(1)),
+        EdgeEvent::homogeneous(3, 4, ip, t3, Timestamp(2)),
+        EdgeEvent::homogeneous(2, 3, ip, t2, Timestamp(3)),
+    ];
+
+    // a -t1-> b -t2-> c -t3-> d with leaves [c-d, a-b, b-c]: leaf 1 shares
+    // no vertex with leaf 0, so a lazy gate would enable it nowhere.
+    let mut path = QueryGraph::new("path");
+    let v: Vec<_> = (0..4).map(|_| path.add_any_vertex()).collect();
+    for (i, t) in [t1, t2, t3].into_iter().enumerate() {
+        path.add_edge(v[i], v[i + 1], t);
+    }
+    let leaves = [2, 0, 1]
+        .map(|i| QuerySubgraph::from_edges(&path, [QueryEdgeId(i)]))
+        .to_vec();
+    let tree = SjTree::from_leaves(path, leaves);
+    assert_eq!(
+        ContinuousQueryEngine::from_tree(tree.clone(), true, None).unwrap_err(),
+        EngineError::DisconnectedQuery
+    );
+    let eager = ContinuousQueryEngine::from_tree(tree, false, None).unwrap();
+    let mut proc = StreamProcessor::with_engine(schema.clone(), eager);
+    assert_eq!(proc.process_all(stream.iter()), 1);
+
+    // x -t1-> y, z -t3-> w: no join order of a disconnected query joins up.
+    let mut pair = QueryGraph::new("pair");
+    let [x, y, z, w] = [(); 4].map(|_| pair.add_any_vertex());
+    pair.add_edge(x, y, t1);
+    pair.add_edge(z, w, t3);
+    let mut single = StreamProcessor::new(schema.clone());
+    single
+        .register(pair.clone(), Strategy::Single, None)
+        .unwrap();
+    assert_eq!(single.process_all(stream.iter()), 1);
+    let mut lazy = StreamProcessor::new(schema);
+    assert_eq!(
+        lazy.register(pair, Strategy::SingleLazy, None).unwrap_err(),
+        EngineError::DisconnectedQuery
     );
 }
 
