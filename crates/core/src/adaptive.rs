@@ -83,7 +83,7 @@ pub fn leaf_structure(tree: &SjTree) -> Vec<Vec<QueryEdgeId>> {
 /// barely at all and are ignored; a genuine rank-0 flip (the hot leaf
 /// becoming cold or vice versa) moves it by orders of magnitude. A strategy
 /// change always rebuilds.
-pub const REDECOMPOSITION_GAIN: f64 = 0.5;
+pub(crate) const REDECOMPOSITION_GAIN: f64 = 0.5;
 
 /// Geometric down-weighting of later leaf ranks in [`plan_cost`].
 const RANK_WEIGHT: f64 = 0.25;
@@ -95,7 +95,7 @@ const RANK_WEIGHT: f64 = 0.25;
 /// when enabled. The proxy deliberately depends on *order* — the Expected
 /// Selectivity product does not, so it cannot rank two orderings of the
 /// same leaves.
-pub fn plan_cost(
+pub(crate) fn plan_cost(
     query: &QueryGraph,
     leaves: &[Vec<QueryEdgeId>],
     estimator: &SelectivityEstimator,
@@ -338,7 +338,6 @@ mod tests {
         let cfg = DriftConfig {
             check_interval: 1,
             min_observations: 1,
-            confirm_checks: 1,
         };
         let spec = StrategySpec::Fixed(Strategy::SingleLazy);
         let mut state = QueryDriftState::new(cfg, &q, &est);

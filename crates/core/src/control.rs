@@ -234,9 +234,9 @@ impl ControlPlane {
 
     /// One drift check over every registered query, in id order: where the
     /// detector confirms movement and the authoritative re-plan
-    /// ([`plan_query`]) changes the strategy or beats the live plan by
-    /// [`REDECOMPOSITION_GAIN`](crate::REDECOMPOSITION_GAIN), the new plan
-    /// is recorded as live and returned for the caller to apply to the data
+    /// ([`plan_query`]) changes the strategy or at least halves the live
+    /// plan's estimated cost (`REDECOMPOSITION_GAIN`), the new plan is
+    /// recorded as live and returned for the caller to apply to the data
     /// half that runs the query. Empty while adaptivity is off.
     pub fn check_drift(&mut self) -> Vec<(QueryId, Strategy, SjTree)> {
         let Some(adaptive) = self.adaptive.as_mut() else {

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// What a [`LeafSource`] did for one leaf the engine's per-edge loop asked
 /// it about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Served {
+pub(crate) enum Served {
     /// Nothing to share — the engine runs the anchored search itself, in its
     /// own numbering.
     Declined,
@@ -64,7 +64,7 @@ pub enum Served {
 /// from its per-edge search memo and a partial-depth shared-join
 /// subscriber's prefix rows from its prefix table; [`SearchLocally`] is the
 /// source of an engine run on its own.
-pub trait LeafSource {
+pub(crate) trait LeafSource {
     /// Whether the engine times its searches and inserts into
     /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`] for
     /// this edge: asked once per edge. The registry's source answers whether
@@ -110,7 +110,7 @@ pub trait LeafSource {
 /// leaf is searched by the engine itself, untimed. What
 /// [`ContinuousQueryEngine::process_edge`] and the rebuild replay run with.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SearchLocally;
+pub(crate) struct SearchLocally;
 
 impl LeafSource for SearchLocally {}
 
@@ -421,9 +421,9 @@ impl ContinuousQueryEngine {
 
     /// Processes one new edge that has already been inserted into `graph`.
     /// Returns the complete query matches created by this edge, i.e.
-    /// `M(G^{k+1}) − M(G^k)` of the problem statement — the materializing
-    /// adapter over [`ContinuousQueryEngine::process_edge_into`] for
-    /// single-engine callers.
+    /// `M(G^{k+1}) − M(G^k)` of the problem statement — the engine's one
+    /// per-edge leaf loop, searching every leaf itself and materializing the
+    /// complete rows, for single-engine callers.
     pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> Vec<SubgraphMatch> {
         let mut complete = Vec::new();
         self.process_edge_into(graph, edge, &mut SearchLocally, &mut complete);
@@ -435,7 +435,7 @@ impl ContinuousQueryEngine {
     /// whole tree, so there was nothing left for the engine to do): the
     /// counters move exactly as if the engine had consumed the same
     /// `delivered` emissions as a feed and reported them itself.
-    pub fn record_shared_delivery(&mut self, delivered: u64, shared: bool) {
+    pub(crate) fn record_shared_delivery(&mut self, delivered: u64, shared: bool) {
         self.profile.edges_processed += 1;
         self.profile.shared_join_emissions += delivered;
         if shared {
@@ -475,7 +475,7 @@ impl ContinuousQueryEngine {
     ///
     /// The VF2 baseline ignores the source (it has no leaves to share)
     /// except for asking whether to time its search.
-    pub fn process_edge_into(
+    pub(crate) fn process_edge_into(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
@@ -699,7 +699,7 @@ impl ContinuousQueryEngine {
     /// join prefix of `depth` leaves now covers
     /// ([`MatchStore::clear_below_prefix`]). Called when a live query
     /// migrates onto a shared prefix table. No-op for the VF2 baseline.
-    pub fn clear_prefix_state(&mut self, depth: usize) {
+    pub(crate) fn clear_prefix_state(&mut self, depth: usize) {
         if let Backend::SjTree { tree, store, .. } = &mut self.backend {
             store.clear_below_prefix(tree, depth.min(tree.num_leaves()));
         }
@@ -745,9 +745,9 @@ impl ContinuousQueryEngine {
     /// counters keep describing the live stream only, so steady-state plan
     /// cost and one-off switching cost stay individually visible — and
     /// [`ProfileCounters::redecompositions`] is incremented. The replay
-    /// itself runs untimed ([`SearchLocally`]); `replay_time` is one clock
-    /// pair around the whole replay, read whether or not metrics are
-    /// attached, since a rebuild is a rare control-plane operation.
+    /// itself runs untimed (every leaf searched locally); `replay_time` is
+    /// one clock pair around the whole replay, read whether or not metrics
+    /// are attached, since a rebuild is a rare control-plane operation.
     ///
     /// # Errors
     /// [`EngineError::RebuildMismatch`] when `strategy` has no SJ-Tree (the

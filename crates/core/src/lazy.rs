@@ -12,11 +12,11 @@
 use sp_graph::{FastMap, VertexId};
 
 /// Maximum number of SJ-Tree leaves the bitmap supports.
-pub const MAX_LEAVES: usize = 64;
+pub(crate) const MAX_LEAVES: usize = 64;
 
 /// Sparse per-vertex bitmap of enabled leaf searches.
 #[derive(Debug, Clone, Default)]
-pub struct LazyBitmap {
+pub(crate) struct LazyBitmap {
     rows: FastMap<VertexId, u64>,
 }
 
@@ -62,16 +62,6 @@ impl LazyBitmap {
     pub fn num_tracked_vertices(&self) -> usize {
         self.rows.len()
     }
-
-    /// Total number of set bits (enabled (vertex, leaf) pairs).
-    pub fn num_enabled(&self) -> usize {
-        self.rows.values().map(|r| r.count_ones() as usize).sum()
-    }
-
-    /// Clears the bitmap.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +82,7 @@ mod tests {
         assert!(!b.enable(VertexId(5), 2));
         assert!(b.is_enabled(VertexId(5), 2));
         assert!(!b.is_enabled(VertexId(6), 2));
-        assert_eq!(b.num_enabled(), 1);
+        assert!(!b.is_enabled(VertexId(5), 1) && !b.is_enabled(VertexId(5), 3));
         assert_eq!(b.num_tracked_vertices(), 1);
     }
 
@@ -103,22 +93,24 @@ mod tests {
         b.enable(VertexId(5), 3);
         b.enable(VertexId(6), 2);
         b.enable(VertexId(6), MAX_LEAVES - 1);
-        assert_eq!(b.num_enabled(), 4);
+        assert_eq!(b.num_tracked_vertices(), 2);
         b.retain(|v| v != VertexId(5));
         assert!(!b.is_enabled(VertexId(5), 1) && !b.is_enabled(VertexId(5), 3));
         assert!(b.is_enabled(VertexId(6), 2) && b.is_enabled(VertexId(6), MAX_LEAVES - 1));
-        assert_eq!((b.num_tracked_vertices(), b.num_enabled()), (1, 2));
+        assert!(!b.is_enabled(VertexId(6), 1) && !b.is_enabled(VertexId(6), 3));
+        assert_eq!(b.num_tracked_vertices(), 1);
     }
 
     #[test]
-    fn clear_resets_everything() {
+    fn retaining_no_vertex_resets_everything() {
         let mut b = LazyBitmap::new();
         b.enable(VertexId(1), 1);
         b.enable(VertexId(2), 2);
-        b.clear();
-        assert_eq!(b.num_enabled(), 0);
+        b.retain(|_| false);
+        assert_eq!(b.num_tracked_vertices(), 0);
         assert!(b.is_enabled(VertexId(1), 0));
         assert!(!b.is_enabled(VertexId(1), 1));
+        assert!(!b.is_enabled(VertexId(2), 2));
     }
 
     #[test]

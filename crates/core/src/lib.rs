@@ -85,6 +85,46 @@
 //! [`StrategySpec::Auto`] applies the rule against the processor's live
 //! stream statistics.
 //!
+//! ## Consuming matches
+//!
+//! [`RowSink`] is the one consumer trait: [`Shard::process_into`],
+//! [`StreamProcessor::process_into`] and the runtime's `process_all_into`
+//! all take `S: RowSink + ?Sized`. A complete match reaches the sink as a
+//! fixed-width row, and a sink decides whether to build anything from it:
+//!
+//! * [`CountSink`] counts rows and builds no match — what `process_all`
+//!   uses on both front ends;
+//! * every [`MatchSink`] is a [`RowSink`] through one blanket impl that
+//!   builds each [`SubgraphMatch`] once, as the argument of
+//!   [`MatchSink::on_match`]. `Vec<(QueryId, SubgraphMatch)>` is the
+//!   collecting sink (what `process` returns) and [`FnSink`] adapts a
+//!   closure.
+//!
+//! ```
+//! # use sp_graph::{EdgeEvent, Schema, Timestamp};
+//! # use sp_query::QueryGraph;
+//! # use streampattern::{CountSink, FnSink, QueryId, Strategy, StreamProcessor, SubgraphMatch};
+//! # let mut schema = Schema::new();
+//! # let ip = schema.intern_vertex_type("ip");
+//! # let tcp = schema.intern_edge_type("tcp");
+//! # let mut proc = StreamProcessor::new(schema);
+//! # let mut q = QueryGraph::new("tcp");
+//! # let (a, b) = (q.add_any_vertex(), q.add_any_vertex());
+//! # q.add_edge(a, b, tcp);
+//! # proc.register(q, Strategy::Single, None).unwrap();
+//! let events = [
+//!     EdgeEvent::homogeneous(1, 2, ip, tcp, Timestamp(1)),
+//!     EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2)),
+//! ];
+//! let mut count = CountSink::new();
+//! proc.process_batch_into(&events, &mut count);
+//! let mut alerts = Vec::new();
+//! proc.process_batch_into(&events, &mut FnSink(|q: QueryId, m: SubgraphMatch| {
+//!     alerts.push((q, m.num_edges()));
+//! }));
+//! assert_eq!((count.matches, alerts.len()), (2, 2));
+//! ```
+//!
 //! ## Windows
 //!
 //! Windowing is per query: each engine filters and purges with its own `tW`,
@@ -109,22 +149,18 @@ mod sharing;
 mod sink;
 mod strategy;
 
-pub use adaptive::{leaf_structure, plan_cost, plan_query, AdaptiveStats, REDECOMPOSITION_GAIN};
+pub use adaptive::{leaf_structure, plan_query, AdaptiveStats};
 pub use control::ControlPlane;
-pub use engine::{ContinuousQueryEngine, LeafSource, SearchLocally, Served};
+pub use engine::ContinuousQueryEngine;
 pub use error::EngineError;
-pub use lazy::{LazyBitmap, MAX_LEAVES};
 pub use metrics::PipelineMetrics;
 pub use processor::StreamProcessor;
 pub use profile::ProfileCounters;
 pub use registry::{QueryId, QueryRegistry, StrategySpec};
 pub use shard::{Shard, DEFAULT_PURGE_INTERVAL};
-pub use sharedjoin::{
-    JoinDelivery, JoinSubscription, PrefixRows, SharedJoinIndex, SharedJoinStats, SharedRow,
-    TrieNodeInfo, MIN_PREFIX_DEPTH,
-};
-pub use sharing::{EdgeSearchCache, SharedLeafIndex, SharedLeafStats};
-pub use sink::{CollectSink, CountSink, FnSink, MatchSink, Materialize, RowSink};
+pub use sharedjoin::{SharedJoinIndex, SharedJoinStats, SharedRow, TrieNodeInfo};
+pub use sharing::SharedLeafStats;
+pub use sink::{CountSink, FnSink, MatchSink, RowSink};
 pub use strategy::{choose_strategy, Strategy, StrategyChoice, RELATIVE_SELECTIVITY_THRESHOLD};
 
 // Re-export the building blocks so that downstream users only need one
@@ -137,5 +173,5 @@ pub use sp_query::{
     canonicalize_subgraph, prefix_chain, ChainStep, LeafSignature, PrefixSignature, QueryEdgeId,
     QueryGraph, QueryVertexId,
 };
-pub use sp_selectivity::{DriftConfig, DriftDetector, DriftStats, SelectivityEstimator, StatsMode};
+pub use sp_selectivity::{DriftConfig, DriftDetector, SelectivityEstimator, StatsMode};
 pub use sp_sjtree::{PrimitivePolicy, RowLayout, SjTree};

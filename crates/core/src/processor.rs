@@ -12,7 +12,8 @@
 //! Windowing is per query: the graph retains edges for the *largest*
 //! registered window while each engine filters and purges with its own `tW`.
 //!
-//! Matches are pushed into a [`MatchSink`]; [`StreamProcessor::process`] is
+//! Matches are pushed into a [`RowSink`] — every
+//! [`MatchSink`](crate::MatchSink) is one; [`StreamProcessor::process`] is
 //! the convenience wrapper that collects them into a vector.
 
 use crate::adaptive::AdaptiveStats;
@@ -23,7 +24,7 @@ use crate::metrics::PipelineMetrics;
 use crate::profile::ProfileCounters;
 use crate::registry::{QueryId, QueryRegistry, StrategySpec};
 use crate::shard::Shard;
-use crate::sink::{CollectSink, CountSink, MatchSink};
+use crate::sink::{CountSink, RowSink};
 use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeEvent, Schema};
 use sp_iso::SubgraphMatch;
@@ -204,7 +205,7 @@ impl StreamProcessor {
     /// into `sink` ([`Shard::process_into`], with the accepted edge feeding
     /// the control plane's statistics). Returns the number of matches
     /// reported.
-    pub fn process_into<S: MatchSink + ?Sized>(&mut self, event: &EdgeEvent, sink: &mut S) -> u64 {
+    pub fn process_into<S: RowSink + ?Sized>(&mut self, event: &EdgeEvent, sink: &mut S) -> u64 {
         let control = &mut self.control;
         let found = self
             .shard
@@ -256,9 +257,9 @@ impl StreamProcessor {
     /// Ingests one stream event and returns the complete matches it created,
     /// tagged with the query they belong to.
     pub fn process(&mut self, event: &EdgeEvent) -> Vec<(QueryId, SubgraphMatch)> {
-        let mut sink = CollectSink::new();
-        self.process_into(event, &mut sink);
-        sink.into_matches()
+        let mut matches = Vec::new();
+        self.process_into(event, &mut matches);
+        matches
     }
 
     /// Ingests a batch of stream events into one sink, returning the number
@@ -266,7 +267,7 @@ impl StreamProcessor {
     /// per-engine scratch serve every edge of the batch.
     pub fn process_batch_into<'a, S, I>(&mut self, events: I, sink: &mut S) -> u64
     where
-        S: MatchSink + ?Sized,
+        S: RowSink + ?Sized,
         I: IntoIterator<Item = &'a EdgeEvent>,
     {
         let mut found = 0;
@@ -277,7 +278,7 @@ impl StreamProcessor {
     }
 
     /// Ingests a whole stream, returning the total number of matches found
-    /// across all registered queries (allocation-free per event).
+    /// across all registered queries ([`CountSink`]: no match is built).
     pub fn process_all<'a, I>(&mut self, events: I) -> u64
     where
         I: IntoIterator<Item = &'a EdgeEvent>,
@@ -362,7 +363,6 @@ const _: () = {
     assert_send::<QueryRegistry>();
     assert_send::<ProfileCounters>();
     assert_send::<SubgraphMatch>();
-    assert_send::<crate::sink::CollectSink>();
     assert_send::<crate::sink::CountSink>();
 };
 
@@ -730,7 +730,6 @@ mod tests {
             .with_adaptive(sp_selectivity::DriftConfig {
                 check_interval: 32,
                 min_observations: 32,
-                confirm_checks: 1,
             });
         // Phase 1: esp is rare.
         for i in 0..180u64 {

@@ -145,7 +145,12 @@ impl QueryRegistry {
     ///
     /// # Panics
     /// Panics when `id` is already registered (ids are never reused).
-    pub fn register(&mut self, id: QueryId, engine: ContinuousQueryEngine, graph: &DynamicGraph) {
+    pub(crate) fn register(
+        &mut self,
+        id: QueryId,
+        engine: ContinuousQueryEngine,
+        graph: &DynamicGraph,
+    ) {
         for edge in engine.query().edges() {
             let slot = self.dispatch.entry(edge.edge_type).or_default();
             if !slot.contains(&id) {
@@ -202,7 +207,7 @@ impl QueryRegistry {
     /// `None` for an unknown id. The dispatch index drops the query from
     /// every edge-type slot, and the shared-leaf index drops shapes whose
     /// last subscriber left.
-    pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
+    pub(crate) fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
         let engine = self.engines.remove(&id)?;
         self.dispatch.retain(|_, ids| {
             ids.retain(|&q| q != id);
@@ -230,7 +235,7 @@ impl QueryRegistry {
     }
 
     /// Mutable access to the engine of a query.
-    pub fn engine_mut(&mut self, id: QueryId) -> Option<&mut ContinuousQueryEngine> {
+    pub(crate) fn engine_mut(&mut self, id: QueryId) -> Option<&mut ContinuousQueryEngine> {
         self.engines.get_mut(&id)
     }
 
@@ -278,7 +283,7 @@ impl QueryRegistry {
     /// records the per-stage spans (see [`PipelineMetrics`] for the span
     /// boundaries) and, once per delivering candidate, the burst's match
     /// count and detection latency. With `None` no clock is read.
-    pub fn process_edge(
+    pub(crate) fn process_edge(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
@@ -360,7 +365,7 @@ impl QueryRegistry {
     /// engine keeps seeing exactly the matches a never-rebuilt one would.
     /// Unknown ids are ignored. The dispatch index needs no update —
     /// re-decomposition never changes the query's edge types.
-    pub fn resubscribe(&mut self, id: QueryId, graph: &DynamicGraph) {
+    pub(crate) fn resubscribe(&mut self, id: QueryId, graph: &DynamicGraph) {
         let Some(engine) = self.engines.get(&id) else {
             return;
         };
@@ -373,7 +378,7 @@ impl QueryRegistry {
     /// Runs every engine's and every shared prefix table's purge pass
     /// against the current graph. Returns the total number of partial
     /// matches dropped.
-    pub fn purge(&mut self, graph: &DynamicGraph) -> usize {
+    pub(crate) fn purge(&mut self, graph: &DynamicGraph) -> usize {
         let engines: usize = self.engines.values_mut().map(|e| e.purge(graph)).sum();
         engines + self.join.purge(graph)
     }

@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::metrics::PipelineMetrics;
 use crate::profile::ProfileCounters;
 use crate::registry::{QueryId, QueryRegistry};
-use crate::sink::{MatchSink, Materialize, RowSink};
+use crate::sink::RowSink;
 use crate::strategy::Strategy;
 use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, Schema};
 use sp_sjtree::{SjTree, UNBOUND};
@@ -70,8 +70,9 @@ impl Shard {
         self.metrics = metrics;
     }
 
-    /// Starts running `engine` under the id its control plane allocated
-    /// (see [`QueryRegistry::register`]).
+    /// Starts running `engine` under the id its control plane allocated:
+    /// indexes it for dispatch and subscribes it to the shared leaf and
+    /// join stages.
     pub fn register(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
         self.registry.register(id, engine, &self.graph);
     }
@@ -114,23 +115,10 @@ impl Shard {
 
     /// Whether an event can be ingested: vertex id `u64::MAX` is the
     /// interned match rows' unbound-slot sentinel, so an event naming it is
-    /// rejected at the door. The one rule behind [`Shard::process_rows_into`] and
+    /// rejected at the door. The one rule behind [`Shard::process_into`] and
     /// the parallel runtime's facade, which filters before it batches.
     pub fn accepts(event: &EdgeEvent) -> bool {
         event.src != UNBOUND && event.dst != UNBOUND
-    }
-
-    /// Ingests one stream event, pushing every complete match it creates
-    /// into `sink` — [`Shard::process_rows_into`] with each match
-    /// materialized on its way into [`MatchSink::on_match`]. Returns the
-    /// number of matches reported.
-    pub fn process_into<S: MatchSink + ?Sized>(
-        &mut self,
-        event: &EdgeEvent,
-        sink: &mut S,
-        observe: impl FnOnce(&EdgeData),
-    ) -> u64 {
-        self.process_rows_into(event, &mut Materialize(sink), observe)
     }
 
     /// Ingests one stream event, handing every complete match it creates to
@@ -146,7 +134,7 @@ impl Shard {
     /// inside the ingest span: the sequential front end feeds its control
     /// plane's statistics there; a runtime worker, whose statistics live on
     /// the facade, passes a no-op.
-    pub fn process_rows_into<S: RowSink + ?Sized>(
+    pub fn process_into<S: RowSink + ?Sized>(
         &mut self,
         event: &EdgeEvent,
         sink: &mut S,

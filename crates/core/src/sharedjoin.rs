@@ -135,7 +135,7 @@ use std::collections::{BTreeMap, HashMap};
 /// A shared prefix must contain at least one internal join node, i.e. cover
 /// at least two leaves — depth-1 "prefixes" are exactly the leaf shapes the
 /// shared **leaf** stage already deduplicates.
-pub const MIN_PREFIX_DEPTH: usize = 2;
+pub(crate) const MIN_PREFIX_DEPTH: usize = 2;
 
 /// The canonical chain of one SJ-Tree, as the shared join stage sees it,
 /// together with the full-chain union→owner mapping: `None` for trees with
@@ -517,7 +517,7 @@ pub struct TrieNodeInfo {
 
 /// Outcome of [`SharedJoinIndex::subscribe`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JoinSubscription {
+pub(crate) enum JoinSubscription {
     /// The query stays on its private join path (no shareable chain, or no
     /// partner yet); its chain is recorded for future partner matching.
     Private,
@@ -542,7 +542,7 @@ pub enum JoinSubscription {
 /// subscriber whose prefix spans its whole tree never sees one — its matches
 /// go from the table straight to the sink.)
 #[derive(Debug)]
-pub struct PrefixRows<'a> {
+pub(crate) struct PrefixRows<'a> {
     entry: &'a PrefixEntry,
     sub: &'a JoinSub,
     /// The table's pending rows for this edge (empty when it did not
@@ -579,7 +579,7 @@ impl PrefixRows<'_> {
 
 /// What [`SharedJoinIndex::deliver`] did for one dispatched query.
 #[derive(Debug)]
-pub enum JoinDelivery<'a> {
+pub(crate) enum JoinDelivery<'a> {
     /// Full-depth subscriber: `delivered` complete matches went straight to
     /// the sink; no engine work remains for this edge.
     Complete {
@@ -636,7 +636,7 @@ impl SharedJoinIndex {
     /// (tables dropped when their last subscriber left no longer count) —
     /// the shared-join share of
     /// [`QueryRegistry::stored_matches`](crate::QueryRegistry::stored_matches).
-    pub fn lifetime_stored(&self) -> u64 {
+    pub(crate) fn lifetime_stored(&self) -> u64 {
         self.entries
             .iter()
             .flatten()
@@ -721,7 +721,7 @@ impl SharedJoinIndex {
     /// and back-filling by replay when needed), and every query whose chain
     /// runs through the node but is covered more shallowly — private *or*
     /// subscribed — is reported for migration.
-    pub fn subscribe(
+    pub(crate) fn subscribe(
         &mut self,
         id: QueryId,
         engine: &ContinuousQueryEngine,
@@ -785,7 +785,7 @@ impl SharedJoinIndex {
     /// subscription is detached first).
     /// Returns the table depth, or `None` when no table matches (e.g. the
     /// partner was deregistered in between).
-    pub fn attach_partner(
+    pub(crate) fn attach_partner(
         &mut self,
         id: QueryId,
         engine: &ContinuousQueryEngine,
@@ -1036,7 +1036,7 @@ impl SharedJoinIndex {
     /// childless node drops it ([`SharedJoinStats::tables`] shrinks), and
     /// the drop cascades up through ancestors left with no subtree.
     /// Returns whether the query had been subscribed.
-    pub fn unsubscribe(&mut self, id: QueryId) -> bool {
+    pub(crate) fn unsubscribe(&mut self, id: QueryId) -> bool {
         self.chains.remove(&id);
         let had = self.subs.contains_key(&id);
         self.detach(id);
@@ -1052,7 +1052,7 @@ impl SharedJoinIndex {
     /// parent's fresh emissions instead of re-running the parent's ranks.
     /// Returns whether any node was dispatched (`false`: no table holds the
     /// edge's type, so the stage did no work).
-    pub fn advance_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> bool {
+    pub(crate) fn advance_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> bool {
         let Some(ids) = self.by_type.get(&edge.edge_type) else {
             return false;
         };
@@ -1104,7 +1104,7 @@ impl SharedJoinIndex {
     /// pending rows as a [`PrefixRows`] view for its engine to pull —
     /// possibly empty, because the engine must skip the prefix leaves either
     /// way.
-    pub fn deliver(
+    pub(crate) fn deliver(
         &mut self,
         id: QueryId,
         edge: &EdgeData,
@@ -1152,7 +1152,7 @@ impl SharedJoinIndex {
     /// Purges every table by its table-level window ([`MatchStore::purge`];
     /// an unwindowed table drops rows with dead edges). Returns the number
     /// of partial matches removed.
-    pub fn purge(&mut self, graph: &DynamicGraph) -> usize {
+    pub(crate) fn purge(&mut self, graph: &DynamicGraph) -> usize {
         let latest = graph.latest_timestamp();
         self.entries
             .iter_mut()
@@ -1185,7 +1185,7 @@ impl SharedJoinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{FnSink, Materialize};
+    use crate::sink::FnSink;
     use crate::strategy::Strategy;
     use sp_graph::Schema;
     use sp_query::QueryGraph;
@@ -1486,7 +1486,7 @@ mod tests {
         }
         let edge = last.unwrap();
         let mut sunk: Vec<(QueryId, SubgraphMatch)> = Vec::new();
-        let direct = index.deliver(QueryId(0), &edge, &mut Materialize(&mut sunk));
+        let direct = index.deliver(QueryId(0), &edge, &mut sunk);
         assert!(matches!(
             direct,
             JoinDelivery::Complete {
@@ -1501,7 +1501,7 @@ mod tests {
         // The narrow twin's window filter runs on the row: nothing reaches
         // its sink, yet it is still a (complete, empty) direct delivery.
         let mut over_window = FnSink(|_, _| panic!("over-window match"));
-        let narrow = index.deliver(QueryId(1), &edge, &mut Materialize(&mut over_window));
+        let narrow = index.deliver(QueryId(1), &edge, &mut over_window);
         assert!(matches!(
             narrow,
             JoinDelivery::Complete { delivered: 0, .. }
@@ -1510,7 +1510,7 @@ mod tests {
         // pulled into a row of its engine's arena (third edge and fourth
         // vertex unbound) at its prefix-covering node, never into the sink.
         let mut partial = FnSink(|_, _| panic!("partial-depth match"));
-        match index.deliver(QueryId(2), &edge, &mut Materialize(&mut partial)) {
+        match index.deliver(QueryId(2), &edge, &mut partial) {
             JoinDelivery::Engine(Some(mut rows)) => {
                 let tree = deep.tree().unwrap();
                 let (mut store, mut pulled) = (MatchStore::new(tree), Vec::new());
@@ -1526,7 +1526,7 @@ mod tests {
             other => panic!("expected prefix rows, got {other:?}"),
         }
         assert!(matches!(
-            index.deliver(QueryId(9), &edge, &mut Materialize(&mut partial)),
+            index.deliver(QueryId(9), &edge, &mut partial),
             JoinDelivery::Engine(None)
         ));
         let stats = index.stats();

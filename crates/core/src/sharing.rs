@@ -122,7 +122,7 @@ impl SharedLeafStats {
 /// keeping their capacity and the anchored-search scratch — so the per-edge
 /// shared stage stops allocating once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
-pub struct EdgeSearchCache {
+pub(crate) struct EdgeSearchCache {
     /// Where each search run for this edge left its rows in `rows`, as a
     /// word range.
     searches: FastMap<usize, Range<usize>>,
@@ -148,7 +148,7 @@ impl EdgeSearchCache {
 
 /// The registry-wide index of canonical leaf shapes and their subscribers.
 #[derive(Debug, Clone, Default)]
-pub struct SharedLeafIndex {
+pub(crate) struct SharedLeafIndex {
     by_sig: HashMap<LeafSignature, usize>,
     entries: Vec<Option<SigEntry>>,
     free: Vec<usize>,
@@ -223,23 +223,6 @@ impl SharedLeafIndex {
                 self.free.push(sub.sig);
             }
         }
-    }
-
-    /// Whether a query is evaluated through the shared stage.
-    pub fn is_subscribed(&self, id: QueryId) -> bool {
-        self.subs.contains_key(&id)
-    }
-
-    /// The subscribers of a canonical leaf shape, as `(query, leaf node)`
-    /// pairs in subscription order. Borrows the entry-owned list — no
-    /// allocation per call (the old implementation assembled a fresh `Vec`
-    /// by walking every subscription).
-    pub fn subscribers(&self, sig: &LeafSignature) -> &[(QueryId, NodeId)] {
-        self.by_sig
-            .get(sig)
-            .and_then(|&idx| self.entries[idx].as_ref())
-            .map(|entry| entry.subs.as_slice())
-            .unwrap_or(&[])
     }
 
     /// Current and cumulative bookkeeping.
@@ -445,7 +428,6 @@ mod tests {
         index.subscribe(QueryId(1), &engine_for(&[1, 2]), 0);
         // A third query shares one type and brings one new shape.
         index.subscribe(QueryId(2), &engine_for(&[2, 9]), 0);
-        assert!((0..3).all(|q| index.is_subscribed(QueryId(q))));
         let stats = index.stats();
         assert_eq!(stats.distinct_leaves, 3);
         assert_eq!(stats.total_subscriptions, 6);
@@ -476,7 +458,18 @@ mod tests {
         .unwrap();
         let mut index = SharedLeafIndex::new();
         index.subscribe(QueryId(0), &engine, 0);
-        assert!(!index.is_subscribed(QueryId(0)));
+        assert_eq!(index.stats().shared_queries, 0);
+    }
+
+    /// The subscribers of a canonical leaf shape, as `(query, leaf node)`
+    /// pairs in subscription order.
+    fn subscribers<'a>(index: &'a SharedLeafIndex, sig: &LeafSignature) -> &'a [(QueryId, NodeId)] {
+        index
+            .by_sig
+            .get(sig)
+            .and_then(|&idx| index.entries[idx].as_ref())
+            .map(|entry| entry.subs.as_slice())
+            .unwrap_or(&[])
     }
 
     #[test]
@@ -488,7 +481,7 @@ mod tests {
         index.subscribe(QueryId(9), &e1, 0);
         let tree = e0.tree().unwrap();
         let (sig, _) = canonicalize_subgraph(tree.query(), tree.subgraph(tree.leaf(0))).unwrap();
-        let subs = index.subscribers(&sig);
+        let subs = subscribers(&index, &sig);
         assert_eq!(subs.len(), 2);
         assert_eq!(subs[0].0, QueryId(7));
         assert_eq!(subs[1].0, QueryId(9));

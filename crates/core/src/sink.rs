@@ -1,33 +1,37 @@
 //! Pluggable receivers for reported matches.
 //!
 //! [`StreamProcessor::process_into`](crate::StreamProcessor::process_into)
-//! pushes every complete match into a [`MatchSink`] instead of returning an
+//! pushes every complete match into a [`RowSink`] instead of returning an
 //! allocated vector, so high-throughput consumers (benchmarks, counters,
 //! alert pipelines) can consume matches without per-event allocation.
+//! [`RowSink`] is the one consumer trait of both front ends and of
+//! [`Shard`](crate::Shard); every [`MatchSink`] is a [`RowSink`] through one
+//! blanket impl.
 //!
 //! The sink is the **copy-on-emit boundary**. From the anchored search that
 //! finds a leaf match to the join that completes a query, a match is a
 //! fixed-width `u64` row ([`RowLayout`]): in a `MatchStore`'s arena, in a
 //! shared table's emission buffer, in the registry's per-edge report buffer,
-//! in a runtime worker's outgoing batch. It becomes the caller-visible
-//! [`SubgraphMatch`] exactly once, in the frame that calls
-//! [`MatchSink::on_match`]:
+//! in a runtime worker's outgoing batch. A [`RowSink`] receives it in one of
+//! two row forms:
 //!
-//! * a query evaluated wholly by a shared prefix table (its prefix spans
-//!   its whole SJ-Tree) has each match built from the table's emission row
-//!   — in the query's own numbering, after the query's window and boundary
-//!   filters ran on the row — and passed to `on_match` directly
-//!   ([`SharedRow::materialize`]);
 //! * a query whose root join runs in its own engine has that join appended,
 //!   as the union of its two operand rows, to the registry's flat report
-//!   buffer, and each row of the burst is built into a match on its way
-//!   into `on_match` ([`RowLayout::materialize`]).
+//!   buffer, and the burst arrives through [`RowSink::on_rows`] in the
+//!   query's own numbering;
+//! * a query evaluated wholly by a shared prefix table (its prefix spans
+//!   its whole SJ-Tree) has each match arrive through
+//!   [`RowSink::on_shared_row`] as the table's emission row — still in the
+//!   table's canonical numbering, after the query's window and boundary
+//!   filters ran on the row — together with the query's slot order.
 //!
-//! [`RowSink`] is the registry-facing side of that boundary: it receives
-//! the rows. [`Materialize`] turns any [`MatchSink`] into one by doing the
-//! two constructions above; the parallel runtime's workers implement it
-//! directly and ship the rows across their channel, so there a match is
-//! built only on the facade, in the caller's thread.
+//! A row sink that only counts ([`CountSink`]) never builds a match. The
+//! blanket impl builds the caller-visible [`SubgraphMatch`] exactly once, in
+//! the frame that calls [`MatchSink::on_match`]: [`RowLayout::materialize`]
+//! for each row of a burst, [`SharedRow::materialize`] for a shared row. The
+//! parallel runtime's workers implement [`RowSink`] themselves and ship the
+//! rows across their channel, so there a match is built only on the facade,
+//! in the caller's thread.
 //!
 //! Everything a [`MatchSink`] receives is an owned, self-contained match —
 //! no arena ids or store lifetimes leak past that trait.
@@ -38,9 +42,11 @@ use sp_iso::SubgraphMatch;
 use sp_sjtree::RowLayout;
 
 /// Receives complete matches as rows, straight from the pipeline stage that
-/// completed them. Implemented by [`Materialize`] (build the match, call a
-/// [`MatchSink`]) and by the parallel runtime's worker batches (keep the
-/// row).
+/// completed them: the consumer trait of [`Shard`](crate::Shard),
+/// [`StreamProcessor`](crate::StreamProcessor) and the parallel runtime.
+/// Every [`MatchSink`] implements it by building each match once;
+/// [`CountSink`] and the parallel runtime's worker batches implement it
+/// directly and keep the rows.
 pub trait RowSink {
     /// A burst of complete matches of `query` whose root join ran in the
     /// query's own engine: `rows` holds them back to back,
@@ -52,33 +58,31 @@ pub trait RowSink {
     fn on_shared_row(&mut self, query: QueryId, row: SharedRow<'_>);
 }
 
-/// The [`RowSink`] over a [`MatchSink`]: every row is materialized once, as
-/// the argument of `on_match`.
-#[derive(Debug)]
-pub struct Materialize<'a, S: ?Sized>(pub &'a mut S);
-
-impl<S: MatchSink + ?Sized> RowSink for Materialize<'_, S> {
-    #[inline]
-    fn on_rows(&mut self, query: QueryId, layout: RowLayout, rows: &[u64]) {
-        for m in layout.materialize_all(rows) {
-            self.0.on_match(query, m);
-        }
-    }
-
-    #[inline]
-    fn on_shared_row(&mut self, query: QueryId, row: SharedRow<'_>) {
-        self.0.on_match(query, row.materialize());
-    }
-}
-
-/// Receives the complete matches produced while processing stream events.
+/// Receives the complete matches produced while processing stream events,
+/// each built into an owned [`SubgraphMatch`].
 pub trait MatchSink {
     /// Called once per complete match, with the id of the query it belongs
     /// to.
     fn on_match(&mut self, query: QueryId, m: SubgraphMatch);
 }
 
-/// A sink that only counts matches — no allocation per match.
+/// Every [`MatchSink`] is a [`RowSink`]: each row is materialized once, as
+/// the argument of `on_match`.
+impl<S: MatchSink + ?Sized> RowSink for S {
+    #[inline]
+    fn on_rows(&mut self, query: QueryId, layout: RowLayout, rows: &[u64]) {
+        for m in layout.materialize_all(rows) {
+            self.on_match(query, m);
+        }
+    }
+
+    #[inline]
+    fn on_shared_row(&mut self, query: QueryId, row: SharedRow<'_>) {
+        self.on_match(query, row.materialize());
+    }
+}
+
+/// A sink that only counts matches: it reads no row and builds no match.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountSink {
     /// Number of matches received so far.
@@ -92,37 +96,17 @@ impl CountSink {
     }
 }
 
-impl MatchSink for CountSink {
-    fn on_match(&mut self, _query: QueryId, _m: SubgraphMatch) {
+impl RowSink for CountSink {
+    fn on_rows(&mut self, _query: QueryId, layout: RowLayout, rows: &[u64]) {
+        self.matches += (rows.len() / layout.stride()) as u64;
+    }
+
+    fn on_shared_row(&mut self, _query: QueryId, _row: SharedRow<'_>) {
         self.matches += 1;
     }
 }
 
-/// A sink that collects `(query, match)` pairs into a vector.
-#[derive(Debug, Clone, Default)]
-pub struct CollectSink {
-    /// The collected matches, in report order.
-    pub matches: Vec<(QueryId, SubgraphMatch)>,
-}
-
-impl CollectSink {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the sink, yielding the collected matches.
-    pub fn into_matches(self) -> Vec<(QueryId, SubgraphMatch)> {
-        self.matches
-    }
-}
-
-impl MatchSink for CollectSink {
-    fn on_match(&mut self, query: QueryId, m: SubgraphMatch) {
-        self.matches.push((query, m));
-    }
-}
-
+/// The collecting sink: `(query, match)` pairs in report order.
 impl MatchSink for Vec<(QueryId, SubgraphMatch)> {
     fn on_match(&mut self, query: QueryId, m: SubgraphMatch) {
         self.push((query, m));
@@ -145,21 +129,29 @@ mod tests {
 
     #[test]
     fn count_sink_counts() {
+        let layout = RowLayout {
+            edges: 2,
+            vertices: 3,
+        };
+        let mut rows = Vec::new();
+        for _ in 0..3 {
+            layout.push_unbound(&mut rows);
+        }
         let mut sink = CountSink::new();
-        sink.on_match(QueryId(0), SubgraphMatch::new());
-        sink.on_match(QueryId(1), SubgraphMatch::new());
-        assert_eq!(sink.matches, 2);
+        sink.on_rows(QueryId(0), layout, &rows);
+        sink.on_rows(QueryId(1), layout, &rows[..layout.stride()]);
+        sink.on_rows(QueryId(1), layout, &[]);
+        assert_eq!(sink.matches, 4);
     }
 
     #[test]
-    fn collect_sink_collects_in_order() {
-        let mut sink = CollectSink::new();
+    fn vec_sink_collects_in_order() {
+        let mut sink: Vec<(QueryId, SubgraphMatch)> = Vec::new();
         sink.on_match(QueryId(3), SubgraphMatch::new());
         sink.on_match(QueryId(1), SubgraphMatch::new());
-        let matches = sink.into_matches();
-        assert_eq!(matches.len(), 2);
-        assert_eq!(matches[0].0, QueryId(3));
-        assert_eq!(matches[1].0, QueryId(1));
+        assert_eq!(sink.len(), 2);
+        assert_eq!(sink[0].0, QueryId(3));
+        assert_eq!(sink[1].0, QueryId(1));
     }
 
     #[test]

@@ -528,7 +528,6 @@ pub fn drift_measurements(scale: Scale) -> Vec<DriftMeasurement> {
     let drift_config = DriftConfig {
         check_interval: (edges as u64 / 64).max(64),
         min_observations: 64,
-        confirm_checks: 1,
     };
     let decay_interval = (edges as u64 / 16).max(128);
     let pack = drift_rule_pack(&dataset.schema, 4);
@@ -827,7 +826,6 @@ mod tests {
             DriftConfig {
                 check_interval: 64,
                 min_observations: 64,
-                confirm_checks: 1,
             },
             128,
         );

@@ -89,12 +89,6 @@ impl ExpiryQueue {
         Some((edge, ts))
     }
 
-    /// Pops every edge strictly older than `cutoff` and returns them in
-    /// timestamp order.
-    pub fn expire_older_than(&mut self, cutoff: Timestamp) -> Vec<(EdgeId, Timestamp)> {
-        std::iter::from_fn(|| self.pop_older_than(cutoff)).collect()
-    }
-
     /// Number of live (non-expired) edges tracked.
     pub fn len(&self) -> usize {
         self.in_order.len() + self.late.len()
@@ -115,13 +109,18 @@ impl ExpiryQueue {
 mod tests {
     use super::*;
 
+    /// Pops every edge strictly older than `cutoff`, in timestamp order.
+    fn pop_all_older_than(q: &mut ExpiryQueue, cutoff: Timestamp) -> Vec<(EdgeId, Timestamp)> {
+        std::iter::from_fn(|| q.pop_older_than(cutoff)).collect()
+    }
+
     #[test]
     fn expires_only_strictly_older_edges() {
         let mut q = ExpiryQueue::new();
         q.push(EdgeId(1), Timestamp(10));
         q.push(EdgeId(2), Timestamp(20));
         q.push(EdgeId(3), Timestamp(30));
-        let expired = q.expire_older_than(Timestamp(20));
+        let expired = pop_all_older_than(&mut q, Timestamp(20));
         assert_eq!(expired, vec![(EdgeId(1), Timestamp(10))]);
         assert_eq!(q.len(), 2);
     }
@@ -132,7 +131,7 @@ mod tests {
         q.push(EdgeId(5), Timestamp(50));
         q.push(EdgeId(1), Timestamp(10));
         q.push(EdgeId(3), Timestamp(30));
-        let expired = q.expire_older_than(Timestamp(100));
+        let expired = pop_all_older_than(&mut q, Timestamp(100));
         let ts: Vec<u64> = expired.iter().map(|(_, t)| t.0).collect();
         assert_eq!(ts, vec![10, 30, 50]);
         assert!(q.is_empty());
@@ -162,7 +161,7 @@ mod tests {
         q.push(EdgeId(1), Timestamp(10));
         q.push(EdgeId(2), Timestamp(10));
         assert_eq!(q.len(), 2);
-        let expired = q.expire_older_than(Timestamp(11));
+        let expired = pop_all_older_than(&mut q, Timestamp(11));
         assert_eq!(expired.len(), 2);
     }
 
@@ -180,7 +179,7 @@ mod tests {
         assert!(q.remove(EdgeId(4), Timestamp(20)), "in-order side");
         assert!(!q.remove(EdgeId(4), Timestamp(20)));
         assert_eq!(
-            q.expire_older_than(Timestamp(40)),
+            pop_all_older_than(&mut q, Timestamp(40)),
             [(7, 5), (1, 10), (2, 20), (3, 20)].map(|(id, ts)| (EdgeId(id), Timestamp(ts)))
         );
         assert_eq!((q.len(), q.oldest()), (1, Some(Timestamp(40))));

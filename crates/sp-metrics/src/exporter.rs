@@ -1,10 +1,10 @@
-//! Time-series export: periodic registry snapshots rendered as JSON-lines or
-//! CSV, plus a human-readable dashboard table.
+//! Time-series export: periodic registry snapshots rendered as JSON lines,
+//! plus a human-readable dashboard table.
 //!
 //! The exporter is *caller-driven*: it spawns no thread. Call
 //! [`SnapshotExporter::tick`] from wherever the application already loops
 //! (the ingest loop, a batch boundary, ...) and a sample is written whenever
-//! the configured interval has elapsed. This keeps the exporter usable in
+//! the sample interval has elapsed. This keeps the exporter usable in
 //! single-threaded benchmarks and makes tests deterministic.
 
 use crate::histogram::PercentileSummary;
@@ -12,99 +12,40 @@ use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
-/// Output format of the time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExportFormat {
-    /// One JSON object per sample per line.
-    #[default]
-    JsonLines,
-    /// Long-format CSV: `elapsed_s,metric,field,value` rows.
-    Csv,
-}
-
-/// Configuration for metrics collection and export.
-///
-/// `enabled: false` is the zero-cost default: components consult this flag
-/// once at construction and skip registering instruments entirely, so the
-/// hot path pays a single `Option` branch when metrics are off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsConfig {
-    /// Master switch. When `false`, no instruments are registered and no
-    /// samples are written.
-    pub enabled: bool,
-    /// Minimum wall-clock time between samples written by [`SnapshotExporter::tick`].
-    pub sample_interval: Duration,
-    /// Time-series output format.
-    pub format: ExportFormat,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            sample_interval: Duration::from_secs(1),
-            format: ExportFormat::JsonLines,
-        }
-    }
-}
-
-impl MetricsConfig {
-    /// An enabled configuration with the default 1 s sample interval.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Set the sample interval.
-    pub fn sample_interval(mut self, interval: Duration) -> Self {
-        self.sample_interval = interval;
-        self
-    }
-
-    /// Set the output format.
-    pub fn format(mut self, format: ExportFormat) -> Self {
-        self.format = format;
-        self
-    }
-}
-
 /// Writes periodic snapshots of a [`MetricsRegistry`] as a time series.
 pub struct SnapshotExporter {
     registry: MetricsRegistry,
-    config: MetricsConfig,
+    sample_interval: Duration,
     out: Box<dyn Write + Send>,
     started: Instant,
     last_sample: Option<Instant>,
     samples_written: u64,
-    csv_header_written: bool,
 }
 
 impl std::fmt::Debug for SnapshotExporter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotExporter")
-            .field("config", &self.config)
+            .field("sample_interval", &self.sample_interval)
             .field("samples_written", &self.samples_written)
             .finish_non_exhaustive()
     }
 }
 
 impl SnapshotExporter {
-    /// An exporter sampling `registry` into `out` per `config`.
+    /// An exporter sampling `registry` into `out` as JSON lines, at most
+    /// once per `sample_interval` from [`SnapshotExporter::tick`].
     pub fn new(
         registry: MetricsRegistry,
-        config: MetricsConfig,
+        sample_interval: Duration,
         out: Box<dyn Write + Send>,
     ) -> Self {
         Self {
             registry,
-            config,
+            sample_interval,
             out,
             started: Instant::now(),
             last_sample: None,
             samples_written: 0,
-            csv_header_written: false,
         }
     }
 
@@ -113,16 +54,13 @@ impl SnapshotExporter {
         self.samples_written
     }
 
-    /// Write a sample if the configured interval has elapsed since the last
-    /// one (or if none has been written yet). Returns `Ok(true)` when a
-    /// sample was written. No-op when the config is disabled.
+    /// Write a sample if the sample interval has elapsed since the last one
+    /// (or if none has been written yet). Returns `Ok(true)` when a sample
+    /// was written.
     pub fn tick(&mut self) -> io::Result<bool> {
-        if !self.config.enabled {
-            return Ok(false);
-        }
         let due = match self.last_sample {
             None => true,
-            Some(t) => t.elapsed() >= self.config.sample_interval,
+            Some(t) => t.elapsed() >= self.sample_interval,
         };
         if !due {
             return Ok(false);
@@ -131,23 +69,10 @@ impl SnapshotExporter {
         Ok(true)
     }
 
-    /// Write a sample unconditionally (still a no-op when disabled).
+    /// Write a sample unconditionally.
     pub fn force_sample(&mut self) -> io::Result<()> {
-        if !self.config.enabled {
-            return Ok(());
-        }
         let elapsed = self.started.elapsed().as_secs_f64();
-        let snapshot = self.registry.snapshot();
-        match self.config.format {
-            ExportFormat::JsonLines => write_jsonl(&mut self.out, elapsed, &snapshot)?,
-            ExportFormat::Csv => {
-                if !self.csv_header_written {
-                    writeln!(self.out, "elapsed_s,metric,field,value")?;
-                    self.csv_header_written = true;
-                }
-                write_csv(&mut self.out, elapsed, &snapshot)?;
-            }
-        }
+        write_jsonl(&mut self.out, elapsed, &self.registry.snapshot())?;
         self.out.flush()?;
         self.last_sample = Some(Instant::now());
         self.samples_written += 1;
@@ -208,36 +133,8 @@ fn write_jsonl(out: &mut dyn Write, elapsed: f64, s: &MetricsSnapshot) -> io::Re
     writeln!(out, "{line}")
 }
 
-fn write_csv(out: &mut dyn Write, elapsed: f64, s: &MetricsSnapshot) -> io::Result<()> {
-    // CSV quoting: names with commas/quotes get wrapped and doubled.
-    let quote = |name: &str| -> String {
-        if name.contains(',') || name.contains('"') || name.contains('\n') {
-            format!("\"{}\"", name.replace('"', "\"\""))
-        } else {
-            name.to_string()
-        }
-    };
-    for (name, v) in &s.counters {
-        writeln!(out, "{elapsed:.3},{},value,{v}", quote(name))?;
-    }
-    for (name, v) in &s.gauges {
-        writeln!(out, "{elapsed:.3},{},value,{v}", quote(name))?;
-    }
-    for (name, h) in &s.histograms {
-        let p = h.percentiles();
-        let n = quote(name);
-        writeln!(out, "{elapsed:.3},{n},count,{}", p.count)?;
-        writeln!(out, "{elapsed:.3},{n},p50,{}", p.p50)?;
-        writeln!(out, "{elapsed:.3},{n},p90,{}", p.p90)?;
-        writeln!(out, "{elapsed:.3},{n},p99,{}", p.p99)?;
-        writeln!(out, "{elapsed:.3},{n},p999,{}", p.p999)?;
-        writeln!(out, "{elapsed:.3},{n},max,{}", p.max)?;
-    }
-    Ok(())
-}
-
 /// Render a point-in-time snapshot as a fixed-width dashboard table, the
-/// human-facing counterpart of the JSONL/CSV series (used by the
+/// human-facing counterpart of the JSON-lines series (used by the
 /// `observed_firehose` example).
 pub fn render_dashboard(s: &MetricsSnapshot) -> String {
     let mut out = String::new();
@@ -308,25 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_exporter_writes_nothing() {
-        let cap = Capture::default();
-        let mut ex = SnapshotExporter::new(
-            sample_registry(),
-            MetricsConfig::default(),
-            Box::new(cap.clone()),
-        );
-        assert!(!ex.tick().unwrap());
-        ex.force_sample().unwrap();
-        assert_eq!(ex.samples_written(), 0);
-        assert!(cap.contents().is_empty());
-    }
-
-    #[test]
     fn jsonl_sample_is_valid_shape() {
         let cap = Capture::default();
         let mut ex = SnapshotExporter::new(
             sample_registry(),
-            MetricsConfig::enabled(),
+            Duration::from_secs(1),
             Box::new(cap.clone()),
         );
         assert!(ex.tick().unwrap()); // first tick always samples
@@ -340,27 +223,6 @@ mod tests {
         assert!(line.contains("\"runtime.queue_depth.w0\":3"));
         assert!(line.contains("\"match.latency_ns\":{\"count\":4"));
         assert!(line.ends_with("}}"));
-    }
-
-    #[test]
-    fn csv_sample_has_header_and_rows() {
-        let cap = Capture::default();
-        let mut ex = SnapshotExporter::new(
-            sample_registry(),
-            MetricsConfig::enabled()
-                .sample_interval(Duration::from_secs(0))
-                .format(ExportFormat::Csv),
-            Box::new(cap.clone()),
-        );
-        ex.force_sample().unwrap();
-        ex.force_sample().unwrap();
-        let text = cap.contents();
-        assert!(text.starts_with("elapsed_s,metric,field,value\n"));
-        // Header appears exactly once across samples.
-        assert_eq!(text.matches("elapsed_s,metric,field,value").count(), 1);
-        assert_eq!(text.matches(",stream.edges_total,value,42").count(), 2);
-        assert!(text.contains(",match.latency_ns,p50,"));
-        assert!(text.contains(",match.latency_ns,p999,"));
     }
 
     #[test]

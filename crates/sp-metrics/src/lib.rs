@@ -15,10 +15,8 @@
 //! * [`MetricsRegistry`] — named [`Counter`] / [`Gauge`] / [`Histogram`]
 //!   handles: registration takes a mutex once, every record afterwards is a
 //!   relaxed atomic;
-//! * [`SnapshotExporter`] — caller-driven sampling into JSON-lines or CSV
-//!   time series, plus [`render_dashboard`] for a human-readable table,
-//!   configured by [`MetricsConfig`] (disabled by default: the hot path pays
-//!   one branch when metrics are off).
+//! * [`SnapshotExporter`] — caller-driven sampling into a JSON-lines time
+//!   series, plus [`render_dashboard`] for a human-readable table.
 //!
 //! ```
 //! use sp_metrics::MetricsRegistry;
@@ -49,7 +47,7 @@ mod registry;
 
 #[cfg(feature = "count-allocs")]
 pub use alloc::alloc_counts;
-pub use exporter::{render_dashboard, ExportFormat, MetricsConfig, SnapshotExporter};
+pub use exporter::{render_dashboard, SnapshotExporter};
 pub use histogram::{
     bucket_lower_bound, HistogramSnapshot, LogHistogram, PercentileSummary, NUM_BUCKETS,
     SUB_BUCKETS,

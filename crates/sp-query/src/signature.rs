@@ -142,12 +142,6 @@ impl TwoEdgePathSignature {
         self.second
     }
 
-    /// `true` when both components have the same edge type and direction
-    /// (the `n*(n-1)/2` case of Algorithm 5).
-    pub fn is_homogeneous(&self) -> bool {
-        self.first == self.second
-    }
-
     /// Renders the signature with readable names, center vertex in the middle.
     pub fn describe(&self, schema: &Schema) -> String {
         let part = |d: DirectedEdgeType| {
@@ -249,15 +243,6 @@ mod tests {
             TwoEdgePathSignature::new(a, b),
             TwoEdgePathSignature::new(b, a)
         );
-    }
-
-    #[test]
-    fn homogeneous_wedge_detection() {
-        let a = DirectedEdgeType::outgoing(EdgeType(2));
-        let sig = TwoEdgePathSignature::new(a, a);
-        assert!(sig.is_homogeneous());
-        let b = DirectedEdgeType::incoming(EdgeType(2));
-        assert!(!TwoEdgePathSignature::new(a, b).is_homogeneous());
     }
 
     #[test]

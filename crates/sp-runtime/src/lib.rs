@@ -31,8 +31,9 @@
 //!   to end, and the backpressure is observable via
 //!   [`RuntimeStats::backpressure_events`].
 //! * Complete matches cross the aggregation channel as fixed-width rows
-//!   in each query's own numbering; the facade builds each `SubgraphMatch`
-//!   once, on the calling thread, on its way into the caller's sink.
+//!   in each query's own numbering; the facade hands them to the caller's
+//!   [`RowSink`], so a `MatchSink` builds each `SubgraphMatch` once, on the
+//!   calling thread, and a `CountSink` builds none.
 //! * Control messages (register / deregister / drain / report) share the
 //!   per-worker FIFO channels with the edge batches, so a query registered
 //!   mid-stream sees exactly the stream suffix a sequential processor would
@@ -85,6 +86,6 @@ pub use worker::WorkerReport;
 // Re-export the pieces callers need alongside the runtime.
 pub use sp_metrics::MetricsRegistry;
 pub use streampattern::{
-    ContinuousQueryEngine, MatchSink, PipelineMetrics, ProfileCounters, QueryId, Strategy,
+    ContinuousQueryEngine, MatchSink, PipelineMetrics, ProfileCounters, QueryId, RowSink, Strategy,
     StrategySpec,
 };

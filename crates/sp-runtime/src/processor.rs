@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streampattern::{
-    AdaptiveStats, CollectSink, ContinuousQueryEngine, ControlPlane, CountSink, EngineError,
-    MatchSink, PipelineMetrics, ProfileCounters, QueryId, Shard, StrategySpec,
+    AdaptiveStats, ContinuousQueryEngine, ControlPlane, CountSink, EngineError, PipelineMetrics,
+    ProfileCounters, QueryId, RowSink, Shard, StrategySpec,
 };
 
 /// How long a wait for a `Deregister` / `Report` reply, or for room in a
@@ -380,7 +380,7 @@ impl ParallelStreamProcessor {
     pub fn process_all_into<'a, I, S>(&mut self, events: I, sink: &mut S) -> u64
     where
         I: IntoIterator<Item = &'a EdgeEvent>,
-        S: MatchSink + ?Sized,
+        S: RowSink + ?Sized,
     {
         let mut delivered = self.flush_buffered(sink);
         let mut batch: Vec<EdgeEvent> = Vec::with_capacity(self.config.batch_size);
@@ -438,22 +438,22 @@ impl ParallelStreamProcessor {
     /// for convenience and tests; high-throughput callers should use
     /// [`process_all_into`](Self::process_all_into).
     pub fn process(&mut self, event: &EdgeEvent) -> Vec<(QueryId, SubgraphMatch)> {
-        let mut sink = CollectSink::new();
-        self.process_all_into(std::iter::once(event), &mut sink);
-        sink.into_matches()
+        let mut matches = Vec::new();
+        self.process_all_into(std::iter::once(event), &mut matches);
+        matches
     }
 
     /// Barrier: waits until every worker has processed every batch sent so
     /// far, forwarding all resulting matches into `sink`. Returns the number
     /// of matches delivered by this call.
-    pub fn drain_into<S: MatchSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
+    pub fn drain_into<S: RowSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
         self.drain();
         self.flush_buffered(sink)
     }
 
     /// Barrier variant that buffers the drained matches internally (they are
-    /// delivered to the next sink-taking call, or via
-    /// [`take_pending_matches`](Self::take_pending_matches)).
+    /// delivered to the next sink-taking call, or in
+    /// [`RuntimeReport::pending_matches`] at [`shutdown`](Self::shutdown)).
     ///
     /// Every worker answers the barrier on the aggregation channel, behind
     /// the match batches it sent before it, so this blocks on that one
@@ -483,7 +483,7 @@ impl ParallelStreamProcessor {
 
     /// Matches drained during control operations (register, deregister,
     /// profile, drain) that no sink has consumed yet, materialized.
-    pub fn take_pending_matches(&mut self) -> Vec<(QueryId, SubgraphMatch)> {
+    fn take_pending_matches(&mut self) -> Vec<(QueryId, SubgraphMatch)> {
         let mut pending = Vec::new();
         for batch in self.buffered.drain(..) {
             batch.deliver(&mut pending);
@@ -751,7 +751,7 @@ impl ParallelStreamProcessor {
         }
     }
 
-    fn flush_buffered<S: MatchSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
+    fn flush_buffered<S: RowSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
         self.drain_pending_matches();
         let mut delivered = 0;
         while let Some(batch) = self.buffered.pop_front() {

@@ -17,8 +17,8 @@ use sp_metrics::{Gauge, Histogram};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use streampattern::{
-    ContinuousQueryEngine, MatchSink, PipelineMetrics, ProfileCounters, QueryId, RowLayout,
-    RowSink, Shard, SharedRow, SjTree, Strategy,
+    ContinuousQueryEngine, PipelineMetrics, ProfileCounters, QueryId, RowLayout, RowSink, Shard,
+    SharedRow, SjTree, Strategy,
 };
 
 /// The complete matches of one input batch, as fixed-width rows in each
@@ -26,8 +26,8 @@ use streampattern::{
 /// aggregation channel. Consecutive matches of one query form a *burst*
 /// under one `(query, layout, count)` header, so a match costs its row
 /// (edges + vertices + 2 words) on the wire, not a 288-byte `SubgraphMatch`;
-/// the facade builds that value once, in the caller's thread, on the way
-/// into the caller's sink ([`RowBatch::deliver`]).
+/// the facade hands the bursts to the caller's sink ([`RowBatch::deliver`]),
+/// so a `MatchSink` builds that value once, in the caller's thread.
 #[derive(Debug, Default)]
 pub(crate) struct RowBatch {
     /// One header per burst, in report order.
@@ -61,15 +61,13 @@ impl RowBatch {
         std::mem::replace(self, sized_alike)
     }
 
-    /// Materializes every match, in report order, into `sink` — the one
-    /// place a match that crossed the channel becomes a `SubgraphMatch`.
-    pub(crate) fn deliver<S: MatchSink + ?Sized>(&self, sink: &mut S) {
+    /// Hands every burst, in report order, to `sink` — the one place a
+    /// match that crossed the channel leaves the runtime.
+    pub(crate) fn deliver<S: RowSink + ?Sized>(&self, sink: &mut S) {
         let mut rows = self.rows.as_slice();
         for &(query, layout, count) in &self.bursts {
             let (burst, rest) = rows.split_at(count as usize * layout.stride());
-            for m in layout.materialize_all(burst) {
-                sink.on_match(query, m);
-            }
+            sink.on_rows(query, layout, burst);
             rows = rest;
         }
     }
@@ -213,7 +211,7 @@ pub(crate) fn worker_loop(
                 // event of the batch. Statistics are the facade's business:
                 // nothing observes the edges here.
                 for ev in events.iter() {
-                    emitted += shard.process_rows_into(ev, &mut out, |_| {});
+                    emitted += shard.process_into(ev, &mut out, |_| {});
                 }
                 if !out.bursts.is_empty() {
                     // A full aggregation channel blocks here, which in turn
@@ -319,7 +317,7 @@ mod tests {
         };
         assert_eq!(worker_idx, 3);
         assert_eq!(batch.matches(), 2);
-        let mut matches = Vec::new();
+        let mut matches: Vec<(QueryId, sp_iso::SubgraphMatch)> = Vec::new();
         batch.deliver(&mut matches);
         assert_eq!(matches.len(), 2);
         assert!(matches.iter().all(|&(q, _)| q == id));

@@ -18,9 +18,8 @@
 //! The detector is deliberately cheap (a frequency sort over a handful of
 //! primitives) and conservative: it *fires* when either signal moved, and
 //! the caller then re-plans authoritatively (re-running the decomposition)
-//! to decide whether the plan really changed. Hysteresis
-//! ([`DriftConfig::confirm_checks`]) suppresses flapping on noisy
-//! borderline rankings.
+//! to decide whether the plan really changed. Ties in the ranking break by
+//! position, so equal frequencies never flap it.
 
 use crate::estimator::SelectivityEstimator;
 use serde::{Deserialize, Serialize};
@@ -38,9 +37,6 @@ pub struct DriftConfig {
     /// never decays) before a check can fire; prevents re-planning off a
     /// near-empty histogram.
     pub min_observations: u64,
-    /// Number of consecutive checks that must agree the signal moved before
-    /// the detector fires (1 = fire immediately).
-    pub confirm_checks: u32,
 }
 
 impl Default for DriftConfig {
@@ -48,20 +44,8 @@ impl Default for DriftConfig {
         Self {
             check_interval: 2_048,
             min_observations: 512,
-            confirm_checks: 1,
         }
     }
-}
-
-/// Cumulative bookkeeping of one [`DriftDetector`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DriftStats {
-    /// Checks evaluated (post `min_observations` gate).
-    pub checks: u64,
-    /// Checks that fired (after hysteresis).
-    pub drifts: u64,
-    /// Baseline rebases.
-    pub rebases: u64,
 }
 
 /// The recorded baseline a detector compares the live statistics against.
@@ -84,8 +68,6 @@ struct Baseline {
 pub struct DriftDetector {
     config: DriftConfig,
     baseline: Option<Baseline>,
-    pending: u32,
-    stats: DriftStats,
 }
 
 impl DriftDetector {
@@ -95,19 +77,12 @@ impl DriftDetector {
         Self {
             config,
             baseline: None,
-            pending: 0,
-            stats: DriftStats::default(),
         }
     }
 
     /// The configuration this detector was built with.
     pub fn config(&self) -> DriftConfig {
         self.config
-    }
-
-    /// Cumulative check/fire counters.
-    pub fn stats(&self) -> DriftStats {
-        self.stats
     }
 
     /// Records the current statistics as the baseline: the frequency ranking
@@ -133,8 +108,6 @@ impl DriftDetector {
             threshold,
             below_threshold: xi < threshold,
         });
-        self.pending = 0;
-        self.stats.rebases += 1;
     }
 
     /// The frequency ranking of a primitive set: the indices of `primitives`
@@ -147,12 +120,11 @@ impl DriftDetector {
     }
 
     /// Compares the live statistics against the baseline. Returns `true`
-    /// when drift is confirmed: the estimator has seen at least
-    /// [`DriftConfig::min_observations`] edges, the ranking changed or ξ
-    /// crossed the threshold, and the change persisted for
-    /// [`DriftConfig::confirm_checks`] consecutive checks. Without a
-    /// baseline (no [`DriftDetector::rebase`] yet) it returns `false`.
-    pub fn check(&mut self, estimator: &SelectivityEstimator) -> bool {
+    /// when the estimator has seen at least
+    /// [`DriftConfig::min_observations`] edges and the ranking changed or ξ
+    /// crossed the threshold. Without a baseline (no
+    /// [`DriftDetector::rebase`] yet) it returns `false`.
+    pub fn check(&self, estimator: &SelectivityEstimator) -> bool {
         let Some(baseline) = &self.baseline else {
             return false;
         };
@@ -162,23 +134,10 @@ impl DriftDetector {
         if estimator.lifetime_edges_observed() < self.config.min_observations {
             return false;
         }
-        self.stats.checks += 1;
         let ranking = Self::ranking(estimator, &baseline.tracked);
         let xi =
             estimator.relative_selectivity(baseline.tk_leaves.iter(), baseline.t1_leaves.iter());
-        let moved =
-            ranking != baseline.ranking || (xi < baseline.threshold) != baseline.below_threshold;
-        if !moved {
-            self.pending = 0;
-            return false;
-        }
-        self.pending += 1;
-        if self.pending < self.config.confirm_checks {
-            return false;
-        }
-        self.pending = 0;
-        self.stats.drifts += 1;
-        true
+        ranking != baseline.ranking || (xi < baseline.threshold) != baseline.below_threshold
     }
 }
 
@@ -208,11 +167,10 @@ mod tests {
         Primitive::SingleEdge(EdgeType(ty))
     }
 
-    fn config(min: u64, confirm: u32) -> DriftConfig {
+    fn config(min: u64) -> DriftConfig {
         DriftConfig {
             check_interval: 1,
             min_observations: min,
-            confirm_checks: confirm,
         }
     }
 
@@ -221,15 +179,13 @@ mod tests {
         let mut est = SelectivityEstimator::new();
         feed(&mut est, 0, 90, 0);
         feed(&mut est, 1, 10, 10_000);
-        let mut d = DriftDetector::new(config(1, 1));
+        let mut d = DriftDetector::new(config(1));
         let tracked = vec![single(0), single(1)];
         d.rebase(&est, tracked, vec![single(1)], vec![single(0)], 1e-3);
         // More of the same mix: ranking unchanged.
         feed(&mut est, 0, 90, 20_000);
         feed(&mut est, 1, 10, 30_000);
         assert!(!d.check(&est));
-        assert_eq!(d.stats().drifts, 0);
-        assert_eq!(d.stats().checks, 1);
     }
 
     #[test]
@@ -237,7 +193,7 @@ mod tests {
         let mut est = SelectivityEstimator::new().with_mode(StatsMode::Decayed(64));
         feed(&mut est, 0, 90, 0);
         feed(&mut est, 1, 10, 10_000);
-        let mut d = DriftDetector::new(config(1, 1));
+        let mut d = DriftDetector::new(config(1));
         d.rebase(
             &est,
             vec![single(0), single(1)],
@@ -248,7 +204,17 @@ mod tests {
         // The mix inverts; with decay the ranking flips.
         feed(&mut est, 1, 400, 20_000);
         assert!(d.check(&est), "inverted mix must register as drift");
-        assert_eq!(d.stats().drifts, 1);
+        // No hysteresis: every check of the moved statistics fires until the
+        // caller re-baselines.
+        assert!(d.check(&est));
+        d.rebase(
+            &est,
+            vec![single(0), single(1)],
+            vec![single(1)],
+            vec![single(0)],
+            1e-3,
+        );
+        assert!(!d.check(&est), "the rebased mix is the new normal");
     }
 
     #[test]
@@ -258,7 +224,7 @@ mod tests {
         // index, so repeated checks see the identical ranking.
         feed(&mut est, 0, 50, 0);
         feed(&mut est, 1, 50, 10_000);
-        let mut d = DriftDetector::new(config(1, 1));
+        let mut d = DriftDetector::new(config(1));
         d.rebase(
             &est,
             vec![single(0), single(1)],
@@ -298,49 +264,30 @@ mod tests {
             DriftDetector::ranking(&ordered, &tracked),
             DriftDetector::ranking(&scrambled, &tracked)
         );
-        let mut d = DriftDetector::new(config(1, 1));
+        let mut d = DriftDetector::new(config(1));
         d.rebase(&ordered, tracked, vec![single(0)], vec![single(1)], 1e-3);
         assert!(!d.check(&scrambled));
-    }
-
-    #[test]
-    fn hysteresis_requires_consecutive_confirmations() {
-        let mut est = SelectivityEstimator::new().with_mode(StatsMode::Decayed(32));
-        feed(&mut est, 0, 80, 0);
-        feed(&mut est, 1, 20, 10_000);
-        let mut d = DriftDetector::new(config(1, 2));
-        d.rebase(
-            &est,
-            vec![single(0), single(1)],
-            vec![single(1)],
-            vec![single(0)],
-            1e-3,
-        );
-        feed(&mut est, 1, 300, 20_000);
-        // First check observes the change but waits for confirmation.
-        assert!(!d.check(&est));
-        // Second consecutive check confirms.
-        assert!(d.check(&est));
-        // After firing, the pending counter restarts.
-        assert!(!d.check(&est));
-        assert!(d.check(&est));
     }
 
     #[test]
     fn min_observations_gates_checks() {
         let mut est = SelectivityEstimator::new();
         feed(&mut est, 0, 5, 0);
-        let mut d = DriftDetector::new(config(1_000, 1));
-        d.rebase(
-            &est,
-            vec![single(0), single(1)],
-            vec![single(1)],
-            vec![single(0)],
-            1e-3,
-        );
+        let tracked = vec![single(0), single(1)];
+        let mut gated = DriftDetector::new(config(1_000));
+        let mut ungated = DriftDetector::new(config(1));
+        for d in [&mut gated, &mut ungated] {
+            d.rebase(
+                &est,
+                tracked.clone(),
+                vec![single(1)],
+                vec![single(0)],
+                1e-3,
+            );
+        }
         feed(&mut est, 1, 50, 10_000);
-        assert!(!d.check(&est), "below min_observations nothing fires");
-        assert_eq!(d.stats().checks, 0);
+        assert!(ungated.check(&est), "the ranking flipped");
+        assert!(!gated.check(&est), "below min_observations nothing fires");
     }
 
     #[test]
@@ -357,7 +304,7 @@ mod tests {
         // stream will eventually reach.
         let min = 300u64;
         assert!(min > 2 * interval);
-        let mut d = DriftDetector::new(config(min, 1));
+        let mut d = DriftDetector::new(config(min));
         d.rebase(
             &est,
             vec![single(0), single(1)],
@@ -365,9 +312,8 @@ mod tests {
             vec![single(0)],
             1e-3,
         );
-        // Not warmed up yet: gated, not even counted as a check.
+        // Not warmed up yet: gated.
         assert!(!d.check(&est));
-        assert_eq!(d.stats().checks, 0);
         // Invert the mix; the lifetime passes the gate long after the
         // decayed total has stopped growing, and the flip must register.
         feed(&mut est, 1, 400, 20_000);
@@ -379,8 +325,7 @@ mod tests {
     #[test]
     fn no_baseline_means_no_drift() {
         let est = SelectivityEstimator::new();
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let d = DriftDetector::new(DriftConfig::default());
         assert!(!d.check(&est));
-        assert_eq!(d.stats(), DriftStats::default());
     }
 }

@@ -46,11 +46,6 @@ impl EdgeTypeHistogram {
         self.total
     }
 
-    /// Number of distinct edge types observed.
-    pub fn num_types(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Selectivity of a single-edge subgraph of the given type: its frequency
     /// divided by the total number of 1-edge subgraphs (= total edges).
     ///
@@ -134,7 +129,7 @@ mod tests {
         assert_eq!(h.count(EdgeType(1)), 1);
         assert_eq!(h.count(EdgeType(9)), 0);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.num_types(), 2);
+        assert_eq!(h.iter().count(), 2);
     }
 
     #[test]
@@ -175,7 +170,7 @@ mod tests {
         let mut h = EdgeTypeHistogram::new();
         h.observe_n(EdgeType(0), 0);
         assert_eq!(h.total(), 0);
-        assert_eq!(h.num_types(), 0);
+        assert_eq!(h.iter().count(), 0);
     }
 
     #[test]

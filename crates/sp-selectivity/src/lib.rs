@@ -32,7 +32,7 @@ mod histogram;
 mod paths;
 mod timeline;
 
-pub use drift::{DriftConfig, DriftDetector, DriftStats};
+pub use drift::{DriftConfig, DriftDetector};
 pub use estimator::{DecompositionSelectivity, SelectivityEstimator, StatsMode};
 pub use histogram::EdgeTypeHistogram;
 pub use paths::TwoEdgePathCounter;

@@ -127,20 +127,6 @@ impl CostModel {
     pub fn frequency(&self, node: NodeId) -> f64 {
         self.node_frequency[node.0]
     }
-
-    /// Observation 3 of Section 5: decomposing a subgraph `g_k` further is
-    /// worthwhile when some sub-subgraph `g` has
-    /// `frequency(g) > frequency(g_k) / d̄^{|V(g_k)|}` — i.e. the larger
-    /// subgraph is not much rarer than its parts, so searching for the parts
-    /// and joining is cheaper than searching for the whole.
-    pub fn worth_decomposing(
-        frequency_part: f64,
-        frequency_whole: f64,
-        avg_degree: f64,
-        whole_num_vertices: usize,
-    ) -> bool {
-        frequency_part > frequency_whole / avg_degree.max(1.0).powi(whole_num_vertices as i32)
-    }
 }
 
 #[cfg(test)]
@@ -271,14 +257,5 @@ mod tests {
         assert!(m_path.work_per_edge > 0.0 && m_single.work_per_edge > 0.0);
         assert!(path.num_leaves() < single.num_leaves());
         assert!(m_path.space_units <= m_single.space_units);
-    }
-
-    #[test]
-    fn worth_decomposing_heuristic() {
-        // Whole subgraph nearly as frequent as its part -> decompose.
-        assert!(CostModel::worth_decomposing(100.0, 90.0, 2.0, 3));
-        // Whole subgraph vastly rarer than the part -> searching for the
-        // whole directly is fine.
-        assert!(!CostModel::worth_decomposing(100.0, 1_000_000.0, 2.0, 3));
     }
 }

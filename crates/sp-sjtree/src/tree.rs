@@ -223,11 +223,6 @@ impl SjTree {
         self.nodes[id.0].sibling
     }
 
-    /// `true` when the tree is a single leaf (the query is one primitive).
-    pub fn is_single_node(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
     /// For a node covering leaves `0..=j`, the "next" leaf in the
     /// selectivity order is leaf `j+1` — the one whose search the Lazy
     /// strategy enables when a match materializes at this node.
@@ -446,7 +441,7 @@ mod tests {
         q.add_edge(a, b, EdgeType(0));
         let leaves = vec![QuerySubgraph::from_edges(&q, q.edge_ids())];
         let t = SjTree::from_leaves(q, leaves);
-        assert!(t.is_single_node());
+        assert_eq!(t.num_nodes(), 1);
         assert_eq!(t.root(), t.leaf(0));
         assert_eq!(t.next_leaf_to_enable(t.root()), None);
     }

@@ -48,7 +48,6 @@ fn main() {
             proc = proc.with_adaptive(DriftConfig {
                 check_interval: 256,
                 min_observations: 256,
-                confirm_checks: 1,
             });
         }
         let mut ids = Vec::new();

@@ -14,7 +14,7 @@
 
 use sp_bench::experiments::netflow_rule_pack;
 use sp_datasets::NetflowConfig;
-use sp_metrics::{render_dashboard, MetricsConfig, MetricsRegistry, SnapshotExporter};
+use sp_metrics::{render_dashboard, MetricsRegistry, SnapshotExporter};
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use std::time::Duration;
 use streampattern::Strategy;
@@ -32,7 +32,7 @@ fn main() {
     let series = std::fs::File::create(&series_path).expect("create series file");
     let mut exporter = SnapshotExporter::new(
         registry.clone(),
-        MetricsConfig::enabled().sample_interval(Duration::from_millis(100)),
+        Duration::from_millis(100),
         Box::new(series),
     );
 

@@ -51,7 +51,6 @@ fn drift_config() -> DriftConfig {
     DriftConfig {
         check_interval: 64,
         min_observations: 64,
-        confirm_checks: 1,
     }
 }
 
@@ -212,7 +211,6 @@ fn redecomposition_lands_mid_window_with_live_partial_matches() {
             proc = proc.with_adaptive(DriftConfig {
                 check_interval: 10_000, // manual checks only
                 min_observations: 16,
-                confirm_checks: 1,
             });
         }
         // Phase 1: esp rare — the initial plan searches the esp leaf first.

@@ -16,8 +16,9 @@ use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
-    plan_query, ContinuousQueryEngine, FnSink, QueryId, Schema, SelectivityEstimator, SjTree,
-    Strategy, StrategySpec, StreamProcessor, SubgraphMatch,
+    plan_query, ContinuousQueryEngine, CountSink, FnSink, QueryId, RowLayout, RowSink, Schema,
+    SelectivityEstimator, SharedRow, SjTree, Strategy, StrategySpec, StreamProcessor,
+    SubgraphMatch,
 };
 
 /// Worker counts under test.
@@ -221,6 +222,136 @@ fn shared_join_matches_parallel_runtime_across_worker_counts() {
             runtime.process_all_into(dataset.events().iter(), &mut sink);
         });
         assert_eq!(got, expected, "multiset diverged at {workers} workers");
+    }
+}
+
+/// Counts the matches of each row form a [`RowSink`] receives.
+#[derive(Default)]
+struct FormCounter {
+    burst_rows: u64,
+    shared_rows: u64,
+}
+
+impl RowSink for FormCounter {
+    fn on_rows(&mut self, _: QueryId, layout: RowLayout, rows: &[u64]) {
+        self.burst_rows += (rows.len() / layout.stride()) as u64;
+    }
+
+    fn on_shared_row(&mut self, _: QueryId, _: SharedRow<'_>) {
+        self.shared_rows += 1;
+    }
+}
+
+/// One sink contract: whatever sink a front end is handed — a row counter,
+/// the collecting `Vec`, a closure — it reports the same matches. The pack
+/// holds a full-depth shared-join subscriber (its matches leave through
+/// `on_shared_row`), a partial-depth one and a private engine (both through
+/// `on_rows`).
+#[test]
+fn every_sink_sees_the_same_matches_on_both_front_ends() {
+    let dataset = NetflowConfig {
+        num_hosts: 300,
+        num_edges: 2_500,
+        ..NetflowConfig::tiny()
+    }
+    .generate();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    let rules = pack(&schema);
+    let sequential = || {
+        let mut proc = StreamProcessor::new(schema.clone())
+            .with_estimator(estimator.clone())
+            .with_statistics(false);
+        for (q, w) in &rules {
+            proc.register(q.clone(), Strategy::SingleLazy, *w).unwrap();
+        }
+        proc
+    };
+    let runtime = |workers: usize| {
+        let mut runtime = ParallelStreamProcessor::new(
+            schema.clone(),
+            RuntimeConfig::with_workers(workers).statistics(false),
+        )
+        .with_estimator(estimator.clone());
+        for (q, w) in &rules {
+            runtime
+                .register(q.clone(), Strategy::SingleLazy, *w)
+                .unwrap();
+        }
+        runtime
+    };
+    let fingerprint =
+        |q: QueryId, m: &SubgraphMatch| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>()));
+    let sorted_vec = |matches: Vec<(QueryId, SubgraphMatch)>| {
+        let mut out: Vec<_> = matches.iter().map(|(q, m)| fingerprint(*q, m)).collect();
+        out.sort();
+        out
+    };
+
+    // The pack covers all three delivery paths.
+    let proc = sequential();
+    let joins = proc.registry().shared_joins();
+    let (mut full, mut partial, mut private) = (0, 0, 0);
+    for id in proc.query_ids() {
+        let leaves = proc.engine_for(id).unwrap().tree().unwrap().num_leaves();
+        match joins.subscription_depth(id) {
+            Some(depth) if depth == leaves => full += 1,
+            Some(_) => partial += 1,
+            None => private += 1,
+        }
+    }
+    assert!(
+        full > 0 && partial > 0 && private > 0,
+        "pack lacks a delivery path: {full} full-depth, {partial} partial-depth, {private} private"
+    );
+
+    let mut forms = FormCounter::default();
+    sequential().process_batch_into(dataset.events(), &mut forms);
+    assert!(
+        forms.burst_rows > 0 && forms.shared_rows > 0,
+        "a row form delivered nothing: {} burst rows, {} shared rows",
+        forms.burst_rows,
+        forms.shared_rows
+    );
+
+    // (front end, CountSink, Vec sink, FnSink count and multiset)
+    let mut runs = Vec::new();
+    let mut count = CountSink::new();
+    sequential().process_batch_into(dataset.events(), &mut count);
+    let mut collected = Vec::new();
+    sequential().process_batch_into(dataset.events(), &mut collected);
+    let mut seen = Vec::new();
+    sequential().process_batch_into(
+        dataset.events(),
+        &mut FnSink(|q, m: SubgraphMatch| seen.push(fingerprint(q, &m))),
+    );
+    runs.push(("sequential".to_string(), count, collected, seen));
+    for workers in [1, 2] {
+        let mut count = CountSink::new();
+        runtime(workers).process_all_into(dataset.events().iter(), &mut count);
+        let mut collected = Vec::new();
+        runtime(workers).process_all_into(dataset.events().iter(), &mut collected);
+        let mut seen = Vec::new();
+        runtime(workers).process_all_into(
+            dataset.events().iter(),
+            &mut FnSink(|q, m: SubgraphMatch| seen.push(fingerprint(q, &m))),
+        );
+        runs.push((format!("{workers} workers"), count, collected, seen));
+    }
+
+    let expected = forms.burst_rows + forms.shared_rows;
+    let reference = sorted_vec(runs[0].2.clone());
+    for (front_end, count, collected, mut seen) in runs {
+        assert_eq!(count.matches, expected, "CountSink on {front_end}");
+        assert_eq!(collected.len() as u64, expected, "Vec sink on {front_end}");
+        assert_eq!(seen.len() as u64, expected, "FnSink on {front_end}");
+        seen.sort();
+        let collected = sorted_vec(collected);
+        assert_eq!(collected, seen, "Vec and FnSink multisets on {front_end}");
+        assert_eq!(
+            collected, reference,
+            "{front_end} against the sequential run"
+        );
     }
 }
 
