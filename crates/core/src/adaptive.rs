@@ -19,8 +19,8 @@
 //!
 //! [`StatsMode::Decayed`]: sp_selectivity::StatsMode
 
+use crate::control::StrategySpec;
 use crate::error::EngineError;
-use crate::registry::StrategySpec;
 use crate::strategy::{choose_plan, Strategy, RELATIVE_SELECTIVITY_THRESHOLD};
 use sp_query::{Primitive, QueryEdgeId, QueryGraph};
 use sp_selectivity::{DriftConfig, DriftDetector, SelectivityEstimator};

@@ -5,13 +5,42 @@ use crate::adaptive::{leaf_structure, plan_query, AdaptiveStats, QueryDriftState
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
 use crate::lazy::MAX_LEAVES;
-use crate::registry::{retention_for_windows, QueryId, StrategySpec};
 use crate::strategy::Strategy;
 use sp_graph::EdgeData;
 use sp_query::{QueryEdgeId, QueryGraph};
 use sp_selectivity::{DriftConfig, SelectivityEstimator};
 use sp_sjtree::SjTree;
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Stable identifier of a registered continuous query. Ids are handed out by
+/// the [`ControlPlane`] and never reused, even after the query is
+/// deregistered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct QueryId(pub u64);
+
+impl fmt::Display for QueryId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Q{}", self.0)
+    }
+}
+
+/// How a query's execution strategy is chosen at registration time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StrategySpec {
+    /// Use the given strategy as-is.
+    Fixed(Strategy),
+    /// Choose between `SingleLazy` and `PathLazy` with the Relative
+    /// Selectivity rule of Section 6.5, evaluated against the stream
+    /// statistics the processor has collected so far.
+    Auto,
+}
+
+impl From<Strategy> for StrategySpec {
+    fn from(s: Strategy) -> Self {
+        StrategySpec::Fixed(s)
+    }
+}
 
 /// What the control plane remembers about one registered query.
 #[derive(Debug, Clone)]
@@ -294,6 +323,33 @@ impl ControlPlane {
     }
 }
 
+/// The graph retention window implied by a set of per-query windows: the
+/// maximum `tW`, or `None` (retain everything) when any window is `None` or
+/// the set is empty. This is the single encoding of the retention rule: the
+/// [`ControlPlane`] applies it to the registered queries, the shared join
+/// stage to a prefix table's subscribers.
+pub(crate) fn retention_for_windows<I>(windows: I) -> Option<u64>
+where
+    I: IntoIterator<Item = Option<u64>>,
+{
+    let mut max = 0u64;
+    let mut any = false;
+    for window in windows {
+        match window {
+            None => return None,
+            Some(w) => {
+                any = true;
+                max = max.max(w);
+            }
+        }
+    }
+    if any {
+        Some(max)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +381,14 @@ mod tests {
         // The last query leaving keeps the window in force.
         control.forget(narrow);
         assert_eq!(control.retention(), Some(10));
+    }
+
+    #[test]
+    fn retention_rule_helper_matches_registry_semantics() {
+        assert_eq!(retention_for_windows([]), None);
+        assert_eq!(retention_for_windows([Some(10)]), Some(10));
+        assert_eq!(retention_for_windows([Some(10), Some(500)]), Some(500));
+        assert_eq!(retention_for_windows([Some(10), None]), None);
     }
 
     #[test]

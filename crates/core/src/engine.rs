@@ -12,8 +12,8 @@
 //!   searched around vertices whose bitmap bit is set, and enabling a bit
 //!   triggers a retroactive neighborhood search so that the result does not
 //!   depend on the arrival order of the query's components (Algorithm 3).
-//!   That loop over the leaves is the only one in the pipeline: under a
-//!   registry, sharing is a memo lookup *inside* it — a [`LeafSource`] the
+//!   That loop over the leaves is the only one in the pipeline: in a
+//!   shard, sharing is a memo lookup *inside* it — a [`LeafSource`] the
 //!   loop pulls each leaf's (or a shared prefix's) rows from once the leaf
 //!   has passed the loop's own type filter and gate;
 //! * or runs the non-incremental baseline — a full VF2 enumeration of the
@@ -60,14 +60,14 @@ pub(crate) enum Served {
 /// per surviving leaf — from the source, which either answers
 /// [`Served::Declined`] or writes the leaf's matches straight into the
 /// engine's arena (`store`), in the engine's own numbering, handing each new
-/// row to `queue`. The registry's source serves multi-subscriber leaf shapes
+/// row to `queue`. The shard's source serves multi-subscriber leaf shapes
 /// from its per-edge search memo and a partial-depth shared-join
 /// subscriber's prefix rows from its prefix table; [`SearchLocally`] is the
 /// source of an engine run on its own.
 pub(crate) trait LeafSource {
     /// Whether the engine times its searches and inserts into
     /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`] for
-    /// this edge: asked once per edge. The registry's source answers whether
+    /// this edge: asked once per edge. The shard's source answers whether
     /// metrics are attached, so an un-metered pipeline reads no clock.
     fn timed(&self) -> bool {
         false
@@ -273,10 +273,9 @@ impl ContinuousQueryEngine {
     }
 
     /// Builds an engine from an already planned `(strategy, tree)` pair —
-    /// what [`plan_query`](crate::plan_query) returns. The strategy is taken
-    /// as given (unlike [`ContinuousQueryEngine::from_tree`], which infers
-    /// it from the leaf sizes and would relabel a `PathLazy` plan whose
-    /// leaves all came out as single edges).
+    /// what [`plan_query`](crate::plan_query) returns, a custom
+    /// decomposition, or one persisted with [`SjTree::to_json`]. The
+    /// strategy is taken as given, never inferred from the leaf sizes.
     ///
     /// A lazy strategy needs connected prefixes: each leaf of rank `k ≥ 1`
     /// must share a query vertex with leaves `0..k`, since the Lazy Search
@@ -316,26 +315,6 @@ impl ContinuousQueryEngine {
             profile: ProfileCounters::new(),
             scratch: EngineScratch::default(),
         }
-    }
-
-    /// Builds an engine from a pre-built SJ-Tree (used for custom
-    /// decompositions, and to replay a decomposition persisted with
-    /// [`SjTree::save`]). `lazy` selects between the track-everything and the
-    /// Lazy Search execution of the same tree; the strategy label is
-    /// inferred from `lazy` and the leaf sizes.
-    ///
-    /// # Errors
-    /// As [`ContinuousQueryEngine::from_plan`]: with `lazy`, each leaf of
-    /// rank `k ≥ 1` must share a query vertex with leaves `0..k`, or the
-    /// tree is refused with [`EngineError::DisconnectedQuery`].
-    pub fn from_tree(tree: SjTree, lazy: bool, window: Option<u64>) -> Result<Self, EngineError> {
-        let strategy = match (lazy, tree.leaf_subgraphs().any(|s| s.num_edges() > 1)) {
-            (true, true) => Strategy::PathLazy,
-            (true, false) => Strategy::SingleLazy,
-            (false, true) => Strategy::Path,
-            (false, false) => Strategy::Single,
-        };
-        Self::from_plan(strategy, tree, window)
     }
 
     fn backend_from_tree(tree: SjTree, lazy: bool) -> Result<Backend, EngineError> {
@@ -929,8 +908,8 @@ mod tests {
         let tree = decompose(&q, sp_sjtree::PrimitivePolicy::SingleEdge, &est).unwrap();
         let json = tree.to_json().unwrap();
         let restored = SjTree::from_json(&json).unwrap();
-        let mut engine = ContinuousQueryEngine::from_tree(restored, true, None).unwrap();
-        assert_eq!(engine.strategy(), Strategy::SingleLazy);
+        let mut engine =
+            ContinuousQueryEngine::from_plan(Strategy::SingleLazy, restored, None).unwrap();
         let stream = vec![(1u64, 2u64, "esp", 1u64), (2, 3, "tcp", 2)];
         assert_eq!(run_stream(&schema, &mut engine, &stream), 1);
     }

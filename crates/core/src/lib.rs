@@ -10,9 +10,10 @@
 //! stream statistics and every decision the paper derives from them: it
 //! numbers queries, plans them (strategy and decomposition), keeps the graph
 //! retention window and re-plans when the statistics drift. The data half, a
-//! [`Shard`], owns one shared [`DynamicGraph`] plus a [`QueryRegistry`] of
-//! continuous queries, and an edge-type dispatch index hands each incoming
-//! edge only to the queries whose pattern can use it. A [`StreamProcessor`]
+//! [`Shard`], owns one shared [`DynamicGraph`] plus the engines of the
+//! continuous queries registered on it, their shared leaf and join stages,
+//! and an edge-type dispatch index that hands each incoming edge only to the
+//! queries whose pattern can use it. A [`StreamProcessor`]
 //! is one control plane driving one shard on the caller's thread; the
 //! `sp-runtime` crate puts the same control plane in front of N shards on
 //! worker threads.
@@ -142,7 +143,6 @@ mod lazy;
 mod metrics;
 mod processor;
 mod profile;
-mod registry;
 mod shard;
 mod sharedjoin;
 mod sharing;
@@ -150,13 +150,12 @@ mod sink;
 mod strategy;
 
 pub use adaptive::{leaf_structure, plan_query, AdaptiveStats};
-pub use control::ControlPlane;
+pub use control::{ControlPlane, QueryId, StrategySpec};
 pub use engine::ContinuousQueryEngine;
 pub use error::EngineError;
 pub use metrics::PipelineMetrics;
 pub use processor::StreamProcessor;
 pub use profile::ProfileCounters;
-pub use registry::{QueryId, QueryRegistry, StrategySpec};
 pub use shard::{Shard, DEFAULT_PURGE_INTERVAL};
 pub use sharedjoin::{SharedJoinIndex, SharedJoinStats, SharedRow, TrieNodeInfo};
 pub use sharing::SharedLeafStats;

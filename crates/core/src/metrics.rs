@@ -1,5 +1,5 @@
 //! Pipeline instrumentation: the bundle of `sp-metrics` handles the
-//! processor and registry record into when metrics are enabled.
+//! processor and its shard record into when metrics are enabled.
 //!
 //! The paper's §6.4 splits query cost into isomorphism (search) time and
 //! SJ-Tree maintenance time from end-of-run totals; [`PipelineMetrics`]
@@ -33,7 +33,7 @@
 //!
 //! # Span boundaries
 //!
-//! The registry's stage spans are laps of one clock ([`StageClock`]): each
+//! The shard's stage spans are laps of one clock ([`StageClock`]): each
 //! boundary is a single clock read that closes one span and opens the next,
 //! so the spans of an edge tile its dispatch without gaps. A stage that did
 //! no work for an edge takes no lap (and so books nothing).
@@ -45,7 +45,7 @@
 //!   partial-depth subscriber, one lap closing the pull of its prefix-root
 //!   rows into its engine (filter + slot permutation into the arena). A
 //!   candidate without a join subscription takes none.
-//! * `shared_leaf_ns` is charged from inside the registry's leaf source,
+//! * `shared_leaf_ns` is charged from inside the shard's leaf source,
 //!   two clock reads per *served* shared leaf: the canonical search (or memo
 //!   hit) plus the slot permutation of its rows into the pulling engine's
 //!   arena. Leaves handed back to their engine (single-subscriber shapes)
@@ -64,8 +64,7 @@ use sp_metrics::{Counter, Histogram, MetricsRegistry};
 use std::time::Instant;
 
 /// The instrumentation bundle threaded through
-/// [`StreamProcessor`](crate::StreamProcessor) and
-/// [`QueryRegistry`](crate::QueryRegistry).
+/// [`StreamProcessor`](crate::StreamProcessor) and [`Shard`](crate::Shard).
 ///
 /// Attach with
 /// [`StreamProcessor::with_metrics`](crate::StreamProcessor::with_metrics);
@@ -146,11 +145,11 @@ impl PipelineMetrics {
     }
 }
 
-/// Lap timer behind the per-stage spans of
-/// [`QueryRegistry::process_edge`](crate::QueryRegistry::process_edge): each
-/// [`StageClock::charge`] books the time since the previous one to a stage
-/// counter with a single clock read, so consecutive spans tile the edge's
-/// wall time without gaps. Without metrics it never reads the clock.
+/// Lap timer behind the per-stage spans of a [`Shard`](crate::Shard)'s
+/// per-edge dispatch: each [`StageClock::charge`] books the time since the
+/// previous one to a stage counter with a single clock read, so consecutive
+/// spans tile the edge's wall time without gaps. Without metrics it never
+/// reads the clock.
 pub(crate) struct StageClock<'a>(Option<(&'a PipelineMetrics, Instant)>);
 
 impl<'a> StageClock<'a> {

@@ -7,8 +7,8 @@
 //! [`ControlPlane`] that plans, numbers and re-plans queries from the stream
 //! statistics, and one [`Shard`] — **one** [`DynamicGraph`] shared by every
 //! registered query, into which [`EdgeEvent`]s stream exactly once and are
-//! dispatched through the [`QueryRegistry`]'s edge-type index so that only
-//! the engines whose pattern can use the edge are invoked — applied inline.
+//! dispatched through the shard's edge-type index so that only the engines
+//! whose pattern can use the edge are invoked — applied inline.
 //! Windowing is per query: the graph retains edges for the *largest*
 //! registered window while each engine filters and purges with its own `tW`.
 //!
@@ -17,13 +17,13 @@
 //! the convenience wrapper that collects them into a vector.
 
 use crate::adaptive::AdaptiveStats;
-use crate::control::ControlPlane;
+use crate::control::{ControlPlane, QueryId, StrategySpec};
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
 use crate::metrics::PipelineMetrics;
 use crate::profile::ProfileCounters;
-use crate::registry::{QueryId, QueryRegistry, StrategySpec};
 use crate::shard::Shard;
+use crate::sharedjoin::SharedJoinIndex;
 use crate::sink::{CountSink, RowSink};
 use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeEvent, Schema};
@@ -105,7 +105,7 @@ impl StreamProcessor {
     /// Structurally identical SJ-Tree leaves of different registered
     /// queries are searched **once** per edge and the results fanned out.
     pub fn shared_leaf_stats(&self) -> crate::SharedLeafStats {
-        self.registry().shared_leaf_stats()
+        self.shard.shared_leaf_stats()
     }
 
     /// Snapshot of the shared join stage: live prefix tables, current
@@ -113,17 +113,17 @@ impl StreamProcessor {
     /// Queries whose decompositions begin with the same canonical leaf
     /// sequence share one refcounted partial-match table for that prefix —
     /// leaf searches, inserts and hash joins for the prefix run once
-    /// registry-wide, and the prefix-root matches are fanned out (window-
+    /// shard-wide, and the prefix-root matches are fanned out (window-
     /// and boundary-filtered per subscriber).
     pub fn shared_join_stats(&self) -> crate::SharedJoinStats {
-        self.registry().shared_join_stats()
+        self.shard.shared_joins().stats()
     }
 
     /// Total partial matches ever stored across every engine and shared
     /// prefix table — the denominator of the allocs-per-stored-match
     /// ceilings in `tests/integration_scratch.rs`.
     pub fn stored_matches(&self) -> u64 {
-        self.registry().stored_matches()
+        self.shard.stored_matches()
     }
 
     /// Enables drift-adaptive re-decomposition (off by default): every
@@ -248,7 +248,7 @@ impl StreamProcessor {
         tree: SjTree,
     ) -> Result<(), EngineError> {
         self.shard.redecompose(id, strategy, tree)?;
-        let tree = self.shard.registry().engine(id).and_then(|e| e.tree());
+        let tree = self.shard.engine(id).and_then(|e| e.tree());
         self.control
             .replanned(id, strategy, tree.expect("rebuilt onto an SJ-Tree"));
         Ok(())
@@ -263,7 +263,7 @@ impl StreamProcessor {
     }
 
     /// Ingests a batch of stream events into one sink, returning the number
-    /// of matches reported: one registry-owned edge cache and one warm
+    /// of matches reported: one warm shared-leaf memo and one warm
     /// per-engine scratch serve every edge of the batch.
     pub fn process_batch_into<'a, S, I>(&mut self, events: I, sink: &mut S) -> u64
     where
@@ -293,24 +293,25 @@ impl StreamProcessor {
         self.shard.graph()
     }
 
-    /// The query registry.
-    pub fn registry(&self) -> &QueryRegistry {
-        self.shard.registry()
+    /// The shared join stage: its trie nodes and each query's subscription
+    /// depth.
+    pub fn shared_joins(&self) -> &SharedJoinIndex {
+        self.shard.shared_joins()
     }
 
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
-        self.registry().len()
+        self.shard.num_queries()
     }
 
     /// Ids of the registered queries, in registration order.
     pub fn query_ids(&self) -> Vec<QueryId> {
-        self.registry().query_ids().collect()
+        self.shard.engines().map(|(id, _)| id).collect()
     }
 
     /// The engine of a registered query.
     pub fn engine_for(&self, id: QueryId) -> Option<&ContinuousQueryEngine> {
-        self.registry().engine(id)
+        self.shard.engine(id)
     }
 
     /// Single-query convenience: the one registered engine.
@@ -324,7 +325,7 @@ impl StreamProcessor {
             1,
             "StreamProcessor::engine() requires exactly one registered query"
         );
-        self.registry().iter().next().expect("one query").1
+        self.shard.engines().next().expect("one query").1
     }
 
     /// Aggregated profiling counters ([`Shard::profile`]): the engines'
@@ -360,7 +361,6 @@ const _: () = {
     assert_send::<Shard>();
     assert_send::<PipelineMetrics>();
     assert_send::<ContinuousQueryEngine>();
-    assert_send::<QueryRegistry>();
     assert_send::<ProfileCounters>();
     assert_send::<SubgraphMatch>();
     assert_send::<crate::sink::CountSink>();
@@ -654,8 +654,8 @@ mod tests {
         proc.deregister(wide_id).expect("wide query was registered");
         // Retention shrinks immediately, not on the next purge.
         assert_eq!(proc.graph().window(), Some(10));
-        assert!(proc.registry().candidates(esp).is_empty());
-        assert_eq!(proc.registry().candidates(tcp), &[narrow_id]);
+        assert!(proc.shard.candidates(esp).is_empty());
+        assert_eq!(proc.shard.candidates(tcp), &[narrow_id]);
 
         // With the narrow window in force, old edges actually expire.
         let mut proc = proc.with_purge_interval(1);

@@ -77,7 +77,7 @@ pub struct ProfileCounters {
     /// Number of dispatched edges on which this query's prefix work (leaf
     /// searches + internal joins for the leading leaves) was served by a
     /// shared prefix table with other live subscribers — i.e. join-stage
-    /// work genuinely deduplicated across the registry.
+    /// work genuinely deduplicated across queries.
     pub join_stages_shared: u64,
     /// Number of complete query matches reported.
     pub complete_matches: u64,

@@ -1,15 +1,26 @@
 //! The data half: one data graph, the engines registered on it, and the
 //! per-edge pipeline between them ([`Shard`]).
+//!
+//! An incoming edge is only handed to the engines whose query contains that
+//! edge's type: an *edge-type → candidate queries* dispatch index routes it,
+//! and every other engine provably never sees the edge (its
+//! [`ProfileCounters::edges_processed`] stays put). Skipping is sound: a
+//! leaf search anchored at an edge whose type occurs nowhere in the query
+//! can neither produce a leaf match nor enable a lazy search, and the VF2
+//! baseline only reports embeddings that use the new edge.
 
+use crate::control::QueryId;
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{PipelineMetrics, StageClock};
 use crate::profile::ProfileCounters;
-use crate::registry::{QueryId, QueryRegistry};
+use crate::sharedjoin::{JoinDelivery, JoinSubscription, SharedJoinIndex};
+use crate::sharing::{SharedLeafIndex, SharedLeafStats, SharedSource};
 use crate::sink::RowSink;
 use crate::strategy::Strategy;
-use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, Schema};
+use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, EdgeType, FastMap, Schema};
 use sp_sjtree::{SjTree, UNBOUND};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Default number of edges between partial-match purges.
@@ -22,14 +33,35 @@ pub const DEFAULT_PURGE_INTERVAL: u64 = 4096;
 /// [`ControlPlane`](crate::ControlPlane) of whichever front end owns it —
 /// which engine to run under which id, how long to retain edges and which
 /// plan to rebuild an engine onto; what it owns is the [`DynamicGraph`], the
-/// [`QueryRegistry`] with its dispatch index and shared stages, the purge
-/// cadence, the telemetry handles and the stream counters. The sequential
-/// [`StreamProcessor`](crate::StreamProcessor) drives one shard inline; each
-/// worker thread of the parallel runtime owns one and nothing else.
+/// engines with their dispatch index and both shared stages, each query's
+/// registration boundary, the purge cadence, the telemetry handles and the
+/// stream counters. The sequential [`StreamProcessor`](crate::StreamProcessor)
+/// drives one shard inline; each worker thread of the parallel runtime owns
+/// one and nothing else.
 #[derive(Debug, Clone)]
 pub struct Shard {
     graph: DynamicGraph,
-    registry: QueryRegistry,
+    /// Engines by query id; a `BTreeMap` keeps iteration (and therefore match
+    /// reporting) in registration order.
+    engines: BTreeMap<QueryId, ContinuousQueryEngine>,
+    /// Edge type → queries whose pattern contains an edge of that type.
+    dispatch: FastMap<EdgeType, Vec<QueryId>>,
+    /// Canonical leaf shape → subscribers, with the per-edge search memo;
+    /// deduplicates the anchored leaf searches across queries.
+    shared: SharedLeafIndex,
+    /// Canonical SJ-Tree prefix → refcounted shared partial-match table;
+    /// deduplicates the join stage across queries with common decomposition
+    /// prefixes (see [`SharedJoinIndex`]).
+    join: SharedJoinIndex,
+    /// Reusable flat buffer for the complete matches of an engine that ran
+    /// (full-depth shared-join subscribers bypass it), as rows of that
+    /// engine's layout; handed to the sink as one burst per engine.
+    complete: Vec<u64>,
+    /// Each live query's registration boundary — the graph's stream
+    /// position ([`DynamicGraph::total_edges_seen`]) when it registered: it
+    /// is entitled to matches anchored at edge ids `>=` it (see the
+    /// shared-join module docs). Preserved across re-decompositions.
+    origins: HashMap<QueryId, u64>,
     purge_interval: u64,
     since_purge: u64,
     total_matches: u64,
@@ -47,7 +79,12 @@ impl Shard {
     pub fn new(schema: Schema) -> Self {
         Self {
             graph: DynamicGraph::new(schema),
-            registry: QueryRegistry::new(),
+            engines: BTreeMap::new(),
+            dispatch: FastMap::default(),
+            shared: SharedLeafIndex::new(),
+            join: SharedJoinIndex::new(),
+            complete: Vec::new(),
+            origins: HashMap::new(),
             purge_interval: DEFAULT_PURGE_INTERVAL,
             since_purge: 0,
             total_matches: 0,
@@ -71,16 +108,83 @@ impl Shard {
     }
 
     /// Starts running `engine` under the id its control plane allocated:
-    /// indexes it for dispatch and subscribes it to the shared leaf and
-    /// join stages.
+    /// indexes it under every edge type its query uses, subscribes its
+    /// leaves to the shared leaf stage and subscribes it to the shared join
+    /// stage — its decomposition's canonical prefix chain is matched against
+    /// the live tables and the other registered chains, possibly creating a
+    /// new refcounted table and migrating previously private partners onto
+    /// it (see [`SharedJoinIndex`]).
+    ///
+    /// # Panics
+    /// Panics when `id` is already registered (ids are never reused).
     pub fn register(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
-        self.registry.register(id, engine, &self.graph);
+        for edge in engine.query().edges() {
+            let slot = self.dispatch.entry(edge.edge_type).or_default();
+            if !slot.contains(&id) {
+                slot.push(id);
+            }
+        }
+        self.shared.subscribe(id, &engine, 0);
+        self.origins.insert(id, self.graph.total_edges_seen());
+        let previous = self.engines.insert(id, engine);
+        assert!(previous.is_none(), "query id {id} registered twice");
+        self.subscribe_join(id);
+    }
+
+    /// Runs the shared-join subscription policy for one query (newly
+    /// registered or freshly re-decomposed), narrowing its leaf-stage
+    /// subscription to the suffix leaves on success and migrating any
+    /// partners the policy pulled in. The graph backs the tables of
+    /// subscribers entitled to retained history.
+    fn subscribe_join(&mut self, id: QueryId) {
+        let Some(engine) = self.engines.get(&id) else {
+            return;
+        };
+        let now = self.graph.total_edges_seen();
+        let boundary = self.origins.get(&id).copied().unwrap_or(now);
+        let outcome = self.join.subscribe(id, engine, boundary, now, &self.graph);
+        let JoinSubscription::Shared { depth, migrations } = outcome else {
+            return;
+        };
+        self.adopt_join_subscription(id, depth);
+        for partner in migrations {
+            let Some(partner_engine) = self.engines.get(&partner) else {
+                continue;
+            };
+            let partner_boundary = self.origins.get(&partner).copied().unwrap_or(now);
+            if let Some(partner_depth) =
+                self.join
+                    .attach_partner(partner, partner_engine, partner_boundary, &self.graph)
+            {
+                self.adopt_join_subscription(partner, partner_depth);
+            }
+        }
+    }
+
+    /// Switches one engine onto its shared prefix: drop the (now redundant)
+    /// private prefix tables and narrow the leaf-stage subscription to the
+    /// suffix leaves.
+    fn adopt_join_subscription(&mut self, id: QueryId, depth: usize) {
+        let engine = self.engines.get_mut(&id).expect("subscribed engine exists");
+        engine.clear_prefix_state(depth);
+        self.shared.unsubscribe(id);
+        self.shared.subscribe(id, engine, depth);
     }
 
     /// Stops running a query, returning its engine with runtime state
-    /// intact (`None` for an id this shard does not run).
+    /// intact (`None` for an id this shard does not run). The dispatch index
+    /// drops the query from every edge-type slot, and a leaf shape or prefix
+    /// table whose last subscriber left is dropped.
     pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
-        self.registry.deregister(id)
+        let engine = self.engines.remove(&id)?;
+        self.dispatch.retain(|_, ids| {
+            ids.retain(|&q| q != id);
+            !ids.is_empty()
+        });
+        self.shared.unsubscribe(id);
+        self.join.unsubscribe(id);
+        self.origins.remove(&id);
+        Some(engine)
     }
 
     /// Sets how long the graph retains edges
@@ -92,8 +196,13 @@ impl Shard {
 
     /// Swaps one query's decomposition for the given plan: rebuilds the
     /// engine via [`ContinuousQueryEngine::rebuild`] (replaying the retained
-    /// graph, preserving the reported match multiset) and re-subscribes its
-    /// shapes in the shared stages.
+    /// graph, preserving the reported match multiset), then drops its old
+    /// leaf and prefix subscriptions (a shape or table whose last subscriber
+    /// left is evicted) and subscribes the new decomposition in their place
+    /// with the query's **original** registration boundary, so the rebuilt
+    /// engine keeps seeing exactly the matches a never-rebuilt one would.
+    /// The dispatch index needs no update: a re-decomposition never changes
+    /// the query's edge types.
     ///
     /// # Errors
     /// [`EngineError::UnknownQuery`] for an id this shard does not run, or
@@ -104,12 +213,12 @@ impl Shard {
         strategy: Strategy,
         tree: SjTree,
     ) -> Result<(), EngineError> {
-        let engine = self
-            .registry
-            .engine_mut(id)
-            .ok_or(EngineError::UnknownQuery)?;
+        let engine = self.engines.get_mut(&id).ok_or(EngineError::UnknownQuery)?;
         engine.rebuild(strategy, tree, &self.graph)?;
-        self.registry.resubscribe(id, &self.graph);
+        self.shared.unsubscribe(id);
+        self.join.unsubscribe(id);
+        self.shared.subscribe(id, engine, 0);
+        self.subscribe_join(id);
         Ok(())
     }
 
@@ -167,21 +276,17 @@ impl Shard {
             m.ingest_ns.add(t0.elapsed().as_nanos() as u64);
         }
 
-        let telemetry = self
-            .metrics
-            .as_ref()
-            .zip(started)
-            .map(|(pm, (arrival_ns, _))| (pm, arrival_ns));
-        let found = self
-            .registry
-            .process_edge(&self.graph, &edge, sink, telemetry);
+        let found = self.dispatch_edge(&edge, sink, started.map_or(0, |(arrival, _)| arrival));
         self.total_matches += found;
 
         self.since_purge += 1;
         if self.since_purge >= self.purge_interval {
             let span = self.metrics.as_ref().map(|_| Instant::now());
             self.graph.expire();
-            self.registry.purge(&self.graph);
+            for engine in self.engines.values_mut() {
+                engine.purge(&self.graph);
+            }
+            self.join.purge(&self.graph);
             self.since_purge = 0;
             if let (Some(m), Some(t)) = (&self.metrics, span) {
                 m.purge_ns.add(t.elapsed().as_nanos() as u64);
@@ -193,15 +298,153 @@ impl Shard {
         found
     }
 
+    /// Dispatches one new edge (already in the graph) to every candidate
+    /// engine and forwards the complete matches to `sink`, as rows. Returns
+    /// the number of matches reported.
+    ///
+    /// The shared **join** stage first advances each live canonical prefix
+    /// table once for the edge. Then every candidate is served in dispatch
+    /// order: a subscriber whose prefix spans its whole tree has its matches
+    /// handed from the table's emission rows straight to `sink` (no engine
+    /// involved); any other candidate's engine runs its one leaf loop
+    /// ([`ContinuousQueryEngine::process_edge_into`]), pulling — per leaf
+    /// that survives the loop's type filter and Lazy Search gate — from the
+    /// shard's [`SharedSource`]: a partial-depth subscriber's prefix-root
+    /// rows from its table, the rows of a multi-subscriber leaf shape from
+    /// the edge's search memo (each distinct canonical search runs once),
+    /// and "search it yourself" for everything else (single-subscriber
+    /// shapes, the VF2 baseline, oversized leaves). An engine that runs
+    /// reports its root joins into the flat `complete` buffer, passed to
+    /// `sink` as one burst. Each candidate's matches arrive in emission
+    /// order.
+    ///
+    /// With metrics attached the same code additionally records the
+    /// per-stage spans (see [`PipelineMetrics`] for the span boundaries)
+    /// and, once per delivering candidate, the burst's match count and its
+    /// detection latency since `arrival_ns` (`monotonic_nanos` scale).
+    /// Without metrics no clock is read.
+    // Kept out of line: inlined into `process_into`, this loop has made the
+    // compiler stop inlining `SharedJoinIndex::deliver`, at ~10 % of
+    // `netflow_storm` throughput.
+    #[inline(never)]
+    fn dispatch_edge(
+        &mut self,
+        edge: &EdgeData,
+        sink: &mut (impl RowSink + ?Sized),
+        arrival_ns: u64,
+    ) -> u64 {
+        let Shard {
+            graph,
+            engines,
+            dispatch,
+            shared,
+            join,
+            complete,
+            metrics,
+            ..
+        } = self;
+        let mut clock = StageClock::start(metrics.as_ref());
+        let ids = dispatch.get(&edge.edge_type);
+        clock.charge(|m| &m.dispatch_ns);
+        let Some(ids) = ids else {
+            return 0;
+        };
+        let mut reported = 0;
+        shared.begin_edge();
+        // Advance every shared prefix table this edge can touch — one
+        // search-and-join pass per table, not per subscriber. No table of
+        // the edge's type, no span.
+        if join.advance_edge(graph, edge) {
+            clock.charge(|m| &m.shared_join_ns);
+        }
+        for &id in ids {
+            let engine = engines
+                .get_mut(&id)
+                .expect("dispatch index only references live queries");
+            let found = match join.deliver(id, edge, sink) {
+                JoinDelivery::Complete { delivered, shared } => {
+                    // Filter + materialize + sink call: delivery, not join.
+                    engine.record_shared_delivery(delivered, shared);
+                    delivered
+                }
+                JoinDelivery::Engine(prefix) => {
+                    let mut source = SharedSource {
+                        id,
+                        leaves: &mut *shared,
+                        prefix,
+                        clock: &mut clock,
+                    };
+                    engine.process_edge_into(graph, edge, &mut source, complete);
+                    clock.charge(|m| &m.private_engine_ns);
+                    let layout = engine.row_layout();
+                    if !complete.is_empty() {
+                        sink.on_rows(id, layout, complete);
+                    }
+                    (complete.len() / layout.stride()) as u64
+                }
+            };
+            clock.charge(|m| &m.emit_ns);
+            if let Some(m) = metrics.as_ref().filter(|_| found > 0) {
+                // One clock read for the whole burst.
+                m.matches.add(found);
+                m.match_latency_ns
+                    .record_n(monotonic_nanos().saturating_sub(arrival_ns), found);
+            }
+            reported += found;
+        }
+        reported
+    }
+
     /// The data graph in its current state.
     pub fn graph(&self) -> &DynamicGraph {
         &self.graph
     }
 
-    /// The engines this shard runs, with their dispatch index and shared
-    /// stages.
-    pub fn registry(&self) -> &QueryRegistry {
-        &self.registry
+    /// The engine of a query.
+    pub fn engine(&self, id: QueryId) -> Option<&ContinuousQueryEngine> {
+        self.engines.get(&id)
+    }
+
+    /// The `(id, engine)` pairs this shard runs, in registration order.
+    pub fn engines(&self) -> impl Iterator<Item = (QueryId, &ContinuousQueryEngine)> + '_ {
+        self.engines.iter().map(|(&id, e)| (id, e))
+    }
+
+    /// Number of queries this shard runs.
+    pub fn num_queries(&self) -> usize {
+        self.engines.len()
+    }
+
+    /// The queries whose pattern contains the given edge type (the dispatch
+    /// index lookup). The slice is in registration order.
+    pub fn candidates(&self, edge_type: EdgeType) -> &[QueryId] {
+        self.dispatch
+            .get(&edge_type)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    /// Read access to the shared join stage (its trie nodes, each query's
+    /// subscription depth and its bookkeeping).
+    pub fn shared_joins(&self) -> &SharedJoinIndex {
+        &self.join
+    }
+
+    /// Snapshot of the shared-leaf stage's bookkeeping (distinct shapes,
+    /// subscriptions, searches run vs eliminated).
+    pub fn shared_leaf_stats(&self) -> SharedLeafStats {
+        self.shared.stats()
+    }
+
+    /// Total partial matches ever stored across every live engine and
+    /// shared prefix table — the denominator of the allocs-per-stored-match
+    /// ceilings in `tests/integration_scratch.rs`.
+    pub fn stored_matches(&self) -> u64 {
+        self.engines
+            .values()
+            .map(ContinuousQueryEngine::stored_matches)
+            .sum::<u64>()
+            + self.join.lifetime_stored()
     }
 
     /// Aggregated profiling counters: the engines' counters summed, with
@@ -211,7 +454,7 @@ impl Shard {
     /// `vertex_type_conflicts` / `rejected_events` from the ingestion path.
     pub fn profile(&self) -> ProfileCounters {
         let mut total = ProfileCounters::new();
-        for (_, engine) in self.registry.iter() {
+        for engine in self.engines.values() {
             total.merge(engine.profile());
         }
         total.edges_processed = self.graph.total_edges_seen();
@@ -223,5 +466,86 @@ impl Shard {
     /// Total matches found since construction, across all queries.
     pub fn total_matches(&self) -> u64 {
         self.total_matches
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::control::ControlPlane;
+    use sp_query::QueryGraph;
+    use sp_selectivity::SelectivityEstimator;
+
+    /// A shard on an empty graph, with ids handed out the way the
+    /// processors do it.
+    struct Fixture {
+        control: ControlPlane,
+        shard: Shard,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Self {
+                control: ControlPlane::new(),
+                shard: Shard::new(Schema::new()),
+            }
+        }
+
+        fn register(&mut self, types: &[EdgeType]) -> QueryId {
+            let mut q = QueryGraph::new("q");
+            let mut prev = q.add_any_vertex();
+            for &t in types {
+                let next = q.add_any_vertex();
+                q.add_edge(prev, next, t);
+                prev = next;
+            }
+            let est = SelectivityEstimator::new();
+            let engine = ContinuousQueryEngine::new(q, Strategy::SingleLazy, &est, None).unwrap();
+            let id = self.control.adopt(&engine);
+            self.shard.register(id, engine);
+            id
+        }
+    }
+
+    #[test]
+    fn dispatch_index_tracks_registered_edge_types() {
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(0), EdgeType(1)]);
+        let b = f.register(&[EdgeType(1), EdgeType(2)]);
+        assert_eq!(f.shard.candidates(EdgeType(0)), &[a]);
+        assert_eq!(f.shard.candidates(EdgeType(1)), &[a, b]);
+        assert_eq!(f.shard.candidates(EdgeType(2)), &[b]);
+        assert!(f.shard.candidates(EdgeType(9)).is_empty());
+        assert_eq!(f.shard.num_queries(), 2);
+    }
+
+    #[test]
+    fn deregister_removes_dispatch_entries() {
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(0), EdgeType(1)]);
+        let b = f.register(&[EdgeType(1)]);
+        assert!(f.shard.deregister(a).is_some());
+        assert!(f.shard.candidates(EdgeType(0)).is_empty());
+        assert_eq!(f.shard.candidates(EdgeType(1)), &[b]);
+        assert!(f.shard.deregister(a).is_none(), "double deregister");
+        assert_eq!(f.shard.num_queries(), 1);
+    }
+
+    #[test]
+    fn ids_are_never_reused() {
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(0)]);
+        f.shard.deregister(a);
+        f.control.forget(a);
+        let b = f.register(&[EdgeType(0)]);
+        assert_ne!(a, b);
+        assert_eq!(f.shard.candidates(EdgeType(0)), &[b]);
+    }
+
+    #[test]
+    fn duplicate_edge_types_in_one_query_index_once() {
+        let mut f = Fixture::new();
+        let a = f.register(&[EdgeType(3), EdgeType(3)]);
+        assert_eq!(f.shard.candidates(EdgeType(3)), &[a]);
     }
 }

@@ -1,5 +1,5 @@
 //! Shared join stage: refcounted canonical partial-match tables for common
-//! SJ-Tree prefixes across the query registry.
+//! SJ-Tree prefixes across the queries of a shard.
 //!
 //! Shared-leaf evaluation (PR 3, [`crate::SharedLeafIndex`]) stopped at the
 //! leaves: two queries with the same leaf sequence still maintained
@@ -11,7 +11,7 @@
 //! * every registered query's decomposition is canonicalized to a
 //!   [`PrefixSignature`] chain (`sp-query`); queries whose chains begin with
 //!   the same steps can share one **canonical prefix table** — a
-//!   registry-owned [`SjTree`] + [`MatchStore`] over the canonical union
+//!   shard-owned [`SjTree`] + [`MatchStore`] over the canonical union
 //!   graph of the common leading leaves;
 //! * per streaming edge, each live prefix table advances **once**: the
 //!   prefix leaves are searched, the discovered matches inserted, and the
@@ -123,8 +123,8 @@
 //! (every one of them was already reported) and replayed matches carry
 //! their original edge ids, so boundary filtering keeps working unchanged.
 
+use crate::control::{retention_for_windows, QueryId};
 use crate::engine::{retained_edges, ContinuousQueryEngine};
-use crate::registry::{retention_for_windows, QueryId};
 use crate::sink::RowSink;
 use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch, SubgraphMatch};
@@ -595,7 +595,7 @@ pub(crate) enum JoinDelivery<'a> {
     Engine(Option<PrefixRows<'a>>),
 }
 
-/// The registry-wide index of canonical prefix tables and their
+/// The shard-wide index of canonical prefix tables and their
 /// subscribers. See the module docs for the semantics.
 #[derive(Debug, Clone, Default)]
 pub struct SharedJoinIndex {
@@ -635,18 +635,13 @@ impl SharedJoinIndex {
     /// Total partial matches ever stored across every live prefix table
     /// (tables dropped when their last subscriber left no longer count) —
     /// the shared-join share of
-    /// [`QueryRegistry::stored_matches`](crate::QueryRegistry::stored_matches).
+    /// [`Shard::stored_matches`](crate::Shard::stored_matches).
     pub(crate) fn lifetime_stored(&self) -> u64 {
         self.entries
             .iter()
             .flatten()
             .map(|e| e.store.lifetime_inserted())
             .sum()
-    }
-
-    /// Whether a query is evaluated through a shared prefix table.
-    pub fn is_subscribed(&self, id: QueryId) -> bool {
-        self.subs.contains_key(&id)
     }
 
     /// The number of leading leaves a query's shared table covers (`None`
@@ -1104,6 +1099,7 @@ impl SharedJoinIndex {
     /// pending rows as a [`PrefixRows`] view for its engine to pull —
     /// possibly empty, because the engine must skip the prefix leaves either
     /// way.
+    #[inline]
     pub(crate) fn deliver(
         &mut self,
         id: QueryId,
@@ -1150,15 +1146,12 @@ impl SharedJoinIndex {
     }
 
     /// Purges every table by its table-level window ([`MatchStore::purge`];
-    /// an unwindowed table drops rows with dead edges). Returns the number
-    /// of partial matches removed.
-    pub(crate) fn purge(&mut self, graph: &DynamicGraph) -> usize {
+    /// an unwindowed table drops rows with dead edges).
+    pub(crate) fn purge(&mut self, graph: &DynamicGraph) {
         let latest = graph.latest_timestamp();
-        self.entries
-            .iter_mut()
-            .flatten()
-            .map(|e| e.store.purge(graph, latest, e.window))
-            .sum()
+        for entry in self.entries.iter_mut().flatten() {
+            entry.store.purge(graph, latest, entry.window);
+        }
     }
 
     fn create_entry(&mut self, sig: PrefixSignature, now: u64) -> usize {
@@ -1231,8 +1224,8 @@ mod tests {
         let stats = index.stats();
         assert_eq!(stats.tables, 1);
         assert_eq!(stats.subscriptions, 2);
-        assert!(index.is_subscribed(QueryId(0)) && index.is_subscribed(QueryId(1)));
         assert_eq!(index.subscription_depth(QueryId(0)), Some(2));
+        assert_eq!(index.subscription_depth(QueryId(1)), Some(2));
     }
 
     #[test]

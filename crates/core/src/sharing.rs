@@ -6,9 +6,9 @@
 //! queries, distinct queries routinely decompose into *structurally
 //! identical* leaves (the same typed edge, the same wedge), and the
 //! per-engine pipeline re-ran the same anchored search once per query per
-//! edge. [`SharedLeafIndex`] deduplicates that work across the registry —
-//! the shared-subpattern design of "Large-scale continuous subgraph queries
-//! on streams" (Choudhury et al., 2012) and StreamWorks:
+//! edge. [`SharedLeafIndex`] deduplicates that work across a shard's
+//! queries — the shared-subpattern design of "Large-scale continuous
+//! subgraph queries on streams" (Choudhury et al., 2012) and StreamWorks:
 //!
 //! * at registration, every SJ-Tree leaf is canonicalized to a
 //!   [`LeafSignature`] (vertex numbering normalized; vertex types, edge
@@ -17,24 +17,23 @@
 //! * per edge, every candidate engine runs its one leaf loop
 //!   ([`ContinuousQueryEngine::process_edge_into`]) and *pulls* each leaf
 //!   that survives its own type filter and Lazy Search gate from the
-//!   registry's [`SharedSource`]: the anchored search for each distinct
-//!   signature runs **once** — on first pull, memoized in an
-//!   [`EdgeSearchCache`] for the duration of the edge, its matches kept as
-//!   canonical rows — and each subscriber gets them by slot permutation
-//!   straight into rows of its own arena — no `SubgraphMatch` and no buffer
-//!   on the way;
+//!   shard's [`SharedSource`]: the anchored search for each distinct
+//!   signature runs **once** — on first pull, memoized in the index for the
+//!   duration of the edge, its matches kept as canonical rows — and each
+//!   subscriber gets them by slot permutation straight into rows of its own
+//!   arena — no `SubgraphMatch` and no buffer on the way;
 //! * lazy engines keep their enable/disable gating because the gate sits in
 //!   front of the pull: a signature none of whose gate-passing subscribers
 //!   need it is never searched at all, and a shape with a single subscriber
 //!   is handed back to its engine ([`Served::Declined`]).
 //!
 //! The engine queues pulled rows in exactly the order its own search would
-//! have produced work items; the equivalence tests hold the registry's
-//! match multiset to that of independent single-query processors.
+//! have produced work items; the equivalence tests hold the shard's match
+//! multiset to that of independent single-query processors.
 
+use crate::control::QueryId;
 use crate::engine::{ContinuousQueryEngine, LeafSource, Served};
 use crate::metrics::StageClock;
-use crate::registry::QueryId;
 use crate::sharedjoin::PrefixRows;
 use sp_graph::{DynamicGraph, EdgeData, FastMap};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch};
@@ -113,40 +112,8 @@ impl SharedLeafStats {
     }
 }
 
-/// Per-edge memo of shared search executions: signature index → the
-/// search's matches (rows in the shape's canonical numbering).
-///
-/// The cache is scoped to one edge *logically* but owned by the registry
-/// *physically*: every search of an edge appends its rows to one flat
-/// buffer, and [`EdgeSearchCache::begin_edge`] resets memo and buffer while
-/// keeping their capacity and the anchored-search scratch — so the per-edge
-/// shared stage stops allocating once the buffers have warmed up.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EdgeSearchCache {
-    /// Where each search run for this edge left its rows in `rows`, as a
-    /// word range.
-    searches: FastMap<usize, Range<usize>>,
-    /// The canonical result rows of every search run for this edge, back to
-    /// back.
-    rows: Vec<u64>,
-    /// Reusable anchored-search working binding.
-    scratch: SearchScratch,
-}
-
-impl EdgeSearchCache {
-    /// An empty cache for one edge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the memo for a new edge, keeping warmed-up capacity.
-    pub fn begin_edge(&mut self) {
-        self.searches.clear();
-        self.rows.clear();
-    }
-}
-
-/// The registry-wide index of canonical leaf shapes and their subscribers.
+/// The shard-wide index of canonical leaf shapes and their subscribers,
+/// plus the per-edge memo of the searches run for them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SharedLeafIndex {
     by_sig: HashMap<LeafSignature, usize>,
@@ -155,6 +122,14 @@ pub(crate) struct SharedLeafIndex {
     /// Per-query subscriptions in leaf-rank order. A query absent from this
     /// map (VF2 baseline, oversized leaf) is evaluated on its private path.
     subs: BTreeMap<QueryId, Vec<LeafSub>>,
+    /// Per-edge memo: where each signature searched for the current edge
+    /// left its canonical rows in `rows`, as a word range.
+    memo: FastMap<usize, Range<usize>>,
+    /// The canonical result rows of every search run for the current edge,
+    /// back to back.
+    rows: Vec<u64>,
+    /// Reusable anchored-search working binding.
+    scratch: SearchScratch,
     searches_run: u64,
     searches_shared: u64,
     searches_delegated: u64,
@@ -225,6 +200,14 @@ impl SharedLeafIndex {
         }
     }
 
+    /// Resets the per-edge memo for a new edge, keeping the warmed-up
+    /// capacity of its map, its row buffer and the search scratch, so the
+    /// shared stage stops allocating once the buffers have warmed up.
+    pub fn begin_edge(&mut self) {
+        self.memo.clear();
+        self.rows.clear();
+    }
+
     /// Current and cumulative bookkeeping.
     pub fn stats(&self) -> SharedLeafStats {
         SharedLeafStats {
@@ -267,7 +250,7 @@ impl SharedLeafIndex {
     }
 }
 
-/// The registry's [`LeafSource`] for one candidate engine on one edge: leaf
+/// The shard's [`LeafSource`] for one candidate engine on one edge: leaf
 /// shapes with several subscribers come from the per-edge search memo, a
 /// partial-depth shared-join subscriber's prefix-root rows from its prefix
 /// table; everything else the engine searches itself. Either way a served
@@ -275,21 +258,19 @@ impl SharedLeafIndex {
 /// canonical row straight into the engine's arena.
 ///
 /// The stage spans are charged from in here: a served leaf takes two laps of
-/// the registry's clock (what ran since the last boundary is the engine's;
+/// the shard's clock (what ran since the last boundary is the engine's;
 /// the canonical search or memo lookup plus the permutation is
 /// `shared_leaf_ns`), a pulled prefix one (`shared_join_ns`). A leaf handed
 /// back to the engine reads no clock.
 pub(crate) struct SharedSource<'a, 'm> {
     /// The query the engine answers.
     pub id: QueryId,
-    /// The shared-leaf index.
+    /// The shared-leaf index, with its per-edge search memo.
     pub leaves: &'a mut SharedLeafIndex,
-    /// The registry's per-edge search memo.
-    pub cache: &'a mut EdgeSearchCache,
     /// The current edge's emissions of the prefix table the query rides at
     /// partial depth, if it does.
     pub prefix: Option<PrefixRows<'a>>,
-    /// The registry's stage clock.
+    /// The shard's stage clock.
     pub clock: &'a mut StageClock<'m>,
 }
 
@@ -327,6 +308,9 @@ impl LeafSource for SharedSource<'_, '_> {
         let SharedLeafIndex {
             entries,
             subs,
+            memo,
+            rows,
+            scratch,
             searches_run,
             searches_shared,
             searches_delegated,
@@ -349,17 +333,12 @@ impl LeafSource for SharedSource<'_, '_> {
             return Served::Declined;
         }
         self.clock.charge(|m| &m.private_engine_ns);
-        let EdgeSearchCache {
-            searches,
-            rows,
-            scratch,
-        } = &mut *self.cache;
-        let (found, served) = match searches.entry(sub.sig) {
-            Entry::Occupied(memo) => {
+        let (found, served) = match memo.entry(sub.sig) {
+            Entry::Occupied(hit) => {
                 *searches_shared += 1;
-                (memo.get().clone(), Served::Shared)
+                (hit.get().clone(), Served::Shared)
             }
-            Entry::Vacant(memo) => {
+            Entry::Vacant(miss) => {
                 let t0 = self.clock.is_on().then(Instant::now);
                 let (start, layout) = (rows.len(), entry.layout);
                 find_matches_containing_edge_with(
@@ -373,7 +352,7 @@ impl LeafSource for SharedSource<'_, '_> {
                 let elapsed = t0.map_or(Duration::ZERO, |t| t.elapsed());
                 *searches_run += 1;
                 (
-                    memo.insert(start..rows.len()).clone(),
+                    miss.insert(start..rows.len()).clone(),
                     Served::Searched(elapsed),
                 )
             }

@@ -11,12 +11,12 @@
 //! The sink is the **copy-on-emit boundary**. From the anchored search that
 //! finds a leaf match to the join that completes a query, a match is a
 //! fixed-width `u64` row ([`RowLayout`]): in a `MatchStore`'s arena, in a
-//! shared table's emission buffer, in the registry's per-edge report buffer,
+//! shared table's emission buffer, in the shard's per-edge report buffer,
 //! in a runtime worker's outgoing batch. A [`RowSink`] receives it in one of
 //! two row forms:
 //!
 //! * a query whose root join runs in its own engine has that join appended,
-//!   as the union of its two operand rows, to the registry's flat report
+//!   as the union of its two operand rows, to the shard's flat report
 //!   buffer, and the burst arrives through [`RowSink::on_rows`] in the
 //!   query's own numbering;
 //! * a query evaluated wholly by a shared prefix table (its prefix spans
@@ -36,7 +36,7 @@
 //! Everything a [`MatchSink`] receives is an owned, self-contained match —
 //! no arena ids or store lifetimes leak past that trait.
 
-use crate::registry::QueryId;
+use crate::control::QueryId;
 use crate::sharedjoin::SharedRow;
 use sp_iso::SubgraphMatch;
 use sp_sjtree::RowLayout;

@@ -4,8 +4,8 @@
 
 use crate::report::{ascii_histogram, fmt_ratio, fmt_seconds, markdown_table, render_groups};
 use crate::runner::{
-    query_relative_selectivity, run_drift, run_group, run_query, run_query_metered,
-    sample_by_expected_selectivity, DriftMeasurement, Scale,
+    run_drift, run_group, run_query, run_query_metered, sample_by_expected_selectivity,
+    DriftMeasurement, Scale,
 };
 use sp_datasets::{
     Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig, QueryGenerator,
@@ -309,7 +309,11 @@ pub fn fig10(scale: Scale) -> String {
         let queries = generator.generate_valid_batch(kind, 25, &estimator);
         let xs: Vec<f64> = queries
             .iter()
-            .map(|q| query_relative_selectivity(q, &estimator).log10())
+            .map(|q| {
+                choose_strategy(q, &estimator, RELATIVE_SELECTIVITY_THRESHOLD)
+                    .map_or(1.0, |c| c.relative_selectivity)
+                    .log10()
+            })
             .filter(|x| x.is_finite())
             .collect();
         let below = xs

@@ -217,7 +217,7 @@ fn measure_query(
 /// it reports to `on_match` and returns the engine with its counters.
 /// Ingestion, graph retention (the engine's window, from `from` on) and the
 /// purge cadence are those of a single-query [`StreamProcessor`], but there
-/// is no registry: the engine searches every leaf itself
+/// is no shard: the engine searches every leaf itself
 /// ([`ContinuousQueryEngine::process_edge`]), so no shared stage — not even
 /// the per-edge memo serving two same-shape leaves of one query — is on the
 /// path the shared one is checked against.
@@ -495,18 +495,6 @@ pub fn query_expected_selectivity(query: &QueryGraph, estimator: &SelectivityEst
         .unwrap_or(1.0)
 }
 
-/// Relative Selectivity ξ of a query (2-edge vs 1-edge decomposition).
-pub fn query_relative_selectivity(query: &QueryGraph, estimator: &SelectivityEstimator) -> f64 {
-    let single = decompose(query, PrimitivePolicy::SingleEdge, estimator);
-    let path = decompose(query, PrimitivePolicy::TwoEdgePath, estimator);
-    match (single, path) {
-        (Ok(s), Ok(p)) => {
-            expected_selectivity(&p, estimator).relative_to(&expected_selectivity(&s, estimator))
-        }
-        _ => 1.0,
-    }
-}
-
 /// The paper's sampling step: order the valid queries by Expected Selectivity
 /// and keep `k` of them spread (near-)uniformly across that range.
 pub fn sample_by_expected_selectivity(
@@ -571,6 +559,7 @@ pub fn run_group(
 mod tests {
     use super::*;
     use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind};
+    use streampattern::{choose_strategy, RELATIVE_SELECTIVITY_THRESHOLD};
 
     fn tiny() -> (Dataset, SelectivityEstimator) {
         let d = NetflowConfig {
@@ -649,7 +638,8 @@ mod tests {
         let (d, est) = tiny();
         let mut gen = QueryGenerator::new(d.schema.clone(), d.valid_triples.clone(), 13);
         for q in gen.generate_valid_batch(QueryKind::Path { length: 4 }, 10, &est) {
-            let xi = query_relative_selectivity(&q, &est);
+            let xi = choose_strategy(&q, &est, RELATIVE_SELECTIVITY_THRESHOLD)
+                .map_or(1.0, |c| c.relative_selectivity);
             assert!(xi.is_finite() && xi > 0.0);
         }
     }

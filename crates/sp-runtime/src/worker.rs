@@ -207,9 +207,9 @@ pub(crate) fn worker_loop(
                     }
                     queue_depth.sub(1);
                 }
-                // One warm edge cache and one per-engine scratch serve every
-                // event of the batch. Statistics are the facade's business:
-                // nothing observes the edges here.
+                // One warm shared-leaf memo and one per-engine scratch serve
+                // every event of the batch. Statistics are the facade's
+                // business: nothing observes the edges here.
                 for ev in events.iter() {
                     emitted += shard.process_into(ev, &mut out, |_| {});
                 }
@@ -244,18 +244,17 @@ pub(crate) fn worker_loop(
                 let _ = shard.redecompose(id, strategy, *tree);
             }
             WorkerMsg::Report { reply } => {
-                let registry = shard.registry();
                 let _ = reply.send(WorkerReport {
                     worker: idx,
-                    per_query: registry
-                        .iter()
+                    per_query: shard
+                        .engines()
                         .map(|(id, engine)| (id, engine.profile().clone()))
                         .collect(),
                     edges_ingested: shard.graph().total_edges_seen(),
                     vertex_type_conflicts: shard.profile().vertex_type_conflicts,
                     matches_found: emitted,
                     graph_edges_live: shard.graph().num_edges(),
-                    stored_matches: registry.stored_matches(),
+                    stored_matches: shard.stored_matches(),
                 });
             }
             WorkerMsg::Drain => {

@@ -301,11 +301,6 @@ fn late_registration_sees_retained_history() {
 fn profile_merges_worker_counters() {
     let schema = cyber_schema();
     let events = synth_stream(&schema, 1_000);
-    let mut runtime = ParallelStreamProcessor::new(schema.clone(), RuntimeConfig::with_workers(3));
-    for (q, s, w) in queries(&schema) {
-        runtime.register(q, s, w).unwrap();
-    }
-    let found = runtime.process_all(events.iter());
 
     // Sequential reference.
     let mut seq = StreamProcessor::new(schema.clone());
@@ -314,22 +309,45 @@ fn profile_merges_worker_counters() {
         seq_ids.push(seq.register(q, s, w).unwrap());
     }
     let seq_found = seq.process_all(events.iter());
-    assert_eq!(found, seq_found);
-
-    let profile = runtime.profile();
     let seq_profile = seq.profile();
-    assert_eq!(profile.edges_processed, 1_000);
-    assert_eq!(profile.complete_matches, seq_profile.complete_matches);
-    assert_eq!(profile.iso_searches, seq_profile.iso_searches);
-    assert_eq!(profile.leaf_matches, seq_profile.leaf_matches);
 
-    // Per-query counters line up one to one (ids are assigned in the same
-    // registration order).
-    for &id in &seq_ids {
-        let par = runtime.profile_for(id).expect("query registered");
-        let seq_p = seq.profile_for(id).expect("query registered");
-        assert_eq!(par.edges_processed, seq_p.edges_processed, "query {id}");
-        assert_eq!(par.complete_matches, seq_p.complete_matches, "query {id}");
+    for workers in [1, 3] {
+        let config = RuntimeConfig::with_workers(workers);
+        let mut runtime = ParallelStreamProcessor::new(schema.clone(), config);
+        for (q, s, w) in queries(&schema) {
+            runtime.register(q, s, w).unwrap();
+        }
+        let found = runtime.process_all(events.iter());
+        assert_eq!(found, seq_found, "{workers} workers");
+
+        let profile = runtime.profile();
+        assert_eq!(profile.edges_processed, 1_000);
+        assert_eq!(profile.complete_matches, seq_profile.complete_matches);
+        assert_eq!(profile.iso_searches, seq_profile.iso_searches);
+        assert_eq!(profile.leaf_matches, seq_profile.leaf_matches);
+
+        // Per-query counters line up one to one (ids are assigned in the
+        // same registration order).
+        for &id in &seq_ids {
+            let par = runtime.profile_for(id).expect("query registered");
+            let seq_p = seq.profile_for(id).expect("query registered");
+            assert_eq!(par.edges_processed, seq_p.edges_processed, "query {id}");
+            assert_eq!(par.complete_matches, seq_p.complete_matches, "query {id}");
+        }
+
+        // Every replica ingests the whole stream; the reports' match counts
+        // add up to the sequential total.
+        let reports = runtime.worker_reports();
+        assert_eq!(reports.len(), workers);
+        for report in &reports {
+            assert_eq!(report.edges_ingested, seq.graph().total_edges_seen());
+            assert_eq!(report.graph_edges_live, seq.graph().num_edges());
+        }
+        let matches: u64 = reports.iter().map(|r| r.matches_found).sum();
+        assert_eq!(matches, seq.total_matches(), "{workers} workers");
+        if workers == 1 {
+            assert_eq!(runtime.stored_matches(), seq.stored_matches());
+        }
     }
 }
 

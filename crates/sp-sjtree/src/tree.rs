@@ -7,7 +7,6 @@ use sp_iso::TypeNeeds;
 use sp_query::{QueryGraph, QuerySubgraph};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A Subgraph Join Tree: the decomposition of one query graph into an
 /// ordered sequence of leaf subgraphs plus the left-deep join structure above
@@ -297,20 +296,6 @@ impl SjTree {
     /// Deserializes a tree from JSON.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         serde_json::from_str(json).map(Self::with_edge_types)
-    }
-
-    /// Writes the tree to a file as JSON.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let json = self
-            .to_json()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
-    }
-
-    /// Reads a tree from a JSON file.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 

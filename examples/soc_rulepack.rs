@@ -9,7 +9,7 @@
 //! Twelve netflow detection rules — scan, beacon, exfiltration and tunnel
 //! variants — watch one stream. The rules decompose into a small pool of
 //! SJ-Tree leaves (a TCP edge appears in most of them, ICMP and ESP in
-//! several), so the registry's `SharedLeafIndex` runs each distinct leaf
+//! several), so the shard's `SharedLeafIndex` runs each distinct leaf
 //! search **once per edge** and fans the results out; rules whose
 //! decompositions begin with the same leaf chain also share one prefix
 //! table. The example prints both shared stages' own counters: searches

@@ -182,10 +182,10 @@ fn lazy_trees_need_leaves_that_join_up() {
         .to_vec();
     let tree = SjTree::from_leaves(path, leaves);
     assert_eq!(
-        ContinuousQueryEngine::from_tree(tree.clone(), true, None).unwrap_err(),
+        ContinuousQueryEngine::from_plan(Strategy::SingleLazy, tree.clone(), None).unwrap_err(),
         EngineError::DisconnectedQuery
     );
-    let eager = ContinuousQueryEngine::from_tree(tree, false, None).unwrap();
+    let eager = ContinuousQueryEngine::from_plan(Strategy::Single, tree, None).unwrap();
     let mut proc = StreamProcessor::with_engine(schema.clone(), eager);
     assert_eq!(proc.process_all(stream.iter()), 1);
 
@@ -218,7 +218,7 @@ fn persisted_sjtree_produces_identical_results() {
 
     // Query-processing step: load the tree and run.
     let tree = streampattern::SjTree::from_json(&json).unwrap();
-    let restored = ContinuousQueryEngine::from_tree(tree, true, None).unwrap();
+    let restored = ContinuousQueryEngine::from_plan(Strategy::PathLazy, tree, None).unwrap();
 
     let mut a = StreamProcessor::with_engine(dataset.schema.clone(), engine);
     let mut b = StreamProcessor::with_engine(dataset.schema.clone(), restored);

@@ -420,10 +420,7 @@ mod alloc_regression {
         ];
         assert_eq!(proc.shared_join_stats().tables, 1);
         for id in ids {
-            assert_eq!(
-                proc.registry().shared_joins().subscription_depth(id),
-                Some(2)
-            );
+            assert_eq!(proc.shared_joins().subscription_depth(id), Some(2));
         }
 
         // One edge per tick: even ticks spoke → hub over tcp, odd ticks
@@ -580,7 +577,7 @@ mod alloc_regression {
         assert_eq!(proc.shared_join_stats().tables, 1);
         for &id in &prefix_sharers {
             assert_eq!(
-                proc.registry().shared_joins().subscription_depth(id),
+                proc.shared_joins().subscription_depth(id),
                 Some(2),
                 "partial depth: the engine runs and pulls its prefix rows"
             );

@@ -290,7 +290,7 @@ fn every_sink_sees_the_same_matches_on_both_front_ends() {
 
     // The pack covers all three delivery paths.
     let proc = sequential();
-    let joins = proc.registry().shared_joins();
+    let joins = proc.shared_joins();
     let (mut full, mut partial, mut private) = (0, 0, 0);
     for id in proc.query_ids() {
         let leaves = proc.engine_for(id).unwrap().tree().unwrap().num_leaves();
@@ -613,7 +613,7 @@ fn nested_prefix_partials_are_stored_exactly_once() {
         stats.parent_feeds, 20,
         "each pair completion must flow parent → child exactly once"
     );
-    let nodes = proc.registry().shared_joins().trie_nodes();
+    let nodes = proc.shared_joins().trie_nodes();
     assert_eq!(nodes.len(), 2);
     let (shallow, deep) = (&nodes[0], &nodes[1]);
     assert_eq!(
@@ -684,7 +684,7 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
             // The second shallow registration must have split the trie
             // edge: the depth-3 node now hangs off the fresh depth-2 node,
             // which was back-filled from the retained graph.
-            let nodes = proc.registry().shared_joins().trie_nodes();
+            let nodes = proc.shared_joins().trie_nodes();
             assert_eq!(nodes.len(), 2);
             assert_eq!((nodes[0].depth, nodes[0].children), (2, 1));
             assert_eq!((nodes[1].depth, nodes[1].parent_depth), (3, Some(2)));
@@ -865,7 +865,7 @@ fn permuted_full_depth_subscribers_match_independent_processors() {
     for &id in &ids {
         let engine = proc.engine_for(id).unwrap();
         assert_eq!(
-            proc.registry().shared_joins().subscription_depth(id),
+            proc.shared_joins().subscription_depth(id),
             Some(engine.tree().unwrap().num_leaves()),
             "every rule subscribes at full depth"
         );
@@ -1007,10 +1007,7 @@ fn spilled_wide_chain_is_delivered_from_rows_under_two_windows() {
     let (got, proc, ids) = shared_run(&schema, &rules, &events, configure);
     assert_eq!(got, expected);
     assert_eq!(proc.shared_join_stats().tables, 1);
-    assert_eq!(
-        proc.registry().shared_joins().subscription_depth(ids[0]),
-        Some(9)
-    );
+    assert_eq!(proc.shared_joins().subscription_depth(ids[0]), Some(9));
 }
 
 /// Sorted `(rule slot, full fingerprint)` multiset of `rules` on the
@@ -1086,7 +1083,7 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
     }
     let (got, proc, ids) = shared_run(&schema, &rules, dataset.events(), configure);
     assert_eq!(got, expected);
-    let depth = |id| proc.registry().shared_joins().subscription_depth(id);
+    let depth = |id| proc.shared_joins().subscription_depth(id);
     assert_eq!(
         (depth(ids[0]), depth(ids[1]), depth(ids[2]), depth(ids[3])),
         (Some(2), Some(2), Some(3), Some(3)),
@@ -1146,7 +1143,7 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
     assert_eq!((count(0), count(1), count(2)), (40, 30, 40));
     let (got, proc, ids) = shared_run(&schema, &rules, &events, configure);
     assert_eq!(got, expected);
-    let joins = proc.registry().shared_joins();
+    let joins = proc.shared_joins();
     assert_eq!(joins.subscription_depth(ids[0]), Some(8));
     let fed = joins
         .subscription_depth(ids[2])

@@ -311,7 +311,7 @@ struct LoopPack {
     probe: usize,
 }
 
-fn loop_pack(wedge: bool, lazy: bool) -> LoopPack {
+fn loop_pack(wedge: bool, strategy: Strategy) -> LoopPack {
     const WINDOW: Option<u64> = Some(64);
     let mut schema = Schema::new();
     let ip = schema.intern_vertex_type("ip");
@@ -323,7 +323,7 @@ fn loop_pack(wedge: bool, lazy: bool) -> LoopPack {
             .iter()
             .map(|es| QuerySubgraph::from_edges(&q, es.iter().map(|&e| QueryEdgeId(e))))
             .collect();
-        ContinuousQueryEngine::from_tree(SjTree::from_leaves(q, leaves), lazy, WINDOW).unwrap()
+        ContinuousQueryEngine::from_plan(strategy, SjTree::from_leaves(q, leaves), WINDOW).unwrap()
     };
     let mut partner = QueryGraph::new("partner");
     let w: Vec<_> = (0..3).map(|_| partner.add_any_vertex()).collect();
@@ -423,8 +423,7 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
             engines,
             events,
             probe,
-        } = loop_pack(wedge, lazy);
-        assert_eq!(engines[2].strategy(), label);
+        } = loop_pack(wedge, label);
 
         // The shared pipeline, with the focus engine's counters read around
         // the probed edge.
@@ -435,7 +434,7 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
             .collect();
         let focus = ids[2];
         assert_eq!(
-            proc.registry().shared_joins().subscription_depth(focus),
+            proc.shared_joins().subscription_depth(focus),
             Some(2),
             "the focus query rides the [A, B] table at partial depth"
         );
@@ -569,7 +568,7 @@ fn iso_searches_count_the_leaves_that_reached_a_search() {
     let mut schema = Schema::new();
     let ip = schema.intern_vertex_type("ip");
     let (t0, t1) = (schema.intern_edge_type("t0"), schema.intern_edge_type("t1"));
-    for lazy in [false, true] {
+    for strategy in [Strategy::Single, Strategy::SingleLazy] {
         let mut q = QueryGraph::new("chain");
         let v: Vec<_> = (0..3).map(|_| q.add_any_vertex()).collect();
         q.add_edge(v[0], v[1], t0);
@@ -578,7 +577,8 @@ fn iso_searches_count_the_leaves_that_reached_a_search() {
             .map(|e| QuerySubgraph::from_edges(&q, [QueryEdgeId(e)]))
             .collect();
         let engine =
-            ContinuousQueryEngine::from_tree(SjTree::from_leaves(q, leaves), lazy, None).unwrap();
+            ContinuousQueryEngine::from_plan(strategy, SjTree::from_leaves(q, leaves), None)
+                .unwrap();
         let mut proc = StreamProcessor::with_engine(schema.clone(), engine);
         for i in 0..50u64 {
             proc.process(&EdgeEvent::homogeneous(i, i + 1, ip, t0, Timestamp(i)));

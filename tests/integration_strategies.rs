@@ -163,7 +163,7 @@ fn selectivity_join_order_stores_fewer_partial_matches() {
         let [(found, ordered), (found_reversed, reversed)] = [ordered, reversed].map(|tree| {
             run_engine(
                 &dataset,
-                ContinuousQueryEngine::from_tree(tree, false, None).unwrap(),
+                ContinuousQueryEngine::from_plan(Strategy::Single, tree, None).unwrap(),
             )
         });
         assert_eq!(
