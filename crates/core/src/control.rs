@@ -384,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn retention_rule_helper_matches_registry_semantics() {
+    fn retention_rule_helper_matches_control_plane_semantics() {
         assert_eq!(retention_for_windows([]), None);
         assert_eq!(retention_for_windows([Some(10)]), Some(10));
         assert_eq!(retention_for_windows([Some(10), Some(500)]), Some(500));

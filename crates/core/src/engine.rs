@@ -13,9 +13,10 @@
 //!   triggers a retroactive neighborhood search so that the result does not
 //!   depend on the arrival order of the query's components (Algorithm 3).
 //!   That loop over the leaves is the only one in the pipeline: in a
-//!   shard, sharing is a memo lookup *inside* it — a [`LeafSource`] the
-//!   loop pulls each leaf's (or a shared prefix's) rows from once the leaf
-//!   has passed the loop's own type filter and gate;
+//!   shard, sharing is a memo lookup *inside* it — the shard's
+//!   [`SharedSource`], which the loop pulls each leaf's (or a shared
+//!   prefix's) rows from once the leaf has passed the loop's own type
+//!   filter and gate;
 //! * or runs the non-incremental baseline — a full VF2 enumeration of the
 //!   query over the current graph, filtered to embeddings that use the new
 //!   edge (Section 6's comparison baseline).
@@ -23,6 +24,7 @@
 use crate::error::EngineError;
 use crate::lazy::{LazyBitmap, MAX_LEAVES};
 use crate::profile::ProfileCounters;
+use crate::sharing::SharedSource;
 use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeData, EdgeType, VertexId};
 use sp_iso::{
@@ -35,8 +37,8 @@ use sp_sjtree::{decompose, InsertTrace, MatchStore, NodeId, RowId, RowLayout, Sj
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// What a [`LeafSource`] did for one leaf the engine's per-edge loop asked
-/// it about.
+/// What the shard's [`SharedSource`] did for one leaf the engine's per-edge
+/// loop asked it about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Served {
     /// Nothing to share — the engine runs the anchored search itself, in its
@@ -44,75 +46,13 @@ pub(crate) enum Served {
     Declined,
     /// The source ran the (canonical) search on this engine's behalf and
     /// queued its matches; the search's wall time is charged to this engine
-    /// (zero when the source is not [`LeafSource::timed`]).
+    /// (zero when the source is not [`SharedSource::timed`]).
     Searched(Duration),
     /// The source queued the matches of a search another subscriber of the
     /// same leaf shape already triggered for this edge: this engine's own
     /// search was eliminated by sharing.
     Shared,
 }
-
-/// Where the engine's per-edge leaf loop
-/// ([`ContinuousQueryEngine::process_edge_into`]) gets rows it need not
-/// compute itself. The loop stays the only one: it drops leaves the edge's
-/// type cannot match, evaluates the Lazy Search gate, refuses searches the
-/// endpoints' type signatures prove empty, and only then *pulls* —
-/// per surviving leaf — from the source, which either answers
-/// [`Served::Declined`] or writes the leaf's matches straight into the
-/// engine's arena (`store`), in the engine's own numbering, handing each new
-/// row to `queue`. The shard's source serves multi-subscriber leaf shapes
-/// from its per-edge search memo and a partial-depth shared-join
-/// subscriber's prefix rows from its prefix table; [`SearchLocally`] is the
-/// source of an engine run on its own.
-pub(crate) trait LeafSource {
-    /// Whether the engine times its searches and inserts into
-    /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`] for
-    /// this edge: asked once per edge. The shard's source answers whether
-    /// metrics are attached, so an un-metered pipeline reads no clock.
-    fn timed(&self) -> bool {
-        false
-    }
-
-    /// Number of leading leaves (selectivity ranks `0..depth`) a shared
-    /// prefix table evaluates on the engine's behalf — searches, inserts and
-    /// internal joins: `0` for none, else `2 <= depth < leaves`. The engine
-    /// skips those leaves and pulls [`LeafSource::prefix_rows`] instead.
-    fn prefix_depth(&self) -> usize {
-        0
-    }
-
-    /// Writes the prefix-root matches this edge created (those the engine's
-    /// window and subscription boundary admit; the suffix slots stay
-    /// unbound) into `store` and queues them. Returns whether the table has
-    /// other live subscribers, i.e. the prefix work was genuinely
-    /// deduplicated. Only called when [`LeafSource::prefix_depth`] is
-    /// non-zero.
-    fn prefix_rows(&mut self, _store: &mut MatchStore, _queue: impl FnMut(RowId)) -> bool {
-        false
-    }
-
-    /// Serves the leaf of selectivity rank `rank`, which the edge's type,
-    /// the Lazy Search gate and the endpoints' type signatures all let
-    /// through.
-    fn leaf_rows(
-        &mut self,
-        _rank: usize,
-        _graph: &DynamicGraph,
-        _edge: &EdgeData,
-        _store: &mut MatchStore,
-        _queue: impl FnMut(RowId),
-    ) -> Served {
-        Served::Declined
-    }
-}
-
-/// The [`LeafSource`] with nothing to share — the trait's defaults: every
-/// leaf is searched by the engine itself, untimed. What
-/// [`ContinuousQueryEngine::process_edge`] and the rebuild replay run with.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SearchLocally;
-
-impl LeafSource for SearchLocally {}
 
 /// The retained edges of the given (ascending) types in `(timestamp, id)`
 /// order: the deterministic replay order of
@@ -240,6 +180,11 @@ pub struct ContinuousQueryEngine {
     query: QueryGraph,
     strategy: Strategy,
     window: Option<u64>,
+    /// The registration boundary: the shard's stream position
+    /// ([`DynamicGraph::total_edges_seen`]) when the query registered there.
+    /// The query is entitled to matches anchored at edge ids `>=` it (see
+    /// the shared-join module docs); a rebuild keeps it.
+    pub(crate) boundary: u64,
     backend: Backend,
     profile: ProfileCounters,
     /// Reusable hot-path buffers; semantically invisible (always drained
@@ -311,6 +256,7 @@ impl ContinuousQueryEngine {
             query,
             strategy,
             window,
+            boundary: 0,
             backend,
             profile: ProfileCounters::new(),
             scratch: EngineScratch::default(),
@@ -405,7 +351,7 @@ impl ContinuousQueryEngine {
     /// complete rows, for single-engine callers.
     pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &EdgeData) -> Vec<SubgraphMatch> {
         let mut complete = Vec::new();
-        self.process_edge_into(graph, edge, &mut SearchLocally, &mut complete);
+        self.process_edge_into(graph, edge, None, &mut complete);
         self.row_layout().materialize_all(&complete).collect()
     }
 
@@ -435,10 +381,11 @@ impl ContinuousQueryEngine {
     /// (2) evaluates the Lazy Search gate, (3) refuses the search —
     /// counted in [`ProfileCounters::searches_rejected`] — when the
     /// endpoints' type signatures prove it empty
-    /// ([`SjTree::leaf_type_needs`]), and (4) asks `source` for the
-    /// leaf's rows ([`LeafSource::leaf_rows`]), running the anchored search
-    /// itself when the source answers [`Served::Declined`]. When the
-    /// source covers a prefix ([`LeafSource::prefix_depth`]), the leading
+    /// ([`SjTree::leaf_type_needs`]), and (4) asks the shard's `source`, if
+    /// any, for the leaf's rows ([`SharedSource::leaf_rows`]), running the
+    /// anchored search itself without a source or when the source answers
+    /// [`Served::Declined`]. When the source covers a prefix
+    /// ([`SharedSource::prefix_depth`]), the leading
     /// leaves **and their internal hash joins** are the shared join stage's:
     /// the engine skips them and seeds its join continuation with the
     /// prefix-root rows it pulls, inserted at the internal node covering the
@@ -450,7 +397,9 @@ impl ContinuousQueryEngine {
     ///
     /// Searches, probes and inserts are timed into
     /// [`ProfileCounters::iso_time`] / [`ProfileCounters::update_time`] only
-    /// when `source` is [`LeafSource::timed`]; otherwise no clock is read.
+    /// when `source` is [`SharedSource::timed`]; otherwise (and always
+    /// without a source: [`ContinuousQueryEngine::process_edge`] and the
+    /// rebuild replay) no clock is read.
     ///
     /// The VF2 baseline ignores the source (it has no leaves to share)
     /// except for asking whether to time its search.
@@ -458,7 +407,7 @@ impl ContinuousQueryEngine {
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        source: &mut impl LeafSource,
+        mut source: Option<&mut SharedSource<'_, '_>>,
         complete: &mut Vec<u64>,
     ) {
         complete.clear();
@@ -466,7 +415,7 @@ impl ContinuousQueryEngine {
         let window = self.window;
         let layout = self.row_layout();
         // The §6.4 timers run only when the source says so (metrics on).
-        let timed = source.timed();
+        let timed = source.as_ref().is_some_and(|s| s.timed());
         match &mut self.backend {
             Backend::Vf2 { matcher } => {
                 let t0 = timed.then(Instant::now);
@@ -497,8 +446,8 @@ impl ContinuousQueryEngine {
                 let worklist = &mut self.scratch.worklist;
                 debug_assert!(worklist.is_empty());
 
-                let start_rank = source.prefix_depth();
-                if start_rank > 0 {
+                let start_rank = source.as_ref().map_or(0, |s| s.prefix_depth());
+                if let Some(source) = source.as_deref_mut().filter(|_| start_rank > 0) {
                     debug_assert!(
                         start_rank >= 2 && start_rank < tree.num_leaves(),
                         "a shared prefix the engine continues covers 2..k leaves"
@@ -574,7 +523,10 @@ impl ContinuousQueryEngine {
                     // free.
                     let queued = worklist.len();
                     let pull = |row| worklist.push_back((leaf, row));
-                    match source.leaf_rows(rank, graph, edge, store, pull) {
+                    let served = source.as_deref_mut().map_or(Served::Declined, |s| {
+                        s.leaf_rows(rank, graph, edge, store, pull)
+                    });
+                    match served {
                         Served::Searched(elapsed) => self.profile.iso_time += elapsed,
                         Served::Shared => self.profile.leaf_searches_shared += 1,
                         // Each match the search visits goes from its working
@@ -752,7 +704,7 @@ impl ContinuousQueryEngine {
         let mut discard = Vec::new();
         let started = Instant::now();
         for e in &edges {
-            self.process_edge_into(graph, e, &mut SearchLocally, &mut discard);
+            self.process_edge_into(graph, e, None, &mut discard);
         }
         let replay_time = started.elapsed();
         let replay = std::mem::replace(&mut self.profile, live);
@@ -980,7 +932,7 @@ mod tests {
         let e = graph.add_edge(b, c, tcp, Timestamp(20));
         let data = *graph.edge(e).unwrap();
         assert_eq!(engine.process_edge(&graph, &data).len(), 1);
-        // A standalone engine searches through `SearchLocally`, which is
+        // A standalone engine searches without the shard's source, so it is
         // untimed: the live stream's searches, probes and inserts read no
         // clock.
         let live = engine.profile();

@@ -3,7 +3,7 @@
 //! "We use a bitmap structure Mb to maintain this information. Each row in
 //! the bitmap refers to a vertex in Gd and the i-th column refers to gi, or
 //! the i-th leaf in the SJ-Tree. If the search for subgraph gi is enabled for
-//! vertex u in Gd, then Mb[u][i] = 1 and zero otherwise." (Section 4)
+//! vertex u in Gd, then Mb\[u\]\[i\] = 1 and zero otherwise." (Section 4)
 //!
 //! Rows are stored sparsely (most vertices never enable anything), and each
 //! row is a 64-bit mask, which bounds supported SJ-Trees to 64 leaves — far

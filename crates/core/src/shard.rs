@@ -20,7 +20,7 @@ use crate::sink::RowSink;
 use crate::strategy::Strategy;
 use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, EdgeType, FastMap, Schema};
 use sp_sjtree::{SjTree, UNBOUND};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Default number of edges between partial-match purges.
@@ -33,11 +33,10 @@ pub const DEFAULT_PURGE_INTERVAL: u64 = 4096;
 /// [`ControlPlane`](crate::ControlPlane) of whichever front end owns it —
 /// which engine to run under which id, how long to retain edges and which
 /// plan to rebuild an engine onto; what it owns is the [`DynamicGraph`], the
-/// engines with their dispatch index and both shared stages, each query's
-/// registration boundary, the purge cadence, the telemetry handles and the
-/// stream counters. The sequential [`StreamProcessor`](crate::StreamProcessor)
-/// drives one shard inline; each worker thread of the parallel runtime owns
-/// one and nothing else.
+/// engines with their dispatch index and both shared stages, the purge
+/// cadence, the telemetry handles and the stream counters. The sequential
+/// [`StreamProcessor`](crate::StreamProcessor) drives one shard inline; each
+/// worker thread of the parallel runtime owns one and nothing else.
 #[derive(Debug, Clone)]
 pub struct Shard {
     graph: DynamicGraph,
@@ -57,11 +56,6 @@ pub struct Shard {
     /// (full-depth shared-join subscribers bypass it), as rows of that
     /// engine's layout; handed to the sink as one burst per engine.
     complete: Vec<u64>,
-    /// Each live query's registration boundary — the graph's stream
-    /// position ([`DynamicGraph::total_edges_seen`]) when it registered: it
-    /// is entitled to matches anchored at edge ids `>=` it (see the
-    /// shared-join module docs). Preserved across re-decompositions.
-    origins: HashMap<QueryId, u64>,
     purge_interval: u64,
     since_purge: u64,
     total_matches: u64,
@@ -84,7 +78,6 @@ impl Shard {
             shared: SharedLeafIndex::new(),
             join: SharedJoinIndex::new(),
             complete: Vec::new(),
-            origins: HashMap::new(),
             purge_interval: DEFAULT_PURGE_INTERVAL,
             since_purge: 0,
             total_matches: 0,
@@ -108,42 +101,45 @@ impl Shard {
     }
 
     /// Starts running `engine` under the id its control plane allocated:
-    /// indexes it under every edge type its query uses, subscribes its
-    /// leaves to the shared leaf stage and subscribes it to the shared join
-    /// stage — its decomposition's canonical prefix chain is matched against
-    /// the live tables and the other registered chains, possibly creating a
-    /// new refcounted table and migrating previously private partners onto
-    /// it (see [`SharedJoinIndex`]).
+    /// sets its registration boundary to the current stream position,
+    /// indexes it under every edge type its query uses, subscribes it to the
+    /// shared join stage — its decomposition's canonical prefix chain is
+    /// matched against the live tables and the other registered chains,
+    /// possibly creating a new refcounted table and migrating previously
+    /// private partners onto it (see [`SharedJoinIndex`]) — and subscribes
+    /// the leaves past its shared prefix to the shared leaf stage.
     ///
     /// # Panics
     /// Panics when `id` is already registered (ids are never reused).
-    pub fn register(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
+    pub fn register(&mut self, id: QueryId, mut engine: ContinuousQueryEngine) {
         for edge in engine.query().edges() {
             let slot = self.dispatch.entry(edge.edge_type).or_default();
             if !slot.contains(&id) {
                 slot.push(id);
             }
         }
-        self.shared.subscribe(id, &engine, 0);
-        self.origins.insert(id, self.graph.total_edges_seen());
+        engine.boundary = self.graph.total_edges_seen();
         let previous = self.engines.insert(id, engine);
         assert!(previous.is_none(), "query id {id} registered twice");
         self.subscribe_join(id);
     }
 
     /// Runs the shared-join subscription policy for one query (newly
-    /// registered or freshly re-decomposed), narrowing its leaf-stage
-    /// subscription to the suffix leaves on success and migrating any
-    /// partners the policy pulled in. The graph backs the tables of
-    /// subscribers entitled to retained history.
+    /// registered or freshly re-decomposed), subscribing its leaf-stage
+    /// shapes past the prefix the policy gave it (all of them when it stays
+    /// private) and migrating any partners the policy pulled in. Each
+    /// subscriber's engine carries its registration boundary; the graph
+    /// backs the tables of subscribers entitled to retained history.
     fn subscribe_join(&mut self, id: QueryId) {
         let Some(engine) = self.engines.get(&id) else {
             return;
         };
         let now = self.graph.total_edges_seen();
-        let boundary = self.origins.get(&id).copied().unwrap_or(now);
-        let outcome = self.join.subscribe(id, engine, boundary, now, &self.graph);
+        let outcome = self
+            .join
+            .subscribe(id, engine, engine.boundary, now, &self.graph);
         let JoinSubscription::Shared { depth, migrations } = outcome else {
+            self.adopt_join_subscription(id, 0);
             return;
         };
         self.adopt_join_subscription(id, depth);
@@ -151,19 +147,20 @@ impl Shard {
             let Some(partner_engine) = self.engines.get(&partner) else {
                 continue;
             };
-            let partner_boundary = self.origins.get(&partner).copied().unwrap_or(now);
-            if let Some(partner_depth) =
-                self.join
-                    .attach_partner(partner, partner_engine, partner_boundary, &self.graph)
-            {
+            if let Some(partner_depth) = self.join.attach_partner(
+                partner,
+                partner_engine,
+                partner_engine.boundary,
+                &self.graph,
+            ) {
                 self.adopt_join_subscription(partner, partner_depth);
             }
         }
     }
 
-    /// Switches one engine onto its shared prefix: drop the (now redundant)
-    /// private prefix tables and narrow the leaf-stage subscription to the
-    /// suffix leaves.
+    /// Switches one engine onto its shared prefix of `depth` leaves (`0`:
+    /// none): drop the (now redundant) private prefix tables and
+    /// (re)subscribe the leaf stage from the first leaf past the prefix.
     fn adopt_join_subscription(&mut self, id: QueryId, depth: usize) {
         let engine = self.engines.get_mut(&id).expect("subscribed engine exists");
         engine.clear_prefix_state(depth);
@@ -183,7 +180,6 @@ impl Shard {
         });
         self.shared.unsubscribe(id);
         self.join.unsubscribe(id);
-        self.origins.remove(&id);
         Some(engine)
     }
 
@@ -215,9 +211,7 @@ impl Shard {
     ) -> Result<(), EngineError> {
         let engine = self.engines.get_mut(&id).ok_or(EngineError::UnknownQuery)?;
         engine.rebuild(strategy, tree, &self.graph)?;
-        self.shared.unsubscribe(id);
         self.join.unsubscribe(id);
-        self.shared.subscribe(id, engine, 0);
         self.subscribe_join(id);
         Ok(())
     }
@@ -374,7 +368,7 @@ impl Shard {
                         prefix,
                         clock: &mut clock,
                     };
-                    engine.process_edge_into(graph, edge, &mut source, complete);
+                    engine.process_edge_into(graph, edge, Some(&mut source), complete);
                     clock.charge(|m| &m.private_engine_ns);
                     let layout = engine.row_layout();
                     if !complete.is_empty() {

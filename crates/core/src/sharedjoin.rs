@@ -1,9 +1,10 @@
 //! Shared join stage: refcounted canonical partial-match tables for common
 //! SJ-Tree prefixes across the queries of a shard.
 //!
-//! Shared-leaf evaluation (PR 3, [`crate::SharedLeafIndex`]) stopped at the
-//! leaves: two queries with the same leaf sequence still maintained
-//! duplicate partial-match tables and ran duplicate hash-join work on every
+//! Shared-leaf evaluation
+//! ([`SharedLeafIndex`](crate::sharing::SharedLeafIndex)) stops at the
+//! leaves: two queries with the same leaf sequence would still maintain
+//! duplicate partial-match tables and run duplicate hash-join work on every
 //! edge. [`SharedJoinIndex`] extends the sharing through the join stage —
 //! the multi-query design of the StreamWorks line of work (Choudhury et
 //! al., EDBT 2015; arXiv:1407.3745):
@@ -537,8 +538,9 @@ pub(crate) enum JoinSubscription {
 
 /// The current edge's emissions of the prefix table a **partial-depth**
 /// subscriber rides, on their way into that subscriber's engine: a borrowed
-/// view the engine's leaf loop pulls through its
-/// [`LeafSource`](crate::LeafSource) — nothing is built until then. (A
+/// view the engine's leaf loop pulls through the shard's
+/// [`SharedSource`](crate::sharing::SharedSource) — nothing is built until
+/// then. (A
 /// subscriber whose prefix spans its whole tree never sees one — its matches
 /// go from the table straight to the sink.)
 #[derive(Debug)]
@@ -611,15 +613,9 @@ pub struct SharedJoinIndex {
     /// Full canonical chains of every join-capable registered query
     /// (subscribed or not), for partner matching.
     chains: BTreeMap<QueryId, PrefixSignature>,
-    searches_run: u64,
-    leaf_matches: u64,
-    inserts_run: u64,
-    searches_saved: u64,
-    inserts_saved: u64,
-    emissions: u64,
-    deliveries: u64,
-    replays: u64,
-    parent_feeds: u64,
+    /// The cumulative counters; [`SharedJoinIndex::stats`] fills in the
+    /// rest.
+    counts: SharedJoinStats,
     /// Reusable anchored-search working binding for
     /// [`SharedJoinIndex::advance_edge`] and the table back-fills — one
     /// serves every table on every edge.
@@ -656,14 +652,6 @@ impl SharedJoinIndex {
         SharedJoinStats {
             tables: self.by_sig.len(),
             subscriptions: self.subs.len(),
-            searches_run: self.searches_run,
-            leaf_matches: self.leaf_matches,
-            inserts_run: self.inserts_run,
-            searches_saved: self.searches_saved,
-            inserts_saved: self.inserts_saved,
-            emissions: self.emissions,
-            deliveries: self.deliveries,
-            replays: self.replays,
             max_depth: self
                 .entries
                 .iter()
@@ -671,7 +659,7 @@ impl SharedJoinIndex {
                 .map(PrefixEntry::depth)
                 .max()
                 .unwrap_or(0),
-            parent_feeds: self.parent_feeds,
+            ..self.counts
         }
     }
 
@@ -869,7 +857,7 @@ impl SharedJoinIndex {
                     .store
                     .clear_below_prefix(&entry.tree, entry.parent_depth);
                 entry.populated_since = boundary;
-                self.replays += 1;
+                self.counts.replays += 1;
             }
             cur = entry.parent;
         }
@@ -1074,13 +1062,14 @@ impl SharedJoinIndex {
             let (searches, leaf_matches, inserts) =
                 entry.advance(graph, edge, feed, feed_layout, &mut self.scratch);
             let saved = entry.subtree_subs.saturating_sub(1) as u64;
-            self.searches_run += searches;
-            self.leaf_matches += leaf_matches;
-            self.inserts_run += inserts;
-            self.searches_saved += searches * saved;
-            self.inserts_saved += inserts * saved;
-            self.emissions += (entry.pending.len() / entry.layout.stride()) as u64;
-            self.parent_feeds += (feed.len() / feed_layout.stride()) as u64;
+            let counts = &mut self.counts;
+            counts.searches_run += searches;
+            counts.leaf_matches += leaf_matches;
+            counts.inserts_run += inserts;
+            counts.searches_saved += searches * saved;
+            counts.inserts_saved += inserts * saved;
+            counts.emissions += (entry.pending.len() / entry.layout.stride()) as u64;
+            counts.parent_feeds += (feed.len() / feed_layout.stride()) as u64;
             if let (Some(p), Some((buf, _))) = (parent, parent_pending) {
                 self.entries[p]
                     .as_mut()
@@ -1127,7 +1116,7 @@ impl SharedJoinIndex {
                 entry,
                 sub,
                 rows,
-                deliveries: &mut self.deliveries,
+                deliveries: &mut self.counts.deliveries,
             }));
         }
         let layout = entry.layout;
@@ -1138,7 +1127,7 @@ impl SharedJoinIndex {
                 sink.on_shared_row(id, SharedRow { row, layout, sub });
             }
         }
-        self.deliveries += delivered;
+        self.counts.deliveries += delivered;
         JoinDelivery::Complete {
             delivered,
             shared: entry.subtree_subs > 1,

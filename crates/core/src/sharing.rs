@@ -32,20 +32,20 @@
 //! multiset to that of independent single-query processors.
 
 use crate::control::QueryId;
-use crate::engine::{ContinuousQueryEngine, LeafSource, Served};
+use crate::engine::{ContinuousQueryEngine, Served};
 use crate::metrics::StageClock;
 use crate::sharedjoin::PrefixRows;
 use sp_graph::{DynamicGraph, EdgeData, FastMap};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch};
 use sp_query::{canonicalize_subgraph, CanonicalMapping, LeafSignature, QueryGraph, QuerySubgraph};
-use sp_sjtree::{MatchStore, NodeId, RowId, RowLayout};
+use sp_sjtree::{MatchStore, RowId, RowLayout};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// One interned canonical leaf shape: the materialized canonical query (what
-/// the anchored matcher runs against) plus subscriber bookkeeping.
+/// the anchored matcher runs against) plus its subscriber count.
 #[derive(Debug, Clone)]
 struct SigEntry {
     signature: LeafSignature,
@@ -56,11 +56,10 @@ struct SigEntry {
     /// Layout of the canonical rows the shared search's results are kept
     /// as.
     layout: RowLayout,
-    /// The `(query, leaf node)` subscriptions currently pointing here, in
-    /// subscription order. Owned by the entry so
-    /// [`SharedLeafIndex::subscribers`] can hand out a slice instead of
-    /// assembling a fresh `Vec` per call (the old per-edge allocation).
-    subs: Vec<(QueryId, NodeId)>,
+    /// The `(query, leaf)` subscriptions currently pointing here; the last
+    /// one leaving drops the entry, and a single one means nothing to
+    /// share.
+    subscribers: usize,
 }
 
 /// One leaf subscription of one query: which signature it points at and how
@@ -69,9 +68,6 @@ struct SigEntry {
 struct LeafSub {
     /// Selectivity rank of the leaf in its engine.
     rank: usize,
-    /// The SJ-Tree node of the leaf (introspection only; the engine resolves
-    /// ranks itself).
-    node: NodeId,
     /// Index into the entry table.
     sig: usize,
     /// Canonical → subscriber numbering.
@@ -130,9 +126,9 @@ pub(crate) struct SharedLeafIndex {
     rows: Vec<u64>,
     /// Reusable anchored-search working binding.
     scratch: SearchScratch,
-    searches_run: u64,
-    searches_shared: u64,
-    searches_delegated: u64,
+    /// The cumulative search counters; [`SharedLeafIndex::stats`] fills in
+    /// the rest.
+    counts: SharedLeafStats,
 }
 
 impl SharedLeafIndex {
@@ -162,14 +158,13 @@ impl SharedLeafIndex {
             let Some((sig, mapping)) = canonicalize_subgraph(query, tree.subgraph(leaf)) else {
                 return;
             };
-            canon.push((rank, leaf, sig, mapping));
+            canon.push((rank, sig, mapping));
         }
         let subs = canon
             .into_iter()
-            .map(|(rank, node, sig, mapping)| LeafSub {
+            .map(|(rank, sig, mapping)| LeafSub {
                 rank,
-                node,
-                sig: self.intern(sig, id, node),
+                sig: self.intern(sig),
                 mapping,
             })
             .collect();
@@ -186,13 +181,8 @@ impl SharedLeafIndex {
             let entry = self.entries[sub.sig]
                 .as_mut()
                 .expect("subscription references a live entry");
-            let at = entry
-                .subs
-                .iter()
-                .position(|&(q, n)| q == id && n == sub.node)
-                .expect("subscription is listed on its entry");
-            entry.subs.remove(at);
-            if entry.subs.is_empty() {
+            entry.subscribers -= 1;
+            if entry.subscribers == 0 {
                 let entry = self.entries[sub.sig].take().expect("checked above");
                 self.by_sig.remove(&entry.signature);
                 self.free.push(sub.sig);
@@ -214,17 +204,15 @@ impl SharedLeafIndex {
             distinct_leaves: self.by_sig.len(),
             total_subscriptions: self.subs.values().map(Vec::len).sum(),
             shared_queries: self.subs.len(),
-            searches_run: self.searches_run,
-            searches_shared: self.searches_shared,
-            searches_delegated: self.searches_delegated,
+            ..self.counts
         }
     }
 
     /// Interns a signature, materializing the canonical query on first use.
-    fn intern(&mut self, sig: LeafSignature, id: QueryId, node: NodeId) -> usize {
+    fn intern(&mut self, sig: LeafSignature) -> usize {
         if let Some(&idx) = self.by_sig.get(&sig) {
             let entry = self.entries[idx].as_mut().expect("interned entry is live");
-            entry.subs.push((id, node));
+            entry.subscribers += 1;
             return idx;
         }
         let (query, subgraph) = sig.instantiate("shared-leaf");
@@ -233,7 +221,7 @@ impl SharedLeafIndex {
             layout: RowLayout::of(&query),
             query,
             subgraph,
-            subs: vec![(id, node)],
+            subscribers: 1,
         };
         let idx = match self.free.pop() {
             Some(slot) => {
@@ -250,12 +238,17 @@ impl SharedLeafIndex {
     }
 }
 
-/// The shard's [`LeafSource`] for one candidate engine on one edge: leaf
-/// shapes with several subscribers come from the per-edge search memo, a
+/// Where one candidate engine's leaf loop
+/// ([`ContinuousQueryEngine::process_edge_into`]) pulls, on one edge, the
+/// rows it need not compute itself — only for leaves that passed the loop's
+/// type filter, Lazy Search gate and type-signature refusal. Leaf shapes
+/// with several subscribers come from the per-edge search memo, a
 /// partial-depth shared-join subscriber's prefix-root rows from its prefix
-/// table; everything else the engine searches itself. Either way a served
-/// row is written once, by slot permutation from the shared stage's
-/// canonical row straight into the engine's arena.
+/// table; everything else the engine searches itself
+/// ([`Served::Declined`]), as an engine run on its own does for every leaf.
+/// A served row is written once, by slot permutation from the shared
+/// stage's canonical row straight into the engine's arena, in the engine's
+/// own numbering.
 ///
 /// The stage spans are charged from in here: a served leaf takes two laps of
 /// the shard's clock (what ran since the last boundary is the engine's;
@@ -274,30 +267,47 @@ pub(crate) struct SharedSource<'a, 'm> {
     pub clock: &'a mut StageClock<'m>,
 }
 
-impl LeafSource for SharedSource<'_, '_> {
-    fn timed(&self) -> bool {
+impl SharedSource<'_, '_> {
+    /// Whether the engine times its searches and inserts into
+    /// [`ProfileCounters::iso_time`](crate::ProfileCounters::iso_time) /
+    /// [`ProfileCounters::update_time`](crate::ProfileCounters::update_time)
+    /// for this edge: asked once per edge. Answers whether metrics are
+    /// attached, so an un-metered pipeline reads no clock.
+    pub(crate) fn timed(&self) -> bool {
         self.clock.is_on()
     }
 
-    fn prefix_depth(&self) -> usize {
+    /// Number of leading leaves (selectivity ranks `0..depth`) a shared
+    /// prefix table evaluates on the engine's behalf — searches, inserts and
+    /// internal joins: `0` for none, else `2 <= depth < leaves`. The engine
+    /// skips those leaves and pulls [`SharedSource::prefix_rows`] instead.
+    pub(crate) fn prefix_depth(&self) -> usize {
         self.prefix.as_ref().map_or(0, PrefixRows::depth)
     }
 
-    fn prefix_rows(&mut self, store: &mut MatchStore, queue: impl FnMut(RowId)) -> bool {
+    /// Writes the prefix-root matches this edge created (those the engine's
+    /// window and subscription boundary admit; the suffix slots stay
+    /// unbound) into `store` and queues them. Returns whether the table has
+    /// other live subscribers, i.e. the prefix work was genuinely
+    /// deduplicated. Only called when [`SharedSource::prefix_depth`] is
+    /// non-zero.
+    pub(crate) fn prefix_rows(&mut self, store: &mut MatchStore, queue: impl FnMut(RowId)) -> bool {
         let prefix = self.prefix.as_mut().expect("only pulled with a prefix");
         let shared = prefix.encode_into(store, queue);
         self.clock.charge(|m| &m.shared_join_ns);
         shared
     }
 
-    /// The first consumer of a signature this edge triggers the actual
-    /// anchored search (and is charged its wall time, measured only when
-    /// metrics are attached); every further
-    /// consumer is served from the memo and counted as an eliminated search.
-    /// A shape with a single subscriber is delegated back — nothing to
-    /// share, so the engine searches its own numbering, paying neither the
-    /// canonical search nor the permutation.
-    fn leaf_rows(
+    /// Serves the leaf of selectivity rank `rank`, which the edge's type,
+    /// the Lazy Search gate and the endpoints' type signatures all let
+    /// through. The first consumer of a signature this edge triggers the
+    /// actual anchored search (and is charged its wall time, measured only
+    /// when metrics are attached); every further consumer is served from the
+    /// memo and counted as an eliminated search. A shape with a single
+    /// subscriber is delegated back — nothing to share, so the engine
+    /// searches its own numbering, paying neither the canonical search nor
+    /// the permutation.
+    pub(crate) fn leaf_rows(
         &mut self,
         rank: usize,
         graph: &DynamicGraph,
@@ -311,9 +321,7 @@ impl LeafSource for SharedSource<'_, '_> {
             memo,
             rows,
             scratch,
-            searches_run,
-            searches_shared,
-            searches_delegated,
+            counts,
             ..
         } = &mut *self.leaves;
         // Subscriptions are in rank order from the first leaf past any
@@ -328,14 +336,14 @@ impl LeafSource for SharedSource<'_, '_> {
         let entry = entries[sub.sig]
             .as_ref()
             .expect("subscription references a live entry");
-        if entry.subs.len() == 1 {
-            *searches_delegated += 1;
+        if entry.subscribers == 1 {
+            counts.searches_delegated += 1;
             return Served::Declined;
         }
         self.clock.charge(|m| &m.private_engine_ns);
         let (found, served) = match memo.entry(sub.sig) {
             Entry::Occupied(hit) => {
-                *searches_shared += 1;
+                counts.searches_shared += 1;
                 (hit.get().clone(), Served::Shared)
             }
             Entry::Vacant(miss) => {
@@ -350,7 +358,7 @@ impl LeafSource for SharedSource<'_, '_> {
                     |m| layout.write(m, layout.push_unbound(rows)),
                 );
                 let elapsed = t0.map_or(Duration::ZERO, |t| t.elapsed());
-                *searches_run += 1;
+                counts.searches_run += 1;
                 (
                     miss.insert(start..rows.len()).clone(),
                     Served::Searched(elapsed),
@@ -440,29 +448,34 @@ mod tests {
         assert_eq!(index.stats().shared_queries, 0);
     }
 
-    /// The subscribers of a canonical leaf shape, as `(query, leaf node)`
-    /// pairs in subscription order.
-    fn subscribers<'a>(index: &'a SharedLeafIndex, sig: &LeafSignature) -> &'a [(QueryId, NodeId)] {
+    /// The subscriber count of a canonical leaf shape (0 once it is
+    /// dropped).
+    fn subscribers(index: &SharedLeafIndex, sig: &LeafSignature) -> usize {
         index
             .by_sig
             .get(sig)
             .and_then(|&idx| index.entries[idx].as_ref())
-            .map(|entry| entry.subs.as_slice())
-            .unwrap_or(&[])
+            .map_or(0, |entry| entry.subscribers)
     }
 
     #[test]
-    fn subscribers_lists_query_and_node() {
+    fn a_shape_counts_its_subscribers_and_drops_with_the_last() {
         let mut index = SharedLeafIndex::new();
-        let e0 = engine_for(&[4]);
-        let e1 = engine_for(&[4]);
-        index.subscribe(QueryId(7), &e0, 0);
-        index.subscribe(QueryId(9), &e1, 0);
-        let tree = e0.tree().unwrap();
+        // A two-leaf query with the same shape twice, and a one-leaf query
+        // of that shape: three subscriptions on one entry.
+        let twice = engine_for(&[4, 4]);
+        index.subscribe(QueryId(7), &twice, 0);
+        index.subscribe(QueryId(9), &engine_for(&[4]), 0);
+        let tree = twice.tree().unwrap();
         let (sig, _) = canonicalize_subgraph(tree.query(), tree.subgraph(tree.leaf(0))).unwrap();
-        let subs = subscribers(&index, &sig);
-        assert_eq!(subs.len(), 2);
-        assert_eq!(subs[0].0, QueryId(7));
-        assert_eq!(subs[1].0, QueryId(9));
+        assert_eq!(subscribers(&index, &sig), 3);
+        assert_eq!(index.stats().distinct_leaves, 1);
+
+        index.unsubscribe(QueryId(7));
+        assert_eq!(subscribers(&index, &sig), 1);
+        index.unsubscribe(QueryId(9));
+        assert_eq!(subscribers(&index, &sig), 0);
+        assert_eq!(index.stats().distinct_leaves, 0);
+        assert!(index.entries.iter().all(Option::is_none));
     }
 }

@@ -73,8 +73,7 @@ impl Gauge {
     }
 }
 
-/// A shared handle to a log-bucketed histogram (see
-/// [`LogHistogram`](crate::LogHistogram)).
+/// A shared handle to a log-bucketed histogram (see [`LogHistogram`]).
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<LogHistogram>);
 

@@ -1,6 +1,6 @@
 //! Canonical forms for small query subgraphs (SJ-Tree leaves).
 //!
-//! With a registry of many concurrent queries, distinct queries routinely
+//! With many concurrent queries on one shard, distinct queries routinely
 //! decompose into *structurally identical* leaf subpatterns — the same typed
 //! edge, the same wedge — that differ only in how the owning query numbers
 //! its vertices and edges. [`LeafSignature`] is a canonical form under which

@@ -1,5 +1,5 @@
 //! Canonical forms for SJ-Tree *prefixes* — the shared-join analogue of the
-//! per-leaf [`LeafSignature`](crate::LeafSignature).
+//! per-leaf [`LeafSignature`].
 //!
 //! A left-deep SJ-Tree over leaves `l0..lk-1` contains, for every depth
 //! `d ≥ 2`, an internal node covering leaves `0..d-1` — the *prefix* of the
@@ -7,7 +7,7 @@
 //! identical leaf sequences, glued together the same way, perform identical
 //! leaf searches **and identical join work** for that prefix on every
 //! streaming edge. [`PrefixSignature`] is a canonical form under which such
-//! prefixes compare (and hash) equal, so a registry can maintain **one**
+//! prefixes compare (and hash) equal, so a shard can maintain **one**
 //! refcounted partial-match table per distinct prefix and fan the join
 //! results out to every subscriber.
 //!

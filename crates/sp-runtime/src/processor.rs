@@ -1,6 +1,6 @@
 //! The parallel front end: one [`ControlPlane`] — the same one the sequential
-//! [`StreamProcessor`] drives — plus shard placement, in front of N worker
-//! threads that each run one [`Shard`](streampattern::Shard).
+//! [`StreamProcessor`](streampattern::StreamProcessor) drives — plus shard
+//! placement, in front of N worker threads that each run one [`Shard`].
 
 use crate::config::RuntimeConfig;
 use crate::worker::{worker_loop, FromWorker, RowBatch, WorkerMsg, WorkerOutput, WorkerReport};
@@ -114,7 +114,7 @@ struct ShardAssignment {
 ///   statistics, batches events and broadcasts each batch over a bounded
 ///   channel per worker, blocking when a worker falls behind
 ///   (backpressure);
-/// * each worker owns one [`Shard`](streampattern::Shard) — a full windowed
+/// * each worker owns one [`Shard`] — a full windowed
 ///   graph replica plus its slice of the engines — whose edge-type dispatch
 ///   index skips engines exactly as the sequential processor's would;
 /// * complete matches flow back through one bounded MPSC aggregation
@@ -330,7 +330,7 @@ impl ParallelStreamProcessor {
     /// the engine and the (possibly widened) retention window.
     fn place(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
         // Cost floor keeps a shard from absorbing unbounded many "free"
-        // queries: even a never-dispatched query costs registry space.
+        // queries: even a never-dispatched query costs shard space.
         let cost = self
             .control
             .estimator()

@@ -191,7 +191,6 @@ pub(crate) fn worker_loop(
 ) {
     let mut shard = Shard::new(schema);
     shard.set_purge_interval(config.purge_interval);
-    let mut emitted: u64 = 0;
     // The shard's sink, refilled per input batch.
     let mut out = RowBatch::default();
     // Telemetry handles, attached via `WorkerMsg::Metrics`; `None` keeps the
@@ -211,7 +210,7 @@ pub(crate) fn worker_loop(
                 // every event of the batch. Statistics are the facade's
                 // business: nothing observes the edges here.
                 for ev in events.iter() {
-                    emitted += shard.process_into(ev, &mut out, |_| {});
+                    shard.process_into(ev, &mut out, |_| {});
                 }
                 if !out.bursts.is_empty() {
                     // A full aggregation channel blocks here, which in turn
@@ -252,7 +251,7 @@ pub(crate) fn worker_loop(
                         .collect(),
                     edges_ingested: shard.graph().total_edges_seen(),
                     vertex_type_conflicts: shard.profile().vertex_type_conflicts,
-                    matches_found: emitted,
+                    matches_found: shard.total_matches(),
                     graph_edges_live: shard.graph().num_edges(),
                     stored_matches: shard.stored_matches(),
                 });

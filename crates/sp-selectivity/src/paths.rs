@@ -13,6 +13,21 @@ use sp_graph::{Direction, DynamicGraph, EdgeData, EdgeType, FastMap, VertexId};
 use sp_query::{DirectedEdgeType, TwoEdgePathSignature};
 use std::collections::HashMap;
 
+/// Adds `n` wedges of signature `sig` to `counts` and `total`; zero counts
+/// leave no entry.
+fn add(
+    counts: &mut HashMap<TwoEdgePathSignature, u64>,
+    total: &mut u64,
+    sig: TwoEdgePathSignature,
+    n: u64,
+) {
+    if n == 0 {
+        return;
+    }
+    *counts.entry(sig).or_insert(0) += n;
+    *total += n;
+}
+
 /// Counts of 2-edge paths per wedge signature.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TwoEdgePathCounter {
@@ -40,6 +55,11 @@ impl TwoEdgePathCounter {
     /// for *new* edges continues the exact census.
     pub fn from_graph(graph: &DynamicGraph) -> Self {
         let mut counter = Self::new();
+        let Self {
+            counts,
+            total,
+            per_vertex,
+        } = &mut counter;
         for (v, _) in graph.vertices() {
             // Cv: count of each directed edge type incident to v.
             let mut cv: FastMap<DirectedEdgeType, u64> = FastMap::default();
@@ -53,14 +73,14 @@ impl TwoEdgePathCounter {
             for (i, &(t1, n1)) in types.iter().enumerate() {
                 // Same-type pairs: C(n1, 2).
                 let same = n1 * n1.saturating_sub(1) / 2;
-                counter.add(TwoEdgePathSignature::new(t1, t1), same);
+                add(counts, total, TwoEdgePathSignature::new(t1, t1), same);
                 // Cross-type pairs with lexically greater types: n1 * n2.
                 for &(t2, n2) in &types[i + 1..] {
-                    counter.add(TwoEdgePathSignature::new(t1, t2), n1 * n2);
+                    add(counts, total, TwoEdgePathSignature::new(t1, t2), n1 * n2);
                 }
             }
             if !cv.is_empty() {
-                counter.per_vertex.insert(v, cv);
+                per_vertex.insert(v, cv);
             }
         }
         counter
@@ -69,40 +89,26 @@ impl TwoEdgePathCounter {
     /// Incremental update: call *after* the edge has been inserted into the
     /// graph (or independently of any graph). The new edge forms one new
     /// wedge with every edge already incident to each of its endpoints.
+    /// Allocation-free once the endpoints and signatures have been seen.
     pub fn observe_edge(&mut self, edge: &EdgeData) {
-        let endpoints: &[(VertexId, Direction)] = &[
+        let Self {
+            counts,
+            total,
+            per_vertex,
+        } = self;
+        for (v, dir) in [
             (edge.src, Direction::Outgoing),
             (edge.dst, Direction::Incoming),
-        ];
-        for &(v, dir) in endpoints {
+        ] {
             let new_type = DirectedEdgeType::new(edge.edge_type, dir);
+            let incident = per_vertex.entry(v).or_default();
             // New wedges centered at v: pair the new edge with every existing
             // incident edge.
-            let additions: Vec<(TwoEdgePathSignature, u64)> = self
-                .per_vertex
-                .entry(v)
-                .or_default()
-                .iter()
-                .map(|(&t, &n)| (TwoEdgePathSignature::new(new_type, t), n))
-                .collect();
-            for (sig, n) in additions {
-                self.add(sig, n);
+            for (&t, &n) in incident.iter() {
+                add(counts, total, TwoEdgePathSignature::new(new_type, t), n);
             }
-            *self
-                .per_vertex
-                .entry(v)
-                .or_default()
-                .entry(new_type)
-                .or_insert(0) += 1;
+            *incident.entry(new_type).or_insert(0) += 1;
         }
-    }
-
-    fn add(&mut self, sig: TwoEdgePathSignature, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.counts.entry(sig).or_insert(0) += n;
-        self.total += n;
     }
 
     /// Halves every wedge count (integer division), dropping signatures that

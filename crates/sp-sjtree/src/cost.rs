@@ -39,7 +39,7 @@ pub struct CostModel {
     /// Per-internal-node hash-join work, bottom-up: `join_work[j]` is the
     /// expected per-edge probe+insert work of the node joining leaves
     /// `0..=j+1`. This is the share the shared **join** stage eliminates
-    /// when the registry already maintains the query's depth-`d` prefix
+    /// when the shard already maintains the query's depth-`d` prefix
     /// table (`join_work[..d-1]`), on top of the prefix's leaf searches.
     pub join_work: Vec<f64>,
     /// Estimated frequency (expected number of matches over the sampled

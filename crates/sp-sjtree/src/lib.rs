@@ -10,7 +10,7 @@
 //!    query (Properties 1–2). [`SjTree`] is that static structure, built
 //!    either directly from an ordered list of leaf subgraphs
 //!    ([`SjTree::from_leaves`]) or by the greedy selectivity-driven
-//!    decomposition of Algorithm 4 ([`decompose`]).
+//!    decomposition of Algorithm 4 ([`decompose()`]).
 //! 2. **Partial-match tracking** — every node owns a hash table of matches of
 //!    its subgraph, keyed by the projection of the match onto the parent's
 //!    *cut subgraph* (Properties 3–4), so that combining partial matches is a

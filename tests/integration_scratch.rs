@@ -1,10 +1,10 @@
 //! The always-warm per-edge hot path: equivalence and allocation ceilings.
 //!
-//! The pipeline threads a warm [`sp_iso::SearchScratch`], registry-owned
+//! The pipeline threads a warm [`sp_iso::SearchScratch`], shard-owned
 //! search caches and row buffers, recycled match-store buckets and arena
 //! rows through every edge. None of that may be visible: the reported
 //! `(query, match)` multiset must equal what each rule's engine run alone
-//! on its own graph (no registry, no shared stage, nothing warm between
+//! on its own graph (no shard, no shared stage, nothing warm between
 //! rules) and the parallel runtime report, for every strategy and worker count. The
 //! feature-gated tests at the bottom pin the point of the exercise as
 //! absolute ceilings: the steady-state per-edge path stops allocating.
@@ -214,6 +214,10 @@ mod alloc_regression {
     const WARM_PACK_ALLOCS_PER_EDGE_CEILING: f64 = 0.79;
     const SOC_PACK_ALLOCS_PER_EDGE_CEILING: f64 = 3.87;
     const SOC_PACK_ALLOCS_PER_STORED_CEILING: f64 = 0.57;
+    // 1.5 × the 0.0106 allocs/edge `SelectivityEstimator::observe_edge`
+    // measured on its warm netflow stream (2.011 while the wedge census
+    // collected each endpoint's new wedges into a `Vec`).
+    const OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING: f64 = 0.016;
 
     fn cyber_schema() -> Schema {
         let mut schema = Schema::new();
@@ -464,7 +468,7 @@ mod alloc_regression {
 
     /// The same storm with one subscriber, so nothing is shared and the
     /// root join runs in the query's own engine: it is reported as the
-    /// union of its two operand rows into the registry's flat buffer and
+    /// union of its two operand rows into the shard's flat buffer and
     /// built into a `SubgraphMatch` on the way into `on_match` — no
     /// per-match buffer, clone or allocation between the join and the sink.
     #[test]
@@ -808,6 +812,44 @@ mod alloc_regression {
             allocs_per_stored <= SOC_PACK_ALLOCS_PER_STORED_CEILING,
             "SOC pack allocs/stored match regressed: {allocs_per_stored:.4} \
              (ceiling {SOC_PACK_ALLOCS_PER_STORED_CEILING})"
+        );
+    }
+
+    /// The statistics write path the default `StreamProcessor` runs per
+    /// edge: once a stream's hosts and wedge signatures have been seen,
+    /// `SelectivityEstimator::observe_edge` updates the histogram and the
+    /// wedge census in place, with no per-edge buffer.
+    #[test]
+    fn statistics_observe_edge_stays_under_the_ceiling() {
+        let _serial = serial();
+        let dataset = NetflowConfig {
+            num_hosts: 300,
+            num_edges: 20_000,
+            ..NetflowConfig::tiny()
+        }
+        .generate();
+        let mut graph = sp_graph::DynamicGraph::new(dataset.schema.clone());
+        let edges: Vec<sp_graph::EdgeData> = dataset
+            .events()
+            .iter()
+            .map(|ev| graph.ingest(ev).0)
+            .collect();
+        let warm = edges.len() / 2;
+        let mut estimator = streampattern::SelectivityEstimator::new();
+        for edge in &edges[..warm] {
+            estimator.observe_edge(edge);
+        }
+        let (a0, _) = sp_metrics::alloc_counts();
+        for edge in &edges[warm..] {
+            estimator.observe_edge(edge);
+        }
+        let (a1, _) = sp_metrics::alloc_counts();
+        let allocs_per_edge = (a1 - a0) as f64 / (edges.len() - warm) as f64;
+        println!("statistics observe_edge: {allocs_per_edge:.4} allocs/edge");
+        assert!(
+            allocs_per_edge <= OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING,
+            "observe_edge allocs/edge regressed: {allocs_per_edge:.4} \
+             (ceiling {OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING})"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! The contract is that sharing the join stage is *semantics-preserving*:
 //! for any strategy, window mix and worker count, the reported
 //! `(query, match)` multiset is identical to that of each query's engine
-//! run alone on its own graph, with no registry and so no shared stage
+//! run alone on its own graph, with no shard and so no shared stage
 //! (`sp_bench::runner::run_alone`). The lifecycle tests cover the refcounted
 //! tables: the last unsubscriber (deregistration or a drift-driven
 //! re-subscription) drops the shared prefix table, a late subscriber to an
@@ -525,6 +525,49 @@ fn drift_driven_resubscription_moves_prefix_refcounts() {
     let for_q2 = matches.iter().filter(|(q, _)| *q == q2).count();
     assert_eq!(for_q1, 1, "q1 lost its live partial across the swap");
     assert_eq!(for_q2, 1, "q2 lost its live partial across the swap");
+}
+
+#[test]
+fn late_subscriber_keeps_its_boundary_across_redecompose() {
+    let schema = cyber_schema();
+    let ip = schema.vertex_type("ip").unwrap();
+    let tcp = schema.edge_type("tcp").unwrap();
+    let esp = schema.edge_type("esp").unwrap();
+    let tcp_edge = |i: u64| EdgeEvent::homogeneous(2 * i, 2 * i + 1, ip, tcp, Timestamp(i));
+
+    // Statistics off: every twin decomposes into the same chain.
+    let mut proc = StreamProcessor::new(schema.clone()).with_statistics(false);
+    let early = proc
+        .register(two_hop(&schema, "early"), Strategy::Single, None)
+        .unwrap();
+    for i in 0..2 {
+        proc.process(&tcp_edge(i));
+    }
+    // Twins registered after two edges: entitled to matches anchored at
+    // the third tcp edge on, not the first two.
+    let late = proc
+        .register(two_hop(&schema, "late"), Strategy::Single, None)
+        .unwrap();
+    let twin = proc
+        .register(two_hop(&schema, "twin"), Strategy::Single, None)
+        .unwrap();
+    proc.process(&tcp_edge(2));
+
+    // Re-decomposing onto its own plan re-subscribes `late` with the
+    // boundary it registered with, not the current stream position.
+    let tree = proc.engine_for(late).unwrap().tree().unwrap().clone();
+    proc.redecompose(late, Strategy::Single, tree).unwrap();
+
+    let mut count = std::collections::HashMap::<QueryId, usize>::new();
+    for i in 0..3 {
+        let esp_edge = EdgeEvent::homogeneous(2 * i + 1, 100 + i, ip, esp, Timestamp(10 + i));
+        for (q, _) in proc.process(&esp_edge) {
+            *count.entry(q).or_default() += 1;
+        }
+    }
+    assert_eq!(count.get(&early), Some(&3));
+    assert_eq!(count.get(&late), Some(&1), "late lost or gained history");
+    assert_eq!(count.get(&twin), Some(&1));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! The contract is that sharing is *semantics-preserving*: for any
 //! strategy, window mix and worker count, the reported `(query, match)`
 //! multiset is identical to that of the pre-sharing architecture: each
-//! pattern's engine run alone on its own graph, with no registry and so no
+//! pattern's engine run alone on its own graph, with no shard and so no
 //! shared stage (`sp_bench::runner::run_alone`). The lifecycle tests
 //! cover mid-stream subscription churn: a late subscriber to an existing
 //! leaf shape must not see pre-registration matches, and the last
@@ -162,7 +162,7 @@ fn sharing_matches_parallel_runtime_across_worker_counts() {
     });
     assert!(seq.shared_leaf_stats().searches_shared > 0);
 
-    // Each worker's registry shares leaves among the queries on its shard;
+    // Each worker's shard shares leaves among the queries it runs;
     // the multiset must match the sequential run for every worker count.
     for workers in [1usize, 2, 4] {
         let mut runtime = ParallelStreamProcessor::new(
