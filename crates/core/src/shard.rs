@@ -14,7 +14,7 @@ use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
 use crate::metrics::{PipelineMetrics, StageClock};
 use crate::profile::ProfileCounters;
-use crate::sharedjoin::{JoinDelivery, JoinSubscription, SharedJoinIndex};
+use crate::sharedjoin::{JoinDelivery, SharedJoinIndex};
 use crate::sharing::{SharedLeafIndex, SharedLeafStats, SharedSource};
 use crate::sink::RowSink;
 use crate::strategy::Strategy;
@@ -124,37 +124,15 @@ impl Shard {
         self.subscribe_join(id);
     }
 
-    /// Runs the shared-join subscription policy for one query (newly
-    /// registered or freshly re-decomposed), subscribing its leaf-stage
-    /// shapes past the prefix the policy gave it (all of them when it stays
-    /// private) and migrating any partners the policy pulled in. Each
-    /// subscriber's engine carries its registration boundary; the graph
-    /// backs the tables of subscribers entitled to retained history.
+    /// Runs the shared-join placement for one query (newly registered or
+    /// freshly re-decomposed) and applies every placement it made — the
+    /// query's own and those of the partners it pulled in: each placed
+    /// engine drops its now-shared prefix stages and subscribes its leaf
+    /// shapes past the prefix (all of them when it stays private).
     fn subscribe_join(&mut self, id: QueryId) {
-        let Some(engine) = self.engines.get(&id) else {
-            return;
-        };
         let now = self.graph.total_edges_seen();
-        let outcome = self
-            .join
-            .subscribe(id, engine, engine.boundary, now, &self.graph);
-        let JoinSubscription::Shared { depth, migrations } = outcome else {
-            self.adopt_join_subscription(id, 0);
-            return;
-        };
-        self.adopt_join_subscription(id, depth);
-        for partner in migrations {
-            let Some(partner_engine) = self.engines.get(&partner) else {
-                continue;
-            };
-            if let Some(partner_depth) = self.join.attach_partner(
-                partner,
-                partner_engine,
-                partner_engine.boundary,
-                &self.graph,
-            ) {
-                self.adopt_join_subscription(partner, partner_depth);
-            }
+        for (q, depth) in self.join.subscribe(id, &self.engines, now, &self.graph) {
+            self.adopt_join_subscription(q, depth);
         }
     }
 

@@ -65,12 +65,14 @@
 //! partials exists in exactly one place. Subscribers hang off the node
 //! covering their deepest shared prefix, refcounts are per node, and a node
 //! outlived by its children (its own last subscriber left) stays alive
-//! until the whole subtree is unsubscribed. When a later registration
-//! materializes a prefix *between* an existing node and its parent (or
-//! above a current trie root), the trie edge is **split**: the extension
-//! re-points onto the new node (its consume stage is already populated —
-//! no replay needed on its side) and the new node is back-filled by
-//! retained-window replay before it feeds anyone.
+//! until the whole subtree is unsubscribed. The trie grows **downward
+//! only**: a new node links under the deepest materialized strict prefix
+//! of its signature, and an existing deeper node is never re-parented. When
+//! a later registration materializes a prefix of an existing node (a
+//! shallow pair arriving after a deep one), both stay trie roots: the deep
+//! node keeps computing its own leading stages, so every table stays
+//! complete and exact, and only the deduplication of those stages is lost,
+//! in that registration order.
 //!
 //! # Windows move to emit time
 //!
@@ -129,7 +131,7 @@ use crate::engine::{retained_edges, ContinuousQueryEngine};
 use crate::sink::RowSink;
 use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch, SubgraphMatch};
-use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryVertexId};
+use sp_query::{prefix_chain, CanonicalMapping, PrefixSignature, QueryEdgeId, QueryVertexId};
 use sp_sjtree::{MatchStore, RowId, RowLayout, SjTree};
 use std::collections::{BTreeMap, HashMap};
 
@@ -141,11 +143,12 @@ pub(crate) const MIN_PREFIX_DEPTH: usize = 2;
 /// The canonical chain of one SJ-Tree, as the shared join stage sees it,
 /// together with the full-chain union→owner mapping: `None` for trees with
 /// nothing to join (fewer than [`MIN_PREFIX_DEPTH`] leaves) or whose leaves
-/// defeat canonicalization (oversized hand-built leaves). The mapping is
-/// computed once per subscription and *sliced* per attachment depth
-/// (prefix-closure: the depth-`d` prefix's union ids are exactly the first
-/// ids of the full chain), so attaching never re-canonicalizes.
-fn chain_and_mapping(tree: &SjTree) -> Option<(PrefixSignature, sp_query::CanonicalMapping)> {
+/// defeat canonicalization (oversized hand-built leaves). Both are computed
+/// once per (re)registration and kept in [`SharedJoinIndex`]'s `chains`;
+/// the mapping is *sliced* per attachment depth (prefix-closure: the
+/// depth-`d` prefix's union ids are exactly the first ids of the full
+/// chain), so attaching never re-canonicalizes.
+fn chain_and_mapping(tree: &SjTree) -> Option<(PrefixSignature, CanonicalMapping)> {
     if tree.num_leaves() < MIN_PREFIX_DEPTH {
         return None;
     }
@@ -266,7 +269,8 @@ struct PrefixEntry {
     pending: Vec<u64>,
     /// Edge the `pending` buffer belongs to.
     advanced_for: Option<EdgeId>,
-    /// Trie parent: the deepest materialized strict prefix of `sig`.
+    /// Trie parent: the deepest strict prefix of `sig` that was
+    /// materialized when this node was created (the trie never re-parents).
     /// `None` for trie roots.
     parent: Option<usize>,
     /// `self.entries[parent].depth()`, or `0` without a parent. Leaf ranks
@@ -282,7 +286,7 @@ struct PrefixEntry {
 }
 
 impl PrefixEntry {
-    fn new(sig: PrefixSignature, window: Option<u64>, populated_since: u64) -> Self {
+    fn new(sig: PrefixSignature, populated_since: u64) -> Self {
         let (query, leaves) = sig.instantiate("shared-prefix");
         let leaf_edges: Vec<Vec<QueryEdgeId>> =
             leaves.iter().map(|leaf| leaf.edges().collect()).collect();
@@ -295,7 +299,7 @@ impl PrefixEntry {
             store,
             layout,
             leaf_edges,
-            window,
+            window: None,
             subs: Vec::new(),
             populated_since,
             pending: Vec::new(),
@@ -471,8 +475,7 @@ pub struct SharedJoinStats {
     /// Emissions delivered after window/boundary filtering, summed over
     /// subscribers.
     pub deliveries: u64,
-    /// Table back-fills (late-partner migrations, re-subscriptions and
-    /// trie-edge splits).
+    /// Table back-fills (late-partner migrations and re-subscriptions).
     pub replays: u64,
     /// Deepest live trie node (0 with no tables).
     pub max_depth: usize,
@@ -514,26 +517,6 @@ pub struct TrieNodeInfo {
     /// trie parent keeps its parent-covered slots empty: those partials
     /// live in exactly one place, the child's consume slot.
     pub live_by_node: Vec<usize>,
-}
-
-/// Outcome of [`SharedJoinIndex::subscribe`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum JoinSubscription {
-    /// The query stays on its private join path (no shareable chain, or no
-    /// partner yet); its chain is recorded for future partner matching.
-    Private,
-    /// Subscribed to a (new or existing) table covering `depth` leading
-    /// leaves. `migrations` lists previously private queries the caller
-    /// must now attach to the same table
-    /// ([`SharedJoinIndex::attach_partner`]) — creating a table is only
-    /// worthwhile with at least two users, so the registrant's arrival
-    /// pulls its partners in.
-    Shared {
-        /// Number of leading leaves the table covers.
-        depth: usize,
-        /// Previously private queries with the same chain prefix.
-        migrations: Vec<QueryId>,
-    },
 }
 
 /// The current edge's emissions of the prefix table a **partial-depth**
@@ -610,9 +593,10 @@ pub struct SharedJoinIndex {
     by_type: FastMap<EdgeType, Vec<usize>>,
     /// Query → entry index, for subscribed queries.
     subs: BTreeMap<QueryId, usize>,
-    /// Full canonical chains of every join-capable registered query
-    /// (subscribed or not), for partner matching.
-    chains: BTreeMap<QueryId, PrefixSignature>,
+    /// Full canonical chain of every join-capable registered query
+    /// (subscribed or not), for partner matching, with its union→owner
+    /// mapping for attaching.
+    chains: BTreeMap<QueryId, (PrefixSignature, CanonicalMapping)>,
     /// The cumulative counters; [`SharedJoinIndex::stats`] fills in the
     /// rest.
     counts: SharedJoinStats,
@@ -689,44 +673,45 @@ impl SharedJoinIndex {
             .collect()
     }
 
-    /// Registers a query with the shared join stage. `boundary` is the
-    /// query's subscription boundary (its registration stream position for
-    /// fresh queries, the *original* registration position for
-    /// re-subscriptions after a rebuild); `now` is the current stream
-    /// position; `graph` is the retained data graph, needed when an
-    /// existing table must be back-filled for an early boundary.
+    /// Places a registered query on the shared join stage, together with
+    /// the partners its arrival pulls in, and returns every placement made:
+    /// the registrant first (depth `0` when it stays private), then each
+    /// mover on the deepest table of its chain. `engines` is the shard's
+    /// engine map, which holds `id` and every partner; each engine carries
+    /// its window, row layout and registration boundary. `now` is the
+    /// current stream position; `graph` is the retained data graph, needed
+    /// when a table must be back-filled for an early boundary.
     ///
     /// Policy (greedy, deterministic): the target depth is the deeper of
     /// the deepest materialized node on the chain's path and the deepest
     /// prefix shared with any other registered chain not already covered
     /// that deep for its owner; the node at that depth is attached to or
-    /// created (linking it into the trie, splitting an existing trie edge
-    /// and back-filling by replay when needed), and every query whose chain
-    /// runs through the node but is covered more shallowly — private *or*
-    /// subscribed — is reported for migration.
+    /// created (linked under its deepest materialized strict prefix), and
+    /// every query whose chain runs through the node but is covered more
+    /// shallowly — private *or* subscribed — moves: creating a table is only
+    /// worthwhile with at least two users. A subscribed mover is detached
+    /// from its shallower node first.
     pub(crate) fn subscribe(
         &mut self,
         id: QueryId,
-        engine: &ContinuousQueryEngine,
-        boundary: u64,
+        engines: &BTreeMap<QueryId, ContinuousQueryEngine>,
         now: u64,
         graph: &DynamicGraph,
-    ) -> JoinSubscription {
+    ) -> Vec<(QueryId, usize)> {
+        let engine = &engines[&id];
         // `None` for the VF2 baseline and trees `chain_and_mapping` rejects.
-        let Some((chain, mapping)) = engine.tree().and_then(chain_and_mapping) else {
-            return JoinSubscription::Private;
+        let Some(canonical) = engine.tree().and_then(chain_and_mapping) else {
+            return vec![(id, 0)];
         };
-        self.chains.insert(id, chain.clone());
+        self.chains.insert(id, canonical);
+        let chain = &self.chains[&id].0;
         // Deepest materialized node on the chain's path.
-        let existing_depth = (MIN_PREFIX_DEPTH..=chain.depth())
-            .rev()
-            .find(|&d| self.by_sig.contains_key(&chain.truncated(d)))
-            .unwrap_or(0);
+        let existing_depth = self.deepest_node(chain).unwrap_or(0);
         // Deepest prefix shared with another registered chain whose owner
         // is not already covered that deep — subscribed-but-shallower
         // partners count (they re-point onto the deeper node).
         let mut partner_depth = 0usize;
-        for (&other, other_chain) in &self.chains {
+        for (&other, (other_chain, _)) in &self.chains {
             if other == id {
                 continue;
             }
@@ -737,13 +722,13 @@ impl SharedJoinIndex {
         }
         let target = existing_depth.max(partner_depth);
         if target < MIN_PREFIX_DEPTH {
-            return JoinSubscription::Private;
+            return vec![(id, 0)];
         }
         let sig = chain.truncated(target);
-        let migrations: Vec<QueryId> = self
+        let movers: Vec<QueryId> = self
             .chains
             .iter()
-            .filter(|&(&other, oc)| {
+            .filter(|&(&other, (oc, _))| {
                 other != id
                     && oc.common_depth(&sig) == target
                     && self.subscription_depth(other).unwrap_or(0) < target
@@ -752,60 +737,43 @@ impl SharedJoinIndex {
             .collect();
         let idx = match self.by_sig.get(&sig) {
             Some(&idx) => idx,
-            None => self.create_node(sig, now, graph),
+            None => self.create_node(sig, now),
         };
-        self.attach_at(idx, id, &mapping, engine, boundary, graph);
-        JoinSubscription::Shared {
-            depth: target,
-            migrations,
+        self.attach_at(idx, id, engine, graph);
+        let mut placed = vec![(id, target)];
+        for mover in movers {
+            // Every mover's chain runs through the node just attached to.
+            let depth = self
+                .deepest_node(&self.chains[&mover].0)
+                .expect("the target node lies on the mover's chain");
+            let idx = self.by_sig[&self.chains[&mover].0.truncated(depth)];
+            self.detach(mover);
+            self.attach_at(idx, mover, &engines[&mover], graph);
+            placed.push((mover, depth));
         }
+        placed
     }
 
-    /// Attaches a migrating query to the deepest existing table matching
-    /// its recorded chain — the migration half of a
-    /// [`JoinSubscription::Shared`] outcome. The query may be private or
-    /// already subscribed at a shallower node (the re-point case: its old
-    /// subscription is detached first).
-    /// Returns the table depth, or `None` when no table matches (e.g. the
-    /// partner was deregistered in between).
-    pub(crate) fn attach_partner(
-        &mut self,
-        id: QueryId,
-        engine: &ContinuousQueryEngine,
-        boundary: u64,
-        graph: &DynamicGraph,
-    ) -> Option<usize> {
-        let chain = self.chains.get(&id)?.clone();
-        let depth = (MIN_PREFIX_DEPTH..=chain.depth())
+    /// Depth of the deepest materialized node on `chain`'s path, if any.
+    fn deepest_node(&self, chain: &PrefixSignature) -> Option<usize> {
+        (MIN_PREFIX_DEPTH..=chain.depth())
             .rev()
-            .find(|&d| self.by_sig.contains_key(&chain.truncated(d)))?;
-        let idx = self.by_sig[&chain.truncated(depth)];
-        if self.subs.get(&id) == Some(&idx) {
-            return Some(depth);
-        }
-        self.detach(id);
-        let (_, mapping) = engine
-            .tree()
-            .and_then(chain_and_mapping)
-            .expect("chain canonicalized before");
-        self.attach_at(idx, id, &mapping, engine, boundary, graph);
-        Some(depth)
+            .find(|&d| self.by_sig.contains_key(&chain.truncated(d)))
     }
 
     /// Pushes one subscription onto an entry, slicing the subscriber's
-    /// full-chain `mapping` down to the entry's depth: union vertex and
-    /// edge ids are assigned leaf by leaf, so the depth-`d` prefix owns
+    /// recorded full-chain mapping down to the entry's depth: union vertex
+    /// and edge ids are assigned leaf by leaf, so the depth-`d` prefix owns
     /// exactly the first `sig.num_vertices()` / `sig.num_edges()` ids of
     /// the full chain (prefix-closure), no re-canonicalization needed.
     fn attach_at(
         &mut self,
         idx: usize,
         id: QueryId,
-        mapping: &sp_query::CanonicalMapping,
         engine: &ContinuousQueryEngine,
-        boundary: u64,
         graph: &DynamicGraph,
     ) {
+        let mapping = &self.chains[&id].1;
         let entry = self.entries[idx].as_mut().expect("live entry");
         let RowLayout { edges, vertices } = entry.layout;
         debug_assert!(vertices <= mapping.vertices.len() && edges <= mapping.edges.len());
@@ -827,7 +795,7 @@ impl SharedJoinIndex {
             vertex_order,
             target: engine.row_layout(),
             window: engine.window(),
-            boundary,
+            boundary: engine.boundary,
             // Every leaf owns at least one edge, so the prefix covers the
             // subscriber's whole chain iff it covers all its edges.
             full_depth: mapping.edges.len() == edges,
@@ -838,7 +806,7 @@ impl SharedJoinIndex {
         // (or any feeding ancestor's) coverage: back-fill from the retained
         // graph (replayed matches keep their original edge ids, so
         // everyone's boundary filter still applies).
-        self.ensure_populated(idx, boundary, graph);
+        self.ensure_populated(idx, engine.boundary, graph);
     }
 
     /// Back-fills `idx` and every trie ancestor whose contents start later
@@ -894,79 +862,31 @@ impl SharedJoinIndex {
         }
     }
 
-    /// Materializes a new trie node for `sig`: links it under the deepest
-    /// materialized strict prefix, splices it in *above* any materialized
-    /// extension whose current parent is shallower (splitting that trie
-    /// edge — the extension's consume stage is already populated, so only
-    /// its now-parent-owned lower stages are dropped), and back-fills the
-    /// new node by retained-window replay when it has live consumers.
-    fn create_node(&mut self, sig: PrefixSignature, now: u64, graph: &DynamicGraph) -> usize {
-        let depth = sig.depth();
-        let idx = self.create_entry(sig.clone(), now);
-        if let Some(p) = (MIN_PREFIX_DEPTH..depth)
+    /// Materializes a new trie node for `sig`, complete from `now`, linked
+    /// under the deepest materialized strict prefix (a trie root when there
+    /// is none). The trie grows downward only: an existing deeper node on
+    /// the same chain keeps its parent and its own leading stages.
+    fn create_node(&mut self, sig: PrefixSignature, now: u64) -> usize {
+        let parent = (MIN_PREFIX_DEPTH..sig.depth())
             .rev()
-            .find_map(|d| self.by_sig.get(&sig.truncated(d)).copied())
-        {
-            let pd = self.entries[p].as_ref().expect("live parent").depth();
-            let e = self.entries[idx].as_mut().expect("just created");
-            e.parent = Some(p);
-            e.parent_depth = pd;
-            self.entries[p]
-                .as_mut()
-                .expect("live parent")
-                .children
-                .push(idx);
+            .find_map(|d| self.by_sig.get(&sig.truncated(d)).copied());
+        let mut entry = PrefixEntry::new(sig.clone(), now);
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            self.entries.len() - 1
+        });
+        if let Some(p) = parent {
+            let pe = self.entries[p].as_mut().expect("live parent");
+            pe.children.push(idx);
+            entry.parent = Some(p);
+            entry.parent_depth = pe.depth();
         }
-        let mut spliced = false;
-        for i in 0..self.entries.len() {
-            if i == idx {
-                continue;
-            }
-            let Some(e) = self.entries[i].as_ref() else {
-                continue;
-            };
-            if e.sig.common_depth(&sig) != depth || e.parent_depth >= depth {
-                continue;
-            }
-            if let Some(op) = e.parent {
-                self.entries[op]
-                    .as_mut()
-                    .expect("live parent")
-                    .children
-                    .retain(|&c| c != i);
-            }
-            let e = self.entries[i].as_mut().expect("checked above");
-            e.parent = Some(idx);
-            e.parent_depth = depth;
-            e.store.clear_below_prefix(&e.tree, depth);
-            self.entries[idx]
-                .as_mut()
-                .expect("just created")
-                .children
-                .push(i);
-            spliced = true;
+        for &t in entry.tree.edge_types() {
+            self.by_type.entry(t).or_default().push(idx);
         }
-        self.refresh_structure();
-        if spliced {
-            // The node was spliced in above live children: it must be
-            // complete over everything their subscribers are entitled to
-            // before its emissions replace their own lower-stage work.
-            let needed = self.subtree_min_boundary(idx);
-            self.ensure_populated(idx, needed, graph);
-        }
+        self.entries[idx] = Some(entry);
+        self.by_sig.insert(sig, idx);
         idx
-    }
-
-    /// The earliest subscription boundary across a node's subtree (`0`
-    /// when the subtree has no subscribers — conservative full coverage).
-    fn subtree_min_boundary(&self, idx: usize) -> u64 {
-        let e = self.entries[idx].as_ref().expect("live entry");
-        e.subs
-            .iter()
-            .map(|s| s.boundary)
-            .chain(e.children.iter().map(|&c| self.subtree_min_boundary(c)))
-            .min()
-            .unwrap_or(0)
     }
 
     /// Removes a query's subscription (keeping its chain registered) and
@@ -1142,26 +1062,6 @@ impl SharedJoinIndex {
             entry.store.purge(graph, latest, entry.window);
         }
     }
-
-    fn create_entry(&mut self, sig: PrefixSignature, now: u64) -> usize {
-        let entry = PrefixEntry::new(sig.clone(), None, now);
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.entries[slot] = Some(entry);
-                slot
-            }
-            None => {
-                self.entries.push(Some(entry));
-                self.entries.len() - 1
-            }
-        };
-        let entry = self.entries[idx].as_ref().expect("just created");
-        for &t in entry.tree.edge_types() {
-            self.by_type.entry(t).or_default().push(idx);
-        }
-        self.by_sig.insert(sig, idx);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -1185,109 +1085,95 @@ mod tests {
             .unwrap()
     }
 
-    fn graph() -> DynamicGraph {
-        DynamicGraph::new(Schema::new())
+    /// An index together with the engines map and graph a shard would hand
+    /// it; every engine registers at stream position 0.
+    struct Fixture {
+        index: SharedJoinIndex,
+        engines: BTreeMap<QueryId, ContinuousQueryEngine>,
+        graph: DynamicGraph,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Self::on(DynamicGraph::new(Schema::new()))
+        }
+
+        fn on(graph: DynamicGraph) -> Self {
+            Fixture {
+                index: SharedJoinIndex::new(),
+                engines: BTreeMap::new(),
+                graph,
+            }
+        }
+
+        /// Registers `engine` as query `id` and returns the placements.
+        fn place(&mut self, id: u64, engine: ContinuousQueryEngine) -> Vec<(QueryId, usize)> {
+            self.engines.insert(QueryId(id), engine);
+            self.index
+                .subscribe(QueryId(id), &self.engines, 0, &self.graph)
+        }
+
+        /// Registers the chain query `types` as query `id`.
+        fn chain(&mut self, id: u64, types: &[u32], window: Option<u64>) -> Vec<(QueryId, usize)> {
+            self.place(id, chain_engine(types, window))
+        }
+
+        fn depth(&self, id: u64) -> Option<usize> {
+            self.index.subscription_depth(QueryId(id))
+        }
     }
 
     #[test]
     fn first_query_stays_private_until_a_partner_arrives() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        let a = chain_engine(&[1, 2], None);
+        let mut f = Fixture::new();
+        assert_eq!(f.chain(0, &[1, 2], None), vec![(QueryId(0), 0)]);
+        assert_eq!(f.index.stats().tables, 0);
+        // The partner arrives: a table is created and the private query
+        // moves onto it in the same call.
         assert_eq!(
-            index.subscribe(QueryId(0), &a, 0, 0, &g),
-            JoinSubscription::Private
+            f.chain(1, &[1, 2], Some(100)),
+            vec![(QueryId(1), 2), (QueryId(0), 2)]
         );
-        assert_eq!(index.stats().tables, 0);
-        // The partner arrives: a table is created and the private query is
-        // reported for migration.
-        let b = chain_engine(&[1, 2], Some(100));
-        match index.subscribe(QueryId(1), &b, 0, 0, &g) {
-            JoinSubscription::Shared { depth, migrations } => {
-                assert_eq!(depth, 2);
-                assert_eq!(migrations, vec![QueryId(0)]);
-            }
-            other => panic!("expected Shared, got {other:?}"),
-        }
-        assert_eq!(index.attach_partner(QueryId(0), &a, 0, &g), Some(2));
-        let stats = index.stats();
+        let stats = f.index.stats();
         assert_eq!(stats.tables, 1);
         assert_eq!(stats.subscriptions, 2);
-        assert_eq!(index.subscription_depth(QueryId(0)), Some(2));
-        assert_eq!(index.subscription_depth(QueryId(1)), Some(2));
+        assert_eq!((f.depth(0), f.depth(1)), (Some(2), Some(2)));
     }
 
     #[test]
     fn later_queries_attach_to_the_deepest_existing_table() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        let a = chain_engine(&[1, 2], None);
-        let b = chain_engine(&[1, 2], None);
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
+        let mut f = Fixture::new();
+        f.chain(0, &[1, 2], None);
+        f.chain(1, &[1, 2], None);
         // A 3-leaf query whose chain starts with the existing [1, 2] prefix
-        // attaches at depth 2 — no new table.
-        let c = chain_engine(&[1, 2, 3], None);
-        assert_eq!(
-            index.subscribe(QueryId(2), &c, 0, 0, &g),
-            JoinSubscription::Shared {
-                depth: 2,
-                migrations: vec![]
-            }
-        );
-        assert_eq!(index.stats().tables, 1);
-        assert_eq!(index.subscription_depth(QueryId(2)), Some(2));
+        // attaches at depth 2 — no new table, nobody moves.
+        assert_eq!(f.chain(2, &[1, 2, 3], None), vec![(QueryId(2), 2)]);
+        assert_eq!(f.index.stats().tables, 1);
+        assert_eq!(f.depth(2), Some(2));
     }
 
     #[test]
     fn deeper_private_partner_beats_shallower_existing_table() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        // Table at [1, 2] held by queries 0 and 1.
-        let a = chain_engine(&[1, 2], None);
-        let b = chain_engine(&[1, 2], None);
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
-        // Query 2 arrives with chain [1, 2, 3] — attaches at the [1, 2]
-        // table (no private partner shares more).
-        let c = chain_engine(&[1, 2, 3], None);
-        index.subscribe(QueryId(2), &c, 0, 0, &g);
-        assert_eq!(index.subscription_depth(QueryId(2)), Some(2));
-        // Hmm — to exercise the deeper-partner rule we need a private
-        // chain. Deregister query 2, re-add it as private by registering a
-        // non-overlapping query first... simpler: a fresh index.
-        let mut index = SharedJoinIndex::new();
-        let c1 = chain_engine(&[1, 2, 3], None);
-        let c2 = chain_engine(&[9, 8], None);
-        let c3 = chain_engine(&[9, 8], None);
-        index.subscribe(QueryId(0), &c1, 0, 0, &g); // private [1,2,3]
-        index.subscribe(QueryId(1), &c2, 0, 0, &g); // private [9,8]
-        index.subscribe(QueryId(2), &c3, 0, 0, &g); // creates [9,8] table
-        index.attach_partner(QueryId(1), &c2, 0, &g);
+        let mut f = Fixture::new();
+        // Private [1,2,3], then a [9,8] pair that creates its own table.
+        f.chain(0, &[1, 2, 3], None);
+        f.chain(1, &[9, 8], None);
+        f.chain(2, &[9, 8], None);
         // Query 3's chain [1,2,3] shares depth 3 with private query 0 and
         // nothing with the [9,8] table: a new depth-3 table wins.
-        let c4 = chain_engine(&[1, 2, 3], None);
-        match index.subscribe(QueryId(3), &c4, 0, 0, &g) {
-            JoinSubscription::Shared { depth, migrations } => {
-                assert_eq!(depth, 3);
-                assert_eq!(migrations, vec![QueryId(0)]);
-            }
-            other => panic!("expected a deep table, got {other:?}"),
-        }
-        assert_eq!(index.stats().tables, 2);
+        assert_eq!(
+            f.chain(3, &[1, 2, 3], None),
+            vec![(QueryId(3), 3), (QueryId(0), 3)]
+        );
+        assert_eq!(f.index.stats().tables, 2);
     }
 
     #[test]
     fn last_unsubscriber_drops_the_table() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        let a = chain_engine(&[1, 2], None);
-        let b = chain_engine(&[1, 2], None);
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
+        let mut f = Fixture::new();
+        f.chain(0, &[1, 2], None);
+        f.chain(1, &[1, 2], None);
+        let index = &mut f.index;
         assert_eq!(index.stats().tables, 1);
         assert!(index.unsubscribe(QueryId(0)));
         assert_eq!(index.stats().tables, 1, "query 1 still holds the table");
@@ -1300,14 +1186,9 @@ mod tests {
 
     #[test]
     fn single_leaf_and_vf2_queries_are_not_join_capable() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        let one = chain_engine(&[4], None);
-        assert_eq!(
-            index.subscribe(QueryId(0), &one, 0, 0, &g),
-            JoinSubscription::Private
-        );
-        assert!(!index.chains.contains_key(&QueryId(0)));
+        let mut f = Fixture::new();
+        assert_eq!(f.chain(0, &[4], None), vec![(QueryId(0), 0)]);
+        assert!(!f.index.chains.contains_key(&QueryId(0)));
         let mut q = QueryGraph::new("vf2");
         let a = q.add_any_vertex();
         let b = q.add_any_vertex();
@@ -1321,42 +1202,24 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(
-            index.subscribe(QueryId(1), &vf2, 0, 0, &g),
-            JoinSubscription::Private
-        );
+        assert_eq!(f.place(1, vf2), vec![(QueryId(1), 0)]);
+        assert!(!f.index.chains.contains_key(&QueryId(1)));
     }
 
     #[test]
     fn nested_chain_forms_a_trie_child() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        let a = chain_engine(&[1, 2], None);
-        let b = chain_engine(&[1, 2], None);
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
+        let mut f = Fixture::new();
+        f.chain(0, &[1, 2], None);
+        f.chain(1, &[1, 2], None);
         // The first [1,2,3] query attaches at the existing [1,2] node...
-        let c = chain_engine(&[1, 2, 3], None);
-        assert_eq!(
-            index.subscribe(QueryId(2), &c, 0, 0, &g),
-            JoinSubscription::Shared {
-                depth: 2,
-                migrations: vec![]
-            }
-        );
+        assert_eq!(f.chain(2, &[1, 2, 3], None), vec![(QueryId(2), 2)]);
         // ... and its partner materializes the depth-3 node as a trie child
         // of [1,2], re-pointing query 2 from the shallower node.
-        let d = chain_engine(&[1, 2, 3], None);
-        match index.subscribe(QueryId(3), &d, 0, 0, &g) {
-            JoinSubscription::Shared { depth, migrations } => {
-                assert_eq!(depth, 3);
-                assert_eq!(migrations, vec![QueryId(2)]);
-            }
-            other => panic!("expected a deep node, got {other:?}"),
-        }
-        assert_eq!(index.attach_partner(QueryId(2), &c, 0, &g), Some(3));
-        let nodes = index.trie_nodes();
+        assert_eq!(
+            f.chain(3, &[1, 2, 3], None),
+            vec![(QueryId(3), 3), (QueryId(2), 3)]
+        );
+        let nodes = f.index.trie_nodes();
         assert_eq!(nodes.len(), 2);
         let (shallow, deep) = (&nodes[0], &nodes[1]);
         assert_eq!(
@@ -1377,96 +1240,89 @@ mod tests {
             ),
             (3, Some(2), 0, 2)
         );
-        assert_eq!(index.stats().max_depth, 3);
+        assert_eq!(f.index.stats().max_depth, 3);
         // Dropping the deep pair collapses only the child; the parent node
         // keeps serving its own subscribers.
-        index.unsubscribe(QueryId(2));
-        index.unsubscribe(QueryId(3));
-        let nodes = index.trie_nodes();
+        f.index.unsubscribe(QueryId(2));
+        f.index.unsubscribe(QueryId(3));
+        let nodes = f.index.trie_nodes();
         assert_eq!(nodes.len(), 1);
         assert_eq!((nodes[0].depth, nodes[0].children), (2, 0));
     }
 
     #[test]
-    fn later_shallow_pair_splits_the_trie_edge() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
+    fn later_shallow_pair_leaves_the_deep_node_a_root() {
+        let mut schema = Schema::new();
+        let vt = schema.intern_vertex_type("v");
+        let mut f = Fixture::on(DynamicGraph::new(schema));
+        let v: Vec<_> = (0..3).map(|_| f.graph.add_vertex(vt)).collect();
         // The deep pair arrives first: a parentless depth-3 node.
-        let a = chain_engine(&[1, 2, 3], None);
-        let b = chain_engine(&[1, 2, 3], None);
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
-        let nodes = index.trie_nodes();
+        f.chain(0, &[1, 2, 3], None);
+        f.chain(1, &[1, 2, 3], None);
+        let nodes = f.index.trie_nodes();
         assert_eq!(nodes.len(), 1);
         assert_eq!(nodes[0].parent_depth, None);
-        // A [1,2] pair arrives later: the depth-2 node materializes and the
-        // existing depth-3 node is spliced in underneath it.
-        let c = chain_engine(&[1, 2], None);
-        let d = chain_engine(&[1, 2], None);
+        // A [1,2] pair arrives later: the depth-2 node materializes as a
+        // second root, and the deep node keeps its place.
         assert_eq!(
-            index.subscribe(QueryId(2), &c, 0, 0, &g),
-            JoinSubscription::Private,
+            f.chain(2, &[1, 2], None),
+            vec![(QueryId(2), 0)],
             "a lone depth-2 chain cannot use the deeper node"
         );
-        match index.subscribe(QueryId(3), &d, 0, 0, &g) {
-            JoinSubscription::Shared { depth, migrations } => {
-                assert_eq!(depth, 2);
-                assert_eq!(migrations, vec![QueryId(2)]);
-            }
-            other => panic!("expected the split node, got {other:?}"),
+        assert_eq!(
+            f.chain(3, &[1, 2], None),
+            vec![(QueryId(3), 2), (QueryId(2), 2)]
+        );
+        let nodes = f.index.trie_nodes();
+        let shape: Vec<_> = nodes
+            .iter()
+            .map(|n| (n.depth, n.parent_depth, n.children, n.subscribers))
+            .collect();
+        assert_eq!(shape, vec![(2, None, 0, 2), (3, None, 0, 2)]);
+        assert_eq!(f.index.stats().replays, 0, "no node needed a back-fill");
+        // Both roots run their own leading stages: a 1 → 2 pair is a live
+        // partial of each, and neither feeds the other.
+        for (src, dst, ty) in [(0, 1, 1), (1, 2, 2)] {
+            let id = f.graph.add_edge(v[src], v[dst], EdgeType(ty), Timestamp(0));
+            let edge = *f.graph.edge(id).unwrap();
+            f.index.advance_edge(&f.graph, &edge);
         }
-        assert_eq!(index.attach_partner(QueryId(2), &c, 0, &g), Some(2));
-        let nodes = index.trie_nodes();
-        assert_eq!(nodes.len(), 2);
-        assert_eq!(
-            (
-                nodes[0].depth,
-                nodes[0].parent_depth,
-                nodes[0].children,
-                nodes[0].subscribers
-            ),
-            (2, None, 1, 2)
-        );
-        assert_eq!(
-            (nodes[1].depth, nodes[1].parent_depth, nodes[1].subscribers),
-            (3, Some(2), 2)
-        );
-        // The deep subscribers leaving unwinds the child but not the new
-        // parent; the shallow pair leaving empties the trie.
-        index.unsubscribe(QueryId(0));
-        index.unsubscribe(QueryId(1));
-        assert_eq!(index.trie_nodes().len(), 1);
-        index.unsubscribe(QueryId(2));
-        index.unsubscribe(QueryId(3));
-        assert_eq!(index.stats().tables, 0);
+        let nodes = f.index.trie_nodes();
+        assert_eq!(nodes[0].live_by_node, vec![1, 1, 0]);
+        assert_eq!(nodes[1].live_by_node, vec![1, 1, 0, 1, 0]);
+        assert_eq!(f.index.stats().parent_feeds, 0);
+        // Each pair leaving drops its own root.
+        f.index.unsubscribe(QueryId(0));
+        f.index.unsubscribe(QueryId(1));
+        assert_eq!(f.index.trie_nodes().len(), 1);
+        f.index.unsubscribe(QueryId(2));
+        f.index.unsubscribe(QueryId(3));
+        assert_eq!(f.index.stats().tables, 0);
     }
 
     #[test]
     fn deliver_goes_direct_for_full_depth_and_feeds_partial_depth() {
         let mut schema = Schema::new();
         let vt = schema.intern_vertex_type("v");
-        let mut g = DynamicGraph::new(schema);
-        let v: Vec<_> = (0..3).map(|_| g.add_vertex(vt)).collect();
-        let mut index = SharedJoinIndex::new();
-        let pair = [chain_engine(&[1, 2], None), chain_engine(&[1, 2], Some(5))];
-        let deep = chain_engine(&[1, 2, 3], None);
-        index.subscribe(QueryId(0), &pair[0], 0, 0, &g);
-        index.subscribe(QueryId(1), &pair[1], 0, 0, &g);
-        index.attach_partner(QueryId(0), &pair[0], 0, &g);
-        index.subscribe(QueryId(2), &deep, 0, 0, &g);
-        assert_eq!(index.subscription_depth(QueryId(2)), Some(2));
+        let mut f = Fixture::on(DynamicGraph::new(schema));
+        let v: Vec<_> = (0..3).map(|_| f.graph.add_vertex(vt)).collect();
+        f.chain(0, &[1, 2], None);
+        f.chain(1, &[1, 2], Some(5));
+        f.chain(2, &[1, 2, 3], None);
+        assert_eq!(f.depth(2), Some(2));
 
         // 0 -1-> 1 at t=0, then 1 -2-> 2 at t=9: one [1,2] completion,
         // outside query 1's window of 5.
         let mut last = None;
         for (src, dst, ty, ts) in [(0, 1, 1, 0), (1, 2, 2, 9)] {
-            let id = g.add_edge(v[src], v[dst], EdgeType(ty), Timestamp(ts));
-            let edge = *g.edge(id).unwrap();
-            index.advance_edge(&g, &edge);
+            let id = f
+                .graph
+                .add_edge(v[src], v[dst], EdgeType(ty), Timestamp(ts));
+            let edge = *f.graph.edge(id).unwrap();
+            f.index.advance_edge(&f.graph, &edge);
             last = Some(edge);
         }
-        let edge = last.unwrap();
+        let (edge, index) = (last.unwrap(), &mut f.index);
         let mut sunk: Vec<(QueryId, SubgraphMatch)> = Vec::new();
         let direct = index.deliver(QueryId(0), &edge, &mut sunk);
         assert!(matches!(
@@ -1494,7 +1350,7 @@ mod tests {
         let mut partial = FnSink(|_, _| panic!("partial-depth match"));
         match index.deliver(QueryId(2), &edge, &mut partial) {
             JoinDelivery::Engine(Some(mut rows)) => {
-                let tree = deep.tree().unwrap();
+                let tree = f.engines[&QueryId(2)].tree().unwrap();
                 let (mut store, mut pulled) = (MatchStore::new(tree), Vec::new());
                 assert_eq!(rows.depth(), 2);
                 assert!(rows.encode_into(&mut store, |row| pulled.push(row)));
@@ -1517,21 +1373,17 @@ mod tests {
 
     #[test]
     fn table_window_is_the_loosest_subscriber_window() {
-        let g = graph();
-        let mut index = SharedJoinIndex::new();
-        let a = chain_engine(&[1, 2], Some(100));
-        let b = chain_engine(&[1, 2], Some(500));
-        index.subscribe(QueryId(0), &a, 0, 0, &g);
-        index.subscribe(QueryId(1), &b, 0, 0, &g);
-        index.attach_partner(QueryId(0), &a, 0, &g);
-        let idx = *index.subs.get(&QueryId(0)).unwrap();
-        assert_eq!(index.entries[idx].as_ref().unwrap().window, Some(500));
+        let mut f = Fixture::new();
+        f.chain(0, &[1, 2], Some(100));
+        f.chain(1, &[1, 2], Some(500));
+        let idx = f.index.subs[&QueryId(0)];
+        let window = |f: &Fixture| f.index.entries[idx].as_ref().unwrap().window;
+        assert_eq!(window(&f), Some(500));
         // An unwindowed subscriber makes the table unbounded.
-        let c = chain_engine(&[1, 2], None);
-        index.subscribe(QueryId(2), &c, 0, 0, &g);
-        assert_eq!(index.entries[idx].as_ref().unwrap().window, None);
+        f.chain(2, &[1, 2], None);
+        assert_eq!(window(&f), None);
         // ... and its departure tightens the window again.
-        index.unsubscribe(QueryId(2));
-        assert_eq!(index.entries[idx].as_ref().unwrap().window, Some(500));
+        f.index.unsubscribe(QueryId(2));
+        assert_eq!(window(&f), Some(500));
     }
 }

@@ -39,6 +39,9 @@
 //!   mid-stream sees exactly the stream suffix a sequential processor would
 //!   — parallel and sequential execution produce **identical match
 //!   multisets** for any worker count (asserted by the integration tests).
+//!   The answers to deregister, drain and report come back on the
+//!   aggregation channel, behind the match batches the worker sent before
+//!   them, so every answer is also that worker's barrier.
 //!
 //! ## Quick start
 //!

@@ -10,9 +10,8 @@ use sp_metrics::{Counter, Gauge, MetricsRegistry};
 use sp_query::QueryGraph;
 use sp_selectivity::SelectivityEstimator;
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError,
-};
+use std::ops::Range;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -21,15 +20,13 @@ use streampattern::{
     ProfileCounters, QueryId, RowSink, Shard, StrategySpec,
 };
 
-/// How long a wait for a `Deregister` / `Report` reply, or for room in a
-/// full worker channel, sleeps before it drains the aggregation channel
-/// again. Small enough to stay responsive, large enough not to spin. (The
-/// drain barrier does not poll: its acknowledgements arrive on the
-/// aggregation channel itself.)
+/// How long a wait for room in a full worker channel sleeps on the
+/// aggregation channel when nothing was queued there. Small enough to stay
+/// responsive, large enough not to spin.
 const CONTROL_POLL: Duration = Duration::from_micros(50);
 
-/// How long the drain barrier waits on the aggregation channel before it
-/// checks that every worker thread is still running.
+/// How long a wait for worker answers blocks on the aggregation channel
+/// before it checks that every worker thread is still running.
 const LIVENESS_POLL: Duration = Duration::from_millis(100);
 
 /// Observable counters of the runtime itself (as opposed to the query
@@ -141,9 +138,9 @@ pub struct ParallelStreamProcessor {
     total_matches: u64,
     /// Match batches received and not yet delivered to a sink.
     buffered: VecDeque<RowBatch>,
-    /// `Drain` barriers sent whose [`WorkerOutput::Drained`] has not come
-    /// back on the aggregation channel yet.
-    drains_pending: usize,
+    /// Answers to the pending [`ask`](Self::ask) received so far, with the
+    /// worker that sent each.
+    answers: Vec<FromWorker>,
     stats: RuntimeStats,
     metrics: Option<RuntimeMetrics>,
 }
@@ -192,7 +189,7 @@ impl ParallelStreamProcessor {
             rejected_events: 0,
             total_matches: 0,
             buffered: VecDeque::new(),
-            drains_pending: 0,
+            answers: Vec::new(),
             stats: RuntimeStats::default(),
             metrics: None,
         }
@@ -360,17 +357,14 @@ impl ParallelStreamProcessor {
         self.control.forget(id);
         let worker = assignment.worker;
         self.shard_costs[worker] = (self.shard_costs[worker] - assignment.cost).max(0.0);
-        let (reply_tx, reply_rx) = channel();
-        self.send_to_worker(
-            worker,
-            WorkerMsg::Deregister {
-                id,
-                reply: reply_tx,
-            },
-        );
-        let engine = self.recv_reply(&reply_rx).map(|boxed| *boxed);
+        let answer = self
+            .ask(worker..worker + 1, || WorkerMsg::Deregister(id))
+            .pop();
+        let Some(WorkerOutput::Deregistered(engine)) = answer else {
+            unreachable!("a worker answers Deregister with Deregistered")
+        };
         self.broadcast_retention();
-        engine
+        engine.map(|boxed| *boxed)
     }
 
     /// Ingests a whole stream: batches the events, broadcasts each batch to
@@ -456,23 +450,10 @@ impl ParallelStreamProcessor {
     /// [`RuntimeReport::pending_matches`] at [`shutdown`](Self::shutdown)).
     ///
     /// Every worker answers the barrier on the aggregation channel, behind
-    /// the match batches it sent before it, so this blocks on that one
-    /// channel until each worker's marker has arrived — by then all their
-    /// matches have, too.
+    /// the match batches it sent before it, so once each worker's marker
+    /// has arrived all their matches have, too.
     pub fn drain(&mut self) {
-        for w in 0..self.workers.len() {
-            self.drains_pending += 1;
-            self.send_to_worker(w, WorkerMsg::Drain);
-        }
-        while self.drains_pending > 0 {
-            match self.match_rx.recv_timeout(LIVENESS_POLL) {
-                Ok(output) => self.receive(output),
-                // A worker that died with the barrier in its queue will
-                // never answer it; the others keep the channel open.
-                Err(RecvTimeoutError::Timeout) if self.workers_alive() => {}
-                Err(_) => panic!("a worker thread terminated unexpectedly"),
-            }
-        }
+        self.ask(0..self.workers.len(), || WorkerMsg::Drain);
     }
 
     fn workers_alive(&self) -> bool {
@@ -522,9 +503,8 @@ impl ParallelStreamProcessor {
     /// pipeline first).
     pub fn profile_for(&mut self, id: QueryId) -> Option<ProfileCounters> {
         let worker = self.assignments.get(&id)?.worker;
-        self.drain();
-        let report = self.report_worker(worker);
-        report
+        self.worker_reports()
+            .swap_remove(worker)
             .per_query
             .into_iter()
             .find(|&(q, _)| q == id)
@@ -600,12 +580,18 @@ impl ParallelStreamProcessor {
         total
     }
 
-    /// Snapshots of every worker, in shard order (drains the pipeline
-    /// first).
+    /// Snapshots of every worker, in shard order. Each report arrives
+    /// behind its worker's earlier match batches, so this drains the
+    /// pipeline too.
     pub fn worker_reports(&mut self) -> Vec<WorkerReport> {
-        self.drain();
-        (0..self.workers.len())
-            .map(|w| self.report_worker(w))
+        self.ask(0..self.workers.len(), || WorkerMsg::Report)
+            .into_iter()
+            .map(|answer| {
+                let WorkerOutput::Report(report) = answer else {
+                    unreachable!("a worker answers Report with a report")
+                };
+                *report
+            })
             .collect()
     }
 
@@ -638,14 +624,13 @@ impl ParallelStreamProcessor {
     /// (a blocked worker is usually blocked *on that channel*) and yields
     /// the core to the workers before retrying. Each blocked send counts as
     /// one backpressure event regardless of how long it waits.
-    fn send_to_worker(&mut self, worker: usize, msg: WorkerMsg) {
-        let mut msg = Some(msg);
+    fn send_to_worker(&mut self, worker: usize, mut msg: WorkerMsg) {
         let mut blocked = false;
         loop {
-            match self.workers[worker].tx.try_send(msg.take().expect("msg")) {
+            match self.workers[worker].tx.try_send(msg) {
                 Ok(()) => return,
                 Err(TrySendError::Full(m)) => {
-                    msg = Some(m);
+                    msg = m;
                     if !blocked {
                         blocked = true;
                         self.stats.backpressure_events += 1;
@@ -653,14 +638,12 @@ impl ParallelStreamProcessor {
                             m.backpressure.inc();
                         }
                     }
-                    if self.drain_pending_matches() == 0 {
-                        // Nothing to drain: the worker is compute-bound, not
-                        // blocked on the aggregation channel. Sleep-wait on
-                        // that channel instead of spinning — a match arrival
-                        // wakes us immediately, and otherwise we hand the
-                        // core to the workers for CONTROL_POLL.
-                        self.drain_one_match_batch();
-                    }
+                    // Take what is queued; with nothing queued the worker is
+                    // compute-bound, not blocked on the aggregation channel,
+                    // so sleep-wait on that channel instead of spinning — an
+                    // arrival wakes us immediately, and otherwise we hand
+                    // the core to the workers for CONTROL_POLL.
+                    self.wait(CONTROL_POLL);
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     panic!("worker {worker} terminated unexpectedly")
@@ -695,64 +678,54 @@ impl ParallelStreamProcessor {
         }
     }
 
-    /// Receives one control reply, draining the aggregation channel while
-    /// waiting so a blocked worker can make progress toward replying.
-    fn recv_reply<T>(&mut self, rx: &Receiver<T>) -> T {
-        loop {
-            match rx.recv_timeout(CONTROL_POLL) {
-                Ok(v) => return v,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.drain_pending_matches();
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("a worker thread terminated unexpectedly")
-                }
-            }
+    /// Sends `msg()` to each worker in `workers`, then waits until all of
+    /// them have answered, booking the match batches that arrive meanwhile.
+    /// Returns the answers in worker order. An answer arrives behind every
+    /// match batch its worker sent before it, so each is also that worker's
+    /// barrier.
+    fn ask(&mut self, workers: Range<usize>, msg: impl Fn() -> WorkerMsg) -> Vec<WorkerOutput> {
+        let asked = workers.len();
+        for w in workers {
+            self.send_to_worker(w, msg());
+        }
+        while self.answers.len() < asked {
+            self.wait(LIVENESS_POLL);
+        }
+        self.answers.sort_by_key(|&(w, _)| w);
+        self.answers.drain(..).map(|(_, answer)| answer).collect()
+    }
+
+    /// Books everything queued on the aggregation channel, first waiting up
+    /// to `timeout` when nothing is: a match batch is queued for the next
+    /// sink, anything else is an answer to the pending [`ask`](Self::ask).
+    /// This holds the one liveness check: a worker that died never answers,
+    /// but the others keep the channel open, so a wait that times out
+    /// checks that every worker still runs.
+    fn wait(&mut self, timeout: Duration) {
+        match self.match_rx.recv_timeout(timeout) {
+            Ok(output) => self.receive(output),
+            Err(RecvTimeoutError::Timeout) if self.workers_alive() => return,
+            Err(_) => panic!("a worker thread terminated unexpectedly"),
+        }
+        while let Ok(output) = self.match_rx.try_recv() {
+            self.receive(output);
         }
     }
 
-    fn report_worker(&mut self, worker: usize) -> WorkerReport {
-        let (tx, rx) = channel();
-        self.send_to_worker(worker, WorkerMsg::Report { reply: tx });
-        self.recv_reply(&rx)
-    }
-
-    /// Books one aggregation-channel message: a match batch is queued for
-    /// the next sink, a barrier marker retires one pending drain.
-    fn receive(&mut self, (_, output): FromWorker) {
+    /// Books one aggregation-channel message.
+    fn receive(&mut self, (worker, output): FromWorker) {
         match output {
             WorkerOutput::Matches(batch) => {
                 self.stats.match_batches_received += 1;
                 self.total_matches += batch.matches();
                 self.buffered.push_back(batch);
             }
-            WorkerOutput::Drained => self.drains_pending -= 1,
-        }
-    }
-
-    /// Non-blocking drain of everything currently in the aggregation
-    /// channel. Returns the number of batches drained.
-    fn drain_pending_matches(&mut self) -> u64 {
-        let mut drained = 0;
-        while let Ok(output) = self.match_rx.try_recv() {
-            self.receive(output);
-            drained += 1;
-        }
-        drained
-    }
-
-    /// Blocks briefly for one match batch (used while a worker input channel
-    /// is full, to guarantee forward progress without spinning). Tolerates a
-    /// disconnected channel because it also runs during `Drop`, where the
-    /// workers may already be gone.
-    fn drain_one_match_batch(&mut self) {
-        if let Ok(output) = self.match_rx.recv_timeout(CONTROL_POLL) {
-            self.receive(output);
+            answer => self.answers.push((worker, answer)),
         }
     }
 
     fn flush_buffered<S: RowSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
-        self.drain_pending_matches();
+        self.wait(Duration::ZERO);
         let mut delivered = 0;
         while let Some(batch) = self.buffered.pop_front() {
             batch.deliver(sink);
@@ -775,18 +748,14 @@ impl ParallelStreamProcessor {
 impl Drop for ParallelStreamProcessor {
     fn drop(&mut self) {
         for w in 0..self.workers.len() {
-            // Best effort: a full channel drains through the normal path; a
-            // disconnected one means the worker is already gone.
-            let mut msg = Some(WorkerMsg::Shutdown);
-            loop {
-                match self.workers[w].tx.try_send(msg.take().expect("msg")) {
-                    Ok(()) => break,
-                    Err(TrySendError::Full(m)) => {
-                        msg = Some(m);
-                        self.drain_one_match_batch();
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
+            // Best effort: a full channel is emptied by taking what the
+            // worker sends (not through `wait`: the workers shut down
+            // earlier in this loop are gone, and what arrives is dropped
+            // with us); a disconnected one means the worker is already gone.
+            let mut msg = WorkerMsg::Shutdown;
+            while let Err(TrySendError::Full(m)) = self.workers[w].tx.try_send(msg) {
+                msg = m;
+                let _ = self.match_rx.recv_timeout(CONTROL_POLL);
             }
         }
         for handle in &mut self.workers {

@@ -9,12 +9,14 @@
 //! naturally serialized against the edge batches sent before them — a query
 //! registered after batch *k* sees exactly the stream suffix starting at
 //! batch *k+1* on every worker, just as it would on the sequential
-//! processor.
+//! processor. Everything it sends back — match batches and the answers to
+//! `Deregister`, `Report` and `Drain` — goes down the one aggregation
+//! channel, so an answer arrives behind every match batch sent before it.
 
 use crate::config::RuntimeConfig;
 use sp_graph::{monotonic_nanos, EdgeEvent, Schema};
 use sp_metrics::{Gauge, Histogram};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use streampattern::{
     ContinuousQueryEngine, PipelineMetrics, ProfileCounters, QueryId, RowLayout, RowSink, Shard,
@@ -91,9 +93,14 @@ pub(crate) enum WorkerOutput {
     /// worker always arrive in the order that worker produced them;
     /// interleaving across workers is arbitrary.
     Matches(RowBatch),
+    /// The answer to [`WorkerMsg::Deregister`]: the query's engine with its
+    /// runtime state intact, `None` for an id this worker does not run.
+    Deregistered(Option<Box<ContinuousQueryEngine>>),
+    /// The answer to [`WorkerMsg::Report`].
+    Report(Box<WorkerReport>),
     /// The answer to [`WorkerMsg::Drain`]. The channel is FIFO per worker,
-    /// so once this arrives every match batch the worker sent before it has
-    /// arrived too.
+    /// so once any answer arrives every match batch the worker sent before
+    /// it has arrived too.
     Drained,
 }
 
@@ -126,11 +133,8 @@ pub(crate) enum WorkerMsg {
         id: QueryId,
         engine: Box<ContinuousQueryEngine>,
     },
-    /// Deregister a query, replying with its engine (runtime state intact).
-    Deregister {
-        id: QueryId,
-        reply: Sender<Option<Box<ContinuousQueryEngine>>>,
-    },
+    /// Deregister a query; answered with [`WorkerOutput::Deregistered`].
+    Deregister(QueryId),
     /// Retain edges for the control plane's global window.
     SetRetention(Option<u64>),
     /// Swap a query's decomposition for the facade-planned replacement
@@ -148,11 +152,12 @@ pub(crate) enum WorkerMsg {
         /// The SJ-Tree decomposition computed from the facade's statistics.
         tree: Box<SjTree>,
     },
-    /// Reply with a snapshot of this worker's counters.
-    Report { reply: Sender<WorkerReport> },
-    /// Barrier: the worker answers [`WorkerOutput::Drained`] on the
-    /// aggregation channel once every batch sent before this message has
-    /// been fully processed and its matches pushed into that channel.
+    /// Snapshot this worker's counters; answered with
+    /// [`WorkerOutput::Report`].
+    Report,
+    /// Barrier: answered with [`WorkerOutput::Drained`] once every batch
+    /// sent before this message has been fully processed and its matches
+    /// pushed into the aggregation channel.
     Drain,
     /// Terminate the worker loop.
     Shutdown,
@@ -198,7 +203,7 @@ pub(crate) fn worker_loop(
     let mut telemetry: Option<(Gauge, Histogram)> = None;
 
     while let Ok(msg) = rx.recv() {
-        match msg {
+        let output = match msg {
             WorkerMsg::Batch { events, sent_ns } => {
                 if let Some((queue_depth, sojourn)) = &telemetry {
                     if sent_ns != 0 {
@@ -212,15 +217,13 @@ pub(crate) fn worker_loop(
                 for ev in events.iter() {
                     shard.process_into(ev, &mut out, |_| {});
                 }
-                if !out.bursts.is_empty() {
-                    // A full aggregation channel blocks here, which in turn
-                    // fills this worker's input channel and stalls ingest:
-                    // backpressure reaches the producer with bounded memory.
-                    let batch = WorkerOutput::Matches(out.take());
-                    if match_tx.send((idx, batch)).is_err() {
-                        return; // facade dropped the receiver: shut down
-                    }
+                if out.bursts.is_empty() {
+                    continue;
                 }
+                // A full aggregation channel blocks the send below, which in
+                // turn fills this worker's input channel and stalls ingest:
+                // backpressure reaches the producer with bounded memory.
+                WorkerOutput::Matches(out.take())
             }
             WorkerMsg::Metrics {
                 pipeline,
@@ -229,39 +232,44 @@ pub(crate) fn worker_loop(
             } => {
                 shard.set_metrics(Some(pipeline));
                 telemetry = Some((queue_depth, sojourn));
+                continue;
             }
-            WorkerMsg::Register { id, engine } => shard.register(id, *engine),
-            WorkerMsg::Deregister { id, reply } => {
-                let _ = reply.send(shard.deregister(id).map(Box::new));
+            WorkerMsg::Register { id, engine } => {
+                shard.register(id, *engine);
+                continue;
             }
-            WorkerMsg::SetRetention(window) => shard.set_retention(window),
+            WorkerMsg::SetRetention(window) => {
+                shard.set_retention(window);
+                continue;
+            }
             WorkerMsg::Redecompose { id, strategy, tree } => {
                 // The control plane only ships plans an engine can be
                 // rebuilt onto, for queries it placed here; should one fail
                 // anyway, the old plan stays in force rather than poisoning
                 // the worker thread.
                 let _ = shard.redecompose(id, strategy, *tree);
+                continue;
             }
-            WorkerMsg::Report { reply } => {
-                let _ = reply.send(WorkerReport {
-                    worker: idx,
-                    per_query: shard
-                        .engines()
-                        .map(|(id, engine)| (id, engine.profile().clone()))
-                        .collect(),
-                    edges_ingested: shard.graph().total_edges_seen(),
-                    vertex_type_conflicts: shard.profile().vertex_type_conflicts,
-                    matches_found: shard.total_matches(),
-                    graph_edges_live: shard.graph().num_edges(),
-                    stored_matches: shard.stored_matches(),
-                });
+            WorkerMsg::Deregister(id) => {
+                WorkerOutput::Deregistered(shard.deregister(id).map(Box::new))
             }
-            WorkerMsg::Drain => {
-                if match_tx.send((idx, WorkerOutput::Drained)).is_err() {
-                    return; // facade dropped the receiver: shut down
-                }
-            }
+            WorkerMsg::Report => WorkerOutput::Report(Box::new(WorkerReport {
+                worker: idx,
+                per_query: shard
+                    .engines()
+                    .map(|(id, engine)| (id, engine.profile().clone()))
+                    .collect(),
+                edges_ingested: shard.graph().total_edges_seen(),
+                vertex_type_conflicts: shard.profile().vertex_type_conflicts,
+                matches_found: shard.total_matches(),
+                graph_edges_live: shard.graph().num_edges(),
+                stored_matches: shard.stored_matches(),
+            })),
+            WorkerMsg::Drain => WorkerOutput::Drained,
             WorkerMsg::Shutdown => return,
+        };
+        if match_tx.send((idx, output)).is_err() {
+            return; // facade dropped the receiver: shut down
         }
     }
 }
@@ -271,7 +279,7 @@ mod tests {
     use super::*;
     use sp_graph::Timestamp;
     use sp_query::QueryGraph;
-    use std::sync::mpsc::{channel, sync_channel};
+    use std::sync::mpsc::sync_channel;
     use streampattern::SelectivityEstimator;
 
     /// A worker holds no id of its own: whatever id the control plane
@@ -319,31 +327,32 @@ mod tests {
         batch.deliver(&mut matches);
         assert_eq!(matches.len(), 2);
         assert!(matches.iter().all(|&(q, _)| q == id));
-        // The barrier is answered on the same channel, behind the matches.
-        tx.send(WorkerMsg::Drain).unwrap();
-        assert!(matches!(
-            match_rx.recv().unwrap(),
-            (3, WorkerOutput::Drained)
-        ));
-
-        let (reply, report) = channel();
-        tx.send(WorkerMsg::Report { reply }).unwrap();
-        let report = report.recv().unwrap();
+        // Every answer comes back on the same channel, behind the matches.
+        let ask = |msg: WorkerMsg| {
+            tx.send(msg).unwrap();
+            let (worker_idx, answer) = match_rx.recv().unwrap();
+            assert_eq!(worker_idx, 3);
+            answer
+        };
+        assert!(matches!(ask(WorkerMsg::Drain), WorkerOutput::Drained));
+        let WorkerOutput::Report(report) = ask(WorkerMsg::Report) else {
+            panic!("Report is answered with a report");
+        };
         assert_eq!(report.per_query.len(), 1);
         assert_eq!(report.per_query[0].0, id);
         assert_eq!(report.per_query[0].1.complete_matches, 2);
         assert_eq!(report.matches_found, 2);
-
-        let (reply, removed) = channel();
-        tx.send(WorkerMsg::Deregister {
-            id: QueryId(0),
-            reply,
-        })
-        .unwrap();
-        assert!(removed.recv().unwrap().is_none(), "no engine runs as Q0");
-        let (reply, removed) = channel();
-        tx.send(WorkerMsg::Deregister { id, reply }).unwrap();
-        assert!(removed.recv().unwrap().is_some());
+        assert!(
+            matches!(
+                ask(WorkerMsg::Deregister(QueryId(0))),
+                WorkerOutput::Deregistered(None)
+            ),
+            "no engine runs as Q0"
+        );
+        assert!(matches!(
+            ask(WorkerMsg::Deregister(id)),
+            WorkerOutput::Deregistered(Some(_))
+        ));
         tx.send(WorkerMsg::Shutdown).unwrap();
         worker.join().unwrap();
     }

@@ -10,6 +10,8 @@
 //! existing prefix sees no pre-registration matches, and a
 //! re-decomposition landing mid-window keeps live partials completing.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sp_bench::runner::{partial_match_inserts, run_alone};
 use sp_datasets::{soc_chain_rule, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
@@ -168,6 +170,76 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
                 "exfil never hit a shared table under {spec:?}"
             );
         }
+    }
+}
+
+/// Without trie-edge splits the trie's shape depends on registration
+/// order, so exactness must hold for every order. Rules register one every
+/// `len / 14` events, in seeded shuffles of the pack (the first round puts
+/// the bounce pair before the exfil pair: a shallow pair after a deep one),
+/// under eager strategies, `Single` and `Path` alternating. Each round's
+/// `(rule, match)` multiset must equal each rule's engine run alone from its
+/// registration position under the same frozen plan.
+#[test]
+fn every_registration_order_matches_independent_processors() {
+    let dataset = NetflowConfig {
+        num_hosts: 300,
+        num_edges: 2_500,
+        ..NetflowConfig::tiny()
+    }
+    .generate();
+    let schema = dataset.schema.clone();
+    let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    let rules = pack(&schema);
+    let events = dataset.events();
+    let step = events.len() / 14;
+    let mut rng = SmallRng::seed_from_u64(37);
+    let mut order: Vec<usize> = vec![2, 3, 0, 1, 4, 5, 6];
+    for round in 0..4 {
+        if round > 0 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let strategy = [Strategy::Single, Strategy::Path][round % 2];
+        // `(registration position, rule slot)`, in registration order.
+        let schedule: Vec<(usize, usize)> = order
+            .iter()
+            .enumerate()
+            .map(|(k, &slot)| (k * step, slot))
+            .collect();
+
+        let mut proc = StreamProcessor::new(schema.clone())
+            .with_estimator(estimator.clone())
+            .with_statistics(false);
+        let mut slots: Vec<(QueryId, usize)> = Vec::new();
+        let mut shared = Vec::new();
+        for (i, ev) in events.iter().enumerate() {
+            for &(_, slot) in schedule.iter().filter(|&&(at, _)| at == i) {
+                let (q, w) = &rules[slot];
+                slots.push((proc.register(q.clone(), strategy, *w).unwrap(), slot));
+            }
+            let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
+                let slot = slots.iter().find(|&&(id, _)| id == q).unwrap().1;
+                shared.push((slot, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
+            });
+            proc.process_into(ev, &mut sink);
+        }
+        shared.sort();
+        assert!(!shared.is_empty(), "round {round} found no matches");
+
+        let independent = multiset_of(|emit| {
+            for &(at, slot) in &schedule {
+                let (q, w) = &rules[slot];
+                let (strategy, tree) = plan_query(q, strategy.into(), &estimator).unwrap();
+                let engine = ContinuousQueryEngine::from_plan(strategy, tree, *w).unwrap();
+                run_alone(&schema, engine, events, at, |m| emit(slot, m));
+            }
+        });
+        assert_eq!(
+            shared, independent,
+            "registration order {order:?} under {strategy:?} diverged from independent processors"
+        );
     }
 }
 
@@ -675,14 +747,14 @@ fn nested_prefix_partials_are_stored_exactly_once() {
     assert_eq!(deep.live_by_node, vec![0, 0, 20, 20, 0]);
 }
 
-/// A later shallow pair splits an existing trie edge *while partials are in
-/// flight*: the depth-3 node keeps its live consume-slot and suffix
-/// partials across the re-parenting (its parent-owned stages drop, the new
-/// parent back-fills by replay), and the full scripted timeline reports the
-/// same match multiset as independent processors registered at the same
-/// stream positions.
+/// A later shallow pair arrives beside an existing deeper node *while
+/// partials are in flight*: the trie grows downward only, so the new
+/// depth-2 node is a second root, the depth-3 node keeps computing its own
+/// leading stages with its live partials, no table needs a back-fill, and
+/// the full scripted timeline reports the same match multiset as
+/// independent processors registered at the same stream positions.
 #[test]
-fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
+fn shallow_pair_after_deep_pair_stays_exact_with_partials_in_flight() {
     let schema = cyber_schema();
     let ip = schema.vertex_type("ip").unwrap();
     let tcp = schema.edge_type("tcp").unwrap();
@@ -704,12 +776,12 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
         let v = 100 * i;
         EdgeEvent::homogeneous(v + 2, v + 3, ip, tcp, Timestamp(100 + i))
     }));
-    let split_at = 30;
+    let shallow_at = 30;
     let rules = [
         (three_hop(&schema, "d1"), 0),
         (three_hop(&schema, "d2"), 0),
-        (two_hop(&schema, "n1"), split_at),
-        (two_hop(&schema, "n2"), split_at),
+        (two_hop(&schema, "n1"), shallow_at),
+        (two_hop(&schema, "n2"), shallow_at),
     ];
     let fingerprint = |m: &SubgraphMatch| format!("{:?}", m.edge_pairs().collect::<Vec<_>>());
 
@@ -723,18 +795,17 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
                     .unwrap(),
             );
         }
-        if i == split_at {
-            // The second shallow registration must have split the trie
-            // edge: the depth-3 node now hangs off the fresh depth-2 node,
-            // which was back-filled from the retained graph.
+        if i == shallow_at {
+            // The shallow pair's depth-2 node is a second trie root beside
+            // the depth-3 one, and both registered at the same position,
+            // so nothing was back-filled.
             let nodes = proc.shared_joins().trie_nodes();
-            assert_eq!(nodes.len(), 2);
-            assert_eq!((nodes[0].depth, nodes[0].children), (2, 1));
-            assert_eq!((nodes[1].depth, nodes[1].parent_depth), (3, Some(2)));
-            assert!(
-                proc.shared_join_stats().replays >= 1,
-                "the split must back-fill the new parent"
-            );
+            let shape: Vec<_> = nodes
+                .iter()
+                .map(|n| (n.depth, n.parent_depth, n.children, n.subscribers))
+                .collect();
+            assert_eq!(shape, vec![(2, None, 0, 2), (3, None, 0, 2)]);
+            assert_eq!(proc.shared_join_stats().replays, 0);
         }
         for (q, m) in proc.process(ev) {
             trie.push((ids.iter().position(|&x| x == q).unwrap(), fingerprint(&m)));
@@ -759,11 +830,11 @@ fn trie_edge_split_repoints_live_subscribers_with_partials_in_flight() {
     expected.sort();
     assert_eq!(
         trie, expected,
-        "split/re-point diverged from independent processors"
+        "a shallow pair beside a deep node diverged from independent processors"
     );
     // Every deep query completes all 30 chains (partials from before the
-    // split included); the late shallow pair sees only the pairs completed
-    // after its registration.
+    // shallow registration included); the late shallow pair sees only the
+    // pairs completed after its registration.
     let per_slot = |slot: usize| expected.iter().filter(|(s, _)| *s == slot).count();
     assert_eq!(
         (per_slot(0), per_slot(1), per_slot(2), per_slot(3)),
