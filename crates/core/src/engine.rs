@@ -12,11 +12,10 @@
 //!   searched around vertices whose bitmap bit is set, and enabling a bit
 //!   triggers a retroactive neighborhood search so that the result does not
 //!   depend on the arrival order of the query's components (Algorithm 3).
-//!   That loop over the leaves is the only one in the pipeline: in a
-//!   shard, sharing is a memo lookup *inside* it — the shard's
-//!   [`SharedSource`], which the loop pulls each leaf's (or a shared
-//!   prefix's) rows from once the leaf has passed the loop's own type
-//!   filter and gate;
+//!   That loop over the leaves is the only one in the pipeline, and every
+//!   leaf it reaches is searched by the engine itself. In a shard, the one
+//!   thing it may pull instead is the rows of a shared join prefix, from
+//!   the shard's [`SharedSource`];
 //! * or runs the non-incremental baseline — a full VF2 enumeration of the
 //!   query over the current graph, filtered to embeddings that use the new
 //!   edge (Section 6's comparison baseline).
@@ -24,7 +23,7 @@
 use crate::error::EngineError;
 use crate::lazy::{LazyBitmap, MAX_LEAVES};
 use crate::profile::ProfileCounters;
-use crate::sharing::SharedSource;
+use crate::sharedjoin::SharedSource;
 use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeData, EdgeType, VertexId};
 use sp_iso::{
@@ -36,23 +35,6 @@ use sp_selectivity::SelectivityEstimator;
 use sp_sjtree::{decompose, InsertTrace, MatchStore, NodeId, RowId, RowLayout, SjTree, StoreStats};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-/// What the shard's [`SharedSource`] did for one leaf the engine's per-edge
-/// loop asked it about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Served {
-    /// Nothing to share — the engine runs the anchored search itself, in its
-    /// own numbering.
-    Declined,
-    /// The source ran the (canonical) search on this engine's behalf and
-    /// queued its matches; the search's wall time is charged to this engine
-    /// (zero when the source is not [`SharedSource::timed`]).
-    Searched(Duration),
-    /// The source queued the matches of a search another subscriber of the
-    /// same leaf shape already triggered for this edge: this engine's own
-    /// search was eliminated by sharing.
-    Shared,
-}
 
 /// The retained edges of the given (ascending) types in `(timestamp, id)`
 /// order: the deterministic replay order of
@@ -381,10 +363,8 @@ impl ContinuousQueryEngine {
     /// (2) evaluates the Lazy Search gate, (3) refuses the search —
     /// counted in [`ProfileCounters::searches_rejected`] — when the
     /// endpoints' type signatures prove it empty
-    /// ([`SjTree::leaf_type_needs`]), and (4) asks the shard's `source`, if
-    /// any, for the leaf's rows ([`SharedSource::leaf_rows`]), running the
-    /// anchored search itself without a source or when the source answers
-    /// [`Served::Declined`]. When the source covers a prefix
+    /// ([`SjTree::leaf_type_needs`]), and (4) runs the anchored search
+    /// around the edge. When the shard's `source` covers a prefix
     /// ([`SharedSource::prefix_depth`]), the leading
     /// leaves **and their internal hash joins** are the shared join stage's:
     /// the engine skips them and seeds its join continuation with the
@@ -401,13 +381,13 @@ impl ContinuousQueryEngine {
     /// without a source: [`ContinuousQueryEngine::process_edge`] and the
     /// rebuild replay) no clock is read.
     ///
-    /// The VF2 baseline ignores the source (it has no leaves to share)
+    /// The VF2 baseline ignores the source (it has no prefix to share)
     /// except for asking whether to time its search.
     pub(crate) fn process_edge_into(
         &mut self,
         graph: &DynamicGraph,
         edge: &EdgeData,
-        mut source: Option<&mut SharedSource<'_, '_>>,
+        source: Option<&mut SharedSource<'_, '_>>,
         complete: &mut Vec<u64>,
     ) {
         complete.clear();
@@ -447,7 +427,7 @@ impl ContinuousQueryEngine {
                 debug_assert!(worklist.is_empty());
 
                 let start_rank = source.as_ref().map_or(0, |s| s.prefix_depth());
-                if let Some(source) = source.as_deref_mut().filter(|_| start_rank > 0) {
+                if let Some(source) = source.filter(|_| start_rank > 0) {
                     debug_assert!(
                         start_rank >= 2 && start_rank < tree.num_leaves(),
                         "a shared prefix the engine continues covers 2..k leaves"
@@ -504,7 +484,7 @@ impl ContinuousQueryEngine {
                         }
                     }
                     // A search the endpoints' type signatures prove empty is
-                    // refused before any clock read or pull.
+                    // refused before any clock read.
                     if !tree.leaf_type_needs(rank).admits_edge(graph, edge) {
                         debug_assert!(
                             find_matches_containing_edge(graph, &self.query, subgraph, edge)
@@ -515,35 +495,19 @@ impl ContinuousQueryEngine {
                         continue;
                     }
                     // The per-edge anchored search (the LeafMatcher stage):
-                    // pull its result from the source, or run it here.
-                    // `iso_searches` counts the searches this query
-                    // *logically* performed either way, so per-query
-                    // profiles keep their meaning; `leaf_searches_shared` and
-                    // the absent `iso_time` record that sharing made one
-                    // free.
+                    // each match it visits goes from its working binding
+                    // straight into an arena row.
                     let queued = worklist.len();
-                    let pull = |row| worklist.push_back((leaf, row));
-                    let served = source.as_deref_mut().map_or(Served::Declined, |s| {
-                        s.leaf_rows(rank, graph, edge, store, pull)
-                    });
-                    match served {
-                        Served::Searched(elapsed) => self.profile.iso_time += elapsed,
-                        Served::Shared => self.profile.leaf_searches_shared += 1,
-                        // Each match the search visits goes from its working
-                        // binding straight into an arena row.
-                        Served::Declined => {
-                            let t0 = timed.then(Instant::now);
-                            find_matches_containing_edge_with(
-                                graph,
-                                &self.query,
-                                subgraph,
-                                edge,
-                                &mut self.scratch.search,
-                                |m| worklist.push_back((leaf, store.encode(m))),
-                            );
-                            add_elapsed(&mut self.profile.iso_time, t0);
-                        }
-                    }
+                    let t0 = timed.then(Instant::now);
+                    find_matches_containing_edge_with(
+                        graph,
+                        &self.query,
+                        subgraph,
+                        edge,
+                        &mut self.scratch.search,
+                        |m| worklist.push_back((leaf, store.encode(m))),
+                    );
+                    add_elapsed(&mut self.profile.iso_time, t0);
                     self.profile.leaf_matches += (worklist.len() - queued) as u64;
                     self.profile.iso_searches += 1;
                 }

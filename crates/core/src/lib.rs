@@ -11,8 +11,8 @@
 //! numbers queries, plans them (strategy and decomposition), keeps the graph
 //! retention window and re-plans when the statistics drift. The data half, a
 //! [`Shard`], owns one shared [`DynamicGraph`] plus the engines of the
-//! continuous queries registered on it, their shared leaf and join stages,
-//! and an edge-type dispatch index that hands each incoming edge only to the
+//! continuous queries registered on it, their shared join stage, and an
+//! edge-type dispatch index that hands each incoming edge only to the
 //! queries whose pattern can use it. A [`StreamProcessor`]
 //! is one control plane driving one shard on the caller's thread; the
 //! `sp-runtime` crate puts the same control plane in front of N shards on
@@ -145,7 +145,6 @@ mod processor;
 mod profile;
 mod shard;
 mod sharedjoin;
-mod sharing;
 mod sink;
 mod strategy;
 
@@ -154,11 +153,10 @@ pub use control::{ControlPlane, QueryId, StrategySpec};
 pub use engine::ContinuousQueryEngine;
 pub use error::EngineError;
 pub use metrics::PipelineMetrics;
-pub use processor::StreamProcessor;
+pub use processor::{SharedLeafStats, StreamProcessor};
 pub use profile::ProfileCounters;
 pub use shard::{Shard, DEFAULT_PURGE_INTERVAL};
 pub use sharedjoin::{SharedJoinIndex, SharedJoinStats, SharedRow, TrieNodeInfo};
-pub use sharing::SharedLeafStats;
 pub use sink::{CountSink, FnSink, MatchSink, RowSink};
 pub use strategy::{choose_strategy, Strategy, StrategyChoice, RELATIVE_SELECTIVITY_THRESHOLD};
 

@@ -13,7 +13,7 @@
 //! | `stage.ingest_ns`         | counter   | ns | vertex/edge insert + statistics |
 //! | `stage.dispatch_ns`       | counter   | ns | edge-type dispatch lookup |
 //! | `stage.shared_join_ns`    | counter   | ns | shared prefix-table advance + prefix-row pulls |
-//! | `stage.shared_leaf_ns`    | counter   | ns | shared anchored leaf searches + their fan-out |
+//! | `stage.shared_leaf_ns`    | counter   | ns | always 0: there is no shared-leaf stage |
 //! | `stage.private_engine_ns` | counter   | ns | per-engine SJ-Tree / VF2 work |
 //! | `stage.emit_ns`           | counter   | ns | match delivery to the sink |
 //! | `stage.purge_ns`          | counter   | ns | amortized purge pass: graph expiry + store/table purges + bitmap compaction |
@@ -27,9 +27,9 @@
 //! per-edge path. It also turns on the engines' own end-of-run split,
 //! [`ProfileCounters`](crate::ProfileCounters)`::{iso_time, update_time}`:
 //! with metrics on, every anchored search, retroactive probe and worklist
-//! insert an engine runs, and every canonical search the shared leaf stage
-//! runs for it, is bracketed by a clock pair; with metrics off none is,
-//! both fields read zero, and the per-edge path reads no clock at all.
+//! insert an engine runs is bracketed by a clock pair; with metrics off
+//! none is, both fields read zero, and the per-edge path reads no clock at
+//! all.
 //!
 //! # Span boundaries
 //!
@@ -45,13 +45,8 @@
 //!   partial-depth subscriber, one lap closing the pull of its prefix-root
 //!   rows into its engine (filter + slot permutation into the arena). A
 //!   candidate without a join subscription takes none.
-//! * `shared_leaf_ns` is charged from inside the shard's leaf source,
-//!   two clock reads per *served* shared leaf: the canonical search (or memo
-//!   hit) plus the slot permutation of its rows into the pulling engine's
-//!   arena. Leaves handed back to their engine (single-subscriber shapes)
-//!   read no clock and are `private_engine_ns`, like the rest of the
-//!   engine's leaf loop around the pulls: type filter, Lazy Search gate,
-//!   own searches, inserts and joins.
+//! * `private_engine_ns` is the rest of a candidate engine's leaf loop:
+//!   type filter, Lazy Search gate, its own searches, inserts and joins.
 //! * `emit_ns` is delivery: for a full-depth subscriber of a prefix table
 //!   the whole direct path — window/boundary filter on the row, the one
 //!   row → `SubgraphMatch` materialization, the sink callback; for an
@@ -85,8 +80,10 @@ pub struct PipelineMetrics {
     /// Nanoseconds advancing shared prefix tables and pulling their rows
     /// into partial-depth subscribers' engines (`stage.shared_join_ns`).
     pub shared_join_ns: Counter,
-    /// Nanoseconds in shared anchored leaf searches and their fan-out
-    /// (`stage.shared_leaf_ns`).
+    /// Always 0 (`stage.shared_leaf_ns`): there is no shared-leaf stage,
+    /// every engine searches its own leaves. Kept, with its `stage_split`
+    /// entry, only because the repository benchmark's trace still reads it;
+    /// both go once that stops (ROADMAP item 12).
     pub shared_leaf_ns: Counter,
     /// Nanoseconds in private engine work — SJ-Tree joins, lazy searches,
     /// VF2 (`stage.private_engine_ns`).
@@ -131,7 +128,9 @@ impl PipelineMetrics {
     }
 
     /// The per-stage span totals as `(stage name, nanoseconds)`, in pipeline
-    /// order — the live counterpart of the paper's §6.4 cost split.
+    /// order — the live counterpart of the paper's §6.4 cost split. The
+    /// `shared_leaf` entry always reads 0 (see
+    /// [`PipelineMetrics::shared_leaf_ns`]).
     pub fn stage_split(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("ingest", self.ingest_ns.get()),

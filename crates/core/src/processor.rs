@@ -32,6 +32,40 @@ use sp_query::QueryGraph;
 use sp_selectivity::{DriftConfig, SelectivityEstimator};
 use sp_sjtree::SjTree;
 
+/// The counters of the shared-leaf stage, which no longer exists: every
+/// engine searches its own leaves, so every field reads 0. Kept, with
+/// [`StreamProcessor::shared_leaf_stats`], only because the repository
+/// benchmark's trace still reads them; both go once it stops (ROADMAP
+/// item 12).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SharedLeafStats {
+    /// Distinct canonical leaf shapes interned (always 0).
+    pub distinct_leaves: usize,
+    /// (query, leaf) subscriptions (always 0).
+    pub total_subscriptions: usize,
+    /// Queries evaluated through the stage (always 0).
+    pub shared_queries: usize,
+    /// Canonical leaf searches the stage ran (always 0).
+    pub searches_run: u64,
+    /// Leaf searches served from another query's search (always 0).
+    pub searches_shared: u64,
+    /// Leaf searches handed back to their engine (always 0).
+    pub searches_delegated: u64,
+}
+
+impl SharedLeafStats {
+    /// `shared / (run + shared + delegated)`, 0 when nothing ran — always
+    /// 0.
+    pub fn elimination_ratio(&self) -> f64 {
+        let total = self.searches_run + self.searches_shared + self.searches_delegated;
+        if total == 0 {
+            0.0
+        } else {
+            self.searches_shared as f64 / total as f64
+        }
+    }
+}
+
 /// A [`ControlPlane`] and the one [`Shard`] it drives, on the caller's
 /// thread.
 #[derive(Debug, Clone)]
@@ -100,12 +134,10 @@ impl StreamProcessor {
         self
     }
 
-    /// Snapshot of the shared-leaf index: distinct leaf shapes, current
-    /// subscriptions, and how many anchored searches sharing eliminated.
-    /// Structurally identical SJ-Tree leaves of different registered
-    /// queries are searched **once** per edge and the results fanned out.
-    pub fn shared_leaf_stats(&self) -> crate::SharedLeafStats {
-        self.shard.shared_leaf_stats()
+    /// All zeroes: there is no shared-leaf stage, every engine searches its
+    /// own leaves (see [`SharedLeafStats`]).
+    pub fn shared_leaf_stats(&self) -> SharedLeafStats {
+        SharedLeafStats::default()
     }
 
     /// Snapshot of the shared join stage: live prefix tables, current
@@ -132,11 +164,10 @@ impl StreamProcessor {
     /// live statistics against the ranking its plan was built on; when the
     /// detector fires and the authoritative re-plan differs, the engine is
     /// swapped via [`ContinuousQueryEngine::rebuild`] (replaying the
-    /// retained graph, so no partial state is lost) and its leaf shapes are
-    /// re-subscribed in the shared-leaf index. `Auto`-registered queries
-    /// re-run the strategy selection; `Fixed` queries keep their strategy
-    /// but may re-order leaves — whichever order registration and this call
-    /// happened in.
+    /// retained graph, so no partial state is lost) and re-placed in the
+    /// shared join stage. `Auto`-registered queries re-run the strategy
+    /// selection; `Fixed` queries keep their strategy but may re-order
+    /// leaves — whichever order registration and this call happened in.
     ///
     /// Adaptivity is semantics-preserving: the reported match multiset is
     /// identical with it on or off. It only pays off when the statistics
@@ -238,8 +269,8 @@ impl StreamProcessor {
     /// Swaps one query's decomposition for an externally supplied plan:
     /// rebuilds the engine via [`ContinuousQueryEngine::rebuild`] (replaying
     /// the retained graph, preserving the reported match multiset) and
-    /// re-subscribes its leaf shapes in the shared-leaf index. A
-    /// deterministic lever for tests and tooling; the drift-driven path
+    /// re-places it in the shared join stage. A deterministic lever for
+    /// tests and tooling; the drift-driven path
     /// ([`StreamProcessor::run_drift_checks`]) computes the plan itself.
     pub fn redecompose(
         &mut self,
@@ -263,8 +294,8 @@ impl StreamProcessor {
     }
 
     /// Ingests a batch of stream events into one sink, returning the number
-    /// of matches reported: one warm shared-leaf memo and one warm
-    /// per-engine scratch serve every edge of the batch.
+    /// of matches reported: one warm per-engine scratch serves every edge
+    /// of the batch.
     pub fn process_batch_into<'a, S, I>(&mut self, events: I, sink: &mut S) -> u64
     where
         S: RowSink + ?Sized,
@@ -535,6 +566,10 @@ mod tests {
         proc.process(&EdgeEvent::homogeneous(1, 3, person, tcp, Timestamp(2)));
         assert_eq!(proc.profile().vertex_type_conflicts, 1);
         assert_eq!(proc.graph().vertex_type(VertexId(1)), Some(ip));
+        // The counter counts endpoints, not events: an event whose two
+        // endpoints both conflict adds 2.
+        proc.process(&EdgeEvent::homogeneous(2, 1, person, tcp, Timestamp(3)));
+        assert_eq!(proc.profile().vertex_type_conflicts, 3);
     }
 
     #[test]

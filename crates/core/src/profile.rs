@@ -21,29 +21,22 @@ pub struct ProfileCounters {
     /// edges dispatched to it; in the processor aggregate it counts events
     /// ingested from the stream.
     pub edges_processed: u64,
-    /// Number of stream events whose external vertex id arrived with a type
-    /// conflicting with the type already recorded for that vertex (the
-    /// original type is kept). Only the stream-level counters track this;
-    /// engines never see the conflict.
+    /// Number of event endpoints whose external vertex id arrived with a
+    /// type conflicting with the type already recorded for that vertex (the
+    /// original type is kept): 0, 1 or 2 per event. Only the stream-level
+    /// counters track this; engines never see the conflict.
     pub vertex_type_conflicts: u64,
     /// Number of stream events rejected before ingest because they name
     /// vertex id `u64::MAX`, which the interned match rows reserve as the
     /// unbound-slot sentinel. Stream-level only, like the conflicts.
     pub rejected_events: u64,
-    /// Number of leaf-level subgraph-isomorphism invocations: leaves that
-    /// *reached a search* for a dispatched edge — run by the engine, run by
-    /// the shared leaf stage on its behalf, or served from that stage's
-    /// per-edge memo ([`ProfileCounters::leaf_searches_shared`] says how many
-    /// were the last kind). A leaf whose edge types do not include the
-    /// edge's type is dropped before the Lazy Search gate and counted
-    /// nowhere; one the endpoints' type signatures refuse counts in
-    /// [`ProfileCounters::searches_rejected`] instead. (Before the engine
-    /// had one leaf loop, type-mismatched leaves were counted here, or in
-    /// [`ProfileCounters::searches_skipped`] when gated off: on a typed pack
-    /// like `lsbench_calm` that was 71 % of this counter. With every query
-    /// on the shared leaf stage and no shared-join table live, this equals
-    /// `SharedLeafStats::{searches_run + searches_shared +
-    /// searches_delegated}`.)
+    /// Number of leaf-level subgraph-isomorphism invocations: the anchored
+    /// searches the engine ran for dispatched edges. A leaf whose edge types
+    /// do not include the edge's type is dropped before the Lazy Search gate
+    /// and counted nowhere; one the endpoints' type signatures refuse counts
+    /// in [`ProfileCounters::searches_rejected`] instead. Leaves a shared
+    /// join prefix covers are searched by the prefix table and count in
+    /// `SharedJoinStats::searches_run`.
     pub iso_searches: u64,
     /// Number of leaf matches found by those searches.
     pub leaf_matches: u64,
@@ -55,7 +48,7 @@ pub struct ProfileCounters {
     /// search (type filter and Lazy Search gate passed) or a retroactive
     /// probe whose anchor's sticky type signature lacks an edge type every
     /// way of anchoring the leaf needs (`sp_iso::TypeNeeds`). Such a search
-    /// neither runs nor reaches the shared leaf stage, so
+    /// does not run, so
     /// `iso_searches + retroactive_searches + searches_rejected` is what
     /// those two counters read before the refusal existed: the searches the
     /// plan demanded.
@@ -64,10 +57,10 @@ pub struct ProfileCounters {
     /// gate-refused leaves whose edge types include the edge's type, i.e.
     /// searches that could have found something.
     pub searches_skipped: u64,
-    /// Number of leaf searches this query did **not** have to run because a
-    /// structurally identical leaf had already been searched for this edge
-    /// (shared-leaf evaluation): the engine consumed the shared result
-    /// instead. Always 0 when the engine runs standalone.
+    /// Leaf searches served by the shared-leaf stage, which no longer
+    /// exists: every engine searches its own leaves, so this reads 0. Kept
+    /// only because the repository benchmark's trace still reads it; it
+    /// goes once that stops (ROADMAP item 12).
     pub leaf_searches_shared: u64,
     /// Prefix-root matches this query consumed from the shared join stage
     /// (`SharedJoinIndex`) instead of producing them with its own leaf
@@ -103,8 +96,7 @@ pub struct ProfileCounters {
     /// Number of partial matches purged (window expiry).
     pub partial_matches_purged: u64,
     /// Wall time spent inside subgraph isomorphism: the engine's anchored
-    /// searches and retroactive probes, the shared leaf stage's canonical
-    /// searches run on its behalf, or the VF2 baseline's enumeration.
+    /// searches and retroactive probes, or the VF2 baseline's enumeration.
     /// Measured only while `PipelineMetrics` are attached
     /// (`StreamProcessor::with_metrics`, `enable_metrics` on the runtime);
     /// reads zero otherwise, and always for an engine driven on its own

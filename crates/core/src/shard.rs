@@ -14,8 +14,7 @@ use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
 use crate::metrics::{PipelineMetrics, StageClock};
 use crate::profile::ProfileCounters;
-use crate::sharedjoin::{JoinDelivery, SharedJoinIndex};
-use crate::sharing::{SharedLeafIndex, SharedLeafStats, SharedSource};
+use crate::sharedjoin::{JoinDelivery, SharedJoinIndex, SharedSource};
 use crate::sink::RowSink;
 use crate::strategy::Strategy;
 use sp_graph::{monotonic_nanos, DynamicGraph, EdgeData, EdgeEvent, EdgeType, FastMap, Schema};
@@ -33,7 +32,7 @@ pub const DEFAULT_PURGE_INTERVAL: u64 = 4096;
 /// [`ControlPlane`](crate::ControlPlane) of whichever front end owns it —
 /// which engine to run under which id, how long to retain edges and which
 /// plan to rebuild an engine onto; what it owns is the [`DynamicGraph`], the
-/// engines with their dispatch index and both shared stages, the purge
+/// engines with their dispatch index and the shared join stage, the purge
 /// cadence, the telemetry handles and the stream counters. The sequential
 /// [`StreamProcessor`](crate::StreamProcessor) drives one shard inline; each
 /// worker thread of the parallel runtime owns one and nothing else.
@@ -45,9 +44,6 @@ pub struct Shard {
     engines: BTreeMap<QueryId, ContinuousQueryEngine>,
     /// Edge type → queries whose pattern contains an edge of that type.
     dispatch: FastMap<EdgeType, Vec<QueryId>>,
-    /// Canonical leaf shape → subscribers, with the per-edge search memo;
-    /// deduplicates the anchored leaf searches across queries.
-    shared: SharedLeafIndex,
     /// Canonical SJ-Tree prefix → refcounted shared partial-match table;
     /// deduplicates the join stage across queries with common decomposition
     /// prefixes (see [`SharedJoinIndex`]).
@@ -75,7 +71,6 @@ impl Shard {
             graph: DynamicGraph::new(schema),
             engines: BTreeMap::new(),
             dispatch: FastMap::default(),
-            shared: SharedLeafIndex::new(),
             join: SharedJoinIndex::new(),
             complete: Vec::new(),
             purge_interval: DEFAULT_PURGE_INTERVAL,
@@ -106,8 +101,7 @@ impl Shard {
     /// shared join stage — its decomposition's canonical prefix chain is
     /// matched against the live tables and the other registered chains,
     /// possibly creating a new refcounted table and migrating previously
-    /// private partners onto it (see [`SharedJoinIndex`]) — and subscribes
-    /// the leaves past its shared prefix to the shared leaf stage.
+    /// private partners onto it (see [`SharedJoinIndex`]).
     ///
     /// # Panics
     /// Panics when `id` is already registered (ids are never reused).
@@ -127,36 +121,26 @@ impl Shard {
     /// Runs the shared-join placement for one query (newly registered or
     /// freshly re-decomposed) and applies every placement it made — the
     /// query's own and those of the partners it pulled in: each placed
-    /// engine drops its now-shared prefix stages and subscribes its leaf
-    /// shapes past the prefix (all of them when it stays private).
+    /// engine drops its private tables for the prefix of `depth` leaves it
+    /// now rides (`0`: none, it stays private).
     fn subscribe_join(&mut self, id: QueryId) {
         let now = self.graph.total_edges_seen();
         for (q, depth) in self.join.subscribe(id, &self.engines, now, &self.graph) {
-            self.adopt_join_subscription(q, depth);
+            let engine = self.engines.get_mut(&q).expect("subscribed engine exists");
+            engine.clear_prefix_state(depth);
         }
-    }
-
-    /// Switches one engine onto its shared prefix of `depth` leaves (`0`:
-    /// none): drop the (now redundant) private prefix tables and
-    /// (re)subscribe the leaf stage from the first leaf past the prefix.
-    fn adopt_join_subscription(&mut self, id: QueryId, depth: usize) {
-        let engine = self.engines.get_mut(&id).expect("subscribed engine exists");
-        engine.clear_prefix_state(depth);
-        self.shared.unsubscribe(id);
-        self.shared.subscribe(id, engine, depth);
     }
 
     /// Stops running a query, returning its engine with runtime state
     /// intact (`None` for an id this shard does not run). The dispatch index
-    /// drops the query from every edge-type slot, and a leaf shape or prefix
-    /// table whose last subscriber left is dropped.
+    /// drops the query from every edge-type slot, and a prefix table whose
+    /// last subscriber left is dropped.
     pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
         let engine = self.engines.remove(&id)?;
         self.dispatch.retain(|_, ids| {
             ids.retain(|&q| q != id);
             !ids.is_empty()
         });
-        self.shared.unsubscribe(id);
         self.join.unsubscribe(id);
         Some(engine)
     }
@@ -171,8 +155,8 @@ impl Shard {
     /// Swaps one query's decomposition for the given plan: rebuilds the
     /// engine via [`ContinuousQueryEngine::rebuild`] (replaying the retained
     /// graph, preserving the reported match multiset), then drops its old
-    /// leaf and prefix subscriptions (a shape or table whose last subscriber
-    /// left is evicted) and subscribes the new decomposition in their place
+    /// prefix subscription (a table whose last subscriber left is evicted)
+    /// and subscribes the new decomposition in its place
     /// with the query's **original** registration boundary, so the rebuilt
     /// engine keeps seeing exactly the matches a never-rebuilt one would.
     /// The dispatch index needs no update: a re-decomposition never changes
@@ -279,13 +263,11 @@ impl Shard {
     /// order: a subscriber whose prefix spans its whole tree has its matches
     /// handed from the table's emission rows straight to `sink` (no engine
     /// involved); any other candidate's engine runs its one leaf loop
-    /// ([`ContinuousQueryEngine::process_edge_into`]), pulling — per leaf
-    /// that survives the loop's type filter and Lazy Search gate — from the
-    /// shard's [`SharedSource`]: a partial-depth subscriber's prefix-root
-    /// rows from its table, the rows of a multi-subscriber leaf shape from
-    /// the edge's search memo (each distinct canonical search runs once),
-    /// and "search it yourself" for everything else (single-subscriber
-    /// shapes, the VF2 baseline, oversized leaves). An engine that runs
+    /// ([`ContinuousQueryEngine::process_edge_into`]), searching every leaf
+    /// that survives the loop's type filter, Lazy Search gate and
+    /// type-signature refusal, after pulling a partial-depth subscriber's
+    /// prefix-root rows from its table through the shard's
+    /// [`SharedSource`]. An engine that runs
     /// reports its root joins into the flat `complete` buffer, passed to
     /// `sink` as one burst. Each candidate's matches arrive in emission
     /// order.
@@ -309,7 +291,6 @@ impl Shard {
             graph,
             engines,
             dispatch,
-            shared,
             join,
             complete,
             metrics,
@@ -322,7 +303,6 @@ impl Shard {
             return 0;
         };
         let mut reported = 0;
-        shared.begin_edge();
         // Advance every shared prefix table this edge can touch — one
         // search-and-join pass per table, not per subscriber. No table of
         // the edge's type, no span.
@@ -341,8 +321,6 @@ impl Shard {
                 }
                 JoinDelivery::Engine(prefix) => {
                     let mut source = SharedSource {
-                        id,
-                        leaves: &mut *shared,
                         prefix,
                         clock: &mut clock,
                     };
@@ -400,12 +378,6 @@ impl Shard {
     /// subscription depth and its bookkeeping).
     pub fn shared_joins(&self) -> &SharedJoinIndex {
         &self.join
-    }
-
-    /// Snapshot of the shared-leaf stage's bookkeeping (distinct shapes,
-    /// subscriptions, searches run vs eliminated).
-    pub fn shared_leaf_stats(&self) -> SharedLeafStats {
-        self.shared.stats()
     }
 
     /// Total partial matches ever stored across every live engine and

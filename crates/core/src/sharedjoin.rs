@@ -1,13 +1,12 @@
 //! Shared join stage: refcounted canonical partial-match tables for common
 //! SJ-Tree prefixes across the queries of a shard.
 //!
-//! Shared-leaf evaluation
-//! ([`SharedLeafIndex`](crate::sharing::SharedLeafIndex)) stops at the
-//! leaves: two queries with the same leaf sequence would still maintain
-//! duplicate partial-match tables and run duplicate hash-join work on every
-//! edge. [`SharedJoinIndex`] extends the sharing through the join stage —
-//! the multi-query design of the StreamWorks line of work (Choudhury et
-//! al., EDBT 2015; arXiv:1407.3745):
+//! Every engine runs the anchored search for each of its own leaves, so
+//! two queries with the same leading leaves would keep duplicate
+//! partial-match tables and run duplicate searches and hash joins on every
+//! edge. [`SharedJoinIndex`] shares that work per common *prefix* of at
+//! least two leaves — the multi-query design of the StreamWorks line of
+//! work (Choudhury et al., EDBT 2015; arXiv:1407.3745):
 //!
 //! * every registered query's decomposition is canonicalized to a
 //!   [`PrefixSignature`] chain (`sp-query`); queries whose chains begin with
@@ -128,6 +127,7 @@
 
 use crate::control::{retention_for_windows, QueryId};
 use crate::engine::{retained_edges, ContinuousQueryEngine};
+use crate::metrics::StageClock;
 use crate::sink::RowSink;
 use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap, Timestamp, VertexId};
 use sp_iso::{find_matches_containing_edge_with, SearchScratch, SubgraphMatch};
@@ -136,8 +136,9 @@ use sp_sjtree::{MatchStore, RowId, RowLayout, SjTree};
 use std::collections::{BTreeMap, HashMap};
 
 /// A shared prefix must contain at least one internal join node, i.e. cover
-/// at least two leaves — depth-1 "prefixes" are exactly the leaf shapes the
-/// shared **leaf** stage already deduplicates.
+/// at least two leaves. A depth-1 table would share a single leaf search,
+/// and sharing single leaves across queries was measured to save time on
+/// no benchmark workload: each engine searches its own leaves.
 pub(crate) const MIN_PREFIX_DEPTH: usize = 2;
 
 /// The canonical chain of one SJ-Tree, as the shared join stage sees it,
@@ -521,11 +522,10 @@ pub struct TrieNodeInfo {
 
 /// The current edge's emissions of the prefix table a **partial-depth**
 /// subscriber rides, on their way into that subscriber's engine: a borrowed
-/// view the engine's leaf loop pulls through the shard's
-/// [`SharedSource`](crate::sharing::SharedSource) — nothing is built until
-/// then. (A
-/// subscriber whose prefix spans its whole tree never sees one — its matches
-/// go from the table straight to the sink.)
+/// view the engine's leaf loop pulls through the shard's [`SharedSource`] —
+/// nothing is built until then. (A subscriber whose prefix spans its whole
+/// tree never sees one — its matches go from the table straight to the
+/// sink.)
 #[derive(Debug)]
 pub(crate) struct PrefixRows<'a> {
     entry: &'a PrefixEntry,
@@ -559,6 +559,53 @@ impl PrefixRows<'_> {
             }
         }
         entry.subtree_subs > 1
+    }
+}
+
+/// What the shard hands one candidate engine's leaf loop
+/// ([`ContinuousQueryEngine::process_edge_into`]) on one edge: the rows of
+/// the prefix table it rides at partial depth, if any, and the shard's stage
+/// clock. The engine skips the leaves the prefix covers and pulls
+/// [`SharedSource::prefix_rows`] in their place; it searches every other
+/// leaf itself, as an engine run on its own does for every leaf. A pulled
+/// prefix takes one lap of the clock (`shared_join_ns`).
+pub(crate) struct SharedSource<'a, 'm> {
+    /// The current edge's emissions of the prefix table the query rides at
+    /// partial depth, if it does.
+    pub prefix: Option<PrefixRows<'a>>,
+    /// The shard's stage clock.
+    pub clock: &'a mut StageClock<'m>,
+}
+
+impl SharedSource<'_, '_> {
+    /// Whether the engine times its searches and inserts into
+    /// [`ProfileCounters::iso_time`](crate::ProfileCounters::iso_time) /
+    /// [`ProfileCounters::update_time`](crate::ProfileCounters::update_time)
+    /// for this edge: asked once per edge. Answers whether metrics are
+    /// attached, so an un-metered pipeline reads no clock.
+    pub(crate) fn timed(&self) -> bool {
+        self.clock.is_on()
+    }
+
+    /// Number of leading leaves (selectivity ranks `0..depth`) a shared
+    /// prefix table evaluates on the engine's behalf — searches, inserts and
+    /// internal joins: `0` for none, else `2 <= depth < leaves`. The engine
+    /// skips those leaves and pulls [`SharedSource::prefix_rows`] instead.
+    pub(crate) fn prefix_depth(&self) -> usize {
+        self.prefix.as_ref().map_or(0, PrefixRows::depth)
+    }
+
+    /// Writes the prefix-root matches this edge created (those the engine's
+    /// window and subscription boundary admit; the suffix slots stay
+    /// unbound) into `store` and queues them. Returns whether the table has
+    /// other live subscribers, i.e. the prefix work was genuinely
+    /// deduplicated. Only called when [`SharedSource::prefix_depth`] is
+    /// non-zero.
+    pub(crate) fn prefix_rows(&mut self, store: &mut MatchStore, queue: impl FnMut(RowId)) -> bool {
+        let prefix = self.prefix.as_mut().expect("only pulled with a prefix");
+        let shared = prefix.encode_into(store, queue);
+        self.clock.charge(|m| &m.shared_join_ns);
+        shared
     }
 }
 

@@ -18,9 +18,10 @@
 //!
 //! The repository's end-to-end benchmark (throughput, CPU, memory, latency
 //! and the per-layer trace) is the separate `benchmark/` package; see
-//! `benchmark/README.md`. Its traced `core.shared_leaf_elimination`,
-//! `core.shared_join_inserts_saved_ratio` and `core.trie_replays` report
-//! what the shared leaf and join stages save.
+//! `benchmark/README.md`. Its traced `core.shared_join_inserts_saved_ratio`
+//! and `core.trie_replays` report what the shared join stage saves;
+//! `core.shared_leaf_elimination` and `core.shared_leaf_share` read 0, as
+//! every engine searches its own leaves.
 //!
 //! The `reproduce` binary drives these functions and renders markdown tables
 //! (the basis of `EXPERIMENTS.md`). Component costs come from the
@@ -31,8 +32,7 @@
 //!   `sjtree.purge_ms_per_pass`;
 //! * graph ingest and expiry: `graph.ingest_ns_per_edge`,
 //!   `graph.expire_ns_per_edge`;
-//! * dispatch, shared leaf and join fan-out, and emit:
-//!   `core.dispatch_share`, `core.shared_leaf_share`,
+//! * dispatch, shared join fan-out, and emit: `core.dispatch_share`,
 //!   `core.shared_join_share`, `core.emit_share`;
 //! * decomposition: `core.register_ms_p50`;
 //! * stream statistics: `selectivity.observe_ns_per_edge`;

@@ -218,9 +218,8 @@ fn measure_query(
 /// Ingestion, graph retention (the engine's window, from `from` on) and the
 /// purge cadence are those of a single-query [`StreamProcessor`], but there
 /// is no shard: the engine searches every leaf itself
-/// ([`ContinuousQueryEngine::process_edge`]), so no shared stage — not even
-/// the per-edge memo serving two same-shape leaves of one query — is on the
-/// path the shared one is checked against.
+/// ([`ContinuousQueryEngine::process_edge`]), so no shared join stage is on
+/// the path the shard is checked against.
 pub fn run_alone(
     schema: &Schema,
     mut engine: ContinuousQueryEngine,

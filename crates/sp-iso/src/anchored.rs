@@ -102,7 +102,7 @@ pub fn edge_compatible(
 }
 
 /// Reusable per-search state, owned by a long-lived pipeline stage (a query
-/// engine, the shared-leaf index, the shared-join stage) rather than the
+/// engine, the shared-join stage) rather than the
 /// call: the steady-state per-edge path runs thousands of anchored searches
 /// per second, and building a fresh 288-byte working match per search was
 /// pure copying.

@@ -13,10 +13,9 @@
 //! [`canonicalize_subgraph`] also returns the [`CanonicalMapping`] from the
 //! canonical numbering back to the original query's ids, so a match found
 //! against the canonical leaf can be *rebased* onto any subscriber's
-//! numbering (a slot permutation of its row). This is the foundation
-//! of shared-leaf evaluation: run one anchored search per distinct canonical
-//! leaf per streaming edge, then fan the results out to every query that
-//! subscribes to that leaf shape.
+//! numbering (a slot permutation of its row). Leaf signatures are the steps
+//! of a [`PrefixSignature`](crate::PrefixSignature) chain, the key under
+//! which queries share a join prefix.
 
 use crate::query::{QueryEdgeId, QueryGraph, QueryVertexId};
 use crate::subgraph::QuerySubgraph;
@@ -25,8 +24,7 @@ use sp_graph::{EdgeType, VertexType};
 
 /// Largest leaf (in vertices) the exact canonicalization accepts. The
 /// decomposition policies produce leaves of at most 3 vertices; the cap only
-/// matters for hand-built trees, whose engines simply fall back to private
-/// (unshared) leaf search.
+/// matters for hand-built trees, which then share no join prefix.
 pub const MAX_CANONICAL_VERTICES: usize = 7;
 
 /// A canonical edge: `(source, destination, type)` in canonical vertex
@@ -77,22 +75,6 @@ impl LeafSignature {
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Materializes the canonical leaf as a standalone query graph (plus the
-    /// subgraph view covering all of it), suitable for the anchored matchers.
-    /// Canonical vertex `c` becomes `QueryVertexId(c)` and the `i`-th
-    /// canonical edge becomes `QueryEdgeId(i)`.
-    pub fn instantiate(&self, name: &str) -> (QueryGraph, QuerySubgraph) {
-        let mut q = QueryGraph::new(name);
-        for &vt in &self.vertex_types {
-            q.add_vertex(vt);
-        }
-        for &(src, dst, t) in &self.edges {
-            q.add_edge(QueryVertexId(src as usize), QueryVertexId(dst as usize), t);
-        }
-        let sub = QuerySubgraph::from_edges(&q, q.edge_ids());
-        (q, sub)
     }
 }
 
@@ -326,7 +308,16 @@ mod tests {
         q.add_edge(a, b, s);
         q.add_edge(b, c, t);
         let (sig, _) = sig_of(&q, &[0, 1]);
-        let (canon_q, canon_sub) = sig.instantiate("canon");
+        // Canonical vertex `c` becomes `QueryVertexId(c)`, the `i`-th
+        // canonical edge `QueryEdgeId(i)`.
+        let mut canon_q = QueryGraph::new("canon");
+        for c in 0..sig.num_vertices() {
+            canon_q.add_vertex(sig.vertex_type(c));
+        }
+        for &(src, dst, t) in sig.canonical_edges() {
+            canon_q.add_edge(QueryVertexId(src as usize), QueryVertexId(dst as usize), t);
+        }
+        let canon_sub = QuerySubgraph::from_edges(&canon_q, canon_q.edge_ids());
         assert_eq!(canon_q.num_vertices(), 3);
         assert_eq!(canon_q.num_edges(), 2);
         assert_eq!(canon_sub.num_edges(), 2);

@@ -174,7 +174,9 @@ pub struct WorkerReport {
     /// Events this replica ingested into its graph: every event the facade
     /// accepted, so it equals the facade's event count.
     pub edges_ingested: u64,
-    /// Vertex-type conflicts seen by this replica's ingestion path.
+    /// Vertex-type conflicts seen by this replica's ingestion path, counted
+    /// per event endpoint (0–2 per event), like
+    /// [`ProfileCounters::vertex_type_conflicts`].
     pub vertex_type_conflicts: u64,
     /// Cumulative matches this worker has emitted.
     pub matches_found: u64,
@@ -211,9 +213,9 @@ pub(crate) fn worker_loop(
                     }
                     queue_depth.sub(1);
                 }
-                // One warm shared-leaf memo and one per-engine scratch serve
-                // every event of the batch. Statistics are the facade's
-                // business: nothing observes the edges here.
+                // One warm per-engine scratch serves every event of the
+                // batch. Statistics are the facade's business: nothing
+                // observes the edges here.
                 for ev in events.iter() {
                     shard.process_into(ev, &mut out, |_| {});
                 }

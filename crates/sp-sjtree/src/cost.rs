@@ -29,9 +29,7 @@ pub struct CostModel {
     /// Estimated number of elementary search + join operations per streaming
     /// edge.
     pub work_per_edge: f64,
-    /// The leaf-search share of [`CostModel::work_per_edge`] — the part
-    /// shared-leaf evaluation can eliminate when other registered queries
-    /// subscribe to the same canonical leaves.
+    /// The leaf-search share of [`CostModel::work_per_edge`].
     pub leaf_search_work: f64,
     /// Per-leaf search work in selectivity-rank order
     /// (`leaf_search_cost.iter().sum() == leaf_search_work`).

@@ -67,7 +67,6 @@ fn main() {
         ("ingest", "stage.ingest_ns"),
         ("dispatch", "stage.dispatch_ns"),
         ("shared join", "stage.shared_join_ns"),
-        ("shared leaf", "stage.shared_leaf_ns"),
         ("private engine", "stage.private_engine_ns"),
         ("emit", "stage.emit_ns"),
         ("purge", "stage.purge_ns"),

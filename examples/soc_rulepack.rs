@@ -1,5 +1,5 @@
-//! A SOC-style rule pack with heavy leaf overlap, demonstrating shared-leaf
-//! evaluation.
+//! A SOC-style rule pack with heavy overlap, demonstrating the shared join
+//! stage.
 //!
 //! Run with:
 //! ```text
@@ -9,12 +9,11 @@
 //! Twelve netflow detection rules — scan, beacon, exfiltration and tunnel
 //! variants — watch one stream. The rules decompose into a small pool of
 //! SJ-Tree leaves (a TCP edge appears in most of them, ICMP and ESP in
-//! several), so the shard's `SharedLeafIndex` runs each distinct leaf
-//! search **once per edge** and fans the results out; rules whose
-//! decompositions begin with the same leaf chain also share one prefix
-//! table. The example prints both shared stages' own counters: searches
-//! run, searches served from another rule's search, and the fraction of
-//! the pack's work they eliminated.
+//! several). Every rule's engine searches its own leaves; rules whose
+//! decompositions begin with the same leaf chain share one prefix table.
+//! The example prints each rule's profile and the join stage's own
+//! counters: prefix work run, prefix work saved, and the fraction of the
+//! prefix work it eliminated.
 
 use sp_datasets::NetflowConfig;
 use sp_graph::Schema;
@@ -71,53 +70,32 @@ fn main() {
     proc.process_all(dataset.events.iter());
     let elapsed = t0.elapsed();
 
-    let stats = proc.shared_leaf_stats();
     println!("=== SOC rule pack: 12 rules over one netflow stream ===\n");
-    println!(
-        "{} rules decompose into {} leaf subscriptions over only {} distinct leaf shapes",
-        proc.num_queries(),
-        stats.total_subscriptions,
-        stats.distinct_leaves
-    );
-    println!(
-        "run: {elapsed:.1?}; leaf searches run {}, served shared {}, handed back {} \
-         ({:.1}% of the pack's leaf-search work eliminated)\n",
-        stats.searches_run,
-        stats.searches_shared,
-        stats.searches_delegated,
-        100.0 * stats.elimination_ratio()
-    );
+    println!("run: {elapsed:.1?}\n");
 
-    // Per-rule profile: who consumed shared results, who was charged the
-    // search time, who matched what.
+    // Per-rule profile: what each rule was dispatched, searched and
+    // consumed from a shared prefix table, and what it matched.
     println!(
         "{:<16} {:>10} {:>12} {:>9} {:>9} {:>8}",
-        "rule", "dispatched", "iso searches", "skipped", "shared", "alerts"
+        "rule", "dispatched", "iso searches", "skipped", "prefix", "alerts"
     );
-    let mut total_shared = 0;
     for id in proc.query_ids() {
         let engine = proc.engine_for(id).expect("registered");
         let p = engine.profile();
-        total_shared += p.leaf_searches_shared;
         println!(
             "{:<16} {:>10} {:>12} {:>9} {:>9} {:>8}",
             engine.query().name(),
             p.edges_processed,
             p.iso_searches,
             p.searches_skipped,
-            p.leaf_searches_shared,
+            p.shared_join_emissions,
             p.complete_matches
         );
     }
-    println!(
-        "\nper-rule `shared` column sums to {total_shared} = the index's eliminated count {}",
-        stats.searches_shared
-    );
-    assert_eq!(total_shared, stats.searches_shared);
 
-    // The shared JOIN stage on top: rules whose decompositions begin with
-    // the same canonical leaf chain share one refcounted prefix table —
-    // leaf searches AND hash joins for the prefix run once pack-wide.
+    // The shared join stage: rules whose decompositions begin with the
+    // same canonical leaf chain share one refcounted prefix table — leaf
+    // searches AND hash joins for the prefix run once pack-wide.
     let join = proc.shared_join_stats();
     println!(
         "\nshared join stage: {} prefix tables over {} subscribed rules",

@@ -35,9 +35,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// An overlapping netflow rule pack (identical chains, a proper-prefix
-/// overlap, disjoint rules) so all three pipeline stages — shared join
-/// tables, the shared leaf cache and private engines — run against warm
-/// buffers.
+/// overlap, disjoint rules) so both pipeline stages — shared join tables
+/// and private engines — run against warm buffers.
 fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     let chain = |name: &str, protos: &[&str]| {
         let mut q = QueryGraph::new(name);
@@ -187,11 +186,11 @@ fn sequential_pipeline_matches_parallel_runtime_across_worker_counts() {
 /// 1. **The per-edge machinery is allocation-free.** A cyber stream whose
 ///    steady-state slice is all gated-leaf traffic (esp edges in a region
 ///    no tcp partial ever touched, under Lazy Search) drives the full
-///    dispatch path — ingest, candidate lookup, shared-leaf fan-out, lazy
-///    gate — without materializing new matches or partials. After warmup
+///    dispatch path — ingest, candidate lookup, lazy gate — without
+///    materializing new matches or partials. After warmup
 ///    that slice must average (almost) zero allocations per edge; the
 ///    residue is amortized container growth, not per-edge churn.
-/// 2. **Stored, fanned-out and delivered matches are (nearly) free too.**
+/// 2. **Stored, pulled and delivered matches are (nearly) free too.**
 ///    A match is a fixed-width row from the anchored search that finds it
 ///    to the join that completes it — in recycled arena rows and reused
 ///    flat buffers, whatever its width — and a delivered inline-width
@@ -532,20 +531,17 @@ mod alloc_regression {
         );
     }
 
-    /// Both pulls of the engines' leaf loop, with non-empty results. Four
-    /// eager rules share their first leaf shape (a `tcp` edge) and nothing
-    /// else, so every `tcp` edge runs one shared anchored search whose result
-    /// — kept as a canonical row in the edge cache's flat buffer — each of
-    /// the four engines pulls by slot permutation straight into its own
-    /// arena. Two more rules share the `[tcp, tcp]` join prefix of their
-    /// three-leaf trees, so every edge also has both engines pull the prefix
-    /// table's new rows out of its pending buffer, the same way. No
-    /// `SubgraphMatch`, no per-pull vector, no buffer in between.
+    /// The prefix pull of the engines' leaf loop, with non-empty results.
+    /// Two eager rules share the `[tcp, tcp]` join prefix of their
+    /// three-leaf trees, so every edge has both engines pull the prefix
+    /// table's new rows out of its pending buffer by slot permutation
+    /// straight into their own arenas. No `SubgraphMatch`, no per-pull
+    /// vector, no buffer in between.
     #[test]
-    fn shared_leaf_fanout_allocates_nothing_per_fanned_out_match() {
+    fn prefix_pull_allocates_nothing_per_fed_match() {
         let _serial = serial();
         let mut schema = cyber_schema();
-        let seconds: Vec<sp_graph::EdgeType> = (0..6)
+        let thirds: Vec<sp_graph::EdgeType> = (0..2)
             .map(|i| schema.intern_edge_type(&format!("p{i}")))
             .collect();
         let ip = schema.vertex_type("ip").unwrap();
@@ -563,15 +559,7 @@ mod alloc_regression {
             }
             q
         };
-        let leaf_sharers: Vec<QueryId> = seconds[..4]
-            .iter()
-            .map(|&second| {
-                proc.register(chain(&[tcp, second]), Strategy::Single, Some(150))
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(proc.shared_join_stats().tables, 0, "no common prefix");
-        let prefix_sharers: Vec<QueryId> = seconds[4..]
+        let prefix_sharers: Vec<QueryId> = thirds
             .iter()
             .map(|&third| {
                 proc.register(chain(&[tcp, tcp, third]), Strategy::Single, Some(150))
@@ -599,40 +587,30 @@ mod alloc_regression {
             }
         };
         run(&mut proc, 0..8_000);
-        let pulled = |proc: &StreamProcessor| -> (u64, u64) {
-            let sum = |ids: &[QueryId], read: fn(&streampattern::ProfileCounters) -> u64| {
-                ids.iter()
-                    .map(|&id| read(proc.profile_for(id).unwrap()))
-                    .sum::<u64>()
-            };
-            (
-                sum(&leaf_sharers, |p| p.leaf_matches),
-                sum(&prefix_sharers, |p| p.shared_join_emissions),
-            )
+        let fed = |proc: &StreamProcessor| -> u64 {
+            prefix_sharers
+                .iter()
+                .map(|&id| proc.profile_for(id).unwrap().shared_join_emissions)
+                .sum()
         };
-        let ((fanned0, fed0), leaf0) = (pulled(&proc), proc.shared_leaf_stats());
+        let fed0 = fed(&proc);
         let (a0, _) = sp_metrics::alloc_counts();
         run(&mut proc, 8_000..12_000);
         let (a1, _) = sp_metrics::alloc_counts();
-        let ((fanned1, fed1), leaf1) = (pulled(&proc), proc.shared_leaf_stats());
-        let (fanned, fed) = (fanned1 - fanned0, fed1 - fed0);
-        assert_eq!(leaf1.searches_run - leaf0.searches_run, 4_000);
-        assert_eq!(leaf1.searches_shared - leaf0.searches_shared, 3 * 4_000);
-        assert_eq!(fanned, 4 * 4_000, "one match per leaf sharer per edge");
+        let fed = fed(&proc) - fed0;
         assert!(fed >= 2 * 4_000, "a prefix row per prefix sharer per edge");
-        let allocs_per_match = (a1 - a0) as f64 / (fanned + fed) as f64;
+        let allocs_per_match = (a1 - a0) as f64 / fed as f64;
         println!(
-            "shared-leaf fan-out: {} allocations for {fanned} fanned-out and {fed} fed matches \
-             ({allocs_per_match:.5} allocs/match)",
+            "prefix pull: {} allocations for {fed} fed matches ({allocs_per_match:.5} allocs/match)",
             a1 - a0
         );
-        // What was left was the graph's own per-edge churn (0.03 allocs/edge,
-        // fourteen pulled matches an edge: 0.00214 measured, ceiling 1.5×);
-        // with adjacency inline it reads 0. One vector per pull would read
-        // 0.43.
+        // The ceiling is 1.5× the 0.00214 allocs/match measured when the
+        // graph's own per-edge churn (0.03 allocs/edge) was all that was
+        // left; with adjacency inline it reads 0. One vector per pull would
+        // read 0.43.
         assert!(
             allocs_per_match < 0.0033,
-            "shared-leaf fan-out allocates per match: {allocs_per_match:.5} allocs/match"
+            "the prefix pull allocates per match: {allocs_per_match:.5} allocs/match"
         );
     }
 

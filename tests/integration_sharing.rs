@@ -1,13 +1,14 @@
-//! Shared-leaf evaluation: equivalence and lifecycle.
+//! Co-registered queries match independent processors.
 //!
-//! The contract is that sharing is *semantics-preserving*: for any
-//! strategy, window mix and worker count, the reported `(query, match)`
-//! multiset is identical to that of the pre-sharing architecture: each
-//! pattern's engine run alone on its own graph, with no shard and so no
-//! shared stage (`sp_bench::runner::run_alone`). The lifecycle tests
-//! cover mid-stream subscription churn: a late subscriber to an existing
-//! leaf shape must not see pre-registration matches, and the last
-//! unsubscriber drops the shared entry.
+//! Queries registered on one shard share its graph, its dispatch index and
+//! its shared join stage, and nothing else: every engine searches its own
+//! leaves. The contract is that co-registration is *semantics-preserving*:
+//! for any strategy, window mix and worker count, the reported
+//! `(query, match)` multiset is identical to that of each pattern's engine
+//! run alone on its own graph, with no shard
+//! (`sp_bench::runner::run_alone`), and so are each engine's own counters.
+//! A query registered mid-stream next to a twin must not see
+//! pre-registration matches.
 
 use sp_bench::runner::run_alone;
 use sp_datasets::NetflowConfig;
@@ -15,11 +16,11 @@ use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
-    plan_query, ContinuousQueryEngine, FnSink, QueryId, Schema, SjTree, Strategy, StrategySpec,
-    StreamProcessor, SubgraphMatch,
+    plan_query, ContinuousQueryEngine, FnSink, ProfileCounters, QueryId, Schema, SjTree, Strategy,
+    StrategySpec, StreamProcessor, SubgraphMatch,
 };
 
-/// An overlapping netflow rule pack (shared TCP / ICMP / ESP leaves) with a
+/// An overlapping netflow rule pack (TCP / ICMP / ESP leaves in common) with a
 /// mix of per-query windows.
 fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     let chain = |name: &str, protos: &[&str]| {
@@ -41,10 +42,10 @@ fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     ]
 }
 
-/// Rules that share leaf shapes but no two leading leaves, so no shared
-/// join table forms: under the 1-edge strategies every rule leads with its
-/// rarest edge joined to a different neighbour and the TCP / ESP leaves are
-/// shared; under the 2-edge ones the 3-chain reuses exfil's wedge.
+/// Rules that have leaf shapes in common but no two leading leaves, so no
+/// shared join table forms: under the 1-edge strategies every rule leads
+/// with its rarest edge joined to a different neighbour and the TCP / ESP
+/// leaves recur; under the 2-edge ones the 3-chain reuses exfil's wedge.
 fn unprefixed_pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     [
         ("scan", &["ICMP", "TCP"][..], Some(2_000)),
@@ -97,7 +98,6 @@ fn sharing_is_semantics_preserving_across_strategies_and_windows() {
             .iter()
             .map(|(q, w)| proc.register(q.clone(), spec, *w).unwrap())
             .collect();
-        let before = proc.shared_leaf_stats();
         let shared = multiset_of(|emit| {
             let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
                 let slot = ids.iter().position(|&i| i == q).unwrap();
@@ -108,16 +108,8 @@ fn sharing_is_semantics_preserving_across_strategies_and_windows() {
             }
         });
         assert!(!shared.is_empty(), "workload found no matches");
-        // The pack genuinely shares: fewer shapes than subscriptions, and the
-        // run eliminated searches.
-        assert!(before.distinct_leaves < before.total_subscriptions);
-        assert!(
-            proc.shared_leaf_stats().searches_shared > 0,
-            "no searches eliminated under {spec:?}"
-        );
 
-        // Pre-sharing architecture: every rule's engine alone on its own
-        // graph, no registry, no shared leaves.
+        // Every rule's engine alone on its own graph, no shard.
         let independent = multiset_of(|emit| {
             for (slot, (q, w)) in rules.iter().enumerate() {
                 let (strategy, tree) = plan_query(q, spec, &estimator).unwrap();
@@ -160,10 +152,9 @@ fn sharing_matches_parallel_runtime_across_worker_counts() {
             seq.process_into(ev, &mut sink);
         }
     });
-    assert!(seq.shared_leaf_stats().searches_shared > 0);
 
-    // Each worker's shard shares leaves among the queries it runs;
-    // the multiset must match the sequential run for every worker count.
+    // Each worker's shard runs a subset of the queries; the multiset must
+    // match the sequential run for every worker count.
     for workers in [1usize, 2, 4] {
         let mut runtime = ParallelStreamProcessor::new(
             schema.clone(),
@@ -222,19 +213,10 @@ fn late_subscriber_to_an_existing_leaf_sees_only_post_registration_matches() {
     }
     assert!(early_first_half > 0, "first half produced no matches");
 
-    // The late query subscribes to the *same* leaf shapes: the index gains
-    // subscriptions but no new distinct shapes.
-    let before = proc.shared_leaf_stats();
+    // The late query has the *same* leaves as the early one.
     let late = proc
         .register(two_hop("late"), Strategy::SingleLazy, None)
         .unwrap();
-    let after = proc.shared_leaf_stats();
-    assert_eq!(after.distinct_leaves, before.distinct_leaves);
-    assert_eq!(
-        after.total_subscriptions,
-        before.total_subscriptions + 2,
-        "the late query must join the existing shapes"
-    );
 
     let mut early_second_half = 0u64;
     let mut late_second_half = 0u64;
@@ -249,7 +231,7 @@ fn late_subscriber_to_an_existing_leaf_sees_only_post_registration_matches() {
     }
     // Reference: a fresh processor that sees only the second half. The late
     // subscriber must report exactly these matches — nothing inherited from
-    // the shared shapes' earlier activity.
+    // its twin's earlier activity.
     let mut fresh = StreamProcessor::new(schema.clone());
     let fresh_id = fresh
         .register(two_hop("fresh"), Strategy::SingleLazy, None)
@@ -269,24 +251,6 @@ fn late_subscriber_to_an_existing_leaf_sees_only_post_registration_matches() {
     // The early query keeps joining across the registration boundary, so it
     // sees at least as much as the late one.
     assert!(early_second_half >= late_second_half);
-
-    // Unsubscription: the shapes survive while any subscriber remains and
-    // drop with the last one.
-    proc.deregister(early).unwrap();
-    let stats = proc.shared_leaf_stats();
-    assert_eq!(
-        stats.distinct_leaves, 2,
-        "late query still holds both shapes"
-    );
-    assert_eq!(stats.shared_queries, 1);
-    proc.deregister(late).unwrap();
-    let stats = proc.shared_leaf_stats();
-    assert_eq!(
-        stats.distinct_leaves, 0,
-        "last unsubscriber must drop the entry"
-    );
-    assert_eq!(stats.total_subscriptions, 0);
-    assert_eq!(stats.shared_queries, 0);
 }
 
 /// A hand-planned pack and stream on which one engine — `focus`, registered
@@ -295,9 +259,8 @@ fn late_subscriber_to_an_existing_leaf_sees_only_post_registration_matches() {
 ///
 /// * its leading `[A, B]` leaves ride a shared prefix table (with `partner`)
 ///   at partial depth, and the edge completes a prefix match: a row is pulled;
-/// * rank 2 (`B`, any → any) is a shape `sharer` — dispatched first —
-///   subscribes to as well: served from the edge's search memo;
-/// * rank 3 (`B`, any → host) is a shape only `focus` has: handed back to it;
+/// * rank 2 (`B`, any → any), a shape `sharer` — dispatched first — has as
+///   well, and rank 3 (`B`, any → host) are searched by `focus` itself;
 /// * rank 4 (`B` out of a host; with `wedge`, the 2-edge leaf `B, C`) is
 ///   gated off under Lazy Search — nothing has enabled it around the edge;
 ///   without it, the wedge is refused by the type signatures: the edge's
@@ -445,26 +408,18 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
             });
             for (i, ev) in events.iter().enumerate() {
                 if i == probe || i == probe + 1 {
-                    around_probe.push((
-                        proc.profile_for(focus).unwrap().clone(),
-                        proc.shared_leaf_stats(),
-                    ));
+                    around_probe.push(proc.profile_for(focus).unwrap().clone());
                 }
                 proc.process_into(ev, &mut sink);
             }
         });
-        let [(p0, l0), (p1, l1)] = &around_probe[..] else {
+        let [p0, p1] = &around_probe[..] else {
             panic!("two snapshots");
         };
         assert_eq!(
             p1.shared_join_emissions - p0.shared_join_emissions,
             1,
             "{label}: one prefix row pulled"
-        );
-        assert_eq!(
-            p1.leaf_searches_shared - p0.leaf_searches_shared,
-            1,
-            "{label}: rank 2 served from the memo"
         );
         let gated = u64::from(lazy);
         let rejected = u64::from(wedge && !lazy);
@@ -490,11 +445,6 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
             p1.iso_searches - p0.iso_searches,
             3 - gated - rejected,
             "{label}: only leaves of the edge's type reach a search"
-        );
-        assert_eq!(
-            l1.searches_delegated - l0.searches_delegated,
-            2 - gated - rejected,
-            "{label}: single-subscriber shapes are handed back"
         );
         assert_eq!(
             shared.iter().filter(|(slot, _)| *slot == 2).count(),
@@ -531,7 +481,7 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
 }
 
 #[test]
-fn iso_searches_count_the_leaves_that_reached_a_search() {
+fn co_registered_engines_keep_the_counters_they_have_alone() {
     let dataset = NetflowConfig {
         num_hosts: 300,
         num_edges: 2_500,
@@ -539,28 +489,42 @@ fn iso_searches_count_the_leaves_that_reached_a_search() {
     }
     .generate();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
+    // One common window: the shard retains the graph exactly as long as
+    // each engine alone would.
+    const WINDOW: Option<u64> = Some(2_000);
+    let rules = unprefixed_pack(&dataset.schema);
+    // The timers are wall clock; every other field is a count.
+    let counts = |p: &ProfileCounters| {
+        let mut p = p.clone();
+        (p.iso_time, p.update_time, p.replay_time) = Default::default();
+        format!("{p:?}")
+    };
     for strategy in [Strategy::Single, Strategy::SingleLazy, Strategy::PathLazy] {
-        // Every query on the shared leaf stage, no join table: each leaf
-        // that reaches a search is run by the stage, served from its memo or
-        // handed back — and nothing else counts as a search.
         let mut proc = StreamProcessor::new(dataset.schema.clone())
             .with_estimator(estimator.clone())
             .with_statistics(false);
-        for (q, w) in unprefixed_pack(&dataset.schema) {
-            proc.register(q, strategy, w).unwrap();
-        }
-        assert_eq!(proc.shared_leaf_stats().shared_queries, 4);
+        let ids: Vec<QueryId> = rules
+            .iter()
+            .map(|(q, _)| proc.register(q.clone(), strategy, WINDOW).unwrap())
+            .collect();
         assert_eq!(proc.shared_join_stats().tables, 0);
-        proc.process_all(dataset.events());
-        let leaf = proc.shared_leaf_stats();
-        assert!(leaf.searches_shared > 0 && leaf.searches_delegated > 0);
-        assert_eq!(
-            proc.profile().iso_searches,
-            leaf.searches_run + leaf.searches_shared + leaf.searches_delegated,
-            "{strategy}"
-        );
+        assert!(proc.process_all(dataset.events()) > 0);
+        for (&id, (q, _)) in ids.iter().zip(&rules) {
+            let (planned, tree) = plan_query(q, strategy.into(), &estimator).unwrap();
+            let engine = ContinuousQueryEngine::from_plan(planned, tree, WINDOW).unwrap();
+            let alone = run_alone(&dataset.schema, engine, dataset.events(), 0, |_| {});
+            assert_eq!(
+                counts(proc.profile_for(id).unwrap()),
+                counts(alone.profile()),
+                "{strategy}: {} counts differently next to other queries",
+                q.name()
+            );
+        }
     }
+}
 
+#[test]
+fn iso_searches_count_the_leaves_that_reached_a_search() {
     // A leaf whose edge types exclude the edge's type moves no counter,
     // gated or not: a lazy [t0, t1] chain fed t0 edges only visits its t0
     // leaf once per edge and never counts the (closed, mismatched) t1 leaf
