@@ -3,38 +3,38 @@
 //!
 //! A query's SJ-Tree is built from the stream statistics at registration
 //! time; on a drifting stream those statistics go stale and the engine keeps
-//! searching a now-common leaf first. This module provides the plumbing the
+//! searching a now-common leaf first. This module provides the pieces the
 //! [`ControlPlane`](crate::ControlPlane) closes the loop with:
 //!
 //! 1. a moving [`SelectivityEstimator`] ([`StatsMode::Decayed`]) keeps the
 //!    statistics tracking the recent stream;
-//! 2. a per-query [`DriftDetector`] (wrapped in [`QueryDriftState`]) watches
-//!    the frequency ranking of the query's candidate primitives and the
-//!    Relative Selectivity threshold side;
-//! 3. when the detector fires, [`plan_query`] re-plans authoritatively —
-//!    re-resolving `Auto` strategies and re-running the decomposition — and
-//!    the caller swaps engines with
-//!    [`ContinuousQueryEngine::rebuild`](crate::ContinuousQueryEngine::rebuild)
-//!    only when the plan really changed ([`leaf_structure`] decides).
+//! 2. on each due check, [`plan_query`] re-plans the query from those
+//!    statistics — re-resolving `Auto` strategies and re-running the
+//!    decomposition;
+//! 3. the re-plan replaces the live plan when it changes the strategy or
+//!    its leaf order ([`leaf_structure`]) costs at most
+//!    `REDECOMPOSITION_GAIN` times the live one by `plan_cost`; the caller
+//!    then swaps engines with
+//!    [`ContinuousQueryEngine::rebuild`](crate::ContinuousQueryEngine::rebuild).
 //!
 //! [`StatsMode::Decayed`]: sp_selectivity::StatsMode
 
 use crate::control::StrategySpec;
 use crate::error::EngineError;
 use crate::strategy::{choose_plan, Strategy, RELATIVE_SELECTIVITY_THRESHOLD};
-use sp_query::{Primitive, QueryEdgeId, QueryGraph};
-use sp_selectivity::{DriftConfig, DriftDetector, SelectivityEstimator};
-use sp_sjtree::{decompose, PrimitivePolicy, SjTree};
+use sp_query::{QueryEdgeId, QueryGraph};
+use sp_selectivity::SelectivityEstimator;
+use sp_sjtree::{decompose, SjTree};
 
 /// Cumulative adaptivity counters of one [`ControlPlane`](crate::ControlPlane).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Per-query drift checks evaluated.
     pub checks: u64,
-    /// Checks whose detector fired (ranking or threshold-side movement).
+    /// Checks whose re-plan differed from the live plan, material or not.
     pub drifts_detected: u64,
-    /// Engine rebuilds actually performed (detector fired *and* the
-    /// authoritative re-plan differed from the active plan).
+    /// Engine rebuilds the drift checks ordered (the re-plan was materially
+    /// better than the live plan). An explicit `redecompose` is not one.
     pub redecompositions: u64,
 }
 
@@ -65,8 +65,7 @@ pub fn plan_query(
 /// The order-sensitive leaf structure of a tree: each leaf's (sorted) query
 /// edge ids, in selectivity-rank order. Two plans over the same query are
 /// interchangeable exactly when their strategy and leaf structure agree —
-/// this is the comparison that decides whether a detected drift warrants an
-/// engine rebuild.
+/// this is the comparison a drift check makes before it weighs the costs.
 pub fn leaf_structure(tree: &SjTree) -> Vec<Vec<QueryEdgeId>> {
     tree.leaf_subgraphs()
         .map(|sg| {
@@ -124,134 +123,12 @@ pub(crate) fn plan_cost(
     cost
 }
 
-/// Every primitive the decomposition could rank for this query: each
-/// distinct single-edge primitive plus each distinct wedge its edge pairs
-/// can form. Tracking the full candidate set (instead of just the current
-/// leaves) lets the detector see a wedge overtaking a single edge before
-/// the plan uses it.
-fn tracked_primitives(query: &QueryGraph) -> Vec<Primitive> {
-    let mut tracked: Vec<Primitive> = Vec::new();
-    for e in query.edge_ids() {
-        let p = query.edge_primitive(e);
-        if !tracked.contains(&p) {
-            tracked.push(p);
-        }
-    }
-    let edges: Vec<QueryEdgeId> = query.edge_ids().collect();
-    for (i, &a) in edges.iter().enumerate() {
-        for &b in &edges[i + 1..] {
-            if let Some(p) = query.wedge_primitive(a, b) {
-                if !tracked.contains(&p) {
-                    tracked.push(p);
-                }
-            }
-        }
-    }
-    tracked
-}
-
-/// Leaf primitives of a query under one decomposition policy; used for the
-/// detector's ξ baseline. Falls back to the single-edge primitives when the
-/// decomposition fails (it cannot for registered queries).
-fn leaf_primitives(
-    query: &QueryGraph,
-    policy: PrimitivePolicy,
-    estimator: &SelectivityEstimator,
-) -> Vec<Primitive> {
-    match decompose(query, policy, estimator) {
-        Ok(tree) => tree
-            .leaf_subgraphs()
-            .filter_map(|sg| sg.primitive(query))
-            .collect(),
-        Err(_) => query.edge_ids().map(|e| query.edge_primitive(e)).collect(),
-    }
-}
-
-/// Per-query drift bookkeeping: a [`DriftDetector`] baselined on the active
-/// plan. Owned by the [`ControlPlane`](crate::ControlPlane), one per
-/// registered query with an SJ-Tree.
-#[derive(Debug, Clone)]
-pub(crate) struct QueryDriftState {
-    detector: DriftDetector,
-}
-
-impl QueryDriftState {
-    /// Creates the state for a freshly (re)planned query and baselines the
-    /// detector on the current statistics.
-    pub fn new(config: DriftConfig, query: &QueryGraph, estimator: &SelectivityEstimator) -> Self {
-        let mut state = Self {
-            detector: DriftDetector::new(config),
-        };
-        state.rebase(query, estimator);
-        state
-    }
-
-    /// Re-baselines the detector against the current statistics: the
-    /// ranking of the query's candidate primitives and the ξ threshold side
-    /// of its two decompositions. Call after every plan change (and after
-    /// an externally driven [`redecompose`](crate::StreamProcessor::redecompose)).
-    pub fn rebase(&mut self, query: &QueryGraph, estimator: &SelectivityEstimator) {
-        let tracked = tracked_primitives(query);
-        let t1 = leaf_primitives(query, PrimitivePolicy::SingleEdge, estimator);
-        let tk = leaf_primitives(query, PrimitivePolicy::TwoEdgePath, estimator);
-        self.detector
-            .rebase(estimator, tracked, tk, t1, RELATIVE_SELECTIVITY_THRESHOLD);
-    }
-
-    /// One drift check against the active plan of a query registered under
-    /// `spec`. Returns the replacement `(strategy, tree)` when the detector
-    /// confirms movement **and** the authoritative re-plan
-    /// ([`plan_query`]) is *materially* better: the strategy changed,
-    /// or the new leaf order beats the active one by
-    /// [`REDECOMPOSITION_GAIN`] on the [`plan_cost`] proxy (an engine
-    /// rebuild replays the retained window, so marginal reorders are not
-    /// worth paying for — and on a stream mid-transition they would thrash).
-    /// Returns `None` (re-baselining, so the movement becomes the new
-    /// normal) otherwise. `drifted` reports whether the detector fired, for
-    /// stats.
-    pub fn check_plan(
-        &mut self,
-        query: &QueryGraph,
-        spec: StrategySpec,
-        current_strategy: Strategy,
-        current_leaves: &[Vec<QueryEdgeId>],
-        estimator: &SelectivityEstimator,
-        drifted: &mut bool,
-    ) -> Option<(Strategy, SjTree)> {
-        *drifted = false;
-        if !self.detector.check(estimator) {
-            return None;
-        }
-        *drifted = true;
-        let plan = plan_query(query, spec, estimator).ok()?;
-        if plan.0 == current_strategy {
-            let new_leaves = leaf_structure(&plan.1);
-            if new_leaves == current_leaves {
-                // The movement did not touch the plan: it is the new normal.
-                self.rebase(query, estimator);
-                return None;
-            }
-            let current_cost = plan_cost(query, current_leaves, estimator);
-            let new_cost = plan_cost(query, &new_leaves, estimator);
-            if new_cost > current_cost * REDECOMPOSITION_GAIN {
-                // The plan wants to move but not (yet) materially — the
-                // ranking typically first flips right at the selectivity
-                // crossing point, where the two orders cost the same.
-                // Deliberately keep the *old* baseline so the detector keeps
-                // firing while the gap widens; once it clears the gain
-                // threshold the rebuild below goes through.
-                return None;
-            }
-        }
-        self.rebase(query, estimator);
-        Some(plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_graph::{DynamicGraph, EdgeType, Schema, Timestamp};
+    use crate::control::ControlPlane;
+    use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, Schema, Timestamp, VertexId};
+    use sp_selectivity::{DriftConfig, StatsMode};
 
     fn two_type_query(a: EdgeType, b: EdgeType) -> QueryGraph {
         let mut q = QueryGraph::new("chain");
@@ -319,51 +196,163 @@ mod tests {
         );
     }
 
+    /// A control plane re-planning at every check, its statistics seeded
+    /// with `est`, running `q` under `SingleLazy`.
+    fn adaptive_control(q: &QueryGraph, est: SelectivityEstimator, min: u64) -> ControlPlane {
+        let mut control = ControlPlane::new();
+        control.set_estimator(est);
+        control.set_adaptive(DriftConfig {
+            check_interval: 1,
+            min_observations: min,
+        });
+        control
+            .plan(q.clone(), StrategySpec::Fixed(Strategy::SingleLazy), None)
+            .unwrap();
+        control
+    }
+
+    /// A fresh `ty` edge between two unseen vertices.
+    fn edge(ty: EdgeType, i: u64, ts: u64) -> EdgeData {
+        EdgeData {
+            id: EdgeId(i),
+            src: VertexId(2 * i),
+            dst: VertexId(2 * i + 1),
+            edge_type: ty,
+            timestamp: Timestamp(ts),
+        }
+    }
+
+    /// Feeds `n` fresh `ty` edges to the control plane's statistics.
+    fn feed(control: &mut ControlPlane, ty: EdgeType, n: u64, base: u64) {
+        for i in base..base + n {
+            control.observe(&edge(ty, i, i));
+        }
+    }
+
     #[test]
-    fn tracked_primitives_cover_edges_and_wedges() {
-        let a = EdgeType(0);
-        let q = two_type_query(a, a);
-        let tracked = tracked_primitives(&q);
-        // One distinct single-edge primitive + one wedge.
-        assert_eq!(tracked.len(), 2);
-        assert!(tracked.contains(&Primitive::SingleEdge(a)));
+    fn min_observations_gates_checks() {
+        let (a, b) = (EdgeType(0), EdgeType(1));
+        let q = two_type_query(a, b);
+        let mut gated = adaptive_control(&q, estimator_with_mix(a, 5, b, 0), 1_000);
+        let mut ungated = adaptive_control(&q, estimator_with_mix(a, 5, b, 0), 1);
+        for control in [&mut gated, &mut ungated] {
+            feed(control, b, 50, 10_000);
+        }
+        assert_eq!(ungated.check_drift().len(), 1, "the ranking flipped");
+        assert!(gated.check_drift().is_empty(), "below min_observations");
+        // A gated check still counts as a check, but re-plans nothing.
+        let stats = gated.adaptive_stats();
+        assert_eq!((stats.checks, stats.drifts_detected), (1, 0));
+    }
+
+    #[test]
+    fn min_observations_gate_survives_decay() {
+        // The decayed histogram total is capped near 2×interval, so gating
+        // on it would stop re-planning whenever min_observations exceeds
+        // that cap. The gate reads the lifetime count instead.
+        let (a, b) = (EdgeType(0), EdgeType(1));
+        let q = two_type_query(a, b);
+        let interval = 64u64;
+        let mut est = SelectivityEstimator::new().with_mode(StatsMode::Decayed(interval));
+        for i in 0..100 {
+            est.observe_edge(&edge(if i < 90 { a } else { b }, i, i));
+        }
+        let mut control = adaptive_control(&q, est, 300);
+        // The mix inverts, but 250 edges are below the gate.
+        feed(&mut control, b, 150, 10_000);
+        assert!(control.check_drift().is_empty(), "not warmed up yet");
+        // The lifetime count passes the gate long after the decayed total
+        // has stopped growing, and the flip re-plans.
+        feed(&mut control, b, 250, 20_000);
+        let est = control.estimator();
+        assert!(est.num_edges_observed() < 2 * interval, "decay cap holds");
+        assert!(est.lifetime_edges_observed() >= 300);
+        assert_eq!(control.check_drift().len(), 1);
+    }
+
+    #[test]
+    fn stable_stream_never_replans() {
+        let (a, b) = (EdgeType(0), EdgeType(1));
+        let q = two_type_query(a, b);
+        let mut control = adaptive_control(&q, estimator_with_mix(a, 90, b, 10), 1);
+        for round in 0..5u64 {
+            feed(&mut control, a, 90, 100_000 * round);
+            feed(&mut control, b, 10, 100_000 * round + 50_000);
+            assert!(control.check_drift().is_empty(), "re-planned at {round}");
+        }
+        let stats = control.adaptive_stats();
+        assert_eq!((stats.checks, stats.drifts_detected), (5, 0));
     }
 
     #[test]
     fn check_plan_fires_only_when_the_plan_changes() {
-        let a = EdgeType(0);
-        let b = EdgeType(1);
+        let (a, b) = (EdgeType(0), EdgeType(1));
         let q = two_type_query(a, b);
         let est = estimator_with_mix(a, 90, b, 10);
-        let cfg = DriftConfig {
-            check_interval: 1,
-            min_observations: 1,
+        let (_, tree) = plan_query(&q, StrategySpec::Fixed(Strategy::SingleLazy), &est).unwrap();
+        let live = leaf_structure(&tree);
+        let mut control = adaptive_control(&q, est, 1);
+        assert!(control.check_drift().is_empty(), "same statistics");
+
+        // The mix inverts: the re-plan flips the leaf order and rebuilds.
+        control.set_estimator(estimator_with_mix(a, 10, b, 90));
+        let plans = control.check_drift();
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].1, Strategy::SingleLazy);
+        assert_ne!(leaf_structure(&plans[0].2), live);
+
+        // The rebuilt plan is live: the inverted mix is the new normal.
+        assert!(control.check_drift().is_empty());
+        let stats = control.adaptive_stats();
+        assert_eq!(
+            (stats.checks, stats.drifts_detected, stats.redecompositions),
+            (3, 1, 1)
+        );
+    }
+
+    #[test]
+    fn a_marginal_reorder_is_a_drift_but_not_a_rebuild() {
+        // Right at the selectivity crossing both orders cost about the
+        // same: the re-plan differs, yet it does not clear the gain.
+        let (a, b) = (EdgeType(0), EdgeType(1));
+        let q = two_type_query(a, b);
+        let mut control = adaptive_control(&q, estimator_with_mix(a, 55, b, 45), 1);
+        control.set_estimator(estimator_with_mix(a, 45, b, 55));
+        assert!(control.check_drift().is_empty());
+        let stats = control.adaptive_stats();
+        assert_eq!((stats.drifts_detected, stats.redecompositions), (1, 0));
+    }
+
+    #[test]
+    fn equal_frequencies_never_flap() {
+        let (a, b) = (EdgeType(0), EdgeType(1));
+        let q = two_type_query(a, b);
+        let mut control = adaptive_control(&q, estimator_with_mix(a, 50, b, 50), 1);
+        // Keep the counts tied while the stream advances.
+        for round in 0..5u64 {
+            feed(&mut control, a, 7, 100_000 * round);
+            feed(&mut control, b, 7, 100_000 * round + 50_000);
+            assert!(control.check_drift().is_empty(), "flapped at {round}");
+        }
+        assert_eq!(control.adaptive_stats().drifts_detected, 0);
+    }
+
+    #[test]
+    fn out_of_order_timestamps_do_not_affect_replanning() {
+        // Re-planning is count-driven: the same edge multiset under
+        // scrambled timestamps is the same plan.
+        let q = two_type_query(EdgeType(0), EdgeType(1));
+        let stream = |scramble: bool| {
+            let mut est = SelectivityEstimator::new();
+            for i in 0..60u64 {
+                let ts = if scramble { (i * 37) % 11 } else { i };
+                est.observe_edge(&edge(EdgeType((i % 3 == 0) as u32), i, ts));
+            }
+            est
         };
-        let spec = StrategySpec::Fixed(Strategy::SingleLazy);
-        let mut state = QueryDriftState::new(cfg, &q, &est);
-        let (strategy, tree) = plan_query(&q, spec, &est).unwrap();
-        let leaves = leaf_structure(&tree);
-
-        // Same statistics: no drift, no plan.
-        let mut drifted = false;
-        assert!(state
-            .check_plan(&q, spec, strategy, &leaves, &est, &mut drifted)
-            .is_none());
-        assert!(!drifted);
-
-        // Inverted mix: drift fires and the re-plan flips the leaf order.
-        let inverted = estimator_with_mix(a, 10, b, 90);
-        let plan = state.check_plan(&q, spec, strategy, &leaves, &inverted, &mut drifted);
-        assert!(drifted);
-        let (new_strategy, new_tree) = plan.expect("plan must change");
-        assert_eq!(new_strategy, strategy);
-        assert_ne!(leaf_structure(&new_tree), leaves);
-
-        // The detector re-baselined: the inverted mix is the new normal.
-        let new_leaves = leaf_structure(&new_tree);
-        assert!(state
-            .check_plan(&q, spec, new_strategy, &new_leaves, &inverted, &mut drifted)
-            .is_none());
-        assert!(!drifted);
+        let mut control = adaptive_control(&q, stream(false), 1);
+        control.set_estimator(stream(true));
+        assert!(control.check_drift().is_empty());
+        assert_eq!(control.adaptive_stats().drifts_detected, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The control plane: every decision the paper derives from the stream
 //! statistics, made in one place ([`ControlPlane`]).
 
-use crate::adaptive::{leaf_structure, plan_query, AdaptiveStats, QueryDriftState};
+use crate::adaptive::{leaf_structure, plan_cost, plan_query, AdaptiveStats, REDECOMPOSITION_GAIN};
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
 use crate::lazy::MAX_LEAVES;
@@ -54,8 +54,6 @@ struct Planned {
     /// [`leaf_structure`] — which re-plans are compared against (the engine
     /// itself may be on another thread). `None` for the VF2 baseline.
     plan: Option<(Strategy, Vec<Vec<QueryEdgeId>>)>,
-    /// Present while adaptivity is on and the query has an SJ-Tree.
-    drift: Option<QueryDriftState>,
 }
 
 /// The drift-check cadence and counters, present while adaptivity is on.
@@ -73,8 +71,8 @@ struct Adaptive {
 /// Selectivity (§6.5) and re-planning when the statistics move are all
 /// functions of one [`SelectivityEstimator`]. The control plane owns that
 /// estimator and everything decided from it — query ids, each query's
-/// [`StrategySpec`], window and live plan, the drift detectors and their
-/// cadence, and the graph retention window — and executes nothing: edges run
+/// [`StrategySpec`], window and live plan, the drift-check cadence, and the
+/// graph retention window — and executes nothing: edges run
 /// on a data half ([`Shard`](crate::Shard)) that is told what to register,
 /// what to retain and what to rebuild.
 ///
@@ -131,16 +129,10 @@ impl ControlPlane {
         &self.estimator
     }
 
-    /// Switches drift-adaptive re-planning on: every already registered
-    /// query with an SJ-Tree gets a detector baselined on the current
-    /// statistics, under its original spec.
+    /// Switches drift-adaptive re-planning on: from the next due check,
+    /// every registered query with an SJ-Tree is re-planned under its
+    /// original spec, whenever it was registered.
     pub fn set_adaptive(&mut self, config: DriftConfig) {
-        for planned in self.queries.values_mut() {
-            planned.drift = planned
-                .plan
-                .is_some()
-                .then(|| QueryDriftState::new(config, &planned.query, &self.estimator));
-        }
         self.adaptive = Some(Adaptive {
             config,
             since_check: 0,
@@ -208,7 +200,9 @@ impl ControlPlane {
     /// Takes a pre-built engine (custom decompositions, replayed trees)
     /// under control and returns its id. Its current strategy counts as a
     /// `Fixed` registration: drift may re-order its leaves but never change
-    /// the strategy.
+    /// the strategy. Its tree is judged at the next due check like any
+    /// planned one, so a custom leaf order the planner beats materially is
+    /// rebuilt.
     pub fn adopt(&mut self, engine: &ContinuousQueryEngine) -> QueryId {
         self.record(engine, StrategySpec::Fixed(engine.strategy()))
     }
@@ -220,10 +214,6 @@ impl ControlPlane {
         let plan = engine
             .tree()
             .map(|tree| (engine.strategy(), leaf_structure(tree)));
-        let config = self.adaptive.as_ref().map(|a| a.config);
-        let drift = config
-            .filter(|_| plan.is_some())
-            .map(|config| QueryDriftState::new(config, engine.query(), &self.estimator));
         self.queries.insert(
             id,
             Planned {
@@ -231,7 +221,6 @@ impl ControlPlane {
                 spec,
                 window: engine.window(),
                 plan,
-                drift,
             },
         );
         self.refresh_retention();
@@ -261,44 +250,49 @@ impl ControlPlane {
         self.retention
     }
 
-    /// One drift check over every registered query, in id order: where the
-    /// detector confirms movement and the authoritative re-plan
-    /// ([`plan_query`]) changes the strategy or at least halves the live
-    /// plan's estimated cost (`REDECOMPOSITION_GAIN`), the new plan is
-    /// recorded as live and returned for the caller to apply to the data
-    /// half that runs the query. Empty while adaptivity is off.
+    /// One drift check over every registered query with an SJ-Tree, in id
+    /// order. Once the statistics have seen
+    /// [`DriftConfig::min_observations`] edges, each query is re-planned
+    /// ([`plan_query`]); a re-plan that changes the strategy, or whose leaf
+    /// order costs at most `REDECOMPOSITION_GAIN` times the live one by
+    /// `plan_cost`, is recorded as live and returned for the caller to apply
+    /// to the data half that runs the query. Empty while adaptivity is off.
     pub fn check_drift(&mut self) -> Vec<(QueryId, Strategy, SjTree)> {
         let Some(adaptive) = self.adaptive.as_mut() else {
             return Vec::new();
         };
+        let warm = adaptive.config.is_warm(&self.estimator);
         let mut plans = Vec::new();
         for (&id, planned) in &mut self.queries {
-            let (Some(drift), Some((strategy, leaves))) =
-                (planned.drift.as_mut(), planned.plan.as_mut())
-            else {
+            let Some((strategy, leaves)) = planned.plan.as_mut() else {
                 continue;
             };
             adaptive.stats.checks += 1;
-            let mut drifted = false;
-            let plan = drift.check_plan(
-                &planned.query,
-                planned.spec,
-                *strategy,
-                leaves,
-                &self.estimator,
-                &mut drifted,
-            );
-            if drifted {
-                adaptive.stats.drifts_detected += 1;
+            if !warm {
+                continue;
             }
-            // A plan no engine could be rebuilt onto (the lazy bitmap's leaf
-            // cap) is dropped; the active plan stays.
-            let Some((new_strategy, tree)) = plan.filter(|(_, t)| t.num_leaves() <= MAX_LEAVES)
+            let Ok((new_strategy, tree)) =
+                plan_query(&planned.query, planned.spec, &self.estimator)
             else {
                 continue;
             };
+            let new_leaves = leaf_structure(&tree);
+            if new_strategy == *strategy && new_leaves == *leaves {
+                continue;
+            }
+            adaptive.stats.drifts_detected += 1;
+            // A reorder first shows right at the selectivity crossing, where
+            // both orders cost the same: it waits until it clears the gain.
+            // A plan no engine could be rebuilt onto (the lazy bitmap's leaf
+            // cap) is dropped; the live plan stays.
+            let material = new_strategy != *strategy
+                || plan_cost(&planned.query, &new_leaves, &self.estimator)
+                    <= plan_cost(&planned.query, leaves, &self.estimator) * REDECOMPOSITION_GAIN;
+            if !material || tree.num_leaves() > MAX_LEAVES {
+                continue;
+            }
             *strategy = new_strategy;
-            *leaves = leaf_structure(&tree);
+            *leaves = new_leaves;
             adaptive.stats.redecompositions += 1;
             plans.push((id, new_strategy, tree));
         }
@@ -306,19 +300,12 @@ impl ControlPlane {
     }
 
     /// Records a plan that was applied to a query from outside the drift
-    /// path (an explicit `redecompose`): it becomes the plan re-plans are
-    /// compared against, and the query's detector is re-baselined on the
-    /// current statistics.
+    /// path (an explicit `redecompose`): it becomes the live plan the next
+    /// due check judges. It is not a drift rebuild, so
+    /// [`AdaptiveStats::redecompositions`] does not count it.
     pub fn replanned(&mut self, id: QueryId, strategy: Strategy, tree: &SjTree) {
-        let Some(planned) = self.queries.get_mut(&id) else {
-            return;
-        };
-        planned.plan = Some((strategy, leaf_structure(tree)));
-        if let Some(drift) = planned.drift.as_mut() {
-            drift.rebase(&planned.query, &self.estimator);
-        }
-        if let Some(adaptive) = self.adaptive.as_mut() {
-            adaptive.stats.redecompositions += 1;
+        if let Some(planned) = self.queries.get_mut(&id) {
+            planned.plan = Some((strategy, leaf_structure(tree)));
         }
     }
 }

@@ -170,5 +170,5 @@ pub use sp_query::{
     canonicalize_subgraph, prefix_chain, ChainStep, LeafSignature, PrefixSignature, QueryEdgeId,
     QueryGraph, QueryVertexId,
 };
-pub use sp_selectivity::{DriftConfig, DriftDetector, SelectivityEstimator, StatsMode};
+pub use sp_selectivity::{DriftConfig, SelectivityEstimator, StatsMode};
 pub use sp_sjtree::{PrimitivePolicy, RowLayout, SjTree};

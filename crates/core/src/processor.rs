@@ -160,12 +160,11 @@ impl StreamProcessor {
 
     /// Enables drift-adaptive re-decomposition (off by default): every
     /// [`DriftConfig::check_interval`] processed edges, each registered
-    /// query's [`DriftDetector`](sp_selectivity::DriftDetector) compares the
-    /// live statistics against the ranking its plan was built on; when the
-    /// detector fires and the authoritative re-plan differs, the engine is
-    /// swapped via [`ContinuousQueryEngine::rebuild`] (replaying the
-    /// retained graph, so no partial state is lost) and re-placed in the
-    /// shared join stage. `Auto`-registered queries re-run the strategy
+    /// query is re-planned from the live statistics
+    /// ([`ControlPlane::check_drift`]); when the re-plan is materially
+    /// better than the live plan, the engine is swapped via
+    /// [`ContinuousQueryEngine::rebuild`] (replaying the retained graph, so
+    /// no partial state is lost) and re-placed in the shared join stage. `Auto`-registered queries re-run the strategy
     /// selection; `Fixed` queries keep their strategy but may re-order
     /// leaves — whichever order registration and this call happened in.
     ///
@@ -205,7 +204,8 @@ impl StreamProcessor {
     /// Registers a pre-built engine (custom decompositions, replayed trees).
     /// Under adaptivity the engine's current strategy is treated as a
     /// `Fixed` registration: drift may re-order its leaves but never change
-    /// the strategy.
+    /// the strategy. Its tree is judged at the next due drift check like a
+    /// planned one, so a leaf order the planner beats materially is rebuilt.
     pub fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
         let id = self.control.adopt(&engine);
         self.install(id, engine);
@@ -251,9 +251,9 @@ impl StreamProcessor {
     }
 
     /// Runs one drift check over every registered query *now* (bypassing
-    /// the [`DriftConfig::check_interval`] cadence): queries whose detector
-    /// fires and whose authoritative re-plan differs from the active plan
-    /// are rebuilt in place. Returns the number of engines rebuilt. A no-op
+    /// the [`DriftConfig::check_interval`] cadence): queries whose re-plan
+    /// is materially better than the live plan
+    /// ([`ControlPlane::check_drift`]) are rebuilt in place. Returns the number of engines rebuilt. A no-op
     /// when adaptivity is off.
     pub fn run_drift_checks(&mut self) -> usize {
         let plans = self.control.check_drift();
@@ -272,6 +272,8 @@ impl StreamProcessor {
     /// re-places it in the shared join stage. A deterministic lever for
     /// tests and tooling; the drift-driven path
     /// ([`StreamProcessor::run_drift_checks`]) computes the plan itself.
+    /// Under adaptivity the supplied plan is live until a due check finds
+    /// a materially better one.
     pub fn redecompose(
         &mut self,
         id: QueryId,

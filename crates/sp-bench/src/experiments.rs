@@ -845,6 +845,36 @@ mod tests {
         assert!(m.adaptive_post_leaf_matches <= m.fixed_post_leaf_matches);
     }
 
+    #[test]
+    fn drift_counts_match_the_committed_bench_adaptive_json() {
+        // `BENCH_adaptive.json` is `reproduce -e drift -s small --json`
+        // output: every count in it is deterministic, only the times move.
+        let committed: Vec<DriftMeasurement> =
+            serde_json::from_str(include_str!("../../../BENCH_adaptive.json"))
+                .expect("BENCH_adaptive.json parses");
+        let counts = |m: &DriftMeasurement| {
+            (
+                (m.queries, m.edges, m.shift_at, m.post_edges),
+                (m.strategy.clone(), m.matches, m.redecompositions),
+                [
+                    m.adaptive_replay_searches,
+                    m.adaptive_post_leaf_searches,
+                    m.fixed_post_leaf_searches,
+                    m.oracle_post_leaf_searches,
+                    m.adaptive_post_leaf_matches,
+                    m.fixed_post_leaf_matches,
+                    m.oracle_post_leaf_matches,
+                ],
+            )
+        };
+        let measured = drift_measurements(Scale::Small);
+        assert_eq!(
+            measured.iter().map(counts).collect::<Vec<_>>(),
+            committed.iter().map(counts).collect::<Vec<_>>(),
+            "regenerate with `reproduce -e drift -s small --json BENCH_adaptive.json`"
+        );
+    }
+
     /// A test pack: `(rule name, protocol chain, window)` per rule.
     type Pack = [(&'static str, &'static [&'static str], Option<u64>)];
 

@@ -33,14 +33,13 @@ pub struct RuntimeConfig {
     /// prefix-statistics methodology.
     pub collect_statistics: bool,
     /// Drift-adaptive re-decomposition (`None` = off). When set, the
-    /// facade's control plane checks every registered query's drift
-    /// detector against the ingest-path statistics every `check_interval`
-    /// edges (at the next batch boundary) and, on a confirmed plan change,
-    /// the facade sends a `Redecompose` control message down the owning
+    /// facade's control plane re-plans every registered query from the
+    /// ingest-path statistics every `check_interval` edges (at the next
+    /// batch boundary) and, on a materially better plan, the facade sends a `Redecompose` control message down the owning
     /// worker's FIFO channel — the swap lands at a deterministic point
     /// between batches and replays the worker's retained graph, so the
     /// reported match multiset is unchanged.
-    /// Requires `collect_statistics`; with statistics off the detectors
+    /// Requires `collect_statistics`; with statistics off the re-plans
     /// never see movement.
     pub adaptive: Option<DriftConfig>,
 }
@@ -101,8 +100,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables drift-adaptive re-decomposition with the given detector
-    /// configuration (see [`RuntimeConfig::adaptive`]).
+    /// Enables drift-adaptive re-decomposition with the given check
+    /// cadence (see [`RuntimeConfig::adaptive`]).
     pub fn adaptive(mut self, config: DriftConfig) -> Self {
         self.adaptive = Some(config);
         self

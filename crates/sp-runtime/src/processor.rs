@@ -316,7 +316,9 @@ impl ParallelStreamProcessor {
     ///
     /// Under adaptivity ([`crate::RuntimeConfig::adaptive`]) the engine's
     /// current strategy is treated as a `Fixed` registration: drift may
-    /// re-order its leaves but never change the strategy.
+    /// re-order its leaves but never change the strategy. Its tree is
+    /// judged at the next due drift check like a planned one, so a leaf
+    /// order the planner beats materially is rebuilt.
     pub fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
         let id = self.control.adopt(&engine);
         self.place(id, engine);
@@ -533,7 +535,7 @@ impl ParallelStreamProcessor {
     }
 
     /// One drift check over every registered query
-    /// ([`ControlPlane::check_drift`]): each confirmed plan change is
+    /// ([`ControlPlane::check_drift`]): each materially better re-plan is
     /// shipped to the owning worker as a `Redecompose` control message (FIFO
     /// with the edge batches, so the swap point is deterministic). The query
     /// stays on its shard. Returns the number of re-decompositions issued. A

@@ -245,11 +245,9 @@ pub(crate) fn worker_loop(
                 continue;
             }
             WorkerMsg::Redecompose { id, strategy, tree } => {
-                // The control plane only ships plans an engine can be
-                // rebuilt onto, for queries it placed here; should one fail
-                // anyway, the old plan stays in force rather than poisoning
-                // the worker thread.
-                let _ = shard.redecompose(id, strategy, *tree);
+                shard
+                    .redecompose(id, strategy, *tree)
+                    .expect("the control plane re-planned a query this shard runs");
                 continue;
             }
             WorkerMsg::Deregister(id) => {

@@ -15,8 +15,8 @@ use sp_query::Primitive;
 /// the stream has since invalidated. [`StatsMode::Decayed`] turns the
 /// estimator into a *moving* signal: every `interval` observed edges, every
 /// count is halved, so the statistics form an exponentially weighted window
-/// (weight `2^-k` for edges `k` intervals old) and the drift detector can
-/// see ranking changes instead of being drowned out by history.
+/// (weight `2^-k` for edges `k` intervals old) and a re-plan sees ranking
+/// changes instead of being drowned out by history.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StatsMode {
     /// Counts accumulate forever (the paper's methodology; the default).

@@ -19,9 +19,8 @@
 //! type counts plotted in Figure 6, and helpers for reasoning about the
 //! stability of the selectivity order over time (Section 6.3). When that
 //! stability assumption does *not* hold, [`StatsMode::Decayed`] makes the
-//! estimator an exponentially weighted window over the recent stream and
-//! [`DriftDetector`] reports when the ranking (or the strategy-selection
-//! threshold side) a query's plan was built on has moved.
+//! estimator an exponentially weighted window over the recent stream, and
+//! [`DriftConfig`] sets how often a caller re-plans its queries from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +31,7 @@ mod histogram;
 mod paths;
 mod timeline;
 
-pub use drift::{DriftConfig, DriftDetector};
+pub use drift::DriftConfig;
 pub use estimator::{DecompositionSelectivity, SelectivityEstimator, StatsMode};
 pub use histogram::EdgeTypeHistogram;
 pub use paths::TwoEdgePathCounter;

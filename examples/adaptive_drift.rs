@@ -9,9 +9,9 @@
 //! A SOC-style rule pack watches a netflow stream whose protocol mix flips
 //! mid-way (the tunnelling protocols flood while TCP dries up). Each rule's
 //! SJ-Tree was ordered by the *phase-1* selectivities, so after the flip the
-//! engines search their now-common leaf first — until the drift detector
-//! notices the ranking moved and the processor swaps each engine's tree
-//! without dropping partial state. The example prints every rule's leaf
+//! engines search their now-common leaf first — until a drift check's
+//! re-plan finds a materially better leaf order and the processor swaps
+//! each engine's tree without dropping partial state. The example prints every rule's leaf
 //! order before and after, the redecomposition counters, and the post-shift
 //! engine work compared against an adaptivity-off twin fed the same stream.
 

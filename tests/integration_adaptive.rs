@@ -7,12 +7,12 @@
 
 use sp_bench::experiments::drift_rule_pack;
 use sp_datasets::{Dataset, NetflowDriftConfig};
-use sp_graph::{EdgeEvent, Schema, Timestamp};
-use sp_query::QueryGraph;
+use sp_graph::{EdgeEvent, EdgeType, Schema, Timestamp};
+use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
-    ContinuousQueryEngine, DriftConfig, FnSink, QueryId, SelectivityEstimator, StatsMode, Strategy,
-    StrategySpec, StreamProcessor, SubgraphMatch,
+    leaf_structure, ContinuousQueryEngine, DriftConfig, FnSink, QueryId, SelectivityEstimator,
+    SjTree, StatsMode, Strategy, StrategySpec, StreamProcessor, SubgraphMatch,
 };
 
 /// Worker counts under test.
@@ -294,6 +294,13 @@ impl FrontEnd {
         .unwrap()
     }
 
+    fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
+        match self {
+            FrontEnd::Seq(p) => p.register_engine(engine),
+            FrontEnd::Par(p) => p.register_engine(engine),
+        }
+    }
+
     fn deregister(&mut self, id: QueryId) -> ContinuousQueryEngine {
         match self {
             FrontEnd::Seq(p) => p.deregister(id),
@@ -343,7 +350,7 @@ struct Observed {
     stats: streampattern::AdaptiveStats,
     /// `(id, strategy, leaf structure)` of every query still registered at
     /// the end of the script.
-    plans: Vec<(QueryId, Strategy, Vec<Vec<streampattern::QueryEdgeId>>)>,
+    plans: Vec<(QueryId, Strategy, Vec<Vec<QueryEdgeId>>)>,
     /// The sorted `(id, match fingerprint)` multiset.
     matches: Vec<(QueryId, String)>,
 }
@@ -378,7 +385,7 @@ fn run_script(mut front: FrontEnd, dataset: &Dataset, script: &[Step]) -> Observ
     seen.stats = front.adaptive_stats();
     for id in live.into_iter().flatten() {
         let engine = front.deregister(id);
-        let leaves = engine.tree().map(streampattern::leaf_structure);
+        let leaves = engine.tree().map(leaf_structure);
         seen.plans
             .push((id, engine.strategy(), leaves.unwrap_or_default()));
     }
@@ -490,5 +497,122 @@ fn scripted_schedule_is_identical_on_both_front_ends() {
                 "front ends diverged on script {n} at {workers} workers"
             );
         }
+    }
+}
+
+/// A stream whose mix never moves, over 61 hosts: 5 % esp, 40 % tcp and
+/// 55 % udp.
+fn stable_mix(schema: &mut Schema) -> Vec<EdgeEvent> {
+    let ip = schema.intern_vertex_type("ip");
+    let types = ["esp", "tcp", "udp"].map(|t| schema.intern_edge_type(t));
+    (0..1_200u64)
+        .map(|i| {
+            let ty = match i % 20 {
+                0 => types[0],
+                1..=8 => types[1],
+                _ => types[2],
+            };
+            let src = (i * 37) % 61;
+            let dst = (src + 1 + (i * 53) % 60) % 61;
+            EdgeEvent::homogeneous(src, dst, ip, ty, Timestamp(i))
+        })
+        .collect()
+}
+
+/// A `first`→`second` chain as a `SingleLazy` engine whose leaves run in
+/// the reverse of the planner's order on [`stable_mix`]: `second` first.
+fn reversed_chain(first: EdgeType, second: EdgeType) -> ContinuousQueryEngine {
+    let mut q = QueryGraph::new("chain");
+    let [a, b, c] = [(); 3].map(|_| q.add_any_vertex());
+    q.add_edge(a, b, first);
+    q.add_edge(b, c, second);
+    let leaves = [QueryEdgeId(1), QueryEdgeId(0)]
+        .map(|e| QuerySubgraph::from_edges(&q, [e]))
+        .to_vec();
+    let tree = SjTree::from_leaves(q, leaves);
+    ContinuousQueryEngine::from_plan(Strategy::SingleLazy, tree, Some(100)).unwrap()
+}
+
+#[test]
+fn register_engine_orders_are_judged_at_the_first_due_check() {
+    // A pre-built engine's leaf order is judged like a planned one. Reversed
+    // esp→tcp (rank-0 selectivity 0.40 where the planner's is 0.05) is
+    // beaten by more than the rebuild gain and is rebuilt at the first due
+    // check; reversed tcp→udp (0.55 against 0.40) is within it and is kept.
+    // Neither changes the matches, on either front end. The statistics are
+    // the whole stream's, frozen: nothing moves but the judged plans.
+    let mut schema = Schema::new();
+    let events = stable_mix(&mut schema);
+    let stats = Dataset::estimator_from_events(&events, StatsMode::Cumulative);
+    let [esp, tcp, udp] = ["esp", "tcp", "udp"].map(|t| schema.edge_type(t).unwrap());
+    let (warmup, tail) = events.split_at(200);
+    let (first_check, rest) = tail.split_at(100);
+    let config = DriftConfig {
+        check_interval: 100,
+        min_observations: 64,
+    };
+    let run = |adaptive: bool, workers: usize| {
+        let mut front = if workers == 0 {
+            let mut p = StreamProcessor::new(schema.clone())
+                .with_estimator(stats.clone())
+                .with_statistics(false);
+            if adaptive {
+                p = p.with_adaptive(config);
+            }
+            FrontEnd::Seq(Box::new(p))
+        } else {
+            let mut c = RuntimeConfig::with_workers(workers).statistics(false);
+            if adaptive {
+                c = c.adaptive(config);
+            }
+            let p = ParallelStreamProcessor::new(schema.clone(), c).with_estimator(stats.clone());
+            FrontEnd::Par(Box::new(p))
+        };
+        let mut sink = Vec::new();
+        front.feed(warmup, &mut sink);
+        let beaten = front.register_engine(reversed_chain(esp, tcp));
+        let close = front.register_engine(reversed_chain(tcp, udp));
+        front.feed(first_check, &mut sink);
+        let at_first_check = front.adaptive_stats();
+        front.feed(rest, &mut sink);
+        let plans = [beaten, close].map(|id| {
+            let engine = front.deregister(id);
+            (
+                leaf_structure(engine.tree().unwrap()),
+                engine.profile().redecompositions,
+            )
+        });
+        if let FrontEnd::Par(runtime) = front {
+            sink.extend(runtime.shutdown().pending_matches);
+        }
+        let mut matches: Vec<(QueryId, String)> = sink
+            .into_iter()
+            .map(|(q, m)| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())))
+            .collect();
+        matches.sort();
+        (at_first_check, plans, matches)
+    };
+    let planner = vec![vec![QueryEdgeId(0)], vec![QueryEdgeId(1)]];
+    let reversed = vec![vec![QueryEdgeId(1)], vec![QueryEdgeId(0)]];
+    for workers in [0, 2] {
+        let (_, fixed_plans, expected) = run(false, workers);
+        assert!(!expected.is_empty(), "the stream produced no matches");
+        assert_eq!(
+            fixed_plans.map(|(leaves, _)| leaves),
+            [reversed.clone(), reversed.clone()]
+        );
+        let (stats, plans, matches) = run(true, workers);
+        assert_eq!(
+            (stats.checks, stats.redecompositions),
+            (2, 1),
+            "the first due check judges both engines and rebuilds one \
+             ({workers} workers)"
+        );
+        assert_eq!(
+            plans,
+            [(planner.clone(), 1), (reversed.clone(), 0)],
+            "{workers} workers"
+        );
+        assert_eq!(matches, expected, "adaptivity changed the matches");
     }
 }
