@@ -8,8 +8,8 @@ use crate::runner::{
     DriftMeasurement, Scale,
 };
 use sp_datasets::{
-    Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig, QueryGenerator,
-    QueryKind,
+    soc_chain_rule, Dataset, LsbenchConfig, NetflowConfig, NetflowDriftConfig, NytimesConfig,
+    QueryGenerator, QueryKind,
 };
 use sp_graph::{DynamicGraph, EdgeData, Schema};
 use sp_query::QueryGraph;
@@ -450,17 +450,7 @@ pub fn strategy_selection(scale: Scale) -> String {
 /// shared single-edge / wedge leaves (TCP appears in most rules, ICMP and
 /// ESP in several). Returns the first `n` rules of the pack (≤ 12).
 pub fn netflow_rule_pack(schema: &Schema, n: usize) -> Vec<QueryGraph> {
-    let t = |name: &str| schema.edge_type(name).expect("netflow protocol interned");
-    let chain = |name: &str, protos: &[&str]| {
-        let mut q = QueryGraph::new(name);
-        let mut prev = q.add_any_vertex();
-        for p in protos {
-            let next = q.add_any_vertex();
-            q.add_edge(prev, next, t(p));
-            prev = next;
-        }
-        q
-    };
+    let chain = |name: &str, protos: &[&str]| soc_chain_rule(schema, name, protos);
     let rules = [
         chain("scan-tcp", &["ICMP", "TCP"]),
         chain("exfil-esp", &["TCP", "ESP"]),
@@ -484,17 +474,7 @@ pub fn netflow_rule_pack(schema: &Schema, n: usize) -> Vec<QueryGraph> {
 /// rare-leaf-first ordering chosen before the shift is exactly wrong after
 /// it. Returns the first `n` rules (≤ 5).
 pub fn drift_rule_pack(schema: &Schema, n: usize) -> Vec<QueryGraph> {
-    let t = |name: &str| schema.edge_type(name).expect("netflow protocol interned");
-    let chain = |name: &str, protos: &[&str]| {
-        let mut q = QueryGraph::new(name);
-        let mut prev = q.add_any_vertex();
-        for p in protos {
-            let next = q.add_any_vertex();
-            q.add_edge(prev, next, t(p));
-            prev = next;
-        }
-        q
-    };
+    let chain = |name: &str, protos: &[&str]| soc_chain_rule(schema, name, protos);
     let rules = [
         chain("exfil-ah", &["AH", "TCP"]),
         chain("exfil-esp", &["ESP", "UDP"]),
@@ -724,7 +704,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
 mod tests {
     use super::*;
     use crate::runner::{partial_match_inserts, run_alone};
-    use sp_datasets::soc_chain_rule;
     use streampattern::{ContinuousQueryEngine, StreamProcessor, SubgraphMatch};
 
     #[test]

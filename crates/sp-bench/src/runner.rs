@@ -196,9 +196,7 @@ fn measure_query(
     let elapsed = start.elapsed();
     let peak = proc
         .engine()
-        .store_stats()
-        .map(|s| s.total_live_matches)
-        .unwrap_or(0)
+        .live_partial_matches()
         .max(proc.profile().peak_partial_matches);
     RunMeasurement {
         query: query.name().to_owned(),

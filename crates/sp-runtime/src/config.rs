@@ -1,6 +1,6 @@
 //! Tunables of the parallel runtime.
 
-use streampattern::DriftConfig;
+use streampattern::{DriftConfig, DEFAULT_PURGE_INTERVAL};
 
 /// Configuration of a [`ParallelStreamProcessor`](crate::ParallelStreamProcessor).
 ///
@@ -25,7 +25,8 @@ pub struct RuntimeConfig {
     /// end.
     pub match_capacity: usize,
     /// Edges between partial-match purges in each worker's shard (the
-    /// sequential `StreamProcessor::with_purge_interval`).
+    /// sequential `StreamProcessor::with_purge_interval`; the default is the
+    /// sequential shard's, [`DEFAULT_PURGE_INTERVAL`]).
     pub purge_interval: u64,
     /// Maintain live stream statistics on the ingest path (feeds
     /// `StrategySpec::Auto` registration, exactly like the sequential
@@ -35,10 +36,10 @@ pub struct RuntimeConfig {
     /// Drift-adaptive re-decomposition (`None` = off). When set, the
     /// facade's control plane re-plans every registered query from the
     /// ingest-path statistics every `check_interval` edges (at the next
-    /// batch boundary) and, on a materially better plan, the facade sends a `Redecompose` control message down the owning
-    /// worker's FIFO channel — the swap lands at a deterministic point
-    /// between batches and replays the worker's retained graph, so the
-    /// reported match multiset is unchanged.
+    /// batch boundary) and, on a materially better plan, the facade sends a
+    /// re-decomposition job down the owning worker's FIFO channel — the swap
+    /// lands at a deterministic point between batches and replays the
+    /// worker's retained graph, so the reported match multiset is unchanged.
     /// Requires `collect_statistics`; with statistics off the re-plans
     /// never see movement.
     pub adaptive: Option<DriftConfig>,
@@ -51,7 +52,7 @@ impl Default for RuntimeConfig {
             batch_size: 256,
             channel_capacity: 32,
             match_capacity: 1024,
-            purge_interval: 4096,
+            purge_interval: DEFAULT_PURGE_INTERVAL,
             collect_statistics: true,
             adaptive: None,
         }
@@ -120,6 +121,9 @@ mod tests {
         assert!(c.channel_capacity >= 1);
         assert!(c.match_capacity >= 1);
         assert!(c.collect_statistics);
+        // Both front ends purge on one cadence, so a lazy retroactive probe
+        // sees the same pre-registration edges on either.
+        assert_eq!(c.purge_interval, DEFAULT_PURGE_INTERVAL);
     }
 
     #[test]

@@ -34,14 +34,16 @@
 //!   in each query's own numbering; the facade hands them to the caller's
 //!   [`RowSink`], so a `MatchSink` builds each `SubgraphMatch` once, on the
 //!   calling thread, and a `CountSink` builds none.
-//! * Control messages (register / deregister / drain / report) share the
-//!   per-worker FIFO channels with the edge batches, so a query registered
-//!   mid-stream sees exactly the stream suffix a sequential processor would
-//!   — parallel and sequential execution produce **identical match
-//!   multisets** for any worker count (asserted by the integration tests).
-//!   The answers to deregister, drain and report come back on the
-//!   aggregation channel, behind the match batches the worker sent before
-//!   them, so every answer is also that worker's barrier.
+//! * The facade reaches a shard one way: a control job, a closure the
+//!   worker runs on its shard between two input batches (register,
+//!   deregister, retention, re-decomposition, metrics, report, drain). Jobs
+//!   share the per-worker FIFO channels with the edge batches, so a query
+//!   registered mid-stream sees exactly the stream suffix a sequential
+//!   processor would — parallel and sequential execution produce
+//!   **identical match multisets** for any worker count (asserted by the
+//!   integration tests). A job's answer comes back on the aggregation
+//!   channel, behind the match batches the worker sent before it, so every
+//!   answer is also that worker's barrier.
 //!
 //! ## Quick start
 //!

@@ -3,12 +3,15 @@
 //! placement, in front of N worker threads that each run one [`Shard`].
 
 use crate::config::RuntimeConfig;
-use crate::worker::{worker_loop, FromWorker, RowBatch, WorkerMsg, WorkerOutput, WorkerReport};
+use crate::worker::{
+    worker_loop, FromWorker, RowBatch, Worker, WorkerMsg, WorkerOutput, WorkerReport,
+};
 use sp_graph::{monotonic_nanos, EdgeData, EdgeEvent, EdgeId, Schema, VertexId};
 use sp_iso::SubgraphMatch;
 use sp_metrics::{Counter, Gauge, MetricsRegistry};
 use sp_query::QueryGraph;
 use sp_selectivity::SelectivityEstimator;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -69,7 +72,7 @@ struct WorkerHandle {
 
 /// Facade-side telemetry handles, live only when
 /// [`ParallelStreamProcessor::enable_metrics`] has been called. The worker
-/// replicas hold their own handles (shipped via [`WorkerMsg::Metrics`]); all
+/// replicas hold their own handles (shipped in a control job); all
 /// of them write into the same registry, so a snapshot aggregates the whole
 /// runtime.
 struct RuntimeMetrics {
@@ -120,7 +123,7 @@ struct ShardAssignment {
 ///   across workers is arbitrary. A match becomes a `SubgraphMatch` once,
 ///   here on the calling thread, on its way into the caller's sink.
 ///
-/// Because control messages share the per-worker FIFO channels with the
+/// Because control jobs share the per-worker FIFO channels with the
 /// edge batches, a query registered between two `process_all` calls
 /// observes exactly the stream suffix a sequential processor would — the
 /// equivalence tests assert identical match multisets for 1, 2 and 4
@@ -140,7 +143,7 @@ pub struct ParallelStreamProcessor {
     buffered: VecDeque<RowBatch>,
     /// Answers to the pending [`ask`](Self::ask) received so far, with the
     /// worker that sent each.
-    answers: Vec<FromWorker>,
+    answers: Vec<(usize, Box<dyn Any + Send>)>,
     stats: RuntimeStats,
     metrics: Option<RuntimeMetrics>,
 }
@@ -221,14 +224,11 @@ impl ParallelStreamProcessor {
             .map(|w| registry.gauge(&format!("runtime.queue_depth.w{w}")))
             .collect();
         for (w, gauge) in queue_depth.iter().enumerate() {
-            self.send_to_worker(
-                w,
-                WorkerMsg::Metrics {
-                    pipeline: pipeline.clone(),
-                    queue_depth: gauge.clone(),
-                    sojourn: sojourn.clone(),
-                },
-            );
+            let (pipeline, gauge, sojourn) = (pipeline.clone(), gauge.clone(), sojourn.clone());
+            self.run(w, move |worker| {
+                worker.shard.set_metrics(Some(pipeline));
+                worker.telemetry = Some((gauge, sojourn));
+            });
         }
         self.metrics = Some(RuntimeMetrics {
             backpressure: registry.counter("runtime.backpressure_stalls_total"),
@@ -341,13 +341,7 @@ impl ParallelStreamProcessor {
         self.shard_costs[worker] += cost;
         self.assignments
             .insert(id, ShardAssignment { worker, cost });
-        self.send_to_worker(
-            worker,
-            WorkerMsg::Register {
-                id,
-                engine: Box::new(engine),
-            },
-        );
+        self.run(worker, move |w| w.shard.register(id, engine));
         self.broadcast_retention();
     }
 
@@ -359,14 +353,11 @@ impl ParallelStreamProcessor {
         self.control.forget(id);
         let worker = assignment.worker;
         self.shard_costs[worker] = (self.shard_costs[worker] - assignment.cost).max(0.0);
-        let answer = self
-            .ask(worker..worker + 1, || WorkerMsg::Deregister(id))
+        let engine = self
+            .ask(worker..worker + 1, move |w| w.shard.deregister(id))
             .pop();
-        let Some(WorkerOutput::Deregistered(engine)) = answer else {
-            unreachable!("a worker answers Deregister with Deregistered")
-        };
         self.broadcast_retention();
-        engine.map(|boxed| *boxed)
+        engine.flatten()
     }
 
     /// Ingests a whole stream: batches the events, broadcasts each batch to
@@ -451,11 +442,11 @@ impl ParallelStreamProcessor {
     /// delivered to the next sink-taking call, or in
     /// [`RuntimeReport::pending_matches`] at [`shutdown`](Self::shutdown)).
     ///
-    /// Every worker answers the barrier on the aggregation channel, behind
-    /// the match batches it sent before it, so once each worker's marker
+    /// Every worker answers an empty job on the aggregation channel, behind
+    /// the match batches it sent before it, so once each worker's answer
     /// has arrived all their matches have, too.
     pub fn drain(&mut self) {
-        self.ask(0..self.workers.len(), || WorkerMsg::Drain);
+        self.ask(0..self.workers.len(), |_| ());
     }
 
     fn workers_alive(&self) -> bool {
@@ -536,7 +527,7 @@ impl ParallelStreamProcessor {
 
     /// One drift check over every registered query
     /// ([`ControlPlane::check_drift`]): each materially better re-plan is
-    /// shipped to the owning worker as a `Redecompose` control message (FIFO
+    /// shipped to the owning worker as a control job (FIFO
     /// with the edge batches, so the swap point is deterministic). The query
     /// stays on its shard. Returns the number of re-decompositions issued. A
     /// no-op when adaptivity is off.
@@ -549,14 +540,11 @@ impl ParallelStreamProcessor {
                 .get(&id)
                 .expect("the control plane re-plans placed queries only")
                 .worker;
-            self.send_to_worker(
-                worker,
-                WorkerMsg::Redecompose {
-                    id,
-                    strategy,
-                    tree: Box::new(tree),
-                },
-            );
+            self.run(worker, move |w| {
+                w.shard
+                    .redecompose(id, strategy, tree)
+                    .expect("the control plane re-planned a query this shard runs");
+            });
         }
         issued
     }
@@ -586,15 +574,7 @@ impl ParallelStreamProcessor {
     /// behind its worker's earlier match batches, so this drains the
     /// pipeline too.
     pub fn worker_reports(&mut self) -> Vec<WorkerReport> {
-        self.ask(0..self.workers.len(), || WorkerMsg::Report)
-            .into_iter()
-            .map(|answer| {
-                let WorkerOutput::Report(report) = answer else {
-                    unreachable!("a worker answers Report with a report")
-                };
-                *report
-            })
-            .collect()
+        self.ask(0..self.workers.len(), |w| w.report())
     }
 
     /// Graceful shutdown: drains the pipeline, collects the final reports,
@@ -680,26 +660,45 @@ impl ParallelStreamProcessor {
         }
     }
 
-    /// Sends `msg()` to each worker in `workers`, then waits until all of
-    /// them have answered, booking the match batches that arrive meanwhile.
+    /// Runs `f` on one worker's shard, between the batches sent before and
+    /// after this call.
+    fn run(&mut self, worker: usize, f: impl FnOnce(&mut Worker) + Send + 'static) {
+        let job = move |w: &mut Worker| {
+            f(w);
+            None
+        };
+        self.send_to_worker(worker, WorkerMsg::Run(Box::new(job)));
+    }
+
+    /// Runs `f` on each worker in `workers`, then waits until all of them
+    /// have answered, booking the match batches that arrive meanwhile.
     /// Returns the answers in worker order. An answer arrives behind every
     /// match batch its worker sent before it, so each is also that worker's
     /// barrier.
-    fn ask(&mut self, workers: Range<usize>, msg: impl Fn() -> WorkerMsg) -> Vec<WorkerOutput> {
+    fn ask<T, F>(&mut self, workers: Range<usize>, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(&mut Worker) -> T + Clone + Send + 'static,
+    {
         let asked = workers.len();
-        for w in workers {
-            self.send_to_worker(w, msg());
+        for idx in workers {
+            let f = f.clone();
+            let job = move |w: &mut Worker| Some(Box::new(f(w)) as Box<dyn Any + Send>);
+            self.send_to_worker(idx, WorkerMsg::Run(Box::new(job)));
         }
         while self.answers.len() < asked {
             self.wait(LIVENESS_POLL);
         }
         self.answers.sort_by_key(|&(w, _)| w);
-        self.answers.drain(..).map(|(_, answer)| answer).collect()
+        self.answers
+            .drain(..)
+            .map(|(_, answer)| *answer.downcast().expect("an answer of the asked type"))
+            .collect()
     }
 
     /// Books everything queued on the aggregation channel, first waiting up
     /// to `timeout` when nothing is: a match batch is queued for the next
-    /// sink, anything else is an answer to the pending [`ask`](Self::ask).
+    /// sink, an answer belongs to the pending [`ask`](Self::ask).
     /// This holds the one liveness check: a worker that died never answers,
     /// but the others keep the channel open, so a wait that times out
     /// checks that every worker still runs.
@@ -722,7 +721,7 @@ impl ParallelStreamProcessor {
                 self.total_matches += batch.matches();
                 self.buffered.push_back(batch);
             }
-            answer => self.answers.push((worker, answer)),
+            WorkerOutput::Answer(answer) => self.answers.push((worker, answer)),
         }
     }
 
@@ -742,7 +741,7 @@ impl ParallelStreamProcessor {
     fn broadcast_retention(&mut self) {
         let retention = self.control.retention();
         for w in 0..self.workers.len() {
-            self.send_to_worker(w, WorkerMsg::SetRetention(retention));
+            self.run(w, move |worker| worker.shard.set_retention(retention));
         }
     }
 }

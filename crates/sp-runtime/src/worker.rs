@@ -2,26 +2,24 @@
 //! [`Shard`] — its own windowed `DynamicGraph` replica plus its slice of the
 //! engines — and nothing that plans: no statistics, no strategy choice, no
 //! retention rule, no id allocation. Those live on the facade's
-//! `ControlPlane`; a worker does what the control messages say.
+//! `ControlPlane`; a worker runs the jobs the facade sends it.
 //!
 //! A worker is a small actor: it drains one bounded input channel in FIFO
-//! order, so control messages (register, deregister, drain, report) are
-//! naturally serialized against the edge batches sent before them — a query
-//! registered after batch *k* sees exactly the stream suffix starting at
-//! batch *k+1* on every worker, just as it would on the sequential
-//! processor. Everything it sends back — match batches and the answers to
-//! `Deregister`, `Report` and `Drain` — goes down the one aggregation
+//! order. Besides edge batches the channel carries control jobs — closures
+//! the facade runs on the worker's shard between two batches — so a job is
+//! serialized against the batches sent before it: a query registered after
+//! batch *k* sees exactly the stream suffix starting at batch *k+1* on every
+//! worker, just as it would on the sequential processor. Everything it sends
+//! back — match batches and job answers — goes down the one aggregation
 //! channel, so an answer arrives behind every match batch sent before it.
 
 use crate::config::RuntimeConfig;
 use sp_graph::{monotonic_nanos, EdgeEvent, Schema};
 use sp_metrics::{Gauge, Histogram};
+use std::any::Any;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
-use streampattern::{
-    ContinuousQueryEngine, PipelineMetrics, ProfileCounters, QueryId, RowLayout, RowSink, Shard,
-    SharedRow, SjTree, Strategy,
-};
+use streampattern::{ProfileCounters, QueryId, RowLayout, RowSink, Shard, SharedRow};
 
 /// The complete matches of one input batch, as fixed-width rows in each
 /// query's own numbering: this is the worker's sink, and what crosses the
@@ -93,20 +91,18 @@ pub(crate) enum WorkerOutput {
     /// worker always arrive in the order that worker produced them;
     /// interleaving across workers is arbitrary.
     Matches(RowBatch),
-    /// The answer to [`WorkerMsg::Deregister`]: the query's engine with its
-    /// runtime state intact, `None` for an id this worker does not run.
-    Deregistered(Option<Box<ContinuousQueryEngine>>),
-    /// The answer to [`WorkerMsg::Report`].
-    Report(Box<WorkerReport>),
-    /// The answer to [`WorkerMsg::Drain`]. The channel is FIFO per worker,
-    /// so once any answer arrives every match batch the worker sent before
-    /// it has arrived too.
-    Drained,
+    /// A job's answer. The channel is FIFO per worker, so it arrives behind
+    /// every match batch the worker sent before it.
+    Answer(Box<dyn Any + Send>),
 }
 
 /// One aggregation-channel message: the originating worker index and its
 /// output.
 pub(crate) type FromWorker = (usize, WorkerOutput);
+
+/// A control job: one call on a worker's shard, run between two input
+/// batches. An answer it returns goes down the aggregation channel.
+pub(crate) type Job = Box<dyn FnOnce(&mut Worker) -> Option<Box<dyn Any + Send>> + Send>;
 
 /// Messages a worker accepts on its input channel.
 pub(crate) enum WorkerMsg {
@@ -118,49 +114,40 @@ pub(crate) enum WorkerMsg {
         events: Arc<Vec<EdgeEvent>>,
         sent_ns: u64,
     },
-    /// Attach telemetry handles: the shared pipeline bundle for this
-    /// worker's shard, plus this worker's queue-depth gauge and
-    /// the shared batch-sojourn histogram. Rides the FIFO channel, so
-    /// batches sent before it stay unmetered and batches after it are fully
-    /// metered.
-    Metrics {
-        pipeline: PipelineMetrics,
-        queue_depth: Gauge,
-        sojourn: Histogram,
-    },
-    /// Run an engine under the id the facade's control plane allocated.
-    Register {
-        id: QueryId,
-        engine: Box<ContinuousQueryEngine>,
-    },
-    /// Deregister a query; answered with [`WorkerOutput::Deregistered`].
-    Deregister(QueryId),
-    /// Retain edges for the control plane's global window.
-    SetRetention(Option<u64>),
-    /// Swap a query's decomposition for the facade-planned replacement
-    /// (drift-adaptive re-decomposition). Riding the FIFO channel, the swap
-    /// is serialized against the edge batches sent before it, so every
-    /// run interleaves identically to a sequential processor performing the
-    /// same swap at the same stream position; the worker rebuilds the
-    /// engine by replaying its retained graph replica, preserving the
-    /// match multiset.
-    Redecompose {
-        /// The query to rebuild.
-        id: QueryId,
-        /// The (possibly re-chosen) strategy of the new plan.
-        strategy: Strategy,
-        /// The SJ-Tree decomposition computed from the facade's statistics.
-        tree: Box<SjTree>,
-    },
-    /// Snapshot this worker's counters; answered with
-    /// [`WorkerOutput::Report`].
-    Report,
-    /// Barrier: answered with [`WorkerOutput::Drained`] once every batch
-    /// sent before this message has been fully processed and its matches
-    /// pushed into the aggregation channel.
-    Drain,
+    /// Run a control job. Riding the FIFO channel, it sees the shard exactly
+    /// as every batch sent before it left it.
+    Run(Job),
     /// Terminate the worker loop.
     Shutdown,
+}
+
+/// What a control job runs on: one worker's shard and telemetry handles.
+pub(crate) struct Worker {
+    /// Worker (shard) index.
+    pub(crate) idx: usize,
+    pub(crate) shard: Shard,
+    /// This worker's queue-depth gauge and the shared batch-sojourn
+    /// histogram; `None` keeps the loop clock-free.
+    pub(crate) telemetry: Option<(Gauge, Histogram)>,
+}
+
+impl Worker {
+    /// Snapshot of this worker's counters.
+    pub(crate) fn report(&self) -> WorkerReport {
+        WorkerReport {
+            worker: self.idx,
+            per_query: self
+                .shard
+                .engines()
+                .map(|(id, engine)| (id, engine.profile().clone()))
+                .collect(),
+            edges_ingested: self.shard.graph().total_edges_seen(),
+            vertex_type_conflicts: self.shard.profile().vertex_type_conflicts,
+            matches_found: self.shard.total_matches(),
+            graph_edges_live: self.shard.graph().num_edges(),
+            stored_matches: self.shard.stored_matches(),
+        }
+    }
 }
 
 /// Snapshot of one worker's state, used for profile aggregation and
@@ -198,16 +185,18 @@ pub(crate) fn worker_loop(
 ) {
     let mut shard = Shard::new(schema);
     shard.set_purge_interval(config.purge_interval);
+    let mut worker = Worker {
+        idx,
+        shard,
+        telemetry: None,
+    };
     // The shard's sink, refilled per input batch.
     let mut out = RowBatch::default();
-    // Telemetry handles, attached via `WorkerMsg::Metrics`; `None` keeps the
-    // loop clock-free.
-    let mut telemetry: Option<(Gauge, Histogram)> = None;
 
     while let Ok(msg) = rx.recv() {
         let output = match msg {
             WorkerMsg::Batch { events, sent_ns } => {
-                if let Some((queue_depth, sojourn)) = &telemetry {
+                if let Some((queue_depth, sojourn)) = &worker.telemetry {
                     if sent_ns != 0 {
                         sojourn.record(monotonic_nanos().saturating_sub(sent_ns));
                     }
@@ -217,7 +206,7 @@ pub(crate) fn worker_loop(
                 // batch. Statistics are the facade's business: nothing
                 // observes the edges here.
                 for ev in events.iter() {
-                    shard.process_into(ev, &mut out, |_| {});
+                    worker.shard.process_into(ev, &mut out, |_| {});
                 }
                 if out.bursts.is_empty() {
                     continue;
@@ -227,45 +216,10 @@ pub(crate) fn worker_loop(
                 // backpressure reaches the producer with bounded memory.
                 WorkerOutput::Matches(out.take())
             }
-            WorkerMsg::Metrics {
-                pipeline,
-                queue_depth,
-                sojourn,
-            } => {
-                shard.set_metrics(Some(pipeline));
-                telemetry = Some((queue_depth, sojourn));
-                continue;
-            }
-            WorkerMsg::Register { id, engine } => {
-                shard.register(id, *engine);
-                continue;
-            }
-            WorkerMsg::SetRetention(window) => {
-                shard.set_retention(window);
-                continue;
-            }
-            WorkerMsg::Redecompose { id, strategy, tree } => {
-                shard
-                    .redecompose(id, strategy, *tree)
-                    .expect("the control plane re-planned a query this shard runs");
-                continue;
-            }
-            WorkerMsg::Deregister(id) => {
-                WorkerOutput::Deregistered(shard.deregister(id).map(Box::new))
-            }
-            WorkerMsg::Report => WorkerOutput::Report(Box::new(WorkerReport {
-                worker: idx,
-                per_query: shard
-                    .engines()
-                    .map(|(id, engine)| (id, engine.profile().clone()))
-                    .collect(),
-                edges_ingested: shard.graph().total_edges_seen(),
-                vertex_type_conflicts: shard.profile().vertex_type_conflicts,
-                matches_found: shard.total_matches(),
-                graph_edges_live: shard.graph().num_edges(),
-                stored_matches: shard.stored_matches(),
-            })),
-            WorkerMsg::Drain => WorkerOutput::Drained,
+            WorkerMsg::Run(job) => match job(&mut worker) {
+                Some(answer) => WorkerOutput::Answer(answer),
+                None => continue,
+            },
             WorkerMsg::Shutdown => return,
         };
         if match_tx.send((idx, output)).is_err() {
@@ -280,14 +234,36 @@ mod tests {
     use sp_graph::Timestamp;
     use sp_query::QueryGraph;
     use std::sync::mpsc::sync_channel;
-    use streampattern::SelectivityEstimator;
+    use std::thread::JoinHandle;
+    use streampattern::{ContinuousQueryEngine, SelectivityEstimator, Strategy};
 
-    /// A worker holds no id of its own: whatever id the control plane
-    /// registered an engine under is the id on its matches, in its report
-    /// and the one that deregisters it — even when it is the worker's first
-    /// engine and the id is nowhere near 0.
-    #[test]
-    fn matches_carry_the_id_the_engine_was_registered_under() {
+    /// A job that sends `f`'s result back as its answer.
+    fn ask<T: Send + 'static>(f: impl FnOnce(&mut Worker) -> T + Send + 'static) -> WorkerMsg {
+        WorkerMsg::Run(Box::new(move |w: &mut Worker| {
+            Some(Box::new(f(w)) as Box<dyn Any + Send>)
+        }))
+    }
+
+    /// Unpacks a job's answer.
+    fn answer<T: 'static>(output: WorkerOutput) -> T {
+        let WorkerOutput::Answer(answer) = output else {
+            panic!("expected a job's answer, got a match batch");
+        };
+        *answer.downcast().expect("an answer of the asked type")
+    }
+
+    /// Spawns worker `idx` and registers, by a job, a one-edge `tcp` query
+    /// under `id`. Returns the worker's input channel, its aggregation
+    /// channel, its thread and a maker of the `tcp` event `t → t+1` at `t`.
+    fn spawn_worker(
+        idx: usize,
+        id: QueryId,
+    ) -> (
+        SyncSender<WorkerMsg>,
+        Receiver<FromWorker>,
+        JoinHandle<()>,
+        impl Fn(u64) -> EdgeEvent,
+    ) {
         let mut schema = Schema::new();
         let ip = schema.intern_vertex_type("ip");
         let tcp = schema.intern_edge_type("tcp");
@@ -302,19 +278,26 @@ mod tests {
         let (tx, rx) = sync_channel(8);
         let (match_tx, match_rx) = sync_channel(8);
         let config = RuntimeConfig::with_workers(1);
-        let worker = std::thread::spawn(move || worker_loop(3, schema, config, rx, match_tx));
-        let id = QueryId(41);
-        tx.send(WorkerMsg::Register {
-            id,
-            engine: Box::new(engine),
-        })
+        let worker = std::thread::spawn(move || worker_loop(idx, schema, config, rx, match_tx));
+        tx.send(WorkerMsg::Run(Box::new(move |w: &mut Worker| {
+            w.shard.register(id, engine);
+            None
+        })))
         .unwrap();
-        let events = vec![
-            EdgeEvent::homogeneous(1, 2, ip, tcp, Timestamp(1)),
-            EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2)),
-        ];
+        let event = move |t| EdgeEvent::homogeneous(t, t + 1, ip, tcp, Timestamp(t));
+        (tx, match_rx, worker, event)
+    }
+
+    /// A worker holds no id of its own: whatever id the control plane
+    /// registered an engine under is the id on its matches, in its report
+    /// and the one that deregisters it — even when it is the worker's first
+    /// engine and the id is nowhere near 0.
+    #[test]
+    fn matches_carry_the_id_the_engine_was_registered_under() {
+        let id = QueryId(41);
+        let (tx, match_rx, worker, event) = spawn_worker(3, id);
         tx.send(WorkerMsg::Batch {
-            events: Arc::new(events),
+            events: Arc::new(vec![event(1), event(2)]),
             sent_ns: 0,
         })
         .unwrap();
@@ -328,31 +311,48 @@ mod tests {
         assert_eq!(matches.len(), 2);
         assert!(matches.iter().all(|&(q, _)| q == id));
         // Every answer comes back on the same channel, behind the matches.
-        let ask = |msg: WorkerMsg| {
+        let run = |msg: WorkerMsg| {
             tx.send(msg).unwrap();
-            let (worker_idx, answer) = match_rx.recv().unwrap();
+            let (worker_idx, output) = match_rx.recv().unwrap();
             assert_eq!(worker_idx, 3);
-            answer
+            output
         };
-        assert!(matches!(ask(WorkerMsg::Drain), WorkerOutput::Drained));
-        let WorkerOutput::Report(report) = ask(WorkerMsg::Report) else {
-            panic!("Report is answered with a report");
-        };
+        let () = answer(run(ask(|_| ())));
+        let report: WorkerReport = answer(run(ask(|w| w.report())));
         assert_eq!(report.per_query.len(), 1);
         assert_eq!(report.per_query[0].0, id);
         assert_eq!(report.per_query[0].1.complete_matches, 2);
         assert_eq!(report.matches_found, 2);
-        assert!(
-            matches!(
-                ask(WorkerMsg::Deregister(QueryId(0))),
-                WorkerOutput::Deregistered(None)
-            ),
-            "no engine runs as Q0"
-        );
-        assert!(matches!(
-            ask(WorkerMsg::Deregister(id)),
-            WorkerOutput::Deregistered(Some(_))
-        ));
+        let deregister =
+            |q| answer::<Option<ContinuousQueryEngine>>(run(ask(move |w| w.shard.deregister(q))));
+        assert!(deregister(QueryId(0)).is_none(), "no engine runs as Q0");
+        assert!(deregister(id).is_some());
+        tx.send(WorkerMsg::Shutdown).unwrap();
+        worker.join().unwrap();
+    }
+
+    /// A job sees the shard exactly as the batches sent before it left it,
+    /// and its answer arrives behind those batches' matches — even with the
+    /// next batch already queued behind it.
+    #[test]
+    fn jobs_keep_their_place_in_the_stream() {
+        let (tx, match_rx, worker, event) = spawn_worker(0, QueryId(0));
+        for events in [[event(1), event(2)], [event(3), event(4)]] {
+            tx.send(WorkerMsg::Batch {
+                events: Arc::new(events.to_vec()),
+                sent_ns: 0,
+            })
+            .unwrap();
+            tx.send(ask(|w| w.shard.graph().total_edges_seen()))
+                .unwrap();
+        }
+        for seen in [2, 4] {
+            let (_, WorkerOutput::Matches(batch)) = match_rx.recv().unwrap() else {
+                panic!("the batch's matches arrive before the job's answer");
+            };
+            assert_eq!(batch.matches(), 2);
+            assert_eq!(answer::<u64>(match_rx.recv().unwrap().1), seen);
+        }
         tx.send(WorkerMsg::Shutdown).unwrap();
         worker.join().unwrap();
     }

@@ -525,19 +525,6 @@ impl InsertTrace {
     }
 }
 
-/// Aggregate statistics of a [`MatchStore`], used by the memory/space
-/// experiments and by the engine's profiling counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Number of partial matches currently stored per node (indexed by
-    /// [`NodeId`]).
-    pub live_matches_per_node: Vec<usize>,
-    /// Total number of partial matches currently stored.
-    pub total_live_matches: usize,
-    /// Total number of matches ever inserted per node (including evicted).
-    pub total_inserted_per_node: Vec<u64>,
-}
-
 /// Runtime partial-match storage for one SJ-Tree.
 ///
 /// Every stored match (spilled or not) is a fixed-width arena row addressed
@@ -801,8 +788,8 @@ impl MatchStore {
         self.tables[node.0].values().map(Vec::len).sum()
     }
 
-    /// Number of partial matches currently stored across all nodes — equal
-    /// to [`StoreStats::total_live_matches`], in O(1).
+    /// Number of partial matches currently stored across all nodes — the sum
+    /// of [`MatchStore::live_matches`] over every node, in O(1).
     pub fn live_rows(&self) -> usize {
         self.arena.live()
     }
@@ -937,18 +924,6 @@ impl MatchStore {
             recycle(&mut self.spare, bucket);
         }
     }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> StoreStats {
-        let live_matches_per_node: Vec<usize> = (0..self.inserted.len())
-            .map(|n| self.live_matches(NodeId(n)))
-            .collect();
-        StoreStats {
-            total_live_matches: live_matches_per_node.iter().sum(),
-            live_matches_per_node,
-            total_inserted_per_node: self.inserted.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -960,7 +935,9 @@ mod tests {
     /// The live partial-match count, read both ways: the O(1) arena count
     /// must agree with the walk over every bucket wherever a test looks.
     fn live(store: &MatchStore) -> usize {
-        let walked = store.stats().total_live_matches;
+        let walked = (0..store.inserted.len())
+            .map(|n| store.live_matches(NodeId(n)))
+            .sum();
         assert_eq!(store.live_rows(), walked);
         walked
     }
@@ -1598,10 +1575,9 @@ mod tests {
             None,
             &mut complete,
         );
-        let stats = store.stats();
-        assert_eq!(stats.total_live_matches, 1);
-        assert_eq!(stats.live_matches_per_node[tree.leaf(0).0], 1);
-        assert_eq!(stats.total_inserted_per_node[tree.leaf(0).0], 1);
+        assert_eq!(live(&store), 1);
+        assert_eq!(store.live_matches(tree.leaf(0)), 1);
+        assert_eq!(store.total_inserted(tree.leaf(0)), 1);
         store.clear();
         assert_eq!(live(&store), 0);
         // The inserted counters survive a clear (they are lifetime totals).

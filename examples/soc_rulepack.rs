@@ -15,7 +15,7 @@
 //! counters: prefix work run, prefix work saved, and the fraction of the
 //! prefix work it eliminated.
 
-use sp_datasets::NetflowConfig;
+use sp_datasets::{soc_chain_rule, NetflowConfig};
 use sp_graph::Schema;
 use sp_query::QueryGraph;
 use streampattern::{Strategy, StreamProcessor};
@@ -39,16 +39,7 @@ fn rule_pack(schema: &Schema) -> Vec<QueryGraph> {
     ];
     rules
         .iter()
-        .map(|(name, protos)| {
-            let mut q = QueryGraph::new(*name);
-            let mut prev = q.add_any_vertex();
-            for proto in *protos {
-                let next = q.add_any_vertex();
-                q.add_edge(prev, next, schema.edge_type(proto).expect("protocol"));
-                prev = next;
-            }
-            q
-        })
+        .map(|(name, protos)| soc_chain_rule(schema, name, protos))
         .collect()
 }
 

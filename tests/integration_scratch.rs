@@ -38,16 +38,7 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// overlap, disjoint rules) so both pipeline stages — shared join tables
 /// and private engines — run against warm buffers.
 fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
-    let chain = |name: &str, protos: &[&str]| {
-        let mut q = QueryGraph::new(name);
-        let mut prev = q.add_any_vertex();
-        for p in protos {
-            let next = q.add_any_vertex();
-            q.add_edge(prev, next, schema.edge_type(p).unwrap());
-            prev = next;
-        }
-        q
-    };
+    let chain = |name: &str, protos: &[&str]| sp_datasets::soc_chain_rule(schema, name, protos);
     vec![
         (chain("exfil", &["TCP", "ESP"]), Some(5_000)),
         (chain("exfil-wide", &["TCP", "ESP"]), None),

@@ -23,16 +23,7 @@ use streampattern::{
 /// An overlapping netflow rule pack (TCP / ICMP / ESP leaves in common) with a
 /// mix of per-query windows.
 fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
-    let chain = |name: &str, protos: &[&str]| {
-        let mut q = QueryGraph::new(name);
-        let mut prev = q.add_any_vertex();
-        for p in protos {
-            let next = q.add_any_vertex();
-            q.add_edge(prev, next, schema.edge_type(p).unwrap());
-            prev = next;
-        }
-        q
-    };
+    let chain = |name: &str, protos: &[&str]| sp_datasets::soc_chain_rule(schema, name, protos);
     vec![
         (chain("scan", &["ICMP", "TCP"]), Some(2_000)),
         (chain("exfil", &["TCP", "ESP"]), Some(5_000)),

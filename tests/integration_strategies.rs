@@ -121,16 +121,8 @@ fn lazy_strategies_store_fewer_partial_matches() {
     for query in &queries {
         let (_, eager) = run(&dataset, query, Strategy::Single);
         let (_, lazy) = run(&dataset, query, Strategy::SingleLazy);
-        let eager_live = eager
-            .engine()
-            .store_stats()
-            .expect("sj-tree strategy")
-            .total_live_matches;
-        let lazy_live = lazy
-            .engine()
-            .store_stats()
-            .expect("sj-tree strategy")
-            .total_live_matches;
+        let eager_live = eager.engine().live_partial_matches();
+        let lazy_live = lazy.engine().live_partial_matches();
         assert!(
             lazy_live <= eager_live,
             "lazy stored more ({lazy_live} vs {eager_live}) on {}",

@@ -2,7 +2,7 @@
 //! old edges, the match store purges stale partial matches, and only matches
 //! whose time span is below `tW` are reported (Section 2.1's τ(g) < tW).
 
-use sp_datasets::NetflowConfig;
+use sp_datasets::{soc_chain_rule, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
@@ -119,11 +119,7 @@ fn partial_matches_are_purged_with_the_window() {
         let ev = EdgeEvent::homogeneous(i, i + 1_000_000, ip, esp, Timestamp(i * 10));
         proc.process(&ev);
     }
-    let live = proc
-        .engine()
-        .store_stats()
-        .expect("sj-tree strategy")
-        .total_live_matches;
+    let live = proc.engine().live_partial_matches();
     assert!(
         live < 100,
         "store kept {live} partial matches despite the window"
@@ -139,18 +135,6 @@ fn partial_matches_are_purged_with_the_window() {
         Timestamp(5_000 * 10 + 1),
     ));
     assert_eq!(found.len(), 1);
-}
-
-/// A `from → … → to` chain query over the given edge types.
-fn chain(schema: &Schema, name: &str, types: &[&str]) -> QueryGraph {
-    let mut q = QueryGraph::new(name);
-    let mut prev = q.add_any_vertex();
-    for t in types {
-        let next = q.add_any_vertex();
-        q.add_edge(prev, next, schema.edge_type(t).unwrap());
-        prev = next;
-    }
-    q
 }
 
 /// The windowed purge's premise, end to end. A windowed store drops the
@@ -198,25 +182,25 @@ fn no_row_inside_its_window_references_an_expired_edge() {
         .collect();
     let narrow = [
         (
-            chain(schema, "icmp-gre", &["ICMP", "GRE"]),
+            soc_chain_rule(schema, "icmp-gre", &["ICMP", "GRE"]),
             Strategy::SingleLazy,
         ),
         (
-            chain(schema, "ipv6-icmp", &["IPv6", "ICMP"]),
+            soc_chain_rule(schema, "ipv6-icmp", &["IPv6", "ICMP"]),
             Strategy::Single,
         ),
     ];
     let wide = [
         (
-            chain(schema, "udp-gre-esp", &["UDP", "GRE", "ESP"]),
+            soc_chain_rule(schema, "udp-gre-esp", &["UDP", "GRE", "ESP"]),
             Strategy::Path,
         ),
         (
-            chain(schema, "udp-gre-esp-icmp", &["UDP", "GRE", "ESP", "ICMP"]),
+            soc_chain_rule(schema, "udp-gre-esp-icmp", &["UDP", "GRE", "ESP", "ICMP"]),
             Strategy::Single,
         ),
         (
-            chain(schema, "gre-ipv6", &["GRE", "IPv6"]),
+            soc_chain_rule(schema, "gre-ipv6", &["GRE", "IPv6"]),
             Strategy::SingleLazy,
         ),
     ];
