@@ -4,7 +4,7 @@
 //! A query's SJ-Tree is built from the stream statistics at registration
 //! time; on a drifting stream those statistics go stale and the engine keeps
 //! searching a now-common leaf first. This module provides the pieces the
-//! [`ControlPlane`](crate::ControlPlane) closes the loop with:
+//! [`ControlPlane`](crate::control::ControlPlane) closes the loop with:
 //!
 //! 1. a moving [`SelectivityEstimator`] ([`StatsMode::Decayed`]) keeps the
 //!    statistics tracking the recent stream;
@@ -26,7 +26,8 @@ use sp_query::{QueryEdgeId, QueryGraph};
 use sp_selectivity::SelectivityEstimator;
 use sp_sjtree::{decompose, SjTree};
 
-/// Cumulative adaptivity counters of one [`ControlPlane`](crate::ControlPlane).
+/// Cumulative adaptivity counters of one processor
+/// ([`Processor::adaptive_stats`](crate::Processor::adaptive_stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Per-query drift checks evaluated.

@@ -1,13 +1,10 @@
-//! Tunables of the parallel runtime.
+//! Tunables of the thread executor.
 
-use streampattern::{DriftConfig, DEFAULT_PURGE_INTERVAL};
-
-/// Configuration of a [`ParallelStreamProcessor`](crate::ParallelStreamProcessor).
-///
-/// The defaults are sized for a laptop-class machine: enough batching to
-/// amortize channel traffic, channels bounded tightly enough that a stalled
-/// worker (or a slow match consumer) pushes backpressure all the way to the
-/// ingest loop instead of buffering the stream in memory.
+/// Configuration of a [`ParallelStreamProcessor`](crate::ParallelStreamProcessor):
+/// its worker threads and the channels between them and the caller. The
+/// defaults batch enough to amortize channel traffic and bound the channels
+/// tightly enough that a stalled worker (or a slow match consumer) pushes
+/// backpressure to the ingest loop instead of buffering the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Number of worker threads (shards). Clamped to at least 1.
@@ -24,25 +21,9 @@ pub struct RuntimeConfig {
     /// workers, which in turn blocks ingest — memory stays bounded end to
     /// end.
     pub match_capacity: usize,
-    /// Edges between partial-match purges in each worker's shard (the
-    /// sequential `StreamProcessor::with_purge_interval`; the default is the
-    /// sequential shard's, [`DEFAULT_PURGE_INTERVAL`]).
-    pub purge_interval: u64,
-    /// Maintain live stream statistics on the ingest path (feeds
-    /// `StrategySpec::Auto` registration, exactly like the sequential
-    /// processor's default). Disable for measurement parity with the paper's
-    /// prefix-statistics methodology.
+    /// Maintain live stream statistics on the ingest path (see
+    /// [`RuntimeConfig::statistics`]).
     pub collect_statistics: bool,
-    /// Drift-adaptive re-decomposition (`None` = off). When set, the
-    /// facade's control plane re-plans every registered query from the
-    /// ingest-path statistics every `check_interval` edges (at the next
-    /// batch boundary) and, on a materially better plan, the facade sends a
-    /// re-decomposition job down the owning worker's FIFO channel — the swap
-    /// lands at a deterministic point between batches and replays the
-    /// worker's retained graph, so the reported match multiset is unchanged.
-    /// Requires `collect_statistics`; with statistics off the re-plans
-    /// never see movement.
-    pub adaptive: Option<DriftConfig>,
 }
 
 impl Default for RuntimeConfig {
@@ -52,9 +33,7 @@ impl Default for RuntimeConfig {
             batch_size: 256,
             channel_capacity: 32,
             match_capacity: 1024,
-            purge_interval: DEFAULT_PURGE_INTERVAL,
             collect_statistics: true,
-            adaptive: None,
         }
     }
 }
@@ -88,23 +67,12 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the per-worker purge interval (clamped to at least 1).
-    pub fn purge_interval(mut self, interval: u64) -> Self {
-        self.purge_interval = interval.max(1);
-        self
-    }
-
     /// Enables or disables live stream-statistics collection on the ingest
-    /// path.
+    /// path: the processor's `with_statistics`, as a setting. Kept only
+    /// because the repository benchmark sets it; it goes once that stops
+    /// (ROADMAP item 12).
     pub fn statistics(mut self, enabled: bool) -> Self {
         self.collect_statistics = enabled;
-        self
-    }
-
-    /// Enables drift-adaptive re-decomposition with the given check
-    /// cadence (see [`RuntimeConfig::adaptive`]).
-    pub fn adaptive(mut self, config: DriftConfig) -> Self {
-        self.adaptive = Some(config);
         self
     }
 }
@@ -121,9 +89,6 @@ mod tests {
         assert!(c.channel_capacity >= 1);
         assert!(c.match_capacity >= 1);
         assert!(c.collect_statistics);
-        // Both front ends purge on one cadence, so a lazy retroactive probe
-        // sees the same pre-registration edges on either.
-        assert_eq!(c.purge_interval, DEFAULT_PURGE_INTERVAL);
     }
 
     #[test]
@@ -131,12 +96,10 @@ mod tests {
         let c = RuntimeConfig::with_workers(0)
             .batch_size(0)
             .channel_capacity(0)
-            .match_capacity(0)
-            .purge_interval(0);
+            .match_capacity(0);
         assert_eq!(c.workers, 1);
         assert_eq!(c.batch_size, 1);
         assert_eq!(c.channel_capacity, 1);
         assert_eq!(c.match_capacity, 1);
-        assert_eq!(c.purge_interval, 1);
     }
 }

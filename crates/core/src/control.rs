@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Stable identifier of a registered continuous query. Ids are handed out by
-/// the [`ControlPlane`] and never reused, even after the query is
+/// the processor's control plane and never reused, even after the query is
 /// deregistered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
@@ -72,15 +72,10 @@ struct Adaptive {
 /// functions of one [`SelectivityEstimator`]. The control plane owns that
 /// estimator and everything decided from it — query ids, each query's
 /// [`StrategySpec`], window and live plan, the drift-check cadence, and the
-/// graph retention window — and executes nothing: edges run
-/// on a data half ([`Shard`](crate::Shard)) that is told what to register,
-/// what to retain and what to rebuild.
-///
-/// The sequential [`StreamProcessor`](crate::StreamProcessor) is a control
-/// plane plus one shard applied inline; the parallel runtime is the same
-/// control plane plus shard placement plus N shards behind channels. Ids,
-/// strategies, retention and re-plans therefore agree between the two by
-/// construction.
+/// graph retention window — and executes nothing: edges run on the
+/// [`Shard`](crate::Shard)s of its [`Processor`](crate::Processor), which
+/// tell them what to register, what to retain and what to rebuild, through
+/// whichever executor runs them.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     estimator: SelectivityEstimator,
@@ -157,9 +152,8 @@ impl ControlPlane {
     }
 
     /// Whether [`DriftConfig::check_interval`] edges have been observed
-    /// since this last returned `true`. Each front end asks at its own
-    /// cadence — the sequential processor after every edge, the runtime at
-    /// batch boundaries — and runs [`ControlPlane::check_drift`] on `true`.
+    /// since this last returned `true` (asked after every edge inline, at
+    /// batch boundaries on threads).
     pub fn drift_due(&mut self) -> bool {
         match self.adaptive.as_mut() {
             Some(a) if a.since_check >= a.config.check_interval => {

@@ -6,17 +6,16 @@
 //! substrates — the dynamic graph store (`sp-graph`), the query model
 //! (`sp-query`), the matchers (`sp-iso`), the stream statistics
 //! (`sp-selectivity`) and the SJ-Tree (`sp-sjtree`) — into a continuous
-//! **multi-query** engine in two halves. The [`ControlPlane`] owns the
-//! stream statistics and every decision the paper derives from them: it
-//! numbers queries, plans them (strategy and decomposition), keeps the graph
-//! retention window and re-plans when the statistics drift. The data half, a
-//! [`Shard`], owns one shared [`DynamicGraph`] plus the engines of the
-//! continuous queries registered on it, their shared join stage, and an
-//! edge-type dispatch index that hands each incoming edge only to the
-//! queries whose pattern can use it. A [`StreamProcessor`]
-//! is one control plane driving one shard on the caller's thread; the
-//! `sp-runtime` crate puts the same control plane in front of N shards on
-//! worker threads.
+//! **multi-query** engine with one front end, [`Processor`]. Its control
+//! plane owns the stream statistics and every decision the paper derives
+//! from them: query ids, plans (strategy and decomposition), the graph
+//! retention window, drift re-plans and shard placement. Each [`Shard`]
+//! owns one [`DynamicGraph`], the engines registered on it, their shared
+//! join stage, and an edge-type dispatch index that hands each edge only to
+//! the queries whose pattern can use it. An [`Executor`] decides where the
+//! shards run: [`StreamProcessor`] is the facade over one shard on the
+//! caller's thread ([`Inline`]), [`ParallelStreamProcessor`] over N shards
+//! on worker threads ([`Threads`]).
 //!
 //! ## Quick start
 //!
@@ -89,12 +88,12 @@
 //! ## Consuming matches
 //!
 //! [`RowSink`] is the one consumer trait: [`Shard::process_into`],
-//! [`StreamProcessor::process_into`] and the runtime's `process_all_into`
+//! [`StreamProcessor::process_into`] and [`Processor::process_all_into`]
 //! all take `S: RowSink + ?Sized`. A complete match reaches the sink as a
 //! fixed-width row, and a sink decides whether to build anything from it:
 //!
 //! * [`CountSink`] counts rows and builds no match — what `process_all`
-//!   uses on both front ends;
+//!   uses;
 //! * every [`MatchSink`] is a [`RowSink`] through one blanket impl that
 //!   builds each [`SubgraphMatch`] once, as the argument of
 //!   [`MatchSink::on_match`]. `Vec<(QueryId, SubgraphMatch)>` is the
@@ -118,9 +117,9 @@
 //!     EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2)),
 //! ];
 //! let mut count = CountSink::new();
-//! proc.process_batch_into(&events, &mut count);
+//! proc.process_all_into(&events, &mut count);
 //! let mut alerts = Vec::new();
-//! proc.process_batch_into(&events, &mut FnSink(|q: QueryId, m: SubgraphMatch| {
+//! proc.process_all_into(&events, &mut FnSink(|q: QueryId, m: SubgraphMatch| {
 //!     alerts.push((q, m.num_edges()));
 //! }));
 //! assert_eq!((count.matches, alerts.len()), (2, 2));
@@ -136,6 +135,7 @@
 #![warn(missing_docs)]
 
 mod adaptive;
+mod config;
 mod control;
 mod engine;
 mod error;
@@ -143,22 +143,27 @@ mod lazy;
 mod metrics;
 mod processor;
 mod profile;
+mod runtime;
 mod shard;
 mod sharedjoin;
 mod sink;
 mod strategy;
+mod worker;
 
 pub use adaptive::{leaf_structure, plan_query, AdaptiveStats};
-pub use control::{ControlPlane, QueryId, StrategySpec};
+pub use config::RuntimeConfig;
+pub use control::{QueryId, StrategySpec};
 pub use engine::ContinuousQueryEngine;
 pub use error::EngineError;
 pub use metrics::PipelineMetrics;
-pub use processor::{SharedLeafStats, StreamProcessor};
+pub use processor::{Executor, Inline, Processor, SharedLeafStats, StreamProcessor};
 pub use profile::ProfileCounters;
+pub use runtime::{ParallelStreamProcessor, RuntimeReport, RuntimeStats, Threads};
 pub use shard::{Shard, DEFAULT_PURGE_INTERVAL};
 pub use sharedjoin::{SharedJoinIndex, SharedJoinStats, SharedRow, TrieNodeInfo};
 pub use sink::{CountSink, FnSink, MatchSink, RowSink};
 pub use strategy::{choose_strategy, Strategy, StrategyChoice, RELATIVE_SELECTIVITY_THRESHOLD};
+pub use worker::WorkerReport;
 
 // Re-export the building blocks so that downstream users only need one
 // dependency for common tasks.
@@ -166,6 +171,7 @@ pub use sp_graph::{
     DynamicGraph, EdgeData, EdgeEvent, EdgeId, EdgeType, Schema, Timestamp, VertexId, VertexType,
 };
 pub use sp_iso::SubgraphMatch;
+pub use sp_metrics::MetricsRegistry;
 pub use sp_query::{
     canonicalize_subgraph, prefix_chain, ChainStep, LeafSignature, PrefixSignature, QueryEdgeId,
     QueryGraph, QueryVertexId,

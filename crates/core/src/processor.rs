@@ -1,20 +1,19 @@
-//! The stream processor: one shared data graph, many continuous queries.
+//! The one front end ([`Processor`]): a control plane plus shard
+//! placement, over an [`Executor`] that decides where the shards run.
 //!
-//! [`StreamProcessor`] is the "query processing" half of the paper's
-//! experimental setup (Section 6.1), generalized to the multi-query
-//! deployment the system paper (StreamWorks) describes. It is the sequential
-//! front end over the two halves of the engine: a
-//! [`ControlPlane`] that plans, numbers and re-plans queries from the stream
-//! statistics, and one [`Shard`] — **one** [`DynamicGraph`] shared by every
-//! registered query, into which [`EdgeEvent`]s stream exactly once and are
-//! dispatched through the shard's edge-type index so that only the engines
-//! whose pattern can use the edge are invoked — applied inline.
-//! Windowing is per query: the graph retains edges for the *largest*
-//! registered window while each engine filters and purges with its own `tW`.
+//! Every decision — query ids, strategy and decomposition, graph retention,
+//! drift re-plans, which shard hosts a query — is made here, once. A
+//! [`Shard`] (one [`DynamicGraph`], the engines registered on it and the
+//! edge-type dispatch between them) is reached only through a job its
+//! executor runs:
 //!
-//! Matches are pushed into a [`RowSink`] — every
-//! [`MatchSink`](crate::MatchSink) is one; [`StreamProcessor::process`] is
-//! the convenience wrapper that collects them into a vector.
+//! * [`StreamProcessor`] = `Processor<Inline>`: one shard on the caller's
+//!   thread; a job runs on the spot, rows go straight to the caller's
+//!   [`RowSink`], and the drift cadence is checked after every edge.
+//! * [`ParallelStreamProcessor`](crate::ParallelStreamProcessor) =
+//!   `Processor<Threads>`: N shards on worker threads behind bounded FIFO
+//!   channels ([`Threads`](crate::Threads)); the drift cadence is checked at
+//!   batch boundaries.
 
 use crate::adaptive::AdaptiveStats;
 use crate::control::{ControlPlane, QueryId, StrategySpec};
@@ -31,6 +30,8 @@ use sp_iso::SubgraphMatch;
 use sp_query::QueryGraph;
 use sp_selectivity::{DriftConfig, SelectivityEstimator};
 use sp_sjtree::SjTree;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The counters of the shared-leaf stage, which no longer exists: every
 /// engine searches its own leaves, so every field reads 0. Kept, with
@@ -66,40 +67,104 @@ impl SharedLeafStats {
     }
 }
 
-/// A [`ControlPlane`] and the one [`Shard`] it drives, on the caller's
-/// thread.
+/// Where a [`Processor`]'s shards run: [`Inline`] or
+/// [`Threads`](crate::Threads), the only two implementations.
+///
+/// A job runs on one shard *between* the events ingested before and after
+/// it was issued, so every executor reports the same matches for the same
+/// sequence of calls.
+pub trait Executor: Sized {
+    /// Runs `job` on shard `shard`.
+    fn run(&mut self, shard: usize, job: impl FnOnce(&mut Shard) + Send + 'static);
+
+    /// Runs `job` on every shard in `shards` and returns the answers in
+    /// shard order.
+    fn ask<T: Send + 'static>(
+        &mut self,
+        shards: Range<usize>,
+        job: impl Fn(&mut Shard) -> T + Clone + Send + 'static,
+    ) -> Vec<T>;
+
+    /// Ingests `events` into every shard, feeding the accepted edges to
+    /// `p`'s control plane and running its due drift checks, and pushes
+    /// every complete match into `sink`. Returns the number of matches
+    /// delivered.
+    fn ingest<'a, S: RowSink + ?Sized>(
+        p: &mut Processor<Self>,
+        events: impl IntoIterator<Item = &'a EdgeEvent>,
+        sink: &mut S,
+    ) -> u64;
+}
+
+/// The inline executor: one [`Shard`] on the caller's thread.
 #[derive(Debug, Clone)]
-pub struct StreamProcessor {
-    control: ControlPlane,
+pub struct Inline {
     shard: Shard,
 }
 
-impl StreamProcessor {
-    /// Creates a processor with an empty data graph and no registered
-    /// queries. Register queries with [`StreamProcessor::register`] (or
-    /// [`StreamProcessor::register_engine`]); until a query is registered,
-    /// processed edges only grow the graph.
-    pub fn new(schema: Schema) -> Self {
+impl Executor for Inline {
+    fn run(&mut self, _: usize, job: impl FnOnce(&mut Shard) + Send + 'static) {
+        job(&mut self.shard);
+    }
+
+    fn ask<T: Send + 'static>(
+        &mut self,
+        shards: Range<usize>,
+        job: impl Fn(&mut Shard) -> T + Clone + Send + 'static,
+    ) -> Vec<T> {
+        shards.map(|_| job(&mut self.shard)).collect()
+    }
+
+    fn ingest<'a, S: RowSink + ?Sized>(
+        p: &mut Processor<Self>,
+        events: impl IntoIterator<Item = &'a EdgeEvent>,
+        sink: &mut S,
+    ) -> u64 {
+        events.into_iter().map(|e| p.process_into(e, sink)).sum()
+    }
+}
+
+/// A control plane and the shards it drives, through executor `X`.
+///
+/// Each query is placed on the least-loaded shard: a query's cost is
+/// [`SelectivityEstimator::estimate_query_cost`] of its pattern against the
+/// live statistics, floored at `1e-6`; a shard's load is the summed cost of
+/// the queries it hosts, and ties go to the lowest shard index.
+#[derive(Debug, Clone)]
+pub struct Processor<X> {
+    pub(crate) control: ControlPlane,
+    /// Per registered query: its shard and the cost it added to that
+    /// shard's load.
+    placed: BTreeMap<QueryId, (usize, f64)>,
+    /// Per shard, the summed placement cost of the queries it hosts.
+    pub(crate) shard_costs: Vec<f64>,
+    pub(crate) exec: X,
+}
+
+/// The facade over one [`Shard`] on the caller's thread.
+pub type StreamProcessor = Processor<Inline>;
+
+impl<X: Executor> Processor<X> {
+    /// A processor over `exec`, which runs `shards` shards, with no
+    /// registered query.
+    pub(crate) fn over(exec: X, shards: usize) -> Self {
         Self {
             control: ControlPlane::new(),
-            shard: Shard::new(schema),
+            placed: BTreeMap::new(),
+            shard_costs: vec![0.0; shards],
+            exec,
         }
     }
 
-    /// Convenience constructor for the single-query setup of the paper's
-    /// experiments: a processor with exactly one registered engine. The
-    /// engine's id is the first element of [`StreamProcessor::query_ids`].
-    pub fn with_engine(schema: Schema, engine: ContinuousQueryEngine) -> Self {
-        let mut p = Self::new(schema);
-        p.register_engine(engine);
-        p
+    fn all_shards(&self) -> Range<usize> {
+        0..self.shard_costs.len()
     }
 
-    /// Overrides how many edges are processed between partial-match purges
-    /// (the purge is an amortized maintenance pass; correctness of reported
-    /// matches does not depend on it).
+    /// Overrides how many edges each shard processes between partial-match
+    /// purges (an amortized maintenance pass; correctness of reported
+    /// matches does not depend on it). Clamped to at least 1.
     pub fn with_purge_interval(mut self, interval: u64) -> Self {
-        self.shard.set_purge_interval(interval);
+        self.on_every_shard(move |s| s.set_purge_interval(interval));
         self
     }
 
@@ -120,60 +185,13 @@ impl StreamProcessor {
         self
     }
 
-    /// Attaches telemetry (off by default): every processed edge records
-    /// per-stage timing spans and every reported match records its
-    /// detection latency into the bundle's histograms — see
-    /// [`PipelineMetrics`] for the metric catalogue — and the engines time
-    /// their searches and inserts into [`ProfileCounters::iso_time`] /
-    /// [`ProfileCounters::update_time`] (the §6.4 split). With metrics off
-    /// the hot path pays one branch per edge and reads no clock, the
-    /// engines' included: those two timers read zero, every count is the
-    /// same.
-    pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
-        self.shard.set_metrics(Some(metrics));
-        self
-    }
-
-    /// All zeroes: there is no shared-leaf stage, every engine searches its
-    /// own leaves (see [`SharedLeafStats`]).
-    pub fn shared_leaf_stats(&self) -> SharedLeafStats {
-        SharedLeafStats::default()
-    }
-
-    /// Snapshot of the shared join stage: live prefix tables, current
-    /// subscriptions, and how much join-stage work sharing eliminated.
-    /// Queries whose decompositions begin with the same canonical leaf
-    /// sequence share one refcounted partial-match table for that prefix —
-    /// leaf searches, inserts and hash joins for the prefix run once
-    /// shard-wide, and the prefix-root matches are fanned out (window-
-    /// and boundary-filtered per subscriber).
-    pub fn shared_join_stats(&self) -> crate::SharedJoinStats {
-        self.shard.shared_joins().stats()
-    }
-
-    /// Total partial matches ever stored across every engine and shared
-    /// prefix table — the denominator of the allocs-per-stored-match
-    /// ceilings in `tests/integration_scratch.rs`.
-    pub fn stored_matches(&self) -> u64 {
-        self.shard.stored_matches()
-    }
-
-    /// Enables drift-adaptive re-decomposition (off by default): every
-    /// [`DriftConfig::check_interval`] processed edges, each registered
-    /// query is re-planned from the live statistics
-    /// ([`ControlPlane::check_drift`]); when the re-plan is materially
-    /// better than the live plan, the engine is swapped via
-    /// [`ContinuousQueryEngine::rebuild`] (replaying the retained graph, so
-    /// no partial state is lost) and re-placed in the shared join stage. `Auto`-registered queries re-run the strategy
-    /// selection; `Fixed` queries keep their strategy but may re-order
-    /// leaves — whichever order registration and this call happened in.
-    ///
-    /// Adaptivity is semantics-preserving: the reported match multiset is
-    /// identical with it on or off. It only pays off when the statistics
-    /// actually move — pair it with a decayed estimator
-    /// ([`sp_selectivity::StatsMode::Decayed`] via
-    /// [`StreamProcessor::with_estimator`]) and leave statistics collection
-    /// enabled.
+    /// Enables drift-adaptive re-decomposition (off by default): once every
+    /// [`DriftConfig::check_interval`] accepted edges, the drift checks of
+    /// [`Processor::run_drift_checks`] run. `Auto`-registered queries re-run
+    /// the strategy selection; `Fixed` ones keep their strategy but may
+    /// re-order leaves. The reported match multiset is identical with it on
+    /// or off; it pays off only when the statistics move — pair it with a
+    /// decayed estimator ([`sp_selectivity::StatsMode::Decayed`]).
     pub fn with_adaptive(mut self, config: DriftConfig) -> Self {
         self.control.set_adaptive(config);
         self
@@ -184,12 +202,17 @@ impl StreamProcessor {
         self.control.adaptive_stats()
     }
 
+    /// The stream statistics collected so far.
+    pub fn estimator(&self) -> &SelectivityEstimator {
+        self.control.estimator()
+    }
+
     /// Registers a continuous query: decomposes it under the given strategy
     /// (or picks one via the Relative Selectivity rule for
     /// [`StrategySpec::Auto`]) against the processor's current stream
-    /// statistics, and indexes it for dispatch. `window` is the query's own
-    /// `tW`; the shared graph retains edges for the largest window across
-    /// all registered queries.
+    /// statistics, and places it on a shard. `window` is the query's own
+    /// `tW`; the graphs retain edges for the largest window across all
+    /// registered queries.
     pub fn register(
         &mut self,
         query: QueryGraph,
@@ -197,7 +220,7 @@ impl StreamProcessor {
         window: Option<u64>,
     ) -> Result<QueryId, EngineError> {
         let (id, engine) = self.control.plan(query, spec.into(), window)?;
-        self.install(id, engine);
+        self.place(id, engine);
         Ok(id)
     }
 
@@ -208,106 +231,96 @@ impl StreamProcessor {
     /// planned one, so a leaf order the planner beats materially is rebuilt.
     pub fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
         let id = self.control.adopt(&engine);
-        self.install(id, engine);
+        self.place(id, engine);
         id
     }
 
-    fn install(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
-        self.shard.register(id, engine);
-        self.shard.set_retention(self.control.retention());
+    /// Shard placement: picks the least-loaded shard, books the cost, ships
+    /// the engine and the (possibly widened) retention window.
+    fn place(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
+        // The floor keeps a shard from absorbing unboundedly many "free"
+        // queries: even a never-dispatched query costs shard space.
+        let cost = self
+            .control
+            .estimator()
+            .estimate_query_cost(engine.query())
+            .max(1e-6);
+        let costs = &self.shard_costs;
+        let shard = (0..costs.len())
+            .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
+            .expect("a processor has at least one shard");
+        self.shard_costs[shard] += cost;
+        self.placed.insert(id, (shard, cost));
+        self.exec.run(shard, move |s| s.register(id, engine));
+        self.set_retention();
     }
 
-    /// Deregisters a query mid-stream, returning its engine (and runtime
-    /// state). The graph's retention window is recomputed immediately from
-    /// the remaining queries (it shrinks when the removed query held the
-    /// maximum `tW`), and the dispatch index stops routing the query's edge
-    /// types. Deregistering the *last* query keeps the current retention
-    /// window in place (rather than reverting to unbounded retention), so an
-    /// idle processor does not accumulate edges forever; the next
-    /// registration recomputes it.
+    /// Deregisters a query mid-stream, after every event ingested before
+    /// this call, returning its engine with runtime state intact. The
+    /// retention window is recomputed from the remaining queries at once;
+    /// the *last* query leaving keeps it in force, so an idle processor does
+    /// not accumulate edges forever.
     pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
-        let engine = self.shard.deregister(id)?;
+        let (shard, cost) = self.placed.remove(&id)?;
         self.control.forget(id);
-        self.shard.set_retention(self.control.retention());
-        Some(engine)
+        self.shard_costs[shard] = (self.shard_costs[shard] - cost).max(0.0);
+        let engine = self.exec.ask(shard..shard + 1, move |s| s.deregister(id));
+        self.set_retention();
+        engine.into_iter().flatten().next()
     }
 
-    /// Ingests one stream event, pushing every complete match it creates
-    /// into `sink` ([`Shard::process_into`], with the accepted edge feeding
-    /// the control plane's statistics). Returns the number of matches
-    /// reported.
-    pub fn process_into<S: RowSink + ?Sized>(&mut self, event: &EdgeEvent, sink: &mut S) -> u64 {
-        let control = &mut self.control;
-        let found = self
-            .shard
-            .process_into(event, sink, |edge| control.observe(edge));
-        // Drift cadence: re-decomposition is semantics-preserving, so the
-        // check point only affects *when* work is saved, never what matches
-        // are reported.
+    /// Ships the control plane's retention window to every shard, so a
+    /// query registered mid-stream on any shard still finds the history it
+    /// is entitled to.
+    fn set_retention(&mut self) {
+        let retention = self.control.retention();
+        self.on_every_shard(move |s| s.set_retention(retention));
+    }
+
+    fn on_every_shard(&mut self, job: impl Fn(&mut Shard) + Clone + Send + 'static) {
+        for shard in self.all_shards() {
+            self.exec.run(shard, job.clone());
+        }
+    }
+
+    /// Runs the drift checks once [`DriftConfig::check_interval`] accepted
+    /// edges have been observed since the last due check.
+    pub(crate) fn check_drift_if_due(&mut self) {
         if self.control.drift_due() {
             self.run_drift_checks();
         }
-        found
     }
 
-    /// Runs one drift check over every registered query *now* (bypassing
-    /// the [`DriftConfig::check_interval`] cadence): queries whose re-plan
-    /// is materially better than the live plan
-    /// ([`ControlPlane::check_drift`]) are rebuilt in place. Returns the number of engines rebuilt. A no-op
-    /// when adaptivity is off.
+    /// Runs one drift check over every registered query *now*: each query
+    /// whose re-plan from the live statistics is materially better than its
+    /// live plan is rebuilt by its shard, after every event ingested before
+    /// this call, via [`ContinuousQueryEngine::rebuild`] (replaying the
+    /// retained graph, so no partial state is lost). Returns the number of
+    /// re-decompositions issued; a no-op when adaptivity is off.
     pub fn run_drift_checks(&mut self) -> usize {
         let plans = self.control.check_drift();
-        let rebuilt = plans.len();
+        let issued = plans.len();
         for (id, strategy, tree) in plans {
-            self.shard
-                .redecompose(id, strategy, tree)
-                .expect("the control plane re-planned a query this shard runs");
+            let shard = self.placed[&id].0;
+            self.exec.run(shard, move |s| {
+                s.redecompose(id, strategy, tree)
+                    .expect("the control plane re-planned a query this shard runs");
+            });
         }
-        rebuilt
+        issued
     }
 
-    /// Swaps one query's decomposition for an externally supplied plan:
-    /// rebuilds the engine via [`ContinuousQueryEngine::rebuild`] (replaying
-    /// the retained graph, preserving the reported match multiset) and
-    /// re-places it in the shared join stage. A deterministic lever for
-    /// tests and tooling; the drift-driven path
-    /// ([`StreamProcessor::run_drift_checks`]) computes the plan itself.
-    /// Under adaptivity the supplied plan is live until a due check finds
-    /// a materially better one.
-    pub fn redecompose(
-        &mut self,
-        id: QueryId,
-        strategy: Strategy,
-        tree: SjTree,
-    ) -> Result<(), EngineError> {
-        self.shard.redecompose(id, strategy, tree)?;
-        let tree = self.shard.engine(id).and_then(|e| e.tree());
-        self.control
-            .replanned(id, strategy, tree.expect("rebuilt onto an SJ-Tree"));
-        Ok(())
-    }
-
-    /// Ingests one stream event and returns the complete matches it created,
-    /// tagged with the query they belong to.
-    pub fn process(&mut self, event: &EdgeEvent) -> Vec<(QueryId, SubgraphMatch)> {
-        let mut matches = Vec::new();
-        self.process_into(event, &mut matches);
-        matches
-    }
-
-    /// Ingests a batch of stream events into one sink, returning the number
-    /// of matches reported: one warm per-engine scratch serves every edge
-    /// of the batch.
-    pub fn process_batch_into<'a, S, I>(&mut self, events: I, sink: &mut S) -> u64
+    /// Ingests a stream, pushing every complete match it creates into
+    /// `sink`, and returns the number of matches delivered by this call.
+    /// On threads the call returns once every shard has processed every
+    /// event (a drain barrier), so an empty `events` delivers what earlier
+    /// control calls left buffered.
+    pub fn process_all_into<'a, I, S>(&mut self, events: I, sink: &mut S) -> u64
     where
-        S: RowSink + ?Sized,
         I: IntoIterator<Item = &'a EdgeEvent>,
+        S: RowSink + ?Sized,
     {
-        let mut found = 0;
-        for e in events {
-            found += self.process_into(e, sink);
-        }
-        found
+        X::ingest(self, events, sink)
     }
 
     /// Ingests a whole stream, returning the total number of matches found
@@ -317,34 +330,204 @@ impl StreamProcessor {
         I: IntoIterator<Item = &'a EdgeEvent>,
     {
         let mut sink = CountSink::new();
-        self.process_batch_into(events, &mut sink);
+        self.process_all_into(events, &mut sink);
         sink.matches
+    }
+
+    /// Ingests one stream event and returns the complete matches it created,
+    /// tagged with the query they belong to. On threads this is a full
+    /// barrier per event: use [`Processor::process_all_into`] for
+    /// throughput.
+    pub fn process(&mut self, event: &EdgeEvent) -> Vec<(QueryId, SubgraphMatch)> {
+        let mut matches = Vec::new();
+        self.process_all_into(std::iter::once(event), &mut matches);
+        matches
+    }
+
+    /// Number of registered queries.
+    pub fn num_queries(&self) -> usize {
+        self.placed.len()
+    }
+
+    /// Ids of the registered queries, in registration order.
+    pub fn query_ids(&self) -> Vec<QueryId> {
+        self.placed.keys().copied().collect()
+    }
+
+    /// The shard a query is placed on.
+    pub fn shard_of(&self, id: QueryId) -> Option<usize> {
+        self.placed.get(&id).map(|&(shard, _)| shard)
+    }
+
+    /// The retention window every shard's graph keeps (the maximum across
+    /// registered queries; `None` retains everything).
+    pub fn graph_retention(&self) -> Option<u64> {
+        self.control.retention()
+    }
+
+    /// Aggregated profiling counters over every shard ([`Shard::profile`]):
+    /// the engines' counters summed via [`ProfileCounters::merge`]. Every
+    /// shard ingests the whole stream, so the stream-level counters —
+    /// `edges_processed` (events ingested), `vertex_type_conflicts` and
+    /// `rejected_events` — are each the largest any shard reports, not a
+    /// sum.
+    pub fn profile(&mut self) -> ProfileCounters {
+        let shards = self.exec.ask(self.all_shards(), |s| s.profile());
+        let mut total = ProfileCounters::new();
+        for p in &shards {
+            total.merge(p);
+        }
+        let most = |f: fn(&ProfileCounters) -> u64| shards.iter().map(f).max().unwrap_or(0);
+        ProfileCounters {
+            edges_processed: most(|p| p.edges_processed),
+            vertex_type_conflicts: most(|p| p.vertex_type_conflicts),
+            rejected_events: most(|p| p.rejected_events),
+            ..total
+        }
+    }
+
+    /// Profiling counters of one query's engine, asked of its shard alone.
+    pub fn profile_for(&mut self, id: QueryId) -> Option<ProfileCounters> {
+        let shard = self.shard_of(id)?;
+        let profile = self.exec.ask(shard..shard + 1, move |s| {
+            s.engine(id).map(|e| e.profile().clone())
+        });
+        profile.into_iter().flatten().next()
+    }
+
+    /// Total partial matches ever stored across every shard's engines and
+    /// shared prefix tables. Shards store independently, so on threads this
+    /// grows with the worker count; the reported matches do not.
+    pub fn stored_matches(&mut self) -> u64 {
+        self.sum_over_shards(Shard::stored_matches)
+    }
+
+    /// Total matches found since construction, across all queries.
+    pub fn total_matches(&mut self) -> u64 {
+        self.sum_over_shards(Shard::total_matches)
+    }
+
+    fn sum_over_shards(&mut self, count: fn(&Shard) -> u64) -> u64 {
+        let counts = self.exec.ask(self.all_shards(), move |s| count(s));
+        counts.into_iter().sum()
+    }
+}
+
+impl Processor<Inline> {
+    /// Creates a processor with an empty data graph and no registered
+    /// queries. Register queries with [`Processor::register`] (or
+    /// [`Processor::register_engine`]); until a query is registered,
+    /// processed edges only grow the graph.
+    pub fn new(schema: Schema) -> Self {
+        let shard = Shard::new(schema);
+        Self::over(Inline { shard }, 1)
+    }
+
+    /// Convenience constructor for the single-query setup of the paper's
+    /// experiments: a processor with exactly one registered engine. The
+    /// engine's id is the first element of [`Processor::query_ids`].
+    pub fn with_engine(schema: Schema, engine: ContinuousQueryEngine) -> Self {
+        let mut p = Self::new(schema);
+        p.register_engine(engine);
+        p
+    }
+
+    /// Attaches telemetry (off by default): every processed edge records
+    /// per-stage timing spans and every reported match records its
+    /// detection latency into the bundle's histograms — see
+    /// [`PipelineMetrics`] for the metric catalogue — and the engines time
+    /// their searches and inserts into [`ProfileCounters::iso_time`] /
+    /// [`ProfileCounters::update_time`] (the §6.4 split). With metrics off
+    /// the hot path pays one branch per edge and reads no clock, the
+    /// engines' included: those two timers read zero, every count is the
+    /// same.
+    pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
+        self.exec.shard.set_metrics(Some(metrics));
+        self
+    }
+
+    /// Ingests one stream event, pushing every complete match it creates
+    /// into `sink` ([`Shard::process_into`], with the accepted edge feeding
+    /// the control plane's statistics), then runs the drift checks if they
+    /// came due. Returns the number of matches reported.
+    pub fn process_into<S: RowSink + ?Sized>(&mut self, event: &EdgeEvent, sink: &mut S) -> u64 {
+        let control = &mut self.control;
+        let found = self
+            .exec
+            .shard
+            .process_into(event, sink, |edge| control.observe(edge));
+        // Re-decomposition is semantics-preserving: the check point only
+        // affects *when* work is saved, never what matches are reported.
+        self.check_drift_if_due();
+        found
+    }
+
+    /// [`Processor::process_all_into`] under its former name, kept only
+    /// because the repository benchmark's oracle still calls it; it goes
+    /// once that stops (ROADMAP item 12).
+    pub fn process_batch_into<'a, S, I>(&mut self, events: I, sink: &mut S) -> u64
+    where
+        S: RowSink + ?Sized,
+        I: IntoIterator<Item = &'a EdgeEvent>,
+    {
+        self.process_all_into(events, sink)
+    }
+
+    /// Swaps one query's decomposition for an externally supplied plan:
+    /// rebuilds the engine via [`ContinuousQueryEngine::rebuild`] (replaying
+    /// the retained graph, preserving the reported match multiset) and
+    /// re-places it in the shared join stage. A deterministic lever for
+    /// tests and tooling; the drift-driven path
+    /// ([`Processor::run_drift_checks`]) computes the plan itself.
+    /// Under adaptivity the supplied plan is live until a due check finds
+    /// a materially better one.
+    pub fn redecompose(
+        &mut self,
+        id: QueryId,
+        strategy: Strategy,
+        tree: SjTree,
+    ) -> Result<(), EngineError> {
+        let shard = &mut self.exec.shard;
+        shard.redecompose(id, strategy, tree)?;
+        let tree = shard.engine(id).and_then(|e| e.tree());
+        self.control
+            .replanned(id, strategy, tree.expect("rebuilt onto an SJ-Tree"));
+        Ok(())
     }
 
     /// The shared data graph in its current state.
     pub fn graph(&self) -> &DynamicGraph {
-        self.shard.graph()
+        self.exec.shard.graph()
     }
 
     /// The shared join stage: its trie nodes and each query's subscription
     /// depth.
     pub fn shared_joins(&self) -> &SharedJoinIndex {
-        self.shard.shared_joins()
+        self.exec.shard.shared_joins()
     }
 
-    /// Number of registered queries.
-    pub fn num_queries(&self) -> usize {
-        self.shard.num_queries()
+    /// Snapshot of the shared join stage: live prefix tables, current
+    /// subscriptions, and how much join-stage work sharing eliminated.
+    /// Queries whose decompositions begin with the same canonical leaf
+    /// sequence share one refcounted partial-match table for that prefix —
+    /// leaf searches, inserts and hash joins for the prefix run once
+    /// shard-wide, and the prefix-root matches are fanned out (window-
+    /// and boundary-filtered per subscriber).
+    pub fn shared_join_stats(&self) -> crate::SharedJoinStats {
+        self.shared_joins().stats()
     }
 
-    /// Ids of the registered queries, in registration order.
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        self.shard.engines().map(|(id, _)| id).collect()
+    /// All zeroes: there is no shared-leaf stage, every engine searches its
+    /// own leaves (see [`SharedLeafStats`]). Kept only because the
+    /// repository benchmark's trace still reads it; it goes once that stops
+    /// (ROADMAP item 12).
+    pub fn shared_leaf_stats(&self) -> SharedLeafStats {
+        SharedLeafStats::default()
     }
 
     /// The engine of a registered query.
     pub fn engine_for(&self, id: QueryId) -> Option<&ContinuousQueryEngine> {
-        self.shard.engine(id)
+        self.exec.shard.engine(id)
     }
 
     /// Single-query convenience: the one registered engine.
@@ -358,39 +541,17 @@ impl StreamProcessor {
             1,
             "StreamProcessor::engine() requires exactly one registered query"
         );
-        self.shard.engines().next().expect("one query").1
-    }
-
-    /// Aggregated profiling counters ([`Shard::profile`]): the engines'
-    /// counters summed, with `edges_processed` reporting events *ingested by
-    /// the processor* and `vertex_type_conflicts` / `rejected_events` from
-    /// the ingestion path.
-    pub fn profile(&self) -> ProfileCounters {
-        self.shard.profile()
-    }
-
-    /// Profiling counters of one query's engine.
-    pub fn profile_for(&self, id: QueryId) -> Option<&ProfileCounters> {
-        self.engine_for(id).map(|e| e.profile())
-    }
-
-    /// The stream statistics collected so far.
-    pub fn estimator(&self) -> &SelectivityEstimator {
-        self.control.estimator()
-    }
-
-    /// Total matches found since construction, across all queries.
-    pub fn total_matches(&self) -> u64 {
-        self.shard.total_matches()
+        self.exec.shard.engines().next().expect("one query").1
     }
 }
 
-// The parallel runtime moves engines and whole shards across worker
-// threads; pin the `Send` guarantee at compile time so a future field (an
-// `Rc`, a raw pointer) cannot silently take it away.
+// The runtime moves engines and whole shards across worker threads; pin the
+// `Send` guarantee at compile time so a future field (an `Rc`, a raw
+// pointer) cannot silently take it away.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StreamProcessor>();
+    assert_send::<crate::ParallelStreamProcessor>();
     assert_send::<Shard>();
     assert_send::<PipelineMetrics>();
     assert_send::<ContinuousQueryEngine>();
@@ -691,8 +852,8 @@ mod tests {
         proc.deregister(wide_id).expect("wide query was registered");
         // Retention shrinks immediately, not on the next purge.
         assert_eq!(proc.graph().window(), Some(10));
-        assert!(proc.shard.candidates(esp).is_empty());
-        assert_eq!(proc.shard.candidates(tcp), &[narrow_id]);
+        assert!(proc.exec.shard.candidates(esp).is_empty());
+        assert_eq!(proc.exec.shard.candidates(tcp), &[narrow_id]);
 
         // With the narrow window in force, old edges actually expire.
         let mut proc = proc.with_purge_interval(1);

@@ -28,14 +28,12 @@ pub const DEFAULT_PURGE_INTERVAL: u64 = 4096;
 /// One executor of the stream: a data graph, the engines registered on it,
 /// and the per-edge pipeline between them.
 ///
-/// A shard decides nothing. It is told — by the
-/// [`ControlPlane`](crate::ControlPlane) of whichever front end owns it —
-/// which engine to run under which id, how long to retain edges and which
-/// plan to rebuild an engine onto; what it owns is the [`DynamicGraph`], the
-/// engines with their dispatch index and the shared join stage, the purge
-/// cadence, the telemetry handles and the stream counters. The sequential
-/// [`StreamProcessor`](crate::StreamProcessor) drives one shard inline; each
-/// worker thread of the parallel runtime owns one and nothing else.
+/// A shard decides nothing. Its [`Processor`](crate::Processor) tells it,
+/// through a job its executor runs, which engine to run under which id, how
+/// long to retain edges and which plan to rebuild an engine onto; it owns
+/// the [`DynamicGraph`], the engines with their dispatch index and the
+/// shared join stage, the purge cadence, the telemetry handles and the
+/// stream counters.
 #[derive(Debug, Clone)]
 pub struct Shard {
     graph: DynamicGraph,
@@ -84,14 +82,14 @@ impl Shard {
     /// Overrides how many edges are processed between partial-match purges
     /// (an amortized maintenance pass; correctness of reported matches does
     /// not depend on it). Clamped to at least 1.
-    pub fn set_purge_interval(&mut self, interval: u64) {
+    pub(crate) fn set_purge_interval(&mut self, interval: u64) {
         self.purge_interval = interval.max(1);
     }
 
     /// Attaches or detaches telemetry: with it, every processed edge records
     /// per-stage timing spans and every reported match its detection latency
     /// — see [`PipelineMetrics`] for the catalogue.
-    pub fn set_metrics(&mut self, metrics: Option<PipelineMetrics>) {
+    pub(crate) fn set_metrics(&mut self, metrics: Option<PipelineMetrics>) {
         self.metrics = metrics;
     }
 
@@ -145,9 +143,8 @@ impl Shard {
         Some(engine)
     }
 
-    /// Sets how long the graph retains edges
-    /// ([`ControlPlane::retention`](crate::ControlPlane::retention)); takes
-    /// effect at the next purge pass.
+    /// Sets how long the graph retains edges; takes effect at the next purge
+    /// pass.
     pub fn set_retention(&mut self, window: Option<u64>) {
         self.graph.set_window(window);
     }
@@ -180,8 +177,7 @@ impl Shard {
 
     /// Whether an event can be ingested: vertex id `u64::MAX` is the
     /// interned match rows' unbound-slot sentinel, so an event naming it is
-    /// rejected at the door. The one rule behind [`Shard::process_into`] and
-    /// the parallel runtime's facade, which filters before it batches.
+    /// rejected at the door ([`Shard::process_into`]).
     pub fn accepts(event: &EdgeEvent) -> bool {
         event.src != UNBOUND && event.dst != UNBOUND
     }
@@ -196,9 +192,8 @@ impl Shard {
     /// [`ProfileCounters::vertex_type_conflicts`].
     ///
     /// `observe` is handed every accepted edge once it is in the graph,
-    /// inside the ingest span: the sequential front end feeds its control
-    /// plane's statistics there; a runtime worker, whose statistics live on
-    /// the facade, passes a no-op.
+    /// inside the ingest span: inline, the control plane's statistics; a
+    /// worker thread, whose statistics live on the facade, passes a no-op.
     pub fn process_into<S: RowSink + ?Sized>(
         &mut self,
         event: &EdgeEvent,
@@ -392,10 +387,9 @@ impl Shard {
     }
 
     /// Aggregated profiling counters: the engines' counters summed, with
-    /// `edges_processed` reporting events *ingested by the shard* — the
-    /// graph's [`DynamicGraph::total_edges_seen`]; each engine's own
-    /// `edges_processed` counts only the edges dispatched to it — and
-    /// `vertex_type_conflicts` / `rejected_events` from the ingestion path.
+    /// the stream-level `edges_processed` (events ingested: each engine's
+    /// own counts only the edges dispatched to it), `vertex_type_conflicts`
+    /// and `rejected_events` from the ingestion path.
     pub fn profile(&self) -> ProfileCounters {
         let mut total = ProfileCounters::new();
         for engine in self.engines.values() {

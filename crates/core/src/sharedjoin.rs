@@ -77,7 +77,7 @@
 //!
 //! Subscribers with different `tW` share one table: the table itself prunes
 //! joins only against the *loosest* subscriber window (the same rule the
-//! [`ControlPlane`](crate::ControlPlane) derives the graph's retention
+//! [`ControlPlane`](crate::control::ControlPlane) derives the graph's retention
 //! from), and each subscriber's own `tW` is applied when emissions
 //! are delivered. A match over-window for one subscriber but inside another's
 //! is thus delivered exactly where the private path would have delivered
@@ -208,7 +208,7 @@ impl SharedRow<'_> {
 
     /// The layout of the rows [`SharedRow::rebase_into`] appends: the
     /// subscriber's own numbering.
-    pub fn target_layout(&self) -> RowLayout {
+    pub(crate) fn target_layout(&self) -> RowLayout {
         self.sub.target
     }
 
@@ -227,7 +227,7 @@ impl SharedRow<'_> {
 
     /// Appends the match to `out` as one row in the subscriber's own
     /// numbering (slots the prefix does not cover stay unbound).
-    pub fn rebase_into(&self, out: &mut Vec<u64>) {
+    pub(crate) fn rebase_into(&self, out: &mut Vec<u64>) {
         let (row, sub) = (self.row, self.sub);
         sub.target.fill(
             sub.target.push_unbound(out),

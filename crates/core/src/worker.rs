@@ -1,25 +1,23 @@
-//! The worker side of the runtime: one thread per shard, each owning one
-//! [`Shard`] — its own windowed `DynamicGraph` replica plus its slice of the
-//! engines — and nothing that plans: no statistics, no strategy choice, no
-//! retention rule, no id allocation. Those live on the facade's
-//! `ControlPlane`; a worker runs the jobs the facade sends it.
-//!
-//! A worker is a small actor: it drains one bounded input channel in FIFO
-//! order. Besides edge batches the channel carries control jobs — closures
-//! the facade runs on the worker's shard between two batches — so a job is
-//! serialized against the batches sent before it: a query registered after
-//! batch *k* sees exactly the stream suffix starting at batch *k+1* on every
-//! worker, just as it would on the sequential processor. Everything it sends
-//! back — match batches and job answers — goes down the one aggregation
-//! channel, so an answer arrives behind every match batch sent before it.
+//! The worker side of the thread executor: one thread per shard, each
+//! owning one [`Shard`] (its graph replica plus its slice of the engines)
+//! and nothing that plans. A worker drains one bounded input channel in
+//! FIFO order; besides edge batches it carries jobs, closures run on the
+//! shard between two batches, so a query registered after batch *k* sees
+//! exactly the stream from batch *k+1* on, as it would inline. Match
+//! batches and job answers go back down the one aggregation channel, so an
+//! answer arrives behind every match batch sent before it.
 
-use crate::config::RuntimeConfig;
+use crate::control::QueryId;
+use crate::profile::ProfileCounters;
+use crate::shard::Shard;
+use crate::sharedjoin::SharedRow;
+use crate::sink::RowSink;
 use sp_graph::{monotonic_nanos, EdgeEvent, Schema};
 use sp_metrics::{Gauge, Histogram};
+use sp_sjtree::RowLayout;
 use std::any::Any;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
-use streampattern::{ProfileCounters, QueryId, RowLayout, RowSink, Shard, SharedRow};
 
 /// The complete matches of one input batch, as fixed-width rows in each
 /// query's own numbering: this is the worker's sink, and what crosses the
@@ -142,16 +140,13 @@ impl Worker {
                 .map(|(id, engine)| (id, engine.profile().clone()))
                 .collect(),
             edges_ingested: self.shard.graph().total_edges_seen(),
-            vertex_type_conflicts: self.shard.profile().vertex_type_conflicts,
             matches_found: self.shard.total_matches(),
             graph_edges_live: self.shard.graph().num_edges(),
-            stored_matches: self.shard.stored_matches(),
         }
     }
 }
 
-/// Snapshot of one worker's state, used for profile aggregation and
-/// per-worker reporting ([`RuntimeReport::workers`](crate::RuntimeReport::workers)).
+/// Snapshot of one worker's state, for per-worker reporting ([`RuntimeReport::workers`](crate::RuntimeReport::workers)).
 #[derive(Debug, Clone)]
 pub struct WorkerReport {
     /// Worker (shard) index.
@@ -161,17 +156,10 @@ pub struct WorkerReport {
     /// Events this replica ingested into its graph: every event the facade
     /// accepted, so it equals the facade's event count.
     pub edges_ingested: u64,
-    /// Vertex-type conflicts seen by this replica's ingestion path, counted
-    /// per event endpoint (0–2 per event), like
-    /// [`ProfileCounters::vertex_type_conflicts`].
-    pub vertex_type_conflicts: u64,
     /// Cumulative matches this worker has emitted.
     pub matches_found: u64,
     /// Edges currently live in the shard's graph replica.
     pub graph_edges_live: usize,
-    /// Total partial matches ever stored by this replica's match stores
-    /// (engines plus shared prefix tables).
-    pub stored_matches: u64,
 }
 
 /// The worker thread body. Runs until [`WorkerMsg::Shutdown`] arrives or the
@@ -179,15 +167,12 @@ pub struct WorkerReport {
 pub(crate) fn worker_loop(
     idx: usize,
     schema: Schema,
-    config: RuntimeConfig,
     rx: Receiver<WorkerMsg>,
     match_tx: SyncSender<FromWorker>,
 ) {
-    let mut shard = Shard::new(schema);
-    shard.set_purge_interval(config.purge_interval);
     let mut worker = Worker {
         idx,
-        shard,
+        shard: Shard::new(schema),
         telemetry: None,
     };
     // The shard's sink, refilled per input batch.
@@ -231,11 +216,11 @@ pub(crate) fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ContinuousQueryEngine, SelectivityEstimator, Strategy};
     use sp_graph::Timestamp;
     use sp_query::QueryGraph;
     use std::sync::mpsc::sync_channel;
     use std::thread::JoinHandle;
-    use streampattern::{ContinuousQueryEngine, SelectivityEstimator, Strategy};
 
     /// A job that sends `f`'s result back as its answer.
     fn ask<T: Send + 'static>(f: impl FnOnce(&mut Worker) -> T + Send + 'static) -> WorkerMsg {
@@ -277,8 +262,7 @@ mod tests {
 
         let (tx, rx) = sync_channel(8);
         let (match_tx, match_rx) = sync_channel(8);
-        let config = RuntimeConfig::with_workers(1);
-        let worker = std::thread::spawn(move || worker_loop(idx, schema, config, rx, match_tx));
+        let worker = std::thread::spawn(move || worker_loop(idx, schema, rx, match_tx));
         tx.send(WorkerMsg::Run(Box::new(move |w: &mut Worker| {
             w.shard.register(id, engine);
             None

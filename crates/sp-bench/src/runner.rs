@@ -276,7 +276,7 @@ pub fn partial_match_inserts(proc: &StreamProcessor) -> u64 {
 /// shared join stage ran on its subscribers' behalf and the leaf matches
 /// those found. Re-decomposition replays are not included
 /// ([`ProfileCounters::replay_searches`]).
-pub fn leaf_work(proc: &StreamProcessor) -> (u64, u64) {
+pub fn leaf_work(proc: &mut StreamProcessor) -> (u64, u64) {
     let (profile, join) = (proc.profile(), proc.shared_join_stats());
     (
         profile.iso_searches
@@ -421,14 +421,14 @@ pub fn run_drift(
             proc.process_into(ev, &mut sink);
         }
         let at_shift = proc.profile();
-        let (searches_at_shift, leaf_matches_at_shift) = leaf_work(&proc);
+        let (searches_at_shift, leaf_matches_at_shift) = leaf_work(&mut proc);
         let start = Instant::now();
         for ev in post {
             proc.process_into(ev, &mut sink);
         }
         let post_elapsed = start.elapsed();
         let end = proc.profile();
-        let (searches_at_end, leaf_matches_at_end) = leaf_work(&proc);
+        let (searches_at_end, leaf_matches_at_end) = leaf_work(&mut proc);
         let mut matches: Vec<(streampattern::QueryId, String)> = found
             .into_iter()
             .map(|(q, m)| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())))

@@ -1,49 +1,13 @@
-//! # sp-runtime — parallel sharded multi-query runtime
+//! # sp-runtime — the parallel runtime's names
 //!
-//! The sequential [`StreamProcessor`](streampattern::StreamProcessor) is one
-//! [`ControlPlane`](streampattern::ControlPlane) driving one
-//! [`Shard`](streampattern::Shard) — graph, engines, dispatch — on one core.
-//! This crate puts the *same* control plane in front of N shards on worker
-//! threads, the way the paper's deployment story (StreamWorks) frames
-//! production rates: **query-parallel scale-out**. Planning, query ids,
-//! retention and drift re-planning are therefore not re-implemented here;
-//! what this crate adds is shard placement and the channels.
-//!
-//! ```text
-//!              caller thread = ingest: batch + broadcast
-//!  events ──► [e,e,e,…] ──┬──► bounded ch ──► worker 0: one Shard      ──┐
-//!  (stats → ControlPlane) ├──► bounded ch ──► worker 1: (graph replica ─┤──► MPSC
-//!                         └──► bounded ch ──► worker N:  + engines)    ─┘  aggregation
-//!                                                                          (row batches)
-//! ```
-//!
-//! * Each query goes to the least-loaded shard, where a shard's load is the
-//!   summed estimated cost
-//!   ([`SelectivityEstimator::estimate_query_cost`](sp_selectivity::SelectivityEstimator::estimate_query_cost))
-//!   of the queries it hosts, so shards balance by *work*, not by query
-//!   count.
-//! * Every worker ingests every accepted event into its own graph replica,
-//!   so a query registered mid-stream on any shard finds the history it is
-//!   entitled to.
-//! * Every channel is bounded: a worker that falls behind fills its input
-//!   channel and blocks the ingest loop; a slow match consumer fills the
-//!   aggregation channel and blocks the workers. Memory stays bounded end
-//!   to end, and the backpressure is observable via
-//!   [`RuntimeStats::backpressure_events`].
-//! * Complete matches cross the aggregation channel as fixed-width rows
-//!   in each query's own numbering; the facade hands them to the caller's
-//!   [`RowSink`], so a `MatchSink` builds each `SubgraphMatch` once, on the
-//!   calling thread, and a `CountSink` builds none.
-//! * The facade reaches a shard one way: a control job, a closure the
-//!   worker runs on its shard between two input batches (register,
-//!   deregister, retention, re-decomposition, metrics, report, drain). Jobs
-//!   share the per-worker FIFO channels with the edge batches, so a query
-//!   registered mid-stream sees exactly the stream suffix a sequential
-//!   processor would — parallel and sequential execution produce
-//!   **identical match multisets** for any worker count (asserted by the
-//!   integration tests). A job's answer comes back on the aggregation
-//!   channel, behind the match batches the worker sent before it, so every
-//!   answer is also that worker's barrier.
+//! The runtime lives in `streampattern`: [`ParallelStreamProcessor`] is its
+//! one facade, [`Processor`](streampattern::Processor), over the thread
+//! executor — N shards on worker threads, batched ingest over bounded FIFO
+//! channels, backpressure, match aggregation: the paper's deployment story
+//! (StreamWorks) scaled out query-parallel. Every method it shares with the
+//! inline [`StreamProcessor`](streampattern::StreamProcessor) has one body,
+//! so both report **identical match multisets** for any worker count. This
+//! crate re-exports the runtime's names.
 //!
 //! ## Quick start
 //!
@@ -80,17 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod config;
-mod processor;
-mod worker;
-
-pub use config::RuntimeConfig;
-pub use processor::{ParallelStreamProcessor, RuntimeReport, RuntimeStats};
-pub use worker::WorkerReport;
-
-// Re-export the pieces callers need alongside the runtime.
-pub use sp_metrics::MetricsRegistry;
 pub use streampattern::{
-    ContinuousQueryEngine, MatchSink, PipelineMetrics, ProfileCounters, QueryId, RowSink, Strategy,
-    StrategySpec,
+    ContinuousQueryEngine, MatchSink, MetricsRegistry, ParallelStreamProcessor, PipelineMetrics,
+    ProfileCounters, QueryId, RowSink, RuntimeConfig, RuntimeReport, RuntimeStats, Strategy,
+    StrategySpec, WorkerReport,
 };

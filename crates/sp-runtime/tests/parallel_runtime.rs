@@ -1,11 +1,15 @@
 //! Integration tests of the parallel runtime against hand-rolled streams:
-//! sequential equivalence, backpressure under a deliberately slow sink,
-//! mid-stream (de)registration, and graceful shutdown.
+//! equivalence with the inline executor, backpressure under a deliberately
+//! slow sink, mid-stream (de)registration, and graceful shutdown.
 
 use sp_graph::{EdgeEvent, Schema, Timestamp};
 use sp_query::QueryGraph;
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
-use streampattern::{FnSink, QueryId, Strategy, StreamProcessor};
+use streampattern::{Executor, FnSink, Processor, QueryId, Strategy, StreamProcessor};
+
+#[macro_use]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 /// Schema with a handful of protocols over "ip" vertices.
 fn cyber_schema() -> Schema {
@@ -75,74 +79,62 @@ fn queries(schema: &Schema) -> Vec<(QueryGraph, Strategy, Option<u64>)> {
     ]
 }
 
-/// Canonical multiset of matches: one sortable string per match. Worker
-/// replicas ingest the identical stream, so data edge ids align with the
-/// sequential processor's and the encoding is exact.
-fn canonical(mut matches: Vec<(QueryId, String)>) -> Vec<(QueryId, String)> {
-    matches.sort();
-    matches
+/// The sorted `(query, edges)` multiset of `events` with every query of
+/// [`queries`] registered on `p`. Worker replicas ingest the identical
+/// stream, so data edge ids align with the inline executor's and the
+/// encoding is exact.
+fn matches<X: Executor>(mut p: Processor<X>, events: &[EdgeEvent]) -> Vec<(QueryId, String)> {
+    for (q, s, w) in queries(&cyber_schema()) {
+        p.register(q, s, w).unwrap();
+    }
+    let mut out = Vec::new();
+    let mut sink = FnSink(|q: QueryId, m: streampattern::SubgraphMatch| {
+        out.push((q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
+    });
+    p.process_all_into(events, &mut sink);
+    out.sort();
+    out
 }
 
+/// The inline executor's [`matches`].
 fn sequential_matches(events: &[EdgeEvent]) -> Vec<(QueryId, String)> {
-    let schema = cyber_schema();
-    let mut proc = StreamProcessor::new(schema.clone());
-    for (q, s, w) in queries(&schema) {
-        proc.register(q, s, w).unwrap();
-    }
-    let mut out = Vec::new();
-    let mut sink = FnSink(|q: QueryId, m: streampattern::SubgraphMatch| {
-        out.push((q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
-    });
-    for ev in events {
-        proc.process_into(ev, &mut sink);
-    }
-    canonical(out)
+    matches(StreamProcessor::new(cyber_schema()), events)
 }
 
-fn parallel_matches(events: &[EdgeEvent], workers: usize, batch: usize) -> Vec<(QueryId, String)> {
-    let schema = cyber_schema();
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(workers).batch_size(batch),
-    );
-    for (q, s, w) in queries(&schema) {
-        runtime.register(q, s, w).unwrap();
-    }
-    let mut out = Vec::new();
-    let mut sink = FnSink(|q: QueryId, m: streampattern::SubgraphMatch| {
-        out.push((q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
+/// Asserts [`matches`] is the inline executor's on 1, 2 and 4 workers
+/// batching `batch` events.
+fn assert_equivalent(events: &[EdgeEvent], batch: usize) -> Vec<(QueryId, String)> {
+    let runs = on_every_executor!(&cyber_schema(), |c| c.batch_size(batch), |_, p| {
+        matches(p, events)
     });
-    runtime.process_all_into(events.iter(), &mut sink);
-    canonical(out)
+    let (_, expected) = &runs[0];
+    for (label, got) in &runs[1..] {
+        assert_eq!(
+            got, expected,
+            "match multiset diverged at {label} batching {batch}"
+        );
+    }
+    runs.into_iter().next().unwrap().1
 }
 
 #[test]
 fn parallel_equals_sequential_for_1_2_4_workers() {
     let schema = cyber_schema();
     let events = synth_stream(&schema, 3_000);
-    let expected = sequential_matches(&events);
+    let expected = assert_equivalent(&events, 64);
     assert!(
         expected.len() > 50,
         "stream too quiet to be a meaningful test: {} matches",
         expected.len()
     );
-    for workers in [1, 2, 4] {
-        let got = parallel_matches(&events, workers, 64);
-        assert_eq!(
-            got, expected,
-            "match multiset diverged at {workers} workers"
-        );
-    }
 }
 
 #[test]
 fn equivalence_survives_odd_batch_sizes() {
     let schema = cyber_schema();
     let events = synth_stream(&schema, 700);
-    let expected = sequential_matches(&events);
     for batch in [1, 7, 700, 10_000] {
-        let got = parallel_matches(&events, 3, batch);
-        assert_eq!(got, expected, "batch size {batch} diverged");
+        assert_equivalent(&events, batch);
     }
 }
 
@@ -225,44 +217,36 @@ fn queries_spread_across_shards_by_cost() {
 fn deregister_midstream_returns_engine_and_stops_matching() {
     let schema = cyber_schema();
     let events = synth_stream(&schema, 600);
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(2).batch_size(32),
-    );
-    let mut ids = Vec::new();
-    for (q, s, w) in queries(&schema) {
-        ids.push(runtime.register(q, s, w).unwrap());
-    }
     let (first, second) = events.split_at(300);
-    let before = runtime.process_all(first.iter());
-    assert!(before > 0);
+    let runs = on_every_executor!(&schema, |c| c.batch_size(32), |_, mut p| {
+        let mut ids = Vec::new();
+        for (q, s, w) in queries(&schema) {
+            ids.push(p.register(q, s, w).unwrap());
+        }
+        let before = p.process_all(first.iter());
+        assert!(before > 0);
 
-    // Pull the busiest query (tcp-tcp) out mid-stream.
-    let victim = ids[4];
-    let engine = runtime.deregister(victim).expect("victim was registered");
-    assert!(engine.profile().edges_processed > 0);
-    assert_eq!(runtime.num_queries(), 4);
-    assert!(runtime.profile_for(victim).is_none());
+        // Pull the busiest query (tcp-tcp) out mid-stream.
+        let victim = ids[4];
+        let engine = p.deregister(victim).expect("victim was registered");
+        assert!(engine.profile().edges_processed > 0);
+        assert_eq!(p.num_queries(), 4);
+        assert!(p.profile_for(victim).is_none());
 
-    let mut post = Vec::new();
-    let mut sink = FnSink(|q: QueryId, _m: streampattern::SubgraphMatch| post.push(q));
-    runtime.process_all_into(second.iter(), &mut sink);
-    assert!(
-        post.iter().all(|&q| q != victim),
-        "deregistered query kept matching"
-    );
-
-    // Sequential cross-check of the same schedule.
-    let mut seq = StreamProcessor::new(schema.clone());
-    let mut seq_ids = Vec::new();
-    for (q, s, w) in queries(&schema) {
-        seq_ids.push(seq.register(q, s, w).unwrap());
+        let mut post = Vec::new();
+        let mut sink = FnSink(|q: QueryId, _m: streampattern::SubgraphMatch| post.push(q));
+        p.process_all_into(second.iter(), &mut sink);
+        assert!(
+            post.iter().all(|&q| q != victim),
+            "deregistered query kept matching"
+        );
+        (before, post.len() as u64)
+    });
+    // The same schedule on every executor.
+    let (_, expected) = runs[0];
+    for (label, got) in runs {
+        assert_eq!(got, expected, "{label}");
     }
-    let seq_before = seq.process_all(first.iter());
-    seq.deregister(seq_ids[4]).unwrap();
-    let seq_after = seq.process_all(second.iter());
-    assert_eq!(before, seq_before);
-    assert_eq!(post.len() as u64, seq_after);
 }
 
 #[test]
@@ -274,27 +258,21 @@ fn late_registration_sees_retained_history() {
     let ip = schema.vertex_type("ip").unwrap();
     let esp = schema.edge_type("esp").unwrap();
     let tcp = schema.edge_type("tcp").unwrap();
-    for workers in [1, 3] {
-        let mut runtime =
-            ParallelStreamProcessor::new(schema.clone(), RuntimeConfig::with_workers(workers));
+    on_every_executor!(&schema, |label, mut p| {
         // Warm-up edge arrives before any query exists.
-        runtime.process_all([EdgeEvent::homogeneous(1, 2, ip, esp, Timestamp(1))].iter());
+        p.process_all([EdgeEvent::homogeneous(1, 2, ip, esp, Timestamp(1))].iter());
         let mut q = QueryGraph::new("esp-tcp");
         let a = q.add_any_vertex();
         let b = q.add_any_vertex();
         let c = q.add_any_vertex();
         q.add_edge(a, b, esp);
         q.add_edge(b, c, tcp);
-        runtime.register(q, Strategy::SingleLazy, None).unwrap();
+        p.register(q, Strategy::SingleLazy, None).unwrap();
         // The completing edge arrives after registration; the esp edge is
         // pre-registration history every replica must have retained.
-        let found =
-            runtime.process_all([EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2))].iter());
-        assert_eq!(
-            found, 1,
-            "late registration lost history at {workers} workers"
-        );
-    }
+        let found = p.process_all([EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2))].iter());
+        assert_eq!(found, 1, "late registration lost history at {label}");
+    });
 }
 
 #[test]
@@ -358,9 +336,9 @@ fn facade_rejects_events_naming_the_unbound_sentinel() {
     let tcp = schema.edge_type("tcp").unwrap();
     let clean = synth_stream(&schema, 600);
     let expected = sequential_matches(&clean);
-    // Salt the stream with events through vertex `u64::MAX`; dropped at the
-    // facade, they must shift neither the matches nor the replicas' edge
-    // ids (the multiset encodes data edge ids).
+    // Salt the stream with events through vertex `u64::MAX`; refused at
+    // every shard's door, they must shift neither the matches nor the
+    // replicas' edge ids (the multiset encodes data edge ids).
     let mut hostile = Vec::new();
     for (i, ev) in clean.iter().enumerate() {
         if i % 100 == 7 {
@@ -381,8 +359,7 @@ fn facade_rejects_events_naming_the_unbound_sentinel() {
         }
         hostile.push(*ev);
     }
-    assert_eq!(parallel_matches(&hostile, 2, 64), expected);
-    assert_eq!(sequential_matches(&hostile), expected);
+    assert_eq!(assert_equivalent(&hostile, 64), expected);
 
     let mut runtime = ParallelStreamProcessor::new(schema.clone(), RuntimeConfig::with_workers(2));
     runtime.process_all(hostile.iter());

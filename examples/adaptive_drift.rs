@@ -87,7 +87,7 @@ fn main() {
     let (pre, post) = dataset.events().split_at(split);
     adaptive.process_all(pre.iter());
     frozen.process_all(pre.iter());
-    let (a_at_shift, f_at_shift) = (leaf_work(&adaptive), leaf_work(&frozen));
+    let (a_at_shift, f_at_shift) = (leaf_work(&mut adaptive), leaf_work(&mut frozen));
     let matches_a = adaptive.process_all(post.iter());
     let matches_f = frozen.process_all(post.iter());
     assert_eq!(
@@ -109,7 +109,7 @@ fn main() {
     }
 
     let a = adaptive.profile();
-    let (a_end, f_end) = (leaf_work(&adaptive), leaf_work(&frozen));
+    let (a_end, f_end) = (leaf_work(&mut adaptive), leaf_work(&mut frozen));
     let (a_s, f_s) = (a_end.0 - a_at_shift.0, f_end.0 - f_at_shift.0);
     println!(
         "\npost-shift engine work ({} edges after the flip):",

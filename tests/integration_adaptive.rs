@@ -9,14 +9,15 @@ use sp_bench::experiments::drift_rule_pack;
 use sp_datasets::{Dataset, NetflowDriftConfig};
 use sp_graph::{EdgeEvent, EdgeType, Schema, Timestamp};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
-use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
+use std::time::Duration;
 use streampattern::{
-    leaf_structure, ContinuousQueryEngine, DriftConfig, FnSink, QueryId, SelectivityEstimator,
-    SjTree, StatsMode, Strategy, StrategySpec, StreamProcessor, SubgraphMatch,
+    leaf_structure, AdaptiveStats, ContinuousQueryEngine, DriftConfig, Executor, FnSink, Processor,
+    ProfileCounters, QueryId, SelectivityEstimator, SjTree, StatsMode, Strategy, StrategySpec,
+    StreamProcessor, SubgraphMatch,
 };
 
-/// Worker counts under test.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+#[macro_use]
+mod common;
 
 fn drift_dataset() -> Dataset {
     NetflowDriftConfig {
@@ -145,46 +146,41 @@ fn parallel_adaptive_equals_sequential_across_worker_counts() {
     ] {
         let (expected, _) = run_shared(&dataset, &pack, spec, window, false);
         assert!(!expected.is_empty());
-        for workers in WORKER_COUNTS {
-            let mut runtime = ParallelStreamProcessor::new(
-                dataset.schema.clone(),
-                RuntimeConfig::with_workers(workers).adaptive(drift_config()),
-            )
-            .with_estimator(seeded_estimator(&dataset, 500));
+        let runs = on_every_executor!(&dataset.schema, |_, p| {
+            let mut p = p
+                .with_adaptive(drift_config())
+                .with_estimator(seeded_estimator(&dataset, 500));
             let mut ids = Vec::new();
             for q in &pack {
-                ids.push(runtime.register(q.clone(), spec, window).unwrap());
+                ids.push(p.register(q.clone(), spec, window).unwrap());
             }
             let slot = |id: QueryId| ids.iter().position(|&x| x == id).unwrap();
             let mut got: Vec<(usize, String)> = Vec::new();
             let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
                 got.push((slot(q), format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
             });
-            runtime.process_all_into(dataset.events().iter(), &mut sink);
+            p.process_all_into(dataset.events().iter(), &mut sink);
             got.sort();
+            // The merged profile against the engines' own counters.
+            let per_engine: u64 = ids
+                .iter()
+                .map(|&id| p.profile_for(id).unwrap().redecompositions)
+                .sum();
+            let merged = p.profile().redecompositions;
+            (got, p.adaptive_stats(), per_engine, merged)
+        });
+        for (label, (got, stats, per_engine, merged)) in runs {
             assert_eq!(
                 got, expected,
-                "parallel adaptive run diverged at {workers} workers under {spec:?}"
+                "parallel adaptive run diverged at {label} under {spec:?}"
             );
             assert!(
-                runtime.adaptive_stats().redecompositions >= 1,
-                "no redecomposition issued at {workers} workers under {spec:?}"
+                stats.redecompositions >= 1,
+                "no redecomposition issued at {label} under {spec:?}"
             );
-            let report = runtime.shutdown();
-            assert_eq!(report.profile.redecompositions, runtime_redecomp(&report));
+            assert_eq!(merged, per_engine, "{label}");
         }
     }
-}
-
-/// Sum of per-worker engine redecomposition counters, cross-checking the
-/// merged profile.
-fn runtime_redecomp(report: &sp_runtime::RuntimeReport) -> u64 {
-    report
-        .workers
-        .iter()
-        .flat_map(|w| w.per_query.iter())
-        .map(|(_, p)| p.redecompositions)
-        .sum()
 }
 
 #[test]
@@ -279,65 +275,6 @@ enum Step {
     Feed(std::ops::Range<usize>),
 }
 
-/// The two front ends behind the calls the script makes.
-enum FrontEnd {
-    Seq(Box<StreamProcessor>),
-    Par(Box<ParallelStreamProcessor>),
-}
-
-impl FrontEnd {
-    fn register(&mut self, q: QueryGraph, spec: StrategySpec, window: Option<u64>) -> QueryId {
-        match self {
-            FrontEnd::Seq(p) => p.register(q, spec, window),
-            FrontEnd::Par(p) => p.register(q, spec, window),
-        }
-        .unwrap()
-    }
-
-    fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
-        match self {
-            FrontEnd::Seq(p) => p.register_engine(engine),
-            FrontEnd::Par(p) => p.register_engine(engine),
-        }
-    }
-
-    fn deregister(&mut self, id: QueryId) -> ContinuousQueryEngine {
-        match self {
-            FrontEnd::Seq(p) => p.deregister(id),
-            FrontEnd::Par(p) => p.deregister(id),
-        }
-        .expect("scripted ids are live")
-    }
-
-    fn run_drift_checks(&mut self) -> usize {
-        match self {
-            FrontEnd::Seq(p) => p.run_drift_checks(),
-            FrontEnd::Par(p) => p.run_drift_checks(),
-        }
-    }
-
-    fn feed(&mut self, events: &[EdgeEvent], sink: &mut Vec<(QueryId, SubgraphMatch)>) {
-        match self {
-            FrontEnd::Seq(p) => p.process_batch_into(events, sink),
-            FrontEnd::Par(p) => p.process_all_into(events, sink),
-        };
-    }
-
-    fn retention(&self) -> Option<u64> {
-        match self {
-            FrontEnd::Seq(p) => p.graph().window(),
-            FrontEnd::Par(p) => p.graph_retention(),
-        }
-    }
-
-    fn adaptive_stats(&self) -> streampattern::AdaptiveStats {
-        match self {
-            FrontEnd::Seq(p) => p.adaptive_stats(),
-            FrontEnd::Par(p) => p.adaptive_stats(),
-        }
-    }
-}
-
 /// Everything the script lets an observer see.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -355,7 +292,32 @@ struct Observed {
     matches: Vec<(QueryId, String)>,
 }
 
-fn run_script(mut front: FrontEnd, dataset: &Dataset, script: &[Step]) -> Observed {
+/// What `register_engine_orders_are_judged_at_the_first_due_check` reads
+/// off one run: the adaptivity counters at the first due check, each
+/// engine's final `(leaf structure, redecompositions)`, and the matches.
+type Judged = (
+    AdaptiveStats,
+    [(Vec<Vec<QueryEdgeId>>, u64); 2],
+    Vec<(QueryId, String)>,
+);
+
+/// The match fingerprints of `sink`, sorted.
+fn fingerprints(sink: Vec<(QueryId, SubgraphMatch)>) -> Vec<(QueryId, String)> {
+    let mut matches: Vec<(QueryId, String)> = sink
+        .into_iter()
+        .map(|(q, m)| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())))
+        .collect();
+    matches.sort();
+    matches
+}
+
+/// Runs `script` on `p`. Also returns, with timers zeroed, the profile and
+/// the stored-match count just before the final deregistrations.
+fn run_script<X: Executor>(
+    mut p: Processor<X>,
+    dataset: &Dataset,
+    script: &[Step],
+) -> (Observed, ProfileCounters, u64) {
     let pack = drift_rule_pack(&dataset.schema, 5);
     let mut live: Vec<Option<QueryId>> = Vec::new();
     let mut sink: Vec<(QueryId, SubgraphMatch)> = Vec::new();
@@ -370,34 +332,39 @@ fn run_script(mut front: FrontEnd, dataset: &Dataset, script: &[Step]) -> Observ
     for step in script {
         match step {
             Step::Register(q, spec, window) => {
-                let id = front.register(pack[*q].clone(), *spec, *window);
+                let id = p.register(pack[*q].clone(), *spec, *window).unwrap();
                 seen.ids.push(id);
                 live.push(Some(id));
             }
             Step::Deregister(slot) => {
-                front.deregister(live[*slot].take().expect("deregistered once"));
+                let id = live[*slot].take().expect("deregistered once");
+                p.deregister(id).expect("scripted ids are live");
             }
-            Step::Drift => seen.rebuilt.push(front.run_drift_checks()),
-            Step::Feed(range) => front.feed(&dataset.events()[range.clone()], &mut sink),
+            Step::Drift => seen.rebuilt.push(p.run_drift_checks()),
+            Step::Feed(range) => {
+                p.process_all_into(&dataset.events()[range.clone()], &mut sink);
+            }
         }
-        seen.retention.push(front.retention());
+        seen.retention.push(p.graph_retention());
     }
-    seen.stats = front.adaptive_stats();
+    seen.stats = p.adaptive_stats();
+    let profile = ProfileCounters {
+        iso_time: Duration::ZERO,
+        update_time: Duration::ZERO,
+        replay_time: Duration::ZERO,
+        ..p.profile()
+    };
+    let stored = p.stored_matches();
     for id in live.into_iter().flatten() {
-        let engine = front.deregister(id);
+        let engine = p.deregister(id).expect("scripted ids are live");
         let leaves = engine.tree().map(leaf_structure);
         seen.plans
             .push((id, engine.strategy(), leaves.unwrap_or_default()));
     }
-    if let FrontEnd::Par(runtime) = front {
-        sink.extend(runtime.shutdown().pending_matches);
-    }
-    seen.matches = sink
-        .into_iter()
-        .map(|(q, m)| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())))
-        .collect();
-    seen.matches.sort();
-    seen
+    // Whatever the deregistrations left buffered.
+    p.process_all_into([], &mut sink);
+    seen.matches = fingerprints(sink);
+    (seen, profile, stored)
 }
 
 #[test]
@@ -463,11 +430,14 @@ fn scripted_schedule_is_identical_on_both_front_ends() {
     };
     for (n, script) in scripts.iter().enumerate() {
         // A purge every 64 edges, so the retention window actually bites.
-        let sequential = StreamProcessor::new(dataset.schema.clone())
-            .with_estimator(seeded_estimator(&dataset, 500))
-            .with_adaptive(drift)
-            .with_purge_interval(64);
-        let expected = run_script(FrontEnd::Seq(Box::new(sequential)), &dataset, script);
+        let runs = on_every_executor!(&dataset.schema, |_, p| {
+            let p = p
+                .with_estimator(seeded_estimator(&dataset, 500))
+                .with_adaptive(drift)
+                .with_purge_interval(64);
+            run_script(p, &dataset, script)
+        });
+        let (_, (expected, inline_profile, inline_stored)) = &runs[0];
         let registrations = expected.ids.len() as u64;
         assert_eq!(
             expected.ids,
@@ -482,20 +452,17 @@ fn scripted_schedule_is_identical_on_both_front_ends() {
             expected.stats
         );
         assert!(!expected.matches.is_empty());
-
-        for workers in WORKER_COUNTS {
-            let runtime = ParallelStreamProcessor::new(
-                dataset.schema.clone(),
-                RuntimeConfig::with_workers(workers)
-                    .adaptive(drift)
-                    .purge_interval(64),
-            )
-            .with_estimator(seeded_estimator(&dataset, 500));
-            let got = run_script(FrontEnd::Par(Box::new(runtime)), &dataset, script);
+        for (label, (got, profile, stored)) in &runs[1..] {
             assert_eq!(
                 got, expected,
-                "front ends diverged on script {n} at {workers} workers"
+                "front ends diverged on script {n} at {label}"
             );
+            // One worker runs the inline executor's one shard: the merged
+            // profile and the stored rows are that shard's.
+            if label == "1 worker" {
+                assert_eq!(format!("{profile:?}"), format!("{inline_profile:?}"));
+                assert_eq!(stored, inline_stored);
+            }
         }
     }
 }
@@ -551,67 +518,60 @@ fn register_engine_orders_are_judged_at_the_first_due_check() {
         check_interval: 100,
         min_observations: 64,
     };
-    let run = |adaptive: bool, workers: usize| {
-        let mut front = if workers == 0 {
-            let mut p = StreamProcessor::new(schema.clone())
-                .with_estimator(stats.clone())
-                .with_statistics(false);
-            if adaptive {
-                p = p.with_adaptive(config);
-            }
-            FrontEnd::Seq(Box::new(p))
-        } else {
-            let mut c = RuntimeConfig::with_workers(workers).statistics(false);
-            if adaptive {
-                c = c.adaptive(config);
-            }
-            let p = ParallelStreamProcessor::new(schema.clone(), c).with_estimator(stats.clone());
-            FrontEnd::Par(Box::new(p))
-        };
+    fn run<X: Executor>(
+        p: Processor<X>,
+        stats: &SelectivityEstimator,
+        adaptive: Option<DriftConfig>,
+        [warmup, first_check, rest]: [&[EdgeEvent]; 3],
+        [beaten, close]: [ContinuousQueryEngine; 2],
+    ) -> Judged {
+        let mut p = p.with_estimator(stats.clone()).with_statistics(false);
+        if let Some(config) = adaptive {
+            p = p.with_adaptive(config);
+        }
         let mut sink = Vec::new();
-        front.feed(warmup, &mut sink);
-        let beaten = front.register_engine(reversed_chain(esp, tcp));
-        let close = front.register_engine(reversed_chain(tcp, udp));
-        front.feed(first_check, &mut sink);
-        let at_first_check = front.adaptive_stats();
-        front.feed(rest, &mut sink);
+        p.process_all_into(warmup, &mut sink);
+        let beaten = p.register_engine(beaten);
+        let close = p.register_engine(close);
+        p.process_all_into(first_check, &mut sink);
+        let at_first_check = p.adaptive_stats();
+        p.process_all_into(rest, &mut sink);
         let plans = [beaten, close].map(|id| {
-            let engine = front.deregister(id);
+            let engine = p.deregister(id).expect("registered above");
             (
                 leaf_structure(engine.tree().unwrap()),
                 engine.profile().redecompositions,
             )
         });
-        if let FrontEnd::Par(runtime) = front {
-            sink.extend(runtime.shutdown().pending_matches);
-        }
-        let mut matches: Vec<(QueryId, String)> = sink
-            .into_iter()
-            .map(|(q, m)| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())))
-            .collect();
-        matches.sort();
-        (at_first_check, plans, matches)
-    };
+        p.process_all_into([], &mut sink);
+        (at_first_check, plans, fingerprints(sink))
+    }
+    let streams = [warmup, first_check, rest];
+    let engines = || [reversed_chain(esp, tcp), reversed_chain(tcp, udp)];
     let planner = vec![vec![QueryEdgeId(0)], vec![QueryEdgeId(1)]];
     let reversed = vec![vec![QueryEdgeId(1)], vec![QueryEdgeId(0)]];
-    for workers in [0, 2] {
-        let (_, fixed_plans, expected) = run(false, workers);
+    let fixed = on_every_executor!(&schema, |_, p| run(p, &stats, None, streams, engines()));
+    let judged = on_every_executor!(&schema, |_, p| {
+        run(p, &stats, Some(config), streams, engines())
+    });
+    for ((label, (_, fixed_plans, expected)), (_, (stats, plans, matches))) in
+        fixed.into_iter().zip(judged)
+    {
         assert!(!expected.is_empty(), "the stream produced no matches");
         assert_eq!(
             fixed_plans.map(|(leaves, _)| leaves),
             [reversed.clone(), reversed.clone()]
         );
-        let (stats, plans, matches) = run(true, workers);
         assert_eq!(
             (stats.checks, stats.redecompositions),
             (2, 1),
             "the first due check judges both engines and rebuilds one \
-             ({workers} workers)"
+             ({label})"
         );
         assert_eq!(
             plans,
             [(planner.clone(), 1), (reversed.clone(), 0)],
-            "{workers} workers"
+            "{label}"
         );
         assert_eq!(matches, expected, "adaptivity changed the matches");
     }

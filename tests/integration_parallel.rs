@@ -1,13 +1,12 @@
-//! Cross-crate integration: the parallel runtime against generated dataset
-//! streams, asserting exact match-multiset equivalence with the sequential
-//! processor for 1, 2 and 4 workers.
+//! Cross-crate integration: the thread executor against generated dataset
+//! streams, asserting exact match-multiset equivalence with the inline
+//! executor for 1, 2 and 4 workers.
 
 use sp_datasets::{NetflowConfig, QueryGenerator, QueryKind};
-use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
-use streampattern::{FnSink, QueryId, Strategy, StreamProcessor, SubgraphMatch};
+use streampattern::{FnSink, QueryId, Strategy, StrategySpec, SubgraphMatch};
 
-/// Worker counts under test.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+#[macro_use]
+mod common;
 
 #[test]
 fn netflow_multi_query_equivalence_across_worker_counts() {
@@ -23,58 +22,34 @@ fn netflow_multi_query_equivalence_across_worker_counts() {
     let queries = generator.generate_valid_batch(QueryKind::Path { length: 3 }, 6, &estimator);
     assert!(queries.len() >= 3, "generator produced too few queries");
 
-    // Sequential reference: full (query, match) multiset.
-    let mut seq = StreamProcessor::new(dataset.schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false);
-    for q in &queries {
-        seq.register(q.clone(), Strategy::SingleLazy, Some(5_000))
-            .unwrap();
-    }
-    let mut expected: Vec<(QueryId, String)> = Vec::new();
-    let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-        expected.push((q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
-    });
-    for ev in dataset.events() {
-        seq.process_into(ev, &mut sink);
-    }
-    expected.sort();
-    assert!(!expected.is_empty(), "workload produced no matches");
-
-    for workers in WORKER_COUNTS {
-        let mut runtime = ParallelStreamProcessor::new(
-            dataset.schema.clone(),
-            RuntimeConfig::with_workers(workers).statistics(false),
-        )
-        .with_estimator(estimator.clone());
+    // The full (query, match) multiset on every executor.
+    let runs = on_every_executor!(&dataset.schema, |_, p| {
+        let mut p = p.with_estimator(estimator.clone()).with_statistics(false);
         for q in &queries {
-            runtime
-                .register(q.clone(), Strategy::SingleLazy, Some(5_000))
+            p.register(q.clone(), Strategy::SingleLazy, Some(5_000))
                 .unwrap();
         }
         let mut got: Vec<(QueryId, String)> = Vec::new();
         let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
             got.push((q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
         });
-        runtime.process_all_into(dataset.events().iter(), &mut sink);
+        p.process_all_into(dataset.events().iter(), &mut sink);
         got.sort();
-        assert_eq!(
-            got.len(),
-            expected.len(),
-            "match count diverged at {workers} workers"
-        );
-        assert_eq!(
-            got, expected,
-            "match multiset diverged at {workers} workers"
-        );
+        got
+    });
+    let (_, expected) = &runs[0];
+    assert!(!expected.is_empty(), "workload produced no matches");
+    for (label, got) in &runs[1..] {
+        assert_eq!(got.len(), expected.len(), "match count diverged at {label}");
+        assert_eq!(got, expected, "match multiset diverged at {label}");
     }
 }
 
 #[test]
 fn auto_strategy_registration_matches_sequential_choice() {
-    // `StrategySpec::Auto` consults the ingest-path statistics; the facade
-    // maintains them exactly like the sequential processor does, so both
-    // must pick the same strategy for a query registered mid-stream.
+    // `StrategySpec::Auto` consults the ingest-path statistics, which every
+    // executor feeds the same way, so each must pick the same strategy (and
+    // id) for a query registered mid-stream.
     let dataset = NetflowConfig {
         num_hosts: 200,
         num_edges: 2_000,
@@ -88,22 +63,20 @@ fn auto_strategy_registration_matches_sequential_choice() {
     assert!(!queries.is_empty());
     let (prefix, suffix) = dataset.events().split_at(dataset.len() / 2);
 
-    let mut seq = StreamProcessor::new(dataset.schema.clone());
-    seq.process_all(prefix.iter());
-    let mut runtime =
-        ParallelStreamProcessor::new(dataset.schema.clone(), RuntimeConfig::with_workers(2));
-    runtime.process_all(prefix.iter());
-
-    for q in &queries {
-        let seq_id = seq
-            .register(q.clone(), streampattern::StrategySpec::Auto, None)
-            .unwrap();
-        let par_id = runtime
-            .register(q.clone(), streampattern::StrategySpec::Auto, None)
-            .unwrap();
-        assert_eq!(seq_id, par_id, "id assignment diverged");
+    let runs = on_every_executor!(&dataset.schema, |_, mut p| {
+        p.process_all(prefix.iter());
+        let ids: Vec<QueryId> = queries
+            .iter()
+            .map(|q| p.register(q.clone(), StrategySpec::Auto, None).unwrap())
+            .collect();
+        (ids, p.process_all(suffix.iter()))
+    });
+    let (_, (seq_ids, seq_found)) = &runs[0];
+    for (label, (ids, found)) in &runs[1..] {
+        assert_eq!(ids, seq_ids, "id assignment diverged at {label}");
+        assert_eq!(
+            found, seq_found,
+            "post-registration matches diverged at {label}"
+        );
     }
-    let seq_found = seq.process_all(suffix.iter());
-    let par_found = runtime.process_all(suffix.iter());
-    assert_eq!(seq_found, par_found, "post-registration matches diverged");
 }

@@ -12,11 +12,13 @@
 use sp_bench::runner::run_alone;
 use sp_datasets::NetflowConfig;
 use sp_query::QueryGraph;
-use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
     plan_query, ContinuousQueryEngine, FnSink, QueryId, Schema, Strategy, StrategySpec,
     StreamProcessor, SubgraphMatch,
 };
+
+#[macro_use]
+mod common;
 
 /// The allocation counters of `--features count-allocs` are process-global,
 /// so a test running on another thread of this binary would be billed to
@@ -30,9 +32,6 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-
-/// Worker counts under test.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// An overlapping netflow rule pack (identical chains, a proper-prefix
 /// overlap, disjoint rules) so both pipeline stages — shared join tables
@@ -131,43 +130,22 @@ fn sequential_pipeline_matches_parallel_runtime_across_worker_counts() {
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
 
-    let mut seq = StreamProcessor::new(schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false);
-    let seq_ids: Vec<QueryId> = rules
-        .iter()
-        .map(|(q, w)| seq.register(q.clone(), Strategy::SingleLazy, *w).unwrap())
-        .collect();
-    let expected = multiset_of(|emit| {
-        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-            emit(seq_ids.iter().position(|&i| i == q).unwrap(), m);
-        });
-        for ev in dataset.events() {
-            seq.process_into(ev, &mut sink);
-        }
-    });
-
-    for workers in WORKER_COUNTS {
-        let mut runtime = ParallelStreamProcessor::new(
-            schema.clone(),
-            RuntimeConfig::with_workers(workers).statistics(false),
-        )
-        .with_estimator(estimator.clone());
+    let runs = on_every_executor!(&schema, |_, p| {
+        let mut p = p.with_estimator(estimator.clone()).with_statistics(false);
         let ids: Vec<QueryId> = rules
             .iter()
-            .map(|(q, w)| {
-                runtime
-                    .register(q.clone(), Strategy::SingleLazy, *w)
-                    .unwrap()
-            })
+            .map(|(q, w)| p.register(q.clone(), Strategy::SingleLazy, *w).unwrap())
             .collect();
-        let got = multiset_of(|emit| {
+        multiset_of(|emit| {
             let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
                 emit(ids.iter().position(|&i| i == q).unwrap(), m);
             });
-            runtime.process_all_into(dataset.events().iter(), &mut sink);
-        });
-        assert_eq!(got, expected, "multiset diverged at {workers} workers");
+            p.process_all_into(dataset.events().iter(), &mut sink);
+        })
+    });
+    let (_, expected) = &runs[0];
+    for (label, got) in &runs[1..] {
+        assert_eq!(got, expected, "multiset diverged at {label}");
     }
 }
 
@@ -578,17 +556,17 @@ mod alloc_regression {
             }
         };
         run(&mut proc, 0..8_000);
-        let fed = |proc: &StreamProcessor| -> u64 {
+        let fed = |proc: &mut StreamProcessor| -> u64 {
             prefix_sharers
                 .iter()
                 .map(|&id| proc.profile_for(id).unwrap().shared_join_emissions)
                 .sum()
         };
-        let fed0 = fed(&proc);
+        let fed0 = fed(&mut proc);
         let (a0, _) = sp_metrics::alloc_counts();
         run(&mut proc, 8_000..12_000);
         let (a1, _) = sp_metrics::alloc_counts();
-        let fed = fed(&proc) - fed0;
+        let fed = fed(&mut proc) - fed0;
         assert!(fed >= 2 * 4_000, "a prefix row per prefix sharer per edge");
         let allocs_per_match = (a1 - a0) as f64 / fed as f64;
         println!(

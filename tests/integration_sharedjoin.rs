@@ -16,15 +16,14 @@ use sp_bench::runner::{partial_match_inserts, run_alone};
 use sp_datasets::{soc_chain_rule, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
-use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
-    plan_query, ContinuousQueryEngine, CountSink, FnSink, QueryId, RowLayout, RowSink, Schema,
-    SelectivityEstimator, SharedRow, SjTree, Strategy, StrategySpec, StreamProcessor,
-    SubgraphMatch,
+    plan_query, ContinuousQueryEngine, CountSink, Executor, FnSink, Processor, QueryId, RowLayout,
+    RowSink, Schema, SelectivityEstimator, SharedRow, SjTree, Strategy, StrategySpec,
+    StreamProcessor, SubgraphMatch,
 };
 
-/// Worker counts under test.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+#[macro_use]
+mod common;
 
 /// An overlapping netflow rule pack with identical chains (exfil vs
 /// exfil-wide — different windows, one table), *nesting* prefix overlaps
@@ -246,46 +245,38 @@ fn shared_join_matches_parallel_runtime_across_worker_counts() {
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
 
-    // Sequential reference with both sharing stages enabled (defaults).
-    let mut seq = StreamProcessor::new(schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false);
-    let seq_ids: Vec<QueryId> = rules
-        .iter()
-        .map(|(q, w)| seq.register(q.clone(), Strategy::SingleLazy, *w).unwrap())
-        .collect();
-    let expected = multiset_of(|emit| {
-        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-            emit(seq_ids.iter().position(|&i| i == q).unwrap(), m);
-        });
-        for ev in dataset.events() {
-            seq.process_into(ev, &mut sink);
-        }
-    });
-    assert!(seq.shared_join_stats().searches_saved > 0);
-
-    for workers in WORKER_COUNTS {
-        let mut runtime = ParallelStreamProcessor::new(
-            schema.clone(),
-            RuntimeConfig::with_workers(workers).statistics(false),
-        )
-        .with_estimator(estimator.clone());
-        let ids: Vec<QueryId> = rules
-            .iter()
-            .map(|(q, w)| {
-                runtime
-                    .register(q.clone(), Strategy::SingleLazy, *w)
-                    .unwrap()
-            })
-            .collect();
-        let got = multiset_of(|emit| {
+    let runs = on_every_executor!(&schema, |_, p| {
+        let mut p = with_pack(p, &estimator, &rules);
+        let ids = p.query_ids();
+        multiset_of(|emit| {
             let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
                 emit(ids.iter().position(|&i| i == q).unwrap(), m);
             });
-            runtime.process_all_into(dataset.events().iter(), &mut sink);
-        });
-        assert_eq!(got, expected, "multiset diverged at {workers} workers");
+            p.process_all_into(dataset.events().iter(), &mut sink);
+        })
+    });
+    let (_, expected) = &runs[0];
+    for (label, got) in &runs[1..] {
+        assert_eq!(got, expected, "multiset diverged at {label}");
     }
+    // The pack does share its join stage.
+    let mut inline = with_pack(StreamProcessor::new(schema.clone()), &estimator, &rules);
+    inline.process_all(dataset.events());
+    assert!(inline.shared_join_stats().searches_saved > 0);
+}
+
+/// `p` with the statistics frozen at `estimator` and `rules` registered
+/// under `SingleLazy`, in order.
+fn with_pack<X: Executor>(
+    p: Processor<X>,
+    estimator: &SelectivityEstimator,
+    rules: &[(QueryGraph, Option<u64>)],
+) -> Processor<X> {
+    let mut p = p.with_estimator(estimator.clone()).with_statistics(false);
+    for (q, w) in rules {
+        p.register(q.clone(), Strategy::SingleLazy, *w).unwrap();
+    }
+    p
 }
 
 /// Counts the matches of each row form a [`RowSink`] receives.
@@ -305,7 +296,7 @@ impl RowSink for FormCounter {
     }
 }
 
-/// One sink contract: whatever sink a front end is handed — a row counter,
+/// One sink contract: whatever sink an executor is handed — a row counter,
 /// the collecting `Vec`, a closure — it reports the same matches. The pack
 /// holds a full-depth shared-join subscriber (its matches leave through
 /// `on_shared_row`), a partial-depth one and a private engine (both through
@@ -321,28 +312,7 @@ fn every_sink_sees_the_same_matches_on_both_front_ends() {
     let schema = dataset.schema.clone();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
-    let sequential = || {
-        let mut proc = StreamProcessor::new(schema.clone())
-            .with_estimator(estimator.clone())
-            .with_statistics(false);
-        for (q, w) in &rules {
-            proc.register(q.clone(), Strategy::SingleLazy, *w).unwrap();
-        }
-        proc
-    };
-    let runtime = |workers: usize| {
-        let mut runtime = ParallelStreamProcessor::new(
-            schema.clone(),
-            RuntimeConfig::with_workers(workers).statistics(false),
-        )
-        .with_estimator(estimator.clone());
-        for (q, w) in &rules {
-            runtime
-                .register(q.clone(), Strategy::SingleLazy, *w)
-                .unwrap();
-        }
-        runtime
-    };
+    let sequential = || with_pack(StreamProcessor::new(schema.clone()), &estimator, &rules);
     let fingerprint =
         |q: QueryId, m: &SubgraphMatch| (q, format!("{:?}", m.edge_pairs().collect::<Vec<_>>()));
     let sorted_vec = |matches: Vec<(QueryId, SubgraphMatch)>| {
@@ -377,33 +347,31 @@ fn every_sink_sees_the_same_matches_on_both_front_ends() {
         forms.shared_rows
     );
 
-    // (front end, CountSink, Vec sink, FnSink count and multiset)
-    let mut runs = Vec::new();
-    let mut count = CountSink::new();
-    sequential().process_batch_into(dataset.events(), &mut count);
-    let mut collected = Vec::new();
-    sequential().process_batch_into(dataset.events(), &mut collected);
-    let mut seen = Vec::new();
-    sequential().process_batch_into(
-        dataset.events(),
-        &mut FnSink(|q, m: SubgraphMatch| seen.push(fingerprint(q, &m))),
-    );
-    runs.push(("sequential".to_string(), count, collected, seen));
-    for workers in [1, 2] {
+    // (executor, CountSink, Vec sink, FnSink count and multiset)
+    let counts = on_every_executor!(&schema, |_, p| {
         let mut count = CountSink::new();
-        runtime(workers).process_all_into(dataset.events().iter(), &mut count);
+        with_pack(p, &estimator, &rules).process_all_into(dataset.events(), &mut count);
+        count
+    });
+    let collected = on_every_executor!(&schema, |_, p| {
         let mut collected = Vec::new();
-        runtime(workers).process_all_into(dataset.events().iter(), &mut collected);
+        with_pack(p, &estimator, &rules).process_all_into(dataset.events(), &mut collected);
+        collected
+    });
+    let seen = on_every_executor!(&schema, |_, p| {
         let mut seen = Vec::new();
-        runtime(workers).process_all_into(
-            dataset.events().iter(),
+        with_pack(p, &estimator, &rules).process_all_into(
+            dataset.events(),
             &mut FnSink(|q, m: SubgraphMatch| seen.push(fingerprint(q, &m))),
         );
-        runs.push((format!("{workers} workers"), count, collected, seen));
-    }
+        seen
+    });
+    let runs = counts.into_iter().zip(collected).zip(seen).map(
+        |(((front_end, count), (_, collected)), (_, seen))| (front_end, count, collected, seen),
+    );
 
     let expected = forms.burst_rows + forms.shared_rows;
-    let reference = sorted_vec(runs[0].2.clone());
+    let mut reference = None;
     for (front_end, count, collected, mut seen) in runs {
         assert_eq!(count.matches, expected, "CountSink on {front_end}");
         assert_eq!(collected.len() as u64, expected, "Vec sink on {front_end}");
@@ -411,10 +379,8 @@ fn every_sink_sees_the_same_matches_on_both_front_ends() {
         seen.sort();
         let collected = sorted_vec(collected);
         assert_eq!(collected, seen, "Vec and FnSink multisets on {front_end}");
-        assert_eq!(
-            collected, reference,
-            "{front_end} against the sequential run"
-        );
+        let reference = reference.get_or_insert_with(|| collected.clone());
+        assert_eq!(&collected, reference, "{front_end} against the inline run");
     }
 }
 
@@ -981,26 +947,11 @@ fn permuted_full_depth_subscribers_match_independent_processors() {
         );
     }
 
-    for workers in WORKER_COUNTS {
-        let mut runtime = ParallelStreamProcessor::new(
-            schema.clone(),
-            RuntimeConfig::with_workers(workers).statistics(false),
-        )
-        .with_estimator(estimator.clone());
-        let ids: Vec<QueryId> = rules
-            .iter()
-            .map(|(q, w)| runtime.register(q.clone(), Strategy::Single, *w).unwrap())
-            .collect();
-        let mut got = Vec::new();
-        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-            got.push((
-                ids.iter().position(|&i| i == q).unwrap(),
-                full_fingerprint(&m),
-            ));
-        });
-        runtime.process_all_into(dataset.events().iter(), &mut sink);
-        got.sort();
-        assert_eq!(got, expected, "multiset diverged at {workers} workers");
+    let runs = on_every_executor!(&schema, |_, p| {
+        executor_run(p, &rules, dataset.events(), &estimator)
+    });
+    for (label, got) in runs {
+        assert_eq!(got, expected, "multiset diverged at {label}");
     }
 }
 
@@ -1115,24 +1066,20 @@ fn spilled_wide_chain_is_delivered_from_rows_under_two_windows() {
     assert_eq!(proc.shared_joins().subscription_depth(ids[0]), Some(9));
 }
 
-/// Sorted `(rule slot, full fingerprint)` multiset of `rules` on the
-/// parallel runtime: every match crosses the worker channel as a row and is
+/// Sorted `(rule slot, full fingerprint)` multiset of `rules` on `p`,
+/// fed in two calls, so the second starts with whatever the first left
+/// behind. On threads every match crosses a worker channel as a row and is
 /// materialized on the facade.
-fn runtime_run(
-    schema: &Schema,
+fn executor_run<X: Executor>(
+    p: Processor<X>,
     rules: &[Rule],
     events: &[EdgeEvent],
-    workers: usize,
-    estimator: &streampattern::SelectivityEstimator,
+    estimator: &SelectivityEstimator,
 ) -> Vec<(usize, String)> {
-    let mut runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(workers).statistics(false),
-    )
-    .with_estimator(estimator.clone());
+    let mut p = p.with_estimator(estimator.clone()).with_statistics(false);
     let ids: Vec<QueryId> = rules
         .iter()
-        .map(|(q, w)| runtime.register(q.clone(), Strategy::Single, *w).unwrap())
+        .map(|(q, w)| p.register(q.clone(), Strategy::Single, *w).unwrap())
         .collect();
     let mut out = Vec::new();
     let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
@@ -1141,10 +1088,9 @@ fn runtime_run(
             full_fingerprint(&m),
         ));
     });
-    // Two calls, so the second starts with whatever the first left behind.
     let (head, tail) = events.split_at(events.len() / 2);
-    runtime.process_all_into(head.iter(), &mut sink);
-    runtime.process_all_into(tail.iter(), &mut sink);
+    p.process_all_into(head, &mut sink);
+    p.process_all_into(tail, &mut sink);
     out.sort();
     out
 }
@@ -1194,12 +1140,11 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
         (Some(2), Some(2), Some(3), Some(3)),
         "three full-depth subscribers and the 4-chain at partial depth"
     );
-    for workers in WORKER_COUNTS {
-        assert_eq!(
-            runtime_run(&schema, &rules, dataset.events(), workers, &estimator),
-            expected,
-            "nested pack diverged at {workers} workers"
-        );
+    let runs = on_every_executor!(&schema, |_, p| {
+        executor_run(p, &rules, dataset.events(), &estimator)
+    });
+    for (label, got) in runs {
+        assert_eq!(got, expected, "nested pack diverged at {label}");
     }
 
     // (ii) Spilled width: two 8-edge chains (9 vertex bindings) share a
@@ -1246,7 +1191,7 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
     let expected = independent_run(&schema, &rules, &events, &estimator);
     let count = |slot| expected.iter().filter(|(s, _)| *s == slot).count();
     assert_eq!((count(0), count(1), count(2)), (40, 30, 40));
-    let (got, proc, ids) = shared_run(&schema, &rules, &events, configure);
+    let (got, mut proc, ids) = shared_run(&schema, &rules, &events, configure);
     assert_eq!(got, expected);
     let joins = proc.shared_joins();
     assert_eq!(joins.subscription_depth(ids[0]), Some(8));
@@ -1258,12 +1203,11 @@ fn feed_rows_and_channel_rows_agree_with_independent_processors() {
         "the 9-chain is a partial-depth subscriber, not depth {fed}"
     );
     assert!(proc.profile_for(ids[2]).unwrap().shared_join_emissions > 0);
-    for workers in WORKER_COUNTS {
-        assert_eq!(
-            runtime_run(&schema, &rules, &events, workers, &estimator),
-            expected,
-            "wide pack diverged at {workers} workers"
-        );
+    let runs = on_every_executor!(&schema, |_, p| {
+        executor_run(p, &rules, &events, &estimator)
+    });
+    for (label, got) in runs {
+        assert_eq!(got, expected, "wide pack diverged at {label}");
     }
 }
 
@@ -1276,7 +1220,7 @@ fn direct_delivery_leaves_every_counter_where_the_feed_path_put_it() {
     let schema = dataset.schema.clone();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = nested_permuted_pack(&schema);
-    let (_, proc, ids) = shared_run(&schema, &rules, dataset.events(), |p| {
+    let (_, mut proc, ids) = shared_run(&schema, &rules, dataset.events(), |p| {
         p.with_estimator(estimator.clone()).with_statistics(false)
     });
     let stats = proc.shared_join_stats();

@@ -14,11 +14,13 @@ use sp_bench::runner::run_alone;
 use sp_datasets::NetflowConfig;
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
-use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
     plan_query, ContinuousQueryEngine, FnSink, ProfileCounters, QueryId, Schema, SjTree, Strategy,
     StrategySpec, StreamProcessor, SubgraphMatch,
 };
+
+#[macro_use]
+mod common;
 
 /// An overlapping netflow rule pack (TCP / ICMP / ESP leaves in common) with a
 /// mix of per-query windows.
@@ -127,46 +129,24 @@ fn sharing_matches_parallel_runtime_across_worker_counts() {
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
 
-    // Sequential reference.
-    let mut seq = StreamProcessor::new(schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false);
-    let seq_ids: Vec<QueryId> = rules
-        .iter()
-        .map(|(q, w)| seq.register(q.clone(), Strategy::SingleLazy, *w).unwrap())
-        .collect();
-    let expected = multiset_of(|emit| {
-        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-            emit(seq_ids.iter().position(|&i| i == q).unwrap(), m);
-        });
-        for ev in dataset.events() {
-            seq.process_into(ev, &mut sink);
-        }
-    });
-
     // Each worker's shard runs a subset of the queries; the multiset must
-    // match the sequential run for every worker count.
-    for workers in [1usize, 2, 4] {
-        let mut runtime = ParallelStreamProcessor::new(
-            schema.clone(),
-            RuntimeConfig::with_workers(workers).statistics(false),
-        )
-        .with_estimator(estimator.clone());
+    // match the inline run for every worker count.
+    let runs = on_every_executor!(&schema, |_, p| {
+        let mut p = p.with_estimator(estimator.clone()).with_statistics(false);
         let ids: Vec<QueryId> = rules
             .iter()
-            .map(|(q, w)| {
-                runtime
-                    .register(q.clone(), Strategy::SingleLazy, *w)
-                    .unwrap()
-            })
+            .map(|(q, w)| p.register(q.clone(), Strategy::SingleLazy, *w).unwrap())
             .collect();
-        let got = multiset_of(|emit| {
+        multiset_of(|emit| {
             let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
                 emit(ids.iter().position(|&i| i == q).unwrap(), m);
             });
-            runtime.process_all_into(dataset.events().iter(), &mut sink);
-        });
-        assert_eq!(got, expected, "multiset diverged at {workers} workers");
+            p.process_all_into(dataset.events().iter(), &mut sink);
+        })
+    });
+    let (_, expected) = &runs[0];
+    for (label, got) in &runs[1..] {
+        assert_eq!(got, expected, "multiset diverged at {label}");
     }
 }
 
@@ -399,7 +379,7 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
             });
             for (i, ev) in events.iter().enumerate() {
                 if i == probe || i == probe + 1 {
-                    around_probe.push(proc.profile_for(focus).unwrap().clone());
+                    around_probe.push(proc.profile_for(focus).unwrap());
                 }
                 proc.process_into(ev, &mut sink);
             }
@@ -451,22 +431,21 @@ fn one_engine_meets_every_leaf_loop_case_on_one_edge() {
         });
         assert_eq!(shared, independent, "{label}: diverges from independent");
 
-        for workers in [1usize, 2, 4] {
-            let mut runtime = ParallelStreamProcessor::new(
-                schema.clone(),
-                RuntimeConfig::with_workers(workers).statistics(false),
-            );
+        let runs = on_every_executor!(&schema, |_, p| {
+            let mut p = p.with_statistics(false);
             let ids: Vec<QueryId> = engines
                 .iter()
-                .map(|e| runtime.register_engine(e.clone()))
+                .map(|e| p.register_engine(e.clone()))
                 .collect();
-            let got = multiset_of(|emit| {
+            multiset_of(|emit| {
                 let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
                     emit(ids.iter().position(|&i| i == q).unwrap(), m);
                 });
-                runtime.process_all_into(events.iter(), &mut sink);
-            });
-            assert_eq!(got, shared, "{label}: diverged at {workers} workers");
+                p.process_all_into(events.iter(), &mut sink);
+            })
+        });
+        for (executor, got) in &runs {
+            assert_eq!(got, &shared, "{label}: diverged at {executor}");
         }
     }
 }
@@ -505,7 +484,7 @@ fn co_registered_engines_keep_the_counters_they_have_alone() {
             let engine = ContinuousQueryEngine::from_plan(planned, tree, WINDOW).unwrap();
             let alone = run_alone(&dataset.schema, engine, dataset.events(), 0, |_| {});
             assert_eq!(
-                counts(proc.profile_for(id).unwrap()),
+                counts(&proc.profile_for(id).unwrap()),
                 counts(alone.profile()),
                 "{strategy}: {} counts differently next to other queries",
                 q.name()

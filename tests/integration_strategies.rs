@@ -98,8 +98,8 @@ fn lazy_strategies_do_less_search_work() {
         QueryGenerator::new(dataset.schema.clone(), dataset.valid_triples.clone(), 31);
     let queries = generator.generate_valid_batch(QueryKind::Path { length: 4 }, 4, &estimator);
     for query in &queries {
-        let (_, eager) = run(&dataset, query, Strategy::Single);
-        let (_, lazy) = run(&dataset, query, Strategy::SingleLazy);
+        let (_, mut eager) = run(&dataset, query, Strategy::Single);
+        let (_, mut lazy) = run(&dataset, query, Strategy::SingleLazy);
         let eager_work = eager.profile().iso_searches + eager.profile().leaf_matches;
         let lazy_work = lazy.profile().iso_searches + lazy.profile().leaf_matches;
         assert!(

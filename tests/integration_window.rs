@@ -5,11 +5,13 @@
 use sp_datasets::{soc_chain_rule, NetflowConfig};
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
-use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
 use streampattern::{
     ContinuousQueryEngine, QueryId, Schema, SelectivityEstimator, Strategy, StreamProcessor,
     SubgraphMatch,
 };
+
+#[macro_use]
+mod common;
 
 fn two_hop_query(schema: &Schema) -> QueryGraph {
     let esp = schema.edge_type("ESP").unwrap();
@@ -142,13 +144,13 @@ fn partial_matches_are_purged_with_the_window() {
 /// only while no row inside its own window references an edge the graph
 /// has expired. Every purge pass asserts exactly that over its survivors
 /// in debug builds (the test profile), so this stream runs the assertion on
-/// every pass of both front ends — the sequential processor and the
-/// 2-worker runtime — under:
+/// every pass of every executor — inline and 1, 2 and 4 worker threads —
+/// under:
 ///
 /// * mixed windows, 2 000 and 8 000 ticks, eager and lazy strategies, and
 ///   two prefix sharers on one shared join table (eager: what a lazy
 ///   prefix sharer reports under mixed windows still depends on the rules
-///   it runs beside, so the front ends could not be compared);
+///   it runs beside, so the executors could not be compared);
 /// * the wide queries deregistered mid-stream, so retention shrinks from
 ///   8 000 to 2 000 under live narrow stores, then re-registered;
 /// * timestamps in equal pairs, with every ninth edge up to 3 000 ticks
@@ -206,97 +208,41 @@ fn no_row_inside_its_window_references_an_expired_edge() {
     ];
     let thirds = [0, events.len() / 3, 2 * events.len() / 3, events.len()];
 
-    let sequential = StreamProcessor::new(schema.clone())
-        .with_statistics(false)
-        .with_purge_interval(256);
-    let runtime = ParallelStreamProcessor::new(
-        schema.clone(),
-        RuntimeConfig::with_workers(2)
-            .statistics(false)
-            .purge_interval(256),
-    );
-    let mut outcomes = Vec::new();
-    for mut front in [
-        Front::Seq(Box::new(sequential)),
-        Front::Par(Box::new(runtime)),
-    ] {
-        let mut matches = Vec::new();
+    let outcomes = on_every_executor!(schema, |_, p| {
+        let mut p = p.with_statistics(false).with_purge_interval(256);
+        let mut matches: Vec<(QueryId, SubgraphMatch)> = Vec::new();
         for (q, s) in &narrow {
-            front.register(q.clone(), *s, Some(2_000));
+            p.register(q.clone(), *s, Some(2_000)).unwrap();
         }
         let wide_ids: Vec<_> = wide
             .iter()
-            .map(|(q, s)| front.register(q.clone(), *s, Some(8_000)))
+            .map(|(q, s)| p.register(q.clone(), *s, Some(8_000)).unwrap())
             .collect();
-        assert_eq!(front.retention(), Some(8_000));
-        front.feed(&events[thirds[0]..thirds[1]], &mut matches);
+        assert_eq!(p.graph_retention(), Some(8_000));
+        p.process_all_into(&events[thirds[0]..thirds[1]], &mut matches);
         for id in wide_ids {
-            front.deregister(id);
+            assert!(p.deregister(id).is_some());
         }
-        assert_eq!(front.retention(), Some(2_000), "retention shrinks");
-        front.feed(&events[thirds[1]..thirds[2]], &mut matches);
+        assert_eq!(p.graph_retention(), Some(2_000), "retention shrinks");
+        p.process_all_into(&events[thirds[1]..thirds[2]], &mut matches);
         for (q, s) in &wide {
-            front.register(q.clone(), *s, Some(8_000));
+            p.register(q.clone(), *s, Some(8_000)).unwrap();
         }
-        front.feed(&events[thirds[2]..thirds[3]], &mut matches);
-        let purged = front.partial_matches_purged();
+        p.process_all_into(&events[thirds[2]..thirds[3]], &mut matches);
+        // Rows the live engines' purge passes removed (deregistered
+        // engines' counts leave with them).
+        let purged = p.profile().partial_matches_purged;
         assert!(
             purged > 1_000,
             "the purge passes removed only {purged} rows"
         );
         assert!(!matches.is_empty());
         matches.sort();
-        outcomes.push(matches);
-    }
-    assert_eq!(outcomes[0], outcomes[1], "front ends disagree");
-}
-
-/// The two front ends behind the calls
-/// [`no_row_inside_its_window_references_an_expired_edge`] makes.
-enum Front {
-    Seq(Box<StreamProcessor>),
-    Par(Box<ParallelStreamProcessor>),
-}
-
-impl Front {
-    fn register(&mut self, q: QueryGraph, strategy: Strategy, window: Option<u64>) -> QueryId {
-        match self {
-            Front::Seq(p) => p.register(q, strategy, window),
-            Front::Par(p) => p.register(q, strategy, window),
-        }
-        .unwrap()
-    }
-
-    fn deregister(&mut self, id: QueryId) {
-        let engine = match self {
-            Front::Seq(p) => p.deregister(id),
-            Front::Par(p) => p.deregister(id),
-        };
-        assert!(engine.is_some());
-    }
-
-    fn feed(&mut self, events: &[EdgeEvent], sink: &mut Vec<(QueryId, SubgraphMatch)>) {
-        match self {
-            Front::Seq(p) => p.process_batch_into(events, sink),
-            Front::Par(p) => p.process_all_into(events, sink),
-        };
-    }
-
-    fn retention(&self) -> Option<u64> {
-        match self {
-            Front::Seq(p) => p.graph().window(),
-            Front::Par(p) => p.graph_retention(),
-        }
-    }
-
-    /// Rows the live engines' purge passes removed (deregistered engines'
-    /// counts leave with them).
-    fn partial_matches_purged(&mut self) -> u64 {
-        match self {
-            Front::Seq(p) => p.profile(),
-            Front::Par(p) => p.profile(),
-        }
-        .partial_matches_purged
+        matches
+    });
+    let (_, expected) = &outcomes[0];
+    for (label, got) in &outcomes[1..] {
+        assert_eq!(got, expected, "{label} disagrees with inline");
     }
 }
 
