@@ -102,6 +102,9 @@ pub fn fig6(scale: Scale, which: &str) -> String {
 /// Figure 7 — 2-edge path distribution of the LSBench-like stream, and what
 /// the census costs: one batch pass of Algorithm 5 over the whole graph, and
 /// the incremental `observe_edge` per edge of the stream, in stream order.
+///
+/// # Panics
+/// Panics when the two censuses differ on any dataset.
 pub fn fig7(scale: Scale) -> String {
     let all = datasets(scale);
     let mut out = String::from("## Figure 7 — 2-edge path (wedge) distribution\n\n");
@@ -119,6 +122,18 @@ pub fn fig7(scale: Scale) -> String {
         }
         let per_edge = started.elapsed().as_secs_f64() / edges.len().max(1) as f64;
         let desc = paths.descending();
+        // The graph is unwindowed, so the two censuses count the same wedges.
+        assert_eq!(
+            incremental.total(),
+            paths.total(),
+            "{}: census totals",
+            d.name
+        );
+        assert!(
+            incremental.descending() == desc,
+            "{}: incremental and batch census disagree",
+            d.name
+        );
         let top = desc.first().map(|&(_, c)| c).unwrap_or(0);
         let median = desc.get(desc.len() / 2).map(|&(_, c)| c).unwrap_or(0);
         rows.push(vec![

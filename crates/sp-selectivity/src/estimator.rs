@@ -39,7 +39,7 @@ pub enum StatsMode {
 /// processing" (Section 5.1), and Section 6.3 validates that assumption. For
 /// drifting streams, [`StatsMode::Decayed`] keeps the statistics tracking
 /// the recent stream instead.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SelectivityEstimator {
     edges: EdgeTypeHistogram,
     paths: TwoEdgePathCounter,

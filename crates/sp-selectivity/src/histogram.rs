@@ -4,14 +4,12 @@
 //! to computing a histogram of various edge types" (Section 5.1). The
 //! histogram is maintained incrementally as edges stream in.
 
-use serde::{Deserialize, Serialize};
-use sp_graph::EdgeType;
-use std::collections::HashMap;
+use sp_graph::{EdgeType, FastMap};
 
 /// Count of observed edges per edge type.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EdgeTypeHistogram {
-    counts: HashMap<EdgeType, u64>,
+    counts: FastMap<EdgeType, u64>,
     total: u64,
 }
 

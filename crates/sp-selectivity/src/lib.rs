@@ -15,6 +15,16 @@
 //!   Selectivity** Ŝ(T) = ∏ leaf selectivities, and **Relative Selectivity**
 //!   ξ(Tk,T1) = Ŝ(Tk)/Ŝ(T1) ([`SelectivityEstimator`]).
 //!
+//! Every count lives in a flat map on the seeded [`FastMap`](sp_graph::FastMap)
+//! hasher; none is on SipHash. The wedge census keeps one table row per
+//! vertex for the incremental update: the vertex's incident directed edge
+//! types with their counts, the first two inline and the rest in a `Vec`.
+//! A tracked vertex costs 47 to 94 bytes of table (the row is 32 bytes, the
+//! slot 41), plus a heap block of at least 64 bytes from its third directed
+//! type on. Built from the LSBench sample stream of the `lsbench_calm`
+//! benchmark (150,000 edges, 104,515 vertices) the estimator's heap is 7.1
+//! MB, 68 bytes per vertex.
+//!
 //! The crate also provides [`EdgeDistributionTimeline`], the per-interval edge
 //! type counts plotted in Figure 6, and helpers for reasoning about the
 //! stability of the selectivity order over time (Section 6.3). When that

@@ -7,12 +7,11 @@
 //! those series.
 
 use crate::histogram::EdgeTypeHistogram;
-use serde::{Deserialize, Serialize};
 use sp_graph::EdgeType;
 
 /// Collects one [`EdgeTypeHistogram`] per interval of `interval` consecutive
 /// edges.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeDistributionTimeline {
     interval: u64,
     seen_in_current: u64,

@@ -7,7 +7,7 @@
 
 use sp_bench::experiments::drift_rule_pack;
 use sp_datasets::{Dataset, NetflowDriftConfig};
-use sp_graph::{EdgeEvent, EdgeType, Schema, Timestamp};
+use sp_graph::{EdgeData, EdgeEvent, EdgeId, EdgeType, Schema, Timestamp, VertexId};
 use sp_query::{QueryEdgeId, QueryGraph, QuerySubgraph};
 use std::time::Duration;
 use streampattern::{
@@ -180,6 +180,65 @@ fn parallel_adaptive_equals_sequential_across_worker_counts() {
             );
             assert_eq!(merged, per_engine, "{label}");
         }
+    }
+}
+
+/// The statistics a re-plan reads are the standalone census continued over
+/// the stream: every executor feeds its estimator each accepted edge once,
+/// in stream order, and skips the refused one. The seed is decayed, as on
+/// the benchmark's churn workload, so the halving schedule must line up too.
+#[test]
+fn live_statistics_equal_the_standalone_census_on_every_executor() {
+    let dataset = drift_dataset();
+    let (prefix, rest) = dataset.events().split_at(500);
+    let seed = Dataset::estimator_from_events(prefix, StatsMode::Decayed(64));
+    // Vertex id `u64::MAX` is refused by every shard.
+    let mut stream = rest.to_vec();
+    stream.insert(
+        700,
+        EdgeEvent {
+            dst: u64::MAX,
+            ..stream[700]
+        },
+    );
+    let mut expected = seed.clone();
+    let mut accepted = 0;
+    for ev in stream.iter().filter(|ev| ev.dst != u64::MAX) {
+        expected.observe_edge(&EdgeData {
+            id: EdgeId(accepted),
+            src: VertexId(ev.src),
+            dst: VertexId(ev.dst),
+            edge_type: ev.edge_type,
+            timestamp: ev.timestamp,
+        });
+        accepted += 1;
+    }
+    assert_eq!(accepted as usize, rest.len());
+    let summary = |e: &SelectivityEstimator| {
+        (
+            e.path_counter().descending(),
+            e.edge_histogram().ascending(),
+            e.lifetime_edges_observed(),
+        )
+    };
+    let expected = summary(&expected);
+    assert_eq!(expected.2, dataset.len() as u64);
+    let pack = drift_pack(&dataset.schema);
+    let runs = on_every_executor!(&dataset.schema, |_, p| {
+        let mut p = p
+            .with_adaptive(drift_config())
+            .with_estimator(seed.clone())
+            .with_statistics(true);
+        for q in &pack {
+            p.register(q.clone(), StrategySpec::Auto, Some(240))
+                .unwrap();
+        }
+        p.process_all(&stream);
+        (summary(p.estimator()), p.profile().rejected_events)
+    });
+    for (label, (got, rejected)) in runs {
+        assert_eq!(rejected, 1, "{label}");
+        assert!(got == expected, "live statistics diverged at {label}");
     }
 }
 

@@ -170,6 +170,7 @@ fn sequential_pipeline_matches_parallel_runtime_across_worker_counts() {
 mod alloc_regression {
     use super::*;
     use sp_graph::{EdgeEvent, Timestamp};
+    use streampattern::StatsMode;
 
     // Ceilings = 1.5 × the value each test printed on the commit that last
     // measured it (rows from leaf search to sink): 0.526 allocs/edge for the
@@ -182,10 +183,15 @@ mod alloc_regression {
     const WARM_PACK_ALLOCS_PER_EDGE_CEILING: f64 = 0.79;
     const SOC_PACK_ALLOCS_PER_EDGE_CEILING: f64 = 3.87;
     const SOC_PACK_ALLOCS_PER_STORED_CEILING: f64 = 0.57;
-    // 1.5 × the 0.0106 allocs/edge `SelectivityEstimator::observe_edge`
-    // measured on its warm netflow stream (2.011 while the wedge census
-    // collected each endpoint's new wedges into a `Vec`).
-    const OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING: f64 = 0.016;
+    // 1.5 × the 0.0100 allocs/edge `SelectivityEstimator::observe_edge`
+    // measured on its warm netflow stream since the census keeps one flat
+    // row per vertex (0.0106 with a hash map per vertex; 2.011 while the
+    // census collected each endpoint's new wedges into a `Vec`).
+    const OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING: f64 = 0.015;
+    // 1.5 × the 0.584 allocations per distinct vertex of a census built
+    // from nothing (1.328 while each vertex kept a hash map of its incident
+    // types).
+    const COLD_CENSUS_ALLOCS_PER_VERTEX_CEILING: f64 = 0.88;
 
     fn cyber_schema() -> Schema {
         let mut schema = Schema::new();
@@ -797,6 +803,33 @@ mod alloc_regression {
             allocs_per_edge <= OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING,
             "observe_edge allocs/edge regressed: {allocs_per_edge:.4} \
              (ceiling {OBSERVE_EDGE_ALLOCS_PER_EDGE_CEILING})"
+        );
+    }
+
+    /// A census built from nothing: a vertex's row holds its first two
+    /// directed edge types inline, so only hubs and the tables' own growth
+    /// allocate while a fresh LSBench stream is observed.
+    #[test]
+    fn cold_census_allocations_per_vertex_stay_under_the_ceiling() {
+        let _serial = serial();
+        let dataset = sp_datasets::LsbenchConfig {
+            num_persons: 5_000,
+            num_edges: 50_000,
+            ..sp_datasets::LsbenchConfig::default()
+        }
+        .generate();
+        let vertices = dataset.num_vertices();
+        let (a0, _) = sp_metrics::alloc_counts();
+        let estimator =
+            sp_datasets::Dataset::estimator_from_events(dataset.events(), StatsMode::Cumulative);
+        let (a1, _) = sp_metrics::alloc_counts();
+        assert_eq!(estimator.lifetime_edges_observed(), dataset.len() as u64);
+        let allocs_per_vertex = (a1 - a0) as f64 / vertices as f64;
+        println!("cold census: {allocs_per_vertex:.3} allocs/vertex over {vertices} vertices");
+        assert!(
+            allocs_per_vertex <= COLD_CENSUS_ALLOCS_PER_VERTEX_CEILING,
+            "cold census allocs/vertex regressed: {allocs_per_vertex:.3} \
+             (ceiling {COLD_CENSUS_ALLOCS_PER_VERTEX_CEILING})"
         );
     }
 }
