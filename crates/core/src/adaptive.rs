@@ -35,7 +35,7 @@ pub struct AdaptiveStats {
     /// Checks whose re-plan differed from the live plan, material or not.
     pub drifts_detected: u64,
     /// Engine rebuilds the drift checks ordered (the re-plan was materially
-    /// better than the live plan). An explicit `redecompose` is not one.
+    /// better than the live plan): the only way a live plan changes.
     pub redecompositions: u64,
 }
 
@@ -200,7 +200,7 @@ mod tests {
     /// A control plane re-planning at every check, its statistics seeded
     /// with `est`, running `q` under `SingleLazy`.
     fn adaptive_control(q: &QueryGraph, est: SelectivityEstimator, min: u64) -> ControlPlane {
-        let mut control = ControlPlane::new();
+        let mut control = ControlPlane::new(1);
         control.set_estimator(est);
         control.set_adaptive(DriftConfig {
             check_interval: 1,
@@ -299,8 +299,8 @@ mod tests {
         control.set_estimator(estimator_with_mix(a, 10, b, 90));
         let plans = control.check_drift();
         assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].1, Strategy::SingleLazy);
-        assert_ne!(leaf_structure(&plans[0].2), live);
+        assert_eq!(plans[0].2, Strategy::SingleLazy);
+        assert_ne!(leaf_structure(&plans[0].3), live);
 
         // The rebuilt plan is live: the inverted mix is the new normal.
         assert!(control.check_drift().is_empty());

@@ -54,6 +54,10 @@ struct Planned {
     /// [`leaf_structure`] — which re-plans are compared against (the engine
     /// itself may be on another thread). `None` for the VF2 baseline.
     plan: Option<(Strategy, Vec<Vec<QueryEdgeId>>)>,
+    /// The shard that runs the query.
+    shard: usize,
+    /// The cost the query added to its shard's load.
+    cost: f64,
 }
 
 /// The drift-check cadence and counters, present while adaptivity is on.
@@ -68,14 +72,15 @@ struct Adaptive {
 /// The statistics-driven planner in front of the executors.
 ///
 /// Decomposing by selectivity, choosing PathLazy or SingleLazy by Relative
-/// Selectivity (§6.5) and re-planning when the statistics move are all
-/// functions of one [`SelectivityEstimator`]. The control plane owns that
-/// estimator and everything decided from it — query ids, each query's
-/// [`StrategySpec`], window and live plan, the drift-check cadence, and the
-/// graph retention window — and executes nothing: edges run on the
-/// [`Shard`](crate::Shard)s of its [`Processor`](crate::Processor), which
-/// tell them what to register, what to retain and what to rebuild, through
-/// whichever executor runs them.
+/// Selectivity (§6.5), re-planning when the statistics move and placing a
+/// query on a shard are all functions of one [`SelectivityEstimator`]. The
+/// control plane owns that estimator and everything decided from it — query
+/// ids, each query's [`StrategySpec`], window, live plan and shard, the
+/// shards' loads, the drift-check cadence, and the graph retention window —
+/// and executes nothing: edges run on the [`Shard`](crate::Shard)s of its
+/// [`Processor`](crate::Processor), which tell them what to register, what
+/// to retain and what to rebuild, through whichever executor runs them.
+/// Placement is the rule [`Processor`](crate::Processor) documents.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     estimator: SelectivityEstimator,
@@ -83,28 +88,25 @@ pub struct ControlPlane {
     next_id: u64,
     /// By id, so drift checks run in registration order.
     queries: BTreeMap<QueryId, Planned>,
+    /// Per shard, the summed placement cost of the queries it hosts.
+    loads: Vec<f64>,
     retention: Option<u64>,
     adaptive: Option<Adaptive>,
 }
 
-impl Default for ControlPlane {
-    fn default() -> Self {
+impl ControlPlane {
+    /// An empty control plane over `shards` shards (at least one): no
+    /// statistics yet, live collection on, adaptivity off.
+    pub fn new(shards: usize) -> Self {
         Self {
             estimator: SelectivityEstimator::new(),
             collect_statistics: true,
             next_id: 0,
             queries: BTreeMap::new(),
+            loads: vec![0.0; shards],
             retention: None,
             adaptive: None,
         }
-    }
-}
-
-impl ControlPlane {
-    /// An empty control plane: no statistics yet, live collection on,
-    /// adaptivity off.
-    pub fn new() -> Self {
-        Self::default()
     }
 
     /// Switches live statistics collection ([`ControlPlane::observe`]) on
@@ -167,7 +169,7 @@ impl ControlPlane {
     /// Plans a new query against the current statistics — the strategy (or
     /// the Relative Selectivity choice for [`StrategySpec::Auto`]) and its
     /// decomposition, via [`plan_query`] — and returns the engine built on
-    /// that plan together with its freshly allocated id.
+    /// that plan together with its freshly allocated id and its shard.
     ///
     /// # Errors
     /// A decomposition error for empty queries,
@@ -180,7 +182,7 @@ impl ControlPlane {
         query: QueryGraph,
         spec: StrategySpec,
         window: Option<u64>,
-    ) -> Result<(QueryId, ContinuousQueryEngine), EngineError> {
+    ) -> Result<(QueryId, usize, ContinuousQueryEngine), EngineError> {
         let engine = if spec == StrategySpec::Fixed(Strategy::Vf2Baseline) {
             // No SJ-Tree to plan.
             ContinuousQueryEngine::new(query, Strategy::Vf2Baseline, &self.estimator, window)?
@@ -188,26 +190,36 @@ impl ControlPlane {
             let (strategy, tree) = plan_query(&query, spec, &self.estimator)?;
             ContinuousQueryEngine::from_plan(strategy, tree, window)?
         };
-        Ok((self.record(&engine, spec), engine))
+        let (id, shard) = self.record(&engine, spec);
+        Ok((id, shard, engine))
     }
 
     /// Takes a pre-built engine (custom decompositions, replayed trees)
-    /// under control and returns its id. Its current strategy counts as a
-    /// `Fixed` registration: drift may re-order its leaves but never change
-    /// the strategy. Its tree is judged at the next due check like any
-    /// planned one, so a custom leaf order the planner beats materially is
-    /// rebuilt.
-    pub fn adopt(&mut self, engine: &ContinuousQueryEngine) -> QueryId {
+    /// under control and returns its id and shard. Its current strategy
+    /// counts as a `Fixed` registration: drift may re-order its leaves but
+    /// never change the strategy. Its tree is judged at the next due check
+    /// like any planned one, so a custom leaf order the planner beats
+    /// materially is rebuilt.
+    pub fn adopt(&mut self, engine: &ContinuousQueryEngine) -> (QueryId, usize) {
         self.record(engine, StrategySpec::Fixed(engine.strategy()))
     }
 
-    /// The one place a [`QueryId`] is allocated.
-    fn record(&mut self, engine: &ContinuousQueryEngine, spec: StrategySpec) -> QueryId {
+    /// The one place a [`QueryId`] is allocated and a shard picked: the
+    /// first least-loaded one takes the query's cost.
+    fn record(&mut self, engine: &ContinuousQueryEngine, spec: StrategySpec) -> (QueryId, usize) {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         let plan = engine
             .tree()
             .map(|tree| (engine.strategy(), leaf_structure(tree)));
+        // The floor keeps a shard from absorbing unboundedly many "free"
+        // queries: even a never-dispatched query costs shard space.
+        let cost = self.estimator.estimate_query_cost(engine.query()).max(1e-6);
+        let loads = &self.loads;
+        let shard = (0..loads.len())
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+            .expect("a control plane has at least one shard");
+        self.loads[shard] += cost;
         self.queries.insert(
             id,
             Planned {
@@ -215,16 +227,42 @@ impl ControlPlane {
                 spec,
                 window: engine.window(),
                 plan,
+                shard,
+                cost,
             },
         );
         self.refresh_retention();
-        id
+        (id, shard)
     }
 
-    /// Drops a query (a no-op for an unknown id).
-    pub fn forget(&mut self, id: QueryId) {
-        self.queries.remove(&id);
+    /// Drops a query, releasing its cost from its shard's load, and returns
+    /// that shard (`None` for an unknown id).
+    pub fn forget(&mut self, id: QueryId) -> Option<usize> {
+        let Planned { shard, cost, .. } = self.queries.remove(&id)?;
+        self.loads[shard] = (self.loads[shard] - cost).max(0.0);
         self.refresh_retention();
+        Some(shard)
+    }
+
+    /// Number of registered queries.
+    pub fn num_queries(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// Ids of the registered queries, in registration order.
+    pub fn query_ids(&self) -> Vec<QueryId> {
+        self.queries.keys().copied().collect()
+    }
+
+    /// The shard a registered query runs on.
+    pub fn shard_of(&self, id: QueryId) -> Option<usize> {
+        self.queries.get(&id).map(|p| p.shard)
+    }
+
+    /// The current load of every shard, in shard order: the summed
+    /// placement costs of the queries each hosts.
+    pub fn loads(&self) -> &[f64] {
+        &self.loads
     }
 
     /// The last query leaving keeps the current retention (rather than
@@ -249,9 +287,10 @@ impl ControlPlane {
     /// [`DriftConfig::min_observations`] edges, each query is re-planned
     /// ([`plan_query`]); a re-plan that changes the strategy, or whose leaf
     /// order costs at most `REDECOMPOSITION_GAIN` times the live one by
-    /// `plan_cost`, is recorded as live and returned for the caller to apply
-    /// to the data half that runs the query. Empty while adaptivity is off.
-    pub fn check_drift(&mut self) -> Vec<(QueryId, Strategy, SjTree)> {
+    /// `plan_cost`, is recorded as live and returned, with the shard that
+    /// runs the query, for the caller to apply there. Empty while adaptivity
+    /// is off.
+    pub fn check_drift(&mut self) -> Vec<(QueryId, usize, Strategy, SjTree)> {
         let Some(adaptive) = self.adaptive.as_mut() else {
             return Vec::new();
         };
@@ -288,19 +327,9 @@ impl ControlPlane {
             *strategy = new_strategy;
             *leaves = new_leaves;
             adaptive.stats.redecompositions += 1;
-            plans.push((id, new_strategy, tree));
+            plans.push((id, planned.shard, new_strategy, tree));
         }
         plans
-    }
-
-    /// Records a plan that was applied to a query from outside the drift
-    /// path (an explicit `redecompose`): it becomes the live plan the next
-    /// due check judges. It is not a drift rebuild, so
-    /// [`AdaptiveStats::redecompositions`] does not count it.
-    pub fn replanned(&mut self, id: QueryId, strategy: Strategy, tree: &SjTree) {
-        if let Some(planned) = self.queries.get_mut(&id) {
-            planned.plan = Some((strategy, leaf_structure(tree)));
-        }
     }
 }
 
@@ -347,13 +376,13 @@ mod tests {
 
     #[test]
     fn retention_is_the_max_window_and_survives_the_last_forget() {
-        let mut control = ControlPlane::new();
+        let mut control = ControlPlane::new(1);
         assert_eq!(control.retention(), None);
-        let narrow = control.adopt(&engine(Some(10)));
+        let (narrow, _) = control.adopt(&engine(Some(10)));
         assert_eq!(control.retention(), Some(10));
-        let wide = control.adopt(&engine(Some(500)));
+        let (wide, _) = control.adopt(&engine(Some(500)));
         assert_eq!(control.retention(), Some(500));
-        let unbounded = control.adopt(&engine(None));
+        let (unbounded, _) = control.adopt(&engine(None));
         assert_eq!(control.retention(), None);
         control.forget(wide);
         assert_eq!(control.retention(), None);
@@ -374,17 +403,17 @@ mod tests {
 
     #[test]
     fn failed_plans_consume_no_id_and_auto_is_planned_once() {
-        let mut control = ControlPlane::new();
+        let mut control = ControlPlane::new(1);
         let empty = QueryGraph::new("empty");
         assert!(control.plan(empty, StrategySpec::Auto, None).is_err());
         let q = engine(None).query().clone();
-        let (id, planned) = control
+        let (id, _, planned) = control
             .plan(q.clone(), StrategySpec::Auto, Some(7))
             .unwrap();
         assert_eq!(id, QueryId(0));
         assert!(planned.strategy().is_lazy());
         assert_eq!(planned.window(), Some(7));
-        let (id, vf2) = control
+        let (id, _, vf2) = control
             .plan(q, StrategySpec::Fixed(Strategy::Vf2Baseline), None)
             .unwrap();
         assert_eq!(id, QueryId(1));

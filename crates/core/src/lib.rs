@@ -172,9 +172,6 @@ pub use sp_graph::{
 };
 pub use sp_iso::SubgraphMatch;
 pub use sp_metrics::MetricsRegistry;
-pub use sp_query::{
-    canonicalize_subgraph, prefix_chain, ChainStep, LeafSignature, PrefixSignature, QueryEdgeId,
-    QueryGraph, QueryVertexId,
-};
+pub use sp_query::{QueryEdgeId, QueryGraph, QueryVertexId};
 pub use sp_selectivity::{DriftConfig, SelectivityEstimator, StatsMode};
 pub use sp_sjtree::{PrimitivePolicy, RowLayout, SjTree};

@@ -1,11 +1,11 @@
-//! The one front end ([`Processor`]): a control plane plus shard
-//! placement, over an [`Executor`] that decides where the shards run.
+//! The one front end ([`Processor`]): a control plane over an [`Executor`]
+//! that decides where the shards run.
 //!
 //! Every decision — query ids, strategy and decomposition, graph retention,
-//! drift re-plans, which shard hosts a query — is made here, once. A
-//! [`Shard`] (one [`DynamicGraph`], the engines registered on it and the
-//! edge-type dispatch between them) is reached only through a job its
-//! executor runs:
+//! drift re-plans, which shard hosts a query — is made by the
+//! [`ControlPlane`], once. A [`Shard`] (one [`DynamicGraph`], the engines
+//! registered on it and the edge-type dispatch between them) is reached
+//! only through a job its executor runs:
 //!
 //! * [`StreamProcessor`] = `Processor<Inline>`: one shard on the caller's
 //!   thread; a job runs on the spot, rows go straight to the caller's
@@ -24,13 +24,10 @@ use crate::profile::ProfileCounters;
 use crate::shard::Shard;
 use crate::sharedjoin::SharedJoinIndex;
 use crate::sink::{CountSink, RowSink};
-use crate::strategy::Strategy;
 use sp_graph::{DynamicGraph, EdgeEvent, Schema};
 use sp_iso::SubgraphMatch;
 use sp_query::QueryGraph;
 use sp_selectivity::{DriftConfig, SelectivityEstimator};
-use sp_sjtree::SjTree;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// The counters of the shared-leaf stage, which no longer exists: every
@@ -126,18 +123,14 @@ impl Executor for Inline {
 
 /// A control plane and the shards it drives, through executor `X`.
 ///
-/// Each query is placed on the least-loaded shard: a query's cost is
-/// [`SelectivityEstimator::estimate_query_cost`] of its pattern against the
-/// live statistics, floored at `1e-6`; a shard's load is the summed cost of
-/// the queries it hosts, and ties go to the lowest shard index.
+/// The control plane places each query on the least-loaded shard: a
+/// query's cost is [`SelectivityEstimator::estimate_query_cost`] of its
+/// pattern against the live statistics, floored at `1e-6`; a shard's load
+/// is the summed cost of the queries it hosts, and ties go to the lowest
+/// shard index.
 #[derive(Debug, Clone)]
 pub struct Processor<X> {
     pub(crate) control: ControlPlane,
-    /// Per registered query: its shard and the cost it added to that
-    /// shard's load.
-    placed: BTreeMap<QueryId, (usize, f64)>,
-    /// Per shard, the summed placement cost of the queries it hosts.
-    pub(crate) shard_costs: Vec<f64>,
     pub(crate) exec: X,
 }
 
@@ -149,15 +142,13 @@ impl<X: Executor> Processor<X> {
     /// registered query.
     pub(crate) fn over(exec: X, shards: usize) -> Self {
         Self {
-            control: ControlPlane::new(),
-            placed: BTreeMap::new(),
-            shard_costs: vec![0.0; shards],
+            control: ControlPlane::new(shards),
             exec,
         }
     }
 
     fn all_shards(&self) -> Range<usize> {
-        0..self.shard_costs.len()
+        0..self.control.loads().len()
     }
 
     /// Overrides how many edges each shard processes between partial-match
@@ -219,8 +210,8 @@ impl<X: Executor> Processor<X> {
         spec: impl Into<StrategySpec>,
         window: Option<u64>,
     ) -> Result<QueryId, EngineError> {
-        let (id, engine) = self.control.plan(query, spec.into(), window)?;
-        self.place(id, engine);
+        let (id, shard, engine) = self.control.plan(query, spec.into(), window)?;
+        self.start(id, shard, engine);
         Ok(id)
     }
 
@@ -230,27 +221,14 @@ impl<X: Executor> Processor<X> {
     /// the strategy. Its tree is judged at the next due drift check like a
     /// planned one, so a leaf order the planner beats materially is rebuilt.
     pub fn register_engine(&mut self, engine: ContinuousQueryEngine) -> QueryId {
-        let id = self.control.adopt(&engine);
-        self.place(id, engine);
+        let (id, shard) = self.control.adopt(&engine);
+        self.start(id, shard, engine);
         id
     }
 
-    /// Shard placement: picks the least-loaded shard, books the cost, ships
-    /// the engine and the (possibly widened) retention window.
-    fn place(&mut self, id: QueryId, engine: ContinuousQueryEngine) {
-        // The floor keeps a shard from absorbing unboundedly many "free"
-        // queries: even a never-dispatched query costs shard space.
-        let cost = self
-            .control
-            .estimator()
-            .estimate_query_cost(engine.query())
-            .max(1e-6);
-        let costs = &self.shard_costs;
-        let shard = (0..costs.len())
-            .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
-            .expect("a processor has at least one shard");
-        self.shard_costs[shard] += cost;
-        self.placed.insert(id, (shard, cost));
+    /// Ships the engine to the shard the control plane placed it on, then
+    /// the (possibly widened) retention window to every shard.
+    fn start(&mut self, id: QueryId, shard: usize, engine: ContinuousQueryEngine) {
         self.exec.run(shard, move |s| s.register(id, engine));
         self.set_retention();
     }
@@ -261,9 +239,7 @@ impl<X: Executor> Processor<X> {
     /// the *last* query leaving keeps it in force, so an idle processor does
     /// not accumulate edges forever.
     pub fn deregister(&mut self, id: QueryId) -> Option<ContinuousQueryEngine> {
-        let (shard, cost) = self.placed.remove(&id)?;
-        self.control.forget(id);
-        self.shard_costs[shard] = (self.shard_costs[shard] - cost).max(0.0);
+        let shard = self.control.forget(id)?;
         let engine = self.exec.ask(shard..shard + 1, move |s| s.deregister(id));
         self.set_retention();
         engine.into_iter().flatten().next()
@@ -300,8 +276,7 @@ impl<X: Executor> Processor<X> {
     pub fn run_drift_checks(&mut self) -> usize {
         let plans = self.control.check_drift();
         let issued = plans.len();
-        for (id, strategy, tree) in plans {
-            let shard = self.placed[&id].0;
+        for (id, shard, strategy, tree) in plans {
             self.exec.run(shard, move |s| {
                 s.redecompose(id, strategy, tree)
                     .expect("the control plane re-planned a query this shard runs");
@@ -346,17 +321,17 @@ impl<X: Executor> Processor<X> {
 
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
-        self.placed.len()
+        self.control.num_queries()
     }
 
     /// Ids of the registered queries, in registration order.
     pub fn query_ids(&self) -> Vec<QueryId> {
-        self.placed.keys().copied().collect()
+        self.control.query_ids()
     }
 
     /// The shard a query is placed on.
     pub fn shard_of(&self, id: QueryId) -> Option<usize> {
-        self.placed.get(&id).map(|&(shard, _)| shard)
+        self.control.shard_of(id)
     }
 
     /// The retention window every shard's graph keeps (the maximum across
@@ -471,28 +446,6 @@ impl Processor<Inline> {
         I: IntoIterator<Item = &'a EdgeEvent>,
     {
         self.process_all_into(events, sink)
-    }
-
-    /// Swaps one query's decomposition for an externally supplied plan:
-    /// rebuilds the engine via [`ContinuousQueryEngine::rebuild`] (replaying
-    /// the retained graph, preserving the reported match multiset) and
-    /// re-places it in the shared join stage. A deterministic lever for
-    /// tests and tooling; the drift-driven path
-    /// ([`Processor::run_drift_checks`]) computes the plan itself.
-    /// Under adaptivity the supplied plan is live until a due check finds
-    /// a materially better one.
-    pub fn redecompose(
-        &mut self,
-        id: QueryId,
-        strategy: Strategy,
-        tree: SjTree,
-    ) -> Result<(), EngineError> {
-        let shard = &mut self.exec.shard;
-        shard.redecompose(id, strategy, tree)?;
-        let tree = shard.engine(id).and_then(|e| e.tree());
-        self.control
-            .replanned(id, strategy, tree.expect("rebuilt onto an SJ-Tree"));
-        Ok(())
     }
 
     /// The shared data graph in its current state.
@@ -977,33 +930,6 @@ mod tests {
             sp_query::Primitive::SingleEdge(tcp),
             "the now-rare tcp leaf must lead the decomposition"
         );
-    }
-
-    #[test]
-    fn redecompose_swaps_plans_and_rejects_unknown_ids() {
-        let (schema, mut proc) = simple_setup(Strategy::SingleLazy, Some(100));
-        let ip = schema.vertex_type("ip").unwrap();
-        let esp = schema.edge_type("esp").unwrap();
-        let tcp = schema.edge_type("tcp").unwrap();
-        let qid = proc.query_ids()[0];
-        // Live partial mid-window, then an externally supplied flipped plan.
-        proc.process(&EdgeEvent::homogeneous(1, 2, ip, esp, Timestamp(1)));
-        let q = proc.engine_for(qid).unwrap().query().clone();
-        let leaves = vec![
-            sp_query::QuerySubgraph::from_edges(&q, [sp_query::QueryEdgeId(1)]),
-            sp_query::QuerySubgraph::from_edges(&q, [sp_query::QueryEdgeId(0)]),
-        ];
-        let flipped = SjTree::from_leaves(q.clone(), leaves);
-        proc.redecompose(qid, Strategy::SingleLazy, flipped.clone())
-            .unwrap();
-        assert_eq!(proc.profile_for(qid).unwrap().redecompositions, 1);
-        // The partial still completes exactly once after the swap.
-        let matches = proc.process(&EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2)));
-        assert_eq!(matches.len(), 1);
-        assert!(matches!(
-            proc.redecompose(QueryId(999), Strategy::SingleLazy, flipped),
-            Err(EngineError::UnknownQuery)
-        ));
     }
 
     #[test]

@@ -278,19 +278,14 @@ impl Processor<Threads> {
     /// The current estimated cost load of every shard, in shard order: the
     /// summed placement costs of the queries each shard hosts.
     pub fn shard_costs(&self) -> &[f64] {
-        &self.shard_costs
+        self.control.loads()
     }
 
-    /// Barrier: waits until every worker has processed every batch sent so
-    /// far, forwarding all resulting matches into `sink`. Returns the number
-    /// of matches delivered by this call.
-    pub fn drain_into<S: RowSink + ?Sized>(&mut self, sink: &mut S) -> u64 {
-        self.process_all_into([], sink)
-    }
-
-    /// Barrier variant that buffers the drained matches internally (they are
+    /// Barrier that buffers the drained matches internally (they are
     /// delivered to the next sink-taking call, or in
     /// [`RuntimeReport::pending_matches`] at [`shutdown`](Self::shutdown)).
+    /// `process_all_into(&[], sink)` is the barrier that hands them to
+    /// `sink`.
     pub fn drain(&mut self) {
         self.exec.drain();
     }
@@ -309,7 +304,7 @@ impl Processor<Threads> {
     pub fn shutdown(mut self) -> RuntimeReport {
         let workers = self.worker_reports();
         let mut pending_matches = Vec::new();
-        self.drain_into(&mut pending_matches);
+        self.process_all_into([], &mut pending_matches);
         RuntimeReport {
             profile: self.profile(),
             total_matches: workers.iter().map(|r| r.matches_found).sum(),

@@ -424,7 +424,7 @@ mod tests {
     impl Fixture {
         fn new() -> Self {
             Self {
-                control: ControlPlane::new(),
+                control: ControlPlane::new(1),
                 shard: Shard::new(Schema::new()),
             }
         }
@@ -439,7 +439,7 @@ mod tests {
             }
             let est = SelectivityEstimator::new();
             let engine = ContinuousQueryEngine::new(q, Strategy::SingleLazy, &est, None).unwrap();
-            let id = self.control.adopt(&engine);
+            let (id, _) = self.control.adopt(&engine);
             self.shard.register(id, engine);
             id
         }
@@ -485,5 +485,49 @@ mod tests {
         let mut f = Fixture::new();
         let a = f.register(&[EdgeType(3), EdgeType(3)]);
         assert_eq!(f.shard.candidates(EdgeType(3)), &[a]);
+    }
+
+    #[test]
+    fn redecompose_swaps_plans_and_rejects_unknown_ids() {
+        use sp_graph::Timestamp;
+        use sp_iso::SubgraphMatch;
+        use sp_query::{QueryEdgeId, QuerySubgraph};
+
+        let mut schema = Schema::new();
+        let ip = schema.intern_vertex_type("ip");
+        let tcp = schema.intern_edge_type("tcp");
+        let esp = schema.intern_edge_type("esp");
+        let mut q = QueryGraph::new("esp-tcp");
+        let (a, b, c) = (q.add_any_vertex(), q.add_any_vertex(), q.add_any_vertex());
+        q.add_edge(a, b, esp);
+        q.add_edge(b, c, tcp);
+        let est = SelectivityEstimator::new();
+        let engine =
+            ContinuousQueryEngine::new(q.clone(), Strategy::SingleLazy, &est, Some(100)).unwrap();
+        let mut shard = Shard::new(schema);
+        let qid = QueryId(0);
+        shard.register(qid, engine);
+        shard.set_retention(Some(100));
+        let mut matches: Vec<(QueryId, SubgraphMatch)> = Vec::new();
+        // Live partial mid-window, then an externally supplied flipped plan.
+        let esp_edge = EdgeEvent::homogeneous(1, 2, ip, esp, Timestamp(1));
+        shard.process_into(&esp_edge, &mut matches, |_| {});
+        let leaves = vec![
+            QuerySubgraph::from_edges(&q, [QueryEdgeId(1)]),
+            QuerySubgraph::from_edges(&q, [QueryEdgeId(0)]),
+        ];
+        let flipped = SjTree::from_leaves(q, leaves);
+        shard
+            .redecompose(qid, Strategy::SingleLazy, flipped.clone())
+            .unwrap();
+        assert_eq!(shard.engine(qid).unwrap().profile().redecompositions, 1);
+        // The partial still completes exactly once after the swap.
+        let tcp_edge = EdgeEvent::homogeneous(2, 3, ip, tcp, Timestamp(2));
+        shard.process_into(&tcp_edge, &mut matches, |_| {});
+        assert_eq!(matches.len(), 1);
+        assert!(matches!(
+            shard.redecompose(QueryId(999), Strategy::SingleLazy, flipped),
+            Err(EngineError::UnknownQuery)
+        ));
     }
 }

@@ -331,6 +331,13 @@ impl DynamicGraph {
     /// event type conflicted with the type already recorded for the vertex.
     /// A conflicting endpoint keeps its recorded type; the edge is added
     /// either way.
+    ///
+    /// Types are not checked against the graph's [`Schema`]: an id the
+    /// schema never interned is stored and matched like any other, and a
+    /// vertex's [`TypeSignature`] folds it in at bit `t % 64`, so a signature
+    /// refusal stays sound. This is by design — rejecting such types would
+    /// put a schema lookup on the per-edge path and break every caller that
+    /// builds on `Schema::new()` with raw ids.
     pub fn ingest(&mut self, event: &EdgeEvent) -> (EdgeData, u64) {
         let (src, dst) = (VertexId(event.src), VertexId(event.dst));
         let conflicts = u64::from(self.ensure_vertex(src, event.src_type).is_err())

@@ -13,6 +13,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Bidirectional mapping between type names and compact integer ids.
+///
+/// Types are opaque ids: the schema names them and gates nothing. A graph,
+/// a query or an estimator accepts an id the schema never interned, and
+/// stores and matches it like any other (see [`DynamicGraph::ingest`]);
+/// only the name lookups ([`Schema::edge_type_name`], …) notice, with
+/// `"<unknown>"`.
+///
+/// [`DynamicGraph::ingest`]: crate::DynamicGraph::ingest
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Schema {
     vertex_names: Vec<String>,

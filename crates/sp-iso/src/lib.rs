@@ -6,9 +6,8 @@
 //! * [`SubgraphMatch`] — the representation of a (partial) match: a set of
 //!   (query edge → data edge) pairs plus the induced (query vertex → data
 //!   vertex) binding and the time interval spanned by the matched edges
-//!   (Definition 3.1.2). Matches can be **joined** (Definition 3.1.3).
-//!   [`JoinKey`] is the interned hash-join key: the partial-match store
-//!   (`sp-sjtree`) projects each stored row onto its node's cut vertices.
+//!   (Definition 3.1.2). Stored matches are joined (Definition 3.1.3) as
+//!   fixed-width rows by the partial-match store (`sp-sjtree`).
 //! * [`anchored`] — local search: find every match of a small connected query
 //!   subgraph that *contains a given data edge* or *touches a given data
 //!   vertex*. This is the `SUBGRAPH-ISO(Gd, gqsub, es)` routine invoked for
@@ -32,5 +31,5 @@ pub use anchored::{
     find_matches_around_vertex, find_matches_around_vertex_with, find_matches_containing_edge,
     find_matches_containing_edge_into, find_matches_containing_edge_with, SearchScratch, TypeNeeds,
 };
-pub use match_map::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE, MATCH_INLINE_BINDINGS};
+pub use match_map::{SubgraphMatch, MATCH_INLINE_BINDINGS};
 pub use vf2::Vf2Matcher;

@@ -4,11 +4,6 @@
 use sp_graph::{EdgeId, Timestamp, VertexId};
 use sp_query::{QueryEdgeId, QueryVertexId};
 
-/// Maximum number of cut vertices a [`JoinKey`] stores without a heap
-/// allocation. Real decompositions join on one or two shared vertices; three
-/// covers every tree the workspace builds.
-pub const JOIN_KEY_INLINE: usize = 3;
-
 /// Maximum number of vertex (and edge) bindings a [`SubgraphMatch`] stores
 /// inline, without a heap allocation. Eight covers every query the built-in
 /// workloads register (up to a 7-edge / 8-vertex pattern); larger hand-built
@@ -195,26 +190,6 @@ small_sorted_map!(
     EdgeId,
     (QueryEdgeId(0), EdgeId(0))
 );
-
-/// An interned hash-join key: the data vertices a stored match row binds to
-/// a join node's cut vertices, in cut order.
-///
-/// The partial-match store (`sp-sjtree`'s `MatchStore`, which reads the cut
-/// vertices off the row's fixed slots) computes one key per inserted match
-/// (Property 4's `GET-JOIN-KEY`), which made the `Vec<VertexId>` key the
-/// hottest allocation of the SJ-Tree update path. Keys of up to
-/// [`JOIN_KEY_INLINE`] vertices — all real cuts — are stored inline;
-/// longer keys spill to a `Vec`. Construction is canonical by length
-/// (inline iff it fits), so the derived `Eq`/`Hash` are consistent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum JoinKey {
-    /// At most [`JOIN_KEY_INLINE`] cut vertices, stored inline: the first
-    /// field is the number of valid entries, unused slots are zeroed.
-    Inline(u8, [VertexId; JOIN_KEY_INLINE]),
-    /// More than [`JOIN_KEY_INLINE`] cut vertices (not produced by the
-    /// built-in decompositions, but hand-built trees may).
-    Spilled(Vec<VertexId>),
-}
 
 /// A match (possibly partial) between a query subgraph and a data subgraph.
 ///
@@ -438,63 +413,6 @@ impl SubgraphMatch {
         }
         true
     }
-
-    /// Returns `true` when this match can be joined with `other`:
-    ///
-    /// * query vertices bound by both map to the same data vertex;
-    /// * query edges are disjoint and data edges are disjoint;
-    /// * the combined vertex binding stays injective.
-    pub fn compatible_with(&self, other: &SubgraphMatch) -> bool {
-        // Shared query vertices must agree; disjoint query vertices must not
-        // collide on data vertices (injectivity of the union).
-        for (qv, dv) in self.vertex_map.iter() {
-            match other.vertex_map.get(qv) {
-                Some(odv) => {
-                    if odv != dv {
-                        return false;
-                    }
-                }
-                None => {
-                    if other
-                        .vertex_map
-                        .iter()
-                        .any(|(oqv, odv)| oqv != qv && odv == dv)
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        // Query edges must be disjoint (the decomposition partitions edges)
-        // and data edges must not be reused.
-        for (qe, de) in self.edge_map.iter() {
-            if other.edge_map.get(qe).is_some() {
-                return false;
-            }
-            if other.edge_map.values().any(|ode| ode == de) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Joins two compatible matches into a larger one (Definition 3.1.3).
-    /// Returns `None` when the matches are incompatible.
-    pub fn join(&self, other: &SubgraphMatch) -> Option<SubgraphMatch> {
-        if !self.compatible_with(other) {
-            return None;
-        }
-        let mut out = self.clone();
-        for (qe, de) in other.edge_map.iter() {
-            out.edge_map.insert(qe, de);
-        }
-        for (qv, dv) in other.vertex_map.iter() {
-            out.vertex_map.insert(qv, dv);
-        }
-        out.earliest = out.earliest.min(other.earliest);
-        out.latest = out.latest.max(other.latest);
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -549,57 +467,6 @@ mod tests {
         assert!(!m.bind_edge(qe(0), de(2), Timestamp(0)));
         // Same data edge cannot serve two query edges.
         assert!(!m.bind_edge(qe(1), de(1), Timestamp(0)));
-    }
-
-    #[test]
-    fn join_of_compatible_matches_unions_bindings() {
-        let mut a = SubgraphMatch::new();
-        a.bind_vertex(qv(0), dv(10));
-        a.bind_vertex(qv(1), dv(11));
-        a.bind_edge(qe(0), de(1), Timestamp(5));
-
-        let mut b = SubgraphMatch::new();
-        b.bind_vertex(qv(1), dv(11));
-        b.bind_vertex(qv(2), dv(12));
-        b.bind_edge(qe(1), de(2), Timestamp(9));
-
-        let j = a.join(&b).expect("compatible");
-        assert_eq!(j.num_edges(), 2);
-        assert_eq!(j.num_vertices(), 3);
-        assert_eq!(j.earliest(), Timestamp(5));
-        assert_eq!(j.latest(), Timestamp(9));
-    }
-
-    #[test]
-    fn join_rejects_conflicting_shared_vertex() {
-        let mut a = SubgraphMatch::new();
-        a.bind_vertex(qv(1), dv(11));
-        a.bind_edge(qe(0), de(1), Timestamp(0));
-        let mut b = SubgraphMatch::new();
-        b.bind_vertex(qv(1), dv(99));
-        b.bind_edge(qe(1), de(2), Timestamp(0));
-        assert!(a.join(&b).is_none());
-    }
-
-    #[test]
-    fn join_rejects_non_injective_union() {
-        // Different query vertices bound to the same data vertex.
-        let mut a = SubgraphMatch::new();
-        a.bind_vertex(qv(0), dv(10));
-        a.bind_edge(qe(0), de(1), Timestamp(0));
-        let mut b = SubgraphMatch::new();
-        b.bind_vertex(qv(2), dv(10));
-        b.bind_edge(qe(1), de(2), Timestamp(0));
-        assert!(a.join(&b).is_none());
-    }
-
-    #[test]
-    fn join_rejects_data_edge_reuse() {
-        let mut a = SubgraphMatch::new();
-        a.bind_edge(qe(0), de(7), Timestamp(0));
-        let mut b = SubgraphMatch::new();
-        b.bind_edge(qe(1), de(7), Timestamp(0));
-        assert!(a.join(&b).is_none());
     }
 
     #[test]

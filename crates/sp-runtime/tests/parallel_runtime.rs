@@ -214,6 +214,53 @@ fn queries_spread_across_shards_by_cost() {
 }
 
 #[test]
+fn placement_takes_the_first_least_loaded_shard_and_releases_exactly() {
+    // No statistics: every copy of one query costs the same floored 1e-6,
+    // so ties decide every placement.
+    let schema = cyber_schema();
+    let query = || queries(&schema).swap_remove(0).0;
+    let mut runtime = ParallelStreamProcessor::new(
+        schema.clone(),
+        RuntimeConfig::with_workers(4).statistics(false),
+    );
+    let mut ids = Vec::new();
+    for i in 0..8 {
+        if i == 5 {
+            // A failed registration consumes no id and books no load.
+            let before = runtime.shard_costs().to_vec();
+            assert!(runtime
+                .register(QueryGraph::new("empty"), Strategy::SingleLazy, None)
+                .is_err());
+            assert_eq!(runtime.shard_costs(), &before[..]);
+        }
+        let id = runtime
+            .register(query(), Strategy::SingleLazy, None)
+            .unwrap();
+        assert_eq!(id, QueryId(i));
+        ids.push(id);
+    }
+    let shards: Vec<usize> = ids
+        .iter()
+        .map(|&id| runtime.shard_of(id).unwrap())
+        .collect();
+    assert_eq!(
+        shards,
+        [0, 1, 2, 3, 0, 1, 2, 3],
+        "ties go to the lowest index"
+    );
+    for id in ids {
+        runtime.deregister(id).unwrap();
+    }
+    assert_eq!(runtime.shard_costs(), &[0.0; 4]);
+
+    let mut inline = StreamProcessor::new(schema.clone()).with_statistics(false);
+    for (q, s, w) in queries(&schema) {
+        let id = inline.register(q, s, w).unwrap();
+        assert_eq!(inline.shard_of(id), Some(0));
+    }
+}
+
+#[test]
 fn deregister_midstream_returns_engine_and_stops_matching() {
     let schema = cyber_schema();
     let events = synth_stream(&schema, 600);

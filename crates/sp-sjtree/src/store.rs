@@ -62,8 +62,32 @@
 use crate::node::NodeId;
 use crate::tree::SjTree;
 use sp_graph::{DynamicGraph, EdgeId, FastMap, Timestamp, VertexId};
-use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
+use sp_iso::SubgraphMatch;
 use sp_query::{QueryEdgeId, QueryGraph, QueryVertexId};
+
+/// Maximum number of cut vertices a [`JoinKey`] stores without a heap
+/// allocation. Real decompositions join on one or two shared vertices; three
+/// covers every tree the workspace builds.
+const JOIN_KEY_INLINE: usize = 3;
+
+/// An interned hash-join key: the data vertices a stored row binds to a
+/// join node's cut vertices, in cut order.
+///
+/// The store reads the cut vertices off the row's fixed slots and computes
+/// one key per inserted row (Property 4's `GET-JOIN-KEY`), which made a
+/// `Vec<VertexId>` key the hottest allocation of the SJ-Tree update path.
+/// Keys of up to [`JOIN_KEY_INLINE`] vertices — all real cuts — are stored
+/// inline; longer keys spill to a `Vec`. Construction is canonical by
+/// length (inline iff it fits), so the derived `Eq`/`Hash` are consistent.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum JoinKey {
+    /// At most [`JOIN_KEY_INLINE`] cut vertices, stored inline: the first
+    /// field is the number of valid entries, unused slots are zeroed.
+    Inline(u8, [VertexId; JOIN_KEY_INLINE]),
+    /// More than [`JOIN_KEY_INLINE`] cut vertices (not produced by the
+    /// built-in decompositions, but hand-built trees may).
+    Spilled(Vec<VertexId>),
+}
 
 /// Hash table of the matches stored at one SJ-Tree node, keyed by the
 /// projection of each match onto the parent's cut vertices. Keys are
@@ -387,10 +411,9 @@ impl RowArena {
             .then_with(|| self.row(a).cmp(self.row(b)))
     }
 
-    /// Whether two rows join, and the joined time span `(earliest, latest)`
-    /// if so — the row form of [`SubgraphMatch::compatible_with`] plus the
-    /// window filter (applied *before* anything is written, so
-    /// rejected joins cost no row traffic):
+    /// Whether two rows join (Definition 3.1.3), and the joined time span
+    /// `(earliest, latest)` if so, with the window filter applied *before*
+    /// anything is written, so rejected joins cost no row traffic:
     ///
     /// * vertex slots bound by both rows must agree;
     /// * the union binding must stay injective (no data vertex at two
@@ -433,8 +456,8 @@ impl RowArena {
         Some((earliest, latest))
     }
 
-    /// Joins two rows into a fresh row (the row form of
-    /// [`SubgraphMatch::join`]), for joins that are stored one level up.
+    /// Joins two rows into a fresh row, the union of their bindings, for
+    /// joins that are stored one level up.
     fn join_rows(&mut self, a: u32, b: u32, window: Option<u64>) -> Option<u32> {
         let (earliest, latest) = self.joinable(a, b, window)?;
         let out = self.alloc();
@@ -1593,11 +1616,25 @@ mod tests {
         ms
     }
 
+    /// The join of two materialized matches (Definition 3.1.3) through the
+    /// public binding API: `b`'s bindings added to a copy of `a`, `None` on
+    /// any conflict (a shared vertex bound apart, a non-injective union, a
+    /// query edge bound twice or a data edge reused).
+    fn oracle_join(a: &SubgraphMatch, b: &SubgraphMatch) -> Option<SubgraphMatch> {
+        let mut out = a.clone();
+        let vertices = b.vertex_pairs().all(|(q, d)| out.bind_vertex(q, d));
+        let edges = b
+            .edge_pairs()
+            .all(|(q, d)| out.bind_edge(q, d, b.earliest()));
+        out.restore_time_span((a.earliest().min(b.earliest()), a.latest().max(b.latest())));
+        (vertices && edges).then_some(out)
+    }
+
     /// Test-only reference for Algorithm 2 that shares no control flow with
     /// `insert_rows`. By Properties 2–3 a node holds the distinct in-window
     /// joins of its children's matches (plus whatever was inserted at it
     /// directly), so the expected state is a bottom-up fold of *all* inserts
-    /// with materialized `SubgraphMatch::join` + `within_window`, blind to
+    /// with materialized [`oracle_join`] + `within_window`, blind to
     /// arrival order, join keys, buckets and rows. Fills `per_node` with
     /// each node's sorted matches: distinct below the root, and at the root
     /// (whose joins are reported, never stored or deduplicated) the multiset
@@ -1623,7 +1660,7 @@ mod tests {
                 ms.extend(
                     per_node[r.0]
                         .iter()
-                        .filter_map(|b| a.join(b))
+                        .filter_map(|b| oracle_join(a, b))
                         .filter(in_window),
                 );
             }
@@ -1876,9 +1913,10 @@ mod tests {
         let tree =
             SjTree::from_leaves(q.clone(), vec![QuerySubgraph::from_edges(&q, q.edge_ids())]);
         let wedge = |ts1: u64| {
-            leaf0_match(1, 2, 7, 0)
-                .join(&leaf1_match(2, 3, 8, ts1))
-                .unwrap()
+            let mut m = leaf0_match(1, 2, 7, 0);
+            assert!(m.bind_vertex(QueryVertexId(2), VertexId(3)));
+            assert!(m.bind_edge(QueryEdgeId(1), EdgeId(8), Timestamp(ts1)));
+            m
         };
         for window in [None, Some(50)] {
             let mut store = MatchStore::new(&tree);

@@ -18,7 +18,7 @@ use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
 use streampattern::{
     plan_query, ContinuousQueryEngine, CountSink, Executor, FnSink, Processor, QueryId, RowLayout,
-    RowSink, Schema, SelectivityEstimator, SharedRow, SjTree, Strategy, StrategySpec,
+    RowSink, Schema, SelectivityEstimator, Shard, SharedRow, SjTree, Strategy, StrategySpec,
     StreamProcessor, SubgraphMatch,
 };
 
@@ -504,6 +504,23 @@ fn tree_with_leaf_order(q: &QueryGraph, order: &[usize]) -> SjTree {
     SjTree::from_leaves(q.clone(), leaves)
 }
 
+/// An engine for `q` planned against empty statistics, as a processor with
+/// statistics off would plan it.
+fn unplanned_engine(
+    q: QueryGraph,
+    strategy: Strategy,
+    window: Option<u64>,
+) -> ContinuousQueryEngine {
+    ContinuousQueryEngine::new(q, strategy, &SelectivityEstimator::new(), window).unwrap()
+}
+
+/// Ingests one event into a bare shard and returns the matches it completed.
+fn process(shard: &mut Shard, ev: &EdgeEvent) -> Vec<(QueryId, SubgraphMatch)> {
+    let mut matches = Vec::new();
+    shard.process_into(ev, &mut matches, |_| {});
+    matches
+}
+
 #[test]
 fn drift_driven_resubscription_moves_prefix_refcounts() {
     let schema = cyber_schema();
@@ -511,45 +528,55 @@ fn drift_driven_resubscription_moves_prefix_refcounts() {
     let tcp = schema.edge_type("tcp").unwrap();
     let esp = schema.edge_type("esp").unwrap();
 
-    let mut proc = StreamProcessor::new(schema.clone());
-    let q1 = proc
-        .register(two_hop(&schema, "one"), Strategy::SingleLazy, Some(1_000))
-        .unwrap();
-    let q2 = proc
-        .register(two_hop(&schema, "two"), Strategy::SingleLazy, Some(1_000))
-        .unwrap();
-    assert_eq!(proc.shared_join_stats().tables, 1);
-    assert_eq!(proc.shared_join_stats().subscriptions, 2);
+    // A drift check rebuilds a query on its shard through
+    // `Shard::redecompose`; driving the shard directly pins the plans.
+    let mut shard = Shard::new(schema.clone());
+    let (q1, q2) = (QueryId(0), QueryId(1));
+    for (id, name) in [(q1, "one"), (q2, "two")] {
+        let q = two_hop(&schema, name);
+        shard.register(id, unplanned_engine(q, Strategy::SingleLazy, Some(1_000)));
+    }
+    shard.set_retention(Some(1_000));
+    assert_eq!(shard.shared_joins().stats().tables, 1);
+    assert_eq!(shard.shared_joins().stats().subscriptions, 2);
 
     // Half a pattern arrives: a live partial sits in the shared table.
-    assert!(proc
-        .process(&EdgeEvent::homogeneous(1, 2, ip, tcp, Timestamp(10)))
-        .is_empty());
+    assert!(process(
+        &mut shard,
+        &EdgeEvent::homogeneous(1, 2, ip, tcp, Timestamp(10))
+    )
+    .is_empty());
 
     // Re-decompose q1 onto the flipped leaf order mid-window: q1 leaves the
     // table (q2 keeps it alive — the refcount drops to one, the table
     // stays) and runs privately until a partner with the flipped chain
     // appears.
-    let query = proc.engine_for(q1).unwrap().query().clone();
+    let query = shard.engine(q1).unwrap().query().clone();
     let flipped = tree_with_leaf_order(&query, &[1, 0]);
-    proc.redecompose(q1, Strategy::SingleLazy, flipped.clone())
+    shard
+        .redecompose(q1, Strategy::SingleLazy, flipped.clone())
         .unwrap();
-    let stats = proc.shared_join_stats();
+    let stats = shard.shared_joins().stats();
     assert_eq!(stats.tables, 1, "q2 still holds the original table");
     assert_eq!(stats.subscriptions, 1);
 
     // Re-decompose q2 the same way: the original table loses its last
     // subscriber and is dropped; the two flipped chains coalesce into a
     // fresh table (replayed from the retained graph).
-    proc.redecompose(q2, Strategy::SingleLazy, flipped).unwrap();
-    let stats = proc.shared_join_stats();
+    shard
+        .redecompose(q2, Strategy::SingleLazy, flipped)
+        .unwrap();
+    let stats = shard.shared_joins().stats();
     assert_eq!(stats.tables, 1, "flipped chains share a fresh table");
     assert_eq!(stats.subscriptions, 2);
     assert!(stats.replays >= 1);
 
     // The completing edge arrives after both swaps: the pre-swap partial
     // (replayed into the fresh table) completes exactly once per query.
-    let matches = proc.process(&EdgeEvent::homogeneous(2, 3, ip, esp, Timestamp(20)));
+    let matches = process(
+        &mut shard,
+        &EdgeEvent::homogeneous(2, 3, ip, esp, Timestamp(20)),
+    );
     let for_q1 = matches.iter().filter(|(q, _)| *q == q1).count();
     let for_q2 = matches.iter().filter(|(q, _)| *q == q2).count();
     assert_eq!(for_q1, 1, "q1 lost its live partial across the swap");
@@ -563,40 +590,37 @@ fn late_subscriber_keeps_its_boundary_across_redecompose() {
     let tcp = schema.edge_type("tcp").unwrap();
     let esp = schema.edge_type("esp").unwrap();
     let tcp_edge = |i: u64| EdgeEvent::homogeneous(2 * i, 2 * i + 1, ip, tcp, Timestamp(i));
+    // Empty statistics: every twin decomposes into the same chain.
+    let twin = |name: &str| unplanned_engine(two_hop(&schema, name), Strategy::Single, None);
 
-    // Statistics off: every twin decomposes into the same chain.
-    let mut proc = StreamProcessor::new(schema.clone()).with_statistics(false);
-    let early = proc
-        .register(two_hop(&schema, "early"), Strategy::Single, None)
-        .unwrap();
+    let mut shard = Shard::new(schema.clone());
+    let early = QueryId(0);
+    shard.register(early, twin("early"));
     for i in 0..2 {
-        proc.process(&tcp_edge(i));
+        process(&mut shard, &tcp_edge(i));
     }
     // Twins registered after two edges: entitled to matches anchored at
     // the third tcp edge on, not the first two.
-    let late = proc
-        .register(two_hop(&schema, "late"), Strategy::Single, None)
-        .unwrap();
-    let twin = proc
-        .register(two_hop(&schema, "twin"), Strategy::Single, None)
-        .unwrap();
-    proc.process(&tcp_edge(2));
+    let (late, other) = (QueryId(1), QueryId(2));
+    shard.register(late, twin("late"));
+    shard.register(other, twin("twin"));
+    process(&mut shard, &tcp_edge(2));
 
     // Re-decomposing onto its own plan re-subscribes `late` with the
     // boundary it registered with, not the current stream position.
-    let tree = proc.engine_for(late).unwrap().tree().unwrap().clone();
-    proc.redecompose(late, Strategy::Single, tree).unwrap();
+    let tree = shard.engine(late).unwrap().tree().unwrap().clone();
+    shard.redecompose(late, Strategy::Single, tree).unwrap();
 
     let mut count = std::collections::HashMap::<QueryId, usize>::new();
     for i in 0..3 {
         let esp_edge = EdgeEvent::homogeneous(2 * i + 1, 100 + i, ip, esp, Timestamp(10 + i));
-        for (q, _) in proc.process(&esp_edge) {
+        for (q, _) in process(&mut shard, &esp_edge) {
             *count.entry(q).or_default() += 1;
         }
     }
     assert_eq!(count.get(&early), Some(&3));
     assert_eq!(count.get(&late), Some(&1), "late lost or gained history");
-    assert_eq!(count.get(&twin), Some(&1));
+    assert_eq!(count.get(&other), Some(&1));
 }
 
 #[test]
