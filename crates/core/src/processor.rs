@@ -152,8 +152,9 @@ impl<X: Executor> Processor<X> {
     }
 
     /// Overrides how many edges each shard processes between partial-match
-    /// purges (an amortized maintenance pass; correctness of reported
-    /// matches does not depend on it). Clamped to at least 1.
+    /// purges (an amortized maintenance pass over the graph, the engines and
+    /// the unwindowed shared prefix tables; a windowed table expires its own
+    /// rows before every edge it takes). Clamped to at least 1.
     pub fn with_purge_interval(mut self, interval: u64) -> Self {
         self.on_every_shard(move |s| s.set_purge_interval(interval));
         self

@@ -22,7 +22,11 @@ use sp_sjtree::{SjTree, UNBOUND};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Default number of edges between partial-match purges.
+/// Default number of edges between purge passes. The pass expires the
+/// graph's edges, sweeps every engine's partial matches and sweeps the
+/// **unwindowed** shared prefix tables; a windowed table expires its own rows
+/// before each edge it takes, off this cadence (see
+/// [`SharedJoinIndex`]).
 pub const DEFAULT_PURGE_INTERVAL: u64 = 4096;
 
 /// One executor of the stream: a data graph, the engines registered on it,
@@ -79,9 +83,9 @@ impl Shard {
         }
     }
 
-    /// Overrides how many edges are processed between partial-match purges
-    /// (an amortized maintenance pass; correctness of reported matches does
-    /// not depend on it). Clamped to at least 1.
+    /// Overrides how many edges are processed between purge passes (see
+    /// [`DEFAULT_PURGE_INTERVAL`] for what a pass covers). Clamped to at
+    /// least 1.
     pub(crate) fn set_purge_interval(&mut self, interval: u64) {
         self.purge_interval = interval.max(1);
     }

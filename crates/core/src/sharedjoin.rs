@@ -82,9 +82,28 @@
 //! are delivered. A match over-window for one subscriber but inside another's
 //! is thus delivered exactly where the private path would have delivered
 //! it; stored partials an individual engine would have pruned early are
-//! kept (they are still needed by the loosest subscriber) and die at the
-//! table's purge instead — semantics are unaffected because a match's time
-//! span only grows as it joins upward.
+//! kept (they are still needed by the loosest subscriber) and expire with
+//! the table's window instead — semantics are unaffected because a match's
+//! time span only grows as it joins upward.
+//!
+//! # Expiry in time order
+//!
+//! The data graph is a window in time (§2 of the paper): an edge older than
+//! `t_last − tW` is gone. A windowed table follows it edge by edge, not on
+//! the shard's purge cadence. Its store keeps an expiry log
+//! ([`MatchStore::set_expiry_window`]), and before every edge it takes the
+//! table drops each row whose earliest edge is older than
+//! `latest − tW` ([`MatchStore::expire`]), `tW` being the table's window
+//! and `latest` the graph's newest timestamp. On a stream whose timestamps
+//! never decrease such a row can join no later row — the join would span
+//! the window, `joinable` refuses it, and the probe's time-range skip
+//! already steps over it — so no answer moves; the tables shrink from up
+//! to a window plus a purge interval of rows to one window. With late
+//! edges, what a windowed table reports now depends on the stream alone,
+//! no longer on the purge interval. A table whose window turns from none to
+//! some logs the rows it already holds, so they expire too. Only an
+//! unwindowed table is still swept, on the shard's cadence, by the
+//! dead-edge rule ([`SharedJoinIndex::purge`]).
 //!
 //! # Lazy Search moves to emit time
 //!
@@ -155,6 +174,13 @@ fn chain_and_mapping(tree: &SjTree) -> Option<(PrefixSignature, CanonicalMapping
     }
     let leaves: Vec<_> = tree.leaf_subgraphs().cloned().collect();
     prefix_chain(tree.query(), leaves.iter())
+}
+
+/// Whether a row spanning `earliest..=latest` already spans the table
+/// `window`: every join it takes part in spans at least as much, so the
+/// table does not store it — it could only wait there to expire.
+fn outlives(window: Option<u64>, earliest: u64, latest: u64) -> bool {
+    window.is_some_and(|tw| latest.saturating_sub(earliest) >= tw)
 }
 
 /// One query's subscription to a prefix table.
@@ -257,7 +283,7 @@ struct PrefixEntry {
     /// every descendant's; `None` = someone is unwindowed): a parent's
     /// emissions feed its children, so its table must retain at least as
     /// much as any consumer downstream. Prunes joins inside the table and
-    /// drives the periodic purge.
+    /// sets its expiry cutoff.
     window: Option<u64>,
     /// Subscribers in subscription order (the node refcount is
     /// `subs.len()`, but lifetime also considers `children`).
@@ -316,12 +342,22 @@ impl PrefixEntry {
         self.sig.depth()
     }
 
+    /// Drops the rows the table's window has passed: those whose earliest
+    /// edge is older than `latest − window` (see the module docs). Returns
+    /// how many; an unwindowed table drops nothing here.
+    fn expire(&mut self, latest: Timestamp) -> u64 {
+        self.window.map_or(0, |tw| {
+            self.store.expire(&self.tree, latest.0.saturating_sub(tw)) as u64
+        })
+    }
+
     /// Runs the prefix's per-edge work against the shared table, leaving the
-    /// new prefix-root rows in `pending`: first consumes `parent_feed` — the
-    /// trie parent's emission rows for this same edge, in `parent_layout` —
-    /// as inserts at the consume node, then runs the leaf searches for this
-    /// node's own ranks (`parent_depth..`). Returns `(searches run, leaf
-    /// matches found, matches inserted)`.
+    /// new prefix-root rows in `pending`: first expires the rows the window
+    /// has passed, then consumes `parent_feed` — the trie parent's emission
+    /// rows for this same edge, in `parent_layout` — as inserts at the
+    /// consume node, then runs the leaf searches for this node's own ranks
+    /// (`parent_depth..`). Returns `(searches run, leaf matches found,
+    /// matches inserted, rows expired)`.
     fn advance(
         &mut self,
         graph: &DynamicGraph,
@@ -329,7 +365,8 @@ impl PrefixEntry {
         parent_feed: &[u64],
         parent_layout: RowLayout,
         scratch: &mut SearchScratch,
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64, u64, u64) {
+        let expired = self.expire(graph.latest_timestamp());
         self.pending.clear();
         self.advanced_for = Some(edge.id);
         let inserted_before = self.store.lifetime_inserted();
@@ -340,6 +377,13 @@ impl PrefixEntry {
             // parent's rows are adopted slot for slot.
             let consume = self.tree.prefix_root(self.parent_depth);
             for row in parent_feed.chunks_exact(parent_layout.stride()) {
+                if outlives(
+                    self.window,
+                    parent_layout.earliest(row),
+                    parent_layout.latest(row),
+                ) {
+                    continue;
+                }
                 let row = self.store.adopt(row, parent_layout);
                 self.store.insert_row(
                     &self.tree,
@@ -358,7 +402,7 @@ impl PrefixEntry {
             }
         }
         let inserts = self.store.lifetime_inserted() - inserted_before;
-        (searches, leaf_matches, inserts)
+        (searches, leaf_matches, inserts, expired)
     }
 
     /// One anchored leaf search of the table's canonical query around
@@ -383,6 +427,10 @@ impl PrefixEntry {
         let mut found = 0;
         find_matches_containing_edge_with(graph, query, subgraph, edge, scratch, |m| {
             found += 1;
+            let (earliest, latest) = m.time_span();
+            if outlives(*window, earliest.0, latest.0) {
+                return;
+            }
             let row = store.encode(m);
             store.insert_row(tree, leaf, row, *window, pending, None);
         });
@@ -396,14 +444,25 @@ impl PrefixEntry {
     /// lies entirely in the retained (pre-subscription) graph, so whoever
     /// was subscribed when its last edge arrived already consumed it.
     ///
+    /// A windowed table expires as it replays. It skips every edge older
+    /// than its expiry cutoff: each row such an edge anchors binds it, so
+    /// the table would drop the row before its next edge anyway. Then it
+    /// expires once at the cutoff, for the rows of newer edges that bind an
+    /// older one. Returns the rows so expired.
+    ///
     /// The replay always runs **all** ranks — a node with a trie parent
     /// needs the lower stages live while the joins propagate upward — and
     /// the caller clears the parent-owned stages afterwards
     /// ([`MatchStore::clear_below_prefix`]).
-    fn replay(&mut self, graph: &DynamicGraph, scratch: &mut SearchScratch) {
+    fn replay(&mut self, graph: &DynamicGraph, scratch: &mut SearchScratch) -> u64 {
         self.store.clear();
         self.advanced_for = None;
+        let latest = graph.latest_timestamp();
+        let cutoff = self.window.map_or(0, |tw| latest.0.saturating_sub(tw));
         for edge in &retained_edges(graph, self.tree.edge_types()) {
+            if edge.timestamp.0 < cutoff {
+                continue;
+            }
             for rank in 0..self.tree.num_leaves() {
                 if self.tree.leaf_edge_types(rank).contains(&edge.edge_type) {
                     self.search_and_insert(graph, edge, self.tree.leaf(rank), scratch);
@@ -411,6 +470,7 @@ impl PrefixEntry {
             }
             self.pending.clear();
         }
+        self.expire(latest)
     }
 
     /// The boundary value of a prefix-root row: the smallest, over the
@@ -483,6 +543,12 @@ pub struct SharedJoinStats {
     /// Parent-node emissions consumed by child trie nodes in place of
     /// re-running the parent's leaf searches and joins.
     pub parent_feeds: u64,
+    /// Partial-match rows the live tables hold right now: the sum of their
+    /// arenas' O(1) live counts, the tables' own share of memory.
+    pub live_rows: usize,
+    /// Rows the tables dropped since construction: by their expiry log when
+    /// windowed, by the dead-edge sweep when not.
+    pub rows_expired: u64,
 }
 
 impl SharedJoinStats {
@@ -690,6 +756,12 @@ impl SharedJoinIndex {
                 .map(PrefixEntry::depth)
                 .max()
                 .unwrap_or(0),
+            live_rows: self
+                .entries
+                .iter()
+                .flatten()
+                .map(|e| e.store.live_rows())
+                .sum(),
             ..self.counts
         }
     }
@@ -865,7 +937,7 @@ impl SharedJoinIndex {
         while let Some(i) = cur {
             let entry = self.entries[i].as_mut().expect("live entry");
             if boundary < entry.populated_since {
-                entry.replay(graph, &mut self.scratch);
+                self.counts.rows_expired += entry.replay(graph, &mut self.scratch);
                 // The stages a trie parent owns on this node's behalf were
                 // only needed while the replayed joins propagated upward.
                 entry
@@ -903,6 +975,9 @@ impl SharedJoinIndex {
             let e = self.entries[i].as_mut().expect("filtered live");
             e.subtree_subs = subs;
             e.window = retention_for_windows(windows);
+            // A window from none to some logs the rows already stored, so
+            // they expire like every later one.
+            e.store.set_expiry_window(e.window);
         }
         for ids in self.by_type.values_mut() {
             ids.sort_by_key(|&i| (self.entries[i].as_ref().map(PrefixEntry::depth), i));
@@ -1026,7 +1101,7 @@ impl SharedJoinIndex {
                 Some((rows, layout)) => (rows.as_slice(), *layout),
                 None => (&[][..], entry.layout),
             };
-            let (searches, leaf_matches, inserts) =
+            let (searches, leaf_matches, inserts, expired) =
                 entry.advance(graph, edge, feed, feed_layout, &mut self.scratch);
             let saved = entry.subtree_subs.saturating_sub(1) as u64;
             let counts = &mut self.counts;
@@ -1037,6 +1112,7 @@ impl SharedJoinIndex {
             counts.inserts_saved += inserts * saved;
             counts.emissions += (entry.pending.len() / entry.layout.stride()) as u64;
             counts.parent_feeds += (feed.len() / feed_layout.stride()) as u64;
+            counts.rows_expired += expired;
             if let (Some(p), Some((buf, _))) = (parent, parent_pending) {
                 self.entries[p]
                     .as_mut()
@@ -1101,12 +1177,16 @@ impl SharedJoinIndex {
         }
     }
 
-    /// Purges every table by its table-level window ([`MatchStore::purge`];
-    /// an unwindowed table drops rows with dead edges).
+    /// Sweeps every **unwindowed** table by the dead-edge rule: a row that
+    /// binds an edge no longer in `graph` goes ([`MatchStore::purge`]). A
+    /// windowed table is not swept: it expires its own rows before each
+    /// edge it takes (see the module docs).
     pub(crate) fn purge(&mut self, graph: &DynamicGraph) {
         let latest = graph.latest_timestamp();
         for entry in self.entries.iter_mut().flatten() {
-            entry.store.purge(graph, latest, entry.window);
+            if entry.window.is_none() {
+                self.counts.rows_expired += entry.store.purge(graph, latest, None) as u64;
+            }
         }
     }
 }
@@ -1416,6 +1496,120 @@ mod tests {
         ));
         let stats = index.stats();
         assert_eq!((stats.emissions, stats.deliveries), (1, 2));
+    }
+
+    /// Adds an edge of type `ty` between vertices `src` and `dst` at `ts`
+    /// and advances the index for it.
+    fn feed(
+        f: &mut Fixture,
+        v: &[VertexId],
+        (src, dst, ty, ts): (usize, usize, u32, u64),
+    ) -> EdgeData {
+        let id = f
+            .graph
+            .add_edge(v[src], v[dst], EdgeType(ty), Timestamp(ts));
+        let edge = *f.graph.edge(id).unwrap();
+        f.index.advance_edge(&f.graph, &edge);
+        edge
+    }
+
+    /// A fixture over a graph of `n` vertices, and those vertices.
+    fn with_vertices(n: usize) -> (Fixture, Vec<VertexId>) {
+        let mut schema = Schema::new();
+        let vt = schema.intern_vertex_type("v");
+        let mut f = Fixture::on(DynamicGraph::new(schema));
+        let v = (0..n).map(|_| f.graph.add_vertex(vt)).collect();
+        (f, v)
+    }
+
+    /// The expiry invariant, edge by edge on a time-ordered stream: once a
+    /// windowed table has taken an edge, it holds no row whose earliest
+    /// edge is older than `latest − window` — at leaves, at an internal
+    /// join node (a parentless depth-3 table), at a consume node (a trie
+    /// child, whose parent runs a looser window) — and the counters agree.
+    #[test]
+    fn windowed_tables_hold_no_row_the_window_has_passed() {
+        let (mut f, v) = with_vertices(12);
+        f.chain(0, &[1, 2], Some(100));
+        f.chain(1, &[1, 2], Some(50));
+        f.chain(2, &[1, 2, 3], Some(40));
+        f.chain(3, &[1, 2, 3], Some(40));
+        f.chain(4, &[4, 5, 6], Some(80));
+        f.chain(5, &[4, 5, 6], Some(60));
+        let shape: Vec<_> = f
+            .index
+            .trie_nodes()
+            .iter()
+            .map(|n| (n.depth, n.parent_depth))
+            .collect();
+        assert_eq!(shape, vec![(2, None), (3, Some(2)), (3, None)]);
+        let (mut state, mut ts) = (7u64, 0u64);
+        let mut joined_rows_seen = 0;
+        for _ in 0..3_000 {
+            let mut draw = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            ts += draw(4);
+            let (src, dst) = (draw(12) as usize, draw(12) as usize);
+            let edge = feed(&mut f, &v, (src, dst, 1 + draw(6) as u32, ts));
+            let latest = f.graph.latest_timestamp().0;
+            for entry in f.index.entries.iter().flatten() {
+                let tw = entry.window.expect("every table here is windowed");
+                if entry.advanced_for == Some(edge.id) {
+                    let oldest = entry.store.oldest().map_or(latest, |t| t.0);
+                    assert!(
+                        oldest >= latest.saturating_sub(tw),
+                        "a depth-{} table holds a row from {oldest} at {latest} under window {tw}",
+                        entry.depth()
+                    );
+                }
+            }
+            joined_rows_seen += f
+                .index
+                .trie_nodes()
+                .iter()
+                .filter(|n| n.depth == 3)
+                .map(|n| n.live_by_node[3])
+                .sum::<usize>();
+        }
+        assert!(
+            joined_rows_seen > 0,
+            "no internal or consume node held a row"
+        );
+        let stats = f.index.stats();
+        let live: usize = f
+            .index
+            .entries
+            .iter()
+            .flatten()
+            .map(|e| e.store.live_rows())
+            .sum();
+        assert_eq!(stats.live_rows, live);
+        assert!(
+            stats.rows_expired > 1_000,
+            "{} rows expired",
+            stats.rows_expired
+        );
+    }
+
+    /// A table whose window turns from none to some expires the rows it
+    /// stored while it had none, at the next edge it takes.
+    #[test]
+    fn a_window_from_none_to_some_expires_the_rows_stored_without_one() {
+        let (mut f, v) = with_vertices(30);
+        f.chain(0, &[1, 2], None);
+        f.chain(1, &[1, 2], Some(100));
+        for i in 0..10 {
+            feed(&mut f, &v, (i, i + 10, 1, i as u64));
+        }
+        assert_eq!(f.index.stats().live_rows, 10);
+        f.index.unsubscribe(QueryId(0));
+        feed(&mut f, &v, (20, 21, 1, 500));
+        let stats = f.index.stats();
+        assert_eq!((stats.live_rows, stats.rows_expired), (1, 10));
     }
 
     #[test]

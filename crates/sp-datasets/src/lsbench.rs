@@ -164,11 +164,17 @@ impl LsbenchConfig {
             edge_type: sp_graph::EdgeType,
             src: VertexType,
             dst: VertexType,
-            src_pool: ZipfSampler,
-            dst_pool: ZipfSampler,
             weight: f64,
             phase: Phase,
         }
+        // One popularity sampler per vertex type, indexed by its id: a pool's
+        // CDF depends on the type alone, so the relations that draw from it
+        // share it (one per relation end was 90 CDFs, most of the
+        // generator's peak heap).
+        let pools: Vec<ZipfSampler> = vertex_names
+            .iter()
+            .map(|name| ZipfSampler::new(self.pool_size(name), self.popularity_exponent))
+            .collect();
         let mut rels = Vec::with_capacity(RELATIONS.len());
         for (name, src, dst, weight, phase) in RELATIONS {
             let edge_type = schema.intern_edge_type(name);
@@ -176,8 +182,6 @@ impl LsbenchConfig {
                 edge_type,
                 src: vertex_types[src],
                 dst: vertex_types[dst],
-                src_pool: ZipfSampler::new(self.pool_size(src), self.popularity_exponent),
-                dst_pool: ZipfSampler::new(self.pool_size(dst), self.popularity_exponent),
                 weight,
                 phase,
             });
@@ -214,10 +218,10 @@ impl LsbenchConfig {
                 &activity_weights
             };
             let rel = &rels[weighted_index(weights, &mut rng)];
-            let src_entity =
-                (rel.src.0 as u64 + 1) * ID_STRIDE + rel.src_pool.sample(&mut rng) as u64;
-            let dst_entity =
-                (rel.dst.0 as u64 + 1) * ID_STRIDE + rel.dst_pool.sample(&mut rng) as u64;
+            let src_entity = (rel.src.0 as u64 + 1) * ID_STRIDE
+                + pools[rel.src.0 as usize].sample(&mut rng) as u64;
+            let dst_entity = (rel.dst.0 as u64 + 1) * ID_STRIDE
+                + pools[rel.dst.0 as usize].sample(&mut rng) as u64;
             if src_entity == dst_entity {
                 continue;
             }

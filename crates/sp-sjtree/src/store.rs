@@ -52,8 +52,17 @@
 //!   `latest(new) < tw` nothing is that old and the probe starts at 0. On a
 //!   hub vertex whose bucket outlives the window between two purges, the
 //!   skipped prefix is most of the bucket.
-//! * **purge** — the window-expired rows are a prefix too, found by
-//!   `partition_point` and drained from the front; the order stays.
+//! * **expiry** — the window-expired rows are a prefix too. A bucket counts
+//!   the dead slots in front of its live rows, so an expired prefix leaves
+//!   in O(expired) without moving the live suffix; the dead slots are
+//!   compacted away once they outnumber the live ones. Two passes find the
+//!   prefixes: [`MatchStore::purge`], a sweep over every bucket that the
+//!   engines run on the shard's purge cadence, and [`MatchStore::expire`],
+//!   which visits only the buckets its **expiry log** names. The log holds
+//!   one `(earliest, row, node)` entry per stored row, oldest first, so an
+//!   expiry costs the rows it drops and nothing per live row; the shared
+//!   prefix tables of `core` run it before every edge they take
+//!   ([`MatchStore::set_expiry_window`]).
 //!
 //! Joins are therefore reported in time order of the sibling row, not in
 //! lexicographic order of its bindings; which joins are reported does not
@@ -64,6 +73,8 @@ use crate::tree::SjTree;
 use sp_graph::{DynamicGraph, EdgeId, FastMap, Timestamp, VertexId};
 use sp_iso::SubgraphMatch;
 use sp_query::{QueryEdgeId, QueryGraph, QueryVertexId};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Maximum number of cut vertices a [`JoinKey`] stores without a heap
 /// allocation. Real decompositions join on one or two shared vertices; three
@@ -96,7 +107,201 @@ enum JoinKey {
 /// per insert does not heap-allocate, and hashed by the seeded word hasher
 /// of [`FastMap`] (an insert hashes its key three times). Buckets hold arena
 /// row ids in **time order** — see the module docs.
-type RowTable = FastMap<JoinKey, Vec<u32>>;
+type RowTable = FastMap<JoinKey, Bucket>;
+
+/// The rows of one node under one join key, in time order. `words[0]`
+/// counts the dead slots that follow it — rows an expiry already dropped —
+/// and the live rows come after those, so a bucket stays one `Vec` wide in
+/// its table. The dead slots are compacted away once they outnumber the
+/// live ones: dropping a prefix costs O(dropped) amortized whatever the
+/// bucket's size.
+#[derive(Debug, Clone)]
+struct Bucket {
+    words: Vec<u32>,
+}
+
+impl Bucket {
+    /// An empty bucket in a recycled vector.
+    fn from_vec(mut words: Vec<u32>) -> Self {
+        words.clear();
+        words.push(0);
+        Self { words }
+    }
+
+    fn start(&self) -> usize {
+        1 + self.words[0] as usize
+    }
+
+    /// The live rows, oldest first.
+    fn live(&self) -> &[u32] {
+        &self.words[self.start()..]
+    }
+
+    fn len(&self) -> usize {
+        self.words.len() - self.start()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Stores `row` at live position `at`.
+    fn insert(&mut self, at: usize, row: u32) {
+        let start = self.start();
+        self.words.insert(start + at, row);
+    }
+
+    /// Drops the `n` oldest live rows.
+    fn drop_front(&mut self, n: usize) {
+        let dead = self.words[0] as usize + n;
+        if dead > self.words.len() - 1 - dead {
+            self.words.drain(1..1 + dead);
+            self.words[0] = 0;
+        } else {
+            self.words[0] = dead as u32;
+        }
+    }
+
+    /// Keeps the live rows `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&u32) -> bool) {
+        let mut kept = 1;
+        for i in self.start()..self.words.len() {
+            let row = self.words[i];
+            if keep(&row) {
+                self.words[kept] = row;
+                kept += 1;
+            }
+        }
+        self.words.truncate(kept);
+        self.words[0] = 0;
+    }
+
+    /// The vector, for the bucket free list.
+    fn into_vec(self) -> Vec<u32> {
+        self.words
+    }
+}
+
+/// One stored row as the expiry log remembers it. `earliest` is a copy:
+/// row ids are recycled, and a reused id must not move the entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Logged {
+    earliest: u64,
+    row: u32,
+    node: u32,
+}
+
+/// Slots per window of an [`ExpiryLog`]: a slot is the widest power of two
+/// of timestamp ticks at most `window / LOG_SLOTS_PER_WINDOW` wide.
+const LOG_SLOTS_PER_WINDOW: u64 = 64;
+
+/// The expiry log of a [`MatchStore`]: an entry per stored row, in a ring of
+/// time slots by `earliest`. A slot is a power of two of ticks wide, sized
+/// from the window, so one window spans [`LOG_SLOTS_PER_WINDOW`] to twice
+/// as many slots.
+/// An entry is appended to its slot — a leaf row of a time-ordered stream
+/// lands in the newest, a join, whose `earliest` is its older operand's,
+/// further back — and the slots wholly older than a cutoff are drained
+/// whole. Only the slot the cutoff falls in is sorted, once, so its oldest
+/// entries pop off its end. Drained slot vectors are reused, so a warm log
+/// allocates nothing.
+#[derive(Debug, Clone)]
+struct ExpiryLog {
+    /// log2 of a slot's width in timestamp ticks.
+    shift: u32,
+    /// Slot number (`earliest >> shift`) of `slots[0]`; at least that of
+    /// the last cutoff.
+    base: u64,
+    /// `slots[i]` holds the entries of slot `base + i`; `slots[0]` also
+    /// holds every older one (a row of a late edge).
+    slots: VecDeque<Vec<Logged>>,
+    /// Whether `slots[0]` is sorted newest first.
+    front_sorted: bool,
+    /// Emptied slot vectors, kept for their capacity.
+    spare: Vec<Vec<Logged>>,
+}
+
+impl ExpiryLog {
+    /// An empty log for a window of `window` ticks holding `entries`. An
+    /// entry more than a window older than the newest one goes to the front
+    /// slot, so the ring spans one window whatever the entries span.
+    fn new(window: u64, entries: Vec<Logged>) -> Self {
+        let shift = Self::shift_for(window);
+        let newest = entries.iter().map(|e| e.earliest >> shift).max();
+        let mut log = Self {
+            shift,
+            base: newest.map_or(0, |n| n.saturating_sub(LOG_SLOTS_PER_WINDOW)),
+            slots: VecDeque::new(),
+            front_sorted: false,
+            spare: Vec::new(),
+        };
+        for entry in entries {
+            log.push(entry);
+        }
+        log
+    }
+
+    /// log2 of the slot width for a window of `window` ticks.
+    fn shift_for(window: u64) -> u32 {
+        (window / LOG_SLOTS_PER_WINDOW).max(1).ilog2()
+    }
+
+    fn push(&mut self, entry: Logged) {
+        let slot = entry.earliest >> self.shift;
+        if self.slots.is_empty() {
+            self.base = self.base.max(slot);
+        }
+        let i = slot.saturating_sub(self.base) as usize;
+        while self.slots.len() <= i {
+            self.slots.push_back(self.spare.pop().unwrap_or_default());
+        }
+        self.front_sorted &= i > 0;
+        self.slots[i].push(entry);
+    }
+
+    /// Pops an entry whose `earliest` is below `cutoff`, while there is one:
+    /// first the whole slots older than the cutoff's, then, oldest first,
+    /// those of the front slot.
+    fn pop_before(&mut self, cutoff: u64) -> Option<Logged> {
+        let last = cutoff >> self.shift;
+        loop {
+            let Some(front) = self.slots.front_mut() else {
+                self.base = self.base.max(last);
+                return None;
+            };
+            if self.base < last {
+                if let Some(entry) = front.pop() {
+                    return Some(entry);
+                }
+                let emptied = self.slots.pop_front().expect("front slot exists");
+                self.spare.push(emptied);
+                self.base += 1;
+                self.front_sorted = false;
+                continue;
+            }
+            if !self.front_sorted {
+                front.sort_unstable_by(|a, b| b.cmp(a));
+                self.front_sorted = true;
+            }
+            return match front.last() {
+                Some(entry) if entry.earliest < cutoff => front.pop(),
+                _ => None,
+            };
+        }
+    }
+
+    /// Every entry, in no particular order.
+    fn entries(&self) -> impl Iterator<Item = Logged> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+
+    fn clear(&mut self) {
+        while let Some(mut slot) = self.slots.pop_front() {
+            slot.clear();
+            self.spare.push(slot);
+        }
+    }
+}
 
 /// Upper bound on recycled bucket vectors kept in a store's free list. A
 /// purge can empty thousands of buckets at once; retaining a bounded pool
@@ -562,6 +767,9 @@ pub struct MatchStore {
     /// the purge/clear paths and drained by inserts at previously unseen
     /// join keys.
     spare: Vec<Vec<u32>>,
+    /// One entry per stored row while the owner expires the store by
+    /// [`MatchStore::expire`]; `None` (the default) logs nothing.
+    log: Option<ExpiryLog>,
     inserted: Vec<u64>,
     /// Row buffer of the [`MatchStore::insert`] adapter, kept for its
     /// capacity; empty between calls.
@@ -577,6 +785,7 @@ impl MatchStore {
             arena: RowArena::new(layout.edges, layout.vertices),
             tables: vec![RowTable::default(); tree.num_nodes()],
             spare: Vec::new(),
+            log: None,
             inserted: vec![0; tree.num_nodes()],
             reported: Vec::new(),
         }
@@ -733,6 +942,7 @@ impl MatchStore {
         // up front.
         let (insert_at, recycled) = match self.tables[node.0].get(&key) {
             Some(bucket) => {
+                let bucket = bucket.live();
                 let found = match bucket.last() {
                     Some(&last) if self.arena.cmp_rows(last, row).is_ge() => {
                         bucket.binary_search_by(|&r| self.arena.cmp_rows(r, row))
@@ -765,6 +975,7 @@ impl MatchStore {
             self.spare.pop().unwrap_or_default()
         };
         if let Some(bucket) = self.tables[sibling.0].get(&key) {
+            let bucket = bucket.live();
             // A sibling row whose `earliest` is at or before `latest(row) -
             // tw` spans the window with `row` whatever else it binds, and
             // those rows are a prefix of the time-ordered bucket: skip it.
@@ -788,7 +999,9 @@ impl MatchStore {
         // Store the new row at this node (line 12), preserving the bucket
         // order.
         let bucket = match recycled {
-            Some(fresh) => self.tables[node.0].entry(key).or_insert(fresh),
+            Some(fresh) => self.tables[node.0]
+                .entry(key)
+                .or_insert(Bucket::from_vec(fresh)),
             None => self.tables[node.0]
                 .get_mut(&key)
                 .expect("bucket existed at the dedup probe above"),
@@ -798,6 +1011,13 @@ impl MatchStore {
             t.record(node, self.arena.row_vertices(row));
         }
         bucket.insert(insert_at, row);
+        if let Some(log) = self.log.as_mut() {
+            log.push(Logged {
+                earliest: self.arena.earliest(row),
+                row,
+                node: node.0 as u32,
+            });
+        }
 
         // Push successful joins up the tree (lines 8-11).
         for j in joined.drain(..) {
@@ -808,13 +1028,26 @@ impl MatchStore {
 
     /// Number of partial matches currently stored at a node.
     pub fn live_matches(&self, node: NodeId) -> usize {
-        self.tables[node.0].values().map(Vec::len).sum()
+        self.tables[node.0].values().map(Bucket::len).sum()
     }
 
     /// Number of partial matches currently stored across all nodes — the sum
     /// of [`MatchStore::live_matches`] over every node, in O(1).
     pub fn live_rows(&self) -> usize {
         self.arena.live()
+    }
+
+    /// The earliest timestamp of the oldest stored row (`None` when the
+    /// store is empty), read off every bucket's front row — a diagnostic
+    /// for the expiry tests, O(buckets).
+    pub fn oldest(&self) -> Option<Timestamp> {
+        self.tables
+            .iter()
+            .flat_map(|t| t.values())
+            .filter_map(|b| b.live().first())
+            .map(|&r| self.arena.earliest(r))
+            .min()
+            .map(Timestamp)
     }
 
     /// Total matches ever inserted at a node.
@@ -835,17 +1068,19 @@ impl MatchStore {
     pub fn decoded_at(&self, node: NodeId) -> Vec<SubgraphMatch> {
         self.tables[node.0]
             .values()
-            .flatten()
+            .flat_map(Bucket::live)
             .map(|&r| self.arena.layout().materialize(self.arena.row(r)))
             .collect()
     }
 
-    /// Single-pass maintenance. With `window = Some(tw)`, removes every
-    /// stored partial match that is expired: its earliest edge is older
-    /// than `latest - tw`, so by the time any future edge — with timestamp
-    /// ≥ `latest` — could join it, the join already spans the window. Those
-    /// rows are the time-ordered prefix of each bucket, so each bucket
-    /// loses a prefix and keeps its order.
+    /// The sweep: one pass over every bucket, which is how the engines'
+    /// stores expire, on the shard's purge cadence (a store with an expiry
+    /// log runs [`MatchStore::expire`] instead). With `window = Some(tw)`,
+    /// removes every stored partial match that is expired: its earliest
+    /// edge is older than `latest - tw`, so by the time any future edge —
+    /// with timestamp ≥ `latest` — could join it, the join already spans the
+    /// window. Those rows are the time-ordered prefix of each bucket, so
+    /// each bucket loses a prefix and keeps its order.
     ///
     /// A windowed store does not probe the graph: while the graph retains
     /// at least every store's window (the control plane's retention rule,
@@ -875,10 +1110,13 @@ impl MatchStore {
                 let before = bucket.len();
                 match cutoff {
                     Some(cutoff) => {
-                        let expired = bucket.partition_point(|&r| layout.earliest(row(r)) < cutoff);
-                        free.extend(bucket.drain(..expired));
+                        let expired = bucket
+                            .live()
+                            .partition_point(|&r| layout.earliest(row(r)) < cutoff);
+                        free.extend_from_slice(&bucket.live()[..expired]);
+                        bucket.drop_front(expired);
                         debug_assert!(
-                            bucket.iter().all(|&r| live(r)),
+                            bucket.live().iter().all(|&r| live(r)),
                             "a row inside its window references an expired edge: \
                              the graph must retain at least every store's window"
                         );
@@ -896,7 +1134,7 @@ impl MatchStore {
                 // to the free list — window expiry returns memory to the
                 // store, not the allocator.
                 if bucket.is_empty() {
-                    recycle(&mut self.spare, std::mem::take(bucket));
+                    recycle(&mut self.spare, std::mem::take(&mut bucket.words));
                     false
                 } else {
                     true
@@ -912,11 +1150,116 @@ impl MatchStore {
     pub fn clear(&mut self) {
         for table in &mut self.tables {
             for (_, bucket) in table.drain() {
-                recycle(&mut self.spare, bucket);
+                recycle(&mut self.spare, bucket.into_vec());
             }
         }
         self.arena.data.clear();
         self.arena.free.clear();
+        if let Some(log) = self.log.as_mut() {
+            log.clear();
+        }
+    }
+
+    /// Sets the window the store is expired by. With `Some(tw)` the store
+    /// keeps an expiry log, sized for `tw`: every stored row is logged — the
+    /// rows already stored on the spot, every later one as it is stored —
+    /// and the owner expires the store with [`MatchStore::expire`] instead of
+    /// sweeping it with [`MatchStore::purge`]. With `None` the log is
+    /// dropped. A window that keeps the log's slot width keeps the log.
+    pub fn set_expiry_window(&mut self, window: Option<u64>) {
+        let Some(tw) = window else {
+            self.log = None;
+            return;
+        };
+        let shift = ExpiryLog::shift_for(tw);
+        if self.log.as_ref().is_some_and(|log| log.shift == shift) {
+            return;
+        }
+        let entries: Vec<Logged> = match &self.log {
+            Some(log) => log.entries().collect(),
+            None => self
+                .tables
+                .iter()
+                .enumerate()
+                .flat_map(|(node, table)| {
+                    table
+                        .values()
+                        .flat_map(Bucket::live)
+                        .map(move |&row| (node, row))
+                })
+                .map(|(node, row)| Logged {
+                    earliest: self.arena.earliest(row),
+                    row,
+                    node: node as u32,
+                })
+                .collect(),
+        };
+        self.log = Some(ExpiryLog::new(tw, entries));
+    }
+
+    /// Drops every stored row whose earliest edge is older than `cutoff`
+    /// (`latest - tw` for a window `tw`, the sweep's cutoff) and returns how
+    /// many. Only the buckets the expiry log names are visited: each log
+    /// entry older than `cutoff` re-projects its row's join key and drops
+    /// the expired prefix of that bucket. The entry's row may have left
+    /// already with a prefix an earlier entry dropped, and its id may have
+    /// been reused since; the entry then drops only rows that are expired
+    /// anyway. Removed rows go back to the arena free list, emptied buckets
+    /// to the bucket free list. Without a log
+    /// ([`MatchStore::set_expiry_window`]) nothing happens.
+    ///
+    /// Afterwards no row older than `cutoff` is stored, since every row
+    /// was logged with its own `earliest`; debug builds check it on every
+    /// bucket's oldest row.
+    pub fn expire(&mut self, tree: &SjTree, cutoff: u64) -> usize {
+        let Some(log) = self.log.as_mut() else {
+            return 0;
+        };
+        let mut removed = 0;
+        while let Some(entry) = log.pop_before(cutoff) {
+            let node = NodeId(entry.node as usize);
+            let parent = tree.parent(node).expect("stored rows sit below the root");
+            let Some(key) = self
+                .arena
+                .project_key(entry.row, &tree.node(parent).cut_vertices)
+            else {
+                continue;
+            };
+            let Entry::Occupied(mut bucket) = self.tables[node.0].entry(key) else {
+                continue;
+            };
+            // Mostly the entry's own row is the bucket's oldest, and its
+            // words are warm from the projection: drop it alone. Otherwise
+            // (a row of equal `earliest` sorts first, or the entry is
+            // stale) walk the expired prefix.
+            let live = bucket.get().live();
+            let expired = if live[0] == entry.row && self.arena.earliest(entry.row) < cutoff {
+                1
+            } else {
+                live.iter()
+                    .take_while(|&&r| self.arena.earliest(r) < cutoff)
+                    .count()
+            };
+            if expired == 0 {
+                continue;
+            }
+            self.arena
+                .free
+                .extend_from_slice(&bucket.get().live()[..expired]);
+            bucket.get_mut().drop_front(expired);
+            removed += expired;
+            if bucket.get().is_empty() {
+                recycle(&mut self.spare, bucket.remove().into_vec());
+            }
+        }
+        debug_assert!(
+            self.tables.iter().flat_map(|t| t.values()).all(|b| b
+                .live()
+                .first()
+                .is_none_or(|&r| self.arena.earliest(r) >= cutoff)),
+            "a row older than the expiry cutoff outlived expire"
+        );
+        removed
     }
 
     /// Drops the tables a shared prefix of `depth` leading leaves makes
@@ -941,10 +1284,8 @@ impl MatchStore {
     /// intact.
     fn clear_node(&mut self, node: NodeId) {
         for (_, bucket) in self.tables[node.0].drain() {
-            for &r in &bucket {
-                self.arena.release(r);
-            }
-            recycle(&mut self.spare, bucket);
+            self.arena.free.extend_from_slice(bucket.live());
+            recycle(&mut self.spare, bucket.into_vec());
         }
     }
 }
@@ -991,6 +1332,7 @@ mod tests {
         let layout = store.row_layout();
         for bucket in store.tables.iter().flat_map(|t| t.values()) {
             let keys: Vec<(u64, &[u64])> = bucket
+                .live()
                 .iter()
                 .map(|&r| (layout.earliest(store.arena.row(r)), store.arena.row(r)))
                 .collect();

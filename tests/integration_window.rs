@@ -274,3 +274,187 @@ fn window_equivalence_between_lazy_and_eager() {
         assert_eq!(*found, reference, "{strategy} disagrees under a window");
     }
 }
+
+/// `esp`-`tcp` schema of the hand-built expiry cases.
+fn cyber_schema() -> Schema {
+    let mut schema = Schema::new();
+    schema.intern_vertex_type("ip");
+    schema.intern_edge_type("tcp");
+    schema.intern_edge_type("esp");
+    schema
+}
+
+/// A late edge meets a shared prefix table whose window has passed the row
+/// it would join. `a -tcp-> b -esp-> c` rides one table at full depth under
+/// a wide (100) and a narrow (50) window. `tcp 1→2 @ 0` is joined in time
+/// by `esp 2→3 @ 70` (span 70: wide only). Then `tcp 10→11 @ 250` moves
+/// the graph on, and `esp 2→7 @ 50` arrives late: it would join `tcp 1→2`
+/// with a span of 50, but that row is older than `250 − 100` and the table
+/// expires it before the late edge's search, so neither query reports it —
+/// whatever the purge interval, on every executor. Along the way: a table
+/// edge at 60 must not expire rows by the narrow window (the table keeps the
+/// wide one), and a span of exactly 50 is outside the narrow window.
+/// Each query is registered [`COPIES`] times, so that every shard of every
+/// executor runs the table with both windows.
+#[test]
+fn a_late_edge_finds_the_row_it_would_join_expired_at_any_purge_interval() {
+    let schema = cyber_schema();
+    let ip = schema.vertex_type("ip").unwrap();
+    let (tcp, esp) = (
+        schema.edge_type("tcp").unwrap(),
+        schema.edge_type("esp").unwrap(),
+    );
+    let edge = |src, dst, ty, ts| EdgeEvent::homogeneous(src, dst, ip, ty, Timestamp(ts));
+    let stream = [
+        edge(1, 2, tcp, 0),
+        edge(8, 9, tcp, 60),
+        edge(2, 3, esp, 70),
+        edge(4, 5, tcp, 100),
+        edge(5, 6, esp, 150),
+        edge(10, 11, tcp, 250),
+        edge(2, 7, esp, 50),
+        edge(20, 21, tcp, 260),
+        edge(21, 22, esp, 270),
+    ];
+    for interval in [1, 64, 4096] {
+        let runs = on_every_executor!(&schema, |_, p| {
+            let mut p = p.with_statistics(false).with_purge_interval(interval);
+            let q = two_hop_tcp_esp(&schema);
+            let wide: Vec<QueryId> = (0..COPIES)
+                .map(|_| p.register(q.clone(), Strategy::Single, Some(100)).unwrap())
+                .collect();
+            let narrow: Vec<QueryId> = (0..COPIES)
+                .map(|_| {
+                    p.register(q.clone(), Strategy::SingleLazy, Some(50))
+                        .unwrap()
+                })
+                .collect();
+            let mut matches: Vec<(QueryId, SubgraphMatch)> = Vec::new();
+            p.process_all_into(stream.iter(), &mut matches);
+            let spans = |id: &QueryId| {
+                let mut spans: Vec<(u64, u64)> = matches
+                    .iter()
+                    .filter(|(q, _)| q == id)
+                    .map(|(_, m)| (m.time_span().0 .0, m.time_span().1 .0))
+                    .collect();
+                spans.sort();
+                spans
+            };
+            let spans_of = |ids: &[QueryId]| ids.iter().map(spans).collect::<Vec<_>>();
+            (spans_of(&wide), spans_of(&narrow))
+        });
+        for (label, (wide, narrow)) in runs {
+            for spans in wide {
+                assert_eq!(
+                    spans,
+                    vec![(0, 70), (100, 150), (260, 270)],
+                    "wide at interval {interval} on {label}"
+                );
+            }
+            for spans in narrow {
+                assert_eq!(
+                    spans,
+                    vec![(260, 270)],
+                    "narrow at interval {interval} on {label}"
+                );
+            }
+        }
+    }
+}
+
+/// Registrations per query in the shared-table tests: every shard of the
+/// widest executor (4 workers) then runs each of them, so queries with one
+/// chain share a table there instead of running alone. Equal-cost queries
+/// are placed on the shards in turn.
+const COPIES: usize = 4;
+
+fn two_hop_tcp_esp(schema: &Schema) -> QueryGraph {
+    let mut q = QueryGraph::new("tcp-esp");
+    let (a, b, c) = (q.add_any_vertex(), q.add_any_vertex(), q.add_any_vertex());
+    q.add_edge(a, b, schema.edge_type("tcp").unwrap());
+    q.add_edge(b, c, schema.edge_type("esp").unwrap());
+    q
+}
+
+/// With late edges, what a windowed shared table reports depends on the
+/// stream alone: chains riding one table at full depth under two windows
+/// (single-edge leaves, eager and lazy, a depth-3 trie child among them)
+/// report the same match multiset at purge intervals 1, 64 and 4096, on
+/// every executor. Each registration is repeated [`COPIES`] times.
+#[test]
+fn windowed_shared_tables_report_the_same_matches_at_every_purge_interval() {
+    let dataset = NetflowConfig {
+        num_hosts: 600,
+        num_edges: 3_000,
+        ..NetflowConfig::tiny()
+    }
+    .generate();
+    let schema = &dataset.schema;
+    // Every ninth edge arrives up to 1,500 ticks late: several windows.
+    let events: Vec<EdgeEvent> = dataset
+        .events()
+        .iter()
+        .enumerate()
+        .map(|(i, ev)| {
+            let i = i as u64;
+            let ts = if i % 9 == 4 {
+                i.saturating_sub(i * 37 % 1_500)
+            } else {
+                i
+            };
+            EdgeEvent {
+                timestamp: Timestamp(ts),
+                ..*ev
+            }
+        })
+        .collect();
+    let chains: Vec<(QueryGraph, u64)> = [
+        (&["ICMP", "TCP"][..], 400),
+        (&["TCP", "UDP"], 200),
+        (&["ICMP", "TCP", "UDP"], 300),
+    ]
+    .iter()
+    .map(|(protos, w)| (soc_chain_rule(schema, &protos.join("-"), protos), *w))
+    .collect();
+    let mut reference = None;
+    for interval in [1, 64, 4096] {
+        let runs = on_every_executor!(schema, |_, p| {
+            let mut p = p.with_statistics(false).with_purge_interval(interval);
+            let mut ids = Vec::new();
+            for (q, w) in &chains {
+                for _ in 0..COPIES {
+                    ids.push(p.register(q.clone(), Strategy::Single, Some(*w)).unwrap());
+                }
+                for _ in 0..COPIES {
+                    ids.push(
+                        p.register(q.clone(), Strategy::SingleLazy, Some(w / 2))
+                            .unwrap(),
+                    );
+                }
+            }
+            let mut matches: Vec<(QueryId, SubgraphMatch)> = Vec::new();
+            p.process_all_into(events.iter(), &mut matches);
+            let mut multiset: Vec<(usize, String)> = matches
+                .iter()
+                .map(|(q, m)| {
+                    let slot = ids.iter().position(|i| i == q).unwrap();
+                    (slot, format!("{:?}", m.edge_pairs().collect::<Vec<_>>()))
+                })
+                .collect();
+            multiset.sort();
+            multiset
+        });
+        for (label, got) in runs {
+            assert!(!got.is_empty());
+            let expected = reference.get_or_insert_with(|| got.clone());
+            let first_difference = got.iter().zip(expected.iter()).find(|(g, e)| g != e);
+            assert!(
+                got.len() == expected.len() && first_difference.is_none(),
+                "multiset moved at purge interval {interval} on {label}: {} matches against {}, \
+                 first difference {first_difference:?}",
+                got.len(),
+                expected.len()
+            );
+        }
+    }
+}
