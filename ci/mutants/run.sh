@@ -23,18 +23,29 @@ failed=0
   echo "| mutant | caught by |"
   echo "|---|---|"
 } >> "$summary"
+# One copy of the tracked files as they stand in the working tree, every
+# file stamped with the current time (--touch), so the first build compiles
+# the copy and not what a target directory kept from an earlier run. Each
+# mutant is applied to it and reverted after its run: the revert stamps the
+# touched files again, so the next build recompiles their crate. (A copy
+# per mutant would not: its files keep their old mtimes, and a crate an
+# earlier mutant broke is taken from the shared target directory, mutant
+# and all.)
+copy="$work/tree"
+mkdir -p "$copy"
+(cd "$root" && git ls-files -z | tar --null -T - -cf -) | tar --touch -xf - -C "$copy"
 for patch in "${patches[@]}"; do
   name="$(basename "$patch" .patch)"
-  copy="$work/$name"
-  mkdir -p "$copy"
-  # The tracked files as they stand in the working tree.
-  (cd "$root" && git ls-files -z | tar --null -T - -cf -) | tar -xf - -C "$copy"
-  if ! patch --quiet --directory "$copy" -p1 < "$patch"; then
+  if ! patch --quiet --dry-run --directory "$copy" -p1 < "$patch" > /dev/null; then
     echo "| \`$name\` | **patch does not apply** |" >> "$summary"
     failed=1
     continue
   fi
-  if (cd "$copy" && cargo test -q --workspace --no-fail-fast) > "$work/$name.log" 2>&1; then
+  patch --quiet --directory "$copy" -p1 < "$patch"
+  status=0
+  (cd "$copy" && cargo test -q --workspace --no-fail-fast) > "$work/$name.log" 2>&1 || status=$?
+  patch --quiet --reverse --directory "$copy" -p1 < "$patch"
+  if [ "$status" -eq 0 ]; then
     echo "| \`$name\` | **survived: every test passed** |" >> "$summary"
     failed=1
     continue

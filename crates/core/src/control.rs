@@ -117,6 +117,9 @@ impl ControlPlane {
     }
 
     /// Replaces the stream statistics, e.g. with a prefix-seeded estimator.
+    /// A clone of the caller's estimator shares its wedge census: the copy
+    /// is made by the first edge [`ControlPlane::observe`] feeds it, so
+    /// with statistics off the census exists once for the whole stream.
     pub fn set_estimator(&mut self, estimator: SelectivityEstimator) {
         self.estimator = estimator;
     }

@@ -54,6 +54,11 @@
 //! * `stream.matches_total` and `match.latency_ns` are recorded once per
 //!   delivering query per edge, after its burst: one clock read, the
 //!   burst's match count, every match of the burst at that latency.
+//! * `match.latency_ns` counts from the event's arrival: inline, the
+//!   shard's entry for the event; on the thread executor, the instant the
+//!   facade took the event in, so batching and queueing delay are included.
+//!   The facade ships those instants beside each batch, one `u64` per event,
+//!   only while metrics are attached; the event itself carries none.
 
 use sp_metrics::{Counter, Histogram, MetricsRegistry};
 use std::time::Instant;
@@ -97,8 +102,8 @@ pub struct PipelineMetrics {
     pub purge_ns: Counter,
     /// Per-edge wall time through the whole pipeline (`pipeline.edge_ns`).
     pub edge_ns: Histogram,
-    /// Detection latency, event arrival to match emission
-    /// (`match.latency_ns`).
+    /// Detection latency, event arrival (the shard's entry inline, the
+    /// facade's ingest on threads) to match emission (`match.latency_ns`).
     pub match_latency_ns: Histogram,
 }
 

@@ -172,6 +172,12 @@ impl<X: Executor> Processor<X> {
     /// Seeds the processor's stream statistics, e.g. from
     /// `Dataset::estimator_from_prefix`. Subsequent edges keep updating the
     /// estimator unless statistics collection is disabled.
+    ///
+    /// Passing a clone costs no census copy: the clone shares the caller's
+    /// wedge census copy-on-write ([`SelectivityEstimator`]). With
+    /// statistics off the two share it for the whole stream; with them on,
+    /// the first accepted edge copies it and the caller's estimator stays
+    /// as it was.
     pub fn with_estimator(mut self, estimator: SelectivityEstimator) -> Self {
         self.control.set_estimator(estimator);
         self

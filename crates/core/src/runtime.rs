@@ -151,6 +151,14 @@ impl Executor for Threads {
         let batch_size = p.exec.config.batch_size;
         let mut delivered = p.exec.flush_buffered(sink);
         let mut batch: Vec<EdgeEvent> = Vec::with_capacity(batch_size);
+        // With metrics attached, each event's ingest instant rides beside
+        // the batch so workers measure detection latency from arrival, not
+        // from dequeue. One clock read per event, only when metrics are on.
+        let mut arrivals: Option<Vec<u64>> = p
+            .exec
+            .metrics
+            .is_some()
+            .then(|| Vec::with_capacity(batch_size));
         for ev in events {
             // A refused event rides along: every replica refuses and counts
             // it, and only accepted events take an edge id.
@@ -164,23 +172,22 @@ impl Executor for Threads {
                 });
                 p.exec.events_ingested += 1;
             }
-            // With metrics attached the ingest instant rides on the event so
-            // workers can measure detection latency from arrival, not from
-            // dequeue. One clock read per event, only when metrics are on.
-            batch.push(if p.exec.metrics.is_some() {
-                ev.stamped_now()
-            } else {
-                *ev
-            });
+            batch.push(*ev);
+            if let Some(stamps) = arrivals.as_mut() {
+                stamps.push(monotonic_nanos());
+            }
             if batch.len() >= batch_size {
-                p.exec.broadcast(std::mem::take(&mut batch));
+                let stamps = arrivals
+                    .as_mut()
+                    .map(|a| std::mem::replace(a, Vec::with_capacity(batch_size)));
+                p.exec.broadcast(std::mem::take(&mut batch), stamps);
                 batch = Vec::with_capacity(batch_size);
                 delivered += p.exec.flush_buffered(sink);
                 p.check_drift_if_due();
             }
         }
         if !batch.is_empty() {
-            p.exec.broadcast(batch);
+            p.exec.broadcast(batch, arrivals);
             p.check_drift_if_due();
         }
         p.exec.drain();
@@ -234,11 +241,12 @@ impl Processor<Threads> {
     /// `runtime.batch_sojourn_ns`) plus one [`PipelineMetrics`] bundle
     /// shared by every worker, so the stage counters aggregate over all
     /// shards and `stream.edges_total` counts replica ingests (events ×
-    /// workers). From here on the facade stamps each event's
-    /// [`arrival_ns`](sp_graph::EdgeEvent::arrival_ns) at ingest, so
-    /// `match.latency_ns` includes the queueing delay, and the engines time
-    /// `ProfileCounters::{iso_time, update_time}`; without metrics no worker
-    /// reads a clock per edge. Batches already in flight stay unmetered.
+    /// workers). From here on the facade takes each event's ingest instant
+    /// and ships it beside the batch, so `match.latency_ns` counts from
+    /// ingest and includes the batching and queueing delay, and the engines
+    /// time `ProfileCounters::{iso_time, update_time}`; without metrics no
+    /// worker reads a clock per edge. Batches already in flight stay
+    /// unmetered.
     pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
         let pipeline = PipelineMetrics::register(registry);
         let sojourn = registry.histogram("runtime.batch_sojourn_ns");
@@ -349,9 +357,11 @@ impl Threads {
         }
     }
 
-    /// Broadcasts one batch to every worker.
-    fn broadcast(&mut self, batch: Vec<EdgeEvent>) {
+    /// Broadcasts one batch, with its events' ingest instants when metrics
+    /// are attached, to every worker.
+    fn broadcast(&mut self, batch: Vec<EdgeEvent>, arrivals: Option<Vec<u64>>) {
         let shared = Arc::new(batch);
+        let arrivals = arrivals.map(Arc::new);
         let sent_ns = if self.metrics.is_some() {
             monotonic_nanos()
         } else {
@@ -365,6 +375,7 @@ impl Threads {
                 w,
                 WorkerMsg::Batch {
                     events: shared.clone(),
+                    arrivals: arrivals.clone(),
                     sent_ns,
                 },
             );
@@ -482,5 +493,53 @@ impl Drop for Threads {
                 let _ = join.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategy::Strategy;
+    use sp_graph::Timestamp;
+    use sp_query::QueryGraph;
+
+    /// `match.latency_ns` counts from the facade's ingest instant, not from
+    /// the worker's dequeue: a worker held up for 30 ms after the batch was
+    /// sent reports every match at least 30 ms late.
+    #[test]
+    fn latency_counts_from_ingest_not_from_dequeue() {
+        const HOLD: Duration = Duration::from_millis(30);
+        let mut schema = Schema::new();
+        let ip = schema.intern_vertex_type("ip");
+        let tcp = schema.intern_edge_type("tcp");
+        let mut q = QueryGraph::new("tcp");
+        let (a, b) = (q.add_any_vertex(), q.add_any_vertex());
+        q.add_edge(a, b, tcp);
+        let registry = MetricsRegistry::new();
+        let mut p = ParallelStreamProcessor::new(schema, RuntimeConfig::with_workers(1))
+            .with_metrics(&registry);
+        p.register(q, Strategy::Single, None).unwrap();
+        // Queued ahead of the batch: the job waits until the facade has
+        // stamped and sent the batch (its queue-depth gauge rises on the
+        // send), then holds the worker.
+        p.exec.run_worker(0, |w| {
+            let (queue_depth, _) = w.telemetry.as_ref().expect("metrics are attached");
+            while queue_depth.get() < 1 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(HOLD);
+        });
+        let events: Vec<EdgeEvent> = (0..8)
+            .map(|t| EdgeEvent::homogeneous(t, t + 1, ip, tcp, Timestamp(t)))
+            .collect();
+        assert_eq!(p.process_all(&events), 8);
+        let snapshot = registry.snapshot();
+        let latency = snapshot.histogram("match.latency_ns").unwrap();
+        assert_eq!(latency.count(), 8);
+        let least = latency.min().unwrap();
+        assert!(
+            least >= HOLD.as_nanos() as u64,
+            "a match reported {least} ns after its ingest, under the {HOLD:?} hold"
+        );
     }
 }

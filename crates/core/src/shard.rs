@@ -198,9 +198,28 @@ impl Shard {
     /// `observe` is handed every accepted edge once it is in the graph,
     /// inside the ingest span: inline, the control plane's statistics; a
     /// worker thread, whose statistics live on the facade, passes a no-op.
+    ///
+    /// With metrics attached, a match's detection latency counts from this
+    /// call's entry.
+    #[inline]
     pub fn process_into<S: RowSink + ?Sized>(
         &mut self,
         event: &EdgeEvent,
+        sink: &mut S,
+        observe: impl FnOnce(&EdgeData),
+    ) -> u64 {
+        self.process_arrived_into(event, 0, sink, observe)
+    }
+
+    /// [`Shard::process_into`] for an event that reached the stream at
+    /// `arrival_ns` ([`monotonic_nanos`] scale; 0: at this call's entry).
+    /// A worker passes the instant its facade took the event in, so
+    /// detection latency includes batching and queueing delay. The stamp is
+    /// read only with metrics attached.
+    pub(crate) fn process_arrived_into<S: RowSink + ?Sized>(
+        &mut self,
+        event: &EdgeEvent,
+        arrival_ns: u64,
         sink: &mut S,
         observe: impl FnOnce(&EdgeData),
     ) -> u64 {
@@ -209,16 +228,14 @@ impl Shard {
             return 0;
         }
         // The single metrics branch of the hot path: with metrics off,
-        // `started` stays `None` and no clock is ever read. The arrival
-        // instant prefers the stamp the runtime facade put on the event (the
-        // moment it left the producer) over "now", so detection latency
-        // includes batching and queueing delay. The ingest span opens first,
-        // so the stamp's own clock read falls inside it.
+        // `started` stays `None` and no clock is ever read. The ingest span
+        // opens first, so the arrival clock read of an unstamped event falls
+        // inside it.
         let started = self.metrics.as_ref().map(|m| {
             let t0 = Instant::now();
             m.edges.inc();
-            let arrival = if event.arrival_ns != 0 {
-                event.arrival_ns
+            let arrival = if arrival_ns != 0 {
+                arrival_ns
             } else {
                 monotonic_nanos()
             };
@@ -274,7 +291,8 @@ impl Shard {
     /// With metrics attached the same code additionally records the
     /// per-stage spans (see [`PipelineMetrics`] for the span boundaries)
     /// and, once per delivering candidate, the burst's match count and its
-    /// detection latency since `arrival_ns` (`monotonic_nanos` scale).
+    /// detection latency since the event's arrival instant `arrival_ns`
+    /// (`monotonic_nanos` scale).
     /// Without metrics no clock is read.
     // Kept out of line: inlined into `process_into`, this loop has made the
     // compiler stop inlining `SharedJoinIndex::deliver`, at ~10 % of

@@ -105,11 +105,14 @@ pub(crate) type Job = Box<dyn FnOnce(&mut Worker) -> Option<Box<dyn Any + Send>>
 /// Messages a worker accepts on its input channel.
 pub(crate) enum WorkerMsg {
     /// A batch of stream events, shared across all workers via `Arc`.
-    /// `sent_ns` is the facade's broadcast instant on the process monotonic
-    /// clock (0 when metrics are off) — the worker's dequeue instant minus
-    /// it is the batch's channel sojourn time.
+    /// With metrics attached, `arrivals` holds each event's ingest instant
+    /// on the process monotonic clock, in event order, and `sent_ns` the
+    /// facade's broadcast instant — the worker's dequeue instant minus it
+    /// is the batch's channel sojourn time. Without metrics they are `None`
+    /// and 0.
     Batch {
         events: Arc<Vec<EdgeEvent>>,
+        arrivals: Option<Arc<Vec<u64>>>,
         sent_ns: u64,
     },
     /// Run a control job. Riding the FIFO channel, it sees the shard exactly
@@ -180,7 +183,11 @@ pub(crate) fn worker_loop(
 
     while let Ok(msg) = rx.recv() {
         let output = match msg {
-            WorkerMsg::Batch { events, sent_ns } => {
+            WorkerMsg::Batch {
+                events,
+                arrivals,
+                sent_ns,
+            } => {
                 if let Some((queue_depth, sojourn)) = &worker.telemetry {
                     if sent_ns != 0 {
                         sojourn.record(monotonic_nanos().saturating_sub(sent_ns));
@@ -190,8 +197,11 @@ pub(crate) fn worker_loop(
                 // One warm per-engine scratch serves every event of the
                 // batch. Statistics are the facade's business: nothing
                 // observes the edges here.
-                for ev in events.iter() {
-                    worker.shard.process_into(ev, &mut out, |_| {});
+                for (i, ev) in events.iter().enumerate() {
+                    let arrival = arrivals.as_ref().map_or(0, |a| a[i]);
+                    worker
+                        .shard
+                        .process_arrived_into(ev, arrival, &mut out, |_| {});
                 }
                 if out.bursts.is_empty() {
                     continue;
@@ -282,6 +292,7 @@ mod tests {
         let (tx, match_rx, worker, event) = spawn_worker(3, id);
         tx.send(WorkerMsg::Batch {
             events: Arc::new(vec![event(1), event(2)]),
+            arrivals: None,
             sent_ns: 0,
         })
         .unwrap();
@@ -324,6 +335,7 @@ mod tests {
         for events in [[event(1), event(2)], [event(3), event(4)]] {
             tx.send(WorkerMsg::Batch {
                 events: Arc::new(events.to_vec()),
+                arrivals: None,
                 sent_ns: 0,
             })
             .unwrap();

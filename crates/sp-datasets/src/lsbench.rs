@@ -232,7 +232,6 @@ impl LsbenchConfig {
                 dst_type: rel.dst,
                 edge_type: rel.edge_type,
                 timestamp: Timestamp(i as u64),
-                arrival_ns: 0,
             });
         }
 

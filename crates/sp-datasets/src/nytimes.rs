@@ -99,7 +99,6 @@ impl NytimesConfig {
                     dst_type: vertex_type,
                     edge_type,
                     timestamp: Timestamp(ts),
-                    arrival_ns: 0,
                 });
                 ts += 1;
             }

@@ -1,11 +1,11 @@
 //! Process-wide monotonic clock for arrival timestamps.
 //!
 //! Detection latency (edge arrival → match emission) needs one time base
-//! that is valid across threads: the facade stamps events on ingest and the
-//! runtime workers read the clock again at emission, so both sides must
-//! measure against the same epoch. [`monotonic_nanos`] provides that —
-//! nanoseconds since the first call in this process, from the OS monotonic
-//! clock (never affected by wall-clock adjustments).
+//! that is valid across threads: the facade reads each event's ingest
+//! instant and the runtime workers read the clock again at emission, so
+//! both sides must measure against the same epoch. [`monotonic_nanos`]
+//! provides that — nanoseconds since the first call in this process, from
+//! the OS monotonic clock (never affected by wall-clock adjustments).
 //!
 //! The stream's own [`Timestamp`](crate::Timestamp)s are *logical* dataset
 //! time and keep driving window expiry; arrival nanos are purely an

@@ -10,6 +10,11 @@ use crate::ids::{EdgeType, Timestamp, VertexType};
 use serde::{Deserialize, Serialize};
 
 /// One edge arriving on the stream, described with external vertex ids.
+///
+/// An event is 40 bytes and holds only what the stream says: the two
+/// endpoints with their types, the edge type and the logical timestamp.
+/// It carries no arrival instant; the threaded runtime keeps its ingest
+/// stamps beside a batch, and only while metrics are attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EdgeEvent {
     /// External id of the source vertex.
@@ -24,13 +29,6 @@ pub struct EdgeEvent {
     pub edge_type: EdgeType,
     /// Event timestamp.
     pub timestamp: Timestamp,
-    /// Arrival instant on the process monotonic clock
-    /// ([`monotonic_nanos`](crate::monotonic_nanos)), or 0 when unstamped.
-    /// Set by the ingest path when metrics are enabled so detection latency
-    /// can be measured per match; never serialized (stream files carry only
-    /// logical time).
-    #[serde(skip)]
-    pub arrival_ns: u64,
 }
 
 impl EdgeEvent {
@@ -50,15 +48,7 @@ impl EdgeEvent {
             dst_type: vertex_type,
             edge_type,
             timestamp,
-            arrival_ns: 0,
         }
-    }
-
-    /// Copy of this event stamped with the current monotonic-clock instant.
-    #[inline]
-    pub fn stamped_now(mut self) -> Self {
-        self.arrival_ns = crate::clock::monotonic_nanos();
-        self
     }
 }
 
@@ -85,19 +75,10 @@ mod tests {
         assert_eq!(back, e);
     }
 
+    /// Stream buffers and runtime batches hold events by the hundred
+    /// thousand; an event is its six fields and nothing more.
     #[test]
-    fn arrival_stamp_is_transient() {
-        let e = EdgeEvent::homogeneous(7, 8, VertexType(0), EdgeType(1), Timestamp(2));
-        // Exercise the clock once so a subsequent stamp is non-zero.
-        let _ = crate::clock::monotonic_nanos();
-        let stamped = e.stamped_now();
-        assert!(stamped.arrival_ns > 0);
-        // The stamp never reaches serialized streams, and deserialized
-        // events come back unstamped.
-        let json = serde_json::to_string(&stamped).unwrap();
-        assert!(!json.contains("arrival_ns"));
-        let back: EdgeEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.arrival_ns, 0);
-        assert_eq!(back, e);
+    fn an_event_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<EdgeEvent>(), 40);
     }
 }

@@ -242,6 +242,38 @@ fn live_statistics_equal_the_standalone_census_on_every_executor() {
     }
 }
 
+/// A processor seeded with a clone of the caller's estimator shares its
+/// census until its live statistics change it; the copy is the
+/// processor's, and the caller's estimator reads as before the run.
+#[test]
+fn live_statistics_leave_the_callers_estimator_unchanged_on_every_executor() {
+    let dataset = drift_dataset();
+    let (prefix, rest) = dataset.events().split_at(500);
+    let caller = Dataset::estimator_from_events(prefix, StatsMode::Decayed(64));
+    let summary = |e: &SelectivityEstimator| {
+        (
+            e.path_counter().descending(),
+            e.edge_histogram().ascending(),
+            e.lifetime_edges_observed(),
+        )
+    };
+    let before = summary(&caller);
+    let pack = drift_pack(&dataset.schema);
+    let runs = on_every_executor!(&dataset.schema, |_, p| {
+        let mut p = p.with_estimator(caller.clone()).with_statistics(true);
+        for q in &pack {
+            p.register(q.clone(), StrategySpec::Auto, Some(240))
+                .unwrap();
+        }
+        p.process_all(rest);
+        summary(p.estimator())
+    });
+    for (label, live) in runs {
+        assert_eq!(live.2, dataset.len() as u64, "{label}");
+        assert!(summary(&caller) == before, "{label} changed the caller's");
+    }
+}
+
 #[test]
 fn redecomposition_lands_mid_window_with_live_partial_matches() {
     // Hand-rolled: a drift-triggered rebuild happens while half a pattern

@@ -302,7 +302,6 @@ fn loop_pack(wedge: bool, strategy: Strategy) -> LoopPack {
             dst_type: vt(dst),
             edge_type,
             timestamp: Timestamp(events.len() as u64 + 1),
-            arrival_ns: 0,
         });
     };
     let probe = 6;
