@@ -8,13 +8,14 @@
 //! * iteration over the edges incident to a single vertex must be cheap
 //!   (the anchored isomorphism routines only ever look at local
 //!   neighborhoods);
-//! * expiring edges that fall out of the time window must be cheap: an edge
-//!   that arrived in timestamp order leaves from the front of a FIFO
-//!   ([`ExpiryQueue`]), and a vertex with at most two edges per direction
-//!   keeps its adjacency inline, so a short-lived vertex costs no heap
-//!   allocation to create or to drop. Expiry reports only how many edges
-//!   went: the engine's partial-match stores expire by their own windows,
-//!   which the graph's retention covers;
+//! * looking an edge up by id and expiring the edges that fall out of the
+//!   time window must be cheap: ids are stream positions, so the live edges
+//!   sit in a ring indexed by id ([`EdgeRing`]) that is also the expiry
+//!   order, and a vertex with at most two edges per direction keeps its
+//!   adjacency inline, so a short-lived vertex costs no heap allocation to
+//!   create or to drop. Expiry reports only how many edges went: the
+//!   engine's partial-match stores expire by their own windows, which the
+//!   graph's retention covers;
 //! * a search that cannot match must be cheap to rule out: every vertex
 //!   keeps a [`TypeSignature`] of the edge types it has had, by direction,
 //!   which insertion sets and nothing clears while the vertex lives.
@@ -24,7 +25,7 @@ use crate::event::EdgeEvent;
 use crate::hash::FastMap;
 use crate::ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 use crate::schema::Schema;
-use crate::window::ExpiryQueue;
+use crate::window::EdgeRing;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -67,9 +68,9 @@ impl EdgeData {
 /// Edge ids one direction of a vertex keeps without a heap allocation.
 const INLINE_EDGES: usize = 2;
 
-/// Filler of an unused inline slot. Edge ids are dense indices assigned by
-/// the graph and never reach it.
-const NO_EDGE: EdgeId = EdgeId(u64::MAX);
+/// Filler of an unused inline slot, and the id of a removed edge's ring slot.
+/// Edge ids are stream positions assigned by the graph and never reach it.
+pub(crate) const NO_EDGE: EdgeId = EdgeId(u64::MAX);
 
 /// The edge ids of one direction of a vertex's adjacency, in `Vec` order:
 /// appended at the back, removed by `swap_remove`. Up to [`INLINE_EDGES`]
@@ -181,6 +182,19 @@ pub struct VertexData {
 }
 
 impl VertexData {
+    /// Lists `edge` here, as its source or (`incoming`) its destination,
+    /// and folds its type into the signature.
+    fn link(&mut self, edge: EdgeData, incoming: bool) {
+        let bit = TypeSignature::bit(edge.edge_type);
+        if incoming {
+            self.in_edges.push(edge.id);
+            self.signature.in_types |= bit;
+        } else {
+            self.out_edges.push(edge.id);
+            self.signature.out_types |= bit;
+        }
+    }
+
     /// The vertex's sticky type signature (see [`TypeSignature`]).
     pub fn type_signature(&self) -> TypeSignature {
         self.signature
@@ -238,8 +252,7 @@ pub struct DegreeStats {
 pub struct DynamicGraph {
     schema: Schema,
     vertices: FastMap<VertexId, VertexData>,
-    edges: FastMap<EdgeId, EdgeData>,
-    expiry: ExpiryQueue,
+    edges: EdgeRing,
     window: Option<u64>,
     next_vertex_id: u64,
     latest_ts: Timestamp,
@@ -253,8 +266,7 @@ impl DynamicGraph {
         Self {
             schema,
             vertices: FastMap::default(),
-            edges: FastMap::default(),
-            expiry: ExpiryQueue::new(),
+            edges: EdgeRing::default(),
             window: None,
             next_vertex_id: 0,
             latest_ts: Timestamp(0),
@@ -289,48 +301,53 @@ impl DynamicGraph {
     /// Allocates a fresh vertex with the given type.
     pub fn add_vertex(&mut self, vertex_type: VertexType) -> VertexId {
         let id = VertexId(self.next_vertex_id);
-        self.next_vertex_id += 1;
-        self.vertices.insert(
-            id,
-            VertexData {
-                vertex_type,
-                ..VertexData::default()
-            },
-        );
+        self.vertex_entry(id, vertex_type);
         id
+    }
+
+    /// Vertex `v`, created with `vertex_type` when absent, and whether it
+    /// already has a type other than `vertex_type` (which it keeps).
+    fn vertex_entry(&mut self, v: VertexId, vertex_type: VertexType) -> (&mut VertexData, bool) {
+        match self.vertices.entry(v) {
+            Entry::Occupied(slot) => {
+                let data = slot.into_mut();
+                let conflict = data.vertex_type != vertex_type && !vertex_type.is_any();
+                (data, conflict)
+            }
+            Entry::Vacant(slot) => {
+                self.next_vertex_id = self.next_vertex_id.max(v.0 + 1);
+                let data = VertexData {
+                    vertex_type,
+                    ..VertexData::default()
+                };
+                (slot.insert(data), false)
+            }
+        }
     }
 
     /// Ensures a vertex with an externally chosen id exists, creating it with
     /// the given type when absent. Returns an error when the vertex exists
-    /// with a different concrete type.
+    /// with a different concrete type ([`VertexType::ANY`] conflicts with
+    /// nothing). [`DynamicGraph::ingest`] applies the same rule to both
+    /// endpoints of an event, in the same lookup that lists the edge.
     pub fn ensure_vertex(&mut self, id: VertexId, vertex_type: VertexType) -> Result<VertexId> {
-        if let Some(data) = self.vertices.get(&id) {
-            if data.vertex_type != vertex_type && !vertex_type.is_any() {
-                return Err(GraphError::VertexTypeConflict {
-                    vertex: id,
-                    existing: data.vertex_type.0,
-                    requested: vertex_type.0,
-                });
-            }
-            return Ok(id);
+        match self.vertex_entry(id, vertex_type) {
+            (data, true) => Err(GraphError::VertexTypeConflict {
+                vertex: id,
+                existing: data.vertex_type.0,
+                requested: vertex_type.0,
+            }),
+            (_, false) => Ok(id),
         }
-        self.vertices.insert(
-            id,
-            VertexData {
-                vertex_type,
-                ..VertexData::default()
-            },
-        );
-        self.next_vertex_id = self.next_vertex_id.max(id.0 + 1);
-        Ok(id)
     }
 
     /// Ingests one stream event under its external vertex ids: ensures both
-    /// endpoints ([`DynamicGraph::ensure_vertex`]), adds the edge, and
-    /// returns the stored edge with the number of endpoints (0–2) whose
-    /// event type conflicted with the type already recorded for the vertex.
-    /// A conflicting endpoint keeps its recorded type; the edge is added
-    /// either way.
+    /// endpoints as [`DynamicGraph::ensure_vertex`] does, adds the edge as
+    /// [`DynamicGraph::add_edge`] does, and returns the stored edge with the
+    /// number of endpoints (0–2) whose event type conflicted with the type
+    /// already recorded for the vertex. A conflicting endpoint keeps its
+    /// recorded type; the edge is added either way. One map lookup per
+    /// endpoint does the type check, the creation and the adjacency update.
     ///
     /// Types are not checked against the graph's [`Schema`]: an id the
     /// schema never interned is stored and matched like any other, and a
@@ -340,9 +357,15 @@ impl DynamicGraph {
     /// builds on `Schema::new()` with raw ids.
     pub fn ingest(&mut self, event: &EdgeEvent) -> (EdgeData, u64) {
         let (src, dst) = (VertexId(event.src), VertexId(event.dst));
-        let conflicts = u64::from(self.ensure_vertex(src, event.src_type).is_err())
-            + u64::from(self.ensure_vertex(dst, event.dst_type).is_err());
-        let edge = self.insert_edge(src, dst, event.edge_type, event.timestamp);
+        let edge = self.push_edge(src, dst, event.edge_type, event.timestamp);
+        let mut conflicts = 0;
+        for (v, vertex_type, incoming) in
+            [(src, event.src_type, false), (dst, event.dst_type, true)]
+        {
+            let (data, conflict) = self.vertex_entry(v, vertex_type);
+            data.link(edge, incoming);
+            conflicts += u64::from(conflict);
+        }
         (edge, conflicts)
     }
 
@@ -359,49 +382,32 @@ impl DynamicGraph {
         edge_type: EdgeType,
         timestamp: Timestamp,
     ) -> EdgeId {
-        self.insert_edge(src, dst, edge_type, timestamp).id
+        let edge = self.push_edge(src, dst, edge_type, timestamp);
+        for (v, incoming) in [(src, false), (dst, true)] {
+            let data = self.vertices.get_mut(&v).expect("endpoints must exist");
+            data.link(edge, incoming);
+        }
+        edge.id
     }
 
-    /// [`DynamicGraph::add_edge`], returning the stored edge. Edge ids are
-    /// the stream position: the `n`-th edge ever inserted gets id `n - 1`.
-    fn insert_edge(
+    /// Stores the next edge of the stream, not yet listed at its endpoints:
+    /// the `n`-th edge ever inserted gets id `n - 1`.
+    fn push_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
         edge_type: EdgeType,
         timestamp: Timestamp,
     ) -> EdgeData {
-        debug_assert!(self.vertices.contains_key(&src), "unknown source vertex");
-        debug_assert!(
-            self.vertices.contains_key(&dst),
-            "unknown destination vertex"
-        );
-        let id = EdgeId(self.total_edges_seen);
         let data = EdgeData {
-            id,
+            id: EdgeId(self.total_edges_seen),
             src,
             dst,
             edge_type,
             timestamp,
         };
-        self.edges.insert(id, data);
-        let bit = TypeSignature::bit(edge_type);
-        let source = self
-            .vertices
-            .get_mut(&src)
-            .expect("source vertex must exist");
-        source.out_edges.push(id);
-        source.signature.out_types |= bit;
-        let target = self
-            .vertices
-            .get_mut(&dst)
-            .expect("destination vertex must exist");
-        target.in_edges.push(id);
-        target.signature.in_types |= bit;
-        self.expiry.push(id, timestamp);
-        if timestamp > self.latest_ts {
-            self.latest_ts = timestamp;
-        }
+        self.edges.push(data, timestamp < self.latest_ts);
+        self.latest_ts = self.latest_ts.max(timestamp);
         self.total_edges_seen += 1;
         data
     }
@@ -418,47 +424,44 @@ impl DynamicGraph {
         };
         let cutoff = Timestamp(self.latest_ts.0.saturating_sub(w));
         let mut removed = 0;
-        while let Some((edge_id, _)) = self.expiry.pop_older_than(cutoff) {
-            removed += usize::from(self.detach_edge(edge_id).is_some());
+        while let Some(edge) = self.edges.pop_older_than(cutoff) {
+            self.detach(&edge);
+            removed += 1;
         }
         removed
     }
 
-    /// Removes a single edge from the adjacency structures, dropping now
-    /// isolated endpoints. Returns the removed edge data.
-    fn detach_edge(&mut self, edge_id: EdgeId) -> Option<EdgeData> {
-        let data = self.edges.remove(&edge_id)?;
+    /// Unlists a removed edge at its endpoints, dropping now isolated ones.
+    fn detach(&mut self, data: &EdgeData) {
         for (vertex, incoming) in [(data.src, false), (data.dst, true)] {
             if let Entry::Occupied(mut slot) = self.vertices.entry(vertex) {
                 let vd = slot.get_mut();
                 if incoming {
-                    vd.in_edges.swap_remove(edge_id);
+                    vd.in_edges.swap_remove(data.id);
                 } else {
-                    vd.out_edges.swap_remove(edge_id);
+                    vd.out_edges.swap_remove(data.id);
                 }
                 if vd.degree() == 0 {
                     slot.remove();
                 }
             }
         }
-        Some(data)
     }
 
     /// Explicitly removes an edge (outside of window expiry).
     pub fn remove_edge(&mut self, edge_id: EdgeId) -> Result<EdgeData> {
-        let ts = self
+        let data = self
             .edges
-            .get(&edge_id)
-            .map(|e| e.timestamp)
+            .remove(edge_id)
             .ok_or(GraphError::UnknownEdge(edge_id))?;
-        self.expiry.remove(edge_id, ts);
-        self.detach_edge(edge_id)
-            .ok_or(GraphError::UnknownEdge(edge_id))
+        self.detach(&data);
+        Ok(data)
     }
 
     /// Returns edge data by id, `None` if unknown or expired.
+    #[inline]
     pub fn edge(&self, id: EdgeId) -> Option<&EdgeData> {
-        self.edges.get(&id)
+        self.edges.get(id)
     }
 
     /// Returns vertex data by id.
@@ -487,7 +490,7 @@ impl DynamicGraph {
 
     /// Returns `true` if the edge is present (not expired).
     pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edges.contains_key(&id)
+        self.edges.get(id).is_some()
     }
 
     /// Number of live vertices.
@@ -516,9 +519,9 @@ impl DynamicGraph {
         self.vertices.iter().map(|(&id, data)| (id, data))
     }
 
-    /// Iterates over all live edges.
+    /// Iterates over all live edges in id order, which is stream order.
     pub fn edges(&self) -> impl Iterator<Item = &EdgeData> + '_ {
-        self.edges.values()
+        self.edges.iter()
     }
 
     /// Total degree of a vertex (0 for unknown vertices).
@@ -550,7 +553,7 @@ impl DynamicGraph {
         let out = data.map(VertexData::out_edges).unwrap_or(&[]);
         let inc = data.map(VertexData::in_edges).unwrap_or(&[]);
         let out_iter = out.iter().filter_map(move |id| {
-            self.edges.get(id).map(|e| IncidentEdge {
+            self.edges.get(*id).map(|e| IncidentEdge {
                 edge: e.id,
                 neighbor: e.dst,
                 direction: Direction::Outgoing,
@@ -559,7 +562,7 @@ impl DynamicGraph {
             })
         });
         let in_iter = inc.iter().filter_map(move |id| {
-            self.edges.get(id).map(|e| IncidentEdge {
+            self.edges.get(*id).map(|e| IncidentEdge {
                 edge: e.id,
                 neighbor: e.src,
                 direction: Direction::Incoming,
@@ -577,7 +580,7 @@ impl DynamicGraph {
             .map(VertexData::out_edges)
             .unwrap_or(&[])
             .iter()
-            .filter_map(move |id| self.edges.get(id))
+            .filter_map(move |&id| self.edges.get(id))
     }
 
     /// Iterates over the incoming edges of `v`.
@@ -587,7 +590,7 @@ impl DynamicGraph {
             .map(VertexData::in_edges)
             .unwrap_or(&[])
             .iter()
-            .filter_map(move |id| self.edges.get(id))
+            .filter_map(move |&id| self.edges.get(id))
     }
 
     /// Iterates over all edges from `src` to `dst` (there may be several in a

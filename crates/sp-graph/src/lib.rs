@@ -11,6 +11,8 @@
 //! * every edge carries a **timestamp**; the graph is maintained as a sliding
 //!   time window: given a window `tW`, edges older than `t_last - tW` are
 //!   expired, where `t_last` is the timestamp of the newest edge;
+//! * an edge's id is its **stream position**: the live edges sit in a ring
+//!   indexed by id, which is also their expiry order;
 //! * vertex and edge type names are interned through a [`Schema`] so that the
 //!   hot path only ever compares small integer ids.
 //!
@@ -56,7 +58,6 @@ pub use graph::{DegreeStats, DynamicGraph, EdgeData, IncidentEdge, TypeSignature
 pub use hash::{FastHasher, FastMap, FastState};
 pub use ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 pub use schema::Schema;
-pub use window::ExpiryQueue;
 
 /// Convenient result alias for fallible graph operations.
 pub type Result<T> = std::result::Result<T, GraphError>;

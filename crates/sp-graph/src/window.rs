@@ -1,187 +1,207 @@
-//! Sliding time-window bookkeeping.
+//! The live edges of the window, by stream position.
 //!
 //! The paper maintains the data graph "as a window in time": given a window
 //! `tW`, edges are deleted once they become older than `t_last - tW`, where
-//! `t_last` is the timestamp of the newest edge (Section 2). [`ExpiryQueue`]
-//! tracks edge arrival in timestamp order and yields the edges that fall out
-//! of the window as new edges arrive.
+//! `t_last` is the timestamp of the newest edge (Section 2). Edge ids are
+//! stream positions, so [`EdgeRing`] keeps the live edges in a ring, slot
+//! `i` holding edge `base + i`: a lookup by id is an index, not a hash.
 //!
-//! Streaming edges are *mostly* ordered by timestamp but real traces contain
-//! small reorderings, so the queue orders by `(timestamp, edge id)` rather
-//! than assuming monotone arrival. It has two sides:
-//!
-//! * an edge whose `(timestamp, id)` is at or past the newest entry of the
-//!   in-order side is appended to it — a FIFO ring, so an in-order edge
-//!   costs one append at ingest and one pop at expiry;
-//! * an edge that arrives late (behind that entry) goes to a Vec-backed
-//!   min-heap.
-//!
-//! Expiry, removal and [`ExpiryQueue::oldest`] merge the two sides, so edges
-//! leave in exactly the global `(timestamp, id)` order a single heap would
-//! give. Neither side is an ordered map: a B-tree splits and frees nodes as
-//! the window boundary rolls through it, while both sides here reuse their
-//! backing storage once warmed up — the steady-state `add_edge` path
-//! allocates nothing.
+//! The ring is also the expiry order, which is `(timestamp, id)`: real
+//! traces contain small reorderings. An in-order edge (at or past the
+//! newest timestamp) is never older than the in-order edges before it. A
+//! late edge also goes on a min-heap, and every in-order edge after it is
+//! newer than it. So the smaller of the heap's top and the ring's front is
+//! always the oldest live edge. An in-order edge costs one append at ingest
+//! and one pop at expiry, and once warmed up neither side allocates.
 
+use crate::graph::{EdgeData, NO_EDGE};
 use crate::ids::{EdgeId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Tracks live edges in timestamp order and computes which edges expire when
-/// the window slides forward.
+/// The live edges, indexed by stream position, and the order in which they
+/// leave the window. A removed edge leaves a hole (its slot's id set to
+/// [`NO_EDGE`]) until the edges before it have gone too: the front slot is
+/// never a hole, so with a window the ring spans about one window.
 #[derive(Debug, Clone, Default)]
-pub struct ExpiryQueue {
-    /// Edges in ascending `(timestamp, id)` order, appended at the back.
-    in_order: VecDeque<(Timestamp, EdgeId)>,
-    /// Edges that arrived behind the back of `in_order`.
+pub(crate) struct EdgeRing {
+    /// Id of the edge in `slots[0]`.
+    base: u64,
+    slots: VecDeque<EdgeData>,
+    /// Number of slots that are not holes.
+    live: usize,
+    /// The late edges, oldest on top. An entry whose edge has gone is
+    /// dropped when it reaches the top.
     late: BinaryHeap<Reverse<(Timestamp, EdgeId)>>,
 }
 
-impl ExpiryQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a new live edge.
-    pub fn push(&mut self, edge: EdgeId, ts: Timestamp) {
-        let entry = (ts, edge);
-        if self.in_order.back().is_none_or(|&back| entry >= back) {
-            self.in_order.push_back(entry);
-        } else {
-            self.late.push(Reverse(entry));
-        }
-    }
-
-    /// Removes an edge that is being deleted for a reason other than expiry
-    /// (the explicit-deletion path — O(n), never on the streaming path).
-    pub fn remove(&mut self, edge: EdgeId, ts: Timestamp) -> bool {
-        if let Ok(pos) = self.in_order.binary_search(&(ts, edge)) {
-            self.in_order.remove(pos);
-            return true;
-        }
-        let before = self.late.len();
-        self.late.retain(|&Reverse(entry)| entry != (ts, edge));
-        before != self.late.len()
-    }
-
-    /// The oldest entry of either side, and whether it is the late side's.
-    fn peek(&self) -> Option<((Timestamp, EdgeId), bool)> {
-        match (self.in_order.front(), self.late.peek()) {
-            (Some(&first), Some(&Reverse(late))) if late < first => Some((late, true)),
-            (Some(&first), _) => Some((first, false)),
-            (None, Some(&Reverse(late))) => Some((late, true)),
-            (None, None) => None,
-        }
-    }
-
-    /// Pops the oldest edge if it is strictly older than `cutoff`.
-    pub fn pop_older_than(&mut self, cutoff: Timestamp) -> Option<(EdgeId, Timestamp)> {
-        let ((ts, edge), late) = self.peek()?;
-        if ts >= cutoff {
-            return None;
-        }
+impl EdgeRing {
+    /// Appends the next edge of the stream; `late` when its timestamp is
+    /// behind the newest one seen before it.
+    pub(crate) fn push(&mut self, edge: EdgeData, late: bool) {
+        debug_assert_eq!(edge.id.0, self.base + self.slots.len() as u64);
         if late {
-            self.late.pop();
-        } else {
-            self.in_order.pop_front();
+            self.late.push(Reverse((edge.timestamp, edge.id)));
         }
-        Some((edge, ts))
+        self.slots.push_back(edge);
+        self.live += 1;
     }
 
-    /// Number of live (non-expired) edges tracked.
-    pub fn len(&self) -> usize {
-        self.in_order.len() + self.late.len()
+    /// The live edge with this id. An id below `base` wraps to an index
+    /// past the end; the slot's own id rejects a hole or a stray index.
+    #[inline]
+    pub(crate) fn get(&self, id: EdgeId) -> Option<&EdgeData> {
+        let slot = self.slots.get(id.0.wrapping_sub(self.base) as usize);
+        slot.filter(|e| e.id == id)
     }
 
-    /// Returns `true` when no live edges are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Removes the live edge with this id, leaving a hole, and drops the
+    /// holes at the front.
+    pub(crate) fn remove(&mut self, id: EdgeId) -> Option<EdgeData> {
+        let slot = self.slots.get_mut(id.0.wrapping_sub(self.base) as usize);
+        let slot = slot.filter(|e| e.id == id)?;
+        let data = *slot;
+        slot.id = NO_EDGE;
+        self.live -= 1;
+        while self.slots.front().is_some_and(|e| e.id == NO_EDGE) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(data)
     }
 
-    /// Timestamp of the oldest live edge, if any.
-    pub fn oldest(&self) -> Option<Timestamp> {
-        self.peek().map(|((ts, _), _)| ts)
+    /// Removes and returns the oldest live edge by `(timestamp, id)` if it
+    /// is strictly older than `cutoff`.
+    pub(crate) fn pop_older_than(&mut self, cutoff: Timestamp) -> Option<EdgeData> {
+        while let Some(&Reverse((_, id))) = self.late.peek() {
+            if self.get(id).is_some() {
+                break;
+            }
+            self.late.pop();
+        }
+        let front = self.slots.front().map(|e| (e.timestamp, e.id));
+        let late = self.late.peek().map(|top| top.0);
+        let (ts, id) = front.into_iter().chain(late).min()?;
+        if ts < cutoff {
+            self.remove(id)
+        } else {
+            None
+        }
+    }
+
+    /// Number of live edges.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// The live edges in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &EdgeData> + '_ {
+        self.slots.iter().filter(|e| e.id != NO_EDGE)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The window as the graph keeps it: which edges `expire` removes, and
+    //! in what order.
 
-    /// Pops every edge strictly older than `cutoff`, in timestamp order.
-    fn pop_all_older_than(q: &mut ExpiryQueue, cutoff: Timestamp) -> Vec<(EdgeId, Timestamp)> {
-        std::iter::from_fn(|| q.pop_older_than(cutoff)).collect()
+    use crate::{DynamicGraph, EdgeId, EdgeType, GraphError, Schema, Timestamp, VertexId};
+
+    /// A graph with window `w` and one edge per timestamp in `stamps`:
+    /// edge `i` (its id is its stream position) runs from vertex `i + 1`
+    /// into the hub, vertex 0.
+    fn graph_with(w: u64, stamps: &[u64]) -> DynamicGraph {
+        let mut g = DynamicGraph::with_window(Schema::new(), w);
+        for (i, &ts) in stamps.iter().enumerate() {
+            let src = VertexId(i as u64 + 1);
+            g.ensure_vertex(src, Default::default()).unwrap();
+            g.ensure_vertex(VertexId(0), Default::default()).unwrap();
+            let id = g.add_edge(src, VertexId(0), EdgeType(0), Timestamp(ts));
+            assert_eq!(id, EdgeId(i as u64));
+        }
+        g
+    }
+
+    /// Narrows the window so the cutoff is `cutoff`, expires, and returns
+    /// the ids `expire` removed, ascending.
+    fn expire_below(g: &mut DynamicGraph, cutoff: u64) -> Vec<u64> {
+        let live = |g: &DynamicGraph| g.edges().map(|e| e.id.0).collect::<Vec<_>>();
+        let before = live(g);
+        g.set_window(Some(g.latest_timestamp().0 - cutoff));
+        let removed = g.expire();
+        let after = live(g);
+        let gone: Vec<u64> = before.into_iter().filter(|i| !after.contains(i)).collect();
+        assert_eq!(removed, gone.len(), "expire counts what it removed");
+        gone
     }
 
     #[test]
     fn expires_only_strictly_older_edges() {
-        let mut q = ExpiryQueue::new();
-        q.push(EdgeId(1), Timestamp(10));
-        q.push(EdgeId(2), Timestamp(20));
-        q.push(EdgeId(3), Timestamp(30));
-        let expired = pop_all_older_than(&mut q, Timestamp(20));
-        assert_eq!(expired, vec![(EdgeId(1), Timestamp(10))]);
-        assert_eq!(q.len(), 2);
+        // Newest 30, window 10: the cutoff is 20, and the edge at 20 stays.
+        let mut g = graph_with(10, &[10, 20, 30]);
+        assert_eq!(g.expire(), 1);
+        assert!(!g.contains_edge(EdgeId(0)));
+        assert!(g.contains_edge(EdgeId(1)) && g.contains_edge(EdgeId(2)));
+        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
     fn expiry_is_in_timestamp_order_even_with_out_of_order_insertion() {
-        let mut q = ExpiryQueue::new();
-        q.push(EdgeId(5), Timestamp(50));
-        q.push(EdgeId(1), Timestamp(10));
-        q.push(EdgeId(3), Timestamp(30));
-        let expired = pop_all_older_than(&mut q, Timestamp(100));
-        let ts: Vec<u64> = expired.iter().map(|(_, t)| t.0).collect();
-        assert_eq!(ts, vec![10, 30, 50]);
-        assert!(q.is_empty());
+        let mut g = graph_with(100, &[50, 10, 30, 100]);
+        assert_eq!(expire_below(&mut g, 11), [1]);
+        assert_eq!(expire_below(&mut g, 31), [2]);
+        assert_eq!(expire_below(&mut g, 51), [0]);
+        assert_eq!(g.edges().map(|e| e.id).collect::<Vec<_>>(), [EdgeId(3)]);
     }
 
     #[test]
     fn remove_drops_a_specific_edge() {
-        let mut q = ExpiryQueue::new();
-        q.push(EdgeId(1), Timestamp(10));
-        assert!(q.remove(EdgeId(1), Timestamp(10)));
-        assert!(!q.remove(EdgeId(1), Timestamp(10)));
-        assert!(q.is_empty());
+        // Edge 1 is late: it sits on the heap as well as in the ring.
+        let mut g = graph_with(100, &[10, 5, 20, 30]);
+        for id in [EdgeId(1), EdgeId(0)] {
+            assert_eq!(g.remove_edge(id).unwrap().id, id);
+            assert!(matches!(g.remove_edge(id), Err(GraphError::UnknownEdge(e)) if e == id));
+            assert!(g.edge(id).is_none());
+        }
+        // Neither removed edge is expired again.
+        assert_eq!(expire_below(&mut g, 20), Vec::<u64>::new());
+        assert_eq!(expire_below(&mut g, 21), [2]);
+        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn oldest_reports_minimum_timestamp() {
-        let mut q = ExpiryQueue::new();
-        assert_eq!(q.oldest(), None);
-        q.push(EdgeId(2), Timestamp(25));
-        q.push(EdgeId(1), Timestamp(5));
-        assert_eq!(q.oldest(), Some(Timestamp(5)));
+        // The first edge `expire` removes is the one with the smallest
+        // timestamp, though it arrived after a newer one.
+        let mut g = graph_with(100, &[25, 5, 40]);
+        assert_eq!(expire_below(&mut g, 6), [1]);
+        assert_eq!(expire_below(&mut g, 26), [0]);
     }
 
     #[test]
     fn same_timestamp_edges_are_distinguished_by_id() {
-        let mut q = ExpiryQueue::new();
-        q.push(EdgeId(1), Timestamp(10));
-        q.push(EdgeId(2), Timestamp(10));
-        assert_eq!(q.len(), 2);
-        let expired = pop_all_older_than(&mut q, Timestamp(11));
-        assert_eq!(expired.len(), 2);
+        let mut g = graph_with(100, &[10, 10, 20, 30]);
+        assert_eq!(g.num_edges(), 4);
+        assert_eq!(expire_below(&mut g, 11), [0, 1]);
+        // Edge 0 left first: the hub's list [0, 1, 2, 3] became [3, 1, 2],
+        // then [3, 2]. Edge 1 first would have left [2, 3].
+        let hub = g.vertex(VertexId(0)).unwrap();
+        assert_eq!(hub.in_edges(), [EdgeId(3), EdgeId(2)]);
     }
 
     /// Both sides in use: the merged expiry order is the global
     /// `(timestamp, id)` order, and removal finds an edge on either side.
     #[test]
     fn in_order_and_late_sides_merge_in_timestamp_order() {
-        let mut q = ExpiryQueue::new();
-        // In order: 10, 20, 20, 40. Late (behind the back, 40): 15, 5, 20.
-        for (id, ts) in [(1, 10), (3, 20), (4, 20), (6, 40), (5, 15), (7, 5), (2, 20)] {
-            q.push(EdgeId(id), Timestamp(ts));
-        }
-        assert_eq!(q.oldest(), Some(Timestamp(5)));
-        assert!(q.remove(EdgeId(5), Timestamp(15)), "late side");
-        assert!(q.remove(EdgeId(4), Timestamp(20)), "in-order side");
-        assert!(!q.remove(EdgeId(4), Timestamp(20)));
-        assert_eq!(
-            pop_all_older_than(&mut q, Timestamp(40)),
-            [(7, 5), (1, 10), (2, 20), (3, 20)].map(|(id, ts)| (EdgeId(id), Timestamp(ts)))
-        );
-        assert_eq!((q.len(), q.oldest()), (1, Some(Timestamp(40))));
+        // In order: 10, 20, 20, 40. Late (behind 40): 15, 5, 20.
+        let mut g = graph_with(100, &[10, 20, 20, 40, 15, 5, 20]);
+        g.remove_edge(EdgeId(4)).expect("late side");
+        g.remove_edge(EdgeId(2)).expect("in-order side");
+        assert!(g.remove_edge(EdgeId(2)).is_err());
+        assert_eq!(expire_below(&mut g, 6), [5]);
+        assert_eq!(expire_below(&mut g, 11), [0]);
+        assert_eq!(expire_below(&mut g, 21), [1, 6]);
+        assert_eq!(expire_below(&mut g, 40), Vec::<u64>::new());
+        assert_eq!(g.edges().map(|e| e.id).collect::<Vec<_>>(), [EdgeId(3)]);
     }
 }
